@@ -27,7 +27,8 @@ views.  Three pieces:
 * **recovery** (:func:`recover_engine`, :meth:`DurableEngine.__init__`,
   :meth:`repro.runtime.engine.DeltaEngine.recover`) — load the latest
   valid snapshot, replay the WAL suffix ``lsn > watermark`` through the
-  normal batch path, resume logging at the right LSN.  The recovery
+  normal batch path (:func:`restore_and_replay`, the one such loop),
+  resume logging at the right LSN.  The recovery
   invariant (pinned by the hypothesis suite in
   ``tests/runtime/test_fault_injection.py``): *snapshot + WAL-suffix
   replay lands on a state identical to an uninterrupted engine that
@@ -35,7 +36,7 @@ views.  Three pieces:
   is idempotent because frames at or below the watermark are skipped by
   LSN, never re-applied.
 
-:class:`DurableEngine` wraps a :class:`~repro.runtime.engine.DeltaEngine`
+:class:`DurableEngine` layers over a :class:`~repro.runtime.engine.DeltaEngine`
 (or, with ``shards > 1``, a :class:`~repro.runtime.engine.ShardedEngine`)
 and logs every batch *before* applying it — pre-partition, in the router,
 so one log serves any future shard count: the same directory can be
@@ -66,13 +67,12 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.compiler.program import CompiledProgram
 from repro.errors import (
     DurabilityError,
-    EventError,
     RecoveryError,
     ResumeGapError,
     WalCorruptionError,
 )
-from repro.runtime.engine import DEFAULT_BATCH_SIZE
-from repro.runtime.events import EventBatch, StreamEvent, batches
+from repro.runtime.engine import Engine, admit
+from repro.runtime.events import EventBatch
 
 #: Labels at which the durability layer calls its fault-injection probe.
 PROBE_POINTS = (
@@ -928,6 +928,58 @@ def _check_meta(directory: Path, fingerprint: str, create: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+def restore_and_replay(
+    engine,
+    directory: str | Path,
+    snapshot: Optional[dict],
+    apply: Optional[Callable[[int, EventBatch], None]] = None,
+) -> tuple[int, int]:
+    """Restore ``snapshot`` into ``engine`` (``None``: a fresh engine,
+    nothing to restore) and replay the WAL suffix past its watermark
+    through the normal batch path.
+
+    The one restore-then-replay loop: crash recovery
+    (:func:`recover_engine`), a supervised worker rebuild
+    (:class:`DurableEngine`) and the server's resume-from-LSN shadow
+    replay (:mod:`repro.runtime.serving`) all land here, so they share
+    its parity guarantee.  ``apply(lsn, batch)`` replaces the plain
+    ``engine._process_batch(batch)`` for a caller that observes frames
+    as they go by.  Flush-path listeners are suppressed throughout:
+    subscribers already saw these deltas, re-rendering them would
+    duplicate the stream.
+
+    Returns ``(last applied LSN, frames replayed)``; replay is idempotent
+    by construction, because every frame at or below the watermark is
+    filtered out by LSN.  Raises :class:`~repro.errors.ResumeGapError`
+    when the log no longer reaches back to the watermark.
+    """
+    listeners, engine._batch_listeners = engine._batch_listeners, []
+    try:
+        last = 0
+        if snapshot is not None:
+            engine.restore_state(
+                snapshot["maps"],
+                events_processed=snapshot.get("events_processed", 0),
+                events_skipped=snapshot.get("events_skipped", 0),
+                stream_started=snapshot.get("stream_started"),
+            )
+            last = snapshot["lsn"]
+        replayed = 0
+        for lsn, relation, sign, columns in WriteAheadLog.replay(
+            directory, after_lsn=last
+        ):
+            batch = EventBatch.from_columns(relation, sign, columns)
+            if apply is None:
+                engine._process_batch(batch)
+            else:
+                apply(lsn, batch)
+            last = lsn
+            replayed += 1
+        return last, replayed
+    finally:
+        engine._batch_listeners = listeners
+
+
 def recover_engine(
     program: CompiledProgram,
     directory: str | Path,
@@ -937,17 +989,15 @@ def recover_engine(
 ):
     """Rebuild an engine from a durable directory.
 
-    Loads the latest valid snapshot (if any) into a fresh engine via
-    ``restore_state`` and replays the WAL suffix ``lsn > watermark``
-    through the normal batch path.  Returns ``(engine, lsn)`` where
+    Loads the latest valid snapshot (if any) into a fresh engine and
+    replays the WAL suffix past its watermark
+    (:func:`restore_and_replay`).  Returns ``(engine, lsn)`` where
     ``lsn`` is the last applied frame's LSN (the watermark a resumed log
     must not re-issue).  With ``shards > 1`` the engine is a
     :class:`~repro.runtime.engine.ShardedEngine` — the log is written
     pre-partition, so any shard count can recover the same directory.
-
-    Replay is idempotent by construction: every frame at or below the
-    watermark is filtered out by LSN, so recovering twice (or recovering
-    an already-recovered directory) reaches the identical state.
+    Recovering twice (or recovering an already-recovered directory)
+    reaches the identical state.
     """
     from repro.runtime.engine import DeltaEngine, ShardedEngine
 
@@ -959,8 +1009,13 @@ def recover_engine(
             program, shards=shards, parallel=parallel, **engine_kwargs
         )
     else:
+        # One lane has no worker to supervise: as on a ShardedEngine
+        # without forked lanes, the supervision knobs are inert.
+        for name in (
+            "supervise", "max_worker_restarts", "restart_window", "checkpoint_every"
+        ):
+            engine_kwargs.pop(name, None)
         engine = DeltaEngine(program, **engine_kwargs)
-    watermark = 0
     snapshot = SnapshotStore(directory).load_latest() if directory.exists() else None
     if snapshot is not None:
         stored = snapshot.get("fingerprint")
@@ -970,20 +1025,8 @@ def recover_engine(
                 f"program (fingerprint {stored!r}, this program "
                 f"{fingerprint!r})"
             )
-        engine.restore_state(
-            snapshot["maps"],
-            events_processed=snapshot.get("events_processed", 0),
-            events_skipped=snapshot.get("events_skipped", 0),
-            stream_started=snapshot.get("stream_started"),
-        )
-        watermark = snapshot["lsn"]
-    last = watermark
     try:
-        for lsn, relation, sign, columns in WriteAheadLog.replay(
-            directory, after_lsn=watermark
-        ):
-            engine.process_batch_columns(relation, sign, columns)
-            last = lsn
+        last, _ = restore_and_replay(engine, directory, snapshot)
     except ResumeGapError as exc:
         # Only reachable when every snapshot is invalid but the log was
         # already truncated past one: the lost prefix is unrecoverable,
@@ -998,11 +1041,11 @@ def recover_engine(
 
 
 # ---------------------------------------------------------------------------
-# The durable engine wrapper
+# The durable engine layer
 # ---------------------------------------------------------------------------
 
 
-class DurableEngine:
+class DurableEngine(Engine):
     """A crash-durable engine: WAL + snapshots around the delta engine.
 
     Opening a directory recovers whatever state it holds (latest valid
@@ -1019,8 +1062,10 @@ class DurableEngine:
     future shard count.  ``fsync`` picks the WAL durability policy
     (:class:`WriteAheadLog`); ``snapshot_every=N`` checkpoints
     automatically every N logged events, bounding the WAL suffix a
-    restart must replay.  All read/introspection methods (``results``,
-    ``map_view``, ``map_sizes``...) delegate to the wrapped engine.
+    restart must replay.  The ingest and read surface is the shared
+    :class:`~repro.runtime.engine.Engine` core over a log-then-apply
+    ``_process_batch``; anything specific to the wrapped engine
+    (``maps``, ``events_processed``, ``supervisor``...) delegates to it.
     """
 
     def __init__(
@@ -1040,7 +1085,7 @@ class DurableEngine:
             raise DurabilityError(
                 f"snapshot_every must be >= 1 events, got {snapshot_every!r}"
             )
-        self.program = program
+        super().__init__(program)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fingerprint = program_fingerprint(program)
@@ -1061,12 +1106,12 @@ class DurableEngine:
         # A lost tail (crash under fsync="batch"/"none" after a snapshot)
         # must not re-issue LSNs the snapshot already covers.
         self._wal.ensure_lsn(self._lsn)
-        # Flush-path delta taps on the wrapped engine observe the WAL LSN:
-        # every batch is appended immediately before it is applied, so at
-        # tap time the log's last LSN is the applied batch's LSN — served
-        # deltas carry the same sequence numbers recovery replays.
-        self._engine.lsn_source = lambda: self._wal.last_lsn
-        self._lsn = self._wal.last_lsn if self._wal.last_lsn > self._lsn else self._lsn
+        # The flush-path tap stamps the WAL LSN: every batch is appended
+        # immediately before it is applied, so at tap time the log's last
+        # LSN is the applied batch's LSN — served deltas carry the same
+        # sequence numbers recovery replays.
+        self.lsn_source = lambda wal=self._wal: wal.last_lsn  # no self cycle
+        self._lsn = max(self._lsn, self._wal.last_lsn)
         # A supervised sharded engine rebuilds a dead worker's lane from
         # this directory (snapshot + WAL-suffix replay) instead of from
         # coordinator-side checkpoints — the WAL already journals every
@@ -1076,11 +1121,6 @@ class DurableEngine:
             supervisor.install_rebuilder(self._rebuild_from_disk)
         self._since_snapshot = 0
         self._closed = False
-        # (relation, sign) pairs _precheck has already admitted.  Strict
-        # mode, the trigger set and the known relations are fixed for the
-        # engine's lifetime, so a non-static pair never needs re-checking;
-        # static tables stay out (their validity flips with the stream).
-        self._precheck_ok: set = set()
 
     # -- event processing ---------------------------------------------------
 
@@ -1094,49 +1134,29 @@ class DurableEngine:
         """The LSN of the last applied batch (0 before any event)."""
         return self._lsn
 
-    def _precheck(self, relation: str, sign: int) -> None:
-        """Raise the engine's own validation errors *before* logging, so a
-        rejected batch never poisons the log (replay would re-raise it on
-        every recovery)."""
-        from repro.runtime.engine import _unknown_relation_error
+    def _process_batch(self, batch: EventBatch) -> int:
+        """Log one batch, then apply it to the wrapped engine.
 
-        inner = self._engine
-        if relation in self.program.static_relations:
-            if inner._stream_started:
-                raise EventError(
-                    f"static table {relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if sign != 1:
-                raise EventError(
-                    f"static table {relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif (
-            inner.strict
-            and (relation, sign) not in self.program.triggers
-            and relation not in inner._relations
-        ):
-            raise _unknown_relation_error(self.program, relation)
-        else:
-            self._precheck_ok.add((relation, sign))
-
-    def _log_and_apply(self, batch: EventBatch) -> int:
+        The wrapped engine's own admission errors are raised *before*
+        logging (a dry run of the same :func:`~repro.runtime.engine.admit`
+        it applies with), so a rejected batch never poisons the log —
+        replay would re-raise it on every recovery.
+        """
         if self._closed:
             raise DurabilityError("DurableEngine is closed")
         count = len(batch)
         if not count:
             return 0
-        if (batch.relation, batch.sign) not in self._precheck_ok:
-            self._precheck(batch.relation, batch.sign)
+        admit(self._engine, batch.relation, batch.sign, 0)
         lsn = self._wal.append_batch(batch)
         if self._probe is not None:
             self._probe("engine.after_append")
-        self._engine._process_batch(batch)
+        applied = self._engine._process_batch(batch)
         self._lsn = lsn
         if self._probe is not None:
             self._probe("engine.after_apply")
+        if applied and self._batch_listeners:
+            self._notify_listeners(batch)
         self._since_snapshot += count
         if (
             self._snapshot_every is not None
@@ -1145,54 +1165,19 @@ class DurableEngine:
             self.snapshot()
         return count
 
-    def process(self, event: StreamEvent) -> None:
-        """Log and apply one event (a one-row batch)."""
-        self._log_and_apply(EventBatch(event.relation, event.sign, [event.values]))
-
-    def process_batch(
-        self, relation: str, sign: int, rows: Sequence[Sequence]
-    ) -> int:
-        rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return 0
-        return self._log_and_apply(EventBatch(relation, sign, rows))
-
+    # Defined here, not inherited: the ledger times a logged batch by
+    # patching ``vars(DurableEngine)["process_batch_columns"]``.
     def process_batch_columns(
         self, relation: str, sign: int, columns: Sequence[Sequence]
     ) -> int:
-        return self._log_and_apply(EventBatch.from_columns(relation, sign, columns))
-
-    def process_stream(
-        self, events, batch_size: Optional[int] = DEFAULT_BATCH_SIZE
-    ) -> int:
-        """Log and apply a whole stream, batch by batch (see
-        :meth:`repro.runtime.engine.DeltaEngine.process_stream`)."""
-        count = 0
-        for batch in batches(events, batch_size):
-            self._log_and_apply(batch)
-            count += len(batch)
-        return count
-
-    def insert(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, 1, tuple(values)))
-
-    def delete(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, -1, tuple(values)))
-
-    def load(self, relation: str, rows) -> int:
-        rows = [tuple(row) for row in rows]
-        self.process_batch(relation, 1, rows)
-        return len(rows)
+        return self._process_batch(EventBatch.from_columns(relation, sign, columns))
 
     # -- durability control -------------------------------------------------
 
     def sync(self) -> None:
         """Durability barrier: every logged batch reaches disk (and every
         shard worker drains) before return."""
-        if getattr(self._engine, "parallel", False) or hasattr(
-            self._engine, "merged_maps"
-        ):
-            self._engine.sync()
+        self._engine.sync()
         self._wal.sync()
 
     def oldest_replayable_lsn(self) -> Optional[int]:
@@ -1207,41 +1192,19 @@ class DurableEngine:
         The shard supervisor calls this after respawning a dead worker:
         every lane (the fresh one and the survivors) is reset and the
         whole engine is rebuilt from the latest snapshot plus the WAL
-        suffix — the same path crash recovery takes, so the supervisor
-        inherits its parity guarantees.  The in-flight batch is already
-        in the WAL (appended before apply), so the replay re-applies it
-        and the caller must *not* re-send it.  Flush-path listeners are
-        suppressed during the rebuild: subscribers already saw these
-        deltas, re-rendering them would duplicate the stream.
+        suffix — the same path crash recovery takes
+        (:func:`restore_and_replay`), so the supervisor inherits its
+        parity guarantees.  The in-flight batch is already in the WAL
+        (appended before apply), so the replay re-applies it and the
+        caller must *not* re-send it.
 
         Returns the number of WAL frames replayed (the suffix length the
         recovery time is linear in).
         """
         self._wal.sync()
-        engine = self._engine
-        snapshot = self._snapshots.load_latest()
-        listeners, engine._batch_listeners = engine._batch_listeners, []
-        try:
-            watermark = 0
-            if snapshot is not None:
-                engine.restore_state(
-                    snapshot["maps"],
-                    events_processed=snapshot.get("events_processed", 0),
-                    events_skipped=snapshot.get("events_skipped", 0),
-                    stream_started=snapshot.get("stream_started"),
-                )
-                watermark = snapshot["lsn"]
-            else:
-                engine.restore_state({})
-            replayed = 0
-            for lsn, relation, sign, columns in WriteAheadLog.replay(
-                self.directory, after_lsn=watermark
-            ):
-                engine.process_batch_columns(relation, sign, columns)
-                replayed += 1
-            return replayed
-        finally:
-            engine._batch_listeners = listeners
+        # No snapshot yet: restoring the empty state still resets the lanes.
+        snapshot = self._snapshots.load_latest() or {"maps": {}, "lsn": 0}
+        return restore_and_replay(self._engine, self.directory, snapshot)[1]
 
     def snapshot(self) -> Path:
         """Checkpoint the whole engine state at the current LSN.
@@ -1255,18 +1218,15 @@ class DurableEngine:
             raise DurabilityError("DurableEngine is closed")
         self._wal.sync()
         engine = self._engine
-        if hasattr(engine, "merged_maps"):
-            maps = engine.merged_maps()
-            events_processed = engine.events_processed
-        else:
-            maps = engine.maps
-            events_processed = engine.events_processed
         state = {
             # Plain dicts: storage-agnostic (a columnar engine's snapshot
             # restores into a dict engine and vice versa), insertion order
             # preserved either way.
-            "maps": {name: dict(contents) for name, contents in maps.items()},
-            "events_processed": events_processed,
+            "maps": {
+                name: dict(contents)
+                for name, contents in engine.current_maps().items()
+            },
+            "events_processed": engine.events_processed,
             "events_skipped": engine.events_skipped,
             "stream_started": engine._stream_started,
             "fingerprint": self.fingerprint,
@@ -1282,15 +1242,14 @@ class DurableEngine:
         return path
 
     def close(self) -> None:
-        """Flush the WAL and release resources (idempotent)."""
+        """Flush the WAL and release resources (idempotent).  The wrapped
+        engine closes too — a sharded engine's contract is
+        close-discards; the durable state is on disk."""
         if self._closed:
             return
         self._closed = True
         self._wal.close()
-        if hasattr(self._engine, "merged_maps"):
-            # Keep the sharded engine open for reads?  No: its contract is
-            # close-discards; the durable state is on disk.
-            self._engine.close()
+        self._engine.close()
 
     def abandon(self) -> None:
         """Simulate a crash: drop all in-memory state without flushing.
@@ -1301,27 +1260,16 @@ class DurableEngine:
         """
         self._closed = True
         self._wal.abandon()
-        if hasattr(self._engine, "merged_maps"):
-            self._engine.close()
+        self._engine.close()
 
-    def __enter__(self) -> "DurableEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- reads (delegated) --------------------------------------------------
+    # -- reads --------------------------------------------------------------
 
     def __getattr__(self, name: str):
-        # Reads and introspection (results, map_view, map_sizes, maps,
-        # events_processed...) delegate to the wrapped engine.  Only
-        # called for names not defined here.
+        # The read primitives the shared core derives from (current_maps,
+        # index_sizes) and whatever else is specific to the wrapped engine
+        # (maps, events_processed, events_skipped, restore_state,
+        # supervisor, native_note...) delegate to it.  Only called for
+        # names not defined here or on the shared core.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self.__dict__["_engine"], name)

@@ -36,6 +36,12 @@ shard lanes are forked worker processes fed over pipes, so trigger
 execution overlaps across cores; otherwise shards run in-process, which
 keeps the routing/merge semantics (and the tests) identical without any
 IPC.
+
+Both — and :class:`~repro.runtime.durability.DurableEngine` — are layers
+over one :class:`Engine` core: a layer supplies ``_process_batch``,
+``current_maps`` and ``index_sizes``; the ingest surface, the derived
+reads, the flush-path tap and the lifecycle are written once on the base,
+and admission is the one :func:`admit` rule.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from __future__ import annotations
 import signal
 import time
 from collections import deque
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -74,17 +81,47 @@ from repro.ir.interp import (
 )
 
 
-def _unknown_relation_error(
-    program: CompiledProgram, relation: str
-) -> UnknownStreamError:
-    """A strict-mode rejection that says what *would* have been accepted."""
-    known = sorted(
-        {rel for rel, _ in program.triggers} | set(program.static_relations)
-    )
-    return UnknownStreamError(
-        f"no standing query reads relation {relation!r}; "
-        "known relations: " + (", ".join(known) if known else "(none)")
-    )
+def admit(engine, relation: str, sign: int, count: int) -> Optional[Trigger]:
+    """The one admission rule: may ``count`` rows of ``(relation, sign)``
+    enter ``engine``, and which trigger runs them.
+
+    Static tables must be fully loaded before the first stream event —
+    mixed static/stream maps carry no static-table triggers, which is
+    only sound while all streams are empty — and only take inserts.  A
+    relation no standing query reads raises in ``strict`` mode and is
+    counted into ``events_skipped`` otherwise.  Returns the trigger, or
+    ``None`` when the rows are to be dropped (skipped relation, deletions
+    disabled at compile time, or no statements).
+
+    ``count=0`` is a dry run — it raises exactly what applying would and
+    changes no engine state — which is how the durable layer rejects a
+    batch *before* logging it.
+    """
+    program = engine.program
+    trigger = program.triggers.get((relation, sign))
+    if relation in program.static_relations:
+        if engine._stream_started:
+            raise EventError(
+                f"static table {relation!r} cannot change after "
+                "stream processing has started; declare it as a STREAM "
+                "if it receives online updates"
+            )
+        if sign != 1:
+            raise EventError(
+                f"static table {relation!r} only supports bulk-load inserts"
+            )
+    elif count and (trigger is not None or relation in engine._relations):
+        engine._stream_started = True
+    if trigger is None and relation not in engine._relations:
+        if engine.strict:
+            # Say what *would* have been accepted.
+            known = sorted(engine._relations | set(program.static_relations))
+            raise UnknownStreamError(
+                f"no standing query reads relation {relation!r}; "
+                "known relations: " + (", ".join(known) if known else "(none)")
+            )
+        engine.events_skipped += count
+    return trigger
 
 
 class InterpretedExecutor:
@@ -150,95 +187,58 @@ class InterpretedExecutor:
         )
 
 
-class DeltaEngine:
-    """A standing-query engine over a compiled delta program.
+@dataclass(frozen=True)
+class _ExecutorOptions:
+    """How an engine's triggers execute — one immutable value, validated
+    once, handed whole to every lane (serial, local, forked worker,
+    deep copy) instead of being threaded field by field."""
 
-    The engine owns one storage object per maintained map and dispatches
-    stream events to the trigger executor (generated Python functions in
-    ``mode="compiled"``, the IR tree-walker in ``mode="interpreted"``).
-    Typical embedded use::
+    mode: str = "compiled"
+    use_indexes: bool = True
+    optimize: bool = True
+    second_order: bool = True
+    columnar: bool = True
 
-        engine = DeltaEngine(compile_sql(query, catalog))
-        engine.insert("bids", 1, 7, 100, 50)   # one event
-        engine.process_stream(events)           # a whole (batched) feed
-        engine.results()                        # current standing rows
+    def __post_init__(self) -> None:
+        if self.mode not in ("compiled", "native", "interpreted"):
+            raise EventError(f"unknown engine mode {self.mode!r}")
 
-    Map storage follows the compiler's storage plan
-    (:func:`repro.compiler.storage.analyze_storage`): keyed maps with
-    proven value types live in packed
-    :class:`~repro.runtime.storage.ColumnarMap` columns, scalar maps in
-    plain dicts.  ``columnar=False`` forces dict storage for every map
-    (the storage ablation, the CLI's ``--no-columnar``); contents are
-    bit-identical either way.
+    def executor(self, program: CompiledProgram, maps: dict[str, dict]):
+        """The trigger executor for ``mode``, bound to ``maps``."""
+        if self.mode == "interpreted":
+            return InterpretedExecutor(
+                program, optimize=self.optimize, second_order=self.second_order
+            )
+        if self.mode == "compiled":
+            from repro.codegen.pygen import CompiledExecutor as executor
+        else:
+            from repro.codegen.native import NativeExecutor as executor
+        return executor(
+            program,
+            maps,
+            use_indexes=self.use_indexes,
+            optimize=self.optimize,
+            second_order=self.second_order,
+            columnar=self.columnar,
+        )
+
+
+class Engine:
+    """The engine core: everything the single, sharded and durable
+    engines share, written once.
+
+    A concrete engine supplies three primitives — ``_process_batch(batch)``
+    (apply one same-``(relation, sign)`` run), ``current_maps()`` (the
+    maintained maps as of now) and ``index_sizes()`` — and inherits the
+    ingest surface, the derived reads, the flush-path tap and the
+    lifecycle from here.  The layers differ only in what their
+    ``_process_batch`` does: :class:`DeltaEngine` runs the trigger,
+    :class:`ShardedEngine` routes to lanes,
+    :class:`~repro.runtime.durability.DurableEngine` logs then applies.
     """
 
-    def __init__(
-        self,
-        program: CompiledProgram,
-        mode: str = "compiled",
-        profiler=None,
-        strict: bool = False,
-        use_indexes: bool = True,
-        optimize: bool = True,
-        second_order: bool = True,
-        columnar: bool = True,
-    ) -> None:
-        """``strict=True`` raises on events for relations no standing query
-        reads; the default silently skips them (a feed usually carries more
-        streams than one query subscribes to).  ``use_indexes=False``
-        disables secondary-index generation in compiled mode (the
-        access-pattern ablation); ``optimize=False`` disables the IR
-        optimisation pipeline in both modes (the loop-optimisation
-        ablation, also the bench harness's ``--no-opt``);
-        ``second_order=False`` disables the delta-of-delta batch sink, so
-        self-reading triggers fall back to the per-row batch loop (the
-        higher-order batching ablation); ``columnar=False`` disables
-        packed columnar map storage, keeping every map a plain dict (the
-        storage ablation, also the CLI's ``--no-columnar``)."""
+    def __init__(self, program: CompiledProgram) -> None:
         self.program = program
-        self.columnar = columnar
-        if columnar:
-            self.maps: dict[str, dict] = analyze_storage(program).create_maps()
-        else:
-            self.maps = {name: {} for name in program.maps}
-        self.profiler = profiler
-        self.events_processed = 0
-        self.use_indexes = use_indexes
-        self.optimize = optimize
-        self.second_order = second_order
-        if mode == "compiled":
-            from repro.codegen.pygen import CompiledExecutor
-
-            self._executor = CompiledExecutor(
-                program,
-                self.maps,
-                use_indexes=use_indexes,
-                optimize=optimize,
-                second_order=second_order,
-                columnar=columnar,
-            )
-        elif mode == "native":
-            from repro.codegen.native import NativeExecutor
-
-            self._executor = NativeExecutor(
-                program,
-                self.maps,
-                use_indexes=use_indexes,
-                optimize=optimize,
-                second_order=second_order,
-                columnar=columnar,
-            )
-        elif mode == "interpreted":
-            self._executor = InterpretedExecutor(
-                program, optimize=optimize, second_order=second_order
-            )
-        else:
-            raise EventError(f"unknown engine mode {mode!r}")
-        self.mode = mode
-        self.strict = strict
-        self._relations = {rel for rel, _ in program.triggers}
-        self._stream_started = False
-        self.events_skipped = 0
         # The flush-path delta tap (see repro.runtime.serving): listeners
         # observe every batch that reached a trigger, stamped with a
         # monotonic LSN.  ``lsn_source`` overrides the local clock — the
@@ -246,154 +246,23 @@ class DeltaEngine:
         # the durability LSN of the batch they derive from.
         self._batch_listeners: list = []
         self._tap_clock = 0
-        self.lsn_source: Optional[callable] = None
+        self.lsn_source: Optional[Callable[[], int]] = None
 
-    def __deepcopy__(self, memo: dict) -> "DeltaEngine":
-        """Snapshot support (used by the benchmark harness).
-
-        The compiled executor binds map dictionaries as function defaults,
-        so a naive deepcopy would leave the copied engine's triggers writing
-        to the *original* maps; instead the copy rebinds a fresh executor
-        over copied maps (the immutable program is shared).
-        """
-        clone = DeltaEngine(
-            self.program,
-            mode=self.mode,
-            profiler=None,
-            strict=self.strict,
-            use_indexes=self.use_indexes,
-            optimize=self.optimize,
-            second_order=self.second_order,
-            columnar=self.columnar,
-        )
-        clone.maps.update(
-            {
-                # dict.copy / ColumnarMap.copy both preserve the storage
-                # layout and insertion order of the snapshot.
-                name: contents.copy()
-                for name, contents in self.maps.items()
-            }
-        )
-        if self.mode != "interpreted":
-            clone._executor.bind(clone.maps)
-        clone.events_processed = self.events_processed
-        clone.events_skipped = self.events_skipped
-        clone._stream_started = self._stream_started
-        memo[id(self)] = clone
-        return clone
+    def _init_admission(self, strict: bool) -> None:
+        """The state :func:`admit` reads and advances (the durable engine
+        has none of its own: it admits against the engine it wraps)."""
+        self.strict = strict
+        self._relations = {rel for rel, _ in self.program.triggers}
+        self._stream_started = False
+        self.events_skipped = 0
 
     # -- event processing -------------------------------------------------
 
     def process(self, event: StreamEvent) -> None:
-        """Apply one insert/delete event.
-
-        Static tables must be fully loaded before the first stream event:
-        mixed static/stream maps carry no static-table triggers, which is
-        only sound while all streams are empty.
-        """
-        if event.relation in self.program.static_relations:
-            if self._stream_started:
-                raise EventError(
-                    f"static table {event.relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if event.sign != 1:
-                raise EventError(
-                    f"static table {event.relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif event.relation in self._relations:
-            self._stream_started = True
-        trigger = self.program.triggers.get((event.relation, event.sign))
-        if trigger is None:
-            if event.relation not in self._relations:
-                if self.strict:
-                    raise _unknown_relation_error(self.program, event.relation)
-                self.events_skipped += 1
-                return
-            return  # deletions disabled at compile time, or no statements
-        self._executor.execute(trigger, event.values, self.maps, self.profiler)
-        self.events_processed += 1
-        if self.profiler is not None:
-            self.profiler.record_event(event)
-        if self._batch_listeners:
-            self._notify_listeners(
-                EventBatch(event.relation, event.sign, [event.values])
-            )
-
-    def _process_batch(self, batch: EventBatch) -> int:
-        """Dispatch one batch: per-event trigger for a degenerate one-row
-        run (no loop setup, no transpose, and a second-order flush would
-        restate whole maps for one row's change), the columnar ``*_batch``
-        trigger otherwise.
-
-        This is the engine's hottest dispatch path on interleaved feeds
-        (runs average a handful of rows), so the static-table/strict/skip
-        bookkeeping is inlined rather than factored out.
-        """
-        count = batch._length
-        if not count:
-            return 0
-        relation, sign = batch.relation, batch.sign
-        if relation in self.program.static_relations:
-            if self._stream_started:
-                raise EventError(
-                    f"static table {relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if sign != 1:
-                raise EventError(
-                    f"static table {relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif relation in self._relations:
-            self._stream_started = True
-        trigger = self.program.triggers.get((relation, sign))
-        if trigger is None:
-            if relation not in self._relations:
-                if self.strict:
-                    raise _unknown_relation_error(self.program, relation)
-                self.events_skipped += count
-            return 0  # or: deletions disabled / no statements
-        if count == 1:
-            self._executor.execute(trigger, batch.row(0), self.maps, self.profiler)
-        else:
-            self._executor.execute_batch(
-                trigger, batch.columns, self.maps, self.profiler
-            )
-        self.events_processed += count
-        if self.profiler is not None:
-            self.profiler.record_batch(relation, sign, count)
-        if self._batch_listeners:
-            self._notify_listeners(batch)
-        return count
-
-    def _notify_listeners(self, batch: EventBatch) -> None:
-        """Fire the flush-path tap: the batch just applied, LSN-stamped.
-
-        Listener errors propagate — a tap that cannot keep up (or raises)
-        must surface to the caller rather than silently drop deltas.
-        """
-        self._tap_clock += 1
-        lsn = (
-            self.lsn_source()
-            if self.lsn_source is not None
-            else self._tap_clock
+        """Apply one insert/delete event (a one-row batch)."""
+        self._process_batch(
+            EventBatch(event.relation, event.sign, [event.values])
         )
-        for listener in list(self._batch_listeners):
-            listener(lsn, batch)
-
-    def add_batch_listener(self, listener) -> None:
-        """Register a flush-path tap: ``listener(lsn, batch)`` runs after
-        every batch that reached a trigger (skipped relations never fire).
-        LSNs are monotonic; a :class:`~repro.runtime.durability.DurableEngine`
-        substitutes the WAL LSN of the logged batch."""
-        self._batch_listeners.append(listener)
-
-    def remove_batch_listener(self, listener) -> None:
-        self._batch_listeners.remove(listener)
 
     def process_batch(self, relation: str, sign: int, rows: Sequence[Sequence]) -> int:
         """Apply a run of same-``(relation, sign)`` rows as one batch.
@@ -466,6 +335,243 @@ class DeltaEngine:
         self.process_batch(relation, 1, rows)
         return len(rows)
 
+    # -- the flush-path tap -------------------------------------------------
+
+    def add_batch_listener(self, listener) -> None:
+        """Register a flush-path tap: ``listener(lsn, batch)`` runs after
+        every batch that reached a trigger (skipped relations never fire).
+        LSNs are monotonic; a :class:`~repro.runtime.durability.DurableEngine`
+        substitutes the WAL LSN of the logged batch.  Sharded routing is
+        fire-and-forget, so a listener that reads state must go through
+        the synchronising reads (``results`` / ``current_maps``)."""
+        self._batch_listeners.append(listener)
+
+    def remove_batch_listener(self, listener) -> None:
+        self._batch_listeners.remove(listener)
+
+    def tap_lsn(self) -> int:
+        """The LSN of the last batch the tap stamped (the WAL tip on a
+        durable engine) — where a tap attached now starts counting."""
+        if self.lsn_source is not None:
+            return self.lsn_source()
+        return self._tap_clock
+
+    def _notify_listeners(self, batch: EventBatch) -> None:
+        """Fire the flush-path tap: the batch just applied, LSN-stamped.
+
+        Listener errors propagate — a tap that cannot keep up (or raises)
+        must surface to the caller rather than silently drop deltas.
+        """
+        self._tap_clock += 1
+        lsn = self.tap_lsn()
+        for listener in list(self._batch_listeners):
+            listener(lsn, batch)
+
+    # -- results ------------------------------------------------------------
+
+    def results(self, query_name: Optional[str] = None) -> list[tuple]:
+        """Current rows of a standing query."""
+        return query_results(self.program, self.current_maps(), query_name)
+
+    def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
+        query = self._query(query_name)
+        return result_rows_to_dicts(query, self.results(query.name))
+
+    def result_scalar(self, query_name: Optional[str] = None):
+        """The single value of a scalar (non-grouped, single-item) query."""
+        rows = self.results(query_name)
+        if len(rows) != 1 or len(rows[0]) != 1:
+            raise EventError("result_scalar requires a scalar single-item query")
+        return rows[0][0]
+
+    def _query(self, query_name: Optional[str]):
+        if query_name is None:
+            if len(self.program.queries) != 1:
+                raise EventError("query_name required with multiple queries")
+            return self.program.queries[0]
+        for query in self.program.queries:
+            if query.name == query_name:
+                return query
+        raise EventError(f"unknown query {query_name!r}")
+
+    # -- introspection (the read-only client interface) --------------------
+
+    def map_view(self, name: str) -> Mapping:
+        """Read-only view of one internal map, for ad-hoc client queries."""
+        return MappingProxyType(self.current_maps()[name])
+
+    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
+        """Entries per map; with ``include_indexes`` each map's count also
+        covers its secondary-index entries (the real memory footprint)."""
+        sizes = {
+            name: len(contents) for name, contents in self.current_maps().items()
+        }
+        if include_indexes:
+            for name, entries in self.index_sizes().items():
+                sizes[name] = sizes.get(name, 0) + entries
+        return sizes
+
+    def total_entries(self, include_indexes: bool = False) -> int:
+        total = sum(len(contents) for contents in self.current_maps().values())
+        if include_indexes:
+            total += sum(self.index_sizes().values())
+        return total
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def sync(self) -> None:
+        """Barrier: everything accepted so far is applied (and, on a
+        durable engine, on disk).  Nothing to wait for on a single
+        in-process engine."""
+
+    def close(self) -> None:
+        """Release what the engine holds (idempotent).  A single
+        in-process engine holds nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+class DeltaEngine(Engine):
+    """A standing-query engine over a compiled delta program.
+
+    The engine owns one storage object per maintained map and dispatches
+    stream events to the trigger executor (generated Python functions in
+    ``mode="compiled"``, the IR tree-walker in ``mode="interpreted"``).
+    Typical embedded use::
+
+        engine = DeltaEngine(compile_sql(query, catalog))
+        engine.insert("bids", 1, 7, 100, 50)   # one event
+        engine.process_stream(events)           # a whole (batched) feed
+        engine.results()                        # current standing rows
+
+    Map storage follows the compiler's storage plan
+    (:func:`repro.compiler.storage.analyze_storage`): keyed maps with
+    proven value types live in packed
+    :class:`~repro.runtime.storage.ColumnarMap` columns, scalar maps in
+    plain dicts.  ``columnar=False`` forces dict storage for every map
+    (the storage ablation, the CLI's ``--no-columnar``); contents are
+    bit-identical either way.
+    """
+
+    def __init__(
+        self,
+        program: CompiledProgram,
+        mode: str = "compiled",
+        profiler=None,
+        strict: bool = False,
+        use_indexes: bool = True,
+        optimize: bool = True,
+        second_order: bool = True,
+        columnar: bool = True,
+    ) -> None:
+        """``strict=True`` raises on events for relations no standing query
+        reads; the default silently skips them (a feed usually carries more
+        streams than one query subscribes to).  ``use_indexes=False``
+        disables secondary-index generation in compiled mode (the
+        access-pattern ablation); ``optimize=False`` disables the IR
+        optimisation pipeline in both modes (the loop-optimisation
+        ablation, also the bench harness's ``--no-opt``);
+        ``second_order=False`` disables the delta-of-delta batch sink, so
+        self-reading triggers fall back to the per-row batch loop (the
+        higher-order batching ablation); ``columnar=False`` disables
+        packed columnar map storage, keeping every map a plain dict (the
+        storage ablation, also the CLI's ``--no-columnar``)."""
+        super().__init__(program)
+        self._init_admission(strict)
+        self._options = _ExecutorOptions(
+            mode, use_indexes, optimize, second_order, columnar
+        )
+        if columnar:
+            self.maps: dict[str, dict] = analyze_storage(program).create_maps()
+        else:
+            self.maps = {name: {} for name in program.maps}
+        self.profiler = profiler
+        self.events_processed = 0
+        self._executor = self._options.executor(program, self.maps)
+
+    def __deepcopy__(self, memo: dict) -> "DeltaEngine":
+        """Snapshot support (used by the benchmark harness).
+
+        The compiled executor binds map dictionaries as function defaults,
+        so a naive deepcopy would leave the copied engine's triggers writing
+        to the *original* maps; instead the copy rebinds a fresh executor
+        over copied maps (the immutable program is shared).
+        """
+        clone = type(self)(  # a copied lane stays a lane
+            self.program, strict=self.strict, **asdict(self._options)
+        )
+        clone.maps.update(
+            {
+                # dict.copy / ColumnarMap.copy both preserve the storage
+                # layout and insertion order of the snapshot.
+                name: contents.copy()
+                for name, contents in self.maps.items()
+            }
+        )
+        if self._options.mode != "interpreted":
+            clone._executor.bind(clone.maps)
+        clone.events_processed = self.events_processed
+        clone.events_skipped = self.events_skipped
+        clone._stream_started = self._stream_started
+        memo[id(self)] = clone
+        return clone
+
+    # -- event processing -------------------------------------------------
+
+    def process(self, event: StreamEvent) -> None:
+        """Apply one insert/delete event.
+
+        The allocation-free per-event fast path: a direct executor call,
+        no :class:`EventBatch` unless a flush-path listener is attached.
+        """
+        trigger = admit(self, event.relation, event.sign, 1)
+        if trigger is None:
+            return
+        self._executor.execute(trigger, event.values, self.maps, self.profiler)
+        self.events_processed += 1
+        if self.profiler is not None:
+            self.profiler.record_event(event)
+        if self._batch_listeners:
+            self._notify_listeners(
+                EventBatch(event.relation, event.sign, [event.values])
+            )
+
+    def _process_batch(self, batch: EventBatch) -> int:
+        """Dispatch one batch: per-event trigger for a degenerate one-row
+        run (no loop setup, no transpose, and a second-order flush would
+        restate whole maps for one row's change), the columnar ``*_batch``
+        trigger otherwise.
+        """
+        count = batch._length
+        if not count:
+            return 0
+        relation, sign = batch.relation, batch.sign
+        trigger = admit(self, relation, sign, count)
+        if trigger is None:
+            return 0
+        if count == 1:
+            self._executor.execute(trigger, batch.row(0), self.maps, self.profiler)
+        else:
+            self._executor.execute_batch(
+                trigger, batch.columns, self.maps, self.profiler
+            )
+        self.events_processed += count
+        if self.profiler is not None:
+            self.profiler.record_batch(relation, sign, count)
+        if self._batch_listeners:
+            self._notify_listeners(batch)
+        return count
+
     # -- durability ---------------------------------------------------------
 
     def restore_state(
@@ -496,7 +602,7 @@ class DeltaEngine:
             contents = maps.get(name)
             if contents:
                 target.update(contents)
-        if self.mode != "interpreted":
+        if self._options.mode != "interpreted":
             self._executor.bind(self.maps)
         self.events_processed = events_processed
         self.events_skipped = events_skipped
@@ -520,30 +626,14 @@ class DeltaEngine:
 
     # -- results ------------------------------------------------------------
 
+    def current_maps(self) -> dict[str, dict]:
+        return self.maps
+
+    # Defined here, not inherited: the ledger times this call by patching
+    # ``vars(DeltaEngine)["results"]``.
     def results(self, query_name: Optional[str] = None) -> list[tuple]:
         """Current rows of a standing query."""
         return query_results(self.program, self.maps, query_name)
-
-    def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
-        query = self._query(query_name)
-        return result_rows_to_dicts(query, self.results(query.name))
-
-    def result_scalar(self, query_name: Optional[str] = None):
-        """The single value of a scalar (non-grouped, single-item) query."""
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
-
-    def _query(self, query_name: Optional[str]):
-        if query_name is None:
-            if len(self.program.queries) != 1:
-                raise EventError("query_name required with multiple queries")
-            return self.program.queries[0]
-        for query in self.program.queries:
-            if query.name == query_name:
-                return query
-        raise EventError(f"unknown query {query_name!r}")
 
     # -- introspection (the read-only client interface) --------------------
 
@@ -559,10 +649,6 @@ class DeltaEngine:
         fallback reason); ``None`` outside ``mode="native"``."""
         return getattr(self._executor, "native_note", None)
 
-    def map_view(self, name: str) -> Mapping:
-        """Read-only view of one internal map, for ad-hoc client queries."""
-        return MappingProxyType(self.maps[name])
-
     def index_sizes(self) -> dict[str, int]:
         """Secondary-index entries currently held, per indexed map.
 
@@ -573,41 +659,45 @@ class DeltaEngine:
         counter = getattr(self._executor, "index_entry_counts", None)
         return counter() if counter is not None else {}
 
-    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
-        """Entries per map; with ``include_indexes`` each map's count also
-        covers its secondary-index entries (the real memory footprint)."""
-        sizes = {name: len(contents) for name, contents in self.maps.items()}
-        if include_indexes:
-            for name, entries in self.index_sizes().items():
-                sizes[name] += entries
-        return sizes
-
-    def total_entries(self, include_indexes: bool = False) -> int:
-        total = sum(len(contents) for contents in self.maps.values())
-        if include_indexes:
-            total += sum(self.index_sizes().values())
-        return total
-
 
 # ---------------------------------------------------------------------------
 # Sharded parallel delta processing
 # ---------------------------------------------------------------------------
 
 
-def _shard_worker_main(
-    conn, program, mode, use_indexes, optimize, second_order, columnar
-) -> None:
-    """One shard worker: a private :class:`DeltaEngine` fed over a pipe.
+class _LocalLane(DeltaEngine):
+    """An in-process shard lane — also the serial lane, and what a forked
+    worker runs: a :class:`DeltaEngine` that takes lane messages.
 
-    Batches arrive columnar and apply fire-and-forget; the first trigger
-    failure is remembered and surfaced on the next ``sync``/``collect``
-    round-trip (subsequent batches are dropped, as the shard state is no
-    longer trustworthy).
+    The lane interface the router talks to is the engine surface itself
+    (``sync``, ``events_processed``, ``current_maps``, ``index_sizes``,
+    ``restore_state``, ``close``) plus :meth:`send`.  Lanes never run
+    strict: admission is enforced once, globally, by the router.
     """
-    engine = DeltaEngine(
-        program, mode=mode, strict=False, use_indexes=use_indexes,
-        optimize=optimize, second_order=second_order, columnar=columnar,
-    )
+
+    @classmethod
+    def build(cls, program: CompiledProgram, options: _ExecutorOptions):
+        return cls(program, strict=False, **asdict(options))
+
+    def send(self, op: str, relation: str, sign: int, payload) -> None:
+        """Apply one lane message.  ``"batch"`` carries per-column lists;
+        ``"rows"`` carries row tuples — small runs ship that way and the
+        lane transposes lazily (or takes the per-event path for one row)."""
+        if op == "batch":
+            self.process_batch_columns(relation, sign, payload)
+        else:
+            self.process_batch(relation, sign, payload)
+
+
+def _shard_worker_main(conn, program, options: _ExecutorOptions) -> None:
+    """One shard worker: a private :class:`_LocalLane` fed over a pipe.
+
+    Batches apply fire-and-forget; the first trigger failure is
+    remembered and surfaced on the next ``sync``/``collect`` round-trip
+    (subsequent batches are dropped, as the shard state is no longer
+    trustworthy).
+    """
+    engine = _LocalLane.build(program, options)
     failure = None
     while True:
         try:
@@ -615,37 +705,20 @@ def _shard_worker_main(
         except (EOFError, OSError, KeyboardInterrupt):
             break
         op = message[0]
-        if op == "batch":
+        if op in ("batch", "rows"):
             if failure is None:
                 try:
-                    engine.process_batch_columns(
-                        message[1], message[2], message[3]
-                    )
+                    engine.send(*message)
                 except Exception as exc:  # surfaced on the next sync
                     failure = f"{type(exc).__name__}: {exc}"
-        elif op == "rows":
-            # Small runs ship as row tuples: the lane transposes lazily
-            # (or takes the per-event path for a single row).
-            if failure is None:
-                try:
-                    engine.process_batch(message[1], message[2], message[3])
-                except Exception as exc:  # surfaced on the next sync
-                    failure = f"{type(exc).__name__}: {exc}"
+        elif op in ("sync", "collect", "stats") and failure is not None:
+            conn.send(("error", failure))
         elif op == "sync":
-            if failure is not None:
-                conn.send(("error", failure))
-            else:
-                conn.send(("ok", engine.events_processed))
+            conn.send(("ok", engine.events_processed))
         elif op == "collect":
-            if failure is not None:
-                conn.send(("error", failure))
-            else:
-                conn.send(("maps", engine.maps, engine.events_processed))
+            conn.send(("maps", engine.maps, engine.events_processed))
         elif op == "stats":
-            if failure is not None:
-                conn.send(("error", failure))
-            else:
-                conn.send(("stats", engine.index_sizes()))
+            conn.send(("stats", engine.index_sizes()))
         elif op == "restore":
             # Snapshot recovery scatters a state slice into this lane; a
             # successful restore also clears any remembered failure — the
@@ -667,7 +740,31 @@ def _shard_worker_main(
     conn.close()
 
 
-class _ProcessLane:
+class _PipeLane:
+    """The lane interface over a worker pipe, written once in terms of
+    ``_round_trip(request) -> reply``: raw on :class:`_ProcessLane`,
+    death-guarded on :class:`_SupervisedLane`."""
+
+    def sync(self) -> None:
+        self._round_trip(("sync",))
+
+    @property
+    def events_processed(self) -> int:
+        return self._round_trip(("sync",))[1]
+
+    def current_maps(self) -> dict[str, dict]:
+        return self._round_trip(("collect",))[1]
+
+    def index_sizes(self) -> dict[str, int]:
+        return self._round_trip(("stats",))[1]
+
+    def restore_state(
+        self, maps: dict, events_processed: int, stream_started: bool
+    ) -> None:
+        self._round_trip(("restore", maps, events_processed, stream_started))
+
+
+class _ProcessLane(_PipeLane):
     """Coordinator-side handle of one forked shard worker."""
 
     #: Seconds between liveness checks while waiting on a worker reply.  A
@@ -676,31 +773,22 @@ class _ProcessLane:
     _POLL_INTERVAL = 0.2
 
     def __init__(
-        self, ctx, program, mode, use_indexes, optimize, second_order,
-        columnar, index: int = 0,
+        self, ctx, program, options: _ExecutorOptions, index: int = 0
     ) -> None:
         self.index = index
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_shard_worker_main,
-            args=(
-                child, program, mode, use_indexes, optimize, second_order,
-                columnar,
-            ),
+            args=(child, program, options),
             daemon=True,
         )
         self._proc.start()
         child.close()
 
-    def send_batch(self, relation: str, sign: int, columns: tuple) -> None:
+    def send(self, op: str, relation: str, sign: int, payload) -> None:
+        """Queue one lane message (see :meth:`_LocalLane.send`)."""
         try:
-            self._conn.send(("batch", relation, sign, columns))
-        except (BrokenPipeError, OSError) as exc:
-            raise self._dead_worker_error() from exc
-
-    def send_rows(self, relation: str, sign: int, rows: list) -> None:
-        try:
-            self._conn.send(("rows", relation, sign, rows))
+            self._conn.send((op, relation, sign, payload))
         except (BrokenPipeError, OSError) as exc:
             raise self._dead_worker_error() from exc
 
@@ -730,7 +818,9 @@ class _ProcessLane:
         return reply
 
     def _dead_worker_error(self) -> EventError:
-        exitcode = self._proc.exitcode if self._proc is not None else None
+        exitcode, pid = None, "?"
+        if self._proc is not None:
+            exitcode, pid = self._proc.exitcode, self._proc.pid
         if exitcode is None:
             how = "exit status unknown"
         elif exitcode < 0:
@@ -742,7 +832,7 @@ class _ProcessLane:
         else:
             how = f"exit code {exitcode}"
         error = EventError(
-            f"shard worker {self.index} (pid {self._pid()}) died "
+            f"shard worker {self.index} (pid {pid}) died "
             f"mid-operation ({how}); its lane state is lost — rebuild the "
             "engine, or recover from a durable directory"
         )
@@ -751,26 +841,6 @@ class _ProcessLane:
         # worker is alive and answering — restarting would mask the bug).
         error.worker_died = True
         return error
-
-    def _pid(self):
-        return self._proc.pid if self._proc is not None else "?"
-
-    def sync(self) -> None:
-        self._round_trip(("sync",))
-
-    def events_processed(self) -> int:
-        return self._round_trip(("sync",))[1]
-
-    def collect_maps(self) -> dict[str, dict]:
-        return self._round_trip(("collect",))[1]
-
-    def index_sizes(self) -> dict[str, int]:
-        return self._round_trip(("stats",))[1]
-
-    def restore(
-        self, maps: dict, events_processed: int, stream_started: bool
-    ) -> None:
-        self._round_trip(("restore", maps, events_processed, stream_started))
 
     def close(self) -> None:
         if self._proc is None:
@@ -785,43 +855,6 @@ class _ProcessLane:
             self._proc.join(timeout=5)
         self._conn.close()
         self._proc = None
-
-
-class _LocalLane:
-    """An in-process shard lane (no IPC; used by tests and small runs)."""
-
-    def __init__(self, engine: DeltaEngine) -> None:
-        self.engine = engine
-
-    def send_batch(self, relation: str, sign: int, columns: tuple) -> None:
-        self.engine.process_batch_columns(relation, sign, columns)
-
-    def send_rows(self, relation: str, sign: int, rows: list) -> None:
-        self.engine.process_batch(relation, sign, rows)
-
-    def sync(self) -> None:
-        pass
-
-    def events_processed(self) -> int:
-        return self.engine.events_processed
-
-    def collect_maps(self) -> dict[str, dict]:
-        return self.engine.maps
-
-    def index_sizes(self) -> dict[str, int]:
-        return self.engine.index_sizes()
-
-    def restore(
-        self, maps: dict, events_processed: int, stream_started: bool
-    ) -> None:
-        self.engine.restore_state(
-            maps,
-            events_processed=events_processed,
-            stream_started=stream_started,
-        )
-
-    def close(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -909,11 +942,8 @@ class ShardSupervisor:
         count.  In-memory journals and checkpoints are dropped — the WAL
         supersedes them."""
         self._rebuilder = rebuilder
-        for lane in self.engine._lanes:
-            if isinstance(lane, _SupervisedLane):
-                lane._journal = []
-                lane._checkpoint = None
-                lane._sends_since_checkpoint = 0
+        for lane in self.engine._lanes:  # all supervised, by construction
+            lane._rebase(None)
 
     @property
     def durable(self) -> bool:
@@ -948,11 +978,10 @@ class ShardSupervisor:
                 self._rebuilding = False
             mode = "durable"
         else:
-            checkpoint = lane._checkpoint
-            if checkpoint is not None:
-                lane._inner.restore(checkpoint[0], checkpoint[1], checkpoint[2])
+            if lane._checkpoint is not None:
+                lane._inner.restore_state(*lane._checkpoint)
             for entry in lane._journal:
-                lane._apply(lane._inner, entry)
+                lane._inner.send(*entry)
             replayed = len(lane._journal)
             mode = "journal"
         elapsed = time.perf_counter() - started
@@ -969,7 +998,7 @@ class ShardSupervisor:
         return mode
 
 
-class _SupervisedLane:
+class _SupervisedLane(_PipeLane):
     """A :class:`_ProcessLane` proxy that survives worker death.
 
     Drop-in for the lane interface the router uses: every operation is
@@ -983,10 +1012,14 @@ class _SupervisedLane:
     def __init__(self, supervisor: ShardSupervisor, inner: _ProcessLane) -> None:
         self.supervisor = supervisor
         self._inner = inner
+        self._rebase(None)
+
+    def _rebase(self, checkpoint: Optional[tuple]) -> None:
+        """Adopt ``checkpoint`` — ``(maps, events_processed,
+        stream_started)``, a private copy — as the rebuild basis;
+        everything journaled before it is moot."""
+        self._checkpoint = checkpoint
         self._journal: list[tuple] = []
-        #: (maps, events_processed, stream_started) through the worker
-        #: pipe — pickled on the way out, so already a private deep copy.
-        self._checkpoint: Optional[tuple] = None
         self._sends_since_checkpoint = 0
 
     @property
@@ -999,26 +1032,20 @@ class _SupervisedLane:
         # the worker pid it SIGKILLs.
         return self._inner._proc
 
-    @staticmethod
-    def _apply(lane: _ProcessLane, entry: tuple) -> None:
-        if entry[0] == "batch":
-            lane.send_batch(entry[1], entry[2], entry[3])
-        else:
-            lane.send_rows(entry[1], entry[2], entry[3])
-
     def _worker_death(self, exc: EventError) -> bool:
         return (
             getattr(exc, "worker_died", False)
             and not self.supervisor._rebuilding
         )
 
-    def _guarded_send(self, entry: tuple) -> None:
+    def send(self, op: str, relation: str, sign: int, payload) -> None:
+        entry = (op, relation, sign, payload)
         supervisor = self.supervisor
         journaling = supervisor._rebuilder is None
         if journaling:
             self._journal.append(entry)
         try:
-            self._apply(self._inner, entry)
+            self._inner.send(*entry)
         except EventError as exc:
             if not self._worker_death(exc):
                 raise
@@ -1032,63 +1059,36 @@ class _SupervisedLane:
             if self._sends_since_checkpoint >= supervisor.checkpoint_every:
                 self._take_checkpoint()
 
-    def _guarded_round_trip(self, op: Callable[[_ProcessLane], object]):
+    def _round_trip(self, request: tuple) -> tuple:
         try:
-            return op(self._inner)
+            return self._inner._round_trip(request)
         except EventError as exc:
             if not self._worker_death(exc):
                 raise
             self.supervisor._recover(self, exc)
-            return op(self._inner)
+            return self._inner._round_trip(request)
 
     def _take_checkpoint(self) -> None:
-        reply = self._guarded_round_trip(
-            lambda lane: lane._round_trip(("collect",))
+        # Through the worker pipe: pickled on the way out, so already a
+        # private deep copy.
+        reply = self._round_trip(("collect",))
+        self._rebase(
+            (reply[1], reply[2], self.supervisor.engine._stream_started)
         )
-        self._checkpoint = (
-            reply[1],
-            reply[2],
-            self.supervisor.engine._stream_started,
-        )
-        self._journal = []
-        self._sends_since_checkpoint = 0
 
-    # -- the lane interface --------------------------------------------------
-
-    def send_batch(self, relation: str, sign: int, columns: tuple) -> None:
-        self._guarded_send(("batch", relation, sign, columns))
-
-    def send_rows(self, relation: str, sign: int, rows: list) -> None:
-        self._guarded_send(("rows", relation, sign, rows))
-
-    def sync(self) -> None:
-        self._guarded_round_trip(lambda lane: lane.sync())
-
-    def events_processed(self) -> int:
-        return self._guarded_round_trip(lambda lane: lane.events_processed())
-
-    def collect_maps(self) -> dict[str, dict]:
-        return self._guarded_round_trip(lambda lane: lane.collect_maps())
-
-    def index_sizes(self) -> dict[str, int]:
-        return self._guarded_round_trip(lambda lane: lane.index_sizes())
-
-    def restore(
+    def restore_state(
         self, maps: dict, events_processed: int, stream_started: bool
     ) -> None:
-        self._guarded_round_trip(
-            lambda lane: lane.restore(maps, events_processed, stream_started)
-        )
+        super().restore_state(maps, events_processed, stream_started)
         if self.supervisor._rebuilder is None:
-            # A restore resets the lane wholesale: it becomes the new
-            # rebuild basis and everything journaled before it is moot.
-            self._checkpoint = (
-                {name: dict(contents) for name, contents in maps.items()},
-                events_processed,
-                stream_started,
+            # A restore resets the lane wholesale: it is the new basis.
+            self._rebase(
+                (
+                    {name: dict(contents) for name, contents in maps.items()},
+                    events_processed,
+                    stream_started,
+                )
             )
-            self._journal = []
-            self._sends_since_checkpoint = 0
 
     def close(self) -> None:
         self._inner.close()
@@ -1129,7 +1129,7 @@ def _merge_lane_maps(
     return merged
 
 
-class ShardedEngine:
+class ShardedEngine(Engine):
     """N-way sharded parallel execution of a compiled delta program.
 
     Batches are hash-routed by each relation's partition column (from
@@ -1181,28 +1181,16 @@ class ShardedEngine:
         without forked workers."""
         if shards < 1:
             raise EventError(f"shard count must be >= 1, got {shards!r}")
-        self.program = program
+        super().__init__(program)
+        # Admission is enforced here, globally: lane-local stream state is
+        # only a partial view.
+        self._init_admission(strict)
         self.spec = spec if spec is not None else analyze_partitioning(program)
         self.shards = shards
-        self.mode = mode
-        self.strict = strict
-        self.use_indexes = use_indexes
-        self.optimize = optimize
-        self.second_order = second_order
-        self.columnar = columnar
-        self.events_skipped = 0
-        self._relations = {rel for rel, _ in program.triggers}
-        self._stream_started = False
-        # Flush-path tap, mirroring DeltaEngine: listeners fire once per
-        # routed batch (post-routing — reads through the tap synchronise
-        # with the workers themselves).
-        self._batch_listeners: list = []
-        self._tap_clock = 0
-        self.lsn_source: Optional[callable] = None
-        self._serial = DeltaEngine(
-            program, mode=mode, strict=False, use_indexes=use_indexes,
-            optimize=optimize, second_order=second_order, columnar=columnar,
+        options = self._options = _ExecutorOptions(
+            mode, use_indexes, optimize, second_order, columnar
         )
+        self._serial = _LocalLane.build(program, options)
         self.parallel = False
         self._closed = False
         self._lanes: list = []
@@ -1210,27 +1198,20 @@ class ShardedEngine:
         self.supervisor: Optional[ShardSupervisor] = None
         if self.spec.partitionable and shards > 1:
             if parallel:
-                ctx = self._fork_context()
-                if ctx is not None:
-                    self._ctx = ctx
+                import multiprocessing
+
+                try:
+                    self._ctx = multiprocessing.get_context("fork")
+                except ValueError:
+                    pass  # no fork on this platform: in-process lanes
+                if self._ctx is not None:
                     self._lanes = [
                         self._spawn_worker(index) for index in range(shards)
                     ]
                     self.parallel = True
             if not self._lanes:
                 self._lanes = [
-                    _LocalLane(
-                        DeltaEngine(
-                            program,
-                            mode=mode,
-                            strict=False,
-                            use_indexes=use_indexes,
-                            optimize=optimize,
-                            second_order=second_order,
-                            columnar=columnar,
-                        )
-                    )
-                    for _ in range(shards)
+                    _LocalLane.build(program, options) for _ in range(shards)
                 ]
         if supervise and self.parallel:
             self.supervisor = ShardSupervisor(
@@ -1243,20 +1224,8 @@ class ShardedEngine:
                 _SupervisedLane(self.supervisor, lane) for lane in self._lanes
             ]
 
-    @staticmethod
-    def _fork_context():
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
-
     def _spawn_worker(self, index: int) -> _ProcessLane:
-        return _ProcessLane(
-            self._ctx, self.program, self.mode, self.use_indexes,
-            self.optimize, self.second_order, self.columnar, index=index,
-        )
+        return _ProcessLane(self._ctx, self.program, self._options, index)
 
     def _replace_worker(self, lane: "_SupervisedLane") -> None:
         """Swap a supervised lane's dead worker for a fresh fork."""
@@ -1266,36 +1235,23 @@ class ShardedEngine:
             pass
         lane._inner = self._spawn_worker(lane.index)
 
+    def __getstate__(self) -> dict:
+        """Copying/pickling support: in-process lanes copy like any
+        object; forked lanes own a process and a pipe, which cannot."""
+        if self.parallel:
+            raise EventError(
+                "a ShardedEngine with forked worker lanes cannot be copied: "
+                "its shard state lives in other processes; build a second "
+                "engine, or copy one with parallel=False"
+            )
+        return self.__dict__
+
     # -- event processing -------------------------------------------------
-
-    def process(self, event: StreamEvent) -> None:
-        """Apply one insert/delete event (routed like a one-row batch)."""
-        self.process_batch(event.relation, event.sign, [event.values])
-
-    def process_batch(
-        self, relation: str, sign: int, rows: Sequence[Sequence]
-    ) -> int:
-        """Route one same-``(relation, sign)`` run to its lane(s)."""
-        rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return 0
-        return self._process_batch(EventBatch(relation, sign, rows))
-
-    def process_batch_columns(
-        self, relation: str, sign: int, columns: Sequence[Sequence]
-    ) -> int:
-        """Route one columnar batch to its lane(s) (see
-        :meth:`DeltaEngine.process_batch_columns`)."""
-        return self._process_batch(
-            EventBatch.from_columns(relation, sign, columns)
-        )
 
     def _process_batch(self, batch: EventBatch) -> int:
         """Route one batch.
 
-        Semantics match :meth:`DeltaEngine._process_batch`; the
-        static-table ordering rules are enforced here, globally, because
-        lane-local stream state is only a partial view.  The routing
+        Semantics match :meth:`DeltaEngine._process_batch`.  The routing
         column is hashed directly from its column list, and each lane
         receives its slice still columnar; serial-lane batches flow
         through untouched (one-row runs never transpose).
@@ -1305,51 +1261,33 @@ class ShardedEngine:
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if relation in self.program.static_relations:
-            if self._stream_started:
-                raise EventError(
-                    f"static table {relation!r} cannot change after "
-                    "stream processing has started; declare it as a STREAM "
-                    "if it receives online updates"
-                )
-            if sign != 1:
-                raise EventError(
-                    f"static table {relation!r} only supports bulk-load "
-                    "inserts"
-                )
-        elif relation in self._relations:
-            self._stream_started = True
-        if self.program.triggers.get((relation, sign)) is None:
-            if relation not in self._relations:
-                if self.strict:
-                    raise _unknown_relation_error(self.program, relation)
-                self.events_skipped += count
+        if admit(self, relation, sign, count) is None:
             return 0
         column = self.spec.column_for(relation)
+        lanes = self._lanes
         try:
-            if column is None or not self._lanes:
+            if column is None or not lanes:
                 self._serial._process_batch(batch)
             elif count == 1:
                 row = batch.row(0)
-                shard = hash(row[column]) % len(self._lanes)
-                self._lanes[shard].send_rows(relation, sign, [row])
+                lanes[hash(row[column]) % len(lanes)].send(
+                    "rows", relation, sign, [row]
+                )
             elif count <= _ROW_ROUTE_THRESHOLD:
                 # Short runs: row-level hash routing is cheaper than
                 # building per-shard column gathers; each lane transposes
                 # its (tiny) slice lazily.
-                for shard, shard_rows in enumerate(
-                    partition_rows(batch.rows, column, len(self._lanes))
+                for lane, shard_rows in zip(
+                    lanes, partition_rows(batch.rows, column, len(lanes))
                 ):
                     if shard_rows:
-                        self._lanes[shard].send_rows(relation, sign, shard_rows)
+                        lane.send("rows", relation, sign, shard_rows)
             else:
-                for shard, shard_columns in enumerate(
-                    partition_columns(batch.columns, column, len(self._lanes))
+                for lane, shard_columns in zip(
+                    lanes, partition_columns(batch.columns, column, len(lanes))
                 ):
                     if shard_columns and shard_columns[0]:
-                        self._lanes[shard].send_batch(
-                            relation, sign, shard_columns
-                        )
+                        lane.send("batch", relation, sign, shard_columns)
         except _BatchReplayed:
             # A supervised durable rebuild replayed the WAL, which already
             # contains this batch in full — the un-sent lane slices were
@@ -1358,51 +1296,6 @@ class ShardedEngine:
         if self._batch_listeners:
             self._notify_listeners(batch)
         return count
-
-    def _notify_listeners(self, batch: EventBatch) -> None:
-        """Fire the flush-path tap for one routed batch (see
-        :meth:`DeltaEngine._notify_listeners`).  Routing to worker lanes is
-        fire-and-forget, so listeners that read state must go through the
-        synchronising reads (``results`` / ``merged_maps``)."""
-        self._tap_clock += 1
-        lsn = (
-            self.lsn_source()
-            if self.lsn_source is not None
-            else self._tap_clock
-        )
-        for listener in list(self._batch_listeners):
-            listener(lsn, batch)
-
-    def add_batch_listener(self, listener) -> None:
-        """Register a flush-path tap (see
-        :meth:`DeltaEngine.add_batch_listener`)."""
-        self._batch_listeners.append(listener)
-
-    def remove_batch_listener(self, listener) -> None:
-        self._batch_listeners.remove(listener)
-
-    def process_stream(
-        self, events: Iterable, batch_size: Optional[int] = DEFAULT_BATCH_SIZE
-    ) -> int:
-        """Batch, route and apply a whole stream (see
-        :meth:`DeltaEngine.process_stream` for the contract)."""
-        count = 0
-        for batch in batches(events, batch_size):
-            self._process_batch(batch)
-            count += len(batch)
-        return count
-
-    def insert(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, 1, tuple(values)))
-
-    def delete(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, -1, tuple(values)))
-
-    def load(self, relation: str, rows: Iterable[Sequence]) -> int:
-        """Bulk-load a (static) table through the sharded batch path."""
-        rows = [tuple(row) for row in rows]
-        self.process_batch(relation, 1, rows)
-        return len(rows)
 
     def sync(self) -> None:
         """Barrier: wait until every shard worker has drained its pipe.
@@ -1418,7 +1311,7 @@ class ShardedEngine:
         """Events that reached a trigger, across all lanes (synchronises)."""
         self._check_open()
         return self._serial.events_processed + sum(
-            lane.events_processed() for lane in self._lanes
+            lane.events_processed for lane in self._lanes
         )
 
     # -- durability ---------------------------------------------------------
@@ -1446,20 +1339,13 @@ class ShardedEngine:
             stream_started = events_processed > 0
         self.events_skipped = events_skipped
         self._stream_started = stream_started
-        if not self._lanes:
-            self._serial.restore_state(
-                maps,
-                events_processed=events_processed,
-                stream_started=stream_started,
-            )
-            return
         n_lanes = len(self._lanes)
         serial_maps: dict[str, dict] = {}
         lane_maps: list[dict[str, dict]] = [{} for _ in range(n_lanes)]
         for name, contents in maps.items():
             position = self.spec.map_positions.get(name)
-            if position is None or name in self.spec.serial_maps:
-                serial_maps[name] = dict(contents)
+            if not n_lanes or position is None or name in self.spec.serial_maps:
+                serial_maps[name] = contents
                 continue
             slices = [lane.setdefault(name, {}) for lane in lane_maps]
             for key, value in contents.items():
@@ -1470,7 +1356,9 @@ class ShardedEngine:
             stream_started=stream_started,
         )
         for lane, shard_maps in zip(self._lanes, lane_maps):
-            lane.restore(shard_maps, 0, stream_started)
+            lane.restore_state(
+                shard_maps, events_processed=0, stream_started=stream_started
+            )
 
     # -- results ------------------------------------------------------------
 
@@ -1479,33 +1367,12 @@ class ShardedEngine:
         self._check_open()
         self.sync()
         lane_maps = [self._serial.maps] + [
-            lane.collect_maps() for lane in self._lanes
+            lane.current_maps() for lane in self._lanes
         ]
         return _merge_lane_maps(self.program, lane_maps)
 
-    def results(self, query_name: Optional[str] = None) -> list[tuple]:
-        """Current rows of a standing query over the merged shard state."""
-        return query_results(self.program, self.merged_maps(), query_name)
-
-    def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
-        query = self._query(query_name)
-        return result_rows_to_dicts(query, self.results(query.name))
-
-    def result_scalar(self, query_name: Optional[str] = None):
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
-
-    def _query(self, query_name: Optional[str]):
-        if query_name is None:
-            if len(self.program.queries) != 1:
-                raise EventError("query_name required with multiple queries")
-            return self.program.queries[0]
-        for query in self.program.queries:
-            if query.name == query_name:
-                return query
-        raise EventError(f"unknown query {query_name!r}")
+    def current_maps(self) -> dict[str, dict]:
+        return self.merged_maps()
 
     # -- introspection ------------------------------------------------------
 
@@ -1518,10 +1385,6 @@ class ShardedEngine:
     @property
     def native_note(self) -> Optional[str]:
         return self._serial.native_note
-
-    def map_view(self, name: str) -> Mapping:
-        """Read-only merged view of one map, for ad-hoc client queries."""
-        return MappingProxyType(self.merged_maps()[name])
 
     def index_sizes(self) -> dict[str, int]:
         """Secondary-index entries summed across every lane.
@@ -1538,22 +1401,6 @@ class ShardedEngine:
             for name, entries in lane.index_sizes().items():
                 totals[name] = totals.get(name, 0) + entries
         return totals
-
-    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
-        sizes = {
-            name: len(contents)
-            for name, contents in self.merged_maps().items()
-        }
-        if include_indexes:
-            for name, entries in self.index_sizes().items():
-                sizes[name] = sizes.get(name, 0) + entries
-        return sizes
-
-    def total_entries(self, include_indexes: bool = False) -> int:
-        total = sum(len(contents) for contents in self.merged_maps().values())
-        if include_indexes:
-            total += sum(self.index_sizes().values())
-        return total
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1575,15 +1422,3 @@ class ShardedEngine:
             lane.close()
         self._lanes = []
         self._closed = True
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass

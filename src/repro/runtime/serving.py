@@ -262,10 +262,7 @@ class ViewDeltaTap:
         #: clock (the WAL tip on a durable engine), so a tap over an
         #: already-running or recovered engine starts at its true
         #: position instead of 0.
-        clock = getattr(engine, "lsn_source", None)
-        self.lsn = (
-            clock() if clock is not None else getattr(engine, "_tap_clock", 0)
-        )
+        self.lsn = engine.tap_lsn()
 
     def snapshot(self, view: str) -> tuple[int, list[tuple[tuple, int]]]:
         """The view's current row multiset and its LSN (the catch-up
@@ -890,62 +887,58 @@ class ViewServer:
         """Rebuild the delta suffix past ``from_lsn`` from durable state.
 
         Loads the newest snapshot at or below ``from_lsn`` into a
-        *shadow* engine, replays the WAL suffix through it, and taps the
-        replay from the ``from_lsn`` boundary onward — the same
-        LSN-stamped deltas the live tap emitted, recomputed from disk.
-        Returns ``None`` when the engine is not durable or the WAL no
-        longer reaches back to ``from_lsn``.
+        *shadow* engine, replays the WAL suffix through it
+        (:func:`~repro.runtime.durability.restore_and_replay`, the
+        recovery path), and taps the replay from the ``from_lsn``
+        boundary onward — the same LSN-stamped deltas the live tap
+        emitted, recomputed from disk.  Returns ``None`` when the engine
+        is not durable or the WAL no longer reaches back to ``from_lsn``.
         """
-        from repro.runtime.durability import DurableEngine, WriteAheadLog
+        from repro.runtime.durability import DurableEngine, restore_and_replay
         from repro.runtime.engine import DeltaEngine
-        from repro.runtime.events import EventBatch
 
         engine = self.engine
         if not isinstance(engine, DurableEngine):
             return None
         engine._wal.sync()
-        snapshot = engine._snapshots.load_latest(max_lsn=from_lsn)
-        watermark = 0
         # Any engine flavour replays to the same results; a plain
         # non-strict DeltaEngine is the cheapest shadow.
         shadow = DeltaEngine(engine.program, strict=False)
-        if snapshot is not None:
-            shadow.restore_state(
-                snapshot["maps"],
-                events_processed=snapshot.get("events_processed", 0),
-                events_skipped=snapshot.get("events_skipped", 0),
-                stream_started=snapshot.get("stream_started"),
-            )
-            watermark = snapshot["lsn"]
         tap: Optional[ViewDeltaTap] = None
         frames: list[dict] = []
         ts = time.time()
+
+        def apply(lsn: int, batch) -> None:
+            nonlocal tap
+            if tap is None and lsn > from_lsn:
+                # Construct the tap at the resume boundary so its
+                # cached baseline is the state as of from_lsn.
+                tap = ViewDeltaTap(shadow, [view])
+            shadow._process_batch(batch)
+            if tap is None:
+                return
+            changes = tap.on_batch(lsn, batch).get(view)
+            if changes:
+                frames.append(
+                    {
+                        "type": "delta",
+                        "view": view,
+                        "lsn": lsn,
+                        "ts": ts,
+                        "replayed": True,
+                        "changes": [
+                            [list(row), weight] for row, weight in changes
+                        ],
+                    }
+                )
+
         try:
-            for lsn, relation, sign, columns in WriteAheadLog.replay(
-                engine.directory, after_lsn=watermark
-            ):
-                if tap is None and lsn > from_lsn:
-                    # Construct the tap at the resume boundary so its
-                    # cached baseline is the state as of from_lsn.
-                    tap = ViewDeltaTap(shadow, [view])
-                batch = EventBatch.from_columns(relation, sign, columns)
-                shadow._process_batch(batch)
-                if tap is not None:
-                    changes = tap.on_batch(lsn, batch).get(view)
-                    if changes:
-                        frames.append(
-                            {
-                                "type": "delta",
-                                "view": view,
-                                "lsn": lsn,
-                                "ts": ts,
-                                "replayed": True,
-                                "changes": [
-                                    [list(row), weight]
-                                    for row, weight in changes
-                                ],
-                            }
-                        )
+            restore_and_replay(
+                shadow,
+                engine.directory,
+                engine._snapshots.load_latest(max_lsn=from_lsn),
+                apply,
+            )
         except ResumeGapError:
             return None
         return frames

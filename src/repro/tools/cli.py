@@ -92,11 +92,10 @@ def _resolve_mode(args) -> str:
 
 def _native_banner(engine) -> None:
     """One status line saying whether the C kernel actually loaded."""
-    note = getattr(engine, "native_note", None)
-    if note is None:
+    if engine.native_note is None:
         return
-    state = "active" if getattr(engine, "native_active", False) else "fallback"
-    print(f"-- native kernel {state}: {note} --")
+    state = "active" if engine.native_active else "fallback"
+    print(f"-- native kernel {state}: {engine.native_note} --")
 
 
 def _make_engine(program, args):
@@ -109,35 +108,28 @@ def _make_engine(program, args):
     executor lane (gracefully falling back to pure Python when no
     toolchain exists)."""
     shards = getattr(args, "shards", 1) or 1
-    optimize = not getattr(args, "no_opt", False)
-    columnar = not getattr(args, "no_columnar", False)
+    kwargs = {
+        "mode": _resolve_mode(args),
+        "optimize": not getattr(args, "no_opt", False),
+        "columnar": not getattr(args, "no_columnar", False),
+    }
+    if shards > 1:
+        kwargs.update(shards=shards, parallel=True)
+        if getattr(args, "supervise", False):
+            kwargs.update(
+                supervise=True,
+                max_worker_restarts=getattr(args, "max_worker_restarts", 3),
+                restart_window=getattr(args, "restart_window", 60.0),
+            )
     durable = getattr(args, "durable", None)
-    mode = _resolve_mode(args)
-    supervise_kwargs = {}
-    if shards > 1 and getattr(args, "supervise", False):
-        supervise_kwargs = {
-            "supervise": True,
-            "max_worker_restarts": getattr(args, "max_worker_restarts", 3),
-            "restart_window": getattr(args, "restart_window", 60.0),
-        }
     if durable:
         from repro.runtime.durability import DurableEngine
 
         return DurableEngine(
-            program, durable, shards=shards, parallel=shards > 1,
-            fsync=getattr(args, "fsync", "batch"),
-            snapshot_every=getattr(args, "snapshot_every", None),
-            mode=mode, optimize=optimize, columnar=columnar,
-            **supervise_kwargs,
+            program, durable, fsync=getattr(args, "fsync", "batch"),
+            snapshot_every=getattr(args, "snapshot_every", None), **kwargs,
         )
-    if shards > 1:
-        return ShardedEngine(
-            program, shards=shards, mode=mode, parallel=True,
-            optimize=optimize, columnar=columnar, **supervise_kwargs,
-        )
-    return DeltaEngine(
-        program, mode=mode, optimize=optimize, columnar=columnar
-    )
+    return (ShardedEngine if shards > 1 else DeltaEngine)(program, **kwargs)
 
 
 def _load_catalog(args) -> Catalog:
@@ -202,8 +194,7 @@ def cmd_run(args) -> int:
         chunk = list(itertools.islice(source, chunk_size)) if chunk_size else None
         consumed = engine.process_stream(chunk if chunk is not None else source)
         count += consumed
-        if isinstance(engine, (ShardedEngine, DurableEngine)):
-            engine.sync()
+        engine.sync()
         if chunk_size and consumed:
             print(f"-- after {count} events --")
             for row in engine.results("q"):
@@ -218,7 +209,7 @@ def cmd_run(args) -> int:
     if isinstance(engine, DurableEngine):
         engine.snapshot()
         print(f"-- durable state at LSN {engine.lsn} in {engine.directory} --")
-        engine.close()
+    engine.close()
     return 0
 
 
@@ -270,9 +261,7 @@ def cmd_serve(args) -> int:
     if isinstance(engine, DurableEngine):
         engine.snapshot()
         print(f"-- durable state at LSN {engine.lsn} in {engine.directory} --")
-        engine.close()
-    elif isinstance(engine, ShardedEngine):
-        engine.close()
+    engine.close()
     return 0
 
 
@@ -287,8 +276,7 @@ def cmd_recover(args) -> int:
           f"({engine.events_processed} events) ==")
     for row in engine.results("q"):
         print("  ", row)
-    if shards > 1:
-        engine.close()
+    engine.close()
     return 0
 
 
@@ -304,18 +292,9 @@ def cmd_bench(args) -> int:
         from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
         from repro.workloads.orderbook import OrderBookGenerator
 
-        catalog = finance_catalog()
         sql = FINANCE_QUERIES[args.query or "bsp"]
-        program = compile_sql(sql, catalog, name="q")
-        engine = _make_engine(program, args)
-        _native_banner(engine)
-        start = time.perf_counter()
-        count = engine.process_stream(
-            OrderBookGenerator(seed=1).events(args.events), **_batch_kwargs(args)
-        )
-        if isinstance(engine, ShardedEngine):
-            engine.sync()
-        elapsed = time.perf_counter() - start
+        engine = _make_engine(compile_sql(sql, finance_catalog(), name="q"), args)
+        stream = OrderBookGenerator(seed=1).events(args.events)
     elif args.workload == "warehouse":
         from repro.workloads.ssb import (
             SSB_Q41_COMBINED,
@@ -328,17 +307,15 @@ def cmd_bench(args) -> int:
         generator = TpchGenerator(sf=args.events / 7_500_000)
         program = compile_sql(SSB_Q41_COMBINED, ssb_catalog(), name="q")
         engine = _make_engine(program, args)
-        _native_banner(engine)
         load_static_tables(engine, generator)
-        start = time.perf_counter()
-        count = engine.process_stream(
-            warehouse_stream(generator), **_batch_kwargs(args)
-        )
-        if isinstance(engine, ShardedEngine):
-            engine.sync()
-        elapsed = time.perf_counter() - start
+        stream = warehouse_stream(generator)
     else:
         raise SystemExit(f"unknown workload {args.workload!r}")
+    _native_banner(engine)
+    start = time.perf_counter()
+    count = engine.process_stream(stream, **_batch_kwargs(args))
+    engine.sync()
+    elapsed = time.perf_counter() - start
     shards = getattr(args, "shards", 1) or 1
     sharding = f", shards={shards}" if shards > 1 else ""
     print(f"{args.workload}: {count} events in {elapsed:.2f}s "

@@ -434,25 +434,78 @@ def test_unknown_relation_error_names_relation_and_lists_known():
     assert "known relations" in message and "R" in message
 
 
-def test_unknown_relation_error_on_batch_and_load_paths():
-    engine = DeltaEngine(_program(), strict=True)
-    with pytest.raises(UnknownStreamError, match="known relations"):
-        engine.process_batch("Nope", 1, [(1, 2), (3, 4)])
-    with pytest.raises(UnknownStreamError, match="known relations"):
-        engine.load("Nope", [(1, 2)])
+# ---------------------------------------------------------------------------
+# The shared engine core: admission rules and lifecycle on every engine shape
+# ---------------------------------------------------------------------------
+
+ENGINE_SHAPES = {
+    "delta": lambda program, path, **kw: DeltaEngine(program, **kw),
+    "sharded-local": lambda program, path, **kw: ShardedEngine(
+        program, shards=2, **kw
+    ),
+    "sharded-parallel": lambda program, path, **kw: ShardedEngine(
+        program, shards=2, parallel=True, **kw
+    ),
+    "durable-1": lambda program, path, **kw: DurableEngine(
+        program, path, shards=1, **kw
+    ),
+    "durable-2": lambda program, path, **kw: DurableEngine(
+        program, path, shards=2, **kw
+    ),
+}
 
 
-def test_unknown_relation_error_on_sharded_router():
-    engine = ShardedEngine(_program(), shards=2, strict=True)
-    with pytest.raises(UnknownStreamError, match="known relations"):
-        engine.process_batch("Nope", 1, [(1, 2)])
+@pytest.mark.parametrize("shape", sorted(ENGINE_SHAPES))
+def test_engine_core_rules_hold_on_every_engine_shape(shape, tmp_path):
+    make = ENGINE_SHAPES[shape]
+    # Strict mode names the unknown relation, on the batch and load paths.
+    with make(_program(), tmp_path / "strict", strict=True) as engine:
+        with pytest.raises(UnknownStreamError, match="known relations"):
+            engine.process_batch("Nope", 1, [(1, 2), (3, 4)])
+        with pytest.raises(UnknownStreamError, match="known relations"):
+            engine.load("Nope", [(1, 2)])
+    # A non-strict engine skips (and counts) it instead.
+    with make(_program(), tmp_path / "lax") as engine:
+        engine.insert("Nope", 1, 2)
+        assert engine.events_skipped == 1
+        assert engine.events_processed == 0
+    # Static tables take inserts only, and only before the first stream event.
+    static = compile_sql(
+        "SELECT sum(f.x * d.v) FROM fact f, dim d WHERE f.k = d.k",
+        Catalog.from_script(
+            "CREATE TABLE dim (k int, v int); CREATE STREAM fact (k int, x int);"
+        ),
+        name="q",
+    )
+    engine = make(static, tmp_path / "static")
+    with pytest.raises(EventError, match="only supports bulk-load"):
+        engine.delete("dim", 1, 2)
+    engine.load("dim", [(1, 2), (2, 3)])
+    engine.process_batch("fact", 1, [(1, 10), (2, 100)])
+    with pytest.raises(EventError, match="cannot change after"):
+        engine.load("dim", [(3, 4)])
+    # Lifecycle: every engine answers the sync() barrier, close() is
+    # idempotent (and what leaving the with-blocks above called).
+    engine.sync()
+    assert engine.result_scalar() == 320
+    engine.close()
+    engine.close()
 
 
-def test_non_strict_engine_still_skips_unknown_relations():
-    engine = DeltaEngine(_program())
-    engine.insert("Nope", 1, 2)
-    assert engine.events_skipped == 1
-    assert engine.events_processed == 0
+def test_single_lane_durable_engine_takes_supervision_as_a_noop(tmp_path):
+    # One lane has no worker to supervise; like a ShardedEngine without
+    # forked lanes, the knob is accepted and inert (it used to be a bare
+    # TypeError from DeltaEngine.__init__).
+    with DurableEngine(
+        _program(), tmp_path, shards=1, supervise=True, fsync="always"
+    ) as engine:
+        engine.insert("R", 1, 2)
+        assert isinstance(engine.engine, DeltaEngine)
+    recovered, lsn = recover_engine(
+        _program(), tmp_path, shards=1, supervise=True, max_worker_restarts=1
+    )
+    assert lsn == 1
+    assert recovered.results() == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import pytest
 from repro.errors import EventError, RuntimeEngineError, UnknownStreamError
 from repro.compiler import compile_sql, compile_queries
 from repro.algebra.translate import translate_sql
-from repro.runtime import DeltaEngine, StreamEvent, insert, delete, update
+from repro.runtime import (
+    DeltaEngine,
+    ShardedEngine,
+    StreamEvent,
+    insert,
+    delete,
+    update,
+)
 from repro.runtime.debugger import Debugger
 from repro.runtime.events import EventBatch, batches, flatten
 from repro.runtime.profiler import (
@@ -241,6 +248,19 @@ class TestBatching:
         assert clone.events_skipped == 1
         assert clone.events_processed == 1
         assert clone.maps == engine.maps
+
+    def test_deepcopy_of_forked_lanes_raises_a_named_error(self, catalog):
+        import copy
+
+        program = compile_sql(GROUPED, catalog)
+        with ShardedEngine(program, shards=2) as local:
+            local.insert("bids", 1, 10, 1)
+            assert copy.deepcopy(local).results() == local.results()
+        with ShardedEngine(program, shards=2, parallel=True) as forked:
+            if not forked.parallel:
+                pytest.skip("no fork start method on this platform")
+            with pytest.raises(EventError, match="cannot be copied"):
+                copy.deepcopy(forked)
 
 
 class TestViews:
