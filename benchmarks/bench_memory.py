@@ -6,10 +6,11 @@ Two layers of claims, both from the paper's "main-memory" premise:
   numeric aggregate state, which Python's ``dict[tuple, number]`` layout
   stores worst (a hash-table slot, a boxed key tuple and a boxed value
   per entry).  The compiler's storage plan
-  (:mod:`repro.compiler.storage`) moves fixed-arity, typed-value maps
-  into packed :class:`~repro.runtime.storage.ColumnarMap` columns; this
-  benchmark measures the live bytes per maintained entry with columnar
-  storage on vs off (``DeltaEngine(columnar=...)``) and **fails** unless
+  (:mod:`repro.compiler.storage`) can move fixed-arity, typed-value maps
+  into packed :class:`~repro.runtime.storage.ColumnarMap` columns — the
+  explicit memory mode, ``columnar=True`` (the default is dicts: they
+  probe 3-5x faster); this benchmark measures the live bytes per
+  maintained entry with the memory mode on vs off and **fails** unless
   at least two numeric-aggregate workloads show a >= 2x reduction.  Maps
   are verified equal across the two runs first — the layout must never
   change contents;
@@ -137,7 +138,10 @@ def check_target(rows: dict[str, dict]) -> bool:
 
 
 def native_storage_table(event_count: int, seed: int = 5) -> dict[str, dict]:
-    """Per-entry bytes with the C kernel attached (``mode="native"``).
+    """Per-entry bytes with the C kernel attached: the memory mode on
+    the native lane (``mode="native", columnar=True`` — every
+    native-eligible map kernel-owned; by default the lane hands over only
+    the maps its triggers scan whole).
 
     The kernel keeps its own packed arena on the C heap, so this section
     checks the accounting story: ``map_memory_bytes`` must report the
@@ -167,7 +171,7 @@ def native_storage_table(event_count: int, seed: int = 5) -> dict[str, dict]:
         program = compile_sql(
             FINANCE_QUERIES[query], finance_catalog(), name=query
         )
-        native = DeltaEngine(program, mode="native")
+        native = DeltaEngine(program, mode="native", columnar=True)
         assert native.native_active, (
             f"{query}: native lane fell back despite an available toolchain"
         )

@@ -68,6 +68,13 @@ def compare(
         for name, base_value in sorted(base["metrics"].items()):
             cur_value = current["metrics"].get(name)
             if cur_value is None:
+                if name.startswith("native/") and not current.get(
+                    "metadata", {}
+                ).get("native"):
+                    # The native-impact section skips itself (loudly) on a
+                    # host without a C toolchain; that is not a regression.
+                    print(f"  {name:<44} skipped: no C toolchain on this host")
+                    continue
                 failures.append(f"{benchmark}/{name}: metric disappeared")
                 continue
             base_norm = base_value / base_cal

@@ -1,16 +1,18 @@
 """Native C column-kernel backend for :class:`ColumnarMap` (the PR 5
 follow-up named by the ROADMAP's "Native execution backend" item).
 
-PR 5 measured the columnar keyed path at a 2.5-5x CPU penalty over dict
-storage because every probe — hash, bucket walk, column read — runs as
-Python bytecode.  This module closes the paper's compilation loop for
-the storage hot path: at ``compile`` time it renders a small C kernel
-for the program's *native-eligible* columnar maps (int64 key columns,
-``int``/``float`` value column, arity within the generated entry-point
-range — see :func:`repro.compiler.storage._native_eligibility`), builds
-it with the detected toolchain, loads it through cffi (ctypes when cffi
-is unavailable), and attaches it underneath ``ColumnarMap`` as a
-drop-in probe engine:
+A ``ColumnarMap`` probed from Python bytecode costs 3-5x a dict probe,
+and a C probe reached through the FFI still loses to CPython's own C
+hash table on point lookups — the kernel wins where a trigger *scans* a
+map whole.  So the native lane (:func:`native_layout`) hands the kernel
+only the native-eligible maps (int64 key columns, ``int``/``float``
+value column, arity within the generated entry-point range — see
+:func:`repro.compiler.storage._native_eligibility`) that some trigger
+scans with a fused loop, plus every native-eligible map in the
+``columnar=True`` memory mode; everything else stays a dict.  For those
+maps it renders a small C kernel, builds it with the detected toolchain,
+loads it through cffi (ctypes when cffi is unavailable), and attaches it
+underneath ``ColumnarMap`` as a drop-in probe engine:
 
 * ``cm_add_{arity}_{q|d}`` — the single-probe GMR update (hash, one
   bucket walk, add-with-overflow-check, zero-eviction) that replaces
@@ -35,9 +37,9 @@ the kernel mid-stream: the C entries are snapshotted in insertion
 order, rebuilt into the pure-Python columnar layout, and the operation
 is retried there, so maps stay repr-identical to the pure path under
 any input.  With no toolchain at all (the CI container),
-:func:`probe_toolchain` reports ``none`` and everything runs pure
-Python; the decision is stamped into the compile trace, the generated
-module header, and BENCH metadata.
+:func:`probe_toolchain` reports ``none`` and the lane is exactly the
+compiled one; the decision is stamped into the compile trace, the
+generated module header, and BENCH metadata.
 """
 
 from __future__ import annotations
@@ -53,9 +55,14 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Optional
 
-from repro.codegen.pygen import CompiledExecutor
+from repro.codegen.pygen import CompiledExecutor, fused_scan_sites
 from repro.compiler.program import CompiledProgram
-from repro.compiler.storage import NATIVE_MAX_ARITY, analyze_storage
+from repro.compiler.storage import (
+    NATIVE_MAX_ARITY,
+    StorageLayout,
+    analyze_storage,
+    storage_layout,
+)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -1264,30 +1271,30 @@ class KernelLib:
 _KERNEL_CACHE: dict[tuple, Optional[KernelLib]] = {}
 
 
-def native_map_names(program: CompiledProgram) -> frozenset[str]:
-    """Names of the program's native-eligible maps (may be empty)."""
-    return frozenset(analyze_storage(program).native_maps)
-
-
-def kernel_signatures(program: CompiledProgram) -> frozenset[Signature]:
+def kernel_signatures(
+    program: CompiledProgram, names: Optional[frozenset] = None
+) -> frozenset[Signature]:
+    """The ``(arity, value kind)`` entry points a program's native-eligible
+    maps need — all of them, or just the maps in ``names``."""
     plan = analyze_storage(program)
     return frozenset(
         (s.arity, "q" if s.value_class == "int" else "d")
         for s in plan.maps.values()
-        if s.native
+        if s.native and (names is None or s.name in names)
     )
 
 
 def load_kernel(
-    program: CompiledProgram,
+    program: CompiledProgram, names: Optional[frozenset] = None
 ) -> tuple[Optional[KernelLib], str]:
-    """Build/load the kernel for a program; (None, reason) on fallback.
+    """Build/load the kernel for a program's native-eligible maps (just
+    those in ``names`` when given); (None, reason) on fallback.
 
     The built ``.so`` is content-addressed, so programs sharing a
     signature set share one build, and repeat loads are cached
     in-process.
     """
-    signatures = kernel_signatures(program)
+    signatures = kernel_signatures(program, names)
     if not signatures:
         return None, "no native-eligible maps in the storage plan"
     probe = probe_toolchain()
@@ -1317,6 +1324,70 @@ def load_kernel(
     return kernel, probe.describe()
 
 
+def native_layout(
+    program: CompiledProgram,
+    columnar: bool = False,
+    use_indexes: bool = True,
+    optimize: bool = True,
+    second_order: bool = True,
+) -> tuple[StorageLayout, Optional[KernelLib], str]:
+    """The native lane's storage layout on this host, the kernel serving
+    it (``None`` on fallback) and the note saying which.
+
+    The kernel is built for exactly the maps the layout rule would hand
+    it (:func:`repro.compiler.storage.storage_layout`); when none
+    qualifies, or the build/probe fails, the layout is the compiled
+    lane's and nothing is attached.
+    """
+    scans = fused_scan_sites(
+        program,
+        use_indexes=use_indexes,
+        optimize=optimize,
+        second_order=second_order,
+    )
+    layout = storage_layout(
+        program, "native", columnar, kernel=True, scans=scans
+    )
+    if layout.kernel_maps:
+        kernel, note = load_kernel(program, layout.kernel_maps)
+    else:
+        kernel, note = None, (
+            "no native-eligible map is scanned whole by a trigger; "
+            "running the compiled lane"
+        )
+    if kernel is None:
+        layout = storage_layout(
+            program, "native", columnar, kernel=False, scans=scans
+        )
+    return layout, kernel, note
+
+
+def describe_layouts(program: CompiledProgram, optimize: bool = True) -> str:
+    """The layout half of ``repro compile``'s storage-plan section: what
+    each map is stored as under every executor mode, and why.  The
+    native column assumes the probed toolchain builds the kernel (nothing
+    is compiled here)."""
+    probe = probe_toolchain()
+    scans = fused_scan_sites(program, optimize=optimize)
+    lines = []
+    for title, layout in (
+        ("compiled / interpreted", storage_layout(program, "compiled")),
+        (
+            f"native ({probe.describe()})",
+            storage_layout(
+                program, "native", kernel=probe.available, scans=scans
+            ),
+        ),
+    ):
+        lines.append(f"layout, {title}:")
+        lines.extend("  " + line for line in layout.describe().splitlines())
+    lines.append(
+        "layout, --columnar: every columnar[...] map above is packed "
+        "(kernel-owned under --native when native-eligible)"
+    )
+    return "\n".join(lines)
+
+
 def describe_native(program: CompiledProgram) -> str:
     """The ``repro compile`` native-kernel section."""
     probe = probe_toolchain()
@@ -1338,16 +1409,18 @@ def describe_native(program: CompiledProgram) -> str:
 
 
 class NativeExecutor(CompiledExecutor):
-    """The compiled executor with kernel-backed columnar maps.
+    """The compiled executor with kernel-owned scan maps.
 
-    Identical generated triggers, two differences: native-eligible maps
-    are attached to the C kernel at every (re)bind, and full-map loops
-    over them are rendered as fused column scans (a ``scan_columns``
-    zip) instead of ``items()`` iteration.  With no toolchain the
-    attach step is skipped (``native_active`` False) and the lane runs
-    the pure columnar fallback — the scan rendering is still valid
-    because ``scan_columns`` is part of the ColumnarMap API, so the
-    generated module depends only on the mode, not the host.
+    Identical generated triggers, two differences: the maps the layout
+    hands to the kernel (native-eligible *and* scanned whole by some
+    trigger — or every native-eligible map in the ``columnar=True``
+    memory mode) are attached to the C kernel at every (re)bind, and
+    full-map loops over them are rendered as fused column scans
+    (``scan_columns`` / ``reduce_scalar``) instead of ``items()``
+    iteration.  Every other map is whatever the compiled lane would
+    hold.  With no toolchain — or no map worth handing over — nothing is
+    attached (``native_active`` False) and the lane *is* the compiled
+    lane: same layout, same generated module.
     """
 
     mode = "native"
@@ -1359,26 +1432,23 @@ class NativeExecutor(CompiledExecutor):
         use_indexes: bool = True,
         optimize: bool = True,
         second_order: bool = True,
-        columnar: bool = True,
+        columnar: bool = False,
     ):
-        kernel, note = (
-            load_kernel(program)
-            if columnar
-            else (None, "columnar storage disabled")
+        layout, self.kernel, self.native_note = native_layout(
+            program,
+            columnar=columnar,
+            use_indexes=use_indexes,
+            optimize=optimize,
+            second_order=second_order,
         )
-        self.kernel = kernel
-        self.native_note = note
-        names = native_map_names(program) if columnar else frozenset()
-        self._native_names = names if kernel is not None else frozenset()
         super().__init__(
             program,
             maps,
             use_indexes=use_indexes,
             optimize=optimize,
             second_order=second_order,
-            columnar=columnar,
-            native_maps=names,
-            native_note=note,
+            layout=layout,
+            native_note=self.native_note,
         )
 
     @property
@@ -1387,10 +1457,5 @@ class NativeExecutor(CompiledExecutor):
 
     def bind(self, maps) -> None:
         super().bind(maps)
-        kernel = self.kernel
-        if kernel is None:
-            return
-        for name in self._native_names:
-            contents = maps.get(name)
-            if contents is not None:
-                kernel.attach(contents)
+        for name in self.layout.kernel_maps:  # empty without a kernel
+            self.kernel.attach(maps[name])

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 from repro.errors import CodegenError
 from repro.compiler.program import CompiledProgram, Trigger
+from repro.compiler.storage import StorageLayout, storage_layout
 from repro.ir.lower import collect_patterns_ir, lower_program
 from repro.ir.nodes import (
     AddTo,
@@ -138,13 +139,70 @@ def collect_patterns(
     )
 
 
+def _loop_uses_index(
+    stmt: ForEachMap, indexes: dict[str, set[tuple[int, ...]]]
+) -> bool:
+    """Whether a map loop probes a secondary index (touching only the
+    matching entries) instead of scanning the map."""
+    return (
+        not stmt.slot.local
+        and bool(stmt.binds)
+        and bool(stmt.filters)
+        and not any(isinstance(expr, KeyAt) for _, expr in stmt.filters)
+        and stmt.pattern in indexes.get(stmt.slot.name, ())
+    )
+
+
+def _loop_fuses(
+    stmt: ForEachMap, indexes: dict[str, set[tuple[int, ...]]]
+) -> bool:
+    """Whether a map loop is a *fused-scan site*: a whole-map scan of a
+    program map that never materialises the key tuple, so a kernel-owned
+    map can run it over its column arrays (``scan_columns`` /
+    ``reduce_scalar``)."""
+    return (
+        not stmt.slot.local
+        and not _loop_uses_index(stmt, indexes)
+        and stmt.entry_var not in used_names(stmt.body)
+    )
+
+
+def fused_scan_sites(
+    program: CompiledProgram,
+    use_indexes: bool = True,
+    optimize: bool = True,
+    second_order: bool = True,
+) -> dict[str, str]:
+    """Map name -> the first trigger function with a fused-scan site over
+    it — the "how triggers touch the map" input of
+    :func:`repro.compiler.storage.storage_layout` (only these maps are
+    worth handing to the C kernel)."""
+    ir = lower_program(program, optimize=optimize, second_order=second_order)
+    indexes = (
+        collect_patterns(program, optimize=optimize, second_order=second_order)
+        if use_indexes
+        else {}
+    )
+    sites: dict[str, str] = {}
+    for key in sorted(program.triggers, key=lambda k: (k[0], -k[1])):
+        name = program.triggers[key].name
+        for function, trigger_ir in (
+            (name, ir.triggers[key]),
+            (f"{name}_batch", ir.batch_triggers[key]),
+        ):
+            for stmt in walk_stmts(trigger_ir.body):
+                if isinstance(stmt, ForEachMap) and _loop_fuses(stmt, indexes):
+                    sites.setdefault(stmt.slot.name, function)
+    return sites
+
+
 def generate_module(
     program: CompiledProgram,
     use_indexes: bool = True,
     optimize: bool = True,
     second_order: bool = True,
     columnar: bool = False,
-    native_maps: frozenset = frozenset(),
+    layout: Optional[StorageLayout] = None,
     native_note: Optional[str] = None,
 ) -> str:
     """Generate the full trigger module source for a compiled program.
@@ -157,22 +215,18 @@ def generate_module(
     ``second_order=False`` disables the delta-of-delta batch sink (the
     higher-order batching ablation).
 
-    With ``columnar`` the module is rendered for an engine whose maps
-    follow the compiler's storage plan: applies to columnar maps go
-    through their single-probe ``add()`` update instead of the dict
-    ``get``/``pop``/set sequence (halving hash/probe work per write).
-    The default renders storage-agnostic code that works on any mapping.
-
-    ``native_maps`` (the native lane, see ``codegen/native.py``) names
-    columnar maps whose unfiltered-by-index full scans render as fused
-    column zips over ``scan_columns`` instead of ``items()`` — skipping
-    per-entry key-tuple construction.  ``scan_columns`` is part of the
-    ColumnarMap API (pure, spilled, or kernel-attached), so the
-    rendering is valid whether or not the C kernel loaded;
-    ``native_note`` stamps the toolchain decision into the header.
+    ``layout`` is the realised storage layout of the engine the module
+    will bind to (:func:`repro.compiler.storage.storage_layout` — the
+    executors pass the one their engine builds its maps from): applies to
+    its ``ColumnarMap``-held maps go through the single-probe ``add()``
+    update instead of the dict ``get``/``pop``/set sequence, and whole-map
+    scans of its kernel-owned maps render as fused column traversals
+    (``scan_columns`` / ``reduce_scalar``).  Without one, the module is
+    rendered for the compiled lane's layout under ``columnar`` — all-dict
+    by default, which works on any mapping.  ``native_note`` stamps the
+    native lane's toolchain decision into the header.
     """
     from repro.compiler.partition import analyze_partitioning
-    from repro.compiler.storage import analyze_storage
 
     ir = lower_program(program, optimize=optimize, second_order=second_order)
     indexes = (
@@ -180,11 +234,11 @@ def generate_module(
         if use_indexes
         else {}
     )
-    plan = analyze_storage(program)
-    columnar_maps = (
-        frozenset(plan.columnar_maps) if columnar else frozenset()
-    )
-    native_scan_maps = frozenset(native_maps) & columnar_maps
+    if layout is None:
+        layout = storage_layout(program, "compiled", columnar)
+    plan = layout.plan
+    columnar_maps = layout.columnar_maps
+    native_scan_maps = layout.kernel_maps
     # Maps whose values the ring fixpoints prove always-int (columnar and
     # scalar alike): the fused C reduction only fires when the scanned map
     # and every appended-to target are in this set, so collapsing a
@@ -213,10 +267,10 @@ def generate_module(
     for line in analyze_partitioning(program).describe().splitlines():
         emitter.line(line)
     emitter.line("")
-    # Storage plan: how the engine lays each map out in memory (packed
-    # columnar vs dict, see repro.compiler.storage); with columnar=False
-    # the rendered code is storage-agnostic (mapping protocol only),
-    # otherwise columnar applies use the single-probe add() update.
+    # The type proofs, then the layout this module was rendered for (see
+    # repro.compiler.storage): all-dict layouts render storage-agnostic
+    # code (mapping protocol only), ColumnarMap-held maps the single-probe
+    # add() update, kernel-owned maps fused column scans on top.
     for line in plan.describe().splitlines():
         emitter.line(line)
     if native_scan_maps:
@@ -230,6 +284,9 @@ def generate_module(
     else:
         rendered_for = "storage-agnostic (mapping protocol)"
     emitter.line("rendered for: " + rendered_for)
+    emitter.line(f"== storage layout ({layout.mode}) ==")
+    for line in layout.describe().splitlines():
+        emitter.line(line)
     if native_note is not None:
         emitter.line(f"native kernel: {native_note}")
     emitter.line('"""')
@@ -584,23 +641,13 @@ class _PyRenderer:
             source = stmt.slot.name
         else:
             source = map_local(stmt.slot.name)
-        keyat = any(isinstance(expr, KeyAt) for _, expr in stmt.filters)
-        use_index = (
-            not stmt.slot.local
-            and not keyat
-            and bool(stmt.binds)
-            and bool(stmt.filters)
-            and stmt.pattern in self.indexes.get(stmt.slot.name, ())
-        )
-        if (
-            not use_index
-            and not stmt.slot.local
-            and stmt.slot.name in self.native_maps
-            and key_var not in used_names(stmt.body)
+        use_index = _loop_uses_index(stmt, self.indexes)
+        if stmt.slot.name in self.native_maps and _loop_fuses(
+            stmt, self.indexes
         ):
             # Full scan that never materialises the key tuple: fuse it
             # over the storage's column arrays (one native snapshot call
-            # per column under the C kernel, zero-copy zip when pure).
+            # per column under the C kernel, zero-copy zip once ejected).
             self._render_native_scan(stmt, source)
             return
         if use_index:
@@ -904,7 +951,6 @@ class _PyRenderer:
             )
             return
         emitter.line(f"{cur} = {local}.get({key_code}, 0) + {val_code}")
-
         self._emit_index_maintenance(
             target, key_code, key_parts, patterns, cur, map_updated=False
         )
@@ -1035,20 +1081,23 @@ class CompiledExecutor:
         optimize: bool = True,
         second_order: bool = True,
         columnar: bool = False,
-        native_maps: frozenset = frozenset(),
+        layout: Optional[StorageLayout] = None,
         native_note: Optional[str] = None,
     ):
-        """``columnar=True`` renders applies for the engine's columnar map
-        storage (single-probe ``add()``); it must match the storage the
-        bound maps actually use — :class:`~repro.runtime.engine.DeltaEngine`
-        passes its own ``columnar`` flag through. ``native_maps`` names maps
-        whose full-map restatement loops should render as fused column scans
-        (the native executor lane passes its kernel-eligible set)."""
+        """``layout`` is the storage layout the triggers are rendered for
+        and the bound maps must follow — engines build their maps from
+        ``executor.layout.create_maps()``.  It defaults to the compiled
+        lane's layout under ``columnar`` (all dicts, or the packed memory
+        mode); the native lane passes its own."""
         self.program = program
         self.use_indexes = use_indexes
         self.optimize = optimize
         self.second_order = second_order
-        self.columnar = columnar
+        self.layout = (
+            layout
+            if layout is not None
+            else storage_layout(program, self.mode, columnar)
+        )
         self._index_patterns = (
             collect_patterns(program, optimize=optimize, second_order=second_order)
             if use_indexes
@@ -1059,8 +1108,7 @@ class CompiledExecutor:
             use_indexes=use_indexes,
             optimize=optimize,
             second_order=second_order,
-            columnar=columnar,
-            native_maps=native_maps,
+            layout=self.layout,
             native_note=native_note,
         )
         self._functions: dict[tuple[str, int], object] = {}

@@ -1,15 +1,12 @@
-"""Storage-plan analysis: which maps can live in packed columnar storage.
+"""Storage analysis: per-map type proofs, and the layout each engine gets.
 
 The paper's premise is that compiled delta programs win by keeping their
-maintained state resident and cheap to touch.  Python's default
-``dict[tuple, number]`` layout spends most of its bytes on boxing — a
-hash-table slot, a key tuple and a boxed ring value per entry — so the
-runtime offers a packed alternative
-(:class:`repro.runtime.storage.ColumnarMap`: one array per key position
-plus a packed value column behind the plain mapping protocol).  This
-module is the *compiler side* of that storage choice: a per-map type
-analysis, extending the exact-integer ring proofs the optimiser and the
-sharding analysis already rely on, that classifies every maintained map:
+maintained state resident and cheap to touch.  Two things are decided
+here, and only here:
+
+**The type proofs** (:func:`analyze_storage` -> :class:`StoragePlan`), a
+per-map analysis extending the exact-integer ring proofs the optimiser
+and the sharding analysis already rely on:
 
 * **key arity** — fixed by construction (every :class:`MapDef` declares
   its canonical key tuple), which is what makes a struct-of-arrays
@@ -20,16 +17,39 @@ sharding analysis already rely on, that classifies every maintained map:
   key columns hold), ``float`` when every monomial of the defining query
   provably carries a float factor (a float literal, a division, a
   variable bound to a FLOAT column, or a reference to an always-float
-  map — computed as a fixpoint), and ``object`` otherwise (the packed
-  key columns still apply; only the value column stays boxed).
+  map — computed as a fixpoint), and ``object`` otherwise;
+* **native eligibility** — int64 key columns and a numeric value column
+  within the generated C kernel's arity range.
 
-Scalar (zero-key) maps keep plain dict storage — there is nothing to
-pack.  The resulting :class:`StoragePlan` is pure compiler metadata:
-engines construct their map storage from it, ``ir/lower`` stamps it on
-the lowered map declarations (``compile --dump-ir``), and the code
-generator records it in the generated-module header.
+The plan says what a map *can* be packed as
+(:class:`repro.runtime.storage.ColumnarMap`: one array per key position
+plus a packed value column behind the plain mapping protocol).  It is
+pure compiler metadata: ``ir/lower`` stamps its labels on the lowered map
+declarations (``compile --dump-ir``) and the code generator records it in
+the generated-module header.
 
-The plan is a *hint*, not a soundness obligation: the runtime map
+**The layout** (:func:`storage_layout` -> :class:`StorageLayout`) — what
+each map of one engine *is*, picked by access pattern from (type proof x
+how the triggers touch the map x which executor runs them):
+
+* ``dict`` — the default for every map under the Python executors, and
+  for point-probed maps under the native one: CPython's C hash table is
+  the fastest probe available to generated Python, a ``ColumnarMap``
+  probed from Python bytecode costs 3-5x as much per update;
+* ``kernel`` — under ``mode="native"`` with a loaded C kernel, a
+  native-eligible map that some trigger scans whole (a fused
+  ``scan_columns`` / ``reduce_scalar`` loop): the scan runs in C, which
+  is the only place the kernel beats a dict;
+* ``packed`` — the explicit memory mode (``columnar=True``): every keyed
+  map in pure-Python packed columns, 2-4x fewer bytes per entry at the
+  probe cost above.
+
+The executor computes the layout once; the engine builds its maps from
+it and the renderer emits the matching access code (``add()`` applies and
+column scans for packed/kernel maps, the mapping protocol for dicts), so
+the two cannot disagree.
+
+The proofs are *hints*, not soundness obligations: the runtime map
 promotes any column to boxed storage before storing a value the packed
 representation could not round-trip exactly, so maps stay bit-identical
 to dict storage even where the proofs are conservative.
@@ -38,6 +58,7 @@ to dict storage even where the proofs are conservative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from repro.algebra.expr import (
     Add,
@@ -112,12 +133,9 @@ class StoragePlan:
         return self.maps[name]
 
     def create(self, name: str):
-        """Fresh empty storage for one map."""
+        """Fresh empty *packed* storage for one map (a dict where there
+        is nothing to pack)."""
         return self.maps[name].create()
-
-    def create_maps(self) -> dict:
-        """Fresh storage for every map (what engines construct from)."""
-        return {name: storage.create() for name, storage in self.maps.items()}
 
     @property
     def columnar_maps(self) -> tuple[str, ...]:
@@ -142,6 +160,104 @@ class StoragePlan:
                 f"map {name}: {storage.label}{native} ({storage.reason})"
             )
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class MapLayout:
+    """What one map of one engine is stored as, and why."""
+
+    kind: str  # "dict" | "packed" | "kernel"
+    reason: str
+
+
+@dataclass(frozen=True)
+class StorageLayout:
+    """The realised storage layout of one engine (see the module
+    docstring): engines build their maps from it, the renderer emits the
+    access code that matches it."""
+
+    plan: StoragePlan
+    mode: str
+    maps: dict[str, MapLayout]
+
+    def create_maps(self) -> dict:
+        """Fresh storage for every map (what engines construct from)."""
+        return {
+            name: {} if layout.kind == "dict" else self.plan.create(name)
+            for name, layout in self.maps.items()
+        }
+
+    @property
+    def columnar_maps(self) -> frozenset[str]:
+        """Maps held in :class:`~repro.runtime.storage.ColumnarMap`
+        objects (packed, or kernel-attached — an ejected kernel map falls
+        back to the packed class): their applies render as ``add()``."""
+        return frozenset(
+            name for name, m in self.maps.items() if m.kind != "dict"
+        )
+
+    @property
+    def kernel_maps(self) -> frozenset[str]:
+        """Maps the C kernel owns: attached at every executor bind, full
+        scans rendered as fused column traversals."""
+        return frozenset(
+            name for name, m in self.maps.items() if m.kind == "kernel"
+        )
+
+    def describe(self) -> str:
+        """Per-map layout and reason (``repro compile``, module headers)."""
+        return "\n".join(
+            f"map {name}: {layout.kind} ({layout.reason})"
+            for name, layout in sorted(self.maps.items())
+        )
+
+
+def storage_layout(
+    program: CompiledProgram,
+    mode: str = "compiled",
+    columnar: bool = False,
+    kernel: bool = False,
+    scans: Optional[Mapping[str, str]] = None,
+) -> StorageLayout:
+    """The one storage-layout decision (see the module docstring).
+
+    ``mode`` is the executor lane, ``columnar`` the explicit packed
+    memory mode, ``kernel`` whether the native lane's C kernel actually
+    loaded on this host, and ``scans`` maps each map some trigger scans
+    whole to the trigger doing so
+    (:func:`repro.codegen.pygen.fused_scan_sites`).  Without a loaded
+    kernel the native lane's layout is exactly the compiled one.
+    """
+    plan = analyze_storage(program)
+    native = mode == "native"
+    scans = scans or {}
+    decisions: dict[str, MapLayout] = {}
+    for name, storage in plan.maps.items():
+        scanned_by = scans.get(name)
+        if native and kernel and storage.native and (columnar or scanned_by):
+            kind = "kernel"
+            reason = (
+                f"fused scan in {scanned_by}"
+                if scanned_by
+                else "packed memory mode, native-eligible"
+            )
+        elif columnar and storage.columnar:
+            kind = "packed"
+            reason = f"packed memory mode: {storage.reason}"
+        else:
+            kind = "dict"
+            if not storage.columnar:
+                reason = storage.reason
+            elif not native:
+                reason = "probed from Python: CPython's dict is the native probe"
+            elif not storage.native:
+                reason = f"not native-eligible: {storage.native_reason}"
+            elif not scanned_by:
+                reason = "point-probed only"
+            else:
+                reason = f"no kernel loaded for the scan in {scanned_by}"
+        decisions[name] = MapLayout(kind, reason)
+    return StorageLayout(plan, mode, decisions)
 
 
 def _float_capable_vars(defn: Expr, program: CompiledProgram) -> frozenset[str]:

@@ -359,8 +359,9 @@ class MapDecl(IRStmt):
 
     ``storage`` is the compiler's storage-plan label for the map
     (``dict`` or ``columnar[int|float|object]``, see
-    :mod:`repro.compiler.storage`) — stamped here so every IR dump
-    documents how the runtime will lay the map out in memory.
+    :mod:`repro.compiler.storage`) — the type proof, i.e. what the map
+    packs as where the engine's layout packs it — stamped here so every
+    IR dump carries it.
     """
 
     name: str

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from repro.errors import EventError, UnknownStreamError
 from repro.compiler.partition import PartitionSpec, analyze_partitioning
 from repro.compiler.program import CompiledProgram, Trigger
-from repro.compiler.storage import analyze_storage
+from repro.compiler.storage import storage_layout
 from repro.runtime.events import (
     EventBatch,
     StreamEvent,
@@ -73,6 +73,7 @@ DEFAULT_BATCH_SIZE = 1024
 #: Below this run length, shard routing partitions row tuples (one hash and
 #: one append per row) instead of building per-shard column gathers.
 _ROW_ROUTE_THRESHOLD = 8
+from repro.runtime.storage import storage_class
 from repro.runtime.views import query_results, result_rows_to_dicts
 from repro.ir.interp import (
     run_finalize as _run_finalize,
@@ -140,15 +141,20 @@ class InterpretedExecutor:
         program: CompiledProgram,
         optimize: bool = True,
         second_order: bool = True,
+        columnar: bool = False,
     ) -> None:
         from repro.ir.lower import lower_program
 
         self.program = program
         self.optimize = optimize
         self.second_order = second_order
+        self.layout = storage_layout(program, self.mode, columnar)
         self._ir = lower_program(
             program, optimize=optimize, second_order=second_order
         )
+
+    def bind(self, maps: dict[str, dict]) -> None:
+        """Nothing to bind: the tree-walker takes the maps per call."""
 
     def execute(
         self,
@@ -197,17 +203,21 @@ class _ExecutorOptions:
     use_indexes: bool = True
     optimize: bool = True
     second_order: bool = True
-    columnar: bool = True
+    columnar: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("compiled", "native", "interpreted"):
             raise EventError(f"unknown engine mode {self.mode!r}")
 
-    def executor(self, program: CompiledProgram, maps: dict[str, dict]):
-        """The trigger executor for ``mode``, bound to ``maps``."""
+    def executor(self, program: CompiledProgram):
+        """The (unbound) trigger executor for ``mode``.  Its ``layout``
+        is the storage layout the engine builds its maps from."""
         if self.mode == "interpreted":
             return InterpretedExecutor(
-                program, optimize=self.optimize, second_order=self.second_order
+                program,
+                optimize=self.optimize,
+                second_order=self.second_order,
+                columnar=self.columnar,
             )
         if self.mode == "compiled":
             from repro.codegen.pygen import CompiledExecutor as executor
@@ -215,7 +225,6 @@ class _ExecutorOptions:
             from repro.codegen.native import NativeExecutor as executor
         return executor(
             program,
-            maps,
             use_indexes=self.use_indexes,
             optimize=self.optimize,
             second_order=self.second_order,
@@ -454,13 +463,15 @@ class DeltaEngine(Engine):
         engine.process_stream(events)           # a whole (batched) feed
         engine.results()                        # current standing rows
 
-    Map storage follows the compiler's storage plan
-    (:func:`repro.compiler.storage.analyze_storage`): keyed maps with
-    proven value types live in packed
-    :class:`~repro.runtime.storage.ColumnarMap` columns, scalar maps in
-    plain dicts.  ``columnar=False`` forces dict storage for every map
-    (the storage ablation, the CLI's ``--no-columnar``); contents are
-    bit-identical either way.
+    Map storage follows the one layout decision
+    (:func:`repro.compiler.storage.storage_layout`, taken by the
+    executor): every map is a plain ``dict`` under the Python executors;
+    ``mode="native"`` hands the maps its triggers scan whole to the C
+    kernel; ``columnar=True`` is the explicit memory mode — every keyed
+    map in packed :class:`~repro.runtime.storage.ColumnarMap` columns
+    (the CLI's ``--columnar``), 2-4x smaller and 3-5x slower to probe.
+    Contents are bit-identical whatever the layout;
+    :meth:`storage_classes` reports what each map is right now.
     """
 
     def __init__(
@@ -472,7 +483,7 @@ class DeltaEngine(Engine):
         use_indexes: bool = True,
         optimize: bool = True,
         second_order: bool = True,
-        columnar: bool = True,
+        columnar: bool = False,
     ) -> None:
         """``strict=True`` raises on events for relations no standing query
         reads; the default silently skips them (a feed usually carries more
@@ -483,21 +494,19 @@ class DeltaEngine(Engine):
         ablation, also the bench harness's ``--no-opt``);
         ``second_order=False`` disables the delta-of-delta batch sink, so
         self-reading triggers fall back to the per-row batch loop (the
-        higher-order batching ablation); ``columnar=False`` disables
-        packed columnar map storage, keeping every map a plain dict (the
-        storage ablation, also the CLI's ``--no-columnar``)."""
+        higher-order batching ablation); ``columnar=True`` stores every
+        keyed map in packed columns (the memory mode, also the CLI's
+        ``--columnar``)."""
         super().__init__(program)
         self._init_admission(strict)
         self._options = _ExecutorOptions(
             mode, use_indexes, optimize, second_order, columnar
         )
-        if columnar:
-            self.maps: dict[str, dict] = analyze_storage(program).create_maps()
-        else:
-            self.maps = {name: {} for name in program.maps}
+        self._executor = self._options.executor(program)
+        self.maps: dict[str, dict] = self._executor.layout.create_maps()
+        self._executor.bind(self.maps)
         self.profiler = profiler
         self.events_processed = 0
-        self._executor = self._options.executor(program, self.maps)
 
     def __deepcopy__(self, memo: dict) -> "DeltaEngine":
         """Snapshot support (used by the benchmark harness).
@@ -518,8 +527,7 @@ class DeltaEngine(Engine):
                 for name, contents in self.maps.items()
             }
         )
-        if self._options.mode != "interpreted":
-            clone._executor.bind(clone.maps)
+        clone._executor.bind(clone.maps)
         clone.events_processed = self.events_processed
         clone.events_skipped = self.events_skipped
         clone._stream_started = self._stream_started
@@ -602,8 +610,7 @@ class DeltaEngine(Engine):
             contents = maps.get(name)
             if contents:
                 target.update(contents)
-        if self._options.mode != "interpreted":
-            self._executor.bind(self.maps)
+        self._executor.bind(self.maps)
         self.events_processed = events_processed
         self.events_skipped = events_skipped
         if stream_started is None:
@@ -648,6 +655,21 @@ class DeltaEngine(Engine):
         """The toolchain probe result the native lane ran under (or the
         fallback reason); ``None`` outside ``mode="native"``."""
         return getattr(self._executor, "native_note", None)
+
+    def storage_classes(self) -> dict[str, str]:
+        """What each map is stored as *right now*, read from the live
+        objects: ``dict``, ``packed``, ``kernel``, or — after a
+        mid-stream degrade — ``ejected`` (a kernel map back in pure
+        packed columns) / ``spilled`` (a packed map fallen back to a
+        dict)."""
+        kernel_maps = self._executor.layout.kernel_maps
+        classes = {}
+        for name, contents in self.maps.items():
+            current = storage_class(contents)
+            if current == "packed" and name in kernel_maps:
+                current = "ejected"
+            classes[name] = current
+        return classes
 
     def index_sizes(self) -> dict[str, int]:
         """Secondary-index entries currently held, per indexed map.
@@ -718,7 +740,9 @@ def _shard_worker_main(conn, program, options: _ExecutorOptions) -> None:
         elif op == "collect":
             conn.send(("maps", engine.maps, engine.events_processed))
         elif op == "stats":
-            conn.send(("stats", engine.index_sizes()))
+            conn.send(
+                ("stats", engine.index_sizes(), engine.storage_classes())
+            )
         elif op == "restore":
             # Snapshot recovery scatters a state slice into this lane; a
             # successful restore also clears any remembered failure — the
@@ -757,6 +781,9 @@ class _PipeLane:
 
     def index_sizes(self) -> dict[str, int]:
         return self._round_trip(("stats",))[1]
+
+    def storage_classes(self) -> dict[str, str]:
+        return self._round_trip(("stats",))[2]
 
     def restore_state(
         self, maps: dict, events_processed: int, stream_started: bool
@@ -1161,7 +1188,7 @@ class ShardedEngine(Engine):
         use_indexes: bool = True,
         optimize: bool = True,
         second_order: bool = True,
-        columnar: bool = True,
+        columnar: bool = False,
         spec: Optional[PartitionSpec] = None,
         supervise: bool = False,
         max_worker_restarts: int = 3,
@@ -1385,6 +1412,21 @@ class ShardedEngine(Engine):
     @property
     def native_note(self) -> Optional[str]:
         return self._serial.native_note
+
+    def storage_classes(self) -> dict[str, str]:
+        """Per-map storage class across the lanes (see
+        :meth:`DeltaEngine.storage_classes`).  Every lane builds the same
+        layout, so lanes only ever differ by a degrade: a map ``spilled``
+        or ``ejected`` on any lane reports as such."""
+        self._check_open()
+        classes = self._serial.storage_classes()
+        for lane in self._lanes:
+            for name, current in lane.storage_classes().items():
+                if current in ("spilled", "ejected") and (
+                    classes[name] != "spilled"
+                ):
+                    classes[name] = current
+        return classes
 
     def index_sizes(self) -> dict[str, int]:
         """Secondary-index entries summed across every lane.

@@ -134,7 +134,7 @@ def profile_compilation(sql: str, catalog, name: str = "q") -> CompileReport:
     cpp_source = generate_cpp(program)
     t3 = time.perf_counter()
     executor = CompiledExecutor(program)
-    executor.bind({name: {} for name in program.maps})
+    executor.bind(executor.layout.create_maps())
     t4 = time.perf_counter()
 
     return CompileReport(

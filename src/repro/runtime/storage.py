@@ -759,3 +759,14 @@ class _NativeColumnarMap(ColumnarMap):
 
 
 _SENTINEL = object()
+
+
+def storage_class(contents) -> str:
+    """What a live map object is stored as: ``"kernel"`` (entries in the
+    C kernel), ``"spilled"`` (a ColumnarMap fallen back to a dict),
+    ``"packed"`` (pure-Python columns) or ``"dict"``."""
+    if type(contents) is _NativeColumnarMap:
+        return "kernel"
+    if isinstance(contents, ColumnarMap):
+        return "spilled" if contents.spilled else "packed"
+    return "dict"

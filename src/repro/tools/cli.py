@@ -48,11 +48,14 @@ fallback when the program is not partitionable.  ``--dump-ir`` prints the
 typed imperative IR all back ends share (see :mod:`repro.ir`), including
 the per-statement *batch sink* report (direct / buffered / accumulator /
 second-order) showing how each trigger absorbs batches and the per-map
-storage plan (``columnar[int|float|object]`` / ``dict``, see
-:mod:`repro.compiler.storage`); ``--no-opt`` disables the optimisation
-pipeline (compile, run and bench); ``--no-columnar`` (run/bench) keeps
-every maintained map in plain dict storage — the memory-vs-CPU storage
-ablation (`benchmarks/bench_memory.py` measures it).
+type proofs (``columnar[int|float|object]`` / ``dict``, see
+:mod:`repro.compiler.storage`); ``compile`` also prints the storage
+layout every executor mode gives each map, with the reason.  ``--no-opt``
+disables the optimisation pipeline (compile, run and bench).  Maps are
+plain dicts by default (``--native`` hands the maps its triggers scan
+whole to the C kernel); ``--columnar`` (run/serve/bench) is the memory
+mode — every keyed map in packed columns, 2-4x fewer bytes per entry for
+3-5x slower probes (`benchmarks/bench_memory.py` measures it).
 """
 
 from __future__ import annotations
@@ -81,11 +84,6 @@ def _resolve_mode(args) -> str:
                 "--native compiles triggers; it cannot combine with "
                 "--mode interpreted"
             )
-        if getattr(args, "no_columnar", False):
-            raise SystemExit(
-                "--native probes columnar storage; it cannot combine "
-                "with --no-columnar"
-            )
         return "native"
     return mode
 
@@ -111,7 +109,7 @@ def _make_engine(program, args):
     kwargs = {
         "mode": _resolve_mode(args),
         "optimize": not getattr(args, "no_opt", False),
-        "columnar": not getattr(args, "no_columnar", False),
+        "columnar": getattr(args, "columnar", False),
     }
     if shards > 1:
         kwargs.update(shards=shards, parallel=True)
@@ -152,8 +150,9 @@ def cmd_compile(args) -> int:
     print(f"durability fingerprint: {program_fingerprint(program)}\n")
     print(analyze_partitioning(program).describe())
     print(analyze_storage(program).describe())
-    from repro.codegen.native import describe_native
+    from repro.codegen.native import describe_layouts, describe_native
 
+    print(describe_layouts(program, optimize=optimize))
     print(describe_native(program))
     print()
     print(ir_summary(program, optimize=optimize))
@@ -382,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-native", dest="native", action="store_false",
                        help="stay on the pure-Python lanes (default)")
     p_run.set_defaults(native=False)
-    p_run.add_argument("--no-columnar", action="store_true",
-                       help="keep every maintained map in plain dict "
-                       "storage (the storage ablation)")
+    p_run.add_argument("--columnar", action="store_true",
+                       help="store every keyed map in packed columns "
+                       "(the memory mode: fewer bytes, slower probes)")
     p_run.add_argument("--durable", metavar="DIR",
                        help="crash-durable processing: write-ahead log + "
                        "snapshots in DIR (resumes existing state)")
@@ -430,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-native", dest="native", action="store_false",
                          help="stay on the pure-Python lanes (default)")
     p_serve.set_defaults(native=False)
-    p_serve.add_argument("--no-columnar", action="store_true",
-                         help="keep every maintained map in plain dict "
-                         "storage")
+    p_serve.add_argument("--columnar", action="store_true",
+                         help="store every keyed map in packed columns "
+                         "(the memory mode)")
     p_serve.add_argument("--durable", metavar="DIR",
                          help="serve over a crash-durable engine: WAL + "
                          "snapshots in DIR; delivered LSNs are the WAL's")
@@ -485,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-native", dest="native", action="store_false",
                          help="stay on the pure-Python lanes (default)")
     p_bench.set_defaults(native=False)
-    p_bench.add_argument("--no-columnar", action="store_true",
-                         help="keep every maintained map in plain dict "
-                         "storage (the storage ablation)")
+    p_bench.add_argument("--columnar", action="store_true",
+                         help="store every keyed map in packed columns "
+                         "(the memory mode: fewer bytes, slower probes)")
     _supervisor_args(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

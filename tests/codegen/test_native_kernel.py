@@ -13,8 +13,10 @@ Four layers:
   losing entries*: int64 overflow, int-into-float promotion, exotic keys,
   wrong-arity keys (spill), pop/popitem;
 * **the executor lane** — ``mode="native"`` engines stay repr-identical
-  to compiled/interpreted ones, and ``REPRO_NATIVE=off`` degrades the
-  whole lane to pure Python with the reason recorded.
+  to compiled/interpreted ones whether the kernel owns only the scanned
+  maps (the default) or every native-eligible one (``columnar=True``),
+  and ``REPRO_NATIVE=off`` degrades the lane to exactly the compiled one
+  with the reason recorded.
 
 Every kernel-touching test skips (visibly) when the host has no C
 toolchain; the fallback-lane tests run everywhere.
@@ -39,6 +41,7 @@ from repro.codegen.native import (
     render_kernel_source,
 )
 from repro.compiler import compile_sql
+from repro.compiler.storage import storage_layout
 from repro.runtime import ColumnarMap, DeltaEngine
 from repro.runtime.storage import _INT64_MAX, _NativeColumnarMap
 from repro.sql.catalog import Catalog
@@ -90,8 +93,28 @@ def _attached(kernel, arity=1, vkind="q", items=()):
 
 @lru_cache(maxsize=None)
 def _grouped_program():
+    """Point-probed only: the kernel owns its map in packed mode alone."""
     catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
     return compile_sql("SELECT a, sum(b) FROM R r GROUP BY a", catalog, name="q")
+
+
+@lru_cache(maxsize=None)
+def _scanning_program():
+    """An inequality join: each trigger scans the other side's map whole
+    (a fused ``reduce_scalar``), so the kernel owns both by default."""
+    catalog = Catalog.from_script(
+        "CREATE STREAM R (A int, B int); CREATE STREAM S (B int, C int);"
+    )
+    return compile_sql(
+        "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B", catalog, name="q"
+    )
+
+
+#: (program, columnar) pairs under which a native engine attaches a kernel.
+_KERNEL_LANES = [
+    pytest.param(_scanning_program, False, id="scanned-maps"),
+    pytest.param(_grouped_program, True, id="packed-mode"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +168,11 @@ class TestToolchainProbe:
         program = _grouped_program()
         source = generate_module(
             program,
-            columnar=True,
-            native_maps=native.native_map_names(program),
+            layout=storage_layout(program, "native", columnar=True, kernel=True),
             native_note="probe-note-for-test",
         )
         assert "native kernel: probe-note-for-test" in source
-        assert "fused column scans" not in source or "columnar storage" in source
+        assert "fused column scans: q_q___count, q_q_sum_1" in source
 
     def test_load_kernel_notes_reason_without_eligible_maps(self):
         catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
@@ -402,15 +424,17 @@ class TestReduceScalar:
 
 def _drive(engine, n=400):
     rng = random.Random(3)
+    relations = sorted({relation for relation, _ in engine.program.triggers})
     live = []
     for _ in range(n):
         if live and rng.random() < 0.35:
-            row = live.pop(rng.randrange(len(live)))
-            engine.delete("R", *row)
+            relation, row = live.pop(rng.randrange(len(live)))
+            engine.delete(relation, *row)
         else:
+            relation = rng.choice(relations)
             row = (rng.randrange(8), rng.randrange(-50, 50))
-            live.append(row)
-            engine.insert("R", *row)
+            live.append((relation, row))
+            engine.insert(relation, *row)
     return engine
 
 
@@ -422,39 +446,60 @@ def _items(maps):
 
 
 class TestNativeExecutorLane:
-    def test_native_engine_matches_compiled(self):
+    @pytest.mark.parametrize("build, columnar", _KERNEL_LANES)
+    def test_native_engine_matches_compiled(self, build, columnar):
         _require_toolchain()
-        program = _grouped_program()
-        nat = _drive(DeltaEngine(program, mode="native"))
-        ref = _drive(DeltaEngine(program, mode="compiled"))
+        program = build()
+        nat = _drive(DeltaEngine(program, mode="native", columnar=columnar))
+        ref = _drive(DeltaEngine(program, mode="compiled", columnar=False))
         assert nat.native_active
+        assert "kernel" in nat.storage_classes().values()
         assert probe_toolchain().version in nat.native_note
         assert _items(nat.maps) == _items(ref.maps)
         assert nat.results() == ref.results()
 
-    def test_deepcopy_preserves_native_lane(self):
+    def test_point_probed_program_runs_the_compiled_lane(self):
+        """No trigger scans a map whole: nothing is worth handing to the
+        kernel, so none is built and the lane is the compiled one."""
+        program = _grouped_program()
+        nat = _drive(DeltaEngine(program, mode="native"))
+        ref = _drive(DeltaEngine(program, mode="compiled"))
+        assert not nat.native_active
+        assert "scanned whole" in nat.native_note
+        assert set(nat.storage_classes().values()) == {"dict"}
+        code = [e._executor.source.split('"""', 2)[2] for e in (nat, ref)]
+        assert code[0] == code[1]  # the modules differ in the header only
+        assert _items(nat.maps) == _items(ref.maps)
+
+    @pytest.mark.parametrize("build, columnar", _KERNEL_LANES)
+    def test_deepcopy_preserves_native_lane(self, build, columnar):
         _require_toolchain()
-        engine = _drive(DeltaEngine(_grouped_program(), mode="native"), n=60)
+        engine = _drive(
+            DeltaEngine(build(), mode="native", columnar=columnar), n=60
+        )
         clone = copy.deepcopy(engine)
         assert clone.maps == engine.maps
+        assert clone.storage_classes() == engine.storage_classes()
         _drive(clone, n=60)  # clone keeps processing independently
         assert clone.native_active
 
-    def test_forced_fallback_runs_pure_python(self):
+    @pytest.mark.parametrize("build, columnar", _KERNEL_LANES)
+    def test_forced_fallback_runs_pure_python(self, build, columnar):
         saved = os.environ.get("REPRO_NATIVE")
         os.environ["REPRO_NATIVE"] = "off"
         try:
             probe_toolchain(refresh=True)
-            engine = _drive(DeltaEngine(_grouped_program(), mode="native"))
+            engine = _drive(
+                DeltaEngine(build(), mode="native", columnar=columnar)
+            )
             assert not engine.native_active
             assert "REPRO_NATIVE" in engine.native_note
-            assert all(
-                type(c) in (dict, ColumnarMap) for c in engine.maps.values()
-            )
+            assert "kernel" not in engine.storage_classes().values()
         finally:
             _restore_env("REPRO_NATIVE", saved)
             probe_toolchain(refresh=True)
-        ref = _drive(DeltaEngine(_grouped_program(), mode="compiled"))
+        ref = _drive(DeltaEngine(build(), mode="compiled", columnar=columnar))
+        assert engine.storage_classes() == ref.storage_classes()
         assert _items(engine.maps) == _items(ref.maps)
 
     def test_executor_exposes_note_and_signature_set(self):

@@ -303,12 +303,12 @@ from fault_injection import (  # noqa: E402
 )
 
 
-@pytest.mark.parametrize("workload,label,hits,snapshot_every", [
-    ("bbo", "engine.after_append", 7, None),
-    ("act", "engine.after_apply", 9, 4),
+@pytest.mark.parametrize("workload,label,hits,snapshot_every,columnar", [
+    ("bbo", "engine.after_append", 7, None, False),
+    ("act", "engine.after_apply", 9, 4, True),
 ])
 def test_sigkill_recover_matches_sqlite(
-    tmp_path, workload, label, hits, snapshot_every
+    tmp_path, workload, label, hits, snapshot_every, columnar
 ):
     """An actual SIGKILL mid-stream: the recovered auxiliary caches (and
     everything else) must equal both the fresh-engine reference and the
@@ -321,12 +321,15 @@ def test_sigkill_recover_matches_sqlite(
     code = run_to_crash(
         tmp_path, label, hits, workload=workload, n_events=n_events,
         seed=seed, batch_size=batch_size, snapshot_every=snapshot_every,
+        columnar=columnar,
     )
     assert code == -signal.SIGKILL
     program = build_program(workload)
-    engine, lsn = recover_engine(program, tmp_path)
+    engine, lsn = recover_engine(program, tmp_path, columnar=columnar)
     assert lsn > 0
-    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
+    assert_recovery_parity(
+        engine, lsn, workload, n_events, seed, batch_size, columnar=columnar
+    )
 
     oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[workload])
     for index, batch in enumerate(

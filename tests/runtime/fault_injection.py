@@ -106,7 +106,7 @@ def reference_state(
     seed: int,
     batch_size: int,
     lsn: int,
-    columnar: bool = True,
+    columnar: bool,
 ) -> DeltaEngine:
     """The oracle: a fresh engine after the first ``lsn`` batches.
 
@@ -126,9 +126,11 @@ def reference_state(
 
 def assert_recovery_parity(
     engine, lsn: int, workload: str, n_events: int, seed: int,
-    batch_size: int, columnar: bool = True, exact_repr: bool = True,
+    batch_size: int, *, columnar: bool, exact_repr: bool = True,
 ) -> None:
-    """Recovered state must equal the uninterrupted reference at ``lsn``."""
+    """Recovered state must equal the uninterrupted reference at ``lsn``
+    (``columnar`` is the storage layout the recovered engine was built
+    with — the reference gets the same, so ``repr`` parity is exact)."""
     reference = reference_state(
         workload, n_events, seed, batch_size, lsn, columnar=columnar
     )
@@ -162,7 +164,8 @@ def run_to_crash(
     batch_size: int = 16,
     fsync: str = "always",
     snapshot_every: int | None = None,
-    columnar: bool = True,
+    *,
+    columnar: bool,
     shards: int = 1,
     timeout: float = 120.0,
 ) -> int:
@@ -183,8 +186,8 @@ def run_to_crash(
     ]
     if snapshot_every:
         argv += ["--snapshot-every", str(snapshot_every)]
-    if not columnar:
-        argv += ["--no-columnar"]
+    if columnar:
+        argv += ["--columnar"]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(argv, env=env, timeout=timeout)
@@ -197,7 +200,7 @@ def _child_main(args) -> int:
         build_program(args.workload), args.dir,
         shards=args.shards, fsync=args.fsync,
         snapshot_every=args.snapshot_every, probe=probe,
-        columnar=not args.no_columnar,
+        columnar=args.columnar,
     )
     events = stream_events(args.workload, args.events, args.seed)
     engine.process_stream(events, batch_size=args.batch_size)
@@ -210,12 +213,12 @@ def _child_main(args) -> int:
 # ---------------------------------------------------------------------------
 
 _SMOKE_SCENARIOS = (
-    # (label, hits, fsync, snapshot_every)
-    ("engine.after_append", 7, "always", None),
-    ("engine.after_apply", 9, "always", 4),
-    ("wal.mid_frame", 5, "always", None),
-    ("snapshot.mid_write", 2, "batch", 64),
-    ("snapshot.before_rename", 2, "batch", 64),
+    # (label, hits, fsync, snapshot_every, columnar)
+    ("engine.after_append", 7, "always", None, False),
+    ("engine.after_apply", 9, "always", 4, True),
+    ("wal.mid_frame", 5, "always", None, False),
+    ("snapshot.mid_write", 2, "batch", 64, True),
+    ("snapshot.before_rename", 2, "batch", 64, False),
 )
 
 
@@ -227,26 +230,32 @@ def _smoke_main() -> int:
 
     workload, n_events, seed, batch_size = "finance", 400, 2009, 16
     failures = 0
-    for label, hits, fsync, snapshot_every in _SMOKE_SCENARIOS:
+    for label, hits, fsync, snapshot_every, columnar in _SMOKE_SCENARIOS:
         with tempfile.TemporaryDirectory() as directory:
             code = run_to_crash(
                 directory, label, hits, workload=workload,
                 n_events=n_events, seed=seed, batch_size=batch_size,
                 fsync=fsync, snapshot_every=snapshot_every,
+                columnar=columnar,
             )
             if code != -signal.SIGKILL:
                 print(f"FAIL {label}: child exited {code}, expected SIGKILL")
                 failures += 1
                 continue
             program = build_program(workload)
-            engine, lsn = recover_engine(program, directory)
+            engine, lsn = recover_engine(
+                program, directory, columnar=columnar
+            )
             try:
                 assert_recovery_parity(
-                    engine, lsn, workload, n_events, seed, batch_size
+                    engine, lsn, workload, n_events, seed, batch_size,
+                    columnar=columnar,
                 )
                 # Idempotence: recovering the same directory twice reaches
                 # the same watermark and the same state.
-                again, lsn_again = recover_engine(program, directory)
+                again, lsn_again = recover_engine(
+                    program, directory, columnar=columnar
+                )
                 assert lsn_again == lsn
                 assert repr(again.maps) == repr(engine.maps)
             except AssertionError as exc:
@@ -255,7 +264,7 @@ def _smoke_main() -> int:
                 continue
             frames = sum(1 for _ in WriteAheadLog.replay(directory))
             print(
-                f"ok   {label:<24} fsync={fsync:<6} "
+                f"ok   {label:<24} fsync={fsync:<6} columnar={columnar!s:<5} "
                 f"recovered LSN {lsn} ({frames} frames on disk)"
             )
     if failures:
@@ -282,7 +291,7 @@ def _build_parser():
     child.add_argument("--fsync", default="always")
     child.add_argument("--snapshot-every", type=int, default=None)
     child.add_argument("--shards", type=int, default=1)
-    child.add_argument("--no-columnar", action="store_true")
+    child.add_argument("--columnar", action="store_true")
     sub.add_parser("smoke", help="fixed-seed SIGKILL/recover/parity sweep")
     return parser
 

@@ -371,22 +371,25 @@ def _exact_items(maps):
     }
 
 
-def test_engine_constructs_storage_from_plan():
+def test_packed_mode_constructs_storage_from_plan():
+    """``columnar=True`` packs exactly the maps the plan proves packable;
+    the default engine holds plain dicts (the full mode x layout matrix is
+    ``test_storage_layout.py``)."""
     program = _program("grouped")
-    engine = DeltaEngine(program)
+    engine = DeltaEngine(program, columnar=True)
     plan = analyze_storage(program)
     for name, contents in engine.maps.items():
         if plan.storage_for(name).columnar:
             assert isinstance(contents, ColumnarMap)
         else:
             assert type(contents) is dict
-    ablated = DeltaEngine(program, columnar=False)
-    assert all(type(c) is dict for c in ablated.maps.values())
+    default = DeltaEngine(program)
+    assert all(type(c) is dict for c in default.maps.values())
 
 
 def test_engine_deepcopy_preserves_storage_kind():
     program = _program("grouped")
-    engine = DeltaEngine(program)
+    engine = DeltaEngine(program, columnar=True)
     engine.insert("R", 1, 2)
     clone = copy.deepcopy(engine)
     assert clone.maps == engine.maps
@@ -509,7 +512,9 @@ def test_sharded_parallel_workers_ship_columnar_maps():
     """Worker processes pickle ColumnarMap lane state over pipes."""
     program = _program("grouped")
     reference = DeltaEngine(program, columnar=False)
-    with ShardedEngine(program, shards=2, parallel=True) as sharded:
+    with ShardedEngine(
+        program, shards=2, parallel=True, columnar=True
+    ) as sharded:
         if not sharded.parallel:
             pytest.skip("fork unavailable on this platform")
         for a in range(40):
@@ -521,14 +526,18 @@ def test_sharded_parallel_workers_ship_columnar_maps():
 
 
 @pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_parallel_workers_native_mode(shards):
+@pytest.mark.parametrize("columnar", [False, True])
+def test_sharded_parallel_workers_native_mode(shards, columnar):
     """Forked workers each build their own kernel attach; merged maps must
     stay repr-identical to the serial dict reference (and the maps crossing
-    the result pipes arrive as pure ColumnarMaps, re-attached per worker)."""
+    the result pipes arrive as pure ColumnarMaps, re-attached per worker).
+    The join only point-probes its maps, so the kernel owns them in the
+    packed memory mode alone; by default the lanes hold dicts."""
     program = _program("join")
     reference = DeltaEngine(program, columnar=False)
     with ShardedEngine(
-        program, shards=shards, mode="native", parallel=True
+        program, shards=shards, mode="native", parallel=True,
+        columnar=columnar,
     ) as sharded:
         if not sharded.parallel:
             pytest.skip("fork unavailable on this platform")

@@ -238,17 +238,22 @@ def test_sigkill_child_recovers_to_reference(
     )
 
 
-def test_sigkill_warehouse_child_recovers(tmp_path):
+@pytest.mark.parametrize("columnar", [False, True])
+def test_sigkill_warehouse_child_recovers(tmp_path, columnar):
     workload, n_events, seed, batch_size = "warehouse", 3000, 1992, 64
     code = run_to_crash(
         tmp_path, "engine.after_apply", 9, workload=workload,
         n_events=n_events, seed=seed, batch_size=batch_size,
-        fsync="always",
+        fsync="always", columnar=columnar,
     )
     assert code == -signal.SIGKILL
-    engine, lsn = recover_engine(build_program(workload), tmp_path)
+    engine, lsn = recover_engine(
+        build_program(workload), tmp_path, columnar=columnar
+    )
     assert lsn > 0
-    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
+    assert_recovery_parity(
+        engine, lsn, workload, n_events, seed, batch_size, columnar=columnar
+    )
 
 
 def _fork_available() -> bool:
@@ -260,28 +265,37 @@ def _fork_available() -> bool:
 
 
 @pytest.mark.skipif(not _fork_available(), reason="fork not available")
-def test_sigkill_sharded_child_recovers(tmp_path):
+@pytest.mark.parametrize("columnar", [False, True])
+def test_sigkill_sharded_child_recovers(tmp_path, columnar):
     """A sharded durable engine logs pre-partition in the router, so the
-    directory a killed sharded run leaves recovers like any other."""
+    directory a killed sharded run leaves recovers like any other — and
+    into either storage layout, whichever one wrote the log."""
     workload, n_events, seed, batch_size = "finance", 300, 2009, 16
     code = run_to_crash(
         tmp_path, "engine.after_append", 11, workload=workload,
         n_events=n_events, seed=seed, batch_size=batch_size,
-        fsync="always", shards=2,
+        fsync="always", columnar=columnar, shards=2,
     )
     assert code == -signal.SIGKILL
-    engine, lsn = recover_engine(build_program(workload), tmp_path)
+    recovered_columnar = not columnar
+    engine, lsn = recover_engine(
+        build_program(workload), tmp_path, columnar=recovered_columnar
+    )
     assert lsn > 0
-    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
+    assert_recovery_parity(
+        engine, lsn, workload, n_events, seed, batch_size,
+        columnar=recovered_columnar,
+    )
 
 
 def test_stream_finishing_before_crash_point_exits_cleanly(tmp_path):
     code = run_to_crash(
         tmp_path, "engine.after_append", 10_000, n_events=100, batch_size=16,
+        columnar=False,
     )
     assert code == 0
     engine, lsn = recover_engine(build_program("finance"), tmp_path)
-    assert_recovery_parity(engine, lsn, "finance", 100, 2009, 16)
+    assert_recovery_parity(engine, lsn, "finance", 100, 2009, 16, columnar=False)
 
 
 # ---------------------------------------------------------------------------

@@ -399,3 +399,8 @@ class TestProfiler:
         assert report.cpp_source_bytes > 100
         assert report.total_seconds > 0
         assert "generated Python" in report.report()
+        # The module the profile sizes is the module a default engine runs.
+        engine = DeltaEngine(compile_sql(GROUPED, catalog, name="q"))
+        assert report.python_source_bytes == len(
+            engine._executor.source.encode()
+        )

@@ -79,7 +79,7 @@ def book_events(draw):
 
 
 def per_event_maps(program, stream):
-    engine = DeltaEngine(program)
+    engine = DeltaEngine(program, columnar=False)
     for event in stream:
         engine.process(event)
     return engine.maps
@@ -92,34 +92,41 @@ class TestSecondOrderParity:
     @given(
         stream=book_events(),
         batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+        columnar=st.booleans(),
     )
-    def test_batched_matches_per_event(self, query_name, mode, stream, batch_size):
+    def test_batched_matches_per_event(
+        self, query_name, mode, stream, batch_size, columnar
+    ):
         program = finance_program(query_name)
         reference = per_event_maps(program, stream)
-        batched = DeltaEngine(program, mode=mode)
+        batched = DeltaEngine(program, mode=mode, columnar=columnar)
         batched.process_stream(stream, batch_size=batch_size)
         assert batched.maps == reference
 
     @pytest.mark.parametrize("query_name", SELF_READING + NONLINEAR)
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     @settings(max_examples=5, deadline=None)
-    @given(stream=book_events())
-    def test_sharded_matches_per_event(self, query_name, shards, stream):
+    @given(stream=book_events(), columnar=st.booleans())
+    def test_sharded_matches_per_event(
+        self, query_name, shards, stream, columnar
+    ):
         program = finance_program(query_name)
         reference = per_event_maps(program, stream)
         for mode in ("compiled", "interpreted"):
-            with ShardedEngine(program, shards=shards, mode=mode) as engine:
+            with ShardedEngine(
+                program, shards=shards, mode=mode, columnar=columnar
+            ) as engine:
                 engine.process_stream(stream, batch_size=7)
                 assert engine.merged_maps() == reference, mode
 
     @pytest.mark.parametrize("query_name", SELF_READING + NONLINEAR)
     @settings(max_examples=10, deadline=None)
-    @given(stream=book_events())
-    def test_ablation_fallback_matches(self, query_name, stream):
+    @given(stream=book_events(), columnar=st.booleans())
+    def test_ablation_fallback_matches(self, query_name, stream, columnar):
         """second_order=False (the per-row fallback) stays correct too."""
         program = finance_program(query_name)
         reference = per_event_maps(program, stream)
-        engine = DeltaEngine(program, second_order=False)
+        engine = DeltaEngine(program, second_order=False, columnar=columnar)
         engine.process_stream(stream, batch_size=8)
         assert engine.maps == reference
 
@@ -133,8 +140,9 @@ class TestSecondOrderParity:
             max_size=30,
         ),
         batch_size=st.integers(min_value=1, max_value=9),
+        columnar=st.booleans(),
     )
-    def test_keyed_restatement_matches(self, rows, batch_size):
+    def test_keyed_restatement_matches(self, rows, batch_size, columnar):
         """A grouped root with a nested threshold restates a *keyed* map:
         the flush clears it and re-derives every group."""
         catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
@@ -142,7 +150,7 @@ class TestSecondOrderParity:
         stream = [StreamEvent("R", 1, row) for row in rows]
         reference = per_event_maps(program, stream)
         for mode in ("compiled", "interpreted"):
-            engine = DeltaEngine(program, mode=mode)
+            engine = DeltaEngine(program, mode=mode, columnar=columnar)
             engine.process_stream(stream, batch_size=batch_size)
             assert engine.maps == reference, mode
 

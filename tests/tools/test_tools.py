@@ -85,6 +85,12 @@ class TestCLI:
         assert "Figure 2 trace" in out
         assert "maps per recursion level" in out
         assert "IR: " in out  # the IR lowering is part of the trace
+        # The storage plan section: type proofs, then each mode's layout
+        # with the reason every map got it.
+        assert "== storage plan ==" in out
+        assert "layout, compiled / interpreted:" in out
+        assert "layout, native (" in out
+        assert "dict (probed from Python" in out
 
     def test_compile_dump_ir(self, capsys):
         rc = cli_main(
@@ -211,9 +217,17 @@ class TestCLI:
         assert "streamed 5 events" in out
         assert "(35,)" in out  # 5 * 7, identical to the run command
 
-    def test_bench_command(self, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--columnar"], ["--native"], ["--native", "--columnar"]],
+        ids=["default", "columnar", "native", "native-columnar"],
+    )
+    def test_bench_command(self, capsys, flags):
+        """Every storage-layout flag combination runs (``--native`` no
+        longer depends on, or conflicts with, the columnar flag)."""
         rc = cli_main(
-            ["bench", "--workload", "finance", "--query", "psp", "--events", "2000"]
+            ["bench", "--workload", "finance", "--query", "bsp",
+             "--events", "2000", *flags]
         )
         assert rc == 0
         assert "events/s" in capsys.readouterr().out
