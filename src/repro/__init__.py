@@ -7,7 +7,7 @@ The public API in three lines::
     engine.insert("R", 1, 2); engine.results()
 
 See README.md for the full pipeline tour (SQL -> calculus -> delta ->
-materialise -> trigger IR -> {pygen, cppgen, interpreter}) and CLI usage.
+materialise -> trigger IR -> {pygen, interpreter}) and CLI usage.
 """
 
 from repro.sql.catalog import Catalog

@@ -1,19 +1,14 @@
 """Code generation back ends — renderers of the shared trigger IR.
 
-Both back ends render the same typed imperative IR (:mod:`repro.ir`), so
-they agree on loop structure, update semantics and optimisation by
-construction:
-
 * :mod:`repro.codegen.pygen` — renders IR to straight-line Python trigger
   functions and ``exec``-compiles them.  This is the reproduction of the
   paper's C++ generation + native compilation step: all query-plan
   interpretation is gone, leaving dictionary probes and arithmetic.
-* :mod:`repro.codegen.cppgen` — renders the equivalent C++ source as a
-  text artifact (header + handlers), mirroring the listings shown in the
-  paper's Section 3.  It is not compiled or executed here.
+* :mod:`repro.codegen.native` — the only C this system emits is the C it
+  compiles and runs: a column kernel for the maps some trigger scans
+  whole, attached under the generated Python (``mode="native"``).
 """
 
 from repro.codegen.pygen import CompiledExecutor, generate_module
-from repro.codegen.cppgen import generate_cpp
 
-__all__ = ["CompiledExecutor", "generate_module", "generate_cpp"]
+__all__ = ["CompiledExecutor", "generate_module"]

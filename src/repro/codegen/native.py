@@ -1284,6 +1284,14 @@ def kernel_signatures(
     )
 
 
+def kernel_source(program: CompiledProgram) -> str:
+    """The C source serving all of a program's native-eligible maps —
+    what ``repro compile --emit c`` prints and ``load_kernel(program)``
+    builds (``""`` when no map is native-eligible)."""
+    signatures = kernel_signatures(program)
+    return render_kernel_source(signatures) if signatures else ""
+
+
 def load_kernel(
     program: CompiledProgram, names: Optional[frozenset] = None
 ) -> tuple[Optional[KernelLib], str]:

@@ -239,15 +239,10 @@ def generate_module(
     plan = layout.plan
     columnar_maps = layout.columnar_maps
     native_scan_maps = layout.kernel_maps
-    # Maps whose values the ring fixpoints prove always-int (columnar and
-    # scalar alike): the fused C reduction only fires when the scanned map
-    # and every appended-to target are in this set, so collapsing a
+    # The fused C reduction only fires when the scanned map and every
+    # appended-to target carry the exact-integer proof, so collapsing a
     # per-entry delta stream into one summed delta is exact arithmetic.
-    int_value_maps = frozenset(
-        name
-        for name, storage in plan.maps.items()
-        if storage.value_class == "int"
-    )
+    int_value_maps = plan.int_maps
     emitter = Emitter()
     emitter.line('"""Generated delta-processing triggers (do not edit).')
     emitter.line("")
@@ -741,8 +736,10 @@ class _PyRenderer:
 
         Shape: optional loop-invariant comparison guards wrapping either
         ``acc += Prod(value × bound keys × int consts)`` (a correlated
-        existence/aggregate accumulation) or ``Assign(d, Prod(...))``
-        followed by ``if d != 0`` sinking ``d`` under the empty key —
+        existence/aggregate accumulation) or one or more pairs of
+        ``Assign(d, Prod(...))`` (the same product in each — what fusing
+        statements with one right-hand side leaves) followed by
+        ``if d != 0`` sinking ``d`` under the empty key —
         appended to pending buffers (per-event triggers) or applied
         directly (second-order batch restates).  Exactness gate: the
         scanned map and every sink target must be proven always-int, so
@@ -781,47 +778,15 @@ class _PyRenderer:
         if len(body) == 1 and isinstance(body[0], Accum):
             delta_expr = body[0].value
             sinks.append(("accum", body[0].name))
-        elif len(body) == 2:
-            assign, guard = body
-            if not isinstance(assign, Assign) or not isinstance(guard, IfCond):
-                return None
-            gc = guard.cond
-            if not (isinstance(gc, Compare) and gc.op == "!="):
-                return None
-            if isinstance(gc.left, Name) and gc.left.name == assign.name:
-                zero = gc.right
-            elif isinstance(gc.right, Name) and gc.right.name == assign.name:
-                zero = gc.left
-            else:
-                return None
-            if not (isinstance(zero, Const) and zero.value == 0):
-                return None
-            for sink in guard.body:
-                if isinstance(sink, AppendTo):
-                    if sink.keys:
-                        return None
-                    value = sink.value
-                    if not (
-                        isinstance(value, Name) and value.name == assign.name
-                    ):
-                        return None
-                    if sink.target.name not in self.int_value_maps:
-                        return None
-                    sinks.append(("append", sink.buffer))
-                elif isinstance(sink, AddTo):
-                    if sink.keys or sink.slot.local or not sink.evict:
-                        return None
-                    value = sink.value
-                    if not (
-                        isinstance(value, Name) and value.name == assign.name
-                    ):
-                        return None
-                    if sink.slot.name not in self.int_value_maps:
-                        return None
-                    sinks.append(("apply", sink.slot.name))
-                else:
+        elif body and len(body) % 2 == 0:
+            # Fused statements each keep their own (delta, guard) pair;
+            # pairs computing the same product share one reduction.
+            delta_expr = getattr(body[0], "value", None)
+            for assign, guard in zip(body[::2], body[1::2]):
+                pair_sinks = self._guarded_sinks(assign, guard)
+                if pair_sinks is None or assign.value != delta_expr:
                     return None
-            delta_expr = assign.value
+                sinks += pair_sinks
         else:
             return None
         if not sinks:
@@ -848,6 +813,42 @@ class _PyRenderer:
         if not value_seen:
             return None
         return tuple(mulpos), preds, cmul, sinks
+
+    def _guarded_sinks(self, assign: IRStmt, guard: IRStmt):
+        """The sinks of one ``d := ...; if d != 0: <sinks of d under the
+        empty key>`` pair, or ``None`` when the pair is not that shape or
+        a sink target lacks the exact-integer proof."""
+        if not isinstance(assign, Assign) or not isinstance(guard, IfCond):
+            return None
+        gc = guard.cond
+        if not (isinstance(gc, Compare) and gc.op == "!="):
+            return None
+        if isinstance(gc.left, Name) and gc.left.name == assign.name:
+            zero = gc.right
+        elif isinstance(gc.right, Name) and gc.right.name == assign.name:
+            zero = gc.left
+        else:
+            return None
+        if not (isinstance(zero, Const) and zero.value == 0):
+            return None
+        sinks: list[tuple[str, str]] = []
+        for sink in guard.body:
+            value = getattr(sink, "value", None)
+            if not (isinstance(value, Name) and value.name == assign.name):
+                return None
+            if isinstance(sink, AppendTo):
+                if sink.keys or sink.target.name not in self.int_value_maps:
+                    return None
+                sinks.append(("append", sink.buffer))
+            elif isinstance(sink, AddTo):
+                if sink.keys or sink.slot.local or not sink.evict:
+                    return None
+                if sink.slot.name not in self.int_value_maps:
+                    return None
+                sinks.append(("apply", sink.slot.name))
+            else:
+                return None
+        return sinks
 
     def _render_column_zip(self, stmt: ForEachMap, source: str) -> None:
         """``for kp_i, ..., val in zip(*m.scan_columns((...,))):``

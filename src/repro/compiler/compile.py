@@ -169,9 +169,7 @@ def compile_queries(
         )
         for rel in all_relations
     }
-    float_relations = frozenset(
-        rel for rel, positions in float_columns.items() if positions
-    )
+    float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
 
     # Non-linear auxiliary maps: one per (occurrence map, kind), shared
     # across queries.  They carry no delta triggers of their own — the IR
@@ -206,12 +204,7 @@ def compile_queries(
         slot_maps=slot_maps,
         options=options,
         static_relations=static_relations,
-        float_relations=float_relations,
-        float_columns={
-            rel: positions
-            for rel, positions in float_columns.items()
-            if positions
-        },
+        float_columns=float_columns,
         finalizers=finalizers,
         slot_aux=slot_aux,
     )

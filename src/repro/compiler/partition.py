@@ -15,15 +15,16 @@ The analysis answers, per program:
 * for each map that some trigger reads, the key position that carries the
   partition value (``map_positions``) — shards own disjoint slices of
   these maps and a merge is a disjoint union;
-* which maps are **additive**: written but never read by any trigger.
-  Their per-event deltas depend only on correctly partitioned reads, so
-  each lane may accumulate a partial map and the merge sums values
-  key-wise (this is what makes scalar query results shardable even though
-  the result map itself has no keys).  Cross-shard summation re-associates
-  additions, which is exact over the integer ring only — additive maps
-  that may hold floats (FLOAT columns or division in their definition)
-  and are not keyed on the partition column force their writers serial,
-  preserving the bit-identity-with-a-single-engine contract;
+* which maps are **additive**: written by a sharded relation's trigger
+  but never read by any.  Their per-event deltas depend only on correctly
+  partitioned reads, so each lane may accumulate a partial map and the
+  merge sums values key-wise (this is what makes scalar query results
+  shardable even though the result map itself has no keys).  Cross-shard
+  summation re-associates additions, which is exact over the integer
+  ring only — write-only maps without the exact-integer proof
+  (:func:`repro.compiler.storage.exact_int_maps`) that are not keyed on
+  the partition column force their writers serial, preserving the
+  bit-identity-with-a-single-engine contract;
 * which relations fall back to the **serial lane** (``serial_relations``)
   because no column works — e.g. a trigger reading a zero-key map
   (``psp``'s running sums) or joining on several different columns (SSB's
@@ -41,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.algebra.expr import Div, MapRef, Rel, Var, walk
+from repro.algebra.expr import MapRef, Var, walk
 from repro.compiler.program import CompiledProgram, Trigger
+from repro.compiler.storage import exact_int_maps
 
 #: Backtracking-node budget for the (tiny) column-assignment search; real
 #: programs have a handful of relations with at most a few feasible
@@ -59,8 +61,8 @@ class PartitionSpec:
     ``serial_relations`` and run on the serial lane.  ``map_positions``
     gives, for every read map owned by the shard lanes, the key position
     holding the partition value; ``serial_maps`` are read maps owned by
-    the serial lane; ``additive_maps`` are write-only maps merged by
-    key-wise summation across all lanes.
+    the serial lane; ``additive_maps`` are write-only maps some sharded
+    relation writes, merged by key-wise summation across all lanes.
     """
 
     relation_columns: dict[str, int]
@@ -241,21 +243,6 @@ class _Search:
         self._recurse(index + 1, store, assign)
 
 
-def _may_hold_floats(program: CompiledProgram, map_name: str) -> bool:
-    """Whether a map's ring values can be non-integer.
-
-    True when its defining query touches a relation with FLOAT columns or
-    contains a division (``_div`` produces floats even on integer input).
-    """
-    defn = program.maps[map_name].defn
-    for node in walk(defn):
-        if isinstance(node, Rel) and node.name in program.float_relations:
-            return True
-        if isinstance(node, Div):
-            return True
-    return False
-
-
 def analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
     """Compute the shard-routing spec for a compiled program.
 
@@ -298,6 +285,7 @@ def _analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
     # it would break the engine's bit-identity-with-a-serial-run contract.
     # Writes that key on the partition column stay disjoint across shards
     # (no re-association) and are always allowed.
+    exact = exact_int_maps(program)
     for relation in sorted(assign):
         demote = False
         for trigger in by_relation[relation]:
@@ -307,7 +295,7 @@ def _analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
                     continue
                 if _var_positions(statement.args, param):
                     continue
-                if _may_hold_floats(program, statement.target):
+                if statement.target not in exact:
                     demote = True
                     break
             if demote:
@@ -348,10 +336,11 @@ def _analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
     }
     serial_maps = read_maps - sharded_read_maps
     additive = {
-        name
-        for trigger in program.triggers.values()
+        statement.target
+        for relation in assign
+        for trigger in by_relation[relation]
         for statement in trigger.statements
-        if (name := statement.target) not in read_maps
+        if statement.target not in read_maps
     }
 
     return PartitionSpec(

@@ -142,13 +142,10 @@ class CompiledProgram:
     #: relations declared as static tables: they must be fully loaded
     #: before the first stream event (the engine enforces this).
     static_relations: set[str] = field(default_factory=set)
-    #: relations with at least one FLOAT column: maps over them may carry
-    #: non-integer ring values, which the partitioning analysis must keep
-    #: off cross-shard summation (float addition is order-sensitive).
-    float_relations: frozenset[str] = frozenset()
-    #: FLOAT column positions per relation (a refinement of
-    #: ``float_relations``): the storage analysis uses it to type variables
-    #: bound by base-relation atoms when proving map values always-float.
+    #: FLOAT column positions per relation (relations without one are
+    #: absent): the storage analysis types the variables base-relation
+    #: atoms bind with it, which decides the exact-integer proof every
+    #: reorder gate and the cross-shard merge rely on.
     float_columns: dict[str, frozenset[int]] = field(default_factory=dict)
     #: non-linear auxiliary maps: occurrence map name → the FinalizeSpecs
     #: maintained from it (MIN/MAX extremum caches, DISTINCT counters).

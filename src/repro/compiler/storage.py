@@ -4,20 +4,23 @@ The paper's premise is that compiled delta programs win by keeping their
 maintained state resident and cheap to touch.  Two things are decided
 here, and only here:
 
-**The type proofs** (:func:`analyze_storage` -> :class:`StoragePlan`), a
-per-map analysis extending the exact-integer ring proofs the optimiser
-and the sharding analysis already rely on:
+**The type proofs** (:func:`analyze_storage` -> :class:`StoragePlan`), one
+analysis of each map's definition:
 
 * **key arity** — fixed by construction (every :class:`MapDef` declares
   its canonical key tuple), which is what makes a struct-of-arrays
   layout possible at all;
-* **value class** — ``int`` when the map's ring values are provably
-  exact integers (:func:`repro.ir.optimize.exact_value_maps`, plus
-  occurrence maps, whose values are tuple multiplicities whatever the
-  key columns hold), ``float`` when every monomial of the defining query
-  provably carries a float factor (a float literal, a division, a
-  variable bound to a FLOAT column, or a reference to an always-float
-  map — computed as a fixpoint), and ``object`` otherwise;
+* **value class** — ``int`` when every monomial of the defining query is
+  built from provably-integer factors (int literals, variables bound at
+  non-FLOAT columns, 0/1 comparisons, multiplicities, references to int
+  maps — a fixpoint), ``float`` when every monomial provably carries a
+  float factor (a float literal, a division, a variable bound to a FLOAT
+  column, or a reference to an always-float map — a second fixpoint),
+  and ``object`` otherwise.  The ``int`` verdict is *the* exact-integer
+  proof (:func:`exact_int_maps`): additions into such a map commute
+  bit-identically, so the optimiser's fusion/reorder gates, the
+  second-order batch plan, the fused native reduction and the sharding
+  analysis's cross-shard sums all gate on it, and on nothing else;
 * **native eligibility** — int64 key columns and a numeric value column
   within the generated C kernel's arity range.
 
@@ -49,10 +52,10 @@ it and the renderer emits the matching access code (``add()`` applies and
 column scans for packed/kernel maps, the mapping protocol for dicts), so
 the two cannot disagree.
 
-The proofs are *hints*, not soundness obligations: the runtime map
-promotes any column to boxed storage before storing a value the packed
-representation could not round-trip exactly, so maps stay bit-identical
-to dict storage even where the proofs are conservative.
+For *storage* the proofs are hints, not soundness obligations: the
+runtime map promotes any column to boxed storage before storing a value
+the packed representation could not round-trip exactly, so maps stay
+bit-identical to dict storage even where the proofs are conservative.
 """
 
 from __future__ import annotations
@@ -63,9 +66,12 @@ from typing import Mapping, Optional
 from repro.algebra.expr import (
     Add,
     AggSum,
+    Cmp,
     Const,
     Div,
+    Exists,
     Expr,
+    Lift,
     MapRef,
     Mul,
     Neg,
@@ -78,6 +84,12 @@ from repro.compiler.program import CompiledProgram
 
 #: value-class -> ColumnarMap value-column kind.
 _VALUE_KINDS = {"int": "q", "float": "d", "object": "o"}
+
+_VALUE_REASONS = {
+    "int": "exact-integer ring proof",
+    "float": "every defining monomial carries a float factor",
+    "object": "packed keys, boxed values (value type unproven)",
+}
 
 #: Widest key tuple the generated C kernel supports (``cm_add_{n}_*``
 #: entry points are emitted per arity; see ``codegen/native.py``).
@@ -128,6 +140,10 @@ class StoragePlan:
     """The per-map storage plan of one compiled program."""
 
     maps: dict[str, MapStorage]
+    #: maps whose ring values are provably exact integers — exactly the
+    #: ``value_class == "int"`` ones (auxiliary caches hold column values,
+    #: not ring sums: never among them).  See :func:`exact_int_maps`.
+    int_maps: frozenset[str]
 
     def storage_for(self, name: str) -> MapStorage:
         return self.maps[name]
@@ -260,27 +276,35 @@ def storage_layout(
     return StorageLayout(plan, mode, decisions)
 
 
-def _float_capable_vars(defn: Expr, program: CompiledProgram) -> frozenset[str]:
-    """Variables that *may* carry FLOAT column values.
+def _var_classes(defn: Expr, program: CompiledProgram) -> dict[str, str]:
+    """Type class (``"int"`` | ``"float"``) of the variables a map
+    definition binds; a variable absent from the result is unproven.
 
-    The complement of this set is integer-typed: every base-relation atom
-    binding such a variable does so at a non-FLOAT column.
+    ``int``: bound by base-relation atoms at non-FLOAT columns only;
+    ``float``: at FLOAT columns only.  A variable equated across a FLOAT
+    and an INT column may carry either side's value, and a Lift-bound one
+    is an arbitrary computed scalar — both stay unproven.
     """
-    float_positions = program.float_columns
-    out: set[str] = set()
+    int_bound: set[str] = set()
+    float_bound: set[str] = set()
+    lifted: set[str] = set()
     for node in walk(defn):
-        if not isinstance(node, Rel):
-            continue
-        floats = float_positions.get(node.name, frozenset())
-        for position in floats:
-            arg = node.args[position]
-            if isinstance(arg, Var):
-                out.add(arg.name)
-    return frozenset(out)
+        if isinstance(node, Lift):
+            lifted.add(node.var)
+        elif isinstance(node, Rel):
+            floats = program.float_columns.get(node.name, frozenset())
+            for position, arg in enumerate(node.args):
+                if isinstance(arg, Var):
+                    (float_bound if position in floats else int_bound).add(
+                        arg.name
+                    )
+    classes = dict.fromkeys(int_bound - float_bound - lifted, "int")
+    classes.update(dict.fromkeys(float_bound - int_bound - lifted, "float"))
+    return classes
 
 
 def _int_factor(
-    factor: Expr, float_capable: frozenset[str], int_maps: frozenset[str]
+    factor: Expr, classes: Mapping[str, str], int_maps: frozenset[str]
 ) -> bool:
     """Whether this value-position factor is provably an exact integer.
 
@@ -288,91 +312,47 @@ def _int_factor(
     (0/1 values and tuple multiplicities); constants, variables and map
     references are checked, divisions never qualify.
     """
-    from repro.algebra.expr import Cmp, Exists, Lift
-
     if isinstance(factor, (Cmp, Exists, Lift, Rel)):
         return True
     if isinstance(factor, Const):
         return isinstance(factor.value, int)
     if isinstance(factor, Var):
-        return factor.name not in float_capable
+        return classes.get(factor.name) == "int"
     if isinstance(factor, MapRef):
         return factor.name in int_maps
     if isinstance(factor, Neg):
-        return _int_factor(factor.body, float_capable, int_maps)
+        return _int_factor(factor.body, classes, int_maps)
     if isinstance(factor, (Mul, Add)):
         return all(
-            _int_factor(child, float_capable, int_maps)
+            _int_factor(child, classes, int_maps)
             for child in factor.children()
         )
     if isinstance(factor, AggSum):
-        return _always_int_body(factor.body, float_capable, int_maps)
+        return _always_int(factor.body, classes, int_maps)
     return False
 
 
-def _always_int_body(
-    body: Expr, float_capable: frozenset[str], int_maps: frozenset[str]
+def _always_int(
+    body: Expr, classes: Mapping[str, str], int_maps: frozenset[str]
 ) -> bool:
-    """True when every monomial of ``body`` is built from int factors."""
+    """True when every monomial of ``body`` is built from int factors:
+    every ring value is then an exact integer, so additions into the map
+    commute bit-identically.  A FLOAT column only taints the maps whose
+    value position actually carries it — group-by ``count`` slots over
+    float streams still prove integer."""
     try:
         expanded = monomials(body)
     except Exception:
         return False
-    for coeff, factors in expanded:
-        if isinstance(coeff, float):
-            return False
-        if not all(
-            _int_factor(factor, float_capable, int_maps)
-            for factor in factors
-        ):
-            return False
-    return True
-
-
-def _always_int(
-    map_def, program: CompiledProgram, int_maps: frozenset[str]
-) -> bool:
-    """Whether every ring value of the map is provably an exact integer.
-
-    Sharper than :func:`repro.ir.optimize.exact_value_maps` (which
-    excludes any map whose definition *touches* a FLOAT relation): here a
-    FLOAT column only taints the maps whose value position actually
-    carries it, so group-by ``count`` slots over float streams still
-    prove integer.  Used for storage planning only — the optimiser's
-    reorder gates keep the conservative proof.
-    """
-    defn = map_def.defn
-    body = defn.body if isinstance(defn, AggSum) else defn
-    float_capable = _float_capable_vars(defn, program)
-    return _always_int_body(body, float_capable, int_maps)
-
-
-def _float_typed_vars(defn: Expr, program: CompiledProgram) -> frozenset[str]:
-    """Variables provably bound to FLOAT column values.
-
-    A variable qualifies when every base-relation atom binding it does so
-    at a FLOAT column position (a variable equated across a FLOAT and an
-    INT column may carry the int side's value, so it is dropped).
-    """
-    float_positions = program.float_columns
-    candidates: set[str] = set()
-    demoted: set[str] = set()
-    for node in walk(defn):
-        if not isinstance(node, Rel):
-            continue
-        floats = float_positions.get(node.name, frozenset())
-        for position, arg in enumerate(node.args):
-            if not isinstance(arg, Var):
-                continue
-            if position in floats:
-                candidates.add(arg.name)
-            else:
-                demoted.add(arg.name)
-    return frozenset(candidates - demoted)
+    return all(
+        not isinstance(coeff, float)
+        and all(_int_factor(factor, classes, int_maps) for factor in factors)
+        for coeff, factors in expanded
+    )
 
 
 def _float_factor(
-    factor: Expr, float_vars: frozenset[str], float_maps: frozenset[str]
+    factor: Expr, classes: Mapping[str, str], float_maps: frozenset[str]
 ) -> bool:
     """Whether this value-position factor is provably a float.
 
@@ -385,28 +365,28 @@ def _float_factor(
     if isinstance(factor, Const):
         return isinstance(factor.value, float)
     if isinstance(factor, Var):
-        return factor.name in float_vars
+        return classes.get(factor.name) == "float"
     if isinstance(factor, MapRef):
         return factor.name in float_maps
     if isinstance(factor, Neg):
-        return _float_factor(factor.body, float_vars, float_maps)
+        return _float_factor(factor.body, classes, float_maps)
     if isinstance(factor, Mul):
         return any(
-            _float_factor(child, float_vars, float_maps)
+            _float_factor(child, classes, float_maps)
             for child in factor.factors
         )
     if isinstance(factor, Add):
         return all(
-            _float_factor(term, float_vars, float_maps)
+            _float_factor(term, classes, float_maps)
             for term in factor.terms
         )
     if isinstance(factor, AggSum):
-        return _always_float_body(factor.body, float_vars, float_maps)
+        return _always_float(factor.body, classes, float_maps)
     return False
 
 
-def _always_float_body(
-    body: Expr, float_vars: frozenset[str], float_maps: frozenset[str]
+def _always_float(
+    body: Expr, classes: Mapping[str, str], float_maps: frozenset[str]
 ) -> bool:
     """True when every monomial of ``body`` carries a float factor."""
     try:
@@ -415,70 +395,26 @@ def _always_float_body(
         return False
     if not expanded:
         return False  # identically zero: nothing to type
-    for coeff, factors in expanded:
-        if isinstance(coeff, float):
-            continue
-        if not any(
-            _float_factor(factor, float_vars, float_maps)
-            for factor in factors
-        ):
-            return False
-    return True
+    return all(
+        isinstance(coeff, float)
+        or any(_float_factor(factor, classes, float_maps) for factor in factors)
+        for coeff, factors in expanded
+    )
 
 
-def _always_float(
-    map_def, program: CompiledProgram, float_maps: frozenset[str]
-) -> bool:
-    """Whether every ring value of the map is provably a Python float."""
-    defn = map_def.defn
-    body = defn.body if isinstance(defn, AggSum) else defn
-    float_vars = _float_typed_vars(defn, program)
-    return _always_float_body(body, float_vars, float_maps)
-
-
-def _key_classes(map_def, program: CompiledProgram) -> tuple[str, ...]:
-    """Per-key-position type classes ("int" | "float" | "any").
-
-    A key variable is class "int" when every base-relation atom binding
-    it does so at a non-FLOAT column and it is never Lift-bound (a lift
-    body is an arbitrary computed scalar, so its Python type is
-    unproven); "float" when it is FLOAT-column-bound only; "any"
-    otherwise.  The "int" class is what licenses the native C kernel:
-    those key columns are provably int64-packable by the same evidence
-    that backs :func:`_float_capable_vars`.
-    """
-    from repro.algebra.expr import Lift
-
-    defn = map_def.defn
-    float_positions = program.float_columns
-    int_bound: set[str] = set()
-    float_bound: set[str] = set()
-    unproven: set[str] = set()
-    for node in walk(defn):
-        if isinstance(node, Lift):
-            unproven.add(node.var)
-            continue
-        if not isinstance(node, Rel):
-            continue
-        floats = float_positions.get(node.name, frozenset())
-        for position, arg in enumerate(node.args):
-            if not isinstance(arg, Var):
-                continue
-            if position in floats:
-                float_bound.add(arg.name)
-            else:
-                int_bound.add(arg.name)
-
-    def classify(var: str) -> str:
-        if var in unproven:
-            return "any"
-        if var in int_bound:
-            return "int" if var not in float_bound else "any"
-        if var in float_bound:
-            return "float"
-        return "any"
-
-    return tuple(classify(var) for var in map_def.keys)
+def _fixpoint(candidates, proves) -> frozenset[str]:
+    """Least set of ``candidates`` closed under ``proves(name, proven)``
+    (map references resolve against the previous round's verdicts)."""
+    proven: frozenset[str] = frozenset()
+    while True:
+        new = {
+            name
+            for name in candidates
+            if name not in proven and proves(name, proven)
+        }
+        if not new:
+            return proven
+        proven |= new
 
 
 def _native_eligibility(
@@ -517,41 +453,38 @@ def analyze_storage(program: CompiledProgram) -> StoragePlan:
     return plan
 
 
+def exact_int_maps(program: CompiledProgram) -> frozenset[str]:
+    """The one exact-integer proof: maps into which additions may be
+    reordered, batched or merged across shards bit-identically."""
+    return analyze_storage(program).int_maps
+
+
 def _analyze_storage(program: CompiledProgram) -> StoragePlan:
-    from repro.ir.optimize import exact_value_maps
-
-    # Int fixpoint, seeded with the optimiser's exact-integer proof and
-    # the occurrence maps (their values are tuple multiplicities whatever
-    # the key columns hold), then widened by the per-value-position proof
-    # above; map references resolve against the previous round's verdicts.
-    int_maps: set[str] = set(exact_value_maps(program))
-    int_maps.update(
-        name
+    ring_maps = {
+        name: map_def
         for name, map_def in program.maps.items()
-        if map_def.role == "occurrence"
+        if map_def.role != "auxiliary"
+    }
+    classes = {
+        name: _var_classes(map_def.defn, program)
+        for name, map_def in ring_maps.items()
+    }
+    bodies = {
+        name: m.defn.body if isinstance(m.defn, AggSum) else m.defn
+        for name, m in ring_maps.items()
+    }
+    # The exact-integer proof (the one every reorder gate reads, see
+    # :func:`exact_int_maps`), then the always-float proof over the rest.
+    int_maps = _fixpoint(
+        ring_maps,
+        lambda name, proven: _always_int(bodies[name], classes[name], proven),
     )
-    changed = True
-    while changed:
-        changed = False
-        for name, map_def in program.maps.items():
-            if name in int_maps:
-                continue
-            if _always_int(map_def, program, frozenset(int_maps)):
-                int_maps.add(name)
-                changed = True
-
-    # Float fixpoint over the remainder: a map whose every defining
-    # monomial carries a float factor is always-float.
-    float_maps: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, map_def in program.maps.items():
-            if name in int_maps or name in float_maps:
-                continue
-            if _always_float(map_def, program, frozenset(float_maps)):
-                float_maps.add(name)
-                changed = True
+    float_maps = _fixpoint(
+        ring_maps.keys() - int_maps,
+        lambda name, proven: _always_float(
+            bodies[name], classes[name], proven
+        ),
+    )
 
     decisions: dict[str, MapStorage] = {}
     for name, map_def in program.maps.items():
@@ -567,32 +500,21 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
                 native_reason="Finalize-maintained auxiliary cache",
             )
             continue
+        proven = (
+            "int" if name in int_maps
+            else "float" if name in float_maps
+            else None
+        )
         if arity == 0:
-            if name in int_maps:
-                scalar_class = "int"
-            elif name in float_maps:
-                scalar_class = "float"
-            else:
-                scalar_class = "any"
             decisions[name] = MapStorage(
-                name, "dict", scalar_class, 0, "scalar map: nothing to pack"
+                name, "dict", proven or "any", 0, "scalar map: nothing to pack"
             )
             continue
-        if name in int_maps:
-            kind, value_class, reason = (
-                "columnar", "int", "exact-integer ring proof"
-            )
-        elif name in float_maps:
-            kind, value_class, reason = (
-                "columnar", "float",
-                "every defining monomial carries a float factor",
-            )
-        else:
-            kind, value_class, reason = (
-                "columnar", "object",
-                "packed keys, boxed values (value type unproven)",
-            )
-        key_classes = _key_classes(map_def, program)
+        kind, value_class = "columnar", proven or "object"
+        reason = _VALUE_REASONS[value_class]
+        key_classes = tuple(
+            classes[name].get(var, "any") for var in map_def.keys
+        )
         native, native_reason = _native_eligibility(
             kind, value_class, arity, key_classes
         )
@@ -610,4 +532,4 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
             native=native,
             native_reason=native_reason,
         )
-    return StoragePlan(maps=decisions)
+    return StoragePlan(maps=decisions, int_maps=int_maps)

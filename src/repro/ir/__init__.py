@@ -1,15 +1,15 @@
 """The imperative trigger IR: one typed loop-level lowering shared by the
-Python generator, the C++ generator and the interpreted executor.
+Python generator and the interpreted executor.
 
 Pipeline position::
 
     SQL -> calculus -> delta -> materialise -> statements
-        -> ir.lower (this package) -> ir.optimize -> { pygen, cppgen, interp }
+        -> ir.lower (this package) -> ir.optimize -> { pygen, interp }
 
 Real DBToaster lowers through its M3 map-maintenance language the same
 way; lowering once means every backend shares loop structure, semantics
-fixes land once, and loop-level optimisation (invariant hoisting, loop
-fusion, CSE, dead-map elimination) has a home.
+fixes land once, and loop-level optimisation (loop fusion, guard
+merging, invariant hoisting, binding pruning) has a home.
 """
 
 from repro.ir.lower import (
@@ -18,12 +18,7 @@ from repro.ir.lower import (
     lower_trigger,
     lower_trigger_batch,
 )
-from repro.ir.optimize import (
-    DEFAULT_PASSES,
-    dead_map_names,
-    exact_value_maps,
-    optimize_program,
-)
+from repro.ir.optimize import DEFAULT_PASSES, optimize_program
 from repro.ir.lower import plan_second_order
 from repro.ir.pretty import batch_sinks_str, ir_stats, program_str, trigger_str
 from repro.ir.nodes import ProgramIR, TriggerIR
@@ -34,8 +29,6 @@ __all__ = [
     "TriggerIR",
     "batch_sinks_str",
     "collect_patterns_ir",
-    "dead_map_names",
-    "exact_value_maps",
     "ir_stats",
     "lower_program",
     "lower_trigger",

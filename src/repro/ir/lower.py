@@ -42,6 +42,7 @@ from repro.compiler.program import (
     needs_buffering,
     validate_statement,
 )
+from repro.compiler.storage import analyze_storage, exact_int_maps
 from repro.ir.nodes import (
     AddTo,
     AppendTo,
@@ -590,13 +591,11 @@ def plan_second_order(
       dependencies must be acyclic.
     """
     from repro.algebra.delta import Event, batch_delta_order
-    from repro.ir.optimize import exact_value_maps
 
     if not trigger.statements:
         return None
     written = {s.target for s in trigger.statements}
-    exact = exact_value_maps(program)
-    if not written <= exact:
+    if not written <= exact_int_maps(program):
         return None
     event = Event(trigger.relation, trigger.sign, trigger.params)
     restate_targets = sorted(
@@ -910,7 +909,6 @@ def lower_program(
     the same ``(optimize, passes, second_order)`` configuration shares one
     ProgramIR.
     """
-    from repro.compiler.storage import analyze_storage
     from repro.ir.optimize import DEFAULT_PASSES, optimize_program
 
     if passes is not None:

@@ -2,9 +2,9 @@
 
 The IR sits between the compiled delta program (``Statement``/``Expr``
 trees, see :mod:`repro.compiler.program`) and the execution back ends.  It
-is the loop-level language all three back ends share: :mod:`repro.codegen
-.pygen` renders it to Python, :mod:`repro.codegen.cppgen` to C++, and the
-interpreted executor (:mod:`repro.ir.interp`) walks it directly.  Real
+is the loop-level language both back ends share: :mod:`repro.codegen
+.pygen` renders it to Python and the interpreted executor
+(:mod:`repro.ir.interp`) walks it directly.  Real
 DBToaster lowers through the analogous M3 language; DBSP separates its
 circuit IR from execution the same way.
 
@@ -26,7 +26,7 @@ Two small expression and statement grammars:
   profiling).
 
 Expressions are immutable and hashable (structural equality drives the
-optimiser's CSE/hoisting); statements are immutable tuples of children, so
+optimiser's fusion/hoisting); statements are immutable tuples of children, so
 passes rebuild rather than mutate.
 """
 
@@ -594,33 +594,6 @@ def substitute_names(expr: IRExpr, mapping: dict[str, str]) -> IRExpr:
             expr.slot,
             tuple(substitute_names(k, mapping) for k in expr.keys),
             expr.default,
-        )
-    return expr
-
-
-def replace_expr(expr: IRExpr, old: IRExpr, new: IRExpr) -> IRExpr:
-    """Structurally replace every occurrence of ``old`` inside ``expr``."""
-    if expr == old:
-        return new
-    if isinstance(expr, Sum):
-        return Sum(tuple(replace_expr(t, old, new) for t in expr.terms))
-    if isinstance(expr, Prod):
-        return Prod(tuple(replace_expr(f, old, new) for f in expr.factors))
-    if isinstance(expr, Neg):
-        return Neg(replace_expr(expr.body, old, new))
-    if isinstance(expr, SafeDiv):
-        return SafeDiv(
-            replace_expr(expr.left, old, new), replace_expr(expr.right, old, new)
-        )
-    if isinstance(expr, Compare):
-        return Compare(
-            expr.op,
-            replace_expr(expr.left, old, new),
-            replace_expr(expr.right, old, new),
-        )
-    if isinstance(expr, Lookup):
-        return Lookup(
-            expr.slot, tuple(replace_expr(k, old, new) for k in expr.keys), expr.default
         )
     return expr
 

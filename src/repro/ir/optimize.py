@@ -1,15 +1,13 @@
 """IR optimisation passes: the loop-level rewrites the Expr tree had no
 home for.
 
-The pipeline (in application order):
+The pipeline (in application order) — every pass here changes the IR of
+at least one shipped query (``tests/ir/test_ir.py`` pins that; a pass
+that finds nothing is deleted, not kept):
 
-* ``dead-maps`` — drop maintenance of maps nothing reads and no query
-  slot exposes (statement-level analysis, so the per-event and batch
-  variants stay consistent);
 * ``fuse-loops`` — merge statements iterating the same map with the same
   filters into one traversal (vwap's two full scans become one);
 * ``merge-guards`` — combine adjacent identical guards;
-* ``cse`` — reuse identical pure scalar temps within a straight line;
 * ``hoist-invariants`` — move loop-invariant lookups/arithmetic (vwap's
   ``0.25 * total`` threshold) out of the loops that recompute them;
 * ``prune-bindings`` — stop binding key positions the loop body never
@@ -17,9 +15,10 @@ The pipeline (in application order):
 
 Every pass is semantics-preserving *including float bit-identity*: a
 rewrite that would reorder additions into a map is only applied when the
-map's ring values are provably exact (integer — no FLOAT relations, no
-division and no float literals in value position of its definition), the
-same discipline the sharding analysis uses for cross-shard sums.
+map's ring values are provably exact integers
+(:func:`repro.compiler.storage.exact_int_maps` — the same proof the
+second-order batch plan and the sharding analysis's cross-shard sums
+gate on).
 
 The passes apply to the batch bodies too, including the second-order
 accumulate-then-flush shape: the once-per-batch restate scans are emitted
@@ -35,15 +34,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.algebra.expr import Cmp, Const as AConst, Div, Expr, relations_in
 from repro.compiler.program import CompiledProgram
+from repro.compiler.storage import exact_int_maps
 from repro.ir.nodes import (
     AddTo,
     AppendTo,
     Assign,
-    Accum,
     Block,
-    BufferDecl,
     Clear,
     Compare,
     Finalize,
@@ -75,10 +72,8 @@ from repro.ir.nodes import (
 )
 
 DEFAULT_PASSES: tuple[str, ...] = (
-    "dead-maps",
     "fuse-loops",
     "merge-guards",
-    "cse",
     "hoist-invariants",
     "prune-bindings",
 )
@@ -147,91 +142,6 @@ def _used_names(stmts: Iterable[IRStmt]) -> frozenset[str]:
         for expr in stmt_exprs(stmt):
             out.update(expr_names(expr))
     return frozenset(out)
-
-
-def exact_value_maps(program: CompiledProgram) -> frozenset[str]:
-    """Maps whose ring values are provably exact integers.
-
-    Additions into these maps commute bit-identically, so passes may
-    reorder them.  A map qualifies when its defining query touches no
-    FLOAT relation and its value positions contain no division and no
-    float literal (comparison operands are 0/1-producing and don't
-    count).
-    """
-    out: set[str] = set()
-    for name, map_def in program.maps.items():
-        if map_def.role == "auxiliary":
-            # Extremum/distinct caches hold column values and distinct
-            # counts, not ring sums; nothing may reorder writes into them.
-            continue
-        if relations_in(map_def.defn) & set(program.float_relations):
-            continue
-        if _value_position_inexact(map_def.defn):
-            continue
-        out.add(name)
-    return frozenset(out)
-
-
-def _value_position_inexact(expr: Expr) -> bool:
-    if isinstance(expr, Cmp):
-        return False  # comparisons yield 0/1 whatever their operands
-    if isinstance(expr, Div):
-        return True
-    if isinstance(expr, AConst):
-        return isinstance(expr.value, float)
-    return any(_value_position_inexact(c) for c in expr.children())
-
-
-def dead_map_names(program: CompiledProgram) -> frozenset[str]:
-    """Maps no statement reads and no query slot exposes.
-
-    Computed at the statement level so per-event and batch lowerings see
-    the same verdict.
-    """
-    read: set[str] = set()
-    for trigger in program.triggers.values():
-        for statement in trigger.statements:
-            read.update(statement.reads())
-    roots = {name for names in program.slot_maps.values() for name in names}
-    # Auxiliary caches are read by the result assembly (not by any
-    # statement) and written only by Finalize steps; never dead.
-    roots.update(
-        name
-        for name, map_def in program.maps.items()
-        if map_def.role == "auxiliary"
-    )
-    return frozenset(
-        name for name in program.maps if name not in read and name not in roots
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pass: dead-map elimination
-# ---------------------------------------------------------------------------
-
-
-def _drop_dead(body: tuple[IRStmt, ...], dead: frozenset[str]) -> tuple[IRStmt, ...]:
-    out: list[IRStmt] = []
-    for stmt in body:
-        if (
-            isinstance(stmt, Block)
-            and stmt.targets
-            and all(t in dead for t in stmt.targets)
-        ):
-            continue
-        if isinstance(stmt, BufferDecl) and stmt.name in {
-            f"__pending_{name}" for name in dead
-        }:
-            continue
-        if isinstance(stmt, FlushBuffer) and stmt.target.name in dead:
-            continue
-        if isinstance(stmt, ForEachRow):
-            out.append(
-                ForEachRow(stmt.rows_var, stmt.params, _drop_dead(stmt.body, dead))
-            )
-            continue
-        out.append(stmt)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +307,11 @@ def _merge_guards(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
             and previous.cond == stmt.cond
             and not _invalidates_cond(previous.body, stmt.cond)
         ):
-            out[-1] = IfCond(previous.cond, previous.body + stmt.body)
+            # Re-merge the joined bodies: each was merged alone, the seam
+            # between them (nested identical guards) was not.
+            out[-1] = IfCond(
+                previous.cond, _merge_guards(previous.body + stmt.body)
+            )
         else:
             out.append(stmt)
     return tuple(out)
@@ -426,77 +340,6 @@ def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
     if isinstance(stmt, Block):
         return Block(stmt.comments, stmt.targets, fn(stmt.stmts), stmt.sources)
     return stmt
-
-
-# ---------------------------------------------------------------------------
-# Pass: common-subexpression temps (straight-line, assignment level)
-# ---------------------------------------------------------------------------
-
-_CSE_TYPES = (Prod, Sum, SafeDiv, Lookup, Compare, Neg)
-
-
-def _cse_sequence(
-    stmts: tuple[IRStmt, ...], available: dict[IRExpr, str], rename: dict[str, str]
-) -> tuple[IRStmt, ...]:
-    from repro.ir.nodes import substitute_names
-
-    out: list[IRStmt] = []
-    for stmt in stmts:
-        stmt = rewrite_exprs(stmt, lambda e: substitute_names(e, rename))
-        if (
-            isinstance(stmt, Assign)
-            and isinstance(stmt.value, _CSE_TYPES)
-            and not expr_has_keyat(stmt.value)
-        ):
-            existing = available.get(stmt.value)
-            if existing is not None:
-                rename[stmt.name] = existing
-                continue
-            _drop_renames(rename, {stmt.name})
-            _invalidate_name(available, stmt.name)
-            available[stmt.value] = stmt.name
-        elif isinstance(stmt, (Assign, Accum)):
-            # A kept (re)assignment ends any alias involving the name:
-            # later reads must see this binding, not a stale temp.
-            _drop_renames(rename, {stmt.name})
-            _invalidate_name(available, stmt.name)
-        written = _applied_writes((stmt,))
-        if written:
-            _invalidate_slots(available, written)
-        if isinstance(stmt, (IfCond, ForEachMap, ForEachRow, Block)):
-            inner_killed = assigned_names(stmt_children(stmt))
-            scoped = {
-                expr: name
-                for expr, name in available.items()
-                if not (expr_names(expr) & inner_killed)
-            }
-            stmt = _rebuild_with_body(
-                stmt, lambda body: _cse_sequence(body, dict(scoped), dict(rename))
-            )
-            killed = assigned_names((stmt,))
-            _drop_renames(rename, killed)
-            for name in killed:
-                _invalidate_name(available, name)
-        out.append(stmt)
-    return tuple(out)
-
-
-def _drop_renames(rename: dict[str, str], names) -> None:
-    """Forget aliases whose source or target name was (re)bound."""
-    for key in [k for k, v in rename.items() if k in names or v in names]:
-        del rename[key]
-
-
-def _invalidate_name(available: dict[IRExpr, str], name: str) -> None:
-    for expr in [e for e in available if name in expr_names(e)]:
-        del available[expr]
-    for expr in [e for e, n in available.items() if n == name]:
-        del available[expr]
-
-
-def _invalidate_slots(available: dict[IRExpr, str], slots: frozenset[Slot]) -> None:
-    for expr in [e for e in available if expr_slots(e) & slots]:
-        del available[expr]
 
 
 # ---------------------------------------------------------------------------
@@ -656,22 +499,13 @@ class _HoistNamer:
 
 
 def optimize_trigger(
-    trigger_ir: TriggerIR,
-    passes: tuple[str, ...],
-    exact: frozenset[str],
-    dead: frozenset[str],
+    trigger_ir: TriggerIR, passes: tuple[str, ...], exact: frozenset[str]
 ) -> TriggerIR:
     body = trigger_ir.body
-    params = set(trigger_ir.params)
-    if "dead-maps" in passes and dead:
-        body = _drop_dead(body, dead)
     if "fuse-loops" in passes:
-        body = _fuse_sequence(body, exact, params)
-    for _ in range(2):  # merge-guards and cse enable one another
-        if "merge-guards" in passes:
-            body = _merge_guards(body)
-        if "cse" in passes:
-            body = _cse_sequence(body, {}, {})
+        body = _fuse_sequence(body, exact, set(trigger_ir.params))
+    if "merge-guards" in passes:
+        body = _merge_guards(body)
     if "hoist-invariants" in passes:
         body = _hoist_stmts(body, _HoistNamer(assigned_names(body)))
     if "prune-bindings" in passes:
@@ -696,15 +530,14 @@ def optimize_program(
     ``batch_only`` re-runs the pipeline over the batch variants only (they
     are lowered after the per-event bodies have been optimised).
     """
-    exact = exact_value_maps(program)
-    dead = dead_map_names(program) if "dead-maps" in passes else frozenset()
+    exact = exact_int_maps(program)
     if not batch_only:
         ir.triggers = {
-            key: optimize_trigger(trigger_ir, passes, exact, dead)
+            key: optimize_trigger(trigger_ir, passes, exact)
             for key, trigger_ir in ir.triggers.items()
         }
     ir.batch_triggers = {
-        key: optimize_trigger(trigger_ir, passes, exact, dead)
+        key: optimize_trigger(trigger_ir, passes, exact)
         for key, trigger_ir in ir.batch_triggers.items()
     }
     ir.passes = passes

@@ -1,4 +1,4 @@
-"""Profiling: per-trigger timing, per-map update counts, memory estimates.
+"""Profiling: per-trigger event counts, per-map update counts, memory estimates.
 
 This reproduces the paper's demo readouts (Figure 4): "detailed profiling of
 DBToaster's compiled code breaking down its overheads for each map, the
@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 
-
 @dataclass
 class Profiler:
-    """Collects event, statement and map-update statistics."""
+    """Counts events per trigger, statement runs and map updates (it
+    takes no timings; per-stage latencies are the ledger's job)."""
 
     events: int = 0
     events_by_trigger: dict[str, int] = field(default_factory=dict)
@@ -92,7 +92,8 @@ class CompileReport:
     map_count: int
     statement_count: int
     python_source_bytes: int
-    cpp_source_bytes: int
+    #: size of the native C kernel (0 when no map is native-eligible).
+    kernel_source_bytes: int
 
     @property
     def total_seconds(self) -> float:
@@ -113,7 +114,7 @@ class CompileReport:
                 f"total:                {self.total_seconds * 1e3:8.2f} ms",
                 f"maps: {self.map_count}   trigger statements: {self.statement_count}",
                 f"generated Python: {self.python_source_bytes} bytes   "
-                f"generated C++: {self.cpp_source_bytes} bytes",
+                f"native kernel C: {self.kernel_source_bytes} bytes",
             ]
         )
 
@@ -122,7 +123,7 @@ def profile_compilation(sql: str, catalog, name: str = "q") -> CompileReport:
     """Compile a query while timing each pipeline stage."""
     from repro.algebra.translate import translate_sql
     from repro.compiler.compile import compile_queries
-    from repro.codegen.cppgen import generate_cpp
+    from repro.codegen.native import kernel_source
     from repro.codegen.pygen import CompiledExecutor, generate_module
 
     t0 = time.perf_counter()
@@ -131,7 +132,7 @@ def profile_compilation(sql: str, catalog, name: str = "q") -> CompileReport:
     program = compile_queries([translated], catalog)
     t2 = time.perf_counter()
     python_source = generate_module(program)
-    cpp_source = generate_cpp(program)
+    c_source = kernel_source(program)
     t3 = time.perf_counter()
     executor = CompiledExecutor(program)
     executor.bind(executor.layout.create_maps())
@@ -145,5 +146,5 @@ def profile_compilation(sql: str, catalog, name: str = "q") -> CompileReport:
         map_count=len(program.maps),
         statement_count=program.statements_count(),
         python_source_bytes=len(python_source.encode()),
-        cpp_source_bytes=len(cpp_source.encode()),
+        kernel_source_bytes=len(c_source.encode()),
     )

@@ -66,7 +66,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.codegen.cppgen import generate_cpp
 from repro.codegen.pygen import generate_module
 from repro.compiler import analyze_partitioning, analyze_storage, compile_sql
 from repro.runtime import DeltaEngine, ShardedEngine
@@ -150,7 +149,11 @@ def cmd_compile(args) -> int:
     print(f"durability fingerprint: {program_fingerprint(program)}\n")
     print(analyze_partitioning(program).describe())
     print(analyze_storage(program).describe())
-    from repro.codegen.native import describe_layouts, describe_native
+    from repro.codegen.native import (
+        describe_layouts,
+        describe_native,
+        kernel_source,
+    )
 
     print(describe_layouts(program, optimize=optimize))
     print(describe_native(program))
@@ -167,8 +170,9 @@ def cmd_compile(args) -> int:
         print(program_str(lower_program(program, optimize=optimize)))
     if args.emit == "python":
         print("\n" + generate_module(program, optimize=optimize))
-    elif args.emit == "cpp":
-        print("\n" + generate_cpp(program, optimize=optimize))
+    elif args.emit == "c":
+        print("\n" + (kernel_source(program)
+                      or "/* no native-eligible map: no C kernel is built */"))
     return 0
 
 
@@ -350,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="show compilation artifacts")
     common(p_compile)
     p_compile.add_argument(
-        "--emit", choices=["none", "python", "cpp"], default="none",
-        help="also print generated code",
+        "--emit", choices=["none", "python", "c"], default="none",
+        help="also print generated code (c: the native kernel source)",
     )
     p_compile.add_argument(
         "--dump-ir", action="store_true",

@@ -1,8 +1,7 @@
-"""Code generator tests: generated Python and C++ artifacts."""
+"""Code generator tests: the generated Python module."""
 
 import pytest
 
-from repro.codegen.cppgen import generate_cpp
 from repro.codegen.pygen import CompiledExecutor, Emitter, generate_module, map_local
 from repro.compiler import compile_sql
 from repro.runtime.events import columns_from_rows
@@ -142,38 +141,27 @@ class TestPythonGeneration:
         assert "    _m_" in body
 
 
-class TestCppGeneration:
-    def test_declares_every_map(self, program):
-        source = generate_cpp(program)
-        for name in program.maps:
-            assert f" {name};" in source
+    def test_fused_statements_share_one_native_reduction(self, catalog):
+        """Two statements with one right-hand side fuse into one loop
+        holding a (delta, guard) pair each; rendered for kernel-owned
+        maps, the pairs collapse into a single ``reduce_scalar`` call
+        whose result feeds both pending buffers."""
+        from repro.codegen.pygen import fused_scan_sites
+        from repro.compiler.storage import storage_layout
 
-    def test_handlers_present(self, program):
-        source = generate_cpp(program)
-        assert "void on_insert_r(" in source
-        assert "void on_delete_t(" in source
-
-    def test_keyed_update_shape(self, program):
-        """Updates go through the zero-evicting _apply helper, so the C++
-        rendering shares the Python back end's eviction semantics."""
-        source = generate_cpp(program)
-        root = program.slot_maps["q"][0]
-        assert f"_apply({root}, std::tuple<>{{}}," in source
-        assert "if (c == 0) m.erase(k); else m[k] = c;" in source
-
-    def test_string_literals_escaped(self, catalog):
-        catalog2 = Catalog.from_script(
-            "CREATE STREAM n (name varchar(10), v int)"
-        )
         program = compile_sql(
-            "SELECT sum(v) FROM n WHERE name = 'O''Neil'", catalog2
+            "SELECT sum(b.price * b.volume) FROM bids b "
+            "WHERE b.volume > 0.25 * (SELECT sum(b1.volume) FROM bids b1)",
+            catalog,
         )
-        source = generate_cpp(program)
-        assert 'std::string("O\'Neil")' in source
-
-    def test_balanced_braces(self, program):
-        source = generate_cpp(program)
-        assert source.count("{") == source.count("}")
+        layout = storage_layout(
+            program, "native", kernel=True, scans=fused_scan_sites(program)
+        )
+        source = generate_module(program, layout=layout)
+        body = source.split("def on_insert_bids(")[1].split("\ndef ")[0]
+        assert body.count(".reduce_scalar(") == 1
+        reduced = body.split("elif __r1 != 0:")[1].split("#")[0]
+        assert reduced.count(".append(((), __r1))") == 2
 
 
 class TestGeneratedSemantics:

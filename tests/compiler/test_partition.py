@@ -87,6 +87,32 @@ class TestSerialFallback:
         )
         assert spec_int.partitionable
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT sum(0.1 * B) FROM R",
+            # Grouped on B; R would route on column 0 (A), so every shard
+            # would hold a partial of every group.
+            "SELECT B, sum(0.1 * A) FROM R GROUP BY B",
+        ],
+    )
+    def test_float_literal_sum_is_not_additive(self, sql):
+        # A float literal in value position makes the ring values inexact
+        # just like a FLOAT column does (one proof: exact_int_maps).
+        int_ddl = "CREATE STREAM R (A int, B int);"
+        spec = analyze_partitioning(_compile(sql, int_ddl))
+        assert not spec.additive_maps
+        assert spec.serial_relations == {"R"}
+        # Only the float-valued slot demotes: an integer literal shards,
+        # and a count over a FLOAT relation is still an exact sum.
+        assert analyze_partitioning(
+            _compile(sql.replace("0.1", "10"), int_ddl)
+        ).additive_maps
+        count = analyze_partitioning(
+            _compile("SELECT count(*) FROM R", "CREATE STREAM R (A int, B float);")
+        )
+        assert count.partitionable and count.additive_maps
+
     def test_float_grouped_query_still_shards(self):
         # Grouped writes key on the partition column: shard key sets stay
         # disjoint, no re-association, so floats are fine here.

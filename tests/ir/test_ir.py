@@ -3,10 +3,9 @@
 import pytest
 
 from repro.compiler import compile_sql
+from repro.compiler.storage import exact_int_maps
 from repro.ir import (
     DEFAULT_PASSES,
-    dead_map_names,
-    exact_value_maps,
     lower_program,
     program_str,
     trigger_str,
@@ -42,6 +41,25 @@ VWAP_SQL = (
 @pytest.fixture(scope="module")
 def catalog():
     return Catalog.from_script(DDL)
+
+
+@pytest.fixture(scope="module")
+def suite_programs():
+    """The 11 shipped queries (the ledger's compile-suite), compiled once."""
+    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+    from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
+
+    finance, ssb = finance_catalog(), ssb_catalog()
+    programs = {
+        name: compile_sql(sql, finance, name=name)
+        for name, sql in FINANCE_QUERIES.items()
+    }
+    programs.update(
+        (name, compile_sql(sql, ssb, name=name))
+        for name, sql in SSB_FLIGHT.items()
+    )
+    assert len(programs) == 11
+    return programs
 
 
 def _loops(trigger_ir):
@@ -127,67 +145,69 @@ class TestOptimisationPasses:
         # Only price (pos 3) and volume (pos 4) feed the body.
         assert [pos for pos, _ in loop.binds] == [3, 4]
 
-    def test_float_relations_block_reordering_fusion(self, catalog):
+    def test_float_maps_block_reordering_fusion(self, catalog):
         float_vwap = VWAP_SQL.replace("FROM bids", "FROM fbids")
         program = compile_sql(float_vwap, catalog)
-        assert "fbids" in program.float_relations
+        assert program.float_columns == {"fbids": {3}}
         ir = lower_program(program)
         # Moving the second scan past intermediate writers would reorder
         # float additions, so both loops must survive.
         assert len(_loops(ir.triggers[("fbids", 1)])) == 2
 
-    def test_exact_value_maps_classification(self, catalog):
-        program = compile_sql(VWAP_SQL, catalog)
-        exact = exact_value_maps(program)
-        assert set(program.maps) == set(exact)
+    def test_exact_int_proof(self, catalog, suite_programs):
+        """The one exact-integer proof (``compiler.storage``), read by the
+        fusion/reorder gates, the second-order plan, the fused native
+        reduction and the cross-shard merge."""
+        from repro.workloads.finance import FINANCE_QUERIES
+
+        def ring_maps(program):
+            return {
+                name
+                for name, map_def in program.maps.items()
+                if map_def.role != "auxiliary"
+            }
+
+        # Integer schemas: every ring map, and no auxiliary cache.
+        for name in FINANCE_QUERIES:
+            program = suite_programs[name]
+            assert exact_int_maps(program) == ring_maps(program), name
+        # SSB declares FLOAT account balances no query sums: a FLOAT
+        # column only taints the maps whose value position carries it.
+        for name, count in (("q21", 15), ("q31", 16), ("q41", 23)):
+            program = suite_programs[name]
+            assert len(exact_int_maps(program)) == count == len(program.maps)
+        # A FLOAT price taints exactly the maps summing it (the root and
+        # its pending copy); the volume total and the base multiset of
+        # the same FLOAT relation still prove integer ...
         float_program = compile_sql(
             VWAP_SQL.replace("FROM bids", "FROM fbids"), catalog
         )
-        assert not exact_value_maps(float_program)
+        assert exact_int_maps(float_program) == {"m1_base_fbids", "m2_fbids"}
+        assert len(float_program.maps) == 4
+        # ... and a float literal in value position taints like a column.
+        literal = compile_sql("SELECT sum(0.1 * b.volume) FROM bids b", catalog)
+        assert not exact_int_maps(literal)
 
-    def test_no_dead_maps_in_bundled_queries(self, catalog):
-        from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+    def test_every_default_pass_has_yield(self, suite_programs):
+        """Each pass, removed alone, changes the lowered IR of at least
+        one shipped query: a pass that finds nothing cannot (re)appear
+        unnoticed."""
 
-        fin_cat = finance_catalog()
-        for name, sql in FINANCE_QUERIES.items():
-            assert not dead_map_names(compile_sql(sql, fin_cat, name=name))
+        def bodies(program, passes):
+            ir = lower_program(program, passes=passes)
+            return ir.triggers, ir.batch_triggers
+
+        for dropped in DEFAULT_PASSES:
+            rest = tuple(p for p in DEFAULT_PASSES if p != dropped)
+            assert any(
+                bodies(program, rest) != bodies(program, DEFAULT_PASSES)
+                for program in suite_programs.values()
+            ), f"{dropped} changes no shipped query's IR"
 
     def test_pass_list_recorded(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
         assert lower_program(program).passes == DEFAULT_PASSES
         assert lower_program(program, optimize=False).passes == ()
-
-    def test_cse_rename_dies_on_reassignment(self):
-        """A kept reassignment of a CSE-dropped name must end the alias:
-        later reads must see the new binding, not the stale temp."""
-        from repro.ir.nodes import Accum, Prod, Sum
-        from repro.ir.optimize import _cse_sequence
-
-        p, q = Name("p"), Name("q")
-        stmts = (
-            Assign("a", Prod((p, q))),
-            Assign("v", Prod((p, q))),  # CSE hit: dropped, v -> a
-            Accum("acc", Name("v")),  # becomes acc += a
-            Assign("v", Sum((p, Const(1)))),  # kept reassignment
-            Accum("acc", Name("v")),  # must read v, NOT a
-        )
-        out = _cse_sequence(stmts, {}, {})
-        assert out[1] == Accum("acc", Name("a"))
-        assert out[-1] == Accum("acc", Name("v"))
-
-    def test_cse_shares_fused_product(self, catalog):
-        """After fusion + guard merge, both pending appends read the same
-        temp (the per-entry product is computed once)."""
-        program = compile_sql(VWAP_SQL, catalog)
-        ir = lower_program(program)
-        (loop,) = _loops(ir.triggers[("bids", 1)])
-        from repro.ir.nodes import AppendTo
-
-        appends = [
-            s for s in walk_stmts(loop.body) if isinstance(s, AppendTo)
-        ]
-        assert len(appends) == 2
-        assert appends[0].value == appends[1].value
 
 
 class TestPrettyPrinter:

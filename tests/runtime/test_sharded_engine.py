@@ -6,6 +6,7 @@ engine-level contract — counters, static-table enforcement, strict mode,
 the serial fallback, the worker-process backend and its error surfacing.
 """
 
+import functools
 import os
 
 import pytest
@@ -27,18 +28,65 @@ def _grouped_program():
     return compile_sql(GROUPED, Catalog.from_script(RST_DDL))
 
 
+@functools.lru_cache(maxsize=None)
+def _finance_case(sql):
+    from repro.workloads.finance import finance_catalog
+    from repro.workloads.orderbook import OrderBookGenerator
+
+    events = list(OrderBookGenerator(seed=2009).events(5000))
+    return compile_sql(sql, finance_catalog()), events
+
+
+#: name -> () -> (program, events).  The float-literal sums are the
+#: regression inputs: their ring values are not exact integers, so a
+#: cross-shard (re-associated) sum would differ from the serial one in
+#: the last bits — the partitioning analysis must keep them on one lane.
+SINGLE_ENGINE_CASES = {
+    "grouped-int": lambda: (
+        _grouped_program(),
+        [
+            StreamEvent("R", 1, row)
+            for row in [(1, 10), (2, 20), (1, 5), (3, 7), (2, -20)]
+        ],
+    ),
+    "float-literal-sum": lambda: _finance_case(
+        "SELECT SUM(0.1 * b.volume) FROM bids b"
+    ),
+    # Group key broker_id; the column the analysis would route bids on
+    # (were the sum exact) is t, so shards would share every group.
+    "float-literal-grouped": lambda: _finance_case(
+        "SELECT b.broker_id, SUM(0.1 * b.volume) FROM bids b "
+        "GROUP BY b.broker_id"
+    ),
+}
+
+
 class TestBasics:
-    def test_results_match_single_engine(self):
-        program = _grouped_program()
+    @pytest.mark.parametrize(
+        "parallel",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not hasattr(os, "fork"), reason="needs POSIX fork"
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(SINGLE_ENGINE_CASES))
+    def test_results_match_single_engine(self, case, shards, parallel):
+        program, events = SINGLE_ENGINE_CASES[case]()
         single = DeltaEngine(program)
-        sharded = ShardedEngine(program, shards=3)
-        for a, b in [(1, 10), (2, 20), (1, 5), (3, 7), (2, -20)]:
-            single.insert("R", a, b)
-            sharded.insert("R", a, b)
-        assert sharded.results() == single.results()
-        assert sharded.results_dict() == single.results_dict()
-        assert sharded.merged_maps() == single.maps
-        assert sharded.events_processed == single.events_processed
+        single.process_stream(events)
+        with ShardedEngine(program, shards=shards, parallel=parallel) as sharded:
+            sharded.process_stream(events, batch_size=100)
+            # repr: bit-identical floats, and 1 is not 1.0.
+            assert repr(sharded.results()) == repr(single.results())
+            assert repr(sharded.results_dict()) == repr(single.results_dict())
+            assert sharded.merged_maps() == single.maps
+            assert sharded.events_processed == single.events_processed
 
     def test_delete_events_route_like_inserts(self):
         program = _grouped_program()

@@ -63,3 +63,35 @@ def test_compile_options_flow_through():
     # no-op rather than an error, and the result is unchanged.
     engine.delete("R", 5, 1)
     assert engine.result_scalar() == 5
+
+
+def test_front_end_layers_import_nothing_above_them():
+    """sql -> algebra -> compiler never import the layers built on them
+    (ir, codegen, runtime) — not even lazily inside a function."""
+    import ast
+    from pathlib import Path
+
+    upper = ("repro.ir", "repro.codegen", "repro.runtime")
+    allowed = {
+        # MapStorage.create() builds the packed map class it plans for.
+        ("compiler/storage.py", "repro.runtime.storage"),
+    }
+    root = Path(repro.__file__).parent
+    offenders = []
+    for layer in ("compiler", "algebra", "sql"):
+        for path in sorted((root / layer).rglob("*.py")):
+            relative = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                offenders += [
+                    (relative, module)
+                    for module in modules
+                    if module.startswith(upper)
+                    and (relative, module) not in allowed
+                ]
+    assert not offenders

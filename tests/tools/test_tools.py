@@ -119,12 +119,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "== IR passes ==\n(none)" in out
 
-    def test_compile_emit_python(self, capsys):
+    @pytest.mark.parametrize(
+        "emit, expected",
+        # c: the kernel source the native lane builds, entry points and all.
+        [("python", "def on_insert_r"), ("c", "int cm_add_1_q(CM *m,")],
+    )
+    def test_compile_emit(self, capsys, emit, expected):
         rc = cli_main(
-            ["compile", "--schema", DDL, "--query", PAPER_SQL, "--emit", "python"]
+            ["compile", "--schema", DDL, "--query", PAPER_SQL, "--emit", emit]
         )
         assert rc == 0
-        assert "def on_insert_r" in capsys.readouterr().out
+        assert expected in capsys.readouterr().out
 
     def test_run_command_over_csv(self, tmp_path, capsys):
         stream = tmp_path / "events.csv"
