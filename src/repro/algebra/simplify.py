@@ -25,6 +25,7 @@ only those may be unified away; the ``keep`` discipline below enforces this.
 
 from __future__ import annotations
 
+from dataclasses import dataclass as _dataclass
 from typing import Iterable
 
 from repro.errors import AlgebraError
@@ -52,9 +53,6 @@ from repro.algebra.expr import used_vars
 from repro.algebra.schema import output_vars
 
 _MAX_PASSES = 12
-
-
-from dataclasses import dataclass as _dataclass
 
 
 @_dataclass(frozen=True, slots=True)

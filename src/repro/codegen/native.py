@@ -56,7 +56,11 @@ from pathlib import Path
 from typing import Optional
 
 from repro.codegen.pygen import CompiledExecutor, fused_scan_sites
-from repro.compiler.program import CompiledProgram
+from repro.compiler.program import (
+    CompiledProgram,
+    ExecutorOptions,
+    TriggerTable,
+)
 from repro.compiler.storage import (
     NATIVE_MAX_ARITY,
     StorageLayout,
@@ -1333,11 +1337,7 @@ def load_kernel(
 
 
 def native_layout(
-    program: CompiledProgram,
-    columnar: bool = False,
-    use_indexes: bool = True,
-    optimize: bool = True,
-    second_order: bool = True,
+    program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
 ) -> tuple[StorageLayout, Optional[KernelLib], str]:
     """The native lane's storage layout on this host, the kernel serving
     it (``None`` on fallback) and the note saying which.
@@ -1347,12 +1347,8 @@ def native_layout(
     qualifies, or the build/probe fails, the layout is the compiled
     lane's and nothing is attached.
     """
-    scans = fused_scan_sites(
-        program,
-        use_indexes=use_indexes,
-        optimize=optimize,
-        second_order=second_order,
-    )
+    columnar = options.columnar
+    scans = fused_scan_sites(program, options)
     layout = storage_layout(
         program, "native", columnar, kernel=True, scans=scans
     )
@@ -1376,7 +1372,7 @@ def describe_layouts(program: CompiledProgram, optimize: bool = True) -> str:
     native column assumes the probed toolchain builds the kernel (nothing
     is compiled here)."""
     probe = probe_toolchain()
-    scans = fused_scan_sites(program, optimize=optimize)
+    scans = fused_scan_sites(program, ExecutorOptions(optimize=optimize))
     lines = []
     for title, layout in (
         ("compiled / interpreted", storage_layout(program, "compiled")),
@@ -1436,34 +1432,17 @@ class NativeExecutor(CompiledExecutor):
     def __init__(
         self,
         program: CompiledProgram,
-        maps=None,
-        use_indexes: bool = True,
-        optimize: bool = True,
-        second_order: bool = True,
-        columnar: bool = False,
+        options: ExecutorOptions = ExecutorOptions(),
     ):
-        layout, self.kernel, self.native_note = native_layout(
-            program,
-            columnar=columnar,
-            use_indexes=use_indexes,
-            optimize=optimize,
-            second_order=second_order,
-        )
-        super().__init__(
-            program,
-            maps,
-            use_indexes=use_indexes,
-            optimize=optimize,
-            second_order=second_order,
-            layout=layout,
-            native_note=self.native_note,
-        )
+        layout, self.kernel, self.native_note = native_layout(program, options)
+        super().__init__(program, options, layout=layout)
 
     @property
     def native_active(self) -> bool:
         return self.kernel is not None
 
-    def bind(self, maps) -> None:
-        super().bind(maps)
+    def bind(self, maps, profiler=None) -> TriggerTable:
+        table = super().bind(maps, profiler)
         for name in self.layout.kernel_maps:  # empty without a kernel
             self.kernel.attach(maps[name])
+        return table

@@ -30,12 +30,18 @@ returns it as a string and :class:`CompiledExecutor` ``exec``-compiles it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.errors import CodegenError
-from repro.compiler.program import CompiledProgram, Trigger
+from repro.compiler.program import (
+    CompiledProgram,
+    ExecutorOptions,
+    Trigger,
+    TriggerTable,
+)
 from repro.compiler.storage import StorageLayout, storage_layout
-from repro.ir.lower import collect_patterns_ir, lower_program
+from repro.ir.lower import collect_patterns_ir, lower_for
 from repro.ir.nodes import (
     AddTo,
     AppendTo,
@@ -125,15 +131,18 @@ def index_name(map_name: str, pattern: tuple[int, ...]) -> str:
 
 
 def collect_patterns(
-    program: CompiledProgram, optimize: bool = True, second_order: bool = True
+    program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
 ) -> dict[str, set[tuple[int, ...]]]:
-    """Access patterns needing secondary indexes, from the lowered IR.
+    """Access patterns needing secondary indexes, from the lowered IR
+    (none under ``use_indexes=False``).
 
     A pattern is the tuple of key positions bound at a map-loop site; real
     DBToaster calls these the map's *in/out patterns* and maintains one
     index per pattern so loops touch only matching entries.
     """
-    ir = lower_program(program, optimize=optimize, second_order=second_order)
+    if not options.use_indexes:
+        return {}
+    ir = lower_for(program, options)
     return collect_patterns_ir(
         list(ir.triggers.values()) + list(ir.batch_triggers.values())
     )
@@ -168,21 +177,14 @@ def _loop_fuses(
 
 
 def fused_scan_sites(
-    program: CompiledProgram,
-    use_indexes: bool = True,
-    optimize: bool = True,
-    second_order: bool = True,
+    program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
 ) -> dict[str, str]:
     """Map name -> the first trigger function with a fused-scan site over
     it — the "how triggers touch the map" input of
     :func:`repro.compiler.storage.storage_layout` (only these maps are
     worth handing to the C kernel)."""
-    ir = lower_program(program, optimize=optimize, second_order=second_order)
-    indexes = (
-        collect_patterns(program, optimize=optimize, second_order=second_order)
-        if use_indexes
-        else {}
-    )
+    ir = lower_for(program, options)
+    indexes = collect_patterns(program, options)
     sites: dict[str, str] = {}
     for key in sorted(program.triggers, key=lambda k: (k[0], -k[1])):
         name = program.triggers[key].name
@@ -228,12 +230,11 @@ def generate_module(
     """
     from repro.compiler.partition import analyze_partitioning
 
-    ir = lower_program(program, optimize=optimize, second_order=second_order)
-    indexes = (
-        collect_patterns(program, optimize=optimize, second_order=second_order)
-        if use_indexes
-        else {}
+    options = ExecutorOptions(
+        "compiled", use_indexes, optimize, second_order, columnar
     )
+    ir = lower_for(program, options)
+    indexes = collect_patterns(program, options)
     if layout is None:
         layout = storage_layout(program, "compiled", columnar)
     plan = layout.plan
@@ -1065,123 +1066,86 @@ class _PyRenderer:
 
 
 class CompiledExecutor:
-    """Compiles the trigger module and dispatches events to its functions.
+    """The generated trigger module of one program under one set of
+    options: rendered and ``compile()``d once, bound per engine.
 
-    ``use_indexes=False`` disables secondary index generation (the access-
-    pattern ablation benchmark); ``optimize=False`` disables the IR pass
-    pipeline (the loop-optimisation ablation).
+    Everything here is immutable after construction, so one executor is
+    shared by every lane, copy and forked worker of an engine; what is
+    per-engine — the maps, the secondary indexes over them, the trigger
+    functions closed over both — is made by :meth:`bind`.
     """
 
     mode = "compiled"
+    native_active = False
+    native_note: Optional[str] = None
 
     def __init__(
         self,
         program: CompiledProgram,
-        maps: Optional[dict] = None,
-        use_indexes: bool = True,
-        optimize: bool = True,
-        second_order: bool = True,
-        columnar: bool = False,
+        options: ExecutorOptions = ExecutorOptions(),
         layout: Optional[StorageLayout] = None,
-        native_note: Optional[str] = None,
     ):
         """``layout`` is the storage layout the triggers are rendered for
         and the bound maps must follow — engines build their maps from
         ``executor.layout.create_maps()``.  It defaults to the compiled
-        lane's layout under ``columnar`` (all dicts, or the packed memory
-        mode); the native lane passes its own."""
+        lane's layout under ``options.columnar`` (all dicts, or the
+        packed memory mode); the native lane passes its own."""
         self.program = program
-        self.use_indexes = use_indexes
-        self.optimize = optimize
-        self.second_order = second_order
         self.layout = (
             layout
             if layout is not None
-            else storage_layout(program, self.mode, columnar)
+            else storage_layout(program, self.mode, options.columnar)
         )
-        self._index_patterns = (
-            collect_patterns(program, optimize=optimize, second_order=second_order)
-            if use_indexes
-            else {}
-        )
+        self._index_patterns = collect_patterns(program, options)
         self.source = generate_module(
             program,
-            use_indexes=use_indexes,
-            optimize=optimize,
-            second_order=second_order,
+            use_indexes=options.use_indexes,
+            optimize=options.optimize,
+            second_order=options.second_order,
             layout=self.layout,
-            native_note=native_note,
+            native_note=self.native_note,
         )
-        self._functions: dict[tuple[str, int], object] = {}
-        self._batch_functions: dict[tuple[str, int], object] = {}
-        self._maps: Optional[dict] = None
-        self.indexes: dict[str, dict] = {}
-        if maps is not None:
-            self.bind(maps)
 
-    def bind(self, maps: dict) -> None:
-        """Exec the generated module against concrete map storage.
+    @cached_property
+    def _code(self):
+        """The module's code object — compiled by the first :meth:`bind`
+        (inside the span the ledger times as ``codegen.exec``), kept for
+        every later one."""
+        return compile(self.source, "<repro-generated-triggers>", "exec")
 
-        Secondary indexes are (re)built from the current map contents, so
-        binding a snapshot of a live engine stays consistent.
+    def bind(self, maps: dict, profiler=None) -> TriggerTable:
+        """Exec the generated module against one engine's map storage.
+
+        Secondary indexes are built from the current map contents, so
+        binding a snapshot (a deep copy, a restored engine) is consistent.
+        Generated code carries no profiler hooks; ``profiler`` is part of
+        the protocol for the interpreted executor.
         """
-        self.indexes = {
+        patterns = self._index_patterns
+        indexes: dict[str, dict] = {
             index_name(map_name, pattern): {}
-            for map_name, patterns in self._index_patterns.items()
-            for pattern in patterns
+            for map_name, map_patterns in patterns.items()
+            for pattern in map_patterns
         }
-        namespace: dict = {
-            "MAPS": maps,
-            "INDEXES": self.indexes,
-            "_EMPTY": {},
-        }
-        code = compile(self.source, "<repro-generated-triggers>", "exec")
-        exec(code, namespace)  # noqa: S102 - this is the compiler back end
+        namespace: dict = {"MAPS": maps, "INDEXES": indexes, "_EMPTY": {}}
+        exec(self._code, namespace)  # noqa: S102 - this is the compiler back end
         rebuild = namespace.get("_rebuild_indexes")
         if rebuild is not None:
             rebuild()
-        self._maps = maps
-        for (relation, sign), trigger in self.program.triggers.items():
-            self._functions[(relation, sign)] = namespace[trigger.name]
-            self._batch_functions[(relation, sign)] = namespace[
-                f"{trigger.name}_batch"
-            ]
 
-    def execute(
-        self,
-        trigger: Trigger,
-        values: Sequence,
-        maps: dict,
-        profiler=None,
-    ) -> None:
-        if self._maps is None or self._maps is not maps:
-            self.bind(maps)
-        self._functions[(trigger.relation, trigger.sign)](*values)
+        def index_entry_counts() -> dict[str, int]:
+            return {
+                map_name: sum(
+                    len(bucket)
+                    for pattern in map_patterns
+                    for bucket in indexes[index_name(map_name, pattern)].values()
+                )
+                for map_name, map_patterns in patterns.items()
+            }
 
-    def execute_batch(
-        self,
-        trigger: Trigger,
-        columns: Sequence[Sequence],
-        maps: dict,
-        profiler=None,
-    ) -> None:
-        """Apply a whole same-trigger columnar batch with one generated call.
-
-        ``columns`` is the struct-of-arrays layout of
-        :class:`~repro.runtime.events.EventBatch`: one parallel list per
-        event column.
-        """
-        if self._maps is None or self._maps is not maps:
-            self.bind(maps)
-        self._batch_functions[(trigger.relation, trigger.sign)](columns)
-
-    def index_entry_counts(self) -> dict[str, int]:
-        """Secondary-index entries currently held, per indexed map."""
-        counts: dict[str, int] = {}
-        for map_name, patterns in self._index_patterns.items():
-            total = 0
-            for pattern in patterns:
-                buckets = self.indexes.get(index_name(map_name, pattern), {})
-                total += sum(len(bucket) for bucket in buckets.values())
-            counts[map_name] = total
-        return counts
+        triggers = self.program.triggers
+        return TriggerTable(
+            {key: namespace[t.name] for key, t in triggers.items()},
+            {key: namespace[f"{t.name}_batch"] for key, t in triggers.items()},
+            index_entry_counts,
+        )

@@ -13,9 +13,9 @@ A :class:`CompiledProgram` is the compiler's output and the runtime's input:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from repro.errors import CompilationError
+from repro.errors import CompilationError, EventError
 from repro.algebra.expr import Expr, maps_in
 from repro.algebra.schema import output_vars
 from repro.algebra.translate import TranslatedQuery
@@ -34,6 +34,38 @@ class CompileOptions:
     derived_maps: bool = True
     share_maps: bool = True
     deletions: bool = True  # also generate delete triggers
+
+
+@dataclass(frozen=True)
+class ExecutorOptions:
+    """How a program's triggers execute — one immutable value, validated
+    once and handed whole from the public engine constructors down to
+    the executor and every codegen helper, never field by field."""
+
+    mode: str = "compiled"
+    use_indexes: bool = True
+    optimize: bool = True
+    second_order: bool = True
+    columnar: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("compiled", "native", "interpreted"):
+            raise EventError(f"unknown engine mode {self.mode!r}")
+
+
+class TriggerTable(NamedTuple):
+    """What an executor's ``bind(maps, profiler=None)`` returns: the
+    program's triggers bound to one engine's maps.
+
+    ``per_event[(relation, sign)](*values)`` applies one event,
+    ``batch[(relation, sign)](columns)`` a columnar run of them (one
+    parallel list per event column); ``index_entry_counts()`` reports the
+    secondary-index entries this binding maintains, per indexed map.
+    """
+
+    per_event: dict[tuple[str, int], Callable[..., None]]
+    batch: dict[tuple[str, int], Callable[..., None]]
+    index_entry_counts: Callable[[], dict[str, int]]
 
 
 @dataclass
@@ -153,6 +185,15 @@ class CompiledProgram:
     #: query name → {slot index: auxiliary map name} for min/max/distinct
     #: slots — the view layer reads these instead of scanning occurrences.
     slot_aux: dict[str, dict[int, str]] = field(default_factory=dict)
+
+    def __deepcopy__(self, memo: dict) -> "CompiledProgram":
+        """A program copies as itself: nothing mutates it after
+        ``compile_queries`` (the analyses memoised on it are pure), and
+        engines, lanes and executors all share the one object."""
+        return self
+
+    def __copy__(self) -> "CompiledProgram":
+        return self
 
     def trigger_for(self, relation: str, sign: int) -> Optional[Trigger]:
         return self.triggers.get((relation, sign))

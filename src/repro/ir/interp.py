@@ -8,7 +8,8 @@ exactly what code generation removes.
 
 ``run_trigger`` executes one trigger body against the engine's maps;
 ``collect`` mode additionally records every map update a block performed
-(the debugger's statement trace).
+(the debugger's statement trace).  :class:`InterpretedExecutor` is the
+executor protocol over them (``mode="interpreted"``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import CodegenError
+from repro.compiler.program import (
+    CompiledProgram,
+    ExecutorOptions,
+    TriggerTable,
+)
+from repro.compiler.storage import storage_layout
+from repro.ir.lower import lower_for
 from repro.ir.nodes import (
     AddTo,
     AppendTo,
@@ -397,3 +405,48 @@ def run_trigger_collect(
         else:
             run_stmt(stmt, env, maps, None)
     return traces
+
+
+class InterpretedExecutor:
+    """Executes triggers by walking the lowered IR directly.
+
+    This is deliberately an *interpreter*: every event re-traverses the
+    IR nodes — the overhead that code generation removes.  It shares the
+    loop-level lowering (and optimisation pipeline) with the compiled
+    back end, so its semantics are the generated code's by construction:
+    batches walk the same accumulate-then-flush bodies the compiled back
+    end renders (first-order accumulation, second-order restatement).
+    """
+
+    mode = "interpreted"
+    #: No module is generated, no kernel attached, no index maintained.
+    source = None
+    native_active = False
+    native_note = None
+
+    def __init__(
+        self,
+        program: CompiledProgram,
+        options: ExecutorOptions = ExecutorOptions(),
+    ) -> None:
+        self.program = program
+        self.layout = storage_layout(program, self.mode, options.columnar)
+        self._ir = lower_for(program, options)
+
+    def bind(self, maps: dict[str, dict], profiler=None) -> TriggerTable:
+        """The tree-walker's triggers closed over one engine's maps."""
+
+        def per_event(trigger_ir):
+            return lambda *values: run_trigger(trigger_ir, values, maps, profiler)
+
+        def batch(trigger_ir):
+            return lambda columns: run_trigger_batch(
+                trigger_ir, columns, maps, profiler
+            )
+
+        ir = self._ir
+        return TriggerTable(
+            {key: per_event(body) for key, body in ir.triggers.items()},
+            {key: batch(body) for key, body in ir.batch_triggers.items()},
+            dict,  # no secondary indexes: ``dict()`` is the empty count
+        )

@@ -37,6 +37,7 @@ from repro.algebra.simplify import monomials
 from repro.compiler.materialize import MapRegistry, Materializer
 from repro.compiler.program import (
     CompiledProgram,
+    ExecutorOptions,
     Statement,
     Trigger,
     needs_buffering,
@@ -965,3 +966,11 @@ def lower_program(
         ir = optimize_program(ir, program, wanted, batch_only=True)
     cache[(wanted, second_order)] = ir
     return ir
+
+
+def lower_for(program: CompiledProgram, options: ExecutorOptions) -> ProgramIR:
+    """:func:`lower_program` under an executor's options — the IR every
+    back end built from ``options`` renders, walks or analyses."""
+    return lower_program(
+        program, optimize=options.optimize, second_order=options.second_order
+    )

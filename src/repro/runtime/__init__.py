@@ -2,18 +2,20 @@
 
 The runtime executes a :class:`~repro.compiler.program.CompiledProgram`:
 
-* :class:`~repro.runtime.engine.DeltaEngine` — the main-memory engine, in
-  either *compiled* mode (generated Python trigger functions, the stand-in
-  for the paper's C++ path) or *interpreted* mode (the statement walker,
-  used as the interpreter-overhead ablation);
+* :class:`~repro.runtime.engine.DeltaEngine` — the main-memory engine: it
+  owns the maps and calls the trigger table an executor bound to them, in
+  *compiled* mode (generated Python trigger functions, the stand-in for
+  the paper's C++ path), *native* mode (the same functions over a C
+  column kernel for whole-map scans) or *interpreted* mode (the IR
+  walker, used as the interpreter-overhead ablation);
 * :class:`~repro.runtime.engine.ShardedEngine` — N-way sharded parallel
   execution: batches hash-routed by the compiler's partition columns to
-  per-shard engines (optionally forked worker processes), with key-wise
-  merged results;
+  shard lanes (in-process engines or forked worker processes) that all
+  bind one executor compiled once, with key-wise merged results;
 * :mod:`~repro.runtime.views` — renders SQL-visible results from the
   maintained maps (avg division, min/max extraction, group existence);
-* :mod:`~repro.runtime.sources` — stream adapters (lists, files, generators)
-  for standalone mode;
+* :mod:`~repro.runtime.sources` — stream adapters (lists, CSV files) for
+  standalone mode;
 * :mod:`~repro.runtime.durability` — crash durability: the LSN-stamped
   write-ahead log, atomic engine snapshots, recovery
   (:class:`~repro.runtime.durability.DurableEngine`) and the

@@ -1,15 +1,25 @@
 """The main-memory delta engine (the DBToaster runtime).
 
-``DeltaEngine`` owns the maintained maps and dispatches stream events to
-trigger executors:
+``DeltaEngine`` owns the maintained maps and calls the trigger table an
+*executor* bound to them.  An executor is a program compiled under one
+:class:`~repro.compiler.program.ExecutorOptions` value — immutable, with
+``layout``, ``source``, ``native_active``, ``native_note`` and
+``bind(maps, profiler=None)``, which returns per-event and ``*_batch``
+callables keyed by ``(relation, sign)``:
 
-* ``mode="compiled"`` — triggers run as generated Python functions
-  (:mod:`repro.codegen.pygen`), the reproduction of the paper's compiled
-  C++ executors;
-* ``mode="interpreted"`` — triggers are walked block-by-block over the
-  lowered trigger IR (:mod:`repro.ir`), retaining exactly the
-  interpretation overhead the paper's compilation eliminates (used as a
-  baseline/ablation).
+* ``mode="compiled"`` — generated Python functions
+  (:class:`repro.codegen.pygen.CompiledExecutor`), the reproduction of the
+  paper's compiled C++ executors;
+* ``mode="native"`` — the same functions over a C column kernel for the
+  maps a trigger scans whole (:class:`repro.codegen.native.NativeExecutor`;
+  exactly the compiled lane without a toolchain);
+* ``mode="interpreted"`` — the lowered trigger IR walked block by block
+  (:class:`repro.ir.interp.InterpretedExecutor`), retaining exactly the
+  interpretation overhead the paper's compilation eliminates (a baseline).
+
+It is built **once per engine** and bound per map set: shard lanes, forked
+workers (through ``fork``, like the program), deep copies and restored
+engines re-``bind`` — nothing is rendered or ``compile()``d again.
 
 The engine is *embeddable* (construct it in-process and call ``insert`` /
 ``delete``) and also serves standalone use via
@@ -29,13 +39,14 @@ On top of the single engine, :class:`ShardedEngine` runs *sharded parallel*
 delta processing: the compiler's partitioning analysis
 (:func:`repro.compiler.partition.analyze_partitioning`) determines which
 event column every map access of a trigger is keyed on, batches are
-hash-routed by that column to N per-shard :class:`DeltaEngine` lanes (plus
-a serial lane for non-partitionable triggers), and ``results()`` /
-``map_view()`` merge the lane maps key-wise.  With ``parallel=True`` the
-shard lanes are forked worker processes fed over pipes, so trigger
-execution overlaps across cores; otherwise shards run in-process, which
-keeps the routing/merge semantics (and the tests) identical without any
-IPC.
+hash-routed by that column to N shard lanes (plus a serial lane for
+non-partitionable triggers), and ``results()`` / ``map_view()`` merge the
+lane maps key-wise.  A lane is a :class:`_LocalLane` (a
+:class:`DeltaEngine` in this process) or, with ``parallel=True``, a
+:class:`_ProcessLane` (a forked worker running one, fed over a pipe, so
+trigger execution overlaps across cores); supervision hooks into the pipe
+lane's ``send`` and ``_round_trip``, the two calls that can meet a dead
+worker.
 
 Both — and :class:`~repro.runtime.durability.DurableEngine` — are layers
 over one :class:`Engine` core: a layer supplies ``_process_batch``,
@@ -48,15 +59,14 @@ from __future__ import annotations
 
 import signal
 import time
-from collections import deque
-from dataclasses import asdict, dataclass
+from collections import defaultdict, deque
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import EventError, UnknownStreamError
 from repro.compiler.partition import PartitionSpec, analyze_partitioning
-from repro.compiler.program import CompiledProgram, Trigger
-from repro.compiler.storage import storage_layout
+from repro.compiler.program import CompiledProgram, ExecutorOptions, Trigger
+from repro.ir.interp import InterpretedExecutor, run_finalize
 from repro.runtime.events import (
     EventBatch,
     StreamEvent,
@@ -64,6 +74,8 @@ from repro.runtime.events import (
     partition_columns,
     partition_rows,
 )
+from repro.runtime.storage import storage_class
+from repro.runtime.views import query_results, result_rows_to_dicts
 
 #: Default rows-per-batch cap for ``process_stream``: large enough to
 #: amortise dispatch, small enough that grouping an archived single-relation
@@ -73,13 +85,6 @@ DEFAULT_BATCH_SIZE = 1024
 #: Below this run length, shard routing partitions row tuples (one hash and
 #: one append per row) instead of building per-shard column gathers.
 _ROW_ROUTE_THRESHOLD = 8
-from repro.runtime.storage import storage_class
-from repro.runtime.views import query_results, result_rows_to_dicts
-from repro.ir.interp import (
-    run_finalize as _run_finalize,
-    run_trigger as _run_trigger,
-    run_trigger_batch as _run_trigger_batch,
-)
 
 
 def admit(engine, relation: str, sign: int, count: int) -> Optional[Trigger]:
@@ -125,111 +130,16 @@ def admit(engine, relation: str, sign: int, count: int) -> Optional[Trigger]:
     return trigger
 
 
-class InterpretedExecutor:
-    """Executes triggers by walking the lowered IR directly.
-
-    This is deliberately an *interpreter*: every event re-traverses the
-    IR nodes — the overhead that code generation removes.  It shares the
-    loop-level lowering (and optimisation pipeline) with the compiled
-    back end, so its semantics are the generated code's by construction.
-    """
-
-    mode = "interpreted"
-
-    def __init__(
-        self,
-        program: CompiledProgram,
-        optimize: bool = True,
-        second_order: bool = True,
-        columnar: bool = False,
-    ) -> None:
-        from repro.ir.lower import lower_program
-
-        self.program = program
-        self.optimize = optimize
-        self.second_order = second_order
-        self.layout = storage_layout(program, self.mode, columnar)
-        self._ir = lower_program(
-            program, optimize=optimize, second_order=second_order
-        )
-
-    def bind(self, maps: dict[str, dict]) -> None:
-        """Nothing to bind: the tree-walker takes the maps per call."""
-
-    def execute(
-        self,
-        trigger: Trigger,
-        values: Sequence,
-        maps: dict[str, dict],
-        profiler=None,
-    ) -> None:
-        _run_trigger(
-            self._ir.triggers[(trigger.relation, trigger.sign)],
-            values,
-            maps,
-            profiler,
-        )
-
-    def execute_batch(
-        self,
-        trigger: Trigger,
-        columns: Sequence[Sequence],
-        maps: dict[str, dict],
-        profiler=None,
-    ) -> None:
-        """Interpret a whole columnar batch through the batch trigger IR.
-
-        The interpreter walks the same accumulate-then-flush batch bodies
-        the compiled back end renders (first-order accumulation,
-        second-order restatement), still re-traversing the IR nodes per
-        row — so the compiled-vs-interpreted ablation keeps isolating what
-        code generation removes, at matching batch semantics.
-        """
-        _run_trigger_batch(
-            self._ir.batch_triggers[(trigger.relation, trigger.sign)],
-            columns,
-            maps,
-            profiler,
-        )
-
-
-@dataclass(frozen=True)
-class _ExecutorOptions:
-    """How an engine's triggers execute — one immutable value, validated
-    once, handed whole to every lane (serial, local, forked worker,
-    deep copy) instead of being threaded field by field."""
-
-    mode: str = "compiled"
-    use_indexes: bool = True
-    optimize: bool = True
-    second_order: bool = True
-    columnar: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("compiled", "native", "interpreted"):
-            raise EventError(f"unknown engine mode {self.mode!r}")
-
-    def executor(self, program: CompiledProgram):
-        """The (unbound) trigger executor for ``mode``.  Its ``layout``
-        is the storage layout the engine builds its maps from."""
-        if self.mode == "interpreted":
-            return InterpretedExecutor(
-                program,
-                optimize=self.optimize,
-                second_order=self.second_order,
-                columnar=self.columnar,
-            )
-        if self.mode == "compiled":
-            from repro.codegen.pygen import CompiledExecutor as executor
-        else:
-            from repro.codegen.native import NativeExecutor as executor
-        return executor(
-            program,
-            use_indexes=self.use_indexes,
-            optimize=self.optimize,
-            second_order=self.second_order,
-            columnar=self.columnar,
-        )
+def _build_executor(program: CompiledProgram, options: ExecutorOptions):
+    """The executor for ``options.mode`` — built once per engine, shared
+    by every lane; its ``layout`` is what the maps are created from."""
+    if options.mode == "interpreted":
+        return InterpretedExecutor(program, options)
+    if options.mode == "compiled":
+        from repro.codegen.pygen import CompiledExecutor as executor
+    else:
+        from repro.codegen.native import NativeExecutor as executor
+    return executor(program, options)
 
 
 class Engine:
@@ -497,37 +407,50 @@ class DeltaEngine(Engine):
         higher-order batching ablation); ``columnar=True`` stores every
         keyed map in packed columns (the memory mode, also the CLI's
         ``--columnar``)."""
-        super().__init__(program)
-        self._init_admission(strict)
-        self._options = _ExecutorOptions(
+        options = ExecutorOptions(
             mode, use_indexes, optimize, second_order, columnar
         )
-        self._executor = self._options.executor(program)
-        self.maps: dict[str, dict] = self._executor.layout.create_maps()
-        self._executor.bind(self.maps)
+        self._attach(_build_executor(program, options), strict, profiler)
+
+    def _attach(
+        self,
+        executor,
+        strict: bool,
+        profiler=None,
+        maps: Optional[dict[str, dict]] = None,
+    ) -> None:
+        """Become an engine over ``executor`` (shared, immutable) with
+        maps of its own: fresh from the executor's layout, or ``maps``."""
+        super().__init__(executor.program)
+        self._init_admission(strict)
+        self._executor = executor
+        self.maps: dict[str, dict] = (
+            executor.layout.create_maps() if maps is None else maps
+        )
         self.profiler = profiler
+        self._triggers = executor.bind(self.maps, profiler)
         self.events_processed = 0
 
     def __deepcopy__(self, memo: dict) -> "DeltaEngine":
         """Snapshot support (used by the benchmark harness).
 
-        The compiled executor binds map dictionaries as function defaults,
-        so a naive deepcopy would leave the copied engine's triggers writing
-        to the *original* maps; instead the copy rebinds a fresh executor
-        over copied maps (the immutable program is shared).
+        The bound triggers close over the map objects, so a naive
+        deepcopy would leave the copied engine's triggers writing to the
+        *original* maps; instead the copy binds the shared executor to
+        copied maps (the immutable program and executor are shared —
+        nothing is rendered or compiled).
         """
-        clone = type(self)(  # a copied lane stays a lane
-            self.program, strict=self.strict, **asdict(self._options)
-        )
-        clone.maps.update(
-            {
+        clone = type(self).__new__(type(self))  # a copied lane stays a lane
+        clone._attach(
+            self._executor,
+            self.strict,
+            maps={
                 # dict.copy / ColumnarMap.copy both preserve the storage
                 # layout and insertion order of the snapshot.
                 name: contents.copy()
                 for name, contents in self.maps.items()
-            }
+            },
         )
-        clone._executor.bind(clone.maps)
         clone.events_processed = self.events_processed
         clone.events_skipped = self.events_skipped
         clone._stream_started = self._stream_started
@@ -539,19 +462,20 @@ class DeltaEngine(Engine):
     def process(self, event: StreamEvent) -> None:
         """Apply one insert/delete event.
 
-        The allocation-free per-event fast path: a direct executor call,
-        no :class:`EventBatch` unless a flush-path listener is attached.
+        The allocation-free per-event fast path: a direct call of the
+        bound trigger, no :class:`EventBatch` unless a flush-path listener
+        is attached.
         """
-        trigger = admit(self, event.relation, event.sign, 1)
-        if trigger is None:
+        relation, sign = event.relation, event.sign
+        if admit(self, relation, sign, 1) is None:
             return
-        self._executor.execute(trigger, event.values, self.maps, self.profiler)
+        self._triggers.per_event[relation, sign](*event.values)
         self.events_processed += 1
         if self.profiler is not None:
             self.profiler.record_event(event)
         if self._batch_listeners:
             self._notify_listeners(
-                EventBatch(event.relation, event.sign, [event.values])
+                EventBatch(relation, sign, [event.values])
             )
 
     def _process_batch(self, batch: EventBatch) -> int:
@@ -564,15 +488,12 @@ class DeltaEngine(Engine):
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        trigger = admit(self, relation, sign, count)
-        if trigger is None:
+        if admit(self, relation, sign, count) is None:
             return 0
         if count == 1:
-            self._executor.execute(trigger, batch.row(0), self.maps, self.profiler)
+            self._triggers.per_event[relation, sign](*batch.row(0))
         else:
-            self._executor.execute_batch(
-                trigger, batch.columns, self.maps, self.profiler
-            )
+            self._triggers.batch[relation, sign](batch.columns)
         self.events_processed += count
         if self.profiler is not None:
             self.profiler.record_batch(relation, sign, count)
@@ -591,11 +512,10 @@ class DeltaEngine(Engine):
     ) -> None:
         """Replace the engine's state with snapshot contents.
 
-        Maps are updated *in place* — the compiled executor binds the map
-        objects as function defaults, so swapping in new dicts would leave
-        the triggers writing to orphans — and the executor is rebound
-        afterwards so secondary indexes are rebuilt over the restored
-        contents.  ``stream_started`` defaults to "any event was
+        Maps are updated *in place*, then the executor is bound to them
+        again so secondary indexes are rebuilt over the restored contents
+        (an ``exec`` of the kept code object — nothing is rendered or
+        compiled).  ``stream_started`` defaults to "any event was
         processed", which preserves the static-tables-load-first rule
         across a restart.
         """
@@ -610,7 +530,7 @@ class DeltaEngine(Engine):
             contents = maps.get(name)
             if contents:
                 target.update(contents)
-        self._executor.bind(self.maps)
+        self._triggers = self._executor.bind(self.maps, self.profiler)
         self.events_processed = events_processed
         self.events_skipped = events_skipped
         if stream_started is None:
@@ -648,13 +568,13 @@ class DeltaEngine(Engine):
     def native_active(self) -> bool:
         """True when the C column kernel is loaded and attached
         (``mode="native"`` with a working toolchain)."""
-        return bool(getattr(self._executor, "native_active", False))
+        return self._executor.native_active
 
     @property
     def native_note(self) -> Optional[str]:
         """The toolchain probe result the native lane ran under (or the
         fallback reason); ``None`` outside ``mode="native"``."""
-        return getattr(self._executor, "native_note", None)
+        return self._executor.native_note
 
     def storage_classes(self) -> dict[str, str]:
         """What each map is stored as *right now*, read from the live
@@ -678,8 +598,7 @@ class DeltaEngine(Engine):
         entries are real memory the plain ``map_sizes`` view does not show.
         Interpreted mode (and ``use_indexes=False``) holds none.
         """
-        counter = getattr(self._executor, "index_entry_counts", None)
-        return counter() if counter is not None else {}
+        return self._triggers.index_entry_counts()
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +616,8 @@ class _LocalLane(DeltaEngine):
     strict: admission is enforced once, globally, by the router.
     """
 
-    @classmethod
-    def build(cls, program: CompiledProgram, options: _ExecutorOptions):
-        return cls(program, strict=False, **asdict(options))
+    def __init__(self, executor) -> None:
+        self._attach(executor, strict=False)
 
     def send(self, op: str, relation: str, sign: int, payload) -> None:
         """Apply one lane message.  ``"batch"`` carries per-column lists;
@@ -711,15 +629,16 @@ class _LocalLane(DeltaEngine):
             self.process_batch(relation, sign, payload)
 
 
-def _shard_worker_main(conn, program, options: _ExecutorOptions) -> None:
-    """One shard worker: a private :class:`_LocalLane` fed over a pipe.
+def _shard_worker_main(conn, executor) -> None:
+    """One shard worker: a private :class:`_LocalLane` fed over a pipe,
+    bound to the coordinator's executor (inherited through ``fork``).
 
     Batches apply fire-and-forget; the first trigger failure is
     remembered and surfaced on the next ``sync``/``collect`` round-trip
     (subsequent batches are dropped, as the shard state is no longer
     trustworthy).
     """
-    engine = _LocalLane.build(program, options)
+    engine = _LocalLane(executor)
     failure = None
     while True:
         try:
@@ -764,10 +683,143 @@ def _shard_worker_main(conn, program, options: _ExecutorOptions) -> None:
     conn.close()
 
 
-class _PipeLane:
-    """The lane interface over a worker pipe, written once in terms of
-    ``_round_trip(request) -> reply``: raw on :class:`_ProcessLane`,
-    death-guarded on :class:`_SupervisedLane`."""
+class _BatchReplayed(Exception):
+    """Internal control flow: a supervised durable rebuild replayed the
+    in-flight batch from the WAL (it was logged before it was routed), so
+    the router must not re-send the remaining lane slices."""
+
+
+class _ProcessLane:
+    """Coordinator-side handle of one forked shard worker: the lane
+    interface over a pipe, written in terms of :meth:`send` and
+    :meth:`_round_trip` — the two operations that can meet a dead worker.
+
+    Unsupervised, both raise the dead-worker
+    :class:`~repro.errors.EventError`.  With a ``supervisor`` they hand
+    the death to :meth:`ShardSupervisor._recover` (respawn + rebuild)
+    and carry on, so the router sees a lane that merely answered late.
+    """
+
+    #: Seconds between liveness checks while waiting on a worker reply.  A
+    #: healthy worker replies as soon as it drains its queued batches, so
+    #: the poll loop only spins when the pipe is genuinely idle.
+    _POLL_INTERVAL = 0.2
+
+    def __init__(
+        self,
+        ctx,
+        executor,
+        index: int = 0,
+        supervisor: Optional["ShardSupervisor"] = None,
+    ) -> None:
+        self.index = index
+        self.supervisor = supervisor
+        self._ctx = ctx
+        self._executor = executor
+        self._spawn()
+
+    def _spawn(self) -> None:
+        self._conn, child = self._ctx.Pipe()
+        self._proc = self._ctx.Process(
+            target=_shard_worker_main,
+            args=(child, self._executor),
+            daemon=True,
+        )
+        self._proc.start()
+        child.close()
+
+    def respawn(self) -> None:
+        """Swap the (dead) worker for a fresh fork with empty maps; its
+        state is the supervisor's to rebuild."""
+        try:
+            self.close()
+        except Exception:
+            pass
+        self._spawn()
+
+    def _guard(self) -> Optional["ShardSupervisor"]:
+        """The supervisor, when it is to act on this lane's operations:
+        not on an unsupervised lane, and not mid-rebuild — a rebuild's own
+        restore and replay run raw, so a second death there propagates."""
+        supervisor = self.supervisor
+        if supervisor is None or supervisor._rebuilding:
+            return None
+        return supervisor
+
+    def send(self, op: str, relation: str, sign: int, payload) -> None:
+        """Queue one lane message (see :meth:`_LocalLane.send`)."""
+        entry = (op, relation, sign, payload)
+        supervisor = self._guard()
+        journal = None if supervisor is None else supervisor._journal(self)
+        if journal is not None:
+            # Before the pipe, so a rebuild's replay covers a failed send.
+            journal.append(entry)
+        try:
+            self._conn.send(entry)
+        except (BrokenPipeError, OSError) as exc:
+            error = self._dead_worker_error()
+            if supervisor is None:
+                raise error from exc
+            if supervisor._recover(self, error) == "durable":
+                # The WAL replay re-applied the whole in-flight batch
+                # (every lane's slice): abort the router's remaining sends.
+                raise _BatchReplayed() from None
+            return  # journal replay included this entry
+        if journal is not None and len(journal) >= supervisor.checkpoint_every:
+            supervisor._take_checkpoint(self)
+
+    def _round_trip(self, request: tuple, retry: bool = True) -> tuple:
+        """Send one request and wait for its reply, watching for death.
+
+        A worker killed mid-operation (OOM, SIGKILL, crash) can leave the
+        pipe open-but-silent, so a bare ``recv()`` would hang forever.
+        Instead the wait polls the pipe and checks the process between
+        polls: a reply already in flight when the worker dies is still
+        delivered (poll is checked first), and a dead worker with an empty
+        pipe raises a clear :class:`~repro.errors.EventError` naming the
+        shard and how it exited — or, supervised, is rebuilt and asked
+        once more.
+        """
+        try:
+            self._conn.send(request)
+            while not self._conn.poll(self._POLL_INTERVAL):
+                if not self._proc.is_alive():
+                    raise EOFError("worker exited with the pipe idle")
+            reply = self._conn.recv()
+        except (EOFError, BrokenPipeError, OSError) as exc:
+            error = self._dead_worker_error()
+            supervisor = self._guard() if retry else None
+            if supervisor is None:
+                raise error from exc
+            supervisor._recover(self, error)
+            return self._round_trip(request, retry=False)
+        if reply[0] == "error":
+            # A trigger failure, not a death: the worker is alive and
+            # answering, and restarting it would only mask the bug.
+            raise EventError(
+                f"shard worker {self.index} failed: {reply[1]}"
+            )
+        return reply
+
+    def _dead_worker_error(self) -> EventError:
+        exitcode, pid = None, "?"
+        if self._proc is not None:
+            exitcode, pid = self._proc.exitcode, self._proc.pid
+        if exitcode is None:
+            how = "exit status unknown"
+        elif exitcode < 0:
+            try:
+                name = signal.Signals(-exitcode).name
+            except ValueError:
+                name = f"signal {-exitcode}"
+            how = f"killed by {name}"
+        else:
+            how = f"exit code {exitcode}"
+        return EventError(
+            f"shard worker {self.index} (pid {pid}) died "
+            f"mid-operation ({how}); its lane state is lost — rebuild the "
+            "engine, or recover from a durable directory"
+        )
 
     def sync(self) -> None:
         self._round_trip(("sync",))
@@ -789,85 +841,17 @@ class _PipeLane:
         self, maps: dict, events_processed: int, stream_started: bool
     ) -> None:
         self._round_trip(("restore", maps, events_processed, stream_started))
-
-
-class _ProcessLane(_PipeLane):
-    """Coordinator-side handle of one forked shard worker."""
-
-    #: Seconds between liveness checks while waiting on a worker reply.  A
-    #: healthy worker replies as soon as it drains its queued batches, so
-    #: the poll loop only spins when the pipe is genuinely idle.
-    _POLL_INTERVAL = 0.2
-
-    def __init__(
-        self, ctx, program, options: _ExecutorOptions, index: int = 0
-    ) -> None:
-        self.index = index
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_shard_worker_main,
-            args=(child, program, options),
-            daemon=True,
-        )
-        self._proc.start()
-        child.close()
-
-    def send(self, op: str, relation: str, sign: int, payload) -> None:
-        """Queue one lane message (see :meth:`_LocalLane.send`)."""
-        try:
-            self._conn.send((op, relation, sign, payload))
-        except (BrokenPipeError, OSError) as exc:
-            raise self._dead_worker_error() from exc
-
-    def _round_trip(self, request: tuple) -> tuple:
-        """Send one request and wait for its reply, watching for death.
-
-        A worker killed mid-operation (OOM, SIGKILL, crash) can leave the
-        pipe open-but-silent, so a bare ``recv()`` would hang forever.
-        Instead the wait polls the pipe and checks the process between
-        polls: a reply already in flight when the worker dies is still
-        delivered (poll is checked first), and a dead worker with an empty
-        pipe raises a clear :class:`~repro.errors.EventError` naming the
-        shard and how it exited.
-        """
-        try:
-            self._conn.send(request)
-            while not self._conn.poll(self._POLL_INTERVAL):
-                if not self._proc.is_alive():
-                    raise self._dead_worker_error()
-            reply = self._conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise self._dead_worker_error() from exc
-        if reply[0] == "error":
-            raise EventError(
-                f"shard worker {self.index} failed: {reply[1]}"
+        supervisor = self._guard()
+        if supervisor is not None:
+            # A restore resets the lane wholesale: it is the new basis.
+            supervisor._rebase(
+                self,
+                (
+                    {name: dict(contents) for name, contents in maps.items()},
+                    events_processed,
+                    stream_started,
+                ),
             )
-        return reply
-
-    def _dead_worker_error(self) -> EventError:
-        exitcode, pid = None, "?"
-        if self._proc is not None:
-            exitcode, pid = self._proc.exitcode, self._proc.pid
-        if exitcode is None:
-            how = "exit status unknown"
-        elif exitcode < 0:
-            try:
-                name = signal.Signals(-exitcode).name
-            except ValueError:
-                name = f"signal {-exitcode}"
-            how = f"killed by {name}"
-        else:
-            how = f"exit code {exitcode}"
-        error = EventError(
-            f"shard worker {self.index} (pid {pid}) died "
-            f"mid-operation ({how}); its lane state is lost — rebuild the "
-            "engine, or recover from a durable directory"
-        )
-        # Death-vs-failure marker: a supervisor restarts on a dead worker
-        # (the process is gone) but never on a trigger failure (the
-        # worker is alive and answering — restarting would mask the bug).
-        error.worker_died = True
-        return error
 
     def close(self) -> None:
         if self._proc is None:
@@ -884,27 +868,17 @@ class _ProcessLane(_PipeLane):
         self._proc = None
 
 
-# ---------------------------------------------------------------------------
-# Shard worker supervision
-# ---------------------------------------------------------------------------
-
-
-class _BatchReplayed(Exception):
-    """Internal control flow: a supervised durable rebuild replayed the
-    in-flight batch from the WAL (it was logged before it was routed), so
-    the router must not re-send the remaining lane slices."""
-
-
 class ShardSupervisor:
     """Respawns dead shard workers and rebuilds their lane state.
 
     Without supervision a forked worker that dies (OOM kill, crash,
     SIGKILL) permanently poisons its :class:`ShardedEngine`: every later
     operation raises the dead-worker :class:`~repro.errors.EventError`.
-    A supervisor (``ShardedEngine(..., parallel=True, supervise=True)``)
-    intercepts exactly that error, respawns the worker process and
-    rebuilds its state, then resumes the interrupted operation — the
-    stream sees one identical delta sequence, just delivered later.
+    Under a supervisor (``ShardedEngine(..., parallel=True,
+    supervise=True)``) a :class:`_ProcessLane` that meets a dead worker
+    calls :meth:`_recover` instead: the worker is respawned, its state
+    rebuilt, and the interrupted operation resumes — the stream sees one
+    identical delta sequence, just delivered later.
 
     Two rebuild strategies, picked by how the engine is deployed:
 
@@ -962,6 +936,11 @@ class ShardSupervisor:
         self._restart_times: deque = deque()
         self._rebuilder: Optional[Callable[[], int]] = None
         self._rebuilding = False
+        # The journal-mode rebuild basis, per lane index: a private
+        # ``(maps, events_processed, stream_started)`` checkpoint (absent
+        # until the first one is taken) and every send since.
+        self._checkpoints: dict[int, tuple] = {}
+        self._journals: defaultdict = defaultdict(list)
 
     def install_rebuilder(self, rebuilder: Callable[[], int]) -> None:
         """Switch to durable rebuilds: ``rebuilder()`` restores the whole
@@ -969,8 +948,8 @@ class ShardSupervisor:
         count.  In-memory journals and checkpoints are dropped — the WAL
         supersedes them."""
         self._rebuilder = rebuilder
-        for lane in self.engine._lanes:  # all supervised, by construction
-            lane._rebase(None)
+        self._checkpoints.clear()
+        self._journals.clear()
 
     @property
     def durable(self) -> bool:
@@ -978,7 +957,26 @@ class ShardSupervisor:
         in-memory journal."""
         return self._rebuilder is not None
 
-    def _recover(self, lane: "_SupervisedLane", cause: EventError) -> str:
+    def _journal(self, lane: _ProcessLane) -> Optional[list]:
+        """``lane``'s send journal — ``None`` in durable mode, where the
+        WAL makes it redundant."""
+        return None if self.durable else self._journals[lane.index]
+
+    def _rebase(self, lane: _ProcessLane, checkpoint: tuple) -> None:
+        """Adopt ``checkpoint`` — ``(maps, events_processed,
+        stream_started)``, a private copy — as ``lane``'s rebuild basis;
+        everything journaled before it is moot."""
+        if not self.durable:
+            self._checkpoints[lane.index] = checkpoint
+            self._journals[lane.index] = []
+
+    def _take_checkpoint(self, lane: _ProcessLane) -> None:
+        # Through the worker pipe: pickled on the way out, so already a
+        # private deep copy.
+        reply = lane._round_trip(("collect",))
+        self._rebase(lane, (reply[1], reply[2], self.engine._stream_started))
+
+    def _recover(self, lane: _ProcessLane, cause: EventError) -> str:
         """Respawn ``lane``'s worker and rebuild its state.
 
         Returns the rebuild mode (``"journal"`` / ``"durable"``); raises
@@ -996,21 +994,21 @@ class ShardSupervisor:
             ) from cause
         self._restart_times.append(now)
         started = time.perf_counter()
-        self.engine._replace_worker(lane)
-        if self._rebuilder is not None:
-            self._rebuilding = True
-            try:
-                replayed = self._rebuilder()
-            finally:
-                self._rebuilding = False
-            mode = "durable"
-        else:
-            if lane._checkpoint is not None:
-                lane._inner.restore_state(*lane._checkpoint)
-            for entry in lane._journal:
-                lane._inner.send(*entry)
-            replayed = len(lane._journal)
-            mode = "journal"
+        lane.respawn()
+        self._rebuilding = True  # the lanes run raw until the state is back
+        try:
+            if self._rebuilder is not None:
+                replayed, mode = self._rebuilder(), "durable"
+            else:
+                checkpoint = self._checkpoints.get(lane.index)
+                if checkpoint is not None:
+                    lane.restore_state(*checkpoint)
+                journal = self._journals[lane.index]
+                for entry in journal:
+                    lane.send(*entry)
+                replayed, mode = len(journal), "journal"
+        finally:
+            self._rebuilding = False
         elapsed = time.perf_counter() - started
         self.restarts += 1
         self.last_recovery_seconds = elapsed
@@ -1023,102 +1021,6 @@ class ShardSupervisor:
             }
         )
         return mode
-
-
-class _SupervisedLane(_PipeLane):
-    """A :class:`_ProcessLane` proxy that survives worker death.
-
-    Drop-in for the lane interface the router uses: every operation is
-    forwarded to the wrapped lane, and the dead-worker error triggers the
-    supervisor's respawn-and-rebuild instead of propagating.  In journal
-    mode the proxy also owns the lane's rebuild basis — the checkpoint
-    and the send journal (sends are journaled *before* they hit the
-    pipe, so the rebuild replay always covers the failed send).
-    """
-
-    def __init__(self, supervisor: ShardSupervisor, inner: _ProcessLane) -> None:
-        self.supervisor = supervisor
-        self._inner = inner
-        self._rebase(None)
-
-    def _rebase(self, checkpoint: Optional[tuple]) -> None:
-        """Adopt ``checkpoint`` — ``(maps, events_processed,
-        stream_started)``, a private copy — as the rebuild basis;
-        everything journaled before it is moot."""
-        self._checkpoint = checkpoint
-        self._journal: list[tuple] = []
-        self._sends_since_checkpoint = 0
-
-    @property
-    def index(self) -> int:
-        return self._inner.index
-
-    @property
-    def _proc(self):
-        # The chaos/fault-injection harness reaches through the proxy for
-        # the worker pid it SIGKILLs.
-        return self._inner._proc
-
-    def _worker_death(self, exc: EventError) -> bool:
-        return (
-            getattr(exc, "worker_died", False)
-            and not self.supervisor._rebuilding
-        )
-
-    def send(self, op: str, relation: str, sign: int, payload) -> None:
-        entry = (op, relation, sign, payload)
-        supervisor = self.supervisor
-        journaling = supervisor._rebuilder is None
-        if journaling:
-            self._journal.append(entry)
-        try:
-            self._inner.send(*entry)
-        except EventError as exc:
-            if not self._worker_death(exc):
-                raise
-            if supervisor._recover(self, exc) == "durable":
-                # The WAL replay re-applied the whole in-flight batch
-                # (every lane's slice): abort the router's remaining sends.
-                raise _BatchReplayed() from None
-            return  # journal replay included this entry
-        if journaling:
-            self._sends_since_checkpoint += 1
-            if self._sends_since_checkpoint >= supervisor.checkpoint_every:
-                self._take_checkpoint()
-
-    def _round_trip(self, request: tuple) -> tuple:
-        try:
-            return self._inner._round_trip(request)
-        except EventError as exc:
-            if not self._worker_death(exc):
-                raise
-            self.supervisor._recover(self, exc)
-            return self._inner._round_trip(request)
-
-    def _take_checkpoint(self) -> None:
-        # Through the worker pipe: pickled on the way out, so already a
-        # private deep copy.
-        reply = self._round_trip(("collect",))
-        self._rebase(
-            (reply[1], reply[2], self.supervisor.engine._stream_started)
-        )
-
-    def restore_state(
-        self, maps: dict, events_processed: int, stream_started: bool
-    ) -> None:
-        super().restore_state(maps, events_processed, stream_started)
-        if self.supervisor._rebuilder is None:
-            # A restore resets the lane wholesale: it is the new basis.
-            self._rebase(
-                (
-                    {name: dict(contents) for name, contents in maps.items()},
-                    events_processed,
-                    stream_started,
-                )
-            )
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 def _merge_lane_maps(
@@ -1150,7 +1052,7 @@ def _merge_lane_maps(
     for occ_name, specs in program.finalizers.items():
         for spec in specs:
             target = merged[spec.aux] = {}
-            _run_finalize(
+            run_finalize(
                 target, merged[occ_name], spec.kind, spec.group_arity, ()
             )
     return merged
@@ -1195,8 +1097,8 @@ class ShardedEngine(Engine):
         restart_window: float = 60.0,
         checkpoint_every: int = 64,
     ) -> None:
-        """``supervise=True`` (with ``parallel=True``) wraps each forked
-        worker lane in a :class:`ShardSupervisor` that respawns dead
+        """``supervise=True`` (with ``parallel=True``) puts the forked
+        worker lanes under a :class:`ShardSupervisor` that respawns dead
         workers and rebuilds their state — from a coordinator-side
         checkpoint + send journal (refreshed every ``checkpoint_every``
         sends), or from snapshot + WAL replay when a
@@ -1214,53 +1116,41 @@ class ShardedEngine(Engine):
         self._init_admission(strict)
         self.spec = spec if spec is not None else analyze_partitioning(program)
         self.shards = shards
-        options = self._options = _ExecutorOptions(
-            mode, use_indexes, optimize, second_order, columnar
+        # One executor for the whole engine: the serial lane, every shard
+        # lane and (through fork) every worker bind the same compiled code.
+        executor = _build_executor(
+            program,
+            ExecutorOptions(mode, use_indexes, optimize, second_order, columnar),
         )
-        self._serial = _LocalLane.build(program, options)
+        self._serial = _LocalLane(executor)
         self.parallel = False
         self._closed = False
         self._lanes: list = []
-        self._ctx = None
         self.supervisor: Optional[ShardSupervisor] = None
         if self.spec.partitionable and shards > 1:
+            ctx = None
             if parallel:
                 import multiprocessing
 
                 try:
-                    self._ctx = multiprocessing.get_context("fork")
+                    ctx = multiprocessing.get_context("fork")
                 except ValueError:
                     pass  # no fork on this platform: in-process lanes
-                if self._ctx is not None:
-                    self._lanes = [
-                        self._spawn_worker(index) for index in range(shards)
-                    ]
-                    self.parallel = True
-            if not self._lanes:
+            if ctx is not None:
+                if supervise:
+                    self.supervisor = ShardSupervisor(
+                        self,
+                        max_restarts=max_worker_restarts,
+                        window=restart_window,
+                        checkpoint_every=checkpoint_every,
+                    )
                 self._lanes = [
-                    _LocalLane.build(program, options) for _ in range(shards)
+                    _ProcessLane(ctx, executor, index, self.supervisor)
+                    for index in range(shards)
                 ]
-        if supervise and self.parallel:
-            self.supervisor = ShardSupervisor(
-                self,
-                max_restarts=max_worker_restarts,
-                window=restart_window,
-                checkpoint_every=checkpoint_every,
-            )
-            self._lanes = [
-                _SupervisedLane(self.supervisor, lane) for lane in self._lanes
-            ]
-
-    def _spawn_worker(self, index: int) -> _ProcessLane:
-        return _ProcessLane(self._ctx, self.program, self._options, index)
-
-    def _replace_worker(self, lane: "_SupervisedLane") -> None:
-        """Swap a supervised lane's dead worker for a fresh fork."""
-        try:
-            lane._inner.close()
-        except Exception:
-            pass
-        lane._inner = self._spawn_worker(lane.index)
+                self.parallel = True
+            else:
+                self._lanes = [_LocalLane(executor) for _ in range(shards)]
 
     def __getstate__(self) -> dict:
         """Copying/pickling support: in-process lanes copy like any
@@ -1405,8 +1295,9 @@ class ShardedEngine(Engine):
 
     @property
     def native_active(self) -> bool:
-        """True when the serial lane runs the C column kernel; forked
-        worker lanes probe/build the same cached kernel post-fork."""
+        """True when the lanes run the C column kernel — one shared
+        executor, so the serial lane answers for all of them (forked
+        workers inherit the loaded kernel)."""
         return self._serial.native_active
 
     @property

@@ -3,27 +3,21 @@
 The paper's runtime accepts input "over a network interface or archived
 stream"; here the equivalents are iterables, CSV files and generator
 adapters.  Every source yields :class:`~repro.runtime.events.StreamEvent`
-objects, so ``engine.process_stream(source)`` works uniformly.
-
-Any source can also be delivered in batches (:func:`batch_source`): the
-events are grouped into consecutive same-``(relation, sign)`` runs that the
-engine dispatches with one trigger call each.  Batches flatten back to their
-events, so batched sources remain valid inputs to ``process_stream``.  For
-parallel delta processing, :func:`sharded_batch_source` additionally
-hash-routes each batch by its relation's partition column, yielding
-``(shard, batch)`` pairs a :class:`~repro.runtime.engine.ShardedEngine`
-dispatches concurrently.
+objects, so ``engine.process_stream(source)`` works uniformly — grouping
+into same-``(relation, sign)`` batches is ``process_stream``'s job
+(:func:`repro.runtime.events.batches`), shard routing
+:class:`~repro.runtime.engine.ShardedEngine`'s.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import EventError
 from repro.sql.catalog import Catalog, Relation, SqlType
-from repro.runtime.events import EventBatch, StreamEvent, batches
+from repro.runtime.events import StreamEvent
 
 
 def list_source(events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
@@ -83,66 +77,6 @@ def write_csv(path: str | Path, events: Iterable[StreamEvent]) -> int:
             )
             count += 1
     return count
-
-
-def generator_source(
-    make_events: Callable[[], Iterable[StreamEvent]],
-) -> Iterator[StreamEvent]:
-    """Adapter for generator-producing callables (workload generators)."""
-    yield from make_events()
-
-
-def batch_source(
-    events: Iterable, batch_size: Optional[int] = None
-) -> Iterator[EventBatch]:
-    """Deliver any event source as consecutive same-trigger batches.
-
-    Wraps :func:`repro.runtime.events.batches`; use with
-    ``engine.process_batch(batch.relation, batch.sign, batch.rows)`` or feed
-    the batches straight back to ``process_stream`` (they flatten).
-    """
-    yield from batches(events, batch_size)
-
-
-def sharded_batch_source(
-    events: Iterable,
-    relation_columns: dict[str, int],
-    shards: int,
-    batch_size: Optional[int] = None,
-) -> Iterator[tuple[Optional[int], EventBatch]]:
-    """Deliver a stream as ``(shard, batch)`` pairs for parallel dispatch.
-
-    Each consecutive same-``(relation, sign)`` run is hash-split by the
-    relation's partition column (``relation_columns``, typically
-    ``PartitionSpec.relation_columns`` from
-    :func:`repro.compiler.partition.analyze_partitioning`); relations
-    without a column yield ``(None, batch)``, the serial lane.  The split
-    stays columnar end to end (the routing column is hashed from its own
-    list) and rows keep their stream order within every shard.
-    """
-    from repro.runtime.events import partition_columns
-
-    for batch in batches(events, batch_size):
-        column = relation_columns.get(batch.relation)
-        if column is None:
-            yield None, batch
-            continue
-        for shard, shard_columns in enumerate(
-            partition_columns(batch.columns, column, shards)
-        ):
-            if shard_columns and shard_columns[0]:
-                yield shard, EventBatch.from_columns(
-                    batch.relation, batch.sign, shard_columns
-                )
-
-
-def csv_batch_source(
-    path: str | Path,
-    catalog: Catalog,
-    batch_size: Optional[int] = None,
-) -> Iterator[EventBatch]:
-    """An archived CSV stream delivered in batches (see :func:`csv_source`)."""
-    yield from batches(csv_source(path, catalog), batch_size)
 
 
 def coerce_row(relation: Relation, values: Sequence) -> tuple:

@@ -379,12 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "(1 = single engine)")
     p_run.add_argument("--no-opt", action="store_true",
                        help="disable the IR optimisation pipeline")
-    p_run.add_argument("--native", dest="native", action="store_true",
+    p_run.add_argument("--native", action="store_true",
                        help="run triggers on the compiled C column kernel "
                             "(falls back to pure Python without a toolchain)")
-    p_run.add_argument("--no-native", dest="native", action="store_false",
-                       help="stay on the pure-Python lanes (default)")
-    p_run.set_defaults(native=False)
     p_run.add_argument("--columnar", action="store_true",
                        help="store every keyed map in packed columns "
                        "(the memory mode: fewer bytes, slower probes)")
@@ -428,11 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = single engine)")
     p_serve.add_argument("--no-opt", action="store_true",
                          help="disable the IR optimisation pipeline")
-    p_serve.add_argument("--native", dest="native", action="store_true",
+    p_serve.add_argument("--native", action="store_true",
                          help="run triggers on the compiled C column kernel")
-    p_serve.add_argument("--no-native", dest="native", action="store_false",
-                         help="stay on the pure-Python lanes (default)")
-    p_serve.set_defaults(native=False)
     p_serve.add_argument("--columnar", action="store_true",
                          help="store every keyed map in packed columns "
                          "(the memory mode)")
@@ -483,11 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = single engine)")
     p_bench.add_argument("--no-opt", action="store_true",
                          help="disable the IR optimisation pipeline")
-    p_bench.add_argument("--native", dest="native", action="store_true",
+    p_bench.add_argument("--native", action="store_true",
                          help="run triggers on the compiled C column kernel")
-    p_bench.add_argument("--no-native", dest="native", action="store_false",
-                         help="stay on the pure-Python lanes (default)")
-    p_bench.set_defaults(native=False)
     p_bench.add_argument("--columnar", action="store_true",
                          help="store every keyed map in packed columns "
                          "(the memory mode: fewer bytes, slower probes)")

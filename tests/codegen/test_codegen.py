@@ -67,11 +67,9 @@ class TestPythonGeneration:
         assert "# q_q_sum_0[] +=" in source
 
     def test_executor_binds_and_runs(self, program):
-        executor = CompiledExecutor(program)
         maps = {name: {} for name in program.maps}
-        executor.bind(maps)
-        trigger = program.trigger_for("R", 1)
-        executor.execute(trigger, (2, 10), maps)
+        table = CompiledExecutor(program).bind(maps)
+        table.per_event["R", 1](2, 10)
         # qA[b] picked up the insert.
         values = [m for m in maps.values() if m]
         assert values
@@ -100,17 +98,15 @@ class TestPythonGeneration:
         assert " in zip(__cols[" in body or " in __cols[" in body
 
     def test_batch_executor_matches_per_event(self, program):
-        per_event = CompiledExecutor(program)
-        batched = CompiledExecutor(program)
+        executor = CompiledExecutor(program)
         maps_a = {name: {} for name in program.maps}
         maps_b = {name: {} for name in program.maps}
-        per_event.bind(maps_a)
-        batched.bind(maps_b)
-        trigger = program.trigger_for("R", 1)
+        per_event = executor.bind(maps_a).per_event["R", 1]
+        batched = executor.bind(maps_b).batch["R", 1]
         rows = [(2, 10), (3, 10), (2, 10)]
         for row in rows:
-            per_event.execute(trigger, row, maps_a)
-        batched.execute_batch(trigger, columns_from_rows(rows), maps_b)
+            per_event(*row)
+        batched(columns_from_rows(rows))
         assert maps_a == maps_b
 
     def test_independent_trigger_accumulates_batch_delta(self, catalog):

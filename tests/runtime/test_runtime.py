@@ -22,9 +22,7 @@ from repro.runtime.profiler import (
     total_memory_bytes,
 )
 from repro.runtime.sources import (
-    batch_source,
     coerce_row,
-    csv_batch_source,
     csv_source,
     list_source,
     relation_loader,
@@ -255,7 +253,13 @@ class TestBatching:
         program = compile_sql(GROUPED, catalog)
         with ShardedEngine(program, shards=2) as local:
             local.insert("bids", 1, 10, 1)
-            assert copy.deepcopy(local).results() == local.results()
+            clone = copy.deepcopy(local)
+            assert clone.results() == local.results()
+            # The immutable program copies as itself, so router and lanes
+            # still agree on it.
+            assert clone.program is local.program is clone._lanes[0].program
+            clone.insert("bids", 2, 20, 2)  # the copy's triggers write to
+            assert clone.results() != local.results()  # *its* lanes' maps
         with ShardedEngine(program, shards=2, parallel=True) as forked:
             if not forked.parallel:
                 pytest.skip("no fork start method on this platform")
@@ -325,21 +329,6 @@ class TestSources:
     def test_coerce_row_types(self, catalog):
         relation = catalog.get("bids")
         assert coerce_row(relation, ["1", "2", "3"]) == (1, 2, 3)
-
-    def test_batch_source_groups_and_feeds_engine(self, engine):
-        stream = [insert("bids", 1, 10, 1), insert("bids", 1, 20, 2)]
-        delivered = list(batch_source(stream))
-        assert len(delivered) == 1 and len(delivered[0]) == 2
-        # Batches flatten back to events, so process_stream accepts them.
-        engine.process_stream(delivered)
-        assert engine.results() == [(1, 50)]
-
-    def test_csv_batch_source_round_trip(self, tmp_path, catalog, engine):
-        path = tmp_path / "stream.csv"
-        write_csv(path, [insert("bids", 1, 100, 5), insert("bids", 2, 30, 2)])
-        (batch,) = list(csv_batch_source(path, catalog))
-        assert engine.process_batch(batch.relation, batch.sign, batch.rows) == 2
-        assert engine.results() == [(1, 500), (2, 60)]
 
 
 class TestDebugger:

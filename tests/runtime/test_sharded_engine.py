@@ -192,42 +192,6 @@ class TestEventPolicy:
         assert sharded.events_skipped == 1
 
 
-class TestShardedBatchSource:
-    def test_routing_matches_engine_partitioning(self):
-        from repro.compiler import analyze_partitioning
-        from repro.runtime.sources import sharded_batch_source
-
-        program = _grouped_program()
-        spec = analyze_partitioning(program)
-        shards = 3
-        events = [StreamEvent("R", 1, (i % 7, i)) for i in range(40)]
-        # Drive one engine per shard straight from the source's routing...
-        lanes = [DeltaEngine(program) for _ in range(shards)]
-        serial = DeltaEngine(program)
-        for shard, batch in sharded_batch_source(
-            events, spec.relation_columns, shards, batch_size=8
-        ):
-            target = serial if shard is None else lanes[shard]
-            target.process_batch(batch.relation, batch.sign, batch.rows)
-        # ...and the merged lane maps must equal ShardedEngine's answer.
-        sharded = ShardedEngine(program, shards=shards, spec=spec)
-        sharded.process_stream(events, batch_size=8)
-        from repro.runtime.engine import _merge_lane_maps
-
-        merged = _merge_lane_maps(
-            program, [serial.maps] + [lane.maps for lane in lanes]
-        )
-        assert merged == sharded.merged_maps()
-
-    def test_serial_relations_yield_none_shard(self):
-        from repro.runtime.sources import sharded_batch_source
-
-        events = [StreamEvent("X", 1, (1,)), StreamEvent("X", 1, (2,))]
-        routed = list(sharded_batch_source(events, {}, 4))
-        assert [shard for shard, _ in routed] == [None]
-        assert len(routed[0][1].rows) == 2
-
-
 class TestLifecycle:
     def test_use_after_close_raises(self):
         from repro.errors import EventError
