@@ -21,10 +21,12 @@ are integers.  Batch size 1 is classic per-event dispatch
 ``engine.process_batch``.
 
 The trailing *IR optimisation impact* section measures the loop-heavy
-finance triggers (vwap, mst) with the IR pass pipeline on vs off
-(``--no-opt`` runs the whole benchmark with it off); loop fusion,
-invariant hoisting and dead-binding pruning are exactly the rewrites
-those body-dominated triggers needed (batching alone left them at ~1x).
+finance triggers (vwap, axf) with the IR pass pipeline on vs off
+(``--no-opt`` runs the whole benchmark with it off); loop fusion and
+invariant hoisting are exactly the rewrites those body-dominated
+triggers needed (batching alone left them at ~1x).  mst left this
+section in PR 18: its threshold EXISTS reads a maintained minimum and
+its triggers hold no loop for a pass to improve (1.95x -> 1.08x).
 
 The *packed storage* table re-measures the finance slices in the memory
 mode (``DeltaEngine(columnar=True)``: every keyed map in pure-Python
@@ -37,15 +39,30 @@ The *second-order batch-delta impact* section measures the self-reading
 triggers (vwap, mst) with the delta-of-delta batch sink on vs off: with
 it off they replay the per-event body per row (the pre-second-order batch
 path); with it on the first-order statements accumulate per row and the
-order-2 targets are restated once per batch.
+order-2 targets are restated once per batch.  The ratio divides by the
+per-row path, which PR 18 made 3x (vwap) and ~700x (mst) faster by
+narrowing the base maps it scans, so the floor is stated against a
+same-host pair (this host, full run, batch=100, parent -> PR 18):
+vwap per-row 130k -> 367k ev/s, second-order 4.32M -> 5.24M (33x -> 14x);
+mst per-row 3.1k -> 2.24M, second-order 218k -> 4.79M (70x -> 2.1x).
+Both sides got faster; ``SECOND_ORDER_TARGET`` still asks for 1.5x.
 
 The *native kernel impact* section measures every finance query on the
 C column-kernel lane (``mode="native"``) against the compiled lane at
 batch 1 and 100 — the lane must never lose to compiled (where no trigger
-scans a map whole it *is* the compiled lane, which the section asserts
-instead of timing) — and keeps the >= 2x floor against the pure-Python
-packed maps (``columnar=True``) the kernel replaces; it is skipped with
-an explicit line when the host has no C toolchain (see docs/NATIVE.md).
+scans a map whole on every event it *is* the compiled lane, which the
+section asserts instead of timing: every query but vwap, mst included
+since PR 18 — its scan runs only when the watched minimum moved) — and
+keeps the >= 2x floor against the pure-Python packed maps
+(``columnar=True``) the kernel replaces; it is skipped with an explicit
+line when the host has no C toolchain (see docs/NATIVE.md).  Same-host
+pair for the one query still timed (this host, full run, parent ->
+PR 18; ev/s compiled / native): vwap batch=1 121k / 377k (3.1x) ->
+357k / 478k (1.34x), batch=100 4.14M / 1.98M (0.48x) -> 6.33M / 3.47M
+(0.55x), vs packed 2.9x -> 1.6x.  The batch=100 ``!!`` line printed at
+the parent too; the vs-packed one is new (the packed lane's scan got as
+much cheaper as the kernel's, its updates did not) and stays a failing
+floor — ROADMAP's native-lane item owns both.
 The *accumulation coverage*
 report (also embedded in the ``--json`` payload's metadata) shows, per
 trigger, which batch sink every compiled statement got.
@@ -75,8 +92,11 @@ from repro.runtime.events import StreamEvent  # noqa: E402
 DEFAULT_SIZES = (1, 10, 100, 1000)
 
 #: The body-dominated triggers the IR optimiser targets (vwap's fused +
-#: hoisted full scan, mst's pruned correlated-EXISTS inner loop).
-LOOP_HEAVY_QUERIES = ("vwap", "mst")
+#: hoisted full scan, axf's three statements fused into one indexed scan).
+LOOP_HEAVY_QUERIES = ("vwap", "axf")
+
+#: The triggers that read maps they write (nested aggregate, EXISTS).
+SELF_READING_QUERIES = ("vwap", "mst")
 
 #: Acceptance floor for the IR-optimisation speedup on loop-heavy
 #: triggers; below it the run logs the blocking reason.
@@ -246,7 +266,7 @@ def second_order_impact(
     header = f"{'query':<10}{'per-row':>14}{'second-order':>16}{'speedup':>10}"
     print(header)
     print("-" * len(header))
-    for name in LOOP_HEAVY_QUERIES:
+    for name in SELF_READING_QUERIES:
         fallback = finance_states(
             "dbtoaster", prefill, slice_size, queries=[name],
             engine_kwargs={"second_order": False},

@@ -188,6 +188,8 @@ def _eval_atom(
         if any(tup[pos] != key[idx] for pos, idx in dup_checks):
             continue
         rows[key] = rows.get(key, 0) + mult
+    if not rows and not out_cols and isinstance(expr, MapRef) and expr.absent != 0:
+        rows[()] = expr.absent  # a point lookup that missed
     return tuple(out_cols), rows
 
 

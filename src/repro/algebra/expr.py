@@ -118,11 +118,15 @@ class MapRef(Expr):
     """A reference to a materialised map, used like a relation atom.
 
     The map's contents form a GMR keyed by its arguments; bound arguments act
-    as lookups, unbound ones iterate the map.
+    as lookups, unbound ones iterate the map.  ``absent`` is what a point
+    lookup of a missing key reads as: the ring zero for every maintained
+    sum, the extremum's identity for a min/max cache (an empty group has
+    no minimum — ``+inf`` makes every ``min <= x`` test over it false).
     """
 
     name: str
     args: tuple[Expr, ...]
+    absent: object = 0
 
     def __post_init__(self) -> None:
         for arg in self.args:
@@ -133,7 +137,8 @@ class MapRef(Expr):
 
     def __repr__(self) -> str:
         inner = ",".join(repr(a) for a in self.args)
-        return f"{self.name}[{inner}]"
+        default = f" or {self.absent!r}" if self.absent != 0 else ""
+        return f"{self.name}[{inner}]{default}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,7 +431,9 @@ def rename_vars(expr: Expr, mapping: dict[str, str]) -> Expr:
         return expr
     if isinstance(expr, (Rel, MapRef)):
         args = tuple(rename_vars(a, mapping) for a in expr.args)
-        return type(expr)(expr.name, args)
+        if isinstance(expr, Rel):
+            return Rel(expr.name, args)
+        return MapRef(expr.name, args, expr.absent)
     if isinstance(expr, Lift):
         return Lift(rn(expr.var), rename_vars(expr.body, mapping))
     if isinstance(expr, AggSum):
@@ -464,7 +471,9 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
                 new_args.append(replacement if replacement is not None else arg)
             else:
                 new_args.append(arg)
-        return type(expr)(expr.name, tuple(new_args))
+        if isinstance(expr, Rel):
+            return Rel(expr.name, tuple(new_args))
+        return MapRef(expr.name, tuple(new_args), expr.absent)
     if isinstance(expr, Lift):
         replacement = term_for(expr.var)
         body = substitute(

@@ -1356,7 +1356,7 @@ def native_layout(
         kernel, note = load_kernel(program, layout.kernel_maps)
     else:
         kernel, note = None, (
-            "no native-eligible map is scanned whole by a trigger; "
+            "no native-eligible map is scanned whole on every event; "
             "running the compiled lane"
         )
     if kernel is None:
@@ -1416,9 +1416,9 @@ class NativeExecutor(CompiledExecutor):
     """The compiled executor with kernel-owned scan maps.
 
     Identical generated triggers, two differences: the maps the layout
-    hands to the kernel (native-eligible *and* scanned whole by some
-    trigger — or every native-eligible map in the ``columnar=True``
-    memory mode) are attached to the C kernel at every (re)bind, and
+    hands to the kernel (native-eligible *and* scanned whole on every
+    event by some trigger — or every native-eligible map in the
+    ``columnar=True`` memory mode) are attached to the C kernel at every (re)bind, and
     full-map loops over them are rendered as fused column scans
     (``scan_columns`` / ``reduce_scalar``) instead of ``items()``
     iteration.  Every other map is whatever the compiled lane would

@@ -31,7 +31,7 @@ returns it as a string and :class:`CompiledExecutor` ``exec``-compiles it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import CodegenError
 from repro.compiler.program import (
@@ -71,6 +71,7 @@ from repro.ir.nodes import (
     TriggerIR,
     expr_names,
     read_slots,
+    stmt_children,
     used_names,
     walk_stmts,
     written_slots,
@@ -85,6 +86,15 @@ _REDUCE_OPS = {">": 0, ">=": 1, "<": 2, "<=": 3, "=": 4, "!=": 5}
 _FLIP_OPS = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "=": "=", "!=": "!="}
 
 
+def _literal(value) -> str:
+    """Python source for a constant: ``repr``, except the infinities an
+    empty extremum cache reads as (``1e999`` is the literal that parses
+    to ``inf``; ``repr`` gives the bare name)."""
+    if value in (float("inf"), float("-inf")):
+        return "1e999" if value > 0 else "-1e999"
+    return repr(value)
+
+
 class Emitter:
     """An indentation-aware source builder."""
 
@@ -92,6 +102,8 @@ class Emitter:
         self.lines: list[str] = []
         self.indent = 0
         self._temp = 0
+        #: set once a rendered expression calls the ``_div`` helper.
+        self.divides = False
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
@@ -179,22 +191,29 @@ def _loop_fuses(
 def fused_scan_sites(
     program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
 ) -> dict[str, str]:
-    """Map name -> the first trigger function with a fused-scan site over
-    it — the "how triggers touch the map" input of
-    :func:`repro.compiler.storage.storage_layout` (only these maps are
-    worth handing to the C kernel)."""
+    """Map name -> the first per-event trigger that runs a fused scan
+    over it on *every* event — the "how triggers touch the map" input of
+    :func:`repro.compiler.storage.storage_layout`.
+
+    Only these maps are worth handing to the C kernel, whose every update
+    is an FFI crossing: a scan under a condition (mst's restate, run only
+    when its watched minimum moved) or in a batch body (once per batch,
+    after one update per changed key) does not pay that back.
+    """
     ir = lower_for(program, options)
     indexes = collect_patterns(program, options)
+
+    def unconditional(stmts) -> Iterator[IRStmt]:
+        for stmt in stmts:
+            yield stmt
+            if not isinstance(stmt, IfCond):
+                yield from unconditional(stmt_children(stmt))
+
     sites: dict[str, str] = {}
     for key in sorted(program.triggers, key=lambda k: (k[0], -k[1])):
-        name = program.triggers[key].name
-        for function, trigger_ir in (
-            (name, ir.triggers[key]),
-            (f"{name}_batch", ir.batch_triggers[key]),
-        ):
-            for stmt in walk_stmts(trigger_ir.body):
-                if isinstance(stmt, ForEachMap) and _loop_fuses(stmt, indexes):
-                    sites.setdefault(stmt.slot.name, function)
+        for stmt in unconditional(ir.triggers[key].body):
+            if isinstance(stmt, ForEachMap) and _loop_fuses(stmt, indexes):
+                sites.setdefault(stmt.slot.name, program.triggers[key].name)
     return sites
 
 
@@ -287,10 +306,6 @@ def generate_module(
         emitter.line(f"native kernel: {native_note}")
     emitter.line('"""')
     emitter.blank()
-    emitter.line("def _div(n, d):")
-    with emitter.block():
-        emitter.line("return 0 if d == 0 else n / d")
-    emitter.blank()
     if indexes:
         _generate_index_rebuild(indexes, emitter)
         emitter.blank()
@@ -307,6 +322,10 @@ def generate_module(
             int_value_maps,
         )
         emitter.blank()
+    if emitter.divides:
+        emitter.line("def _div(n, d):")
+        with emitter.block():
+            emitter.line("return 0 if d == 0 else n / d")
     return emitter.source()
 
 
@@ -497,9 +516,9 @@ class _PyRenderer:
         source (always plain dicts per the storage plan).
 
         Without pending deltas the cache is rebuilt from the source.  With
-        them, every pending accumulator — a keyed batch acc (dict) or a
-        pending buffer (list of pairs) — is first summed key-wise into one
-        delta (per-accumulator application would misread the pre-state),
+        them, every pending accumulator — keyed batch accs (dicts) when
+        ``stmt.keyed``, pending buffers (lists of pairs) otherwise — is
+        first summed key-wise into one delta (per-accumulator application would misread the pre-state),
         then each 0<->nonzero multiplicity crossing updates the cache; an
         extremum deletion re-derives the group's best, probing the group-
         prefix secondary index when one exists.
@@ -529,10 +548,8 @@ class _PyRenderer:
             return
         emitter.line("__fd = {}")
         for name in stmt.pending:
-            emitter.line(
-                f"for __key, __val in "
-                f"({name}.items() if isinstance({name}, dict) else {name}):"
-            )
+            pairs = f"{name}.items()" if stmt.keyed else name
+            emitter.line(f"for __key, __val in {pairs}:")
             with emitter.block():
                 emitter.line("__fd[__key] = __fd.get(__key, 0) + __val")
         emitter.line("for __key, __d in __fd.items():")
@@ -1032,7 +1049,7 @@ class _PyRenderer:
 
     def expr(self, expr: IRExpr) -> str:
         if isinstance(expr, Const):
-            return repr(expr.value)
+            return _literal(expr.value)
         if isinstance(expr, Name):
             return expr.name
         if isinstance(expr, Neg):
@@ -1042,6 +1059,7 @@ class _PyRenderer:
         if isinstance(expr, Prod):
             return " * ".join(self._factor(f) for f in expr.factors)
         if isinstance(expr, SafeDiv):
+            self.emitter.divides = True
             return f"_div({self.expr(expr.left)}, {self.expr(expr.right)})"
         if isinstance(expr, Compare):
             return (
@@ -1052,10 +1070,8 @@ class _PyRenderer:
             storage = (
                 expr.slot.name if expr.slot.local else map_local(expr.slot.name)
             )
-            if not expr.keys:
-                return f"{storage}.get((), {expr.default!r})"
             key = self._key_code([self.expr(k) for k in expr.keys])
-            return f"{storage}.get({key}, {expr.default!r})"
+            return f"{storage}.get({key}, {_literal(expr.default)})"
         raise CodegenError(f"unsupported IR expression {expr!r}")
 
     def _factor(self, expr: IRExpr) -> str:

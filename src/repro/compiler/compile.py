@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, deque
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from repro.errors import CompilationError
@@ -29,9 +30,18 @@ from repro.algebra.expr import (
 )
 from repro.algebra.simplify import monomials, simplify
 from repro.algebra.translate import TranslatedQuery, translate_sql
-from repro.sql.catalog import Catalog
-from repro.compiler.materialize import Materializer, MapRegistry
+from repro.sql.catalog import Catalog, SqlType
+from repro.compiler.materialize import (
+    Materializer,
+    MapRegistry,
+    column_uses,
+    merge_uses,
+    read_base_maps,
+    read_extrema,
+)
 from repro.compiler.program import (
+    BaseMap,
+    ColumnUse,
     CompiledProgram,
     CompileOptions,
     FinalizeSpec,
@@ -97,49 +107,86 @@ def compile_queries(
                 aux_requests.append((query.name, index, map_def.name, spec.kind))
         slot_maps[query.name] = names
 
+    all_relations = {rel for query in queries for rel in query.relations}
+    float_columns = {
+        rel: frozenset(
+            position
+            for position, column in enumerate(catalog.get(rel).columns)
+            if column.type is SqlType.FLOAT
+        )
+        for rel in all_relations
+    }
+    float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
+
     statements: dict[tuple[str, int], list[Statement]] = defaultdict(list)
     compiled: set[str] = set()
-    queue: deque[MapDef] = deque(registry.take_pending())
     signs = (1, -1) if options.deletions else (1,)
 
-    while queue:
-        map_def = queue.popleft()
-        if map_def.name in compiled:
-            continue
-        compiled.add(map_def.name)
-        map_relations = relations_in(map_def.defn)
-        static_only = all(not catalog.get(r).is_stream for r in map_relations)
-        for rel_name in sorted(map_relations):
-            relation = catalog.get(rel_name)
-            if not relation.is_stream and not static_only:
-                # Static tables are loaded before any stream event arrives;
-                # while loading, every stream-dependent map is identically
-                # zero, so mixed maps need no static-table triggers.  Only
-                # maps defined purely over static tables are maintained
-                # during the load phase.
+    def compile_pending() -> None:
+        """Derive triggers for every registered-but-uncompiled map — and
+        for the maps *their* deltas materialise (the paper's recursion)."""
+        queue: deque[MapDef] = deque(registry.take_pending())
+        while queue:
+            map_def = queue.popleft()
+            if map_def.name in compiled:
                 continue
-            rel_signs = signs if relation.is_stream else (1,)
-            for sign in rel_signs:
-                event = event_for(rel_name, relation.column_names, sign)
-                d = simplify(delta(map_def.defn, event), bound=event.params)
-                if d == ZERO:
+            compiled.add(map_def.name)
+            map_relations = relations_in(map_def.defn)
+            static_only = all(
+                not catalog.get(r).is_stream for r in map_relations
+            )
+            for rel_name in sorted(map_relations):
+                relation = catalog.get(rel_name)
+                if not relation.is_stream and not static_only:
+                    # Static tables are loaded before any stream event
+                    # arrives; while loading, every stream-dependent map is
+                    # identically zero, so mixed maps need no static-table
+                    # triggers.  Only maps defined purely over static tables
+                    # are maintained during the load phase.
                     continue
-                materializer = Materializer(
-                    registry,
-                    bound=event.params,
-                    derived_maps=options.derived_maps,
-                )
-                for coeff, factors in monomials(d):
-                    statement = _build_statement(
-                        map_def, coeff, factors, materializer
+                rel_signs = signs if relation.is_stream else (1,)
+                for sign in rel_signs:
+                    event = event_for(rel_name, relation.column_names, sign)
+                    d = simplify(delta(map_def.defn, event), bound=event.params)
+                    if d == ZERO:
+                        continue
+                    materializer = Materializer(
+                        registry,
+                        bound=event.params,
+                        derived_maps=options.derived_maps,
                     )
-                    statements[(relation.name, sign)].append(statement)
-                for new_map in registry.take_pending():
-                    new_map.level = map_def.level + 1
-                    queue.append(new_map)
+                    for coeff, factors in monomials(d):
+                        statement = _build_statement(
+                            map_def, coeff, factors, materializer
+                        )
+                        statements[(relation.name, sign)].append(statement)
+                    for new_map in registry.take_pending():
+                        new_map.level = map_def.level + 1
+                        queue.append(new_map)
+
+    compile_pending()
+    base_maps = _read_through_base_maps(
+        statements, registry, catalog, float_columns, narrow=options.derived_maps
+    )
+    compile_pending()
+
+    # Non-linear auxiliary maps: one per (occurrence map, kind), shared
+    # across queries.  They carry no delta triggers of their own — the IR
+    # lowering appends a Finalize step to every trigger that writes the
+    # occurrence map, and the engines treat them as ordinary state
+    # (snapshotted, WAL-replayed, merged by rebuild after sharding).
+    maps = dict(registry.maps)
+    finalizers: dict[str, tuple[FinalizeSpec, ...]] = {}
+    slot_aux: dict[str, dict[int, str]] = {}
+    for query_name, slot_index, occ_name, kind in aux_requests:
+        slot_aux.setdefault(query_name, {})[slot_index] = _auxiliary(
+            maps, finalizers, occ_name, kind
+        ).aux
+    base_maps = _read_extrema_of_count_maps(
+        statements, base_maps, catalog, maps, finalizers
+    )
 
     triggers: dict[tuple[str, int], Trigger] = {}
-    all_relations = {rel for query in queries for rel in query.relations}
     static_relations = {
         rel for rel in all_relations if not catalog.get(rel).is_stream
     }
@@ -159,44 +206,6 @@ def compile_queries(
                 statements=ordered,
             )
 
-    from repro.sql.catalog import SqlType
-
-    float_columns = {
-        rel: frozenset(
-            position
-            for position, column in enumerate(catalog.get(rel).columns)
-            if column.type is SqlType.FLOAT
-        )
-        for rel in all_relations
-    }
-    float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
-
-    # Non-linear auxiliary maps: one per (occurrence map, kind), shared
-    # across queries.  They carry no delta triggers of their own — the IR
-    # lowering appends a Finalize step to every trigger that writes the
-    # occurrence map, and the engines treat them as ordinary state
-    # (snapshotted, WAL-replayed, merged by rebuild after sharding).
-    maps = dict(registry.maps)
-    finalizers: dict[str, tuple[FinalizeSpec, ...]] = {}
-    slot_aux: dict[str, dict[int, str]] = {}
-    for query_name, slot_index, occ_name, kind in aux_requests:
-        aux_name = f"{occ_name}__{kind}"
-        if aux_name not in maps:
-            occ_def = maps[occ_name]
-            group_arity = len(occ_def.keys) - 1
-            maps[aux_name] = MapDef(
-                name=aux_name,
-                keys=occ_def.keys[:group_arity],
-                defn=occ_def.defn,
-                role="auxiliary",
-                description=f"{kind} cache over {occ_name}",
-                level=occ_def.level,
-            )
-            finalizers[occ_name] = finalizers.get(occ_name, ()) + (
-                FinalizeSpec(aux=aux_name, kind=kind, group_arity=group_arity),
-            )
-        slot_aux.setdefault(query_name, {})[slot_index] = aux_name
-
     return CompiledProgram(
         queries=queries,
         maps=maps,
@@ -207,7 +216,149 @@ def compile_queries(
         float_columns=float_columns,
         finalizers=finalizers,
         slot_aux=slot_aux,
+        base_maps=base_maps,
     )
+
+
+def _event_params(catalog: Catalog, relation: str, sign: int) -> tuple[str, ...]:
+    """The parameter names of ``relation``'s insert/delete trigger."""
+    return event_for(relation, catalog.get(relation).column_names, sign).params
+
+
+def _auxiliary(
+    maps: dict[str, MapDef],
+    finalizers: dict[str, tuple[FinalizeSpec, ...]],
+    occ_name: str,
+    kind: str,
+) -> FinalizeSpec:
+    """The spec of the auxiliary map caching ``kind`` over the last key of
+    ``occ_name`` per group of the keys before it, registered (once) with
+    the map itself."""
+    aux_name = f"{occ_name}__{kind}"
+    if aux_name not in maps:
+        occ_def = maps[occ_name]
+        group_arity = len(occ_def.keys) - 1
+        maps[aux_name] = MapDef(
+            name=aux_name,
+            keys=occ_def.keys[:group_arity],
+            defn=occ_def.defn,
+            role="auxiliary",
+            description=f"{kind} cache over {occ_name}",
+            level=occ_def.level,
+        )
+        finalizers[occ_name] = finalizers.get(occ_name, ()) + (
+            FinalizeSpec(aux=aux_name, kind=kind, group_arity=group_arity),
+        )
+    return next(spec for spec in finalizers[occ_name] if spec.aux == aux_name)
+
+
+def _read_extrema_of_count_maps(
+    statements: dict[tuple[str, int], list[Statement]],
+    base_maps: dict[str, BaseMap],
+    catalog: Catalog,
+    maps: dict[str, MapDef],
+    finalizers: dict[str, tuple[FinalizeSpec, ...]],
+) -> dict[str, BaseMap]:
+    """Turn threshold EXISTS scans of a count map into reads of its
+    maintained extremum (:func:`repro.compiler.materialize.read_extrema`).
+
+    A base map qualifies when it counts rows (nothing folded into its
+    value) under a single numeric key: the Finalize machinery MIN/MAX
+    already use then keeps ``min``/``max`` of its live keys under deletes.
+    Returns the base maps with the decision — the caches read, or the
+    gate that refused — recorded on each.
+    """
+
+    def refusal(base: BaseMap) -> Optional[str]:
+        if base.shape.folds:
+            return "its value is a folded sum, not a row count"
+        if len(base.keys) != 1:
+            return f"{len(base.keys)} key columns, a threshold bounds one"
+        if not catalog.get(base.relation).columns[base.keys[0]].type.is_numeric:
+            return "its key column is not numeric"
+        return None
+
+    refused = {base.name: refusal(base) for base in base_maps.values()}
+
+    def extremum(map_name: str, kind: str) -> Optional[FinalizeSpec]:
+        if refused.get(map_name, "not a base map") is not None:
+            return None
+        return _auxiliary(maps, finalizers, map_name, kind)
+
+    if None in refused.values():
+        for (relation, sign), trigger_statements in statements.items():
+            params = _event_params(catalog, relation, sign)
+            for index, statement in enumerate(trigger_statements):
+                rhs = read_extrema(statement.args, statement.rhs, params, extremum)
+                if rhs != statement.rhs:
+                    trigger_statements[index] = replace(statement, rhs=rhs)
+
+    def decision(base: BaseMap) -> str:
+        if refused[base.name] is not None:
+            return f"none ({refused[base.name]})"
+        caches = [f"{spec.kind} cache {spec.aux}" for spec in finalizers.get(base.name, ())]
+        return ", ".join(caches) or "none (no threshold EXISTS scans it)"
+
+    return {
+        relation: replace(base, extremum=decision(base))
+        for relation, base in base_maps.items()
+    }
+
+
+def _read_through_base_maps(
+    statements: dict[tuple[str, int], list[Statement]],
+    registry: MapRegistry,
+    catalog: Catalog,
+    float_columns: dict[str, frozenset[int]],
+    narrow: bool,
+) -> dict[str, BaseMap]:
+    """Register one base map per relation the statements still read
+    directly, and rewrite those reads to go through it.
+
+    With ``narrow`` the map keeps exactly the columns its readers bind
+    (:func:`repro.compiler.materialize.merge_uses` over every reader in
+    the program); without, it is the whole-row occurrence map.  FLOAT
+    columns are never folded into a value (see ``_column_use``).
+    """
+    uses: dict[str, list[ColumnUse]] = defaultdict(list)
+    readers: dict[str, list[str]] = defaultdict(list)
+    reading: list[tuple[list[Statement], int, tuple[str, ...]]] = []
+    for (relation, sign), trigger_statements in statements.items():
+        params = _event_params(catalog, relation, sign)
+        for index, statement in enumerate(trigger_statements):
+            found = column_uses(
+                statement.args, statement.rhs, params, float_columns
+            )
+            if found:
+                reading.append((trigger_statements, index, params))
+            for atom, use in found:
+                uses[atom.name].append(use)
+                readers[atom.name].append(statement.target)
+
+    base_maps: dict[str, BaseMap] = {}
+    for relation in sorted(uses):
+        columns = catalog.get(relation).column_names
+        shape = (
+            merge_uses(uses[relation])
+            if narrow
+            else ColumnUse(frozenset(range(len(columns))))
+        )
+        base_maps[relation] = registry.base_map(relation, columns, shape)
+        map_def = registry.maps[base_maps[relation].name]
+        if map_def in registry.pending:
+            map_def.level = 1 + min(
+                registry.maps[name].level for name in readers[relation]
+            )
+
+    for trigger_statements, index, params in reading:
+        statement = trigger_statements[index]
+        rhs = read_base_maps(statement.args, statement.rhs, params, base_maps)
+        if rhs is None:
+            raise CompilationError(
+                f"no base map serves the relation reads of {statement!r}"
+            )
+        trigger_statements[index] = replace(statement, rhs=rhs)
+    return base_maps
 
 
 def _merge_statements(statements: list[Statement]) -> list[Statement]:

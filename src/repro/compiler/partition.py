@@ -105,13 +105,14 @@ class PartitionSpec:
         return "\n".join(lines)
 
 
-def _read_map_names(program: CompiledProgram) -> set[str]:
-    """Maps read by any trigger statement (nested references included)."""
-    reads: set[str] = set()
-    for trigger in program.triggers.values():
-        for statement in trigger.statements:
-            reads |= statement.reads()
-    return reads
+def _statement_reads(statement, cache_sources: dict[str, str]) -> set[str]:
+    """Maps a statement reads (nested references included).  Reading an
+    auxiliary cache reads the map Finalize derives it from: the cache is
+    only whole on the lane that owns all of that map."""
+    reads = statement.reads()
+    return reads | {
+        cache_sources[name] for name in reads if name in cache_sources
+    }
 
 
 def _var_positions(args: Iterable, param: str) -> set[int]:
@@ -259,7 +260,15 @@ def analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
 
 
 def _analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
-    read_maps = _read_map_names(program)
+    cache_sources = {
+        spec.aux: source
+        for source, specs in program.finalizers.items()
+        for spec in specs
+    }
+    read_maps: set[str] = set()
+    for trigger in program.triggers.values():
+        for statement in trigger.statements:
+            read_maps |= _statement_reads(statement, cache_sources)
 
     by_relation: dict[str, list[Trigger]] = {}
     for (relation, _sign), trigger in sorted(program.triggers.items()):
@@ -312,7 +321,8 @@ def _analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
         names: set[str] = set()
         for trigger in triggers:
             for statement in trigger.statements:
-                names |= {statement.target} | statement.reads()
+                names |= {statement.target}
+                names |= _statement_reads(statement, cache_sources)
         touched[relation] = names & read_maps
     changed = True
     while changed:

@@ -26,8 +26,9 @@ class CompileOptions:
     """Compiler knobs (also the levers for the ablation benchmarks).
 
     ``derived_maps=False`` disables the paper's recursive materialisation:
-    deltas are evaluated directly over base-relation occurrence maps, which
-    is exactly classical first-order IVM (the "today's VM algorithms" the
+    deltas are evaluated directly over whole-row base-relation occurrence
+    maps (no aggregate maps, no column narrowing), which is exactly
+    classical first-order IVM (the "today's VM algorithms" the
     introduction compares against).
     """
 
@@ -96,6 +97,73 @@ class MapDef:
         return f"{self.name}[{','.join(self.keys)}] := {self.defn!r}"
 
 
+@dataclass(frozen=True)
+class ColumnUse:
+    """How the columns of a base relation are used — by one reader of an
+    atom, or (merged over every reader) by the relation's base map.
+
+    ``keys`` are the column positions bound from outside the atom: a
+    comparison, a join, a group or target key, an event parameter or a
+    constant.  ``folds`` are ``(position, power)`` pairs for columns that
+    are only multiplied by (``power`` bare factors of the column's
+    variable).  A column in neither is read by nobody and summed out.
+    """
+
+    keys: frozenset[int]
+    folds: frozenset[tuple[int, int]] = frozenset()
+
+    def serves(self, use: "ColumnUse") -> bool:
+        """Whether a base map of this shape answers a reader with
+        ``use``: the reader must fold exactly what the map folded, and
+        every other column it reads must be one of the map's keys."""
+        return self.folds <= use.folds and all(
+            position in self.keys
+            for position in use.keys
+            | {position for position, _ in use.folds - self.folds}
+        )
+
+
+@dataclass(frozen=True)
+class BaseMap:
+    """The one map a program's triggers read a base relation through."""
+
+    name: str
+    relation: str
+    columns: tuple[str, ...]  # the relation's column names
+    shape: ColumnUse
+    #: which extremum caches threshold EXISTS tests read instead of
+    #: scanning this map, or the gate that refused (compile trace).
+    extremum: str = ""
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        """Key column positions, in map-key order."""
+        return tuple(sorted(self.shape.keys))
+
+    def describe(self) -> str:
+        """``keys <- columns read / folded / dropped; extremum: ...``
+        (compile trace, generated-module header)."""
+        folded = dict(self.shape.folds)
+        parts = ["keys <- " + (", ".join(self.columns[p] for p in self.keys) or "()")]
+        if folded:
+            parts.append(
+                "folded "
+                + ", ".join(
+                    self.columns[p] + (f"^{folded[p]}" if folded[p] > 1 else "")
+                    for p in sorted(folded)
+                )
+            )
+        dropped = [
+            name
+            for position, name in enumerate(self.columns)
+            if position not in self.shape.keys and position not in folded
+        ]
+        if dropped:
+            parts.append("dropped " + ", ".join(dropped))
+        text = " / ".join(parts)
+        return f"{text}; extremum: {self.extremum}" if self.extremum else text
+
+
 @dataclass
 class Statement:
     """``target[args...] += rhs`` (with implied loops over unbound keys).
@@ -141,6 +209,14 @@ class FinalizeSpec:
     kind: str  # "min" | "max" | "distinct"
     group_arity: int  # group-key prefix width of the occurrence keys
 
+    @property
+    def absent(self) -> object:
+        """What the cache holds for an empty group, which it keeps no
+        entry for: the extremum's identity (no distinct values: 0).  A
+        statement reading the cache says so on its reference
+        (:attr:`repro.algebra.expr.MapRef.absent`)."""
+        return {"min": float("inf"), "max": float("-inf")}.get(self.kind, 0)
+
 
 @dataclass
 class Trigger:
@@ -185,6 +261,9 @@ class CompiledProgram:
     #: query name → {slot index: auxiliary map name} for min/max/distinct
     #: slots — the view layer reads these instead of scanning occurrences.
     slot_aux: dict[str, dict[int, str]] = field(default_factory=dict)
+    #: relation → the base map every trigger reads it through (relations
+    #: only ever read inside whole materialised aggregates have none).
+    base_maps: dict[str, BaseMap] = field(default_factory=dict)
 
     def __deepcopy__(self, memo: dict) -> "CompiledProgram":
         """A program copies as itself: nothing mutates it after

@@ -36,13 +36,16 @@ each map of one engine *is*, picked by access pattern from (type proof x
 how the triggers touch the map x which executor runs them):
 
 * ``dict`` — the default for every map under the Python executors, and
-  for point-probed maps under the native one: CPython's C hash table is
-  the fastest probe available to generated Python, a ``ColumnarMap``
-  probed from Python bytecode costs 3-5x as much per update;
+  under the native one for every map no trigger scans on every event:
+  CPython's C hash table is the fastest probe available to generated
+  Python, a ``ColumnarMap`` probed from Python bytecode costs 3-5x as
+  much per update;
 * ``kernel`` — under ``mode="native"`` with a loaded C kernel, a
-  native-eligible map that some trigger scans whole (a fused
-  ``scan_columns`` / ``reduce_scalar`` loop): the scan runs in C, which
-  is the only place the kernel beats a dict;
+  native-eligible map that some per-event trigger scans whole on every
+  event (a fused ``scan_columns`` / ``reduce_scalar`` loop outside any
+  condition): the scan runs in C, which is the only place the kernel
+  beats a dict — a scan that runs once per batch, or only when a
+  watched extremum moves, does not repay an FFI crossing per update;
 * ``packed`` — the explicit memory mode (``columnar=True``): every keyed
   map in pure-Python packed columns, 2-4x fewer bytes per entry at the
   probe cost above.
@@ -114,6 +117,9 @@ class MapStorage:
     #: values, arity within the generated entry-point range).
     native: bool = False
     native_reason: str = ""
+    #: for a relation's base map: which columns it keeps and why, and the
+    #: extremum decision (:meth:`repro.compiler.program.BaseMap.describe`).
+    access: str = ""
 
     @property
     def columnar(self) -> bool:
@@ -175,6 +181,8 @@ class StoragePlan:
             lines.append(
                 f"map {name}: {storage.label}{native} ({storage.reason})"
             )
+            if storage.access:
+                lines.append(f"  {storage.access}")
         return "\n".join(lines)
 
 
@@ -240,7 +248,7 @@ def storage_layout(
     ``mode`` is the executor lane, ``columnar`` the explicit packed
     memory mode, ``kernel`` whether the native lane's C kernel actually
     loaded on this host, and ``scans`` maps each map some trigger scans
-    whole to the trigger doing so
+    whole on every event to the trigger doing so
     (:func:`repro.codegen.pygen.fused_scan_sites`).  Without a loaded
     kernel the native lane's layout is exactly the compiled one.
     """
@@ -269,7 +277,7 @@ def storage_layout(
             elif not storage.native:
                 reason = f"not native-eligible: {storage.native_reason}"
             elif not scanned_by:
-                reason = "point-probed only"
+                reason = "no trigger scans it on every event"
             else:
                 reason = f"no kernel loaded for the scan in {scanned_by}"
         decisions[name] = MapLayout(kind, reason)
@@ -486,6 +494,10 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
         ),
     )
 
+    access = {
+        base.name: f"reads {base.relation}: {base.describe()}"
+        for base in program.base_maps.values()
+    }
     decisions: dict[str, MapStorage] = {}
     for name, map_def in program.maps.items():
         arity = map_def.arity
@@ -507,7 +519,8 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
         )
         if arity == 0:
             decisions[name] = MapStorage(
-                name, "dict", proven or "any", 0, "scalar map: nothing to pack"
+                name, "dict", proven or "any", 0, "scalar map: nothing to pack",
+                access=access.get(name, ""),
             )
             continue
         kind, value_class = "columnar", proven or "object"
@@ -531,5 +544,6 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
             key_classes=key_classes,
             native=native,
             native_reason=native_reason,
+            access=access.get(name, ""),
         )
     return StoragePlan(maps=decisions, int_maps=int_maps)

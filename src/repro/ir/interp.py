@@ -52,6 +52,7 @@ from repro.ir.nodes import (
     Slot,
     Sum,
     TriggerIR,
+    compare_values,
     walk_stmts,
 )
 
@@ -78,7 +79,7 @@ def _eval(expr: IRExpr, env: dict, maps: dict, entry: Optional[tuple]) -> object
     if isinstance(expr, Compare):
         left = _eval(expr.left, env, maps, entry)
         right = _eval(expr.right, env, maps, entry)
-        return 1 if _compare(expr.op, left, right) else 0
+        return 1 if compare_values(expr.op, left, right) else 0
     if isinstance(expr, Neg):
         return -_eval(expr.body, env, maps, entry)
     if isinstance(expr, SafeDiv):
@@ -88,20 +89,6 @@ def _eval(expr: IRExpr, env: dict, maps: dict, entry: Optional[tuple]) -> object
     if isinstance(expr, KeyAt):
         return entry[expr.pos]
     raise CodegenError(f"cannot interpret IR expression {expr!r}")
-
-
-def _compare(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
 
 
 def _storage(slot: Slot, env: dict, maps: dict) -> dict:
@@ -249,7 +236,10 @@ def run_stmt(
             _storage(stmt.source, env, maps),
             stmt.kind,
             stmt.group_arity,
-            tuple(env[name] for name in stmt.pending),
+            tuple(
+                env[name].items() if stmt.keyed else env[name]
+                for name in stmt.pending
+            ),
         )
         return
     raise CodegenError(f"cannot interpret IR statement {stmt!r}")
@@ -273,7 +263,8 @@ def run_finalize(target, source, kind: str, ga: int, pending: tuple) -> None:
 
     With no ``pending`` deltas the cache is rebuilt from scratch (the
     restate path, and the sharded-merge path).  Otherwise all pending
-    accumulators are summed key-wise into *one* delta first — per-
+    deltas (iterables of ``(key, value)`` pairs) are summed key-wise into
+    *one* delta first — per-
     accumulator application would misread the pre-state when two
     accumulators touch the same key — and each 0↔nonzero multiplicity
     crossing updates the cache; an extremum deletion re-derives the
@@ -294,8 +285,7 @@ def run_finalize(target, source, kind: str, ga: int, pending: tuple) -> None:
                     target[group] = value
         return
     delta: dict = {}
-    for buf in pending:
-        pairs = buf.items() if isinstance(buf, dict) else buf
+    for pairs in pending:
         for key, value in pairs:
             delta[key] = delta.get(key, 0) + value
     for key, change in delta.items():

@@ -29,15 +29,20 @@ from repro.algebra.expr import (
     Mul,
     Neg as ANeg,
     Var,
-    contains_relation,
     mul as alg_mul,
 )
 from repro.algebra.schema import output_vars
 from repro.algebra.simplify import monomials
-from repro.compiler.materialize import MapRegistry, Materializer
+from repro.compiler.materialize import (
+    MapRegistry,
+    Materializer,
+    read_base_maps,
+    read_extrema,
+)
 from repro.compiler.program import (
     CompiledProgram,
     ExecutorOptions,
+    FinalizeSpec,
     Statement,
     Trigger,
     needs_buffering,
@@ -240,7 +245,7 @@ class _StatementLowering:
     ) -> list[IRStmt]:
         arity = len(ref.args)
         if arity == 0:
-            value: IRExpr = Lookup(Slot(ref.name), ())
+            value: IRExpr = Lookup(Slot(ref.name), (), ref.absent)
             term = Compare("!=", value, Const(0)) if cap_value else value
             return self._product(rest, terms + [term])
 
@@ -367,7 +372,7 @@ class _StatementLowering:
             )
         if isinstance(expr, MapRef):
             keys = tuple(self._scalar(a, prelude) for a in expr.args)
-            return Lookup(Slot(expr.name), keys)
+            return Lookup(Slot(expr.name), keys, expr.absent)
         if isinstance(expr, Exists):
             acc = self._scalar_aggregate(expr.body, prelude)
             return Compare("!=", Name(acc), Const(0))
@@ -430,13 +435,14 @@ def _finalize_blocks(
     finalizers: dict,
     targets,
     pending_of,
+    keyed: bool = False,
 ) -> list[IRStmt]:
     """One :class:`Finalize` block per (occurrence target, auxiliary spec).
 
     ``pending_of(occ)`` names the per-batch delta accumulators for the
     occurrence map — pending buffers (per-event bodies, left intact by the
-    flush) or keyed batch accumulators.  An empty tuple requests a full
-    rebuild of the auxiliary map instead.
+    flush) or, with ``keyed``, keyed batch accumulators.  An empty tuple
+    requests a full rebuild of the auxiliary map instead.
     """
     blocks: list[IRStmt] = []
     for occ in targets:
@@ -454,6 +460,7 @@ def _finalize_blocks(
                             kind=spec.kind,
                             group_arity=spec.group_arity,
                             pending=tuple(pending_of(occ)),
+                            keyed=keyed,
                         ),
                     ),
                     sources=(),
@@ -462,33 +469,82 @@ def _finalize_blocks(
     return blocks
 
 
+def _independent(trigger: Trigger, finalizers: dict) -> bool:
+    """Whether no statement reads a map the trigger changes: every event
+    of a batch then sees the same inputs."""
+    changed = _changed_maps(trigger.statements, finalizers)
+    return not any(s.reads() & changed for s in trigger.statements)
+
+
+def _changed_maps(statements: list[Statement], finalizers: dict) -> set[str]:
+    """Maps whose contents the statements change: their targets, and the
+    auxiliary caches Finalize maintains from those."""
+    targets = {s.target for s in statements}
+    return targets | {
+        spec.aux for name in targets for spec in finalizers.get(name, ())
+    }
+
+
 def lower_trigger(
     trigger: Trigger,
     namer: Optional[_Namer] = None,
     finalizers: Optional[dict] = None,
+    plan: Optional["SecondOrderPlan"] = None,
 ) -> TriggerIR:
-    """The per-event trigger body (with two-phase buffering when needed)."""
+    """The per-event trigger body (with two-phase buffering when needed).
+
+    With a ``plan`` whose restated targets see this trigger's writes only
+    through extremum caches (:func:`watched_extrema`), the event applies
+    the plan's first-order statements, finalizes, and restates those
+    targets from post-Finalize state *only when a watched extremum
+    actually moved* — the restate sink of the batch triggers, guarded.
+    Any other plan is the batch path's business and changes nothing here.
+    """
     namer = namer or _Namer()
     finalizers = finalizers or {}
-    written = sorted({s.target for s in trigger.statements})
+    watched = watched_extrema(plan, finalizers) if plan is not None else ()
+    statements = plan.base if watched else trigger.statements
+    written = sorted({s.target for s in statements})
     finalized = [name for name in written if name in finalizers]
-    # Finalized occurrence maps always buffer: the pending buffer doubles
+    # Conflicting statements buffer every write (two-phase apply); a
+    # finalized map always buffers its own — the pending buffer doubles
     # as the Finalize step's delta (the flush reads but keeps it).
-    buffered = needs_buffering(trigger.statements) or bool(finalized)
-    body: list[IRStmt] = []
-    if buffered:
-        body.extend(BufferDecl(pending_buffer(name)) for name in written)
-    for statement in trigger.statements:
-        kind = "buffered" if buffered else "direct"
+    buffered = written if needs_buffering(statements) else finalized
+    body: list[IRStmt] = [BufferDecl(pending_buffer(name)) for name in buffered]
+    for statement in statements:
+        kind = "buffered" if statement.target in buffered else "direct"
         sink = _Sink(kind, statement.target, statement.args)
         body.append(lower_statement(statement, trigger.params, sink, namer))
-    if buffered:
-        body.extend(FlushBuffer(pending_buffer(name), Slot(name)) for name in written)
+    body.extend(FlushBuffer(pending_buffer(name), Slot(name)) for name in buffered)
     body.extend(
         _finalize_blocks(
             finalizers, finalized, lambda occ: (pending_buffer(occ),)
         )
     )
+    if watched:
+        reads = [Lookup(Slot(spec.aux), (), spec.absent) for spec in watched]
+        before = [namer.fresh("x") for _ in watched]
+        moved = [
+            Compare("!=", read, Name(old)) for read, old in zip(reads, before)
+        ]
+        body = [
+            *(Assign(old, read) for read, old in zip(reads, before)),
+            *body,
+            Block(
+                comments=(
+                    f"restate {', '.join(plan.order)} when "
+                    f"{', '.join(spec.aux for spec in watched)} moved",
+                ),
+                targets=tuple(plan.order),
+                stmts=(
+                    IfCond(
+                        moved[0] if len(moved) == 1 else Sum(tuple(moved)),
+                        tuple(_restate_blocks(plan, namer, finalizers)),
+                    ),
+                ),
+                sources=(),
+            ),
+        ]
     return TriggerIR(
         relation=trigger.relation,
         sign=trigger.sign,
@@ -531,21 +587,31 @@ class SecondOrderPlan:
 
 
 def _recompute_statements(
-    map_def, registry: MapRegistry
+    map_def, registry: MapRegistry, program: CompiledProgram
 ) -> Optional[list[Statement]]:
     """Statements re-evaluating a map's definition over maintained maps.
 
-    Every base-relation atom and materialisable aggregate of the defining
-    query must resolve to a map the program *already* maintains (the
-    registry is seeded read-only; any attempt to create a new map rejects
-    the plan).  Returns one ``target[keys] += monomial`` statement per
-    monomial of the definition body, or ``None`` when the definition
-    cannot be restated from existing maps.
+    Every materialisable aggregate of the defining query must resolve to
+    a map the program *already* maintains (the registry is seeded
+    read-only; any attempt to create a new map rejects the plan), and
+    every base-relation atom left over must be served by its relation's
+    base map the way this definition reads it; threshold tests read the
+    extremum caches the program maintains.  Returns one
+    ``target[keys] += monomial`` statement per monomial of the definition
+    body, or ``None`` when the definition cannot be restated from
+    existing maps.
     """
     defn = map_def.defn
     if not isinstance(defn, AggSum):
         return None
     materializer = Materializer(registry, bound=(), derived_maps=True)
+
+    def extremum(map_name: str, kind: str) -> Optional[FinalizeSpec]:
+        for spec in program.finalizers.get(map_name, ()):
+            if spec.kind == kind and spec.group_arity == 0:
+                return spec
+        return None
+
     statements: list[Statement] = []
     for coeff, factors in monomials(defn.body):
         bound: set[str] = set()
@@ -553,12 +619,14 @@ def _recompute_statements(
         for factor in factors:
             parts.append(materializer.rewrite(factor, frozenset(bound)))
             bound.update(output_vars(factor))
-        rhs = alg_mul(*parts)
-        if registry.pending or contains_relation(rhs):
+        args = tuple(Var(key) for key in map_def.keys)
+        rhs = read_base_maps(args, alg_mul(*parts), (), program.base_maps)
+        if registry.pending or rhs is None:
             return None
+        rhs = read_extrema(args, rhs, (), extremum)
         statement = Statement(
             target=map_def.name,
-            args=tuple(Var(key) for key in map_def.keys),
+            args=args,
             rhs=rhs,
             loop_vars=tuple(map_def.keys),
         )
@@ -607,14 +675,15 @@ def plan_second_order(
     if not restate_targets:
         return None
     base = [s for s in trigger.statements if s.target not in restate_targets]
-    if any(s.reads() & written for s in base):
+    changed = _changed_maps(trigger.statements, program.finalizers)
+    if any(s.reads() & changed for s in base):
         return None
 
     registry = MapRegistry.seeded(program.maps)
     restate: dict[str, list[Statement]] = {}
     restate_reads: dict[str, set[str]] = {}
     for name in restate_targets:
-        statements = _recompute_statements(program.maps[name], registry)
+        statements = _recompute_statements(program.maps[name], registry, program)
         if statements is None:
             return None
         reads = set().union(*(s.reads() for s in statements)) if statements else set()
@@ -635,6 +704,65 @@ def plan_second_order(
         placed.update(ready)
         remaining = [n for n in remaining if n not in placed]
     return SecondOrderPlan(base, restate, order)
+
+
+def watched_extrema(
+    plan: SecondOrderPlan, finalizers: dict
+) -> tuple[FinalizeSpec, ...]:
+    """The extremum caches (their specs) through which alone ``plan``'s
+    restated targets see what its first-order statements write.
+
+    Non-empty exactly when restating per event can be *guarded*: the
+    restatements read none of the written maps themselves, only scalar
+    min/max caches Finalize maintains from them — so while those caches
+    hold their values, every restated target holds its own.
+    """
+    written = {s.target for s in plan.base}
+    caches = {
+        spec.aux: spec for name in written for spec in finalizers.get(name, ())
+    }
+    reads: set[str] = set()
+    for statements in plan.restate.values():
+        for statement in statements:
+            reads |= statement.reads()
+    watched = sorted(reads & caches.keys())
+    if reads & written or any(
+        caches[aux].group_arity or caches[aux].kind == "distinct"
+        for aux in watched
+    ):
+        return ()
+    return tuple(caches[aux] for aux in watched)
+
+
+def _restate_blocks(
+    plan: SecondOrderPlan, namer: _Namer, finalizers: dict
+) -> list[IRStmt]:
+    """Clear every order-2 target, then re-evaluate each from its
+    definition over the current maps.  All clears precede all recomputes
+    so one restatement may read another's fresh value, and so the
+    recompute loops stay fusable.  Restated occurrence maps have no delta
+    to finalize from, so their auxiliary caches are rebuilt."""
+    blocks: list[IRStmt] = [
+        Block(
+            comments=(f"second-order flush: restate {target}",),
+            targets=(target,),
+            stmts=(Clear(Slot(target)),),
+            sources=(),
+        )
+        for target in plan.order
+    ]
+    for target in plan.order:
+        for statement in plan.restate[target]:
+            sink = _Sink("direct", statement.target, statement.args)
+            blocks.append(lower_statement(statement, (), sink, namer))
+    blocks.extend(
+        _finalize_blocks(
+            finalizers,
+            sorted(t for t in plan.order if t in finalizers),
+            lambda occ: (),
+        )
+    )
+    return blocks
 
 
 def _accumulates(
@@ -740,7 +868,10 @@ def _lower_accumulated(
             pending_accs.setdefault(statement.target, []).append(accs[position])
     body.extend(
         _finalize_blocks(
-            finalizers, sorted(pending_accs), lambda occ: pending_accs[occ]
+            finalizers,
+            sorted(pending_accs),
+            lambda occ: pending_accs[occ],
+            keyed=True,
         )
     )
     return body
@@ -756,35 +887,15 @@ def _lower_second_order(
     """The accumulate-then-flush batch body of a second-order plan.
 
     First-order (base) statements run in the row loop with batch-delta
-    accumulation; then every order-2 target is restated once — cleared and
-    re-evaluated from its definition over the post-batch base maps (the
-    telescoped second-order correction).  All clears precede all
-    recomputes so one restatement may read another's fresh value, and so
-    the recompute loops stay fusable.
+    accumulation (and finalize the caches they feed); then every order-2
+    target is restated once from the post-batch maps — the telescoped
+    second-order correction (:func:`_restate_blocks`).
     """
     base_sinks: dict[int, str] = {}
-    body = _lower_accumulated(plan.base, trigger, patterns, namer, base_sinks)
-    for target in plan.order:
-        body.append(
-            Block(
-                comments=(f"second-order flush: restate {target}",),
-                targets=(target,),
-                stmts=(Clear(Slot(target)),),
-                sources=(),
-            )
-        )
-    for target in plan.order:
-        for statement in plan.restate[target]:
-            sink = _Sink("direct", statement.target, statement.args)
-            body.append(lower_statement(statement, (), sink, namer))
-
-    # Restated occurrence maps have no per-batch delta accumulator, so
-    # their auxiliary caches are rebuilt from the post-batch state.
-    finalizers = finalizers or {}
-    finalized = sorted(
-        {s.target for s in trigger.statements if s.target in finalizers}
+    body = _lower_accumulated(
+        plan.base, trigger, patterns, namer, base_sinks, finalizers
     )
-    body.extend(_finalize_blocks(finalizers, finalized, lambda occ: ()))
+    body.extend(_restate_blocks(plan, namer, finalizers or {}))
 
     base_order = {id(s): base_sinks[i] for i, s in enumerate(plan.base)}
     report = tuple(
@@ -799,46 +910,45 @@ def lower_trigger_batch(
     per_event: TriggerIR,
     patterns: dict[str, set[tuple[int, ...]]],
     namer: Optional[_Namer] = None,
-    program: Optional[CompiledProgram] = None,
-    second_order: bool = True,
+    finalizers: Optional[dict] = None,
+    independent: Optional[bool] = None,
+    plan: Optional[SecondOrderPlan] = None,
 ) -> tuple[TriggerIR, tuple[tuple[str, str], ...]]:
     """The batch trigger body, derived from the same statement lowering.
 
     Returns the trigger IR plus the per-statement sink report.  Three
     shapes, by how the trigger's deltas behave across a batch:
 
-    * *independent* triggers (no statement reads a map the trigger
-      writes) accumulate first-order batch deltas in locals flushed once
-      after the row loop;
-    * *self-reading* triggers whose delta-of-delta analysis admits a
-      :class:`SecondOrderPlan` accumulate their first-order statements and
-      restate the order-2 targets once per batch;
+    * ``independent`` triggers (no statement reads a map the trigger
+      changes — :func:`_independent`, asked here when the caller has not)
+      accumulate first-order batch deltas in locals flushed once after
+      the row loop;
+    * *self-reading* triggers given a :class:`SecondOrderPlan` (their
+      delta-of-delta analysis admits one) accumulate their first-order
+      statements and restate the order-2 targets once per batch;
     * everything else runs the per-event body once per row (the fallback,
       reported as ``per-row``/``buffered``).
     """
     namer = namer or _Namer()
     name = f"{trigger.name}_batch"
-    finalizers = program.finalizers if program is not None else {}
+    finalizers = finalizers or {}
     if not trigger.statements:
         return (
             TriggerIR(trigger.relation, trigger.sign, name, trigger.params, ()),
             (),
         )
 
-    written = {s.target for s in trigger.statements}
-    independent = not any(s.reads() & written for s in trigger.statements)
+    if plan is not None:
+        body, report = _lower_second_order(
+            trigger, plan, patterns, namer, finalizers
+        )
+        return (
+            TriggerIR(trigger.relation, trigger.sign, name, trigger.params, body),
+            report,
+        )
 
-    if not independent and second_order and program is not None:
-        plan = plan_second_order(trigger, program)
-        if plan is not None:
-            body, report = _lower_second_order(
-                trigger, plan, patterns, namer, finalizers
-            )
-            return (
-                TriggerIR(trigger.relation, trigger.sign, name, trigger.params, body),
-                report,
-            )
-
+    if independent is None:
+        independent = _independent(trigger, finalizers)
     if independent:
         sinks: dict[int, str] = {}
         accumulated = _lower_accumulated(
@@ -902,9 +1012,12 @@ def lower_program(
 ) -> ProgramIR:
     """Lower (and optionally optimise) a whole compiled program.
 
-    ``second_order=False`` disables the delta-of-delta batch sink (the
-    self-reading triggers fall back to the per-row loop) — the ablation
-    knob for the higher-order batching experiment.
+    ``second_order`` selects a sink for *batch* triggers only:
+    ``False`` disables the delta-of-delta batch sink (self-reading
+    triggers run the per-event body once per row) — the ablation knob for
+    the higher-order batching experiment.  The per-event bodies are the
+    same either way; where a trigger's second-order plan can be guarded
+    on an extremum cache (:func:`lower_trigger`) they use it regardless.
 
     The result is cached on the program object: every back end asking for
     the same ``(optimize, passes, second_order)`` configuration shares one
@@ -933,12 +1046,18 @@ def lower_program(
         )
         for name, map_def in program.maps.items()
     }
+    finalizers = program.finalizers
     triggers: dict[tuple[str, int], TriggerIR] = {}
     namers: dict[tuple[str, int], _Namer] = {}
+    # Per trigger, decided once for both variants: whether its events are
+    # independent of each other, and otherwise its second-order plan.
+    shapes: dict[tuple[str, int], tuple[bool, Optional[SecondOrderPlan]]] = {}
     for key, trigger in program.triggers.items():
-        namer = _Namer()
-        namers[key] = namer
-        triggers[key] = lower_trigger(trigger, namer, program.finalizers)
+        namers[key] = _Namer()
+        independent = _independent(trigger, finalizers)
+        plan = None if independent else plan_second_order(trigger, program)
+        shapes[key] = independent, plan
+        triggers[key] = lower_trigger(trigger, namers[key], finalizers, plan)
 
     ir = ProgramIR(maps=maps, triggers=triggers, batch_triggers={}, passes=())
     if wanted:
@@ -957,8 +1076,9 @@ def lower_program(
             ir.triggers[key],
             patterns,
             namers[key],
-            program=program,
-            second_order=second_order,
+            finalizers,
+            shapes[key][0],
+            shapes[key][1] if second_order else None,
         )
     ir.batch_triggers = batch
     ir.batch_sinks = sinks

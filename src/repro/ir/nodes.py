@@ -161,6 +161,21 @@ class KeyAt(IRExpr):
     pos: int
 
 
+def compare_values(op: str, left, right) -> bool:
+    """Evaluate a :class:`Compare` operator on two run-time values."""
+    if op == "=":
+        return left == right
+    if op == "!=":
+        return left != right
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    return left >= right
+
+
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
@@ -313,10 +328,11 @@ class Finalize(IRStmt):
     ``group_arity`` is the group prefix width of the source keys.
 
     ``pending`` names the trigger-local deltas just applied to the
-    source this trigger run — two-phase buffers (``[(key, value), ...]``
-    lists) or batch accumulators (``key → value`` dicts); multiple
-    pendings for one source are summed key-wise before processing so a
-    net-zero change across them is seen as no change.  For each net
+    source this trigger run — batch accumulators (``key → value`` dicts)
+    when ``keyed``, two-phase buffers (``[(key, value), ...]`` lists)
+    otherwise; multiple pendings for one source are summed key-wise
+    before processing so a net-zero change across them is seen as no
+    change.  For each net
     changed key the backend computes the pre-image value and updates the
     auxiliary incrementally; a delete of the current extremum re-derives
     the group's value from the source state (the eviction path — there
@@ -330,6 +346,7 @@ class Finalize(IRStmt):
     kind: str  # "min" | "max" | "distinct"
     group_arity: int
     pending: tuple[str, ...] = ()
+    keyed: bool = False
 
 
 @dataclass(frozen=True, slots=True)

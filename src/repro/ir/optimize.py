@@ -5,13 +5,14 @@ The pipeline (in application order) — every pass here changes the IR of
 at least one shipped query (``tests/ir/test_ir.py`` pins that; a pass
 that finds nothing is deleted, not kept):
 
+* ``fold-constants`` — propagate single-assignment constant temps and
+  fold what they decide: the ``d = 1; if d != 0:`` every unit-delta map
+  update lowers to becomes the bare update, constant products collapse;
 * ``fuse-loops`` — merge statements iterating the same map with the same
   filters into one traversal (vwap's two full scans become one);
 * ``merge-guards`` — combine adjacent identical guards;
 * ``hoist-invariants`` — move loop-invariant lookups/arithmetic (vwap's
-  ``0.25 * total`` threshold) out of the loops that recompute them;
-* ``prune-bindings`` — stop binding key positions the loop body never
-  reads (mst binds one of five).
+  ``0.25 * total`` threshold) out of the loops that recompute them.
 
 Every pass is semantics-preserving *including float bit-identity*: a
 rewrite that would reorder additions into a map is only applied when the
@@ -37,12 +38,14 @@ from typing import Iterable
 from repro.compiler.program import CompiledProgram
 from repro.compiler.storage import exact_int_maps
 from repro.ir.nodes import (
+    Accum,
     AddTo,
     AppendTo,
     Assign,
     Block,
     Clear,
     Compare,
+    Const,
     Finalize,
     FlushBuffer,
     ForEachMap,
@@ -61,6 +64,7 @@ from repro.ir.nodes import (
     Sum,
     TriggerIR,
     assigned_names,
+    compare_values,
     expr_names,
     expr_slots,
     expr_has_keyat,
@@ -72,10 +76,10 @@ from repro.ir.nodes import (
 )
 
 DEFAULT_PASSES: tuple[str, ...] = (
+    "fold-constants",
     "fuse-loops",
     "merge-guards",
     "hoist-invariants",
-    "prune-bindings",
 )
 
 
@@ -142,6 +146,131 @@ def _used_names(stmts: Iterable[IRStmt]) -> frozenset[str]:
         for expr in stmt_exprs(stmt):
             out.update(expr_names(expr))
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Pass: constant folding
+# ---------------------------------------------------------------------------
+
+
+def _is_unit(expr: IRExpr) -> bool:
+    return isinstance(expr, Const) and type(expr.value) is int and expr.value == 1
+
+
+def _fold_expr(expr: IRExpr, consts: dict[str, Const]) -> IRExpr:
+    """``expr`` with known-constant names substituted and constant
+    subexpressions evaluated (``expr`` itself when nothing folds).
+
+    Folding never changes a run-time value, float bits included: a
+    product folds only its *leading* run of constants (the order
+    ``Prod`` evaluates in) and drops unit factors, nothing reassociates.
+    """
+    if isinstance(expr, Name):
+        return consts.get(expr.name, expr)
+    children = expr.children()
+    if not children:
+        return expr
+    folded = tuple(_fold_expr(child, consts) for child in children)
+    if isinstance(expr, Prod):
+        factors = list(folded)
+        while (
+            len(factors) > 1
+            and isinstance(factors[0], Const)
+            and isinstance(factors[1], Const)
+        ):
+            factors[:2] = [Const(factors[0].value * factors[1].value)]
+        kept = tuple(f for f in factors if not _is_unit(f)) or (Const(1),)
+        if len(kept) == 1:
+            return kept[0]
+        return expr if _same(kept, children) else Prod(kept)
+    if all(isinstance(child, Const) for child in folded):
+        if isinstance(expr, Sum):
+            return Const(sum((t.value for t in folded[1:]), folded[0].value))
+        if isinstance(expr, Neg):
+            return Const(-folded[0].value)
+        if isinstance(expr, Compare):
+            return Const(
+                int(compare_values(expr.op, folded[0].value, folded[1].value))
+            )
+    if _same(folded, children):
+        return expr
+    if isinstance(expr, Sum):
+        return Sum(folded)
+    if isinstance(expr, Neg):
+        return Neg(*folded)
+    if isinstance(expr, SafeDiv):
+        return SafeDiv(*folded)
+    if isinstance(expr, Compare):
+        return Compare(expr.op, *folded)
+    return Lookup(expr.slot, folded, expr.default)
+
+
+def _same(new: tuple[IRExpr, ...], old: tuple[IRExpr, ...]) -> bool:
+    """Whether folding left every child as it was (by identity)."""
+    return len(new) == len(old) and all(a is b for a, b in zip(new, old))
+
+
+def _fold_constants(body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
+    """Propagate constants assigned once and fold the guards they decide.
+
+    Only names with a single binding site in the whole body qualify (an
+    accumulator's ``acc = 0`` is rebound by its ``acc += ...``); the
+    lowering always emits a definition before its uses, so walking in
+    program order sees every constant before it is read.
+    """
+    bindings: dict[str, int] = {}
+    for stmt in walk_stmts(body):
+        names: tuple[str, ...] = ()
+        if isinstance(stmt, (Assign, Accum)):
+            names = (stmt.name,)
+        elif isinstance(stmt, ForEachMap):
+            names = (stmt.value_var, *(name for _, name in stmt.binds))
+        elif isinstance(stmt, ForEachRow):
+            names = stmt.params
+        for name in names:
+            bindings[name] = bindings.get(name, 0) + 1
+    consts: dict[str, Const] = {}
+
+    def fold_expr(expr: IRExpr) -> IRExpr:
+        return _fold_expr(expr, consts)
+
+    def fold(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
+        out: list[IRStmt] = []
+        for stmt in stmts:
+            if isinstance(stmt, Assign):
+                value = fold_expr(stmt.value)
+                if isinstance(value, Const) and bindings[stmt.name] == 1:
+                    consts[stmt.name] = value
+                else:
+                    out.append(
+                        stmt if value is stmt.value else Assign(stmt.name, value)
+                    )
+            elif isinstance(stmt, IfCond):
+                cond = fold_expr(stmt.cond)
+                if not isinstance(cond, Const):
+                    out.append(IfCond(cond, fold(stmt.body)))
+                elif cond.value:
+                    out.extend(fold(stmt.body))
+            elif isinstance(stmt, ForEachMap):
+                out.append(
+                    ForEachMap(
+                        stmt.slot,
+                        stmt.entry_var,
+                        stmt.value_var,
+                        stmt.binds,
+                        tuple((p, fold_expr(e)) for p, e in stmt.filters),
+                        fold(stmt.body),
+                    )
+                )
+            elif isinstance(stmt, (ForEachRow, Block)):
+                out.append(_rebuild_with_body(stmt, fold))
+            elif isinstance(stmt, (Accum, AddTo, AppendTo)):
+                out.append(rewrite_exprs(stmt, fold_expr))
+            else:
+                out.append(stmt)
+        return tuple(out)
+
+    return fold(body)
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +578,6 @@ def _rewrite_exprs_skipping_filters(stmt: IRStmt, fn) -> IRStmt:
 
 
 # ---------------------------------------------------------------------------
-# Pass: dead key-binding pruning
-# ---------------------------------------------------------------------------
-
-
-def _prune_bindings(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
-    out: list[IRStmt] = []
-    for stmt in stmts:
-        stmt = _rebuild_with_body(stmt, _prune_bindings)
-        if isinstance(stmt, ForEachMap):
-            used = _used_names(stmt.body)
-            kept = tuple((pos, name) for pos, name in stmt.binds if name in used)
-            if kept != stmt.binds:
-                stmt = ForEachMap(
-                    stmt.slot,
-                    stmt.entry_var,
-                    stmt.value_var,
-                    kept,
-                    stmt.filters,
-                    stmt.body,
-                )
-        out.append(stmt)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -502,14 +606,14 @@ def optimize_trigger(
     trigger_ir: TriggerIR, passes: tuple[str, ...], exact: frozenset[str]
 ) -> TriggerIR:
     body = trigger_ir.body
+    if "fold-constants" in passes:
+        body = _fold_constants(body)
     if "fuse-loops" in passes:
         body = _fuse_sequence(body, exact, set(trigger_ir.params))
     if "merge-guards" in passes:
         body = _merge_guards(body)
     if "hoist-invariants" in passes:
         body = _hoist_stmts(body, _HoistNamer(assigned_names(body)))
-    if "prune-bindings" in passes:
-        body = _prune_bindings(body)
     return TriggerIR(
         trigger_ir.relation,
         trigger_ir.sign,

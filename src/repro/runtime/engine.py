@@ -11,8 +11,9 @@ callables keyed by ``(relation, sign)``:
   (:class:`repro.codegen.pygen.CompiledExecutor`), the reproduction of the
   paper's compiled C++ executors;
 * ``mode="native"`` — the same functions over a C column kernel for the
-  maps a trigger scans whole (:class:`repro.codegen.native.NativeExecutor`;
-  exactly the compiled lane without a toolchain);
+  maps a trigger scans whole on every event
+  (:class:`repro.codegen.native.NativeExecutor`; exactly the compiled
+  lane without a toolchain);
 * ``mode="interpreted"`` — the lowered trigger IR walked block by block
   (:class:`repro.ir.interp.InterpretedExecutor`), retaining exactly the
   interpretation overhead the paper's compilation eliminates (a baseline).
@@ -402,9 +403,10 @@ class DeltaEngine(Engine):
         access-pattern ablation); ``optimize=False`` disables the IR
         optimisation pipeline in both modes (the loop-optimisation
         ablation, also the bench harness's ``--no-opt``);
-        ``second_order=False`` disables the delta-of-delta batch sink, so
+        ``second_order=False`` disables the delta-of-delta *batch* sink, so
         self-reading triggers fall back to the per-row batch loop (the
-        higher-order batching ablation); ``columnar=True`` stores every
+        higher-order batching ablation; per-event triggers are the same
+        either way); ``columnar=True`` stores every
         keyed map in packed columns (the memory mode, also the CLI's
         ``--columnar``)."""
         options = ExecutorOptions(

@@ -195,16 +195,56 @@ class TestGeneratedSemantics:
         )
         program = compile_sql(
             "SELECT sum(b.volume) FROM bids b WHERE EXISTS "
+            "(SELECT a.price FROM asks a "
+            "WHERE a.broker_id = b.broker_id AND a.price <= b.price)",
+            catalog2,
+        )
+        assert not program.finalizers
+        body = generate_module(program).split("def on_insert_asks(")[1]
+        body = body.split("\ndef ")[0]
+        root = program.slot_maps["q"][0]
+        assert f"__pending_{root} = []" in body
+
+    def test_threshold_exists_restates_only_when_the_extremum_moves(self):
+        """``EXISTS (... a.price <= b.price)`` is ``min(a.price) <=
+        b.price``: the bids side is one cache read, the asks side applies
+        its count, finalizes the cache, and restates the result only if
+        the minimum changed — buffering nothing but the finalized map."""
+        catalog2 = Catalog.from_script(
+            "CREATE STREAM bids (broker_id int, price int, volume int);"
+            "CREATE STREAM asks (broker_id int, price int, volume int);"
+        )
+        program = compile_sql(
+            "SELECT sum(b.volume) FROM bids b WHERE EXISTS "
             "(SELECT a.broker_id FROM asks a WHERE a.price <= b.price)",
             catalog2,
         )
+        asks = program.base_maps["asks"].name
+        (spec,) = program.finalizers[asks]
         source = generate_module(program)
-        assert "__pending" in source
+        root = program.slot_maps["q"][0]
+        bids = source.split("def on_insert_bids(")[1].split("\ndef ")[0]
+        assert "for " not in bids
+        assert f"_m_{spec.aux}.get((), 1e999) <= ev_bids_price" in bids
+        body = source.split("def on_insert_asks(")[1].split("\ndef ")[0]
+        assert body.count(" = []") == 1 and f"__pending_{asks} = []" in body
+        guard = f"if _m_{spec.aux}.get((), 1e999) != __x"
+        before, restate = body.split(guard)
+        assert f"_m_{root}." not in before  # the result is not touched ...
+        assert f"_m_{root}.clear()" in restate  # ... unless the min moved
+        # Finalize knows its pending is a buffer (a list of pairs).
+        assert "isinstance" not in source
+        assert f"extremum: min cache {spec.aux}" in source
 
     def test_division_helper_guards_zero(self, catalog):
-        program = compile_sql("SELECT avg(price) FROM bids", catalog)
+        program = compile_sql("SELECT sum(price / volume) FROM bids", catalog)
         source = generate_module(program)
         namespace = {"MAPS": {name: {} for name in program.maps}}
         exec(compile(source, "<t>", "exec"), namespace)
         assert namespace["_div"](1, 0) == 0
         assert namespace["_div"](6, 3) == 2
+
+    def test_division_helper_only_in_modules_that_divide(self, catalog):
+        # avg() divides in the view layer: its triggers never do.
+        program = compile_sql("SELECT avg(price) FROM bids", catalog)
+        assert "_div" not in generate_module(program)

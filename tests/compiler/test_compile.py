@@ -2,9 +2,30 @@
 
 import pytest
 
-from repro.algebra.expr import AggSum, Lift, Rel, Var
+from repro.algebra.expr import (
+    Add,
+    AggSum,
+    Cmp,
+    Const,
+    Exists,
+    Lift,
+    MapRef,
+    Rel,
+    Var,
+    mul,
+)
 from repro.compiler import CompileOptions, compile_sql, compile_queries
-from repro.compiler.materialize import canonicalize, is_data_bound, ordered_vars
+from repro.compiler.materialize import (
+    canonicalize,
+    column_uses,
+    is_data_bound,
+    merge_uses,
+    ordered_vars,
+    read_base_maps,
+    read_extrema,
+)
+from repro.compiler.program import BaseMap, ColumnUse, FinalizeSpec
+from repro.algebra.eval import eval_scalar
 from repro.algebra.translate import translate_sql
 from repro.sql.catalog import Catalog
 
@@ -142,6 +163,95 @@ class TestCompileOptions:
         assert program.options.derived_maps
 
 
+class TestBaseMaps:
+    """Relations read directly are read through one base map each, keyed
+    on what the readers bind (finance and SSB, as shipped)."""
+
+    @staticmethod
+    def _finance(name, **options):
+        from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+
+        return compile_sql(
+            FINANCE_QUERIES[name], finance_catalog(), name=name,
+            options=CompileOptions(**options),
+        )
+
+    @staticmethod
+    def _shape(program, relation):
+        base = program.base_maps[relation]
+        columns = base.columns
+        return (
+            [columns[p] for p in base.keys],
+            sorted(columns[p] for p, _ in base.shape.folds),
+        )
+
+    def test_mst_keys_both_books_on_price(self):
+        program = self._finance("mst")
+        assert self._shape(program, "asks") == (["price"], [])
+        assert self._shape(program, "bids") == (["price"], ["volume"])
+        assert max(m.arity for m in program.maps.values()) == 1
+        # The count map backs the threshold EXISTS with its minimum.
+        asks = program.base_maps["asks"].name
+        (spec,) = program.finalizers[asks]
+        assert (spec.kind, spec.group_arity) == ("min", 0)
+        for sign in (1, -1):
+            reads = set().union(
+                *(s.reads() for s in program.triggers[("bids", sign)].statements)
+            )
+            assert spec.aux in reads and asks not in reads
+
+    def test_vwap_scan_map_is_keyed_on_volume(self):
+        program = self._finance("vwap")
+        assert self._shape(program, "bids") == (["volume"], ["price"])
+        assert not program.finalizers
+
+    def test_axf_readers_disagree_so_volume_stays_a_key(self):
+        from repro.ir import lower_program
+        from repro.ir.nodes import ForEachMap, walk_stmts
+
+        program = self._finance("axf")
+        for relation in ("asks", "bids"):
+            assert self._shape(program, relation) == (
+                ["broker_id", "price", "volume"], [],
+            )
+        # ... which keeps each trigger's three statements in one fused,
+        # index-probed scan of the opposite book.
+        ir = lower_program(program)
+        for key, trigger_ir in ir.triggers.items():
+            loops = [
+                s for s in walk_stmts(trigger_ir.body) if isinstance(s, ForEachMap)
+            ]
+            assert len(loops) == 1, key
+            assert loops[0].pattern == (0,)
+
+    def test_first_order_mode_keeps_whole_rows(self):
+        program = self._finance("mst", derived_maps=False)
+        for base in program.base_maps.values():
+            assert base.keys == (0, 1, 2, 3, 4) and not base.shape.folds
+            assert program.maps[base.name].role == "occurrence"
+        assert not program.finalizers
+
+    def test_ssb_reads_only_its_small_dimensions_directly(self):
+        from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
+
+        catalog = ssb_catalog()
+        for name, sql in SSB_FLIGHT.items():
+            program = compile_sql(sql, catalog, name=name)
+            assert set(program.base_maps) <= {"region", "nation"}, name
+            for base in program.base_maps.values():
+                # Every column of the two is read: whole-row occurrence maps.
+                assert len(base.keys) == len(base.columns)
+                assert program.maps[base.name].role == "occurrence"
+            assert not program.finalizers
+
+    def test_describe_names_read_folded_and_dropped_columns(self):
+        text = self._finance("mst").base_maps["bids"].describe()
+        assert text.startswith(
+            "keys <- price / folded volume / dropped t, id, broker_id"
+        )
+        assert "extremum: none" in text
+
+
 class TestGroupedQueries:
     def test_group_key_becomes_map_key(self, catalog):
         program = compile_sql(
@@ -164,6 +274,85 @@ class TestGroupedQueries:
         trigger = program.trigger_for("bids", 1)
         # Self-joins need the second-order cross term: the event joins itself.
         assert len(trigger.statements) >= 2
+
+
+class TestColumnUse:
+    """The per-reader column analysis and the shape that serves them."""
+
+    @staticmethod
+    def _use(keys=(), folds=()):
+        return ColumnUse(frozenset(keys), frozenset(folds))
+
+    def test_a_fold_survives_only_unanimous_readers(self):
+        count = self._use(keys={1})
+        summed = self._use(keys={1}, folds={(2, 1)})
+        assert merge_uses([summed, summed]) == summed
+        # One reader counts, one sums column 2: it stays a key for both.
+        assert merge_uses([count, summed]) == self._use(keys={1, 2})
+        # Folding the same column to different powers is disagreement too.
+        squared = self._use(keys={1}, folds={(2, 2)})
+        assert merge_uses([summed, squared]) == self._use(keys={1, 2})
+
+    def test_serves(self):
+        shape = self._use(keys={1}, folds={(2, 1)})
+        assert shape.serves(self._use(keys={1}, folds={(2, 1)}))
+        assert shape.serves(self._use(folds={(2, 1)}))  # key summed out
+        assert not shape.serves(self._use(keys={1}))  # would read sum as count
+        assert not shape.serves(self._use(keys={0, 1}, folds={(2, 1)}))
+        wide = self._use(keys={0, 1, 2})
+        assert wide.serves(self._use(keys={1}, folds={(2, 1)}))
+
+    def test_reads_classify_each_column(self):
+        atom = Rel("bids", (Var("b"), Var("p"), Var("v")))
+        rhs = mul(atom, Cmp("<", Var("p"), Var("ev_price")), Var("v"))
+        ((seen, use),) = column_uses((), rhs, ("ev_price",), {})
+        assert seen == atom
+        assert use == self._use(keys={1}, folds={(2, 1)})
+        # A FLOAT column is never folded; a target key is never dropped.
+        ((_, use),) = column_uses(
+            (Var("b"),), rhs, ("ev_price",), {"bids": frozenset({2})}
+        )
+        assert use == self._use(keys={0, 1, 2})
+
+    def test_unserved_read_is_refused_not_misread(self):
+        base = BaseMap("m1_bids", "bids", ("b", "p", "v"), self._use({1}, {(2, 1)}))
+        atom = Rel("bids", (Var("b"), Var("p"), Var("v")))
+        served = mul(atom, Cmp("<", Var("p"), Const(3)), Var("v"))
+        rewritten = read_base_maps((), served, (), {"bids": base})
+        assert rewritten == mul(
+            MapRef("m1_bids", (Var("p"),)), Cmp("<", Var("p"), Const(3))
+        )
+        counted = mul(atom, Cmp("<", Var("p"), Const(3)))
+        assert read_base_maps((), counted, (), {"bids": base}) is None
+        assert read_base_maps((), served, (), {}) is None
+
+    def test_threshold_exists_needs_its_own_scan_variable(self):
+        def exists(test):
+            return Exists(AggSum((), mul(MapRef("m", (Var("k"),)), test)))
+
+        def found(name, kind):
+            return FinalizeSpec(f"{name}__{kind}", kind, group_arity=0)
+
+        # The cache reference itself says what an empty ``m`` reads as —
+        # the extremum's identity, so the test is false — and the
+        # reference evaluator honours it.
+        bound = Add((Var("x"), Const(1)))
+        at_least = read_extrema((), exists(Cmp(">=", Var("k"), bound)), (), found)
+        assert at_least == Cmp(">=", MapRef("m__max", (), float("-inf")), bound)
+        below = read_extrema((), exists(Cmp(">", bound, Var("k"))), (), found)
+        assert below == Cmp("<", MapRef("m__min", (), float("inf")), bound)
+        for test in (at_least, below):
+            assert eval_scalar(test, {"x": 0}, {"m__min": {}, "m__max": {}}) == 0
+        assert eval_scalar(below, {"x": 0}, {"m__min": {(): 0}}) == 1
+        assert eval_scalar(below, {"x": 0}, {"m__min": {(): 1}}) == 0
+        for kept in (
+            exists(Cmp("=", Var("k"), Var("x"))),  # no single extremum decides it
+            exists(Cmp("<", Var("k"), Add((Var("k"), Const(1))))),  # bound reads k
+            mul(exists(Cmp("<", Var("k"), Var("x"))), Var("k")),  # k bound outside
+        ):
+            assert read_extrema((), kept, (), found) == kept
+        refused = exists(Cmp("<", Var("k"), Var("x")))
+        assert read_extrema((), refused, (), lambda name, kind: None) == refused
 
 
 class TestMaterializeHelpers:

@@ -45,14 +45,17 @@ class TestGroupedQueries:
         assert set(spec.map_positions.values()) == {0}
         assert not spec.serial_maps
 
-    def test_axf_occurrence_maps_sharded_on_broker_position(self):
+    def test_axf_base_maps_sharded_on_broker_position(self):
         from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 
         program = compile_sql(FINANCE_QUERIES["axf"], finance_catalog())
         spec = analyze_partitioning(program)
         assert spec.relation_columns == {"asks": 2, "bids": 2}
-        # The base occurrence maps carry broker_id at key position 2.
-        assert set(spec.map_positions.values()) == {2}
+        # The base maps key on [broker_id, price, volume]: broker first.
+        assert set(spec.map_positions) == {
+            base.name for base in program.base_maps.values()
+        }
+        assert set(spec.map_positions.values()) == {0}
 
     def test_join_key_co_partitioning(self):
         # R and S co-partition on the join column B (different positions).

@@ -66,6 +66,16 @@ QUERIES = {
         "SELECT sum(b.volume) FROM bids b WHERE b.broker_id IN "
         "(SELECT a.broker_id FROM asks a WHERE a.volume > 2)"
     ),
+    # Threshold EXISTS: answered from a maintained min/max of the asks
+    # prices (mst's shape), restated only when that extremum moves.
+    "exists_threshold": (
+        "SELECT sum(b.volume) FROM bids b WHERE EXISTS "
+        "(SELECT a.price FROM asks a WHERE a.price <= b.price - 1)"
+    ),
+    "not_exists_threshold": (
+        "SELECT sum(b.volume) FROM bids b WHERE NOT EXISTS "
+        "(SELECT a.price FROM asks a WHERE a.price > 2 * b.price)"
+    ),
     "vwap_nested": (
         "SELECT sum(b.price * b.volume) FROM bids b "
         "WHERE b.volume > 0.25 * (SELECT sum(b1.volume) FROM bids b1)"
@@ -132,14 +142,14 @@ def oracle_rows(query, db):
     return out
 
 
-def random_stream(relations, steps, seed, domain=4):
+def random_stream(relations, steps, seed, domain=4, delete_rate=0.4):
     """A random insert/delete stream keeping deletions valid."""
     rng = random.Random(seed)
     live = {rel: [] for rel in relations}
     events = []
     for _ in range(steps):
         rel = rng.choice(relations)
-        if live[rel] and rng.random() < 0.4:
+        if live[rel] and rng.random() < delete_rate:
             tup = live[rel].pop(rng.randrange(len(live[rel])))
             events.append(StreamEvent(rel, -1, tup))
         else:
@@ -151,7 +161,9 @@ def random_stream(relations, steps, seed, domain=4):
     return events
 
 
-def run_comparison(sql, engines_options, steps=220, seed=7, check_every=1):
+def run_comparison(
+    sql, engines_options, steps=220, seed=7, check_every=1, **stream_shape
+):
     catalog = Catalog.from_script(CATALOG_DDL)
     query = translate_sql(sql, catalog, name="q")
     engines = {}
@@ -163,7 +175,7 @@ def run_comparison(sql, engines_options, steps=220, seed=7, check_every=1):
 
     relations = list(query.relations)
     db = {rel: {} for rel in relations}
-    events = random_stream(relations, steps, seed)
+    events = random_stream(relations, steps, seed, **stream_shape)
     for step, event in enumerate(events):
         for engine in engines.values():
             engine.process(event)
@@ -193,6 +205,21 @@ ALL_MODES = {
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_engines_match_oracle(name):
     run_comparison(QUERIES[name], ALL_MODES)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["exists_threshold", "not_exists_threshold"])
+def test_threshold_exists_more_seeds(name, seed):
+    """Shallow books over three prices: a side empties, or loses its
+    extremum, every few events."""
+    catalog = Catalog.from_script(CATALOG_DDL)
+    program = compile_queries(
+        [translate_sql(QUERIES[name], catalog, name="q")], catalog
+    )
+    assert "cache" in program.base_maps["asks"].extremum
+    run_comparison(
+        QUERIES[name], ALL_MODES, steps=200, seed=seed, domain=2, delete_rate=0.5
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -211,6 +211,127 @@ def test_finance_nonlinear_matches_sqlite(query_name, mode, batch_size):
 
 
 # ---------------------------------------------------------------------------
+# Narrowed base maps and extremum-backed EXISTS: every shape they touch
+# ---------------------------------------------------------------------------
+
+_EXISTS = (
+    "SELECT sum(b.volume) FROM bids b WHERE {negate}EXISTS "
+    "(SELECT a.broker_id FROM asks a WHERE {test})"
+)
+
+#: name -> (sql, reads an extremum cache).  The threshold tests cover the
+#: four operators, an arithmetic bound and a bound written on the left;
+#: the rest are shapes the narrowing reshapes but no extremum can answer.
+NARROWED_QUERIES = {
+    "exists_le": (_EXISTS.format(negate="", test="a.price <= b.price"), True),
+    "exists_lt": (_EXISTS.format(negate="", test="a.price < b.price"), True),
+    "exists_ge": (_EXISTS.format(negate="", test="a.price >= b.price"), True),
+    "exists_gt_arith": (
+        _EXISTS.format(negate="", test="a.price > 2 * b.price - 3"), True
+    ),
+    "exists_bound_on_the_left": (
+        _EXISTS.format(negate="", test="b.price + 1 >= a.price"), True
+    ),
+    "not_exists": (
+        _EXISTS.format(negate="NOT ", test="a.price <= b.price"), True
+    ),
+    "grouped_exists": (
+        "SELECT b.broker_id, sum(b.volume) FROM bids b WHERE EXISTS "
+        "(SELECT a.broker_id FROM asks a WHERE a.price <= b.price) "
+        "GROUP BY b.broker_id",
+        True,
+    ),
+    "exists_eq_correlated": (
+        _EXISTS.format(
+            negate="", test="a.broker_id = b.broker_id AND a.price <= b.price"
+        ),
+        False,
+    ),
+    "exists_self": (
+        "SELECT sum(b.volume) FROM bids b WHERE EXISTS "
+        "(SELECT b2.broker_id FROM bids b2 WHERE b2.price < b.price)",
+        False,
+    ),
+    "in_select_expr": (
+        "SELECT sum(b.volume) FROM bids b "
+        "WHERE b.price IN (SELECT a.price + 1 FROM asks a)",
+        False,
+    ),
+    "self_join_inequality": (
+        "SELECT sum(b1.volume * b2.volume) FROM bids b1, bids b2 "
+        "WHERE b1.price < b2.price",
+        False,
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _narrowed_program(query_name: str):
+    return compile_sql(NARROWED_QUERIES[query_name][0], _catalog(), name="q")
+
+
+def _narrowed_stream(seed: int) -> list:
+    """Random traffic over both books (domain 0..4: zero volumes, duplicate
+    full rows, ties at the extremum; deletes attack min and max price),
+    then every live row deleted — each side passes through empty — and a
+    few rows back in."""
+    events = oracle_stream(
+        {"asks": 3, "bids": 3}, 70, seed, domain=4,
+        attack={"asks": 1, "bids": 1},
+    )
+    live: list = []
+    for event in events:
+        if event.sign == 1:
+            live.append(event)
+        else:
+            live.remove(StreamEvent(event.relation, 1, event.values))
+    events += [StreamEvent(e.relation, -1, e.values) for e in live]
+    events += [
+        StreamEvent("bids", 1, (1, 2, 3)),
+        StreamEvent("asks", 1, (1, 2, 0)),
+        StreamEvent("asks", 1, (1, 2, 0)),
+        StreamEvent("bids", 1, (2, 1, 5)),
+    ]
+    return events
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 7, 100])
+@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
+@pytest.mark.parametrize("query_name", sorted(NARROWED_QUERIES))
+def test_narrowed_shapes_match_sqlite(query_name, mode, batch_size, shards):
+    program = _narrowed_program(query_name)
+    sql, reads_extremum = NARROWED_QUERIES[query_name]
+    assert bool(program.finalizers) == reads_extremum
+    if shards == 1:
+        engine = DeltaEngine(program, mode=mode)
+    else:
+        engine = ShardedEngine(program, shards=shards, mode=mode)
+    with engine:
+        run_differential(
+            engine, SqliteOracle(_catalog(), sql), _narrowed_stream(seed=31),
+            batch_size=batch_size,
+        )
+
+
+@pytest.mark.parametrize("query_name", ["mst", "vwap", "axf"])
+@pytest.mark.parametrize("mode,batch_size", [
+    ("compiled", 1), ("native", 64), ("interpreted", 23),
+])
+def test_finance_narrowed_matches_sqlite(query_name, mode, batch_size):
+    """The three finance queries whose base maps narrow, on book traffic."""
+    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+    from repro.workloads.orderbook import OrderBookGenerator
+
+    catalog = finance_catalog()
+    program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
+    engine = DeltaEngine(program, mode=mode)
+    oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
+    events = list(OrderBookGenerator(seed=2009).events(300))
+    run_differential(engine, oracle, events, batch_size=batch_size)
+
+
+# ---------------------------------------------------------------------------
 # Native backend: declined plans and the forced-off configuration
 # ---------------------------------------------------------------------------
 

@@ -138,12 +138,13 @@ class TestOptimisationPasses:
         hoists = [s for s in block.stmts if isinstance(s, Assign)]
         assert any("m2_bids" in repr(h.value) for h in hoists)
 
-    def test_vwap_dead_bindings_pruned(self, catalog):
+    def test_vwap_scan_binds_only_the_narrowed_key(self, catalog):
         program = compile_sql(VWAP_SQL, catalog)
         ir = lower_program(program)
         (loop,) = _loops(ir.triggers[("bids", 1)])
-        # Only price (pos 3) and volume (pos 4) feed the body.
-        assert [pos for pos, _ in loop.binds] == [3, 4]
+        # The scanned base map is bids[volume] -> sum(price): one key.
+        assert loop.slot.name == program.base_maps["bids"].name
+        assert [pos for pos, _ in loop.binds] == [0]
 
     def test_float_maps_block_reordering_fusion(self, catalog):
         float_vwap = VWAP_SQL.replace("FROM bids", "FROM fbids")
@@ -182,11 +183,66 @@ class TestOptimisationPasses:
         float_program = compile_sql(
             VWAP_SQL.replace("FROM bids", "FROM fbids"), catalog
         )
-        assert exact_int_maps(float_program) == {"m1_base_fbids", "m2_fbids"}
+        assert exact_int_maps(float_program) == {"m1_fbids", "m2_fbids"}
+        assert float_program.base_maps["fbids"].name == "m1_fbids"
+        assert float_program.base_maps["fbids"].keys == (3, 4)
         assert len(float_program.maps) == 4
         # ... and a float literal in value position taints like a column.
         literal = compile_sql("SELECT sum(0.1 * b.volume) FROM bids b", catalog)
         assert not exact_int_maps(literal)
+
+    def test_unit_deltas_fold_into_the_update(self, suite_programs):
+        """``d = 1; if d != 0: m[k] += d`` is ``m[k] += 1``: no constant
+        temp, no guard a constant decides, no ``* 1`` survives folding."""
+        from repro.ir.nodes import AddTo, Prod
+
+        def constant_temps(ir):
+            return [
+                stmt
+                for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values())
+                for stmt in walk_stmts(trigger_ir.body)
+                if isinstance(stmt, Assign)
+                and isinstance(stmt.value, Const)
+                and stmt.name.startswith("__d")
+            ]
+
+        program = suite_programs["bsp"]
+        rest = tuple(p for p in DEFAULT_PASSES if p != "fold-constants")
+        assert constant_temps(lower_program(program, passes=rest))
+        folded = lower_program(program)
+        assert not constant_temps(folded)
+        units = [
+            stmt
+            for stmt in walk_stmts(folded.triggers[("bids", 1)].body)
+            if isinstance(stmt, AddTo) and stmt.value == Const(1)
+        ]
+        assert units
+        for ir in map(lower_program, suite_programs.values()):
+            for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values()):
+                for stmt in walk_stmts(trigger_ir.body):
+                    if isinstance(stmt, IfCond):
+                        assert not isinstance(stmt.cond, Const)
+                    value = getattr(stmt, "value", None)
+                    if isinstance(value, Prod):
+                        assert Const(1) not in value.factors
+
+    def test_only_finalized_targets_buffer(self, suite_programs):
+        """bbo's triggers conflict nowhere: only the occurrence maps whose
+        pending buffer feeds a Finalize step are two-phase."""
+        from repro.ir.nodes import BufferDecl
+
+        program = suite_programs["bbo"]
+        ir = lower_program(program)
+        for key, trigger in program.triggers.items():
+            written = {s.target for s in trigger.statements}
+            buffers = {
+                s.name
+                for s in walk_stmts(ir.triggers[key].body)
+                if isinstance(s, BufferDecl)
+            }
+            finalized = written & set(program.finalizers)
+            assert finalized and finalized < written
+            assert buffers == {f"__pending_{name}" for name in finalized}
 
     def test_every_default_pass_has_yield(self, suite_programs):
         """Each pass, removed alone, changes the lowered IR of at least

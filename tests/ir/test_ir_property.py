@@ -1,10 +1,14 @@
 """The IR refactor's acceptance property: every IR-backed executor is
 map-identical to the pre-refactor engine.
 
-``LegacyExecutor`` below is the pre-refactor interpreted executor,
-verbatim: it walks raw ``Statement``/``Expr`` trees with the calculus
-evaluator (the semantics the pre-refactor compiled back end was tested
-bit-identical against).  For random streams over the example query
+``LegacyExecutor`` below is the pre-refactor interpreted executor: it
+walks raw ``Statement``/``Expr`` trees with the calculus evaluator (the
+semantics the pre-refactor compiled back end was tested bit-identical
+against), and re-derives every min/max/distinct cache from its source
+map after each event — the definition ``Finalize`` maintains
+incrementally.  A statement that reads such a cache carries what an
+empty group reads as on the reference itself (``MapRef.absent``), so the
+evaluator needs no side table.  For random streams over the example query
 shapes — and deterministically over the bundled finance workload — the
 IR-backed compiled executor, the IR-walking interpreted executor, the
 batched path, and sharded engines (1-4 shards, both modes) must all
@@ -21,6 +25,8 @@ from repro.algebra.eval import eval_expr, eval_scalar
 from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries
 from repro.compiler.program import needs_buffering
+from repro.ir.lower import lower_program
+from repro.ir.nodes import Block, walk_stmts
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.sql.catalog import Catalog
 from tests.strategies import events
@@ -48,7 +54,31 @@ QUERIES = {
         "SELECT sum(r.A) FROM R r "
         "WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1)"
     ),
+    # mst's shape: S[C] -> count answers the test from its maintained
+    # minimum; inserts into S restate q only when that minimum moves.
+    "exists_threshold": (
+        "SELECT sum(r.A) FROM R r WHERE EXISTS "
+        "(SELECT s.B FROM S s WHERE s.C <= r.B + 1)"
+    ),
 }
+
+#: Queries whose compiled form reads EXISTS as "some live row", which is
+#: the ring's ``sum != 0`` only while multiplicities stay non-negative
+#: (the precondition MIN/MAX document): their random streams drop the
+#: deletes of rows that are not there.
+WELL_FORMED_ONLY = {"exists_threshold"}
+
+
+def _stream(query_name, drawn):
+    events_, live = [], {}
+    for relation, sign, values in drawn:
+        if query_name in WELL_FORMED_ONLY:
+            count = live.get((relation, values), 0) + sign
+            if count < 0:
+                continue
+            live[relation, values] = count
+        events_.append(StreamEvent(relation, sign, values))
+    return events_
 
 
 class LegacyExecutor:
@@ -77,6 +107,9 @@ class LegacyExecutor:
                 self._apply(updates)
         if buffered:
             self._apply(pending)
+        for statement in trigger.statements:
+            for spec in self.program.finalizers.get(statement.target, ()):
+                self.maps[spec.aux] = _cache(spec, self.maps[statement.target])
 
     def _statement_updates(self, statement, env):
         cols, rows = eval_expr(statement.rhs, env, self.maps)
@@ -99,6 +132,16 @@ class LegacyExecutor:
                 contents[key] = updated
 
 
+def _cache(spec, source):
+    """The min/max/distinct cache of ``source`` (a zero-free GMR keyed
+    ``group + (value,)``), by definition."""
+    values = {}
+    for key in source:
+        values.setdefault(key[: spec.group_arity], []).append(key[spec.group_arity])
+    fold = {"min": min, "max": max, "distinct": len}[spec.kind]
+    return {group: fold(members) for group, members in values.items()}
+
+
 @lru_cache(maxsize=None)
 def _program(query_name: str):
     catalog = Catalog.from_script(CATALOG_DDL)
@@ -119,9 +162,7 @@ def _reference_maps(program, stream_events):
 @given(stream=st.lists(events(), max_size=40))
 def test_ir_backends_match_legacy_per_event(query_name, mode, stream):
     program = _program(query_name)
-    stream_events = [
-        StreamEvent(relation, sign, values) for relation, sign, values in stream
-    ]
+    stream_events = _stream(query_name, stream)
     reference = _reference_maps(program, stream_events)
 
     engine = DeltaEngine(program, mode=mode)
@@ -144,9 +185,7 @@ def test_ir_backends_match_legacy_per_event(query_name, mode, stream):
 )
 def test_ir_batch_path_matches_legacy(query_name, mode, stream, batch_size):
     program = _program(query_name)
-    stream_events = [
-        StreamEvent(relation, sign, values) for relation, sign, values in stream
-    ]
+    stream_events = _stream(query_name, stream)
     reference = _reference_maps(program, stream_events)
     engine = DeltaEngine(program, mode=mode)
     engine.process_stream(stream_events, batch_size=batch_size)
@@ -160,16 +199,41 @@ def test_ir_batch_path_matches_legacy(query_name, mode, stream, batch_size):
 @given(stream=st.lists(events(), max_size=30))
 def test_ir_sharded_path_matches_legacy(query_name, mode, shards, stream):
     program = _program(query_name)
-    stream_events = [
-        StreamEvent(relation, sign, values) for relation, sign, values in stream
-    ]
+    stream_events = _stream(query_name, stream)
     reference = _reference_maps(program, stream_events)
     with ShardedEngine(program, shards=shards, mode=mode) as engine:
         engine.process_stream(stream_events)
         assert engine.merged_maps() == reference
 
 
-@pytest.mark.parametrize("query_name", ["vwap", "axf", "bsp", "psp", "mst"])
+def test_threshold_shape_reads_an_extremum():
+    """The random-stream shape above takes the path it is there for."""
+    program = _program("exists_threshold")
+    (spec,) = program.finalizers[program.base_maps["S"].name]
+    assert (spec.kind, spec.group_arity, spec.absent) == ("min", 0, float("inf"))
+    for sign in (1, -1):
+        # R events test the cache in O(1) ...
+        assert all(
+            statement.reads() == {spec.aux}
+            for statement in program.triggers["R", sign].statements
+            if statement.target in program.slot_maps["q"]
+        )
+        # ... S events restate the result only when the minimum moved.
+        comments = [
+            comment
+            for stmt in walk_stmts(lower_program(program).triggers["S", sign].body)
+            if isinstance(stmt, Block)
+            for comment in stmt.comments
+        ]
+        assert any(
+            c.startswith("restate") and c.endswith(f"when {spec.aux} moved")
+            for c in comments
+        )
+
+
+@pytest.mark.parametrize(
+    "query_name", ["vwap", "axf", "bsp", "psp", "mst", "bbo", "act"]
+)
 def test_finance_workload_matches_legacy(query_name):
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
     from repro.workloads.orderbook import OrderBookGenerator

@@ -164,7 +164,7 @@ class TestDeltaOfDelta:
             name: batch_delta_order(map_def.defn, event)
             for name, map_def in program.maps.items()
         }
-        assert orders["m1_base_bids"] == 1  # occurrence: state-independent
+        assert orders["m1_bids"] == 1  # bids[volume] -> sum(price): linear
         assert orders["m2_bids"] == 1  # linear sum: state-independent
         assert orders["m3_bids"] == 2  # nested threshold: shifts per row
         assert orders["q_vwap_sum_0"] == 2
@@ -172,7 +172,8 @@ class TestDeltaOfDelta:
     def test_order_zero_for_unrelated_relation(self):
         program = finance_program("mst")
         event = Event("asks", 1, program.triggers[("asks", 1)].params)
-        assert batch_delta_order(program.maps["m1_base_bids"].defn, event) == 0
+        bids = program.base_maps["bids"].name
+        assert batch_delta_order(program.maps[bids].defn, event) == 0
 
     def test_second_order_delta_requires_disjoint_params(self):
         program = finance_program("vwap")
@@ -187,7 +188,8 @@ class TestSecondOrderPlan:
         plan = plan_second_order(program.triggers[("bids", 1)], program)
         assert plan is not None
         assert set(plan.order) == {"m3_bids", "q_vwap_sum_0"}
-        assert {s.target for s in plan.base} == {"m1_base_bids", "m2_bids"}
+        assert {s.target for s in plan.base} == {"m1_bids", "m2_bids"}
+        assert program.base_maps["bids"].name == "m1_bids"
         # Restatements are definition re-evaluations over maintained maps:
         # no event parameters, no base relations.
         for statements in plan.restate.values():

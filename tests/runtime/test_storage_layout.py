@@ -32,9 +32,12 @@ from tests.integration.sql_oracle import SqliteOracle, run_differential
 
 SHIPPED = {**FINANCE_QUERIES, **SSB_FLIGHT}
 
-#: Maps the native lane hands to the kernel by default: the ones a trigger
-#: scans whole.  Every other shipped query only point-probes its maps.
-KERNEL_MAPS = {"vwap": 1, "mst": 2}
+#: Maps the native lane hands to the kernel by default: the ones a
+#: per-event trigger scans whole on every event (vwap's bids[volume]).
+#: mst scans bids[price] only when its watched minimum moved, or once per
+#: batch — not worth an FFI crossing per bid — so its native lane is the
+#: compiled one; every other shipped query only point-probes its maps.
+KERNEL_MAPS = {"vwap": 1}
 
 _TYPES = {"dict": dict, "packed": ColumnarMap, "kernel": _NativeColumnarMap}
 

@@ -72,7 +72,7 @@ def test_check_target_logic(capsys):
 def test_main_smoke_writes_json(tmp_path, capsys):
     payload_path = tmp_path / "BENCH_memory.json"
     exit_code = bench_memory.main(
-        ["--events", "600", "--json", str(payload_path)]
+        ["--events", "1500", "--json", str(payload_path)]
     )
     out = capsys.readouterr().out
     assert "per-entry map memory" in out
@@ -85,5 +85,7 @@ def test_main_smoke_writes_json(tmp_path, capsys):
     for query in bench_memory.MEASURED_QUERIES:
         assert f"storage/{query}/ratio" in payload["metrics"]
     # On a real run the acceptance target holds and the exit code is 0;
-    # tiny streams may legitimately miss it, but 600 events suffice.
+    # tiny streams may legitimately miss it (the narrowed base maps hold
+    # a few dozen entries, where fixed per-map bytes dominate), but 1500
+    # events suffice.
     assert exit_code == 0
