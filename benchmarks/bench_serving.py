@@ -6,14 +6,20 @@ the framed protocol, so the deployment questions are:
 
 * **sustained throughput vs fan-out** — events/second through the
   serving ingest path with N live subscribers (each a real socket client
-  accumulating deltas), on the finance ``bsp`` workload at batch 100.
-  The acceptance gate: >= 1000 events/second sustained with 8
+  accumulating deltas), on the finance ``bsp`` workload at batch 100,
+  unpaced.  The acceptance gate: >= 1000 events/second sustained with 8
   subscribers;
 * **delivery latency** — per-delta wall time from server fan-out
   (the frame's ``ts`` stamp) to client receipt, reported as p50/p99
-  across all subscribers.  The regression gate tracks the *inverse* p99
+  across all subscribers, from a second pass *paced* at the gate's own
+  1000 events/second.  At saturation a server faster than its in-process
+  Python subscribers just fills their 256-frame queues and the kernel's
+  socket buffers, so unpaced latency measures that buffering, not the
+  server.  The regression gate tracks the *inverse* p99
   (deliveries/second), keeping every committed metric higher-is-better.
 
+Subscribers hold their snapshot before either pass's clock starts, so
+every row delivers exactly ``subscribers x (deltas of the stream)``.
 Every subscriber must finish in exact parity with the engine's offline
 ``query_results`` — a benchmark run that drops or corrupts a delta
 fails outright.
@@ -47,6 +53,9 @@ SUSTAINED_TARGET = 1_000
 
 BATCH_SIZE = 100
 
+#: Length of the paced pass the delivery latencies come from.
+PACED_SECONDS = 4.0
+
 
 def _program():
     from repro.compiler import compile_sql
@@ -61,40 +70,63 @@ def _finance_events(event_count: int, seed: int = 11) -> list:
     return list(OrderBookGenerator(seed=seed).events(event_count))
 
 
-def _run_subscriber(client, stop, output):
-    """One subscriber: accumulate snapshot + deltas until the sentinel.
+def _run_subscriber(client, rows, stop, output):
+    """One subscriber: fold deltas into ``rows`` until the sentinel.
 
     ``stop["lsn"]`` is set (before the sentinel batches are published)
     to the last LSN of the measured stream; the first delta past it is
     the sentinel's, so accumulation stops there with the measured stream
-    fully applied.
+    fully applied.  Only the stream's own deltas are timed.
     """
-    from repro.runtime.serving import apply_changes, rows_from_snapshot
+    from repro.runtime.serving import apply_changes
 
-    rows = rows_from_snapshot(client.subscribe(QUERY))
     latencies: list[float] = []
     while True:
         frame = client.recv()
         if frame.get("type") != "delta":
             continue
-        latencies.append(time.time() - frame["ts"])
+        received = time.time()
         apply_changes(rows, frame["changes"])
         if stop["lsn"] is not None and frame["lsn"] > stop["lsn"]:
             break
+        latencies.append(received - frame["ts"])
     output["rows"] = rows
     output["latencies"] = latencies
     output["finished"] = time.time()
 
 
-def measure_fanout(program, events: list, subscribers: int) -> dict:
-    """Serve the stream to N live subscribers; throughput + latency.
+def _publish_paced(handle, events: list, rate: float) -> None:
+    """Open loop: each batch is published when its first event is due at
+    ``rate`` events/second, however the previous ones fared."""
+    from repro.runtime.events import batches
 
-    Wall time runs from the first published batch until the *slowest*
+    start = time.time()
+    sent = 0
+    for batch in batches(events, BATCH_SIZE):
+        wait = start + sent / rate - time.time()
+        if wait > 0:
+            time.sleep(wait)
+        handle.publish(batch.relation, batch.sign, batch.rows)
+        sent += len(batch)
+
+
+def _serve(
+    program, events: list, subscribers: int, rate=None
+) -> tuple[float, list[float]]:
+    """Serve the stream to N live subscribers, unpaced or at ``rate``;
+    returns ``(wall seconds, every delivery latency, sorted)``.
+
+    Every subscriber holds its snapshot before the clock starts.  Wall
+    time runs from the first published batch until the *slowest*
     subscriber has applied the whole stream — sustained delivery rate,
     not just ingest rate.
     """
     from repro.runtime import DeltaEngine
-    from repro.runtime.serving import ServerThread, SubscriberClient
+    from repro.runtime.serving import (
+        ServerThread,
+        SubscriberClient,
+        rows_from_snapshot,
+    )
 
     engine = DeltaEngine(program)
     stop: dict = {"lsn": None}
@@ -105,15 +137,24 @@ def measure_fanout(program, events: list, subscribers: int) -> dict:
         ]
         threads = [
             threading.Thread(
-                target=_run_subscriber, args=(client, stop, output), daemon=True
+                target=_run_subscriber,
+                args=(
+                    client, rows_from_snapshot(client.subscribe(QUERY)),
+                    stop, output,
+                ),
+                daemon=True,
             )
             for client, output in zip(clients, outputs)
         ]
-        start = time.time()
         for thread in threads:
             thread.start()
-        handle.publish_stream(events, batch_size=BATCH_SIZE)
+        start = time.time()
+        if rate is None:
+            handle.publish_stream(events, batch_size=BATCH_SIZE)
+        else:
+            _publish_paced(handle, events, rate)
         stop["lsn"] = handle.server.tap.lsn
+        stream_deltas = handle.server.deltas_sent // subscribers
         # The sentinel: a broker id the generator never emits, asks first
         # then bids, so the final batch provably changes the bsp view and
         # every subscriber sees one delta past the stop LSN.
@@ -126,7 +167,8 @@ def measure_fanout(program, events: list, subscribers: int) -> dict:
         wall = max(output["finished"] for output in outputs) - start
         for client in clients:
             client.close()
-        # Parity oracle: every subscriber converged on the live result.
+        # Parity oracle: every subscriber converged on the live result,
+        # having been sent every delta of the stream, none in a snapshot.
         expected = Counter(engine.results(QUERY))
         for index, output in enumerate(outputs):
             if output["rows"] != expected:
@@ -134,13 +176,27 @@ def measure_fanout(program, events: list, subscribers: int) -> dict:
                     f"subscriber {index} diverged from query_results "
                     f"({len(output['rows'])} vs {len(expected)} rows)"
                 )
-    latencies = sorted(
+            if len(output["latencies"]) != stream_deltas:
+                raise RuntimeError(
+                    f"subscriber {index} received {len(output['latencies'])} "
+                    f"of the stream's {stream_deltas} deltas"
+                )
+    return wall, sorted(
         value for output in outputs for value in output["latencies"]
     )
+
+
+def measure_fanout(program, events: list, subscribers: int) -> dict:
+    """Throughput from an unpaced pass over the whole stream, delivery
+    latency from a pass over its first ``PACED_SECONDS`` paced at
+    ``SUSTAINED_TARGET`` events/second."""
+    wall, delivered = _serve(program, events, subscribers)
+    paced_events = events[: int(SUSTAINED_TARGET * PACED_SECONDS)]
+    _, latencies = _serve(program, paced_events, subscribers, SUSTAINED_TARGET)
     return {
         "subscribers": subscribers,
         "events_per_sec": len(events) / wall,
-        "deltas_delivered": len(latencies),
+        "deltas_delivered": len(delivered),
         "p50_ms": latencies[len(latencies) // 2] * 1000,
         "p99_ms": latencies[int(0.99 * (len(latencies) - 1))] * 1000,
     }
@@ -219,7 +275,8 @@ def print_table(rows: list[dict], event_count: int) -> None:
     )
     print(
         f"serving fan-out — finance {QUERY}, {event_count} events, "
-        f"batch {BATCH_SIZE}"
+        f"batch {BATCH_SIZE}; delivery latency paced at "
+        f"{SUSTAINED_TARGET:,} events/s"
     )
     print(header)
     print("-" * len(header))
@@ -245,7 +302,7 @@ def check_target(rows: list[dict]) -> bool:
     print(
         f"serving target met: {rate:,.0f} events/s sustained with "
         f"{widest['subscribers']} subscribers "
-        f"(p99 delivery {widest['p99_ms']:.2f}ms, target "
+        f"(p99 delivery {widest['p99_ms']:.2f}ms at the target "
         f"{SUSTAINED_TARGET:,} events/s)"
     )
     print()

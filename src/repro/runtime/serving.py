@@ -42,7 +42,11 @@ kept continuously fresh for many readers).  Three layers:
   registry and per-client bounded send queues, and a small blocking
   client for tests, examples and the CLI.  Ingest (network ``publish``
   or in-process :meth:`ViewServer.publish`) is serialised, so every
-  subscriber observes one consistent delta sequence.
+  subscriber observes one consistent delta sequence.  Both directions
+  move *bursts*, not frames: a connection handler applies every complete
+  frame one socket read returned before it reads again, a delta is
+  encoded once for all its subscribers, and a client's writer sends
+  everything queued for it in one write.
 
 Backpressure: each client has a bounded frame queue; what happens when a
 slow client fills it is the server's ``backpressure`` policy:
@@ -76,7 +80,7 @@ import threading
 import time
 import weakref
 from collections import Counter, deque
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
 from repro.runtime.views import result_delta
@@ -101,6 +105,13 @@ DEFAULT_QUEUE_FRAMES = 256
 DEFAULT_HISTORY_FRAMES = 1024
 
 _CLOSE = object()  # writer-task poison pill
+
+#: Most bytes one socket read takes, on either end: the size of a burst.
+_READ_BYTES = 1 << 16
+
+#: A connection handler hands the loop back after dispatching at most
+#: this many frames (see :meth:`ViewServer._handle_client`).
+_YIELD_EVERY = 64
 
 #: Serving sockets a forked child must not inherit.  Shard workers are
 #: forked while the server runs (the supervisor respawns them mid-
@@ -169,14 +180,36 @@ def decode_frame(body: bytes) -> dict:
     return message
 
 
-def _frame_length(prefix: bytes) -> int:
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ServingError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte "
-            "protocol limit"
-        )
-    return length
+def _split_frames(buffer: bytearray) -> tuple[list[bytes], int]:
+    """Slice every complete frame body off the front of ``buffer``.
+
+    Returns ``(bodies, consumed)``; the caller trims ``consumed`` bytes
+    with one ``del buffer[:consumed]`` — one memmove per burst, however
+    many frames it held.  A trailing partial frame stays in the buffer.
+
+    A length prefix beyond :data:`MAX_FRAME_BYTES` raises
+    :class:`~repro.errors.ServingError` — but only at the buffer's
+    front: met behind complete frames it just ends the slice, so those
+    frames are applied first and the next call raises.
+    """
+    bodies: list[bytes] = []
+    offset = 0
+    end = len(buffer)
+    while end - offset >= _LENGTH.size:
+        (length,) = _LENGTH.unpack_from(buffer, offset)
+        if length > MAX_FRAME_BYTES:
+            if offset:
+                break
+            raise ServingError(
+                f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte "
+                "protocol limit"
+            )
+        start = offset + _LENGTH.size
+        if end - start < length:
+            break
+        bodies.append(bytes(buffer[start : start + length]))
+        offset = start + length
+    return bodies, offset
 
 
 def _tuple_rows(rows: Iterable[Sequence]) -> list[tuple]:
@@ -298,6 +331,29 @@ class ViewDeltaTap:
 # ---------------------------------------------------------------------------
 
 
+class _Delta(NamedTuple):
+    """One published delta, shared by every subscriber queue and the
+    resume history ring: its ``wire`` frame is encoded exactly once."""
+
+    lsn: int
+    view: str
+    ts: float
+    changes: list  # [(row, weight), ...]
+    wire: bytes
+
+
+def _delta_record(
+    view: str, lsn: int, ts: float, changes: list, flag: Optional[str] = None
+) -> _Delta:
+    """Encode one ``delta`` frame; ``flag`` marks a ``"replayed"`` or
+    ``"coalesced"`` one.  JSON renders the row tuples as arrays."""
+    message = {"type": "delta", "view": view, "lsn": lsn, "ts": ts}
+    if flag is not None:
+        message[flag] = True
+    message["changes"] = changes
+    return _Delta(lsn, view, ts, changes, encode_frame(message))
+
+
 class _ClientState:
     """Server-side state of one connected client."""
 
@@ -319,7 +375,7 @@ class _ClientState:
         self.dropped = False
         self.writer_task: Optional[asyncio.Task] = None
         #: Monotonic stamp of the client's last observed progress: any
-        #: received op, or its writer draining a frame onto the socket.
+        #: received burst, or its writer draining one onto the socket.
         self.last_active = time.monotonic()
 
 
@@ -517,64 +573,66 @@ class ViewServer:
         return count
 
     async def _flush_staged(self) -> None:
-        """Fan staged deltas out to subscribers, in LSN order."""
+        """Fan staged deltas out to subscribers, in LSN order.  Each
+        delta is encoded once; every queue and the history ring share
+        the one record."""
         staged, self._staged = self._staged, []
         for lsn, deltas in staged:
             ts = time.time()
             for view, changes in deltas.items():
-                frame = {
-                    "type": "delta",
-                    "view": view,
-                    "lsn": lsn,
-                    "ts": ts,
-                    "changes": [[list(row), weight] for row, weight in changes],
-                }
-                self._remember(view, frame)
+                record = _delta_record(view, lsn, ts, changes)
+                self._remember(record)
                 for client in list(self._subscribers.get(view, ())):
-                    await self._deliver(client, frame)
-                    self.deltas_sent += 1
+                    if await self._deliver(client, record):
+                        self.deltas_sent += 1
 
-    def _remember(self, view: str, frame: dict) -> None:
-        """Retain one delta frame in the view's resume history ring,
+    def _remember(self, record: _Delta) -> None:
+        """Retain one delta in its view's resume history ring,
         advancing the floor past whatever eviction discards."""
-        history = self._history[view]
+        history = self._history[record.view]
         if history.maxlen == 0:
-            self._history_floor[view] = frame["lsn"]
+            self._history_floor[record.view] = record.lsn
             return
         if len(history) == history.maxlen:
-            self._history_floor[view] = history[0]["lsn"]
-        history.append(frame)
+            self._history_floor[record.view] = history[0].lsn
+        history.append(record)
 
     # -- delivery / backpressure -------------------------------------------
 
-    async def _deliver(self, client: _ClientState, frame: dict) -> bool:
-        """Enqueue one frame under the server's backpressure policy."""
+    async def _deliver(self, client: _ClientState, item: _Delta | bytes) -> bool:
+        """Enqueue one delta record or encoded reply frame; only a full
+        queue enters the server's backpressure policy.  False when the
+        client is (or thereby gets) dropped."""
         if client.dropped:
             return False
+        try:
+            client.queue.put_nowait(item)
+            return True
+        except asyncio.QueueFull:
+            pass
         if self.backpressure == "block":
             # Wait in slices rather than a bare put() so an eviction
             # (idle timeout, disconnect) unpins the blocked ingest path
             # promptly instead of waiting on a queue nothing drains.
             while not client.dropped:
                 try:
-                    await asyncio.wait_for(client.queue.put(frame), timeout=0.1)
+                    await asyncio.wait_for(client.queue.put(item), timeout=0.1)
                     return True
                 except asyncio.TimeoutError:
                     continue
             return False
-        try:
-            client.queue.put_nowait(frame)
-            return True
-        except asyncio.QueueFull:
-            pass
         if self.backpressure == "drop":
             self.clients_dropped += 1
             self._disconnect(client)
             return False
-        self._coalesce(client, frame)
+        self._coalesce(client, item)
         return True
 
-    def _coalesce(self, client: _ClientState, frame: dict) -> None:
+    async def _reply(self, client: _ClientState, message: Mapping) -> bool:
+        """Queue one non-delta frame (encoded here, written as is)."""
+        return await self._deliver(client, encode_frame(message))
+
+    def _coalesce(self, client: _ClientState, item: _Delta | bytes) -> None:
         """Merge the client's queued deltas per view to make room.
 
         Weights sum row-wise and the LSN advances to the newest, so the
@@ -583,53 +641,28 @@ class ViewServer:
         skipped.  ``ts`` keeps the *oldest* pending stamp, so measured
         delivery latency still reflects how long the client lagged.
         Non-delta frames (snapshots, acks, pongs) are preserved in order
-        ahead of the merged deltas.
+        ahead of the merged deltas; only a merged frame is re-encoded.
         """
-        pending: list[dict] = []
-        while True:
-            try:
-                pending.append(client.queue.get_nowait())
-            except asyncio.QueueEmpty:
-                break
-        pending.append(frame)
-        passthrough: list[dict] = []
-        merged: dict[str, dict] = {}
-        for item in pending:
-            if not isinstance(item, dict) or item.get("type") != "delta":
-                passthrough.append(item)
+        pending = []
+        while not client.queue.empty():
+            pending.append(client.queue.get_nowait())
+        pending.append(item)
+        merged: dict[str, tuple[Counter, int, float]] = {}
+        for queued in pending:
+            if not isinstance(queued, _Delta):
+                client.queue.put_nowait(queued)
                 continue
-            view = item["view"]
-            slot = merged.get(view)
-            if slot is None:
-                merged[view] = {
-                    "rows": Counter(
-                        {tuple(row): weight for row, weight in item["changes"]}
-                    ),
-                    "lsn": item["lsn"],
-                    "ts": item["ts"],
-                }
-                continue
-            apply_changes(
-                slot["rows"], _tuple_changes(item["changes"])
+            rows, lsn, ts = merged.get(
+                queued.view, (Counter(), queued.lsn, queued.ts)
             )
-            slot["lsn"] = max(slot["lsn"], item["lsn"])
-            slot["ts"] = min(slot["ts"], item["ts"])
-        for item in passthrough:
-            client.queue.put_nowait(item)
-        for view, slot in merged.items():
-            changes = sorted(slot["rows"].items(), key=repr)
-            if not changes:
-                continue  # deltas cancelled out entirely
-            client.queue.put_nowait(
-                {
-                    "type": "delta",
-                    "view": view,
-                    "lsn": slot["lsn"],
-                    "ts": slot["ts"],
-                    "coalesced": True,
-                    "changes": [[list(row), weight] for row, weight in changes],
-                }
-            )
+            apply_changes(rows, queued.changes)
+            merged[queued.view] = rows, max(lsn, queued.lsn), min(ts, queued.ts)
+        for view, (rows, lsn, ts) in merged.items():
+            changes = sorted(rows.items(), key=repr)
+            if changes:  # else the deltas cancelled out entirely
+                client.queue.put_nowait(
+                    _delta_record(view, lsn, ts, changes, "coalesced")
+                )
 
     def _disconnect(self, client: _ClientState) -> None:
         """Drop one client: unregister, stop its writer, close the socket."""
@@ -687,13 +720,25 @@ class ViewServer:
                 self._disconnect(client)
 
     async def _writer_loop(self, client: _ClientState) -> None:
+        """One wakeup writes everything queued: one ``write``, one
+        ``drain``, one ``last_active`` stamp per burst."""
         writer = client.writer
+        queue = client.queue
         try:
-            while True:
-                frame = await client.queue.get()
-                if frame is _CLOSE:
-                    break
-                writer.write(encode_frame(frame))
+            closing = False
+            while not closing:
+                burst = [await queue.get()]
+                while not queue.empty():
+                    burst.append(queue.get_nowait())
+                if _CLOSE in burst:  # flush what precedes it, then stop
+                    closing = True
+                    del burst[burst.index(_CLOSE) :]
+                writer.write(
+                    b"".join(
+                        item.wire if isinstance(item, _Delta) else item
+                        for item in burst
+                    )
+                )
                 await writer.drain()
                 client.last_active = time.monotonic()
         except (OSError, asyncio.CancelledError):
@@ -722,30 +767,54 @@ class ViewServer:
         )
         client.writer_task = asyncio.ensure_future(self._writer_loop(client))
         self._clients.add(client)
+        # A burst is whatever one wakeup's read returns: every complete
+        # frame in it is dispatched before the next read.  A publish on
+        # an uncontended, unblocked path never suspends, so the loop is
+        # handed back explicitly every few frames — writers flush and
+        # other connections progress — and often enough that a frame's
+        # replies to this client (a delta and an ack, at most) cannot
+        # overflow its own queue within one slice.
+        yield_every = min(_YIELD_EVERY, self.queue_frames // 2)
+        buffer = bytearray()
+        unyielded = 0
         try:
             while not client.dropped:
-                prefix = await reader.readexactly(_LENGTH.size)
-                body = await reader.readexactly(_frame_length(prefix))
+                bodies, consumed = _split_frames(buffer)
+                if not consumed:
+                    chunk = await reader.read(_READ_BYTES)
+                    if not chunk:
+                        break
+                    buffer += chunk
+                    continue
+                del buffer[:consumed]
                 client.last_active = time.monotonic()
-                await self._dispatch(client, decode_frame(body))
-        except asyncio.IncompleteReadError as exc:
-            # A clean close lands here with no partial bytes; a client
-            # dying mid-frame leaves a torn length prefix or body.  Both
-            # are reaped quietly — never propagated to the ingest path.
-            if exc.partial:
+                for body in bodies:
+                    await self._dispatch(client, decode_frame(body))
+                    if client.dropped:
+                        break
+                    unyielded += 1
+                    if unyielded == yield_every:
+                        unyielded = 0
+                        await asyncio.sleep(0)
+            # A clean close leaves nothing buffered; a client dying
+            # mid-frame leaves a torn length prefix or body.  Both are
+            # reaped quietly — never propagated to the ingest path.
+            if buffer and not client.dropped:
                 _log.warning(
                     "%s disconnected mid-frame (%d bytes of a torn frame "
                     "discarded)",
                     client.name,
-                    len(exc.partial),
+                    len(buffer),
                 )
         except OSError as exc:
             _log.info("%s connection lost: %s", client.name, exc)
         except ServingError as exc:
             # Malformed framing (oversized length prefix, undecodable
-            # body): tell the client directly — its queue may be full —
-            # then reap it.
+            # body): let the writer flush the replies to the frames
+            # before it, tell the client directly — its queue may be
+            # full — then reap it.
             _log.warning("%s sent a malformed frame: %s", client.name, exc)
+            await asyncio.sleep(0)
             try:
                 writer.write(encode_frame({"type": "error", "message": str(exc)}))
             except Exception:
@@ -769,16 +838,16 @@ class ViewServer:
             view = message.get("view")
             client.views.discard(view)
             self._subscribers.get(view, set()).discard(client)
-            await self._deliver(
+            await self._reply(
                 client,
                 {"type": "unsubscribed", "view": view, "lsn": self.tap.lsn},
             )
         elif op == "publish":
             await self._op_publish(client, message)
         elif op == "ping":
-            await self._deliver(client, {"type": "pong", "lsn": self.tap.lsn})
+            await self._reply(client, {"type": "pong", "lsn": self.tap.lsn})
         else:
-            await self._deliver(
+            await self._reply(
                 client,
                 {"type": "error", "message": f"unknown protocol op {op!r}"},
             )
@@ -787,7 +856,7 @@ class ViewServer:
         view = message.get("view")
         from_lsn = message.get("from_lsn")
         if from_lsn is not None and not isinstance(from_lsn, int):
-            await self._deliver(
+            await self._reply(
                 client,
                 {
                     "type": "error",
@@ -803,18 +872,18 @@ class ViewServer:
                 if from_lsn is None:
                     lsn, rows = self.tap.snapshot(view)
                 else:
-                    frames = self._resume_frames(view, from_lsn)
+                    records = self._resume_records(view, from_lsn)
             except ServingError as exc:
-                await self._deliver(
+                await self._reply(
                     client, {"type": "error", "message": str(exc)}
                 )
                 return
             if from_lsn is not None:
-                if frames is None:
+                if records is None:
                     # The suffix past from_lsn is unreachable (history
                     # evicted, WAL truncated or absent): the client must
                     # fall back to snapshot-then-stream.
-                    await self._deliver(
+                    await self._reply(
                         client,
                         {
                             "type": "resume_gap",
@@ -826,38 +895,33 @@ class ViewServer:
                     return
                 client.views.add(view)
                 self._subscribers[view].add(client)
-                await self._deliver(
+                await self._reply(
                     client,
                     {
                         "type": "resumed",
                         "view": view,
                         "lsn": self.tap.lsn,
                         "from_lsn": from_lsn,
-                        "replayed": len(frames),
+                        "replayed": len(records),
                     },
                 )
-                for frame in frames:
-                    await self._deliver(client, frame)
-                    self.deltas_sent += 1
+                for record in records:
+                    if await self._deliver(client, record):
+                        self.deltas_sent += 1
                 return
             client.views.add(view)
             self._subscribers[view].add(client)
-            await self._deliver(
+            await self._reply(
                 client,
-                {
-                    "type": "snapshot",
-                    "view": view,
-                    "lsn": lsn,
-                    "rows": [[list(row), weight] for row, weight in rows],
-                },
+                {"type": "snapshot", "view": view, "lsn": lsn, "rows": rows},
             )
 
     # -- resume-from-LSN ----------------------------------------------------
 
-    def _resume_frames(
+    def _resume_records(
         self, view: str, from_lsn: int
-    ) -> Optional[list[dict]]:
-        """The delta frames for ``view`` past ``from_lsn``, or ``None``
+    ) -> Optional[list[_Delta]]:
+        """The delta records for ``view`` past ``from_lsn``, or ``None``
         when that suffix is unreachable (the ``resume_gap`` answer).
 
         Served from the in-memory history ring when ``from_lsn`` is at
@@ -875,15 +939,15 @@ class ViewServer:
             return None
         if from_lsn >= self._history_floor[view]:
             return [
-                frame
-                for frame in self._history[view]
-                if frame["lsn"] > from_lsn
+                record
+                for record in self._history[view]
+                if record.lsn > from_lsn
             ]
-        return self._wal_resume_frames(view, from_lsn)
+        return self._wal_resume_records(view, from_lsn)
 
-    def _wal_resume_frames(
+    def _wal_resume_records(
         self, view: str, from_lsn: int
-    ) -> Optional[list[dict]]:
+    ) -> Optional[list[_Delta]]:
         """Rebuild the delta suffix past ``from_lsn`` from durable state.
 
         Loads the newest snapshot at or below ``from_lsn`` into a
@@ -905,7 +969,7 @@ class ViewServer:
         # non-strict DeltaEngine is the cheapest shadow.
         shadow = DeltaEngine(engine.program, strict=False)
         tap: Optional[ViewDeltaTap] = None
-        frames: list[dict] = []
+        records: list[_Delta] = []
         ts = time.time()
 
         def apply(lsn: int, batch) -> None:
@@ -919,17 +983,8 @@ class ViewServer:
                 return
             changes = tap.on_batch(lsn, batch).get(view)
             if changes:
-                frames.append(
-                    {
-                        "type": "delta",
-                        "view": view,
-                        "lsn": lsn,
-                        "ts": ts,
-                        "replayed": True,
-                        "changes": [
-                            [list(row), weight] for row, weight in changes
-                        ],
-                    }
+                records.append(
+                    _delta_record(view, lsn, ts, changes, "replayed")
                 )
 
         try:
@@ -941,7 +996,7 @@ class ViewServer:
             )
         except ResumeGapError:
             return None
-        return frames
+        return records
 
     async def _op_publish(self, client: _ClientState, message: dict) -> None:
         try:
@@ -949,7 +1004,7 @@ class ViewServer:
             sign = message.get("sign", 1)
             rows = _tuple_rows(message["rows"])
         except (KeyError, TypeError) as exc:
-            await self._deliver(
+            await self._reply(
                 client,
                 {"type": "error", "message": f"malformed publish frame: {exc}"},
             )
@@ -957,11 +1012,9 @@ class ViewServer:
         try:
             count, lsn = await self.publish(relation, sign, rows)
         except EventError as exc:
-            await self._deliver(client, {"type": "error", "message": str(exc)})
+            await self._reply(client, {"type": "error", "message": str(exc)})
             return
-        await self._deliver(
-            client, {"type": "ack", "lsn": lsn, "count": count}
-        )
+        await self._reply(client, {"type": "ack", "lsn": lsn, "count": count})
 
 
 # ---------------------------------------------------------------------------
@@ -1095,6 +1148,8 @@ class SubscriberClient:
         # duplicate fd would keep the connection open after close(), so
         # the server would never see the disconnect.
         _isolate_from_forks(self._sock)
+        self._buffer = bytearray()  # received, not yet framed
+        self._bodies: deque[bytes] = deque()  # framed, not yet returned
         self._pending: deque[dict] = deque()
         self._closed = False
 
@@ -1105,20 +1160,18 @@ class SubscriberClient:
             raise ServingError("client is closed")
         self._sock.sendall(encode_frame(message))
 
-    def _read_exactly(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(remaining)
+    def _recv_frame(self) -> dict:
+        while not self._bodies:
+            bodies, consumed = _split_frames(self._buffer)
+            if consumed:
+                del self._buffer[:consumed]
+                self._bodies.extend(bodies)
+                continue
+            chunk = self._sock.recv(_READ_BYTES)
             if not chunk:
                 raise ServingError("server closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _recv_frame(self) -> dict:
-        length = _frame_length(self._read_exactly(_LENGTH.size))
-        message = decode_frame(self._read_exactly(length))
+            self._buffer += chunk
+        message = decode_frame(self._bodies.popleft())
         if message.get("type") == "delta":
             message["changes"] = _tuple_changes(message["changes"])
         elif message.get("type") == "snapshot":

@@ -8,7 +8,9 @@ and asserts every subscriber's accumulated state (catch-up snapshot plus
 streamed deltas) equals a reference engine's offline
 ``query_results``.  One scenario runs over a
 :class:`~repro.runtime.durability.DurableEngine`, checking that served
-LSNs are the WAL's.
+LSNs are the WAL's; a last one is a network publisher that writes the
+whole stream as one burst of single-event frames, the path on which the
+server reads, applies and acknowledges many frames per wakeup.
 
 Run ``python tests/runtime/serving_smoke.py`` (with ``PYTHONPATH=src``).
 Exit status 0 = every scenario in parity.  A watchdog alarm aborts the
@@ -35,6 +37,7 @@ from repro.runtime.serving import (  # noqa: E402
     ServerThread,
     SubscriberClient,
     apply_changes,
+    encode_frame,
     rows_from_snapshot,
 )
 
@@ -119,6 +122,40 @@ def run_scenario(query_name: str, durable: bool, stream) -> list[str]:
     return failures
 
 
+def run_burst_scenario(query_name: str, stream) -> list[str]:
+    """One ``sendall`` of a publish frame per event; returns failures."""
+    program = _program(query_name)
+    reference = DeltaEngine(program)
+    for event in stream:
+        reference.process(event)
+    offline = Counter(reference.results(query_name))
+    burst = b"".join(
+        encode_frame({
+            "op": "publish", "relation": event.relation, "sign": event.sign,
+            "rows": [list(event.values)],
+        })
+        for event in stream
+    )
+
+    failures: list[str] = []
+    with ServerThread(DeltaEngine(program)) as handle:
+        with SubscriberClient(handle.host, handle.port) as subscriber:
+            rows = rows_from_snapshot(subscriber.subscribe(query_name))
+            with SubscriberClient(handle.host, handle.port) as publisher:
+                publisher._sock.sendall(burst)
+                lsns = [publisher._wait_for("ack")["lsn"] for _ in stream]
+            if lsns != sorted(set(lsns)):
+                failures.append(f"{query_name}/burst: ack LSNs out of order")
+            for frame in subscriber.drain_deltas(query_name, lsns[-1]):
+                apply_changes(rows, frame["changes"])
+            if rows != offline:
+                failures.append(
+                    f"{query_name}/burst: accumulated state diverges from "
+                    f"offline query_results ({len(rows)} vs {len(offline)} rows)"
+                )
+    return failures
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, lambda *_: sys.exit("serving smoke wedged"))
     signal.alarm(WATCHDOG_SECONDS)
@@ -136,10 +173,21 @@ def main() -> int:
                 f"ok   {query_name:<6} {mode:<9} {EVENTS} events, "
                 "early + mid-stream subscribers in parity"
             )
+    burst_failures = run_burst_scenario("bsp", stream)
+    failures.extend(burst_failures)
+    for line in burst_failures:
+        print(f"FAIL {line}")
+    if not burst_failures:
+        print(
+            f"ok   bsp    burst     {EVENTS} publish frames in one sendall, "
+            "acked in order, subscriber in parity"
+        )
     if failures:
         print(f"{len(failures)} serving-smoke check(s) FAILED")
         return 1
-    print(f"all {len(SCENARIOS)} serving scenarios streamed the offline answer")
+    print(
+        f"all {len(SCENARIOS) + 1} serving scenarios streamed the offline answer"
+    )
     return 0
 
 

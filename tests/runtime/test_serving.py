@@ -28,6 +28,8 @@ from repro.runtime.serving import (
     ViewDeltaTap,
     ViewServer,
     _ClientState,
+    _delta_record,
+    _split_frames,
     apply_changes,
     decode_frame,
     encode_frame,
@@ -300,22 +302,55 @@ def test_server_rejects_bad_options():
 # ---------------------------------------------------------------------------
 
 
-class _FakeWriter:
-    def __init__(self):
+def _decode_frames(data):
+    """Every frame in ``data``, which must end on a frame boundary."""
+    bodies, consumed = _split_frames(bytearray(data))
+    assert consumed == len(data)
+    return [decode_frame(body) for body in bodies]
+
+
+class _LoopWriter:
+    """An in-loop stand-in for a connection's StreamWriter: records what
+    is written; while ``stalled`` its ``drain`` blocks, which is how a
+    reader that stopped reading looks from the server."""
+
+    transport = None
+
+    def __init__(self, stalled=False):
+        self.data = bytearray()
+        self.writes = 0
         self.closed = False
+        self._open = asyncio.Event()
+        if not stalled:
+            self._open.set()
+
+    def get_extra_info(self, name):
+        return None
+
+    def write(self, data):
+        self.data += data
+        self.writes += 1
+
+    async def drain(self):
+        await self._open.wait()
+
+    def resume(self):
+        self._open.set()
 
     def close(self):
         self.closed = True
 
+    def frames(self):
+        return _decode_frames(self.data)
 
-def _delta_frame(view, lsn, ts, changes):
-    return {
-        "type": "delta",
-        "view": view,
-        "lsn": lsn,
-        "ts": ts,
-        "changes": [[list(row), weight] for row, weight in changes],
-    }
+
+def _queued_frames(client):
+    """Drain a client's send queue into decoded wire frames."""
+    frames = []
+    while not client.queue.empty():
+        item = client.queue.get_nowait()
+        frames += _decode_frames(getattr(item, "wire", item))
+    return frames
 
 
 def test_drop_policy_disconnects_slow_client():
@@ -323,19 +358,19 @@ def test_drop_policy_disconnects_slow_client():
         server = ViewServer(
             DeltaEngine(_program()), backpressure="drop", queue_frames=2
         )
-        client = _ClientState(_FakeWriter(), queue_frames=2, name="slow")
+        client = _ClientState(_LoopWriter(), queue_frames=2, name="slow")
         server._clients.add(client)
         server._subscribers["q"].add(client)
         client.views.add("q")
         for lsn in (1, 2):  # fill the bounded queue
-            assert await server._deliver(client, _delta_frame("q", lsn, 0.0, []))
-        assert not await server._deliver(client, _delta_frame("q", 3, 0.0, []))
+            assert await server._deliver(client, _delta_record("q", lsn, 0.0, []))
+        assert not await server._deliver(client, _delta_record("q", 3, 0.0, []))
         assert client.dropped
         assert client.writer.closed
         assert server.clients_dropped == 1
         assert client not in server._subscribers["q"]
         # Further deliveries to a dropped client are no-ops.
-        assert not await server._deliver(client, _delta_frame("q", 4, 0.0, []))
+        assert not await server._deliver(client, _delta_record("q", 4, 0.0, []))
 
     asyncio.run(scenario())
 
@@ -345,20 +380,18 @@ def test_coalesce_policy_merges_queued_deltas():
         server = ViewServer(
             DeltaEngine(_program()), backpressure="coalesce", queue_frames=2
         )
-        client = _ClientState(_FakeWriter(), queue_frames=2, name="laggy")
+        client = _ClientState(_LoopWriter(), queue_frames=2, name="laggy")
         await server._deliver(
-            client, _delta_frame("q", 1, 10.0, [((1, 10), 1), ((2, 20), 1)])
+            client, _delta_record("q", 1, 10.0, [((1, 10), 1), ((2, 20), 1)])
         )
         await server._deliver(
-            client, _delta_frame("q", 2, 11.0, [((1, 10), -1), ((1, 15), 1)])
+            client, _delta_record("q", 2, 11.0, [((1, 10), -1), ((1, 15), 1)])
         )
         # Queue is full: the third delta forces a merge of all three.
         assert await server._deliver(
-            client, _delta_frame("q", 3, 12.0, [((2, 20), -1), ((2, 25), 1)])
+            client, _delta_record("q", 3, 12.0, [((2, 20), -1), ((2, 25), 1)])
         )
-        frames = []
-        while not client.queue.empty():
-            frames.append(client.queue.get_nowait())
+        frames = _queued_frames(client)
         assert len(frames) == 1
         merged = frames[0]
         assert merged["coalesced"] is True
@@ -375,15 +408,12 @@ def test_coalesce_preserves_non_delta_frames_in_order():
         server = ViewServer(
             DeltaEngine(_program()), backpressure="coalesce", queue_frames=2
         )
-        client = _ClientState(_FakeWriter(), queue_frames=2, name="laggy")
-        await server._deliver(client, {"type": "pong", "lsn": 1})
-        await server._deliver(client, _delta_frame("q", 2, 5.0, [((1, 1), 1)]))
-        await server._deliver(client, _delta_frame("q", 3, 6.0, [((1, 1), -1)]))
-        frames = []
-        while not client.queue.empty():
-            frames.append(client.queue.get_nowait())
+        client = _ClientState(_LoopWriter(), queue_frames=2, name="laggy")
+        await server._reply(client, {"type": "pong", "lsn": 1})
+        await server._deliver(client, _delta_record("q", 2, 5.0, [((1, 1), 1)]))
+        await server._deliver(client, _delta_record("q", 3, 6.0, [((1, 1), -1)]))
         # The pong survives; the two deltas cancelled out entirely.
-        assert frames == [{"type": "pong", "lsn": 1}]
+        assert _queued_frames(client) == [{"type": "pong", "lsn": 1}]
 
     asyncio.run(scenario())
 
@@ -759,3 +789,301 @@ def test_forked_children_do_not_inherit_serving_sockets():
         assert handle2.port == port
         handle2.stop()
         proc.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Burst semantics: many frames per read, one encode per delta, one write
+# per wakeup
+# ---------------------------------------------------------------------------
+
+
+def _publish_burst(rows_per_frame):
+    """Concatenated ``publish`` frames, one per entry of ``rows_per_frame``."""
+    return b"".join(
+        encode_frame({"op": "publish", "relation": "R", "sign": 1, "rows": rows})
+        for rows in rows_per_frame
+    )
+
+
+def _read_frames_until_eof(sock):
+    """Every frame the server sends before it closes the connection."""
+    data = b""
+    while chunk := sock.recv(1 << 16):
+        data += chunk
+    return _decode_frames(data)
+
+
+def test_burst_of_publishes_acks_in_order_and_streams_parity():
+    rows_per_frame = [[[i % 7, i]] for i in range(200)]
+    reference = DeltaEngine(_program())
+    for rows in rows_per_frame:
+        reference.process_batch("R", 1, [tuple(row) for row in rows])
+    engine = DeltaEngine(_program())
+    with ServerThread(engine) as handle:
+        with SubscriberClient(handle.host, handle.port) as sub:
+            rows = rows_from_snapshot(sub.subscribe("q"))
+            with SubscriberClient(handle.host, handle.port) as publisher:
+                publisher._sock.sendall(_publish_burst(rows_per_frame))
+                acks = [publisher._wait_for("ack") for _ in rows_per_frame]
+            lsns = [ack["lsn"] for ack in acks]
+            assert lsns == sorted(set(lsns)) and len(lsns) == 200
+            assert all(ack["count"] == 1 for ack in acks)
+            deltas = sub.drain_deltas("q", lsns[-1])
+            assert [frame["lsn"] for frame in deltas] == lsns
+            for frame in deltas:
+                apply_changes(rows, frame["changes"])
+            assert rows == Counter(engine.results("q"))
+            assert rows == Counter(reference.results("q"))
+
+
+def test_burst_with_torn_tail_applies_every_complete_frame(caplog):
+    import socket as _socket
+
+    engine = DeltaEngine(_program())
+    burst = _publish_burst([[[i, i]] for i in range(50)])
+    torn = encode_frame({"op": "publish", "relation": "R", "rows": [[99, 99]]})
+    with caplog.at_level("WARNING", logger="repro.serving"):
+        with ServerThread(engine) as handle:
+            raw = _socket.create_connection((handle.host, handle.port))
+            raw.settimeout(10)
+            raw.sendall(burst + torn[:-5])
+            raw.shutdown(_socket.SHUT_WR)
+            replies = _read_frames_until_eof(raw)
+            raw.close()
+    assert [reply["type"] for reply in replies] == ["ack"] * 50
+    assert Counter(engine.results("q")) == Counter({(i, i): 1 for i in range(50)})
+    assert f"{len(torn) - 5} bytes of a torn frame" in caplog.text
+
+
+def test_oversized_prefix_mid_burst_applies_the_frames_before_it():
+    import socket as _socket
+    import struct as _struct
+
+    engine = DeltaEngine(_program())
+    burst = _publish_burst([[[i, i]] for i in range(5)])
+    with ServerThread(engine) as handle:
+        raw = _socket.create_connection((handle.host, handle.port))
+        raw.settimeout(10)
+        raw.sendall(burst + _struct.pack(">I", 2**31) + burst)
+        replies = _read_frames_until_eof(raw)  # the server reaps the client
+        raw.close()
+        assert [reply["type"] for reply in replies] == ["ack"] * 5 + ["error"]
+        assert "exceeds" in replies[-1]["message"]
+        assert Counter(engine.results("q")) == Counter(
+            {(i, i): 1 for i in range(5)}
+        )
+        assert not handle.server._clients
+
+
+def test_fanout_encodes_each_delta_once(monkeypatch):
+    import socket as _socket
+
+    from repro.runtime import serving
+
+    encoded = []
+    real_encode = serving.encode_frame
+
+    def counting_encode(message):
+        encoded.append(message.get("type"))
+        return real_encode(message)
+
+    engine = DeltaEngine(_program())
+    with ServerThread(engine) as handle:
+        subscribers = []
+        for _ in range(3):
+            raw = _socket.create_connection((handle.host, handle.port))
+            raw.settimeout(10)
+            raw.sendall(encode_frame({"op": "subscribe", "view": "q"}))
+            assert raw.recv(1 << 16)  # the snapshot
+            subscribers.append(raw)
+        monkeypatch.setattr(serving, "encode_frame", counting_encode)
+        handle.publish("R", 1, [(1, 10), (2, 20)])
+        handle.publish("R", -1, [(2, 20)])
+        monkeypatch.undo()
+        for raw in subscribers:
+            raw.sendall(encode_frame({"op": "ping"}))
+        received = []
+        for raw in subscribers:
+            data = b""
+            while b'"pong"' not in data:
+                data += raw.recv(1 << 16)
+            received.append(data)
+            raw.close()
+    assert encoded == ["delta", "delta"]  # two deltas, three subscribers
+    assert received[0] == received[1] == received[2]
+    assert received[0].count(b'"type":"delta"') == 2
+    assert handle.server.deltas_sent == 6
+
+
+def _loop_server(engine, **options):
+    """A server tapped into ``engine`` but never bound to a socket:
+    connections are handed to it in-loop."""
+    server = ViewServer(engine, **options)
+    engine.add_batch_listener(server._on_batch)
+    return server
+
+
+def _attach_subscriber(server, writer, queue_frames):
+    """Register an in-loop subscriber of ``q`` with a running writer task."""
+    client = _ClientState(writer, queue_frames, "subscriber")
+    client.writer_task = asyncio.ensure_future(server._writer_loop(client))
+    client.views.add("q")
+    server._clients.add(client)
+    server._subscribers["q"].add(client)
+    return client
+
+
+def _connect_publisher(server, burst):
+    """Feed ``burst`` then EOF to a connection handler; returns its task
+    and the writer its replies land on."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(burst)
+    reader.feed_eof()
+    writer = _LoopWriter()
+    return asyncio.ensure_future(server._handle_client(reader, writer)), writer
+
+
+BURST_ROWS = [[[i % 3, i]] for i in range(20)]
+
+
+def _sum_of_deltas(frames):
+    rows = Counter()
+    for frame in frames:
+        assert frame["type"] == "delta"
+        apply_changes(rows, [(tuple(r), w) for r, w in frame["changes"]])
+    return rows
+
+
+def test_block_policy_stalls_and_resumes_without_loss():
+    async def scenario():
+        engine = DeltaEngine(_program())
+        server = _loop_server(engine, backpressure="block", queue_frames=4)
+        stalled = _LoopWriter(stalled=True)
+        _attach_subscriber(server, stalled, 4)
+        task, replies = _connect_publisher(server, _publish_burst(BURST_ROWS))
+        await asyncio.sleep(0.3)
+        # The subscriber's writer holds one burst in its stalled drain,
+        # its queue is full behind it, and ingest waits on the next put.
+        assert not task.done()
+        assert 0 < server.tap.lsn < len(BURST_ROWS)
+        assert len(replies.frames()) == server.tap.lsn - 1
+        stalled.resume()
+        await asyncio.wait_for(task, timeout=10)
+        await asyncio.sleep(0)  # the subscriber's writer flushes its tail
+        acks = replies.frames()
+        assert [ack["lsn"] for ack in acks] == list(range(1, 21))
+        deltas = stalled.frames()
+        assert [delta["lsn"] for delta in deltas] == list(range(1, 21))
+        assert _sum_of_deltas(deltas) == Counter(engine.results("q"))
+        assert server.deltas_sent == 20
+        # Bursts, not frames, reach the socket.
+        assert stalled.writes < 20 and replies.writes < 20
+
+    asyncio.run(scenario())
+
+
+def test_block_policy_unpins_on_idle_timeout():
+    async def scenario():
+        engine = DeltaEngine(_program())
+        server = ViewServer(
+            engine, backpressure="block", queue_frames=4, idle_timeout=0.2
+        )
+        await server.start()
+        try:
+            stalled = _LoopWriter(stalled=True)
+            client = _attach_subscriber(server, stalled, 4)
+
+            async def ingest():  # in-process, so only the reader can idle
+                for rows in BURST_ROWS:
+                    await server.publish("R", 1, [tuple(r) for r in rows])
+
+            await asyncio.wait_for(ingest(), timeout=10)
+            assert client.dropped and server.clients_timed_out == 1
+            assert server.tap.lsn == len(BURST_ROWS)
+            # Only accepted frames count, not the one the eviction refused.
+            assert server.deltas_sent == 8  # one burst written, one queue
+            assert stalled.frames()[-1]["type"] == "timeout"
+        finally:
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_drop_policy_disconnects_at_queue_frames_and_counts_accepted_only():
+    async def scenario():
+        engine = DeltaEngine(_program())
+        server = _loop_server(engine, backpressure="drop", queue_frames=4)
+        stalled = _LoopWriter(stalled=True)
+        client = _attach_subscriber(server, stalled, 4)
+        await server.publish("R", 1, [(9, 9)])
+        await asyncio.sleep(0)  # the writer takes this one frame and stalls
+        task, replies = _connect_publisher(server, _publish_burst(BURST_ROWS))
+        await asyncio.wait_for(task, timeout=10)
+        # The source never stalls, and the publisher's own replies (a
+        # burst five times its queue) all arrive.
+        assert len(replies.frames()) == len(BURST_ROWS)
+        assert client.dropped and stalled.closed
+        assert server.clients_dropped == 1
+        # Accepted: the frame in the stalled write, then one full queue.
+        # The frame that found it full, and the rest, were never "sent".
+        assert len(stalled.frames()) == 1
+        assert server.deltas_sent == 1 + 4
+
+    asyncio.run(scenario())
+
+
+def test_coalesce_policy_delivers_one_merged_frame():
+    async def scenario():
+        engine = DeltaEngine(_program())
+        server = _loop_server(engine, backpressure="coalesce", queue_frames=4)
+        stalled = _LoopWriter(stalled=True)
+        _attach_subscriber(server, stalled, 4)
+        await server.publish("R", 1, [(9, 9)])
+        await asyncio.sleep(0)  # the writer takes this one frame and stalls
+        # 17 more deltas into a 4-frame queue: merges at the 5th, 9th,
+        # 13th and 17th leave exactly one frame queued.
+        task, replies = _connect_publisher(
+            server, _publish_burst(BURST_ROWS[:17])
+        )
+        await asyncio.wait_for(task, timeout=10)
+        assert len(replies.frames()) == 17
+        stalled.resume()
+        await asyncio.sleep(0)
+        first, merged = stalled.frames()
+        assert "coalesced" not in first and merged["coalesced"] is True
+        missed = [record for record in server._history["q"] if record.lsn > 1]
+        assert len(missed) == 17
+        assert merged["lsn"] == missed[-1].lsn == server.tap.lsn
+        assert merged["ts"] == missed[0].ts  # the oldest pending stamp
+        row_wise_sum = Counter()
+        for record in missed:
+            apply_changes(row_wise_sum, record.changes)
+        assert _sum_of_deltas([merged]) == row_wise_sum
+        assert _sum_of_deltas([first, merged]) == Counter(engine.results("q"))
+
+    asyncio.run(scenario())
+
+
+def test_ping_is_answered_within_one_slice_of_another_connections_burst():
+    from repro.runtime.serving import _YIELD_EVERY
+
+    async def scenario():
+        engine = DeltaEngine(_program())
+        server = _loop_server(engine)
+        frame = encode_frame(
+            {"op": "publish", "relation": "R", "sign": 1, "rows": [[1, 1]]}
+        )
+        count = (1 << 16) // len(frame)
+        assert count > 10 * _YIELD_EVERY
+        streaming, _ = _connect_publisher(server, frame * count)
+        pinging, pong = _connect_publisher(
+            server, encode_frame({"op": "ping"})
+        )
+        await asyncio.gather(streaming, pinging)
+        (reply,) = pong.frames()
+        assert reply["type"] == "pong"
+        # The pong's LSN is how far the streaming connection had got.
+        assert reply["lsn"] <= _YIELD_EVERY
+        assert server.tap.lsn == count
+
+    asyncio.run(scenario())
