@@ -16,7 +16,25 @@ the framed protocol, so the deployment questions are:
   Python subscribers just fills their 256-frame queues and the kernel's
   socket buffers, so unpaced latency measures that buffering, not the
   server.  The regression gate tracks the *inverse* p99
-  (deliveries/second), keeping every committed metric higher-is-better.
+  (deliveries/second), keeping every committed metric higher-is-better;
+* **tap cost vs view width** — what the delta tap
+  (:class:`~repro.runtime.serving.ViewDeltaTap`) spends per one-row
+  batch on ``SELECT price, sum(volume) FROM bids GROUP BY price`` holding
+  10 / 100 / 1k / 10k groups; no server, no sockets: the tap is called by
+  hand after each batch and only that call is timed.  A delta costs what
+  changed, not what the view holds — the tap renders the groups the
+  batch touched, so the column is flat.  Same host, this script against
+  the parent's ``src`` (whole-view re-render and diff per batch) and
+  this one's, µs per batch:
+
+  ======  ========  ======
+  groups    parent  change
+  ======  ========  ======
+      10      21.7     4.0
+     100     147.5     4.0
+   1,000   1,521.9     3.7
+  10,000  16,967.5     4.0
+  ======  ========  ======
 
 Subscribers hold their snapshot before either pass's clock starts, so
 every row delivers exactly ``subscribers x (deltas of the stream)``.
@@ -202,6 +220,63 @@ def measure_fanout(program, events: list, subscribers: int) -> dict:
     }
 
 
+#: View widths of the tap-cost leg, and one-row batches timed at each.
+WIDE_VIEW_GROUPS = (10, 100, 1_000, 10_000)
+WIDE_VIEW_BATCHES = 400
+
+
+def measure_wide_view(group_counts=WIDE_VIEW_GROUPS) -> list[dict]:
+    """Tap microseconds per one-row batch against views of growing
+    width (median of ``WIDE_VIEW_BATCHES`` timed ``on_batch`` calls;
+    every batch moves one existing group, so each emits one retraction
+    and one assertion).  Metadata only: informative, not gated."""
+    from repro.compiler import compile_sql
+    from repro.runtime import DeltaEngine
+    from repro.runtime.events import EventBatch
+    from repro.runtime.serving import ViewDeltaTap, apply_changes
+    from repro.workloads.finance import finance_catalog
+
+    program = compile_sql(
+        "SELECT price, sum(volume) FROM bids GROUP BY price",
+        finance_catalog(),
+        name="wide",
+    )
+    results = []
+    for groups in group_counts:
+        engine = DeltaEngine(program)
+        engine.process_batch(
+            "bids", 1, [(0, i, i % 10, 10_000 + i, 5) for i in range(groups)]
+        )
+        tap = ViewDeltaTap(engine)
+        rows = Counter(dict(tap.snapshot("wide")[1]))
+        spent = []
+        for step in range(WIDE_VIEW_BATCHES):
+            row = (1, groups + step, 0, 10_000 + (step * 7) % groups, 1)
+            engine.process_batch("bids", 1, [row])
+            batch = EventBatch("bids", 1, [row])
+            started = time.perf_counter()
+            deltas = tap.on_batch(step, batch)
+            spent.append(time.perf_counter() - started)
+            apply_changes(rows, deltas["wide"])
+        if rows != Counter(engine.results("wide")):
+            raise RuntimeError(f"wide view of {groups} groups lost parity")
+        spent.sort()
+        results.append(
+            {"groups": groups, "tap_us": 1e6 * spent[len(spent) // 2]}
+        )
+    return results
+
+
+def print_wide_view_table(rows: list[dict]) -> None:
+    header = f"{'groups':>8}{'tap per batch':>16}"
+    print("tap cost vs view width — one-row batches, tap called by hand")
+    print(header)
+    print("-" * len(header))
+    for row in rows:
+        print(f"{row['groups']:>8,}{row['tap_us']:>14.1f}us")
+    print()
+
+
 def measure_fault_recovery(suffix_lengths) -> list[dict]:
     """Supervisor restart overhead as a function of WAL suffix length.
 
@@ -328,6 +403,9 @@ def main(argv=None) -> int:
     print_table(rows, event_count)
     ok = check_target(rows)
 
+    wide_rows = measure_wide_view()
+    print_wide_view_table(wide_rows)
+
     import os as _os
 
     recovery_rows: list[dict] = []
@@ -365,6 +443,11 @@ def main(argv=None) -> int:
                 # Informative, not gated: rebuild cost is linear in the
                 # replayed WAL suffix, so a gate would just measure I/O.
                 "fault_recovery": recovery_rows,
+                # Informative, not gated: serving_smoke.py and the tier-1
+                # suite pin the O(|delta|) property by count, not by clock.
+                "wide_view_tap_us": {
+                    str(row["groups"]): row["tap_us"] for row in wide_rows
+                },
             },
         )
     return 0 if ok else 1

@@ -1264,6 +1264,13 @@ class DurableEngine(Engine):
 
     # -- reads --------------------------------------------------------------
 
+    def watch_results(self, views) -> dict[str, set]:
+        """The wrapped engine's maps are the ones batches write."""
+        return self._engine.watch_results(views)
+
+    def unwatch_results(self, watch: dict[str, set]) -> None:
+        self._engine.unwatch_results(watch)
+
     def __getattr__(self, name: str):
         # The read primitives the shared core derives from (current_maps,
         # index_sizes) and whatever else is specific to the wrapped engine

@@ -75,8 +75,12 @@ from repro.runtime.events import (
     partition_columns,
     partition_rows,
 )
-from repro.runtime.storage import storage_class
-from repro.runtime.views import query_results, result_rows_to_dicts
+from repro.runtime.storage import RecordingDict, storage_class
+from repro.runtime.views import (
+    query_results,
+    result_map_names,
+    result_rows_to_dicts,
+)
 
 #: Default rows-per-batch cap for ``process_stream``: large enough to
 #: amortise dispatch, small enough that grouping an archived single-relation
@@ -287,6 +291,18 @@ class Engine:
         for listener in list(self._batch_listeners):
             listener(lsn, batch)
 
+    def watch_results(self, views: Iterable[str]) -> dict[str, set]:
+        """Start noting which result-map keys batches write, for a delta
+        tap.  Returns ``{view: touched}`` — a set the engine adds every
+        written key of that view's result maps to, and the caller reads
+        and clears — for the views this engine can say that about; a view
+        left out (here: all of them — the maps live in lanes, or nowhere
+        in particular) has to be looked at whole."""
+        return {}
+
+    def unwatch_results(self, watch: dict[str, set]) -> None:
+        """Release a watch :meth:`watch_results` returned."""
+
     # -- results ------------------------------------------------------------
 
     def results(self, query_name: Optional[str] = None) -> list[tuple]:
@@ -431,6 +447,7 @@ class DeltaEngine(Engine):
         )
         self.profiler = profiler
         self._triggers = executor.bind(self.maps, profiler)
+        self._watches: list[dict[str, set]] = []
         self.events_processed = 0
 
     def __deepcopy__(self, memo: dict) -> "DeltaEngine":
@@ -502,6 +519,57 @@ class DeltaEngine(Engine):
         if self._batch_listeners:
             self._notify_listeners(batch)
         return count
+
+    # -- result watches ---------------------------------------------------
+
+    def watch_results(self, views: Iterable[str]) -> dict[str, set]:
+        """See :meth:`Engine.watch_results`.  A view can be watched when
+        every one of its result maps is a ``dict`` right now (a packed or
+        kernel-held map cannot record its writes).  Those maps become
+        :class:`~repro.runtime.storage.RecordingDict` objects and the
+        shared executor is bound to them — nothing is rendered or
+        compiled, and references to the replaced map objects (an earlier
+        ``map_view``) go stale."""
+        watch: dict[str, set] = {
+            view: set()
+            for view in views
+            if all(
+                isinstance(self.maps[name], dict)
+                for name in result_map_names(self.program, view)
+            )
+        }
+        self._watches.append(watch)
+        self._apply_watches()
+        return watch
+
+    def unwatch_results(self, watch: dict[str, set]) -> None:
+        """Stop recording into ``watch``; with the last watch on a map
+        gone it is a plain ``dict`` again."""
+        self._watches = [held for held in self._watches if held is not watch]
+        self._apply_watches()
+
+    def _apply_watches(self) -> None:
+        """Make the maps what ``_watches`` asks for: a map some watched
+        view reads records into those views' touched sets, every other
+        map is plain; re-bind when a map object was swapped."""
+        sinks: dict[str, list[set]] = defaultdict(list)
+        for watch in self._watches:
+            for view, touched in watch.items():
+                for name in result_map_names(self.program, view):
+                    sinks[name].append(touched)
+        swapped = False
+        for name, contents in self.maps.items():
+            recording = type(contents) is RecordingDict
+            if name in sinks:
+                if recording:
+                    contents.record_into(sinks[name])
+                else:
+                    self.maps[name] = RecordingDict(contents, sinks[name])
+            elif recording:
+                self.maps[name] = dict(contents)
+            swapped = swapped or self.maps[name] is not contents
+        if swapped:
+            self._triggers = self._executor.bind(self.maps, self.profiler)
 
     # -- durability ---------------------------------------------------------
 
@@ -580,10 +648,10 @@ class DeltaEngine(Engine):
 
     def storage_classes(self) -> dict[str, str]:
         """What each map is stored as *right now*, read from the live
-        objects: ``dict``, ``packed``, ``kernel``, or — after a
-        mid-stream degrade — ``ejected`` (a kernel map back in pure
-        packed columns) / ``spilled`` (a packed map fallen back to a
-        dict)."""
+        objects: ``dict``, ``packed``, ``kernel``, ``recording`` (a
+        result map a delta tap watches), or — after a mid-stream degrade
+        — ``ejected`` (a kernel map back in pure packed columns) /
+        ``spilled`` (a packed map fallen back to a dict)."""
         kernel_maps = self._executor.layout.kernel_maps
         classes = {}
         for name, contents in self.maps.items():

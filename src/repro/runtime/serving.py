@@ -10,11 +10,14 @@ kept continuously fresh for many readers).  Three layers:
 * :class:`ViewDeltaTap` — the per-view delta tap over the engine's flush
   path.  It registers as a batch listener
   (:meth:`~repro.runtime.engine.DeltaEngine.add_batch_listener`), and for
-  every applied batch renders the affected views through
-  :mod:`repro.runtime.views` and emits ``(lsn, view, [(row, weight)])``
-  result deltas.  Subscribers therefore see *SQL result rows*, never raw
-  slot maps; a view is only re-rendered when the batch's trigger writes
-  one of its aggregate slot maps.  LSNs are monotonic (not necessarily
+  every applied batch emits ``(lsn, view, [(row, weight)])`` result
+  deltas.  A delta costs what changed, not what the view holds: the
+  engine's result maps remember the groups a batch touched
+  (:meth:`~repro.runtime.engine.DeltaEngine.watch_results`) and the tap
+  renders only those through :mod:`repro.runtime.views`; a view is only
+  looked at when the batch's trigger writes one of its aggregate slot
+  maps.  Subscribers see *SQL result rows*, never raw slot maps.  LSNs
+  are monotonic (not necessarily
   dense); on a :class:`~repro.runtime.durability.DurableEngine` they are
   the WAL LSNs recovery replays, so a subscriber's position is
   meaningful across restarts.
@@ -83,7 +86,7 @@ from collections import Counter, deque
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
-from repro.runtime.views import result_delta
+from repro.runtime.views import GroupRenderer, result_delta
 
 _log = logging.getLogger("repro.serving")
 
@@ -251,13 +254,24 @@ class ViewDeltaTap:
         tap = ViewDeltaTap(engine)
         engine.add_batch_listener(tap.on_batch)   # or let ViewServer do it
 
-    After every applied batch :meth:`on_batch` re-renders the views whose
-    aggregate slot maps that batch's trigger writes (computed once from
-    the compiled program — unrelated views are never touched) and diffs
-    the rendered rows against the cached previous rendering.  The diff
-    runs over *SQL-visible result rows* — bounded by the view's output,
-    never the engine's internal maps, whose entry counts are typically
-    orders of magnitude larger.
+    The tap keeps ``group -> row`` per view, and after every applied
+    batch :meth:`on_batch` re-renders a *candidate set* of groups of the
+    views that batch's trigger writes (unrelated views are never looked
+    at), compares each against the row it holds, and hands the rows that
+    left and the rows that arrived to
+    :func:`~repro.runtime.views.result_delta`.  Where the engine can say
+    which result-map keys the batch wrote
+    (:meth:`~repro.runtime.engine.Engine.watch_results` — a
+    :class:`~repro.runtime.engine.DeltaEngine`, or a durable engine over
+    one), the candidates are exactly the touched groups and a delta costs
+    what changed; where it cannot (sharded lanes, packed or kernel-held
+    result maps) they are every group the view has or had, and it costs
+    what the view holds.  :attr:`incremental` says which, per view.
+
+    The watch starts at construction, so the tap works however it is
+    driven — registered as a listener, called from another listener, or
+    called by hand after a batch — and several taps on one engine each
+    see every write.  :meth:`close` releases it.
 
     ``views`` restricts serving to a subset of the program's queries
     (default: all of them).
@@ -267,9 +281,9 @@ class ViewDeltaTap:
         program = engine.program
         known = [query.name for query in program.queries]
         if views is None:
-            selected = list(known)
+            selected = known
         else:
-            selected = list(views)
+            selected = list(dict.fromkeys(views))
             unknown = sorted(set(selected) - set(known))
             if unknown:
                 raise ServingError(
@@ -288,24 +302,49 @@ class ViewDeltaTap:
                 for view in selected
                 if written.intersection(program.slot_maps[view])
             )
-        self._results: dict[str, Counter] = {
-            view: Counter(engine.results(view)) for view in selected
-        }
+        #: per view the engine reports writes for: the keys written since
+        #: the tap last looked, and a renderer over the engine's own maps.
+        self._touched: dict[str, set] = engine.watch_results(selected)
+        self._renderers: dict[str, GroupRenderer] = {}
+        #: group -> rendered row, per view: what subscribers hold.
+        self._rows: dict[str, dict[tuple, tuple]] = {}
+        maps = engine.current_maps()
+        for view in selected:
+            renderer = GroupRenderer(program, maps, view)
+            if view in self._touched:
+                self._renderers[view] = renderer
+            self._rows[view] = {
+                group: renderer.row(group) for group in renderer.live_groups()
+            }
         #: LSN of the last observed batch — seeded from the engine's LSN
         #: clock (the WAL tip on a durable engine), so a tap over an
         #: already-running or recovered engine starts at its true
         #: position instead of 0.
         self.lsn = engine.tap_lsn()
 
+    @property
+    def incremental(self) -> dict[str, bool]:
+        """Per view: is a batch's candidate set the groups it touched
+        (``True``) or the whole view (``False``) right now?"""
+        return {view: view in self._touched for view in self.views}
+
+    def close(self) -> None:
+        """Release the engine watch (idempotent): the result maps are
+        plain dicts again.  A closed tap still answers, from the whole
+        view."""
+        self.engine.unwatch_results(self._touched)
+        self._touched = {}
+        self._renderers = {}
+
     def snapshot(self, view: str) -> tuple[int, list[tuple[tuple, int]]]:
         """The view's current row multiset and its LSN (the catch-up
         frame a new subscriber starts from)."""
-        if view not in self._results:
+        if view not in self._rows:
             raise ServingError(
                 f"unknown view {view!r}; this tap serves: "
                 + ", ".join(self.views)
             )
-        rows = sorted(self._results[view].items(), key=repr)
+        rows = sorted(Counter(self._rows[view].values()).items(), key=repr)
         return self.lsn, rows
 
     def on_batch(self, lsn: int, batch) -> dict[str, list[tuple[tuple, int]]]:
@@ -318,12 +357,41 @@ class ViewDeltaTap:
         self.lsn = lsn
         deltas: dict[str, list[tuple[tuple, int]]] = {}
         for view in self._affected.get((batch.relation, batch.sign), ()):
-            current = Counter(self.engine.results(view))
-            changes = result_delta(self._results[view], current)
+            changes = self._view_delta(view)
             if changes:
-                self._results[view] = current
                 deltas[view] = changes
         return deltas
+
+    def _view_delta(self, view: str) -> list[tuple[tuple, int]]:
+        """Bring one view's ``group -> row`` up to date and return what
+        changed, as ``result_delta`` of the rows that left and arrived."""
+        rows = self._rows[view]
+        touched = self._touched.get(view)
+        if touched is None:
+            renderer = GroupRenderer(
+                self.engine.program, self.engine.current_maps(), view
+            )
+            groups = rows.keys() | renderer.live_groups()
+        else:
+            renderer = self._renderers[view]
+            width = renderer.width
+            groups = {key[:width] for key in touched}
+            touched.clear()
+        left: dict[tuple, int] = {}
+        arrived: dict[tuple, int] = {}
+        for group in groups:
+            before = rows.get(group)
+            after = renderer.row(group)
+            if before == after:
+                continue
+            if before is not None:
+                left[before] = left.get(before, 0) + 1
+            if after is None:
+                del rows[group]
+            else:
+                arrived[after] = arrived.get(after, 0) + 1
+                rows[group] = after
+        return result_delta(left, arrived)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +563,9 @@ class ViewServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener and every client connection (idempotent)."""
+        """Close the listener and every client connection, and release
+        the tap's engine watch (idempotent)."""
+        self.tap.close()
         if self._server is None:
             return
         self.engine.remove_batch_listener(self._on_batch)

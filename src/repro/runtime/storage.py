@@ -47,6 +47,11 @@ live column arrays and would observe appends, or stale slots after a
 compaction, without noticing.  Compiled programs never do this (reads of
 a written map go through the two-phase pending buffers by construction);
 embedded ad-hoc code must collect first, as with any snapshot.
+
+One more storage class lives here, chosen at run time rather than by the
+layout rule: :class:`RecordingDict`, the ``dict`` a served view's result
+maps become while a delta tap watches them.  :func:`storage_class` names
+what a live map object is.
 """
 
 from __future__ import annotations
@@ -761,12 +766,113 @@ class _NativeColumnarMap(ColumnarMap):
 _SENTINEL = object()
 
 
+class RecordingDict(dict):
+    """A result map under a delta tap: a ``dict`` that notes the key of
+    every write into its watchers' *touched* sets.
+
+    The engine swaps a served view's result maps for this class while a
+    :class:`~repro.runtime.serving.ViewDeltaTap` watches them
+    (:meth:`~repro.runtime.engine.DeltaEngine.watch_results`) and swaps
+    plain dicts back when the last watch is released, so an engine nobody
+    taps never pays for it.  Reads — ``get``, ``in``, ``len``, iteration
+    — are the inherited C methods; every mutating method notes first and
+    then defers to ``dict``, so no write can bypass the record: the three
+    forms generated triggers use (``m[k] = v``, ``pop``, ``clear``), the
+    bulk forms ``restore_state`` uses (``clear`` + ``update``), the rest
+    of the ``dict`` surface, and ``add`` — the
+    :class:`ColumnarMap` one-probe update the IR interpreter calls on any
+    map that is not exactly a ``dict``.
+
+    Copies and pickles are plain dicts: a snapshot, a deep-copied engine
+    or a map crossing a pipe leaves the recording behind.
+
+    ``__setitem__`` and ``pop`` are a tapped trigger's write path — a
+    Python-level call where an untapped one has a C slot — so they bind
+    the ``dict`` methods they defer to as defaults.
+    """
+
+    __slots__ = ("_note",)
+
+    def __init__(self, contents, sinks) -> None:
+        dict.__init__(self, contents)
+        self.record_into(sinks)
+
+    def record_into(self, sinks) -> None:
+        """Note written keys into every set of ``sinks`` (one per watching
+        view; more than one only when views or taps share the map)."""
+        if len(sinks) == 1:
+            self._note = sinks[0].add
+            return
+        adds = [sink.add for sink in sinks]
+
+        def note(key) -> None:
+            for add in adds:
+                add(key)
+
+        self._note = note
+
+    def __setitem__(self, key, value, _set=dict.__setitem__) -> None:
+        self._note(key)
+        _set(self, key, value)
+
+    def pop(self, key, default=_SENTINEL, _pop=dict.pop):
+        self._note(key)
+        if default is _SENTINEL:
+            return _pop(self, key)
+        return _pop(self, key, default)
+
+    def clear(self) -> None:
+        for key in self:
+            self._note(key)
+        dict.clear(self)
+
+    def update(self, *args, **kwargs) -> None:
+        incoming = dict(*args, **kwargs)
+        for key in incoming:
+            self._note(key)
+        dict.update(self, incoming)
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def __delitem__(self, key) -> None:
+        self._note(key)
+        dict.__delitem__(self, key)
+
+    def setdefault(self, key, default=None):
+        self._note(key)
+        return dict.setdefault(self, key, default)
+
+    def popitem(self):
+        key, value = dict.popitem(self)
+        self._note(key)
+        return key, value
+
+    def add(self, key, value):
+        """``self[key] += value`` with zero eviction (see
+        :meth:`ColumnarMap.add`); returns the new ring value."""
+        self._note(key)
+        current = self.get(key, 0) + value
+        if current == 0:
+            dict.pop(self, key, None)
+        else:
+            dict.__setitem__(self, key, current)
+        return current
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 def storage_class(contents) -> str:
     """What a live map object is stored as: ``"kernel"`` (entries in the
     C kernel), ``"spilled"`` (a ColumnarMap fallen back to a dict),
-    ``"packed"`` (pure-Python columns) or ``"dict"``."""
+    ``"packed"`` (pure-Python columns), ``"recording"`` (a dict noting
+    its writes for a delta tap) or ``"dict"``."""
     if type(contents) is _NativeColumnarMap:
         return "kernel"
     if isinstance(contents, ColumnarMap):
         return "spilled" if contents.spilled else "packed"
+    if type(contents) is RecordingDict:
+        return "recording"
     return "dict"

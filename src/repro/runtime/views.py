@@ -1,14 +1,20 @@
 """The view layer: rendering SQL-visible results from maintained maps.
 
-A query's result rows are derived from its aggregate-slot maps:
+A query's result rows are derived from its aggregate-slot maps, one group
+at a time, by the one :class:`GroupRenderer` every reader shares:
 
 * group existence comes from the count slot (a group exists while its row
-  count is non-zero — exact under deletions);
+  count is non-zero — exact under deletions); a scalar query is the one
+  group ``()``, which always has a row;
 * ``sum``/``count`` slots read the map value directly (absent key = 0);
 * ``avg`` items divide their two slots;
 * ``min``/``max``/``distinct`` slots read their Finalize-maintained
-  auxiliary cache (``program.slot_aux``); the occurrence-map scan remains
-  as the fallback for programs without one.
+  auxiliary cache (``program.slot_aux``), keyed by group like a sum slot.
+
+:func:`query_results` renders every live group; the serving tap
+(:class:`~repro.runtime.serving.ViewDeltaTap`) renders only the groups a
+batch touched and orders their change with :func:`result_delta` — the
+only place a delta is ordered.
 """
 
 from __future__ import annotations
@@ -16,8 +22,70 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.errors import RuntimeEngineError
-from repro.algebra.translate import AggregateSpec, TranslatedQuery, eval_result
+from repro.algebra.translate import TranslatedQuery, eval_result
 from repro.compiler.program import CompiledProgram
+
+
+def result_map_names(program: CompiledProgram, view: str) -> list[str]:
+    """The maps one view's rows are read from: its aggregate slot maps
+    and their Finalize caches.  A batch changes the view's rows only by
+    writing one of these."""
+    return [*program.slot_maps[view], *program.slot_aux.get(view, {}).values()]
+
+
+class GroupRenderer:
+    """One query's result rows, rendered group by group from ``maps``.
+
+    Holds the map *objects* (not their names), so it stays valid for as
+    long as those objects are the engine's; over merged or collected
+    maps it is built per read.  ``width`` is the number of group columns:
+    every key of a result map starts with its group (an occurrence-map
+    key is ``group + (value,)``), so ``key[:width]`` is the group a
+    written key belongs to.
+    """
+
+    def __init__(
+        self,
+        program: CompiledProgram,
+        maps: Mapping[str, Mapping],
+        query_name: Optional[str] = None,
+    ) -> None:
+        query = _find_query(program, query_name)
+        slot_names = program.slot_maps[query.name]
+        aux_slots = program.slot_aux.get(query.name, {})
+        self.width = len(query.group_vars)
+        #: per slot, the map its value is read from, keyed by group
+        self._sources = []
+        for index, (spec, name) in enumerate(zip(query.aggregates, slot_names)):
+            if spec.kind != "sum":
+                if index not in aux_slots:
+                    raise RuntimeEngineError(
+                        f"{spec.kind} slot {name!r} of query {query.name!r} "
+                        "has no Finalize cache to read"
+                    )
+                name = aux_slots[index]
+            self._sources.append(maps[name])
+        self._counts = (
+            maps[slot_names[query.count_slot]] if query.is_grouped else None
+        )
+        self._results = [item.result for item in query.items]
+
+    def live_groups(self) -> list[tuple]:
+        """Group keys with at least one underlying row."""
+        if self._counts is None:
+            return [()]
+        return [key for key, value in self._counts.items() if value != 0]
+
+    def row(self, group: tuple) -> Optional[tuple]:
+        """The result row of one group (group columns then item columns),
+        or ``None`` when the group has no underlying row."""
+        counts = self._counts
+        if counts is not None and counts.get(group, 0) == 0:
+            return None
+        slot_values = [source.get(group, 0) for source in self._sources]
+        return tuple(
+            [eval_result(result, group, slot_values) for result in self._results]
+        )
 
 
 def query_results(
@@ -29,56 +97,9 @@ def query_results(
 
     With a single registered query ``query_name`` may be omitted.
     """
-    query = _find_query(program, query_name)
-    slot_names = program.slot_maps[query.name]
-    slot_contents = [maps[name] for name in slot_names]
-    aux_slots = program.slot_aux.get(query.name, {})
-    aux_contents = [
-        maps[aux_slots[index]] if index in aux_slots else None
-        for index in range(len(slot_names))
-    ]
-
-    if not query.is_grouped:
-        slot_values = [
-            aux.get((), 0)
-            if aux is not None
-            else _slot_value(spec, contents, group_key=())
-            for spec, contents, aux in zip(
-                query.aggregates, slot_contents, aux_contents
-            )
-        ]
-        row = tuple(
-            eval_result(item.result, (), slot_values) for item in query.items
-        )
-        return [row]
-
-    group_keys = _live_groups(query, slot_contents)
-    caches = [
-        aux
-        if aux is not None
-        else (
-            _extreme_by_group(spec, contents)
-            if spec.kind in ("min", "max")
-            else None
-        )
-        for spec, contents, aux in zip(
-            query.aggregates, slot_contents, aux_contents
-        )
-    ]
-    rows: list[tuple] = []
-    for key in sorted(group_keys, key=repr):
-        slot_values = []
-        for spec, contents, cache in zip(
-            query.aggregates, slot_contents, caches
-        ):
-            if cache is not None:
-                slot_values.append(cache.get(key, 0))
-            else:
-                slot_values.append(contents.get(key, 0))
-        rows.append(
-            tuple(eval_result(item.result, key, slot_values) for item in query.items)
-        )
-    return rows
+    renderer = GroupRenderer(program, maps, query_name)
+    row = renderer.row
+    return [row(group) for group in sorted(renderer.live_groups(), key=repr)]
 
 
 def result_rows_to_dicts(query: TranslatedQuery, rows: list[tuple]) -> list[dict]:
@@ -123,44 +144,3 @@ def _find_query(program: CompiledProgram, name: Optional[str]) -> TranslatedQuer
         if query.name == name:
             return query
     raise RuntimeEngineError(f"unknown query {name!r}")
-
-
-def _slot_value(spec: AggregateSpec, contents: Mapping, group_key: tuple):
-    if spec.kind == "sum":
-        return contents.get(group_key, 0)
-    return _extreme_by_group(spec, contents).get(group_key, 0)
-
-
-def _live_groups(query: TranslatedQuery, slot_contents: list[Mapping]) -> set:
-    """Group keys with at least one underlying row."""
-    if query.count_slot is not None:
-        count_map = slot_contents[query.count_slot]
-        return {key for key, value in count_map.items() if value != 0}
-    # Without a count slot (only possible when every slot is
-    # min/max/distinct), groups come from occurrence-map prefixes.
-    groups: set = set()
-    for spec, contents in zip(query.aggregates, slot_contents):
-        if spec.kind in ("min", "max", "distinct"):
-            width = len(spec.group_vars)
-            groups.update(k[:width] for k, v in contents.items() if v != 0)
-        else:
-            groups.update(k for k, v in contents.items() if v != 0)
-    return groups
-
-
-def _extreme_by_group(spec: AggregateSpec, contents: Mapping) -> dict:
-    """Per-group min/max from an occurrence map keyed (group..., value)."""
-    best: dict = {}
-    take_min = spec.kind == "min"
-    for key, count in contents.items():
-        if count == 0:
-            continue
-        group, value = key[:-1], key[-1]
-        if group not in best:
-            best[group] = value
-        elif take_min:
-            if value < best[group]:
-                best[group] = value
-        elif value > best[group]:
-            best[group] = value
-    return best

@@ -238,8 +238,14 @@ def cmd_serve(args) -> int:
             idle_timeout=args.idle_timeout,
         )
         await server.start()
+        # What a delta costs on this engine: the groups a batch touched,
+        # or (sharded lanes, packed/kernel result maps) the whole view.
+        candidates = (
+            "touched groups" if server.tap.incremental["q"] else "whole view"
+        )
         print(f"-- serving view 'q' on {server.host}:{server.port} "
-              f"(backpressure={args.backpressure}) --", flush=True)
+              f"(backpressure={args.backpressure}, "
+              f"delta candidates: {candidates}) --", flush=True)
         try:
             if args.stream:
                 consumed = await server.publish_stream(

@@ -21,7 +21,7 @@ import pytest
 
 from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries
-from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
+from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent, batches
 from repro.runtime.serving import (
     ServerThread,
     SubscriberClient,
@@ -29,6 +29,7 @@ from repro.runtime.serving import (
     apply_changes,
     rows_from_snapshot,
 )
+from repro.runtime.views import result_delta
 from repro.sql.catalog import Catalog
 from tests.strategies import events
 
@@ -126,3 +127,37 @@ def test_subscriber_stream_equals_query_results(stream, batch_size, join_at):
                 apply_changes(rows, frame["changes"])
     assert rows == Counter(engine.results("q"))
     assert rows == Counter(reference.results("q"))
+
+
+@pytest.mark.parametrize("query_name", sorted(QUERIES))
+@settings(max_examples=20, deadline=None)
+@given(
+    stream=st.lists(events(), max_size=40),
+    batch_size=st.integers(min_value=1, max_value=8),
+    join_at=st.integers(min_value=0, max_value=40),
+)
+def test_touched_group_deltas_equal_the_whole_view_diff(
+    query_name, stream, batch_size, join_at
+):
+    """What the tap emits from the groups a batch touched is, change
+    list for change list, the whole-view ``result_delta`` of the rendered
+    view before and after — kept here as the reference — including on
+    streams that delete rows which were never inserted (negative
+    multiplicities) and extremum deletes that re-derive a group's row."""
+    program = _program(query_name)
+    stream_events = [
+        StreamEvent(relation, sign, values) for relation, sign, values in stream
+    ]
+    engine = DeltaEngine(program)
+    join_at = min(join_at, len(stream_events))
+    engine.process_stream(stream_events[:join_at], batch_size=batch_size)
+    tap = ViewDeltaTap(engine)
+    assert tap.incremental == {"q": True}
+    previous = Counter(engine.results("q"))
+    assert Counter(dict(tap.snapshot("q")[1])) == previous
+    for lsn, batch in enumerate(batches(stream_events[join_at:], batch_size)):
+        engine.process_batch(batch.relation, batch.sign, batch.rows)
+        current = Counter(engine.results("q"))
+        emitted = tap.on_batch(lsn, batch).get("q", [])
+        assert emitted == result_delta(previous, current)
+        previous = current

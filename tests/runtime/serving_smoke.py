@@ -8,9 +8,11 @@ and asserts every subscriber's accumulated state (catch-up snapshot plus
 streamed deltas) equals a reference engine's offline
 ``query_results``.  One scenario runs over a
 :class:`~repro.runtime.durability.DurableEngine`, checking that served
-LSNs are the WAL's; a last one is a network publisher that writes the
+LSNs are the WAL's; another is a network publisher that writes the
 whole stream as one burst of single-event frames, the path on which the
-server reads, applies and acknowledges many frames per wakeup.
+server reads, applies and acknowledges many frames per wakeup; the last
+serves a 2,000-group view and bounds the groups rendered per one-row
+frame — a delta must cost what changed, not what the view holds.
 
 Run ``python tests/runtime/serving_smoke.py`` (with ``PYTHONPATH=src``).
 Exit status 0 = every scenario in parity.  A watchdog alarm aborts the
@@ -40,6 +42,7 @@ from repro.runtime.serving import (  # noqa: E402
     encode_frame,
     rows_from_snapshot,
 )
+from repro.runtime.views import GroupRenderer  # noqa: E402
 
 #: (query, durable?) scenarios; every one must reach exact parity.
 SCENARIOS = [
@@ -156,6 +159,90 @@ def run_burst_scenario(query_name: str, stream) -> list[str]:
     return failures
 
 
+WIDE_GROUPS = 2_000
+WIDE_FRAMES = 300
+
+
+def run_wide_view_scenario() -> list[str]:
+    """One-row frames against a ``WIDE_GROUPS``-group view, a mid-stream
+    joiner, and a count of the groups the tap rendered; returns failures."""
+    import random
+
+    from repro.compiler import compile_sql
+    from repro.workloads.finance import finance_catalog
+
+    program = compile_sql(
+        "SELECT price, sum(volume) FROM bids GROUP BY price",
+        finance_catalog(),
+        name="wide",
+    )
+    rng = random.Random(SEED)
+    book = [(0, i, i % 10, 10_000 + i, 5) for i in range(WIDE_GROUPS)]
+    frames = []  # (sign, row): cancel a standing order or place a new one
+    for i in range(WIDE_FRAMES):
+        if i % 3 == 0:
+            frames.append((-1, book.pop(rng.randrange(len(book)))))
+        else:
+            row = (1, WIDE_GROUPS + i, i % 10, 10_000 + rng.randrange(3_000), 7)
+            book.append(row)
+            frames.append((1, row))
+    reference = DeltaEngine(program)
+    reference.process_batch("bids", 1, book)
+    offline = Counter(reference.results("wide"))
+
+    rendered = []
+    render = GroupRenderer.row
+
+    def counting(self, group):
+        rendered.append(group)
+        return render(self, group)
+
+    failures: list[str] = []
+    engine = DeltaEngine(program)
+    engine.process_batch(
+        "bids", 1, [(0, i, i % 10, 10_000 + i, 5) for i in range(WIDE_GROUPS)]
+    )
+    GroupRenderer.row = counting
+    try:
+        with ServerThread(engine) as handle:
+            if handle.server.tap.incremental != {"wide": True}:
+                failures.append("wide: the tap is not on touched groups")
+            early = SubscriberClient(handle.host, handle.port)
+            early_rows = rows_from_snapshot(early.subscribe("wide"))
+            if len(early_rows) != WIDE_GROUPS:
+                failures.append(f"wide: snapshot of {len(early_rows)} groups")
+            del rendered[:]
+            for sign, row in frames[: WIDE_FRAMES // 2]:
+                handle.publish("bids", sign, [row])
+            late = SubscriberClient(handle.host, handle.port)
+            late_rows = rows_from_snapshot(late.subscribe("wide"))
+            for sign, row in frames[WIDE_FRAMES // 2 :]:
+                handle.publish("bids", sign, [row])
+            if len(rendered) > 2 * WIDE_FRAMES:
+                failures.append(
+                    f"wide: {len(rendered)} groups rendered for "
+                    f"{WIDE_FRAMES} one-row frames (bound {2 * WIDE_FRAMES})"
+                )
+            barrier = early.ping()
+            for name, client, rows in [
+                ("early", early, early_rows),
+                ("late", late, late_rows),
+            ]:
+                for frame in client.drain_deltas("wide", barrier):
+                    apply_changes(rows, frame["changes"])
+                if rows != offline:
+                    failures.append(
+                        f"wide/{name}: accumulated state diverges from "
+                        f"offline query_results ({len(rows)} vs "
+                        f"{len(offline)} rows)"
+                    )
+            early.close()
+            late.close()
+    finally:
+        GroupRenderer.row = render
+    return failures
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, lambda *_: sys.exit("serving smoke wedged"))
     signal.alarm(WATCHDOG_SECONDS)
@@ -182,11 +269,21 @@ def main() -> int:
             f"ok   bsp    burst     {EVENTS} publish frames in one sendall, "
             "acked in order, subscriber in parity"
         )
+    wide_failures = run_wide_view_scenario()
+    failures.extend(wide_failures)
+    for line in wide_failures:
+        print(f"FAIL {line}")
+    if not wide_failures:
+        print(
+            f"ok   wide   in-memory {WIDE_FRAMES} one-row frames over "
+            f"{WIDE_GROUPS} groups, <= 2 groups rendered per frame, early + "
+            "mid-stream subscribers in parity"
+        )
     if failures:
         print(f"{len(failures)} serving-smoke check(s) FAILED")
         return 1
     print(
-        f"all {len(SCENARIOS) + 1} serving scenarios streamed the offline answer"
+        f"all {len(SCENARIOS) + 2} serving scenarios streamed the offline answer"
     )
     return 0
 

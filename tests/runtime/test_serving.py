@@ -14,6 +14,8 @@ the WAL's).  The cross-engine streaming property lives in
 import asyncio
 import os
 from collections import Counter
+from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.compiler import compile_queries, compile_sql
 from repro.errors import ServingError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.durability import DurableEngine
+from repro.runtime.engine import Engine
+from repro.runtime.events import EventBatch, batches
 from repro.runtime.serving import (
     ServerThread,
     SubscriberClient,
@@ -35,8 +39,14 @@ from repro.runtime.serving import (
     encode_frame,
     rows_from_snapshot,
 )
-from repro.runtime.views import result_delta
+from repro.runtime.storage import RecordingDict
+from repro.runtime.views import GroupRenderer, result_delta
 from repro.sql.catalog import Catalog
+from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+from repro.workloads.orderbook import OrderBookGenerator
+from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog, warehouse_stream
+from repro.workloads.tpch import TpchGenerator
+from tests.integration.sql_oracle import SqliteOracle, normalize_rows
 
 CATALOG_DDL = """
 CREATE STREAM R (A int, B int);
@@ -1087,3 +1097,422 @@ def test_ping_is_answered_within_one_slice_of_another_connections_burst():
         assert server.tap.lsn == count
 
     asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# The touched-group tap: a delta costs what changed, not what the view holds
+# ---------------------------------------------------------------------------
+
+ENGINE_KINDS = ("delta", "columnar", "durable", "sharded")
+
+
+def _engine_of(kind, program, tmp_path):
+    if kind == "delta":
+        return DeltaEngine(program)
+    if kind == "columnar":
+        return DeltaEngine(program, columnar=True)
+    if kind == "durable":
+        return DurableEngine(program, tmp_path, fsync="none")
+    return ShardedEngine(program, shards=2)
+
+
+def _assert_tap_parity(engine, events, batch_size):
+    """Drive ``events`` through ``engine`` under a tap called by hand.
+    After every batch the emitted change lists must equal the whole-view
+    ``result_delta(previous, current)`` — kept here as the reference —
+    and ``snapshot ⊎ deltas`` must equal ``engine.results``.  Returns
+    what the subscriber holds per view."""
+    tap = ViewDeltaTap(engine)
+    held = {view: Counter(dict(tap.snapshot(view)[1])) for view in tap.views}
+    previous = {view: Counter(engine.results(view)) for view in tap.views}
+    assert held == previous
+    for batch in batches(events, batch_size):
+        engine.process_batch(batch.relation, batch.sign, batch.rows)
+        deltas = tap.on_batch(engine.tap_lsn(), batch)
+        for view in tap.views:
+            current = Counter(engine.results(view))
+            assert deltas.get(view, []) == result_delta(previous[view], current)
+            apply_changes(held[view], deltas.get(view, []))
+            assert held[view] == current
+            previous[view] = current
+    tap.close()
+    return held
+
+
+@lru_cache(maxsize=None)
+def _finance_case(query):
+    """``(program, events, what sqlite answers after them)``."""
+    catalog = finance_catalog()
+    sql = FINANCE_QUERIES[query]
+    events = list(OrderBookGenerator(seed=20).events(160))
+    oracle = SqliteOracle(catalog, sql)
+    oracle.apply_all(events)
+    return compile_sql(sql, catalog, name="q"), events, oracle.rows()
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 100])
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("query", sorted(FINANCE_QUERIES))
+def test_tap_parity_matrix_finance(query, kind, batch_size, tmp_path):
+    program, events, expected = _finance_case(query)
+    engine = _engine_of(kind, program, tmp_path)
+    held = _assert_tap_parity(engine, events, batch_size)
+    assert normalize_rows(held["q"].elements()) == expected
+    engine.close()
+
+
+@lru_cache(maxsize=None)
+def _ssb_case():
+    """The 4-view SSB program, its dimension tables, a fact-feed prefix
+    and what sqlite answers per view after both."""
+    catalog = ssb_catalog()
+    program = compile_queries(
+        [translate_sql(sql, catalog, name=name) for name, sql in SSB_FLIGHT.items()],
+        catalog,
+    )
+    generator = TpchGenerator(sf=0.0005, seed=1992)
+    static = generator.static_tables()
+    events = list(islice(warehouse_stream(generator), 300))
+    oracle = SqliteOracle(catalog, "")
+    for relation, rows in static.items():
+        oracle.apply_all(StreamEvent(relation, 1, tuple(row)) for row in rows)
+    oracle.apply_all(events)
+    expected = {}
+    for view, sql in SSB_FLIGHT.items():
+        oracle.sql = sql
+        expected[view] = oracle.rows()
+    return program, static, events, expected
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 100])
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_tap_parity_matrix_ssb_program(kind, batch_size, tmp_path):
+    program, static, events, expected = _ssb_case()
+    engine = _engine_of(kind, program, tmp_path)
+    for relation, rows in static.items():
+        engine.load(relation, rows)
+    held = _assert_tap_parity(engine, events, batch_size)
+    assert sum(len(rows) for rows in held.values()) > 20  # not vacuous
+    for view in SSB_FLIGHT:
+        assert normalize_rows(held[view].elements()) == expected[view], view
+    engine.close()
+
+
+def _wide_view_engine(groups):
+    """``SELECT price, sum(volume) FROM bids GROUP BY price`` holding one
+    bid at each of ``groups`` prices."""
+    program = compile_sql(
+        "SELECT price, sum(volume) FROM bids GROUP BY price",
+        finance_catalog(),
+        name="q",
+    )
+    engine = DeltaEngine(program)
+    engine.process_batch(
+        "bids", 1, [(0, i, i % 10, 10_000 + i, 5) for i in range(groups)]
+    )
+    return engine
+
+
+def test_one_row_batch_renders_what_it_touched_not_the_view(monkeypatch):
+    engine = _wide_view_engine(2_500)
+    tap = ViewDeltaTap(engine)
+    assert tap.incremental == {"q": True}
+    assert len(tap.snapshot("q")[1]) == 2_500
+    rendered = []
+    render = GroupRenderer.row
+
+    def counting(self, group):
+        rendered.append(group)
+        return render(self, group)
+
+    def no_results(self, query_name=None):
+        raise AssertionError("on_batch rendered the whole view")
+
+    monkeypatch.setattr(GroupRenderer, "row", counting)
+    monkeypatch.setattr(DeltaEngine, "results", no_results)
+    held = Counter(dict(tap.snapshot("q")[1]))
+    steps = [
+        (1, (1, 9001, 3, 10_007, 2)),  # an existing group moves
+        (1, (1, 9002, 3, 99_999, 4)),  # a new group appears
+        (-1, (1, 9002, 3, 99_999, 4)),  # ... and goes
+    ]
+    for sign, row in steps:
+        del rendered[:]
+        engine.process_batch("bids", sign, [row])
+        changes = tap.on_batch(0, EventBatch("bids", sign, [row]))["q"]
+        assert len(rendered) <= 2
+        apply_changes(held, changes)
+    monkeypatch.undo()
+    assert held == Counter(engine.results("q"))
+
+
+def test_tap_works_registered_called_by_another_listener_or_by_hand():
+    events = list(OrderBookGenerator(seed=5).events(200))
+    program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="q")
+
+    def drive(attach):
+        engine = DeltaEngine(program)
+        tap = ViewDeltaTap(engine)  # before any listener exists
+        logs = []
+        step = attach(engine, tap, logs)
+        for batch in batches(events, 3):
+            engine.process_batch(batch.relation, batch.sign, batch.rows)
+            step(batch)
+        return logs
+
+    def registered(engine, tap, logs):
+        class Keeper:
+            def on_batch(self, lsn, batch):
+                logs.append(tap.on_batch(lsn, batch))
+
+        engine.add_batch_listener(Keeper().on_batch)
+        return lambda batch: None
+
+    def from_another_listener(engine, tap, logs):
+        engine.add_batch_listener(
+            lambda lsn, batch: logs.append(tap.on_batch(lsn, batch))
+        )
+        return lambda batch: None
+
+    def by_hand(engine, tap, logs):
+        assert not engine._batch_listeners
+        return lambda batch: logs.append(tap.on_batch(0, batch))
+
+    first = drive(registered)
+    assert any(first)
+    assert drive(from_another_listener) == first
+    assert drive(by_hand) == first
+
+
+def test_two_taps_on_one_engine_each_see_every_touched_group():
+    engine = DeltaEngine(_two_view_program())
+    first = ViewDeltaTap(engine)
+    second = ViewDeltaTap(engine, views=["qr"])
+    assert first.incremental == {"qr": True, "qs": True}
+    for i in range(6):
+        batch = EventBatch("R", 1, [(i % 3, i + 1)])
+        engine.process_batch("R", 1, batch.rows)
+        seen = first.on_batch(i, batch)
+        assert second.on_batch(i, batch) == seen and seen
+    # Releasing one tap leaves the other recording.
+    first.close()
+    assert first.incremental == {"qr": False, "qs": False}
+    assert engine.storage_classes()["q_qs_sum_1"] == "dict"
+    batch = EventBatch("R", -1, [(0, 1)])
+    engine.process_batch("R", -1, batch.rows)
+    assert second.on_batch(7, batch) == first.on_batch(7, batch) != {}
+    second.close()
+    assert set(engine.storage_classes().values()) == {"dict"}
+    assert Counter(dict(second.snapshot("qr")[1])) == Counter(engine.results("qr"))
+
+
+def test_tap_deduplicates_repeated_views():
+    engine = DeltaEngine(_program())
+    tap = ViewDeltaTap(engine, views=["q", "q"])
+    assert tap.views == ["q"]
+    assert tap._affected[("R", 1)] == ("q",)
+
+
+def test_stopped_server_leaves_plain_dicts_and_the_untapped_binding():
+    engine = DeltaEngine(_program())
+    engine.process_batch("R", 1, [(1, 10)])
+    before = engine.storage_classes()
+    handle = ServerThread(engine)
+    handle.start()
+    assert "recording" in engine.storage_classes().values()
+    handle.publish("R", 1, [(2, 20)])
+    handle.stop()
+    assert engine.storage_classes() == before
+    assert all(type(contents) is dict for contents in engine.maps.values())
+    assert handle.server.tap.incremental == {"q": False}
+    # The re-bound triggers write the plain dicts.
+    engine.process_batch("R", 1, [(2, 1)])
+    assert sorted(engine.results("q")) == [(1, 10), (2, 21)]
+
+
+def test_incremental_says_which_views_cost_what_changed(tmp_path):
+    program = _program()
+    assert ViewDeltaTap(DeltaEngine(program)).incremental == {"q": True}
+    durable = DurableEngine(program, tmp_path, fsync="none")
+    assert ViewDeltaTap(durable).incremental == {"q": True}
+    durable.close()
+    assert ViewDeltaTap(DeltaEngine(program, columnar=True)).incremental == {
+        "q": False
+    }
+    assert ViewDeltaTap(ShardedEngine(program, shards=2)).incremental == {
+        "q": False
+    }
+    if hasattr(os, "fork"):
+        with ShardedEngine(program, shards=2, parallel=True) as forked:
+            tap = ViewDeltaTap(forked)
+            assert tap.incremental == {"q": False}
+            batch = EventBatch("R", 1, [(1, 10), (2, 20)])
+            forked.process_batch("R", 1, batch.rows)
+            assert tap.on_batch(1, batch) == {"q": [((1, 10), 1), ((2, 20), 1)]}
+
+
+# -- totality of the touched set -------------------------------------------------
+
+
+def _tapped(sql, catalog=None):
+    engine = DeltaEngine(compile_sql(sql, catalog or finance_catalog(), name="q"))
+    tap = ViewDeltaTap(engine)
+    held = Counter(dict(tap.snapshot("q")[1]))
+
+    def apply(relation, sign, rows):
+        engine.process_batch(relation, sign, rows)
+        changes = tap.on_batch(0, EventBatch(relation, sign, rows)).get("q", [])
+        apply_changes(held, changes)
+        assert held == Counter(engine.results("q"))
+        return changes
+
+    return engine, tap, apply
+
+
+@pytest.mark.parametrize("query", ["vwap", "mst"])
+def test_second_order_restate_reaches_the_tap(query):
+    # A multi-row run takes the batch trigger, whose second-order flush
+    # clears and refills the maps it restates.
+    engine, tap, apply = _tapped(FINANCE_QUERIES[query])
+    source = engine._executor.source
+    assert "second-order flush" in source or "restate" in source
+    bids = [(i, i, i % 3, 100 + 7 * i, 10 + 40 * (i % 2)) for i in range(12)]
+    asks = [(i, 50 + i, i % 3, 90 + 5 * i, 5 + i) for i in range(12)]
+    steps = [
+        apply("bids", 1, bids[:6]),
+        apply("asks", 1, asks[:6]),
+        apply("bids", 1, bids[6:]),
+        apply("asks", 1, asks[6:]),
+        apply("bids", -1, bids[2:9]),
+        apply("asks", -1, asks[:5]),
+    ]
+    assert sum(1 for changes in steps if changes) >= 3
+
+
+def test_finalize_rebuild_without_pendings_reaches_the_tap():
+    # A restated occurrence map rebuilds its max cache from scratch:
+    # clear(), then one write per live group.
+    sql = (
+        "SELECT b.broker_id, max(b.price) FROM bids b WHERE b.volume > 0.25 * "
+        "(SELECT sum(b1.volume) FROM bids b1) GROUP BY b.broker_id"
+    )
+    engine, tap, apply = _tapped(sql)
+    assert "_m_q_q_max_1__max.clear()" in engine._executor.source
+    volumes = [100, 1, 1, 100, 1, 100]
+    bids = [(i, i, i % 3, 100 + 7 * i, volumes[i]) for i in range(6)]
+    assert apply("bids", 1, bids[:3]) == [((0, 100), 1)]
+    assert apply("bids", 1, bids[3:]) == [((0, 100), -1), ((0, 121), 1), ((2, 135), 1)]
+    assert apply("bids", -1, [bids[3], bids[5]])
+    assert apply("bids", -1, bids[:2])
+    assert sorted(engine.results("q")) == [(1, 128), (2, 114)]
+
+
+def test_extremum_rederivation_on_delete_reaches_the_tap():
+    engine, tap, apply = _tapped(FINANCE_QUERIES["bbo"])
+    apply("asks", 1, [(0, 1, 7, 300, 1)])
+    apply("bids", 1, [(0, 2, 7, 100, 1)])
+    apply("bids", 1, [(0, 3, 7, 200, 1)])
+    # The best bid leaves: Finalize re-derives the group's maximum.
+    assert apply("bids", -1, [(0, 3, 7, 200, 1)]) == [
+        ((7, 100, 300), 1),
+        ((7, 200, 300), -1),
+    ]
+    # The last bid leaves: the group goes with it.
+    assert apply("bids", -1, [(0, 2, 7, 100, 1)]) == [((7, 100, 300), -1)]
+    assert engine.results("q") == []
+
+
+def test_restore_state_under_a_live_tap_marks_the_view_whole():
+    program = _program()
+    donor = DeltaEngine(program)
+    donor.process_batch("R", 1, [(5, 50), (6, 60), (1, 1)])
+    engine = DeltaEngine(program)
+    engine.process_batch("R", 1, [(1, 10), (2, 20)])
+    tap = ViewDeltaTap(engine)
+    held = Counter(dict(tap.snapshot("q")[1]))
+    engine.restore_state(donor.maps, events_processed=3)
+    assert tap.incremental == {"q": True}  # same maps, still recording
+    batch = EventBatch("R", 1, [(9, 90)])
+    engine.process_batch("R", 1, batch.rows)
+    apply_changes(held, tap.on_batch(1, batch)["q"])
+    assert held == Counter(engine.results("q"))
+    assert held == Counter([(5, 50), (6, 60), (1, 1), (9, 90)])
+
+
+def test_deepcopy_of_a_tapped_engine_is_an_untapped_engine():
+    import copy
+
+    engine = DeltaEngine(_program())
+    engine.process_batch("R", 1, [(1, 10)])
+    tap = ViewDeltaTap(engine)
+    clone = copy.deepcopy(engine)
+    assert all(type(contents) is dict for contents in clone.maps.values())
+    assert clone._watches == []
+    clone.process_batch("R", 1, [(1, 5)])
+    assert clone.results("q") == [(1, 15)]
+    assert engine.results("q") == [(1, 10)]
+    assert not tap._touched["q"]  # the clone's writes are its own
+    assert type(copy.deepcopy(engine.maps["q_q_sum_1"])) is dict
+
+
+def test_recording_dict_never_writes_silently():
+    touched, other = set(), set()
+    recording = RecordingDict({(1,): 1, (2,): 2}, [touched])
+
+    def noted(write):
+        touched.clear()
+        write()
+        return set(touched)
+
+    assert noted(lambda: recording.__setitem__((3,), 3)) == {(3,)}
+    assert noted(lambda: recording.pop((3,))) == {(3,)}
+    assert noted(lambda: recording.pop((3,), None)) == {(3,)}
+    with pytest.raises(KeyError):
+        recording.pop((3,))
+    assert noted(lambda: recording.update({(4,): 4}, x=1)) == {(4,), "x"}
+    assert noted(lambda: recording.__delitem__("x")) == {"x"}
+    assert noted(lambda: recording.setdefault((5,), 5)) == {(5,)}
+    assert noted(recording.popitem) == {(5,)}
+    assert noted(lambda: recording.__ior__({(6,): 6})) == {(6,)}
+    assert noted(lambda: recording.add((6,), -6)) == {(6,)}
+    assert (6,) not in recording
+    assert noted(lambda: recording.add((7,), 7)) == {(7,)}
+    recording.record_into([touched, other])
+    live = set(recording)
+    assert noted(recording.clear) == live == other
+    assert recording == {} and type(recording.copy()) is dict
+    with pytest.raises(TypeError):
+        RecordingDict.fromkeys([(1,)])
+
+
+def test_untapped_engines_are_untouched():
+    import hashlib
+
+    catalog = finance_catalog()
+    shipped = [(sql, catalog) for _, sql in sorted(FINANCE_QUERIES.items())]
+    shipped += [(sql, ssb_catalog()) for _, sql in sorted(SSB_FLIGHT.items())]
+    assert len(shipped) == 11
+    for sql, query_catalog in shipped:
+        program = compile_sql(sql, query_catalog, name="q")
+        for mode in ("compiled", "native"):
+            plain = DeltaEngine(program, mode=mode)
+            tapped = DeltaEngine(program, mode=mode)
+            layout = plain.storage_classes()
+            assert "recording" not in layout.values()
+            for name, kind in layout.items():
+                assert (type(plain.maps[name]) is dict) == (kind == "dict")
+            tap = ViewDeltaTap(tapped)
+            digest = hashlib.sha256(plain._executor.source.encode()).hexdigest()
+            assert (
+                hashlib.sha256(tapped._executor.source.encode()).hexdigest()
+                == digest
+            )
+            tap.close()
+            assert tapped.storage_classes() == layout
+
+
+def test_base_engine_cannot_say_what_a_batch_touched():
+    engine = ShardedEngine(_program(), shards=2)
+    assert Engine.watch_results(engine, ["q"]) == {}
+    assert engine.watch_results(["q"]) == {}
+    engine.unwatch_results({})  # a no-op, not an error

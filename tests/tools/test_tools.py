@@ -219,6 +219,7 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "serving view 'q'" in out
+        assert "delta candidates: touched groups" in out
         assert "streamed 5 events" in out
         assert "(35,)" in out  # 5 * 7, identical to the run command
 
