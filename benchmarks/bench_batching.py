@@ -11,9 +11,12 @@ Methodology
 -----------
 Engines are prefilled to steady state exactly as in the bakeoff harness.
 The measured slice is then arranged for *bulk delivery*: events are stably
-regrouped by ``(relation, sign)`` — the shape of an archived feed replay or
-a warehouse load file — so every batch size processes the **identical**
-event sequence and only the dispatch granularity differs.  Regrouping is
+regrouped into one run per trigger, ``(relation, sign)`` — the shape of an
+archived feed replay or a warehouse load file — so every batch size
+processes the **identical** event sequence and only the dispatch
+granularity differs.  (``batches()`` itself cuts per relation; where a
+relation's insert and delete runs meet, the batch carries a weight column
+and still dispatches each run through its own trigger.)  Regrouping is
 sound here because the maintained maps are a function of the current
 database multiset (the engine-vs-oracle invariant) and all workload values
 are integers.  Batch size 1 is classic per-event dispatch
@@ -116,8 +119,9 @@ NATIVE_VS_PACKED_TARGET = 2.0
 
 
 def bulk_delivery_order(events: list[StreamEvent]) -> list[StreamEvent]:
-    """Stable-regroup a slice by ``(relation, sign)``: per-trigger order is
-    preserved, so the final database multiset (hence the maps) is unchanged."""
+    """Stable-regroup a slice into one run per trigger, ``(relation,
+    sign)``: per-trigger order is preserved, so the final database
+    multiset (hence the maps) is unchanged."""
     runs: dict[tuple[str, int], list[StreamEvent]] = {}
     for event in events:
         runs.setdefault((event.relation, event.sign), []).append(event)

@@ -6,10 +6,14 @@ answers are the ones a deployment would ask:
 
 * **logging overhead** — events/second with the WAL on (per fsync
   policy: ``always`` / ``batch`` / ``none``) vs the same engine with
-  durability off, on the finance workloads at batch 100.  The frame
-  codec writes the batch's struct-of-arrays columns as packed arrays, so
-  the marginal cost should be dominated by the fsync discipline, not by
-  serialisation.  The acceptance gate is on the log's *absolute* cost:
+  durability off, on the finance workloads at batch 100.
+  ``process_stream`` cuts per-relation batches, inserts and cancels
+  together (one frame each, a mixed one carrying its weight column), so
+  the order-book feed logs ~2.4 events per frame, not the 1.25 a
+  ``(relation, sign)`` run used to hold.  Frames pickle their rows (up
+  to 4 rows, and every mixed batch) or pack their columns, so the
+  marginal cost should be dominated by the per-frame work and the fsync
+  discipline.  The acceptance gate is on the log's *absolute* cost:
   ``fsync=batch`` (the default policy) adds at most
   ``BATCH_WAL_OPS_LIMIT`` calibration ops of work per event on the
   finance workloads.  (It used to be "<= 30% of durability-off

@@ -55,7 +55,8 @@ class SteadyState:
         return len(self.slice_events)
 
     def run_slice_batched(self, engine, batch_size: Optional[int]) -> int:
-        """The same slice delivered as same-``(relation, sign)`` batches.
+        """The same slice delivered as per-relation batches (a batch
+        mixing inserts and deletes carries its weight column as ``sign``).
 
         Engines exposing the columnar entry point receive the pre-grouped
         batch's column lists directly (no row materialisation); baselines

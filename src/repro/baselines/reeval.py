@@ -17,7 +17,7 @@ from repro.sql.catalog import Catalog
 from repro.sql.parser import parse_query
 from repro.interpreter.executor import execute_query
 from repro.interpreter.relations import Database
-from repro.runtime.events import StreamEvent, batches
+from repro.runtime.events import EventBatch, StreamEvent, batches
 
 
 class ReevalEngine:
@@ -64,20 +64,21 @@ class ReevalEngine:
         if self.refresh == "eager":
             self._refresh()
 
-    def process_batch(self, relation: str, sign: int, rows: Sequence[Sequence]) -> int:
-        """Apply a run of rows, then refresh once.
+    def process_batch(self, relation: str, sign, rows: Sequence[Sequence]) -> int:
+        """Apply a run of rows (``sign``: ``+1``/``-1`` or a per-row
+        weight column), then refresh once.
 
         The legitimate batch optimisation for a re-evaluating DBMS: the
         standing query is re-run per *batch* instead of per event, so the
         bakeoff's batched comparisons stay apples-to-apples.
         """
-        rows = list(rows)
-        for row in rows:
-            self.db.apply(StreamEvent(relation, sign, tuple(row)))
-        self.events_processed += len(rows)
-        if self.refresh == "eager" and rows:
+        events = list(EventBatch(relation, sign, rows))
+        for event in events:
+            self.db.apply(event)
+        self.events_processed += len(events)
+        if self.refresh == "eager" and events:
             self._refresh()
-        return len(rows)
+        return len(events)
 
     def process_stream(
         self, events: Iterable, batch_size: Optional[int] = 1

@@ -37,7 +37,7 @@ from repro.interpreter.executor import (
     _split_conjuncts,
     _tables_of,
 )
-from repro.runtime.events import StreamEvent, batches
+from repro.runtime.events import EventBatch, StreamEvent, batches
 
 
 class UnsupportedQueryError(ReproError):
@@ -398,16 +398,17 @@ class StreamOpEngine:
             pipeline.on_event(event)
         self.events_processed += 1
 
-    def process_batch(self, relation: str, sign: int, rows) -> int:
-        """Batched delivery, tuple-at-a-time execution.
+    def process_batch(self, relation: str, sign, rows) -> int:
+        """Batched delivery, tuple-at-a-time execution (``sign``:
+        ``+1``/``-1`` or a per-row weight column).
 
         The operator network is inherently tuple-at-a-time, so batching
         amortises only the delivery loop — faithfully modelling the engines
         the paper compares against.
         """
         count = 0
-        for row in rows:
-            self.process(StreamEvent(relation, sign, tuple(row)))
+        for event in EventBatch(relation, sign, rows):
+            self.process(event)
             count += 1
         return count
 

@@ -28,13 +28,15 @@ The engine is *embeddable* (construct it in-process and call ``insert`` /
 maps supports ad-hoc client queries, per the paper's system model.
 
 Events are accepted one at a time (:meth:`DeltaEngine.process`) or in
-*batches* (:meth:`DeltaEngine.process_batch`): a batch is a run of rows
-sharing one ``(relation, sign)``, dispatched through a single generated
-``*_batch`` trigger call so the per-event Python dispatch overhead (trigger
-lookup, static-table checks, profiler hooks, one call per event) is paid
-once per batch.  :meth:`DeltaEngine.process_stream` groups consecutive
-same-trigger events into such runs automatically; results are identical to
-per-event processing because rows apply in stream order.
+*batches* (:meth:`DeltaEngine.process_batch`): a batch is a run of rows on
+one relation, admitted, logged and routed once, and applied as its
+same-sign sub-runs — each one generated ``*_batch`` trigger call (or the
+per-event trigger for a single row), so the per-event Python dispatch
+overhead (trigger lookup, static-table checks, profiler hooks, one call
+per event) is paid once per run.  :meth:`DeltaEngine.process_stream`
+groups consecutive same-relation events into such batches automatically;
+results are identical to per-event processing because rows apply in
+stream order.
 
 On top of the single engine, :class:`ShardedEngine` runs *sharded parallel*
 delta processing: the compiler's partitioning analysis
@@ -71,9 +73,12 @@ from repro.ir.interp import InterpretedExecutor, run_finalize
 from repro.runtime.events import (
     EventBatch,
     StreamEvent,
+    batch_sign,
     batches,
+    columns_from_rows,
     partition_columns,
     partition_rows,
+    rows_from_columns,
 )
 from repro.runtime.storage import RecordingDict, storage_class
 from repro.runtime.views import (
@@ -92,7 +97,7 @@ DEFAULT_BATCH_SIZE = 1024
 _ROW_ROUTE_THRESHOLD = 8
 
 
-def admit(engine, relation: str, sign: int, count: int) -> Optional[Trigger]:
+def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
     """The one admission rule: may ``count`` rows of ``(relation, sign)``
     enter ``engine``, and which trigger runs them.
 
@@ -103,6 +108,14 @@ def admit(engine, relation: str, sign: int, count: int) -> Optional[Trigger]:
     counted into ``events_skipped`` otherwise.  Returns the trigger, or
     ``None`` when the rows are to be dropped (skipped relation, deletions
     disabled at compile time, or no statements).
+
+    ``sign`` is ``+1``/``-1``, or ``0`` for a mixed batch (one carrying a
+    weight column; ``0`` is the WAL's sign byte for one, too).  A mixed
+    batch is judged whole, before any row applies, with the verdicts its
+    sign sub-runs would get: a static table refuses it (it holds
+    deletes), a skipped relation counts every row, and the returned
+    trigger is either sign's — a sign that lacks one drops its rows when
+    applied (:meth:`DeltaEngine._apply`).
 
     ``count=0`` is a dry run — it raises exactly what applying would and
     changes no engine state — which is how the durable layer rejects a
@@ -123,15 +136,22 @@ def admit(engine, relation: str, sign: int, count: int) -> Optional[Trigger]:
             )
     elif count and (trigger is not None or relation in engine._relations):
         engine._stream_started = True
-    if trigger is None and relation not in engine._relations:
-        if engine.strict:
+    if trigger is None:
+        if relation in engine._relations:
+            if sign == 0:  # either sign's trigger runs some of the rows
+                triggers = program.triggers
+                trigger = triggers.get((relation, 1)) or triggers.get(
+                    (relation, -1)
+                )
+        elif engine.strict:
             # Say what *would* have been accepted.
             known = sorted(engine._relations | set(program.static_relations))
             raise UnknownStreamError(
                 f"no standing query reads relation {relation!r}; "
                 "known relations: " + (", ".join(known) if known else "(none)")
             )
-        engine.events_skipped += count
+        else:
+            engine.events_skipped += count
     return trigger
 
 
@@ -152,7 +172,7 @@ class Engine:
     engines share, written once.
 
     A concrete engine supplies three primitives — ``_process_batch(batch)``
-    (apply one same-``(relation, sign)`` run), ``current_maps()`` (the
+    (apply one :class:`EventBatch`), ``current_maps()`` (the
     maintained maps as of now) and ``index_sizes()`` — and inherits the
     ingest surface, the derived reads, the flush-path tap and the
     lifecycle from here.  The layers differ only in what their
@@ -188,14 +208,16 @@ class Engine:
             EventBatch(event.relation, event.sign, [event.values])
         )
 
-    def process_batch(self, relation: str, sign: int, rows: Sequence[Sequence]) -> int:
-        """Apply a run of same-``(relation, sign)`` rows as one batch.
+    def process_batch(self, relation: str, sign, rows: Sequence[Sequence]) -> int:
+        """Apply a run of rows of one relation as one batch.
 
+        ``sign`` is ``+1``/``-1`` for a run of inserts/deletes, or the
+        per-row weight column (a list of ``+1``/``-1``) of a mixed run.
         Semantically identical to ``process``-ing each row in order, but the
         per-event dispatch cost (trigger lookup, static-table checks,
-        profiler hooks, one Python call per event) is paid once per batch;
-        multi-row runs are transposed once into the columnar batch layout
-        and run through the ``*_batch`` trigger.
+        profiler hooks, one Python call per event) is paid once per
+        same-sign sub-run; multi-row sub-runs are transposed into the
+        columnar batch layout and run through the ``*_batch`` trigger.
 
         Returns the number of rows that reached a trigger (0 when the
         relation is unsubscribed and the rows were skipped).
@@ -206,9 +228,10 @@ class Engine:
         return self._process_batch(EventBatch(relation, sign, rows))
 
     def process_batch_columns(
-        self, relation: str, sign: int, columns: Sequence[Sequence]
+        self, relation: str, sign, columns: Sequence[Sequence]
     ) -> int:
-        """Apply one *columnar* batch (parallel per-column lists).
+        """Apply one *columnar* batch (parallel per-column lists; ``sign``
+        as for :meth:`process_batch`).
 
         The native batch entry point — :class:`EventBatch` storage flows
         here without any row materialisation; in compiled mode the
@@ -224,8 +247,9 @@ class Engine:
     ) -> int:
         """Apply a sequence of events (update pairs are flattened).
 
-        Consecutive events sharing one ``(relation, sign)`` are grouped and
-        dispatched as batches: one-row runs take the per-event trigger
+        Consecutive events on one relation are grouped into batches
+        (:func:`~repro.runtime.events.batches`) and each same-sign
+        sub-run dispatched once: one-row runs take the per-event trigger
         directly, longer runs the columnar ``*_batch`` trigger.
         ``batch_size`` caps the rows buffered per batch (default
         ``DEFAULT_BATCH_SIZE``, keeping memory bounded on endless
@@ -498,26 +522,84 @@ class DeltaEngine(Engine):
             )
 
     def _process_batch(self, batch: EventBatch) -> int:
-        """Dispatch one batch: per-event trigger for a degenerate one-row
-        run (no loop setup, no transpose, and a second-order flush would
-        restate whole maps for one row's change), the columnar ``*_batch``
-        trigger otherwise.
-        """
+        """Admit one batch, apply it (:meth:`_apply`) and fire the tap."""
         count = batch._length
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if admit(self, relation, sign, count) is None:
+        if admit(
+            self, relation, 0 if isinstance(sign, list) else sign, count
+        ) is None:
             return 0
-        if count == 1:
-            self._triggers.per_event[relation, sign](*batch.row(0))
+        applied = self._apply(relation, sign, batch._rows, batch._columns)
+        if self._batch_listeners:
+            self._notify_listeners(batch)
+        return applied
+
+    def _apply(self, relation: str, sign, rows, columns) -> int:
+        """Run admitted rows through the bound triggers; returns how many
+        reached one.  ``rows`` (row tuples) or ``columns`` (per-column
+        lists) carries them — whichever is not ``None``, both when both
+        are at hand.
+
+        A uniform run takes the per-event trigger for one row (no loop
+        setup, no transpose, and a second-order flush would restate whole
+        maps for one row's change), the columnar ``*_batch`` trigger
+        otherwise.  A mixed run (``sign`` is its weight column) is exactly
+        its maximal same-sign sub-runs, in stream order, each dispatched
+        that way — stream-order exact for every trigger, ``Finalize`` and
+        second-order sinks included; a sign without a trigger (deletions
+        compiled out) drops its sub-runs.
+        """
+        triggers = self._triggers
+        if isinstance(sign, list):
+            if rows is None:
+                rows = rows_from_columns(columns)
+            applied, start, end = 0, 0, len(sign)
+            while start < end:  # one sub-run [start, stop) per pass
+                run_sign, stop = sign[start], start + 1
+                while stop < end and sign[stop] == run_sign:
+                    stop += 1
+                if stop - start == 1:
+                    trigger = triggers.per_event.get((relation, run_sign))
+                    if trigger is not None:
+                        trigger(*rows[start])
+                else:
+                    trigger = triggers.batch.get((relation, run_sign))
+                    if trigger is not None:
+                        trigger(columns_from_rows(rows[start:stop]))
+                if trigger is not None:
+                    applied += stop - start
+                    if self.profiler is not None:
+                        self.profiler.record_batch(
+                            relation, run_sign, stop - start
+                        )
+                start = stop
+            self.events_processed += applied
+            return applied
+        # A uniform slice of a mixed batch can hold a sign the relation
+        # has no trigger for: look the trigger up, do not index.
+        if rows is not None and len(rows) == 1:
+            trigger = triggers.per_event.get((relation, sign))
+            if trigger is None:
+                return 0
+            trigger(*rows[0])
+            count = 1
         else:
-            self._triggers.batch[relation, sign](batch.columns)
+            if columns is None:
+                columns = columns_from_rows(rows)
+            count = len(columns[0]) if columns else len(rows)
+            table = triggers.per_event if count == 1 else triggers.batch
+            trigger = table.get((relation, sign))
+            if trigger is None:
+                return 0
+            if count == 1:
+                trigger(*[column[0] for column in columns])
+            else:
+                trigger(columns)
         self.events_processed += count
         if self.profiler is not None:
             self.profiler.record_batch(relation, sign, count)
-        if self._batch_listeners:
-            self._notify_listeners(batch)
         return count
 
     # -- result watches ---------------------------------------------------
@@ -682,21 +764,17 @@ class _LocalLane(DeltaEngine):
 
     The lane interface the router talks to is the engine surface itself
     (``sync``, ``events_processed``, ``current_maps``, ``index_sizes``,
-    ``restore_state``, ``close``) plus :meth:`send`.  Lanes never run
-    strict: admission is enforced once, globally, by the router.
+    ``restore_state``, ``close``) plus ``send(relation, sign, rows,
+    columns)`` — one slice of rows the router admitted, as row tuples
+    (short runs) or per-column lists.  Lanes never admit: admission is
+    enforced once, globally, by the router, so a local lane's ``send``
+    *is* :meth:`DeltaEngine._apply` — the bound triggers run directly.
     """
 
     def __init__(self, executor) -> None:
         self._attach(executor, strict=False)
 
-    def send(self, op: str, relation: str, sign: int, payload) -> None:
-        """Apply one lane message.  ``"batch"`` carries per-column lists;
-        ``"rows"`` carries row tuples — small runs ship that way and the
-        lane transposes lazily (or takes the per-event path for one row)."""
-        if op == "batch":
-            self.process_batch_columns(relation, sign, payload)
-        else:
-            self.process_batch(relation, sign, payload)
+    send = DeltaEngine._apply
 
 
 def _shard_worker_main(conn, executor) -> None:
@@ -716,10 +794,10 @@ def _shard_worker_main(conn, executor) -> None:
         except (EOFError, OSError, KeyboardInterrupt):
             break
         op = message[0]
-        if op in ("batch", "rows"):
+        if op == "apply":
             if failure is None:
                 try:
-                    engine.send(*message)
+                    engine.send(*message[1:])
                 except Exception as exc:  # surfaced on the next sync
                     failure = f"{type(exc).__name__}: {exc}"
         elif op in ("sync", "collect", "stats") and failure is not None:
@@ -816,9 +894,9 @@ class _ProcessLane:
             return None
         return supervisor
 
-    def send(self, op: str, relation: str, sign: int, payload) -> None:
-        """Queue one lane message (see :meth:`_LocalLane.send`)."""
-        entry = (op, relation, sign, payload)
+    def send(self, relation: str, sign, rows, columns) -> None:
+        """Queue one lane slice (see :class:`_LocalLane`)."""
+        entry = ("apply", relation, sign, rows, columns)
         supervisor = self._guard()
         journal = None if supervisor is None else supervisor._journal(self)
         if journal is not None:
@@ -1075,7 +1153,7 @@ class ShardSupervisor:
                     lane.restore_state(*checkpoint)
                 journal = self._journals[lane.index]
                 for entry in journal:
-                    lane.send(*entry)
+                    lane.send(*entry[1:])
                 replayed, mode = len(journal), "journal"
         finally:
             self._rebuilding = False
@@ -1236,45 +1314,43 @@ class ShardedEngine(Engine):
     # -- event processing -------------------------------------------------
 
     def _process_batch(self, batch: EventBatch) -> int:
-        """Route one batch.
+        """Admit one batch and route it.
 
         Semantics match :meth:`DeltaEngine._process_batch`.  The routing
-        column is hashed directly from its column list, and each lane
-        receives its slice still columnar; serial-lane batches flow
-        through untouched (one-row runs never transpose).
+        column is hashed directly from its column list (or, for short
+        runs, from the rows), a mixed batch's weight column travels with
+        its rows, and each lane applies its slice directly; serial-lane
+        batches flow through untouched (one-row runs never transpose).
         """
         self._check_open()
-        count = len(batch)
+        count = batch._length
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if admit(self, relation, sign, count) is None:
+        weights = sign if isinstance(sign, list) else None
+        if admit(self, relation, sign if weights is None else 0, count) is None:
             return 0
-        column = self.spec.column_for(relation)
+        column = self.spec.relation_columns.get(relation)
         lanes = self._lanes
         try:
             if column is None or not lanes:
-                self._serial._process_batch(batch)
+                self._serial._apply(relation, sign, batch._rows, batch._columns)
             elif count == 1:
-                row = batch.row(0)
-                lanes[hash(row[column]) % len(lanes)].send(
-                    "rows", relation, sign, [row]
+                rows = batch.rows
+                lanes[hash(rows[0][column]) % len(lanes)].send(
+                    relation, sign, rows, None
                 )
-            elif count <= _ROW_ROUTE_THRESHOLD:
+            elif count <= _ROW_ROUTE_THRESHOLD or weights is not None:
                 # Short runs: row-level hash routing is cheaper than
-                # building per-shard column gathers; each lane transposes
-                # its (tiny) slice lazily.
-                for lane, shard_rows in zip(
-                    lanes, partition_rows(batch.rows, column, len(lanes))
-                ):
-                    if shard_rows:
-                        lane.send("rows", relation, sign, shard_rows)
+                # building per-shard column gathers.  Mixed runs too: a
+                # lane applies them as row sub-runs anyway.
+                self._scatter(relation, sign, partition_rows(
+                    batch.rows, column, len(lanes), weights
+                ), columnar=False)
             else:
-                for lane, shard_columns in zip(
-                    lanes, partition_columns(batch.columns, column, len(lanes))
-                ):
-                    if shard_columns and shard_columns[0]:
-                        lane.send("batch", relation, sign, shard_columns)
+                self._scatter(relation, sign, partition_columns(
+                    batch.columns, column, len(lanes)
+                ), columnar=True)
         except _BatchReplayed:
             # A supervised durable rebuild replayed the WAL, which already
             # contains this batch in full — the un-sent lane slices were
@@ -1283,6 +1359,24 @@ class ShardedEngine(Engine):
         if self._batch_listeners:
             self._notify_listeners(batch)
         return count
+
+    def _scatter(self, relation: str, sign, slices, columnar: bool) -> None:
+        """Send each lane its slice of one routed run — row lists, or
+        column tuples when ``columnar`` — or, for a mixed run (``sign`` is
+        its weight column), ``(rows, weights)`` pairs: a lane whose rows
+        share one sign gets a uniform run.  Lanes that drew no rows get no
+        message."""
+        mixed = isinstance(sign, list)
+        for lane, part in zip(self._lanes, slices):
+            if mixed:
+                part, weights = part
+                if weights:
+                    lane.send(relation, batch_sign(weights), part, None)
+            elif not columnar:
+                if part:
+                    lane.send(relation, sign, part, None)
+            elif part[0]:
+                lane.send(relation, sign, None, part)
 
     def sync(self) -> None:
         """Barrier: wait until every shard worker has drained its pipe.

@@ -6,9 +6,13 @@ streams.  An update is represented as a delete of the old tuple followed by
 an insert of the new one (the paper makes the same reduction).
 
 Besides single events, the runtime supports *batched* delivery: a stream is
-grouped into :class:`EventBatch` runs of consecutive events sharing one
-``(relation, sign)``, so the engine can dispatch each run with a single
-trigger call (see :meth:`repro.runtime.engine.DeltaEngine.process_batch`).
+grouped into :class:`EventBatch` runs of consecutive events on one
+relation, so each layer (WAL, router, lane) handles a run once (see
+:meth:`repro.runtime.engine.DeltaEngine.process_batch`).  The sign is a
+column of the run, as a Z-set's weight travels with its row: a run of one
+sign keeps ``sign`` ``+1``/``-1``, a mixed run carries its per-row weight
+column and executes as its in-order maximal same-sign sub-runs, each
+through one trigger call.
 
 A batch is stored *columnar* (struct-of-arrays): one parallel list per
 event column, in stream order.  The generated batch triggers iterate the
@@ -16,13 +20,14 @@ column lists they actually read (skipping unused columns entirely) instead
 of unpacking row tuples, and shard routing hashes one column list directly.
 ``EventBatch.rows`` materialises the row-tuple view for callers that want
 it.  Batches can additionally be *shard-routed*: :func:`partition_columns`
-(or the row-level :func:`partition_rows`) splits a batch by the hash of one
-column, the unit of parallel delta processing (see
-:class:`repro.runtime.engine.ShardedEngine`).
+(or the row-level :func:`partition_rows`, which also carries a weight
+column) splits a batch by the hash of one column, the unit of parallel
+delta processing (see :class:`repro.runtime.engine.ShardedEngine`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -97,8 +102,45 @@ def rows_from_columns(columns: Sequence[Sequence]) -> list[tuple]:
     return list(zip(*columns))
 
 
+_SIGNS = frozenset((1, -1))
+
+
+def batch_sign(weights: list):
+    """The ``sign`` of a run with this weight column: its one sign when
+    every row shares it, else the column itself."""
+    first = weights[0]
+    return first if weights.count(first) == len(weights) else weights
+
+
+def _checked_sign(sign, count: int):
+    """A batch's ``sign`` from what a caller passed: ``+1``/``-1``, or a
+    weight column — a list of one ``+1``/``-1`` per row, kept only when
+    it actually mixes signs."""
+    if sign == 1 or sign == -1:
+        return sign
+    if not isinstance(sign, list):
+        shown = repr(sign)
+    elif len(sign) != count or not sign:
+        shown = f"a {len(sign)}-entry weight column for {count} rows"
+    elif not _SIGNS.issuperset(sign):
+        shown = f"weights {sorted(set(sign) - _SIGNS, key=repr)}"
+    else:
+        return batch_sign(sign)
+    raise EventError(
+        f"batch sign must be +1, -1 or a list of one +1/-1 per row, got {shown}"
+    )
+
+
 class EventBatch:
-    """A run of consecutive events sharing one ``(relation, sign)``.
+    """A run of consecutive events on one relation.
+
+    ``sign`` is ``+1``/``-1`` when every row shares it; a *mixed* run
+    carries its weight column there instead — a list of one ``+1``/``-1``
+    per row, in stream order — and :attr:`weights` gives the per-row list
+    either way.  A mixed batch means exactly its maximal same-sign
+    sub-runs applied in order
+    (:meth:`repro.runtime.engine.DeltaEngine._apply`), so it is as exact
+    as per-event processing for every query.
 
     The canonical execution layout is *columnar*: ``columns[i]`` is the
     list of the ``i``-th event value across the batch, in stream order (a
@@ -118,35 +160,63 @@ class EventBatch:
     [(1, 10), (2, 20)]
     >>> len(batch), batch.row(1)
     (2, (2, 20))
+    >>> mixed = EventBatch("bids", [1, -1], [(1, 10), (1, 10)])
+    >>> mixed, mixed.weights, list(mixed)
+    (±bids[2 rows], [1, -1], [+bids(1, 10), -bids(1, 10)])
     """
 
     __slots__ = ("relation", "sign", "_rows", "_columns", "_length")
 
-    def __init__(self, relation: str, sign: int, rows: Iterable[Sequence] = ()):
-        if sign not in (1, -1):
-            raise EventError(f"batch sign must be +1 or -1, got {sign!r}")
+    def __init__(self, relation: str, sign, rows: Iterable[Sequence] = ()):
+        rows = rows if isinstance(rows, list) else list(rows)
+        if sign != 1 and sign != -1:
+            sign = _checked_sign(sign, len(rows))
         self.relation = relation
         self.sign = sign
-        rows = rows if isinstance(rows, list) else list(rows)
         self._rows: Optional[list] = rows
         self._columns: Optional[tuple[list, ...]] = None
         self._length = len(rows)
 
     @classmethod
     def from_columns(
-        cls, relation: str, sign: int, columns: Sequence[Sequence]
+        cls, relation: str, sign, columns: Sequence[Sequence]
     ) -> "EventBatch":
         """Adopt parallel column lists (all of one length) as a batch."""
-        batch = cls(relation, sign)
-        batch._rows = None
-        batch._columns = tuple(columns)
-        batch._length = len(batch._columns[0]) if batch._columns else 0
-        if any(len(column) != batch._length for column in batch._columns):
+        columns = tuple(columns)
+        length = len(columns[0]) if columns else 0
+        if len(set(map(len, columns))) > 1:
             raise EventError(
                 f"ragged columnar batch for {relation!r}: column lengths "
-                f"{[len(column) for column in batch._columns]}"
+                f"{[len(column) for column in columns]}"
             )
+        if sign != 1 and sign != -1:
+            sign = _checked_sign(sign, length)
+        batch = cls.__new__(cls)
+        batch.relation = relation
+        batch.sign = sign
+        batch._rows = None
+        batch._columns = columns
+        batch._length = length
         return batch
+
+    @classmethod
+    def _adopt(cls, relation: str, sign, rows: list) -> "EventBatch":
+        """A batch over ``rows`` as they are, for a producer that built
+        them and ``sign`` (as :func:`batch_sign` makes it) itself: no
+        copy, no checks."""
+        batch = cls.__new__(cls)
+        batch.relation = relation
+        batch.sign = sign
+        batch._rows = rows
+        batch._columns = None
+        batch._length = len(rows)
+        return batch
+
+    @property
+    def weights(self) -> list:
+        """The per-row signs (the weight column), uniform runs included."""
+        sign = self.sign
+        return sign if isinstance(sign, list) else [sign] * self._length
 
     @property
     def columns(self) -> tuple[list, ...]:
@@ -182,26 +252,39 @@ class EventBatch:
 
     def __iter__(self) -> Iterator[StreamEvent]:
         """The batch as its constituent events (keeps ``flatten`` uniform)."""
-        for index in range(self._length):
-            yield StreamEvent(self.relation, self.sign, self.row(index))
+        for index, sign in enumerate(self.weights):
+            yield StreamEvent(self.relation, sign, self.row(index))
 
     def __repr__(self) -> str:
-        symbol = "+" if self.sign == 1 else "-"
+        sign = self.sign
+        symbol = "±" if isinstance(sign, list) else "+" if sign == 1 else "-"
         return f"{symbol}{self.relation}[{self._length} rows]"
 
 
 def partition_rows(
-    rows: Iterable[Sequence], column: int, shards: int
-) -> list[list[Sequence]]:
+    rows: Iterable[Sequence],
+    column: int,
+    shards: int,
+    weights: Optional[list] = None,
+) -> list:
     """Hash-partition batch rows by one column into per-shard row lists.
 
     Row order is preserved within every shard, so each shard observes its
     sub-stream in stream order; rows assigned to different shards commute
     because a partitionable trigger only touches map keys carrying the
     row's own partition value (see :mod:`repro.compiler.partition`).
+    ``weights`` (a mixed batch's weight column) travels with its rows:
+    each shard then gets a ``(rows, weights)`` pair.
     """
     if shards < 1:
         raise EventError(f"shard count must be >= 1, got {shards!r}")
+    if weights is not None:
+        pairs: list[tuple[list, list]] = [([], []) for _ in range(shards)]
+        for row, weight in zip(rows, weights):
+            shard_rows, shard_weights = pairs[hash(row[column]) % shards]
+            shard_rows.append(row)
+            shard_weights.append(weight)
+        return pairs
     buckets: list[list[Sequence]] = [[] for _ in range(shards)]
     if shards == 1:
         buckets[0].extend(rows)
@@ -236,38 +319,37 @@ def partition_columns(
 
 
 def batches(events: Iterable, batch_size: Optional[int] = None) -> Iterator[EventBatch]:
-    """Group a stream into consecutive same-``(relation, sign)`` batches.
+    """Group a stream into batches of consecutive events on one relation.
 
-    Update pairs (and pre-existing batches) are flattened first, so the
-    concatenation of the yielded batches replays the input stream exactly —
-    batched execution therefore observes the same event order as per-event
-    execution.  Column lists are built directly (no intermediate row list).
-    ``batch_size`` caps the rows per batch (``None`` leaves runs unbounded).
+    Inserts and deletes share a batch: a run that mixes them carries its
+    weight column (see :class:`EventBatch`).  Update pairs (and
+    pre-existing batches) are flattened first, so the concatenation of the
+    yielded batches replays the input stream exactly — batched execution
+    therefore observes the same event order as per-event execution.
+    ``batch_size`` caps the rows per batch (``None`` leaves runs
+    unbounded).
 
     >>> list(batches([insert("R", 1), insert("R", 2), delete("R", 1)]))
-    [+R[2 rows], -R[1 rows]]
-    >>> list(batches([*update("R", (1,), (2,))]))
-    [-R[1 rows], +R[1 rows]]
+    [±R[3 rows]]
+    >>> list(batches([insert("R", 1), insert("R", 2), insert("S", 1)]))
+    [+R[2 rows], +S[1 rows]]
     """
     if batch_size is not None and batch_size < 1:
         raise EventError(f"batch_size must be >= 1, got {batch_size!r}")
-    # Rows accumulate as tuples and transpose once per batch boundary:
-    # one append per event plus a single C-speed zip, rather than one
-    # append per column per event.
+    limit = sys.maxsize if batch_size is None else batch_size
+    # Rows (and their signs) accumulate per event; the batch transposes
+    # lazily, once, if a consumer asks for columns.
+    adopt = EventBatch._adopt
     relation: Optional[str] = None
-    sign = 0
     pending: list[tuple] = []
+    signs: list[int] = []
     for event in flatten(events):
-        if (
-            pending
-            and event.relation == relation
-            and event.sign == sign
-            and (batch_size is None or len(pending) < batch_size)
-        ):
+        if pending and event.relation == relation and len(pending) < limit:
             pending.append(event.values)
+            signs.append(event.sign)
             continue
         if pending:
-            yield EventBatch(relation, sign, pending)
-        relation, sign, pending = event.relation, event.sign, [event.values]
+            yield adopt(relation, batch_sign(signs), pending)
+        relation, pending, signs = event.relation, [event.values], [event.sign]
     if pending:
-        yield EventBatch(relation, sign, pending)
+        yield adopt(relation, batch_sign(signs), pending)

@@ -31,7 +31,9 @@ class Profiler:
         self.events_by_trigger[key] = self.events_by_trigger.get(key, 0) + 1
 
     def record_batch(self, relation: str, sign: int, count: int) -> None:
-        """One batched trigger dispatch covering ``count`` events."""
+        """One batched trigger dispatch covering ``count`` events (the
+        engine reports a mixed batch once per same-sign sub-run, so every
+        row counts under its own sign)."""
         self.events += count
         key = f"{'+' if sign == 1 else '-'}{relation}"
         self.events_by_trigger[key] = self.events_by_trigger.get(key, 0) + count

@@ -82,7 +82,7 @@ import struct
 import threading
 import time
 import weakref
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
@@ -293,14 +293,20 @@ class ViewDeltaTap:
         self.engine = engine
         self.views = selected
         #: which served views each (relation, sign) trigger can change:
-        #: exactly those whose slot maps the trigger's statements write.
+        #: exactly those whose slot maps the trigger's statements write;
+        #: under (relation, 0), what a mixed batch can change — the
+        #: views of either sign.
         self._affected: dict[tuple[str, int], tuple[str, ...]] = {}
+        written: dict[tuple[str, int], set] = defaultdict(set)
         for (relation, sign), trigger in program.triggers.items():
-            written = {statement.target for statement in trigger.statements}
-            self._affected[(relation, sign)] = tuple(
+            targets = {statement.target for statement in trigger.statements}
+            written[relation, sign] |= targets
+            written[relation, 0] |= targets
+        for key, targets in written.items():
+            self._affected[key] = tuple(
                 view
                 for view in selected
-                if written.intersection(program.slot_maps[view])
+                if targets.intersection(program.slot_maps[view])
             )
         #: per view the engine reports writes for: the keys written since
         #: the tap last looked, and a renderer over the engine's own maps.
@@ -356,7 +362,11 @@ class ViewDeltaTap:
         """
         self.lsn = lsn
         deltas: dict[str, list[tuple[tuple, int]]] = {}
-        for view in self._affected.get((batch.relation, batch.sign), ()):
+        try:
+            affected = self._affected.get((batch.relation, batch.sign), ())
+        except TypeError:  # a mixed batch: its sign is the weight column
+            affected = self._affected.get((batch.relation, 0), ())
+        for view in affected:
             changes = self._view_delta(view)
             if changes:
                 deltas[view] = changes
@@ -624,9 +634,11 @@ class ViewServer:
     async def publish_stream(self, events, batch_size: Optional[int] = None) -> int:
         """Apply a whole event stream through the serving ingest path.
 
-        Events are grouped into same-``(relation, sign)`` batches (like
+        Events are grouped into per-relation batches, inserts and deletes
+        together (like
         :meth:`~repro.runtime.engine.DeltaEngine.process_stream`), with
-        fan-out after every batch.  Returns events consumed.
+        fan-out after every batch — one LSN and one delta per view per
+        batch.  Returns events consumed.
         """
         from repro.runtime.engine import DEFAULT_BATCH_SIZE
         from repro.runtime.events import batches

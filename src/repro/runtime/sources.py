@@ -4,8 +4,8 @@ The paper's runtime accepts input "over a network interface or archived
 stream"; here the equivalents are iterables, CSV files and generator
 adapters.  Every source yields :class:`~repro.runtime.events.StreamEvent`
 objects, so ``engine.process_stream(source)`` works uniformly — grouping
-into same-``(relation, sign)`` batches is ``process_stream``'s job
-(:func:`repro.runtime.events.batches`), shard routing
+into per-relation batches (inserts and deletes together) is
+``process_stream``'s job (:func:`repro.runtime.events.batches`), shard routing
 :class:`~repro.runtime.engine.ShardedEngine`'s.
 """
 

@@ -211,9 +211,19 @@ def cmd_run(args) -> int:
         print("  ", row)
     if isinstance(engine, DurableEngine):
         engine.snapshot()
-        print(f"-- durable state at LSN {engine.lsn} in {engine.directory} --")
+        print(f"-- durable state at LSN {engine.lsn} in {engine.directory}, "
+              f"{_rows_per_frame(engine, engine.lsn)} --")
     engine.close()
     return 0
+
+
+def _rows_per_frame(engine, lsn: int) -> str:
+    """Events per logged WAL frame: the batch unit the log was written in
+    (one frame per batch, inserts and deletes of a relation together)."""
+    if not lsn:
+        return "no logged frames"
+    events = engine.events_processed + engine.events_skipped
+    return f"{events / lsn:.2f} rows per logged frame"
 
 
 def cmd_serve(args) -> int:
@@ -285,6 +295,7 @@ def cmd_recover(args) -> int:
           f"({engine.events_processed} events) ==")
     for row in engine.results("q"):
         print("  ", row)
+    print(f"-- {_rows_per_frame(engine, lsn)} --")
     engine.close()
     return 0
 

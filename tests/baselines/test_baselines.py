@@ -8,6 +8,7 @@ from repro.baselines import (
     UnsupportedQueryError,
     make_engine,
 )
+from repro.runtime import StreamEvent
 from repro.sql.catalog import Catalog
 from tests.integration.test_engine_vs_oracle import QUERIES, random_stream
 
@@ -102,6 +103,21 @@ class TestBatchedDelivery:
         count = batched.process_stream(events, batch_size=16)
         assert count == 120
         assert batched.events_processed == per_event.events_processed
+        assert sorted(batched.results("q"), key=repr) == sorted(
+            per_event.results("q"), key=repr
+        )
+
+    @pytest.mark.parametrize("kind", ["dbtoaster", "ivm", "streamops", "reeval"])
+    def test_weight_column_batch_matches_per_event(self, kind, catalog):
+        sql = QUERIES["two_way_grouped"]
+        per_event = make_engine(kind, {"q": sql}, catalog)
+        batched = make_engine(kind, {"q": sql}, catalog)
+        rows = [(1, 100, 5), (2, 90, 3), (1, 100, 5)]
+        weights = [1, 1, -1]
+        for relation in ("bids", "asks"):
+            for row, sign in zip(rows, weights):
+                per_event.process(StreamEvent(relation, sign, row))
+            assert batched.process_batch(relation, weights, rows) == 3
         assert sorted(batched.results("q"), key=repr) == sorted(
             per_event.results("q"), key=repr
         )

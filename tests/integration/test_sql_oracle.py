@@ -458,10 +458,7 @@ def test_sigkill_recover_matches_sqlite(
     ):
         if index >= lsn:
             break
-        oracle.apply_all(
-            StreamEvent(batch.relation, batch.sign, tuple(row))
-            for row in batch.rows
-        )
+        oracle.apply_all(batch)  # its events, each with its own sign
     assert_rows_match(engine, oracle, "q", context=f" at recovered LSN {lsn}")
 
 

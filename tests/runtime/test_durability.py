@@ -9,6 +9,7 @@ files, and recovery refuses foreign programs.
 """
 
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,14 @@ from repro.errors import (
 )
 from repro.runtime import DeltaEngine, ShardedEngine
 from repro.runtime.durability import (
+    _COLUMN_HEADER,
+    _PAYLOAD_HEADER,
     DurableEngine,
     SnapshotStore,
     WriteAheadLog,
     decode_batch_payload,
     encode_batch_payload,
+    encode_rows_payload,
     program_fingerprint,
     recover_engine,
 )
@@ -110,6 +114,122 @@ def test_codec_via_columns_matches_via_rows():
     via_rows = EventBatch("R", 1, rows)
     via_columns = EventBatch.from_columns("R", 1, via_rows.columns)
     assert _round_trip(via_rows).rows == _round_trip(via_columns).rows == rows
+
+
+# ---------------------------------------------------------------------------
+# Mixed-sign frames: a weight column behind sign byte 0
+# ---------------------------------------------------------------------------
+
+#: One WAL segment of four uniform batches — both payload layouts, every
+#: column tag — as written before mixed frames existed.  Uniform frames
+#: must stay byte-identical: logs written before then recover, and a log
+#: of uniform batches written now is still readable by an older build.
+_UNIFORM_SEGMENT = bytes.fromhex(
+    "5257414c0100010000000000000001000000000000002900000004000101000000ffff62"
+    "69647380059511000000000000005d94284b014b024b034b644b057494612eeabd8ae802"
+    "00000000000000370000000400ff02000000ffff61736b738005951f000000000000005d"
+    "9428284b014b024b034b644b057494284b024b034b014b634b077494652eced5a5090300"
+    "000000000000850000000100010500000003005271280000000100000000000000feffff"
+    "ffffffffff03000000000000000000000000010000050000000000000064280000000000"
+    "00000000f83f0000000000000440000000000000e0bf0000000000000000000000000000"
+    "0a40551c0000000100000002000000000000000300000002000000616262636363c3a930"
+    "4a313d0400000000000000530000000100ff050000000200535020000000800595150000"
+    "00000000005d9428884b02473ff00000000000004b034b05652e501f0000008005951400"
+    "0000000000005d94284e8c0178944b014b0286944b044b06652e9dc8cd24"
+)
+
+
+def _uniform_batches():
+    return [
+        EventBatch("bids", 1, [(1, 2, 3, 100, 5)]),
+        EventBatch("asks", -1, [(1, 2, 3, 100, 5), (2, 3, 1, 99, 7)]),
+        EventBatch.from_columns("R", 1, (
+            [1, -2, 3, 2**40, 5],
+            [1.5, 2.5, -0.5, 0.0, 3.25],
+            ["a", "bb", "", "ccc", "é"],
+        )),
+        EventBatch("S", -1, [(True, None), (2, "x"), (1.0, (1, 2)), (3, 4), (5, 6)]),
+    ]
+
+
+def test_uniform_frames_are_byte_identical_to_the_pre_weight_format(tmp_path):
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
+        for batch in _uniform_batches():
+            wal.append_batch(batch)
+    (segment,) = tmp_path.glob("wal-*.log")
+    assert segment.read_bytes() == _UNIFORM_SEGMENT
+    replayed = [
+        EventBatch.from_columns(relation, sign, columns)
+        for _, relation, sign, columns in WriteAheadLog.replay(tmp_path)
+    ]
+    assert replayed == _uniform_batches()
+
+
+def test_codec_round_trips_a_weight_column_in_both_layouts():
+    rows = [(1, 2.5, "x"), (2, 3.5, "y"), (3, 4.5, "z")]
+    weights = [1, -1, 1]
+    for payload in (
+        encode_batch_payload("R", weights, EventBatch("R", 1, rows).columns, 3),
+        encode_rows_payload("R", weights, rows),
+    ):
+        relation, sign, columns = decode_batch_payload(payload)
+        assert (relation, sign) == ("R", weights)
+        assert EventBatch.from_columns(relation, sign, columns).rows == rows
+
+
+def test_mixed_batch_is_one_frame_and_replays_its_weights(tmp_path):
+    logged = [
+        EventBatch("R", [1, -1], [(1, 2), (1, 2)]),
+        EventBatch("R", [-1, 1, 1, -1, 1, -1], [(i, i) for i in range(6)]),
+        EventBatch("S", -1, [(7, 8)]),
+    ]
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
+        assert [wal.append_batch(batch) for batch in logged] == [1, 2, 3]
+    replayed = [
+        EventBatch.from_columns(relation, sign, columns)
+        for _, relation, sign, columns in WriteAheadLog.replay(tmp_path)
+    ]
+    assert replayed == logged
+    assert replayed[1].sign == [-1, 1, 1, -1, 1, -1]
+
+
+def test_decode_rejects_an_unknown_sign_byte(tmp_path):
+    payload = bytearray(encode_rows_payload("R", 1, [(1, 2)]))
+    payload[2] = 5  # the sign byte, after the u16 name length
+    with pytest.raises(WalCorruptionError, match="sign byte 5"):
+        decode_batch_payload(bytes(payload))
+    # A CRC-valid frame carrying it fails replay instead of being dropped.
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
+        wal._append_payload(bytes(payload))
+    with pytest.raises(WalCorruptionError, match="sign byte 5"):
+        list(WriteAheadLog.replay(tmp_path))
+
+
+def test_decode_rejects_a_weight_column_that_does_not_fit():
+    rows = pickle.dumps([(1, 2), (3, 4), (5, 6)])
+
+    def payload(claimed_rows, weights: bytes) -> bytes:
+        return (
+            _PAYLOAD_HEADER.pack(1, 0, claimed_rows, 0xFFFF) + b"R"
+            + _COLUMN_HEADER.pack(b"b", len(weights)) + weights + rows
+        )
+
+    assert decode_batch_payload(payload(3, bytes([1, 255, 1])))[1] == [1, -1, 1]
+    with pytest.raises(WalCorruptionError, match="4-row batch"):
+        decode_batch_payload(payload(4, bytes([1, 255, 1])))
+    with pytest.raises(WalCorruptionError, match="not only"):
+        decode_batch_payload(payload(3, bytes([1, 2, 255])))
+
+
+def test_a_torn_mixed_frame_loses_the_whole_batch(tmp_path):
+    with WriteAheadLog(tmp_path, fsync="always") as wal:
+        wal.append_batch(EventBatch("R", 1, [(0, 0)]))
+        wal.append_batch(EventBatch("R", [1, -1, 1, -1], [(i, i) for i in range(4)]))
+    (segment,) = tmp_path.glob("wal-*.log")
+    os.truncate(segment, segment.stat().st_size - 5)
+    assert [(lsn, sign) for lsn, _, sign, _ in WriteAheadLog.replay(tmp_path)] == [
+        (1, 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

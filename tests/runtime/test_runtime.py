@@ -145,9 +145,11 @@ class TestBatching:
             insert("asks", 4, 40, 4),
         ]
         runs = list(batches(stream))
+        # A run is keyed on the relation: its signs are a weight column.
         assert [(b.relation, b.sign, len(b)) for b in runs] == [
-            ("bids", 1, 2), ("bids", -1, 1), ("asks", 1, 2),
+            ("bids", [1, 1, -1], 3), ("asks", 1, 2),
         ]
+        assert runs[0].weights == [1, 1, -1] and runs[1].weights == [1, 1]
 
     def test_batches_respects_batch_size_cap(self):
         stream = [insert("bids", i, 10, 1) for i in range(5)]
@@ -160,10 +162,8 @@ class TestBatching:
             EventBatch("bids", 1, [(2, 30, 2)]),
         ]
         runs = list(batches(stream))
-        assert [(b.relation, b.sign) for b in runs] == [
-            ("bids", -1), ("bids", 1),
-        ]
-        assert runs[1].rows == [(1, 20, 1), (2, 30, 2)]
+        assert [(b.relation, b.sign) for b in runs] == [("bids", [-1, 1, 1])]
+        assert runs[0].rows == [(1, 10, 1), (1, 20, 1), (2, 30, 2)]
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(EventError):
@@ -172,6 +172,28 @@ class TestBatching:
     def test_event_batch_rejects_bad_sign(self):
         with pytest.raises(EventError):
             EventBatch("bids", 0, [])
+
+    def test_event_batch_weight_column(self):
+        rows = [(1,), (2,)]
+        mixed = EventBatch("bids", [1, -1], rows)
+        assert (mixed.sign, mixed.weights, repr(mixed)) == (
+            [1, -1], [1, -1], "±bids[2 rows]"
+        )
+        assert list(mixed) == [insert("bids", 1), delete("bids", 2)]
+        assert EventBatch.from_columns("bids", [1, -1], ([1, 2],)) == mixed
+        # A column of one sign is a uniform run.
+        assert EventBatch("bids", [-1, -1], rows).sign == -1
+        for bad in ([1], [1, 0], (1, -1), 2):
+            with pytest.raises(EventError, match="per row"):
+                EventBatch("bids", bad, rows)
+
+    def test_profiler_counts_a_mixed_batch_under_each_sign(self, catalog):
+        profiler = Profiler()
+        engine = DeltaEngine(compile_sql(GROUPED, catalog), profiler=profiler)
+        rows = [(1, 10, 1), (1, 20, 2), (1, 10, 1)]
+        assert engine.process_batch("bids", [1, 1, -1], rows) == 3
+        assert profiler.events_by_trigger == {"+bids": 2, "-bids": 1}
+        assert engine.results() == [(1, 40)]
 
     def test_process_batch_matches_per_event(self, catalog):
         program = compile_sql(GROUPED, catalog)

@@ -165,6 +165,18 @@ def test_tap_renders_only_affected_views():
     assert list(deltas[-1]) == ["qs"]
 
 
+def test_tap_serves_a_mixed_batch_to_the_views_of_either_sign():
+    engine = DeltaEngine(_two_view_program())
+    tap = ViewDeltaTap(engine)
+    assert tap._affected[("R", 0)] == ("qr",)
+    deltas = []
+    engine.add_batch_listener(lambda lsn, b: deltas.append(tap.on_batch(lsn, b)))
+    engine.process_batch("R", [1, 1, -1], [(1, 10), (2, 20), (1, 10)])
+    assert deltas == [{"qr": [((2, 20), 1)]}]
+    engine.process_batch("R", [-1, 1], [(2, 20), (3, 30)])
+    assert deltas[-1] == {"qr": [((2, 20), -1), ((3, 30), 1)]}
+
+
 def test_tap_view_subset_restriction():
     engine = DeltaEngine(_two_view_program())
     tap = ViewDeltaTap(engine, views=["qs"])

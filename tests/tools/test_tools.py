@@ -177,6 +177,27 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "(35,)" in out  # 5 * 7, identical to the single-engine run
 
+    def test_durable_run_and_recover_report_rows_per_logged_frame(
+        self, tmp_path, capsys
+    ):
+        """The batch unit is visible: R's insert, delete and insert are one
+        mixed frame, S and T one each — 5 events in 3 frames."""
+        stream = tmp_path / "events.csv"
+        stream.write_text(
+            "op,relation,values...\n"
+            "+,R,2,10\n-,R,2,10\n+,R,5,10\n+,S,10,100\n+,T,100,7\n"
+        )
+        state = str(tmp_path / "state")
+        query = ["--schema", DDL, "--query", PAPER_SQL, "--durable", state]
+        assert cli_main(["run", *query, "--stream", str(stream)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("-- durable state at LSN 3 ")
+        assert last.endswith(", 1.67 rows per logged frame --")
+        assert cli_main(["recover", *query]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "(35,)" in lines[1]
+        assert lines[-1] == "-- 1.67 rows per logged frame --"
+
     def test_run_command_no_opt(self, tmp_path, capsys):
         stream = tmp_path / "events.csv"
         stream.write_text("op,relation,values...\n+,R,2,10\n")
