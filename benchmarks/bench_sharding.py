@@ -29,7 +29,7 @@ the fallback's parity, not a speedup.
 Run::
 
     PYTHONPATH=src python benchmarks/bench_sharding.py [--smoke]
-        [--shards 1,2,4] [--json BENCH_sharding.json]
+        [--shards 1,2,4]
 """
 
 from __future__ import annotations
@@ -38,13 +38,9 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from benchmarks.harness import write_bench_json  # noqa: E402
-from repro.compiler import compile_sql  # noqa: E402
-from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent  # noqa: E402
+from repro.compiler import compile_sql
+from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 
 DEFAULT_SHARDS = (1, 2, 4)
 
@@ -105,8 +101,8 @@ def finance_workloads(smoke: bool) -> list[Workload]:
         )
 
     # Fast-trigger slices are sized so measured intervals stay in the tens
-    # of milliseconds even at several hundred k events/s -- the regression
-    # gate compares these numbers and millisecond timings are noise.
+    # of milliseconds even at several hundred k events/s: millisecond
+    # timings are noise.
     if smoke:
         scan_prefill, scan_slice = 6_000, 700
         fast_prefill, fast_slice = 1_500, 6_000
@@ -222,8 +218,6 @@ def main(argv=None) -> int:
                         help="comma-separated shard counts (default 1,2,4)")
     parser.add_argument("--rounds", type=int, default=None,
                         help="best-of rounds per cell (default 2)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write metrics JSON for the CI regression gate")
     args = parser.parse_args(argv)
 
     shard_counts = (
@@ -242,12 +236,9 @@ def main(argv=None) -> int:
     header += f"{'speedup':>10}"
     print(header)
     print("-" * len(header))
-    metrics: dict[str, float] = {}
     best_speedup, best_name = 0.0, ""
     for workload in workloads:
         row = {n: measure(workload, n, rounds) for n in shard_counts}
-        for n, events_per_second in row.items():
-            metrics[f"{workload.name}/shards={n}"] = events_per_second
         speedup = (
             row[shard_counts[-1]] / row[shard_counts[0]]
             if row[shard_counts[0]]
@@ -266,8 +257,6 @@ def main(argv=None) -> int:
         f"best sharding speedup: {best_speedup:.2f}x at "
         f"shards={shard_counts[-1]} ({best_name})"
     )
-    if args.json:
-        write_bench_json(args.json, "sharding", metrics)
     return 0
 
 

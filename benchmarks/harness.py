@@ -18,12 +18,12 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.baselines import UnsupportedQueryError, make_engine
-from repro.runtime.events import StreamEvent, batches
+from repro.runtime.events import StreamEvent
 from repro.sql.catalog import Catalog
 
 #: Bakeoff rows, in the order the paper's dashboard lists its systems.
@@ -43,8 +43,6 @@ class SteadyState:
     kind: str
     engine: object
     slice_events: list[StreamEvent]
-    #: slice pre-grouped into batches, keyed by batch size (lazy).
-    _batch_cache: dict = field(default_factory=dict, repr=False)
 
     def fresh_engine(self):
         return copy.deepcopy(self.engine)
@@ -53,32 +51,6 @@ class SteadyState:
         for event in self.slice_events:
             engine.process(event)
         return len(self.slice_events)
-
-    def run_slice_batched(self, engine, batch_size: Optional[int]) -> int:
-        """The same slice delivered as per-relation batches (a batch
-        mixing inserts and deletes carries its weight column as ``sign``).
-
-        Engines exposing the columnar entry point receive the pre-grouped
-        batch's column lists directly (no row materialisation); baselines
-        with only a row API get the tuple view.
-        """
-        columnar = getattr(engine, "process_batch_columns", None)
-        if columnar is not None:
-            for batch in self.slice_batches(batch_size):
-                columnar(batch.relation, batch.sign, batch.columns)
-        else:
-            for batch in self.slice_batches(batch_size):
-                engine.process_batch(batch.relation, batch.sign, batch.rows)
-        return len(self.slice_events)
-
-    def slice_batches(self, batch_size: Optional[int]):
-        """The slice pre-grouped into batches (cached per batch size), so
-        measured runs pay for trigger execution, not for grouping."""
-        if batch_size not in self._batch_cache:
-            self._batch_cache[batch_size] = list(
-                batches(self.slice_events, batch_size)
-            )
-        return self._batch_cache[batch_size]
 
 
 def prepare_steady_state(
@@ -144,60 +116,10 @@ def measure(state: Optional[SteadyState], rounds: int = 3) -> tuple[Optional[flo
     return (1.0 / best if best > 0 else float("inf")), entries
 
 
-def measure_batched(
-    state: Optional[SteadyState],
-    batch_size: Optional[int],
-    rounds: int = 3,
-) -> Optional[float]:
-    """Best-of-``rounds`` events/second with batched slice delivery.
-
-    ``batch_size=1`` means classic per-event dispatch (``engine.process``),
-    the baseline the batching experiment compares against; larger sizes go
-    through ``engine.process_batch`` on pre-grouped runs.
-    """
-    if state is None:
-        return None
-    best = float("inf")
-    for _ in range(rounds):
-        engine = state.fresh_engine()
-        start = time.perf_counter()
-        if batch_size == 1:
-            count = state.run_slice(engine)
-        else:
-            count = state.run_slice_batched(engine, batch_size)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / max(count, 1))
-    return 1.0 / best if best > 0 else float("inf")
-
-
-def calibration_score(rounds: int = 3) -> float:
-    """Machine-speed normaliser for cross-run benchmark comparison.
-
-    Ops/second of a fixed synthetic loop with the same shape as the
-    trigger hot path (tuple keys, ``dict.get`` + add, zero eviction).
-    The CI regression gate compares events/sec *relative* to this score,
-    so a committed baseline stays meaningful on faster or slower hosts.
-    """
-    n_ops = 200_000
-    best = float("inf")
-    for _ in range(rounds):
-        contents: dict = {}
-        start = time.perf_counter()
-        for i in range(n_ops):
-            key = (i % 1024,)
-            current = contents.get(key, 0) + (i % 7) - 3
-            if current == 0:
-                contents.pop(key, None)
-            else:
-                contents[key] = current
-        best = min(best, time.perf_counter() - start)
-    return n_ops / best
-
-
 def bench_metadata(optimize: bool = True, native: bool = False) -> dict:
-    """IR-optimisation and native-kernel settings stamped into every
-    BENCH_*.json payload, so a perf regression can be bisected to a pass
-    configuration or a toolchain change."""
+    """IR-optimisation and native-kernel settings stamped into a bench
+    script's ``--json`` payload, so a number can be traced to a pass
+    configuration or a toolchain."""
     from repro.codegen.native import probe_toolchain
     from repro.ir import DEFAULT_PASSES
 
@@ -215,17 +137,10 @@ def write_bench_json(
     metrics: dict[str, float],
     metadata: Optional[dict] = None,
 ) -> None:
-    """Persist one benchmark run for the CI regression gate.
-
-    The file carries the raw events/sec ``metrics`` plus the host's
-    :func:`calibration_score` and the run's ``metadata`` (IR optimisation
-    settings by default); ``benchmarks/check_regression.py`` compares
-    normalised (metric / calibration) values against the committed
-    ``benchmarks/baseline.json``.
-    """
+    """Persist one benchmark run: the raw ``metrics`` plus the run's
+    ``metadata`` (IR optimisation settings by default)."""
     payload = {
         "benchmark": benchmark,
-        "calibration": calibration_score(),
         "metadata": metadata if metadata is not None else bench_metadata(),
         "metrics": {key: value for key, value in sorted(metrics.items())},
     }

@@ -1387,7 +1387,7 @@ def describe_layouts(program: CompiledProgram, optimize: bool = True) -> str:
         lines.extend("  " + line for line in layout.describe().splitlines())
     lines.append(
         "layout, --columnar: every columnar[...] map above is packed "
-        "(kernel-owned under --native when native-eligible)"
+        "(kernel-owned under --mode native when native-eligible)"
     )
     return "\n".join(lines)
 

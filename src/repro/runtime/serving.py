@@ -66,8 +66,8 @@ slow client fills it is the server's ``backpressure`` policy:
   correct because Z-set deltas compose additively.
 
 Run ``python -m repro.tools.cli serve ...`` for the standalone server;
-``benchmarks/bench_serving.py`` measures sustained events/sec against
-subscriber fan-out and p99 delivery latency.
+the ledger's ``serve-push`` workload (``benchmarks/ledger/``) measures
+its saturation events/sec and open-loop p50/p99 delivery latency.
 """
 
 from __future__ import annotations

@@ -51,11 +51,13 @@ second-order) showing how each trigger absorbs batches and the per-map
 type proofs (``columnar[int|float|object]`` / ``dict``, see
 :mod:`repro.compiler.storage`); ``compile`` also prints the storage
 layout every executor mode gives each map, with the reason.  ``--no-opt``
-disables the optimisation pipeline (compile, run and bench).  Maps are
-plain dicts by default (``--native`` hands the maps its triggers scan
-whole to the C kernel); ``--columnar`` (run/serve/bench) is the memory
-mode — every keyed map in packed columns, 2-4x fewer bytes per entry for
-3-5x slower probes (`benchmarks/bench_memory.py` measures it).
+disables the optimisation pipeline (compile, run and bench).  ``--mode``
+(run/serve/bench) picks the executor: ``compiled`` (the default),
+``interpreted``, or ``native`` (the compiled triggers, with the maps they
+scan whole handed to the C kernel).  Maps are plain dicts by default;
+``--columnar`` (run/serve/bench) is the memory mode — every keyed map in
+packed columns, 2-4x fewer bytes per entry for 3-5x slower probes
+(`benchmarks/bench_memory.py` measures it).
 """
 
 from __future__ import annotations
@@ -73,19 +75,12 @@ from repro.runtime.sources import csv_source
 from repro.sql.catalog import Catalog
 from repro.tools.trace import compilation_table, ir_summary, recursion_summary
 
-
-def _resolve_mode(args) -> str:
-    """Map ``--mode`` plus ``--native`` onto the engine's executor mode."""
-    mode = getattr(args, "mode", "compiled")
-    if getattr(args, "native", False):
-        if mode == "interpreted":
-            raise SystemExit(
-                "--native compiles triggers; it cannot combine with "
-                "--mode interpreted"
-            )
-        return "native"
-    return mode
-
+#: The executor ``--mode`` values of run / serve / bench.
+MODES = ("compiled", "interpreted", "native")
+MODE_HELP = (
+    "executor (default: compiled); native runs the compiled triggers over "
+    "the C column kernel, pure Python without a toolchain"
+)
 
 def _native_banner(engine) -> None:
     """One status line saying whether the C kernel actually loaded."""
@@ -101,12 +96,12 @@ def _make_engine(program, args):
     is available; non-partitionable programs fall back to serial).  With
     ``--durable DIR`` the engine is wrapped in a
     :class:`~repro.runtime.durability.DurableEngine` (recovering whatever
-    state DIR already holds).  ``--native`` selects the C column-kernel
-    executor lane (gracefully falling back to pure Python when no
-    toolchain exists)."""
+    state DIR already holds).  ``--mode native`` selects the C
+    column-kernel executor lane (gracefully falling back to pure Python
+    when no toolchain exists)."""
     shards = getattr(args, "shards", 1) or 1
     kwargs = {
-        "mode": _resolve_mode(args),
+        "mode": args.mode,
         "optimize": not getattr(args, "no_opt", False),
         "columnar": getattr(args, "columnar", False),
     }
@@ -339,7 +334,7 @@ def cmd_bench(args) -> int:
     shards = getattr(args, "shards", 1) or 1
     sharding = f", shards={shards}" if shards > 1 else ""
     print(f"{args.workload}: {count} events in {elapsed:.2f}s "
-          f"({count / elapsed:,.0f} events/s, mode={_resolve_mode(args)}"
+          f"({count / elapsed:,.0f} events/s, mode={args.mode}"
           f"{sharding})")
     return 0
 
@@ -389,16 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stream", required=True, help="CSV event file")
     p_run.add_argument("--every", type=int, default=0,
                        help="print results every N events")
-    p_run.add_argument("--mode", choices=["compiled", "interpreted"],
-                       default="compiled")
+    p_run.add_argument("--mode", choices=MODES, default="compiled",
+                       help=MODE_HELP)
     p_run.add_argument("--shards", type=int, default=1,
                        help="hash-partitioned parallel shard lanes "
                        "(1 = single engine)")
     p_run.add_argument("--no-opt", action="store_true",
                        help="disable the IR optimisation pipeline")
-    p_run.add_argument("--native", action="store_true",
-                       help="run triggers on the compiled C column kernel "
-                            "(falls back to pure Python without a toolchain)")
     p_run.add_argument("--columnar", action="store_true",
                        help="store every keyed map in packed columns "
                        "(the memory mode: fewer bytes, slower probes)")
@@ -435,15 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--oneshot", action="store_true",
                          help="exit after streaming --stream instead of "
                          "serving forever")
-    p_serve.add_argument("--mode", choices=["compiled", "interpreted"],
-                         default="compiled")
+    p_serve.add_argument("--mode", choices=MODES, default="compiled",
+                         help=MODE_HELP)
     p_serve.add_argument("--shards", type=int, default=1,
                          help="hash-partitioned parallel shard lanes "
                          "(1 = single engine)")
     p_serve.add_argument("--no-opt", action="store_true",
                          help="disable the IR optimisation pipeline")
-    p_serve.add_argument("--native", action="store_true",
-                         help="run triggers on the compiled C column kernel")
     p_serve.add_argument("--columnar", action="store_true",
                          help="store every keyed map in packed columns "
                          "(the memory mode)")
@@ -484,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="finance")
     p_bench.add_argument("--query", help="finance query name (vwap/axf/...)")
     p_bench.add_argument("--events", type=int, default=20_000)
-    p_bench.add_argument("--mode", choices=["compiled", "interpreted"],
-                         default="compiled")
+    p_bench.add_argument("--mode", choices=MODES, default="compiled",
+                         help=MODE_HELP)
     p_bench.add_argument("--batch-size", type=int, default=None,
                          help="cap rows per dispatched batch "
                          "(default: the engine's bounded default)")
@@ -494,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = single engine)")
     p_bench.add_argument("--no-opt", action="store_true",
                          help="disable the IR optimisation pipeline")
-    p_bench.add_argument("--native", action="store_true",
-                         help="run triggers on the compiled C column kernel")
     p_bench.add_argument("--columnar", action="store_true",
                          help="store every keyed map in packed columns "
                          "(the memory mode: fewer bytes, slower probes)")

@@ -246,12 +246,12 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--columnar"], ["--native"], ["--native", "--columnar"]],
+        [[], ["--columnar"], ["--mode", "native"],
+         ["--mode", "native", "--columnar"]],
         ids=["default", "columnar", "native", "native-columnar"],
     )
     def test_bench_command(self, capsys, flags):
-        """Every storage-layout flag combination runs (``--native`` no
-        longer depends on, or conflicts with, the columnar flag)."""
+        """Every executor mode runs with and without the columnar flag."""
         rc = cli_main(
             ["bench", "--workload", "finance", "--query", "bsp",
              "--events", "2000", *flags]
@@ -278,3 +278,15 @@ class TestCLI:
     def test_missing_schema_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["compile", "--query", PAPER_SQL])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--query", "q", "--stream", "s.csv"], ["serve", "--query", "q"],
+         ["bench"]],
+        ids=["run", "serve", "bench"],
+    )
+    def test_native_is_a_mode_not_a_flag(self, argv, capsys):
+        assert build_parser().parse_args([*argv, "--mode", "native"]).mode == "native"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--native"])
+        assert "unrecognized arguments: --native" in capsys.readouterr().err
