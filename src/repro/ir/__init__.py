@@ -9,7 +9,7 @@ Pipeline position::
 Real DBToaster lowers through its M3 map-maintenance language the same
 way; lowering once means every backend shares loop structure, semantics
 fixes land once, and loop-level optimisation (loop fusion, guard
-merging, invariant hoisting, binding pruning) has a home.
+merging, invariant hoisting, lookup sharing) has a home.
 """
 
 from repro.ir.lower import (

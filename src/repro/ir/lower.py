@@ -794,28 +794,40 @@ def _lower_accumulated(
     namer: _Namer,
     sinks: dict[int, str],
     finalizers: Optional[dict] = None,
+    exact: frozenset[str] = frozenset(),
 ) -> list[IRStmt]:
     """The accumulate-then-merge row loop over ``statements``.
 
     Statements whose batch delta is worth accumulating get a trigger-local
     accumulator (scalar or keyed) merged into the program map once after
-    the loop; the rest apply directly per row.  ``sinks`` receives the
-    chosen sink per statement position (reporting).  Statements writing a
-    finalized occurrence map always accumulate — the keyed accumulators
-    double as the appended :class:`Finalize` steps' batch deltas.
+    the loop; the rest apply directly per row.  Keyed statements writing
+    the same ``exact`` target share one accumulator and one merge (their
+    additions commute); every other accumulator serves one statement, so
+    float targets keep their per-statement addition order.  ``sinks``
+    receives the chosen sink per statement position (reporting).
+    Statements writing a finalized occurrence map always accumulate, each
+    into its own — the keyed accumulators double as the appended
+    :class:`Finalize` steps' batch deltas.
     """
     finalizers = finalizers or {}
     accs: dict[int, str] = {}
+    shared: dict[str, str] = {}
     for position, statement in enumerate(statements):
-        if statement.target in finalizers or _accumulates(
-            statement, trigger, patterns
-        ):
+        target = statement.target
+        if target in finalizers:
             accs[position] = f"__b{position}"
+        elif _accumulates(statement, trigger, patterns):
+            acc = f"__b{position}"
+            if statement.args and target in exact:
+                acc = shared.setdefault(target, acc)
+            accs[position] = acc
+    # One declaration and one flush per accumulator, at its first writer.
+    firsts: dict[str, int] = {}
+    for position, acc in accs.items():
+        firsts.setdefault(acc, position)
     body: list[IRStmt] = []
-    for position, statement in enumerate(statements):
-        acc = accs.get(position)
-        if acc is None:
-            continue
+    for acc, position in firsts.items():
+        statement = statements[position]
         body.append(
             Assign(acc, Const(0))
             if not statement.args
@@ -835,10 +847,8 @@ def _lower_accumulated(
             sinks[position] = "accumulator"
         row_blocks.append(lower_statement(statement, trigger.params, sink, namer))
     body.append(ForEachRow("__cols", trigger.params, tuple(row_blocks)))
-    for position, statement in enumerate(statements):
-        acc = accs.get(position)
-        if acc is None:
-            continue
+    for acc, position in firsts.items():
+        statement = statements[position]
         if not statement.args:
             body.append(
                 Block(
@@ -859,7 +869,9 @@ def _lower_accumulated(
                     comments=(),
                     targets=(statement.target,),
                     stmts=(MergeInto(Slot(statement.target), Slot(acc, local=True)),),
-                    sources=(statement,),
+                    sources=tuple(
+                        s for p, s in enumerate(statements) if accs.get(p) == acc
+                    ),
                 )
             )
     pending_accs: dict[str, list[str]] = {}
@@ -883,6 +895,7 @@ def _lower_second_order(
     patterns: dict[str, set[tuple[int, ...]]],
     namer: _Namer,
     finalizers: Optional[dict] = None,
+    exact: frozenset[str] = frozenset(),
 ) -> tuple[tuple[IRStmt, ...], tuple[tuple[str, str], ...]]:
     """The accumulate-then-flush batch body of a second-order plan.
 
@@ -893,7 +906,7 @@ def _lower_second_order(
     """
     base_sinks: dict[int, str] = {}
     body = _lower_accumulated(
-        plan.base, trigger, patterns, namer, base_sinks, finalizers
+        plan.base, trigger, patterns, namer, base_sinks, finalizers, exact
     )
     body.extend(_restate_blocks(plan, namer, finalizers or {}))
 
@@ -913,6 +926,7 @@ def lower_trigger_batch(
     finalizers: Optional[dict] = None,
     independent: Optional[bool] = None,
     plan: Optional[SecondOrderPlan] = None,
+    exact: frozenset[str] = frozenset(),
 ) -> tuple[TriggerIR, tuple[tuple[str, str], ...]]:
     """The batch trigger body, derived from the same statement lowering.
 
@@ -928,6 +942,9 @@ def lower_trigger_batch(
       statements and restate the order-2 targets once per batch;
     * everything else runs the per-event body once per row (the fallback,
       reported as ``per-row``/``buffered``).
+
+    ``exact`` names the maps proven to hold exact integers: keyed
+    statements writing one of them share its accumulator.
     """
     namer = namer or _Namer()
     name = f"{trigger.name}_batch"
@@ -940,7 +957,7 @@ def lower_trigger_batch(
 
     if plan is not None:
         body, report = _lower_second_order(
-            trigger, plan, patterns, namer, finalizers
+            trigger, plan, patterns, namer, finalizers, exact
         )
         return (
             TriggerIR(trigger.relation, trigger.sign, name, trigger.params, body),
@@ -952,7 +969,7 @@ def lower_trigger_batch(
     if independent:
         sinks: dict[int, str] = {}
         accumulated = _lower_accumulated(
-            trigger.statements, trigger, patterns, namer, sinks, finalizers
+            trigger.statements, trigger, patterns, namer, sinks, finalizers, exact
         )
         if any(kind == "accumulator" for kind in sinks.values()):
             report = tuple(
@@ -1047,6 +1064,7 @@ def lower_program(
         for name, map_def in program.maps.items()
     }
     finalizers = program.finalizers
+    exact = exact_int_maps(program)
     triggers: dict[tuple[str, int], TriggerIR] = {}
     namers: dict[tuple[str, int], _Namer] = {}
     # Per trigger, decided once for both variants: whether its events are
@@ -1079,6 +1097,7 @@ def lower_program(
             finalizers,
             shapes[key][0],
             shapes[key][1] if second_order else None,
+            exact,
         )
     ir.batch_triggers = batch
     ir.batch_sinks = sinks

@@ -216,11 +216,10 @@ class ForEachMap(IRStmt):
     """Iterate a map's entries, filtering and binding key positions.
 
     ``entry_var``/``value_var`` name the key tuple and ring value of the
-    current entry; ``binds`` assigns key positions to scalar names (a
-    ``None``-free subset after dead-binding pruning); ``filters`` keep only
-    entries whose position equals the filter expression.  The sorted filter
-    positions are the access pattern a backend may serve from a secondary
-    index.
+    current entry; ``binds`` assigns key positions to scalar names;
+    ``filters`` keep only entries whose position equals the filter
+    expression.  The sorted filter positions are the access pattern a
+    backend may serve from a secondary index.
     """
 
     slot: Slot
@@ -412,7 +411,9 @@ class ProgramIR:
     ``batch_sinks`` records, per trigger, the batch sink chosen for every
     compiled statement (``direct`` / ``buffered`` / ``accumulator`` /
     ``second-order`` / ``per-row``) — the ``--dump-ir`` and benchmark
-    coverage report of the batch-path rewriting."""
+    coverage report of the batch-path rewriting.  ``pass_yield`` counts,
+    per pass, the statement nodes it removed over every trigger body
+    (negative for a pass that adds temps)."""
 
     maps: dict[str, MapDecl]
     triggers: dict[tuple[str, int], TriggerIR]
@@ -421,6 +422,7 @@ class ProgramIR:
     batch_sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = field(
         default_factory=dict
     )
+    pass_yield: dict[str, int] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +452,6 @@ def expr_slots(expr: IRExpr) -> frozenset[Slot]:
             slots.add(node.slot)
         stack.extend(node.children())
     return frozenset(slots)
-
-
-def expr_has_keyat(expr: IRExpr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, KeyAt):
-            return True
-        stack.extend(node.children())
-    return False
 
 
 def stmt_children(stmt: IRStmt) -> tuple[IRStmt, ...]:
@@ -543,11 +535,12 @@ def used_names(stmts) -> frozenset[str]:
 
 
 def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
-    """Rebuild ``stmt`` (recursively) with ``fn`` applied to each expr."""
-    if isinstance(stmt, Assign):
-        return Assign(stmt.name, fn(stmt.value))
-    if isinstance(stmt, Accum):
-        return Accum(stmt.name, fn(stmt.value))
+    """Rebuild ``stmt`` (recursively) with ``fn`` applied to each expr; a
+    simple statement whose expressions ``fn`` returns as they are is kept
+    as it is."""
+    if isinstance(stmt, (Assign, Accum)):
+        value = fn(stmt.value)
+        return stmt if value is stmt.value else type(stmt)(stmt.name, value)
     if isinstance(stmt, IfCond):
         return IfCond(fn(stmt.cond), tuple(rewrite_exprs(s, fn) for s in stmt.body))
     if isinstance(stmt, ForEachMap):
@@ -565,14 +558,14 @@ def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
             stmt.params,
             tuple(rewrite_exprs(s, fn) for s in stmt.body),
         )
-    if isinstance(stmt, AddTo):
-        return AddTo(
-            stmt.slot, tuple(fn(k) for k in stmt.keys), fn(stmt.value), stmt.evict
-        )
-    if isinstance(stmt, AppendTo):
-        return AppendTo(
-            stmt.buffer, tuple(fn(k) for k in stmt.keys), fn(stmt.value), stmt.target
-        )
+    if isinstance(stmt, (AddTo, AppendTo)):
+        keys = tuple(fn(k) for k in stmt.keys)
+        value = fn(stmt.value)
+        if value is stmt.value and all(a is b for a, b in zip(keys, stmt.keys)):
+            return stmt
+        if isinstance(stmt, AddTo):
+            return AddTo(stmt.slot, keys, value, stmt.evict)
+        return AppendTo(stmt.buffer, keys, value, stmt.target)
     if isinstance(stmt, Block):
         return Block(
             stmt.comments,

@@ -5,21 +5,34 @@ The pipeline (in application order) — every pass here changes the IR of
 at least one shipped query (``tests/ir/test_ir.py`` pins that; a pass
 that finds nothing is deleted, not kept):
 
-* ``fold-constants`` — propagate single-assignment constant temps and
-  fold what they decide: the ``d = 1; if d != 0:`` every unit-delta map
-  update lowers to becomes the bare update, constant products collapse;
+* ``fold-constants`` — propagate single-assignment constants and copies
+  and fold what they decide: the ``d = 1; if d != 0:`` every unit-delta
+  map update lowers to becomes the bare update, ``d = v; if d != 0:``
+  tests ``v`` itself, constant products collapse;
 * ``fuse-loops`` — merge statements iterating the same map with the same
-  filters into one traversal (vwap's two full scans become one);
+  filters into one traversal, at every nesting depth (vwap's two full
+  scans become one; the SSB lineitem trigger's three ``m6_part`` probes
+  inside each ``m5_ddate_orders`` entry become one);
 * ``merge-guards`` — combine adjacent identical guards;
 * ``hoist-invariants`` — move loop-invariant lookups/arithmetic (vwap's
-  ``0.25 * total`` threshold) out of the loops that recompute them.
+  ``0.25 * total`` threshold) and whole invariant assignments out of the
+  loops that recompute them;
+* ``share-lookups`` — within one straight-line sequence, evaluate each
+  map lookup once: a later identical lookup reads the first one's temp
+  unless a write to its map or a rebinding of a key name intervenes.
+
+Every pass reports how many IR nodes it removed
+(``ProgramIR.pass_yield``, printed under ``--dump-ir``'s
+``== IR passes ==``).  The pipeline walks each body once up front for
+the binding counts the passes read, and counts nodes after each pass.
 
 Every pass is semantics-preserving *including float bit-identity*: a
 rewrite that would reorder additions into a map is only applied when the
 map's ring values are provably exact integers
 (:func:`repro.compiler.storage.exact_int_maps` — the same proof the
 second-order batch plan and the sharding analysis's cross-shard sums
-gate on).
+gate on).  A batch accumulator counts as exact when the map it merges
+into is: the lowering lets statements writing one exact map share it.
 
 The passes apply to the batch bodies too, including the second-order
 accumulate-then-flush shape: the once-per-batch restate scans are emitted
@@ -33,7 +46,7 @@ involving one.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple, Optional
 
 from repro.compiler.program import CompiledProgram
 from repro.compiler.storage import exact_int_maps
@@ -53,6 +66,7 @@ from repro.ir.nodes import (
     IfCond,
     IRExpr,
     IRStmt,
+    KeyAt,
     Lookup,
     MergeInto,
     Name,
@@ -67,7 +81,6 @@ from repro.ir.nodes import (
     compare_values,
     expr_names,
     expr_slots,
-    expr_has_keyat,
     rename_stmt,
     rewrite_exprs,
     stmt_children,
@@ -80,12 +93,41 @@ DEFAULT_PASSES: tuple[str, ...] = (
     "fuse-loops",
     "merge-guards",
     "hoist-invariants",
+    "share-lookups",
 )
 
 
 # ---------------------------------------------------------------------------
 # Shared analyses
 # ---------------------------------------------------------------------------
+
+
+def _scan(stmts) -> tuple[dict[str, int], int, dict[Slot, Slot]]:
+    """One walk over a body: how many sites bind each scalar name, the
+    number of statement nodes, and the map each local accumulator merges
+    into.
+
+    The passes only ever drop binding sites or add fresh single-binding
+    temps, so the counts stay an upper bound through the pipeline: a name
+    counted once is bound at most once; an uncounted one is a fresh temp.
+    """
+    bindings: dict[str, int] = {}
+    flushes: dict[Slot, Slot] = {}
+    size = 0
+    for stmt in walk_stmts(stmts):
+        size += 1
+        names: tuple[str, ...] = ()
+        if isinstance(stmt, (Assign, Accum)):
+            names = (stmt.name,)
+        elif isinstance(stmt, ForEachMap):
+            names = (stmt.value_var, *(name for _, name in stmt.binds))
+        elif isinstance(stmt, ForEachRow):
+            names = stmt.params
+        elif isinstance(stmt, MergeInto) and stmt.source.local:
+            flushes[stmt.source] = stmt.target
+        for name in names:
+            bindings[name] = bindings.get(name, 0) + 1
+    return bindings, size, flushes
 
 
 def _applied_writes(stmts: Iterable[IRStmt]) -> frozenset[Slot]:
@@ -103,49 +145,85 @@ def _applied_writes(stmts: Iterable[IRStmt]) -> frozenset[Slot]:
     return frozenset(out)
 
 
-def _ordered_writes(stmts: Iterable[IRStmt]) -> frozenset[Slot]:
-    """Slots whose per-key addition *order* the statements contribute to
-    (applied writes plus pending appends, which apply in append order)."""
-    out = set(_applied_writes(stmts))
-    for stmt in walk_stmts(stmts):
-        if isinstance(stmt, AppendTo):
-            out.add(stmt.target)
-    return frozenset(out)
+def _size(stmts) -> int:
+    """Statement nodes in a body (the pass-yield unit)."""
+    size = len(stmts)
+    for stmt in stmts:
+        if isinstance(stmt, Block):
+            size += _size(stmt.stmts)
+        elif isinstance(stmt, (IfCond, ForEachMap, ForEachRow)):
+            size += _size(stmt.body)
+    return size
 
 
-def _destructive_writes(stmts: Iterable[IRStmt]) -> frozenset[Slot]:
-    """Slots written *non-additively* (Clear): these never commute.
+class _Effects(NamedTuple):
+    """What running some statements does, from one walk.
 
-    The exact-integer exemption lets additive writes into one map reorder;
-    a Clear absorbs instead of adds (the second-order batch flush clears a
-    restated map before re-evaluating its definition), so any write-write
-    overlap involving one must keep program order.
+    ``ordered`` adds pending-buffer appends to the ``applied`` writes: the
+    map is untouched until the flush, so reads commute with an append, but
+    appends apply in append order.  ``destructive`` writes (Clear,
+    Finalize) absorb instead of add: the exact-integer exemption lets
+    additive writes into one map reorder, but any write-write overlap
+    involving one of these must keep program order.  ``bound`` are the
+    scalar names the statements set, ``free`` those they read without
+    assigning them first; an accumulator (``acc += ...``) reads and sets,
+    so one the statements do not reset is both, and its additions keep
+    their order.
     """
-    return frozenset(
-        stmt.target
-        for stmt in walk_stmts(stmts)
-        if isinstance(stmt, (Clear, Finalize))
+
+    applied: set[Slot]
+    ordered: set[Slot]
+    destructive: set[Slot]
+    reads: set[Slot]
+    bound: set[str]
+    free: set[str]
+
+
+def _effects(stmts) -> _Effects:
+    applied: set[Slot] = set()
+    appended: set[Slot] = set()
+    destructive: set[Slot] = set()
+    reads: set[Slot] = set()
+    used: set[str] = set()
+    bound: set[str] = set()
+    accumulated: set[str] = set()
+    for stmt in walk_stmts(stmts):
+        if isinstance(stmt, AddTo):
+            applied.add(stmt.slot)
+        elif isinstance(stmt, AppendTo):
+            appended.add(stmt.target)
+        elif isinstance(stmt, (MergeInto, FlushBuffer, Clear, Finalize)):
+            applied.add(stmt.target)
+            if isinstance(stmt, (Clear, Finalize)):
+                destructive.add(stmt.target)
+            if isinstance(stmt, (MergeInto, Finalize)):
+                reads.add(stmt.source)
+        elif isinstance(stmt, ForEachMap):
+            reads.add(stmt.slot)
+            bound.add(stmt.value_var)
+            bound.update(name for _, name in stmt.binds)
+        elif isinstance(stmt, Assign):
+            bound.add(stmt.name)
+        elif isinstance(stmt, Accum):
+            accumulated.add(stmt.name)
+        elif isinstance(stmt, ForEachRow):
+            bound.update(stmt.params)
+        stack = list(stmt_exprs(stmt))
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, Name):
+                used.add(expr.name)
+            elif isinstance(expr, Lookup):
+                reads.add(expr.slot)
+            stack.extend(expr.children())
+    return _Effects(
+        applied,
+        applied | appended,
+        destructive,
+        reads,
+        bound | accumulated,
+        (used | accumulated) - bound,
     )
-
-
-def _reads(stmts: Iterable[IRStmt]) -> frozenset[Slot]:
-    out: set[Slot] = set()
-    for stmt in walk_stmts(stmts):
-        if isinstance(stmt, ForEachMap):
-            out.add(stmt.slot)
-        elif isinstance(stmt, (MergeInto, Finalize)):
-            out.add(stmt.source)
-        for expr in stmt_exprs(stmt):
-            out.update(expr_slots(expr))
-    return frozenset(out)
-
-
-def _used_names(stmts: Iterable[IRStmt]) -> frozenset[str]:
-    out: set[str] = set()
-    for stmt in walk_stmts(stmts):
-        for expr in stmt_exprs(stmt):
-            out.update(expr_names(expr))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +235,8 @@ def _is_unit(expr: IRExpr) -> bool:
     return isinstance(expr, Const) and type(expr.value) is int and expr.value == 1
 
 
-def _fold_expr(expr: IRExpr, consts: dict[str, Const]) -> IRExpr:
-    """``expr`` with known-constant names substituted and constant
+def _fold_expr(expr: IRExpr, known: dict[str, IRExpr]) -> IRExpr:
+    """``expr`` with ``known`` names substituted and constant
     subexpressions evaluated (``expr`` itself when nothing folds).
 
     Folding never changes a run-time value, float bits included: a
@@ -166,11 +244,11 @@ def _fold_expr(expr: IRExpr, consts: dict[str, Const]) -> IRExpr:
     ``Prod`` evaluates in) and drops unit factors, nothing reassociates.
     """
     if isinstance(expr, Name):
-        return consts.get(expr.name, expr)
+        return known.get(expr.name, expr)
     children = expr.children()
     if not children:
         return expr
-    folded = tuple(_fold_expr(child, consts) for child in children)
+    folded = tuple(_fold_expr(child, known) for child in children)
     if isinstance(expr, Prod):
         factors = list(folded)
         while (
@@ -192,17 +270,22 @@ def _fold_expr(expr: IRExpr, consts: dict[str, Const]) -> IRExpr:
             return Const(
                 int(compare_values(expr.op, folded[0].value, folded[1].value))
             )
-    if _same(folded, children):
-        return expr
+    return expr if _same(folded, children) else _with_children(expr, folded)
+
+
+def _with_children(expr: IRExpr, children: tuple[IRExpr, ...]) -> IRExpr:
+    """``expr`` rebuilt over new children (same node kind)."""
     if isinstance(expr, Sum):
-        return Sum(folded)
+        return Sum(children)
+    if isinstance(expr, Prod):
+        return Prod(children)
     if isinstance(expr, Neg):
-        return Neg(*folded)
+        return Neg(*children)
     if isinstance(expr, SafeDiv):
-        return SafeDiv(*folded)
+        return SafeDiv(*children)
     if isinstance(expr, Compare):
-        return Compare(expr.op, *folded)
-    return Lookup(expr.slot, folded, expr.default)
+        return Compare(expr.op, *children)
+    return Lookup(expr.slot, children, expr.default)
 
 
 def _same(new: tuple[IRExpr, ...], old: tuple[IRExpr, ...]) -> bool:
@@ -210,37 +293,36 @@ def _same(new: tuple[IRExpr, ...], old: tuple[IRExpr, ...]) -> bool:
     return len(new) == len(old) and all(a is b for a, b in zip(new, old))
 
 
-def _fold_constants(body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
-    """Propagate constants assigned once and fold the guards they decide.
+def _fold_constants(
+    body: tuple[IRStmt, ...], bindings: dict[str, int]
+) -> tuple[IRStmt, ...]:
+    """Propagate constants and copies assigned once and fold the guards
+    they decide.
 
     Only names with a single binding site in the whole body qualify (an
-    accumulator's ``acc = 0`` is rebound by its ``acc += ...``); the
-    lowering always emits a definition before its uses, so walking in
-    program order sees every constant before it is read.
+    accumulator's ``acc = 0`` is rebound by its ``acc += ...``), and a
+    copy ``x = y`` only of a ``y`` bound at most once, so ``y`` holds one
+    value wherever ``x`` is read; the lowering always emits a definition
+    before its uses, so walking in program order sees every constant and
+    copy before it is read.
     """
-    bindings: dict[str, int] = {}
-    for stmt in walk_stmts(body):
-        names: tuple[str, ...] = ()
-        if isinstance(stmt, (Assign, Accum)):
-            names = (stmt.name,)
-        elif isinstance(stmt, ForEachMap):
-            names = (stmt.value_var, *(name for _, name in stmt.binds))
-        elif isinstance(stmt, ForEachRow):
-            names = stmt.params
-        for name in names:
-            bindings[name] = bindings.get(name, 0) + 1
-    consts: dict[str, Const] = {}
+    known: dict[str, IRExpr] = {}
 
     def fold_expr(expr: IRExpr) -> IRExpr:
-        return _fold_expr(expr, consts)
+        return _fold_expr(expr, known)
+
+    def propagates(value: IRExpr) -> bool:
+        if isinstance(value, Name):
+            return bindings.get(value.name, 0) <= 1
+        return isinstance(value, Const)
 
     def fold(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
         out: list[IRStmt] = []
         for stmt in stmts:
             if isinstance(stmt, Assign):
                 value = fold_expr(stmt.value)
-                if isinstance(value, Const) and bindings[stmt.name] == 1:
-                    consts[stmt.name] = value
+                if bindings[stmt.name] == 1 and propagates(value):
+                    known[stmt.name] = value
                 else:
                     out.append(
                         stmt if value is stmt.value else Assign(stmt.name, value)
@@ -248,20 +330,13 @@ def _fold_constants(body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
             elif isinstance(stmt, IfCond):
                 cond = fold_expr(stmt.cond)
                 if not isinstance(cond, Const):
-                    out.append(IfCond(cond, fold(stmt.body)))
+                    stmt = stmt if cond is stmt.cond else IfCond(cond, stmt.body)
+                    out.append(_rebuild_with_body(stmt, fold))
                 elif cond.value:
                     out.extend(fold(stmt.body))
             elif isinstance(stmt, ForEachMap):
-                out.append(
-                    ForEachMap(
-                        stmt.slot,
-                        stmt.entry_var,
-                        stmt.value_var,
-                        stmt.binds,
-                        tuple((p, fold_expr(e)) for p, e in stmt.filters),
-                        fold(stmt.body),
-                    )
-                )
+                stmt = _rewrite_direct(stmt, fold_expr)
+                out.append(_rebuild_with_body(stmt, fold))
             elif isinstance(stmt, (ForEachRow, Block)):
                 out.append(_rebuild_with_body(stmt, fold))
             elif isinstance(stmt, (Accum, AddTo, AppendTo)):
@@ -278,8 +353,11 @@ def _fold_constants(body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _single_loop(stmt: IRStmt):
-    """The block's sole top-level statement, when it is one map loop."""
+def _as_loop(stmt: IRStmt) -> Optional[ForEachMap]:
+    """The map loop a fusion candidate runs: a bare loop (nested in a
+    loop or guard body), or a block whose sole statement is one."""
+    if isinstance(stmt, ForEachMap):
+        return stmt
     if (
         isinstance(stmt, Block)
         and len(stmt.stmts) == 1
@@ -289,71 +367,96 @@ def _single_loop(stmt: IRStmt):
     return None
 
 
-def _loops_compatible(a: ForEachMap, b: ForEachMap) -> bool:
-    if a.slot != b.slot or a.filters != b.filters:
-        return False
-    # Neither body may touch the iterated map while it is being scanned.
-    if a.slot in _applied_writes(a.body) or a.slot in _applied_writes(b.body):
-        return False
-    return True
-
-
 def _may_reorder(
-    mover: Block, blocked_by: list[IRStmt], exact: frozenset[str], params: set[str]
+    mover: _Effects,
+    blocked_by: list[_Effects],
+    exact: set[Slot],
+    params: set[str],
 ) -> bool:
-    """May ``mover`` move up, past ``blocked_by``, without changing maps?"""
-    mover_stmts = (mover,)
-    if not (_used_names(mover_stmts) - assigned_names(mover_stmts)) <= params:
+    """May a statement move up, past ``blocked_by``, without changing maps?"""
+    if not mover.free <= params:
         return False
-    m_applied = _applied_writes(mover_stmts)
-    m_ordered = _ordered_writes(mover_stmts)
-    m_reads = _reads(mover_stmts)
-    m_destructive = _destructive_writes(mover_stmts)
     for other in blocked_by:
-        o_stmts = (other,)
-        overlap = _ordered_writes(o_stmts) & m_ordered
-        if any(slot.local or slot.name not in exact for slot in overlap):
+        if other.bound & mover.free or mover.bound & other.free:
             return False
-        if overlap & (m_destructive | _destructive_writes(o_stmts)):
+        overlap = other.ordered & mover.ordered
+        if not overlap <= exact:
             return False
-        if _applied_writes(o_stmts) & m_reads:
+        if overlap & (mover.destructive | other.destructive):
             return False
-        if m_applied & _reads(o_stmts):
+        if other.applied & mover.reads:
+            return False
+        if mover.applied & other.reads:
             return False
     return True
 
 
-def _fusable_bodies(a: ForEachMap, b: ForEachMap, exact: frozenset[str]) -> bool:
+def _loop_effects(loop: ForEachMap, body: _Effects) -> _Effects:
+    """A loop's effects from its body's: it also reads the scanned map and
+    its filters' names, and binds its own."""
+    binders = {loop.value_var, *(name for _, name in loop.binds)}
+    filtered = {expr.name for _, expr in loop.filters if isinstance(expr, Name)}
+    return _Effects(
+        body.applied,
+        body.ordered,
+        body.destructive,
+        body.reads | {loop.slot},
+        body.bound | binders,
+        (body.free - binders) | filtered,
+    )
+
+
+def _fusable_bodies(a: _Effects, b: _Effects, exact: set[Slot]) -> bool:
     """Interleaving the two bodies must not change reads or float sums."""
-    if _applied_writes(a.body) & _reads(b.body):
+    if a.applied & b.reads or b.applied & a.reads:
         return False
-    if _applied_writes(b.body) & _reads(a.body):
+    overlap = a.ordered & b.ordered
+    if overlap & (a.destructive | b.destructive):
         return False
-    overlap = _ordered_writes(a.body) & _ordered_writes(b.body)
-    if overlap & (_destructive_writes(a.body) | _destructive_writes(b.body)):
-        return False
-    return not any(slot.local or slot.name not in exact for slot in overlap)
+    return overlap <= exact
 
 
-def _fuse_pair(block_a: Block, block_b: Block) -> Block:
-    loop_a = block_a.stmts[0]
-    loop_b = block_b.stmts[0]
+def _loop_renaming(
+    loop_a: ForEachMap, loop_b: ForEachMap, a_body: _Effects, b_body: _Effects
+) -> Optional[dict[str, str]]:
+    """The renaming of ``loop_b``'s loop names onto ``loop_a``'s that
+    fusing them needs, or ``None`` when one body's scalar names would
+    capture or clobber the other's in the fused loop: a binder ``b``
+    alone adds must be new to ``a``'s body, ``b``'s body must not rebind
+    a name it is renamed to, and neither body may set a name the other
+    reads (the accumulators among them would interleave their additions).
+    """
     mapping = {
         loop_b.entry_var: loop_a.entry_var,
         loop_b.value_var: loop_a.value_var,
     }
     a_binds = dict(loop_a.binds)
+    added: set[str] = set()
     for pos, name in loop_b.binds:
-        if pos in a_binds and name != a_binds[pos]:
+        if pos in a_binds:
             mapping[name] = a_binds[pos]
+        else:
+            added.add(name)
+    if added & (set(a_binds.values()) | a_body.bound | a_body.free):
+        return None
+    if b_body.bound & set(mapping.values()):
+        return None
+    if a_body.bound & {mapping.get(name, name) for name in b_body.free}:
+        return None
+    header = {loop_a.entry_var, loop_a.value_var, *a_binds.values(), *added}
+    if b_body.bound & (a_body.free - header):
+        return None
+    return mapping
+
+
+def _fuse_pair(a: IRStmt, b: IRStmt, mapping: dict[str, str]) -> IRStmt:
+    loop_a = _as_loop(a)
+    loop_b = _as_loop(b)
+    a_positions = {pos for pos, _ in loop_a.binds}
     merged_binds = list(loop_a.binds)
-    bound_positions = set(a_binds)
-    bound_names = set(a_binds.values())
-    for pos, name in loop_b.binds:
-        if pos not in bound_positions:
-            target_name = mapping.get(name, name)
-            merged_binds.append((pos, target_name))
-            bound_names.add(target_name)
+    merged_binds.extend(
+        (pos, name) for pos, name in loop_b.binds if pos not in a_positions
+    )
     renamed_body = tuple(rename_stmt(s, mapping) for s in loop_b.body)
     fused_loop = ForEachMap(
         loop_a.slot,
@@ -363,61 +466,95 @@ def _fuse_pair(block_a: Block, block_b: Block) -> Block:
         loop_a.filters,
         loop_a.body + renamed_body,
     )
+    if a is loop_a:
+        return fused_loop
     return Block(
-        comments=block_a.comments + block_b.comments,
-        targets=block_a.targets + block_b.targets,
+        comments=a.comments + b.comments,
+        targets=a.targets + b.targets,
         stmts=(fused_loop,),
-        sources=block_a.sources + block_b.sources,
+        sources=a.sources + b.sources,
     )
 
 
-def _rename_collides(block_a: Block, block_b: Block) -> bool:
-    loop_a = block_a.stmts[0]
-    loop_b = block_b.stmts[0]
-    a_binds = dict(loop_a.binds)
-    for pos, name in loop_b.binds:
-        if pos not in a_binds and name in set(a_binds.values()):
-            return True
-    return False
-
-
 def _fuse_sequence(
-    stmts: tuple[IRStmt, ...], exact: frozenset[str], params: set[str]
+    stmts: tuple[IRStmt, ...], exact: set[Slot], params: set[str]
 ) -> tuple[IRStmt, ...]:
-    out = [
-        ForEachRow(s.rows_var, s.params, _fuse_sequence(s.body, exact, set(s.params)))
-        if isinstance(s, ForEachRow)
-        else s
-        for s in stmts
-    ]
+    """Fuse sibling loops over the same map (block-wrapped statements at
+    a trigger's top level, bare loops inside loop and guard bodies), then
+    the sequences nested in what is left."""
+    if sum(_as_loop(stmt) is not None for stmt in stmts) < 2:
+        fused = tuple(_fuse_nested(stmt, exact, params) for stmt in stmts)
+        return stmts if _same(fused, stmts) else fused
+    out = list(stmts)
+    # Effects of each statement of ``out`` and of its loop's body, computed
+    # on first use (most pairs differ in map or filters and need neither).
+    effects: list[Optional[_Effects]] = [None] * len(out)
+    body_effects: list[Optional[_Effects]] = [None] * len(out)
+
+    def effects_of(k: int) -> _Effects:
+        if effects[k] is None:
+            loop = _as_loop(out[k])
+            if loop is None:
+                effects[k] = _effects((out[k],))
+            else:
+                effects[k] = _loop_effects(loop, body_effects_of(k))
+        return effects[k]
+
+    def body_effects_of(k: int) -> _Effects:
+        if body_effects[k] is None:
+            body_effects[k] = _effects(_as_loop(out[k]).body)
+        return body_effects[k]
+
     changed = True
     while changed:
         changed = False
         for i, candidate_a in enumerate(out):
-            loop_a = _single_loop(candidate_a)
+            loop_a = _as_loop(candidate_a)
             if loop_a is None:
                 continue
             for j in range(i + 1, len(out)):
                 candidate_b = out[j]
-                loop_b = _single_loop(candidate_b)
-                if loop_b is None:
+                loop_b = _as_loop(candidate_b)
+                if loop_b is None or type(candidate_b) is not type(candidate_a):
                     continue
-                if not _loops_compatible(loop_a, loop_b):
+                if loop_a.slot != loop_b.slot or loop_a.filters != loop_b.filters:
                     continue
-                if _rename_collides(candidate_a, candidate_b):
+                a_body, b_body = body_effects_of(i), body_effects_of(j)
+                # Neither body may touch the map while it is being scanned.
+                if loop_a.slot in a_body.applied or loop_a.slot in b_body.applied:
                     continue
-                if not _fusable_bodies(loop_a, loop_b, exact):
+                if not _fusable_bodies(a_body, b_body, exact):
                     continue
-                between = out[i + 1 : j]
-                if not _may_reorder(candidate_b, between, exact, params):
+                mapping = _loop_renaming(loop_a, loop_b, a_body, b_body)
+                if mapping is None:
                     continue
-                out[i] = _fuse_pair(candidate_a, candidate_b)
-                del out[j]
+                between = [effects_of(k) for k in range(i + 1, j)]
+                if not _may_reorder(effects_of(j), between, exact, params):
+                    continue
+                out[i] = _fuse_pair(candidate_a, candidate_b, mapping)
+                del out[j], effects[j], body_effects[j]
+                effects[i] = body_effects[i] = None
                 changed = True
                 break
             if changed:
                 break
-    return tuple(out)
+    fused = tuple(_fuse_nested(stmt, exact, params) for stmt in out)
+    return stmts if _same(fused, stmts) else fused
+
+
+def _fuse_nested(stmt: IRStmt, exact: set[Slot], params: set[str]) -> IRStmt:
+    """``stmt`` with the sequences nested in it fused; the names a loop
+    binds are parameters of its body."""
+    if isinstance(stmt, ForEachMap):
+        inner = params | {stmt.entry_var, stmt.value_var}
+        inner.update(name for _, name in stmt.binds)
+    elif isinstance(stmt, ForEachRow):
+        inner = params | set(stmt.params)
+    elif isinstance(stmt, (IfCond, Block)):
+        inner = params
+    else:
+        return stmt
+    return _rebuild_with_body(stmt, lambda body: _fuse_sequence(body, exact, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +590,16 @@ def _invalidates_cond(body: tuple[IRStmt, ...], cond: IRExpr) -> bool:
 
 
 def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
+    """``stmt`` over ``fn(its body)``; ``stmt`` itself when that body
+    comes back unchanged (or it has none)."""
+    body = stmt_children(stmt)
+    if not body:
+        return stmt
+    new_body = fn(body)
+    if _same(new_body, body):
+        return stmt
     if isinstance(stmt, IfCond):
-        return IfCond(stmt.cond, fn(stmt.body))
+        return IfCond(stmt.cond, new_body)
     if isinstance(stmt, ForEachMap):
         return ForEachMap(
             stmt.slot,
@@ -462,13 +607,11 @@ def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
             stmt.value_var,
             stmt.binds,
             stmt.filters,
-            fn(stmt.body),
+            new_body,
         )
     if isinstance(stmt, ForEachRow):
-        return ForEachRow(stmt.rows_var, stmt.params, fn(stmt.body))
-    if isinstance(stmt, Block):
-        return Block(stmt.comments, stmt.targets, fn(stmt.stmts), stmt.sources)
-    return stmt
+        return ForEachRow(stmt.rows_var, stmt.params, new_body)
+    return Block(stmt.comments, stmt.targets, new_body, stmt.sources)
 
 
 # ---------------------------------------------------------------------------
@@ -478,26 +621,38 @@ def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
 _HOIST_TYPES = (Prod, Sum, SafeDiv, Lookup, Neg)
 
 
-def _hoist_stmts(stmts: tuple[IRStmt, ...], namer) -> tuple[IRStmt, ...]:
+def _hoist_stmts(
+    stmts: tuple[IRStmt, ...], namer, bindings: dict[str, int]
+) -> tuple[IRStmt, ...]:
     out: list[IRStmt] = []
     for stmt in stmts:
         if isinstance(stmt, (ForEachMap, ForEachRow)):
-            body = _hoist_stmts(stmt_children(stmt), namer)
+            body = _hoist_stmts(stmt_children(stmt), namer, bindings)
             loop = _rebuild_with_body(stmt, lambda _body, b=body: b)
-            prelude, loop = _hoist_from_loop(loop, namer)
+            prelude, loop = _hoist_from_loop(loop, namer, bindings)
             out.extend(prelude)
             out.append(loop)
         elif isinstance(stmt, (IfCond, Block)):
-            out.append(_rebuild_with_body(stmt, lambda body: _hoist_stmts(body, namer)))
+            out.append(
+                _rebuild_with_body(
+                    stmt, lambda body: _hoist_stmts(body, namer, bindings)
+                )
+            )
         else:
             out.append(stmt)
     return tuple(out)
 
 
-def _hoist_from_loop(loop: IRStmt, namer):
-    """Extract loop-invariant pure subexpressions into temps before the
-    loop.  Invariant: no name bound inside the loop, no lookup of a map
-    the loop body writes (appends excluded — they apply after the loop)."""
+def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
+    """Move loop-invariant work before the loop.  Invariant: no name
+    bound inside the loop, no lookup of a map the loop body writes
+    (appends excluded — they apply after the loop).
+
+    An assignment of an invariant value to a name bound once moves out
+    whole, guards and all (its readers all follow it; a pure value may be
+    computed when unused) — so a temp an inner loop hoisted leaves the
+    outer loop as itself, not as a copy.  Other invariant pure
+    subexpressions are extracted into fresh temps."""
     body = stmt_children(loop)
     inner = set(assigned_names(body))
     if isinstance(loop, ForEachMap):
@@ -507,14 +662,22 @@ def _hoist_from_loop(loop: IRStmt, namer):
     else:
         inner.update(loop.params)
     written = _applied_writes(body)
+    moved: list[IRStmt] = []
     hoisted: dict[IRExpr, str] = {}
 
     def invariant(expr: IRExpr) -> bool:
-        if expr_names(expr) & inner:
-            return False
-        if expr_has_keyat(expr):
-            return False
-        return not (expr_slots(expr) & written)
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Name):
+                if node.name in inner:
+                    return False
+            elif isinstance(node, KeyAt):
+                return False
+            elif isinstance(node, Lookup) and node.slot in written:
+                return False
+            stack.extend(node.children())
+        return True
 
     def extract(expr: IRExpr) -> IRExpr:
         if isinstance(expr, _HOIST_TYPES) and invariant(expr):
@@ -523,24 +686,39 @@ def _hoist_from_loop(loop: IRStmt, namer):
                 temp = namer.fresh("h")
                 hoisted[expr] = temp
             return Name(temp)
-        if isinstance(expr, Sum):
-            return Sum(tuple(extract(t) for t in expr.terms))
-        if isinstance(expr, Prod):
-            return Prod(tuple(extract(f) for f in expr.factors))
-        if isinstance(expr, Neg):
-            return Neg(extract(expr.body))
-        if isinstance(expr, SafeDiv):
-            return SafeDiv(extract(expr.left), extract(expr.right))
-        if isinstance(expr, Compare):
-            return Compare(expr.op, extract(expr.left), extract(expr.right))
-        if isinstance(expr, Lookup):
-            return Lookup(expr.slot, tuple(extract(k) for k in expr.keys), expr.default)
-        return expr
+        children = expr.children()
+        if not children:
+            return expr
+        return _with_children(expr, tuple(extract(child) for child in children))
 
-    new_body = tuple(_rewrite_exprs_skipping_filters(s, extract) for s in body)
-    if not hoisted:
+    def lift(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
+        out: list[IRStmt] = []
+        for stmt in stmts:
+            if (
+                isinstance(stmt, Assign)
+                and bindings.get(stmt.name, 1) == 1
+                and isinstance(stmt.value, _HOIST_TYPES)
+                and invariant(stmt.value)
+            ):
+                moved.append(stmt)
+                inner.discard(stmt.name)
+            elif isinstance(stmt, IfCond):
+                out.append(IfCond(extract(stmt.cond), lift(stmt.body)))
+            elif isinstance(stmt, Block):
+                out.append(
+                    Block(stmt.comments, stmt.targets, lift(stmt.stmts), stmt.sources)
+                )
+            else:
+                out.append(_rewrite_exprs_skipping_filters(stmt, extract))
+        return tuple(out)
+
+    new_body = lift(body)
+    if not moved and not hoisted:
         return (), loop
-    prelude = tuple(Assign(name, expr) for expr, name in hoisted.items())
+    prelude = (
+        *moved,
+        *(Assign(name, expr) for expr, name in hoisted.items()),
+    )
     return prelude, _rebuild_with_body(loop, lambda _body: new_body)
 
 
@@ -578,6 +756,204 @@ def _rewrite_exprs_skipping_filters(stmt: IRStmt, fn) -> IRStmt:
 
 
 # ---------------------------------------------------------------------------
+# Pass: shared lookups
+# ---------------------------------------------------------------------------
+
+
+def _count_lookups(stmts) -> dict[Lookup, int]:
+    """How often each lookup occurs, for the maps probed more than once
+    (counted by name first: that is cheap, hashing a lookup is not)."""
+    lookups: list[Lookup] = []
+    probes: dict[str, int] = {}
+    for stmt in walk_stmts(stmts):
+        stack = list(stmt_exprs(stmt))
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, Lookup):
+                lookups.append(expr)
+                probes[expr.slot.name] = probes.get(expr.slot.name, 0) + 1
+            stack.extend(expr.children())
+    counts: dict[Lookup, int] = {}
+    for lookup in lookups:
+        if probes[lookup.slot.name] > 1:
+            counts[lookup] = counts.get(lookup, 0) + 1
+    return counts
+
+
+class _LookupSharing:
+    """Evaluate each map lookup once per straight-line sequence.
+
+    One forward walk.  ``avail`` maps a lookup to the name holding its
+    value at the current point: the name of a whole ``x = lookup`` that
+    came first, or a fresh temp assigned just before the first statement
+    that embeds it (only for lookups the body repeats).  A later
+    identical lookup reads that name; a later whole ``y = lookup`` is
+    dropped and ``y`` renamed.  Blocks are transparent; a guard body sees
+    what precedes it but adds nothing after it; a loop body starts empty
+    (``hoist-invariants`` already moved what it could share out of it).
+    An applied write to a map, or a rebinding of a name, drops the
+    entries reading it.  Extracted temps no later lookup read are put
+    back in a second walk, taken only when there are any.
+    """
+
+    def __init__(self, bindings: dict[str, int]):
+        self.bindings = bindings
+        self.namer = _HoistNamer(bindings)
+        self.counts: dict[Lookup, int] = {}
+        self.renames: dict[str, IRExpr] = {}
+        self.temps: dict[str, Lookup] = {}
+        self.used: set[str] = set()
+
+    def run(self, body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
+        self.counts = _count_lookups(body)
+        if all(count < 2 for count in self.counts.values()):
+            return body
+        out, _, _ = self.sequence(body, {})
+        if self.temps.keys() - self.used:
+            return self.resolve(out)
+        return tuple(out)
+
+    def sequence(self, stmts, avail: dict[Lookup, str]):
+        out: list[IRStmt] = []
+        writes: set[Slot] = set()
+        rebound: set[str] = set()
+        for stmt in stmts:
+            w, r = self.statement(stmt, avail, out)
+            if w or r:
+                for lookup in [
+                    lookup
+                    for lookup in avail
+                    if lookup.slot in w or expr_names(lookup) & r
+                ]:
+                    del avail[lookup]
+                writes |= w
+                rebound |= r
+        return out, writes, rebound
+
+    def rebinds(self, names) -> set[str]:
+        return {name for name in names if self.bindings.get(name, 0) > 1}
+
+    def statement(self, stmt: IRStmt, avail, out: list[IRStmt]):
+        """Append ``stmt`` rewritten to ``out``; return the maps it writes
+        and the names it rebinds."""
+
+        def expr(e: IRExpr) -> IRExpr:
+            return self.expr(e, avail, out)
+
+        if isinstance(stmt, Assign):
+            value = stmt.value
+            if isinstance(value, Lookup) and self.bindings.get(stmt.name, 1) == 1:
+                lookup = self.keys(value, avail, out)
+                held = avail.get(lookup)
+                if held is not None:
+                    self.renames[stmt.name] = Name(held)
+                    self.used.add(held)
+                    return set(), set()
+                if self.counts.get(value, 0) > 1:
+                    avail[lookup] = stmt.name
+                out.append(Assign(stmt.name, lookup))
+            else:
+                out.append(rewrite_exprs(stmt, expr))
+            return set(), self.rebinds((stmt.name,))
+        if isinstance(stmt, (Accum, AddTo, AppendTo)):
+            out.append(rewrite_exprs(stmt, expr))
+            if isinstance(stmt, Accum):
+                return set(), self.rebinds((stmt.name,))
+            return {stmt.slot} if isinstance(stmt, AddTo) else set(), set()
+        if isinstance(stmt, (IfCond, ForEachMap)):
+            # A guard's or a loop's own expressions are evaluated here.
+            stmt = _rewrite_direct(stmt, expr)
+        if isinstance(stmt, (IfCond, Block)):
+            # A guard body sees what precedes it; a block is part of this
+            # sequence.
+            scope = dict(avail) if isinstance(stmt, IfCond) else avail
+            body, w, r = self.sequence(stmt_children(stmt), scope)
+        elif isinstance(stmt, (ForEachMap, ForEachRow)):
+            body, w, r = self.sequence(stmt_children(stmt), {})
+            if isinstance(stmt, ForEachMap):
+                binders = (stmt.value_var, *(name for _, name in stmt.binds))
+            else:
+                binders = stmt.params
+            r |= self.rebinds(binders)
+        else:
+            out.append(stmt)
+            return set(_applied_writes((stmt,))), set()
+        # A guard whose body was all shared away has nothing left to guard.
+        if body or not isinstance(stmt, IfCond):
+            out.append(_rebuild_with_body(stmt, lambda _: tuple(body)))
+        return w, r
+
+    def keys(self, lookup: Lookup, avail, out) -> Lookup:
+        keys = tuple(self.expr(key, avail, out) for key in lookup.keys)
+        if _same(keys, lookup.keys):
+            return lookup
+        return Lookup(lookup.slot, keys, lookup.default)
+
+    def expr(self, expr: IRExpr, avail, out: list[IRStmt]) -> IRExpr:
+        if isinstance(expr, Name):
+            return self.renames.get(expr.name, expr)
+        if isinstance(expr, Lookup):
+            lookup = self.keys(expr, avail, out)
+            if self.counts.get(expr, 0) < 2:
+                return lookup
+            held = avail.get(lookup)
+            if held is None:
+                held = self.namer.fresh("l")
+                avail[lookup] = held
+                self.temps[held] = lookup
+                out.append(Assign(held, lookup))
+            else:
+                self.used.add(held)
+            return Name(held)
+        children = expr.children()
+        if not children:
+            return expr
+        new = tuple(self.expr(child, avail, out) for child in children)
+        return expr if _same(new, children) else _with_children(expr, new)
+
+    def resolve(self, stmts) -> tuple[IRStmt, ...]:
+        """Drop the temps no later lookup read, putting each lookup back
+        into the statement that follows its temp."""
+        out: list[IRStmt] = []
+        unread: dict[str, IRExpr] = {}
+        for stmt in stmts:
+            if unread:
+                stmt = _rewrite_direct(stmt, lambda e: _fold_expr(e, unread))
+            name = stmt.name if isinstance(stmt, Assign) else None
+            if name in self.temps:
+                # The temps a statement's probes were given precede it.
+                if name in self.used:
+                    out.append(stmt)
+                else:
+                    unread[name] = stmt.value
+                continue
+            unread = {}
+            out.append(_rebuild_with_body(stmt, self.resolve))
+        return tuple(out)
+
+
+def _rewrite_direct(stmt: IRStmt, fn) -> IRStmt:
+    """``stmt`` with ``fn`` applied to the expressions it evaluates itself
+    (a guard's condition, a loop's filters — not their bodies)."""
+    if isinstance(stmt, IfCond):
+        cond = fn(stmt.cond)
+        return stmt if cond is stmt.cond else IfCond(cond, stmt.body)
+    if isinstance(stmt, ForEachMap):
+        filters = tuple((pos, fn(expr)) for pos, expr in stmt.filters)
+        if all(a[1] is b[1] for a, b in zip(filters, stmt.filters)):
+            return stmt
+        return ForEachMap(
+            stmt.slot,
+            stmt.entry_var,
+            stmt.value_var,
+            stmt.binds,
+            filters,
+            stmt.body,
+        )
+    return rewrite_exprs(stmt, fn)
+
+
+# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -603,17 +979,37 @@ class _HoistNamer:
 
 
 def optimize_trigger(
-    trigger_ir: TriggerIR, passes: tuple[str, ...], exact: frozenset[str]
+    trigger_ir: TriggerIR,
+    passes: tuple[str, ...],
+    exact: frozenset[str],
+    removed: Optional[dict[str, int]] = None,
 ) -> TriggerIR:
+    """Run ``passes`` (in pipeline order) over one trigger body, adding
+    each pass's removed-node count to ``removed``."""
     body = trigger_ir.body
-    if "fold-constants" in passes:
-        body = _fold_constants(body)
-    if "fuse-loops" in passes:
-        body = _fuse_sequence(body, exact, set(trigger_ir.params))
-    if "merge-guards" in passes:
-        body = _merge_guards(body)
-    if "hoist-invariants" in passes:
-        body = _hoist_stmts(body, _HoistNamer(assigned_names(body)))
+    bindings, size, flushes = _scan(body)
+    # A local accumulator is as exact as the map it merges into.
+    exact_slots = {Slot(name) for name in exact}
+    for local, target in flushes.items():
+        if target.name in exact:
+            exact_slots.add(local)
+    for name in DEFAULT_PASSES:
+        if name not in passes:
+            continue
+        if name == "fold-constants":
+            body = _fold_constants(body, bindings)
+        elif name == "fuse-loops":
+            body = _fuse_sequence(body, exact_slots, set(trigger_ir.params))
+        elif name == "merge-guards":
+            body = _merge_guards(body)
+        elif name == "hoist-invariants":
+            body = _hoist_stmts(body, _HoistNamer(bindings), bindings)
+        else:
+            body = _LookupSharing(bindings).run(body)
+        after = _size(body)
+        if removed is not None:
+            removed[name] = removed.get(name, 0) + size - after
+        size = after
     return TriggerIR(
         trigger_ir.relation,
         trigger_ir.sign,
@@ -632,16 +1028,20 @@ def optimize_program(
     """Run the pass pipeline over every trigger body.
 
     ``batch_only`` re-runs the pipeline over the batch variants only (they
-    are lowered after the per-event bodies have been optimised).
+    are lowered after the per-event bodies have been optimised).  The
+    nodes each pass removes accumulate in ``ir.pass_yield``.
     """
     exact = exact_int_maps(program)
+    removed = ir.pass_yield
+    for name in passes:
+        removed.setdefault(name, 0)
     if not batch_only:
         ir.triggers = {
-            key: optimize_trigger(trigger_ir, passes, exact)
+            key: optimize_trigger(trigger_ir, passes, exact, removed)
             for key, trigger_ir in ir.triggers.items()
         }
     ir.batch_triggers = {
-        key: optimize_trigger(trigger_ir, passes, exact)
+        key: optimize_trigger(trigger_ir, passes, exact, removed)
         for key, trigger_ir in ir.batch_triggers.items()
     }
     ir.passes = passes

@@ -154,6 +154,14 @@ def batch_sinks_str(ir: ProgramIR) -> str:
     return "\n".join(lines)
 
 
+def passes_str(ir: ProgramIR) -> str:
+    """The pass list in pipeline order, each with the change in IR node
+    count it made over every trigger body (``ProgramIR.pass_yield``)."""
+    return ", ".join(
+        f"{name} ({-ir.pass_yield.get(name, 0):+d} nodes)" for name in ir.passes
+    )
+
+
 def program_str(ir: ProgramIR) -> str:
     """The full IR dump: map declarations, passes, batch sinks, every
     trigger body."""
@@ -165,9 +173,7 @@ def program_str(ir: ProgramIR) -> str:
             f"<{decl.storage}> := {decl.defn}"
         )
     lines.append("")
-    lines.append(
-        "== IR passes ==\n" + (", ".join(ir.passes) if ir.passes else "(none)")
-    )
+    lines.append("== IR passes ==\n" + (passes_str(ir) if ir.passes else "(none)"))
     if ir.batch_sinks:
         lines.append("")
         lines.append(batch_sinks_str(ir))

@@ -77,10 +77,11 @@ def recursion_summary(program: CompiledProgram) -> dict[int, int]:
 def ir_summary(program: CompiledProgram, optimize: bool = True) -> str:
     """One-line trace of the imperative lowering every back end shares."""
     from repro.ir import ir_stats, lower_program
+    from repro.ir.pretty import passes_str
 
     ir = lower_program(program, optimize=optimize)
     stats = ir_stats(ir)
-    passes = ", ".join(ir.passes) if ir.passes else "disabled"
+    passes = passes_str(ir) if ir.passes else "disabled"
     sinks: dict[str, int] = {}
     for report in ir.batch_sinks.values():
         for _statement, sink in report:

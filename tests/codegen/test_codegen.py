@@ -228,8 +228,9 @@ class TestGeneratedSemantics:
         assert f"_m_{spec.aux}.get((), 1e999) <= ev_bids_price" in bids
         body = source.split("def on_insert_asks(")[1].split("\ndef ")[0]
         assert body.count(" = []") == 1 and f"__pending_{asks} = []" in body
-        guard = f"if _m_{spec.aux}.get((), 1e999) != __x"
-        before, restate = body.split(guard)
+        before, restate = body.split(" != __x")
+        # The cache is read before the apply and again after Finalize ...
+        assert before.count(f"_m_{spec.aux}.get((), 1e999)") == 2
         assert f"_m_{root}." not in before  # the result is not touched ...
         assert f"_m_{root}.clear()" in restate  # ... unless the min moved
         # Finalize knows its pending is a buffer (a list of pairs).

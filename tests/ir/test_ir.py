@@ -1,5 +1,9 @@
 """Unit tests for the imperative trigger IR: lowering, passes, printing."""
 
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.compiler import compile_sql
@@ -19,7 +23,9 @@ from repro.ir.nodes import (
     ForEachRow,
     IfCond,
     Lookup,
+    MergeInto,
     Name,
+    stmt_exprs,
     walk_stmts,
 )
 from repro.sql.catalog import Catalog
@@ -62,8 +68,37 @@ def suite_programs():
     return programs
 
 
+@pytest.fixture(scope="module")
+def warehouse_program():
+    """warehouse-load's program: the four SSB flight queries compiled into
+    one, so their triggers read the same maps for the same event."""
+    from repro.algebra.translate import translate_sql
+    from repro.compiler import compile_queries
+    from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
+
+    catalog = ssb_catalog()
+    return compile_queries(
+        [translate_sql(sql, catalog, name=name) for name, sql in SSB_FLIGHT.items()],
+        catalog,
+    )
+
+
 def _loops(trigger_ir):
     return [s for s in walk_stmts(trigger_ir.body) if isinstance(s, ForEachMap)]
+
+
+def _node_count(ir) -> int:
+    bodies = (*ir.triggers.values(), *ir.batch_triggers.values())
+    return sum(len(walk_stmts(trigger_ir.body)) for trigger_ir in bodies)
+
+
+def _documented_yields() -> dict[str, tuple[int, str]]:
+    """The per-pass node table of ``docs/ARCHITECTURE.md``: configuration
+    -> (IR nodes, nodes removed in the full pipeline)."""
+    docs = Path(__file__).resolve().parents[2] / "docs"
+    text = (docs / "ARCHITECTURE.md").read_text()
+    rows = re.findall(r"^\| ([^|*]+?) \| (\d+) \| (-?\d+|—) \|", text, re.MULTILINE)
+    return {config: (int(nodes), removed) for config, nodes, removed in rows}
 
 
 class TestLowering:
@@ -247,23 +282,131 @@ class TestOptimisationPasses:
     def test_every_default_pass_has_yield(self, suite_programs):
         """Each pass, removed alone, changes the lowered IR of at least
         one shipped query: a pass that finds nothing cannot (re)appear
-        unnoticed."""
-
-        def bodies(program, passes):
-            ir = lower_program(program, passes=passes)
-            return ir.triggers, ir.batch_triggers
-
+        unnoticed.  The per-pass table in ``docs/ARCHITECTURE.md`` states
+        the node counts computed here, so it cannot drift either."""
+        table = _documented_yields()
+        full = [lower_program(program) for program in suite_programs.values()]
+        removed = Counter()
+        for ir in full:
+            removed.update(ir.pass_yield)
+        optimised = sum(map(_node_count, full))
+        assert table["all five passes"] == (optimised, str(sum(removed.values())))
+        assert table["no passes"][0] == optimised + sum(removed.values())
         for dropped in DEFAULT_PASSES:
             rest = tuple(p for p in DEFAULT_PASSES if p != dropped)
-            assert any(
-                bodies(program, rest) != bodies(program, DEFAULT_PASSES)
+            without = [
+                lower_program(program, passes=rest)
                 for program in suite_programs.values()
+            ]
+            assert any(
+                (a.triggers, a.batch_triggers) != (b.triggers, b.batch_triggers)
+                for a, b in zip(without, full)
             ), f"{dropped} changes no shipped query's IR"
+            assert table[f"without `{dropped}`"] == (
+                sum(map(_node_count, without)),
+                str(removed[dropped]),
+            ), dropped
 
     def test_pass_list_recorded(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
-        assert lower_program(program).passes == DEFAULT_PASSES
-        assert lower_program(program, optimize=False).passes == ()
+        ir = lower_program(program)
+        assert ir.passes == DEFAULT_PASSES
+        assert set(ir.pass_yield) == set(DEFAULT_PASSES)
+        plain = lower_program(program, optimize=False)
+        assert plain.passes == () and not plain.pass_yield
+        assert _node_count(plain) == _node_count(ir) + sum(ir.pass_yield.values())
+
+
+class TestSharedWork:
+    """A multi-view trigger does each probe, scan and accumulation once
+    per row, not once per statement reading it."""
+
+    def test_lineitem_row_probes_each_lookup_once(self, warehouse_program):
+        body = lower_program(warehouse_program).batch_triggers["lineitem", 1].body
+        (rows,) = [stmt for stmt in body if isinstance(stmt, ForEachRow)]
+        lookups = Counter()
+        for stmt in walk_stmts(rows.body):
+            stack = list(stmt_exprs(stmt))
+            while stack:
+                expr = stack.pop()
+                if isinstance(expr, Lookup):
+                    lookups[expr] += 1
+                stack.extend(expr.children())
+        # m1_ddate_orders, m4_nation_region_supplier, m17_part,
+        # m18_partsupp and m20_partsupp: one probe each.
+        assert len(lookups) == 5 and set(lookups.values()) == {1}
+
+    def test_lineitem_nested_scans_fuse(self, warehouse_program):
+        loops = _loops(lower_program(warehouse_program).batch_triggers["lineitem", 1])
+        for outer, inner in (
+            ("m5_ddate_orders", "m6_part"),
+            ("m11_customer_ddate_nation_orders_region", "m12_nation_region_supplier"),
+        ):
+            (loop,) = [loop for loop in loops if loop.slot.name == outer]
+            nested = [s for s in walk_stmts(loop.body) if isinstance(s, ForEachMap)]
+            assert [scan.slot.name for scan in nested] == [inner]
+
+    def test_one_accumulator_per_exact_target(self, warehouse_program):
+        trigger = warehouse_program.triggers["lineitem", 1]
+
+        def merges(ir):
+            body = walk_stmts(ir.batch_triggers["lineitem", 1].body)
+            return sorted(s.target.name for s in body if isinstance(s, MergeInto))
+
+        keyed = [s.target for s in trigger.statements if s.args]
+        merged = merges(lower_program(warehouse_program))
+        assert merged == sorted(set(keyed)) and len(merged) < len(keyed)
+        # Unoptimised, too: the lowering shares them, not a pass.
+        assert merges(lower_program(warehouse_program, optimize=False)) == merged
+
+    def test_share_lookups_scopes(self):
+        """A probe is reused down its sequence and into guard bodies, not
+        past a write to its map and not out of a guard: a first probe no
+        later one reads stays in its statement."""
+        from repro.ir.nodes import AddTo, Prod, Slot, TriggerIR
+        from repro.ir.optimize import optimize_trigger
+
+        a, b = (Lookup(Slot(name), (Name("k"),)) for name in "ab")
+
+        def guard(bound, *body):
+            return IfCond(Compare(">", Name("k"), Const(bound)), body)
+
+        body = (
+            guard(0, Assign("x", Prod((a, b))), Assign("z", b)),
+            guard(1, Assign("y", Prod((a, Const(2))))),
+            Assign("w", b),
+            guard(2, Assign("v", b)),
+            AddTo(Slot("b"), (Name("k"),), Name("w")),
+            Assign("u", b),
+            AddTo(Slot("q"), (), Prod(tuple(map(Name, "xyzwvu")))),
+        )
+        trigger = TriggerIR("r", 1, "t", ("k",), body)
+        out = optimize_trigger(trigger, ("share-lookups",), frozenset()).body
+        shared = Name("__l2")
+        total = (Name("x"), Name("y"), shared, Name("w"), Name("w"), Name("u"))
+        assert out == (
+            guard(
+                0,
+                Assign(shared.name, b),
+                Assign("x", Prod((a, shared))),  # a: nothing later reads it
+            ),
+            body[1],
+            Assign("w", b),  # v reads w; its guard is left empty
+            body[4],
+            Assign("u", b),  # b was written since w
+            AddTo(Slot("q"), (), Prod(total)),
+        )
+
+    def test_no_copy_temps(self, suite_programs, warehouse_program):
+        for program in (*suite_programs.values(), warehouse_program):
+            ir = lower_program(program)
+            for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values()):
+                copies = [
+                    stmt
+                    for stmt in walk_stmts(trigger_ir.body)
+                    if isinstance(stmt, Assign) and isinstance(stmt.value, Name)
+                ]
+                assert not copies, (trigger_ir.name, copies)
 
 
 class TestPrettyPrinter:

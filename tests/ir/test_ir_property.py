@@ -26,7 +26,7 @@ from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries
 from repro.compiler.program import needs_buffering
 from repro.ir.lower import lower_program
-from repro.ir.nodes import Block, walk_stmts
+from repro.ir.nodes import Assign, Block, LocalMapDecl, walk_stmts
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.sql.catalog import Catalog
 from tests.strategies import events
@@ -35,6 +35,7 @@ CATALOG_DDL = """
 CREATE STREAM R (A int, B int);
 CREATE STREAM S (B int, C int);
 CREATE STREAM T (C int, D int);
+CREATE STREAM U (C int, D float);
 """
 
 #: Example query shapes covering straight-line triggers, foreach loops,
@@ -60,7 +61,27 @@ QUERIES = {
         "SELECT sum(r.A) FROM R r WHERE EXISTS "
         "(SELECT s.B FROM S s WHERE s.C <= r.B + 1)"
     ),
+    # Two sums and a count into one group through nested loops: several
+    # statements per target share one batch accumulator, and their scans
+    # fuse inside the outer loop ...
+    "grouped_three_way": (
+        "SELECT r.A, sum(r.B * t.D - t.D), sum(t.D + r.B), count(*) "
+        "FROM R r, S s, T t "
+        "WHERE r.B = s.B AND s.C = t.C GROUP BY r.A"
+    ),
+    # ... unless the sums are FLOAT: then every statement keeps its own
+    # accumulator and its order.
+    "grouped_three_way_float": (
+        "SELECT r.A, sum(r.B * u.D - u.D), sum(u.D + r.B), count(*) "
+        "FROM R r, S s, U u "
+        "WHERE r.B = s.B AND s.C = u.C GROUP BY r.A"
+    ),
 }
+
+#: Queries reading ``U`` in place of ``T``: their streams carry T's rows as
+#: U's, with a FLOAT ``D`` (half-integers, so every sum is exact in any
+#: order and the reference may add in its own).
+FLOAT_TWINS = {"grouped_three_way_float"}
 
 #: Queries whose compiled form reads EXISTS as "some live row", which is
 #: the ring's ``sum != 0`` only while multiplicities stay non-negative
@@ -72,6 +93,8 @@ WELL_FORMED_ONLY = {"exists_threshold"}
 def _stream(query_name, drawn):
     events_, live = [], {}
     for relation, sign, values in drawn:
+        if query_name in FLOAT_TWINS and relation == "T":
+            relation, values = "U", (values[0], values[1] + 0.5)
         if query_name in WELL_FORMED_ONLY:
             count = live.get((relation, values), 0) + sign
             if count < 0:
@@ -149,6 +172,19 @@ def _program(query_name: str):
     return compile_queries([translated], catalog)
 
 
+@lru_cache(maxsize=None)
+def _built(query_name: str, mode: str, optimize: bool) -> DeltaEngine:
+    return DeltaEngine(_program(query_name), mode=mode, optimize=optimize)
+
+
+def _engine(query_name: str, mode: str, optimize: bool = True) -> DeltaEngine:
+    """An engine with empty maps: built once per configuration, emptied
+    (``restore_state``) for every example."""
+    engine = _built(query_name, mode, optimize)
+    engine.restore_state({})
+    return engine
+
+
 def _reference_maps(program, stream_events):
     legacy = LegacyExecutor(program)
     for event in stream_events:
@@ -165,12 +201,12 @@ def test_ir_backends_match_legacy_per_event(query_name, mode, stream):
     stream_events = _stream(query_name, stream)
     reference = _reference_maps(program, stream_events)
 
-    engine = DeltaEngine(program, mode=mode)
+    engine = _engine(query_name, mode)
     for event in stream_events:
         engine.process(event)
     assert engine.maps == reference
 
-    unoptimised = DeltaEngine(program, mode=mode, optimize=False)
+    unoptimised = _engine(query_name, mode, optimize=False)
     for event in stream_events:
         unoptimised.process(event)
     assert unoptimised.maps == reference
@@ -187,7 +223,7 @@ def test_ir_batch_path_matches_legacy(query_name, mode, stream, batch_size):
     program = _program(query_name)
     stream_events = _stream(query_name, stream)
     reference = _reference_maps(program, stream_events)
-    engine = DeltaEngine(program, mode=mode)
+    engine = _engine(query_name, mode)
     engine.process_stream(stream_events, batch_size=batch_size)
     assert engine.maps == reference
 
@@ -253,3 +289,33 @@ def test_finance_workload_matches_legacy(query_name):
         batched = DeltaEngine(program, mode=mode)
         batched.process_stream(stream_events, batch_size=64)
         assert batched.maps == reference, f"{mode} batched diverged"
+
+
+def test_float_twin_keeps_its_statements_apart():
+    """Only the exact-integer twin shares batch accumulators; the FLOAT
+    one keeps one per statement, and optimising it changes no bit."""
+    import random
+
+    def accumulators(query_name):
+        ir = lower_program(_program(query_name))
+        body = ir.batch_triggers["R", 1].body
+        declared = [s for s in body if isinstance(s, (LocalMapDecl, Assign))]
+        sinks = [sink for _, sink in ir.batch_sinks["R", 1]]
+        return len(declared), sinks.count("accumulator")
+
+    declared, accumulated = accumulators("grouped_three_way")
+    assert declared < accumulated
+    declared, accumulated = accumulators("grouped_three_way_float")
+    assert declared == accumulated
+
+    rng = random.Random(7)
+    values = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(300)]
+    drawn = [(rng.choice("RSTT"), rng.choice((1, 1, -1)), v) for v in values]
+    stream_events = _stream("grouped_three_way_float", drawn)
+    for batch_size in (1, 100):  # one-row runs take the per-event trigger
+        maps = []
+        for optimize in (True, False):
+            engine = _engine("grouped_three_way_float", "compiled", optimize)
+            engine.process_stream(stream_events, batch_size=batch_size)
+            maps.append(repr(engine.maps))
+        assert maps[0] == maps[1]

@@ -62,6 +62,7 @@ class TestTrace:
         assert line.startswith("IR: ")
         assert "map loops" in line
         assert "passes:" in line
+        assert "fuse-loops (" in line and " nodes)" in line  # per-pass yield
         assert "disabled" in ir_summary(program, optimize=False)
 
 
