@@ -20,6 +20,7 @@ the finite-difference form ``f(e + delta e) - f(e)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import AlgebraError
 from repro.algebra.expr import (
@@ -85,7 +86,14 @@ def delta(expr: Expr, event: Event) -> Expr:
             "cannot take the delta of an expression mixing base relations "
             "with map references; deltas apply to map *definitions*"
         )
+    return _delta(expr, event)
 
+
+def _delta(expr: Expr, event: Event) -> Expr:
+    """:func:`delta` of a subterm already known to be free of map
+    references.  A subterm without the relation folds to zero on the way
+    up (every rule below is zero on zero deltas), so no level walks its
+    subtree to find out first."""
     if isinstance(expr, Rel):
         if expr.name != event.relation:
             return ZERO
@@ -95,32 +103,33 @@ def delta(expr: Expr, event: Event) -> Expr:
         return ZERO
 
     if isinstance(expr, Add):
-        return add(*(delta(t, event) for t in expr.terms))
+        return add(*(_delta(t, event) for t in expr.terms))
 
     if isinstance(expr, Neg):
-        return neg(delta(expr.body, event))
+        return neg(_delta(expr.body, event))
 
     if isinstance(expr, Mul):
         return _product_delta(expr.factors, event)
 
     if isinstance(expr, AggSum):
-        return AggSum(expr.group, delta(expr.body, event))
+        d = _delta(expr.body, event)
+        return ZERO if d == ZERO else AggSum(expr.group, d)
 
     if isinstance(expr, Lift):
-        d = delta(expr.body, event)
+        d = _delta(expr.body, event)
         if d == ZERO:
             return ZERO
         return add(Lift(expr.var, add(expr.body, d)), neg(Lift(expr.var, expr.body)))
 
     if isinstance(expr, Exists):
-        d = delta(expr.body, event)
+        d = _delta(expr.body, event)
         if d == ZERO:
             return ZERO
         return add(Exists(add(expr.body, d)), neg(Exists(expr.body)))
 
     if isinstance(expr, Cmp):
-        dl = delta(expr.left, event)
-        dr = delta(expr.right, event)
+        dl = _delta(expr.left, event)
+        dr = _delta(expr.right, event)
         if dl == ZERO and dr == ZERO:
             return ZERO
         return add(
@@ -129,8 +138,8 @@ def delta(expr: Expr, event: Event) -> Expr:
         )
 
     if isinstance(expr, Div):
-        dl = delta(expr.left, event)
-        dr = delta(expr.right, event)
+        dl = _delta(expr.left, event)
+        dr = _delta(expr.right, event)
         if dl == ZERO and dr == ZERO:
             return ZERO
         return add(
@@ -168,9 +177,9 @@ def _product_delta(factors: tuple[Expr, ...], event: Event) -> Expr:
     delta(e1 * rest) = delta(e1)*rest + e1*delta(rest) + delta(e1)*delta(rest)
     """
     if len(factors) == 1:
-        return delta(factors[0], event)
+        return _delta(factors[0], event)
     head, tail = factors[0], factors[1:]
-    d_head = delta(head, event)
+    d_head = _delta(head, event)
     rest = mul(*tail)
     d_rest = _product_delta(tail, event)
     terms: list[Expr] = []
@@ -227,20 +236,32 @@ def batch_delta_order(defn: Expr, event: Event) -> int:
       stream-derived thresholds); absorbing the batch needs a second-order
       correction.
     """
+    from repro.algebra.simplify import simplify
+
+    first = simplify(delta(defn, event), bound=event.params)
+    return delta_order(first, event, simplify)
+
+
+def delta_order(
+    first: Expr, event: Event, simplify: Callable[[Expr, tuple[str, ...]], Expr]
+) -> int:
+    """:func:`batch_delta_order` of a definition from its first-order
+    delta ``first`` under ``event``, already simplified.  ``simplify(expr,
+    bound)`` simplifies the second-order delta — the compiler classifies
+    the deltas it derives with its own, which simplifies each distinct
+    input once per compile.
+    """
+    if first == ZERO:
+        return 0
     twin = Event(
         event.relation,
         event.sign,
         tuple(f"{param}__o2" for param in event.params),
     )
-    from repro.algebra.simplify import simplify
-
-    first = simplify(delta(defn, event), bound=event.params)
-    if first == ZERO:
-        return 0
-    second = simplify(
-        delta(first, twin), bound=event.params + twin.params
-    )
-    return 1 if second == ZERO else 2
+    second = delta(first, twin)
+    if second == ZERO:
+        return 1
+    return 1 if simplify(second, event.params + twin.params) == ZERO else 2
 
 
 def event_for(relation: str, columns: tuple[str, ...], sign: int) -> Event:

@@ -1,7 +1,9 @@
 """Expression nodes of the map algebra (ring calculus).
 
 Every node is an immutable, hashable dataclass; structural equality is used
-throughout the compiler for map sharing and cancellation.  Expressions denote
+throughout the compiler for map sharing and cancellation.  Facts about a
+node that never change — its structural hash, its schema and the names it
+uses — are computed on first use and kept on the node.  Expressions denote
 generalised multiset relations (GMRs): finite maps from tuples (bindings of
 the expression's output variables) to numeric ring values.
 
@@ -14,7 +16,7 @@ the variable is already bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence, Union
 
 from repro.errors import AlgebraError
@@ -27,9 +29,23 @@ _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
 class Expr:
-    """Base class for all calculus expressions."""
+    """Base class for all calculus expressions.
 
-    __slots__ = ()
+    A node keeps three facts in slots, each filled on first use: its
+    structural hash (``_hash``), :func:`repro.algebra.schema.schema_of`
+    (``_schema``) and :func:`used_vars` (``_used``).  They are not dataclass
+    fields, so equality, ``repr``, pickling and copying never see them; a
+    copy starts empty and recomputes (string hashes differ per process).
+    The leaves :class:`Var` and :class:`Const` keep none — their facts cost
+    less to recompute than to hold once per occurrence — and ``repr`` is
+    kept by no node: every subtree's string would outweigh the time it
+    saves.
+    """
+
+    __slots__ = ("_hash", "_schema", "_used")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def children(self) -> tuple["Expr", ...]:
         """Child expressions, in evaluation order."""
@@ -70,6 +86,23 @@ def _as_expr(value: object) -> Expr:
     raise AlgebraError(f"cannot coerce {value!r} to a calculus expression")
 
 
+def node_class(cls: type) -> type:
+    """Make ``cls`` a frozen, slotted dataclass whose (dataclass-generated,
+    structural) hash is computed once and kept in the ``_hash`` slot."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = structural(self)
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
     """A literal ring value (or a string used as a key/comparison literal)."""
@@ -90,7 +123,7 @@ class Var(Expr):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Rel(Expr):
     """A base-relation atom: the multiplicity of the tuple ``args``.
 
@@ -113,7 +146,7 @@ class Rel(Expr):
         return f"{self.name}({inner})"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class MapRef(Expr):
     """A reference to a materialised map, used like a relation atom.
 
@@ -141,7 +174,7 @@ class MapRef(Expr):
         return f"{self.name}[{inner}]{default}"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Cmp(Expr):
     """A comparison predicate; evaluates to 1 (true) or 0 (false).
 
@@ -168,7 +201,7 @@ class Cmp(Expr):
         return f"{{{self.left!r} {self.op} {self.right!r}}}"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Add(Expr):
     """Ring addition (bag union) of the operand GMRs."""
 
@@ -184,7 +217,7 @@ class Add(Expr):
         return "(" + " + ".join(repr(t) for t in self.terms) + ")"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Mul(Expr):
     """Ring multiplication (natural join); factors bind variables left-to-right."""
 
@@ -202,7 +235,7 @@ class Mul(Expr):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Neg(Expr):
     """Ring negation of every value of the operand GMR."""
 
@@ -219,7 +252,7 @@ class Neg(Expr):
         return f"-({self.body!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class AggSum(Expr):
     """Sum the body GMR's values, grouping by ``group`` variables.
 
@@ -242,7 +275,7 @@ class AggSum(Expr):
         return f"AggSum([{gv}], {self.body!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Lift(Expr):
     """Variable assignment ``var ^= body`` (multiplicity 1).
 
@@ -264,7 +297,7 @@ class Lift(Expr):
         return f"({self.var} ^= {self.body!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Exists(Expr):
     """Domain predicate: maps every non-zero value of the body to 1."""
 
@@ -281,7 +314,7 @@ class Exists(Expr):
         return f"Exists({self.body!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@node_class
 class Div(Expr):
     """Scalar division, with the convention ``x / 0 == 0``.
 
@@ -402,19 +435,34 @@ def used_vars(expr: Expr) -> frozenset[str]:
     variables hidden inside nested aggregates and lift bodies.  A name bound
     in the surrounding context *correlates* with any occurrence here, so
     rewrites that move factors around must treat all used names as potential
-    dependencies.
+    dependencies.  Kept on the node (and on every subterm but the leaves)
+    once computed.
     """
-    names: set[str] = set()
-    for node in walk(expr):
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, (Rel, MapRef)):
-            names.update(a.name for a in node.args if isinstance(a, Var))
-        elif isinstance(node, Lift):
-            names.add(node.var)
-        elif isinstance(node, AggSum):
-            names.update(node.group)
-    return frozenset(names)
+    if isinstance(expr, Var):
+        return frozenset((expr.name,))
+    if isinstance(expr, Const):
+        return frozenset()
+    names = getattr(expr, "_used", None)
+    if names is None:
+        names = _used_vars(expr)
+        object.__setattr__(expr, "_used", names)
+    return names
+
+
+def _used_vars(expr: Expr) -> frozenset[str]:
+    if isinstance(expr, (Rel, MapRef)):
+        return frozenset(a.name for a in expr.args if isinstance(a, Var))
+    parts = [used_vars(child) for child in expr.children()]
+    if isinstance(expr, Lift):
+        parts.append(frozenset((expr.var,)))
+    elif isinstance(expr, AggSum):
+        parts.append(frozenset(expr.group))
+    if not parts:
+        return frozenset()
+    # Share the largest child's set when it already holds every name.
+    largest = max(parts, key=len)
+    names = largest.union(*parts)
+    return largest if len(names) == len(largest) else names
 
 
 def rename_vars(expr: Expr, mapping: dict[str, str]) -> Expr:

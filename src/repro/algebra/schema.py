@@ -56,11 +56,22 @@ def _merge(*groups: Iterable[str]) -> tuple[str, ...]:
 
 
 def schema_of(expr: Expr) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Return ``(input_vars, output_vars)`` of ``expr``, each ordered."""
-    if isinstance(expr, Const):
-        return (), ()
+    """Return ``(input_vars, output_vars)`` of ``expr``, each ordered.
+
+    Kept on the node (and on every subterm but the leaves) once computed.
+    """
     if isinstance(expr, Var):
         return (expr.name,), ()
+    if isinstance(expr, Const):
+        return (), ()
+    schema = getattr(expr, "_schema", None)
+    if schema is None:
+        schema = _schema_of(expr)
+        object.__setattr__(expr, "_schema", schema)
+    return schema
+
+
+def _schema_of(expr: Expr) -> tuple[tuple[str, ...], tuple[str, ...]]:
     if isinstance(expr, (Rel, MapRef)):
         outs = _ordered_unique(a.name for a in expr.args if isinstance(a, Var))
         return (), outs

@@ -25,7 +25,6 @@ only those may be unified away; the ``keep`` discipline below enforces this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass as _dataclass
 from typing import Iterable
 
 from repro.errors import AlgebraError
@@ -47,6 +46,7 @@ from repro.algebra.expr import (
     ZERO,
     add,
     mul,
+    node_class,
     substitute,
 )
 from repro.algebra.expr import used_vars
@@ -55,7 +55,7 @@ from repro.algebra.schema import output_vars
 _MAX_PASSES = 12
 
 
-@_dataclass(frozen=True, slots=True)
+@node_class
 class _Presimplified(Expr):
     """Queue sentinel: an already-simplified factor to emit verbatim.
 
@@ -81,15 +81,23 @@ class _Presimplified(Expr):
 Monomial = tuple[object, tuple[Expr, ...]]  # (numeric coefficient, factors)
 
 
-def simplify(expr: Expr, bound: Iterable[str] = ()) -> Expr:
+def simplify(
+    expr: Expr, bound: Iterable[str] = (), memo: dict | None = None
+) -> Expr:
     """Fully simplify ``expr`` assuming the ``bound`` variables are bound.
 
     Runs the rule set to a fixpoint (with a safety cap; every individual
     pass is semantics-preserving, so stopping early is always sound).
+    One pass over a subterm depends only on the subterm and its context,
+    so each distinct one is computed once and kept in ``memo``: a fresh
+    dict per call by default, or one a caller shares across the calls of
+    a single compile (deltas of one program repeat whole subterms).
     """
     ctx = frozenset(bound)
+    if memo is None:
+        memo = {}
     for _ in range(_MAX_PASSES):
-        new = _simplify(expr, ctx, keep=None)
+        new = _simplify(expr, ctx, None, memo)
         if new == expr:
             break
         expr = new
@@ -185,24 +193,39 @@ def _rebuild(monos: list[Monomial]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _simplify(expr: Expr, ctx: frozenset[str], keep: frozenset[str] | None) -> Expr:
-    """One full pass over ``expr``.
+def _simplify(
+    expr: Expr, ctx: frozenset[str], keep: frozenset[str] | None, memo: dict
+) -> Expr:
+    """One full pass over ``expr``, computed once per ``memo``.
 
     ``ctx`` is the set of variables bound by the surrounding context.
     ``keep`` is the set of output variables that must survive; ``None`` means
     *all* outputs must survive (we are not directly under an ``AggSum`` that
     sums the rest out).
     """
-    monos = _expand(expr)
+    key = (expr, ctx, keep)
+    done = memo.get(key)
+    if done is None:
+        done = memo[key] = _simplify_pass(expr, ctx, keep, memo)
+    return done
+
+
+def _simplify_pass(
+    expr: Expr, ctx: frozenset[str], keep: frozenset[str] | None, memo: dict
+) -> Expr:
     result: list[Monomial] = []
-    for coeff, factors in monos:
-        simplified = _simplify_monomial(coeff, factors, ctx, keep)
+    for coeff, factors in _expand(expr):
+        simplified = _simplify_monomial(coeff, factors, ctx, keep, memo)
         if simplified is not None:
             result.append(simplified)
-    result = _combine(result)
-    result = [(c, _canonical_order(f, ctx)) for c, f in result]
-    result = _combine(result)
-    result.sort(key=lambda m: tuple(repr(f) for f in m[1]))
+    sort_keys: dict[tuple[Expr, ...], tuple[str, ...]] = {}
+    ordered: list[Monomial] = []
+    for coeff, factors in _combine(result):
+        canonical, keys = _canonical_order(factors, ctx)
+        sort_keys[canonical] = keys
+        ordered.append((coeff, canonical))
+    result = _combine(ordered)
+    result.sort(key=lambda m: sort_keys[m[1]])
     return _rebuild(result)
 
 
@@ -211,6 +234,7 @@ def _simplify_monomial(
     factors: tuple[Expr, ...],
     ctx: frozenset[str],
     keep: frozenset[str] | None,
+    memo: dict,
 ) -> Monomial | None:
     """Simplify one monomial; returns ``None`` when it reduces to zero."""
     bound = set(ctx)
@@ -246,7 +270,7 @@ def _simplify_monomial(
             continue
 
         if isinstance(factor, Cmp):
-            folded = _simplify_cmp(factor, bound)
+            folded = _simplify_cmp(factor, bound, memo)
             if folded is ZERO:
                 return None
             if folded is not ONE:
@@ -254,11 +278,13 @@ def _simplify_monomial(
             continue
 
         if isinstance(factor, Div):
-            out.append(_simplify_div(factor, bound))
+            out.append(_simplify_div(factor, bound, memo))
             continue
 
         if isinstance(factor, Lift):
-            action, payload = _simplify_lift(factor, bound, keep, queue, subst)
+            action, payload = _simplify_lift(
+                factor, bound, keep, queue, subst, memo
+            )
             if action == "emit":
                 out.append(payload)
             elif action == "requeue":
@@ -267,7 +293,7 @@ def _simplify_monomial(
             continue
 
         if isinstance(factor, Exists):
-            rewritten = _simplify_exists(factor, bound)
+            rewritten = _simplify_exists(factor, bound, memo)
             if rewritten is ZERO:
                 return None
             if rewritten is ONE:
@@ -285,7 +311,7 @@ def _simplify_monomial(
             continue
 
         if isinstance(factor, AggSum):
-            spliced = _simplify_aggsum(factor, bound)
+            spliced = _simplify_aggsum(factor, bound, memo)
             if spliced is None:
                 return None
             new_factors, hoisted_coeff = spliced
@@ -316,10 +342,15 @@ def _simplify_monomial(
 
         raise AlgebraError(f"cannot simplify factor {type(factor).__name__}")
 
-    propagated = _propagate_equalities(coeff, out, ctx, keep)
-    if propagated is not None:
+    propagated = _propagate_equalities(coeff, out, ctx, keep, memo)
+    if propagated is not _NO_REWRITE:
         return propagated
     return coeff, tuple(out)
+
+
+#: What :func:`_propagate_equalities` returns when no equality applies —
+#: distinct from ``None``, which is the rewrite proving the monomial zero.
+_NO_REWRITE = object()
 
 
 def _propagate_equalities(
@@ -327,16 +358,18 @@ def _propagate_equalities(
     factors: list[Expr],
     ctx: frozenset[str],
     keep: frozenset[str] | None,
-) -> Monomial | None | tuple[object, tuple[Expr, ...]]:
+    memo: dict,
+) -> Monomial | None | object:
     """Push equality predicates into the atoms that bind their variable.
 
     ``R(a,b) * {b = t}`` becomes ``R(a,t)`` when ``b`` is summed out at this
     level and ``t`` depends only on context variables.  This turns residual
-    filters into indexed map lookups after materialisation.  Returns ``None``
+    filters into indexed map lookups after materialisation.  Returns the
+    re-simplified monomial (``None`` when it is zero), or ``_NO_REWRITE``
     when no rewrite applies (caller keeps its own result).
     """
     if keep is None:
-        return None
+        return _NO_REWRITE
     for idx, factor in enumerate(factors):
         if not isinstance(factor, Cmp) or factor.op != "=":
             continue
@@ -355,22 +388,21 @@ def _propagate_equalities(
                 for i, f in enumerate(factors)
                 if i != idx
             ]
-            redone = _simplify_monomial(coeff, tuple(remaining), ctx, keep)
-            return redone
-    return None
+            return _simplify_monomial(coeff, tuple(remaining), ctx, keep, memo)
+    return _NO_REWRITE
 
 
-def _simplify_scalar(expr: Expr, bound: set[str]) -> Expr:
+def _simplify_scalar(expr: Expr, bound: set[str], memo: dict) -> Expr:
     if isinstance(expr, (Const, Var)):
         # Scalar atoms (including string literals, which are not ring
         # values and must not reach polynomial expansion) pass through.
         return expr
-    return _simplify(expr, frozenset(bound), keep=None)
+    return _simplify(expr, frozenset(bound), None, memo)
 
 
-def _simplify_cmp(factor: Cmp, bound: set[str]) -> Expr:
-    left = _simplify_scalar(factor.left, bound)
-    right = _simplify_scalar(factor.right, bound)
+def _simplify_cmp(factor: Cmp, bound: set[str], memo: dict) -> Expr:
+    left = _simplify_scalar(factor.left, bound, memo)
+    right = _simplify_scalar(factor.right, bound, memo)
     if isinstance(left, Const) and isinstance(right, Const):
         from repro.algebra.eval import _is_true
 
@@ -383,9 +415,9 @@ def _simplify_cmp(factor: Cmp, bound: set[str]) -> Expr:
     return Cmp(factor.op, left, right)
 
 
-def _simplify_div(factor: Div, bound: set[str]) -> Expr:
-    left = _simplify_scalar(factor.left, bound)
-    right = _simplify_scalar(factor.right, bound)
+def _simplify_div(factor: Div, bound: set[str], memo: dict) -> Expr:
+    left = _simplify_scalar(factor.left, bound, memo)
+    right = _simplify_scalar(factor.right, bound, memo)
     if isinstance(right, Const) and not isinstance(right.value, str):
         if right.value == 1:
             return left
@@ -402,6 +434,7 @@ def _simplify_lift(
     keep: frozenset[str] | None,
     remaining: list[Expr],
     subst: dict[str, Expr],
+    memo: dict,
 ) -> tuple[str, Expr | None]:
     """Process a lift, mutating ``bound``/``subst`` in place.
 
@@ -414,7 +447,7 @@ def _simplify_lift(
     * ``("drop", None)`` — the lift was consumed by unification or by the
       sum-of-an-indicator rule.
     """
-    body = _simplify_scalar(factor.body, bound)
+    body = _simplify_scalar(factor.body, bound, memo)
     var = factor.var
     if var in bound:
         # Already bound: the lift is an equality test.
@@ -432,8 +465,8 @@ def _simplify_lift(
     return "emit", Lift(var, body)
 
 
-def _simplify_exists(factor: Exists, bound: set[str]) -> Expr:
-    body = _simplify(factor.body, frozenset(bound), keep=None)
+def _simplify_exists(factor: Exists, bound: set[str], memo: dict) -> Expr:
+    body = _simplify(factor.body, frozenset(bound), None, memo)
     if body == ZERO:
         return ZERO
     if isinstance(body, Const):
@@ -468,7 +501,7 @@ def _is_indicator(expr: Expr) -> bool:
 
 
 def _simplify_aggsum(
-    factor: AggSum, bound: set[str]
+    factor: AggSum, bound: set[str], memo: dict
 ) -> tuple[list[Expr], object] | None:
     """Simplify an AggSum factor.
 
@@ -478,7 +511,7 @@ def _simplify_aggsum(
     """
     group = factor.group
     ctx = frozenset(bound)
-    body = _simplify(factor.body, ctx, keep=frozenset(group))
+    body = _simplify(factor.body, ctx, frozenset(group), memo)
     if body == ZERO:
         return None
     if isinstance(body, Add):
@@ -602,14 +635,20 @@ def _simplify_aggsum(
     return rebuilt, coeff
 
 
-def _canonical_order(factors: tuple[Expr, ...], ctx: frozenset[str]) -> tuple[Expr, ...]:
+def _canonical_order(
+    factors: tuple[Expr, ...], ctx: frozenset[str]
+) -> tuple[tuple[Expr, ...], tuple[str, ...]]:
     """Deterministically reorder a monomial's factors.
 
     The product is commutative as long as every factor's input variables are
     bound before it evaluates, so we greedily emit the structurally smallest
-    *ready* factor.  If no factor is ready (an open expression), the original
-    order is kept for the remainder.
+    *ready* factor (by ``repr``, computed once per factor).  If no factor is
+    ready (an open expression), the original order is kept for the
+    remainder.  Returns the reordered factors and their reprs, in order.
     """
+    keys = [repr(f) for f in factors]
+    if len(factors) < 2:
+        return factors, tuple(keys)
     # The input order is a valid evaluation order.  A name that was bound
     # *before* a factor in that order may be read anywhere inside the factor
     # — including correlated occurrences in nested Exists/AggSum/Lift scopes,
@@ -624,16 +663,14 @@ def _canonical_order(factors: tuple[Expr, ...], ctx: frozenset[str]) -> tuple[Ex
 
     remaining = list(range(len(factors)))
     bound = set(ctx)
-    ordered: list[Expr] = []
+    order: list[int] = []
     while remaining:
-        ready = [
-            (repr(factors[i]), i) for i in remaining if requirements[i] <= bound
-        ]
+        ready = [(keys[i], i) for i in remaining if requirements[i] <= bound]
         if not ready:  # pragma: no cover - input order always satisfiable
-            ordered.extend(factors[i] for i in remaining)
+            order.extend(remaining)
             break
         _, idx = min(ready)
         remaining.remove(idx)
-        ordered.append(factors[idx])
+        order.append(idx)
         bound.update(output_vars(factors[idx]))
-    return tuple(ordered)
+    return tuple(factors[i] for i in order), tuple(keys[i] for i in order)

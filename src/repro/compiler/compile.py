@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Iterable, Optional
 
 from repro.errors import CompilationError
-from repro.algebra.delta import delta, event_for
+from repro.algebra.delta import delta, delta_order, event_for
 from repro.algebra.expr import (
     AggSum,
     Const,
@@ -119,8 +119,23 @@ def compile_queries(
     float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
 
     statements: dict[tuple[str, int], list[Statement]] = defaultdict(list)
+    delta_orders: dict[tuple[str, int], dict[str, int]] = defaultdict(dict)
     compiled: set[str] = set()
     signs = (1, -1) if options.deletions else (1,)
+    # Whole simplifications and single rule passes (``simplify``'s memo),
+    # kept for this compile only: one program's deltas repeat subterms
+    # (and maps may share a definition, deltas a second-order term), but
+    # nothing learned here is reused by another compile.
+    simplified: dict[tuple[Expr, tuple[str, ...]], Expr] = {}
+    passes: dict = {}
+
+    def simplify_once(expr: Expr, bound: tuple[str, ...]) -> Expr:
+        """:func:`simplify`, once per distinct ``(expr, bound)``."""
+        key = (expr, bound)
+        result = simplified.get(key)
+        if result is None:
+            result = simplified[key] = simplify(expr, bound, passes)
+        return result
 
     def compile_pending() -> None:
         """Derive triggers for every registered-but-uncompiled map — and
@@ -147,9 +162,14 @@ def compile_queries(
                 rel_signs = signs if relation.is_stream else (1,)
                 for sign in rel_signs:
                     event = event_for(rel_name, relation.column_names, sign)
-                    d = simplify(delta(map_def.defn, event), bound=event.params)
+                    d = simplify_once(delta(map_def.defn, event), event.params)
                     if d == ZERO:
                         continue
+                    # Classified now, while the delta is at hand: the
+                    # second-order batch planner reads only the order.
+                    delta_orders[(rel_name, sign)][map_def.name] = delta_order(
+                        d, event, simplify_once
+                    )
                     materializer = Materializer(
                         registry,
                         bound=event.params,
@@ -206,7 +226,7 @@ def compile_queries(
                 statements=ordered,
             )
 
-    return CompiledProgram(
+    program = CompiledProgram(
         queries=queries,
         maps=maps,
         triggers=triggers,
@@ -218,6 +238,8 @@ def compile_queries(
         slot_aux=slot_aux,
         base_maps=base_maps,
     )
+    program.delta_orders = dict(delta_orders)
+    return program
 
 
 def _event_params(catalog: Catalog, relation: str, sign: int) -> tuple[str, ...]:

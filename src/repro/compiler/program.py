@@ -264,6 +264,13 @@ class CompiledProgram:
     #: relation → the base map every trigger reads it through (relations
     #: only ever read inside whole materialised aggregates have none).
     base_maps: dict[str, BaseMap] = field(default_factory=dict)
+    #: (relation, sign) → {map its trigger writes: the
+    #: :func:`repro.algebra.delta.batch_delta_order` of the map's
+    #: definition under that event} — classified by ``compile_queries``
+    #: from the deltas it derives, read by the second-order batch planner.
+    delta_orders: dict[tuple[str, int], dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __deepcopy__(self, memo: dict) -> "CompiledProgram":
         """A program copies as itself: nothing mutates it after

@@ -647,7 +647,9 @@ def plan_second_order(
     two formal events of this trigger's ``(relation, sign)`` decides the
     sink: a vanishing second-order delta means the per-row deltas sum
     (first-order accumulation in the row loop); a non-vanishing one means
-    the target is *restated* once per batch from its definition.  The plan
+    the target is *restated* once per batch from its definition.  The
+    compiler classified each target while it held the first-order deltas
+    (``program.delta_orders``); nothing is re-derived here.  The plan
     is rejected — falling back to the per-row loop — when any of the
     soundness gates fails:
 
@@ -659,19 +661,13 @@ def plan_second_order(
       already maintains, must not read its own target, and the restate
       dependencies must be acyclic.
     """
-    from repro.algebra.delta import Event, batch_delta_order
-
     if not trigger.statements:
         return None
     written = {s.target for s in trigger.statements}
     if not written <= exact_int_maps(program):
         return None
-    event = Event(trigger.relation, trigger.sign, trigger.params)
-    restate_targets = sorted(
-        name
-        for name in written
-        if batch_delta_order(program.maps[name].defn, event) >= 2
-    )
+    orders = program.delta_orders[(trigger.relation, trigger.sign)]
+    restate_targets = sorted(name for name in written if orders[name] >= 2)
     if not restate_targets:
         return None
     base = [s for s in trigger.statements if s.target not in restate_targets]

@@ -1,6 +1,11 @@
 """Unit tests for calculus expression nodes and structural utilities."""
 
+import copy
+import pickle
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import AlgebraError
 from repro.algebra.expr import (
@@ -9,6 +14,7 @@ from repro.algebra.expr import (
     Cmp,
     Const,
     Exists,
+    Expr,
     Lift,
     MapRef,
     Mul,
@@ -24,9 +30,13 @@ from repro.algebra.expr import (
     relations_in,
     rename_vars,
     substitute,
+    used_vars,
     walk,
     FreshNamer,
 )
+from repro.algebra.schema import schema_of
+
+from tests.strategies import closed_queries
 
 
 class TestSmartConstructors:
@@ -100,6 +110,78 @@ class TestNodeInvariants:
     def test_repr_is_readable(self):
         e = AggSum(("b",), mul(Rel("S", (Var("b"), Var("c"))), Var("c")))
         assert repr(e) == "AggSum([b], S(b,c) * c)"
+
+
+def _sample() -> Expr:
+    return AggSum(
+        ("a",),
+        mul(
+            Rel("R", (Var("a"), Var("b"))),
+            Lift("c", Var("b")),
+            Exists(MapRef("m", (Var("c"),), float("inf"))),
+            Cmp("<", Var("b"), Const(3)),
+        ),
+    )
+
+
+def _kept(node: Expr) -> set[str]:
+    """The node facts filled on ``node``."""
+    return {slot for slot in Expr.__slots__ if hasattr(node, slot)}
+
+
+def _names_by_walk(expr: Expr) -> frozenset[str]:
+    """``used_vars`` by its definition: every name on every node."""
+    names: set[str] = set()
+    for node in walk(expr):
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, (Rel, MapRef)):
+            names.update(a.name for a in node.args if isinstance(a, Var))
+        elif isinstance(node, Lift):
+            names.add(node.var)
+        elif isinstance(node, AggSum):
+            names.update(node.group)
+    return frozenset(names)
+
+
+class TestKeptFacts:
+    """Hash, schema and used names are kept on a node, invisibly."""
+
+    def test_equal_nodes_built_separately_hash_equal(self):
+        first, second = _sample(), _sample()
+        assert first is not second
+        hash(first), schema_of(first), used_vars(first)
+        assert _kept(first) == set(Expr.__slots__) and not _kept(second)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda node: pickle.loads(pickle.dumps(node)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_carry_only_fields(self, duplicate):
+        node = _sample()
+        hash(node), schema_of(node), used_vars(node)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            _cls, state = node.__reduce_ex__(protocol)[:2]
+            assert state == tuple(getattr(node, f.name) for f in fields(node))
+        copied = duplicate(node)
+        assert all(not _kept(sub) for sub in walk(copied))
+        assert copied == node and repr(copied) == repr(node)
+        assert hash(copied) == hash(node)
+
+    @given(closed_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_kept_facts_match_a_fresh_computation(self, query):
+        schema_of(query), used_vars(query)
+        for sub in walk(query):
+            uncached = copy.deepcopy(sub)
+            assert not _kept(uncached)
+            assert schema_of(sub) == schema_of(uncached)
+            assert used_vars(sub) == used_vars(uncached) == _names_by_walk(sub)
+            assert hash(sub) == hash(uncached)
 
 
 class TestTraversal:

@@ -126,6 +126,15 @@ class TestEqualityPropagation:
         s = simplify(e, ["b0"])
         assert "b" in repr(s)
 
+    def test_propagation_that_proves_zero_is_kept(self):
+        # {b = c} makes {b < c} read {c < c}: the monomial is zero, the
+        # same answer as substituting c for b by hand.
+        b_is_c, b_below_c = Cmp("=", Var("b"), Var("c")), Cmp("<", Var("b"), Var("c"))
+        e = AggSum((), mul(rel("R", "b"), b_is_c, b_below_c))
+        by_hand = AggSum((), mul(rel("R", "c"), Cmp("<", Var("c"), Var("c"))))
+        assert simplify(by_hand, ["c"]) == ZERO
+        assert simplify(e, ["c"]) == ZERO
+
 
 class TestAggSumRules:
     def test_scalar_hoisting(self):

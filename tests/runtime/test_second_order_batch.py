@@ -169,6 +169,18 @@ class TestDeltaOfDelta:
         assert orders["m3_bids"] == 2  # nested threshold: shifts per row
         assert orders["q_vwap_sum_0"] == 2
 
+    @pytest.mark.parametrize("query", ["vwap", "mst"])
+    def test_compiler_classifies_as_the_definition_does(self, query):
+        """The orders the compiler keeps for the batch planner are
+        ``batch_delta_order`` of every map each trigger writes."""
+        program = finance_program(query)
+        for (relation, sign), trigger in program.triggers.items():
+            event = Event(relation, sign, trigger.params)
+            assert program.delta_orders[(relation, sign)] == {
+                s.target: batch_delta_order(program.maps[s.target].defn, event)
+                for s in trigger.statements
+            }
+
     def test_order_zero_for_unrelated_relation(self):
         program = finance_program("mst")
         event = Event("asks", 1, program.triggers[("asks", 1)].params)
