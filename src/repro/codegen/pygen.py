@@ -49,6 +49,7 @@ from repro.ir.nodes import (
     Accum,
     Block,
     BufferDecl,
+    Cache,
     Clear,
     Compare,
     Const,
@@ -476,6 +477,7 @@ class _PyRenderer:
                     key_code="__key",
                     val_code="__val",
                     key_parts=None,
+                    caches=stmt.caches,
                 )
             return
         if isinstance(stmt, LocalMapDecl):
@@ -494,6 +496,7 @@ class _PyRenderer:
                     key_code="__key",
                     val_code="__val",
                     key_parts=None,
+                    caches=stmt.caches,
                 )
             return
         if isinstance(stmt, Clear):
@@ -512,109 +515,102 @@ class _PyRenderer:
         raise CodegenError(f"cannot render IR statement {stmt!r}")
 
     def _render_finalize(self, stmt: Finalize) -> None:
-        """Maintain a min/max/distinct auxiliary map from its occurrence
-        source (always plain dicts per the storage plan).
-
-        Without pending deltas the cache is rebuilt from the source.  With
-        them, every pending accumulator — keyed batch accs (dicts) when
-        ``stmt.keyed``, pending buffers (lists of pairs) otherwise — is
-        first summed key-wise into one delta (per-accumulator application would misread the pre-state),
-        then each 0<->nonzero multiplicity crossing updates the cache; an
-        extremum deletion re-derives the group's best, probing the group-
-        prefix secondary index when one exists.
-        """
+        """Rebuild a min/max/distinct cache from its occurrence source
+        (caches are plain dicts per the storage plan)."""
         emitter = self.emitter
         target = map_local(stmt.target.name)
-        source = map_local(stmt.source.name)
         ga = stmt.group_arity
-        kind = stmt.kind
-        op = "<" if kind == "min" else ">"
-        if not stmt.pending:
-            emitter.line(f"{target}.clear()")
-            emitter.line(f"for __key, __val in {source}.items():")
-            with emitter.block():
-                emitter.line("if __val == 0:")
-                with emitter.block():
-                    emitter.line("continue")
-                emitter.line(f"__g = __key[:{ga}]")
-                if kind == "distinct":
-                    emitter.line(f"{target}[__g] = {target}.get(__g, 0) + 1")
-                else:
-                    emitter.line(f"__v = __key[{ga}]")
-                    emitter.line(f"__cur = {target}.get(__g)")
-                    emitter.line(f"if __cur is None or __v {op} __cur:")
-                    with emitter.block():
-                        emitter.line(f"{target}[__g] = __v")
-            return
-        emitter.line("__fd = {}")
-        for name in stmt.pending:
-            pairs = f"{name}.items()" if stmt.keyed else name
-            emitter.line(f"for __key, __val in {pairs}:")
-            with emitter.block():
-                emitter.line("__fd[__key] = __fd.get(__key, 0) + __val")
-        emitter.line("for __key, __d in __fd.items():")
+        emitter.line(f"{target}.clear()")
+        emitter.line(f"for __key, __val in {map_local(stmt.source.name)}.items():")
         with emitter.block():
-            emitter.line(f"__post = {source}.get(__key, 0)")
-            emitter.line("if __d == 0 or (__post - __d != 0) == (__post != 0):")
+            emitter.line("if __val == 0:")
             with emitter.block():
                 emitter.line("continue")
             emitter.line(f"__g = __key[:{ga}]")
-            if kind == "distinct":
-                emitter.line("if __post != 0:")
-                with emitter.block():
-                    emitter.line(f"{target}[__g] = {target}.get(__g, 0) + 1")
-                emitter.line("else:")
-                with emitter.block():
-                    emitter.line(f"__n = {target}.get(__g, 0) - 1")
-                    emitter.line("if __n == 0:")
-                    with emitter.block():
-                        emitter.line(f"{target}.pop(__g, None)")
-                    emitter.line("else:")
-                    with emitter.block():
-                        emitter.line(f"{target}[__g] = __n")
-                return
-            emitter.line(f"__v = __key[{ga}]")
-            emitter.line("if __post != 0:")
-            with emitter.block():
+            if stmt.kind == "distinct":
+                emitter.line(f"{target}[__g] = {target}.get(__g, 0) + 1")
+            else:
+                op = "<" if stmt.kind == "min" else ">"
+                emitter.line(f"__v = __key[{ga}]")
                 emitter.line(f"__cur = {target}.get(__g)")
                 emitter.line(f"if __cur is None or __v {op} __cur:")
                 with emitter.block():
                     emitter.line(f"{target}[__g] = __v")
-            emitter.line(f"elif {target}.get(__g) == __v:")
+
+    def _emit_crossing(
+        self,
+        source: str,
+        key_code: str,
+        key_parts: Optional[list[str]],
+        cache: Cache,
+        entered: bool,
+    ) -> None:
+        """Update ``cache`` for a key that just entered (or left) the
+        occurrence map ``source``: a value may become its group's
+        extremum, a leaving extremum rescans the group (through the
+        group-prefix index when there is one), a distinct count steps."""
+        emitter = self.emitter
+        ga = cache.group_arity
+        aux = map_local(cache.slot.name)
+        group = "()"
+        if ga:
+            group = emitter.fresh("g")
+            if key_parts is not None:
+                emitter.line(f"{group} = {self._key_code(key_parts[:ga])}")
+            else:
+                emitter.line(f"{group} = {key_code}[:{ga}]")
+        if cache.kind == "distinct":
+            if entered:
+                emitter.line(f"{aux}[{group}] = {aux}.get({group}, 0) + 1")
+                return
+            count = emitter.fresh("o")
+            emitter.line(f"{count} = {aux}.get({group}, 0) - 1")
+            emitter.line(f"if {count} == 0:")
             with emitter.block():
-                emitter.line("__best = None")
-                prefix_pattern = tuple(range(ga))
-                if ga and prefix_pattern in self.indexes.get(
-                    stmt.source.name, ()
-                ):
-                    bucket = index_name(stmt.source.name, prefix_pattern)
-                    emitter.line(
-                        f"for __k2, __c2 in {bucket}.get(__g, {{}}).items():"
-                    )
+                emitter.line(f"{aux}.pop({group}, None)")
+            emitter.line("else:")
+            with emitter.block():
+                emitter.line(f"{aux}[{group}] = {count}")
+            return
+        op = "<" if cache.kind == "min" else ">"
+        if key_parts is not None:
+            value = key_parts[ga]
+        else:
+            value = emitter.fresh("u")
+            emitter.line(f"{value} = {key_code}[{ga}]")
+        best = emitter.fresh("o")
+        if entered:
+            emitter.line(f"{best} = {aux}.get({group})")
+            emitter.line(f"if {best} is None or {value} {op} {best}:")
+            with emitter.block():
+                emitter.line(f"{aux}[{group}] = {value}")
+            return
+        emitter.line(f"if {aux}.get({group}) == {value}:")
+        with emitter.block():
+            emitter.line(f"{best} = None")
+            member, candidate = emitter.fresh("q"), emitter.fresh("w")
+            prefix = tuple(range(ga))
+            indexed = ga and prefix in self.indexes.get(source, ())
+            if indexed:
+                bucket = f"{index_name(source, prefix)}.get({group}, _EMPTY)"
+                emitter.line(f"for {member} in {bucket}:")
+            else:
+                emitter.line(f"for {member} in {map_local(source)}:")
+            with emitter.block():
+                if ga and not indexed:
+                    emitter.line(f"if {member}[:{ga}] != {group}:")
                     with emitter.block():
-                        emitter.line("if __c2 == 0:")
-                        with emitter.block():
-                            emitter.line("continue")
-                        emitter.line(f"__v2 = __k2[{ga}]")
-                        emitter.line(f"if __best is None or __v2 {op} __best:")
-                        with emitter.block():
-                            emitter.line("__best = __v2")
-                else:
-                    emitter.line(f"for __k2, __c2 in {source}.items():")
-                    with emitter.block():
-                        emitter.line(f"if __c2 == 0 or __k2[:{ga}] != __g:")
-                        with emitter.block():
-                            emitter.line("continue")
-                        emitter.line(f"__v2 = __k2[{ga}]")
-                        emitter.line(f"if __best is None or __v2 {op} __best:")
-                        with emitter.block():
-                            emitter.line("__best = __v2")
-                emitter.line("if __best is None:")
+                        emitter.line("continue")
+                emitter.line(f"{candidate} = {member}[{ga}]")
+                emitter.line(f"if {best} is None or {candidate} {op} {best}:")
                 with emitter.block():
-                    emitter.line(f"{target}.pop(__g, None)")
-                emitter.line("else:")
-                with emitter.block():
-                    emitter.line(f"{target}[__g] = __best")
+                    emitter.line(f"{best} = {candidate}")
+            emitter.line(f"if {best} is None:")
+            with emitter.block():
+                emitter.line(f"{aux}.pop({group}, None)")
+            emitter.line("else:")
+            with emitter.block():
+                emitter.line(f"{aux}[{group}] = {best}")
 
     def _render_row_loop(self, stmt: ForEachRow) -> None:
         """The columnar batch loop: iterate only the columns the body reads.
@@ -753,8 +749,9 @@ class _PyRenderer:
         """Match the restate-reduction loop shape, or return ``None``.
 
         Shape: optional loop-invariant comparison guards wrapping either
-        ``acc += Prod(value × bound keys × int consts)`` (a correlated
-        existence/aggregate accumulation) or one or more pairs of
+        one or more ``acc += Prod(value × bound keys × int consts)`` of
+        the same product (a correlated existence/aggregate accumulation,
+        a per-event loop sum) or one or more pairs of
         ``Assign(d, Prod(...))`` (the same product in each — what fusing
         statements with one right-hand side leaves) followed by
         ``if d != 0`` sinking ``d`` under the empty key —
@@ -793,9 +790,13 @@ class _PyRenderer:
             preds.append((bound[var.name], _REDUCE_OPS[op], rhs))
             body = body[0].body
         sinks: list[tuple[str, str]] = []
-        if len(body) == 1 and isinstance(body[0], Accum):
+        if body and all(isinstance(stmt, Accum) for stmt in body):
+            # Accumulators summing the same product (fused statements)
+            # share one reduction.
             delta_expr = body[0].value
-            sinks.append(("accum", body[0].name))
+            if any(stmt.value != delta_expr for stmt in body):
+                return None
+            sinks += [("accum", stmt.name) for stmt in body]
         elif body and len(body) % 2 == 0:
             # Fused statements each keep their own (delta, guard) pair;
             # pairs computing the same product share one reduction.
@@ -944,6 +945,7 @@ class _PyRenderer:
             key_code=key,
             val_code=value,
             key_parts=key_parts,
+            caches=stmt.caches,
         )
 
     def _emit_apply(
@@ -952,12 +954,24 @@ class _PyRenderer:
         key_code: str,
         val_code: str,
         key_parts: Optional[list[str]],
+        caches: tuple[Cache, ...] = (),
     ) -> None:
-        """``target[key] += val`` with zero eviction and index maintenance."""
+        """``target[key] += val`` with zero eviction and index maintenance;
+        a write keeping ``caches`` keeps the pre-value, and a key crossing
+        zero updates them (:meth:`_emit_crossing`)."""
         emitter = self.emitter
         local = map_local(target)
         patterns = sorted(self.indexes.get(target, ()))
         cur = emitter.fresh("c")
+        if caches:
+            pre = emitter.fresh("p")
+            emitter.line(f"{pre} = {local}.get({key_code}, 0)")
+            emitter.line(f"{cur} = {pre} + {val_code}")
+            self._emit_index_maintenance(
+                target, key_code, key_parts, patterns, cur, map_updated=False,
+                crossing=(pre, caches),
+            )
+            return
         if target in self.columnar_maps:
             # Columnar storage: one probe does lookup, add and eviction.
             if not patterns:
@@ -982,13 +996,16 @@ class _PyRenderer:
         patterns: list[tuple[int, ...]],
         cur: str,
         map_updated: bool,
+        crossing: Optional[tuple[str, tuple[Cache, ...]]] = None,
     ) -> None:
         """The evict-or-store branch over ``cur`` (the new ring value).
 
         With ``map_updated`` the map write already happened (the columnar
         ``add()`` path) and only the secondary indexes need maintaining —
         callers only take that path when the map has index patterns, so
-        the emitted branches are never empty.
+        the emitted branches are never empty.  ``crossing`` is the
+        pre-value's name and the caches a key crossing zero updates, last
+        in each branch (after the indexes a rescan may probe).
         """
         assert patterns or not map_updated
         emitter = self.emitter
@@ -1017,6 +1034,8 @@ class _PyRenderer:
                     emitter.line(f"if not {bucket}:")
                     with emitter.block():
                         emitter.line(f"{idx}.pop({subkey_code(pattern)}, None)")
+            if crossing is not None:
+                self._emit_crossings(target, key_code, key_parts, crossing, False)
         emitter.line("else:")
         with emitter.block():
             if not map_updated:
@@ -1027,6 +1046,24 @@ class _PyRenderer:
                     f"{idx}.setdefault({subkey_code(pattern)}, {{}})"
                     f"[{key_code}] = {cur}"
                 )
+            if crossing is not None:
+                self._emit_crossings(target, key_code, key_parts, crossing, True)
+
+    def _emit_crossings(
+        self,
+        target: str,
+        key_code: str,
+        key_parts: Optional[list[str]],
+        crossing: tuple[str, tuple[Cache, ...]],
+        entered: bool,
+    ) -> None:
+        """``if`` the pre-value says the key crossed zero, update every
+        cache: it entered when it was zero, left when it was not."""
+        pre, caches = crossing
+        self.emitter.line(f"if {pre} {'==' if entered else '!='} 0:")
+        with self.emitter.block():
+            for cache in caches:
+                self._emit_crossing(target, key_code, key_parts, cache, entered)
 
     @staticmethod
     def _key_code(parts: list[str]) -> str:

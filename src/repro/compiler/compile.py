@@ -192,8 +192,9 @@ def compile_queries(
 
     # Non-linear auxiliary maps: one per (occurrence map, kind), shared
     # across queries.  They carry no delta triggers of their own — the IR
-    # lowering appends a Finalize step to every trigger that writes the
-    # occurrence map, and the engines treat them as ordinary state
+    # lowering makes every write to the occurrence map keep them (a key
+    # crossing zero updates its group), and the engines treat them as
+    # ordinary state
     # (snapshotted, WAL-replayed, merged by rebuild after sharding).
     maps = dict(registry.maps)
     finalizers: dict[str, tuple[FinalizeSpec, ...]] = {}
@@ -285,8 +286,8 @@ def _read_extrema_of_count_maps(
     maintained extremum (:func:`repro.compiler.materialize.read_extrema`).
 
     A base map qualifies when it counts rows (nothing folded into its
-    value) under a single numeric key: the Finalize machinery MIN/MAX
-    already use then keeps ``min``/``max`` of its live keys under deletes.
+    value) under a single numeric key: the cache-keeping writes MIN/MAX
+    already use then keep ``min``/``max`` of its live keys under deletes.
     Returns the base maps with the decision — the caches read, or the
     gate that refused — recorded on each.
     """

@@ -107,7 +107,7 @@ class PartitionSpec:
 
 def _statement_reads(statement, cache_sources: dict[str, str]) -> set[str]:
     """Maps a statement reads (nested references included).  Reading an
-    auxiliary cache reads the map Finalize derives it from: the cache is
+    auxiliary cache reads the map it is kept from: the cache is
     only whole on the lane that owns all of that map."""
     reads = statement.reads()
     return reads | {

@@ -197,12 +197,11 @@ class FinalizeSpec:
     auxiliary map caches, per group key, the current extreme value
     (``kind`` ``"min"``/``"max"``) or the number of distinct present
     values (``"distinct"``).  There is no closed-form delta for these
-    aggregates — after the occurrence map's linear delta is applied, a
-    *finalize* step updates the auxiliary from the changed keys, falling
-    back to re-deriving a group from occurrence state when its current
-    extremum is deleted (the eviction path).  The lowering emits one
-    :class:`repro.ir.nodes.Finalize` statement per spec at the end of
-    every trigger that writes the occurrence map.
+    aggregates — every write to the occurrence map that moves a key's
+    multiplicity across zero updates the auxiliary, falling back to
+    re-deriving a group from occurrence state when its current extremum
+    is deleted (the eviction path).  The lowering attaches one
+    :class:`repro.ir.nodes.Cache` per spec to every such write.
     """
 
     aux: str  # auxiliary map name
@@ -345,17 +344,29 @@ def order_statements(statements: list[Statement]) -> list[Statement]:
     return [statements[i] for i in ordered]
 
 
-def needs_buffering(statements: list[Statement]) -> bool:
+def needs_buffering(
+    statements: list[Statement],
+    finalizers: Optional[dict[str, tuple[FinalizeSpec, ...]]] = None,
+) -> bool:
     """True when the (ordered) statements still conflict.
 
     That happens when a statement reads a map that an *earlier* statement
-    wrote (a cycle survived ordering) or reads its own target.
+    wrote (a cycle survived ordering) or reads its own target.  With
+    ``finalizers``, reading a MIN/MAX/DISTINCT cache reads the occurrence
+    map it is kept from: a write to that map updates the cache at once.
     """
+    sources = {
+        spec.aux: name
+        for name, specs in (finalizers or {}).items()
+        for spec in specs
+    }
     written: set[str] = set()
     for statement in statements:
-        if statement.target in statement.reads():
+        reads = statement.reads()
+        reads |= {sources[name] for name in reads if name in sources}
+        if statement.target in reads:
             return True
-        if written & statement.reads():
+        if written & reads:
             return True
         written.add(statement.target)
     return False

@@ -502,14 +502,14 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
     for name, map_def in program.maps.items():
         arity = map_def.arity
         if map_def.role == "auxiliary":
-            # Extremum/distinct caches are maintained by Finalize steps
+            # Extremum/distinct caches are kept by their source's writes
             # (pop/re-derive writes, column values rather than ring sums):
             # plain dicts, never native.
             decisions[name] = MapStorage(
                 name, "dict", "any", arity,
-                "auxiliary extremum/distinct cache (Finalize-maintained)",
+                "auxiliary extremum/distinct cache (kept by its source's writes)",
                 native=False,
-                native_reason="Finalize-maintained auxiliary cache",
+                native_reason="auxiliary extremum/distinct cache",
             )
             continue
         proven = (
@@ -533,11 +533,11 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
         )
         if native and name in program.finalizers:
             # The C kernel applies updates itself and would bypass the
-            # Finalize step maintaining this map's auxiliary caches —
+            # cache updates this map's writes make —
             # decline up front rather than eject mid-stream.
             native = False
             native_reason = (
-                "feeds a Finalize-maintained auxiliary cache"
+                "keeps an auxiliary extremum/distinct cache"
             )
         decisions[name] = MapStorage(
             name, kind, value_class, arity, reason,

@@ -20,7 +20,13 @@ from repro.ir.lower import (
 )
 from repro.ir.optimize import DEFAULT_PASSES, optimize_program
 from repro.ir.lower import plan_second_order
-from repro.ir.pretty import batch_sinks_str, ir_stats, program_str, trigger_str
+from repro.ir.pretty import (
+    batch_sinks_str,
+    event_sinks_str,
+    ir_stats,
+    program_str,
+    trigger_str,
+)
 from repro.ir.nodes import ProgramIR, TriggerIR
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "TriggerIR",
     "batch_sinks_str",
     "collect_patterns_ir",
+    "event_sinks_str",
     "ir_stats",
     "lower_program",
     "lower_trigger",

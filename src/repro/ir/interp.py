@@ -31,6 +31,7 @@ from repro.ir.nodes import (
     Accum,
     Block,
     BufferDecl,
+    Cache,
     Clear,
     Compare,
     Const,
@@ -172,15 +173,10 @@ def run_stmt(
         storage = _storage(stmt.slot, env, maps)
         key = tuple(_eval(k, env, maps, entry) for k in stmt.keys)
         value = _eval(stmt.value, env, maps, entry)
-        if stmt.evict and type(storage) is not dict:
-            # Columnar storage applies lookup+add+evict in one probe.
-            storage.add(key, value)
+        if stmt.evict:
+            _apply(storage, key, value, stmt.caches, env, maps)
         else:
-            current = storage.get(key, 0) + value
-            if stmt.evict and current == 0:
-                storage.pop(key, None)
-            else:
-                storage[key] = current
+            storage[key] = storage.get(key, 0) + value
         if recorder is not None and not stmt.slot.local:
             recorder.record(stmt.slot.name, key, value)
         return
@@ -196,34 +192,17 @@ def run_stmt(
         return
     if isinstance(stmt, FlushBuffer):
         storage = _storage(stmt.target, env, maps)
-        if type(storage) is not dict:
-            for key, value in env[stmt.name]:
-                storage.add(key, value)
-            return
         for key, value in env[stmt.name]:
-            current = storage.get(key, 0) + value
-            if current == 0:
-                storage.pop(key, None)
-            else:
-                storage[key] = current
+            _apply(storage, key, value, stmt.caches, env, maps)
         return
     if isinstance(stmt, LocalMapDecl):
         env[stmt.name] = {}
         return
     if isinstance(stmt, MergeInto):
         target = _storage(stmt.target, env, maps)
-        source = _storage(stmt.source, env, maps)
         recording = recorder is not None and not stmt.target.local
-        if type(target) is not dict and not recording:
-            for key, value in source.items():
-                target.add(key, value)
-            return
-        for key, value in source.items():
-            current = target.get(key, 0) + value
-            if current == 0:
-                target.pop(key, None)
-            else:
-                target[key] = current
+        for key, value in _storage(stmt.source, env, maps).items():
+            _apply(target, key, value, stmt.caches, env, maps)
             if recording:
                 recorder.record(stmt.target.name, key, value)
         return
@@ -236,86 +215,68 @@ def run_stmt(
             _storage(stmt.source, env, maps),
             stmt.kind,
             stmt.group_arity,
-            tuple(
-                env[name].items() if stmt.keyed else env[name]
-                for name in stmt.pending
-            ),
         )
         return
     raise CodegenError(f"cannot interpret IR statement {stmt!r}")
 
 
-def _group_best(source, kind: str, group: tuple):
-    """Best live value of one group, rescanning the occurrence map."""
-    ga = len(group)
-    best = None
-    for key, count in source.items():
-        if count == 0 or key[:ga] != group:
-            continue
-        value = key[ga]
-        if best is None or (value < best if kind == "min" else value > best):
-            best = value
-    return best
+def _apply(storage, key, value, caches, env: dict, maps: dict) -> None:
+    """``storage[key] += value`` with zero eviction; when the key's
+    multiplicity crosses zero, each of ``caches`` is updated."""
+    pre = storage.get(key, 0)
+    post = pre + value
+    if post == 0:
+        storage.pop(key, None)
+    else:
+        storage[key] = post
+    if caches and (pre != 0) != (post != 0):
+        for cache in caches:
+            _cross(_storage(cache.slot, env, maps), storage, cache, key, post != 0)
 
 
-def run_finalize(target, source, kind: str, ga: int, pending: tuple) -> None:
-    """Maintain a min/max/distinct auxiliary map from its occurrence map.
-
-    With no ``pending`` deltas the cache is rebuilt from scratch (the
-    restate path, and the sharded-merge path).  Otherwise all pending
-    deltas (iterables of ``(key, value)`` pairs) are summed key-wise into
-    *one* delta first — per-
-    accumulator application would misread the pre-state when two
-    accumulators touch the same key — and each 0↔nonzero multiplicity
-    crossing updates the cache; an extremum deletion re-derives the
-    group's best from the (post-delta) occurrence entries.
-    """
-    if not pending:
-        target.clear()
-        for key, count in source.items():
-            if count == 0:
-                continue
-            group = key[:ga]
-            if kind == "distinct":
-                target[group] = target.get(group, 0) + 1
-            else:
-                value = key[ga]
-                best = target.get(group)
-                if best is None or (value < best if kind == "min" else value > best):
-                    target[group] = value
+def _cross(target, source, cache: Cache, key: tuple, entered: bool) -> None:
+    """Update one cache for ``key`` entering (or leaving) ``source``."""
+    ga = cache.group_arity
+    group, value = key[:ga], key[ga]
+    if cache.kind == "distinct":
+        count = target.get(group, 0) + (1 if entered else -1)
+        if count == 0:
+            target.pop(group, None)
+        else:
+            target[group] = count
         return
-    delta: dict = {}
-    for pairs in pending:
-        for key, value in pairs:
-            delta[key] = delta.get(key, 0) + value
-    for key, change in delta.items():
-        if change == 0:
+    better = (lambda a, b: a < b) if cache.kind == "min" else (lambda a, b: a > b)
+    if entered:
+        best = target.get(group)
+        if best is None or better(value, best):
+            target[group] = value
+    elif target.get(group) == value:
+        # The stored extremum left the group: re-derive or evict.
+        best = None
+        for other in source:
+            if other[:ga] == group and (best is None or better(other[ga], best)):
+                best = other[ga]
+        if best is None:
+            target.pop(group, None)
+        else:
+            target[group] = best
+
+
+def run_finalize(target, source, kind: str, ga: int) -> None:
+    """Rebuild a min/max/distinct cache from its occurrence map (the
+    restate path, and the sharded-merge path)."""
+    target.clear()
+    for key, count in source.items():
+        if count == 0:
             continue
-        post = source.get(key, 0)
-        pre = post - change
-        if (pre != 0) == (post != 0):
-            continue  # no multiplicity crossing: membership unchanged
-        group, value = key[:ga], key[ga]
+        group = key[:ga]
         if kind == "distinct":
-            if post != 0:
-                target[group] = target.get(group, 0) + 1
-            else:
-                count = target.get(group, 0) - 1
-                if count == 0:
-                    target.pop(group, None)
-                else:
-                    target[group] = count
-        elif post != 0:
+            target[group] = target.get(group, 0) + 1
+        else:
+            value = key[ga]
             best = target.get(group)
             if best is None or (value < best if kind == "min" else value > best):
                 target[group] = value
-        elif group in target and target[group] == value:
-            # The stored extremum left the group: re-derive or evict.
-            best = _group_best(source, kind, group)
-            if best is None:
-                target.pop(group, None)
-            else:
-                target[group] = best
 
 
 def run_trigger(

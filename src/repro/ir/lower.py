@@ -5,10 +5,11 @@ One pass shared by every back end.  Each compiled
 implied loops) lowers to a :class:`~repro.ir.nodes.Block`: nested map
 loops, lift assignments, comparison guards, nested-aggregate accumulator
 loops, and a final update whose shape depends on the *sink* — a direct
-map apply, a two-phase pending-buffer append (self-reading triggers), or
-a batch accumulator (scalar or keyed) for the ``*_batch`` variants.  The
-per-event and batch trigger bodies are both derived from this one
-statement lowering.
+map apply, a two-phase pending-buffer append (self-reading triggers), a
+per-event scalar accumulator (an exact-integer loop sum under an
+event-fixed key), or a batch accumulator (scalar or keyed) for the
+``*_batch`` variants.  The per-event and batch trigger bodies are both
+derived from this one statement lowering.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.ir.nodes import (
     Accum,
     Block,
     BufferDecl,
+    Cache,
     Clear,
     Compare,
     Const,
@@ -106,7 +108,14 @@ class _Namer:
 
 
 class _Sink:
-    """How a statement's computed update leaves the loop nest."""
+    """How a statement's computed update leaves the loop nest.
+
+    ``caches`` are the MIN/MAX/DISTINCT caches a direct write keeps
+    current.  ``sums``, when given, is the trigger's table of per-event
+    accumulators: an update inside a map loop adds to the scalar local
+    ``sums[(target, args)]`` instead (named on first use, and recorded
+    as ``acc``), which the trigger writes once after its last statement.
+    """
 
     def __init__(
         self,
@@ -114,11 +123,15 @@ class _Sink:
         target: str,
         args: tuple[Expr, ...],
         acc: Optional[str] = None,
+        caches: tuple[Cache, ...] = (),
+        sums: Optional[dict] = None,
     ) -> None:
         self.kind = kind
         self.target = target
         self.args = args
         self.acc = acc
+        self.caches = caches
+        self.sums = sums
 
 
 class _StatementLowering:
@@ -142,6 +155,7 @@ class _StatementLowering:
         self.sink = sink
         self.namer = namer
         self.bound: set[str] = set()
+        self.loops = 0  # map loops open around the current point
 
     def lower(self) -> list[IRStmt]:
         expanded = monomials(self.statement.rhs)
@@ -272,7 +286,9 @@ class _StatementLowering:
             if cap_value
             else Name(value_var)
         )
+        self.loops += 1
         body = self._product(rest, terms + [term])
+        self.loops -= 1
         for _, var in binds:
             self.bound.discard(var)
         return [
@@ -290,6 +306,12 @@ class _StatementLowering:
         sink = self.sink
         value = _prod(terms)
         if sink.kind == "scalar-acc":
+            return [Accum(sink.acc, value)]
+        if sink.sums is not None and self.loops:
+            key = (sink.target, sink.args)
+            if key not in sink.sums:
+                sink.sums[key] = self.namer.fresh("a")
+            sink.acc = sink.sums[key]
             return [Accum(sink.acc, value)]
         temp = self.namer.fresh("d")
         guard_body: list[IRStmt]
@@ -312,7 +334,14 @@ class _StatementLowering:
                 )
             ]
         else:
-            guard_body = [AddTo(Slot(sink.target), self._key_exprs(), Name(temp))]
+            guard_body = [
+                AddTo(
+                    Slot(sink.target),
+                    self._key_exprs(),
+                    Name(temp),
+                    caches=sink.caches,
+                )
+            ]
         return [
             Assign(temp, value),
             IfCond(Compare("!=", Name(temp), Const(0)), tuple(guard_body)),
@@ -431,42 +460,34 @@ def lower_statement(
     )
 
 
-def _finalize_blocks(
-    finalizers: dict,
-    targets,
-    pending_of,
-    keyed: bool = False,
-) -> list[IRStmt]:
-    """One :class:`Finalize` block per (occurrence target, auxiliary spec).
+def _caches(target: str, finalizers: dict) -> tuple[Cache, ...]:
+    """The MIN/MAX/DISTINCT caches a write to ``target`` keeps current."""
+    return tuple(
+        Cache(Slot(spec.aux), spec.kind, spec.group_arity)
+        for spec in finalizers.get(target, ())
+    )
 
-    ``pending_of(occ)`` names the per-batch delta accumulators for the
-    occurrence map — pending buffers (per-event bodies, left intact by the
-    flush) or, with ``keyed``, keyed batch accumulators.  An empty tuple
-    requests a full rebuild of the auxiliary map instead.
-    """
-    blocks: list[IRStmt] = []
-    for occ in targets:
-        for spec in finalizers.get(occ, ()):
-            blocks.append(
-                Block(
-                    comments=(
-                        f"finalize {spec.kind} cache {spec.aux} from {occ}",
-                    ),
-                    targets=(spec.aux,),
-                    stmts=(
-                        Finalize(
-                            target=Slot(spec.aux),
-                            source=Slot(occ),
-                            kind=spec.kind,
-                            group_arity=spec.group_arity,
-                            pending=tuple(pending_of(occ)),
-                            keyed=keyed,
-                        ),
-                    ),
-                    sources=(),
-                )
-            )
-    return blocks
+
+def _rebuild_blocks(finalizers: dict, targets) -> list[IRStmt]:
+    """One :class:`Finalize` rebuild per cache of each occurrence map in
+    ``targets`` (maps a restatement cleared and re-derived)."""
+    return [
+        Block(
+            comments=(f"rebuild {spec.kind} cache {spec.aux} from {occ}",),
+            targets=(spec.aux,),
+            stmts=(
+                Finalize(
+                    target=Slot(spec.aux),
+                    source=Slot(occ),
+                    kind=spec.kind,
+                    group_arity=spec.group_arity,
+                ),
+            ),
+            sources=(),
+        )
+        for occ in targets
+        for spec in finalizers.get(occ, ())
+    ]
 
 
 def _independent(trigger: Trigger, finalizers: dict) -> bool:
@@ -478,7 +499,7 @@ def _independent(trigger: Trigger, finalizers: dict) -> bool:
 
 def _changed_maps(statements: list[Statement], finalizers: dict) -> set[str]:
     """Maps whose contents the statements change: their targets, and the
-    auxiliary caches Finalize maintains from those."""
+    auxiliary caches kept from those."""
     targets = {s.target for s in statements}
     return targets | {
         spec.aux for name in targets for spec in finalizers.get(name, ())
@@ -490,36 +511,92 @@ def lower_trigger(
     namer: Optional[_Namer] = None,
     finalizers: Optional[dict] = None,
     plan: Optional["SecondOrderPlan"] = None,
-) -> TriggerIR:
-    """The per-event trigger body (with two-phase buffering when needed).
+    exact: frozenset[str] = frozenset(),
+) -> tuple[TriggerIR, tuple[tuple[str, str], ...]]:
+    """The per-event trigger body, plus its per-statement sink report.
+
+    Statements apply their updates directly, each write to an occurrence
+    map keeping its MIN/MAX/DISTINCT caches current.  When statements
+    conflict (:func:`~repro.compiler.program.needs_buffering`; reading a
+    cache reads the occurrence map it is kept from) every write appends
+    to a pending buffer, flushed after the last statement.
+
+    A statement writing an ``exact``-integer map without caches under a
+    key of parameters and constants sums the updates its loop makes into
+    a scalar local (``accumulator``), one per (target, key) and shared by
+    every statement writing it there; one guarded write after the last
+    statement — an append in a buffered trigger — replaces a read and a
+    write of the map per iteration.  A float target keeps its
+    per-iteration writes, and so their addition order.
 
     With a ``plan`` whose restated targets see this trigger's writes only
     through extremum caches (:func:`watched_extrema`), the event applies
-    the plan's first-order statements, finalizes, and restates those
-    targets from post-Finalize state *only when a watched extremum
-    actually moved* — the restate sink of the batch triggers, guarded.
-    Any other plan is the batch path's business and changes nothing here.
+    the plan's first-order statements and restates those targets *only
+    when a watched extremum actually moved* — the restate sink of the
+    batch triggers, guarded.  Any other plan is the batch path's
+    business and changes nothing here.
     """
     namer = namer or _Namer()
     finalizers = finalizers or {}
     watched = watched_extrema(plan, finalizers) if plan is not None else ()
     statements = plan.base if watched else trigger.statements
-    written = sorted({s.target for s in statements})
-    finalized = [name for name in written if name in finalizers]
-    # Conflicting statements buffer every write (two-phase apply); a
-    # finalized map always buffers its own — the pending buffer doubles
-    # as the Finalize step's delta (the flush reads but keeps it).
-    buffered = written if needs_buffering(statements) else finalized
-    body: list[IRStmt] = [BufferDecl(pending_buffer(name)) for name in buffered]
+    buffered = (
+        sorted({s.target for s in statements})
+        if needs_buffering(statements, finalizers)
+        else []
+    )
+    sums: dict[tuple[str, tuple[Expr, ...]], str] = {}
+    summed: dict[str, list[Statement]] = {}  # accumulator -> its statements
+    blocks: list[IRStmt] = []
+    sinks: dict[int, str] = {}
     for statement in statements:
-        kind = "buffered" if statement.target in buffered else "direct"
-        sink = _Sink(kind, statement.target, statement.args)
-        body.append(lower_statement(statement, trigger.params, sink, namer))
-    body.extend(FlushBuffer(pending_buffer(name), Slot(name)) for name in buffered)
-    body.extend(
-        _finalize_blocks(
-            finalizers, finalized, lambda occ: (pending_buffer(occ),)
+        target = statement.target
+        kind = "buffered" if target in buffered else "direct"
+        summable = (
+            target in exact
+            and target not in finalizers
+            and all(
+                isinstance(arg, AConst) or arg.name in trigger.params
+                for arg in statement.args
+            )
         )
+        sink = _Sink(
+            kind,
+            target,
+            statement.args,
+            caches=_caches(target, finalizers),
+            sums=sums if summable else None,
+        )
+        blocks.append(lower_statement(statement, trigger.params, sink, namer))
+        if sink.acc is not None:
+            kind = "accumulator"
+            summed.setdefault(sink.acc, []).append(statement)
+        sinks[id(statement)] = kind
+    body: list[IRStmt] = [BufferDecl(pending_buffer(name)) for name in buffered]
+    body.extend(Assign(acc, Const(0)) for acc in sums.values())
+    body.extend(blocks)
+    for (target, args), acc in sums.items():
+        keys = tuple(
+            Const(arg.value) if isinstance(arg, AConst) else Name(arg.name)
+            for arg in args
+        )
+        if target in buffered:
+            write: IRStmt = AppendTo(
+                pending_buffer(target), keys, Name(acc), target=Slot(target)
+            )
+        else:
+            write = AddTo(Slot(target), keys, Name(acc))
+        body.append(
+            Block(
+                comments=(),
+                targets=(target,),
+                stmts=(IfCond(Compare("!=", Name(acc), Const(0)), (write,)),),
+                sources=tuple(summed[acc]),
+            )
+        )
+    body.extend(
+        FlushBuffer(pending_buffer(name), Slot(name), _caches(name, finalizers))
+        for name in buffered
     )
     if watched:
         reads = [Lookup(Slot(spec.aux), (), spec.absent) for spec in watched]
@@ -545,13 +622,18 @@ def lower_trigger(
                 sources=(),
             ),
         ]
-    return TriggerIR(
+    trigger_ir = TriggerIR(
         relation=trigger.relation,
         sign=trigger.sign,
         name=trigger.name,
         params=trigger.params,
         body=tuple(body),
     )
+    report = tuple(
+        (repr(statement), sinks.get(id(statement), "second-order"))
+        for statement in trigger.statements
+    )
+    return trigger_ir, report
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +819,7 @@ def _restate_blocks(
     definition over the current maps.  All clears precede all recomputes
     so one restatement may read another's fresh value, and so the
     recompute loops stay fusable.  Restated occurrence maps have no delta
-    to finalize from, so their auxiliary caches are rebuilt."""
+    to keep their caches current, so those caches are rebuilt."""
     blocks: list[IRStmt] = [
         Block(
             comments=(f"second-order flush: restate {target}",),
@@ -752,11 +834,7 @@ def _restate_blocks(
             sink = _Sink("direct", statement.target, statement.args)
             blocks.append(lower_statement(statement, (), sink, namer))
     blocks.extend(
-        _finalize_blocks(
-            finalizers,
-            sorted(t for t in plan.order if t in finalizers),
-            lambda occ: (),
-        )
+        _rebuild_blocks(finalizers, sorted(t for t in plan.order if t in finalizers))
     )
     return blocks
 
@@ -800,19 +878,16 @@ def _lower_accumulated(
     the same ``exact`` target share one accumulator and one merge (their
     additions commute); every other accumulator serves one statement, so
     float targets keep their per-statement addition order.  ``sinks``
-    receives the chosen sink per statement position (reporting).
-    Statements writing a finalized occurrence map always accumulate, each
-    into its own — the keyed accumulators double as the appended
-    :class:`Finalize` steps' batch deltas.
+    receives the chosen sink per statement position (reporting).  A
+    merge or direct write into an occurrence map keeps its caches
+    current.
     """
     finalizers = finalizers or {}
     accs: dict[int, str] = {}
     shared: dict[str, str] = {}
     for position, statement in enumerate(statements):
         target = statement.target
-        if target in finalizers:
-            accs[position] = f"__b{position}"
-        elif _accumulates(statement, trigger, patterns):
+        if _accumulates(statement, trigger, patterns):
             acc = f"__b{position}"
             if statement.args and target in exact:
                 acc = shared.setdefault(target, acc)
@@ -833,7 +908,12 @@ def _lower_accumulated(
     for position, statement in enumerate(statements):
         acc = accs.get(position)
         if acc is None:
-            sink = _Sink("direct", statement.target, statement.args)
+            sink = _Sink(
+                "direct",
+                statement.target,
+                statement.args,
+                caches=_caches(statement.target, finalizers),
+            )
             sinks[position] = "direct"
         elif not statement.args:
             sink = _Sink("scalar-acc", statement.target, statement.args, acc=acc)
@@ -864,24 +944,18 @@ def _lower_accumulated(
                 Block(
                     comments=(),
                     targets=(statement.target,),
-                    stmts=(MergeInto(Slot(statement.target), Slot(acc, local=True)),),
+                    stmts=(
+                        MergeInto(
+                            Slot(statement.target),
+                            Slot(acc, local=True),
+                            _caches(statement.target, finalizers),
+                        ),
+                    ),
                     sources=tuple(
                         s for p, s in enumerate(statements) if accs.get(p) == acc
                     ),
                 )
             )
-    pending_accs: dict[str, list[str]] = {}
-    for position, statement in enumerate(statements):
-        if statement.target in finalizers and position in accs:
-            pending_accs.setdefault(statement.target, []).append(accs[position])
-    body.extend(
-        _finalize_blocks(
-            finalizers,
-            sorted(pending_accs),
-            lambda occ: pending_accs[occ],
-            keyed=True,
-        )
-    )
     return body
 
 
@@ -896,7 +970,7 @@ def _lower_second_order(
     """The accumulate-then-flush batch body of a second-order plan.
 
     First-order (base) statements run in the row loop with batch-delta
-    accumulation (and finalize the caches they feed); then every order-2
+    accumulation (their merges keep the caches they feed); then every order-2
     target is restated once from the post-batch maps — the telescoped
     second-order correction (:func:`_restate_blocks`).
     """
@@ -983,7 +1057,11 @@ def lower_trigger_batch(
             )
 
     # Reuse the (already optimised) per-event blocks row by row.
-    fallback = "buffered" if needs_buffering(trigger.statements) else "per-row"
+    fallback = (
+        "buffered"
+        if needs_buffering(trigger.statements, finalizers)
+        else "per-row"
+    )
     report = tuple((repr(s), fallback) for s in trigger.statements)
     return (
         TriggerIR(
@@ -1062,6 +1140,7 @@ def lower_program(
     finalizers = program.finalizers
     exact = exact_int_maps(program)
     triggers: dict[tuple[str, int], TriggerIR] = {}
+    event_sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = {}
     namers: dict[tuple[str, int], _Namer] = {}
     # Per trigger, decided once for both variants: whether its events are
     # independent of each other, and otherwise its second-order plan.
@@ -1071,9 +1150,17 @@ def lower_program(
         independent = _independent(trigger, finalizers)
         plan = None if independent else plan_second_order(trigger, program)
         shapes[key] = independent, plan
-        triggers[key] = lower_trigger(trigger, namers[key], finalizers, plan)
+        triggers[key], event_sinks[key] = lower_trigger(
+            trigger, namers[key], finalizers, plan, exact
+        )
 
-    ir = ProgramIR(maps=maps, triggers=triggers, batch_triggers={}, passes=())
+    ir = ProgramIR(
+        maps=maps,
+        triggers=triggers,
+        batch_triggers={},
+        passes=(),
+        event_sinks=event_sinks,
+    )
     if wanted:
         ir = optimize_program(ir, program, wanted)
 

@@ -21,9 +21,12 @@ Two small expression and statement grammars:
   :class:`AddTo` (``map[key] += value`` with zero eviction),
   :class:`AppendTo`/:class:`FlushBuffer` (the two-phase pending buffer),
   :class:`LocalMapDecl`/:class:`MergeInto` (batch-delta accumulators),
-  :class:`BufferDecl`, :class:`Clear`, and :class:`Block` (one compiled
-  statement's lowering, carrying its provenance for comments, tracing and
-  profiling).
+  :class:`BufferDecl`, :class:`Clear`, :class:`Finalize` (rebuild a
+  MIN/MAX/DISTINCT cache) and :class:`Block` (one compiled statement's
+  lowering, carrying its provenance for comments, tracing and profiling).
+  The three writes that apply deltas to a map (``AddTo``,
+  ``FlushBuffer``, ``MergeInto``) carry the :class:`Cache` entries kept
+  from it: a key whose multiplicity crosses zero updates them there.
 
 Expressions are immutable and hashable (structural equality drives the
 optimiser's fusion/hoisting); statements are immutable tuples of children, so
@@ -244,19 +247,41 @@ class ForEachRow(IRStmt):
 
 
 @dataclass(frozen=True, slots=True)
+class Cache:
+    """A MIN/MAX/DISTINCT cache kept from the occurrence map a write
+    applies to.
+
+    The occurrence map is keyed ``(group..., value) → multiplicity``
+    (``group_arity`` group positions); ``slot`` holds, per group, the
+    smallest or largest live value (``kind`` ``"min"`` / ``"max"``) or
+    the number of live values (``"distinct"``).  A write whose key moves
+    between zero and non-zero multiplicity updates it right there: an
+    entering value may become the extremum, a leaving extremum makes the
+    group rescan the occurrence map, a distinct count steps by one.
+    Every write sees its own pre-value, so writes in sequence keep the
+    cache exact.
+    """
+
+    slot: Slot
+    kind: str  # "min" | "max" | "distinct"
+    group_arity: int
+
+
+@dataclass(frozen=True, slots=True)
 class AddTo(IRStmt):
     """``slot[(keys...)] += value``.
 
     With ``evict`` (every program-map write) entries reaching zero are
     removed — the canonical GMR update all backends must implement the same
     way.  Local accumulator maps keep zeros (they are merged, then
-    evicted at the program map).
+    evicted at the program map).  ``caches`` are kept from ``slot``.
     """
 
     slot: Slot
     keys: tuple[IRExpr, ...]
     value: IRExpr
     evict: bool = True
+    caches: tuple[Cache, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,10 +308,12 @@ class BufferDecl(IRStmt):
 
 @dataclass(frozen=True, slots=True)
 class FlushBuffer(IRStmt):
-    """Apply a pending buffer's updates to ``target`` in append order."""
+    """Apply a pending buffer's updates to ``target`` in append order,
+    keeping ``caches`` current."""
 
     name: str
     target: Slot
+    caches: tuple[Cache, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,10 +330,12 @@ class LocalMapDecl(IRStmt):
 
 @dataclass(frozen=True, slots=True)
 class MergeInto(IRStmt):
-    """Add every entry of a local accumulator map into ``target``."""
+    """Add every entry of a local accumulator map into ``target``,
+    keeping ``caches`` current."""
 
     target: Slot
     source: Slot
+    caches: tuple[Cache, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,34 +347,20 @@ class Clear(IRStmt):
 
 @dataclass(frozen=True, slots=True)
 class Finalize(IRStmt):
-    """Maintain a non-linear auxiliary map from its occurrence source.
+    """Rebuild a MIN/MAX/DISTINCT cache from its occurrence source.
 
     ``source`` is an occurrence map keyed ``(group..., value)`` →
-    multiplicity; ``target`` is the auxiliary map keyed ``(group...)``
-    holding, per group, the current MIN/MAX value (``kind`` ``"min"`` /
-    ``"max"``) or the count of distinct present values (``"distinct"``).
-    ``group_arity`` is the group prefix width of the source keys.
-
-    ``pending`` names the trigger-local deltas just applied to the
-    source this trigger run — batch accumulators (``key → value`` dicts)
-    when ``keyed``, two-phase buffers (``[(key, value), ...]`` lists)
-    otherwise; multiple pendings for one source are summed key-wise
-    before processing so a net-zero change across them is seen as no
-    change.  For each net
-    changed key the backend computes the pre-image value and updates the
-    auxiliary incrementally; a delete of the current extremum re-derives
-    the group's value from the source state (the eviction path — there
-    is no closed-form delta).  An **empty** ``pending`` means "rebuild":
-    clear the target and recompute it from a full scan of the source
-    (the second-order restate path, also the shard-merge repair).
+    multiplicity; ``target`` is the cache keyed ``(group...)`` (see
+    :class:`Cache`).  The target is cleared and recomputed from a full
+    scan of the source: the second-order restate path, which clears the
+    source and re-derives it without crossing writes.  Every other write
+    keeps the cache current itself.
     """
 
     target: Slot
     source: Slot
     kind: str  # "min" | "max" | "distinct"
     group_arity: int
-    pending: tuple[str, ...] = ()
-    keyed: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,7 +426,10 @@ class ProgramIR:
     ``batch_sinks`` records, per trigger, the batch sink chosen for every
     compiled statement (``direct`` / ``buffered`` / ``accumulator`` /
     ``second-order`` / ``per-row``) — the ``--dump-ir`` and benchmark
-    coverage report of the batch-path rewriting.  ``pass_yield`` counts,
+    coverage report of the batch-path rewriting; ``event_sinks`` the same
+    for the per-event bodies (``direct`` / ``buffered`` / ``accumulator``:
+    a scalar local summed over the statement's loop, written once after
+    the last statement).  ``pass_yield`` counts,
     per pass, the statement nodes it removed over every trigger body
     (negative for a pass that adds temps)."""
 
@@ -420,6 +438,9 @@ class ProgramIR:
     batch_triggers: dict[tuple[str, int], TriggerIR]
     passes: tuple[str, ...] = ()
     batch_sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = field(
+        default_factory=dict
+    )
+    event_sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = field(
         default_factory=dict
     )
     pass_yield: dict[str, int] = field(default_factory=dict)
@@ -487,14 +508,25 @@ def walk_stmts(stmts) -> "list[IRStmt]":
     return out
 
 
+def applied_slots(stmt: IRStmt) -> tuple[Slot, ...]:
+    """The maps one statement (not its children) changes: a write's
+    target and the caches it keeps, a clear's or rebuild's target.  A
+    pending-buffer append changes none: its map is untouched until the
+    flush."""
+    if isinstance(stmt, AddTo):
+        return (stmt.slot, *(cache.slot for cache in stmt.caches))
+    if isinstance(stmt, (MergeInto, FlushBuffer)):
+        return (stmt.target, *(cache.slot for cache in stmt.caches))
+    if isinstance(stmt, (Clear, Finalize)):
+        return (stmt.target,)
+    return ()
+
+
 def written_slots(stmts) -> frozenset[Slot]:
-    """Every slot the statements write (AddTo/Merge/Flush/Clear)."""
+    """Every slot the statements change (:func:`applied_slots`)."""
     out: set[Slot] = set()
     for stmt in walk_stmts(stmts):
-        if isinstance(stmt, AddTo):
-            out.add(stmt.slot)
-        elif isinstance(stmt, (MergeInto, FlushBuffer, Clear, Finalize)):
-            out.add(stmt.target)
+        out.update(applied_slots(stmt))
     return frozenset(out)
 
 
@@ -564,7 +596,7 @@ def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
         if value is stmt.value and all(a is b for a, b in zip(keys, stmt.keys)):
             return stmt
         if isinstance(stmt, AddTo):
-            return AddTo(stmt.slot, keys, value, stmt.evict)
+            return AddTo(stmt.slot, keys, value, stmt.evict, stmt.caches)
         return AppendTo(stmt.buffer, keys, value, stmt.target)
     if isinstance(stmt, Block):
         return Block(
@@ -643,7 +675,11 @@ def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
         )
     if isinstance(stmt, AddTo):
         return AddTo(
-            stmt.slot, tuple(sub(k) for k in stmt.keys), sub(stmt.value), stmt.evict
+            stmt.slot,
+            tuple(sub(k) for k in stmt.keys),
+            sub(stmt.value),
+            stmt.evict,
+            stmt.caches,
         )
     if isinstance(stmt, AppendTo):
         return AppendTo(

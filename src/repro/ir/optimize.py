@@ -46,7 +46,7 @@ involving one.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.compiler.program import CompiledProgram
 from repro.compiler.storage import exact_int_maps
@@ -77,6 +77,7 @@ from repro.ir.nodes import (
     Slot,
     Sum,
     TriggerIR,
+    applied_slots,
     assigned_names,
     compare_values,
     expr_names,
@@ -86,6 +87,7 @@ from repro.ir.nodes import (
     stmt_children,
     stmt_exprs,
     walk_stmts,
+    written_slots,
 )
 
 DEFAULT_PASSES: tuple[str, ...] = (
@@ -130,21 +132,6 @@ def _scan(stmts) -> tuple[dict[str, int], int, dict[Slot, Slot]]:
     return bindings, size, flushes
 
 
-def _applied_writes(stmts: Iterable[IRStmt]) -> frozenset[Slot]:
-    """Slots whose *contents* change while the statements run.
-
-    Pending-buffer appends are excluded: the map itself is untouched until
-    the flush, so reads commute with them.
-    """
-    out: set[Slot] = set()
-    for stmt in walk_stmts(stmts):
-        if isinstance(stmt, AddTo):
-            out.add(stmt.slot)
-        elif isinstance(stmt, (MergeInto, FlushBuffer, Clear, Finalize)):
-            out.add(stmt.target)
-    return frozenset(out)
-
-
 def _size(stmts) -> int:
     """Statement nodes in a body (the pass-yield unit)."""
     size = len(stmts)
@@ -162,9 +149,10 @@ class _Effects(NamedTuple):
     ``ordered`` adds pending-buffer appends to the ``applied`` writes: the
     map is untouched until the flush, so reads commute with an append, but
     appends apply in append order.  ``destructive`` writes (Clear,
-    Finalize) absorb instead of add: the exact-integer exemption lets
-    additive writes into one map reorder, but any write-write overlap
-    involving one of these must keep program order.  ``bound`` are the
+    Finalize, and the cache updates a write to an occurrence map makes)
+    absorb instead of add: the exact-integer exemption lets additive
+    writes into one map reorder, but any write-write overlap involving one
+    of these must keep program order.  ``bound`` are the
     scalar names the statements set, ``free`` those they read without
     assigning them first; an accumulator (``acc += ...``) reads and sets,
     so one the statements do not reset is both, and its additions keep
@@ -188,16 +176,17 @@ def _effects(stmts) -> _Effects:
     bound: set[str] = set()
     accumulated: set[str] = set()
     for stmt in walk_stmts(stmts):
-        if isinstance(stmt, AddTo):
-            applied.add(stmt.slot)
-        elif isinstance(stmt, AppendTo):
-            appended.add(stmt.target)
-        elif isinstance(stmt, (MergeInto, FlushBuffer, Clear, Finalize)):
-            applied.add(stmt.target)
+        if isinstance(stmt, (AddTo, MergeInto, FlushBuffer, Clear, Finalize)):
+            slots = applied_slots(stmt)
+            applied.update(slots)
             if isinstance(stmt, (Clear, Finalize)):
-                destructive.add(stmt.target)
+                destructive.update(slots)
+            else:
+                destructive.update(slots[1:])  # the caches it keeps
             if isinstance(stmt, (MergeInto, Finalize)):
                 reads.add(stmt.source)
+        elif isinstance(stmt, AppendTo):
+            appended.add(stmt.target)
         elif isinstance(stmt, ForEachMap):
             reads.add(stmt.slot)
             bound.add(stmt.value_var)
@@ -439,6 +428,8 @@ def _loop_renaming(
             added.add(name)
     if added & (set(a_binds.values()) | a_body.bound | a_body.free):
         return None
+    if (b_body.free - mapping.keys()) & {*mapping.values(), *a_binds.values()}:
+        return None  # ``a``'s loop would capture a name ``b`` reads
     if b_body.bound & set(mapping.values()):
         return None
     if a_body.bound & {mapping.get(name, name) for name in b_body.free}:
@@ -481,7 +472,10 @@ def _fuse_sequence(
 ) -> tuple[IRStmt, ...]:
     """Fuse sibling loops over the same map (block-wrapped statements at
     a trigger's top level, bare loops inside loop and guard bodies), then
-    the sequences nested in what is left."""
+    the sequences nested in what is left.  A loop may move up past its
+    siblings when it reads only ``params`` and names assigned earlier in
+    this sequence (a per-event accumulator's declaration) that nothing
+    it passes rebinds."""
     if sum(_as_loop(stmt) is not None for stmt in stmts) < 2:
         fused = tuple(_fuse_nested(stmt, exact, params) for stmt in stmts)
         return stmts if _same(fused, stmts) else fused
@@ -512,6 +506,7 @@ def _fuse_sequence(
             loop_a = _as_loop(candidate_a)
             if loop_a is None:
                 continue
+            declared = params | {s.name for s in out[:i] if isinstance(s, Assign)}
             for j in range(i + 1, len(out)):
                 candidate_b = out[j]
                 loop_b = _as_loop(candidate_b)
@@ -529,7 +524,7 @@ def _fuse_sequence(
                 if mapping is None:
                     continue
                 between = [effects_of(k) for k in range(i + 1, j)]
-                if not _may_reorder(effects_of(j), between, exact, params):
+                if not _may_reorder(effects_of(j), between, exact, declared):
                     continue
                 out[i] = _fuse_pair(candidate_a, candidate_b, mapping)
                 del out[j], effects[j], body_effects[j]
@@ -586,7 +581,7 @@ def _merge_guards(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
 def _invalidates_cond(body: tuple[IRStmt, ...], cond: IRExpr) -> bool:
     if assigned_names(body) & expr_names(cond):
         return True
-    return bool(_applied_writes(body) & expr_slots(cond))
+    return bool(written_slots(body) & expr_slots(cond))
 
 
 def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
@@ -661,7 +656,7 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
         inner.update(name for _, name in loop.binds)
     else:
         inner.update(loop.params)
-    written = _applied_writes(body)
+    written = written_slots(body)
     moved: list[IRStmt] = []
     hoisted: dict[IRExpr, str] = {}
 
@@ -859,7 +854,7 @@ class _LookupSharing:
             out.append(rewrite_exprs(stmt, expr))
             if isinstance(stmt, Accum):
                 return set(), self.rebinds((stmt.name,))
-            return {stmt.slot} if isinstance(stmt, AddTo) else set(), set()
+            return set(applied_slots(stmt)), set()
         if isinstance(stmt, (IfCond, ForEachMap)):
             # A guard's or a loop's own expressions are evaluated here.
             stmt = _rewrite_direct(stmt, expr)
@@ -877,7 +872,7 @@ class _LookupSharing:
             r |= self.rebinds(binders)
         else:
             out.append(stmt)
-            return set(_applied_writes((stmt,))), set()
+            return set(written_slots((stmt,))), set()
         # A guard whose body was all shared away has nothing left to guard.
         if body or not isinstance(stmt, IfCond):
             out.append(_rebuild_with_body(stmt, lambda _: tuple(body)))

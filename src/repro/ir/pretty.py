@@ -12,6 +12,7 @@ from repro.ir.nodes import (
     Clear,
     Compare,
     Const,
+    Finalize,
     FlushBuffer,
     ForEachMap,
     ForEachRow,
@@ -66,6 +67,13 @@ def _key_str(keys) -> str:
     return "[" + ", ".join(expr_str(k) for k in keys) + "]"
 
 
+def _keeps(caches) -> str:
+    """`` keeps min m__min`` for a write keeping caches ('' otherwise)."""
+    if not caches:
+        return ""
+    return " keeps " + ", ".join(f"{c.kind} {c.slot!r}" for c in caches)
+
+
 def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(stmt, Block):
@@ -99,7 +107,10 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
         return lines
     if isinstance(stmt, AddTo):
         op = "+=" if stmt.evict else "+=(keep0)"
-        return [f"{pad}{stmt.slot!r}{_key_str(stmt.keys)} {op} {expr_str(stmt.value)}"]
+        return [
+            f"{pad}{stmt.slot!r}{_key_str(stmt.keys)} {op} {expr_str(stmt.value)}"
+            + _keeps(stmt.caches)
+        ]
     if isinstance(stmt, AppendTo):
         return [
             f"{pad}append {stmt.buffer} <- ({_key_str(stmt.keys)}, "
@@ -108,13 +119,17 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
     if isinstance(stmt, BufferDecl):
         return [f"{pad}buffer {stmt.name}"]
     if isinstance(stmt, FlushBuffer):
-        return [f"{pad}flush {stmt.name} -> {stmt.target!r}"]
+        return [f"{pad}flush {stmt.name} -> {stmt.target!r}{_keeps(stmt.caches)}"]
     if isinstance(stmt, LocalMapDecl):
         return [f"{pad}localmap {stmt.name}"]
     if isinstance(stmt, MergeInto):
-        return [f"{pad}merge {stmt.source!r} -> {stmt.target!r}"]
+        return [
+            f"{pad}merge {stmt.source!r} -> {stmt.target!r}{_keeps(stmt.caches)}"
+        ]
     if isinstance(stmt, Clear):
         return [f"{pad}clear {stmt.target!r}"]
+    if isinstance(stmt, Finalize):
+        return [f"{pad}rebuild {stmt.kind} {stmt.target!r} from {stmt.source!r}"]
     return [f"{pad}{stmt!r}"]
 
 
@@ -128,6 +143,17 @@ def trigger_str(trigger_ir: TriggerIR) -> str:
     return "\n".join(lines)
 
 
+def _sinks_str(title: str, sinks: dict, triggers: dict) -> str:
+    lines = [f"== {title} =="]
+    for key in sorted(sinks, key=lambda k: (k[0], -k[1])):
+        lines.append(f"{triggers[key].name}:")
+        if not sinks[key]:
+            lines.append("  (no statements)")
+        for statement, sink in sinks[key]:
+            lines.append(f"  [{sink:>12}] {statement}")
+    return "\n".join(lines)
+
+
 def batch_sinks_str(ir: ProgramIR) -> str:
     """The per-statement batch-sink report (``--dump-ir``).
 
@@ -137,21 +163,16 @@ def batch_sinks_str(ir: ProgramIR) -> str:
     restated once per batch — the delta-of-delta sink), or
     ``per-row``/``buffered`` (the whole per-event body replays per row).
     """
-    lines = ["== batch sinks =="]
-    kind = {1: "insert", -1: "delete"}
-    for key in sorted(ir.batch_sinks, key=lambda k: (k[0], -k[1])):
-        trigger_ir = ir.batch_triggers.get(key)
-        if trigger_ir is not None:
-            name = trigger_ir.name
-        else:  # batch body not lowered (defensive): rebuild the name
-            name = f"on_{kind[key[1]]}_{key[0].lower()}_batch"
-        lines.append(f"{name}:")
-        sinks = ir.batch_sinks[key]
-        if not sinks:
-            lines.append("  (no statements)")
-        for statement, sink in sinks:
-            lines.append(f"  [{sink:>12}] {statement}")
-    return "\n".join(lines)
+    return _sinks_str("batch sinks", ir.batch_sinks, ir.batch_triggers)
+
+
+def event_sinks_str(ir: ProgramIR) -> str:
+    """The per-statement per-event sink report (``--dump-ir``): ``direct``
+    (applied where computed), ``buffered`` (appended, flushed after the
+    last statement), ``accumulator`` (a loop sum in a scalar local,
+    written once after the last statement) or ``second-order`` (restated
+    when a watched extremum moved)."""
+    return _sinks_str("event sinks", ir.event_sinks, ir.triggers)
 
 
 def passes_str(ir: ProgramIR) -> str:
@@ -163,8 +184,8 @@ def passes_str(ir: ProgramIR) -> str:
 
 
 def program_str(ir: ProgramIR) -> str:
-    """The full IR dump: map declarations, passes, batch sinks, every
-    trigger body."""
+    """The full IR dump: map declarations, passes, per-event and batch
+    sinks, every trigger body."""
     lines = ["== IR maps =="]
     for decl in ir.maps.values():
         role = f" ({decl.role})" if decl.role != "derived" else ""
@@ -174,6 +195,9 @@ def program_str(ir: ProgramIR) -> str:
         )
     lines.append("")
     lines.append("== IR passes ==\n" + (passes_str(ir) if ir.passes else "(none)"))
+    if ir.event_sinks:
+        lines.append("")
+        lines.append(event_sinks_str(ir))
     if ir.batch_sinks:
         lines.append("")
         lines.append(batch_sinks_str(ir))

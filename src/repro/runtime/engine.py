@@ -547,8 +547,8 @@ class DeltaEngine(Engine):
         maps for one row's change), the columnar ``*_batch`` trigger
         otherwise.  A mixed run (``sign`` is its weight column) is exactly
         its maximal same-sign sub-runs, in stream order, each dispatched
-        that way — stream-order exact for every trigger, ``Finalize`` and
-        second-order sinks included; a sign without a trigger (deletions
+        that way — stream-order exact for every trigger, cache-keeping
+        writes and second-order sinks included; a sign without a trigger (deletions
         compiled out) drops its sub-runs.
         """
         triggers = self._triggers
@@ -1193,16 +1193,14 @@ def _merge_lane_maps(
                     target.pop(key, None)
                 else:
                     target[key] = total
-    # Finalize-maintained auxiliary caches are not additive — a lane's
+    # MIN/MAX/DISTINCT auxiliary caches are not additive — a lane's
     # cache reflects only its local occurrence slice (summing two lanes'
     # per-group minima would add the values).  Rebuild each cache from
     # its merged occurrence map instead.
     for occ_name, specs in program.finalizers.items():
         for spec in specs:
             target = merged[spec.aux] = {}
-            run_finalize(
-                target, merged[occ_name], spec.kind, spec.group_arity, ()
-            )
+            run_finalize(target, merged[occ_name], spec.kind, spec.group_arity)
     return merged
 
 

@@ -8,8 +8,7 @@ at a time, by the one :class:`GroupRenderer` every reader shares:
   group ``()``, which always has a row;
 * ``sum``/``count`` slots read the map value directly (absent key = 0);
 * ``avg`` items divide their two slots;
-* ``min``/``max``/``distinct`` slots read their Finalize-maintained
-  auxiliary cache (``program.slot_aux``), keyed by group like a sum slot.
+* ``min``/``max``/``distinct`` slots read their auxiliary cache (``program.slot_aux``), keyed by group like a sum slot.
 
 :func:`query_results` renders every live group; the serving tap
 (:class:`~repro.runtime.serving.ViewDeltaTap`) renders only the groups a
@@ -28,7 +27,7 @@ from repro.compiler.program import CompiledProgram
 
 def result_map_names(program: CompiledProgram, view: str) -> list[str]:
     """The maps one view's rows are read from: its aggregate slot maps
-    and their Finalize caches.  A batch changes the view's rows only by
+    and their MIN/MAX/DISTINCT caches.  A batch changes the view's rows only by
     writing one of these."""
     return [*program.slot_maps[view], *program.slot_aux.get(view, {}).values()]
 
@@ -61,7 +60,7 @@ class GroupRenderer:
                 if index not in aux_slots:
                     raise RuntimeEngineError(
                         f"{spec.kind} slot {name!r} of query {query.name!r} "
-                        "has no Finalize cache to read"
+                        "has no auxiliary cache to read"
                     )
                 name = aux_slots[index]
             self._sources.append(maps[name])

@@ -82,15 +82,20 @@ def ir_summary(program: CompiledProgram, optimize: bool = True) -> str:
     ir = lower_program(program, optimize=optimize)
     stats = ir_stats(ir)
     passes = passes_str(ir) if ir.passes else "disabled"
-    sinks: dict[str, int] = {}
-    for report in ir.batch_sinks.values():
-        for _statement, sink in report:
-            sinks[sink] = sinks.get(sink, 0) + 1
-    sink_text = ", ".join(f"{n} {s}" for s, n in sorted(sinks.items()))
+
+    def counted(reports) -> str:
+        sinks: dict[str, int] = {}
+        for report in reports:
+            for _statement, sink in report:
+                sinks[sink] = sinks.get(sink, 0) + 1
+        return ", ".join(f"{n} {s}" for s, n in sorted(sinks.items())) or "none"
+
     return (
         f"IR: {stats['blocks']} statement blocks, {stats['loops']} map loops, "
         f"{stats['hoisted_temps']} hoisted temps across {stats['triggers']} "
-        f"triggers (passes: {passes}; batch sinks: {sink_text or 'none'})"
+        f"triggers (passes: {passes}; "
+        f"event sinks: {counted(ir.event_sinks.values())}; "
+        f"batch sinks: {counted(ir.batch_sinks.values())})"
     )
 
 

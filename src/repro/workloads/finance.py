@@ -17,7 +17,7 @@ Queries follow the DBToaster finance benchmark family:
 * **mst** (MissedTrades) — volume of bids that cross the book (a correlated
   EXISTS against the ask side);
 * **bbo** (BestBidOffer) — per-broker best bid and worst offer (non-linear
-  MIN/MAX aggregates, maintained through the Finalize auxiliary caches
+  MIN/MAX aggregates, maintained through auxiliary extremum caches
   with re-derivation on extremum deletes);
 * **act** (ActiveBrokers) — how many distinct brokers currently quote each
   price level on the bid side (COUNT(DISTINCT ...), a 0<->nonzero
@@ -65,7 +65,7 @@ FINANCE_QUERIES: dict[str, str] = {
 }
 
 #: The non-linear members (MIN/MAX and DISTINCT aggregates): maintained
-#: through Finalize auxiliary caches rather than closed-form ring deltas.
+#: through auxiliary caches rather than closed-form ring deltas.
 NONLINEAR_FINANCE = ("bbo", "act")
 
 #: Queries expressible by the stream-operator baseline (no nesting).

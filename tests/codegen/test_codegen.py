@@ -139,9 +139,9 @@ class TestPythonGeneration:
 
     def test_fused_statements_share_one_native_reduction(self, catalog):
         """Two statements with one right-hand side fuse into one loop
-        holding a (delta, guard) pair each; rendered for kernel-owned
-        maps, the pairs collapse into a single ``reduce_scalar`` call
-        whose result feeds both pending buffers."""
+        summing it into an accumulator each; rendered for kernel-owned
+        maps, the sums collapse into a single ``reduce_scalar`` call
+        whose result feeds both accumulators."""
         from repro.codegen.pygen import fused_scan_sites
         from repro.compiler.storage import storage_layout
 
@@ -157,7 +157,7 @@ class TestPythonGeneration:
         body = source.split("def on_insert_bids(")[1].split("\ndef ")[0]
         assert body.count(".reduce_scalar(") == 1
         reduced = body.split("elif __r1 != 0:")[1].split("#")[0]
-        assert reduced.count(".append(((), __r1))") == 2
+        assert reduced.count(" += __r1\n") == 2
 
 
 class TestGeneratedSemantics:
@@ -208,8 +208,8 @@ class TestGeneratedSemantics:
     def test_threshold_exists_restates_only_when_the_extremum_moves(self):
         """``EXISTS (... a.price <= b.price)`` is ``min(a.price) <=
         b.price``: the bids side is one cache read, the asks side applies
-        its count, finalizes the cache, and restates the result only if
-        the minimum changed — buffering nothing but the finalized map."""
+        its count (the write keeping the cache), and restates the result
+        only if the minimum changed — buffering nothing."""
         catalog2 = Catalog.from_script(
             "CREATE STREAM bids (broker_id int, price int, volume int);"
             "CREATE STREAM asks (broker_id int, price int, volume int);"
@@ -227,14 +227,13 @@ class TestGeneratedSemantics:
         assert "for " not in bids
         assert f"_m_{spec.aux}.get((), 1e999) <= ev_bids_price" in bids
         body = source.split("def on_insert_asks(")[1].split("\ndef ")[0]
-        assert body.count(" = []") == 1 and f"__pending_{asks} = []" in body
+        assert " = []" not in body
         before, restate = body.split(" != __x")
-        # The cache is read before the apply and again after Finalize ...
+        # The cache is read before the apply and again after it ...
         assert before.count(f"_m_{spec.aux}.get((), 1e999)") == 2
         assert f"_m_{root}." not in before  # the result is not touched ...
         assert f"_m_{root}.clear()" in restate  # ... unless the min moved
-        # Finalize knows its pending is a buffer (a list of pairs).
-        assert "isinstance" not in source
+        assert "__fd" not in source
         assert f"extremum: min cache {spec.aux}" in source
 
     def test_division_helper_guards_zero(self, catalog):

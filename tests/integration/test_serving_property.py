@@ -46,7 +46,7 @@ QUERIES = {
         "WHERE r.B = s.B GROUP BY r.B"
     ),
     # Non-linear aggregates: streamed deltas must track the
-    # Finalize-maintained auxiliary caches (extremum re-derivation
+    # auxiliary caches the writes keep (extremum re-derivation
     # retracts one row and asserts another).
     "minmax": "SELECT A, min(B), max(B) FROM R GROUP BY A",
     "distinct": "SELECT A, count(DISTINCT B) FROM R GROUP BY A",

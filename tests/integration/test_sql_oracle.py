@@ -1,12 +1,12 @@
 """Differential testing against sqlite3 (see ``sql_oracle.py``).
 
 The non-linear aggregates (MIN/MAX, DISTINCT, COUNT(DISTINCT ...)) are
-the focus: their auxiliary caches are maintained by Finalize statements
-with a re-derivation path on extremum deletes, which no linear parity
-suite exercises.  The harness replays identical random insert/delete
-streams — biased towards deleting the current extremum — into the
-engines and an in-memory sqlite3 database, asserting repr-normalised
-result parity at every batch boundary, across:
+the focus: their auxiliary caches are kept by the writes whose key
+crosses zero, with a re-derivation path on extremum deletes, which no
+linear parity suite exercises.  The harness replays identical random
+insert/delete streams — biased towards deleting the current extremum —
+into the engines and an in-memory sqlite3 database, asserting
+repr-normalised result parity at every batch boundary, across:
 
 * compiled and interpreted engines, batch sizes 1-100 (hypothesis);
 * sharded engines with 1-4 lanes;
@@ -210,6 +210,69 @@ def test_finance_nonlinear_matches_sqlite(query_name, mode, batch_size):
     run_differential(engine, oracle, events, batch_size=batch_size)
 
 
+def _order(relation, sign, order_id, broker, price, volume=10):
+    return StreamEvent(relation, sign, (order_id, order_id, broker, price, volume))
+
+
+#: Per event: the current max bid, the current min ask, and the last live
+#: value of a group leave their occurrence map — the writes whose
+#: zero crossing rescans a group or steps a distinct count.
+_CROSSINGS = [
+    *(_order("bids", 1, i, 1, price) for i, price in enumerate((5, 9, 7, 9))),
+    *(_order("asks", 1, 10 + i, 1, price) for i, price in enumerate((12, 11, 14))),
+    _order("bids", 1, 20, 2, 3),
+    _order("asks", 1, 21, 2, 4),
+    _order("bids", -1, 1, 1, 9),  # a tied max: 9 stays live
+    _order("bids", -1, 3, 1, 9),  # the max leaves: 7
+    _order("asks", -1, 11, 1, 11),  # the min leaves: 12
+    _order("bids", -1, 20, 2, 3),  # broker 2's last bid: its group empties
+    _order("asks", -1, 21, 2, 4),  # ... and its last ask
+    _order("bids", 1, 22, 2, 6),  # the group comes back
+    _order("asks", -1, 10, 1, 12),
+    _order("asks", -1, 12, 1, 14),  # broker 1's asks are gone
+    _order("bids", -1, 0, 1, 5),
+    _order("bids", -1, 2, 1, 7),
+]
+
+
+@pytest.mark.parametrize("query_name", ["bbo", "mst", "act"])
+@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+def test_finance_caches_cross_zero_per_event(query_name, mode):
+    """bbo (grouped MIN and MAX), mst (a scalar MIN read by EXISTS) and
+    act (COUNT DISTINCT): each extremum and each group's last value
+    leaves one event at a time."""
+    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+
+    catalog = finance_catalog()
+    program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
+    assert program.finalizers
+    engine = DeltaEngine(program, mode=mode)
+    oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
+    run_differential(engine, oracle, _CROSSINGS, batch_size=1)
+
+
+@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_self_join_max_crosses_in_sequence(mode, batch_size):
+    """A self-join writes one occurrence key several times per event (the
+    event's own row, then its join partners): each write sees the pre-value
+    the one before left, so the crossings apply in sequence."""
+    from repro.workloads.finance import finance_catalog
+
+    sql = (
+        "SELECT b.broker_id, max(b.price) FROM bids b, bids b2 "
+        "WHERE b.broker_id = b2.broker_id GROUP BY b.broker_id"
+    )
+    catalog = finance_catalog()
+    program = compile_sql(sql, catalog, name="q")
+    assert program.finalizers
+    bids = [event for event in _CROSSINGS if event.relation == "bids"]
+    run_differential(
+        DeltaEngine(program, mode=mode), SqliteOracle(catalog, sql), bids,
+        batch_size=batch_size,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Narrowed base maps and extremum-backed EXISTS: every shape they touch
 # ---------------------------------------------------------------------------
@@ -338,8 +401,8 @@ def test_finance_narrowed_matches_sqlite(query_name, mode, batch_size):
 
 def test_native_plan_excludes_nonlinear_maps():
     """Eligibility is decided in the storage plan, up front: occurrence
-    maps that feed Finalize and the auxiliary caches themselves never
-    reach the C kernel."""
+    maps whose writes keep a cache and the auxiliary caches themselves
+    never reach the C kernel."""
     from repro.compiler.storage import analyze_storage
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 
@@ -353,7 +416,7 @@ def test_native_plan_excludes_nonlinear_maps():
         for occ_name, specs in program.finalizers.items():
             storage = plan.storage_for(occ_name)
             assert occ_name not in native
-            # Declined with a stated reason (the Finalize gate when
+            # Declined with a stated reason (the cache gate when
             # nothing else disqualified the map first).
             assert not storage.native and storage.native_reason
             for spec in specs:
@@ -366,7 +429,7 @@ def test_native_plan_excludes_nonlinear_maps():
 @pytest.mark.parametrize("query_name", ["bbo", "act"])
 def test_native_mode_declines_cleanly(query_name):
     """mode='native' on a non-linear program: the kernel may own the
-    linear maps, but the Finalize-fed occurrence maps and auxiliary
+    linear maps, but the cache-keeping occurrence maps and auxiliary
     caches stay python-side (pinned by the storage-plan test above) — so
     the run completes with sqlite parity instead of ejecting mid-stream."""
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog

@@ -140,6 +140,108 @@ class TestLowering:
             assert len(rows_loops) == 1
             assert rows_loops[0].rows_var == "__cols"
 
+    def test_reading_a_cache_keeps_the_pending_buffer(self):
+        """A write to an occurrence map updates its cache at once, so a
+        later statement reading the cache would see this event's write:
+        counted as reading the occurrence map, the trigger buffers, and
+        the flush keeps the cache."""
+        from repro.algebra.expr import Const as AConst, MapRef, Var
+        from repro.compiler.program import FinalizeSpec, Statement, Trigger
+        from repro.ir.lower import lower_trigger
+        from repro.ir.nodes import BufferDecl, Cache, FlushBuffer, Slot
+
+        spec = FinalizeSpec("occ__min", "min", 0)
+        trigger = Trigger(
+            "R",
+            1,
+            ("x",),
+            [
+                Statement("occ", (Var("x"),), AConst(1)),
+                Statement("q", (), MapRef("occ__min", (), spec.absent)),
+            ],
+        )
+        exact = frozenset({"occ", "q"})
+        trigger_ir, report = lower_trigger(
+            trigger, finalizers={"occ": (spec,)}, exact=exact
+        )
+        body = walk_stmts(trigger_ir.body)
+        buffers = {s.name for s in body if isinstance(s, BufferDecl)}
+        assert buffers == {"__pending_occ", "__pending_q"}
+        flushes = {s.target.name: s.caches for s in body if isinstance(s, FlushBuffer)}
+        assert flushes == {"occ": (Cache(Slot("occ__min"), "min", 0),), "q": ()}
+        assert {sink for _, sink in report} == {"buffered"}
+        # Without the cache, ``occ__min`` is a map no statement here writes.
+        trigger_ir, report = lower_trigger(trigger, exact=exact)
+        assert not any(isinstance(s, BufferDecl) for s in walk_stmts(trigger_ir.body))
+        assert {sink for _, sink in report} == {"direct"}
+
+    def test_loop_sums_accumulate_per_event(self, suite_programs):
+        """axf's three grouped sums, keyed by the event's broker, each sum
+        their scan in a local: one loop, three accumulators, and one write
+        each after the loop."""
+        from repro.ir.nodes import Accum, AddTo
+
+        program = suite_programs["axf"]
+        ir = lower_program(program)
+        for key in program.triggers:
+            trigger_ir = ir.triggers[key]
+            (loop,) = _loops(trigger_ir)
+            sums = {s.name for s in walk_stmts(loop.body) if isinstance(s, Accum)}
+            assert len(sums) == 3
+            assert not any(isinstance(s, AddTo) for s in walk_stmts(loop.body))
+            writes = [
+                s.value
+                for s in walk_stmts(trigger_ir.body)
+                if isinstance(s, AddTo) and s.value in {Name(n) for n in sums}
+            ]
+            assert sorted(w.name for w in writes) == sorted(sums)
+            sinks = Counter(sink for _, sink in ir.event_sinks[key])
+            assert sinks == {"accumulator": 3, "direct": 1}
+
+    def test_float_axf_keeps_per_iteration_writes(self):
+        """Summed FLOAT volumes keep a write per scanned entry (their
+        addition order); the exact count beside them still accumulates,
+        and optimising changes no bit."""
+        from repro.ir.nodes import AddTo
+        from repro.runtime import DeltaEngine, StreamEvent
+        from repro.workloads.finance import FINANCE_QUERIES
+        from repro.workloads.orderbook import ORDER_BOOK_DDL, OrderBookGenerator
+
+        catalog = Catalog.from_script(
+            ORDER_BOOK_DDL.replace("volume INT", "volume FLOAT")
+        )
+        program = compile_sql(FINANCE_QUERIES["axf"], catalog, name="axf")
+        exact = exact_int_maps(program)
+        roots = set(program.slot_maps["axf"])
+        floats = roots - exact
+        assert len(floats) == 2
+        ir = lower_program(program)
+        for key in program.triggers:
+            summed = {
+                statement.split("[")[0]
+                for statement, sink in ir.event_sinks[key]
+                if sink == "accumulator"
+            }
+            assert summed == roots & exact
+            written_in_loop = {
+                s.slot.name
+                for loop in _loops(ir.triggers[key])
+                for s in walk_stmts(loop.body)
+                if isinstance(s, AddTo)
+            }
+            assert written_in_loop == floats
+        events = [
+            StreamEvent(e.relation, e.sign, (*e.values[:4], e.values[4] * 0.1))
+            for e in OrderBookGenerator(seed=5).events(1500)
+        ]
+        for batch_size in (1, 100):
+            maps = []
+            for optimize in (True, False):
+                engine = DeltaEngine(program, optimize=optimize)
+                engine.process_stream(events, batch_size=batch_size)
+                maps.append(repr(engine.maps))
+            assert maps[0] == maps[1]
+
     def test_ir_is_cached_per_configuration(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
         assert lower_program(program) is lower_program(program)
@@ -261,23 +363,30 @@ class TestOptimisationPasses:
                     if isinstance(value, Prod):
                         assert Const(1) not in value.factors
 
-    def test_only_finalized_targets_buffer(self, suite_programs):
-        """bbo's triggers conflict nowhere: only the occurrence maps whose
-        pending buffer feeds a Finalize step are two-phase."""
-        from repro.ir.nodes import BufferDecl
+    def test_finalized_targets_write_directly(self, suite_programs):
+        """bbo's triggers conflict nowhere, so nothing buffers: each write
+        into an occurrence map keeps its caches itself, and no per-event
+        body rebuilds one."""
+        from repro.ir.nodes import AddTo, BufferDecl, Finalize
 
         program = suite_programs["bbo"]
         ir = lower_program(program)
         for key, trigger in program.triggers.items():
-            written = {s.target for s in trigger.statements}
-            buffers = {
-                s.name
-                for s in walk_stmts(ir.triggers[key].body)
-                if isinstance(s, BufferDecl)
+            body = walk_stmts(ir.triggers[key].body)
+            assert not any(isinstance(s, (BufferDecl, Finalize)) for s in body)
+            finalized = {s.target for s in trigger.statements} & set(
+                program.finalizers
+            )
+            keeping = {
+                s.slot.name: {cache.slot.name for cache in s.caches}
+                for s in body
+                if isinstance(s, AddTo) and s.caches
             }
-            finalized = written & set(program.finalizers)
-            assert finalized and finalized < written
-            assert buffers == {f"__pending_{name}" for name in finalized}
+            assert finalized and keeping == {
+                name: {spec.aux for spec in program.finalizers[name]}
+                for name in finalized
+            }
+            assert {sink for _, sink in ir.event_sinks[key]} == {"direct"}
 
     def test_every_default_pass_has_yield(self, suite_programs):
         """Each pass, removed alone, changes the lowered IR of at least

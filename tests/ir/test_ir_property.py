@@ -5,8 +5,8 @@ map-identical to the pre-refactor engine.
 walks raw ``Statement``/``Expr`` trees with the calculus evaluator (the
 semantics the pre-refactor compiled back end was tested bit-identical
 against), and re-derives every min/max/distinct cache from its source
-map after each event — the definition ``Finalize`` maintains
-incrementally.  A statement that reads such a cache carries what an
+map after each event — the definition the cache-keeping writes
+maintain incrementally.  A statement that reads such a cache carries what an
 empty group reads as on the reference itself (``MapRef.absent``), so the
 evaluator needs no side table.  For random streams over the example query
 shapes — and deterministically over the bundled finance workload — the

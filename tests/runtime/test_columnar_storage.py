@@ -465,7 +465,7 @@ def test_finance_workloads_columnar_identical(query_name, mode):
 @pytest.mark.parametrize("query_name", ["bbo", "act"])
 @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
 def test_nonlinear_finance_columnar_identical(query_name, mode):
-    """The non-linear workloads: Finalize-maintained auxiliary caches are
+    """The non-linear workloads: the auxiliary caches their writes keep are
     plain dicts in every plan, but the occurrence maps they read may be
     columnar — parity must hold either way (native mode keeps the
     Finalize-fed maps python-side and still runs)."""

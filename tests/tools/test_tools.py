@@ -63,7 +63,16 @@ class TestTrace:
         assert "map loops" in line
         assert "passes:" in line
         assert "fuse-loops (" in line and " nodes)" in line  # per-pass yield
+        assert "; event sinks: " in line and "; batch sinks: " in line
         assert "disabled" in ir_summary(program, optimize=False)
+
+    def test_ir_summary_counts_per_event_accumulators(self):
+        """axf's twelve grouped loop sums (3 per trigger) accumulate per
+        event; the base-map writes apply directly."""
+        from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+
+        axf = compile_sql(FINANCE_QUERIES["axf"], finance_catalog())
+        assert "event sinks: 12 accumulator, 4 direct;" in ir_summary(axf)
 
 
 class TestCLI:
@@ -103,6 +112,25 @@ class TestCLI:
         assert "trigger on_insert_r(" in out
         assert "trigger on_insert_r_batch(" in out
         assert "foreach (" in out  # the T-side foreach survives lowering
+        # Both sink reports, per event first.
+        assert 0 < out.index("== event sinks ==") < out.index("== batch sinks ==")
+
+    def test_compile_dump_ir_names_event_sinks(self, capsys):
+        from repro.workloads.finance import FINANCE_QUERIES
+        from repro.workloads.orderbook import ORDER_BOOK_DDL
+
+        rc = cli_main(
+            [
+                "compile", "--schema", ORDER_BOOK_DDL,
+                "--query", FINANCE_QUERIES["axf"], "--dump-ir",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        sinks = out.split("== event sinks ==\n")[1].split("\n\n")[0]
+        assert sinks.startswith("on_insert_asks:\n")
+        assert "  [ accumulator] q_q_column_1[ev_asks_broker_id] += " in sinks
+        assert "  [      direct] m2_asks[" in sinks
 
     def test_compile_dump_ir_no_opt(self, capsys):
         rc = cli_main(
