@@ -43,10 +43,11 @@ kept continuously fresh for many readers).  Three layers:
   :class:`~repro.runtime.engine.ShardedEngine`,
   :class:`~repro.runtime.durability.DurableEngine`) with a subscription
   registry and per-client bounded send queues, and a small blocking
-  client for tests, examples and the CLI.  Ingest (network ``publish``
-  or in-process :meth:`ViewServer.publish`) is serialised, so every
-  subscriber observes one consistent delta sequence.  Both directions
-  move *bursts*, not frames: a connection handler applies every complete
+  client for tests, examples and the CLI.  Each ingest (network
+  ``publish`` or in-process :meth:`ViewServer.publish`) is one
+  synchronous step — apply, tap, encode, queue — so every subscriber
+  observes one consistent delta sequence.  Both directions move
+  *bursts*, not frames: a connection handler applies every complete
   frame one socket read returned before it reads again, a delta is
   encoded once for all its subscribers, and a client's writer sends
   everything queued for it in one write.
@@ -83,6 +84,7 @@ import threading
 import time
 import weakref
 from collections import Counter, defaultdict, deque
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
@@ -159,9 +161,21 @@ if hasattr(os, "register_at_fork"):
 # ---------------------------------------------------------------------------
 
 
-def encode_frame(message: Mapping) -> bytes:
-    """One wire frame: 4-byte big-endian length + compact UTF-8 JSON."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+#: Frame bodies' one compact encoder and one decoder (``json.dumps``
+#: with ``separators`` builds a new encoder per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_to_json = _ENCODER.encode
+_from_json = json.JSONDecoder().decode
+
+#: The C scanner ``_to_json`` builds per call, built once for a delta's
+#: changes (no cycle check: the rows come from the engine).
+_scan = c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
+
+def _framed(body: bytes) -> bytes:
+    """``body`` behind its length prefix."""
     if len(body) > MAX_FRAME_BYTES:
         raise ServingError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte "
@@ -170,11 +184,16 @@ def encode_frame(message: Mapping) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def encode_frame(message: Mapping) -> bytes:
+    """One wire frame: 4-byte big-endian length + compact UTF-8 JSON."""
+    return _framed(_to_json(message).encode("utf-8"))
+
+
 def decode_frame(body: bytes) -> dict:
     """Inverse of :func:`encode_frame` for one frame body."""
     try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        message = _from_json(body.decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise ServingError(f"undecodable protocol frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ServingError(
@@ -213,11 +232,6 @@ def _split_frames(buffer: bytearray) -> tuple[list[bytes], int]:
         bodies.append(bytes(buffer[start : start + length]))
         offset = start + length
     return bodies, offset
-
-
-def _tuple_rows(rows: Iterable[Sequence]) -> list[tuple]:
-    """JSON arrays back to the engine's row tuples."""
-    return [tuple(row) for row in rows]
 
 
 def _tuple_changes(changes: Iterable[Sequence]) -> list[tuple[tuple, int]]:
@@ -362,15 +376,21 @@ class ViewDeltaTap:
         """
         self.lsn = lsn
         deltas: dict[str, list[tuple[tuple, int]]] = {}
-        try:
-            affected = self._affected.get((batch.relation, batch.sign), ())
-        except TypeError:  # a mixed batch: its sign is the weight column
-            affected = self._affected.get((batch.relation, 0), ())
-        for view in affected:
+        for view in self.affected(batch.relation, batch.sign):
             changes = self._view_delta(view)
             if changes:
                 deltas[view] = changes
         return deltas
+
+    def affected(self, relation, sign) -> tuple[str, ...]:
+        """The served views a batch of ``relation`` can change; ``sign``
+        is ±1, or a mixed batch's weight column."""
+        if not isinstance(relation, str):  # a malformed publish frame
+            return ()
+        try:
+            return self._affected.get((relation, sign), ())
+        except TypeError:  # a weight column is unhashable
+            return self._affected.get((relation, 0), ())
 
     def _view_delta(self, view: str) -> list[tuple[tuple, int]]:
         """Bring one view's ``group -> row`` up to date and return what
@@ -424,16 +444,29 @@ def _delta_record(
     view: str, lsn: int, ts: float, changes: list, flag: Optional[str] = None
 ) -> _Delta:
     """Encode one ``delta`` frame; ``flag`` marks a ``"replayed"`` or
-    ``"coalesced"`` one.  JSON renders the row tuples as arrays."""
-    message = {"type": "delta", "view": view, "lsn": lsn, "ts": ts}
-    if flag is not None:
-        message[flag] = True
-    message["changes"] = changes
-    return _Delta(lsn, view, ts, changes, encode_frame(message))
+    ``"coalesced"`` one.  The bytes are :func:`encode_frame`'s for
+    ``{"type": "delta", "view", "lsn", "ts", [flag: true,] "changes"}``,
+    built from a byte template: only ``changes`` (whose row tuples JSON
+    renders as arrays) goes through the encoder."""
+    body = b'{"type":"delta","view":%s,"lsn":%d,"ts":%s%s,"changes":%s}' % (
+        _to_json(view).encode(),
+        lsn,
+        (repr(ts) if type(ts) is float else _to_json(ts)).encode(),
+        b"" if flag is None else b',"%s":true' % flag.encode(),
+        "".join(_scan(changes, 0)).encode(),
+    )
+    return _Delta(lsn, view, ts, changes, _framed(body))
+
+
+def _ack_frame(lsn: int, count: int) -> bytes:
+    """``encode_frame({"type": "ack", "lsn": lsn, "count": count})``."""
+    return _framed(b'{"type":"ack","lsn":%d,"count":%d}' % (lsn, count))
 
 
 class _ClientState:
-    """Server-side state of one connected client."""
+    """Server-side state of one connected client: a send queue the
+    server bounds to ``queue_frames``, the future its idle writer awaits
+    (``wake``), and the event a step waiting for room awaits (``drained``)."""
 
     __slots__ = (
         "writer",
@@ -442,16 +475,20 @@ class _ClientState:
         "name",
         "dropped",
         "writer_task",
+        "wake",
+        "drained",
         "last_active",
     )
 
-    def __init__(self, writer, queue_frames: int, name: str) -> None:
+    def __init__(self, writer, name: str) -> None:
         self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_frames)
+        self.queue: deque = deque()
         self.views: set[str] = set()
         self.name = name
         self.dropped = False
         self.writer_task: Optional[asyncio.Task] = None
+        self.wake: Optional[asyncio.Future] = None
+        self.drained = asyncio.Event()
         #: Monotonic stamp of the client's last observed progress: any
         #: received burst, or its writer draining one onto the socket.
         self.last_active = time.monotonic()
@@ -469,13 +506,15 @@ class ViewServer:
         ...                        # server.port holds the bound port
         await server.stop()
 
-    Ingest is serialised through one lock: network ``publish`` ops and
-    in-process :meth:`publish` / :meth:`publish_stream` apply batches in
-    arrival order, and each batch's deltas are fanned out before the
-    next batch applies, so all subscribers observe the same LSN-stamped
-    delta sequence.  Subscriptions snapshot under the same lock —
-    snapshot-then-stream catch-up can neither miss nor duplicate a
-    delta.
+    Every publish — a network ``publish`` op, :meth:`publish`,
+    :meth:`publish_stream` — is one synchronous step on the event loop:
+    the engine applies the batch, and its flush-path listener
+    (:meth:`_on_batch`) taps it, encodes each delta once and queues it to
+    every subscriber before the step returns.  Steps never interleave, so
+    all subscribers observe the same LSN-stamped delta sequence, and a
+    subscribe — one step too — can neither miss nor duplicate a delta.
+    The one wait is before a step: under ``block`` backpressure, for room
+    in the queues it will write (:meth:`_room`).
 
     ``backpressure`` picks the slow-client policy (``"block"`` /
     ``"drop"`` / ``"coalesce"``, see the module docstring);
@@ -528,8 +567,6 @@ class ViewServer:
         self.idle_timeout = idle_timeout
         self.tap = ViewDeltaTap(engine, views)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._ingest_lock = asyncio.Lock()
-        self._staged: list[tuple[int, dict]] = []
         self._subscribers: dict[str, set[_ClientState]] = {
             view: set() for view in self.tap.views
         }
@@ -611,12 +648,19 @@ class ViewServer:
     # -- ingest -------------------------------------------------------------
 
     def _on_batch(self, lsn: int, batch) -> None:
-        # Runs synchronously inside the engine's flush path; the ingest
-        # coroutine fans the staged deltas out (with backpressure awaits)
-        # once the engine call returns.
+        """The flush-path listener, and all of fan-out: inside the engine
+        call that applied the batch, encode each delta once for the
+        history ring and every subscriber's queue."""
         deltas = self.tap.on_batch(lsn, batch)
-        if deltas:
-            self._staged.append((lsn, deltas))
+        if not deltas:
+            return
+        ts = time.time()
+        for view, changes in deltas.items():
+            record = _delta_record(view, lsn, ts, changes)
+            self._remember(record)
+            for client in tuple(self._subscribers[view]):  # a drop edits it
+                if self._enqueue(client, record):
+                    self.deltas_sent += 1
 
     async def publish(
         self, relation: str, sign: int, rows: Sequence[Sequence]
@@ -625,19 +669,22 @@ class ViewServer:
 
         Returns ``(count, lsn)``: rows that reached a trigger, and the
         tap's LSN after the batch (unchanged when the batch was skipped).
+        The batch goes through the engine's public entry point, so a
+        durable engine logs it before applying it.
         """
-        async with self._ingest_lock:
-            count = self.engine.process_batch(relation, sign, list(rows))
-            await self._flush_staged()
-            return count, self.tap.lsn
+        views = self.tap.affected(relation, sign)
+        if self._full(None, views):
+            await self._room(None, views)
+        count = self.engine.process_batch(relation, sign, list(rows))
+        return count, self.tap.lsn
 
     async def publish_stream(self, events, batch_size: Optional[int] = None) -> int:
         """Apply a whole event stream through the serving ingest path.
 
         Events are grouped into per-relation batches, inserts and deletes
         together (like
-        :meth:`~repro.runtime.engine.DeltaEngine.process_stream`), with
-        fan-out after every batch — one LSN and one delta per view per
+        :meth:`~repro.runtime.engine.DeltaEngine.process_stream`), and
+        each is one :meth:`publish` — one LSN and one delta per view per
         batch.  Returns events consumed.
         """
         from repro.runtime.engine import DEFAULT_BATCH_SIZE
@@ -646,27 +693,9 @@ class ViewServer:
         size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         count = 0
         for batch in batches(events, size):
-            # Through the public entry point so a DurableEngine wrapper
-            # still logs the batch before applying it.
-            async with self._ingest_lock:
-                self.engine.process_batch(batch.relation, batch.sign, batch.rows)
-                await self._flush_staged()
+            await self.publish(batch.relation, batch.sign, batch.rows)
             count += len(batch)
         return count
-
-    async def _flush_staged(self) -> None:
-        """Fan staged deltas out to subscribers, in LSN order.  Each
-        delta is encoded once; every queue and the history ring share
-        the one record."""
-        staged, self._staged = self._staged, []
-        for lsn, deltas in staged:
-            ts = time.time()
-            for view, changes in deltas.items():
-                record = _delta_record(view, lsn, ts, changes)
-                self._remember(record)
-                for client in list(self._subscribers.get(view, ())):
-                    if await self._deliver(client, record):
-                        self.deltas_sent += 1
 
     def _remember(self, record: _Delta) -> None:
         """Retain one delta in its view's resume history ring,
@@ -681,38 +710,59 @@ class ViewServer:
 
     # -- delivery / backpressure -------------------------------------------
 
-    async def _deliver(self, client: _ClientState, item: _Delta | bytes) -> bool:
-        """Enqueue one delta record or encoded reply frame; only a full
-        queue enters the server's backpressure policy.  False when the
-        client is (or thereby gets) dropped."""
+    def _enqueue(self, client: _ClientState, item) -> bool:
+        """Queue one delta record, encoded frame or ``_CLOSE`` and wake
+        the client's writer.  Only a full queue meets the policy: ``drop``
+        disconnects, ``coalesce`` merges, ``block`` queues anyway — its
+        step waited for room (:meth:`_room`), so only a step's own extra
+        frames (a resume replay) pass the bound.  False when the client
+        is (or thereby gets) dropped."""
         if client.dropped:
             return False
-        try:
-            client.queue.put_nowait(item)
-            return True
-        except asyncio.QueueFull:
-            pass
-        if self.backpressure == "block":
-            # Wait in slices rather than a bare put() so an eviction
-            # (idle timeout, disconnect) unpins the blocked ingest path
-            # promptly instead of waiting on a queue nothing drains.
-            while not client.dropped:
-                try:
-                    await asyncio.wait_for(client.queue.put(item), timeout=0.1)
-                    return True
-                except asyncio.TimeoutError:
-                    continue
-            return False
-        if self.backpressure == "drop":
+        if len(client.queue) < self.queue_frames or self.backpressure == "block":
+            client.queue.append(item)
+        elif self.backpressure == "drop":
             self.clients_dropped += 1
             self._disconnect(client)
             return False
-        self._coalesce(client, item)
+        else:
+            self._coalesce(client, item)
+        wake = client.wake
+        if wake is not None:
+            client.wake = None
+            if not wake.done():
+                wake.set_result(None)
         return True
 
-    async def _reply(self, client: _ClientState, message: Mapping) -> bool:
+    def _reply(self, client: _ClientState, message: Mapping) -> bool:
         """Queue one non-delta frame (encoded here, written as is)."""
-        return await self._deliver(client, encode_frame(message))
+        return self._enqueue(client, encode_frame(message))
+
+    def _full(self, client: Optional[_ClientState], views) -> Optional[_ClientState]:
+        """Under ``block``, a queue one step would take past its bound (a
+        delta per view in ``views`` to each subscriber, a reply to
+        ``client``), else None.  An empty queue takes any one step."""
+        if self.backpressure != "block":
+            return None
+        need = len(views)
+        if client and client.queue and len(client.queue) + need >= self.queue_frames:
+            return client
+        for view in views:
+            for subscriber in self._subscribers[view]:
+                queued = len(subscriber.queue)
+                if queued and queued + need > self.queue_frames:
+                    return subscriber
+        return None
+
+    async def _room(self, client: Optional[_ClientState], views) -> None:
+        """Wait until :meth:`_full` finds room, in slices, so an eviction
+        or an unsubscribe unpins it instead of a queue nothing drains."""
+        while (full := self._full(client, views)) and not full.dropped:
+            full.drained.clear()
+            try:
+                await asyncio.wait_for(full.drained.wait(), timeout=0.1)
+            except asyncio.TimeoutError:
+                pass
 
     def _coalesce(self, client: _ClientState, item: _Delta | bytes) -> None:
         """Merge the client's queued deltas per view to make room.
@@ -725,14 +775,12 @@ class ViewServer:
         Non-delta frames (snapshots, acks, pongs) are preserved in order
         ahead of the merged deltas; only a merged frame is re-encoded.
         """
-        pending = []
-        while not client.queue.empty():
-            pending.append(client.queue.get_nowait())
-        pending.append(item)
+        pending = [*client.queue, item]
+        client.queue.clear()
         merged: dict[str, tuple[Counter, int, float]] = {}
         for queued in pending:
             if not isinstance(queued, _Delta):
-                client.queue.put_nowait(queued)
+                client.queue.append(queued)
                 continue
             rows, lsn, ts = merged.get(
                 queued.view, (Counter(), queued.lsn, queued.ts)
@@ -742,7 +790,7 @@ class ViewServer:
         for view, (rows, lsn, ts) in merged.items():
             changes = sorted(rows.items(), key=repr)
             if changes:  # else the deltas cancelled out entirely
-                client.queue.put_nowait(
+                client.queue.append(
                     _delta_record(view, lsn, ts, changes, "coalesced")
                 )
 
@@ -751,6 +799,7 @@ class ViewServer:
         if client.dropped:
             return
         client.dropped = True
+        client.drained.set()  # no step waits on a dropped client
         for view in client.views:
             self._subscribers.get(view, set()).discard(client)
         self._clients.discard(client)
@@ -804,14 +853,17 @@ class ViewServer:
     async def _writer_loop(self, client: _ClientState) -> None:
         """One wakeup writes everything queued: one ``write``, one
         ``drain``, one ``last_active`` stamp per burst."""
-        writer = client.writer
-        queue = client.queue
+        writer, queue = client.writer, client.queue
+        loop = asyncio.get_running_loop()
         try:
             closing = False
             while not closing:
-                burst = [await queue.get()]
-                while not queue.empty():
-                    burst.append(queue.get_nowait())
+                if not queue:
+                    client.wake = loop.create_future()
+                    await client.wake
+                burst = list(queue)
+                queue.clear()
+                client.drained.set()
                 if _CLOSE in burst:  # flush what precedes it, then stop
                     closing = True
                     del burst[burst.index(_CLOSE) :]
@@ -844,19 +896,18 @@ class ViewServer:
             except OSError:
                 pass
         self._client_counter += 1
-        client = _ClientState(
-            writer, self.queue_frames, f"client-{self._client_counter}"
-        )
+        client = _ClientState(writer, f"client-{self._client_counter}")
         client.writer_task = asyncio.ensure_future(self._writer_loop(client))
         self._clients.add(client)
         # A burst is whatever one wakeup's read returns: every complete
-        # frame in it is dispatched before the next read.  A publish on
-        # an uncontended, unblocked path never suspends, so the loop is
-        # handed back explicitly every few frames — writers flush and
-        # other connections progress — and often enough that a frame's
-        # replies to this client (a delta and an ack, at most) cannot
-        # overflow its own queue within one slice.
+        # frame in it is one synchronous step, taken before the next
+        # read.  A step whose queues have room never suspends, so the
+        # loop is handed back explicitly every few frames — writers flush
+        # and other connections progress — and often enough that a
+        # frame's replies to this client (a delta and an ack, at most)
+        # cannot overflow its own queue within one slice.
         yield_every = min(_YIELD_EVERY, self.queue_frames // 2)
+        blocks = self.backpressure == "block"
         buffer = bytearray()
         unyielded = 0
         try:
@@ -871,7 +922,18 @@ class ViewServer:
                 del buffer[:consumed]
                 client.last_active = time.monotonic()
                 for body in bodies:
-                    await self._dispatch(client, decode_frame(body))
+                    message = decode_frame(body)
+                    if blocks:
+                        views = ()
+                        if message.get("op") == "publish":
+                            views = self.tap.affected(
+                                message.get("relation"), message.get("sign", 1)
+                            )
+                        if self._full(client, views):
+                            await self._room(client, views)
+                            if client.dropped:
+                                break
+                    self._dispatch(client, message)
                     if client.dropped:
                         break
                     unyielded += 1
@@ -906,39 +968,40 @@ class ViewServer:
                 for view in client.views:
                     self._subscribers.get(view, set()).discard(client)
                 self._clients.discard(client)
-                try:
-                    client.queue.put_nowait(_CLOSE)
-                except asyncio.QueueFull:
+                client.drained.set()  # no step waits on a departed client
+                if len(client.queue) < self.queue_frames:
+                    self._enqueue(client, _CLOSE)
+                else:
                     client.writer_task.cancel()
                 await asyncio.gather(client.writer_task, return_exceptions=True)
 
-    async def _dispatch(self, client: _ClientState, message: dict) -> None:
+    def _dispatch(self, client: _ClientState, message: dict) -> None:
         op = message.get("op")
-        if op == "subscribe":
-            await self._op_subscribe(client, message)
+        if op == "publish":
+            self._op_publish(client, message)
+        elif op == "subscribe":
+            self._op_subscribe(client, message)
         elif op == "unsubscribe":
             view = message.get("view")
             client.views.discard(view)
             self._subscribers.get(view, set()).discard(client)
-            await self._reply(
+            self._reply(
                 client,
                 {"type": "unsubscribed", "view": view, "lsn": self.tap.lsn},
             )
-        elif op == "publish":
-            await self._op_publish(client, message)
         elif op == "ping":
-            await self._reply(client, {"type": "pong", "lsn": self.tap.lsn})
+            self._reply(client, {"type": "pong", "lsn": self.tap.lsn})
         else:
-            await self._reply(
+            self._reply(
                 client,
                 {"type": "error", "message": f"unknown protocol op {op!r}"},
             )
 
-    async def _op_subscribe(self, client: _ClientState, message: dict) -> None:
+    def _op_subscribe(self, client: _ClientState, message: dict) -> None:
         view = message.get("view")
         from_lsn = message.get("from_lsn")
         if from_lsn is not None and not isinstance(from_lsn, int):
-            await self._reply(
+            self._reply(
                 client,
                 {
                     "type": "error",
@@ -946,57 +1009,53 @@ class ViewServer:
                 },
             )
             return
-        # Snapshot (or resume replay) and registration are atomic with
-        # respect to ingest, so the subscriber's stream is exactly
-        # "catch-up at LSN, then every delta with a greater LSN".
-        async with self._ingest_lock:
-            try:
-                if from_lsn is None:
-                    lsn, rows = self.tap.snapshot(view)
-                else:
-                    records = self._resume_records(view, from_lsn)
-            except ServingError as exc:
-                await self._reply(
-                    client, {"type": "error", "message": str(exc)}
-                )
-                return
-            if from_lsn is not None:
-                if records is None:
-                    # The suffix past from_lsn is unreachable (history
-                    # evicted, WAL truncated or absent): the client must
-                    # fall back to snapshot-then-stream.
-                    await self._reply(
-                        client,
-                        {
-                            "type": "resume_gap",
-                            "view": view,
-                            "requested_lsn": from_lsn,
-                            "lsn": self.tap.lsn,
-                        },
-                    )
-                    return
-                client.views.add(view)
-                self._subscribers[view].add(client)
-                await self._reply(
+        # Snapshot (or resume replay) and registration are one step, so
+        # the subscriber's stream is exactly "catch-up at LSN, then
+        # every delta with a greater LSN".
+        try:
+            if from_lsn is None:
+                lsn, rows = self.tap.snapshot(view)
+            else:
+                records = self._resume_records(view, from_lsn)
+        except ServingError as exc:
+            self._reply(client, {"type": "error", "message": str(exc)})
+            return
+        if from_lsn is not None:
+            if records is None:
+                # The suffix past from_lsn is unreachable (history
+                # evicted, WAL truncated or absent): the client must
+                # fall back to snapshot-then-stream.
+                self._reply(
                     client,
                     {
-                        "type": "resumed",
+                        "type": "resume_gap",
                         "view": view,
+                        "requested_lsn": from_lsn,
                         "lsn": self.tap.lsn,
-                        "from_lsn": from_lsn,
-                        "replayed": len(records),
                     },
                 )
-                for record in records:
-                    if await self._deliver(client, record):
-                        self.deltas_sent += 1
                 return
             client.views.add(view)
             self._subscribers[view].add(client)
-            await self._reply(
+            self._reply(
                 client,
-                {"type": "snapshot", "view": view, "lsn": lsn, "rows": rows},
+                {
+                    "type": "resumed",
+                    "view": view,
+                    "lsn": self.tap.lsn,
+                    "from_lsn": from_lsn,
+                    "replayed": len(records),
+                },
             )
+            for record in records:
+                if self._enqueue(client, record):
+                    self.deltas_sent += 1
+            return
+        client.views.add(view)
+        self._subscribers[view].add(client)
+        self._reply(
+            client, {"type": "snapshot", "view": view, "lsn": lsn, "rows": rows}
+        )
 
     # -- resume-from-LSN ----------------------------------------------------
 
@@ -1080,23 +1139,24 @@ class ViewServer:
             return None
         return records
 
-    async def _op_publish(self, client: _ClientState, message: dict) -> None:
+    def _op_publish(self, client: _ClientState, message: dict) -> None:
+        """A network publish: the batch, its fan-out and the ``ack``."""
         try:
             relation = message["relation"]
             sign = message.get("sign", 1)
-            rows = _tuple_rows(message["rows"])
+            rows = [tuple(row) for row in message["rows"]]
         except (KeyError, TypeError) as exc:
-            await self._reply(
+            self._reply(
                 client,
                 {"type": "error", "message": f"malformed publish frame: {exc}"},
             )
             return
         try:
-            count, lsn = await self.publish(relation, sign, rows)
+            count = self.engine.process_batch(relation, sign, rows)
         except EventError as exc:
-            await self._reply(client, {"type": "error", "message": str(exc)})
+            self._reply(client, {"type": "error", "message": str(exc)})
             return
-        await self._reply(client, {"type": "ack", "lsn": lsn, "count": count})
+        self._enqueue(client, _ack_frame(self.tap.lsn, count))
 
 
 # ---------------------------------------------------------------------------

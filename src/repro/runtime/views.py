@@ -18,10 +18,11 @@ only place a delta is ordered.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Optional
 
-from repro.errors import RuntimeEngineError
-from repro.algebra.translate import TranslatedQuery, eval_result
+from repro.errors import RuntimeEngineError, TranslationError
+from repro.algebra.translate import RConst, RGroup, RNeg, RSlot, TranslatedQuery
 from repro.compiler.program import CompiledProgram
 
 
@@ -67,7 +68,8 @@ class GroupRenderer:
         self._counts = (
             maps[slot_names[query.count_slot]] if query.is_grouped else None
         )
-        self._results = [item.result for item in query.items]
+        source, constants = _row_source(query)
+        self._row = _compile_row(source)(self._counts, self._sources, constants)
 
     def live_groups(self) -> list[tuple]:
         """Group keys with at least one underlying row."""
@@ -78,13 +80,57 @@ class GroupRenderer:
     def row(self, group: tuple) -> Optional[tuple]:
         """The result row of one group (group columns then item columns),
         or ``None`` when the group has no underlying row."""
-        counts = self._counts
-        if counts is not None and counts.get(group, 0) == 0:
-            return None
-        slot_values = [source.get(group, 0) for source in self._sources]
-        return tuple(
-            [eval_result(result, group, slot_values) for result in self._results]
-        )
+        return self._row(group)
+
+
+def _row_source(query: TranslatedQuery) -> tuple[str, list]:
+    """The source of ``make(counts, sources, constants) -> row(group)``
+    for one query, and its constants.  ``row`` is ``eval_result`` of each
+    item unrolled: each slot read once, a ``/`` by zero is 0.  Constants
+    are arguments, so queries of one shape share one source."""
+    constants: list = []
+    slots: set[int] = set()
+    divisors: list[str] = []
+
+    def emit(expr) -> str:
+        if isinstance(expr, RSlot):
+            slots.add(expr.index)
+            return f"s{expr.index}"
+        if isinstance(expr, RGroup):
+            return f"group[{expr.index}]"
+        if isinstance(expr, RConst):
+            constants.append(expr.value)
+            return f"c{len(constants) - 1}"
+        if isinstance(expr, RNeg):
+            return f"(-{emit(expr.operand)})"
+        left, right = emit(expr.left), emit(expr.right)
+        if expr.op == "/":
+            name = f"d{len(divisors)}"
+            divisors.append(f"        {name} = {right}")
+            return f"(0 if {name} == 0 else {left} / {name})"
+        if expr.op not in ("+", "-", "*"):
+            raise TranslationError(f"unknown result operator {expr.op!r}")
+        return f"({left} {expr.op} {right})"
+
+    items = ", ".join(emit(item.result) for item in query.items)
+    lines = ["def make(counts, sources, constants):"]
+    lines += [f"    get{i} = sources[{i}].get" for i in sorted(slots)]
+    lines += [f"    c{i} = constants[{i}]" for i in range(len(constants))]
+    lines.append("    def row(group):")
+    if query.is_grouped:
+        lines.append("        if counts.get(group, 0) == 0:\n            return None")
+    lines += [f"        s{i} = get{i}(group, 0)" for i in sorted(slots)]
+    lines += divisors
+    lines += [f"        return ({items},)", "    return row"]
+    return "\n".join(lines), constants
+
+
+@lru_cache(maxsize=256)
+def _compile_row(source: str):
+    """The ``make`` function of one :func:`_row_source`, compiled once."""
+    namespace: dict = {}
+    exec(compile(source, "<result row>", "exec"), namespace)
+    return namespace["make"]
 
 
 def query_results(

@@ -10,9 +10,12 @@ streamed deltas) equals a reference engine's offline
 :class:`~repro.runtime.durability.DurableEngine`, checking that served
 LSNs are the WAL's; another is a network publisher that writes the
 whole stream as one burst of single-event frames, the path on which the
-server reads, applies and acknowledges many frames per wakeup; the last
-serves a 2,000-group view and bounds the groups rendered per one-row
-frame — a delta must cost what changed, not what the view holds.
+server reads, applies and acknowledges many frames per wakeup; three
+squeeze client queues to 4 frames under each backpressure policy
+(``block`` waits for room, ``drop`` disconnects the slow subscriber,
+which re-snapshots, ``coalesce`` merges); the last serves a 2,000-group
+view and bounds the groups rendered per one-row frame — a delta must
+cost what changed, not what the view holds.
 
 Run ``python tests/runtime/serving_smoke.py`` (with ``PYTHONPATH=src``).
 Exit status 0 = every scenario in parity.  A watchdog alarm aborts the
@@ -33,6 +36,7 @@ if str(_SRC) not in sys.path:
 
 from repro.algebra.translate import translate_sql  # noqa: E402
 from repro.compiler import compile_queries  # noqa: E402
+from repro.errors import ServingError  # noqa: E402
 from repro.runtime import DeltaEngine  # noqa: E402
 from repro.runtime.durability import DurableEngine  # noqa: E402
 from repro.runtime.serving import (  # noqa: E402
@@ -159,6 +163,68 @@ def run_burst_scenario(query_name: str, stream) -> list[str]:
     return failures
 
 
+TIGHT_QUEUE = 4
+POLICIES = ("block", "drop", "coalesce")
+
+
+def run_tight_queue_scenario(policy: str, stream) -> list[str]:
+    """Publish the stream into 4-frame client queues under ``policy`` —
+    half in process, one event per batch and never yielding unless the
+    policy waits, half as one network burst — and compare with the
+    engine's results; returns failures."""
+    program = _program("bsp")
+    reference = DeltaEngine(program)
+    for event in stream:
+        reference.process(event)
+    offline = Counter(reference.results("bsp"))
+    half = len(stream) // 2
+    burst = b"".join(
+        encode_frame({
+            "op": "publish", "relation": event.relation, "sign": event.sign,
+            "rows": [list(event.values)],
+        })
+        for event in stream[half:]
+    )
+
+    failures: list[str] = []
+    engine = DeltaEngine(program)
+    options = {"queue_frames": TIGHT_QUEUE, "backpressure": policy}
+    with ServerThread(engine, **options) as handle:
+        subscriber = SubscriberClient(handle.host, handle.port)
+        rows = rows_from_snapshot(subscriber.subscribe("bsp"))
+        handle.publish_stream(stream[:half], batch_size=1)
+        with SubscriberClient(handle.host, handle.port) as publisher:
+            publisher._sock.sendall(burst)
+            lsns = [publisher._wait_for("ack")["lsn"] for _ in stream[half:]]
+        if lsns != sorted(set(lsns)):
+            failures.append(f"tight/{policy}: ack LSNs out of order")
+        try:
+            frames = subscriber.drain_deltas("bsp", lsns[-1])
+        except (ServingError, OSError):
+            frames = None  # dropped for falling behind
+        subscriber.close()
+        if frames is None:
+            if policy != "drop":
+                failures.append(f"tight/{policy}: subscriber disconnected")
+            # A dropped subscriber's way back is a fresh snapshot.
+            with SubscriberClient(handle.host, handle.port) as again:
+                rows = rows_from_snapshot(again.subscribe("bsp"))
+        else:
+            seen = [frame["lsn"] for frame in frames]
+            if seen != sorted(set(seen)):
+                failures.append(f"tight/{policy}: delta LSNs out of order")
+            for frame in frames:
+                apply_changes(rows, frame["changes"])
+        if policy == "drop" and not handle.server.clients_dropped:
+            failures.append("tight/drop: the slow subscriber was never dropped")
+        if rows != Counter(engine.results("bsp")) or rows != offline:
+            failures.append(
+                f"tight/{policy}: subscriber diverges from the engine's "
+                f"results ({len(rows)} vs {len(offline)} rows)"
+            )
+    return failures
+
+
 WIDE_GROUPS = 2_000
 WIDE_FRAMES = 300
 
@@ -269,6 +335,16 @@ def main() -> int:
             f"ok   bsp    burst     {EVENTS} publish frames in one sendall, "
             "acked in order, subscriber in parity"
         )
+    for policy in POLICIES:
+        tight_failures = run_tight_queue_scenario(policy, stream)
+        failures.extend(tight_failures)
+        for line in tight_failures:
+            print(f"FAIL {line}")
+        if not tight_failures:
+            print(
+                f"ok   bsp    {policy:<9} {EVENTS} events into {TIGHT_QUEUE}-frame "
+                "queues, in process then one burst, subscriber in parity"
+            )
     wide_failures = run_wide_view_scenario()
     failures.extend(wide_failures)
     for line in wide_failures:
@@ -283,7 +359,8 @@ def main() -> int:
         print(f"{len(failures)} serving-smoke check(s) FAILED")
         return 1
     print(
-        f"all {len(SCENARIOS) + 2} serving scenarios streamed the offline answer"
+        f"all {len(SCENARIOS) + len(POLICIES) + 2} serving scenarios "
+        "streamed the offline answer"
     )
     return 0
 

@@ -19,7 +19,7 @@ from itertools import islice
 
 import pytest
 
-from repro.algebra.translate import translate_sql
+from repro.algebra.translate import eval_result, translate_sql
 from repro.compiler import compile_queries, compile_sql
 from repro.errors import ServingError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
@@ -32,6 +32,7 @@ from repro.runtime.serving import (
     ViewDeltaTap,
     ViewServer,
     _ClientState,
+    _ack_frame,
     _delta_record,
     _split_frames,
     apply_changes,
@@ -87,6 +88,44 @@ def test_frame_codec_rejects_garbage():
         decode_frame(b"\xff\xfe not json")
     with pytest.raises(ServingError):
         decode_frame(b"[1, 2, 3]")  # valid JSON, not an object
+
+
+@pytest.mark.parametrize(
+    "body, complaint",
+    [
+        (b'{"op": "p\xc3ng"}', "undecodable"),  # a torn UTF-8 sequence
+        (b'{"op": "ping",', "undecodable"),  # a torn JSON object
+        (b'"ping"', "must be a JSON object"),
+    ],
+    ids=["invalid-utf8", "invalid-json", "non-object"],
+)
+def test_decode_frame_raises_serving_error(body, complaint):
+    with pytest.raises(ServingError, match=complaint):
+        decode_frame(body)
+
+
+_TEMPLATED_DELTAS = [
+    ("q", 7, 1760000000.25, [((1, 10), 1)], None),
+    ("q", 8, 0.1, [((1, 10), -1), ((1, 15), 1)], "replayed"),
+    ("q", 9, 1e22, [((2, 2.5), -3), (("x", -1.0, 3), 2)], "coalesced"),
+    ("wide view", 2**40, 1e-07, [((1, 2, 3, 4), -1), ((-5, 0.5), 2.5)], None),
+    ("q", 1, 12.0, [((), 1)], None),
+]
+
+
+@pytest.mark.parametrize("view, lsn, ts, changes, flag", _TEMPLATED_DELTAS)
+def test_templated_delta_frame_is_encode_frame(view, lsn, ts, changes, flag):
+    message = {"type": "delta", "view": view, "lsn": lsn, "ts": ts}
+    if flag is not None:
+        message[flag] = True
+    message["changes"] = changes
+    assert _delta_record(view, lsn, ts, changes, flag).wire == encode_frame(message)
+
+
+@pytest.mark.parametrize("lsn, count", [(0, 0), (1, 1), (123456789, 17)])
+def test_templated_ack_frame_is_encode_frame(lsn, count):
+    expected = encode_frame({"type": "ack", "lsn": lsn, "count": count})
+    assert _ack_frame(lsn, count) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +408,8 @@ class _LoopWriter:
 def _queued_frames(client):
     """Drain a client's send queue into decoded wire frames."""
     frames = []
-    while not client.queue.empty():
-        item = client.queue.get_nowait()
+    while client.queue:
+        item = client.queue.popleft()
         frames += _decode_frames(getattr(item, "wire", item))
     return frames
 
@@ -380,19 +419,19 @@ def test_drop_policy_disconnects_slow_client():
         server = ViewServer(
             DeltaEngine(_program()), backpressure="drop", queue_frames=2
         )
-        client = _ClientState(_LoopWriter(), queue_frames=2, name="slow")
+        client = _ClientState(_LoopWriter(), name="slow")
         server._clients.add(client)
         server._subscribers["q"].add(client)
         client.views.add("q")
         for lsn in (1, 2):  # fill the bounded queue
-            assert await server._deliver(client, _delta_record("q", lsn, 0.0, []))
-        assert not await server._deliver(client, _delta_record("q", 3, 0.0, []))
+            assert server._enqueue(client, _delta_record("q", lsn, 0.0, []))
+        assert not server._enqueue(client, _delta_record("q", 3, 0.0, []))
         assert client.dropped
         assert client.writer.closed
         assert server.clients_dropped == 1
         assert client not in server._subscribers["q"]
         # Further deliveries to a dropped client are no-ops.
-        assert not await server._deliver(client, _delta_record("q", 4, 0.0, []))
+        assert not server._enqueue(client, _delta_record("q", 4, 0.0, []))
 
     asyncio.run(scenario())
 
@@ -402,15 +441,15 @@ def test_coalesce_policy_merges_queued_deltas():
         server = ViewServer(
             DeltaEngine(_program()), backpressure="coalesce", queue_frames=2
         )
-        client = _ClientState(_LoopWriter(), queue_frames=2, name="laggy")
-        await server._deliver(
+        client = _ClientState(_LoopWriter(), name="laggy")
+        server._enqueue(
             client, _delta_record("q", 1, 10.0, [((1, 10), 1), ((2, 20), 1)])
         )
-        await server._deliver(
+        server._enqueue(
             client, _delta_record("q", 2, 11.0, [((1, 10), -1), ((1, 15), 1)])
         )
         # Queue is full: the third delta forces a merge of all three.
-        assert await server._deliver(
+        assert server._enqueue(
             client, _delta_record("q", 3, 12.0, [((2, 20), -1), ((2, 25), 1)])
         )
         frames = _queued_frames(client)
@@ -430,10 +469,10 @@ def test_coalesce_preserves_non_delta_frames_in_order():
         server = ViewServer(
             DeltaEngine(_program()), backpressure="coalesce", queue_frames=2
         )
-        client = _ClientState(_LoopWriter(), queue_frames=2, name="laggy")
-        await server._reply(client, {"type": "pong", "lsn": 1})
-        await server._deliver(client, _delta_record("q", 2, 5.0, [((1, 1), 1)]))
-        await server._deliver(client, _delta_record("q", 3, 6.0, [((1, 1), -1)]))
+        client = _ClientState(_LoopWriter(), name="laggy")
+        server._reply(client, {"type": "pong", "lsn": 1})
+        server._enqueue(client, _delta_record("q", 2, 5.0, [((1, 1), 1)]))
+        server._enqueue(client, _delta_record("q", 3, 6.0, [((1, 1), -1)]))
         # The pong survives; the two deltas cancelled out entirely.
         assert _queued_frames(client) == [{"type": "pong", "lsn": 1}]
 
@@ -902,12 +941,12 @@ def test_fanout_encodes_each_delta_once(monkeypatch):
 
     from repro.runtime import serving
 
-    encoded = []
-    real_encode = serving.encode_frame
+    built = []
+    real_build = serving._delta_record
 
-    def counting_encode(message):
-        encoded.append(message.get("type"))
-        return real_encode(message)
+    def counting_build(view, lsn, *args):
+        built.append((view, lsn))
+        return real_build(view, lsn, *args)
 
     engine = DeltaEngine(_program())
     with ServerThread(engine) as handle:
@@ -918,9 +957,9 @@ def test_fanout_encodes_each_delta_once(monkeypatch):
             raw.sendall(encode_frame({"op": "subscribe", "view": "q"}))
             assert raw.recv(1 << 16)  # the snapshot
             subscribers.append(raw)
-        monkeypatch.setattr(serving, "encode_frame", counting_encode)
-        handle.publish("R", 1, [(1, 10), (2, 20)])
-        handle.publish("R", -1, [(2, 20)])
+        monkeypatch.setattr(serving, "_delta_record", counting_build)
+        _, first = handle.publish("R", 1, [(1, 10), (2, 20)])
+        _, second = handle.publish("R", -1, [(2, 20)])
         monkeypatch.undo()
         for raw in subscribers:
             raw.sendall(encode_frame({"op": "ping"}))
@@ -931,7 +970,8 @@ def test_fanout_encodes_each_delta_once(monkeypatch):
                 data += raw.recv(1 << 16)
             received.append(data)
             raw.close()
-    assert encoded == ["delta", "delta"]  # two deltas, three subscribers
+    # Two deltas, three subscribers: one record built per delta.
+    assert built == [("q", first), ("q", second)]
     assert received[0] == received[1] == received[2]
     assert received[0].count(b'"type":"delta"') == 2
     assert handle.server.deltas_sent == 6
@@ -945,9 +985,9 @@ def _loop_server(engine, **options):
     return server
 
 
-def _attach_subscriber(server, writer, queue_frames):
+def _attach_subscriber(server, writer):
     """Register an in-loop subscriber of ``q`` with a running writer task."""
-    client = _ClientState(writer, queue_frames, "subscriber")
+    client = _ClientState(writer, "subscriber")
     client.writer_task = asyncio.ensure_future(server._writer_loop(client))
     client.views.add("q")
     server._clients.add(client)
@@ -981,14 +1021,15 @@ def test_block_policy_stalls_and_resumes_without_loss():
         engine = DeltaEngine(_program())
         server = _loop_server(engine, backpressure="block", queue_frames=4)
         stalled = _LoopWriter(stalled=True)
-        _attach_subscriber(server, stalled, 4)
+        _attach_subscriber(server, stalled)
         task, replies = _connect_publisher(server, _publish_burst(BURST_ROWS))
         await asyncio.sleep(0.3)
         # The subscriber's writer holds one burst in its stalled drain,
-        # its queue is full behind it, and ingest waits on the next put.
+        # its queue is full behind it, and ingest waits for room before
+        # the next apply — so every frame applied so far is acknowledged.
         assert not task.done()
         assert 0 < server.tap.lsn < len(BURST_ROWS)
-        assert len(replies.frames()) == server.tap.lsn - 1
+        assert len(replies.frames()) == server.tap.lsn
         stalled.resume()
         await asyncio.wait_for(task, timeout=10)
         await asyncio.sleep(0)  # the subscriber's writer flushes its tail
@@ -1013,7 +1054,7 @@ def test_block_policy_unpins_on_idle_timeout():
         await server.start()
         try:
             stalled = _LoopWriter(stalled=True)
-            client = _attach_subscriber(server, stalled, 4)
+            client = _attach_subscriber(server, stalled)
 
             async def ingest():  # in-process, so only the reader can idle
                 for rows in BURST_ROWS:
@@ -1036,7 +1077,7 @@ def test_drop_policy_disconnects_at_queue_frames_and_counts_accepted_only():
         engine = DeltaEngine(_program())
         server = _loop_server(engine, backpressure="drop", queue_frames=4)
         stalled = _LoopWriter(stalled=True)
-        client = _attach_subscriber(server, stalled, 4)
+        client = _attach_subscriber(server, stalled)
         await server.publish("R", 1, [(9, 9)])
         await asyncio.sleep(0)  # the writer takes this one frame and stalls
         task, replies = _connect_publisher(server, _publish_burst(BURST_ROWS))
@@ -1059,7 +1100,7 @@ def test_coalesce_policy_delivers_one_merged_frame():
         engine = DeltaEngine(_program())
         server = _loop_server(engine, backpressure="coalesce", queue_frames=4)
         stalled = _LoopWriter(stalled=True)
-        _attach_subscriber(server, stalled, 4)
+        _attach_subscriber(server, stalled)
         await server.publish("R", 1, [(9, 9)])
         await asyncio.sleep(0)  # the writer takes this one frame and stalls
         # 17 more deltas into a 4-frame queue: merges at the 5th, 9th,
@@ -1082,6 +1123,106 @@ def test_coalesce_policy_delivers_one_merged_frame():
             apply_changes(row_wise_sum, record.changes)
         assert _sum_of_deltas([merged]) == row_wise_sum
         assert _sum_of_deltas([first, merged]) == Counter(engine.results("q"))
+
+    asyncio.run(scenario())
+
+
+class _SlowWriter(_LoopWriter):
+    """A reader that keeps up, slowly: every drain takes a while."""
+
+    async def drain(self):
+        await asyncio.sleep(0.001)
+
+
+async def _until(condition, timeout=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+def _slow_block_server():
+    """A ``block`` server with 4-frame queues, a slow subscriber of
+    ``q``, and a count of the steps that had to wait for room."""
+    engine = DeltaEngine(_program())
+    server = _loop_server(engine, backpressure="block", queue_frames=4)
+    slow = _SlowWriter()
+    _attach_subscriber(server, slow)
+    waits = []
+    room = server._room
+
+    async def counting_room(client, views):
+        waits.append(views)
+        await room(client, views)
+
+    server._room = counting_room
+    return engine, server, slow, waits
+
+
+LONG_BURST = [[[i % 7, i]] for i in range(200)]
+
+
+def test_block_burst_to_a_slow_reader_keeps_lsn_order_and_acks_every_frame():
+    async def scenario():
+        engine, server, slow, waits = _slow_block_server()
+        task, replies = _connect_publisher(server, _publish_burst(LONG_BURST))
+        await asyncio.wait_for(task, timeout=30)
+        await _until(lambda: len(slow.frames()) == len(LONG_BURST))
+        acks = replies.frames()
+        assert [ack["type"] for ack in acks] == ["ack"] * len(LONG_BURST)
+        assert all(ack["count"] == 1 for ack in acks)
+        lsns = [delta["lsn"] for delta in slow.frames()]
+        assert lsns == [ack["lsn"] for ack in acks] == list(range(1, 201))
+        assert _sum_of_deltas(slow.frames()) == Counter(engine.results("q"))
+        assert waits  # the room wait ran, not just the fast path
+
+    asyncio.run(scenario())
+
+
+def test_in_process_publishes_share_the_lsn_sequence_of_a_network_burst():
+    async def scenario():
+        engine, server, slow, waits = _slow_block_server()
+        task, replies = _connect_publisher(server, _publish_burst(LONG_BURST))
+        local = []
+        for i in range(40):
+            _, lsn = await server.publish("R", 1, [(100 + i, 1)])
+            local.append(lsn)
+            await asyncio.sleep(0)
+        await asyncio.wait_for(task, timeout=30)
+        total = len(LONG_BURST) + len(local)
+        await _until(lambda: len(slow.frames()) == total)
+        acked = [ack["lsn"] for ack in replies.frames()]
+        assert acked == sorted(acked) and local == sorted(local)
+        assert sorted(acked + local) == list(range(1, total + 1))
+        assert acked[0] < local[-1] and local[0] < acked[-1]  # interleaved
+        assert [d["lsn"] for d in slow.frames()] == list(range(1, total + 1))
+        assert _sum_of_deltas(slow.frames()) == Counter(engine.results("q"))
+
+    asyncio.run(scenario())
+
+
+def test_subscribe_mid_burst_snapshot_meets_the_first_delta_after_it():
+    async def scenario():
+        engine, server, slow, waits = _slow_block_server()
+        task, _ = _connect_publisher(server, _publish_burst(LONG_BURST))
+        await _until(lambda: server.tap.lsn >= 50)
+        reader = asyncio.StreamReader()  # stays open until the burst ends
+        reader.feed_data(encode_frame({"op": "subscribe", "view": "q"}))
+        late = _LoopWriter()
+        joined = asyncio.ensure_future(server._handle_client(reader, late))
+        await asyncio.wait_for(task, timeout=30)
+        await _until(lambda: late.frames() and late.frames()[-1]["lsn"] == 200)
+        reader.feed_eof()
+        await asyncio.wait_for(joined, timeout=10)
+        snapshot, *deltas = late.frames()
+        assert snapshot["type"] == "snapshot" and 50 <= snapshot["lsn"] < 200
+        assert [d["lsn"] for d in deltas] == list(
+            range(snapshot["lsn"] + 1, 201)
+        )
+        rows = Counter({tuple(row): w for row, w in snapshot["rows"]})
+        for delta in deltas:
+            apply_changes(rows, [(tuple(r), w) for r, w in delta["changes"]])
+        assert rows == Counter(engine.results("q"))
 
     asyncio.run(scenario())
 
@@ -1208,6 +1349,111 @@ def test_tap_parity_matrix_ssb_program(kind, batch_size, tmp_path):
     for view in SSB_FLIGHT:
         assert normalize_rows(held[view].elements()) == expected[view], view
     engine.close()
+
+
+# -- the compiled row renderer ---------------------------------------------------
+
+
+def _eval_rows(program, maps, view):
+    """Per live group, the row ``eval_result`` walks out of the result
+    tree — what the compiled renderer replaced, kept as its reference."""
+    query = next(q for q in program.queries if q.name == view)
+    aux = program.slot_aux.get(view, {})
+    sources = [
+        maps[name if spec.kind == "sum" else aux[index]]
+        for index, (spec, name) in enumerate(
+            zip(query.aggregates, program.slot_maps[view])
+        )
+    ]
+    for group in GroupRenderer(program, maps, view).live_groups():
+        values = [source.get(group, 0) for source in sources]
+        yield group, tuple(eval_result(i.result, group, values) for i in query.items)
+
+
+def _assert_rows_are_eval_result(engine):
+    maps = engine.current_maps()
+    for query in engine.program.queries:
+        renderer = GroupRenderer(engine.program, maps, query.name)
+        expected = dict(_eval_rows(engine.program, maps, query.name))
+        assert expected, query.name  # not vacuous
+        # repr, so an int where eval_result gives a float fails too
+        assert {g: repr(renderer.row(g)) for g in expected} == {
+            g: repr(row) for g, row in expected.items()
+        }
+
+
+@pytest.mark.parametrize("query", sorted(FINANCE_QUERIES))
+def test_compiled_rows_equal_eval_result_finance(query):
+    program, events, _ = _finance_case(query)
+    engine = DeltaEngine(program)
+    engine.process_stream(events, batch_size=7)
+    _assert_rows_are_eval_result(engine)
+
+
+def test_compiled_rows_equal_eval_result_ssb_program():
+    program, static, events, _ = _ssb_case()
+    engine = DeltaEngine(program)
+    for relation, rows in static.items():
+        engine.load(relation, rows)
+    engine.process_stream(events, batch_size=100)
+    _assert_rows_are_eval_result(engine)
+
+
+def test_compiled_row_of_a_hand_built_result_tree():
+    from repro.algebra.translate import (
+        RBin,
+        RConst,
+        RGroup,
+        RNeg,
+        RSlot,
+        TranslatedItem,
+        TranslatedQuery,
+    )
+    from repro.runtime.views import _compile_row, _row_source
+
+    results = [
+        RGroup(1),
+        RNeg(RSlot(0)),
+        RBin("/", RSlot(0), RSlot(1)),  # slot 1 is 0 in group ("b", 2)
+        RBin("+", RConst(2.5), RBin("*", RConst(-1), RSlot(1))),
+        RBin("-", RNeg(RConst(3)), RBin("/", RConst(1), RBin("-", RSlot(1), RSlot(1)))),
+    ]
+    query = TranslatedQuery(
+        "h", ("x", "y"), ("x", "y"),
+        [TranslatedItem(f"i{n}", r) for n, r in enumerate(results)],
+        [], (), 2,
+    )
+    counts = {("a", 1): 1, ("b", 2): 3, ("c", 3): 0}
+    slots = [{("a", 1): 7, ("b", 2): -4.5}, {("a", 1): 2}]
+    source, constants = _row_source(query)
+    row = _compile_row(source)(counts, slots, constants)
+    assert row(("c", 3)) is None and row(("d", 4)) is None  # no live row
+    for group in (("a", 1), ("b", 2)):
+        values = [slot.get(group, 0) for slot in slots]
+        expected = tuple(eval_result(r, group, values) for r in results)
+        assert repr(row(group)) == repr(expected)
+    assert row(("b", 2))[2] == 0  # ``/`` by a zero slot
+
+
+def test_query_results_compiles_each_query_at_most_once():
+    from repro.runtime.views import _compile_row
+
+    engines = []
+    for query in sorted(FINANCE_QUERIES):
+        program, events, _ = _finance_case(query)
+        engines.append(DeltaEngine(program))
+        engines[-1].process_stream(events[:40])
+    engines.append(DeltaEngine(_ssb_case()[0]))
+    views = sum(len(engine.program.queries) for engine in engines)
+    _compile_row.cache_clear()
+    compiles = []
+    for _ in range(3):
+        for engine in engines:
+            for query in engine.program.queries:
+                engine.results(query.name)
+        compiles.append(_compile_row.cache_info().misses)
+    # At most one compile per view, all in the first round.
+    assert 0 < compiles[0] <= views and compiles == [compiles[0]] * 3
 
 
 def _wide_view_engine(groups):
