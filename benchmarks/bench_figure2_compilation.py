@@ -57,7 +57,7 @@ def test_handler_listings_emitted(catalog):
     program = compile_sql(PAPER_SQL, catalog)
     python_source = generate_module(program)
     c_source = kernel_source(program)
-    for name in ("on_insert_r", "on_insert_s", "on_insert_t"):
+    for name in ("on_r", "on_s", "on_t"):
         assert f"def {name}(" in python_source
     assert "cm_add_1_q" in c_source
     print(f"\ngenerated Python: {len(python_source)} bytes, "
@@ -74,7 +74,7 @@ def bench_codegen_paper_query(benchmark, catalog):
     """Python code generation time for the compiled program."""
     program = compile_sql(PAPER_SQL, catalog)
     source = benchmark(generate_module, program)
-    assert "def on_insert_r" in source
+    assert "def on_r(" in source
 
 
 def bench_compile_finance_suite(benchmark):

@@ -65,9 +65,10 @@ def main() -> None:
 
     print("== generated Python handlers (stand-in for the paper's C++) ==\n")
     source = generate_module(program)
-    # Show the insert handlers only; the module also contains deletes.
+    # Show the per-event handlers only; each takes the event's weight
+    # (+1 insert, -1 delete) first.  The module also has batch variants.
     for chunk in source.split("\n\n"):
-        if chunk.startswith("def on_insert"):
+        if chunk.startswith("def on_") and "_batch(" not in chunk.split("\n")[0]:
             print(chunk)
             print()
 

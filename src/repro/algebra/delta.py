@@ -9,6 +9,10 @@ produces an expression for the change of any query: the **delta invariant**
 holds with the event parameters bound to the affected tuple's values (the
 property tests in ``tests/algebra/test_delta.py`` check exactly this).
 
+The compiler derives each relation's delta once, for an event of either
+sign: its singleton is ``w * lifts``, ``w`` the event's weight variable
+(:data:`~repro.algebra.expr.WEIGHT`), a Z-set weight carried as data.
+
 The rules are the paper's: deltas of sums are sums of deltas, deltas of
 products expand by the discrete product rule (including the second-order
 cross term), and the delta of the updated relation atom is a singleton
@@ -37,6 +41,7 @@ from repro.algebra.expr import (
     Neg,
     Rel,
     Var,
+    WEIGHT,
     ZERO,
     add,
     contains_relation,
@@ -51,29 +56,30 @@ class Event:
     """A formal single-tuple update event on a base relation.
 
     ``params`` are the names of the trigger's formal parameters, one per
-    column of the relation; ``sign`` is +1 for an insert and -1 for a
-    delete.
+    column of the relation; ``sign`` is +1 for an insert, -1 for a
+    delete, or 0 for either: the variable ``weight`` then takes its place.
     """
 
     relation: str
     sign: int
     params: tuple[str, ...]
+    weight: str = WEIGHT
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise AlgebraError(f"event sign must be +1 or -1, got {self.sign}")
+        if self.sign not in (1, -1, 0):
+            raise AlgebraError(f"event sign must be +1, -1 or 0, got {self.sign}")
 
     @property
-    def is_insert(self) -> bool:
-        return self.sign == 1
+    def bound(self) -> tuple[str, ...]:
+        """The names the event binds: its parameters (and weight)."""
+        return self.params + (self.weight,) if self.sign == 0 else self.params
 
     @property
     def name(self) -> str:
-        kind = "insert" if self.is_insert else "delete"
-        return f"on_{kind}_{self.relation}"
+        return f"on_{self.relation}"
 
     def __repr__(self) -> str:
-        symbol = "+" if self.is_insert else "-"
+        symbol = {1: "+", -1: "-", 0: "±"}[self.sign]
         return f"{symbol}{self.relation}({', '.join(self.params)})"
 
 
@@ -151,7 +157,7 @@ def _delta(expr: Expr, event: Event) -> Expr:
 
 
 def _singleton_delta(atom: Rel, event: Event) -> Expr:
-    """Delta of the updated relation atom: a ±1 singleton.
+    """Delta of the updated relation atom: a ±1 (or weight) singleton.
 
     Variable arguments become lifts binding them to the event parameters
     (equality tests if already bound); constant arguments become equality
@@ -168,7 +174,9 @@ def _singleton_delta(atom: Rel, event: Event) -> Expr:
         else:
             factors.append(Cmp("=", Var(param), arg))
     body = mul(*factors)
-    return body if event.is_insert else neg(body)
+    if event.sign == 0:
+        return mul(Var(event.weight), body)
+    return body if event.sign == 1 else neg(body)
 
 
 def _product_delta(factors: tuple[Expr, ...], event: Event) -> Expr:
@@ -204,28 +212,26 @@ def second_order_delta(defn: Expr, first: Event, second: Event) -> Expr:
     batch position and may be summed (first-order accumulation); a
     non-vanishing one means the batch must carry a correction term.
 
-    Both events must carry distinct parameter names (the second event's
-    tuple is formally different from the first's).
+    Both events must carry distinct parameter (and weight) names: the
+    second event's tuple is formally different from the first's.
     """
-    if set(first.params) & set(second.params):
+    if set(first.bound) & set(second.bound):
         raise AlgebraError(
             "second_order_delta requires disjoint event parameters, got "
             f"{first!r} and {second!r}"
         )
     from repro.algebra.simplify import simplify
 
-    inner = simplify(delta(defn, first), bound=first.params)
+    inner = simplify(delta(defn, first), bound=first.bound)
     if inner == ZERO:
         return ZERO
-    return simplify(
-        delta(inner, second), bound=first.params + second.params
-    )
+    return simplify(delta(inner, second), bound=first.bound + second.bound)
 
 
 def batch_delta_order(defn: Expr, event: Event) -> int:
-    """How a map's delta behaves across a batch of same-``(relation, sign)``
-    events: the order of the lowest non-vanishing delta beyond which all
-    higher deltas are irrelevant to batch absorption.
+    """How a map's delta behaves across a batch of ``event``s (of any
+    signs, when weighted): the order of the lowest non-vanishing delta
+    beyond which all higher deltas are irrelevant to batch absorption.
 
     * ``0`` — the map does not change under this event at all;
     * ``1`` — the per-event delta is *state-independent with respect to this
@@ -238,7 +244,7 @@ def batch_delta_order(defn: Expr, event: Event) -> int:
     """
     from repro.algebra.simplify import simplify
 
-    first = simplify(delta(defn, event), bound=event.params)
+    first = simplify(delta(defn, event), bound=event.bound)
     return delta_order(first, event, simplify)
 
 
@@ -257,11 +263,12 @@ def delta_order(
         event.relation,
         event.sign,
         tuple(f"{param}__o2" for param in event.params),
+        f"{event.weight}__o2",
     )
     second = delta(first, twin)
     if second == ZERO:
         return 1
-    return 1 if simplify(second, event.params + twin.params) == ZERO else 2
+    return 1 if simplify(second, event.bound + twin.bound) == ZERO else 2
 
 
 def event_for(relation: str, columns: tuple[str, ...], sign: int) -> Event:

@@ -340,6 +340,15 @@ class Div(Expr):
 ZERO = Const(0)
 ONE = Const(1)
 
+#: An event's weight, where the paper writes ±1 (:mod:`repro.algebra.delta`):
+#: bound to +1 or -1, so never zero and its own inverse.  A second formal
+#: event's weight extends the name (``__w__o2``).
+WEIGHT = "__w"
+
+
+def is_weight(name: str) -> bool:
+    return name.startswith(WEIGHT)
+
 
 # ---------------------------------------------------------------------------
 # Smart constructors: flatten nesting and drop trivial identities.  These are

@@ -6,7 +6,8 @@ The major rule families are:
 
 * **structural** — flattening, constant folding, 0/1 identities, combining
   structurally identical monomials (so ``f(e+de) - f(e)`` cancels when the
-  inner delta vanishes);
+  inner delta vanishes); an event weight squares to one and is never zero
+  (``w * w`` folds to 1, ``Exists(w * e)`` to ``Exists(e)``);
 * **polynomial expansion** — products distribute over sums so every
   expression becomes a sum of monomials, the unit the compiler materialises;
 * **lift unification** — ``(x ^= t) * e`` becomes ``e[x := t]`` when ``x`` is
@@ -45,6 +46,7 @@ from repro.algebra.expr import (
     ONE,
     ZERO,
     add,
+    is_weight,
     mul,
     node_class,
     substitute,
@@ -266,7 +268,10 @@ def _simplify_monomial(
             continue
 
         if isinstance(factor, Var):
-            out.append(factor)
+            if is_weight(factor.name) and factor in out:
+                out.remove(factor)  # an event weight is ±1: w * w = 1
+            else:
+                out.append(factor)
             continue
 
         if isinstance(factor, Cmp):
@@ -476,11 +481,13 @@ def _simplify_exists(factor: Exists, bound: set[str], memo: dict) -> Expr:
     if isinstance(body, Exists):
         return body
     if isinstance(body, Mul):
-        # Strip any non-zero constant coefficient: Exists(c*e) == Exists(e).
+        # Strip non-zero constant coefficients and event weights:
+        # Exists(c*e) == Exists(e).
         stripped = [
             f
             for f in body.factors
             if not (isinstance(f, Const) and not isinstance(f.value, str) and f.value != 0)
+            and not (isinstance(f, Var) and is_weight(f.name))
         ]
         if len(stripped) != len(body.factors):
             body = mul(*stripped)

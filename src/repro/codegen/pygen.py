@@ -1,17 +1,19 @@
 """Python trigger-code generation: the IR -> Python renderer.
 
 Each trigger becomes one module-level function whose parameters are the
-event values and whose body renders the trigger's imperative IR
+event's weight (+1 insert, -1 delete) and values, and whose body renders
+the trigger's imperative IR
 (:mod:`repro.ir`) — loops appear only where the lowered statements
 iterate map entries (the paper's ``foreach``).  Maps are bound as default
 arguments, so the generated code pays no attribute or global lookups on
 the hot path.
 
-Every trigger is emitted twice: the per-event function ``on_<kind>_<rel>``
-and a *batch* variant ``on_<kind>_<rel>_batch(cols)`` rendered from the
-batch IR derived from the same lowering.  The batch variant binds
-map/index locals once per call and iterates the *columnar* batch — one
-parallel list per event column — binding only the columns its body reads
+Every relation's trigger is emitted twice: the per-event function
+``on_<rel>(__w, *row)`` and a *batch* variant ``on_<rel>_batch(__cols,
+__ws)`` rendered from the batch IR derived from the same lowering.  The
+batch variant binds map/index locals once per call and iterates the
+*columnar* batch — one parallel list per event column, and the weight
+column, whatever its signs — binding only the columns its body reads
 (unused columns are never touched).  Independent triggers accumulate
 whole-batch deltas in locals flushed once (the Z-set batch-delta shape);
 self-reading triggers that admit a second-order plan accumulate their
@@ -70,6 +72,7 @@ from repro.ir.nodes import (
     SafeDiv,
     Sum,
     TriggerIR,
+    WEIGHTS,
     expr_names,
     read_slots,
     stmt_children,
@@ -211,7 +214,7 @@ def fused_scan_sites(
                 yield from unconditional(stmt_children(stmt))
 
     sites: dict[str, str] = {}
-    for key in sorted(program.triggers, key=lambda k: (k[0], -k[1])):
+    for key in sorted(program.triggers):
         for stmt in unconditional(ir.triggers[key].body):
             if isinstance(stmt, ForEachMap) and _loop_fuses(stmt, indexes):
                 sites.setdefault(stmt.slot.name, program.triggers[key].name)
@@ -270,9 +273,10 @@ def generate_module(
     emitter.line("Produced by repro.codegen.pygen from the trigger IR")
     emitter.line("(repro.ir); maps (and secondary indexes) are bound as")
     emitter.line("default arguments at exec time.  Each trigger has a")
-    emitter.line("per-event function and a *_batch variant applying a")
-    emitter.line("whole columnar batch (one parallel list per event")
-    emitter.line("column) per call.")
+    emitter.line("per-event function of the event's weight and values and")
+    emitter.line("a *_batch variant applying a whole columnar batch (one")
+    emitter.line("parallel list per event column, and its weight column)")
+    emitter.line("per call.")
     emitter.line("")
     passes = ", ".join(ir.passes) if ir.passes else "disabled"
     emitter.line(f"IR optimisation passes: {passes}.")
@@ -310,7 +314,7 @@ def generate_module(
     if indexes:
         _generate_index_rebuild(indexes, emitter)
         emitter.blank()
-    for key in sorted(program.triggers, key=lambda k: (k[0], -k[1])):
+    for key in sorted(program.triggers):
         trigger = program.triggers[key]
         _generate_trigger(
             trigger,
@@ -377,7 +381,7 @@ def _generate_trigger(
 ) -> None:
     indexes = indexes or {}
     maps_used = _global_maps_used(per_event.body, batch.body)
-    params = list(trigger.params)
+    params = list(trigger.signature)
     defaults = [f"{map_local(name)}=MAPS[{name!r}]" for name in maps_used]
     for name in maps_used:
         for pattern in sorted(indexes.get(name, ())):
@@ -394,7 +398,7 @@ def _generate_trigger(
         else:
             renderer.render_body(per_event.body)
     emitter.blank()
-    batch_signature = ", ".join(["__cols"] + defaults)
+    batch_signature = ", ".join(["__cols", WEIGHTS] + defaults)
     emitter.line(f"def {trigger.name}_batch({batch_signature}):")
     with emitter.block():
         if not batch.body:
@@ -616,28 +620,30 @@ class _PyRenderer:
         """The columnar batch loop: iterate only the columns the body reads.
 
         ``stmt.rows_var`` holds the batch's parallel column lists (one per
-        event parameter, equal lengths).  Parameters the body never
-        references are pruned from the loop header, so a trigger touching
-        two of five event columns walks exactly two lists.
+        event parameter, equal lengths), ``WEIGHTS`` its weight column.
+        Parameters the body never references are pruned from the loop
+        header, so a trigger touching two of five event columns walks
+        exactly two lists.
         """
         emitter = self.emitter
         used = used_names(stmt.body)
+        sources = [WEIGHTS] + [
+            f"{stmt.rows_var}[{position}]"
+            for position in range(len(stmt.params) - 1)
+        ]
         pairs = [
-            (position, param)
-            for position, param in enumerate(stmt.params)
+            (source, param)
+            for source, param in zip(sources, stmt.params)
             if param in used
         ]
-        source = stmt.rows_var
         if not pairs:
-            emitter.line(
-                f"for _ in range(len({source}[0]) if {source} else 0):"
-            )
+            emitter.line(f"for _ in {WEIGHTS}:")
         elif len(pairs) == 1:
-            position, param = pairs[0]
-            emitter.line(f"for {param} in {source}[{position}]:")
+            source, param = pairs[0]
+            emitter.line(f"for {param} in {source}:")
         else:
             names = ", ".join(param for _, param in pairs)
-            columns = ", ".join(f"{source}[{position}]" for position, _ in pairs)
+            columns = ", ".join(source for source, _ in pairs)
             emitter.line(f"for {names} in zip({columns}):")
         with emitter.block():
             self.render_body(stmt.body)

@@ -2,11 +2,13 @@
 
 Starting from the root maps (one per aggregate slot of each query), the
 driver repeatedly takes a map definition, derives its delta for every
-(relation, insert/delete) event, simplifies, materialises the stream-
-dependent pieces as new maps, and emits one update statement per monomial.
+relation's formal event, simplifies, materialises the stream-dependent
+pieces as new maps, and emits one update statement per monomial.  A
+stream's event has either sign: its delta is derived once, carrying the
+event's weight as a variable, so one trigger serves inserts and deletes.
 Newly created maps join the work queue — the recursion of the paper — until
-every maintained map has triggers.  Finally the statements for each event
-are dependency-ordered into triggers.
+every maintained map has triggers.  Finally each relation's statements are
+dependency-ordered into its trigger.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import replace
 from typing import Iterable, Optional
 
 from repro.errors import CompilationError
-from repro.algebra.delta import delta, delta_order, event_for
+from repro.algebra.delta import Event, delta, delta_order, event_for
 from repro.algebra.expr import (
     AggSum,
     Const,
@@ -118,10 +120,19 @@ def compile_queries(
     }
     float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
 
-    statements: dict[tuple[str, int], list[Statement]] = defaultdict(list)
+    # One formal event per relation: of either sign on a stream; an
+    # insert on a static table, and everywhere without deletions.
+    events: dict[str, Event] = {
+        rel: event_for(
+            rel,
+            catalog.get(rel).column_names,
+            0 if catalog.get(rel).is_stream and options.deletions else 1,
+        )
+        for rel in all_relations
+    }
+    statements: dict[str, list[Statement]] = defaultdict(list)
     delta_orders: dict[tuple[str, int], dict[str, int]] = defaultdict(dict)
     compiled: set[str] = set()
-    signs = (1, -1) if options.deletions else (1,)
     # Whole simplifications and single rule passes (``simplify``'s memo),
     # kept for this compile only: one program's deltas repeat subterms
     # (and maps may share a definition, deltas a second-order term), but
@@ -159,34 +170,33 @@ def compile_queries(
                     # triggers.  Only maps defined purely over static tables
                     # are maintained during the load phase.
                     continue
-                rel_signs = signs if relation.is_stream else (1,)
-                for sign in rel_signs:
-                    event = event_for(rel_name, relation.column_names, sign)
-                    d = simplify_once(delta(map_def.defn, event), event.params)
-                    if d == ZERO:
-                        continue
-                    # Classified now, while the delta is at hand: the
-                    # second-order batch planner reads only the order.
-                    delta_orders[(rel_name, sign)][map_def.name] = delta_order(
-                        d, event, simplify_once
+                event = events[rel_name]
+                d = simplify_once(delta(map_def.defn, event), event.bound)
+                if d == ZERO:
+                    continue
+                # Classified now, while the delta is at hand: the
+                # second-order batch planner reads only the order.
+                delta_orders[(rel_name, 0)][map_def.name] = delta_order(
+                    d, event, simplify_once
+                )
+                materializer = Materializer(
+                    registry,
+                    bound=event.bound,
+                    derived_maps=options.derived_maps,
+                )
+                for coeff, factors in monomials(d):
+                    statement = _build_statement(
+                        map_def, coeff, factors, materializer
                     )
-                    materializer = Materializer(
-                        registry,
-                        bound=event.params,
-                        derived_maps=options.derived_maps,
-                    )
-                    for coeff, factors in monomials(d):
-                        statement = _build_statement(
-                            map_def, coeff, factors, materializer
-                        )
-                        statements[(relation.name, sign)].append(statement)
-                    for new_map in registry.take_pending():
-                        new_map.level = map_def.level + 1
-                        queue.append(new_map)
+                    statements[rel_name].append(statement)
+                for new_map in registry.take_pending():
+                    new_map.level = map_def.level + 1
+                    queue.append(new_map)
 
     compile_pending()
     base_maps = _read_through_base_maps(
-        statements, registry, catalog, float_columns, narrow=options.derived_maps
+        statements, events, registry, catalog, float_columns,
+        narrow=options.derived_maps,
     )
     compile_pending()
 
@@ -204,28 +214,22 @@ def compile_queries(
             maps, finalizers, occ_name, kind
         ).aux
     base_maps = _read_extrema_of_count_maps(
-        statements, base_maps, catalog, maps, finalizers
+        statements, events, base_maps, catalog, maps, finalizers
     )
 
-    triggers: dict[tuple[str, int], Trigger] = {}
     static_relations = {
         rel for rel in all_relations if not catalog.get(rel).is_stream
     }
-    for rel_name in sorted(all_relations):
-        relation = catalog.get(rel_name)
-        rel_signs = signs if relation.is_stream else (1,)
-        for sign in rel_signs:
-            event = event_for(relation.name, relation.column_names, sign)
-            merged = _merge_statements(
-                statements.get((relation.name, sign), [])
-            )
-            ordered = order_statements(merged)
-            triggers[(relation.name, sign)] = Trigger(
-                relation=relation.name,
-                sign=sign,
-                params=event.params,
-                statements=ordered,
-            )
+    triggers = {
+        (rel, 0): Trigger(
+            relation=rel,
+            params=events[rel].params,
+            statements=order_statements(
+                _merge_statements(statements.get(rel, []))
+            ),
+        )
+        for rel in sorted(all_relations)
+    }
 
     program = CompiledProgram(
         queries=queries,
@@ -241,11 +245,6 @@ def compile_queries(
     )
     program.delta_orders = dict(delta_orders)
     return program
-
-
-def _event_params(catalog: Catalog, relation: str, sign: int) -> tuple[str, ...]:
-    """The parameter names of ``relation``'s insert/delete trigger."""
-    return event_for(relation, catalog.get(relation).column_names, sign).params
 
 
 def _auxiliary(
@@ -276,7 +275,8 @@ def _auxiliary(
 
 
 def _read_extrema_of_count_maps(
-    statements: dict[tuple[str, int], list[Statement]],
+    statements: dict[str, list[Statement]],
+    events: dict[str, Event],
     base_maps: dict[str, BaseMap],
     catalog: Catalog,
     maps: dict[str, MapDef],
@@ -309,8 +309,8 @@ def _read_extrema_of_count_maps(
         return _auxiliary(maps, finalizers, map_name, kind)
 
     if None in refused.values():
-        for (relation, sign), trigger_statements in statements.items():
-            params = _event_params(catalog, relation, sign)
+        for relation, trigger_statements in statements.items():
+            params = events[relation].bound
             for index, statement in enumerate(trigger_statements):
                 rhs = read_extrema(statement.args, statement.rhs, params, extremum)
                 if rhs != statement.rhs:
@@ -329,7 +329,8 @@ def _read_extrema_of_count_maps(
 
 
 def _read_through_base_maps(
-    statements: dict[tuple[str, int], list[Statement]],
+    statements: dict[str, list[Statement]],
+    events: dict[str, Event],
     registry: MapRegistry,
     catalog: Catalog,
     float_columns: dict[str, frozenset[int]],
@@ -346,8 +347,8 @@ def _read_through_base_maps(
     uses: dict[str, list[ColumnUse]] = defaultdict(list)
     readers: dict[str, list[str]] = defaultdict(list)
     reading: list[tuple[list[Statement], int, tuple[str, ...]]] = []
-    for (relation, sign), trigger_statements in statements.items():
-        params = _event_params(catalog, relation, sign)
+    for relation, trigger_statements in statements.items():
+        params = events[relation].bound
         for index, statement in enumerate(trigger_statements):
             found = column_uses(
                 statement.args, statement.rhs, params, float_columns

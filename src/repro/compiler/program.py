@@ -6,8 +6,8 @@ A :class:`CompiledProgram` is the compiler's output and the runtime's input:
   canonical defining query over base relations;
 * :class:`Statement` — one ``map[key...] += expr`` update whose right-hand
   side references only maps, event parameters and constants;
-* :class:`Trigger` — the ordered statements to run for one
-  (relation, insert/delete) event.
+* :class:`Trigger` — the ordered statements to run for one relation's
+  events, inserts and deletes alike.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from repro.errors import CompilationError, EventError
-from repro.algebra.expr import Expr, maps_in
+from repro.algebra.expr import WEIGHT, Expr, maps_in
 from repro.algebra.schema import output_vars
 from repro.algebra.translate import TranslatedQuery
 
@@ -29,12 +29,14 @@ class CompileOptions:
     deltas are evaluated directly over whole-row base-relation occurrence
     maps (no aggregate maps, no column narrowing), which is exactly
     classical first-order IVM (the "today's VM algorithms" the
-    introduction compares against).
+    introduction compares against).  ``deletions=False`` derives
+    insert-only triggers (no weight): a delete on a stream is then a
+    known-relation no-op, dropped at admission.
     """
 
     derived_maps: bool = True
     share_maps: bool = True
-    deletions: bool = True  # also generate delete triggers
+    deletions: bool = True
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,11 @@ class TriggerTable(NamedTuple):
     """What an executor's ``bind(maps, profiler=None)`` returns: the
     program's triggers bound to one engine's maps.
 
-    ``per_event[(relation, sign)](*values)`` applies one event,
-    ``batch[(relation, sign)](columns)`` a columnar run of them (one
-    parallel list per event column); ``index_entry_counts()`` reports the
-    secondary-index entries this binding maintains, per indexed map.
+    ``per_event[(relation, 0)](weight, *values)`` applies one event of
+    weight +1/-1, ``batch[(relation, 0)](columns, weights)`` a columnar
+    run of them (one parallel list per event column, and the weights);
+    ``index_entry_counts()`` reports the secondary-index entries this
+    binding maintains, per indexed map.
     """
 
     per_event: dict[tuple[str, int], Callable[..., None]]
@@ -219,20 +222,24 @@ class FinalizeSpec:
 
 @dataclass
 class Trigger:
-    """All statements to execute for one (relation, sign) event."""
+    """All statements to execute for one event on ``relation``, of
+    either sign: its weight (+1/-1) is the first argument."""
 
     relation: str
-    sign: int  # +1 insert, -1 delete
     params: tuple[str, ...]
     statements: list[Statement] = field(default_factory=list)
 
     @property
     def name(self) -> str:
-        kind = "insert" if self.sign == 1 else "delete"
-        return f"on_{kind}_{self.relation.lower()}"
+        return f"on_{self.relation.lower()}"
+
+    @property
+    def signature(self) -> tuple[str, ...]:
+        """The trigger's arguments: the weight, then ``params``."""
+        return (WEIGHT,) + self.params
 
     def __repr__(self) -> str:
-        head = f"{self.name}({', '.join(self.params)}):"
+        head = f"{self.name}({', '.join(self.signature)}):"
         body = "\n".join(f"  {s!r}" for s in self.statements) or "  pass"
         return f"{head}\n{body}"
 
@@ -243,6 +250,7 @@ class CompiledProgram:
 
     queries: list[TranslatedQuery]
     maps: dict[str, MapDef]
+    #: one trigger per relation, keyed ``(relation, 0)``: sign 0, either
     triggers: dict[tuple[str, int], Trigger]
     slot_maps: dict[str, list[str]]  # query name -> root map name per slot
     options: CompileOptions = field(default_factory=CompileOptions)
@@ -263,9 +271,9 @@ class CompiledProgram:
     #: relation → the base map every trigger reads it through (relations
     #: only ever read inside whole materialised aggregates have none).
     base_maps: dict[str, BaseMap] = field(default_factory=dict)
-    #: (relation, sign) → {map its trigger writes: the
+    #: trigger key → {map its trigger writes: the
     #: :func:`repro.algebra.delta.batch_delta_order` of the map's
-    #: definition under that event} — classified by ``compile_queries``
+    #: definition under the relation's event} — classified by ``compile_queries``
     #: from the deltas it derives, read by the second-order batch planner.
     delta_orders: dict[tuple[str, int], dict[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -280,8 +288,13 @@ class CompiledProgram:
     def __copy__(self) -> "CompiledProgram":
         return self
 
-    def trigger_for(self, relation: str, sign: int) -> Optional[Trigger]:
-        return self.triggers.get((relation, sign))
+    def trigger_for(self, relation: str) -> Optional[Trigger]:
+        """The trigger a ``relation``'s events run, of either sign."""
+        return self.triggers.get((relation, 0))
+
+    def takes_deletes(self, relation: str) -> bool:
+        """Whether ``relation``'s trigger was derived for either sign."""
+        return self.options.deletions and relation not in self.static_relations
 
     @property
     def relations(self) -> tuple[str, ...]:
@@ -298,7 +311,7 @@ class CompiledProgram:
             lines.append(f"{map_def!r}{role}")
         lines.append("")
         lines.append("== triggers ==")
-        for key in sorted(self.triggers, key=lambda k: (k[0], -k[1])):
+        for key in sorted(self.triggers):
             lines.append(repr(self.triggers[key]))
             lines.append("")
         return "\n".join(lines)

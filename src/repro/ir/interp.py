@@ -53,6 +53,7 @@ from repro.ir.nodes import (
     Slot,
     Sum,
     TriggerIR,
+    WEIGHTS,
     compare_values,
     walk_stmts,
 )
@@ -161,10 +162,7 @@ def run_stmt(
     if isinstance(stmt, ForEachRow):
         params = stmt.params
         body = stmt.body
-        columns = env[stmt.rows_var]
-        if not columns:
-            return
-        for row in zip(*columns):
+        for row in zip(env[WEIGHTS], *env[stmt.rows_var]):
             for name, value in zip(params, row):
                 env[name] = value
             run_stmts(body, env, maps, recorder, entry)
@@ -306,19 +304,21 @@ def run_trigger(
 def run_trigger_batch(
     trigger_ir: TriggerIR,
     columns,
+    weights,
     maps: dict,
     profiler=None,
 ) -> None:
     """Execute one *batch* trigger body over a columnar batch.
 
     ``columns`` is the struct-of-arrays row set
-    (:class:`~repro.runtime.events.EventBatch` layout); the body's
+    (:class:`~repro.runtime.events.EventBatch` layout), ``weights`` its
+    weight column; the body's
     :class:`ForEachRow` loop iterates it directly, so the interpreter
     absorbs batches with the same first-/second-order accumulation shape
     the compiled back end runs — while still re-traversing the IR nodes
     (the interpretation overhead the ablation isolates).
     """
-    env: dict = {"__cols": columns}
+    env: dict = {"__cols": columns, WEIGHTS: weights}
     if profiler is None:
         run_stmts(trigger_ir.body, env, maps, None)
         return
@@ -391,8 +391,8 @@ class InterpretedExecutor:
             return lambda *values: run_trigger(trigger_ir, values, maps, profiler)
 
         def batch(trigger_ir):
-            return lambda columns: run_trigger_batch(
-                trigger_ir, columns, maps, profiler
+            return lambda columns, weights: run_trigger_batch(
+                trigger_ir, columns, weights, maps, profiler
             )
 
         ir = self._ir

@@ -30,6 +30,7 @@ from repro.algebra.expr import (
     Mul,
     Neg as ANeg,
     Var,
+    WEIGHT,
     mul as alg_mul,
 )
 from repro.algebra.schema import output_vars
@@ -85,6 +86,10 @@ from repro.ir.nodes import (
 )
 
 
+#: The event weight, as the lowered statements read it.
+_WEIGHT = Name(WEIGHT)
+
+
 def _factors_of(expr: Expr) -> list[Expr]:
     if isinstance(expr, Mul):
         return list(expr.factors)
@@ -113,8 +118,9 @@ class _Sink:
     ``caches`` are the MIN/MAX/DISTINCT caches a direct write keeps
     current.  ``sums``, when given, is the trigger's table of per-event
     accumulators: an update inside a map loop adds to the scalar local
-    ``sums[(target, args)]`` instead (named on first use, and recorded
-    as ``acc``), which the trigger writes once after its last statement.
+    ``sums[(target, args, weighted)]`` instead (named on first use, and
+    recorded as ``acc``), which the trigger writes once after its last
+    statement (times the event weight when ``weighted``).
     """
 
     def __init__(
@@ -308,19 +314,22 @@ class _StatementLowering:
         if sink.kind == "scalar-acc":
             return [Accum(sink.acc, value)]
         if sink.sums is not None and self.loops:
-            key = (sink.target, sink.args)
+            key = (sink.target, sink.args, _WEIGHT in terms)
             if key not in sink.sums:
                 sink.sums[key] = self.namer.fresh("a")
             sink.acc = sink.sums[key]
-            return [Accum(sink.acc, value)]
+            return [Accum(sink.acc, _prod([t for t in terms if t != _WEIGHT]))]
+        # The event weight is ±1, never zero: the zero guard tests the
+        # rest of the product, which the write then scales by the weight.
         temp = self.namer.fresh("d")
+        delta = _prod([term for term in terms if term == _WEIGHT] + [Name(temp)])
         guard_body: list[IRStmt]
         if sink.kind == "keyed-acc":
             guard_body = [
                 AddTo(
                     Slot(sink.acc, local=True),
                     self._key_exprs(),
-                    Name(temp),
+                    delta,
                     evict=False,
                 )
             ]
@@ -329,7 +338,7 @@ class _StatementLowering:
                 AppendTo(
                     pending_buffer(sink.target),
                     self._key_exprs(),
-                    Name(temp),
+                    delta,
                     target=Slot(sink.target),
                 )
             ]
@@ -338,12 +347,12 @@ class _StatementLowering:
                 AddTo(
                     Slot(sink.target),
                     self._key_exprs(),
-                    Name(temp),
+                    delta,
                     caches=sink.caches,
                 )
             ]
         return [
-            Assign(temp, value),
+            Assign(temp, _prod([term for term in terms if term != _WEIGHT])),
             IfCond(Compare("!=", Name(temp), Const(0)), tuple(guard_body)),
         ]
 
@@ -523,8 +532,9 @@ def lower_trigger(
 
     A statement writing an ``exact``-integer map without caches under a
     key of parameters and constants sums the updates its loop makes into
-    a scalar local (``accumulator``), one per (target, key) and shared by
-    every statement writing it there; one guarded write after the last
+    a scalar local (``accumulator``), one per (target, key, whether the
+    event weight scales it) and shared by every statement writing it
+    there; one guarded write after the last
     statement — an append in a buffered trigger — replaces a read and a
     write of the map per iteration.  A float target keeps its
     per-iteration writes, and so their addition order.
@@ -545,7 +555,7 @@ def lower_trigger(
         if needs_buffering(statements, finalizers)
         else []
     )
-    sums: dict[tuple[str, tuple[Expr, ...]], str] = {}
+    sums: dict[tuple[str, tuple[Expr, ...], bool], str] = {}
     summed: dict[str, list[Statement]] = {}  # accumulator -> its statements
     blocks: list[IRStmt] = []
     sinks: dict[int, str] = {}
@@ -567,7 +577,7 @@ def lower_trigger(
             caches=_caches(target, finalizers),
             sums=sums if summable else None,
         )
-        blocks.append(lower_statement(statement, trigger.params, sink, namer))
+        blocks.append(lower_statement(statement, trigger.signature, sink, namer))
         if sink.acc is not None:
             kind = "accumulator"
             summed.setdefault(sink.acc, []).append(statement)
@@ -575,17 +585,18 @@ def lower_trigger(
     body: list[IRStmt] = [BufferDecl(pending_buffer(name)) for name in buffered]
     body.extend(Assign(acc, Const(0)) for acc in sums.values())
     body.extend(blocks)
-    for (target, args), acc in sums.items():
+    for (target, args, weighted), acc in sums.items():
         keys = tuple(
             Const(arg.value) if isinstance(arg, AConst) else Name(arg.name)
             for arg in args
         )
+        value = _prod([_WEIGHT, Name(acc)] if weighted else [Name(acc)])
         if target in buffered:
             write: IRStmt = AppendTo(
-                pending_buffer(target), keys, Name(acc), target=Slot(target)
+                pending_buffer(target), keys, value, target=Slot(target)
             )
         else:
-            write = AddTo(Slot(target), keys, Name(acc))
+            write = AddTo(Slot(target), keys, value)
         body.append(
             Block(
                 comments=(),
@@ -624,9 +635,8 @@ def lower_trigger(
         ]
     trigger_ir = TriggerIR(
         relation=trigger.relation,
-        sign=trigger.sign,
         name=trigger.name,
-        params=trigger.params,
+        params=trigger.signature,
         body=tuple(body),
     )
     report = tuple(
@@ -726,7 +736,8 @@ def plan_second_order(
     """Derive the second-order batch plan for a self-reading trigger.
 
     Per target, the delta-of-delta of its defining query with respect to
-    two formal events of this trigger's ``(relation, sign)`` decides the
+    two formal events of this trigger's relation (of independent
+    weights) decides the
     sink: a vanishing second-order delta means the per-row deltas sum
     (first-order accumulation in the row loop); a non-vanishing one means
     the target is *restated* once per batch from its definition.  The
@@ -748,7 +759,7 @@ def plan_second_order(
     written = {s.target for s in trigger.statements}
     if not written <= exact_int_maps(program):
         return None
-    orders = program.delta_orders[(trigger.relation, trigger.sign)]
+    orders = program.delta_orders[(trigger.relation, 0)]
     restate_targets = sorted(name for name in written if orders[name] >= 2)
     if not restate_targets:
         return None
@@ -921,8 +932,10 @@ def _lower_accumulated(
         else:
             sink = _Sink("keyed-acc", statement.target, statement.args, acc=acc)
             sinks[position] = "accumulator"
-        row_blocks.append(lower_statement(statement, trigger.params, sink, namer))
-    body.append(ForEachRow("__cols", trigger.params, tuple(row_blocks)))
+        row_blocks.append(
+            lower_statement(statement, trigger.signature, sink, namer)
+        )
+    body.append(ForEachRow("__cols", trigger.signature, tuple(row_blocks)))
     for acc, position in firsts.items():
         statement = statements[position]
         if not statement.args:
@@ -1019,20 +1032,15 @@ def lower_trigger_batch(
     namer = namer or _Namer()
     name = f"{trigger.name}_batch"
     finalizers = finalizers or {}
+    params = trigger.signature
     if not trigger.statements:
-        return (
-            TriggerIR(trigger.relation, trigger.sign, name, trigger.params, ()),
-            (),
-        )
+        return TriggerIR(trigger.relation, name, params, ()), ()
 
     if plan is not None:
         body, report = _lower_second_order(
             trigger, plan, patterns, namer, finalizers, exact
         )
-        return (
-            TriggerIR(trigger.relation, trigger.sign, name, trigger.params, body),
-            report,
-        )
+        return TriggerIR(trigger.relation, name, params, body), report
 
     if independent is None:
         independent = _independent(trigger, finalizers)
@@ -1046,13 +1054,7 @@ def lower_trigger_batch(
                 (repr(s), sinks[i]) for i, s in enumerate(trigger.statements)
             )
             return (
-                TriggerIR(
-                    trigger.relation,
-                    trigger.sign,
-                    name,
-                    trigger.params,
-                    tuple(accumulated),
-                ),
+                TriggerIR(trigger.relation, name, params, tuple(accumulated)),
                 report,
             )
 
@@ -1066,10 +1068,9 @@ def lower_trigger_batch(
     return (
         TriggerIR(
             trigger.relation,
-            trigger.sign,
             name,
-            trigger.params,
-            (ForEachRow("__cols", trigger.params, per_event.body),),
+            params,
+            (ForEachRow("__cols", params, per_event.body),),
         ),
         report,
     )

@@ -42,6 +42,10 @@ Value = Union[int, float, str]
 
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+#: The local a batch trigger receives its weight column in (one +1/-1
+#: per row, beside the event columns): see :class:`ForEachRow`.
+WEIGHTS = "__ws"
+
 
 # ---------------------------------------------------------------------------
 # Scalar expressions
@@ -239,7 +243,9 @@ class ForEachMap(IRStmt):
 
 @dataclass(frozen=True, slots=True)
 class ForEachRow(IRStmt):
-    """Batch row loop: unpack ``params`` from each row of ``rows_var``."""
+    """Batch row loop over a columnar batch: ``params[0]`` takes each
+    row's weight from the batch's weight column (:data:`WEIGHTS`), the
+    rest of ``params`` its event values from the columns of ``rows_var``."""
 
     rows_var: str
     params: tuple[str, ...]
@@ -405,17 +411,13 @@ class MapDecl(IRStmt):
 
 @dataclass
 class TriggerIR:
-    """The imperative body of one (relation, sign) trigger."""
+    """The imperative body of one relation's trigger (per-event or
+    batch); ``params`` are the per-event arguments, weight first."""
 
     relation: str
-    sign: int
     name: str
     params: tuple[str, ...]
     body: tuple[IRStmt, ...]
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.relation, self.sign)
 
 
 @dataclass

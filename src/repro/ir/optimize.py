@@ -1005,13 +1005,7 @@ def optimize_trigger(
         if removed is not None:
             removed[name] = removed.get(name, 0) + size - after
         size = after
-    return TriggerIR(
-        trigger_ir.relation,
-        trigger_ir.sign,
-        trigger_ir.name,
-        trigger_ir.params,
-        body,
-    )
+    return TriggerIR(trigger_ir.relation, trigger_ir.name, trigger_ir.params, body)
 
 
 def optimize_program(

@@ -30,6 +30,7 @@ from repro.ir.nodes import (
     SafeDiv,
     Sum,
     TriggerIR,
+    WEIGHTS,
 )
 
 
@@ -101,7 +102,10 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
             lines.extend(stmt_lines(inner, indent + 1))
         return lines
     if isinstance(stmt, ForEachRow):
-        lines = [f"{pad}foreach row ({', '.join(stmt.params)}) in {stmt.rows_var}:"]
+        lines = [
+            f"{pad}foreach row ({', '.join(stmt.params)}) in "
+            f"{WEIGHTS}, {stmt.rows_var}:"
+        ]
         for inner in stmt.body:
             lines.extend(stmt_lines(inner, indent + 1))
         return lines
@@ -145,7 +149,7 @@ def trigger_str(trigger_ir: TriggerIR) -> str:
 
 def _sinks_str(title: str, sinks: dict, triggers: dict) -> str:
     lines = [f"== {title} =="]
-    for key in sorted(sinks, key=lambda k: (k[0], -k[1])):
+    for key in sorted(sinks):
         lines.append(f"{triggers[key].name}:")
         if not sinks[key]:
             lines.append("  (no statements)")
@@ -201,10 +205,10 @@ def program_str(ir: ProgramIR) -> str:
     if ir.batch_sinks:
         lines.append("")
         lines.append(batch_sinks_str(ir))
-    for key in sorted(ir.triggers, key=lambda k: (k[0], -k[1])):
+    for key in sorted(ir.triggers):
         lines.append("")
         lines.append(trigger_str(ir.triggers[key]))
-    for key in sorted(ir.batch_triggers, key=lambda k: (k[0], -k[1])):
+    for key in sorted(ir.batch_triggers):
         lines.append("")
         lines.append(trigger_str(ir.batch_triggers[key]))
     return "\n".join(lines)

@@ -68,11 +68,14 @@ class Debugger:
 
     def step(self, event: StreamEvent) -> EventTrace:
         """Process one event, returning (and recording) its trace."""
-        trigger_ir = self._ir.triggers.get((event.relation, event.sign))
+        trigger_ir = self._ir.triggers.get((event.relation, 0))
         trace = EventTrace(event=event)
-        if trigger_ir is not None:
+        # Without deletions the trigger is insert-only: a delete is a no-op.
+        if trigger_ir is not None and (
+            event.sign == 1 or self.program.options.deletions
+        ):
             for block, updates in run_trigger_collect(
-                trigger_ir, event.values, self.maps
+                trigger_ir, (event.sign, *event.values), self.maps
             ):
                 statement = block.sources[0] if block.sources else None
                 trace.statements.append(StatementTrace(statement, updates))

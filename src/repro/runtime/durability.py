@@ -579,9 +579,9 @@ class WriteAheadLog:
         Small batches (<= ``_SMALL_BATCH_ROWS`` rows — the short runs an
         interleaved stream produces even at large batch sizes) take the
         pickled-rows payload, skipping the per-column packing and the
-        rows->columns transpose, and so does every mixed batch: it
-        applies as row sub-runs, and on order-book rows pickling is 2-3x
-        faster and smaller than column packing at 8 to 1,000 rows.  The
+        rows->columns transpose, and so does every mixed batch: on
+        order-book rows pickling is 2-3x faster and smaller than column
+        packing at 8 to 1,000 rows.  The
         rest — uniform runs, laid out exactly as before mixed frames
         existed — write column-packed.
         """
@@ -940,11 +940,16 @@ def program_fingerprint(program: CompiledProgram) -> str:
     maps, other triggers): the WAL records deltas, and deltas only mean
     anything against the program that produced them.  The fingerprint
     covers the trigger set, the maintained maps (name + key arity) and
-    the query names — the parts replay depends on.
+    the query names — the parts replay depends on.  A relation's
+    trigger is hashed as the signs its events may carry (``-1`` and
+    ``1``, or ``1`` alone for a static table or without deletions), so a
+    directory keeps its fingerprint across builds that key triggers by
+    relation alone.
     """
     digest = hashlib.sha256()
-    for relation, sign in sorted(program.triggers):
-        digest.update(f"trigger:{relation}/{sign};".encode())
+    for relation in program.relations:
+        for sign in (-1, 1) if program.takes_deletes(relation) else (1,):
+            digest.update(f"trigger:{relation}/{sign};".encode())
     for name in sorted(program.maps):
         digest.update(f"map:{name}/{program.maps[name].arity};".encode())
     for query in program.queries:

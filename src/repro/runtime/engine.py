@@ -4,8 +4,9 @@
 *executor* bound to them.  An executor is a program compiled under one
 :class:`~repro.compiler.program.ExecutorOptions` value — immutable, with
 ``layout``, ``source``, ``native_active``, ``native_note`` and
-``bind(maps, profiler=None)``, which returns per-event and ``*_batch``
-callables keyed by ``(relation, sign)``:
+``bind(maps, profiler=None)``, which returns one relation's per-event
+``(weight, *values)`` and ``*_batch`` ``(columns, weights)`` callables,
+keyed by ``(relation, 0)`` — one trigger serves both signs:
 
 * ``mode="compiled"`` — generated Python functions
   (:class:`repro.codegen.pygen.CompiledExecutor`), the reproduction of the
@@ -29,14 +30,15 @@ maps supports ad-hoc client queries, per the paper's system model.
 
 Events are accepted one at a time (:meth:`DeltaEngine.process`) or in
 *batches* (:meth:`DeltaEngine.process_batch`): a batch is a run of rows on
-one relation, admitted, logged and routed once, and applied as its
-same-sign sub-runs — each one generated ``*_batch`` trigger call (or the
-per-event trigger for a single row), so the per-event Python dispatch
-overhead (trigger lookup, static-table checks, profiler hooks, one call
-per event) is paid once per run.  :meth:`DeltaEngine.process_stream`
-groups consecutive same-relation events into such batches automatically;
-results are identical to per-event processing because rows apply in
-stream order.
+one relation, admitted, logged and routed once, and applied by one
+trigger call — the generated ``*_batch`` trigger over its columns and
+weight column, inserts and deletes mixed (or the per-event trigger for a
+single row) — so the per-event Python dispatch overhead (trigger lookup,
+static-table checks, profiler hooks, one call per event) is paid once per
+run.  :meth:`DeltaEngine.process_stream` groups consecutive same-relation
+events into such batches automatically; results are identical to
+per-event processing because every batch shape the lowering emits is
+exact across signs (:func:`repro.ir.lower.lower_trigger_batch`).
 
 On top of the single engine, :class:`ShardedEngine` runs *sharded parallel*
 delta processing: the compiler's partitioning analysis
@@ -63,6 +65,7 @@ from __future__ import annotations
 import signal
 import time
 from collections import defaultdict, deque
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -98,31 +101,31 @@ _ROW_ROUTE_THRESHOLD = 8
 
 
 def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
-    """The one admission rule: may ``count`` rows of ``(relation, sign)``
-    enter ``engine``, and which trigger runs them.
+    """The one admission rule: may ``count`` rows of ``relation`` with
+    ``sign`` enter ``engine``, and which trigger runs them.
 
     Static tables must be fully loaded before the first stream event —
     mixed static/stream maps carry no static-table triggers, which is
     only sound while all streams are empty — and only take inserts.  A
     relation no standing query reads raises in ``strict`` mode and is
-    counted into ``events_skipped`` otherwise.  Returns the trigger, or
-    ``None`` when the rows are to be dropped (skipped relation, deletions
-    disabled at compile time, or no statements).
+    counted into ``events_skipped`` otherwise.  Returns the relation's
+    trigger, which every sign runs, or ``None`` when the rows are to be
+    dropped: a skipped relation, or deletes when the program was
+    compiled with ``deletions=False`` (a known-relation no-op).
 
     ``sign`` is ``+1``/``-1``, or ``0`` for a mixed batch (one carrying a
-    weight column; ``0`` is the WAL's sign byte for one, too).  A mixed
-    batch is judged whole, before any row applies, with the verdicts its
-    sign sub-runs would get: a static table refuses it (it holds
-    deletes), a skipped relation counts every row, and the returned
-    trigger is either sign's — a sign that lacks one drops its rows when
-    applied (:meth:`DeltaEngine._apply`).
+    weight column; ``0`` is the WAL's sign byte for one, too), judged
+    whole before any row applies: a static table refuses it (it holds
+    deletes) and a skipped relation counts every row.  Without
+    deletions, its delete rows drop where it applies
+    (:meth:`DeltaEngine._apply`).
 
     ``count=0`` is a dry run — it raises exactly what applying would and
     changes no engine state — which is how the durable layer rejects a
     batch *before* logging it.
     """
     program = engine.program
-    trigger = program.triggers.get((relation, sign))
+    trigger = program.triggers.get((relation, 0))
     if relation in program.static_relations:
         if engine._stream_started:
             raise EventError(
@@ -134,24 +137,19 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
             raise EventError(
                 f"static table {relation!r} only supports bulk-load inserts"
             )
-    elif count and (trigger is not None or relation in engine._relations):
+    elif count and trigger is not None:
         engine._stream_started = True
     if trigger is None:
-        if relation in engine._relations:
-            if sign == 0:  # either sign's trigger runs some of the rows
-                triggers = program.triggers
-                trigger = triggers.get((relation, 1)) or triggers.get(
-                    (relation, -1)
-                )
-        elif engine.strict:
+        if engine.strict:
             # Say what *would* have been accepted.
-            known = sorted(engine._relations | set(program.static_relations))
+            known = program.relations
             raise UnknownStreamError(
                 f"no standing query reads relation {relation!r}; "
                 "known relations: " + (", ".join(known) if known else "(none)")
             )
-        else:
-            engine.events_skipped += count
+        engine.events_skipped += count
+    elif sign == -1 and not program.options.deletions:
+        return None
     return trigger
 
 
@@ -196,7 +194,6 @@ class Engine:
         """The state :func:`admit` reads and advances (the durable engine
         has none of its own: it admits against the engine it wraps)."""
         self.strict = strict
-        self._relations = {rel for rel, _ in self.program.triggers}
         self._stream_started = False
         self.events_skipped = 0
 
@@ -215,9 +212,9 @@ class Engine:
         per-row weight column (a list of ``+1``/``-1``) of a mixed run.
         Semantically identical to ``process``-ing each row in order, but the
         per-event dispatch cost (trigger lookup, static-table checks,
-        profiler hooks, one Python call per event) is paid once per
-        same-sign sub-run; multi-row sub-runs are transposed into the
-        columnar batch layout and run through the ``*_batch`` trigger.
+        profiler hooks, one Python call per event) is paid once per run; a
+        multi-row run is transposed into the columnar batch layout and run
+        through the ``*_batch`` trigger with its weight column.
 
         Returns the number of rows that reached a trigger (0 when the
         relation is unsubscribed and the rows were skipped).
@@ -248,9 +245,10 @@ class Engine:
         """Apply a sequence of events (update pairs are flattened).
 
         Consecutive events on one relation are grouped into batches
-        (:func:`~repro.runtime.events.batches`) and each same-sign
-        sub-run dispatched once: one-row runs take the per-event trigger
-        directly, longer runs the columnar ``*_batch`` trigger.
+        (:func:`~repro.runtime.events.batches`), inserts and deletes
+        together, and each dispatched once: one-row runs take the
+        per-event trigger directly, longer runs the columnar ``*_batch``
+        trigger.
         ``batch_size`` caps the rows buffered per batch (default
         ``DEFAULT_BATCH_SIZE``, keeping memory bounded on endless
         single-relation feeds); ``None`` leaves runs unbounded — only safe
@@ -470,9 +468,20 @@ class DeltaEngine(Engine):
             executor.layout.create_maps() if maps is None else maps
         )
         self.profiler = profiler
-        self._triggers = executor.bind(self.maps, profiler)
+        self._bind()
         self._watches: list[dict[str, set]] = []
         self.events_processed = 0
+
+    def _bind(self) -> None:
+        """Bind the executor to ``self.maps``, and each relation's trigger
+        to either sign for the per-event path: ``partial`` prepends the
+        weight in C, where ``trigger(sign, *values)`` builds a tuple."""
+        self._triggers = self._executor.bind(self.maps, self.profiler)
+        self._signed = {
+            (relation, sign): partial(trigger, sign)
+            for (relation, _), trigger in self._triggers.per_event.items()
+            for sign in (1, -1)
+        }
 
     def __deepcopy__(self, memo: dict) -> "DeltaEngine":
         """Snapshot support (used by the benchmark harness).
@@ -512,7 +521,7 @@ class DeltaEngine(Engine):
         relation, sign = event.relation, event.sign
         if admit(self, relation, sign, 1) is None:
             return
-        self._triggers.per_event[relation, sign](*event.values)
+        self._signed[relation, sign](*event.values)
         self.events_processed += 1
         if self.profiler is not None:
             self.profiler.record_event(event)
@@ -537,66 +546,37 @@ class DeltaEngine(Engine):
         return applied
 
     def _apply(self, relation: str, sign, rows, columns) -> int:
-        """Run admitted rows through the bound triggers; returns how many
-        reached one.  ``rows`` (row tuples) or ``columns`` (per-column
+        """Run admitted rows through the relation's trigger; returns how
+        many reached it.  ``rows`` (row tuples) or ``columns`` (per-column
         lists) carries them — whichever is not ``None``, both when both
-        are at hand.
+        are at hand — and ``sign`` is their sign or weight column.
 
-        A uniform run takes the per-event trigger for one row (no loop
-        setup, no transpose, and a second-order flush would restate whole
-        maps for one row's change), the columnar ``*_batch`` trigger
-        otherwise.  A mixed run (``sign`` is its weight column) is exactly
-        its maximal same-sign sub-runs, in stream order, each dispatched
-        that way — stream-order exact for every trigger, cache-keeping
-        writes and second-order sinks included; a sign without a trigger (deletions
-        compiled out) drops its sub-runs.
+        One row takes the per-event trigger (no loop setup, no transpose,
+        and a second-order flush would restate whole maps for one row's
+        change); more take the columnar ``*_batch`` trigger with the
+        weight column, in one call whatever the signs.  Without deletions,
+        only the run's inserts apply.
         """
-        triggers = self._triggers
-        if isinstance(sign, list):
-            if rows is None:
-                rows = rows_from_columns(columns)
-            applied, start, end = 0, 0, len(sign)
-            while start < end:  # one sub-run [start, stop) per pass
-                run_sign, stop = sign[start], start + 1
-                while stop < end and sign[stop] == run_sign:
-                    stop += 1
-                if stop - start == 1:
-                    trigger = triggers.per_event.get((relation, run_sign))
-                    if trigger is not None:
-                        trigger(*rows[start])
-                else:
-                    trigger = triggers.batch.get((relation, run_sign))
-                    if trigger is not None:
-                        trigger(columns_from_rows(rows[start:stop]))
-                if trigger is not None:
-                    applied += stop - start
-                    if self.profiler is not None:
-                        self.profiler.record_batch(
-                            relation, run_sign, stop - start
-                        )
-                start = stop
-            self.events_processed += applied
-            return applied
-        # A uniform slice of a mixed batch can hold a sign the relation
-        # has no trigger for: look the trigger up, do not index.
-        if rows is not None and len(rows) == 1:
-            trigger = triggers.per_event.get((relation, sign))
-            if trigger is None:
+        if sign != 1 and not self.program.options.deletions:
+            if not isinstance(sign, list):
                 return 0
-            trigger(*rows[0])
+            rows = rows if rows is not None else rows_from_columns(columns)
+            rows = [row for row, weight in zip(rows, sign) if weight == 1]
+            sign, columns = 1, None
+        if rows is not None and len(rows) <= 1:
+            if not rows:
+                return 0
+            self._signed[relation, sign](*rows[0])  # one row: one sign
             count = 1
         else:
             if columns is None:
                 columns = columns_from_rows(rows)
             count = len(columns[0]) if columns else len(rows)
-            table = triggers.per_event if count == 1 else triggers.batch
-            trigger = table.get((relation, sign))
-            if trigger is None:
-                return 0
             if count == 1:
-                trigger(*[column[0] for column in columns])
+                self._signed[relation, sign](*[column[0] for column in columns])
             else:
-                trigger(columns)
+                weights = sign if isinstance(sign, list) else [sign] * count
+                self._triggers.batch[relation, 0](columns, weights)
         self.events_processed += count
         if self.profiler is not None:
             self.profiler.record_batch(relation, sign, count)
@@ -651,7 +631,7 @@ class DeltaEngine(Engine):
                 self.maps[name] = dict(contents)
             swapped = swapped or self.maps[name] is not contents
         if swapped:
-            self._triggers = self._executor.bind(self.maps, self.profiler)
+            self._bind()
 
     # -- durability ---------------------------------------------------------
 
@@ -682,7 +662,7 @@ class DeltaEngine(Engine):
             contents = maps.get(name)
             if contents:
                 target.update(contents)
-        self._triggers = self._executor.bind(self.maps, self.profiler)
+        self._bind()
         self.events_processed = events_processed
         self.events_skipped = events_skipped
         if stream_started is None:
@@ -1338,16 +1318,15 @@ class ShardedEngine(Engine):
                 lanes[hash(rows[0][column]) % len(lanes)].send(
                     relation, sign, rows, None
                 )
-            elif count <= _ROW_ROUTE_THRESHOLD or weights is not None:
+            elif count <= _ROW_ROUTE_THRESHOLD:
                 # Short runs: row-level hash routing is cheaper than
-                # building per-shard column gathers.  Mixed runs too: a
-                # lane applies them as row sub-runs anyway.
+                # building per-shard column gathers.
                 self._scatter(relation, sign, partition_rows(
                     batch.rows, column, len(lanes), weights
                 ), columnar=False)
             else:
                 self._scatter(relation, sign, partition_columns(
-                    batch.columns, column, len(lanes)
+                    batch.columns, column, len(lanes), weights
                 ), columnar=True)
         except _BatchReplayed:
             # A supervised durable rebuild replayed the WAL, which already
@@ -1360,21 +1339,20 @@ class ShardedEngine(Engine):
 
     def _scatter(self, relation: str, sign, slices, columnar: bool) -> None:
         """Send each lane its slice of one routed run — row lists, or
-        column tuples when ``columnar`` — or, for a mixed run (``sign`` is
-        its weight column), ``(rows, weights)`` pairs: a lane whose rows
-        share one sign gets a uniform run.  Lanes that drew no rows get no
-        message."""
+        column tuples when ``columnar`` — paired, for a mixed run (``sign``
+        is its weight column), with the slice's weights.  Lanes that drew
+        no rows get no message."""
         mixed = isinstance(sign, list)
         for lane, part in zip(self._lanes, slices):
             if mixed:
                 part, weights = part
-                if weights:
-                    lane.send(relation, batch_sign(weights), part, None)
-            elif not columnar:
-                if part:
-                    lane.send(relation, sign, part, None)
-            elif part[0]:
-                lane.send(relation, sign, None, part)
+                part_sign = batch_sign(weights) if weights else None
+            else:
+                part_sign = sign if (part[0] if columnar else part) else None
+            if part_sign is not None:
+                lane.send(relation, part_sign, *(
+                    (None, part) if columnar else (part, None)
+                ))
 
     def sync(self) -> None:
         """Barrier: wait until every shard worker has drained its pipe.

@@ -11,8 +11,8 @@ relation, so each layer (WAL, router, lane) handles a run once (see
 :meth:`repro.runtime.engine.DeltaEngine.process_batch`).  The sign is a
 column of the run, as a Z-set's weight travels with its row: a run of one
 sign keeps ``sign`` ``+1``/``-1``, a mixed run carries its per-row weight
-column and executes as its in-order maximal same-sign sub-runs, each
-through one trigger call.
+column, and either executes as one call of the relation's trigger, which
+takes each row's weight as an argument.
 
 A batch is stored *columnar* (struct-of-arrays): one parallel list per
 event column, in stream order.  The generated batch triggers iterate the
@@ -45,10 +45,6 @@ class StreamEvent:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise EventError(f"event sign must be +1 or -1, got {self.sign!r}")
-
-    @property
-    def is_insert(self) -> bool:
-        return self.sign == 1
 
     def __repr__(self) -> str:
         symbol = "+" if self.sign == 1 else "-"
@@ -137,10 +133,9 @@ class EventBatch:
     ``sign`` is ``+1``/``-1`` when every row shares it; a *mixed* run
     carries its weight column there instead — a list of one ``+1``/``-1``
     per row, in stream order — and :attr:`weights` gives the per-row list
-    either way.  A mixed batch means exactly its maximal same-sign
-    sub-runs applied in order
-    (:meth:`repro.runtime.engine.DeltaEngine._apply`), so it is as exact
-    as per-event processing for every query.
+    either way.  A mixed batch applies in one trigger call with its
+    weight column (:meth:`repro.runtime.engine.DeltaEngine._apply`), as
+    exact as per-event processing for every query.
 
     The canonical execution layout is *columnar*: ``columns[i]`` is the
     list of the ``i``-th event value across the batch, in stream order (a
@@ -295,16 +290,23 @@ def partition_rows(
 
 
 def partition_columns(
-    columns: Sequence[Sequence], column: int, shards: int
-) -> list[tuple[list, ...]]:
+    columns: Sequence[Sequence],
+    column: int,
+    shards: int,
+    weights: Optional[list] = None,
+) -> list:
     """Hash-partition a columnar batch by one column, staying columnar.
 
     The routing column is hashed directly from its own list (no row
     reconstruction) into per-shard position selectors; every column is
     then gathered per shard in one comprehension.  Stream order is
     preserved within each shard — the columnar equivalent of
-    :func:`partition_rows`.
+    :func:`partition_rows`, ``weights`` included: each shard then gets
+    a ``(columns, weights)`` pair.
     """
+    if weights is not None:
+        parts = partition_columns((*columns, weights), column, shards)
+        return [(part[:-1], part[-1]) for part in parts]
     if shards < 1:
         raise EventError(f"shard count must be >= 1, got {shards!r}")
     if shards == 1:

@@ -26,17 +26,17 @@ class Profiler:
     map_updates: dict[str, int] = field(default_factory=dict)
 
     def record_event(self, event) -> None:
-        self.events += 1
-        key = f"{'+' if event.sign == 1 else '-'}{event.relation}"
-        self.events_by_trigger[key] = self.events_by_trigger.get(key, 0) + 1
+        self.record_batch(event.relation, event.sign, 1)
 
-    def record_batch(self, relation: str, sign: int, count: int) -> None:
-        """One batched trigger dispatch covering ``count`` events (the
-        engine reports a mixed batch once per same-sign sub-run, so every
-        row counts under its own sign)."""
+    def record_batch(self, relation: str, sign, count: int) -> None:
+        """One trigger dispatch covering ``count`` events of ``sign`` —
+        or, for a mixed batch, of its weight column: every row counts
+        under its own sign."""
         self.events += count
-        key = f"{'+' if sign == 1 else '-'}{relation}"
-        self.events_by_trigger[key] = self.events_by_trigger.get(key, 0) + count
+        inserts = sign.count(1) if isinstance(sign, list) else count * (sign == 1)
+        for key, n in ((f"+{relation}", inserts), (f"-{relation}", count - inserts)):
+            if n:
+                self.events_by_trigger[key] = self.events_by_trigger.get(key, 0) + n
 
     def record_statement(self, target_map: str, updates: int) -> None:
         self.statement_runs[target_map] = self.statement_runs.get(target_map, 0) + 1

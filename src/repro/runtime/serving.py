@@ -83,7 +83,7 @@ import struct
 import threading
 import time
 import weakref
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -306,18 +306,12 @@ class ViewDeltaTap:
                 )
         self.engine = engine
         self.views = selected
-        #: which served views each (relation, sign) trigger can change:
-        #: exactly those whose slot maps the trigger's statements write;
-        #: under (relation, 0), what a mixed batch can change — the
-        #: views of either sign.
-        self._affected: dict[tuple[str, int], tuple[str, ...]] = {}
-        written: dict[tuple[str, int], set] = defaultdict(set)
-        for (relation, sign), trigger in program.triggers.items():
+        #: which served views each relation's trigger can change: exactly
+        #: those whose slot maps the trigger's statements write.
+        self._affected: dict[str, tuple[str, ...]] = {}
+        for (relation, _), trigger in program.triggers.items():
             targets = {statement.target for statement in trigger.statements}
-            written[relation, sign] |= targets
-            written[relation, 0] |= targets
-        for key, targets in written.items():
-            self._affected[key] = tuple(
+            self._affected[relation] = tuple(
                 view
                 for view in selected
                 if targets.intersection(program.slot_maps[view])
@@ -376,21 +370,18 @@ class ViewDeltaTap:
         """
         self.lsn = lsn
         deltas: dict[str, list[tuple[tuple, int]]] = {}
-        for view in self.affected(batch.relation, batch.sign):
+        for view in self.affected(batch.relation):
             changes = self._view_delta(view)
             if changes:
                 deltas[view] = changes
         return deltas
 
-    def affected(self, relation, sign) -> tuple[str, ...]:
-        """The served views a batch of ``relation`` can change; ``sign``
-        is ±1, or a mixed batch's weight column."""
+    def affected(self, relation) -> tuple[str, ...]:
+        """The served views a batch of ``relation`` can change, whatever
+        its signs."""
         if not isinstance(relation, str):  # a malformed publish frame
             return ()
-        try:
-            return self._affected.get((relation, sign), ())
-        except TypeError:  # a weight column is unhashable
-            return self._affected.get((relation, 0), ())
+        return self._affected.get(relation, ())
 
     def _view_delta(self, view: str) -> list[tuple[tuple, int]]:
         """Bring one view's ``group -> row`` up to date and return what
@@ -672,7 +663,7 @@ class ViewServer:
         The batch goes through the engine's public entry point, so a
         durable engine logs it before applying it.
         """
-        views = self.tap.affected(relation, sign)
+        views = self.tap.affected(relation)
         if self._full(None, views):
             await self._room(None, views)
         count = self.engine.process_batch(relation, sign, list(rows))
@@ -926,9 +917,7 @@ class ViewServer:
                     if blocks:
                         views = ()
                         if message.get("op") == "publish":
-                            views = self.tap.affected(
-                                message.get("relation"), message.get("sign", 1)
-                            )
+                            views = self.tap.affected(message.get("relation"))
                         if self._full(client, views):
                             await self._room(client, views)
                             if client.dropped:

@@ -11,10 +11,6 @@ from __future__ import annotations
 from repro.compiler.program import CompiledProgram
 
 
-def _sign_symbol(sign: int) -> str:
-    return "+" if sign == 1 else "-"
-
-
 def _short(text: str, width: int) -> str:
     return text if len(text) <= width else text[: width - 1] + "…"
 
@@ -22,16 +18,15 @@ def _short(text: str, width: int) -> str:
 def compilation_rows(program: CompiledProgram) -> list[dict]:
     """One row per (maintained map, event, statement), Figure 2's columns."""
     rows: list[dict] = []
-    for (relation, sign), trigger in sorted(
-        program.triggers.items(), key=lambda item: (item[0][0], -item[0][1])
-    ):
+    for (relation, _), trigger in sorted(program.triggers.items()):
+        symbol = "±" if program.takes_deletes(relation) else "+"
         for statement in trigger.statements:
             target = program.maps[statement.target]
             used = sorted(statement.reads())
             rows.append(
                 {
                     "level": target.level + 1,  # Figure 2 levels start at 1
-                    "event": f"{_sign_symbol(sign)}{relation}",
+                    "event": f"{symbol}{relation}",
                     "query": repr(target.defn),
                     "code": repr(statement),
                     "maps_used": used,
@@ -98,26 +93,3 @@ def ir_summary(program: CompiledProgram, optimize: bool = True) -> str:
         f"batch sinks: {counted(ir.batch_sinks.values())})"
     )
 
-
-def batch_sink_coverage(
-    program: CompiledProgram,
-    optimize: bool = True,
-    second_order: bool = True,
-) -> dict[str, dict[str, int]]:
-    """Per-trigger counts of each chosen batch sink.
-
-    The accumulation-coverage report: which triggers absorb batches through
-    first-order accumulation (``accumulator``/``direct``), which restate
-    order-2 targets (``second-order``), and which fall back to replaying
-    the per-event body (``per-row``/``buffered``).
-    """
-    from repro.ir import lower_program
-
-    ir = lower_program(program, optimize=optimize, second_order=second_order)
-    coverage: dict[str, dict[str, int]] = {}
-    for key, report in sorted(ir.batch_sinks.items()):
-        counts: dict[str, int] = {}
-        for _statement, sink in report:
-            counts[sink] = counts.get(sink, 0) + 1
-        coverage[program.triggers[key].name] = counts
-    return coverage

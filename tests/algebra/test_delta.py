@@ -4,7 +4,9 @@ The central property (the correctness foundation of the whole compiler):
 
     eval(Q, db + event) == eval(Q, db) + eval(delta(Q, event), db)
 
-for every query Q, database db, and single-tuple insert/delete event.
+for every query Q, database db, and single-tuple insert/delete event —
+and for the *weighted* delta the compiler derives once per relation, with
+its weight bound to +1 and to -1.
 """
 
 import pytest
@@ -20,13 +22,16 @@ from repro.algebra.expr import (
     MapRef,
     Rel,
     Var,
+    WEIGHT,
     ZERO,
     add,
     mul,
     neg,
+    walk,
 )
 from repro.algebra.delta import Event, delta, event_for
 from repro.algebra.eval import eval_expr, gmr_add, gmr_equal
+from repro.algebra.simplify import simplify
 
 from tests.checks import apply_event
 from tests.strategies import closed_queries, databases, events
@@ -47,8 +52,13 @@ class TestEventModel:
             Event("R", 2, ("x",))
 
     def test_event_name(self):
-        assert Event("R", 1, ("x", "y")).name == "on_insert_R"
-        assert Event("R", -1, ("x", "y")).name == "on_delete_R"
+        assert Event("R", 1, ("x", "y")).name == "on_R"
+        assert Event("R", -1, ("x", "y")).name == "on_R"
+        assert Event("R", 0, ("x", "y")).name == "on_R"
+
+    def test_weighted_event_binds_its_weight(self):
+        assert Event("R", 0, ("x", "y")).bound == ("x", "y", WEIGHT)
+        assert Event("R", 1, ("x", "y")).bound == ("x", "y")
 
     def test_event_for_builds_params(self):
         ev = event_for("Bids", ("price", "volume"), 1)
@@ -74,6 +84,12 @@ class TestStructuralRules:
         ev = Event("R", -1, ("a0", "b0"))
         d = delta(rel("R", "a", "b"), ev)
         assert d == neg(mul(Lift("a", Var("a0")), Lift("b", Var("b0"))))
+
+    def test_weighted_singleton_carries_the_weight(self):
+        ev = Event("R", 0, ("a0", "b0"))
+        d = delta(rel("R", "a", "b"), ev)
+        lifts = mul(Lift("a", Var("a0")), Lift("b", Var("b0")))
+        assert d == mul(Var(WEIGHT), lifts)
 
     def test_constant_arg_becomes_param_equality(self):
         ev = Event("R", 1, ("a0", "b0"))
@@ -126,10 +142,18 @@ class TestStructuralRules:
         assert delta(Cmp("<", Var("x"), Const(3)), ev) == ZERO
 
 
-def _check_invariant(query, db, name, sign, values):
-    ev = event_for(name, tuple(f"c{i}" for i in range(len(values))), sign)
+def _check_invariant(query, db, name, sign, values, weighted=False):
+    """The invariant for one event; ``weighted`` checks the delta of the
+    weighted event (simplified, as the compiler derives it) with its
+    weight bound to ``sign``."""
+    ev = event_for(
+        name, tuple(f"c{i}" for i in range(len(values))), 0 if weighted else sign
+    )
     env = dict(zip(ev.params, values))
     d = delta(query, ev)
+    if weighted:
+        env[WEIGHT] = sign
+        d = simplify(d, ev.bound)
 
     before_cols, before = eval_expr(query, {}, db)
     after_cols, after = eval_expr(query, {}, apply_event(db, name, sign, values))
@@ -194,12 +218,56 @@ class TestDeltaInvariantConcrete:
         _check_invariant(q, db, "R", -1, (1, 10))  # group disappears
 
 
+class TestWeightedDelta:
+    """One delta per relation: the weighted event's, exact at w = +1 and
+    at w = -1."""
+
+    SELF_JOIN = AggSum(
+        (), mul(rel("R", "a1", "b1"), rel("R", "a2", "b2"), Var("a1"), Var("a2"))
+    )  # SELECT sum(r1.a * r2.a) FROM R r1, R r2
+
+    def test_paper_query_at_both_weights(self):
+        db = {
+            "R": {(1, 10): 1, (2, 20): 1},
+            "S": {(10, 100): 1, (20, 100): 2},
+            "T": {(100, 5): 1},
+        }
+        for name in ("R", "S", "T"):
+            for sign in (1, -1):
+                _check_invariant(PAPER_QUERY, db, name, sign, (20, 100), True)
+
+    def test_self_join_sum_at_both_weights(self):
+        db = {"R": {(1, 1): 1, (3, 2): 2}, "S": {}, "T": {}}
+        for sign in (1, -1):
+            for values in ((1, 1), (5, 7)):
+                _check_invariant(self.SELF_JOIN, db, "R", sign, values, True)
+
+    def test_self_join_cross_term_is_weight_free(self):
+        ev = event_for("R", ("a", "b"), 0)
+        d = simplify(delta(self.SELF_JOIN, ev), ev.bound)
+        terms = d.terms if isinstance(d, type(add(Var("x"), Var("y")))) else (d,)
+        weighted = [t for t in terms if Var(WEIGHT) in walk(t)]
+        free = [t for t in terms if Var(WEIGHT) not in walk(t)]
+        # w * a * sum(R.a) twice — the symmetric first-order terms — and
+        # the cross term dR * dR = w * w * a * a = a * a.
+        assert len(weighted) == 2
+        assert all(list(walk(t)).count(Var(WEIGHT)) == 1 for t in weighted)
+        assert free == [mul(Var("ev_r_a"), Var("ev_r_a"))]
+
+
 class TestDeltaInvariantProperty:
     @settings(max_examples=200, deadline=None)
     @given(query=closed_queries(), db=databases(), event=events())
     def test_delta_invariant(self, query, db, event):
         name, sign, values = event
         _check_invariant(query, db, name, sign, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(query=closed_queries(), db=databases(), event=events())
+    def test_weighted_delta_invariant(self, query, db, event):
+        """The weighted delta, with its weight bound to the event's sign."""
+        name, sign, values = event
+        _check_invariant(query, db, name, sign, values, weighted=True)
 
     @settings(max_examples=60, deadline=None)
     @given(query=closed_queries(), db=databases(), event=events())

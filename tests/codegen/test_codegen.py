@@ -54,12 +54,12 @@ class TestPythonGeneration:
         """The paper's point: keyed updates are dictionary probes, not
         scans.  The insert-into-S handler must not contain any loop."""
         source = generate_module(program)
-        body = source.split("def on_insert_s")[1].split("def ")[0]
+        body = source.split("def on_s(")[1].split("def ")[0]
         assert "for " not in body
 
     def test_foreach_statements_become_loops(self, program):
         source = generate_module(program)
-        body = source.split("def on_insert_t")[1].split("def ")[0]
+        body = source.split("def on_t(")[1].split("def ")[0]
         assert "for " in body  # the paper's foreach over q1[b,c]
 
     def test_comments_document_statements(self, program):
@@ -69,7 +69,7 @@ class TestPythonGeneration:
     def test_executor_binds_and_runs(self, program):
         maps = {name: {} for name in program.maps}
         table = CompiledExecutor(program).bind(maps)
-        table.per_event["R", 1](2, 10)
+        table.per_event["R", 0](1, 2, 10)
         # qA[b] picked up the insert.
         values = [m for m in maps.values() if m]
         assert values
@@ -87,26 +87,28 @@ class TestPythonGeneration:
     def test_batch_variant_per_trigger(self, program):
         source = generate_module(program)
         for trigger in program.triggers.values():
-            assert f"def {trigger.name}_batch(__cols" in source
+            assert f"def {trigger.name}_batch(__cols, __ws" in source
 
     def test_batch_variant_iterates_column_lists(self, program):
         """The batch row loop walks the columnar batch's parallel lists
-        (only the columns the body reads), not row tuples."""
+        (only the columns the body reads, and the weight column), not row
+        tuples."""
         source = generate_module(program)
-        trigger = program.trigger_for("R", 1)
+        trigger = program.trigger_for("R")
         body = source.split(f"def {trigger.name}_batch")[1].split("\ndef ")[0]
-        assert " in zip(__cols[" in body or " in __cols[" in body
+        assert " in zip(__ws, __cols[" in body
 
     def test_batch_executor_matches_per_event(self, program):
         executor = CompiledExecutor(program)
         maps_a = {name: {} for name in program.maps}
         maps_b = {name: {} for name in program.maps}
-        per_event = executor.bind(maps_a).per_event["R", 1]
-        batched = executor.bind(maps_b).batch["R", 1]
-        rows = [(2, 10), (3, 10), (2, 10)]
-        for row in rows:
-            per_event(*row)
-        batched(columns_from_rows(rows))
+        per_event = executor.bind(maps_a).per_event["R", 0]
+        batched = executor.bind(maps_b).batch["R", 0]
+        rows = [(2, 10), (3, 10), (2, 10), (4, 11)]
+        weights = [1, 1, -1, 1]
+        for weight, row in zip(weights, rows):
+            per_event(weight, *row)
+        batched(columns_from_rows(rows), weights)
         assert maps_a == maps_b
 
     def test_independent_trigger_accumulates_batch_delta(self, catalog):
@@ -114,7 +116,7 @@ class TestPythonGeneration:
         accumulates the batch delta locally and applies it once."""
         program = compile_sql("SELECT sum(volume) FROM bids", catalog)
         source = generate_module(program)
-        body = source.split("def on_insert_bids_batch")[1].split("\ndef ")[0]
+        body = source.split("def on_bids_batch")[1].split("\ndef ")[0]
         assert "__b0 = 0" in body
         assert "__b0 +=" in body
 
@@ -129,7 +131,7 @@ class TestPythonGeneration:
             catalog,
         )
         source = generate_module(program)
-        body = source.split("def on_insert_bids_batch")[1].split("\ndef ")[0]
+        body = source.split("def on_bids_batch")[1].split("\ndef ")[0]
         root = program.slot_maps["q"][0]
         assert f"_m_{root}.clear()" in body
         # The restate scan runs after (outside) the row loop: dedented one
@@ -154,7 +156,7 @@ class TestPythonGeneration:
             program, "native", kernel=True, scans=fused_scan_sites(program)
         )
         source = generate_module(program, layout=layout)
-        body = source.split("def on_insert_bids(")[1].split("\ndef ")[0]
+        body = source.split("def on_bids(")[1].split("\ndef ")[0]
         assert body.count(".reduce_scalar(") == 1
         reduced = body.split("elif __r1 != 0:")[1].split("#")[0]
         assert reduced.count(" += __r1\n") == 2
@@ -182,7 +184,7 @@ class TestGeneratedSemantics:
             "WHERE b1.broker_id = b2.broker_id",
             catalog,
         )
-        trigger = program.trigger_for("bids", 1)
+        trigger = program.trigger_for("bids")
         assert any("2 *" in repr(s.rhs) for s in trigger.statements)
 
     def test_buffered_trigger_generation(self, catalog):
@@ -200,7 +202,7 @@ class TestGeneratedSemantics:
             catalog2,
         )
         assert not program.finalizers
-        body = generate_module(program).split("def on_insert_asks(")[1]
+        body = generate_module(program).split("def on_asks(")[1]
         body = body.split("\ndef ")[0]
         root = program.slot_maps["q"][0]
         assert f"__pending_{root} = []" in body
@@ -223,10 +225,10 @@ class TestGeneratedSemantics:
         (spec,) = program.finalizers[asks]
         source = generate_module(program)
         root = program.slot_maps["q"][0]
-        bids = source.split("def on_insert_bids(")[1].split("\ndef ")[0]
+        bids = source.split("def on_bids(")[1].split("\ndef ")[0]
         assert "for " not in bids
         assert f"_m_{spec.aux}.get((), 1e999) <= ev_bids_price" in bids
-        body = source.split("def on_insert_asks(")[1].split("\ndef ")[0]
+        body = source.split("def on_asks(")[1].split("\ndef ")[0]
         assert " = []" not in body
         before, restate = body.split(" != __x")
         # The cache is read before the apply and again after it ...

@@ -12,7 +12,9 @@ from repro.algebra.expr import (
     MapRef,
     Rel,
     Var,
+    WEIGHT,
     mul,
+    used_vars,
 )
 from repro.compiler import CompileOptions, compile_sql, compile_queries
 from repro.compiler.materialize import (
@@ -73,7 +75,7 @@ class TestFigure2:
 
     def test_insert_s_eliminates_the_join(self, program):
         """The paper's key step: insert-into-S touches no join at all."""
-        trigger = program.trigger_for("S", 1)
+        trigger = program.trigger_for("S")
         root = program.slot_maps["q"][0]
         stmt = next(s for s in trigger.statements if s.target == root)
         refs = [n for n in [stmt.rhs] if True]
@@ -82,7 +84,7 @@ class TestFigure2:
         assert stmt.loop_vars == ()
 
     def test_insert_r_shapes(self, program):
-        trigger = program.trigger_for("R", 1)
+        trigger = program.trigger_for("R")
         targets = {s.target: s for s in trigger.statements}
         root = program.slot_maps["q"][0]
         # q += a * qD[b]: single keyed lookup, no loop.
@@ -91,19 +93,21 @@ class TestFigure2:
         loops = [s for s in trigger.statements if s.loop_vars]
         assert len(loops) == 1
 
-    def test_deletion_triggers_are_negations(self, program):
+    def test_one_trigger_serves_both_signs(self, program, catalog):
+        """Each relation's trigger is the insert trigger with the event's
+        weight where the insert has +1: same targets, same order."""
+        inserts = compile_sql(
+            PAPER_SQL, catalog, options=CompileOptions(deletions=False)
+        )
         for rel in ("R", "S", "T"):
-            plus = program.trigger_for(rel, 1)
-            minus = program.trigger_for(rel, -1)
-            assert len(plus.statements) == len(minus.statements)
-            plus_targets = sorted(s.target for s in plus.statements)
-            minus_targets = sorted(s.target for s in minus.statements)
-            assert plus_targets == minus_targets
-            for s in minus.statements:
-                assert "-1" in repr(s.rhs)
+            weighted = program.trigger_for(rel).statements
+            plain = inserts.trigger_for(rel).statements
+            assert [s.target for s in weighted] == [s.target for s in plain]
+            assert all(WEIGHT in used_vars(s.rhs) for s in weighted)
+            assert not any(WEIGHT in used_vars(s.rhs) for s in plain)
 
     def test_trigger_count(self, program):
-        assert len(program.triggers) == 6  # 3 relations x insert/delete
+        assert set(program.triggers) == {("R", 0), ("S", 0), ("T", 0)}
 
 
 class TestMapSharing:
@@ -138,11 +142,27 @@ class TestMapSharing:
 
 
 class TestCompileOptions:
-    def test_no_deletions_halves_triggers(self, catalog):
+    def test_no_deletions_drops_deletes_at_admission(self, catalog):
+        """Without deletions the triggers are insert-only (they read no
+        weight), and a delete on a stream is a known-relation no-op."""
+        from repro.runtime import DeltaEngine
+
         program = compile_sql(
             PAPER_SQL, catalog, options=CompileOptions(deletions=False)
         )
-        assert all(sign == 1 for _, sign in program.triggers)
+        assert set(program.triggers) == set(compile_sql(PAPER_SQL, catalog).triggers)
+        assert not any(
+            WEIGHT in used_vars(s.rhs)
+            for trigger in program.triggers.values()
+            for s in trigger.statements
+        )
+        engine = DeltaEngine(program, strict=True)
+        for relation, row in (("R", (2, 10)), ("S", (10, 7)), ("T", (7, 3))):
+            engine.insert(relation, *row)
+        engine.delete("R", 2, 10)
+        engine.process_batch("R", [-1, 1], [(2, 10), (1, 10)])
+        assert engine.result_scalar() == 2 * 3 + 1 * 3
+        assert (engine.events_processed, engine.events_skipped) == (4, 0)
 
     def test_first_order_mode_has_no_derived_aggregates(self, catalog):
         """derived_maps=False is classical first-order IVM: only occurrence
@@ -153,7 +173,7 @@ class TestCompileOptions:
         roles = {m.role for m in program.maps.values()}
         assert roles <= {"root", "occurrence"}
         # The root update must now join the base occurrence maps.
-        trigger = program.trigger_for("S", 1)
+        trigger = program.trigger_for("S")
         root = program.slot_maps["q"][0]
         stmt = next(s for s in trigger.statements if s.target == root)
         assert len(stmt.reads()) == 2  # R-occurrences join T-occurrences
@@ -194,11 +214,8 @@ class TestBaseMaps:
         asks = program.base_maps["asks"].name
         (spec,) = program.finalizers[asks]
         assert (spec.kind, spec.group_arity) == ("min", 0)
-        for sign in (1, -1):
-            reads = set().union(
-                *(s.reads() for s in program.triggers[("bids", sign)].statements)
-            )
-            assert spec.aux in reads and asks not in reads
+        reads = set().union(*(s.reads() for s in program.trigger_for("bids").statements))
+        assert spec.aux in reads and asks not in reads
 
     def test_vwap_scan_map_is_keyed_on_volume(self):
         program = self._finance("vwap")
@@ -260,7 +277,7 @@ class TestGroupedQueries:
         )
         root = program.slot_maps["q"][0]
         assert program.maps[root].arity == 1
-        trigger = program.trigger_for("bids", 1)
+        trigger = program.trigger_for("bids")
         stmt = next(s for s in trigger.statements if s.target == root)
         # Key arg is the event's broker value; no loops.
         assert stmt.loop_vars == ()
@@ -271,7 +288,7 @@ class TestGroupedQueries:
             "WHERE b1.broker_id = b2.broker_id",
             catalog,
         )
-        trigger = program.trigger_for("bids", 1)
+        trigger = program.trigger_for("bids")
         # Self-joins need the second-order cross term: the event joins itself.
         assert len(trigger.statements) >= 2
 

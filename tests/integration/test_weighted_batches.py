@@ -3,10 +3,11 @@
 ``batches()`` keys runs on the relation alone, so an order-book feed's
 interleaved inserts and cancels share a batch.  These tests pin what that
 means: the stream round-trips exactly; every engine shape applies a mixed
-batch as its in-order same-sign sub-runs, leaving maps ``repr``-equal to
-per-event processing and results equal to sqlite's; admission judges a
-mixed batch the way its sub-runs would be judged; and a logged batch
-crosses each layer once.
+batch in one call of the relation's weighted trigger, leaving every map
+holding exactly the entries per-event processing leaves (their insertion
+order aside: a key a batch deletes and re-inserts keeps its place) and
+results equal to sqlite's; admission judges a mixed batch whole; and a
+logged batch crosses each layer once.
 """
 
 import copy
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from repro import compile_sql
 from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries
-from repro.compiler.program import CompileOptions
+from repro.compiler.program import CompileOptions, TriggerTable
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime import durability
@@ -127,9 +128,13 @@ def _loaded(engine, name):
 
 
 def _maps_repr(engine) -> str:
-    if isinstance(engine, ShardedEngine):
-        return repr(engine.merged_maps())
-    return repr(engine.maps)
+    """Every map's entries, in key order: values compared by ``repr``
+    (so ``1`` and ``1.0`` differ), insertion order not at all."""
+    maps = engine.merged_maps() if isinstance(engine, ShardedEngine) else engine.maps
+    return repr({
+        name: sorted(contents.items(), key=repr)
+        for name, contents in sorted(maps.items())
+    })
 
 
 @lru_cache(maxsize=None)
@@ -209,8 +214,126 @@ def test_durable_sharded_crash_recovers_the_per_event_state(name, tmp_path):
     engine.abandon()
     recovered, lsn = recover_engine(program, tmp_path)
     assert lsn == logged < len(feed)  # fewer frames than events
-    assert repr(recovered.maps) == _per_event(name, "delta")
+    assert _maps_repr(recovered) == _per_event(name, "delta")
     _assert_sqlite(name, recovered)
+
+
+# ---------------------------------------------------------------------------
+# Mixed weight columns through process_batch: one trigger call per batch
+# ---------------------------------------------------------------------------
+
+#: The executors and shard counts a mixed weight column must be exact on.
+ENGINES = {
+    "compiled": lambda program: DeltaEngine(program),
+    "interpreted": lambda program: DeltaEngine(program, mode="interpreted"),
+    "compiled/2": lambda program: ShardedEngine(program, shards=2),
+    "interpreted/2": lambda program: ShardedEngine(
+        program, shards=2, mode="interpreted"
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _ssb_facts():
+    """The SSB feed's fact rows, for drawn feeds to insert and cancel."""
+    return tuple(
+        (event.relation, event.values)
+        for event in _workload("ssb")[4]
+        if event.sign == 1
+    )
+
+
+@st.composite
+def cancelling_books(draw, name):
+    """A feed of ``name``'s relations whose cancels delete live rows and
+    make up at least 30% of it: a cancel is drawn whenever a row is live,
+    and forced while cancels are below 30% of the feed so far."""
+    live: list = []
+    feed: list = []
+    for step in range(draw(st.integers(min_value=4, max_value=40))):
+        cancels = sum(event.sign == -1 for event in feed)
+        if live and (cancels < 0.3 * (step + 1) or draw(st.booleans())):
+            relation, values = live.pop(draw(st.integers(0, len(live) - 1)))
+            feed.append(StreamEvent(relation, -1, values))
+            continue
+        if name == "ssb":
+            relation, values = draw(st.sampled_from(_ssb_facts()))
+        else:
+            relation = draw(st.sampled_from(("bids", "asks")))
+            values = (
+                step, step, draw(st.integers(0, 2)),
+                draw(st.integers(95, 105)), draw(st.integers(1, 4)),
+            )
+        live.append((relation, values))
+        feed.append(StreamEvent(relation, 1, values))
+    return feed
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_mixed_weight_columns_equal_per_event_and_sqlite(name, data):
+    feed = data.draw(cancelling_books(name))
+    assert sum(event.sign == -1 for event in feed) >= 0.3 * len(feed)
+    program, catalog, views, static, _ = _workload(name)
+    oracle = SqliteOracle(catalog, "")
+    for relation, rows in static.items():
+        oracle.apply_all(StreamEvent(relation, 1, row) for row in rows)
+    oracle.apply_all(feed)
+    for shape, make in ENGINES.items():
+        pristine = _loaded(make(program), name)
+        reference = copy.deepcopy(pristine)
+        for event in feed:
+            reference.process(event)
+        for view, sql in views.items():
+            expected = normalize_rows(oracle.connection.execute(sql).fetchall())
+            assert normalize_rows(reference.results(view)) == expected, view
+        for size in (2, 7, 100):
+            engine = copy.deepcopy(pristine)
+            for run in batches(feed, size):
+                engine.process_batch(run.relation, run.sign, run.rows)
+            assert _maps_repr(engine) == _maps_repr(reference), (shape, size)
+
+
+@pytest.mark.parametrize("columnar", [False, True])
+def test_a_mixed_batch_is_one_trigger_call(columnar):
+    engine = DeltaEngine(_workload("bsp")[0])
+    calls = []
+
+    def counted(kind, table):
+        def wrap(key, trigger):
+            return lambda *args: (calls.append((kind, key)), trigger(*args))
+
+        return {key: wrap(key, trigger) for key, trigger in table.items()}
+
+    class Counting:  # the engine's executor, every bound call counted
+        def __init__(self, executor):
+            self.program, self.executor = executor.program, executor
+
+        def bind(self, maps, profiler=None):
+            table = self.executor.bind(maps, profiler)
+            return TriggerTable(
+                counted("event", table.per_event),
+                counted("batch", table.batch),
+                table.index_entry_counts,
+            )
+
+    engine._executor = Counting(engine._executor)
+    engine.restore_state({})  # binds the counting table
+    rows = [(1, 1, 1, 100, 5), (2, 2, 2, 101, 5), (1, 1, 1, 100, 5), (3, 3, 1, 99, 5)]
+    weights = [1, 1, -1, 1]
+    if columnar:
+        assert engine.process_batch_columns("bids", weights, list(zip(*rows))) == 4
+    else:
+        assert engine.process_batch("bids", weights, rows) == 4
+    assert calls == [("batch", ("bids", 0))]
+    calls.clear()
+    engine.process_batch("bids", -1, rows[1:2])
+    assert calls == [("event", ("bids", 0))]
+    reference = DeltaEngine(_workload("bsp")[0])
+    for row, weight in zip(rows + rows[1:2], weights + [-1]):
+        reference.process(StreamEvent("bids", weight, row))
+    assert engine.results("bsp") == reference.results("bsp")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +381,7 @@ def test_extremum_inserted_and_deleted_inside_one_mixed_batch(query, tmp_path):
     durable.sync()
     durable.abandon()
     recovered, _ = recover_engine(program, tmp_path)
-    assert repr(recovered.maps) == repr(reference.maps)
+    assert _maps_repr(recovered) == _maps_repr(reference)
 
 
 _STATIC = Catalog.from_script(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.algebra.expr import WEIGHT
 from repro.compiler import compile_sql
 from repro.compiler.storage import exact_int_maps
 from repro.ir import (
@@ -121,12 +122,12 @@ class TestLowering:
     def test_straight_line_trigger_has_no_loops(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
         ir = lower_program(program)
-        assert not _loops(ir.triggers[("S", 1)])
+        assert not _loops(ir.triggers[("S", 0)])
 
     def test_foreach_statement_lowers_to_loop(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
         ir = lower_program(program)
-        assert _loops(ir.triggers[("T", 1)])
+        assert _loops(ir.triggers[("T", 0)])
 
     def test_batch_variant_wraps_rows_loop(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
@@ -153,7 +154,6 @@ class TestLowering:
         spec = FinalizeSpec("occ__min", "min", 0)
         trigger = Trigger(
             "R",
-            1,
             ("x",),
             [
                 Statement("occ", (Var("x"),), AConst(1)),
@@ -178,8 +178,8 @@ class TestLowering:
     def test_loop_sums_accumulate_per_event(self, suite_programs):
         """axf's three grouped sums, keyed by the event's broker, each sum
         their scan in a local: one loop, three accumulators, and one write
-        each after the loop."""
-        from repro.ir.nodes import Accum, AddTo
+        each after the loop, scaled once by the event weight."""
+        from repro.ir.nodes import Accum, AddTo, Prod
 
         program = suite_programs["axf"]
         ir = lower_program(program)
@@ -189,12 +189,13 @@ class TestLowering:
             sums = {s.name for s in walk_stmts(loop.body) if isinstance(s, Accum)}
             assert len(sums) == 3
             assert not any(isinstance(s, AddTo) for s in walk_stmts(loop.body))
+            weighted = {Prod((Name(WEIGHT), Name(n))): n for n in sums}
             writes = [
-                s.value
+                weighted[s.value]
                 for s in walk_stmts(trigger_ir.body)
-                if isinstance(s, AddTo) and s.value in {Name(n) for n in sums}
+                if isinstance(s, AddTo) and s.value in weighted
             ]
-            assert sorted(w.name for w in writes) == sorted(sums)
+            assert sorted(writes) == sorted(sums)
             sinks = Counter(sink for _, sink in ir.event_sinks[key])
             assert sinks == {"accumulator": 3, "direct": 1}
 
@@ -253,13 +254,13 @@ class TestOptimisationPasses:
         program = compile_sql(VWAP_SQL, catalog)
         plain = lower_program(program, optimize=False)
         optimised = lower_program(program)
-        assert len(_loops(plain.triggers[("bids", 1)])) == 2
-        assert len(_loops(optimised.triggers[("bids", 1)])) == 1
+        assert len(_loops(plain.triggers[("bids", 0)])) == 2
+        assert len(_loops(optimised.triggers[("bids", 0)])) == 1
 
     def test_vwap_threshold_hoisted_out_of_loop(self, catalog):
         program = compile_sql(VWAP_SQL, catalog)
         ir = lower_program(program)
-        (loop,) = _loops(ir.triggers[("bids", 1)])
+        (loop,) = _loops(ir.triggers[("bids", 0)])
         # The fused loop's guard compares against a hoisted temp, not an
         # inline lookup of the total-volume map.
         guards = [s for s in walk_stmts(loop.body) if isinstance(s, IfCond)]
@@ -269,7 +270,7 @@ class TestOptimisationPasses:
         # ... and the temp is assigned before the loop from the lookup.
         block = next(
             s
-            for s in ir.triggers[("bids", 1)].body
+            for s in ir.triggers[("bids", 0)].body
             if isinstance(s, Block) and loop in s.stmts
         )
         hoists = [s for s in block.stmts if isinstance(s, Assign)]
@@ -278,7 +279,7 @@ class TestOptimisationPasses:
     def test_vwap_scan_binds_only_the_narrowed_key(self, catalog):
         program = compile_sql(VWAP_SQL, catalog)
         ir = lower_program(program)
-        (loop,) = _loops(ir.triggers[("bids", 1)])
+        (loop,) = _loops(ir.triggers[("bids", 0)])
         # The scanned base map is bids[volume] -> sum(price): one key.
         assert loop.slot.name == program.base_maps["bids"].name
         assert [pos for pos, _ in loop.binds] == [0]
@@ -290,7 +291,7 @@ class TestOptimisationPasses:
         ir = lower_program(program)
         # Moving the second scan past intermediate writers would reorder
         # float additions, so both loops must survive.
-        assert len(_loops(ir.triggers[("fbids", 1)])) == 2
+        assert len(_loops(ir.triggers[("fbids", 0)])) == 2
 
     def test_exact_int_proof(self, catalog, suite_programs):
         """The one exact-integer proof (``compiler.storage``), read by the
@@ -329,8 +330,9 @@ class TestOptimisationPasses:
         assert not exact_int_maps(literal)
 
     def test_unit_deltas_fold_into_the_update(self, suite_programs):
-        """``d = 1; if d != 0: m[k] += d`` is ``m[k] += 1``: no constant
-        temp, no guard a constant decides, no ``* 1`` survives folding."""
+        """``d = 1; if d != 0: m[k] += w * d`` is ``m[k] += w``: no
+        constant temp, no guard a constant decides (the event weight is
+        never zero), no ``* 1`` survives folding."""
         from repro.ir.nodes import AddTo, Prod
 
         def constant_temps(ir):
@@ -350,8 +352,8 @@ class TestOptimisationPasses:
         assert not constant_temps(folded)
         units = [
             stmt
-            for stmt in walk_stmts(folded.triggers[("bids", 1)].body)
-            if isinstance(stmt, AddTo) and stmt.value == Const(1)
+            for stmt in walk_stmts(folded.triggers[("bids", 0)].body)
+            if isinstance(stmt, AddTo) and stmt.value == Name(WEIGHT)
         ]
         assert units
         for ir in map(lower_program, suite_programs.values()):
@@ -431,7 +433,7 @@ class TestSharedWork:
     per row, not once per statement reading it."""
 
     def test_lineitem_row_probes_each_lookup_once(self, warehouse_program):
-        body = lower_program(warehouse_program).batch_triggers["lineitem", 1].body
+        body = lower_program(warehouse_program).batch_triggers["lineitem", 0].body
         (rows,) = [stmt for stmt in body if isinstance(stmt, ForEachRow)]
         lookups = Counter()
         for stmt in walk_stmts(rows.body):
@@ -446,7 +448,7 @@ class TestSharedWork:
         assert len(lookups) == 5 and set(lookups.values()) == {1}
 
     def test_lineitem_nested_scans_fuse(self, warehouse_program):
-        loops = _loops(lower_program(warehouse_program).batch_triggers["lineitem", 1])
+        loops = _loops(lower_program(warehouse_program).batch_triggers["lineitem", 0])
         for outer, inner in (
             ("m5_ddate_orders", "m6_part"),
             ("m11_customer_ddate_nation_orders_region", "m12_nation_region_supplier"),
@@ -456,10 +458,10 @@ class TestSharedWork:
             assert [scan.slot.name for scan in nested] == [inner]
 
     def test_one_accumulator_per_exact_target(self, warehouse_program):
-        trigger = warehouse_program.triggers["lineitem", 1]
+        trigger = warehouse_program.triggers["lineitem", 0]
 
         def merges(ir):
-            body = walk_stmts(ir.batch_triggers["lineitem", 1].body)
+            body = walk_stmts(ir.batch_triggers["lineitem", 0].body)
             return sorted(s.target.name for s in body if isinstance(s, MergeInto))
 
         keyed = [s.target for s in trigger.statements if s.args]
@@ -489,7 +491,7 @@ class TestSharedWork:
             Assign("u", b),
             AddTo(Slot("q"), (), Prod(tuple(map(Name, "xyzwvu")))),
         )
-        trigger = TriggerIR("r", 1, "t", ("k",), body)
+        trigger = TriggerIR("r", "t", ("k",), body)
         out = optimize_trigger(trigger, ("share-lookups",), frozenset()).body
         shared = Name("__l2")
         total = (Name("x"), Name("y"), shared, Name("w"), Name("w"), Name("u"))
@@ -524,13 +526,13 @@ class TestPrettyPrinter:
         text = program_str(lower_program(program))
         assert "== IR maps ==" in text
         assert "== IR passes ==" in text
-        assert "trigger on_insert_r(" in text
-        assert "trigger on_insert_r_batch(" in text
+        assert "trigger on_r(__w, " in text
+        assert "trigger on_r_batch(" in text
 
     def test_trigger_str_shows_loops_and_updates(self, catalog):
         program = compile_sql(PAPER_SQL, catalog)
         ir = lower_program(program)
-        text = trigger_str(ir.triggers[("T", 1)])
+        text = trigger_str(ir.triggers[("T", 0)])
         assert "foreach (" in text
         assert "+=" in text
 

@@ -116,11 +116,11 @@ class LegacyExecutor:
         }
 
     def process(self, event: StreamEvent) -> None:
-        trigger = self.program.triggers.get((event.relation, event.sign))
+        trigger = self.program.trigger_for(event.relation)
         if trigger is None:
             return
-        env = dict(zip(trigger.params, event.values))
-        buffered = self._buffered[(trigger.relation, trigger.sign)]
+        env = dict(zip(trigger.signature, (event.sign, *event.values)))
+        buffered = self._buffered[(trigger.relation, 0)]
         pending = []
         for statement in trigger.statements:
             updates = self._statement_updates(statement, env)
@@ -247,24 +247,23 @@ def test_threshold_shape_reads_an_extremum():
     program = _program("exists_threshold")
     (spec,) = program.finalizers[program.base_maps["S"].name]
     assert (spec.kind, spec.group_arity, spec.absent) == ("min", 0, float("inf"))
-    for sign in (1, -1):
-        # R events test the cache in O(1) ...
-        assert all(
-            statement.reads() == {spec.aux}
-            for statement in program.triggers["R", sign].statements
-            if statement.target in program.slot_maps["q"]
-        )
-        # ... S events restate the result only when the minimum moved.
-        comments = [
-            comment
-            for stmt in walk_stmts(lower_program(program).triggers["S", sign].body)
-            if isinstance(stmt, Block)
-            for comment in stmt.comments
-        ]
-        assert any(
-            c.startswith("restate") and c.endswith(f"when {spec.aux} moved")
-            for c in comments
-        )
+    # R events test the cache in O(1) ...
+    assert all(
+        statement.reads() == {spec.aux}
+        for statement in program.trigger_for("R").statements
+        if statement.target in program.slot_maps["q"]
+    )
+    # ... S events restate the result only when the minimum moved.
+    comments = [
+        comment
+        for stmt in walk_stmts(lower_program(program).triggers["S", 0].body)
+        if isinstance(stmt, Block)
+        for comment in stmt.comments
+    ]
+    assert any(
+        c.startswith("restate") and c.endswith(f"when {spec.aux} moved")
+        for c in comments
+    )
 
 
 @pytest.mark.parametrize(
@@ -298,9 +297,9 @@ def test_float_twin_keeps_its_statements_apart():
 
     def accumulators(query_name):
         ir = lower_program(_program(query_name))
-        body = ir.batch_triggers["R", 1].body
+        body = ir.batch_triggers["R", 0].body
         declared = [s for s in body if isinstance(s, (LocalMapDecl, Assign))]
-        sinks = [sink for _, sink in ir.batch_sinks["R", 1]]
+        sinks = [sink for _, sink in ir.batch_sinks["R", 0]]
         return len(declared), sinks.count("accumulator")
 
     declared, accumulated = accumulators("grouped_three_way")

@@ -140,9 +140,9 @@ def test_profiler_fires_through_bind():
     executor = _build_executor(program, ExecutorOptions("interpreted"))
     profiler = Profiler()
     table = executor.bind(executor.layout.create_maps(), profiler)
-    table.per_event["bids", 1](0, 1, 7, 10, 100)
+    table.per_event["bids", 0](1, 0, 1, 7, 10, 100)
     per_event_runs = dict(profiler.statement_runs)
     assert per_event_runs and sum(profiler.map_updates.values()) > 0
     batch = EventBatch("bids", 1, [(1, 2, 7, 20, 101), (2, 3, 8, 30, 102)])
-    table.batch["bids", 1](batch.columns)
+    table.batch["bids", 0](batch.columns, batch.weights)
     assert sum(profiler.statement_runs.values()) > sum(per_event_runs.values())

@@ -377,6 +377,27 @@ class TestDebugger:
         debugger.step(insert("bids", 2, 10, 3))
         assert debugger.map_snapshot(root) == {(2,): 30}
 
+    def test_traced_delete_negates_and_insert_cancels(self, catalog):
+        """The debugger runs the relation's one trigger with the event's
+        sign as its weight: deleting a standing row subtracts, inserting
+        it again adds back exactly that."""
+        program = compile_sql(GROUPED, catalog)
+        debugger = Debugger(program)
+        root = program.slot_maps["q"][0]
+        debugger.step(insert("bids", 2, 10, 3))
+        standing = {name: debugger.map_snapshot(name) for name in program.maps}
+
+        def updates(trace):
+            return [u for statement in trace.statements for u in statement.updates]
+
+        removal = updates(debugger.step(delete("bids", 2, 10, 3)))
+        assert removal and all(value < 0 for _, _, value in removal)
+        assert (root, (2,), -30) in removal
+        assert debugger.map_snapshot(root) == {}
+        restore = updates(debugger.step(insert("bids", 2, 10, 3)))
+        assert sorted(restore) == sorted((m, k, -v) for m, k, v in removal)
+        assert {name: debugger.map_snapshot(name) for name in program.maps} == standing
+
     def test_sink_receives_traces(self, catalog):
         lines = []
         debugger = Debugger(compile_sql(GROUPED, catalog), sink=lines.append)
@@ -396,6 +417,14 @@ class TestProfiler:
         assert profiler.events_by_trigger == {"+bids": 1, "-bids": 1}
         assert sum(profiler.map_updates.values()) > 0
         assert "events processed: 2" in profiler.report()
+
+    def test_a_mixed_batch_counts_each_row_under_its_sign(self, catalog):
+        profiler = Profiler()
+        engine = DeltaEngine(compile_sql(GROUPED, catalog), profiler=profiler)
+        engine.process_batch("bids", [1, -1, 1], [(1, 10, 1), (1, 10, 1), (2, 5, 2)])
+        engine.process_batch("bids", -1, [(2, 5, 2)])
+        assert profiler.events == 4
+        assert profiler.events_by_trigger == {"+bids": 2, "-bids": 2}
 
     def test_memory_accounting(self, engine):
         engine.insert("bids", 1, 10, 1)

@@ -158,8 +158,8 @@ class TestSecondOrderParity:
 class TestDeltaOfDelta:
     def test_orders_on_vwap(self):
         program = finance_program("vwap")
-        trigger = program.triggers[("bids", 1)]
-        event = Event("bids", 1, trigger.params)
+        trigger = program.triggers[("bids", 0)]
+        event = Event("bids", 0, trigger.params)
         orders = {
             name: batch_delta_order(map_def.defn, event)
             for name, map_def in program.maps.items()
@@ -183,13 +183,13 @@ class TestDeltaOfDelta:
 
     def test_order_zero_for_unrelated_relation(self):
         program = finance_program("mst")
-        event = Event("asks", 1, program.triggers[("asks", 1)].params)
+        event = Event("asks", 0, program.triggers[("asks", 0)].params)
         bids = program.base_maps["bids"].name
         assert batch_delta_order(program.maps[bids].defn, event) == 0
 
     def test_second_order_delta_requires_disjoint_params(self):
         program = finance_program("vwap")
-        event = Event("bids", 1, program.triggers[("bids", 1)].params)
+        event = Event("bids", 0, program.triggers[("bids", 0)].params)
         with pytest.raises(AlgebraError):
             second_order_delta(program.maps["m2_bids"].defn, event, event)
 
@@ -197,7 +197,7 @@ class TestDeltaOfDelta:
 class TestSecondOrderPlan:
     def test_vwap_plan_classifies_targets(self):
         program = finance_program("vwap")
-        plan = plan_second_order(program.triggers[("bids", 1)], program)
+        plan = plan_second_order(program.triggers[("bids", 0)], program)
         assert plan is not None
         assert set(plan.order) == {"m3_bids", "q_vwap_sum_0"}
         assert {s.target for s in plan.base} == {"m1_bids", "m2_bids"}
@@ -210,7 +210,7 @@ class TestSecondOrderPlan:
 
     def test_independent_trigger_has_no_plan(self):
         program = finance_program("psp")
-        trigger = program.triggers[("bids", 1)]
+        trigger = program.triggers[("bids", 0)]
         assert plan_second_order(trigger, program) is None
 
     def test_float_valued_targets_reject_plan(self):
@@ -222,24 +222,24 @@ class TestSecondOrderPlan:
             "WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1)",
             catalog,
         )
-        trigger = program.triggers[("R", 1)]
+        trigger = program.triggers[("R", 0)]
         assert plan_second_order(trigger, program) is None
-        sinks = lower_program(program).batch_sinks[("R", 1)]
+        sinks = lower_program(program).batch_sinks[("R", 0)]
         assert {sink for _stmt, sink in sinks} == {"buffered"}
 
     def test_batch_sinks_report_second_order(self):
         ir = lower_program(finance_program("vwap"))
-        sinks = dict(ir.batch_sinks[("bids", 1)])
+        sinks = dict(ir.batch_sinks[("bids", 0)])
         assert "second-order" in sinks.values()
         no_second = lower_program(finance_program("vwap"), second_order=False)
-        kinds = {s for _st, s in no_second.batch_sinks[("bids", 1)]}
+        kinds = {s for _st, s in no_second.batch_sinks[("bids", 0)]}
         assert kinds == {"buffered"}
 
     def test_flush_structure_clears_before_recompute(self):
         """All Clears precede all restate scans, and the restate scans sit
         outside the row loop (once per batch)."""
         ir = lower_program(finance_program("vwap"))
-        body = ir.batch_triggers[("bids", 1)].body
+        body = ir.batch_triggers[("bids", 0)].body
         flat = walk_stmts(body)
         clear_positions = [
             i for i, s in enumerate(flat) if isinstance(s, Clear)
@@ -267,7 +267,7 @@ class TestSecondOrderPlan:
             catalog,
         )
         ir = lower_program(program)
-        body = ir.batch_triggers[("R", 1)].body
+        body = ir.batch_triggers[("R", 0)].body
         scans = [s for s in walk_stmts(body) if isinstance(s, ForEachMap)]
         assert len(scans) == 1
 
@@ -307,10 +307,10 @@ class TestColumnarBatch:
         from repro.codegen.pygen import generate_module
 
         source = generate_module(finance_program("psp"))
-        body = source.split("def on_insert_bids_batch")[1].split("\ndef ")[0]
-        # psp reads only the price column of bids: exactly one column list
-        # is iterated, no tuple unpacking.
-        assert "for ev_bids_price in __cols[3]:" in body
+        body = source.split("def on_bids_batch")[1].split("\ndef ")[0]
+        # psp reads only the price column of bids: exactly that column
+        # list and the weight column are iterated.
+        assert "for __w, ev_bids_price in zip(__ws, __cols[3]):" in body
 
 
 class TestIndexAccounting:

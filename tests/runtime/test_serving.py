@@ -192,8 +192,8 @@ def test_tap_snapshot_then_deltas_reproduce_results():
 def test_tap_renders_only_affected_views():
     engine = DeltaEngine(_two_view_program())
     tap = ViewDeltaTap(engine)
-    assert tap._affected[("R", 1)] == ("qr",)
-    assert tap._affected[("S", 1)] == ("qs",)
+    assert tap.affected("R") == ("qr",)
+    assert tap.affected("S") == ("qs",)
     engine.add_batch_listener(tap.on_batch)
     deltas = []
     engine.remove_batch_listener(tap.on_batch)
@@ -207,7 +207,7 @@ def test_tap_renders_only_affected_views():
 def test_tap_serves_a_mixed_batch_to_the_views_of_either_sign():
     engine = DeltaEngine(_two_view_program())
     tap = ViewDeltaTap(engine)
-    assert tap._affected[("R", 0)] == ("qr",)
+    assert tap.affected("R") == ("qr",)
     deltas = []
     engine.add_batch_listener(lambda lsn, b: deltas.append(tap.on_batch(lsn, b)))
     engine.process_batch("R", [1, 1, -1], [(1, 10), (2, 20), (1, 10)])
@@ -220,7 +220,7 @@ def test_tap_view_subset_restriction():
     engine = DeltaEngine(_two_view_program())
     tap = ViewDeltaTap(engine, views=["qs"])
     assert tap.views == ["qs"]
-    assert tap._affected[("R", 1)] == ()
+    assert tap.affected("R") == ()
     with pytest.raises(ServingError):
         tap.snapshot("qr")
 
@@ -1568,7 +1568,7 @@ def test_tap_deduplicates_repeated_views():
     engine = DeltaEngine(_program())
     tap = ViewDeltaTap(engine, views=["q", "q"])
     assert tap.views == ["q"]
-    assert tap._affected[("R", 1)] == ("q",)
+    assert tap.affected("R") == ("q",)
 
 
 def test_stopped_server_leaves_plain_dicts_and_the_untapped_binding():

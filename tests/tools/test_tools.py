@@ -42,14 +42,15 @@ class TestTrace:
         rows = [
             r
             for r in compilation_rows(program)
-            if r["level"] == 1 and r["event"] == "+S"
+            if r["level"] == 1 and r["event"] == "±S"
         ]
         assert len(rows) == 1
         assert len(rows[0]["maps_used"]) == 2  # qA[b] * qD[c]
 
     def test_table_renders(self, program):
         table = compilation_table(program)
-        assert "lvl" in table and "+R" in table and "-T" in table
+        assert "lvl" in table and "±R" in table and "±T" in table
+        assert "+R" not in table and "-T" not in table  # one trigger each
         assert len(table.splitlines()) == 2 + len(compilation_rows(program))
 
     def test_recursion_summary(self, program):
@@ -67,12 +68,12 @@ class TestTrace:
         assert "disabled" in ir_summary(program, optimize=False)
 
     def test_ir_summary_counts_per_event_accumulators(self):
-        """axf's twelve grouped loop sums (3 per trigger) accumulate per
+        """axf's six grouped loop sums (3 per trigger) accumulate per
         event; the base-map writes apply directly."""
         from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 
         axf = compile_sql(FINANCE_QUERIES["axf"], finance_catalog())
-        assert "event sinks: 12 accumulator, 4 direct;" in ir_summary(axf)
+        assert "event sinks: 6 accumulator, 2 direct;" in ir_summary(axf)
 
 
 class TestCLI:
@@ -109,8 +110,9 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "== trigger IR ==" in out
-        assert "trigger on_insert_r(" in out
-        assert "trigger on_insert_r_batch(" in out
+        assert "trigger on_r(__w, " in out
+        assert "trigger on_r_batch(" in out
+        assert "on_delete_" not in out and "on_insert_" not in out
         assert "foreach (" in out  # the T-side foreach survives lowering
         # Both sink reports, per event first.
         assert 0 < out.index("== event sinks ==") < out.index("== batch sinks ==")
@@ -128,7 +130,15 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         sinks = out.split("== event sinks ==\n")[1].split("\n\n")[0]
-        assert sinks.startswith("on_insert_asks:\n")
+        assert sinks.startswith("on_asks:\n")
+        # One trigger per relation, one line per statement.
+        program = compile_sql(
+            FINANCE_QUERIES["axf"], Catalog.from_script(ORDER_BOOK_DDL)
+        )
+        assert sinks.count("\n  [") == program.statements_count()
+        assert [line for line in sinks.splitlines() if line.startswith("on_")] == [
+            "on_asks:", "on_bids:"
+        ]
         assert "  [ accumulator] q_q_column_1[ev_asks_broker_id] += " in sinks
         assert "  [      direct] m2_asks[" in sinks
 
@@ -151,7 +161,7 @@ class TestCLI:
     @pytest.mark.parametrize(
         "emit, expected",
         # c: the kernel source the native lane builds, entry points and all.
-        [("python", "def on_insert_r"), ("c", "int cm_add_1_q(CM *m,")],
+        [("python", "def on_r(__w, "), ("c", "int cm_add_1_q(CM *m,")],
     )
     def test_compile_emit(self, capsys, emit, expected):
         rc = cli_main(
