@@ -345,9 +345,13 @@ ONE = Const(1)
 #: event's weight extends the name (``__w__o2``).
 WEIGHT = "__w"
 
+#: The only weight names: a translated variable always ends in ``_<n>``
+#: (:class:`FreshNamer`), so a query's own ``__w...`` names are never one.
+_WEIGHTS = frozenset((WEIGHT, WEIGHT + "__o2"))
+
 
 def is_weight(name: str) -> bool:
-    return name.startswith(WEIGHT)
+    return name in _WEIGHTS
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +557,6 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
         return AggSum(tuple(new_group), substitute(expr.body, mapping))
     children = tuple(substitute(c, mapping) for c in expr.children())
     return expr.rebuild(children)
-
-
-def fresh_namer(prefix: str = "v") -> "FreshNamer":
-    """Create a generator of fresh variable names with the given prefix."""
-    return FreshNamer(prefix)
 
 
 class FreshNamer:

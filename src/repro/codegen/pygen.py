@@ -14,8 +14,10 @@ __ws)`` rendered from the batch IR derived from the same lowering.  The
 batch variant binds map/index locals once per call and iterates the
 *columnar* batch — one parallel list per event column, and the weight
 column, whatever its signs — binding only the columns its body reads
-(unused columns are never touched).  Independent triggers accumulate
-whole-batch deltas in locals flushed once (the Z-set batch-delta shape);
+(unused columns are never touched).  Independent triggers stage
+whole-batch updates in locals flushed once (the Z-set batch-delta shape;
+a keyed accumulator holds its keys' current values, see
+:class:`repro.ir.nodes.AddTo`);
 self-reading triggers that admit a second-order plan accumulate their
 first-order statements and restate the order-2 targets once per batch
 (see :func:`repro.ir.lower.plan_second_order`).
@@ -43,6 +45,7 @@ from repro.compiler.program import (
     TriggerTable,
 )
 from repro.compiler.storage import StorageLayout, storage_layout
+from repro.ir.interp import unstage
 from repro.ir.lower import collect_patterns_ir, lower_for
 from repro.ir.nodes import (
     AddTo,
@@ -170,8 +173,7 @@ def _loop_uses_index(
     """Whether a map loop probes a secondary index (touching only the
     matching entries) instead of scanning the map."""
     return (
-        not stmt.slot.local
-        and bool(stmt.binds)
+        bool(stmt.binds)
         and bool(stmt.filters)
         and not any(isinstance(expr, KeyAt) for _, expr in stmt.filters)
         and stmt.pattern in indexes.get(stmt.slot.name, ())
@@ -186,8 +188,7 @@ def _loop_fuses(
     map can run it over its column arrays (``scan_columns`` /
     ``reduce_scalar``)."""
     return (
-        not stmt.slot.local
-        and not _loop_uses_index(stmt, indexes)
+        not _loop_uses_index(stmt, indexes)
         and stmt.entry_var not in used_names(stmt.body)
     )
 
@@ -360,9 +361,7 @@ def _generate_index_rebuild(
 def _global_maps_used(*bodies) -> list[str]:
     names: set[str] = set()
     for body in bodies:
-        for slot in read_slots(body) | written_slots(body):
-            if not slot.local:
-                names.add(slot.name)
+        names.update(slot.name for slot in read_slots(body) | written_slots(body))
         for stmt in walk_stmts(body):
             if isinstance(stmt, AppendTo) and stmt.target.name:
                 names.add(stmt.target.name)
@@ -488,25 +487,9 @@ class _PyRenderer:
             emitter.line(f"{stmt.name} = {{}}")
             return
         if isinstance(stmt, MergeInto):
-            source = (
-                stmt.source.name
-                if stmt.source.local
-                else map_local(stmt.source.name)
-            )
-            emitter.line(f"for __key, __val in {source}.items():")
-            with emitter.block():
-                self._emit_apply(
-                    target=stmt.target.name,
-                    key_code="__key",
-                    val_code="__val",
-                    key_parts=None,
-                    caches=stmt.caches,
-                )
+            self._render_merge(stmt)
             return
         if isinstance(stmt, Clear):
-            if stmt.target.local:
-                emitter.line(f"{stmt.target.name}.clear()")
-                return
             emitter.line(f"{map_local(stmt.target.name)}.clear()")
             # A cleared map's secondary indexes are cleared with it (the
             # recompute that follows re-populates both through _apply).
@@ -652,10 +635,7 @@ class _PyRenderer:
         emitter = self.emitter
         key_var = stmt.entry_var
         val_var = stmt.value_var
-        if stmt.slot.local:
-            source = stmt.slot.name
-        else:
-            source = map_local(stmt.slot.name)
+        source = map_local(stmt.slot.name)
         use_index = _loop_uses_index(stmt, self.indexes)
         if stmt.slot.name in self.native_maps and _loop_fuses(
             stmt, self.indexes
@@ -866,7 +846,7 @@ class _PyRenderer:
                     return None
                 sinks.append(("append", sink.buffer))
             elif isinstance(sink, AddTo):
-                if sink.keys or sink.slot.local or not sink.evict:
+                if sink.keys or sink.acc:
                     return None
                 if sink.slot.name not in self.int_value_maps:
                     return None
@@ -936,15 +916,8 @@ class _PyRenderer:
         key_parts = [self.expr(k) for k in stmt.keys]
         key = self._key_code(key_parts)
         value = self.expr(stmt.value)
-        if stmt.slot.local:
-            # Batch accumulator: plain dict add, zeros kept (evicted when
-            # the accumulated delta is merged into the program map).
-            local = stmt.slot.name
-            key_var = self.emitter.fresh("k")
-            self.emitter.line(f"{key_var} = {key}")
-            self.emitter.line(
-                f"{local}[{key_var}] = {local}.get({key_var}, 0) + {value}"
-            )
+        if stmt.acc:
+            self._render_staged_add(stmt, key, value)
             return
         self._emit_apply(
             target=stmt.slot.name,
@@ -953,6 +926,47 @@ class _PyRenderer:
             key_parts=key_parts,
             caches=stmt.caches,
         )
+
+    def _render_staged_add(self, stmt: AddTo, key: str, value: str) -> None:
+        """A write staged in ``acc`` (its current value is the staged one,
+        else the map's); a key reaching zero takes ``_unstage``."""
+        emitter = self.emitter
+        local = map_local(stmt.slot.name)
+        key_var, cur = emitter.fresh("k"), emitter.fresh("v")
+        emitter.line(f"{key_var} = {key}")
+        emitter.line(
+            f"{cur} = ({stmt.acc}.get({key_var}) or {local}.get({key_var}, 0))"
+            f" + {value}"
+        )
+        emitter.line(f"if {cur}:")
+        with emitter.block():
+            emitter.line(f"{stmt.acc}[{key_var}] = {cur}")
+        emitter.line("else:")
+        with emitter.block():
+            indexes = "".join(
+                f"({index_name(stmt.slot.name, pattern)}, {pattern!r}), "
+                for pattern in sorted(self.indexes.get(stmt.slot.name, ()))
+            )
+            emitter.line(f"_unstage({local}, {stmt.acc}, {key_var}, ({indexes}))")
+
+    def _render_merge(self, stmt: MergeInto) -> None:
+        """Store every staged value into the target (and, key by key,
+        into its indexes)."""
+        emitter = self.emitter
+        target = stmt.target.name
+        patterns = sorted(self.indexes.get(target, ()))
+        if not patterns:
+            emitter.line(f"{map_local(target)}.update({stmt.acc})")
+            return
+        emitter.line(f"for __key, __val in {stmt.acc}.items():")
+        with emitter.block():
+            emitter.line(f"{map_local(target)}[__key] = __val")
+            for pattern in patterns:
+                subkey = "(" + "".join(f"__key[{p}], " for p in pattern) + ")"
+                emitter.line(
+                    f"{index_name(target, pattern)}.setdefault({subkey}, {{}})"
+                    "[__key] = __val"
+                )
 
     def _emit_apply(
         self,
@@ -1110,10 +1124,8 @@ class _PyRenderer:
                 f"{self.expr(expr.right)} else 0)"
             )
         if isinstance(expr, Lookup):
-            storage = (
-                expr.slot.name if expr.slot.local else map_local(expr.slot.name)
-            )
             key = self._key_code([self.expr(k) for k in expr.keys])
+            storage = map_local(expr.slot.name)
             return f"{storage}.get({key}, {_literal(expr.default)})"
         raise CodegenError(f"unsupported IR expression {expr!r}")
 
@@ -1186,7 +1198,9 @@ class CompiledExecutor:
             for map_name, map_patterns in patterns.items()
             for pattern in map_patterns
         }
-        namespace: dict = {"MAPS": maps, "INDEXES": indexes, "_EMPTY": {}}
+        namespace: dict = {
+            "MAPS": maps, "INDEXES": indexes, "_EMPTY": {}, "_unstage": unstage
+        }
         exec(self._code, namespace)  # noqa: S102 - this is the compiler back end
         rebuild = namespace.get("_rebuild_indexes")
         if rebuild is not None:

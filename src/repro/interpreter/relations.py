@@ -70,13 +70,6 @@ class Database:
         else:
             table.delete(event.values)
 
-    def apply_stream(self, events: Iterable[StreamEvent]) -> int:
-        count = 0
-        for event in events:
-            self.apply(event)
-            count += 1
-        return count
-
     def load(self, relation: str, rows: Iterable[Sequence]) -> int:
         table = self.table(relation)
         count = 0

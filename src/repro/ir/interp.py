@@ -50,7 +50,6 @@ from repro.ir.nodes import (
     Neg,
     Prod,
     SafeDiv,
-    Slot,
     Sum,
     TriggerIR,
     WEIGHTS,
@@ -75,7 +74,7 @@ def _eval(expr: IRExpr, env: dict, maps: dict, entry: Optional[tuple]) -> object
             value = value + _eval(term, env, maps, entry)
         return value
     if isinstance(expr, Lookup):
-        storage = env[expr.slot.name] if expr.slot.local else maps[expr.slot.name]
+        storage = maps[expr.slot.name]
         key = tuple(_eval(k, env, maps, entry) for k in expr.keys)
         return storage.get(key, expr.default)
     if isinstance(expr, Compare):
@@ -91,10 +90,6 @@ def _eval(expr: IRExpr, env: dict, maps: dict, entry: Optional[tuple]) -> object
     if isinstance(expr, KeyAt):
         return entry[expr.pos]
     raise CodegenError(f"cannot interpret IR expression {expr!r}")
-
-
-def _storage(slot: Slot, env: dict, maps: dict) -> dict:
-    return env[slot.name] if slot.local else maps[slot.name]
 
 
 class _Recorder:
@@ -141,7 +136,7 @@ def run_stmt(
             run_stmts(stmt.body, env, maps, recorder, entry)
         return
     if isinstance(stmt, ForEachMap):
-        storage = _storage(stmt.slot, env, maps)
+        storage = maps[stmt.slot.name]
         binds = stmt.binds
         value_var = stmt.value_var
         body = stmt.body
@@ -168,14 +163,19 @@ def run_stmt(
             run_stmts(body, env, maps, recorder, entry)
         return
     if isinstance(stmt, AddTo):
-        storage = _storage(stmt.slot, env, maps)
+        storage = maps[stmt.slot.name]
         key = tuple(_eval(k, env, maps, entry) for k in stmt.keys)
         value = _eval(stmt.value, env, maps, entry)
-        if stmt.evict:
-            _apply(storage, key, value, stmt.caches, env, maps)
-        else:
-            storage[key] = storage.get(key, 0) + value
-        if recorder is not None and not stmt.slot.local:
+        if stmt.acc:
+            staged = env[stmt.acc]
+            current = (staged.get(key) or storage.get(key, 0)) + value
+            if current:
+                staged[key] = current
+            else:
+                unstage(storage, staged, key)
+            return
+        _apply(storage, key, value, stmt.caches, maps)
+        if recorder is not None:
             recorder.record(stmt.slot.name, key, value)
         return
     if isinstance(stmt, AppendTo):
@@ -189,28 +189,27 @@ def run_stmt(
         env[stmt.name] = []
         return
     if isinstance(stmt, FlushBuffer):
-        storage = _storage(stmt.target, env, maps)
+        storage = maps[stmt.target.name]
         for key, value in env[stmt.name]:
-            _apply(storage, key, value, stmt.caches, env, maps)
+            _apply(storage, key, value, stmt.caches, maps)
         return
     if isinstance(stmt, LocalMapDecl):
         env[stmt.name] = {}
         return
     if isinstance(stmt, MergeInto):
-        target = _storage(stmt.target, env, maps)
-        recording = recorder is not None and not stmt.target.local
-        for key, value in _storage(stmt.source, env, maps).items():
-            _apply(target, key, value, stmt.caches, env, maps)
-            if recording:
+        staged = env[stmt.acc]
+        maps[stmt.target.name].update(staged)
+        if recorder is not None:
+            for key, value in staged.items():
                 recorder.record(stmt.target.name, key, value)
         return
     if isinstance(stmt, Clear):
-        _storage(stmt.target, env, maps).clear()
+        maps[stmt.target.name].clear()
         return
     if isinstance(stmt, Finalize):
         run_finalize(
-            _storage(stmt.target, env, maps),
-            _storage(stmt.source, env, maps),
+            maps[stmt.target.name],
+            maps[stmt.source.name],
             stmt.kind,
             stmt.group_arity,
         )
@@ -218,7 +217,7 @@ def run_stmt(
     raise CodegenError(f"cannot interpret IR statement {stmt!r}")
 
 
-def _apply(storage, key, value, caches, env: dict, maps: dict) -> None:
+def _apply(storage, key, value, caches, maps: dict) -> None:
     """``storage[key] += value`` with zero eviction; when the key's
     multiplicity crosses zero, each of ``caches`` is updated."""
     pre = storage.get(key, 0)
@@ -229,7 +228,27 @@ def _apply(storage, key, value, caches, env: dict, maps: dict) -> None:
         storage[key] = post
     if caches and (pre != 0) != (post != 0):
         for cache in caches:
-            _cross(_storage(cache.slot, env, maps), storage, cache, key, post != 0)
+            _cross(maps[cache.slot.name], storage, cache, key, post != 0)
+
+
+def unstage(target, staged: dict, key, indexes=()) -> None:
+    """A write staged in a batch accumulator (:class:`~repro.ir.nodes.AddTo`
+    ``acc``) took ``key`` to zero: flush the accumulator into ``target``
+    and its ``(index, key positions)`` pairs, then evict ``key`` from
+    both.  Generated batch triggers call it too."""
+    for staged_key, value in staged.items():
+        target[staged_key] = value
+        for index, positions in indexes:
+            subkey = tuple([staged_key[p] for p in positions])
+            index.setdefault(subkey, {})[staged_key] = value
+    staged.clear()
+    del target[key]
+    for index, positions in indexes:
+        subkey = tuple([key[p] for p in positions])
+        bucket = index[subkey]
+        del bucket[key]
+        if not bucket:
+            del index[subkey]
 
 
 def _cross(target, source, cache: Cache, key: tuple, entered: bool) -> None:

@@ -326,12 +326,7 @@ class _StatementLowering:
         guard_body: list[IRStmt]
         if sink.kind == "keyed-acc":
             guard_body = [
-                AddTo(
-                    Slot(sink.acc, local=True),
-                    self._key_exprs(),
-                    delta,
-                    evict=False,
-                )
+                AddTo(Slot(sink.target), self._key_exprs(), delta, acc=sink.acc)
             ]
         elif sink.kind == "buffered":
             guard_body = [
@@ -854,6 +849,7 @@ def _accumulates(
     statement: Statement,
     trigger: Trigger,
     patterns: dict[str, set[tuple[int, ...]]],
+    finalizers: dict,
 ) -> bool:
     """Whether a batch-independent statement accumulates its batch delta
     locally before touching the target map.
@@ -863,10 +859,13 @@ def _accumulates(
     (fewer key positions than event parameters — group-by style) or when
     the target maintains secondary indexes (hoists index maintenance out
     of the row loop); occurrence-style maps keyed by the whole event tuple
-    apply directly.
+    apply directly, and so does a map keeping MIN/MAX/DISTINCT caches
+    (each key crossing zero updates them in stream order).
     """
     if not statement.args:
         return True
+    if statement.target in finalizers:
+        return False
     if patterns.get(statement.target):
         return True
     return len(statement.args) < len(trigger.params)
@@ -879,29 +878,24 @@ def _lower_accumulated(
     namer: _Namer,
     sinks: dict[int, str],
     finalizers: Optional[dict] = None,
-    exact: frozenset[str] = frozenset(),
 ) -> list[IRStmt]:
     """The accumulate-then-merge row loop over ``statements``.
 
     Statements whose batch delta is worth accumulating get a trigger-local
-    accumulator (scalar or keyed) merged into the program map once after
-    the loop; the rest apply directly per row.  Keyed statements writing
-    the same ``exact`` target share one accumulator and one merge (their
-    additions commute); every other accumulator serves one statement, so
-    float targets keep their per-statement addition order.  ``sinks``
-    receives the chosen sink per statement position (reporting).  A
-    merge or direct write into an occurrence map keeps its caches
-    current.
+    accumulator merged into the program map once after the loop; the rest
+    apply directly per row.  A scalar accumulator sums one statement's
+    deltas; a keyed one stages its target's current values (``AddTo.acc``),
+    shared by every statement writing the target.  ``sinks`` receives the
+    chosen sink per statement position (reporting).
     """
     finalizers = finalizers or {}
     accs: dict[int, str] = {}
     shared: dict[str, str] = {}
     for position, statement in enumerate(statements):
-        target = statement.target
-        if _accumulates(statement, trigger, patterns):
+        if _accumulates(statement, trigger, patterns, finalizers):
             acc = f"__b{position}"
-            if statement.args and target in exact:
-                acc = shared.setdefault(target, acc)
+            if statement.args:
+                acc = shared.setdefault(statement.target, acc)
             accs[position] = acc
     # One declaration and one flush per accumulator, at its first writer.
     firsts: dict[str, int] = {}
@@ -932,9 +926,7 @@ def _lower_accumulated(
         else:
             sink = _Sink("keyed-acc", statement.target, statement.args, acc=acc)
             sinks[position] = "accumulator"
-        row_blocks.append(
-            lower_statement(statement, trigger.signature, sink, namer)
-        )
+        row_blocks.append(lower_statement(statement, trigger.signature, sink, namer))
     body.append(ForEachRow("__cols", trigger.signature, tuple(row_blocks)))
     for acc, position in firsts.items():
         statement = statements[position]
@@ -957,13 +949,7 @@ def _lower_accumulated(
                 Block(
                     comments=(),
                     targets=(statement.target,),
-                    stmts=(
-                        MergeInto(
-                            Slot(statement.target),
-                            Slot(acc, local=True),
-                            _caches(statement.target, finalizers),
-                        ),
-                    ),
+                    stmts=(MergeInto(Slot(statement.target), acc),),
                     sources=tuple(
                         s for p, s in enumerate(statements) if accs.get(p) == acc
                     ),
@@ -978,7 +964,6 @@ def _lower_second_order(
     patterns: dict[str, set[tuple[int, ...]]],
     namer: _Namer,
     finalizers: Optional[dict] = None,
-    exact: frozenset[str] = frozenset(),
 ) -> tuple[tuple[IRStmt, ...], tuple[tuple[str, str], ...]]:
     """The accumulate-then-flush batch body of a second-order plan.
 
@@ -989,7 +974,7 @@ def _lower_second_order(
     """
     base_sinks: dict[int, str] = {}
     body = _lower_accumulated(
-        plan.base, trigger, patterns, namer, base_sinks, finalizers, exact
+        plan.base, trigger, patterns, namer, base_sinks, finalizers
     )
     body.extend(_restate_blocks(plan, namer, finalizers or {}))
 
@@ -1009,7 +994,6 @@ def lower_trigger_batch(
     finalizers: Optional[dict] = None,
     independent: Optional[bool] = None,
     plan: Optional[SecondOrderPlan] = None,
-    exact: frozenset[str] = frozenset(),
 ) -> tuple[TriggerIR, tuple[tuple[str, str], ...]]:
     """The batch trigger body, derived from the same statement lowering.
 
@@ -1025,9 +1009,6 @@ def lower_trigger_batch(
       statements and restate the order-2 targets once per batch;
     * everything else runs the per-event body once per row (the fallback,
       reported as ``per-row``/``buffered``).
-
-    ``exact`` names the maps proven to hold exact integers: keyed
-    statements writing one of them share its accumulator.
     """
     namer = namer or _Namer()
     name = f"{trigger.name}_batch"
@@ -1037,9 +1018,7 @@ def lower_trigger_batch(
         return TriggerIR(trigger.relation, name, params, ()), ()
 
     if plan is not None:
-        body, report = _lower_second_order(
-            trigger, plan, patterns, namer, finalizers, exact
-        )
+        body, report = _lower_second_order(trigger, plan, patterns, namer, finalizers)
         return TriggerIR(trigger.relation, name, params, body), report
 
     if independent is None:
@@ -1047,7 +1026,7 @@ def lower_trigger_batch(
     if independent:
         sinks: dict[int, str] = {}
         accumulated = _lower_accumulated(
-            trigger.statements, trigger, patterns, namer, sinks, finalizers, exact
+            trigger.statements, trigger, patterns, namer, sinks, finalizers
         )
         if any(kind == "accumulator" for kind in sinks.values()):
             report = tuple(
@@ -1086,7 +1065,7 @@ def collect_patterns_ir(triggers) -> dict[str, set[tuple[int, ...]]]:
     patterns: dict[str, set[tuple[int, ...]]] = {}
     for trigger_ir in triggers:
         for stmt in walk_stmts(trigger_ir.body):
-            if not isinstance(stmt, ForEachMap) or stmt.slot.local:
+            if not isinstance(stmt, ForEachMap):
                 continue
             if not stmt.binds or not stmt.filters:
                 continue
@@ -1181,7 +1160,6 @@ def lower_program(
             finalizers,
             shapes[key][0],
             shapes[key][1] if second_order else None,
-            exact,
         )
     ir.batch_triggers = batch
     ir.batch_sinks = sinks

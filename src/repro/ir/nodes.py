@@ -20,13 +20,12 @@ Two small expression and statement grammars:
   :class:`ForEachMap`, :class:`ForEachRow` (batch row loop),
   :class:`AddTo` (``map[key] += value`` with zero eviction),
   :class:`AppendTo`/:class:`FlushBuffer` (the two-phase pending buffer),
-  :class:`LocalMapDecl`/:class:`MergeInto` (batch-delta accumulators),
+  :class:`LocalMapDecl`/:class:`MergeInto` (batch accumulators),
   :class:`BufferDecl`, :class:`Clear`, :class:`Finalize` (rebuild a
   MIN/MAX/DISTINCT cache) and :class:`Block` (one compiled statement's
   lowering, carrying its provenance for comments, tracing and profiling).
-  The three writes that apply deltas to a map (``AddTo``,
-  ``FlushBuffer``, ``MergeInto``) carry the :class:`Cache` entries kept
-  from it: a key whose multiplicity crosses zero updates them there.
+  ``AddTo`` and ``FlushBuffer`` carry the :class:`Cache` entries kept
+  from their map: a key whose multiplicity crosses zero updates them.
 
 Expressions are immutable and hashable (structural equality drives the
 optimiser's fusion/hoisting); statements are immutable tuples of children, so
@@ -136,13 +135,12 @@ class Compare(IRExpr):
 
 @dataclass(frozen=True, slots=True)
 class Slot:
-    """A map storage reference: a program map, or a trigger-local dict."""
+    """A program map storage reference."""
 
     name: str
-    local: bool = False
 
     def __repr__(self) -> str:
-        return f"%{self.name}" if self.local else self.name
+        return self.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,19 +273,22 @@ class Cache:
 
 @dataclass(frozen=True, slots=True)
 class AddTo(IRStmt):
-    """``slot[(keys...)] += value``.
+    """``slot[(keys...)] += value``, entries reaching zero removed — the
+    canonical GMR update all backends must implement the same way.
+    ``caches`` are kept from ``slot``.
 
-    With ``evict`` (every program-map write) entries reaching zero are
-    removed — the canonical GMR update all backends must implement the same
-    way.  Local accumulator maps keep zeros (they are merged, then
-    evicted at the program map).  ``caches`` are kept from ``slot``.
+    With ``acc`` the write is staged in that batch accumulator (declared
+    by :class:`LocalMapDecl`, flushed by :class:`MergeInto`; never for a
+    map keeping caches), which holds the current value of each key the
+    batch moved since its last flush.  A key reaching zero flushes it and
+    leaves ``slot`` at that row, as per event: insertion order holds.
     """
 
     slot: Slot
     keys: tuple[IRExpr, ...]
     value: IRExpr
-    evict: bool = True
     caches: tuple[Cache, ...] = ()
+    acc: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,12 +337,12 @@ class LocalMapDecl(IRStmt):
 
 @dataclass(frozen=True, slots=True)
 class MergeInto(IRStmt):
-    """Add every entry of a local accumulator map into ``target``,
-    keeping ``caches`` current."""
+    """Store every value staged in the batch accumulator ``acc`` into
+    ``target`` (see :class:`AddTo`): a key already there keeps its place,
+    a new one is appended in staging order."""
 
     target: Slot
-    source: Slot
-    caches: tuple[Cache, ...] = ()
+    acc: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -517,9 +518,9 @@ def applied_slots(stmt: IRStmt) -> tuple[Slot, ...]:
     flush."""
     if isinstance(stmt, AddTo):
         return (stmt.slot, *(cache.slot for cache in stmt.caches))
-    if isinstance(stmt, (MergeInto, FlushBuffer)):
+    if isinstance(stmt, FlushBuffer):
         return (stmt.target, *(cache.slot for cache in stmt.caches))
-    if isinstance(stmt, (Clear, Finalize)):
+    if isinstance(stmt, (MergeInto, Clear, Finalize)):
         return (stmt.target,)
     return ()
 
@@ -538,7 +539,7 @@ def read_slots(stmts) -> frozenset[Slot]:
     for stmt in walk_stmts(stmts):
         if isinstance(stmt, ForEachMap):
             out.add(stmt.slot)
-        elif isinstance(stmt, (MergeInto, Finalize)):
+        elif isinstance(stmt, Finalize):
             out.add(stmt.source)
         for expr in stmt_exprs(stmt):
             out.update(expr_slots(expr))
@@ -598,7 +599,7 @@ def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
         if value is stmt.value and all(a is b for a, b in zip(keys, stmt.keys)):
             return stmt
         if isinstance(stmt, AddTo):
-            return AddTo(stmt.slot, keys, value, stmt.evict, stmt.caches)
+            return AddTo(stmt.slot, keys, value, stmt.caches, stmt.acc)
         return AppendTo(stmt.buffer, keys, value, stmt.target)
     if isinstance(stmt, Block):
         return Block(
@@ -680,8 +681,8 @@ def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
             stmt.slot,
             tuple(sub(k) for k in stmt.keys),
             sub(stmt.value),
-            stmt.evict,
             stmt.caches,
+            stmt.acc,
         )
     if isinstance(stmt, AppendTo):
         return AppendTo(

@@ -104,17 +104,15 @@ DEFAULT_PASSES: tuple[str, ...] = (
 # ---------------------------------------------------------------------------
 
 
-def _scan(stmts) -> tuple[dict[str, int], int, dict[Slot, Slot]]:
-    """One walk over a body: how many sites bind each scalar name, the
-    number of statement nodes, and the map each local accumulator merges
-    into.
+def _scan(stmts) -> tuple[dict[str, int], int]:
+    """One walk over a body: how many sites bind each scalar name, and
+    the number of statement nodes.
 
     The passes only ever drop binding sites or add fresh single-binding
     temps, so the counts stay an upper bound through the pipeline: a name
     counted once is bound at most once; an uncounted one is a fresh temp.
     """
     bindings: dict[str, int] = {}
-    flushes: dict[Slot, Slot] = {}
     size = 0
     for stmt in walk_stmts(stmts):
         size += 1
@@ -125,11 +123,9 @@ def _scan(stmts) -> tuple[dict[str, int], int, dict[Slot, Slot]]:
             names = (stmt.value_var, *(name for _, name in stmt.binds))
         elif isinstance(stmt, ForEachRow):
             names = stmt.params
-        elif isinstance(stmt, MergeInto) and stmt.source.local:
-            flushes[stmt.source] = stmt.target
         for name in names:
             bindings[name] = bindings.get(name, 0) + 1
-    return bindings, size, flushes
+    return bindings, size
 
 
 def _size(stmts) -> int:
@@ -183,7 +179,7 @@ def _effects(stmts) -> _Effects:
                 destructive.update(slots)
             else:
                 destructive.update(slots[1:])  # the caches it keeps
-            if isinstance(stmt, (MergeInto, Finalize)):
+            if isinstance(stmt, Finalize):
                 reads.add(stmt.source)
         elif isinstance(stmt, AppendTo):
             appended.add(stmt.target)
@@ -982,12 +978,8 @@ def optimize_trigger(
     """Run ``passes`` (in pipeline order) over one trigger body, adding
     each pass's removed-node count to ``removed``."""
     body = trigger_ir.body
-    bindings, size, flushes = _scan(body)
-    # A local accumulator is as exact as the map it merges into.
+    bindings, size = _scan(body)
     exact_slots = {Slot(name) for name in exact}
-    for local, target in flushes.items():
-        if target.name in exact:
-            exact_slots.add(local)
     for name in DEFAULT_PASSES:
         if name not in passes:
             continue

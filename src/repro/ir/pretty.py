@@ -110,9 +110,10 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
             lines.extend(stmt_lines(inner, indent + 1))
         return lines
     if isinstance(stmt, AddTo):
-        op = "+=" if stmt.evict else "+=(keep0)"
+        staged = f" staged in {stmt.acc}" if stmt.acc else ""
         return [
-            f"{pad}{stmt.slot!r}{_key_str(stmt.keys)} {op} {expr_str(stmt.value)}"
+            f"{pad}{stmt.slot!r}{_key_str(stmt.keys)} += {expr_str(stmt.value)}"
+            + staged
             + _keeps(stmt.caches)
         ]
     if isinstance(stmt, AppendTo):
@@ -127,9 +128,7 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
     if isinstance(stmt, LocalMapDecl):
         return [f"{pad}localmap {stmt.name}"]
     if isinstance(stmt, MergeInto):
-        return [
-            f"{pad}merge {stmt.source!r} -> {stmt.target!r}{_keeps(stmt.caches)}"
-        ]
+        return [f"{pad}merge %{stmt.acc} -> {stmt.target!r}"]
     if isinstance(stmt, Clear):
         return [f"{pad}clear {stmt.target!r}"]
     if isinstance(stmt, Finalize):
@@ -163,7 +162,7 @@ def batch_sinks_str(ir: ProgramIR) -> str:
 
     For every trigger, how each compiled statement leaves the batch row
     loop: ``direct`` (applied per row), ``accumulator`` (first-order
-    batch-delta local merged once), ``second-order`` (target cleared and
+    batch local flushed once), ``second-order`` (target cleared and
     restated once per batch — the delta-of-delta sink), or
     ``per-row``/``buffered`` (the whole per-event body replays per row).
     """

@@ -70,9 +70,9 @@ class Debugger:
         """Process one event, returning (and recording) its trace."""
         trigger_ir = self._ir.triggers.get((event.relation, 0))
         trace = EventTrace(event=event)
-        # Without deletions the trigger is insert-only: a delete is a no-op.
+        # A trigger derived for inserts alone makes a delete a no-op.
         if trigger_ir is not None and (
-            event.sign == 1 or self.program.options.deletions
+            event.sign == 1 or self.program.takes_deletes(event.relation)
         ):
             for block, updates in run_trigger_collect(
                 trigger_ir, (event.sign, *event.values), self.maps

@@ -36,9 +36,10 @@ weight column, inserts and deletes mixed (or the per-event trigger for a
 single row) — so the per-event Python dispatch overhead (trigger lookup,
 static-table checks, profiler hooks, one call per event) is paid once per
 run.  :meth:`DeltaEngine.process_stream` groups consecutive same-relation
-events into such batches automatically; results are identical to
-per-event processing because every batch shape the lowering emits is
-exact across signs (:func:`repro.ir.lower.lower_trigger_batch`).
+events into such batches automatically.  Every batch shape the lowering
+emits is exact across signs (:func:`repro.ir.lower.lower_trigger_batch`):
+maps end as per event, insertion order included (see ``AddTo.acc``);
+only a FLOAT sum a batch groups otherwise may differ in its last bits.
 
 On top of the single engine, :class:`ShardedEngine` runs *sharded parallel*
 delta processing: the compiler's partitioning analysis
@@ -148,7 +149,7 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
                 "known relations: " + (", ".join(known) if known else "(none)")
             )
         engine.events_skipped += count
-    elif sign == -1 and not program.options.deletions:
+    elif sign == -1 and not program.takes_deletes(relation):
         return None
     return trigger
 
@@ -557,7 +558,7 @@ class DeltaEngine(Engine):
         weight column, in one call whatever the signs.  Without deletions,
         only the run's inserts apply.
         """
-        if sign != 1 and not self.program.options.deletions:
+        if sign != 1 and not self.program.takes_deletes(relation):
             if not isinstance(sign, list):
                 return 0
             rows = rows if rows is not None else rows_from_columns(columns)

@@ -776,8 +776,8 @@ class RecordingDict(dict):
     plain dicts back when the last watch is released, so an engine nobody
     taps never pays for it.  Reads — ``get``, ``in``, ``len``, iteration
     — are the inherited C methods; every mutating method notes first and
-    then defers to ``dict``, so no write can bypass the record: the three
-    forms generated triggers use (``m[k] = v``, ``pop``, ``clear``), the
+    then defers to ``dict``, so no write can bypass the record: the forms
+    generated triggers use (``m[k] = v``, ``pop``, ``clear``, ``update``), the
     bulk forms ``restore_state`` uses (``clear`` + ``update``), the rest
     of the ``dict`` surface, and ``add`` — the
     :class:`ColumnarMap` one-probe update the IR interpreter calls on any

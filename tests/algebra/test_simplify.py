@@ -13,6 +13,7 @@ from repro.algebra.expr import (
     Rel,
     Var,
     ONE,
+    WEIGHT,
     ZERO,
     add,
     mul,
@@ -199,6 +200,26 @@ class TestCancellation:
         assert len(aggs) == 2
         reprs = repr(s)
         assert "R(" in reprs and "T(" in reprs and "S(" not in reprs
+
+
+class TestEventWeights:
+    """``w * w`` folds to 1 and a weight leaves an ``Exists`` — for the
+    event weights only, never for a query variable named like one."""
+
+    def test_weights_fold(self):
+        for name in (WEIGHT, WEIGHT + "__o2"):
+            w = Var(name)
+            assert simplify(mul(w, w, Var("x")), ["x", name]) == Var("x")
+            assert simplify(Exists(mul(w, rel("R", "x"))), [name]) == Exists(
+                rel("R", "x")
+            )
+
+    def test_a_query_variable_named_like_a_weight_is_kept(self):
+        # ``SELECT ... FROM R __wx`` names R's columns ``__wx_<col>_<n>``.
+        b = Var("__wx_b_1")
+        assert simplify(mul(b, b), ["__wx_b_1"]) == mul(b, b)
+        kept = simplify(Exists(mul(b, rel("R", "x"))), ["__wx_b_1"])
+        assert kept == Exists(mul(rel("R", "x"), b))
 
 
 def _env_for(expr_bound, values=(1, 2)):

@@ -3,11 +3,11 @@
 ``batches()`` keys runs on the relation alone, so an order-book feed's
 interleaved inserts and cancels share a batch.  These tests pin what that
 means: the stream round-trips exactly; every engine shape applies a mixed
-batch in one call of the relation's weighted trigger, leaving every map
-holding exactly the entries per-event processing leaves (their insertion
-order aside: a key a batch deletes and re-inserts keeps its place) and
-results equal to sqlite's; admission judges a mixed batch whole; and a
-logged batch crosses each layer once.
+batch in one call of the relation's weighted trigger, leaving maps
+``repr``-equal to per-event processing (a key the batch deletes and
+re-inserts moves to the end, as per event) and results equal to
+sqlite's; admission judges a mixed batch whole; and a logged batch
+crosses each layer once.
 """
 
 import copy
@@ -128,13 +128,9 @@ def _loaded(engine, name):
 
 
 def _maps_repr(engine) -> str:
-    """Every map's entries, in key order: values compared by ``repr``
-    (so ``1`` and ``1.0`` differ), insertion order not at all."""
-    maps = engine.merged_maps() if isinstance(engine, ShardedEngine) else engine.maps
-    return repr({
-        name: sorted(contents.items(), key=repr)
-        for name, contents in sorted(maps.items())
-    })
+    if isinstance(engine, ShardedEngine):
+        return repr(engine.merged_maps())
+    return repr(engine.maps)
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +210,7 @@ def test_durable_sharded_crash_recovers_the_per_event_state(name, tmp_path):
     engine.abandon()
     recovered, lsn = recover_engine(program, tmp_path)
     assert lsn == logged < len(feed)  # fewer frames than events
-    assert _maps_repr(recovered) == _per_event(name, "delta")
+    assert repr(recovered.maps) == _per_event(name, "delta")
     _assert_sqlite(name, recovered)
 
 
@@ -293,6 +289,7 @@ def test_mixed_weight_columns_equal_per_event_and_sqlite(name, data):
             for run in batches(feed, size):
                 engine.process_batch(run.relation, run.sign, run.rows)
             assert _maps_repr(engine) == _maps_repr(reference), (shape, size)
+            assert engine.index_sizes() == reference.index_sizes(), (shape, size)
 
 
 @pytest.mark.parametrize("columnar", [False, True])
@@ -339,6 +336,35 @@ def test_a_mixed_batch_is_one_trigger_call(columnar):
 # ---------------------------------------------------------------------------
 # Forced cases
 # ---------------------------------------------------------------------------
+
+_FLOATS = Catalog.from_script("CREATE STREAM R (k int, x float);")
+
+
+@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+def test_a_mixed_batch_reinserts_a_key_last_and_adds_floats_in_order(mode):
+    """Inside one mixed batch, key 1's only row is deleted (its sum
+    reaches zero) and a new one inserted: the key moves to the end of
+    the map, as per event.  FLOAT sums add in per-event order, so the
+    maps stay ``repr``-identical, inexact floats included."""
+    program = compile_sql(
+        "SELECT r.k, sum(r.x) FROM R r GROUP BY r.k", _FLOATS, name="q"
+    )
+    rng = random.Random(11)
+    standing = [(k, rng.random() / 10) for k in (0, 1, 2, 3, 0, 2)]
+    mixed = [(2, rng.random()), (1, standing[1][1]), (0, 0.1), (1, 0.3), (3, 0.7)]
+    weights = [1, -1, 1, 1, -1]
+    mixed[4] = standing[3]
+    reference = DeltaEngine(program, mode=mode)
+    for row in standing:
+        reference.process(StreamEvent("R", 1, row))
+    engine = copy.deepcopy(reference)
+    for weight, row in zip(weights, mixed):
+        reference.process(StreamEvent("R", weight, row))
+    assert engine.process_batch("R", weights, mixed) == len(mixed)
+    assert repr(engine.maps) == repr(reference.maps)
+    assert [list(contents) for contents in engine.maps.values()] == [
+        [(0,), (2,), (1,)]
+    ] * 2
 
 #: A book, then one bids and one asks batch that each insert a new
 #: extremum, delete it again, delete the standing extremum and insert a
