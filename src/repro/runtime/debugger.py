@@ -46,11 +46,30 @@ class EventTrace:
 
 
 class Debugger:
-    """Traces delta processing over a program's maps, event by event.
+    """Traces delta processing over a program's maps, event by event:
+    each step prints the statements the event's trigger ran and the map
+    entries they touched.
 
+    >>> from repro.compiler import compile_sql
+    >>> from repro.runtime.events import delete, insert
+    >>> from repro.sql.catalog import Catalog
+    >>> catalog = Catalog.from_script("CREATE STREAM R (a int, b int);")
+    >>> program = compile_sql("SELECT a, sum(b) FROM R GROUP BY a", catalog)
     >>> debugger = Debugger(program)
-    >>> trace = debugger.step(insert("R", 1, 10))
-    >>> print(trace)          # statements and the map entries they touched
+    >>> print(debugger.step(insert("R", 1, 10)))
+    == +R(1, 10) ==
+    q_q_sum_1[ev_r_a] += __w * ev_r_b
+        -> q_q_sum_1[(1,)] += 10
+    q_q___count[ev_r_a] += __w
+        -> q_q___count[(1,)] += 1
+    >>> print(debugger.step(delete("R", 1, 10)))
+    == -R(1, 10) ==
+    q_q_sum_1[ev_r_a] += __w * ev_r_b
+        -> q_q_sum_1[(1,)] += -10
+    q_q___count[ev_r_a] += __w
+        -> q_q___count[(1,)] += -1
+    >>> debugger.map_snapshot("q_q_sum_1")
+    {}
     """
 
     def __init__(

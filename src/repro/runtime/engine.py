@@ -33,10 +33,14 @@ Events are accepted one at a time (:meth:`DeltaEngine.process`) or in
 one relation, admitted, logged and routed once, and applied by one
 trigger call — the generated ``*_batch`` trigger over its columns and
 weight column, inserts and deletes mixed (or the per-event trigger for a
-single row) — so the per-event Python dispatch overhead (trigger lookup,
-static-table checks, profiler hooks, one call per event) is paid once per
-run.  :meth:`DeltaEngine.process_stream` groups consecutive same-relation
-events into such batches automatically.  Every batch shape the lowering
+single row) — so the Python call per event is paid once per run.
+:meth:`DeltaEngine.process_stream` groups consecutive same-relation events
+into such batches automatically.  Per-event processing admits a relation
+once: its first event takes the one-row batch path, and once its
+admission is settled (the stream has started, no profiler or tap is
+attached) :meth:`DeltaEngine.process` keeps the relation's sign-indexed
+triggers — or "skip" — in a route table, so every later event costs one
+dict probe and one trigger call.  Every batch shape the lowering
 emits is exact across signs (:func:`repro.ir.lower.lower_trigger_batch`):
 maps end as per event, insertion order included (see ``AddTo.acc``);
 only a FLOAT sum a batch groups otherwise may differ in its last bits.
@@ -99,6 +103,10 @@ DEFAULT_BATCH_SIZE = 1024
 #: Below this run length, shard routing partitions row tuples (one hash and
 #: one append per row) instead of building per-shard column gathers.
 _ROW_ROUTE_THRESHOLD = 8
+
+#: :meth:`DeltaEngine.process`'s route for a relation no query reads: falsy,
+#: unlike a relation's sign-indexed triggers, and not ``None`` (no route).
+_SKIP = ()
 
 
 def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
@@ -190,6 +198,9 @@ class Engine:
         self._batch_listeners: list = []
         self._tap_clock = 0
         self.lsn_source: Optional[Callable[[], int]] = None
+        # Admission settled per relation (:meth:`DeltaEngine.process` fills
+        # it).  Attaching a tap drops it; none is installed while one is.
+        self._routes: dict = {}
 
     def _init_admission(self, strict: bool) -> None:
         """The state :func:`admit` reads and advances (the durable engine
@@ -211,11 +222,11 @@ class Engine:
 
         ``sign`` is ``+1``/``-1`` for a run of inserts/deletes, or the
         per-row weight column (a list of ``+1``/``-1``) of a mixed run.
-        Semantically identical to ``process``-ing each row in order, but the
-        per-event dispatch cost (trigger lookup, static-table checks,
-        profiler hooks, one Python call per event) is paid once per run; a
-        multi-row run is transposed into the columnar batch layout and run
-        through the ``*_batch`` trigger with its weight column.
+        Semantically identical to ``process``-ing each row in order, but
+        the Python call per event (and the tap, when one is attached) is
+        paid once per run; a multi-row run is transposed into the columnar
+        batch layout and run through the ``*_batch`` trigger with its
+        weight column.
 
         Returns the number of rows that reached a trigger (0 when the
         relation is unsubscribed and the rows were skipped).
@@ -292,6 +303,7 @@ class Engine:
         fire-and-forget, so a listener that reads state must go through
         the synchronising reads (``results`` / ``current_maps``)."""
         self._batch_listeners.append(listener)
+        self._routes = {}
 
     def remove_batch_listener(self, listener) -> None:
         self._batch_listeners.remove(listener)
@@ -475,14 +487,16 @@ class DeltaEngine(Engine):
 
     def _bind(self) -> None:
         """Bind the executor to ``self.maps``, and each relation's trigger
-        to either sign for the per-event path: ``partial`` prepends the
-        weight in C, where ``trigger(sign, *values)`` builds a tuple."""
+        to either sign for the per-event path, indexed by the sign
+        (``signed[relation][sign]``): ``partial`` prepends the weight in
+        C, where ``trigger(sign, *values)`` builds a tuple.  The routes
+        held the old triggers, so they go too."""
         self._triggers = self._executor.bind(self.maps, self.profiler)
         self._signed = {
-            (relation, sign): partial(trigger, sign)
+            relation: (None, partial(trigger, 1), partial(trigger, -1))
             for (relation, _), trigger in self._triggers.per_event.items()
-            for sign in (1, -1)
         }
+        self._routes = {}
 
     def __deepcopy__(self, memo: dict) -> "DeltaEngine":
         """Snapshot support (used by the benchmark harness).
@@ -515,21 +529,37 @@ class DeltaEngine(Engine):
     def process(self, event: StreamEvent) -> None:
         """Apply one insert/delete event.
 
-        The allocation-free per-event fast path: a direct call of the
-        bound trigger, no :class:`EventBatch` unless a flush-path listener
-        is attached.
+        A relation with a route costs one dict probe and a direct call of
+        the bound trigger (or a skip count); any other takes the generic
+        one-row batch path — :func:`admit`, :meth:`_apply`, the tap —
+        and gets a route once its admission is settled (:meth:`_route`).
         """
-        relation, sign = event.relation, event.sign
-        if admit(self, relation, sign, 1) is None:
-            return
-        self._signed[relation, sign](*event.values)
-        self.events_processed += 1
-        if self.profiler is not None:
-            self.profiler.record_event(event)
-        if self._batch_listeners:
-            self._notify_listeners(
-                EventBatch(relation, sign, [event.values])
-            )
+        route = self._routes.get(event.relation)
+        if route:
+            route[event.sign](*event.values)
+            self.events_processed += 1
+        elif route is None:
+            super().process(event)
+            self._route(event.relation)
+        else:
+            self.events_skipped += 1
+
+    def _route(self, relation: str) -> None:
+        """Cache the admission of ``relation``, whose event just passed
+        :func:`admit`, for :meth:`process`: its sign-indexed triggers, or
+        :data:`_SKIP` when no query reads it (a strict engine raised
+        instead).  Admission is settled by then — the event started the
+        stream, or no query reads the relation and the stream never
+        matters — except for a static table, which takes no deletes and
+        gets no route.  A profiler or tap needs the batch path, so there
+        is none while one is attached; :meth:`_bind` and attaching a tap
+        drop the table."""
+        if self.profiler is None and not self._batch_listeners:
+            signed = self._signed.get(relation)
+            if signed is None:
+                self._routes[relation] = _SKIP
+            elif self.program.takes_deletes(relation):
+                self._routes[relation] = signed
 
     def _process_batch(self, batch: EventBatch) -> int:
         """Admit one batch, apply it (:meth:`_apply`) and fire the tap."""
@@ -567,14 +597,14 @@ class DeltaEngine(Engine):
         if rows is not None and len(rows) <= 1:
             if not rows:
                 return 0
-            self._signed[relation, sign](*rows[0])  # one row: one sign
+            self._signed[relation][sign](*rows[0])  # one row: one sign
             count = 1
         else:
             if columns is None:
                 columns = columns_from_rows(rows)
             count = len(columns[0]) if columns else len(rows)
             if count == 1:
-                self._signed[relation, sign](*[column[0] for column in columns])
+                self._signed[relation][sign](*[column[0] for column in columns])
             else:
                 weights = sign if isinstance(sign, list) else [sign] * count
                 self._triggers.batch[relation, 0](columns, weights)

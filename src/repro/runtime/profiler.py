@@ -25,9 +25,6 @@ class Profiler:
     statement_runs: dict[str, int] = field(default_factory=dict)
     map_updates: dict[str, int] = field(default_factory=dict)
 
-    def record_event(self, event) -> None:
-        self.record_batch(event.relation, event.sign, 1)
-
     def record_batch(self, relation: str, sign, count: int) -> None:
         """One trigger dispatch covering ``count`` events of ``sign`` —
         or, for a mixed batch, of its weight column: every row counts
