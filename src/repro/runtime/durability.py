@@ -244,10 +244,12 @@ def encode_rows_payload(relation: str, sign, rows: Sequence) -> bytes:
 
     Same frame envelope and header as :func:`encode_batch_payload` with
     ``cols`` set to :data:`_ROWS_SENTINEL`; :func:`decode_batch_payload`
-    transposes back to columns, so readers see one format.
+    transposes back to columns, so readers see one format.  A list is
+    pickled as handed (no copy); any other sequence is listed first, so
+    the bytes are the same either way.
     """
     return _payload_head(relation, sign, len(rows), _ROWS_SENTINEL) + _dumps(
-        list(rows), _PICKLE_PROTOCOL
+        rows if type(rows) is list else list(rows), _PICKLE_PROTOCOL
     )
 
 

@@ -50,8 +50,9 @@ delta processing: the compiler's partitioning analysis
 (:func:`repro.compiler.partition.analyze_partitioning`) determines which
 event column every map access of a trigger is keyed on, batches are
 hash-routed by that column to N shard lanes (plus a serial lane for
-non-partitionable triggers), and ``results()`` / ``map_view()`` merge the
-lane maps key-wise.  A lane is a :class:`_LocalLane` (a
+non-partitionable triggers; a short run's rows go one by one to their
+in-process lane's per-event trigger), and ``results()`` / ``map_view()``
+merge the lane maps key-wise.  A lane is a :class:`_LocalLane` (a
 :class:`DeltaEngine` in this process) or, with ``parallel=True``, a
 :class:`_ProcessLane` (a forked worker running one, fed over a pipe, so
 trigger execution overlaps across cores); supervision hooks into the pipe
@@ -71,6 +72,7 @@ import signal
 import time
 from collections import defaultdict, deque
 from functools import partial
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -100,8 +102,12 @@ from repro.runtime.views import (
 #: stream stays O(batch) in memory instead of buffering the whole run.
 DEFAULT_BATCH_SIZE = 1024
 
-#: Below this run length, shard routing partitions row tuples (one hash and
-#: one append per row) instead of building per-shard column gathers.
+#: The longest run :class:`ShardedEngine` routes as rows.  Up to this
+#: length an in-process lane gets each row as one call of its per-event
+#: trigger (a forked lane, one ``partition_rows`` slice); a longer run is
+#: cut into per-lane column gathers for the ``*_batch`` trigger.  The
+#: batch body loses to per-row calls on short runs (bsp 1.2-2.1x, axf
+#: ~4x slower up to 8 rows; see CHANGES.md for the table).
 _ROW_ROUTE_THRESHOLD = 8
 
 #: :meth:`DeltaEngine.process`'s route for a relation no query reads: falsy,
@@ -777,9 +783,11 @@ class _LocalLane(DeltaEngine):
     (``sync``, ``events_processed``, ``current_maps``, ``index_sizes``,
     ``restore_state``, ``close``) plus ``send(relation, sign, rows,
     columns)`` — one slice of rows the router admitted, as row tuples
-    (short runs) or per-column lists.  Lanes never admit: admission is
-    enforced once, globally, by the router, so a local lane's ``send``
-    *is* :meth:`DeltaEngine._apply` — the bound triggers run directly.
+    or per-column lists.  Lanes never admit: admission is enforced once,
+    globally, by the router, so a local lane's ``send`` *is*
+    :meth:`DeltaEngine._apply` — the bound triggers run directly — and
+    a short run's rows reach its ``_signed`` per-event triggers with no
+    ``send`` at all.
     """
 
     def __init__(self, executor) -> None:
@@ -1325,11 +1333,18 @@ class ShardedEngine(Engine):
     def _process_batch(self, batch: EventBatch) -> int:
         """Admit one batch and route it.
 
-        Semantics match :meth:`DeltaEngine._process_batch`.  The routing
-        column is hashed directly from its column list (or, for short
-        runs, from the rows), a mixed batch's weight column travels with
-        its rows, and each lane applies its slice directly; serial-lane
-        batches flow through untouched (one-row runs never transpose).
+        Semantics match :meth:`DeltaEngine._process_batch`.  Serial-lane
+        batches flow through :meth:`DeltaEngine._apply` untouched.  A run
+        longer than :data:`_ROW_ROUTE_THRESHOLD` hashes its routing column
+        list into per-lane column gathers, each one ``*_batch`` call.  A
+        shorter run is rows: an in-process lane takes each row as one
+        call of its per-event trigger with the row's weight — no
+        partition lists, no transpose, no batch body, which loses to
+        per-row calls at these lengths — and deletes a program compiled
+        without them drop uncounted, as in ``_apply``; a forked lane takes
+        one ``partition_rows`` slice, since each message crosses a pipe.
+        Every path hashes ``row[column] % lanes``, so a row's lane does
+        not depend on its run's length.
         """
         self._check_open()
         count = batch._length
@@ -1344,21 +1359,22 @@ class ShardedEngine(Engine):
         try:
             if column is None or not lanes:
                 self._serial._apply(relation, sign, batch._rows, batch._columns)
-            elif count == 1:
-                rows = batch.rows
-                lanes[hash(rows[0][column]) % len(lanes)].send(
-                    relation, sign, rows, None
-                )
-            elif count <= _ROW_ROUTE_THRESHOLD:
-                # Short runs: row-level hash routing is cheaper than
-                # building per-shard column gathers.
+            elif count > _ROW_ROUTE_THRESHOLD:
+                self._scatter(relation, sign, partition_columns(
+                    batch.columns, column, len(lanes), weights
+                ), columnar=True)
+            elif self.parallel:
                 self._scatter(relation, sign, partition_rows(
                     batch.rows, column, len(lanes), weights
                 ), columnar=False)
             else:
-                self._scatter(relation, sign, partition_columns(
-                    batch.columns, column, len(lanes), weights
-                ), columnar=True)
+                shards = len(lanes)
+                deletes = weights is None or self.program.takes_deletes(relation)
+                for row, weight in zip(batch.rows, weights or repeat(sign)):
+                    if deletes or weight == 1:
+                        lane = lanes[hash(row[column]) % shards]
+                        lane._signed[relation][weight](*row)
+                        lane.events_processed += 1
         except _BatchReplayed:
             # A supervised durable rebuild replayed the WAL, which already
             # contains this batch in full — the un-sent lane slices were
@@ -1369,10 +1385,11 @@ class ShardedEngine(Engine):
         return count
 
     def _scatter(self, relation: str, sign, slices, columnar: bool) -> None:
-        """Send each lane its slice of one routed run — row lists, or
-        column tuples when ``columnar`` — paired, for a mixed run (``sign``
-        is its weight column), with the slice's weights.  Lanes that drew
-        no rows get no message."""
+        """Send each lane its slice of one routed run — column tuples
+        when ``columnar`` (a long run), else row lists (a short run for
+        forked lanes) — paired, for a mixed run (``sign`` is its weight
+        column), with the slice's weights.  Lanes that drew no rows get
+        no message."""
         mixed = isinstance(sign, list)
         for lane, part in zip(self._lanes, slices):
             if mixed:
