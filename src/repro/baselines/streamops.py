@@ -17,31 +17,128 @@ Two properties faithfully model the systems the paper compares against:
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Optional
 
-from repro.errors import EventError, ReproError
+from repro.errors import EventError, UnsupportedQueryError
 from repro.sql.ast import (
     AggregateCall,
+    Arith,
+    BetweenExpr,
+    BoolOp,
     ColumnRef,
     Comparison,
+    ExistsExpr,
+    InExpr,
+    Literal,
+    Not,
+    ScalarSubquery,
     SelectQuery,
     Star,
+    UnaryMinus,
+    walk,
 )
 from repro.sql.binder import BoundQuery, bind_query
 from repro.sql.catalog import Catalog
 from repro.sql.parser import parse_query
-from repro.interpreter.executor import (
-    _Compiler,
-    _Scope,
-    _eval_item,
-    _split_conjuncts,
-    _tables_of,
-)
 from repro.runtime.events import EventBatch, StreamEvent, batches
 
+ValueFn = Callable[[tuple], object]
 
-class UnsupportedQueryError(ReproError):
-    """The operator network cannot express this query (e.g. subqueries)."""
+
+def _divide(left, right):
+    """The query surface's ``/``: true division, with x/0 = 0."""
+    return 0 if right == 0 else left / right
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+class _Scope:
+    """Row closures for one row layout: ``positions`` maps a column's
+    ``(binding, column)`` to its index in the row.  Subqueries never
+    reach here (:meth:`_Pipeline._reject_unsupported`)."""
+
+    def __init__(self, bound: BoundQuery, positions: dict[tuple[str, str], int]):
+        self.bound = bound
+        self.positions = positions
+
+    def scalar(self, expr) -> ValueFn:
+        if isinstance(expr, Literal):
+            value = expr.value
+            return lambda row: value
+        if isinstance(expr, ColumnRef):
+            resolution = self.bound.resolve(expr)
+            return operator.itemgetter(
+                self.positions[(resolution.binding, resolution.column.lower())]
+            )
+        if isinstance(expr, UnaryMinus):
+            inner = self.scalar(expr.operand)
+            return lambda row: -inner(row)
+        if isinstance(expr, Arith):
+            left, right = self.scalar(expr.left), self.scalar(expr.right)
+            apply = _ARITH[expr.op]
+            return lambda row: apply(left(row), right(row))
+        raise UnsupportedQueryError(f"unsupported scalar expression {expr!r}")
+
+    def predicate(self, expr) -> ValueFn:
+        if isinstance(expr, Comparison):
+            left, right = self.scalar(expr.left), self.scalar(expr.right)
+            compare = _COMPARE[expr.op]
+            return lambda row: compare(left(row), right(row))
+        if isinstance(expr, BetweenExpr):
+            operand = self.scalar(expr.operand)
+            low, high = self.scalar(expr.low), self.scalar(expr.high)
+            return lambda row: low(row) <= operand(row) <= high(row)
+        if isinstance(expr, BoolOp):
+            operands = [self.predicate(o) for o in expr.operands]
+            if expr.op == "AND":
+                return lambda row: all(o(row) for o in operands)
+            return lambda row: any(o(row) for o in operands)
+        if isinstance(expr, Not):
+            inner = self.predicate(expr.operand)
+            return lambda row: not inner(row)
+        raise UnsupportedQueryError(f"unsupported predicate {expr!r}")
+
+
+def _split_conjuncts(expr) -> list:
+    if expr is None:
+        return []
+    if isinstance(expr, BoolOp) and expr.op == "AND":
+        return [c for operand in expr.operands for c in _split_conjuncts(operand)]
+    return [expr]
+
+
+def _tables_of(expr, bound: BoundQuery) -> set[str]:
+    """The bindings an expression's columns come from."""
+    return {
+        bound.resolve(node).binding
+        for node in walk(expr)
+        if isinstance(node, ColumnRef)
+    }
+
+
+def _eval_item(expr, agg_values: dict[int, object]):
+    """A select item's value from its aggregates' finished values."""
+    if isinstance(expr, AggregateCall):
+        return agg_values[id(expr)]
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, UnaryMinus):
+        return -_eval_item(expr.operand, agg_values)
+    if isinstance(expr, Arith):
+        return _ARITH[expr.op](
+            _eval_item(expr.left, agg_values), _eval_item(expr.right, agg_values)
+        )
+    raise UnsupportedQueryError(f"unsupported select item {expr!r}")
 
 
 class _JoinOp:
@@ -100,7 +197,7 @@ class _AggSink:
         self.groups: dict[tuple, list] = {}
 
     def on_delta(self, row: tuple, mult: int) -> None:
-        key = tuple(fn(row, ()) for fn in self.group_fns)
+        key = tuple(fn(row) for fn in self.group_fns)
         state = self.groups.get(key)
         if state is None:
             state = [0, [self._new_state(c) for c in self.agg_calls]]
@@ -110,7 +207,7 @@ class _AggSink:
             value = (
                 None
                 if self.value_fns[index] is None
-                else self.value_fns[index](row, ())
+                else self.value_fns[index](row)
             )
             self._update(state[1][index], call, value, mult)
         if state[0] == 0:
@@ -215,20 +312,14 @@ class _Pipeline:
             for i, col in enumerate(cols):
                 positions[(binding, col)] = offset + i
             offset += len(cols)
-        self.scope = _Scope(positions)
-        compiler = _Compiler(bound, None)  # type: ignore[arg-type] - no subplans
+        scope = _Scope(bound, positions)
 
         conjuncts = _split_conjuncts(query.where)
-        binding_set = set(self.bindings)
         self.table_filters: list[list] = [[] for _ in self.bindings]
         join_conjuncts: list[tuple[int, Comparison]] = []
         residual = []
         for conjunct in conjuncts:
-            touched = _tables_of(conjunct, bound, binding_set)
-            if touched is None:
-                raise UnsupportedQueryError(
-                    f"operator networks cannot evaluate {conjunct!r}"
-                )
+            touched = _tables_of(conjunct, bound)
             if len(touched) == 1:
                 index = self.bindings.index(next(iter(touched)))
                 self.table_filters[index].append(conjunct)
@@ -252,14 +343,12 @@ class _Pipeline:
                 self.filter_fns.append(None)
                 continue
             local_scope = _Scope(
-                {(binding, col): i for i, col in enumerate(self.table_cols[index])}
+                bound,
+                {(binding, col): i for i, col in enumerate(self.table_cols[index])},
             )
-            predicates = [
-                compiler.predicate(c, local_scope)
-                for c in self.table_filters[index]
-            ]
+            predicates = [local_scope.predicate(c) for c in self.table_filters[index]]
             self.filter_fns.append(
-                lambda row, _p=tuple(predicates): all(f(row, ()) for f in _p)
+                lambda row, _p=tuple(predicates): all(f(row) for f in _p)
             )
 
         # Build the left-deep join ladder: join k combines tables 0..k-1
@@ -303,41 +392,32 @@ class _Pipeline:
             )
 
         self.residual_fns = [
-            compiler.predicate(c, self.scope) for _latest, c in residual
+            scope.predicate(c) for _latest, c in residual
         ]
 
-        group_fns = [compiler.scalar(c, self.scope) for c in query.group_by]
+        group_fns = [scope.scalar(c) for c in query.group_by]
         agg_calls: list[AggregateCall] = []
         for info in bound.item_info:
             agg_calls.extend(info.aggregates)
         value_fns = [
             None
             if isinstance(c.argument, Star)
-            else compiler.scalar(c.argument, self.scope)
+            else scope.scalar(c.argument)
             for c in agg_calls
         ]
         self.sink = _AggSink(bound, group_fns, agg_calls, value_fns)
 
     @staticmethod
     def _reject_unsupported(query: SelectQuery) -> None:
-        from repro.sql.ast import ExistsExpr, InExpr, ScalarSubquery
-
-        def check(node) -> None:
-            if isinstance(node, (ExistsExpr, InExpr, ScalarSubquery)):
-                raise UnsupportedQueryError(
-                    "stream operator networks do not support subqueries or "
-                    "nested aggregates (per the systems the paper compares "
-                    "against)"
-                )
-            for attr in ("left", "right", "operand", "argument"):
-                child = getattr(node, attr, None)
-                if child is not None:
-                    check(child)
-            for operand in getattr(node, "operands", ()):
-                check(operand)
-
-        if query.where is not None:
-            check(query.where)
+        if any(
+            isinstance(node, (ExistsExpr, InExpr, ScalarSubquery))
+            for node in walk(query)
+        ):
+            raise UnsupportedQueryError(
+                "stream operator networks do not support subqueries or "
+                "nested aggregates (per the systems the paper compares "
+                "against)"
+            )
 
     # -- delta propagation ---------------------------------------------------
 
@@ -361,7 +441,7 @@ class _Pipeline:
             deltas = join.on_right(row, mult)
             deltas = self._through_ladder(table_index, deltas)
         for out_row, out_mult in deltas:
-            if all(f(out_row, ()) for f in self.residual_fns):
+            if all(f(out_row) for f in self.residual_fns):
                 self.sink.on_delta(out_row, out_mult)
 
     def _through_ladder(self, start: int, deltas) -> list[tuple[tuple, int]]:

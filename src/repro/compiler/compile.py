@@ -83,7 +83,7 @@ def compile_queries(
     """
     queries = list(queries)
     options = options or CompileOptions()
-    registry = MapRegistry(share=options.share_maps)
+    registry = MapRegistry()
 
     slot_maps: dict[str, list[str]] = {}
     # (query, slot index, occurrence map, kind) for non-linear slots;
@@ -120,13 +120,13 @@ def compile_queries(
     }
     float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
 
-    # One formal event per relation: of either sign on a stream; an
-    # insert on a static table, and everywhere without deletions.
+    # One formal event per relation: of either sign on a stream, an
+    # insert on a static table.
     events: dict[str, Event] = {
         rel: event_for(
             rel,
             catalog.get(rel).column_names,
-            0 if catalog.get(rel).is_stream and options.deletions else 1,
+            0 if catalog.get(rel).is_stream else 1,
         )
         for rel in all_relations
     }

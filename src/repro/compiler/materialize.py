@@ -373,7 +373,6 @@ def read_extrema(
 class MapRegistry:
     """Names, definitions and structural sharing of maintained maps."""
 
-    share: bool = True
     maps: dict[str, MapDef] = field(default_factory=dict)
     pending: list[MapDef] = field(default_factory=list)
     _canonical: dict[Expr, str] = field(default_factory=dict)
@@ -392,7 +391,7 @@ class MapRegistry:
         reused (cross-query sharing) and no new map is created.
         """
         canon, canon_keys = canonicalize(keys, defn_body)
-        if self.share and canon in self._canonical:
+        if canon in self._canonical:
             return self.maps[self._canonical[canon]]
         if name in self.maps:
             raise CompilationError(f"duplicate map name {name!r}")
@@ -425,7 +424,7 @@ class MapRegistry:
         number: Optional[int] = None,
     ) -> MapDef:
         canon, canon_keys = canonicalize(keys, defn_body)
-        if self.share and canon in self._canonical:
+        if canon in self._canonical:
             return self.maps[self._canonical[canon]]
         if number is None:
             number = self._next_number()
@@ -437,7 +436,7 @@ class MapRegistry:
         return map_def
 
     @classmethod
-    def seeded(cls, maps: dict[str, MapDef], share: bool = True) -> "MapRegistry":
+    def seeded(cls, maps: dict[str, MapDef]) -> "MapRegistry":
         """A registry pre-populated with already-maintained maps.
 
         Structural sharing resolves against the existing definitions
@@ -445,7 +444,7 @@ class MapRegistry:
         owns it); callers that must not *create* maps treat a non-empty
         ``pending`` after rewriting as "a new map would be needed".
         """
-        registry = cls(share=share)
+        registry = cls()
         registry.maps = dict(maps)
         for name, map_def in maps.items():
             if map_def.role == "auxiliary":

@@ -29,14 +29,10 @@ class CompileOptions:
     deltas are evaluated directly over whole-row base-relation occurrence
     maps (no aggregate maps, no column narrowing), which is exactly
     classical first-order IVM (the "today's VM algorithms" the
-    introduction compares against).  ``deletions=False`` derives
-    insert-only triggers (no weight): a delete on a stream is then a
-    known-relation no-op, dropped at admission.
+    introduction compares against).
     """
 
     derived_maps: bool = True
-    share_maps: bool = True
-    deletions: bool = True
 
 
 @dataclass(frozen=True)
@@ -291,10 +287,6 @@ class CompiledProgram:
     def trigger_for(self, relation: str) -> Optional[Trigger]:
         """The trigger a ``relation``'s events run, of either sign."""
         return self.triggers.get((relation, 0))
-
-    def takes_deletes(self, relation: str) -> bool:
-        """Whether ``relation``'s trigger was derived for either sign."""
-        return self.options.deletions and relation not in self.static_relations
 
     @property
     def relations(self) -> tuple[str, ...]:

@@ -60,6 +60,11 @@ class CompilationError(ReproError):
     """Recursive delta compilation failed or hit an unsupported shape."""
 
 
+class UnsupportedQueryError(ReproError):
+    """A baseline engine cannot run this query (a stream operator
+    network and subqueries, sqlite re-evaluation and division)."""
+
+
 class CodegenError(ReproError):
     """Code generation produced invalid source or hit an unsupported IR."""
 

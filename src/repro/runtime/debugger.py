@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.compiler.program import CompiledProgram, Statement
+from repro.errors import EventError
 from repro.ir.interp import run_trigger_collect
 from repro.ir.lower import lower_program
 from repro.runtime.events import StreamEvent
@@ -89,10 +90,13 @@ class Debugger:
         """Process one event, returning (and recording) its trace."""
         trigger_ir = self._ir.triggers.get((event.relation, 0))
         trace = EventTrace(event=event)
-        # A trigger derived for inserts alone makes a delete a no-op.
-        if trigger_ir is not None and (
-            event.sign == 1 or self.program.takes_deletes(event.relation)
-        ):
+        if event.sign == -1 and event.relation in self.program.static_relations:
+            # Its trigger was derived for inserts alone; admission refuses
+            # this delete too.
+            raise EventError(
+                f"static table {event.relation!r} only supports bulk-load inserts"
+            )
+        if trigger_ir is not None:
             for block, updates in run_trigger_collect(
                 trigger_ir, (event.sign, *event.values), self.maps
             ):

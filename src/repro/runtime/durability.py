@@ -944,13 +944,13 @@ def program_fingerprint(program: CompiledProgram) -> str:
     covers the trigger set, the maintained maps (name + key arity) and
     the query names — the parts replay depends on.  A relation's
     trigger is hashed as the signs its events may carry (``-1`` and
-    ``1``, or ``1`` alone for a static table or without deletions), so a
+    ``1``, or ``1`` alone for a static table), so a
     directory keeps its fingerprint across builds that key triggers by
     relation alone.
     """
     digest = hashlib.sha256()
     for relation in program.relations:
-        for sign in (-1, 1) if program.takes_deletes(relation) else (1,):
+        for sign in (1,) if relation in program.static_relations else (-1, 1):
             digest.update(f"trigger:{relation}/{sign};".encode())
     for name in sorted(program.maps):
         digest.update(f"map:{name}/{program.maps[name].arity};".encode())

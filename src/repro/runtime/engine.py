@@ -88,7 +88,6 @@ from repro.runtime.events import (
     columns_from_rows,
     partition_columns,
     partition_rows,
-    rows_from_columns,
 )
 from repro.runtime.storage import RecordingDict, storage_class
 from repro.runtime.views import (
@@ -124,16 +123,13 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
     only sound while all streams are empty — and only take inserts.  A
     relation no standing query reads raises in ``strict`` mode and is
     counted into ``events_skipped`` otherwise.  Returns the relation's
-    trigger, which every sign runs, or ``None`` when the rows are to be
-    dropped: a skipped relation, or deletes when the program was
-    compiled with ``deletions=False`` (a known-relation no-op).
+    trigger, which every sign runs, or ``None`` for a skipped relation,
+    whose rows drop.
 
     ``sign`` is ``+1``/``-1``, or ``0`` for a mixed batch (one carrying a
     weight column; ``0`` is the WAL's sign byte for one, too), judged
     whole before any row applies: a static table refuses it (it holds
-    deletes) and a skipped relation counts every row.  Without
-    deletions, its delete rows drop where it applies
-    (:meth:`DeltaEngine._apply`).
+    deletes) and a skipped relation counts every row.
 
     ``count=0`` is a dry run — it raises exactly what applying would and
     changes no engine state — which is how the durable layer rejects a
@@ -163,8 +159,6 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
                 "known relations: " + (", ".join(known) if known else "(none)")
             )
         engine.events_skipped += count
-    elif sign == -1 and not program.takes_deletes(relation):
-        return None
     return trigger
 
 
@@ -564,7 +558,7 @@ class DeltaEngine(Engine):
             signed = self._signed.get(relation)
             if signed is None:
                 self._routes[relation] = _SKIP
-            elif self.program.takes_deletes(relation):
+            elif relation not in self.program.static_relations:
                 self._routes[relation] = signed
 
     def _process_batch(self, batch: EventBatch) -> int:
@@ -591,15 +585,8 @@ class DeltaEngine(Engine):
         One row takes the per-event trigger (no loop setup, no transpose,
         and a second-order flush would restate whole maps for one row's
         change); more take the columnar ``*_batch`` trigger with the
-        weight column, in one call whatever the signs.  Without deletions,
-        only the run's inserts apply.
+        weight column, in one call whatever the signs.
         """
-        if sign != 1 and not self.program.takes_deletes(relation):
-            if not isinstance(sign, list):
-                return 0
-            rows = rows if rows is not None else rows_from_columns(columns)
-            rows = [row for row, weight in zip(rows, sign) if weight == 1]
-            sign, columns = 1, None
         if rows is not None and len(rows) <= 1:
             if not rows:
                 return 0
@@ -1340,9 +1327,8 @@ class ShardedEngine(Engine):
         shorter run is rows: an in-process lane takes each row as one
         call of its per-event trigger with the row's weight — no
         partition lists, no transpose, no batch body, which loses to
-        per-row calls at these lengths — and deletes a program compiled
-        without them drop uncounted, as in ``_apply``; a forked lane takes
-        one ``partition_rows`` slice, since each message crosses a pipe.
+        per-row calls at these lengths; a forked lane takes one
+        ``partition_rows`` slice, since each message crosses a pipe.
         Every path hashes ``row[column] % lanes``, so a row's lane does
         not depend on its run's length.
         """
@@ -1369,12 +1355,10 @@ class ShardedEngine(Engine):
                 ), columnar=False)
             else:
                 shards = len(lanes)
-                deletes = weights is None or self.program.takes_deletes(relation)
                 for row, weight in zip(batch.rows, weights or repeat(sign)):
-                    if deletes or weight == 1:
-                        lane = lanes[hash(row[column]) % shards]
-                        lane._signed[relation][weight](*row)
-                        lane.events_processed += 1
+                    lane = lanes[hash(row[column]) % shards]
+                    lane._signed[relation][weight](*row)
+                    lane.events_processed += 1
         except _BatchReplayed:
             # A supervised durable rebuild replayed the WAL, which already
             # contains this batch in full — the un-sent lane slices were

@@ -6,8 +6,8 @@ annotates/validates them (producing a :class:`repro.sql.binder.BoundQuery`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Union
 
 # --------------------------------------------------------------------------
 # Expressions
@@ -203,6 +203,17 @@ class SelectQuery:
         if self.group_by:
             parts.append("GROUP BY " + ", ".join(repr(g) for g in self.group_by))
         return " ".join(parts)
+
+
+def walk(node) -> Iterator:
+    """``node`` and every expression, select item and query below it,
+    subqueries included, depth first."""
+    yield node
+    for field in fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (SqlExpr, SelectItem, SelectQuery)):
+                yield from walk(child)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ def compilation_rows(program: CompiledProgram) -> list[dict]:
     """One row per (maintained map, event, statement), Figure 2's columns."""
     rows: list[dict] = []
     for (relation, _), trigger in sorted(program.triggers.items()):
-        symbol = "±" if program.takes_deletes(relation) else "+"
+        symbol = "+" if relation in program.static_relations else "±"
         for statement in trigger.statements:
             target = program.maps[statement.target]
             used = sorted(statement.reads())

@@ -5,7 +5,7 @@ Queries follow the DBToaster finance benchmark family:
 * **vwap** — volume-weighted average price contribution of large bids: a
   nested aggregate compares each bid's volume against a fraction of total
   bid volume (the paper's VWAP/SOBI building block; stream engines cannot
-  express it, see :class:`repro.baselines.streamops.UnsupportedQueryError`);
+  express it, see :class:`repro.errors.UnsupportedQueryError`);
 * **axf** (AXFinder) — per-broker imbalance between asks and bids within a
   price band;
 * **bsp** (BrokerSpread) — per-broker exposure spread between its standing

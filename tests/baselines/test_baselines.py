@@ -142,6 +142,42 @@ class TestEngineFactory:
         assert engine.results("q") == [(1, 700, 1)]
 
 
+class TestSqliteReeval:
+    """The re-evaluation baseline runs its queries in sqlite3."""
+
+    def test_deepcopy_is_an_independent_engine(self, catalog):
+        import copy
+
+        engine = make_engine("reeval", {"q": QUERIES["grouped"]}, catalog)
+        engine.insert("bids", 1, 100, 7)
+        clone = copy.deepcopy(engine)
+        clone.insert("bids", 1, 10, 1)
+        engine.delete("bids", 1, 100, 7)
+        assert clone.results("q") == [(1, 710, 2)]
+        assert engine.results("q") == []
+        assert (clone.total_entries(), engine.total_entries()) == (2, 0)
+        assert (clone.events_processed, engine.events_processed) == (2, 2)
+
+    def test_deleting_a_row_that_is_not_live_raises(self, catalog):
+        from repro.errors import EventError
+
+        engine = make_engine("reeval_lazy", {"q": QUERIES["grouped"]}, catalog)
+        engine.insert("bids", 1, 100, 7)
+        with pytest.raises(EventError, match="absent"):
+            engine.delete("bids", 1, 100, 8)
+        engine.delete("bids", 1, 100, 7)
+        with pytest.raises(EventError, match="absent"):
+            engine.delete("bids", 1, 100, 7)
+
+    def test_division_is_refused(self, catalog):
+        """sqlite's integer division and x/0 = NULL are not the query
+        surface's true division with x/0 = 0."""
+        with pytest.raises(UnsupportedQueryError, match="divides"):
+            make_engine(
+                "reeval", {"q": "SELECT sum(price / volume) FROM bids"}, catalog
+            )
+
+
 class TestStateAccounting:
     def test_streamops_materialises_join_state(self, catalog):
         engine = make_engine("streamops", {"q": QUERIES["two_way_grouped"]}, catalog)

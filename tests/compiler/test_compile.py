@@ -12,9 +12,7 @@ from repro.algebra.expr import (
     MapRef,
     Rel,
     Var,
-    WEIGHT,
     mul,
-    used_vars,
 )
 from repro.compiler import CompileOptions, compile_sql, compile_queries
 from repro.compiler.materialize import (
@@ -93,19 +91,6 @@ class TestFigure2:
         loops = [s for s in trigger.statements if s.loop_vars]
         assert len(loops) == 1
 
-    def test_one_trigger_serves_both_signs(self, program, catalog):
-        """Each relation's trigger is the insert trigger with the event's
-        weight where the insert has +1: same targets, same order."""
-        inserts = compile_sql(
-            PAPER_SQL, catalog, options=CompileOptions(deletions=False)
-        )
-        for rel in ("R", "S", "T"):
-            weighted = program.trigger_for(rel).statements
-            plain = inserts.trigger_for(rel).statements
-            assert [s.target for s in weighted] == [s.target for s in plain]
-            assert all(WEIGHT in used_vars(s.rhs) for s in weighted)
-            assert not any(WEIGHT in used_vars(s.rhs) for s in plain)
-
     def test_trigger_count(self, program):
         assert set(program.triggers) == {("R", 0), ("S", 0), ("T", 0)}
 
@@ -132,38 +117,7 @@ class TestMapSharing:
         assert program.slot_maps["a"] == program.slot_maps["b"]
         assert len(program.maps) == 1
 
-    def test_sharing_can_be_disabled(self, catalog):
-        q1 = translate_sql("SELECT sum(volume) FROM bids", catalog, name="a")
-        q2 = translate_sql("SELECT sum(volume) FROM bids", catalog, name="b")
-        program = compile_queries(
-            [q1, q2], catalog, CompileOptions(share_maps=False)
-        )
-        assert len(program.maps) == 2
-
-
 class TestCompileOptions:
-    def test_no_deletions_drops_deletes_at_admission(self, catalog):
-        """Without deletions the triggers are insert-only (they read no
-        weight), and a delete on a stream is a known-relation no-op."""
-        from repro.runtime import DeltaEngine
-
-        program = compile_sql(
-            PAPER_SQL, catalog, options=CompileOptions(deletions=False)
-        )
-        assert set(program.triggers) == set(compile_sql(PAPER_SQL, catalog).triggers)
-        assert not any(
-            WEIGHT in used_vars(s.rhs)
-            for trigger in program.triggers.values()
-            for s in trigger.statements
-        )
-        engine = DeltaEngine(program, strict=True)
-        for relation, row in (("R", (2, 10)), ("S", (10, 7)), ("T", (7, 3))):
-            engine.insert(relation, *row)
-        engine.delete("R", 2, 10)
-        engine.process_batch("R", [-1, 1], [(2, 10), (1, 10)])
-        assert engine.result_scalar() == 2 * 3 + 1 * 3
-        assert (engine.events_processed, engine.events_skipped) == (4, 0)
-
     def test_first_order_mode_has_no_derived_aggregates(self, catalog):
         """derived_maps=False is classical first-order IVM: only occurrence
         maps of the base relations are maintained."""

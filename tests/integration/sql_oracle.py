@@ -8,9 +8,10 @@ surfaces as a normalised-row mismatch at a batch boundary.
 
 Pieces:
 
-* :class:`SqliteOracle` — mirrors a :class:`~repro.sql.catalog.Catalog`
-  into an in-memory sqlite3 database, replays the same insert/delete
-  stream, and evaluates the query's SQL directly;
+* :class:`SqliteOracle` — the catalog mirror the re-evaluation baseline
+  runs on (:class:`~repro.baselines.reeval.SqliteMirror`: an in-memory
+  sqlite3 database replaying the same insert/delete stream), plus the
+  query's SQL evaluated directly and normalised;
 * :func:`oracle_stream` — random insert/delete streams that only ever
   delete live rows (sqlite has no Z-set negative multiplicities), with an
   optional bias towards deleting the current extremum of a column (the
@@ -27,17 +28,11 @@ the calculus oracle in ``test_engine_vs_oracle.py``.
 from __future__ import annotations
 
 import random
-import sqlite3
 from typing import Mapping, Optional, Sequence
 
+from repro.baselines.reeval import SqliteMirror
 from repro.runtime import StreamEvent
-from repro.sql.catalog import Catalog, SqlType
-
-_SQLITE_TYPES = {
-    SqlType.INT: "INTEGER",
-    SqlType.FLOAT: "REAL",
-    SqlType.STRING: "TEXT",
-}
+from repro.sql.catalog import Catalog
 
 
 def normalize_value(value):
@@ -61,44 +56,13 @@ def normalize_rows(rows: Sequence[Sequence]) -> list[tuple]:
     )
 
 
-class SqliteOracle:
-    """An in-memory sqlite3 mirror of one query over catalog relations."""
+class SqliteOracle(SqliteMirror):
+    """The sqlite3 catalog mirror the re-evaluation baseline runs on, read
+    back through one query's SQL, normalised."""
 
     def __init__(self, catalog: Catalog, sql: str) -> None:
-        self.connection = sqlite3.connect(":memory:")
+        super().__init__(catalog)
         self.sql = sql
-        self._columns: dict[str, tuple[str, ...]] = {}
-        for relation in catalog:
-            columns = ", ".join(
-                f"{c.name} {_SQLITE_TYPES[c.type]}" for c in relation.columns
-            )
-            self.connection.execute(
-                f"CREATE TABLE {relation.name} ({columns})"
-            )
-            self._columns[relation.name.lower()] = relation.column_names
-
-    def apply(self, event: StreamEvent) -> None:
-        """Replay one engine event; deletes remove exactly one live row."""
-        names = self._columns[event.relation.lower()]
-        if event.sign == 1:
-            placeholders = ", ".join("?" for _ in names)
-            self.connection.execute(
-                f"INSERT INTO {event.relation} VALUES ({placeholders})",
-                event.values,
-            )
-            return
-        match = " AND ".join(f"{name} = ?" for name in names)
-        cursor = self.connection.execute(
-            f"DELETE FROM {event.relation} WHERE rowid IN "
-            f"(SELECT rowid FROM {event.relation} WHERE {match} LIMIT 1)",
-            event.values,
-        )
-        if cursor.rowcount != 1:
-            raise AssertionError(
-                f"oracle stream deleted a row that is not live: "
-                f"{event.relation}{event.values} (streams fed to the sqlite "
-                "oracle must only delete previously inserted rows)"
-            )
 
     def apply_all(self, events) -> None:
         for event in events:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from repro import compile_sql
 from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries
-from repro.compiler.program import CompileOptions, TriggerTable
+from repro.compiler.program import TriggerTable
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime import durability
@@ -444,37 +444,6 @@ def test_mixed_batch_on_an_unread_relation_counts_every_row(shape, tmp_path):
     assert (engine.events_skipped, engine.events_processed) == (3, 0)
     with pytest.raises(UnknownStreamError, match="'nope'"):
         make(strict=True).process_batch("nope", [1, -1], [(1,), (1,)])
-
-
-@pytest.mark.parametrize("parallel", [False, True])
-def test_a_sign_without_a_trigger_drops_its_rows(parallel):
-    """Deletions compiled out: a mixed batch applies its inserts and drops
-    its deletes, as its sub-runs would — even where a lane's slice holds
-    deletes only."""
-    program = compile_sql(
-        FINANCE_QUERIES["bsp"], finance_catalog(), name="q",
-        options=CompileOptions(deletions=False),
-    )
-    # Broker 2's rows are the deletes: one, then two of them in a lane.
-    runs = [
-        ([1, -1, 1], [(1, 1, 1, 100, 5), (2, 2, 2, 100, 5), (3, 3, 1, 101, 5)]),
-        ([1, -1, -1, 1], [
-            (4, 4, 1, 99, 5), (5, 5, 2, 98, 5), (6, 6, 2, 97, 5), (7, 7, 1, 96, 5)
-        ]),
-    ]
-    reference = DeltaEngine(program)
-    for weights, rows in runs:
-        for row, sign in zip(rows, weights):
-            reference.process(StreamEvent("bids", sign, row))
-    for engine in (
-        DeltaEngine(program),
-        ShardedEngine(program, shards=2, parallel=parallel),
-    ):
-        for weights, rows in runs:
-            engine.process_batch("bids", weights, rows)
-        assert engine.events_processed == reference.events_processed == 4
-        assert engine.results("q") == reference.results("q")
-        engine.close()
 
 
 def test_a_logged_batch_crosses_each_layer_once(tmp_path, monkeypatch):

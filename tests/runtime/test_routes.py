@@ -11,7 +11,7 @@ import copy
 
 import pytest
 
-from repro.compiler import CompileOptions, compile_sql
+from repro.compiler import compile_sql
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, delete, insert
 from repro.runtime.profiler import Profiler
@@ -136,22 +136,6 @@ def test_a_strict_engine_raises_on_every_event_of_an_unknown_relation():
             engine.insert("asks", 1, 1, 7, 100, 5)
     assert "asks" not in engine._routes
     assert (engine.events_processed, engine.events_skipped) == (2, 0)
-
-
-def test_without_deletions_a_delete_stays_an_uncounted_no_op():
-    program = compile_sql(
-        GROUPED, finance_catalog(), options=CompileOptions(deletions=False)
-    )
-    engine = DeltaEngine(program)
-    rows = [(t, t, 7, 100 + t, 5) for t in range(1, 4)]
-    for row in rows:
-        engine.insert("bids", *row)
-    for row in rows:
-        engine.delete("bids", *row)
-    engine.insert("bids", 4, 4, 7, 1, 1)
-    engine.delete("bids", 4, 4, 7, 1, 1)
-    assert engine.results() == [(7, 5 * (101 + 102 + 103) + 1)]
-    assert (engine.events_processed, engine.events_skipped) == (4, 0)
 
 
 def test_a_profiled_engine_counts_every_event():

@@ -15,7 +15,7 @@ from functools import lru_cache
 import pytest
 
 from repro import compile_sql
-from repro.compiler.program import CompileOptions, TriggerTable
+from repro.compiler.program import TriggerTable
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime import engine as engine_module
 from repro.runtime.durability import (
@@ -37,11 +37,8 @@ WEIGHTS = [1, 1, -1, 1]
 
 
 @lru_cache(maxsize=None)
-def _program(query, deletions=True):
-    return compile_sql(
-        FINANCE_QUERIES[query], finance_catalog(), name=query,
-        options=CompileOptions(deletions=deletions),
-    )
+def _program(query):
+    return compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=query)
 
 
 @lru_cache(maxsize=None)
@@ -194,23 +191,6 @@ def test_every_lane_equals_its_subsequence_per_event(query, mode, shards, seed):
 
 
 # -- edge cases ----------------------------------------------------------------
-
-
-def test_without_deletions_a_short_run_drops_its_deletes_uncounted(partitions):
-    program = _program("bsp", deletions=False)
-    engine = ShardedEngine(program, shards=2)
-    assert engine.process_batch("bids", WEIGHTS, ROWS) == 4
-    assert engine.process_batch("bids", -1, ROWS[:2]) == 0
-    inserted = [row for row, weight in zip(ROWS, WEIGHTS) if weight == 1]
-    expected = [0, 0]
-    for row in inserted:
-        expected[_lane_of(engine, "bids", row)] += 1
-    assert [lane.events_processed for lane in engine._lanes] == expected
-    assert engine.events_processed == 3
-    reference = DeltaEngine(program)
-    reference.process_batch("bids", 1, inserted)
-    assert engine.results("bsp") == reference.results("bsp")
-    assert partitions == []
 
 
 def test_watched_lanes_record_what_the_slice_path_records():

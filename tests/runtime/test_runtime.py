@@ -398,6 +398,17 @@ class TestDebugger:
         assert sorted(restore) == sorted((m, k, -v) for m, k, v in removal)
         assert {name: debugger.map_snapshot(name) for name in program.maps} == standing
 
+    def test_a_static_table_delete_raises_as_admission_does(self):
+        catalog = Catalog.from_script(
+            "CREATE TABLE dim (k int, v int); CREATE STREAM fact (k int, x int);"
+        )
+        debugger = Debugger(compile_sql(
+            "SELECT sum(f.x * d.v) FROM fact f, dim d WHERE f.k = d.k", catalog
+        ))
+        debugger.step(insert("dim", 1, 2))
+        with pytest.raises(EventError, match="bulk-load inserts"):
+            debugger.step(delete("dim", 1, 2))
+
     def test_sink_receives_traces(self, catalog):
         lines = []
         debugger = Debugger(compile_sql(GROUPED, catalog), sink=lines.append)

@@ -50,19 +50,25 @@ def test_event_helpers_roundtrip():
 
 
 def test_compile_options_flow_through():
-    catalog = Catalog.from_script("CREATE STREAM R (A int, B int)")
-    program = compile_sql(
-        "SELECT sum(A) FROM R",
-        catalog,
-        options=CompileOptions(deletions=False),
+    catalog = Catalog.from_script(
+        "CREATE STREAM R (A int, B int); CREATE STREAM S (B int, C int)"
     )
+    program = compile_sql(
+        "SELECT sum(R.A * S.C) FROM R, S WHERE R.B = S.B",
+        catalog,
+        options=CompileOptions(derived_maps=False),
+    )
+    # First-order IVM: the root plus whole-row occurrence maps, no
+    # derived aggregate maps.
+    assert sorted(m.role for m in program.maps.values()) == [
+        "occurrence", "occurrence", "root"
+    ]
     engine = DeltaEngine(program)
     engine.insert("R", 5, 1)
-    assert engine.result_scalar() == 5
-    # Delete triggers were not generated; the event is a known-relation
-    # no-op rather than an error, and the result is unchanged.
+    engine.insert("S", 1, 3)
+    engine.insert("R", 2, 1)
     engine.delete("R", 5, 1)
-    assert engine.result_scalar() == 5
+    assert engine.result_scalar() == 6
 
 
 def test_layers_import_nothing_above_them():

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro.baselines import ReevalEngine
 from repro.compiler import compile_sql
-from repro.interpreter.executor import execute_query
-from repro.interpreter.relations import Database
 from repro.runtime import DeltaEngine
-from repro.sql.binder import bind_query
-from repro.sql.parser import parse_query
 from repro.workloads.tpch import TpchGenerator, tpch_catalog
 from repro.workloads.ssb import (
     SSB_Q41_COMBINED,
@@ -92,14 +89,13 @@ class TestWarehouseScenario:
         engine.process_stream(warehouse_stream(generator))
         combined = sorted(engine.results("ssb41"), key=repr)
 
-        db = Database(lineorder_catalog())
-        for name, rows in star_schema_rows(generator).items():
-            db.load(name, rows)
-        db.load("lineorder", lineorder_rows(generator))
-        bound = bind_query(
-            parse_query(SSB_Q41_OVER_LINEORDER), lineorder_catalog()
+        sqlite = ReevalEngine(
+            {"q": SSB_Q41_OVER_LINEORDER}, lineorder_catalog(), refresh="lazy"
         )
-        two_phase = sorted(execute_query(bound, db), key=repr)
+        for name, rows in star_schema_rows(generator).items():
+            sqlite.process_batch(name, 1, rows)
+        sqlite.process_batch("lineorder", 1, lineorder_rows(generator))
+        two_phase = sqlite.results("q")
         assert combined == two_phase
         assert combined  # non-trivial result
 
