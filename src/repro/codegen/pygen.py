@@ -14,13 +14,12 @@ __ws)`` rendered from the batch IR derived from the same lowering.  The
 batch variant binds map/index locals once per call and iterates the
 *columnar* batch — one parallel list per event column, and the weight
 column, whatever its signs — binding only the columns its body reads
-(unused columns are never touched).  Independent triggers stage
-whole-batch updates in locals flushed once (the Z-set batch-delta shape;
-a keyed accumulator holds its keys' current values, see
-:class:`repro.ir.nodes.AddTo`);
-self-reading triggers that admit a second-order plan accumulate their
-first-order statements and restate the order-2 targets once per batch
-(see :func:`repro.ir.lower.plan_second_order`).
+(unused columns are never touched).  Its row loop runs the per-event
+body; writes to an accumulating target are staged in a local flushed
+once (the Z-set batch-delta shape; a keyed accumulator holds its keys'
+current values, see :class:`repro.ir.nodes.AddTo`), and self-reading
+triggers that admit a second-order plan restate the order-2 targets once
+per batch (see :func:`repro.ir.lower.lower_trigger_batch`).
 
 Secondary indexes are a back-end concern layered onto the IR here: the
 loop access patterns collected from the lowered IR get one index dict per
@@ -226,7 +225,6 @@ def generate_module(
     program: CompiledProgram,
     use_indexes: bool = True,
     optimize: bool = True,
-    second_order: bool = True,
     columnar: bool = False,
     layout: Optional[StorageLayout] = None,
     native_note: Optional[str] = None,
@@ -237,9 +235,7 @@ def generate_module(
     maps iterated with partially-bound keys get secondary index
     dictionaries, maintained inline by every writer and used by loops to
     touch only matching entries.  ``optimize=False`` renders the raw
-    lowering with the IR pass pipeline disabled (the ablation knob);
-    ``second_order=False`` disables the delta-of-delta batch sink (the
-    higher-order batching ablation).
+    lowering with the IR pass pipeline disabled (the ablation knob).
 
     ``layout`` is the realised storage layout of the engine the module
     will bind to (:func:`repro.compiler.storage.storage_layout` — the
@@ -254,9 +250,7 @@ def generate_module(
     """
     from repro.compiler.partition import analyze_partitioning
 
-    options = ExecutorOptions(
-        "compiled", use_indexes, optimize, second_order, columnar
-    )
+    options = ExecutorOptions("compiled", use_indexes, optimize, columnar)
     ir = lower_for(program, options)
     indexes = collect_patterns(program, options)
     if layout is None:
@@ -1172,7 +1166,6 @@ class CompiledExecutor:
             program,
             use_indexes=options.use_indexes,
             optimize=options.optimize,
-            second_order=options.second_order,
             layout=self.layout,
             native_note=self.native_note,
         )

@@ -44,7 +44,6 @@ class ExecutorOptions:
     mode: str = "compiled"
     use_indexes: bool = True
     optimize: bool = True
-    second_order: bool = True
     columnar: bool = False
 
     def __post_init__(self) -> None:

@@ -5,11 +5,11 @@ One pass shared by every back end.  Each compiled
 implied loops) lowers to a :class:`~repro.ir.nodes.Block`: nested map
 loops, lift assignments, comparison guards, nested-aggregate accumulator
 loops, and a final update whose shape depends on the *sink* — a direct
-map apply, a two-phase pending-buffer append (self-reading triggers), a
-per-event scalar accumulator (an exact-integer loop sum under an
-event-fixed key), or a batch accumulator (scalar or keyed) for the
-``*_batch`` variants.  The per-event and batch trigger bodies are both
-derived from this one statement lowering.
+map apply, a two-phase pending-buffer append (self-reading triggers), or
+a per-event scalar accumulator (an exact-integer loop sum under an
+event-fixed key).  A ``*_batch`` body is the optimised per-event body in
+a row loop, its writes to accumulating targets staged and merged once
+after the loop.
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ from repro.ir.nodes import (
     Slot,
     Sum,
     TriggerIR,
+    stmt_children,
     walk_stmts,
+    with_body,
 )
 
 
@@ -125,7 +127,7 @@ class _Sink:
 
     def __init__(
         self,
-        kind: str,  # "direct" | "buffered" | "scalar-acc" | "keyed-acc"
+        kind: str,  # "direct" | "buffered" | "scalar-acc"
         target: str,
         args: tuple[Expr, ...],
         acc: Optional[str] = None,
@@ -324,11 +326,7 @@ class _StatementLowering:
         temp = self.namer.fresh("d")
         delta = _prod([term for term in terms if term == _WEIGHT] + [Name(temp)])
         guard_body: list[IRStmt]
-        if sink.kind == "keyed-acc":
-            guard_body = [
-                AddTo(Slot(sink.target), self._key_exprs(), delta, acc=sink.acc)
-            ]
-        elif sink.kind == "buffered":
+        if sink.kind == "buffered":
             guard_body = [
                 AppendTo(
                     pending_buffer(sink.target),
@@ -871,188 +869,101 @@ def _accumulates(
     return len(statement.args) < len(trigger.params)
 
 
-def _lower_accumulated(
-    statements: list[Statement],
-    trigger: Trigger,
-    patterns: dict[str, set[tuple[int, ...]]],
-    namer: _Namer,
-    sinks: dict[int, str],
-    finalizers: Optional[dict] = None,
-) -> list[IRStmt]:
-    """The accumulate-then-merge row loop over ``statements``.
-
-    Statements whose batch delta is worth accumulating get a trigger-local
-    accumulator merged into the program map once after the loop; the rest
-    apply directly per row.  A scalar accumulator sums one statement's
-    deltas; a keyed one stages its target's current values (``AddTo.acc``),
-    shared by every statement writing the target.  ``sinks`` receives the
-    chosen sink per statement position (reporting).
-    """
-    finalizers = finalizers or {}
-    accs: dict[int, str] = {}
-    shared: dict[str, str] = {}
-    for position, statement in enumerate(statements):
-        if _accumulates(statement, trigger, patterns, finalizers):
-            acc = f"__b{position}"
-            if statement.args:
-                acc = shared.setdefault(statement.target, acc)
-            accs[position] = acc
-    # One declaration and one flush per accumulator, at its first writer.
-    firsts: dict[str, int] = {}
-    for position, acc in accs.items():
-        firsts.setdefault(acc, position)
-    body: list[IRStmt] = []
-    for acc, position in firsts.items():
-        statement = statements[position]
-        body.append(
-            Assign(acc, Const(0))
-            if not statement.args
-            else LocalMapDecl(acc, arity=len(statement.args))
-        )
-    row_blocks: list[IRStmt] = []
-    for position, statement in enumerate(statements):
-        acc = accs.get(position)
-        if acc is None:
-            sink = _Sink(
-                "direct",
-                statement.target,
-                statement.args,
-                caches=_caches(statement.target, finalizers),
-            )
-            sinks[position] = "direct"
-        elif not statement.args:
-            sink = _Sink("scalar-acc", statement.target, statement.args, acc=acc)
-            sinks[position] = "accumulator"
-        else:
-            sink = _Sink("keyed-acc", statement.target, statement.args, acc=acc)
-            sinks[position] = "accumulator"
-        row_blocks.append(lower_statement(statement, trigger.signature, sink, namer))
-    body.append(ForEachRow("__cols", trigger.signature, tuple(row_blocks)))
-    for acc, position in firsts.items():
-        statement = statements[position]
-        if not statement.args:
-            body.append(
-                Block(
-                    comments=(),
-                    targets=(statement.target,),
-                    stmts=(
-                        IfCond(
-                            Compare("!=", Name(acc), Const(0)),
-                            (AddTo(Slot(statement.target), (), Name(acc)),),
-                        ),
-                    ),
-                    sources=(statement,),
-                )
-            )
-        else:
-            body.append(
-                Block(
-                    comments=(),
-                    targets=(statement.target,),
-                    stmts=(MergeInto(Slot(statement.target), acc),),
-                    sources=tuple(
-                        s for p, s in enumerate(statements) if accs.get(p) == acc
-                    ),
-                )
-            )
-    return body
-
-
-def _lower_second_order(
-    trigger: Trigger,
-    plan: SecondOrderPlan,
-    patterns: dict[str, set[tuple[int, ...]]],
-    namer: _Namer,
-    finalizers: Optional[dict] = None,
-) -> tuple[tuple[IRStmt, ...], tuple[tuple[str, str], ...]]:
-    """The accumulate-then-flush batch body of a second-order plan.
-
-    First-order (base) statements run in the row loop with batch-delta
-    accumulation (their merges keep the caches they feed); then every order-2
-    target is restated once from the post-batch maps — the telescoped
-    second-order correction (:func:`_restate_blocks`).
-    """
-    base_sinks: dict[int, str] = {}
-    body = _lower_accumulated(
-        plan.base, trigger, patterns, namer, base_sinks, finalizers
-    )
-    body.extend(_restate_blocks(plan, namer, finalizers or {}))
-
-    base_order = {id(s): base_sinks[i] for i, s in enumerate(plan.base)}
-    report = tuple(
-        (repr(statement), base_order.get(id(statement), "second-order"))
-        for statement in trigger.statements
-    )
-    return tuple(body), report
+def _stage(stmts, accs: dict[str, str]) -> tuple[IRStmt, ...]:
+    """``stmts`` with every write to a target in ``accs`` sent to its
+    batch accumulator: a keyed write stages through ``AddTo.acc``, a
+    scalar one adds to the accumulator's local sum."""
+    out: list[IRStmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, AddTo) and stmt.slot.name in accs:
+            acc = accs[stmt.slot.name]
+            if stmt.keys:
+                stmt = AddTo(stmt.slot, stmt.keys, stmt.value, acc=acc)
+            else:
+                stmt = Accum(acc, stmt.value)
+        elif stmt_children(stmt):
+            stmt = with_body(stmt, _stage(stmt_children(stmt), accs))
+        out.append(stmt)
+    return tuple(out)
 
 
 def lower_trigger_batch(
     trigger: Trigger,
-    per_event: TriggerIR,
+    rows: TriggerIR,
     patterns: dict[str, set[tuple[int, ...]]],
-    namer: Optional[_Namer] = None,
-    finalizers: Optional[dict] = None,
-    independent: Optional[bool] = None,
-    plan: Optional[SecondOrderPlan] = None,
+    finalizers: dict,
+    independent: bool,
+    plan: Optional[SecondOrderPlan],
+    namer: _Namer,
 ) -> tuple[TriggerIR, tuple[tuple[str, str], ...]]:
-    """The batch trigger body, derived from the same statement lowering.
+    """The batch trigger body: ``rows``, the (optimised) per-event body
+    of the statements each row runs, in a row loop.
 
-    Returns the trigger IR plus the per-statement sink report.  Three
-    shapes, by how the trigger's deltas behave across a batch:
+    By linearity a batch's delta is the sum of its rows' deltas, so a row
+    does exactly a per-event call's work: loop sums in locals, each
+    target written once.  Only a target whose batch delta is worth
+    accumulating (:func:`_accumulates`) has its writes staged: a keyed
+    one in a local map merged once after the loop, a scalar one in a
+    local sum written once after it.  The shapes differ only in which
+    statements may stage:
 
-    * ``independent`` triggers (no statement reads a map the trigger
-      changes — :func:`_independent`, asked here when the caller has not)
-      accumulate first-order batch deltas in locals flushed once after
-      the row loop;
-    * *self-reading* triggers given a :class:`SecondOrderPlan` (their
-      delta-of-delta analysis admits one) accumulate their first-order
-      statements and restate the order-2 targets once per batch;
-    * everything else runs the per-event body once per row (the fallback,
-      reported as ``per-row``/``buffered``).
+    * an ``independent`` trigger (no statement reads a map the trigger
+      changes — :func:`_independent`): all of them;
+    * a *self-reading* trigger with a :class:`SecondOrderPlan`: the
+      first-order ``plan.base`` (``rows`` runs only those), and the
+      order-2 targets are restated once after the merges;
+    * any other: none — the per-event body once per row (reported as
+      ``per-row``/``buffered``), as for an independent trigger in which
+      nothing accumulates.
+
+    Returns the trigger IR plus the per-statement sink report.
     """
-    namer = namer or _Namer()
     name = f"{trigger.name}_batch"
-    finalizers = finalizers or {}
     params = trigger.signature
     if not trigger.statements:
         return TriggerIR(trigger.relation, name, params, ()), ()
 
     if plan is not None:
-        body, report = _lower_second_order(trigger, plan, patterns, namer, finalizers)
-        return TriggerIR(trigger.relation, name, params, body), report
+        statements = plan.base
+    else:
+        statements = trigger.statements if independent else []
+    accs: dict[str, str] = {}
+    writers: dict[str, list[Statement]] = {}
+    for position, statement in enumerate(statements):
+        if _accumulates(statement, trigger, patterns, finalizers):
+            accs.setdefault(statement.target, f"__b{position}")
+            writers.setdefault(statement.target, []).append(statement)
 
-    if independent is None:
-        independent = _independent(trigger, finalizers)
-    if independent:
-        sinks: dict[int, str] = {}
-        accumulated = _lower_accumulated(
-            trigger.statements, trigger, patterns, namer, sinks, finalizers
-        )
-        if any(kind == "accumulator" for kind in sinks.values()):
-            report = tuple(
-                (repr(s), sinks[i]) for i, s in enumerate(trigger.statements)
-            )
-            return (
-                TriggerIR(trigger.relation, name, params, tuple(accumulated)),
-                report,
-            )
+    decls: list[IRStmt] = []
+    merges: list[IRStmt] = []
+    for target, acc in accs.items():
+        arity = len(writers[target][0].args)
+        if arity:
+            decls.append(LocalMapDecl(acc, arity=arity))
+            merge: IRStmt = MergeInto(Slot(target), acc)
+        else:
+            decls.append(Assign(acc, Const(0)))
+            flush = AddTo(Slot(target), (), Name(acc))
+            merge = IfCond(Compare("!=", Name(acc), Const(0)), (flush,))
+        merges.append(Block((), (target,), (merge,), tuple(writers[target])))
+    body = [*decls, ForEachRow("__cols", params, _stage(rows.body, accs)), *merges]
+    if plan is not None:
+        body.extend(_restate_blocks(plan, namer, finalizers))
 
-    # Reuse the (already optimised) per-event blocks row by row.
-    fallback = (
-        "buffered"
-        if needs_buffering(trigger.statements, finalizers)
-        else "per-row"
+    if plan is None and not accs:
+        fallback = "per-row"
+        if needs_buffering(trigger.statements, finalizers):
+            fallback = "buffered"
+        sinks = {id(s): fallback for s in trigger.statements}
+    else:
+        sinks = {
+            id(s): "accumulator" if s.target in accs else "direct"
+            for s in statements
+        }
+    report = tuple(
+        (repr(s), sinks.get(id(s), "second-order")) for s in trigger.statements
     )
-    report = tuple((repr(s), fallback) for s in trigger.statements)
-    return (
-        TriggerIR(
-            trigger.relation,
-            name,
-            params,
-            (ForEachRow("__cols", params, per_event.body),),
-        ),
-        report,
-    )
+    return TriggerIR(trigger.relation, name, params, tuple(body)), report
 
 
 def collect_patterns_ir(triggers) -> dict[str, set[tuple[int, ...]]]:
@@ -1079,20 +990,17 @@ def lower_program(
     program: CompiledProgram,
     optimize: bool = True,
     passes: Optional[tuple[str, ...]] = None,
-    second_order: bool = True,
 ) -> ProgramIR:
     """Lower (and optionally optimise) a whole compiled program.
 
-    ``second_order`` selects a sink for *batch* triggers only:
-    ``False`` disables the delta-of-delta batch sink (self-reading
-    triggers run the per-event body once per row) — the ablation knob for
-    the higher-order batching experiment.  The per-event bodies are the
-    same either way; where a trigger's second-order plan can be guarded
-    on an extremum cache (:func:`lower_trigger`) they use it regardless.
+    Each batch body wraps the optimised per-event body of the statements
+    its rows run (:func:`lower_trigger_batch`): the trigger's own, or its
+    second-order plan's first-order statements, lowered and optimised
+    alongside.  Where a trigger's plan can be guarded on an extremum
+    cache (:func:`lower_trigger`) its per-event body uses the plan too.
 
     The result is cached on the program object: every back end asking for
-    the same ``(optimize, passes, second_order)`` configuration shares one
-    ProgramIR.
+    the same ``passes`` shares one ProgramIR.
     """
     from repro.ir.optimize import DEFAULT_PASSES, optimize_program
 
@@ -1101,7 +1009,7 @@ def lower_program(
     else:
         wanted = DEFAULT_PASSES if optimize else ()
     cache = program.__dict__.setdefault("_ir_cache", {})
-    cached = cache.get((wanted, second_order))
+    cached = cache.get(wanted)
     if cached is not None:
         return cached
 
@@ -1120,6 +1028,7 @@ def lower_program(
     finalizers = program.finalizers
     exact = exact_int_maps(program)
     triggers: dict[tuple[str, int], TriggerIR] = {}
+    rows: dict[tuple[str, int], TriggerIR] = {}
     event_sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = {}
     namers: dict[tuple[str, int], _Namer] = {}
     # Per trigger, decided once for both variants: whether its events are
@@ -1133,45 +1042,44 @@ def lower_program(
         triggers[key], event_sinks[key] = lower_trigger(
             trigger, namers[key], finalizers, plan, exact
         )
+        # What a batch row runs: the per-event body itself (the same
+        # object, so the optimiser runs it once), or the plan's base.
+        rows[key] = triggers[key]
+        if plan is not None:
+            base = Trigger(trigger.relation, trigger.params, plan.base)
+            rows[key], _ = lower_trigger(base, namers[key], finalizers, exact=exact)
 
     ir = ProgramIR(
         maps=maps,
         triggers=triggers,
-        batch_triggers={},
+        batch_triggers=rows,
         passes=(),
         event_sinks=event_sinks,
     )
     if wanted:
         ir = optimize_program(ir, program, wanted)
 
-    # Batch variants are derived from the (optimised) per-event bodies so
-    # both variants share one loop-level lowering; the acc-based variants
-    # re-lower statements with redirected sinks and go through the same
-    # pass pipeline.
     patterns = collect_patterns_ir(ir.triggers.values())
     batch: dict[tuple[str, int], TriggerIR] = {}
     sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = {}
     for key, trigger in program.triggers.items():
         batch[key], sinks[key] = lower_trigger_batch(
             trigger,
-            ir.triggers[key],
+            ir.batch_triggers[key],
             patterns,
-            namers[key],
             finalizers,
-            shapes[key][0],
-            shapes[key][1] if second_order else None,
+            *shapes[key],
+            namers[key],
         )
     ir.batch_triggers = batch
     ir.batch_sinks = sinks
     if wanted:
         ir = optimize_program(ir, program, wanted, batch_only=True)
-    cache[(wanted, second_order)] = ir
+    cache[wanted] = ir
     return ir
 
 
 def lower_for(program: CompiledProgram, options: ExecutorOptions) -> ProgramIR:
     """:func:`lower_program` under an executor's options — the IR every
     back end built from ``options`` renders, walks or analyses."""
-    return lower_program(
-        program, optimize=options.optimize, second_order=options.second_order
-    )
+    return lower_program(program, optimize=options.optimize)

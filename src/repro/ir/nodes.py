@@ -487,6 +487,19 @@ def stmt_children(stmt: IRStmt) -> tuple[IRStmt, ...]:
     return ()
 
 
+def with_body(stmt: IRStmt, body: tuple[IRStmt, ...]) -> IRStmt:
+    """``stmt`` (a guard, a loop or a block) over ``body``."""
+    if isinstance(stmt, IfCond):
+        return IfCond(stmt.cond, body)
+    if isinstance(stmt, ForEachMap):
+        return ForEachMap(
+            stmt.slot, stmt.entry_var, stmt.value_var, stmt.binds, stmt.filters, body
+        )
+    if isinstance(stmt, ForEachRow):
+        return ForEachRow(stmt.rows_var, stmt.params, body)
+    return Block(stmt.comments, stmt.targets, body, stmt.sources)
+
+
 def stmt_exprs(stmt: IRStmt) -> tuple[IRExpr, ...]:
     """The scalar expressions evaluated directly by ``stmt``."""
     if isinstance(stmt, (Assign, Accum)):

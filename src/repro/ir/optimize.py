@@ -32,9 +32,10 @@ map's ring values are provably exact integers
 (:func:`repro.compiler.storage.exact_int_maps` — the same proof the
 second-order batch plan and the sharding analysis's cross-shard sums
 gate on).  A batch accumulator counts as exact when the map it merges
-into is: the lowering lets statements writing one exact map share it.
+into is: the lowering stages every write to one map in one accumulator.
 
-The passes apply to the batch bodies too, including the second-order
+The passes apply to the batch bodies too, which wrap already-optimised
+per-event bodies in a row loop, including the second-order
 accumulate-then-flush shape: the once-per-batch restate scans are emitted
 as single-loop blocks so ``fuse-loops`` merges restatements scanning the
 same base map into one traversal, and ``hoist-invariants`` lifts their
@@ -87,6 +88,7 @@ from repro.ir.nodes import (
     stmt_children,
     stmt_exprs,
     walk_stmts,
+    with_body,
     written_slots,
 )
 
@@ -587,22 +589,7 @@ def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
     if not body:
         return stmt
     new_body = fn(body)
-    if _same(new_body, body):
-        return stmt
-    if isinstance(stmt, IfCond):
-        return IfCond(stmt.cond, new_body)
-    if isinstance(stmt, ForEachMap):
-        return ForEachMap(
-            stmt.slot,
-            stmt.entry_var,
-            stmt.value_var,
-            stmt.binds,
-            stmt.filters,
-            new_body,
-        )
-    if isinstance(stmt, ForEachRow):
-        return ForEachRow(stmt.rows_var, stmt.params, new_body)
-    return Block(stmt.comments, stmt.targets, new_body, stmt.sources)
+    return stmt if _same(new_body, body) else with_body(stmt, new_body)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,21 +996,31 @@ def optimize_program(
     """Run the pass pipeline over every trigger body.
 
     ``batch_only`` re-runs the pipeline over the batch variants only (they
-    are lowered after the per-event bodies have been optimised).  The
-    nodes each pass removes accumulate in ``ir.pass_yield``.
+    are derived after the per-event bodies have been optimised).  The
+    nodes each pass removes accumulate in ``ir.pass_yield``.  A body held
+    under two keys (a batch row body that is its per-event body) is
+    optimised once, and its yield counts for each body derived from it.
     """
     exact = exact_int_maps(program)
     removed = ir.pass_yield
     for name in passes:
         removed.setdefault(name, 0)
+    done: dict[int, tuple[TriggerIR, dict[str, int]]] = {}
+
+    def run(trigger_ir: TriggerIR) -> TriggerIR:
+        if id(trigger_ir) not in done:
+            own: dict[str, int] = {}
+            optimised = optimize_trigger(trigger_ir, passes, exact, own)
+            done[id(trigger_ir)] = optimised, own
+        optimised, own = done[id(trigger_ir)]
+        for name, count in own.items():
+            removed[name] += count
+        return optimised
+
     if not batch_only:
-        ir.triggers = {
-            key: optimize_trigger(trigger_ir, passes, exact, removed)
-            for key, trigger_ir in ir.triggers.items()
-        }
+        ir.triggers = {key: run(trigger_ir) for key, trigger_ir in ir.triggers.items()}
     ir.batch_triggers = {
-        key: optimize_trigger(trigger_ir, passes, exact, removed)
-        for key, trigger_ir in ir.batch_triggers.items()
+        key: run(trigger_ir) for key, trigger_ir in ir.batch_triggers.items()
     }
     ir.passes = passes
     return ir

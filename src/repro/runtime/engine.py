@@ -40,10 +40,12 @@ once: its first event takes the one-row batch path, and once its
 admission is settled (the stream has started, no profiler or tap is
 attached) :meth:`DeltaEngine.process` keeps the relation's sign-indexed
 triggers — or "skip" — in a route table, so every later event costs one
-dict probe and one trigger call.  Every batch shape the lowering
-emits is exact across signs (:func:`repro.ir.lower.lower_trigger_batch`):
-maps end as per event, insertion order included (see ``AddTo.acc``);
-only a FLOAT sum a batch groups otherwise may differ in its last bits.
+dict probe and one trigger call.  A ``*_batch`` trigger is the per-event
+body in a row loop, its writes to accumulating targets staged and merged
+once after the loop (:func:`repro.ir.lower.lower_trigger_batch`), so it
+is exact across signs: maps end as per event, insertion order included
+(see ``AddTo.acc``); only a FLOAT sum a batch groups otherwise may differ
+in its last bits.
 
 On top of the single engine, :class:`ShardedEngine` runs *sharded parallel*
 delta processing: the compiler's partitioning analysis
@@ -444,7 +446,6 @@ class DeltaEngine(Engine):
         strict: bool = False,
         use_indexes: bool = True,
         optimize: bool = True,
-        second_order: bool = True,
         columnar: bool = False,
     ) -> None:
         """``strict=True`` raises on events for relations no standing query
@@ -454,15 +455,9 @@ class DeltaEngine(Engine):
         access-pattern ablation); ``optimize=False`` disables the IR
         optimisation pipeline in both modes (the loop-optimisation
         ablation, also the bench harness's ``--no-opt``);
-        ``second_order=False`` disables the delta-of-delta *batch* sink, so
-        self-reading triggers fall back to the per-row batch loop (the
-        higher-order batching ablation; per-event triggers are the same
-        either way); ``columnar=True`` stores every
-        keyed map in packed columns (the memory mode, also the CLI's
-        ``--columnar``)."""
-        options = ExecutorOptions(
-            mode, use_indexes, optimize, second_order, columnar
-        )
+        ``columnar=True`` stores every keyed map in packed columns (the
+        memory mode, also the CLI's ``--columnar``)."""
+        options = ExecutorOptions(mode, use_indexes, optimize, columnar)
         self._attach(_build_executor(program, options), strict, profiler)
 
     def _attach(
@@ -1241,7 +1236,6 @@ class ShardedEngine(Engine):
         strict: bool = False,
         use_indexes: bool = True,
         optimize: bool = True,
-        second_order: bool = True,
         columnar: bool = False,
         spec: Optional[PartitionSpec] = None,
         supervise: bool = False,
@@ -1272,7 +1266,7 @@ class ShardedEngine(Engine):
         # lane and (through fork) every worker bind the same compiled code.
         executor = _build_executor(
             program,
-            ExecutorOptions(mode, use_indexes, optimize, second_order, columnar),
+            ExecutorOptions(mode, use_indexes, optimize, columnar),
         )
         self._serial = _LocalLane(executor)
         self.parallel = False

@@ -15,7 +15,11 @@ from repro.ir import (
     program_str,
     trigger_str,
 )
+from repro.ir.lower import plan_second_order
 from repro.ir.nodes import (
+    Accum,
+    AddTo,
+    AppendTo,
     Assign,
     Block,
     Compare,
@@ -26,6 +30,7 @@ from repro.ir.nodes import (
     Lookup,
     MergeInto,
     Name,
+    stmt_children,
     stmt_exprs,
     walk_stmts,
 )
@@ -518,6 +523,62 @@ class TestSharedWork:
                     if isinstance(stmt, Assign) and isinstance(stmt.value, Name)
                 ]
                 assert not copies, (trigger_ir.name, copies)
+
+
+def _kinds(stmts) -> Counter:
+    """Map loops and map lookups in a statement tree."""
+    counts = Counter()
+    for stmt in walk_stmts(stmts):
+        counts["loops"] += isinstance(stmt, ForEachMap)
+        stack = list(stmt_exprs(stmt))
+        while stack:
+            expr = stack.pop()
+            counts["lookups"] += isinstance(expr, Lookup)
+            stack.extend(expr.children())
+    return counts
+
+
+def _written_outside_loops(stmts, staged: dict[str, str]) -> set[str]:
+    """Maps written outside every map loop; a write to a batch
+    accumulator in ``staged`` counts as a write to the map it merges into."""
+    out: set[str] = set()
+    for stmt in stmts:
+        if isinstance(stmt, AddTo):
+            out.add(stmt.slot.name)
+        elif isinstance(stmt, AppendTo):
+            out.add(stmt.target.name)
+        elif isinstance(stmt, Accum) and stmt.name in staged:
+            out.add(staged[stmt.name])
+        elif not isinstance(stmt, ForEachMap):
+            out |= _written_outside_loops(stmt_children(stmt), staged)
+    return out
+
+
+class TestBatchRows:
+    """A batch row does a per-event call's work: by linearity a batch's
+    delta is the sum of its rows', so the row loop runs the per-event
+    body, only its writes to accumulating targets staged."""
+
+    def test_row_loop_is_the_per_event_body(self, suite_programs):
+        for name, program in suite_programs.items():
+            ir = lower_program(program)
+            for key, trigger in program.triggers.items():
+                if plan_second_order(trigger, program) is not None:
+                    continue  # its rows run the plan's first-order statements
+                event = ir.triggers[key].body
+                batch = ir.batch_triggers[key].body
+                # The whole body: a probe the rows share may be hoisted
+                # out of the row loop.
+                assert _kinds(batch) == _kinds(event), (name, key)
+                (rows,) = [s for s in batch if isinstance(s, ForEachRow)]
+                merges = walk_stmts(batch[batch.index(rows) + 1 :])
+                staged = {
+                    s.value.name: s.slot.name
+                    for s in merges
+                    if isinstance(s, AddTo) and isinstance(s.value, Name)
+                }
+                written = _written_outside_loops(rows.body, staged)
+                assert _written_outside_loops(event, {}) <= written, (name, key)
 
 
 class TestPrettyPrinter:

@@ -42,6 +42,11 @@ GROUPED_THRESHOLD = (
     "WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1) GROUP BY r.A"
 )
 
+#: Restates a FLOAT-valued map: the second-order plan is rejected.
+FLOAT_THRESHOLD = (
+    "SELECT sum(r.B) FROM R r WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1)"
+)
+
 _programs: dict[str, object] = {}
 
 
@@ -119,15 +124,31 @@ class TestSecondOrderParity:
                 engine.process_stream(stream, batch_size=7)
                 assert engine.merged_maps() == reference, mode
 
-    @pytest.mark.parametrize("query_name", SELF_READING + NONLINEAR)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("columnar", [False, True])
     @settings(max_examples=10, deadline=None)
-    @given(stream=book_events(), columnar=st.booleans())
-    def test_ablation_fallback_matches(self, query_name, stream, columnar):
-        """second_order=False (the per-row fallback) stays correct too."""
-        program = finance_program(query_name)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([1, -1]),
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=-8, max_value=16).map(lambda n: n / 4),
+            ),
+            max_size=30,
+        ),
+        batch_size=st.integers(min_value=1, max_value=9),
+    )
+    def test_rejected_plan_fallback_matches(self, mode, columnar, rows, batch_size):
+        """A self-reading trigger whose plan is rejected (FLOAT values feed
+        its restated map) runs the per-event body once per row."""
+        catalog = Catalog.from_script("CREATE STREAM R (A int, B float);")
+        program = compile_sql(FLOAT_THRESHOLD, catalog)
+        sinks = lower_program(program).batch_sinks[("R", 0)]
+        assert {sink for _stmt, sink in sinks} == {"buffered"}
+        stream = [StreamEvent("R", sign, (a, b)) for sign, a, b in rows]
         reference = per_event_maps(program, stream)
-        engine = DeltaEngine(program, second_order=False, columnar=columnar)
-        engine.process_stream(stream, batch_size=8)
+        engine = DeltaEngine(program, mode=mode, columnar=columnar)
+        engine.process_stream(stream, batch_size=batch_size)
         assert engine.maps == reference
 
     @settings(max_examples=15, deadline=None)
@@ -217,11 +238,7 @@ class TestSecondOrderPlan:
         """Inexact ring values (float column feeding a restated map) must
         fall back: the flush reorders additions."""
         catalog = Catalog.from_script("CREATE STREAM R (A int, B float);")
-        program = compile_sql(
-            "SELECT sum(r.B) FROM R r "
-            "WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1)",
-            catalog,
-        )
+        program = compile_sql(FLOAT_THRESHOLD, catalog)
         trigger = program.triggers[("R", 0)]
         assert plan_second_order(trigger, program) is None
         sinks = lower_program(program).batch_sinks[("R", 0)]
@@ -231,9 +248,6 @@ class TestSecondOrderPlan:
         ir = lower_program(finance_program("vwap"))
         sinks = dict(ir.batch_sinks[("bids", 0)])
         assert "second-order" in sinks.values()
-        no_second = lower_program(finance_program("vwap"), second_order=False)
-        kinds = {s for _st, s in no_second.batch_sinks[("bids", 0)]}
-        assert kinds == {"buffered"}
 
     def test_flush_structure_clears_before_recompute(self):
         """All Clears precede all restate scans, and the restate scans sit
