@@ -65,6 +65,7 @@ from repro.ir.nodes import (
     IRExpr,
     IRStmt,
     KeyAt,
+    KeyTuple,
     LocalMapDecl,
     Lookup,
     MergeInto,
@@ -118,6 +119,11 @@ class Emitter:
         self.lines.append("")
 
     def fresh(self, prefix: str = "t") -> str:
+        """A new temp ``__<prefix><n>``.  Its prefix must be one no IR
+        local takes (those of ``repro.ir.lower``'s and
+        ``repro.ir.optimize``'s namers, the batch accumulators ``__b<n>``,
+        the compiler's loop variables ``__k<n>``/``__i<n>``): a temp
+        inside a loop must not rebind the loop's names."""
         self._temp += 1
         return f"__{prefix}{self._temp}"
 
@@ -525,6 +531,7 @@ class _PyRenderer:
         key_parts: Optional[list[str]],
         cache: Cache,
         entered: bool,
+        key_locals: dict[tuple[int, ...], str],
     ) -> None:
         """Update ``cache`` for a key that just entered (or left) the
         occurrence map ``source``: a value may become its group's
@@ -533,8 +540,8 @@ class _PyRenderer:
         emitter = self.emitter
         ga = cache.group_arity
         aux = map_local(cache.slot.name)
-        group = "()"
-        if ga:
+        group = key_locals.get(tuple(range(ga))) if ga else "()"
+        if group is None:
             group = emitter.fresh("g")
             if key_parts is not None:
                 emitter.line(f"{group} = {self._key_code(key_parts[:ga])}")
@@ -641,13 +648,8 @@ class _PyRenderer:
             return
         if use_index:
             # Probe the secondary index: only matching entries are touched.
-            subkey_parts = [
-                self.expr(expr) for _, expr in sorted(stmt.filters)
-            ]
-            subkey = (
-                f"({subkey_parts[0]},)"
-                if len(subkey_parts) == 1
-                else "(" + ", ".join(subkey_parts) + ")"
+            subkey = stmt.key_local or self._key_code(
+                [self.expr(expr) for _, expr in sorted(stmt.filters)]
             )
             idx = index_name(stmt.slot.name, stmt.pattern)
             emitter.line(
@@ -908,26 +910,33 @@ class _PyRenderer:
 
     def _render_add_to(self, stmt: AddTo) -> None:
         key_parts = [self.expr(k) for k in stmt.keys]
-        key = self._key_code(key_parts)
+        key_locals = dict(stmt.key_locals)
+        key = key_locals.pop(tuple(range(len(key_parts))), "")
         value = self.expr(stmt.value)
         if stmt.acc:
-            self._render_staged_add(stmt, key, value)
+            self._render_staged_add(stmt, key, key_parts, value)
             return
         self._emit_apply(
             target=stmt.slot.name,
-            key_code=key,
+            key_code=key or self._key_code(key_parts),
             val_code=value,
             key_parts=key_parts,
             caches=stmt.caches,
+            key_locals=key_locals,
         )
 
-    def _render_staged_add(self, stmt: AddTo, key: str, value: str) -> None:
+    def _render_staged_add(
+        self, stmt: AddTo, key_var: str, key_parts: list[str], value: str
+    ) -> None:
         """A write staged in ``acc`` (its current value is the staged one,
-        else the map's); a key reaching zero takes ``_unstage``."""
+        else the map's); a key reaching zero takes ``_unstage``.  Its key
+        is read from ``key_var``, built here when that is empty."""
         emitter = self.emitter
         local = map_local(stmt.slot.name)
-        key_var, cur = emitter.fresh("k"), emitter.fresh("v")
-        emitter.line(f"{key_var} = {key}")
+        cur = emitter.fresh("sv")
+        if not key_var:
+            key_var = emitter.fresh("sk")
+            emitter.line(f"{key_var} = {self._key_code(key_parts)}")
         emitter.line(
             f"{cur} = ({stmt.acc}.get({key_var}) or {local}.get({key_var}, 0))"
             f" + {value}"
@@ -969,10 +978,12 @@ class _PyRenderer:
         val_code: str,
         key_parts: Optional[list[str]],
         caches: tuple[Cache, ...] = (),
+        key_locals: Optional[dict[tuple[int, ...], str]] = None,
     ) -> None:
         """``target[key] += val`` with zero eviction and index maintenance;
         a write keeping ``caches`` keeps the pre-value, and a key crossing
-        zero updates them (:meth:`_emit_crossing`)."""
+        zero updates them (:meth:`_emit_crossing`).  ``key_locals`` hold
+        the subkeys and group keys already built, by key positions."""
         emitter = self.emitter
         local = map_local(target)
         patterns = sorted(self.indexes.get(target, ()))
@@ -983,7 +994,7 @@ class _PyRenderer:
             emitter.line(f"{cur} = {pre} + {val_code}")
             self._emit_index_maintenance(
                 target, key_code, key_parts, patterns, cur, map_updated=False,
-                crossing=(pre, caches),
+                crossing=(pre, caches), key_locals=key_locals,
             )
             return
         if target in self.columnar_maps:
@@ -994,12 +1005,13 @@ class _PyRenderer:
             emitter.line(f"{cur} = {local}.add({key_code}, {val_code})")
             self._emit_index_maintenance(
                 target, key_code, key_parts, patterns, cur,
-                map_updated=True,
+                map_updated=True, key_locals=key_locals,
             )
             return
         emitter.line(f"{cur} = {local}.get({key_code}, 0) + {val_code}")
         self._emit_index_maintenance(
-            target, key_code, key_parts, patterns, cur, map_updated=False
+            target, key_code, key_parts, patterns, cur, map_updated=False,
+            key_locals=key_locals,
         )
 
     def _emit_index_maintenance(
@@ -1011,6 +1023,7 @@ class _PyRenderer:
         cur: str,
         map_updated: bool,
         crossing: Optional[tuple[str, tuple[Cache, ...]]] = None,
+        key_locals: Optional[dict[tuple[int, ...], str]] = None,
     ) -> None:
         """The evict-or-store branch over ``cur`` (the new ring value).
 
@@ -1024,8 +1037,11 @@ class _PyRenderer:
         assert patterns or not map_updated
         emitter = self.emitter
         local = map_local(target)
+        key_locals = key_locals or {}
 
         def subkey_code(pattern: tuple[int, ...]) -> str:
+            if pattern in key_locals:
+                return key_locals[pattern]
             if key_parts is not None:
                 parts = [key_parts[p] for p in pattern]
             else:
@@ -1040,7 +1056,7 @@ class _PyRenderer:
                 emitter.line(f"{local}.pop({key_code}, None)")
             for pattern in patterns:
                 idx = index_name(target, pattern)
-                bucket = emitter.fresh("b")
+                bucket = emitter.fresh("bk")
                 emitter.line(f"{bucket} = {idx}.get({subkey_code(pattern)})")
                 emitter.line(f"if {bucket} is not None:")
                 with emitter.block():
@@ -1049,7 +1065,9 @@ class _PyRenderer:
                     with emitter.block():
                         emitter.line(f"{idx}.pop({subkey_code(pattern)}, None)")
             if crossing is not None:
-                self._emit_crossings(target, key_code, key_parts, crossing, False)
+                self._emit_crossings(
+                    target, key_code, key_parts, crossing, False, key_locals
+                )
         emitter.line("else:")
         with emitter.block():
             if not map_updated:
@@ -1061,7 +1079,9 @@ class _PyRenderer:
                     f"[{key_code}] = {cur}"
                 )
             if crossing is not None:
-                self._emit_crossings(target, key_code, key_parts, crossing, True)
+                self._emit_crossings(
+                    target, key_code, key_parts, crossing, True, key_locals
+                )
 
     def _emit_crossings(
         self,
@@ -1070,6 +1090,7 @@ class _PyRenderer:
         key_parts: Optional[list[str]],
         crossing: tuple[str, tuple[Cache, ...]],
         entered: bool,
+        key_locals: dict[tuple[int, ...], str],
     ) -> None:
         """``if`` the pre-value says the key crossed zero, update every
         cache: it entered when it was zero, left when it was not."""
@@ -1077,7 +1098,9 @@ class _PyRenderer:
         self.emitter.line(f"if {pre} {'==' if entered else '!='} 0:")
         with self.emitter.block():
             for cache in caches:
-                self._emit_crossing(target, key_code, key_parts, cache, entered)
+                self._emit_crossing(
+                    target, key_code, key_parts, cache, entered, key_locals
+                )
 
     @staticmethod
     def _key_code(parts: list[str]) -> str:
@@ -1118,9 +1141,11 @@ class _PyRenderer:
                 f"{self.expr(expr.right)} else 0)"
             )
         if isinstance(expr, Lookup):
-            key = self._key_code([self.expr(k) for k in expr.keys])
+            key = expr.key_local or self._key_code([self.expr(k) for k in expr.keys])
             storage = map_local(expr.slot.name)
             return f"{storage}.get({key}, {_literal(expr.default)})"
+        if isinstance(expr, KeyTuple):
+            return self._key_code([self.expr(item) for item in expr.items])
         raise CodegenError(f"unsupported IR expression {expr!r}")
 
     def _factor(self, expr: IRExpr) -> str:

@@ -43,6 +43,7 @@ from repro.ir.nodes import (
     IRExpr,
     IRStmt,
     KeyAt,
+    KeyTuple,
     LocalMapDecl,
     Lookup,
     MergeInto,
@@ -89,6 +90,8 @@ def _eval(expr: IRExpr, env: dict, maps: dict, entry: Optional[tuple]) -> object
         return 0 if den == 0 else num / den
     if isinstance(expr, KeyAt):
         return entry[expr.pos]
+    if isinstance(expr, KeyTuple):
+        return tuple(_eval(item, env, maps, entry) for item in expr.items)
     raise CodegenError(f"cannot interpret IR expression {expr!r}")
 
 

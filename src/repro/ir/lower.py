@@ -878,7 +878,11 @@ def _stage(stmts, accs: dict[str, str]) -> tuple[IRStmt, ...]:
         if isinstance(stmt, AddTo) and stmt.slot.name in accs:
             acc = accs[stmt.slot.name]
             if stmt.keys:
-                stmt = AddTo(stmt.slot, stmt.keys, stmt.value, acc=acc)
+                full = tuple(range(len(stmt.keys)))
+                key_locals = tuple(kl for kl in stmt.key_locals if kl[0] == full)
+                stmt = AddTo(
+                    stmt.slot, stmt.keys, stmt.value, acc=acc, key_locals=key_locals
+                )
             else:
                 stmt = Accum(acc, stmt.value)
         elif stmt_children(stmt):
@@ -1056,10 +1060,12 @@ def lower_program(
         passes=(),
         event_sinks=event_sinks,
     )
+    # The access patterns of the lowered loops: the optimiser moves and
+    # merges loops, and adds none.
+    patterns = collect_patterns_ir(triggers.values())
     if wanted:
-        ir = optimize_program(ir, program, wanted)
+        ir = optimize_program(ir, program, wanted, patterns=patterns)
 
-    patterns = collect_patterns_ir(ir.triggers.values())
     batch: dict[tuple[str, int], TriggerIR] = {}
     sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = {}
     for key, trigger in program.triggers.items():
@@ -1074,7 +1080,7 @@ def lower_program(
     ir.batch_triggers = batch
     ir.batch_sinks = sinks
     if wanted:
-        ir = optimize_program(ir, program, wanted, batch_only=True)
+        ir = optimize_program(ir, program, wanted, batch_only=True, patterns=patterns)
     cache[wanted] = ir
     return ir
 

@@ -13,8 +13,9 @@ Two small expression and statement grammars:
 * **Scalar expressions** — :class:`Const`, :class:`Name`, :class:`Sum`,
   :class:`Prod`, :class:`Neg`, :class:`SafeDiv`, :class:`Compare`,
   :class:`Lookup` (map lookup with a default — the ``LookupDefault`` of
-  the issue), and :class:`KeyAt` (a position of the enclosing loop's key
-  tuple, used only in loop filters).
+  the issue), :class:`KeyAt` (a position of the enclosing loop's key
+  tuple, used only in loop filters) and :class:`KeyTuple` (a key built
+  into a local once, for every probe and write reading it).
 
 * **Statements** — :class:`Assign`, :class:`Accum`, :class:`IfCond`,
   :class:`ForEachMap`, :class:`ForEachRow` (batch row loop),
@@ -145,11 +146,18 @@ class Slot:
 
 @dataclass(frozen=True, slots=True)
 class Lookup(IRExpr):
-    """``map.get((keys...), default)`` — the LookupDefault atom."""
+    """``map.get((keys...), default)`` — the LookupDefault atom.
+
+    ``key_local`` names a local already holding the tuple of ``keys``
+    (bound by an :class:`Assign` of a :class:`KeyTuple`, see the
+    ``share-keys`` pass): a renderer may read it instead of building the
+    key; ``keys`` stay the per-column expressions every analysis reads.
+    """
 
     slot: Slot
     keys: tuple[IRExpr, ...]
     default: Value = 0
+    key_local: str = ""
 
     def children(self) -> tuple[IRExpr, ...]:
         return self.keys
@@ -164,6 +172,17 @@ class KeyAt(IRExpr):
     """
 
     pos: int
+
+
+@dataclass(frozen=True, slots=True)
+class KeyTuple(IRExpr):
+    """The tuple of ``items`` — the value of a key local (see
+    :attr:`Lookup.key_local`)."""
+
+    items: tuple[IRExpr, ...]
+
+    def children(self) -> tuple[IRExpr, ...]:
+        return self.items
 
 
 def compare_values(op: str, left, right) -> bool:
@@ -224,7 +243,9 @@ class ForEachMap(IRStmt):
     current entry; ``binds`` assigns key positions to scalar names;
     ``filters`` keep only entries whose position equals the filter
     expression.  The sorted filter positions are the access pattern a
-    backend may serve from a secondary index.
+    backend may serve from a secondary index; ``key_local`` names a local
+    holding the tuple of the filter expressions in that order, the key
+    such an index is probed with.
     """
 
     slot: Slot
@@ -233,6 +254,7 @@ class ForEachMap(IRStmt):
     binds: tuple[tuple[int, str], ...]
     filters: tuple[tuple[int, IRExpr], ...]
     body: tuple[IRStmt, ...]
+    key_local: str = ""
 
     @property
     def pattern(self) -> tuple[int, ...]:
@@ -282,6 +304,10 @@ class AddTo(IRStmt):
     map keeping caches), which holds the current value of each key the
     batch moved since its last flush.  A key reaching zero flushes it and
     leaves ``slot`` at that row, as per event: insertion order holds.
+
+    ``key_locals`` pairs key positions with a local holding the tuple of
+    those ``keys``: all of them (the key itself), an index pattern's (the
+    index's subkey) or a cache's group prefix (its group key).
     """
 
     slot: Slot
@@ -289,6 +315,7 @@ class AddTo(IRStmt):
     value: IRExpr
     caches: tuple[Cache, ...] = ()
     acc: str = ""
+    key_locals: tuple[tuple[tuple[int, ...], str], ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,13 +482,16 @@ class ProgramIR:
 
 
 def expr_names(expr: IRExpr) -> frozenset[str]:
-    """Every scalar variable name referenced in ``expr``."""
+    """Every scalar variable name referenced in ``expr`` (a lookup's key
+    local included)."""
     names: set[str] = set()
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Name):
             names.add(node.name)
+        elif isinstance(node, Lookup) and node.key_local:
+            names.add(node.key_local)
         stack.extend(node.children())
     return frozenset(names)
 
@@ -493,7 +523,13 @@ def with_body(stmt: IRStmt, body: tuple[IRStmt, ...]) -> IRStmt:
         return IfCond(stmt.cond, body)
     if isinstance(stmt, ForEachMap):
         return ForEachMap(
-            stmt.slot, stmt.entry_var, stmt.value_var, stmt.binds, stmt.filters, body
+            stmt.slot,
+            stmt.entry_var,
+            stmt.value_var,
+            stmt.binds,
+            stmt.filters,
+            body,
+            stmt.key_local,
         )
     if isinstance(stmt, ForEachRow):
         return ForEachRow(stmt.rows_var, stmt.params, body)
@@ -501,14 +537,19 @@ def with_body(stmt: IRStmt, body: tuple[IRStmt, ...]) -> IRStmt:
 
 
 def stmt_exprs(stmt: IRStmt) -> tuple[IRExpr, ...]:
-    """The scalar expressions evaluated directly by ``stmt``."""
+    """The scalar expressions evaluated directly by ``stmt`` (a key local
+    it reads as a :class:`Name`)."""
     if isinstance(stmt, (Assign, Accum)):
         return (stmt.value,)
     if isinstance(stmt, IfCond):
         return (stmt.cond,)
     if isinstance(stmt, ForEachMap):
-        return tuple(expr for _, expr in stmt.filters)
-    if isinstance(stmt, (AddTo, AppendTo)):
+        filters = tuple(expr for _, expr in stmt.filters)
+        return filters + (Name(stmt.key_local),) if stmt.key_local else filters
+    if isinstance(stmt, AddTo):
+        locals_ = tuple(Name(name) for _, name in stmt.key_locals)
+        return stmt.keys + (stmt.value,) + locals_
+    if isinstance(stmt, AppendTo):
         return stmt.keys + (stmt.value,)
     return ()
 
@@ -599,6 +640,7 @@ def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
             stmt.binds,
             tuple((pos, fn(expr)) for pos, expr in stmt.filters),
             tuple(rewrite_exprs(s, fn) for s in stmt.body),
+            stmt.key_local,
         )
     if isinstance(stmt, ForEachRow):
         return ForEachRow(
@@ -612,7 +654,7 @@ def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
         if value is stmt.value and all(a is b for a, b in zip(keys, stmt.keys)):
             return stmt
         if isinstance(stmt, AddTo):
-            return AddTo(stmt.slot, keys, value, stmt.caches, stmt.acc)
+            return AddTo(stmt.slot, keys, value, stmt.caches, stmt.acc, stmt.key_locals)
         return AppendTo(stmt.buffer, keys, value, stmt.target)
     if isinstance(stmt, Block):
         return Block(
@@ -652,7 +694,10 @@ def substitute_names(expr: IRExpr, mapping: dict[str, str]) -> IRExpr:
             expr.slot,
             tuple(substitute_names(k, mapping) for k in expr.keys),
             expr.default,
+            mapping.get(expr.key_local, expr.key_local),
         )
+    if isinstance(expr, KeyTuple):
+        return KeyTuple(tuple(substitute_names(i, mapping) for i in expr.items))
     return expr
 
 
@@ -682,6 +727,7 @@ def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
             tuple((pos, rn(name)) for pos, name in stmt.binds),
             tuple((pos, sub(expr)) for pos, expr in stmt.filters),
             tuple(rename_stmt(s, mapping) for s in stmt.body),
+            rn(stmt.key_local),
         )
     if isinstance(stmt, ForEachRow):
         return ForEachRow(
@@ -696,6 +742,7 @@ def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
             sub(stmt.value),
             stmt.caches,
             stmt.acc,
+            tuple((positions, rn(name)) for positions, name in stmt.key_locals),
         )
     if isinstance(stmt, AppendTo):
         return AppendTo(

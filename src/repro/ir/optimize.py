@@ -19,7 +19,19 @@ that finds nothing is deleted, not kept):
   loops that recompute them;
 * ``share-lookups`` — within one straight-line sequence, evaluate each
   map lookup once: a later identical lookup reads the first one's temp
-  unless a write to its map or a rebinding of a key name intervenes.
+  unless a write to its map or a rebinding of a key name intervenes;
+* ``share-keys`` — within one straight-line sequence, build each key
+  tuple once: a key read more than once goes into a local just before
+  its first reader, and every map probe, write (its ``get`` and its
+  store or ``pop``), index probe, index subkey and cache group key that
+  follows reads it (bsp's bid trigger built ``(broker_id,)`` twelve
+  times an event).  It scopes like ``share-lookups``: a guard body sees
+  the keys bound before it but adds none after it, so a key only an
+  untaken guard reads costs nothing; a map loop body sees the keys over
+  names bound once that it does not bind, and builds a key over its
+  binders once per iteration; a rebinding of a name a key is over drops
+  the key.  It adds assignments, so its yield is negative, as hoisting's
+  is.
 
 Every pass reports how many IR nodes it removed
 (``ProgramIR.pass_yield``, printed under ``--dump-ir``'s
@@ -39,7 +51,11 @@ per-event bodies in a row loop, including the second-order
 accumulate-then-flush shape: the once-per-batch restate scans are emitted
 as single-loop blocks so ``fuse-loops`` merges restatements scanning the
 same base map into one traversal, and ``hoist-invariants`` lifts their
-batch-constant thresholds.  :class:`~repro.ir.nodes.Clear` (the flush's
+batch-constant thresholds.  Only ``hoist-invariants`` walks into the row
+loop, to lift batch-invariant work out of it: the other passes rewrite
+within a sequence, and the row loop's body is a per-event body they have
+already rewritten (staging its writes changes none of what they read;
+its key locals stay).  :class:`~repro.ir.nodes.Clear` (the flush's
 zeroing write) is *destructive* — unlike additions it never commutes, even
 into exact maps — so the reorder analyses refuse any write-write overlap
 involving one.
@@ -51,6 +67,7 @@ from typing import NamedTuple, Optional
 
 from repro.compiler.program import CompiledProgram
 from repro.compiler.storage import exact_int_maps
+from repro.ir.lower import collect_patterns_ir
 from repro.ir.nodes import (
     Accum,
     AddTo,
@@ -68,6 +85,7 @@ from repro.ir.nodes import (
     IRExpr,
     IRStmt,
     KeyAt,
+    KeyTuple,
     Lookup,
     MergeInto,
     Name,
@@ -98,6 +116,7 @@ DEFAULT_PASSES: tuple[str, ...] = (
     "merge-guards",
     "hoist-invariants",
     "share-lookups",
+    "share-keys",
 )
 
 
@@ -202,6 +221,8 @@ def _effects(stmts) -> _Effects:
                 used.add(expr.name)
             elif isinstance(expr, Lookup):
                 reads.add(expr.slot)
+                if expr.key_local:
+                    used.add(expr.key_local)
             stack.extend(expr.children())
     return _Effects(
         applied,
@@ -272,7 +293,9 @@ def _with_children(expr: IRExpr, children: tuple[IRExpr, ...]) -> IRExpr:
         return SafeDiv(*children)
     if isinstance(expr, Compare):
         return Compare(expr.op, *children)
-    return Lookup(expr.slot, children, expr.default)
+    if isinstance(expr, KeyTuple):
+        return KeyTuple(children)
+    return Lookup(expr.slot, children, expr.default, expr.key_local)
 
 
 def _same(new: tuple[IRExpr, ...], old: tuple[IRExpr, ...]) -> bool:
@@ -324,7 +347,7 @@ def _fold_constants(
             elif isinstance(stmt, ForEachMap):
                 stmt = _rewrite_direct(stmt, fold_expr)
                 out.append(_rebuild_with_body(stmt, fold))
-            elif isinstance(stmt, (ForEachRow, Block)):
+            elif isinstance(stmt, Block):
                 out.append(_rebuild_with_body(stmt, fold))
             elif isinstance(stmt, (Accum, AddTo, AppendTo)):
                 out.append(rewrite_exprs(stmt, fold_expr))
@@ -383,6 +406,8 @@ def _loop_effects(loop: ForEachMap, body: _Effects) -> _Effects:
     its filters' names, and binds its own."""
     binders = {loop.value_var, *(name for _, name in loop.binds)}
     filtered = {expr.name for _, expr in loop.filters if isinstance(expr, Name)}
+    if loop.key_local:
+        filtered.add(loop.key_local)
     return _Effects(
         body.applied,
         body.ordered,
@@ -454,6 +479,7 @@ def _fuse_pair(a: IRStmt, b: IRStmt, mapping: dict[str, str]) -> IRStmt:
         tuple(sorted(merged_binds)),
         loop_a.filters,
         loop_a.body + renamed_body,
+        loop_a.key_local,
     )
     if a is loop_a:
         return fused_loop
@@ -541,8 +567,6 @@ def _fuse_nested(stmt: IRStmt, exact: set[Slot], params: set[str]) -> IRStmt:
     if isinstance(stmt, ForEachMap):
         inner = params | {stmt.entry_var, stmt.value_var}
         inner.update(name for _, name in stmt.binds)
-    elif isinstance(stmt, ForEachRow):
-        inner = params | set(stmt.params)
     elif isinstance(stmt, (IfCond, Block)):
         inner = params
     else:
@@ -558,7 +582,8 @@ def _fuse_nested(stmt: IRStmt, exact: set[Slot], params: set[str]) -> IRStmt:
 def _merge_guards(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
     out: list[IRStmt] = []
     for stmt in stmts:
-        stmt = _rebuild_with_body(stmt, _merge_guards)
+        if not isinstance(stmt, ForEachRow):
+            stmt = _rebuild_with_body(stmt, _merge_guards)
         previous = out[-1] if out else None
         if (
             isinstance(stmt, IfCond)
@@ -605,8 +630,12 @@ def _hoist_stmts(
     out: list[IRStmt] = []
     for stmt in stmts:
         if isinstance(stmt, (ForEachMap, ForEachRow)):
-            body = _hoist_stmts(stmt_children(stmt), namer, bindings)
-            loop = _rebuild_with_body(stmt, lambda _body, b=body: b)
+            loop = stmt
+            # A row loop's body is a per-event body hoisted already: only
+            # what is invariant over the batch is left to lift out of it.
+            if isinstance(stmt, ForEachMap):
+                body = _hoist_stmts(stmt.body, namer, bindings)
+                loop = _rebuild_with_body(stmt, lambda _body, b=body: b)
             prelude, loop = _hoist_from_loop(loop, namer, bindings)
             out.extend(prelude)
             out.append(loop)
@@ -652,7 +681,9 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
                     return False
             elif isinstance(node, KeyAt):
                 return False
-            elif isinstance(node, Lookup) and node.slot in written:
+            elif isinstance(node, Lookup) and (
+                node.slot in written or node.key_local in inner
+            ):
                 return False
             stack.extend(node.children())
         return True
@@ -711,6 +742,7 @@ def _rewrite_exprs_skipping_filters(stmt: IRStmt, fn) -> IRStmt:
             stmt.binds,
             stmt.filters,
             tuple(_rewrite_exprs_skipping_filters(s, fn) for s in stmt.body),
+            stmt.key_local,
         )
     if isinstance(stmt, ForEachRow):
         return ForEachRow(
@@ -758,6 +790,13 @@ def _count_lookups(stmts) -> dict[Lookup, int]:
     return counts
 
 
+def _rebound(names, bindings: dict[str, int]) -> set[str]:
+    """The ``names`` bound more than once in the body: only a rebinding
+    can change a name after a use (a name bound once is bound before any
+    read of it)."""
+    return {name for name in names if bindings.get(name, 0) > 1}
+
+
 class _LookupSharing:
     """Evaluate each map lookup once per straight-line sequence.
 
@@ -767,8 +806,9 @@ class _LookupSharing:
     that embeds it (only for lookups the body repeats).  A later
     identical lookup reads that name; a later whole ``y = lookup`` is
     dropped and ``y`` renamed.  Blocks are transparent; a guard body sees
-    what precedes it but adds nothing after it; a loop body starts empty
-    (``hoist-invariants`` already moved what it could share out of it).
+    what precedes it but adds nothing after it; a map loop's body starts
+    empty (``hoist-invariants`` already moved what it could share out of
+    it); a batch row loop is left as it is.
     An applied write to a map, or a rebinding of a name, drops the
     entries reading it.  Extracted temps no later lookup read are put
     back in a second walk, taken only when there are any.
@@ -808,9 +848,6 @@ class _LookupSharing:
                 rebound |= r
         return out, writes, rebound
 
-    def rebinds(self, names) -> set[str]:
-        return {name for name in names if self.bindings.get(name, 0) > 1}
-
     def statement(self, stmt: IRStmt, avail, out: list[IRStmt]):
         """Append ``stmt`` rewritten to ``out``; return the maps it writes
         and the names it rebinds."""
@@ -832,11 +869,11 @@ class _LookupSharing:
                 out.append(Assign(stmt.name, lookup))
             else:
                 out.append(rewrite_exprs(stmt, expr))
-            return set(), self.rebinds((stmt.name,))
+            return set(), _rebound((stmt.name,), self.bindings)
         if isinstance(stmt, (Accum, AddTo, AppendTo)):
             out.append(rewrite_exprs(stmt, expr))
             if isinstance(stmt, Accum):
-                return set(), self.rebinds((stmt.name,))
+                return set(), _rebound((stmt.name,), self.bindings)
             return set(applied_slots(stmt)), set()
         if isinstance(stmt, (IfCond, ForEachMap)):
             # A guard's or a loop's own expressions are evaluated here.
@@ -846,16 +883,15 @@ class _LookupSharing:
             # sequence.
             scope = dict(avail) if isinstance(stmt, IfCond) else avail
             body, w, r = self.sequence(stmt_children(stmt), scope)
-        elif isinstance(stmt, (ForEachMap, ForEachRow)):
-            body, w, r = self.sequence(stmt_children(stmt), {})
-            if isinstance(stmt, ForEachMap):
-                binders = (stmt.value_var, *(name for _, name in stmt.binds))
-            else:
-                binders = stmt.params
-            r |= self.rebinds(binders)
+        elif isinstance(stmt, ForEachMap):
+            body, w, r = self.sequence(stmt.body, {})
+            binders = (stmt.value_var, *(name for _, name in stmt.binds))
+            r |= _rebound(binders, self.bindings)
         else:
+            # A row loop runs a per-event body whose lookups are shared.
             out.append(stmt)
-            return set(written_slots((stmt,))), set()
+            rebound = _rebound(assigned_names((stmt,)), self.bindings)
+            return set(written_slots((stmt,))), rebound
         # A guard whose body was all shared away has nothing left to guard.
         if body or not isinstance(stmt, IfCond):
             out.append(_rebuild_with_body(stmt, lambda _: tuple(body)))
@@ -865,7 +901,7 @@ class _LookupSharing:
         keys = tuple(self.expr(key, avail, out) for key in lookup.keys)
         if _same(keys, lookup.keys):
             return lookup
-        return Lookup(lookup.slot, keys, lookup.default)
+        return Lookup(lookup.slot, keys, lookup.default, lookup.key_local)
 
     def expr(self, expr: IRExpr, avail, out: list[IRStmt]) -> IRExpr:
         if isinstance(expr, Name):
@@ -927,8 +963,344 @@ def _rewrite_direct(stmt: IRStmt, fn) -> IRStmt:
             stmt.binds,
             filters,
             stmt.body,
+            stmt.key_local,
         )
     return rewrite_exprs(stmt, fn)
+
+
+# ---------------------------------------------------------------------------
+# Pass: shared keys
+# ---------------------------------------------------------------------------
+
+#: A key as ``share-keys`` compares it: per column, a name's string or a
+#: :class:`Const` (cheap to hash, unlike the expression nodes).
+Key = tuple
+
+
+def _key(keys: tuple[IRExpr, ...]) -> Optional[Key]:
+    """``keys`` as a :data:`Key` when a local can save building their
+    tuple: names and constants only, at least one name (a constant tuple
+    is one already)."""
+    out = []
+    named = False
+    for key in keys:
+        if type(key) is Name:
+            out.append(key.name)
+            named = True
+        elif type(key) is Const:
+            out.append(key)
+        else:
+            return None
+    return tuple(out) if named else None
+
+
+def _probe_key(loop: ForEachMap) -> Optional[Key]:
+    """The key a map loop probes its index with (its filter expressions
+    in position order): every loop binding some positions and filtering
+    others on expressions has an index under ``use_indexes``."""
+    if not loop.binds or not loop.filters:
+        return None
+    filters = dict(loop.filters)
+    return _key(tuple(filters[pos] for pos in loop.pattern))
+
+
+class _KeySharing:
+    """Build each key tuple once per straight-line sequence.
+
+    One counting walk, then one forward walk, as in ``share-lookups``.
+    The counting walk counts each key's reads over the body: a write
+    reads its key twice (its ``get``, then its store or ``pop``), and
+    once each the subkey of every index kept on its map and the group key
+    of every cache it keeps; a map probe and an index probe read theirs
+    once.  The forward walk binds a key read more than once into a fresh
+    local just before the first statement reading it; ``avail`` maps a
+    key to its local at the current point, and every reader that follows
+    reads the local.  Blocks are transparent; a guard body sees what
+    precedes it but adds nothing after it, so a key only an untaken guard
+    reads costs nothing; a loop body sees the keys over names bound once
+    that it does not bind, and starts its own scope for the rest, so a
+    key over its binders is built once per iteration.  A rebinding of a
+    component name drops the keys over it.  A local fewer than two reads
+    read is put back when its scope ends, in a walk of that scope taken
+    only then.  A batch row loop is left as it is: it runs a per-event
+    body the pass has shared (its staged writes keep their key's local).
+    """
+
+    def __init__(
+        self, bindings: dict[str, int], patterns: dict[str, set[tuple[int, ...]]]
+    ):
+        self.bindings = bindings
+        self.namer = _HoistNamer(bindings)
+        self.patterns = patterns
+        self.counts: dict[Key, int] = {}
+        self.writes: dict[int, list[tuple[tuple[int, ...], Key, int]]] = {}
+        #: The statements whose own expressions probe a shareable key.
+        self.probing: set[int] = set()
+        #: The guards, loops and blocks reading no key, and the row loops.
+        self.bare: set[int] = set()
+        self.names: dict[Key, frozenset[str]] = {}
+        self.uses: dict[str, int] = {}
+        #: The key locals bound in the scopes being walked, innermost last.
+        self.bound: list[str] = []
+
+    def run(self, body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
+        self.count(body)
+        if all(count < 2 for count in self.counts.values()):
+            return body
+        return self.scope(body, {})[0]
+
+    def count(self, stmts) -> bool:
+        """Count the keys ``stmts`` read; whether they read any (each
+        guard, loop and block reading none is recorded as bare, and so is
+        each row loop)."""
+        counts = self.counts
+        keyed = False
+        for stmt in stmts:
+            kind = type(stmt)
+            found = False
+            expr: Optional[IRExpr] = None
+            body: tuple[IRStmt, ...] = ()
+            if kind is Assign or kind is Accum:
+                expr = stmt.value
+            elif kind is IfCond:
+                expr, body = stmt.cond, stmt.body
+            elif kind is AddTo or kind is AppendTo:
+                expr = stmt.value
+                if kind is AddTo:
+                    self.writes[id(stmt)] = writes = self.write_keys(stmt)
+                    for _, key, reads in writes:
+                        counts[key] = counts.get(key, 0) + reads
+                    found = bool(writes)
+            elif kind is ForEachMap:
+                body = stmt.body
+                probe = _probe_key(stmt)
+                if probe is not None:
+                    counts[probe] = counts.get(probe, 0) + 1
+                    found = True
+            elif kind is Block:
+                body = stmt.stmts
+            elif kind is ForEachRow:
+                # A row loop runs a per-event body the pass has shared.
+                self.bare.add(id(stmt))
+                continue
+            if expr is not None:
+                stack = [expr]
+                while stack:
+                    node = stack.pop()
+                    if type(node) is Lookup:
+                        key = _key(node.keys)
+                        if key is not None:
+                            counts[key] = counts.get(key, 0) + 1
+                            self.probing.add(id(stmt))
+                            found = True
+                    else:
+                        stack.extend(node.children())
+            if body:
+                if self.count(body):
+                    found = True
+                elif not found:
+                    self.bare.add(id(stmt))
+            keyed = keyed or found
+        return keyed
+
+    def write_keys(self, stmt: AddTo) -> list[tuple[tuple[int, ...], Key, int]]:
+        """``(positions, key, reads)`` of each key a write reads: the key
+        itself, the subkey of each index kept on its map and the group key
+        of each cache it keeps (a staged write's accumulator keeps its
+        indexes after the loop, and keeps no caches)."""
+        key = _key(stmt.keys)
+        if key is None:
+            return []
+        out = [(tuple(range(len(key))), key, 2)]
+        if not stmt.acc:
+            for pattern in sorted(self.patterns.get(stmt.slot.name, ())):
+                out.append((pattern, tuple(key[p] for p in pattern), 1))
+            for cache in stmt.caches:
+                arity = cache.group_arity
+                if arity:
+                    out.append((tuple(range(arity)), key[:arity], 1))
+        return [entry for entry in out if self.key_names(entry[1])]
+
+    def key_names(self, key: Key) -> frozenset[str]:
+        names = self.names.get(key)
+        if names is None:
+            names = frozenset(k for k in key if type(k) is str)
+            self.names[key] = names
+        return names
+
+    def local(self, key: Key, avail: dict[Key, str], out: list[IRStmt], reads: int):
+        """The local holding ``key`` for a reader reading it ``reads``
+        times, bound into ``out`` first when the body reads the key more
+        than once and it is not bound yet (``""``: none)."""
+        name = avail.get(key)
+        if name is None:
+            if self.counts.get(key, 0) < 2:
+                return ""
+            name = self.namer.fresh("key")
+            avail[key] = name
+            self.uses[name] = 0
+            self.bound.append(name)
+            items = tuple(Name(k) if type(k) is str else k for k in key)
+            out.append(Assign(name, KeyTuple(items)))
+        self.uses[name] += reads
+        return name
+
+    def scope(self, stmts, avail: dict[Key, str]):
+        """:meth:`sequence` over a scope's statements: the locals it binds
+        that fewer than two reads read are put back once it ends."""
+        start = len(self.bound)
+        out, rebound = self.sequence(stmts, avail)
+        unread = {name for name in self.bound[start:] if self.uses[name] < 2}
+        del self.bound[start:]
+        return (_put_back(out, unread) if unread else out), rebound
+
+    def sequence(self, stmts, avail: dict[Key, str]):
+        """``stmts`` rewritten (themselves when nothing changed), and the
+        names they rebind."""
+        out: list[IRStmt] = []
+        rebound: set[str] = set()
+        changed = False
+        for stmt in stmts:
+            size = len(out)
+            names = self.statement(stmt, avail, out)
+            if len(out) != size + 1 or out[-1] is not stmt:
+                changed = True
+            if names:
+                for key in [k for k in avail if self.key_names(k) & names]:
+                    del avail[key]
+                rebound |= names
+        return (tuple(out) if changed else stmts), rebound
+
+    def statement(self, stmt: IRStmt, avail: dict[Key, str], out: list[IRStmt]):
+        """Append ``stmt`` rewritten to ``out``, the locals of its keys
+        bound before it; return the names it rebinds."""
+        if id(stmt) in self.bare:
+            out.append(stmt)
+            return _rebound(assigned_names((stmt,)), self.bindings)
+        probes = id(stmt) in self.probing
+
+        def expr(e: IRExpr) -> IRExpr:
+            return self.expr(e, avail, out) if probes else e
+
+        if isinstance(stmt, (Assign, Accum)):
+            value = expr(stmt.value)
+            out.append(stmt if value is stmt.value else type(stmt)(stmt.name, value))
+            return _rebound((stmt.name,), self.bindings)
+        if isinstance(stmt, AddTo):
+            value = expr(stmt.value)
+            key_locals = []
+            for positions, key, reads in self.writes[id(stmt)]:
+                name = self.local(key, avail, out, reads)
+                if name:
+                    key_locals.append((positions, name))
+            if value is not stmt.value or tuple(key_locals) != stmt.key_locals:
+                key_locals = tuple(key_locals)
+                stmt = AddTo(
+                    stmt.slot, stmt.keys, value, stmt.caches, stmt.acc, key_locals
+                )
+        elif isinstance(stmt, AppendTo):
+            value = expr(stmt.value)
+            if value is not stmt.value:
+                stmt = AppendTo(stmt.buffer, stmt.keys, value, stmt.target)
+        elif isinstance(stmt, (IfCond, Block)):
+            # A guard body sees what precedes it; a block is part of this
+            # sequence.
+            if isinstance(stmt, IfCond):
+                stmt = _rewrite_direct(stmt, expr)
+                body, rebound = self.scope(stmt.body, dict(avail))
+            else:
+                body, rebound = self.sequence(stmt.stmts, avail)
+            out.append(stmt if body is stmt_children(stmt) else with_body(stmt, body))
+            return rebound
+        elif isinstance(stmt, ForEachMap):
+            return self.loop(stmt, avail, out)
+        out.append(stmt)
+        return set()
+
+    def loop(self, stmt: ForEachMap, avail: dict[Key, str], out: list[IRStmt]):
+        """:meth:`statement` for a map loop: its body sees the keys over
+        names bound once that the loop does not bind."""
+        probe = _probe_key(stmt)
+        key_local = self.local(probe, avail, out, 1) if probe is not None else ""
+        binders = {stmt.value_var, *(name for _, name in stmt.binds)}
+        inner = {
+            key: name
+            for key, name in avail.items()
+            if not (
+                binders & self.key_names(key)
+                or _rebound(self.key_names(key), self.bindings)
+            )
+        }
+        body, rebound = self.scope(stmt.body, inner)
+        if stmt.key_local != key_local:
+            stmt = ForEachMap(
+                stmt.slot,
+                stmt.entry_var,
+                stmt.value_var,
+                stmt.binds,
+                stmt.filters,
+                body,
+                key_local,
+            )
+        elif body is not stmt.body:
+            stmt = with_body(stmt, body)
+        out.append(stmt)
+        return rebound | _rebound(binders, self.bindings)
+
+    def expr(self, expr: IRExpr, avail: dict[Key, str], out: list[IRStmt]):
+        """``expr`` with each lookup reading the local of its key."""
+        if isinstance(expr, Lookup):
+            key = _key(expr.keys)
+            key_local = self.local(key, avail, out, 1) if key is not None else ""
+            if key_local == expr.key_local:
+                return expr
+            return Lookup(expr.slot, expr.keys, expr.default, key_local)
+        children = expr.children()
+        if not children:
+            return expr
+        new = tuple(self.expr(child, avail, out) for child in children)
+        return expr if _same(new, children) else _with_children(expr, new)
+
+
+def _put_back(stmts, unread: set[str]) -> tuple[IRStmt, ...]:
+    """``stmts`` without the key locals in ``unread``, their one reader
+    building its key itself."""
+
+    def clear(expr: IRExpr) -> IRExpr:
+        if isinstance(expr, Lookup):
+            if expr.key_local not in unread:
+                return expr
+            return Lookup(expr.slot, expr.keys, expr.default)
+        children = expr.children()
+        if not children:
+            return expr
+        new = tuple(clear(child) for child in children)
+        return expr if _same(new, children) else _with_children(expr, new)
+
+    out: list[IRStmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, Assign) and stmt.name in unread:
+            continue
+        if isinstance(stmt, AddTo):
+            key_locals = tuple(kl for kl in stmt.key_locals if kl[1] not in unread)
+            value = clear(stmt.value)
+            if value is not stmt.value or key_locals != stmt.key_locals:
+                stmt = AddTo(
+                    stmt.slot, stmt.keys, value, stmt.caches, stmt.acc, key_locals
+                )
+        elif isinstance(stmt, ForEachMap) and stmt.key_local in unread:
+            stmt = ForEachMap(
+                stmt.slot,
+                stmt.entry_var,
+                stmt.value_var,
+                stmt.binds,
+                stmt.filters,
+                stmt.body,
+            )
+        elif isinstance(stmt, (Assign, Accum, IfCond, AppendTo)):
+            stmt = _rewrite_direct(stmt, clear)
+        out.append(_rebuild_with_body(stmt, lambda body: _put_back(body, unread)))
+    return stmts if _same(out, stmts) else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -961,9 +1333,12 @@ def optimize_trigger(
     passes: tuple[str, ...],
     exact: frozenset[str],
     removed: Optional[dict[str, int]] = None,
+    patterns: Optional[dict[str, set[tuple[int, ...]]]] = None,
 ) -> TriggerIR:
     """Run ``passes`` (in pipeline order) over one trigger body, adding
-    each pass's removed-node count to ``removed``."""
+    each pass's removed-node count to ``removed``.  ``patterns`` are the
+    program's index access patterns (:func:`repro.ir.lower
+    .collect_patterns_ir`), whose subkeys a write keeps."""
     body = trigger_ir.body
     bindings, size = _scan(body)
     exact_slots = {Slot(name) for name in exact}
@@ -978,8 +1353,10 @@ def optimize_trigger(
             body = _merge_guards(body)
         elif name == "hoist-invariants":
             body = _hoist_stmts(body, _HoistNamer(bindings), bindings)
-        else:
+        elif name == "share-lookups":
             body = _LookupSharing(bindings).run(body)
+        else:
+            body = _KeySharing(bindings, patterns or {}).run(body)
         after = _size(body)
         if removed is not None:
             removed[name] = removed.get(name, 0) + size - after
@@ -992,6 +1369,7 @@ def optimize_program(
     program: CompiledProgram,
     passes: tuple[str, ...],
     batch_only: bool = False,
+    patterns: Optional[dict[str, set[tuple[int, ...]]]] = None,
 ) -> ProgramIR:
     """Run the pass pipeline over every trigger body.
 
@@ -1000,17 +1378,22 @@ def optimize_program(
     nodes each pass removes accumulate in ``ir.pass_yield``.  A body held
     under two keys (a batch row body that is its per-event body) is
     optimised once, and its yield counts for each body derived from it.
+    ``patterns`` are the program's index access patterns, whose subkeys
+    ``share-keys`` shares (those of the bodies given by default).
     """
     exact = exact_int_maps(program)
     removed = ir.pass_yield
     for name in passes:
         removed.setdefault(name, 0)
     done: dict[int, tuple[TriggerIR, dict[str, int]]] = {}
+    if patterns is None and "share-keys" in passes:
+        bodies = (*ir.triggers.values(), *ir.batch_triggers.values())
+        patterns = collect_patterns_ir({id(t): t for t in bodies}.values())
 
     def run(trigger_ir: TriggerIR) -> TriggerIR:
         if id(trigger_ir) not in done:
             own: dict[str, int] = {}
-            optimised = optimize_trigger(trigger_ir, passes, exact, own)
+            optimised = optimize_trigger(trigger_ir, passes, exact, own, patterns)
             done[id(trigger_ir)] = optimised, own
         optimised, own = done[id(trigger_ir)]
         for name, count in own.items():

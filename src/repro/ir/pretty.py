@@ -20,6 +20,7 @@ from repro.ir.nodes import (
     IRExpr,
     IRStmt,
     KeyAt,
+    KeyTuple,
     LocalMapDecl,
     Lookup,
     MergeInto,
@@ -51,10 +52,17 @@ def expr_str(expr: IRExpr) -> str:
         return f"{expr_str(expr.left)} {expr.op} {expr_str(expr.right)}"
     if isinstance(expr, Lookup):
         keys = ", ".join(expr_str(k) for k in expr.keys)
-        return f"lookup({expr.slot!r}[{keys}], {expr.default})"
+        return f"lookup({expr.slot!r}[{keys}]{_via(expr.key_local)}, {expr.default})"
     if isinstance(expr, KeyAt):
         return f"key[{expr.pos}]"
+    if isinstance(expr, KeyTuple):
+        return "key(" + ", ".join(expr_str(item) for item in expr.items) + ")"
     return repr(expr)
+
+
+def _via(key_local: str) -> str:
+    """`` via __key1`` for a key read from a local ('' otherwise)."""
+    return f" via {key_local}" if key_local else ""
 
 
 def _maybe_paren(expr: IRExpr) -> str:
@@ -96,7 +104,7 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
         filters = " ".join(f"[{pos}]=={expr_str(expr)}" for pos, expr in stmt.filters)
         head = f"{pad}foreach ({binds or '_'}; {stmt.value_var}) in {stmt.slot!r}"
         if filters:
-            head += f" where {filters}"
+            head += f" where {filters}{_via(stmt.key_local)}"
         lines = [head + ":"]
         for inner in stmt.body:
             lines.extend(stmt_lines(inner, indent + 1))
@@ -111,10 +119,16 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
         return lines
     if isinstance(stmt, AddTo):
         staged = f" staged in {stmt.acc}" if stmt.acc else ""
+        full = tuple(range(len(stmt.keys)))
+        via = "".join(
+            f" via {name}" if positions == full else f" {list(positions)} via {name}"
+            for positions, name in stmt.key_locals
+        )
         return [
             f"{pad}{stmt.slot!r}{_key_str(stmt.keys)} += {expr_str(stmt.value)}"
             + staged
             + _keeps(stmt.caches)
+            + via
         ]
     if isinstance(stmt, AppendTo):
         return [
@@ -217,13 +231,15 @@ def ir_stats(ir: ProgramIR) -> dict[str, int]:
     """Loop/statement counts for the compile trace summary."""
     from repro.ir.nodes import walk_stmts
 
-    loops = blocks = hoisted = 0
+    loops = blocks = hoisted = keys = 0
     for trigger_ir in ir.triggers.values():
         for stmt in walk_stmts(trigger_ir.body):
             if isinstance(stmt, ForEachMap):
                 loops += 1
             elif isinstance(stmt, Block):
                 blocks += 1
+            elif isinstance(stmt, Assign) and isinstance(stmt.value, KeyTuple):
+                keys += 1
             elif isinstance(stmt, Assign) and stmt.name.startswith("__h"):
                 hoisted += 1
     return {
@@ -232,4 +248,5 @@ def ir_stats(ir: ProgramIR) -> dict[str, int]:
         "blocks": blocks,
         "loops": loops,
         "hoisted_temps": hoisted,
+        "shared_keys": keys,
     }

@@ -87,8 +87,9 @@ def ir_summary(program: CompiledProgram, optimize: bool = True) -> str:
 
     return (
         f"IR: {stats['blocks']} statement blocks, {stats['loops']} map loops, "
-        f"{stats['hoisted_temps']} hoisted temps across {stats['triggers']} "
-        f"triggers (passes: {passes}; "
+        f"{stats['hoisted_temps']} hoisted temps, {stats['shared_keys']} shared "
+        f"keys across {stats['triggers']} triggers "
+        f"(passes: {passes}; "
         f"event sinks: {counted(ir.event_sinks.values())}; "
         f"batch sinks: {counted(ir.batch_sinks.values())})"
     )

@@ -406,7 +406,7 @@ class TestOptimisationPasses:
         for ir in full:
             removed.update(ir.pass_yield)
         optimised = sum(map(_node_count, full))
-        assert table["all five passes"] == (optimised, str(sum(removed.values())))
+        assert table["all six passes"] == (optimised, str(sum(removed.values())))
         assert table["no passes"][0] == optimised + sum(removed.values())
         for dropped in DEFAULT_PASSES:
             rest = tuple(p for p in DEFAULT_PASSES if p != dropped)
@@ -511,6 +511,95 @@ class TestSharedWork:
             body[4],
             Assign("u", b),  # b was written since w
             AddTo(Slot("q"), (), Prod(total)),
+        )
+
+    @staticmethod
+    def _share_keys(*body):
+        from repro.ir.nodes import TriggerIR
+        from repro.ir.optimize import optimize_trigger
+
+        trigger = TriggerIR("r", "t", ("p", "q"), body)
+        return optimize_trigger(trigger, ("share-keys",), frozenset()).body
+
+    @pytest.mark.parametrize(
+        "rebind", [Assign("k", Name("q")), Accum("k", Const(1))], ids=repr
+    )
+    def test_share_keys_drops_a_key_whose_name_is_rebound(self, rebind):
+        """A write and a probe read one key local, and a rebinding of a
+        name the key is over drops it: after it the key is built again."""
+        from repro.ir.nodes import KeyTuple, Slot
+
+        m, n, k = Slot("m"), Slot("n"), Name("k")
+        out = self._share_keys(
+            Assign("k", Name("p")),
+            AddTo(n, (k,), Lookup(m, (k,))),
+            rebind,
+            AddTo(n, (k,), Lookup(m, (k,))),
+        )
+
+        def write(local):
+            return AddTo(
+                n, (k,), Lookup(m, (k,), key_local=local), key_locals=(((0,), local),)
+            )
+
+        assert out == (
+            Assign("k", Name("p")),
+            Assign("__key1", KeyTuple((k,))),
+            write("__key1"),
+            rebind,
+            Assign("__key2", KeyTuple((k,))),
+            write("__key2"),
+        )
+
+    def test_share_keys_scopes_a_loop_binders_key_to_one_iteration(self):
+        """A key over a loop binder is built in the loop body, once per
+        iteration: not read from before the loop, nor after it."""
+        from repro.ir.nodes import KeyTuple, Slot
+
+        n, j = Slot("n"), Name("j")
+
+        def write(value, local):
+            return AddTo(n, (j,), value, key_locals=(((0,), local),))
+
+        def loop(*body):
+            return ForEachMap(Slot("m"), "__e", "__v", ((0, "j"),), (), body)
+
+        out = self._share_keys(
+            Assign("j", Name("p")),
+            AddTo(n, (j,), Const(1)),
+            loop(AddTo(n, (j,), Name("__v"))),
+            AddTo(n, (j,), Const(2)),
+        )
+        assert out == (
+            Assign("j", Name("p")),
+            Assign("__key1", KeyTuple((j,))),
+            write(Const(1), "__key1"),
+            loop(Assign("__key2", KeyTuple((j,))), write(Name("__v"), "__key2")),
+            Assign("__key3", KeyTuple((j,))),
+            write(Const(2), "__key3"),
+        )
+
+    def test_share_keys_keeps_a_guards_key_in_the_guard(self):
+        """A key first read in a guard body is built there (an untaken
+        guard builds nothing), and not read after the guard."""
+        from repro.ir.nodes import KeyTuple, Slot
+
+        n, p = Slot("n"), Name("p")
+        cond = Compare(">", p, Const(0))
+        out = self._share_keys(
+            IfCond(cond, (AddTo(n, (p,), Const(1)),)),
+            AddTo(n, (p,), Const(2)),
+        )
+        assert out == (
+            IfCond(
+                cond,
+                (
+                    Assign("__key1", KeyTuple((p,))),
+                    AddTo(n, (p,), Const(1), key_locals=(((0,), "__key1"),)),
+                ),
+            ),
+            Assign("__key2", KeyTuple((p,))),
+            AddTo(n, (p,), Const(2), key_locals=(((0,), "__key2"),)),
         )
 
     def test_no_copy_temps(self, suite_programs, warehouse_program):
