@@ -1181,6 +1181,7 @@ class CompiledExecutor:
         lane's layout under ``options.columnar`` (all dicts, or the
         packed memory mode); the native lane passes its own."""
         self.program = program
+        self.options = options
         self.layout = (
             layout
             if layout is not None

@@ -403,6 +403,7 @@ class InterpretedExecutor:
         options: ExecutorOptions = ExecutorOptions(),
     ) -> None:
         self.program = program
+        self.options = options
         self.layout = storage_layout(program, self.mode, options.columnar)
         self._ir = lower_for(program, options)
 

@@ -1331,12 +1331,15 @@ class DurableEngine(Engine):
 
     # -- reads --------------------------------------------------------------
 
-    def watch_results(self, views) -> dict[str, set]:
+    def watch_results(self, views) -> dict[str, tuple]:
         """The wrapped engine's maps are the ones batches write."""
         return self._engine.watch_results(views)
 
-    def unwatch_results(self, watch: dict[str, set]) -> None:
+    def unwatch_results(self, watch: dict[str, tuple]) -> None:
         self._engine.unwatch_results(watch)
+
+    def _unshown(self) -> None:
+        self._engine._unshown()
 
     def __getattr__(self, name: str):
         # The read primitives the shared core derives from (current_maps,

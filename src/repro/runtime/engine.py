@@ -37,15 +37,18 @@ single row) — so the Python call per event is paid once per run.
 :meth:`DeltaEngine.process_stream` groups consecutive same-relation events
 into such batches automatically.  Per-event processing admits a relation
 once: its first event takes the one-row batch path, and once its
-admission is settled (the stream has started, no profiler or tap is
-attached) :meth:`DeltaEngine.process` keeps the relation's sign-indexed
-triggers — or "skip" — in a route table, so every later event costs one
-dict probe and one trigger call.  A ``*_batch`` trigger is the per-event
-body in a row loop, its writes to accumulating targets staged and merged
-once after the loop (:func:`repro.ir.lower.lower_trigger_batch`), so it
-is exact across signs: maps end as per event, insertion order included
-(see ``AddTo.acc``); only a FLOAT sum a batch groups otherwise may differ
-in its last bits.
+admission is settled (the stream has started, no profiler is attached)
+:meth:`DeltaEngine.process` keeps the relation's sign-indexed triggers —
+or "skip" — in a route table, so every later event, and every one-row
+:meth:`DeltaEngine.process_batch`, costs one dict probe and one trigger
+call.  While batch listeners are attached a route's entries call the
+trigger and then the listeners with the one-row batch.  A ``*_batch``
+trigger is the per-event body in a row loop, its writes to accumulating
+targets staged and merged once after the loop
+(:func:`repro.ir.lower.lower_trigger_batch`), so it is exact across
+signs: maps end as per event, insertion order included (see
+``AddTo.acc``); only a FLOAT sum a batch groups otherwise may differ in
+its last bits.
 
 On top of the single engine, :class:`ShardedEngine` runs *sharded parallel*
 delta processing: the compiler's partitioning analysis
@@ -82,6 +85,7 @@ from repro.errors import EventError, UnknownStreamError
 from repro.compiler.partition import PartitionSpec, analyze_partitioning
 from repro.compiler.program import CompiledProgram, ExecutorOptions, Trigger
 from repro.ir.interp import InterpretedExecutor, run_finalize
+from repro.ir.lower import lower_for
 from repro.runtime.events import (
     EventBatch,
     StreamEvent,
@@ -93,6 +97,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.storage import RecordingDict, storage_class
 from repro.runtime.views import (
+    event_group_columns,
     query_results,
     result_map_names,
     result_rows_to_dicts,
@@ -200,9 +205,6 @@ class Engine:
         self._batch_listeners: list = []
         self._tap_clock = 0
         self.lsn_source: Optional[Callable[[], int]] = None
-        # Admission settled per relation (:meth:`DeltaEngine.process` fills
-        # it).  Attaching a tap drops it; none is installed while one is.
-        self._routes: dict = {}
 
     def _init_admission(self, strict: bool) -> None:
         """The state :func:`admit` reads and advances (the durable engine
@@ -305,7 +307,6 @@ class Engine:
         fire-and-forget, so a listener that reads state must go through
         the synchronising reads (``results`` / ``current_maps``)."""
         self._batch_listeners.append(listener)
-        self._routes = {}
 
     def remove_batch_listener(self, listener) -> None:
         self._batch_listeners.remove(listener)
@@ -325,19 +326,37 @@ class Engine:
         """
         self._tap_clock += 1
         lsn = self.tap_lsn()
-        for listener in list(self._batch_listeners):
-            listener(lsn, batch)
+        try:
+            for listener in list(self._batch_listeners):
+                listener(lsn, batch)
+        except BaseException:
+            self._unshown()  # the listeners after it never saw the batch
+            raise
 
-    def watch_results(self, views: Iterable[str]) -> dict[str, set]:
-        """Start noting which result-map keys batches write, for a delta
-        tap.  Returns ``{view: touched}`` — a set the engine adds every
-        written key of that view's result maps to, and the caller reads
-        and clears — for the views this engine can say that about; a view
-        left out (here: all of them — the maps live in lanes, or nowhere
-        in particular) has to be looked at whole."""
+    def _unshown(self) -> None:
+        """The maps changed in a way no listener was shown (a batch or a
+        listener raised, a restore): an event-keyed watch
+        (:meth:`watch_results`) must look at its views whole once.  Here
+        there are no watches."""
+
+    def watch_results(self, views: Iterable[str]) -> dict[str, tuple]:
+        """Start noting which groups batches write, for a delta tap.
+        Returns ``{view: (touched, columns)}`` for the views this engine
+        can say that about; a view left out (here: all of them — the
+        maps live in lanes, or nowhere in particular) has to be looked
+        at whole.
+
+        ``columns`` is ``None`` for a *recorded* view: the engine adds
+        every written key of its result maps to ``touched``, a set the
+        caller reads and clears.  For an *event-keyed* view it is
+        :func:`~repro.runtime.views.event_group_columns`'s ``{relation:
+        positions}``: the caller reads the written groups off each
+        batch's rows, and ``touched`` is only non-empty after a write no
+        batch shows (:meth:`_unshown`), when the view must be looked at
+        whole."""
         return {}
 
-    def unwatch_results(self, watch: dict[str, set]) -> None:
+    def unwatch_results(self, watch: dict[str, tuple]) -> None:
         """Release a watch :meth:`watch_results` returned."""
 
     # -- results ------------------------------------------------------------
@@ -477,7 +496,7 @@ class DeltaEngine(Engine):
         )
         self.profiler = profiler
         self._bind()
-        self._watches: list[dict[str, set]] = []
+        self._watches: list[dict[str, tuple]] = []
         self.events_processed = 0
 
     def _bind(self) -> None:
@@ -491,7 +510,8 @@ class DeltaEngine(Engine):
             relation: (None, partial(trigger, 1), partial(trigger, -1))
             for (relation, _), trigger in self._triggers.per_event.items()
         }
-        self._routes = {}
+        # Admission settled per relation (:meth:`_route` fills it).
+        self._routes: dict = {}
 
     def __deepcopy__(self, memo: dict) -> "DeltaEngine":
         """Snapshot support (used by the benchmark harness).
@@ -524,10 +544,11 @@ class DeltaEngine(Engine):
     def process(self, event: StreamEvent) -> None:
         """Apply one insert/delete event.
 
-        A relation with a route costs one dict probe and a direct call of
-        the bound trigger (or a skip count); any other takes the generic
-        one-row batch path — :func:`admit`, :meth:`_apply`, the tap —
-        and gets a route once its admission is settled (:meth:`_route`).
+        A relation with a route costs one dict probe and a call of the
+        route's entry for the sign (or a skip count); any other takes the
+        generic one-row batch path — :func:`admit`, :meth:`_apply`, the
+        tap — and gets a route once its admission is settled
+        (:meth:`_route`).
         """
         route = self._routes.get(event.relation)
         if route:
@@ -539,22 +560,92 @@ class DeltaEngine(Engine):
         else:
             self.events_skipped += 1
 
+    def process_batch(self, relation: str, sign, rows: Sequence[Sequence]) -> int:
+        """See :meth:`Engine.process_batch`.  One row in a ``list`` with
+        the ``int`` sign ``1`` or ``-1`` takes :meth:`process`'s route;
+        only such a sign may index it (a route's ``[-2]`` is the insert
+        trigger).  Anything else takes the batch path, and a relation
+        with no route gets one once the batch settled its admission."""
+        route = self._routes.get(relation)
+        if (
+            route is not None
+            and type(sign) is int
+            and (sign == 1 or sign == -1)
+            and type(rows) is list
+            and len(rows) == 1
+        ):
+            if route:
+                route[sign](*rows[0])
+                self.events_processed += 1
+                return 1
+            self.events_skipped += 1
+            return 0
+        count = super().process_batch(relation, sign, rows)
+        if route is None:
+            self._route(relation)
+        return count
+
     def _route(self, relation: str) -> None:
         """Cache the admission of ``relation``, whose event just passed
-        :func:`admit`, for :meth:`process`: its sign-indexed triggers, or
+        :func:`admit`, for :meth:`process`: its sign-indexed entries, or
         :data:`_SKIP` when no query reads it (a strict engine raised
         instead).  Admission is settled by then — the event started the
         stream, or no query reads the relation and the stream never
         matters — except for a static table, which takes no deletes and
-        gets no route.  A profiler or tap needs the batch path, so there
-        is none while one is attached; :meth:`_bind` and attaching a tap
-        drop the table."""
-        if self.profiler is None and not self._batch_listeners:
+        gets no route.  An entry is the bound trigger, or, while batch
+        listeners are attached, :meth:`_observed`'s.  A profiler counts
+        batches, so there is no route while one is attached;
+        :meth:`_bind` drops the table and attaching or removing a
+        listener rebuilds it."""
+        if self.profiler is None:
             signed = self._signed.get(relation)
             if signed is None:
                 self._routes[relation] = _SKIP
             elif relation not in self.program.static_relations:
-                self._routes[relation] = signed
+                self._routes[relation] = (
+                    self._observed(relation, signed)
+                    if self._batch_listeners
+                    else signed
+                )
+
+    def _observed(self, relation: str, signed: tuple) -> tuple:
+        """The route entries of an observed relation: the bound trigger,
+        then the listeners with the one-row batch — no :func:`admit`, no
+        :meth:`_apply` — and :meth:`_unshown` when the trigger raised
+        (it may have written part of the event).  (The caller counts the
+        event after its entry returned, so a listener sees it not yet in
+        ``events_processed``.)"""
+        notify = self._notify_listeners
+        unshown = self._unshown
+        adopt = EventBatch._adopt
+
+        def entry(sign: int) -> Callable[..., None]:
+            trigger = signed[sign]
+
+            def observed(*values) -> None:
+                try:
+                    trigger(*values)
+                except BaseException:
+                    unshown()
+                    raise
+                notify(adopt(relation, sign, [values]))
+
+            return observed
+
+        return (None, entry(1), entry(-1))
+
+    def add_batch_listener(self, listener) -> None:
+        super().add_batch_listener(listener)
+        self._reroute()
+
+    def remove_batch_listener(self, listener) -> None:
+        super().remove_batch_listener(listener)
+        self._reroute()
+
+    def _reroute(self) -> None:
+        """Rebuild every route's entries for the listeners attached now."""
+        for relation in list(self._routes):
+            self._route(relation)
 
     def _process_batch(self, batch: EventBatch) -> int:
         """Admit one batch, apply it (:meth:`_apply`) and fire the tap."""
@@ -566,7 +657,11 @@ class DeltaEngine(Engine):
             self, relation, 0 if isinstance(sign, list) else sign, count
         ) is None:
             return 0
-        applied = self._apply(relation, sign, batch._rows, batch._columns)
+        try:
+            applied = self._apply(relation, sign, batch._rows, batch._columns)
+        except BaseException:
+            self._unshown()  # the trigger may have written part of it
+            raise
         if self._batch_listeners:
             self._notify_listeners(batch)
         return applied
@@ -603,16 +698,20 @@ class DeltaEngine(Engine):
 
     # -- result watches ---------------------------------------------------
 
-    def watch_results(self, views: Iterable[str]) -> dict[str, set]:
+    def watch_results(self, views: Iterable[str]) -> dict[str, tuple]:
         """See :meth:`Engine.watch_results`.  A view can be watched when
         every one of its result maps is a ``dict`` right now (a packed or
-        kernel-held map cannot record its writes).  Those maps become
+        kernel-held map cannot record its writes).  It is event-keyed
+        when :func:`~repro.runtime.views.event_group_columns` finds every
+        written group on the rows of the IR the executor runs, and its
+        maps stay as they are.  The maps of a recorded view become
         :class:`~repro.runtime.storage.RecordingDict` objects and the
         shared executor is bound to them — nothing is rendered or
         compiled, and references to the replaced map objects (an earlier
         ``map_view``) go stale."""
-        watch: dict[str, set] = {
-            view: set()
+        ir = lower_for(self.program, self._executor.options)
+        watch = {
+            view: (set(), event_group_columns(ir, self.program, view))
             for view in views
             if all(
                 isinstance(self.maps[name], dict)
@@ -623,21 +722,23 @@ class DeltaEngine(Engine):
         self._apply_watches()
         return watch
 
-    def unwatch_results(self, watch: dict[str, set]) -> None:
+    def unwatch_results(self, watch: dict[str, tuple]) -> None:
         """Stop recording into ``watch``; with the last watch on a map
         gone it is a plain ``dict`` again."""
         self._watches = [held for held in self._watches if held is not watch]
         self._apply_watches()
 
     def _apply_watches(self) -> None:
-        """Make the maps what ``_watches`` asks for: a map some watched
+        """Make the maps what ``_watches`` asks for: a map some recorded
         view reads records into those views' touched sets, every other
-        map is plain; re-bind when a map object was swapped."""
+        map is plain; re-bind when a map object was swapped (and tell
+        the event-keyed watches, whose renderers may read the old one)."""
         sinks: dict[str, list[set]] = defaultdict(list)
         for watch in self._watches:
-            for view, touched in watch.items():
-                for name in result_map_names(self.program, view):
-                    sinks[name].append(touched)
+            for view, (touched, columns) in watch.items():
+                if columns is None:
+                    for name in result_map_names(self.program, view):
+                        sinks[name].append(touched)
         swapped = False
         for name, contents in self.maps.items():
             recording = type(contents) is RecordingDict
@@ -651,6 +752,15 @@ class DeltaEngine(Engine):
             swapped = swapped or self.maps[name] is not contents
         if swapped:
             self._bind()
+            self._unshown()
+
+    def _unshown(self) -> None:
+        """See :meth:`Engine._unshown`: mark every event-keyed watch (its
+        ``touched`` set gets ``None``)."""
+        for watch in self._watches:
+            for touched, columns in watch.values():
+                if columns is not None:
+                    touched.add(None)
 
     # -- durability ---------------------------------------------------------
 
@@ -682,6 +792,7 @@ class DeltaEngine(Engine):
             if contents:
                 target.update(contents)
         self._bind()
+        self._unshown()
         self.events_processed = events_processed
         self.events_skipped = events_skipped
         if stream_started is None:

@@ -85,6 +85,7 @@ import time
 import weakref
 from collections import Counter, deque
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
@@ -271,21 +272,39 @@ class ViewDeltaTap:
     The tap keeps ``group -> row`` per view, and after every applied
     batch :meth:`on_batch` re-renders a *candidate set* of groups of the
     views that batch's trigger writes (unrelated views are never looked
-    at), compares each against the row it holds, and hands the rows that
-    left and the rows that arrived to
-    :func:`~repro.runtime.views.result_delta`.  Where the engine can say
-    which result-map keys the batch wrote
-    (:meth:`~repro.runtime.engine.Engine.watch_results` — a
-    :class:`~repro.runtime.engine.DeltaEngine`, or a durable engine over
-    one), the candidates are exactly the touched groups and a delta costs
-    what changed; where it cannot (sharded lanes, packed or kernel-held
-    result maps) they are every group the view has or had, and it costs
-    what the view holds.  :attr:`incremental` says which, per view.
+    at), compares each against the row it holds, and returns what left
+    and arrived — one changed group as its ordered pair, more through
+    :func:`~repro.runtime.views.result_delta`.  :attr:`candidates` says
+    where each view's candidates come from:
 
-    The watch starts at construction, so the tap works however it is
+    * ``"event"`` — every group the view's triggers write is a tuple of
+      the event's own values (bsp's ``broker_id``, any scalar view; see
+      :func:`~repro.runtime.views.event_group_columns`): they are read
+      off the batch's rows, or its columns, and the maps stay plain
+      dicts;
+    * ``"recorded"`` — some group is read from a loop or a map (the SSB
+      views'): the engine's result maps note every key written
+      (:class:`~repro.runtime.storage.RecordingDict`);
+    * ``"whole"`` — the engine cannot say what a batch wrote (sharded
+      lanes, packed or kernel-held result maps, a closed tap): every
+      group the view has or had, so a delta costs what the view holds.
+
+    The first two need a :class:`~repro.runtime.engine.DeltaEngine`, or
+    a durable engine over one, whose result maps are dicts
+    (:meth:`~repro.runtime.engine.Engine.watch_results`); there a delta
+    costs what changed.
+
+    The tap is built in sync with the engine and works however it is
     driven — registered as a listener, called from another listener, or
     called by hand after a batch — and several taps on one engine each
-    see every write.  :meth:`close` releases it.
+    see every write.  An event-keyed view learns what changed from the
+    batches it is handed, so the tap must be handed every batch the
+    engine applies from construction on, or be :meth:`resync`-ed (what
+    :meth:`ViewServer.start` does).  A write no batch shows — a
+    listener that raised, a batch that raised while a listener is
+    attached, a ``restore_state``, a map object the engine replaced —
+    makes the next :meth:`on_batch` look at the view whole, once.
+    :meth:`close` releases the watch.
 
     ``views`` restricts serving to a subset of the program's queries
     (default: all of them).
@@ -316,39 +335,73 @@ class ViewDeltaTap:
                 for view in selected
                 if targets.intersection(program.slot_maps[view])
             )
-        #: per view the engine reports writes for: the keys written since
-        #: the tap last looked, and a renderer over the engine's own maps.
-        self._touched: dict[str, set] = engine.watch_results(selected)
-        self._renderers: dict[str, GroupRenderer] = {}
+        #: what the engine reports writes for, per view: ``(touched,
+        #: columns)`` (see :meth:`~repro.runtime.engine.Engine.watch_results`).
+        self._watch: dict[str, tuple] = engine.watch_results(selected)
+        #: per such view: a renderer over the engine's own maps, the
+        #: touched set, and for an event-keyed view, per relation,
+        #: ``batch -> groups`` (``None`` for a recorded view).
+        self._watched: dict[str, tuple] = {
+            view: (None, touched, None if columns is None else {
+                relation: _batch_groups(positions)
+                for relation, positions in columns.items()
+            })
+            for view, (touched, columns) in self._watch.items()
+        }
         #: group -> rendered row, per view: what subscribers hold.
         self._rows: dict[str, dict[tuple, tuple]] = {}
-        maps = engine.current_maps()
-        for view in selected:
+        self.resync()
+
+    def resync(self) -> None:
+        """Render every view from the engine's maps as they are now, and
+        take the engine's LSN — the LSN clock, the WAL tip on a durable
+        engine, so a tap over an already-running or recovered engine
+        starts at its true position instead of 0.  The tap is built in
+        sync; a tap that was not handed every batch since (a
+        :class:`ViewServer` before its listener is registered) calls it
+        to catch up."""
+        program = self.engine.program
+        maps = self.engine.current_maps()
+        for view in self.views:
             renderer = GroupRenderer(program, maps, view)
-            if view in self._touched:
-                self._renderers[view] = renderer
+            watched = self._watched.get(view)
+            if watched is not None:
+                _, touched, readers = watched
+                touched.clear()
+                self._watched[view] = (renderer, touched, readers)
             self._rows[view] = {
                 group: renderer.row(group) for group in renderer.live_groups()
             }
-        #: LSN of the last observed batch — seeded from the engine's LSN
-        #: clock (the WAL tip on a durable engine), so a tap over an
-        #: already-running or recovered engine starts at its true
-        #: position instead of 0.
-        self.lsn = engine.tap_lsn()
+        #: LSN of the last observed batch.
+        self.lsn = self.engine.tap_lsn()
+
+    @property
+    def candidates(self) -> dict[str, str]:
+        """Per view, where a batch's candidate groups come from right
+        now: ``"event"``, ``"recorded"`` or ``"whole"`` (see the class
+        docstring)."""
+        modes = {}
+        for view in self.views:
+            watched = self._watched.get(view)
+            if watched is None:
+                modes[view] = "whole"
+            else:
+                modes[view] = "recorded" if watched[2] is None else "event"
+        return modes
 
     @property
     def incremental(self) -> dict[str, bool]:
         """Per view: is a batch's candidate set the groups it touched
         (``True``) or the whole view (``False``) right now?"""
-        return {view: view in self._touched for view in self.views}
+        return {view: mode != "whole" for view, mode in self.candidates.items()}
 
     def close(self) -> None:
         """Release the engine watch (idempotent): the result maps are
         plain dicts again.  A closed tap still answers, from the whole
         view."""
-        self.engine.unwatch_results(self._touched)
-        self._touched = {}
-        self._renderers = {}
+        self.engine.unwatch_results(self._watch)
+        self._watch = {}
+        self._watched = {}
 
     def snapshot(self, view: str) -> tuple[int, list[tuple[tuple, int]]]:
         """The view's current row multiset and its LSN (the catch-up
@@ -371,7 +424,7 @@ class ViewDeltaTap:
         self.lsn = lsn
         deltas: dict[str, list[tuple[tuple, int]]] = {}
         for view in self.affected(batch.relation):
-            changes = self._view_delta(view)
+            changes = self._view_delta(view, batch)
             if changes:
                 deltas[view] = changes
         return deltas
@@ -383,21 +436,46 @@ class ViewDeltaTap:
             return ()
         return self._affected.get(relation, ())
 
-    def _view_delta(self, view: str) -> list[tuple[tuple, int]]:
+    def _view_delta(self, view: str, batch) -> list[tuple[tuple, int]]:
         """Bring one view's ``group -> row`` up to date and return what
-        changed, as ``result_delta`` of the rows that left and arrived."""
+        changed: the rows that left and arrived, ordered as
+        :func:`~repro.runtime.views.result_delta` orders them."""
         rows = self._rows[view]
-        touched = self._touched.get(view)
-        if touched is None:
+        watched = self._watched.get(view)
+        if watched is None:
             renderer = GroupRenderer(
                 self.engine.program, self.engine.current_maps(), view
             )
             groups = rows.keys() | renderer.live_groups()
         else:
-            renderer = self._renderers[view]
-            width = renderer.width
-            groups = {key[:width] for key in touched}
-            touched.clear()
+            renderer, touched, readers = watched
+            if readers is None:
+                groups = {key[: renderer.width] for key in touched}
+                touched.clear()
+            elif touched:  # a write no batch shows: the whole view, once
+                touched.clear()
+                renderer = GroupRenderer(
+                    self.engine.program, self.engine.current_maps(), view
+                )
+                self._watched[view] = (renderer, touched, readers)
+                groups = rows.keys() | renderer.live_groups()
+            else:
+                groups = readers[batch.relation](batch)
+        if len(groups) == 1:
+            (group,) = groups
+            before = rows.get(group)
+            after = renderer.row(group)
+            if before == after:
+                return []
+            if after is None:
+                del rows[group]
+                return [(before, -1)]
+            rows[group] = after
+            if before is None:
+                return [(after, 1)]
+            if repr(after) <= repr(before):  # result_delta's stable sort
+                return [(after, 1), (before, -1)]
+            return [(before, -1), (after, 1)]
         left: dict[tuple, int] = {}
         arrived: dict[tuple, int] = {}
         for group in groups:
@@ -413,6 +491,36 @@ class ViewDeltaTap:
                 arrived[after] = arrived.get(after, 0) + 1
                 rows[group] = after
         return result_delta(left, arrived)
+
+
+def _batch_groups(positions: tuple[tuple[int, ...], ...]):
+    """``batch -> groups`` for an event-keyed view: each group a write
+    takes from the event values at one tuple of ``positions`` — read off
+    the rows, or zipped from the columns of a columnar batch (no
+    transpose)."""
+
+    def reader(group: tuple[int, ...]):
+        if len(group) == 1:
+            read = itemgetter(*group)
+            return lambda row: (read(row),)
+        return itemgetter(*group) if group else lambda row: ()
+
+    readers = [reader(group) for group in positions]
+
+    def groups(batch):
+        rows = batch._rows
+        if rows is None:
+            columns = batch._columns
+            found: set = set()
+            for group in positions:
+                if group:
+                    found.update(zip(*[columns[i] for i in group]))
+                elif batch._length:
+                    found.add(())
+            return found
+        return {read(row) for read in readers for row in rows}
+
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +696,15 @@ class ViewServer:
         )
         # Register the tap only once the bind has succeeded, so a failed
         # start (port already in use) leaves no listener on the engine.
+        # What the engine applied before it (since construction, or a
+        # stop) reached no listener: catch the tap up first, and restart
+        # the resume history where its LSN now stands.
+        lsn = self.tap.lsn
+        self.tap.resync()
+        if self.tap.lsn != lsn:
+            for view in self.tap.views:
+                self._history[view].clear()
+                self._history_floor[view] = self.tap.lsn
         self.engine.add_batch_listener(self._on_batch)
         for sock in self._server.sockets:
             _isolate_from_forks(sock)

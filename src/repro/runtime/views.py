@@ -24,6 +24,19 @@ from typing import Mapping, Optional
 from repro.errors import RuntimeEngineError, TranslationError
 from repro.algebra.translate import RConst, RGroup, RNeg, RSlot, TranslatedQuery
 from repro.compiler.program import CompiledProgram
+from repro.ir.nodes import (
+    Accum,
+    AddTo,
+    AppendTo,
+    Assign,
+    Clear,
+    Finalize,
+    FlushBuffer,
+    ForEachMap,
+    Name,
+    ProgramIR,
+    walk_stmts,
+)
 
 
 def result_map_names(program: CompiledProgram, view: str) -> list[str]:
@@ -31,6 +44,75 @@ def result_map_names(program: CompiledProgram, view: str) -> list[str]:
     and their MIN/MAX/DISTINCT caches.  A batch changes the view's rows only by
     writing one of these."""
     return [*program.slot_maps[view], *program.slot_aux.get(view, {}).values()]
+
+
+def event_group_columns(
+    ir: ProgramIR, program: CompiledProgram, view: str
+) -> Optional[dict[str, tuple[tuple[int, ...], ...]]]:
+    """Where a batch's rows say which groups of ``view`` it wrote: per
+    relation, the event-column positions each group its trigger writes
+    is read from (``(2,)``: the group is the row's third value), or
+    ``None`` when some write's group is not a tuple of the trigger's
+    parameters.
+
+    The writes are those of the lowered triggers, per event and batch,
+    to the view's result maps and to every occurrence map a
+    MIN/MAX/DISTINCT cache of the view is kept from.  A group read from
+    a loop or a map, or a restate's clear or cache rebuild of a grouped
+    view, is not a row's to tell.  A scalar view's one group ``()`` is
+    every write's."""
+    width = len(_find_query(program, view).group_vars)
+    watched = set(result_map_names(program, view))
+    bodies = [
+        (relation, trigger_ir)
+        for (relation, _), trigger in ir.triggers.items()
+        for trigger_ir in (trigger, ir.batch_triggers[relation, 0])
+    ]
+    for _, trigger_ir in bodies:
+        for stmt in walk_stmts(trigger_ir.body):
+            if isinstance(stmt, (AddTo, FlushBuffer)) and any(
+                cache.slot.name in watched for cache in stmt.caches
+            ):
+                target = stmt.slot if isinstance(stmt, AddTo) else stmt.target
+                watched.add(target.name)
+    columns: dict[str, set[tuple[int, ...]]] = {}
+    for relation, trigger_ir in bodies:
+        found = columns.setdefault(relation, set())
+        stmts = walk_stmts(trigger_ir.body)
+        # A batch body's row loop binds the parameters to each row's
+        # values, as the per-event call does; any other binding does not.
+        rebound: set[str] = set()
+        for stmt in stmts:
+            if isinstance(stmt, (Assign, Accum)):
+                rebound.add(stmt.name)
+            elif isinstance(stmt, ForEachMap):
+                rebound.add(stmt.value_var)
+                rebound.update(name for _, name in stmt.binds)
+        position = {
+            name: index
+            for index, name in enumerate(trigger_ir.params[1:])
+            if name not in rebound
+        }
+        for stmt in stmts:
+            if isinstance(stmt, (AddTo, AppendTo)):
+                target = stmt.slot if isinstance(stmt, AddTo) else stmt.target
+                if target.name not in watched:
+                    continue
+                group = stmt.keys[:width]
+                if not all(
+                    isinstance(key, Name) and key.name in position
+                    for key in group
+                ):
+                    return None
+                found.add(tuple(position[key.name] for key in group))
+            elif isinstance(stmt, (Clear, Finalize)) and (
+                stmt.target.name in watched
+                or isinstance(stmt, Finalize) and stmt.source.name in watched
+            ):
+                if width:
+                    return None
+                found.add(())
+    return {relation: tuple(sorted(found)) for relation, found in columns.items()}
 
 
 class GroupRenderer:

@@ -243,11 +243,14 @@ def cmd_serve(args) -> int:
             idle_timeout=args.idle_timeout,
         )
         await server.start()
-        # What a delta costs on this engine: the groups a batch touched,
-        # or (sharded lanes, packed/kernel result maps) the whole view.
-        candidates = (
-            "touched groups" if server.tap.incremental["q"] else "whole view"
-        )
+        # What a delta costs on this engine: the groups a batch touched —
+        # read off its rows, or recorded by the result maps — or (sharded
+        # lanes, packed/kernel result maps) the whole view.
+        candidates = {
+            "event": "event-keyed groups",
+            "recorded": "recorded groups",
+            "whole": "whole view",
+        }[server.tap.candidates["q"]]
         print(f"-- serving view 'q' on {server.host}:{server.port} "
               f"(backpressure={args.backpressure}, "
               f"delta candidates: {candidates}) --", flush=True)

@@ -14,8 +14,8 @@ server reads, applies and acknowledges many frames per wakeup; three
 squeeze client queues to 4 frames under each backpressure policy
 (``block`` waits for room, ``drop`` disconnects the slow subscriber,
 which re-snapshots, ``coalesce`` merges); the last serves a 2,000-group
-view and bounds the groups rendered per one-row frame — a delta must
-cost what changed, not what the view holds.
+view, keyed on the event's own column, and renders exactly one group per
+one-row frame — a delta must cost what changed, not what the view holds.
 
 Run ``python tests/runtime/serving_smoke.py`` (with ``PYTHONPATH=src``).
 Exit status 0 = every scenario in parity.  A watchdog alarm aborts the
@@ -231,7 +231,9 @@ WIDE_FRAMES = 300
 
 def run_wide_view_scenario() -> list[str]:
     """One-row frames against a ``WIDE_GROUPS``-group view, a mid-stream
-    joiner, and a count of the groups the tap rendered; returns failures."""
+    joiner, and a count of the groups the tap rendered — one per frame:
+    the view groups on the event's own ``price``, so the tap reads it
+    off the row; returns failures."""
     import random
 
     from repro.compiler import compile_sql
@@ -271,8 +273,11 @@ def run_wide_view_scenario() -> list[str]:
     GroupRenderer.row = counting
     try:
         with ServerThread(engine) as handle:
-            if handle.server.tap.incremental != {"wide": True}:
-                failures.append("wide: the tap is not on touched groups")
+            if handle.server.tap.candidates != {"wide": "event"}:
+                failures.append(
+                    "wide: the tap does not read groups off the event: "
+                    f"{handle.server.tap.candidates}"
+                )
             early = SubscriberClient(handle.host, handle.port)
             early_rows = rows_from_snapshot(early.subscribe("wide"))
             if len(early_rows) != WIDE_GROUPS:
@@ -284,10 +289,10 @@ def run_wide_view_scenario() -> list[str]:
             late_rows = rows_from_snapshot(late.subscribe("wide"))
             for sign, row in frames[WIDE_FRAMES // 2 :]:
                 handle.publish("bids", sign, [row])
-            if len(rendered) > 2 * WIDE_FRAMES:
+            if len(rendered) != WIDE_FRAMES:
                 failures.append(
                     f"wide: {len(rendered)} groups rendered for "
-                    f"{WIDE_FRAMES} one-row frames (bound {2 * WIDE_FRAMES})"
+                    f"{WIDE_FRAMES} one-row frames (one each)"
                 )
             barrier = early.ping()
             for name, client, rows in [
@@ -352,8 +357,8 @@ def main() -> int:
     if not wide_failures:
         print(
             f"ok   wide   in-memory {WIDE_FRAMES} one-row frames over "
-            f"{WIDE_GROUPS} groups, <= 2 groups rendered per frame, early + "
-            "mid-stream subscribers in parity"
+            f"{WIDE_GROUPS} groups, one event-keyed group rendered per frame, "
+            "early + mid-stream subscribers in parity"
         )
     if failures:
         print(f"{len(failures)} serving-smoke check(s) FAILED")

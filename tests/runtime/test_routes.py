@@ -1,10 +1,12 @@
 """``DeltaEngine.process``'s route table: admission decided once per
 relation must still answer every event the way :func:`admit` would.
 
-A route is dropped wherever the answer (or the bound triggers) can
-change — a tap attached or removed, a re-bind — and never installed for
-what must keep going through the generic path: static tables, unknown
-relations of a strict engine, deletes compiled out, profiled engines.
+A route is dropped wherever the bound triggers change — a re-bind — and
+rebuilt when a batch listener is attached or removed, and never
+installed for what must keep going through the generic path: static
+tables, unknown relations of a strict engine, profiled engines.  A
+one-row ``process_batch`` takes the route too, but only for an ``int``
+sign of 1 or -1: any other sign gets the batch path's answer.
 """
 
 import copy
@@ -57,25 +59,40 @@ def test_a_listener_added_after_routes_exist_sees_every_later_event(program):
         seen.append((batch.relation, batch.sign, list(batch.rows)))
 
     engine.add_batch_listener(listener)
+    routed = set(engine._routes)
     for event in feed[100:150]:
         engine.process(event)
+        # An observed relation keeps its route: entries that notify.
+        assert set(engine._routes) == routed
+        assert engine._routes[event.relation][1] is not engine._signed[
+            event.relation
+        ][1]
     assert seen == [(e.relation, e.sign, [e.values]) for e in feed[100:150]]
     engine.remove_batch_listener(listener)
     for event in feed[150:]:
         engine.process(event)
     assert len(seen) == 50
-    assert engine._routes  # re-installed once the tap is gone
+    # Back to the bound triggers once the tap is gone.
+    assert all(engine._routes[r][1] is engine._signed[r][1] for r in routed)
     assert repr(engine.maps) == repr(_engine_after(program, feed).maps)
 
 
-def test_watch_results_after_routes_exist_writes_the_watched_maps(program):
+def test_watch_results_after_routes_exist_writes_the_watched_maps():
+    # A bids event reads this view's group from the asks map: its result
+    # maps record (an event-keyed view's would stay plain dicts).
+    program = compile_sql(
+        "SELECT a.price, sum(b.volume) FROM bids b, asks a "
+        "WHERE b.broker_id = a.broker_id GROUP BY a.price",
+        finance_catalog(),
+        name="q",
+    )
     feed = _feed()
     engine = _engine_after(program, feed[:100])
-    watch = engine.watch_results(["q"])
-    assert watch["q"] == set()
+    ((touched, columns),) = engine.watch_results(["q"]).values()
+    assert touched == set() and columns is None
     for event in feed[100:]:
         engine.process(event)
-    assert watch["q"]
+    assert touched
     assert repr(engine.maps) == repr(_engine_after(program, feed).maps)
 
 
@@ -167,3 +184,43 @@ def test_process_equals_one_row_batches(query, mode):
         sum(event.relation == "asks" for event in feed) if query == "vwap" else 0
     )
     assert routed.results("q") == batched.results("q")
+
+
+def _outcome(engine, relation, sign, row):
+    """What one ``process_batch`` call answers (count or error), and the
+    maps after it."""
+    try:
+        answer = engine.process_batch(relation, sign, [row])
+    except Exception as exc:  # the batch path's error, whatever its type
+        answer = (type(exc), str(exc))
+    return answer, repr(engine.maps)
+
+
+@pytest.mark.parametrize("listen", [False, True], ids=["plain", "observed"])
+@pytest.mark.parametrize(
+    "sign", [2, 0, -2, "1", None, 1.0, True, [1], [-1]], ids=repr
+)
+def test_only_an_int_sign_indexes_a_route(program, sign, listen):
+    """A route is ``(None, on(+1), on(-1))``: ``route[-2]`` would insert
+    and ``route[0]`` is no trigger.  A routed and an unrouted engine
+    answer every other sign the same, and end with the same maps."""
+    feed = _feed()
+    routed = _engine_after(program, feed[:100])
+    unrouted = DeltaEngine(program)
+    unrouted.process_stream(feed[:100], batch_size=7)  # no route installed
+    assert routed._routes and not unrouted._routes
+    seen = {id(routed): [], id(unrouted): []}
+    if listen:
+        for engine in (routed, unrouted):
+            engine.add_batch_listener(
+                lambda lsn, batch, log=seen[id(engine)]: log.append(batch.sign)
+            )
+    event = next(e for e in feed[100:] if e.relation == "bids")
+    assert routed._routes["bids"]
+    expected = _outcome(unrouted, "bids", sign, event.values)
+    assert _outcome(routed, "bids", sign, event.values) == expected
+    if sign in (2, 0, -2, "1", None):
+        assert expected[0][0] is EventError
+    elif not isinstance(sign, float):
+        assert expected[0] == 1
+    assert seen[id(routed)] == seen[id(unrouted)]

@@ -41,7 +41,7 @@ from repro.runtime.serving import (
     rows_from_snapshot,
 )
 from repro.runtime.storage import RecordingDict
-from repro.runtime.views import GroupRenderer, result_delta
+from repro.runtime.views import GroupRenderer, result_delta, result_map_names
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 from repro.workloads.orderbook import OrderBookGenerator
@@ -1542,23 +1542,54 @@ def test_tap_works_registered_called_by_another_listener_or_by_hand():
     assert drive(by_hand) == first
 
 
+#: A view whose group an R event reads from S's map: its candidates are
+#: recorded, not read off the event.
+MAP_KEYED = "SELECT S.C, sum(R.A) FROM R, S WHERE R.B = S.B GROUP BY S.C"
+
+
+def _two_map_keyed_views():
+    """Two views whose groups an R event reads from S's map: both are
+    recorded, so two taps share :class:`RecordingDict` maps."""
+    catalog = Catalog.from_script(CATALOG_DDL)
+    return compile_queries(
+        [
+            translate_sql(MAP_KEYED, catalog, name="qr"),
+            translate_sql(
+                "SELECT S.C, sum(R.B) FROM R, S WHERE R.B = S.B GROUP BY S.C",
+                catalog,
+                name="qs",
+            ),
+        ],
+        catalog,
+    )
+
+
 def test_two_taps_on_one_engine_each_see_every_touched_group():
-    engine = DeltaEngine(_two_view_program())
+    engine = DeltaEngine(_two_map_keyed_views())
+    engine.process_batch("S", 1, [(0, 7), (1, 8), (2, 9)])
     first = ViewDeltaTap(engine)
     second = ViewDeltaTap(engine, views=["qr"])
-    assert first.incremental == {"qr": True, "qs": True}
+    assert first.candidates == {"qr": "recorded", "qs": "recorded"}
+    assert second.candidates == {"qr": "recorded"}
+    (qs_map,) = set(result_map_names(engine.program, "qs")) - set(
+        result_map_names(engine.program, "qr")
+    )
     for i in range(6):
-        batch = EventBatch("R", 1, [(i % 3, i + 1)])
+        batch = EventBatch("R", 1, [(i + 1, i % 3)])
         engine.process_batch("R", 1, batch.rows)
         seen = first.on_batch(i, batch)
-        assert second.on_batch(i, batch) == seen and seen
+        assert second.on_batch(i, batch) == {"qr": seen["qr"]} and seen
     # Releasing one tap leaves the other recording.
     first.close()
     assert first.incremental == {"qr": False, "qs": False}
-    assert engine.storage_classes()["q_qs_sum_1"] == "dict"
-    batch = EventBatch("R", -1, [(0, 1)])
+    assert engine.storage_classes()[qs_map] == "dict"
+    assert {
+        engine.storage_classes()[name]
+        for name in result_map_names(engine.program, "qr")
+    } == {"recording"}
+    batch = EventBatch("R", -1, [(1, 0)])
     engine.process_batch("R", -1, batch.rows)
-    assert second.on_batch(7, batch) == first.on_batch(7, batch) != {}
+    assert second.on_batch(7, batch)["qr"] == first.on_batch(7, batch)["qr"]
     second.close()
     assert set(engine.storage_classes().values()) == {"dict"}
     assert Counter(dict(second.snapshot("qr")[1])) == Counter(engine.results("qr"))
@@ -1572,20 +1603,137 @@ def test_tap_deduplicates_repeated_views():
 
 
 def test_stopped_server_leaves_plain_dicts_and_the_untapped_binding():
-    engine = DeltaEngine(_program())
-    engine.process_batch("R", 1, [(1, 10)])
+    engine = DeltaEngine(_program(MAP_KEYED))
+    engine.process_batch("S", 1, [(1, 7), (2, 8)])
+    engine.process_batch("R", 1, [(10, 1)])
     before = engine.storage_classes()
     handle = ServerThread(engine)
     handle.start()
+    assert handle.server.tap.candidates == {"q": "recorded"}
     assert "recording" in engine.storage_classes().values()
-    handle.publish("R", 1, [(2, 20)])
+    handle.publish("R", 1, [(20, 2)])
     handle.stop()
     assert engine.storage_classes() == before
     assert all(type(contents) is dict for contents in engine.maps.values())
     assert handle.server.tap.incremental == {"q": False}
     # The re-bound triggers write the plain dicts.
-    engine.process_batch("R", 1, [(2, 1)])
-    assert sorted(engine.results("q")) == [(1, 10), (2, 21)]
+    engine.process_batch("R", 1, [(1, 2)])
+    assert sorted(engine.results("q")) == [(7, 10), (8, 21)]
+
+
+def test_a_served_event_keyed_view_leaves_every_map_a_plain_dict():
+    engine = DeltaEngine(_program())
+    engine.process_batch("R", 1, [(1, 10)])
+    before = engine.storage_classes()
+    with ServerThread(engine) as handle:
+        assert handle.server.tap.candidates == {"q": "event"}
+        assert engine.storage_classes() == before
+        handle.publish("R", 1, [(2, 20)])
+        assert all(type(contents) is dict for contents in engine.maps.values())
+    assert handle.server.tap.candidates == {"q": "whole"}
+    assert engine.storage_classes() == before
+    assert sorted(engine.results("q")) == [(1, 10), (2, 20)]
+
+
+@pytest.mark.parametrize("query", [None, MAP_KEYED])
+@pytest.mark.parametrize("kind", ["delta", "durable"])
+def test_events_applied_before_start_are_in_the_first_snapshot(
+    query, kind, tmp_path
+):
+    program = _program() if query is None else _program(query)
+    if kind == "durable":
+        engine = DurableEngine(program, tmp_path, fsync="none")
+    else:
+        engine = DeltaEngine(program)
+    engine.process_batch("S", 1, [(1, 7), (2, 8)])  # no R row: the view is empty
+    handle = ServerThread(engine)
+    built_at = handle.server.tap.lsn
+    # No listener hears these: the server catches its tap up as it starts.
+    engine.process_batch("R", 1, [(10, 1), (20, 2)])
+    engine.process_batch("R", 1, [(5, 1)])
+    engine.process_batch("R", -1, [(20, 2)])
+    with handle:
+        assert handle.server.tap.lsn == engine.tap_lsn()
+        with SubscriberClient(handle.host, handle.port) as sub:
+            snapshot = sub.subscribe("q")
+            rows = rows_from_snapshot(snapshot)
+            assert rows == Counter(engine.results("q"))
+            if kind == "durable":
+                # The history ring starts at the caught-up LSN: a resume
+                # from before it replays the logged batches.
+                reply = sub.subscribe("q", from_lsn=built_at)
+                assert reply["type"] == "resumed"
+                replayed = Counter()
+                for _ in range(reply["replayed"]):
+                    apply_changes(replayed, sub.recv()["changes"])
+                assert replayed == rows
+            _, lsn = handle.publish("R", 1, [(1, 2)])
+            for frame in sub.drain_deltas("q", lsn):
+                apply_changes(rows, frame["changes"])
+            assert rows == Counter(engine.results("q"))
+    if kind == "durable":
+        engine.close()
+
+
+def _two_sums_program():
+    catalog = Catalog.from_script("CREATE STREAM T (A int, B int, C int);")
+    return compile_sql(
+        "SELECT A, sum(B), sum(C) FROM T GROUP BY A", catalog, name="q"
+    )
+
+
+@pytest.mark.parametrize("path", ["route", "batch"])
+def test_a_trigger_that_raised_midway_reaches_the_next_delta(path):
+    engine = DeltaEngine(_two_sums_program())
+    tap = ViewDeltaTap(engine)
+    assert tap.candidates == {"q": "event"}
+    held = Counter()
+    engine.add_batch_listener(
+        lambda lsn, batch: apply_changes(held, tap.on_batch(lsn, batch).get("q", []))
+    )
+    engine.process_batch("T", 1, [(2, 1, 1)])
+    assert engine._routes["T"]
+    # Group 2's sum(B) takes the 5, then its sum(C) raises on the None:
+    # no listener hears of the half-applied event.
+    with pytest.raises(TypeError):
+        if path == "route":
+            engine.process_batch("T", 1, [(2, 5, None)])
+        else:
+            engine.process_batch_columns("T", 1, [[2], [5], [None]])
+    assert engine.results("q") == [(2, 6, 1)]
+    engine.process_batch("T", 1, [(3, 1, 1)])  # another group
+    assert held == Counter(engine.results("q"))
+
+
+@pytest.mark.parametrize("kind", ["delta", "durable"])
+def test_a_listener_that_raised_costs_the_later_tap_no_delta(kind, tmp_path):
+    if kind == "durable":
+        engine = DurableEngine(_program(), tmp_path, fsync="none")
+    else:
+        engine = DeltaEngine(_program())
+    tap = ViewDeltaTap(engine)
+    held = Counter()
+    failing = []
+
+    def flaky(lsn, batch):
+        if failing:
+            raise RuntimeError("listener down")
+
+    engine.add_batch_listener(flaky)
+    engine.add_batch_listener(
+        lambda lsn, batch: apply_changes(held, tap.on_batch(lsn, batch).get("q", []))
+    )
+    engine.process_batch("R", 1, [(1, 10)])
+    failing.append(True)
+    with pytest.raises(RuntimeError):
+        engine.process_batch("R", 1, [(2, 20)])  # a route, on a DeltaEngine
+    with pytest.raises(RuntimeError):
+        engine.process_batch_columns("R", 1, [[1], [5]])  # the batch path
+    failing.clear()
+    engine.process_batch("R", 1, [(3, 30)])
+    assert held == Counter(engine.results("q"))
+    if kind == "durable":
+        engine.close()
 
 
 def test_incremental_says_which_views_cost_what_changed(tmp_path):
@@ -1700,16 +1848,19 @@ def test_restore_state_under_a_live_tap_marks_the_view_whole():
 def test_deepcopy_of_a_tapped_engine_is_an_untapped_engine():
     import copy
 
-    engine = DeltaEngine(_program())
-    engine.process_batch("R", 1, [(1, 10)])
+    engine = DeltaEngine(_program(MAP_KEYED))
+    engine.process_batch("S", 1, [(1, 7)])
+    engine.process_batch("R", 1, [(10, 1)])
     tap = ViewDeltaTap(engine)
+    assert tap.candidates == {"q": "recorded"}
     clone = copy.deepcopy(engine)
     assert all(type(contents) is dict for contents in clone.maps.values())
     assert clone._watches == []
-    clone.process_batch("R", 1, [(1, 5)])
-    assert clone.results("q") == [(1, 15)]
-    assert engine.results("q") == [(1, 10)]
-    assert not tap._touched["q"]  # the clone's writes are its own
+    clone.process_batch("R", 1, [(5, 1)])
+    assert clone.results("q") == [(7, 15)]
+    assert engine.results("q") == [(7, 10)]
+    assert not tap._watch["q"][0]  # the clone's writes are its own
+    assert type(engine.maps["q_q_sum_1"]) is RecordingDict
     assert type(copy.deepcopy(engine.maps["q_q_sum_1"])) is dict
 
 
