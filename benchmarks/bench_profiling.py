@@ -11,6 +11,7 @@ breakdown (parse/translate, recursive compile, codegen, exec-to-bytecode).
 import pytest
 
 from repro.runtime import DeltaEngine
+from repro.runtime.debugger import Debugger
 from repro.runtime.profiler import Profiler, profile_compilation
 from repro.compiler import compile_sql
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
@@ -18,16 +19,29 @@ from repro.workloads.orderbook import OrderBookGenerator
 
 
 def test_per_map_overheads(capsys):
-    """Per-map update counts over a finance stream (the map cost panel)."""
+    """Per-trigger event counts and per-map update counts over a finance
+    stream (the map cost panel): the profiler listens to the compiled
+    engine, the debugger steps the same stream statement by statement."""
     catalog = finance_catalog()
-    profiler = Profiler()
     program = compile_sql(FINANCE_QUERIES["bsp"], catalog, name="bsp")
-    engine = DeltaEngine(program, mode="interpreted", profiler=profiler)
+    engine = DeltaEngine(program)
+    profiler = Profiler()
+    engine.add_batch_listener(profiler.on_batch)
+    debugger = Debugger(program)
     for event in OrderBookGenerator(seed=5).events(1_500):
         engine.process(event)
+        debugger.step(event)
     assert profiler.events == 1_500
-    assert profiler.map_updates
+    updates = {
+        name: sum(len(touched) for _, touched in debugger.watch(name))
+        for name in sorted(program.maps)
+    }
+    assert any(updates.values())
+    assert debugger.maps == {name: dict(engine.maps[name]) for name in program.maps}
     print("\n" + profiler.report())
+    print("map update counts:")
+    for name, count in updates.items():
+        print(f"  {name}: {count}")
 
 
 @pytest.mark.parametrize("query", sorted(FINANCE_QUERIES))

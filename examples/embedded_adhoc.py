@@ -27,8 +27,9 @@ def main() -> None:
     program = compile_sql(QUERY, catalog, name="spend")
 
     # --- embedded mode: the engine lives inside the application -----------
-    profiler = Profiler()
-    engine = DeltaEngine(program, mode="interpreted", profiler=profiler)
+    engine = DeltaEngine(program)
+    profiler = Profiler()  # a flush-path listener: it sees every batch
+    engine.add_batch_listener(profiler.on_batch)
     application_feed = [
         insert("orders", 1, 100, 250),
         insert("orders", 1, 101, 120),
@@ -57,10 +58,11 @@ def main() -> None:
     # --- the delta-processing debugger ------------------------------------
     print("\nstep-tracing one event through the triggers:")
     debugger = Debugger(program)
-    for event in application_feed[:2]:
+    for event in application_feed:
         debugger.step(event)
-    trace = debugger.step(insert("orders", 1, 103, 75))
-    print(trace)
+    extra = insert("orders", 1, 103, 75)
+    print(debugger.step(extra))
+    engine.process(extra)
 
     root = program.slot_maps["spend"][0]
     print(f"\nevents that touched {root}:")
@@ -70,6 +72,10 @@ def main() -> None:
     # --- profiling ----------------------------------------------------------
     print("\nprofiler report:")
     print(profiler.report())
+    print("map update counts (from the debugger's traces):")
+    for name in sorted(program.maps):
+        updates = sum(len(touched) for _, touched in debugger.watch(name))
+        print(f"  {name}: {updates} updates")
     print("\nlive bytes per map:")
     for name, size in sorted(map_memory_bytes(engine.maps).items()):
         print(f"  {name}: {size} bytes")

@@ -1441,8 +1441,8 @@ class NativeExecutor(CompiledExecutor):
     def native_active(self) -> bool:
         return self.kernel is not None
 
-    def bind(self, maps, profiler=None) -> TriggerTable:
-        table = super().bind(maps, profiler)
+    def bind(self, maps) -> TriggerTable:
+        table = super().bind(maps)
         for name in self.layout.kernel_maps:  # empty without a kernel
             self.kernel.attach(maps[name])
         return table

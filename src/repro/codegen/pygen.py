@@ -1203,13 +1203,11 @@ class CompiledExecutor:
         every later one."""
         return compile(self.source, "<repro-generated-triggers>", "exec")
 
-    def bind(self, maps: dict, profiler=None) -> TriggerTable:
+    def bind(self, maps: dict) -> TriggerTable:
         """Exec the generated module against one engine's map storage.
 
         Secondary indexes are built from the current map contents, so
         binding a snapshot (a deep copy, a restored engine) is consistent.
-        Generated code carries no profiler hooks; ``profiler`` is part of
-        the protocol for the interpreted executor.
         """
         patterns = self._index_patterns
         indexes: dict[str, dict] = {

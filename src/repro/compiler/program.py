@@ -52,7 +52,7 @@ class ExecutorOptions:
 
 
 class TriggerTable(NamedTuple):
-    """What an executor's ``bind(maps, profiler=None)`` returns: the
+    """What an executor's ``bind(maps)`` returns: the
     program's triggers bound to one engine's maps.
 
     ``per_event[(relation, 0)](weight, *values)`` applies one event of

@@ -55,7 +55,6 @@ from repro.ir.nodes import (
     TriggerIR,
     WEIGHTS,
     compare_values,
-    walk_stmts,
 )
 
 
@@ -299,37 +298,12 @@ def run_finalize(target, source, kind: str, ga: int) -> None:
                 target[group] = value
 
 
-def run_trigger(
-    trigger_ir: TriggerIR,
-    values,
-    maps: dict,
-    profiler=None,
-) -> None:
+def run_trigger(trigger_ir: TriggerIR, values, maps: dict) -> None:
     """Execute one per-event trigger body."""
-    env = dict(zip(trigger_ir.params, values))
-    if profiler is None:
-        run_stmts(trigger_ir.body, env, maps, None)
-        return
-    for stmt in trigger_ir.body:
-        if isinstance(stmt, Block):
-            recorder = _Recorder()
-            run_stmt(stmt, env, maps, recorder)
-            counts: dict[str, int] = {}
-            for target, _key, _value in recorder.updates:
-                counts[target] = counts.get(target, 0) + 1
-            for target in stmt.targets:
-                profiler.record_statement(target, counts.get(target, 0))
-        else:
-            run_stmt(stmt, env, maps, None)
+    run_stmts(trigger_ir.body, dict(zip(trigger_ir.params, values)), maps, None)
 
 
-def run_trigger_batch(
-    trigger_ir: TriggerIR,
-    columns,
-    weights,
-    maps: dict,
-    profiler=None,
-) -> None:
+def run_trigger_batch(trigger_ir: TriggerIR, columns, weights, maps: dict) -> None:
     """Execute one *batch* trigger body over a columnar batch.
 
     ``columns`` is the struct-of-arrays row set
@@ -340,28 +314,7 @@ def run_trigger_batch(
     the compiled back end runs — while still re-traversing the IR nodes
     (the interpretation overhead the ablation isolates).
     """
-    env: dict = {"__cols": columns, WEIGHTS: weights}
-    if profiler is None:
-        run_stmts(trigger_ir.body, env, maps, None)
-        return
-    for stmt in trigger_ir.body:
-        if isinstance(stmt, (Block, ForEachRow)):
-            # Profile the row loop as a whole: its nested blocks' map
-            # updates are attributed per target (whole-batch counts, the
-            # batch-granularity analogue of per-event statement counts).
-            recorder = _Recorder()
-            run_stmt(stmt, env, maps, recorder)
-            counts: dict[str, int] = {}
-            for target, _key, _value in recorder.updates:
-                counts[target] = counts.get(target, 0) + 1
-            targets: set[str] = set()
-            for inner in walk_stmts((stmt,)):
-                if isinstance(inner, Block):
-                    targets.update(inner.targets)
-            for target in sorted(targets):
-                profiler.record_statement(target, counts.get(target, 0))
-        else:
-            run_stmt(stmt, env, maps, None)
+    run_stmts(trigger_ir.body, {"__cols": columns, WEIGHTS: weights}, maps, None)
 
 
 def run_trigger_collect(
@@ -407,15 +360,15 @@ class InterpretedExecutor:
         self.layout = storage_layout(program, self.mode, options.columnar)
         self._ir = lower_for(program, options)
 
-    def bind(self, maps: dict[str, dict], profiler=None) -> TriggerTable:
+    def bind(self, maps: dict[str, dict]) -> TriggerTable:
         """The tree-walker's triggers closed over one engine's maps."""
 
         def per_event(trigger_ir):
-            return lambda *values: run_trigger(trigger_ir, values, maps, profiler)
+            return lambda *values: run_trigger(trigger_ir, values, maps)
 
         def batch(trigger_ir):
             return lambda columns, weights: run_trigger_batch(
-                trigger_ir, columns, weights, maps, profiler
+                trigger_ir, columns, weights, maps
             )
 
         ir = self._ir

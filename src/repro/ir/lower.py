@@ -456,7 +456,6 @@ def lower_statement(
     stmts = _StatementLowering(statement, params, sink, namer).lower()
     return Block(
         comments=(repr(statement),),
-        targets=(statement.target,),
         stmts=tuple(stmts),
         sources=(statement,),
     )
@@ -476,7 +475,6 @@ def _rebuild_blocks(finalizers: dict, targets) -> list[IRStmt]:
     return [
         Block(
             comments=(f"rebuild {spec.kind} cache {spec.aux} from {occ}",),
-            targets=(spec.aux,),
             stmts=(
                 Finalize(
                     target=Slot(spec.aux),
@@ -593,7 +591,6 @@ def lower_trigger(
         body.append(
             Block(
                 comments=(),
-                targets=(target,),
                 stmts=(IfCond(Compare("!=", Name(acc), Const(0)), (write,)),),
                 sources=tuple(summed[acc]),
             )
@@ -616,7 +613,6 @@ def lower_trigger(
                     f"restate {', '.join(plan.order)} when "
                     f"{', '.join(spec.aux for spec in watched)} moved",
                 ),
-                targets=tuple(plan.order),
                 stmts=(
                     IfCond(
                         moved[0] if len(moved) == 1 else Sum(tuple(moved)),
@@ -827,7 +823,6 @@ def _restate_blocks(
     blocks: list[IRStmt] = [
         Block(
             comments=(f"second-order flush: restate {target}",),
-            targets=(target,),
             stmts=(Clear(Slot(target)),),
             sources=(),
         )
@@ -949,7 +944,7 @@ def lower_trigger_batch(
             decls.append(Assign(acc, Const(0)))
             flush = AddTo(Slot(target), (), Name(acc))
             merge = IfCond(Compare("!=", Name(acc), Const(0)), (flush,))
-        merges.append(Block((), (target,), (merge,), tuple(writers[target])))
+        merges.append(Block((), (merge,), tuple(writers[target])))
     body = [*decls, ForEachRow("__cols", params, _stage(rows.body, accs)), *merges]
     if plan is not None:
         body.extend(_restate_blocks(plan, namer, finalizers))

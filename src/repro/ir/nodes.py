@@ -24,7 +24,7 @@ Two small expression and statement grammars:
   :class:`LocalMapDecl`/:class:`MergeInto` (batch accumulators),
   :class:`BufferDecl`, :class:`Clear`, :class:`Finalize` (rebuild a
   MIN/MAX/DISTINCT cache) and :class:`Block` (one compiled statement's
-  lowering, carrying its provenance for comments, tracing and profiling).
+  lowering, carrying its provenance for comments and tracing).
   ``AddTo`` and ``FlushBuffer`` carry the :class:`Cache` entries kept
   from their map: a key whose multiplicity crosses zero updates them.
 
@@ -402,13 +402,11 @@ class Block(IRStmt):
     """The lowering of one (or, after fusion, several) compiled statements.
 
     ``comments`` carry the source statements' reprs into generated code;
-    ``targets`` name the maps the source statements maintain (profiler
-    attribution); ``sources`` keep the originating
+    ``sources`` keep the originating
     :class:`~repro.compiler.program.Statement` objects for the debugger.
     """
 
     comments: tuple[str, ...]
-    targets: tuple[str, ...]
     stmts: tuple[IRStmt, ...]
     sources: tuple = field(default=(), compare=False)
 
@@ -533,7 +531,7 @@ def with_body(stmt: IRStmt, body: tuple[IRStmt, ...]) -> IRStmt:
         )
     if isinstance(stmt, ForEachRow):
         return ForEachRow(stmt.rows_var, stmt.params, body)
-    return Block(stmt.comments, stmt.targets, body, stmt.sources)
+    return Block(stmt.comments, body, stmt.sources)
 
 
 def stmt_exprs(stmt: IRStmt) -> tuple[IRExpr, ...]:
@@ -659,7 +657,6 @@ def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
     if isinstance(stmt, Block):
         return Block(
             stmt.comments,
-            stmt.targets,
             tuple(rewrite_exprs(s, fn) for s in stmt.stmts),
             stmt.sources,
         )
@@ -751,7 +748,6 @@ def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
     if isinstance(stmt, Block):
         return Block(
             stmt.comments,
-            stmt.targets,
             tuple(rename_stmt(s, mapping) for s in stmt.stmts),
             stmt.sources,
         )

@@ -485,7 +485,6 @@ def _fuse_pair(a: IRStmt, b: IRStmt, mapping: dict[str, str]) -> IRStmt:
         return fused_loop
     return Block(
         comments=a.comments + b.comments,
-        targets=a.targets + b.targets,
         stmts=(fused_loop,),
         sources=a.sources + b.sources,
     )
@@ -714,9 +713,7 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
             elif isinstance(stmt, IfCond):
                 out.append(IfCond(extract(stmt.cond), lift(stmt.body)))
             elif isinstance(stmt, Block):
-                out.append(
-                    Block(stmt.comments, stmt.targets, lift(stmt.stmts), stmt.sources)
-                )
+                out.append(Block(stmt.comments, lift(stmt.stmts), stmt.sources))
             else:
                 out.append(_rewrite_exprs_skipping_filters(stmt, extract))
         return tuple(out)
@@ -758,7 +755,6 @@ def _rewrite_exprs_skipping_filters(stmt: IRStmt, fn) -> IRStmt:
     if isinstance(stmt, Block):
         return Block(
             stmt.comments,
-            stmt.targets,
             tuple(_rewrite_exprs_skipping_filters(s, fn) for s in stmt.stmts),
             stmt.sources,
         )

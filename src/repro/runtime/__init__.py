@@ -25,7 +25,9 @@ The runtime executes a :class:`~repro.compiler.program.CompiledProgram`:
   result deltas as triggers fire (snapshot-then-stream catch-up, bounded
   per-client queues with configurable backpressure);
 * :mod:`~repro.runtime.debugger` / :mod:`~repro.runtime.profiler` — the
-  demo's step-tracing and per-map profiling tools.
+  demo's step-tracing tool (per-statement, per-map updates) and profiler
+  (a flush-path listener counting events per trigger, map memory,
+  compile times).
 """
 
 from repro.runtime.events import (

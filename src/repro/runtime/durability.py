@@ -444,8 +444,8 @@ class WriteAheadLog:
       returns (durable on return; the slowest policy);
     * ``"batch"`` — appends buffer in memory and are written + fsynced
       together at :meth:`sync` barriers, segment rotation, close, or when
-      the buffer exceeds ``flush_bytes`` (the default; amortises fsync
-      across a batch of frames);
+      the buffer exceeds ``DEFAULT_FLUSH_BYTES`` (the default; amortises
+      fsync across a batch of frames);
     * ``"none"`` — like ``"batch"`` but never fsyncs: the OS decides when
       pages hit disk.  Survives process crashes after a :meth:`sync` (the
       data reached the kernel), not power loss.
@@ -460,7 +460,6 @@ class WriteAheadLog:
         directory: str | Path,
         fsync: str = "batch",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        flush_bytes: int = DEFAULT_FLUSH_BYTES,
         probe: Optional[Callable[[str], None]] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -472,7 +471,6 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_bytes = segment_bytes
-        self.flush_bytes = flush_bytes
         self.probe = probe
         self._pending = bytearray()
         self._fd: Optional[int] = None
@@ -615,7 +613,7 @@ class WriteAheadLog:
         self._next_lsn = lsn + 1
         if self.fsync == "always":
             self._flush(fsync=True)
-        elif len(pending) >= self.flush_bytes:
+        elif len(pending) >= DEFAULT_FLUSH_BYTES:
             self._flush(fsync=self.fsync == "batch")
         return lsn
 
@@ -1140,7 +1138,6 @@ class DurableEngine(Engine):
         parallel: bool = False,
         fsync: str = "batch",
         snapshot_every: Optional[int] = None,
-        keep_snapshots: int = 2,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         probe: Optional[Callable[[str], None]] = None,
         **engine_kwargs,
@@ -1156,9 +1153,7 @@ class DurableEngine(Engine):
         _check_meta(self.directory, self.fingerprint, create=True)
         self._probe = probe
         self._snapshot_every = snapshot_every
-        self._snapshots = SnapshotStore(
-            self.directory, keep=keep_snapshots, probe=probe
-        )
+        self._snapshots = SnapshotStore(self.directory, keep=2, probe=probe)
         self._engine, self._lsn = recover_engine(
             program, self.directory, shards=shards, parallel=parallel,
             **engine_kwargs,
@@ -1170,11 +1165,6 @@ class DurableEngine(Engine):
         # A lost tail (crash under fsync="batch"/"none" after a snapshot)
         # must not re-issue LSNs the snapshot already covers.
         self._wal.ensure_lsn(self._lsn)
-        # The flush-path tap stamps the WAL LSN: every batch is appended
-        # immediately before it is applied, so at tap time the log's last
-        # LSN is the applied batch's LSN — served deltas carry the same
-        # sequence numbers recovery replays.
-        self.lsn_source = lambda wal=self._wal: wal.last_lsn  # no self cycle
         self._lsn = max(self._lsn, self._wal.last_lsn)
         # A supervised sharded engine rebuilds a dead worker's lane from
         # this directory (snapshot + WAL-suffix replay) instead of from
@@ -1197,6 +1187,12 @@ class DurableEngine(Engine):
     def lsn(self) -> int:
         """The LSN of the last applied batch (0 before any event)."""
         return self._lsn
+
+    def tap_lsn(self) -> int:
+        """The WAL tip: every batch is appended immediately before it is
+        applied, so at tap time the log's last LSN is the applied batch's
+        — served deltas carry the sequence numbers recovery replays."""
+        return self._wal.last_lsn
 
     def _process_batch(self, batch: EventBatch) -> int:
         """Log one batch, then apply it to the wrapped engine.

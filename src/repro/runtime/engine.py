@@ -4,7 +4,7 @@
 *executor* bound to them.  An executor is a program compiled under one
 :class:`~repro.compiler.program.ExecutorOptions` value — immutable, with
 ``layout``, ``source``, ``native_active``, ``native_note`` and
-``bind(maps, profiler=None)``, which returns one relation's per-event
+``bind(maps)``, which returns one relation's per-event
 ``(weight, *values)`` and ``*_batch`` ``(columns, weights)`` callables,
 keyed by ``(relation, 0)`` — one trigger serves both signs:
 
@@ -37,8 +37,8 @@ single row) — so the Python call per event is paid once per run.
 :meth:`DeltaEngine.process_stream` groups consecutive same-relation events
 into such batches automatically.  Per-event processing admits a relation
 once: its first event takes the one-row batch path, and once its
-admission is settled (the stream has started, no profiler is attached)
-:meth:`DeltaEngine.process` keeps the relation's sign-indexed triggers —
+admission is settled (the stream has started) :meth:`DeltaEngine.process`
+keeps the relation's sign-indexed triggers —
 or "skip" — in a route table, so every later event, and every one-row
 :meth:`DeltaEngine.process_batch`, costs one dict probe and one trigger
 call.  While batch listeners are attached a route's entries call the
@@ -82,7 +82,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import EventError, UnknownStreamError
-from repro.compiler.partition import PartitionSpec, analyze_partitioning
+from repro.compiler.partition import analyze_partitioning
 from repro.compiler.program import CompiledProgram, ExecutorOptions, Trigger
 from repro.ir.interp import InterpretedExecutor, run_finalize
 from repro.ir.lower import lower_for
@@ -199,12 +199,9 @@ class Engine:
         self.program = program
         # The flush-path delta tap (see repro.runtime.serving): listeners
         # observe every batch that reached a trigger, stamped with a
-        # monotonic LSN.  ``lsn_source`` overrides the local clock — the
-        # durable engine points it at the WAL so delivered deltas carry
-        # the durability LSN of the batch they derive from.
+        # monotonic LSN (:meth:`tap_lsn`).
         self._batch_listeners: list = []
         self._tap_clock = 0
-        self.lsn_source: Optional[Callable[[], int]] = None
 
     def _init_admission(self, strict: bool) -> None:
         """The state :func:`admit` reads and advances (the durable engine
@@ -314,8 +311,6 @@ class Engine:
     def tap_lsn(self) -> int:
         """The LSN of the last batch the tap stamped (the WAL tip on a
         durable engine) — where a tap attached now starts counting."""
-        if self.lsn_source is not None:
-            return self.lsn_source()
         return self._tap_clock
 
     def _notify_listeners(self, batch: EventBatch) -> None:
@@ -461,7 +456,6 @@ class DeltaEngine(Engine):
         self,
         program: CompiledProgram,
         mode: str = "compiled",
-        profiler=None,
         strict: bool = False,
         use_indexes: bool = True,
         optimize: bool = True,
@@ -477,14 +471,10 @@ class DeltaEngine(Engine):
         ``columnar=True`` stores every keyed map in packed columns (the
         memory mode, also the CLI's ``--columnar``)."""
         options = ExecutorOptions(mode, use_indexes, optimize, columnar)
-        self._attach(_build_executor(program, options), strict, profiler)
+        self._attach(_build_executor(program, options), strict)
 
     def _attach(
-        self,
-        executor,
-        strict: bool,
-        profiler=None,
-        maps: Optional[dict[str, dict]] = None,
+        self, executor, strict: bool, maps: Optional[dict[str, dict]] = None
     ) -> None:
         """Become an engine over ``executor`` (shared, immutable) with
         maps of its own: fresh from the executor's layout, or ``maps``."""
@@ -494,7 +484,6 @@ class DeltaEngine(Engine):
         self.maps: dict[str, dict] = (
             executor.layout.create_maps() if maps is None else maps
         )
-        self.profiler = profiler
         self._bind()
         self._watches: list[dict[str, tuple]] = []
         self.events_processed = 0
@@ -505,7 +494,7 @@ class DeltaEngine(Engine):
         (``signed[relation][sign]``): ``partial`` prepends the weight in
         C, where ``trigger(sign, *values)`` builds a tuple.  The routes
         held the old triggers, so they go too."""
-        self._triggers = self._executor.bind(self.maps, self.profiler)
+        self._triggers = self._executor.bind(self.maps)
         self._signed = {
             relation: (None, partial(trigger, 1), partial(trigger, -1))
             for (relation, _), trigger in self._triggers.per_event.items()
@@ -593,20 +582,17 @@ class DeltaEngine(Engine):
         stream, or no query reads the relation and the stream never
         matters — except for a static table, which takes no deletes and
         gets no route.  An entry is the bound trigger, or, while batch
-        listeners are attached, :meth:`_observed`'s.  A profiler counts
-        batches, so there is no route while one is attached;
-        :meth:`_bind` drops the table and attaching or removing a
-        listener rebuilds it."""
-        if self.profiler is None:
-            signed = self._signed.get(relation)
-            if signed is None:
-                self._routes[relation] = _SKIP
-            elif relation not in self.program.static_relations:
-                self._routes[relation] = (
-                    self._observed(relation, signed)
-                    if self._batch_listeners
-                    else signed
-                )
+        listeners are attached, :meth:`_observed`'s; :meth:`_bind` drops
+        the table and attaching or removing a listener rebuilds it."""
+        signed = self._signed.get(relation)
+        if signed is None:
+            self._routes[relation] = _SKIP
+        elif relation not in self.program.static_relations:
+            self._routes[relation] = (
+                self._observed(relation, signed)
+                if self._batch_listeners
+                else signed
+            )
 
     def _observed(self, relation: str, signed: tuple) -> tuple:
         """The route entries of an observed relation: the bound trigger,
@@ -692,8 +678,6 @@ class DeltaEngine(Engine):
                 weights = sign if isinstance(sign, list) else [sign] * count
                 self._triggers.batch[relation, 0](columns, weights)
         self.events_processed += count
-        if self.profiler is not None:
-            self.profiler.record_batch(relation, sign, count)
         return count
 
     # -- result watches ---------------------------------------------------
@@ -1348,7 +1332,6 @@ class ShardedEngine(Engine):
         use_indexes: bool = True,
         optimize: bool = True,
         columnar: bool = False,
-        spec: Optional[PartitionSpec] = None,
         supervise: bool = False,
         max_worker_restarts: int = 3,
         restart_window: float = 60.0,
@@ -1371,7 +1354,7 @@ class ShardedEngine(Engine):
         # Admission is enforced here, globally: lane-local stream state is
         # only a partial view.
         self._init_admission(strict)
-        self.spec = spec if spec is not None else analyze_partitioning(program)
+        self.spec = analyze_partitioning(program)
         self.shards = shards
         # One executor for the whole engine: the serial lane, every shard
         # lane and (through fork) every worker bind the same compiled code.

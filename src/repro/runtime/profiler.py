@@ -1,10 +1,13 @@
-"""Profiling: per-trigger event counts, per-map update counts, memory estimates.
+"""Profiling: per-trigger event counts, memory estimates, compile times.
 
 This reproduces the paper's demo readouts (Figure 4): "detailed profiling of
 DBToaster's compiled code breaking down its overheads for each map, the
 binary size, and finally the compile time".  Cache counters are not
-observable from Python, so the profiler reports the architecture-level
-drivers instead: statement/update counts and live map entries/bytes.
+observable from Python, so the profiler reports their architecture-level
+causes instead: event counts per trigger and live map entries/bytes.
+Per-map update counts come from stepping the same stream through a
+:class:`~repro.runtime.debugger.Debugger`, which records every update of
+every statement.
 """
 
 from __future__ import annotations
@@ -17,39 +20,31 @@ from typing import Mapping
 
 @dataclass
 class Profiler:
-    """Counts events per trigger, statement runs and map updates (it
-    takes no timings; per-stage latencies are the ledger's job)."""
+    """Counts events per trigger (it takes no timings; per-stage
+    latencies are the ledger's job).  A flush-path listener: attach it
+    with ``engine.add_batch_listener(profiler.on_batch)`` on any engine
+    class; it sees every batch that reached a trigger, and nothing a
+    recovery replays."""
 
     events: int = 0
     events_by_trigger: dict[str, int] = field(default_factory=dict)
-    statement_runs: dict[str, int] = field(default_factory=dict)
-    map_updates: dict[str, int] = field(default_factory=dict)
 
-    def record_batch(self, relation: str, sign, count: int) -> None:
-        """One trigger dispatch covering ``count`` events of ``sign`` —
-        or, for a mixed batch, of its weight column: every row counts
-        under its own sign."""
+    def on_batch(self, lsn: int, batch) -> None:
+        """Count one batch's rows, each under its own sign (a mixed
+        batch carries a weight column)."""
+        count = len(batch)
         self.events += count
+        sign = batch.sign
         inserts = sign.count(1) if isinstance(sign, list) else count * (sign == 1)
+        relation = batch.relation
         for key, n in ((f"+{relation}", inserts), (f"-{relation}", count - inserts)):
             if n:
                 self.events_by_trigger[key] = self.events_by_trigger.get(key, 0) + n
-
-    def record_statement(self, target_map: str, updates: int) -> None:
-        self.statement_runs[target_map] = self.statement_runs.get(target_map, 0) + 1
-        self.map_updates[target_map] = self.map_updates.get(target_map, 0) + updates
 
     def report(self) -> str:
         lines = [f"events processed: {self.events}"]
         for key in sorted(self.events_by_trigger):
             lines.append(f"  {key}: {self.events_by_trigger[key]}")
-        if self.map_updates:
-            lines.append("map update counts:")
-            for name in sorted(self.map_updates):
-                lines.append(
-                    f"  {name}: {self.map_updates[name]} updates over "
-                    f"{self.statement_runs[name]} statement runs"
-                )
         return "\n".join(lines)
 
 

@@ -389,12 +389,6 @@ class ViewDeltaTap:
                 modes[view] = "recorded" if watched[2] is None else "event"
         return modes
 
-    @property
-    def incremental(self) -> dict[str, bool]:
-        """Per view: is a batch's candidate set the groups it touched
-        (``True``) or the whole view (``False``) right now?"""
-        return {view: mode != "whole" for view, mode in self.candidates.items()}
-
     def close(self) -> None:
         """Release the engine watch (idempotent): the result maps are
         plain dicts again.  A closed tap still answers, from the whole
@@ -1539,6 +1533,10 @@ def rows_from_snapshot(snapshot: Mapping) -> Counter:
 # ---------------------------------------------------------------------------
 
 
+#: A reconnect waits its backoff delay scaled by up to ``1 + BACKOFF_JITTER``.
+BACKOFF_JITTER = 0.5
+
+
 class ReconnectingSubscriber:
     """A :class:`SubscriberClient` wrapper that survives its server.
 
@@ -1574,7 +1572,6 @@ class ReconnectingSubscriber:
         max_reconnects: int = 8,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
-        jitter: float = 0.5,
         timeout: float = 30.0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -1588,7 +1585,6 @@ class ReconnectingSubscriber:
         self.max_reconnects = max_reconnects
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.jitter = jitter
         self.timeout = timeout
         self._rng = rng if rng is not None else random.Random()
         self.rows: Counter = Counter()
@@ -1603,7 +1599,7 @@ class ReconnectingSubscriber:
 
     def _backoff(self, attempt: int) -> float:
         delay = min(self.backoff_max, self.backoff_base * (2 ** attempt))
-        return delay * (1.0 + self.jitter * self._rng.random())
+        return delay * (1.0 + BACKOFF_JITTER * self._rng.random())
 
     def _connect(self) -> None:
         """(Re)establish the subscription, resuming past ``last_lsn``."""

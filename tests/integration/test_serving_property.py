@@ -152,7 +152,7 @@ def test_touched_group_deltas_equal_the_whole_view_diff(
     join_at = min(join_at, len(stream_events))
     engine.process_stream(stream_events[:join_at], batch_size=batch_size)
     tap = ViewDeltaTap(engine)
-    assert tap.incremental == {"q": True}
+    assert tap.candidates == {"q": "event"}
     previous = Counter(engine.results("q"))
     assert Counter(dict(tap.snapshot("q")[1])) == previous
     for lsn, batch in enumerate(batches(stream_events[join_at:], batch_size)):

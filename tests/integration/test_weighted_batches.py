@@ -307,8 +307,8 @@ def test_a_mixed_batch_is_one_trigger_call(columnar):
         def __init__(self, executor):
             self.program, self.executor = executor.program, executor
 
-        def bind(self, maps, profiler=None):
-            table = self.executor.bind(maps, profiler)
+        def bind(self, maps):
+            table = self.executor.bind(maps)
             return TriggerTable(
                 counted("event", table.per_event),
                 counted("batch", table.batch),

@@ -1,7 +1,7 @@
 """The executor seam: one immutable executor per engine, bound per map set.
 
 An executor (compiled / native / interpreted) is the compiled form of a
-program; ``bind(maps, profiler=None)`` closes its triggers over one
+program; ``bind(maps)`` closes its triggers over one
 engine's maps and returns the table the engine dispatches through.
 Sharing one executor between lanes, copies and forked workers is only
 sound if two bindings never alias — which is what these tests pin.
@@ -18,8 +18,6 @@ from repro.compiler import compile_queries, compile_sql
 from repro.compiler.program import ExecutorOptions
 from repro.runtime import DeltaEngine, ShardedEngine
 from repro.runtime.engine import _build_executor
-from repro.runtime.events import EventBatch
-from repro.runtime.profiler import Profiler
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 from repro.workloads.orderbook import OrderBookGenerator
 
@@ -131,18 +129,3 @@ def test_sharded_engine_compiles_once(mode, parallel, monkeypatch):
         single.process_stream(events, batch_size=50)
         assert sharded.results() == single.results()
         assert sharded.events_processed == single.events_processed
-
-
-def test_profiler_fires_through_bind():
-    """The interpreted table reports statements to the profiler it was
-    bound with, on the per-event and the batch path alike."""
-    program = _program("bbo")
-    executor = _build_executor(program, ExecutorOptions("interpreted"))
-    profiler = Profiler()
-    table = executor.bind(executor.layout.create_maps(), profiler)
-    table.per_event["bids", 0](1, 0, 1, 7, 10, 100)
-    per_event_runs = dict(profiler.statement_runs)
-    assert per_event_runs and sum(profiler.map_updates.values()) > 0
-    batch = EventBatch("bids", 1, [(1, 2, 7, 20, 101), (2, 3, 8, 30, 102)])
-    table.batch["bids", 0](batch.columns, batch.weights)
-    assert sum(profiler.statement_runs.values()) > sum(per_event_runs.values())

@@ -4,7 +4,7 @@ relation must still answer every event the way :func:`admit` would.
 A route is dropped wherever the bound triggers change — a re-bind — and
 rebuilt when a batch listener is attached or removed, and never
 installed for what must keep going through the generic path: static
-tables, unknown relations of a strict engine, profiled engines.  A
+tables and unknown relations of a strict engine.  A
 one-row ``process_batch`` takes the route too, but only for an ``int``
 sign of 1 or -1: any other sign gets the batch path's answer.
 """
@@ -155,14 +155,23 @@ def test_a_strict_engine_raises_on_every_event_of_an_unknown_relation():
     assert (engine.events_processed, engine.events_skipped) == (2, 0)
 
 
-def test_a_profiled_engine_counts_every_event():
+def test_a_profiled_engine_keeps_its_routes():
+    """A profiler is a batch listener: its engine routes from the first
+    event on, through the observed entries, and plain ones once the
+    profiler is detached."""
     profiler = Profiler()
-    engine = DeltaEngine(compile_sql(GROUPED, finance_catalog()), profiler=profiler)
-    for event in (insert("bids", 1, 1, 7, 100, 5), insert("bids", 2, 2, 7, 9, 5),
-                  delete("bids", 1, 1, 7, 100, 5)):
+    engine = DeltaEngine(compile_sql(GROUPED, finance_catalog()))
+    engine.add_batch_listener(profiler.on_batch)
+    engine.process(insert("bids", 1, 1, 7, 100, 5))
+    assert engine._routes["bids"][1] is not engine._signed["bids"][1]
+    for event in (insert("bids", 2, 2, 7, 9, 5), delete("bids", 1, 1, 7, 100, 5)):
         engine.process(event)
-    assert not engine._routes
     assert profiler.events_by_trigger == {"+bids": 2, "-bids": 1}
+    engine.remove_batch_listener(profiler.on_batch)
+    assert engine._routes["bids"][1] is engine._signed["bids"][1]
+    engine.insert("bids", 3, 3, 7, 9, 5)
+    assert profiler.events == 3
+    assert engine.events_processed == 4
 
 
 @pytest.mark.parametrize("mode", ["compiled", "interpreted"])

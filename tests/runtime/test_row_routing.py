@@ -57,8 +57,8 @@ class _Counting:
     def __init__(self, executor, calls):
         self.program, self.executor, self.calls = executor.program, executor, calls
 
-    def bind(self, maps, profiler=None):
-        table = self.executor.bind(maps, profiler)
+    def bind(self, maps):
+        table = self.executor.bind(maps)
 
         def counted(kind, triggers):
             def wrap(key, trigger):

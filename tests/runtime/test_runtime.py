@@ -1,5 +1,7 @@
 """Runtime tests: engine API, events, views, sources, debugger, profiler."""
 
+import os
+
 import pytest
 
 from repro.errors import EventError, RuntimeEngineError, UnknownStreamError
@@ -14,6 +16,7 @@ from repro.runtime import (
     update,
 )
 from repro.runtime.debugger import Debugger
+from repro.runtime.durability import DurableEngine
 from repro.runtime.events import EventBatch, batches, flatten
 from repro.runtime.profiler import (
     Profiler,
@@ -29,6 +32,8 @@ from repro.runtime.sources import (
     write_csv,
 )
 from repro.sql.catalog import Catalog
+from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+from repro.workloads.orderbook import OrderBookGenerator
 
 DDL = """
 CREATE STREAM bids (broker_id int, price int, volume int);
@@ -188,8 +193,8 @@ class TestBatching:
                 EventBatch("bids", bad, rows)
 
     def test_profiler_counts_a_mixed_batch_under_each_sign(self, catalog):
-        profiler = Profiler()
-        engine = DeltaEngine(compile_sql(GROUPED, catalog), profiler=profiler)
+        engine = DeltaEngine(compile_sql(GROUPED, catalog))
+        profiler = _profiled(engine)
         rows = [(1, 10, 1), (1, 20, 2), (1, 10, 1)]
         assert engine.process_batch("bids", [1, 1, -1], rows) == 3
         assert profiler.events_by_trigger == {"+bids": 2, "-bids": 1}
@@ -253,8 +258,8 @@ class TestBatching:
         assert compiled.results() == interpreted.results()
 
     def test_profiler_counts_batched_events(self, catalog):
-        profiler = Profiler()
-        engine = DeltaEngine(compile_sql(GROUPED, catalog), profiler=profiler)
+        engine = DeltaEngine(compile_sql(GROUPED, catalog))
+        profiler = _profiled(engine)
         engine.process_batch("bids", 1, [(1, 10, 1), (1, 20, 2)])
         assert profiler.events == 2
         assert profiler.events_by_trigger == {"+bids": 2}
@@ -416,22 +421,117 @@ class TestDebugger:
         assert lines and "bids" in lines[0]
 
 
+def _profiled(engine):
+    """A :class:`Profiler` listening to ``engine``'s flush path."""
+    profiler = Profiler()
+    engine.add_batch_listener(profiler.on_batch)
+    return profiler
+
+
+def _hand_count(events):
+    """``events_by_trigger`` counted by hand: one per event, under its
+    sign and relation."""
+    counts = {}
+    for event in events:
+        key = ("+" if event.sign == 1 else "-") + event.relation
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+#: Feeds a whole stream into an engine, one ingest path per entry.
+FEED_PATHS = {
+    "process": lambda engine, feed: [engine.process(event) for event in feed],
+    "one-row batch": lambda engine, feed: [
+        engine.process_batch(event.relation, event.sign, [event.values])
+        for event in feed
+    ],
+    **{
+        f"batches of {k}": lambda engine, feed, k=k: [
+            engine.process_batch(batch.relation, batch.sign, batch.rows)
+            for batch in batches(feed, k)
+        ]
+        for k in (3, 100)
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def bsp():
+    # bsp reads bids and asks, each partitioned on its broker column.
+    return compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="q")
+
+
+@pytest.fixture(scope="module")
+def feed():
+    events = list(OrderBookGenerator(seed=2009).events(300))
+    # Inserts and deletes of both relations, in mixed-sign runs.
+    assert set(_hand_count(events)) == {"+bids", "-bids", "+asks", "-asks"}
+    assert any(isinstance(batch.sign, list) for batch in batches(events, 100))
+    return events
+
+
 class TestProfiler:
-    def test_event_and_statement_counts(self, catalog):
-        profiler = Profiler()
-        engine = DeltaEngine(
-            compile_sql(GROUPED, catalog), mode="interpreted", profiler=profiler
-        )
+    def test_report_prints_the_event_counts(self, catalog):
+        engine = DeltaEngine(compile_sql(GROUPED, catalog), mode="interpreted")
+        profiler = _profiled(engine)
         engine.insert("bids", 1, 10, 1)
         engine.delete("bids", 1, 10, 1)
         assert profiler.events == 2
         assert profiler.events_by_trigger == {"+bids": 1, "-bids": 1}
-        assert sum(profiler.map_updates.values()) > 0
-        assert "events processed: 2" in profiler.report()
+        assert profiler.report() == "events processed: 2\n  +bids: 1\n  -bids: 1"
+
+    @pytest.mark.parametrize("path", sorted(FEED_PATHS))
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_a_delta_engine_counts_the_stream_by_hand(self, bsp, feed, mode, path):
+        engine = DeltaEngine(bsp, mode=mode)
+        profiler = _profiled(engine)
+        FEED_PATHS[path](engine, feed)
+        assert profiler.events_by_trigger == _hand_count(feed)
+        assert profiler.events == len(feed) == engine.events_processed
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["local", "forked"])
+    def test_a_sharded_engine_counts_the_stream_by_hand(self, bsp, feed, parallel):
+        if parallel and not hasattr(os, "fork"):
+            pytest.skip("forked lanes need fork")
+        with ShardedEngine(bsp, shards=2, parallel=parallel) as engine:
+            assert len(engine._lanes) == 2
+            profiler = _profiled(engine)
+            FEED_PATHS["batches of 3"](engine, feed)
+            assert profiler.events_by_trigger == _hand_count(feed)
+            assert profiler.events == engine.events_processed
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_durable_engine_counts_the_stream_by_hand(
+        self, bsp, feed, shards, tmp_path
+    ):
+        engine = DurableEngine(bsp, tmp_path, shards=shards, fsync="none")
+        profiler = _profiled(engine)
+        FEED_PATHS["batches of 3"](engine, feed)
+        assert profiler.events_by_trigger == _hand_count(feed)
+        assert profiler.events == engine.events_processed
+        engine.close()
+
+    def test_a_reopened_durable_engine_counts_no_replayed_event(
+        self, bsp, feed, tmp_path
+    ):
+        logged = DurableEngine(bsp, tmp_path)
+        FEED_PATHS["process"](logged, feed[:200])
+        logged.close()
+        engine = DurableEngine(bsp, tmp_path)
+        profiler = _profiled(engine)
+        assert engine.events_processed == 200
+        assert profiler.events == 0
+        engine.insert("bids", 1, 1, 7, 100, 5)
+        assert profiler.events_by_trigger == {"+bids": 1}
+        engine.close()
+
+    def test_the_engine_takes_no_profiler_argument(self, catalog):
+        with pytest.raises(TypeError):
+            DeltaEngine(compile_sql(GROUPED, catalog), profiler=Profiler())
 
     def test_a_mixed_batch_counts_each_row_under_its_sign(self, catalog):
-        profiler = Profiler()
-        engine = DeltaEngine(compile_sql(GROUPED, catalog), profiler=profiler)
+        engine = DeltaEngine(compile_sql(GROUPED, catalog))
+        profiler = _profiled(engine)
         engine.process_batch("bids", [1, -1, 1], [(1, 10, 1), (1, 10, 1), (2, 5, 2)])
         engine.process_batch("bids", -1, [(2, 5, 2)])
         assert profiler.events == 4

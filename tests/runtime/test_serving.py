@@ -1474,7 +1474,7 @@ def _wide_view_engine(groups):
 def test_one_row_batch_renders_what_it_touched_not_the_view(monkeypatch):
     engine = _wide_view_engine(2_500)
     tap = ViewDeltaTap(engine)
-    assert tap.incremental == {"q": True}
+    assert tap.candidates == {"q": "event"}
     assert len(tap.snapshot("q")[1]) == 2_500
     rendered = []
     render = GroupRenderer.row
@@ -1581,7 +1581,7 @@ def test_two_taps_on_one_engine_each_see_every_touched_group():
         assert second.on_batch(i, batch) == {"qr": seen["qr"]} and seen
     # Releasing one tap leaves the other recording.
     first.close()
-    assert first.incremental == {"qr": False, "qs": False}
+    assert first.candidates == {"qr": "whole", "qs": "whole"}
     assert engine.storage_classes()[qs_map] == "dict"
     assert {
         engine.storage_classes()[name]
@@ -1615,7 +1615,7 @@ def test_stopped_server_leaves_plain_dicts_and_the_untapped_binding():
     handle.stop()
     assert engine.storage_classes() == before
     assert all(type(contents) is dict for contents in engine.maps.values())
-    assert handle.server.tap.incremental == {"q": False}
+    assert handle.server.tap.candidates == {"q": "whole"}
     # The re-bound triggers write the plain dicts.
     engine.process_batch("R", 1, [(1, 2)])
     assert sorted(engine.results("q")) == [(7, 10), (8, 21)]
@@ -1738,20 +1738,20 @@ def test_a_listener_that_raised_costs_the_later_tap_no_delta(kind, tmp_path):
 
 def test_incremental_says_which_views_cost_what_changed(tmp_path):
     program = _program()
-    assert ViewDeltaTap(DeltaEngine(program)).incremental == {"q": True}
+    assert ViewDeltaTap(DeltaEngine(program)).candidates == {"q": "event"}
     durable = DurableEngine(program, tmp_path, fsync="none")
-    assert ViewDeltaTap(durable).incremental == {"q": True}
+    assert ViewDeltaTap(durable).candidates == {"q": "event"}
     durable.close()
-    assert ViewDeltaTap(DeltaEngine(program, columnar=True)).incremental == {
-        "q": False
+    assert ViewDeltaTap(DeltaEngine(program, columnar=True)).candidates == {
+        "q": "whole"
     }
-    assert ViewDeltaTap(ShardedEngine(program, shards=2)).incremental == {
-        "q": False
+    assert ViewDeltaTap(ShardedEngine(program, shards=2)).candidates == {
+        "q": "whole"
     }
     if hasattr(os, "fork"):
         with ShardedEngine(program, shards=2, parallel=True) as forked:
             tap = ViewDeltaTap(forked)
-            assert tap.incremental == {"q": False}
+            assert tap.candidates == {"q": "whole"}
             batch = EventBatch("R", 1, [(1, 10), (2, 20)])
             forked.process_batch("R", 1, batch.rows)
             assert tap.on_batch(1, batch) == {"q": [((1, 10), 1), ((2, 20), 1)]}
@@ -1837,7 +1837,7 @@ def test_restore_state_under_a_live_tap_marks_the_view_whole():
     tap = ViewDeltaTap(engine)
     held = Counter(dict(tap.snapshot("q")[1]))
     engine.restore_state(donor.maps, events_processed=3)
-    assert tap.incremental == {"q": True}  # same maps, still recording
+    assert tap.candidates == {"q": "event"}  # same maps, still watched
     batch = EventBatch("R", 1, [(9, 90)])
     engine.process_batch("R", 1, batch.rows)
     apply_changes(held, tap.on_batch(1, batch)["q"])
