@@ -7,12 +7,12 @@ hash table on point lookups — the kernel wins where a trigger *scans* a
 map whole.  So the native lane (:func:`native_layout`) hands the kernel
 only the native-eligible maps (int64 key columns, ``int``/``float``
 value column, arity within the generated entry-point range — see
-:func:`repro.compiler.storage._native_eligibility`) that some trigger
-scans with a fused loop, plus every native-eligible map in the
-``columnar=True`` memory mode; everything else stays a dict.  For those
-maps it renders a small C kernel, builds it with the detected toolchain,
-loads it through cffi (ctypes when cffi is unavailable), and attaches it
-underneath ``ColumnarMap`` as a drop-in probe engine:
+:func:`repro.compiler.storage._native_eligibility`) that some per-event
+trigger scans whole with a fused loop; everything else stays a dict.
+Among the seven finance queries that is vwap's bids base map alone.
+For those maps it renders a small C kernel, builds it with the detected
+toolchain, loads it through cffi (ctypes when cffi is unavailable), and
+attaches it underneath ``ColumnarMap`` as a drop-in probe engine:
 
 * ``cm_add_{arity}_{q|d}`` — the single-probe GMR update (hash, one
   bucket walk, add-with-overflow-check, zero-eviction) that replaces
@@ -1347,11 +1347,8 @@ def native_layout(
     qualifies, or the build/probe fails, the layout is the compiled
     lane's and nothing is attached.
     """
-    columnar = options.columnar
     scans = fused_scan_sites(program, options)
-    layout = storage_layout(
-        program, "native", columnar, kernel=True, scans=scans
-    )
+    layout = storage_layout(program, "native", kernel=True, scans=scans)
     if layout.kernel_maps:
         kernel, note = load_kernel(program, layout.kernel_maps)
     else:
@@ -1360,9 +1357,7 @@ def native_layout(
             "running the compiled lane"
         )
     if kernel is None:
-        layout = storage_layout(
-            program, "native", columnar, kernel=False, scans=scans
-        )
+        layout = storage_layout(program, "native", kernel=False, scans=scans)
     return layout, kernel, note
 
 
@@ -1385,10 +1380,6 @@ def describe_layouts(program: CompiledProgram, optimize: bool = True) -> str:
     ):
         lines.append(f"layout, {title}:")
         lines.extend("  " + line for line in layout.describe().splitlines())
-    lines.append(
-        "layout, --columnar: every columnar[...] map above is packed "
-        "(kernel-owned under --mode native when native-eligible)"
-    )
     return "\n".join(lines)
 
 
@@ -1417,10 +1408,9 @@ class NativeExecutor(CompiledExecutor):
 
     Identical generated triggers, two differences: the maps the layout
     hands to the kernel (native-eligible *and* scanned whole on every
-    event by some trigger — or every native-eligible map in the
-    ``columnar=True`` memory mode) are attached to the C kernel at every (re)bind, and
-    full-map loops over them are rendered as fused column scans
-    (``scan_columns`` / ``reduce_scalar``) instead of ``items()``
+    event by some trigger) are attached to the C kernel at every
+    (re)bind, and full-map loops over them are rendered as fused column
+    scans (``scan_columns`` / ``reduce_scalar``) instead of ``items()``
     iteration.  Every other map is whatever the compiled lane would
     hold.  With no toolchain — or no map worth handing over — nothing is
     attached (``native_active`` False) and the lane *is* the compiled

@@ -250,13 +250,16 @@ def generate_module(
     update instead of the dict ``get``/``pop``/set sequence, and whole-map
     scans of its kernel-owned maps render as fused column traversals
     (``scan_columns`` / ``reduce_scalar``).  Without one, the module is
-    rendered for the compiled lane's layout under ``columnar`` — all-dict
-    by default, which works on any mapping.  ``native_note`` stamps the
-    native lane's toolchain decision into the header.
+    rendered for the compiled lane's all-dict layout, which works on any
+    mapping; ``columnar=True`` renders the packed layout instead (every
+    keyed map through ``add()``), which no engine builds any more —
+    ``benchmarks/ledger/compile_suite.py`` still counts its bytes.
+    ``native_note`` stamps the native lane's toolchain decision into the
+    header.
     """
     from repro.compiler.partition import analyze_partitioning
 
-    options = ExecutorOptions("compiled", use_indexes, optimize, columnar)
+    options = ExecutorOptions("compiled", use_indexes, optimize)
     ir = lower_for(program, options)
     indexes = collect_patterns(program, options)
     if layout is None:
@@ -1178,14 +1181,11 @@ class CompiledExecutor:
         """``layout`` is the storage layout the triggers are rendered for
         and the bound maps must follow — engines build their maps from
         ``executor.layout.create_maps()``.  It defaults to the compiled
-        lane's layout under ``options.columnar`` (all dicts, or the
-        packed memory mode); the native lane passes its own."""
+        lane's layout (all dicts); the native lane passes its own."""
         self.program = program
         self.options = options
         self.layout = (
-            layout
-            if layout is not None
-            else storage_layout(program, self.mode, options.columnar)
+            layout if layout is not None else storage_layout(program, self.mode)
         )
         self._index_patterns = collect_patterns(program, options)
         self.source = generate_module(

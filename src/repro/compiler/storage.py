@@ -46,9 +46,10 @@ how the triggers touch the map x which executor runs them):
   condition): the scan runs in C, which is the only place the kernel
   beats a dict — a scan that runs once per batch, or only when a
   watched extremum moves, does not repay an FFI crossing per update;
-* ``packed`` — the explicit memory mode (``columnar=True``): every keyed
-  map in pure-Python packed columns, 2-4x fewer bytes per entry at the
-  probe cost above.
+* ``packed`` — every keyed map in pure-Python packed columns.  No
+  engine builds it (it ran the order book at 0.11-0.64x a dict engine's
+  rate and was not smaller on the largest state measured);
+  ``generate_module(..., columnar=True)`` still renders it.
 
 The executor computes the layout once; the engine builds its maps from
 it and the renderer emits the matching access code (``add()`` applies and
@@ -245,8 +246,9 @@ def storage_layout(
 ) -> StorageLayout:
     """The one storage-layout decision (see the module docstring).
 
-    ``mode`` is the executor lane, ``columnar`` the explicit packed
-    memory mode, ``kernel`` whether the native lane's C kernel actually
+    ``mode`` is the executor lane, ``columnar`` the packed layout (only
+    :func:`~repro.codegen.pygen.generate_module` still renders it; no
+    engine builds it), ``kernel`` whether the native lane's C kernel actually
     loaded on this host, and ``scans`` maps each map some trigger scans
     whole on every event to the trigger doing so
     (:func:`repro.codegen.pygen.fused_scan_sites`).  Without a loaded
@@ -258,13 +260,8 @@ def storage_layout(
     decisions: dict[str, MapLayout] = {}
     for name, storage in plan.maps.items():
         scanned_by = scans.get(name)
-        if native and kernel and storage.native and (columnar or scanned_by):
-            kind = "kernel"
-            reason = (
-                f"fused scan in {scanned_by}"
-                if scanned_by
-                else "packed memory mode, native-eligible"
-            )
+        if native and kernel and storage.native and scanned_by:
+            kind, reason = "kernel", f"fused scan in {scanned_by}"
         elif columnar and storage.columnar:
             kind = "packed"
             reason = f"packed memory mode: {storage.reason}"

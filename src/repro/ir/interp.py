@@ -357,7 +357,7 @@ class InterpretedExecutor:
     ) -> None:
         self.program = program
         self.options = options
-        self.layout = storage_layout(program, self.mode, options.columnar)
+        self.layout = storage_layout(program, self.mode)
         self._ir = lower_for(program, options)
 
     def bind(self, maps: dict[str, dict]) -> TriggerTable:

@@ -27,11 +27,11 @@ views.  Three pieces:
   (:meth:`DurableEngine.snapshot`) or every N events.  Invalid or torn
   snapshots are skipped at load time, falling back to the previous one.
 
-* **recovery** (:func:`recover_engine`, :meth:`DurableEngine.__init__`,
-  :meth:`repro.runtime.engine.DeltaEngine.recover`) — load the latest
-  valid snapshot, replay the WAL suffix ``lsn > watermark`` through the
-  normal batch path (:func:`restore_and_replay`, the one such loop),
-  resume logging at the right LSN.  The recovery
+* **recovery** (:func:`recover_engine`, :meth:`DurableEngine.__init__`)
+  — load the latest valid snapshot, replay the WAL suffix
+  ``lsn > watermark`` through the normal batch path
+  (:func:`restore_and_replay`, the one such loop), resume logging at the
+  right LSN.  The recovery
   invariant (pinned by the hypothesis suite in
   ``tests/runtime/test_fault_injection.py``): *snapshot + WAL-suffix
   replay lands on a state identical to an uninterrupted engine that
@@ -1282,8 +1282,8 @@ class DurableEngine(Engine):
         self._wal.sync()
         engine = self._engine
         state = {
-            # Plain dicts: storage-agnostic (a columnar engine's snapshot
-            # restores into a dict engine and vice versa), insertion order
+            # Plain dicts: storage-agnostic (a native engine's kernel maps
+            # restore into a dict engine and vice versa), insertion order
             # preserved either way.
             "maps": {
                 name: dict(contents)

@@ -445,10 +445,7 @@ class DeltaEngine(Engine):
     (:func:`repro.compiler.storage.storage_layout`, taken by the
     executor): every map is a plain ``dict`` under the Python executors;
     ``mode="native"`` hands the maps its triggers scan whole to the C
-    kernel; ``columnar=True`` is the explicit memory mode — every keyed
-    map in packed :class:`~repro.runtime.storage.ColumnarMap` columns
-    (the CLI's ``--columnar``), 2-4x smaller and 3-5x slower to probe.
-    Contents are bit-identical whatever the layout;
+    kernel.  Contents are bit-identical whatever the layout;
     :meth:`storage_classes` reports what each map is right now.
     """
 
@@ -459,7 +456,6 @@ class DeltaEngine(Engine):
         strict: bool = False,
         use_indexes: bool = True,
         optimize: bool = True,
-        columnar: bool = False,
     ) -> None:
         """``strict=True`` raises on events for relations no standing query
         reads; the default silently skips them (a feed usually carries more
@@ -467,10 +463,8 @@ class DeltaEngine(Engine):
         disables secondary-index generation in compiled mode (the
         access-pattern ablation); ``optimize=False`` disables the IR
         optimisation pipeline in both modes (the loop-optimisation
-        ablation, also the bench harness's ``--no-opt``);
-        ``columnar=True`` stores every keyed map in packed columns (the
-        memory mode, also the CLI's ``--columnar``)."""
-        options = ExecutorOptions(mode, use_indexes, optimize, columnar)
+        ablation, also the bench harness's ``--no-opt``)."""
+        options = ExecutorOptions(mode, use_indexes, optimize)
         self._attach(_build_executor(program, options), strict)
 
     def _attach(
@@ -684,8 +678,8 @@ class DeltaEngine(Engine):
 
     def watch_results(self, views: Iterable[str]) -> dict[str, tuple]:
         """See :meth:`Engine.watch_results`.  A view can be watched when
-        every one of its result maps is a ``dict`` right now (a packed or
-        kernel-held map cannot record its writes).  It is event-keyed
+        every one of its result maps is a ``dict`` right now (a kernel-held
+        map cannot record its writes).  It is event-keyed
         when :func:`~repro.runtime.views.event_group_columns` finds every
         written group on the rows of the IR the executor runs, and its
         maps stay as they are.  The maps of a recorded view become
@@ -783,20 +777,6 @@ class DeltaEngine(Engine):
             stream_started = events_processed > 0
         self._stream_started = stream_started
 
-    @classmethod
-    def recover(cls, program: CompiledProgram, directory, **kwargs):
-        """Rebuild an engine from a durable directory (latest snapshot +
-        WAL-suffix replay — see :mod:`repro.runtime.durability`).
-
-        Returns a plain (non-logging) engine holding the recovered state;
-        use :class:`~repro.runtime.durability.DurableEngine` instead when
-        processing should *continue* to be logged.
-        """
-        from repro.runtime.durability import recover_engine
-
-        engine, _ = recover_engine(program, directory, **kwargs)
-        return engine
-
     # -- results ------------------------------------------------------------
 
     def current_maps(self) -> dict[str, dict]:
@@ -824,10 +804,10 @@ class DeltaEngine(Engine):
 
     def storage_classes(self) -> dict[str, str]:
         """What each map is stored as *right now*, read from the live
-        objects: ``dict``, ``packed``, ``kernel``, ``recording`` (a
-        result map a delta tap watches), or — after a mid-stream degrade
-        — ``ejected`` (a kernel map back in pure packed columns) /
-        ``spilled`` (a packed map fallen back to a dict)."""
+        objects: ``dict``, ``kernel``, ``recording`` (a result map a delta
+        tap watches), or — after a mid-stream degrade — ``ejected`` (a
+        kernel map back in pure packed columns) / ``spilled`` (an ejected
+        map fallen back to a dict)."""
         kernel_maps = self._executor.layout.kernel_maps
         classes = {}
         for name, contents in self.maps.items():
@@ -1331,7 +1311,6 @@ class ShardedEngine(Engine):
         strict: bool = False,
         use_indexes: bool = True,
         optimize: bool = True,
-        columnar: bool = False,
         supervise: bool = False,
         max_worker_restarts: int = 3,
         restart_window: float = 60.0,
@@ -1360,7 +1339,7 @@ class ShardedEngine(Engine):
         # lane and (through fork) every worker bind the same compiled code.
         executor = _build_executor(
             program,
-            ExecutorOptions(mode, use_indexes, optimize, columnar),
+            ExecutorOptions(mode, use_indexes, optimize),
         )
         self._serial = _LocalLane(executor)
         self.parallel = False

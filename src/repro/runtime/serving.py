@@ -286,7 +286,7 @@ class ViewDeltaTap:
       views'): the engine's result maps note every key written
       (:class:`~repro.runtime.storage.RecordingDict`);
     * ``"whole"`` — the engine cannot say what a batch wrote (sharded
-      lanes, packed or kernel-held result maps, a closed tap): every
+      lanes, kernel-held result maps, a closed tap): every
       group the view has or had, so a delta costs what the view holds.
 
     The first two need a :class:`~repro.runtime.engine.DeltaEngine`, or

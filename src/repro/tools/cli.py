@@ -54,10 +54,7 @@ layout every executor mode gives each map, with the reason.  ``--no-opt``
 disables the optimisation pipeline (compile, run and bench).  ``--mode``
 (run/serve/bench) picks the executor: ``compiled`` (the default),
 ``interpreted``, or ``native`` (the compiled triggers, with the maps they
-scan whole handed to the C kernel).  Maps are plain dicts by default;
-``--columnar`` (run/serve/bench) is the memory mode — every keyed map in
-packed columns, 2-4x fewer bytes per entry for 3-5x slower probes
-(`benchmarks/bench_memory.py` measures it).
+scan whole handed to the C kernel).  Every other map is a plain dict.
 """
 
 from __future__ import annotations
@@ -103,7 +100,6 @@ def _make_engine(program, args):
     kwargs = {
         "mode": args.mode,
         "optimize": not getattr(args, "no_opt", False),
-        "columnar": getattr(args, "columnar", False),
     }
     if shards > 1:
         kwargs.update(shards=shards, parallel=True)
@@ -245,7 +241,7 @@ def cmd_serve(args) -> int:
         await server.start()
         # What a delta costs on this engine: the groups a batch touched —
         # read off its rows, or recorded by the result maps — or (sharded
-        # lanes, packed/kernel result maps) the whole view.
+        # lanes, kernel-held result maps) the whole view.
         candidates = {
             "event": "event-keyed groups",
             "recorded": "recorded groups",
@@ -394,9 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(1 = single engine)")
     p_run.add_argument("--no-opt", action="store_true",
                        help="disable the IR optimisation pipeline")
-    p_run.add_argument("--columnar", action="store_true",
-                       help="store every keyed map in packed columns "
-                       "(the memory mode: fewer bytes, slower probes)")
     p_run.add_argument("--durable", metavar="DIR",
                        help="crash-durable processing: write-ahead log + "
                        "snapshots in DIR (resumes existing state)")
@@ -437,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = single engine)")
     p_serve.add_argument("--no-opt", action="store_true",
                          help="disable the IR optimisation pipeline")
-    p_serve.add_argument("--columnar", action="store_true",
-                         help="store every keyed map in packed columns "
-                         "(the memory mode)")
     p_serve.add_argument("--durable", metavar="DIR",
                          help="serve over a crash-durable engine: WAL + "
                          "snapshots in DIR; delivered LSNs are the WAL's")
@@ -487,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(1 = single engine)")
     p_bench.add_argument("--no-opt", action="store_true",
                          help="disable the IR optimisation pipeline")
-    p_bench.add_argument("--columnar", action="store_true",
-                         help="store every keyed map in packed columns "
-                         "(the memory mode: fewer bytes, slower probes)")
     _supervisor_args(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -12,11 +12,10 @@ Four layers:
   represent ejects the map back to the pure class *mid-stream without
   losing entries*: int64 overflow, int-into-float promotion, exotic keys,
   wrong-arity keys (spill), pop/popitem;
-* **the executor lane** — ``mode="native"`` engines stay repr-identical
-  to compiled/interpreted ones whether the kernel owns only the scanned
-  maps (the default) or every native-eligible one (``columnar=True``),
-  and ``REPRO_NATIVE=off`` degrades the lane to exactly the compiled one
-  with the reason recorded.
+* **the executor lane** — ``mode="native"`` engines, whose kernel owns
+  the maps a per-event trigger scans whole, stay repr-identical to
+  compiled ones, and ``REPRO_NATIVE=off`` degrades the lane to exactly
+  the compiled one with the reason recorded.
 
 Every kernel-touching test skips (visibly) when the host has no C
 toolchain; the fallback-lane tests run everywhere.
@@ -45,6 +44,7 @@ from repro.compiler.storage import storage_layout
 from repro.runtime import ColumnarMap, DeltaEngine
 from repro.runtime.storage import _INT64_MAX, _NativeColumnarMap
 from repro.sql.catalog import Catalog
+from tests.runtime.test_storage_layout import _mixed_program
 
 SIGS = frozenset({(1, "q"), (2, "q"), (1, "d")})
 
@@ -93,7 +93,7 @@ def _attached(kernel, arity=1, vkind="q", items=()):
 
 @lru_cache(maxsize=None)
 def _grouped_program():
-    """Point-probed only: the kernel owns its map in packed mode alone."""
+    """Point-probed only: the native lane hands the kernel nothing."""
     catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
     return compile_sql("SELECT a, sum(b) FROM R r GROUP BY a", catalog, name="q")
 
@@ -110,10 +110,10 @@ def _scanning_program():
     )
 
 
-#: (program, columnar) pairs under which a native engine attaches a kernel.
+#: Programs under which a native engine attaches a kernel by default.
 _KERNEL_LANES = [
-    pytest.param(_scanning_program, False, id="scanned-maps"),
-    pytest.param(_grouped_program, True, id="packed-mode"),
+    pytest.param(_scanning_program, id="scanned-maps"),
+    pytest.param(_mixed_program, id="beside-dict-maps"),
 ]
 
 
@@ -163,16 +163,21 @@ class TestToolchainProbe:
         assert "native-eligible" in text
 
     def test_generated_header_stamps_toolchain_note(self):
-        from repro.codegen.pygen import generate_module
+        from repro.codegen.pygen import fused_scan_sites, generate_module
 
-        program = _grouped_program()
+        program = _scanning_program()
+        layout = storage_layout(
+            program, "native", kernel=True, scans=fused_scan_sites(program)
+        )
         source = generate_module(
-            program,
-            layout=storage_layout(program, "native", columnar=True, kernel=True),
-            native_note="probe-note-for-test",
+            program, layout=layout, native_note="probe-note-for-test"
         )
         assert "native kernel: probe-note-for-test" in source
-        assert "fused column scans: q_q___count, q_q_sum_1" in source
+        assert len(layout.kernel_maps) == 2
+        assert (
+            "fused column scans: " + ", ".join(sorted(layout.kernel_maps))
+            in source
+        )
 
     def test_load_kernel_notes_reason_without_eligible_maps(self):
         catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
@@ -446,17 +451,18 @@ def _items(maps):
 
 
 class TestNativeExecutorLane:
-    @pytest.mark.parametrize("build, columnar", _KERNEL_LANES)
-    def test_native_engine_matches_compiled(self, build, columnar):
+    @pytest.mark.parametrize("build", _KERNEL_LANES)
+    def test_native_engine_matches_compiled(self, build):
         _require_toolchain()
         program = build()
-        nat = _drive(DeltaEngine(program, mode="native", columnar=columnar))
-        ref = _drive(DeltaEngine(program, mode="compiled", columnar=False))
+        nat = _drive(DeltaEngine(program, mode="native"))
+        ref = _drive(DeltaEngine(program, mode="compiled"))
         assert nat.native_active
         assert "kernel" in nat.storage_classes().values()
         assert probe_toolchain().version in nat.native_note
         assert _items(nat.maps) == _items(ref.maps)
-        assert nat.results() == ref.results()
+        for query in program.queries:
+            assert nat.results(query.name) == ref.results(query.name)
 
     def test_point_probed_program_runs_the_compiled_lane(self):
         """No trigger scans a map whole: nothing is worth handing to the
@@ -471,34 +477,30 @@ class TestNativeExecutorLane:
         assert code[0] == code[1]  # the modules differ in the header only
         assert _items(nat.maps) == _items(ref.maps)
 
-    @pytest.mark.parametrize("build, columnar", _KERNEL_LANES)
-    def test_deepcopy_preserves_native_lane(self, build, columnar):
+    @pytest.mark.parametrize("build", _KERNEL_LANES)
+    def test_deepcopy_preserves_native_lane(self, build):
         _require_toolchain()
-        engine = _drive(
-            DeltaEngine(build(), mode="native", columnar=columnar), n=60
-        )
+        engine = _drive(DeltaEngine(build(), mode="native"), n=60)
         clone = copy.deepcopy(engine)
         assert clone.maps == engine.maps
         assert clone.storage_classes() == engine.storage_classes()
         _drive(clone, n=60)  # clone keeps processing independently
         assert clone.native_active
 
-    @pytest.mark.parametrize("build, columnar", _KERNEL_LANES)
-    def test_forced_fallback_runs_pure_python(self, build, columnar):
+    @pytest.mark.parametrize("build", _KERNEL_LANES)
+    def test_forced_fallback_runs_pure_python(self, build):
         saved = os.environ.get("REPRO_NATIVE")
         os.environ["REPRO_NATIVE"] = "off"
         try:
             probe_toolchain(refresh=True)
-            engine = _drive(
-                DeltaEngine(build(), mode="native", columnar=columnar)
-            )
+            engine = _drive(DeltaEngine(build(), mode="native"))
             assert not engine.native_active
             assert "REPRO_NATIVE" in engine.native_note
             assert "kernel" not in engine.storage_classes().values()
         finally:
             _restore_env("REPRO_NATIVE", saved)
             probe_toolchain(refresh=True)
-        ref = _drive(DeltaEngine(build(), mode="compiled", columnar=columnar))
+        ref = _drive(DeltaEngine(build(), mode="compiled"))
         assert engine.storage_classes() == ref.storage_classes()
         assert _items(engine.maps) == _items(ref.maps)
 

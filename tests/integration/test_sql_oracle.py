@@ -487,12 +487,14 @@ from fault_injection import (  # noqa: E402
 )
 
 
-@pytest.mark.parametrize("workload,label,hits,snapshot_every,columnar", [
-    ("bbo", "engine.after_append", 7, None, False),
-    ("act", "engine.after_apply", 9, 4, True),
+@pytest.mark.parametrize("workload,label,hits,snapshot_every", [
+    ("bbo", "engine.after_append", 7, None),
+    ("act", "engine.after_apply", 9, 4),
+    ("bbo", "snapshot.before_rename", 2, 64),
+    ("act", "wal.mid_frame", 6, None),
 ])
 def test_sigkill_recover_matches_sqlite(
-    tmp_path, workload, label, hits, snapshot_every, columnar
+    tmp_path, workload, label, hits, snapshot_every
 ):
     """An actual SIGKILL mid-stream: the recovered auxiliary caches (and
     everything else) must equal both the fresh-engine reference and the
@@ -505,15 +507,12 @@ def test_sigkill_recover_matches_sqlite(
     code = run_to_crash(
         tmp_path, label, hits, workload=workload, n_events=n_events,
         seed=seed, batch_size=batch_size, snapshot_every=snapshot_every,
-        columnar=columnar,
     )
     assert code == -signal.SIGKILL
     program = build_program(workload)
-    engine, lsn = recover_engine(program, tmp_path, columnar=columnar)
+    engine, lsn = recover_engine(program, tmp_path)
     assert lsn > 0
-    assert_recovery_parity(
-        engine, lsn, workload, n_events, seed, batch_size, columnar=columnar
-    )
+    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
 
     oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[workload])
     for index, batch in enumerate(

@@ -116,7 +116,7 @@ def _workload(name):
 
 SHAPES = {
     "delta": lambda program: DeltaEngine(program),
-    "columnar": lambda program: DeltaEngine(program, columnar=True),
+    "native": lambda program: DeltaEngine(program, mode="native"),
     "sharded": lambda program: ShardedEngine(program, shards=2),
 }
 
@@ -292,8 +292,8 @@ def test_mixed_weight_columns_equal_per_event_and_sqlite(name, data):
             assert engine.index_sizes() == reference.index_sizes(), (shape, size)
 
 
-@pytest.mark.parametrize("columnar", [False, True])
-def test_a_mixed_batch_is_one_trigger_call(columnar):
+@pytest.mark.parametrize("by_columns", [False, True])
+def test_a_mixed_batch_is_one_trigger_call(by_columns):
     engine = DeltaEngine(_workload("bsp")[0])
     calls = []
 
@@ -319,7 +319,7 @@ def test_a_mixed_batch_is_one_trigger_call(columnar):
     engine.restore_state({})  # binds the counting table
     rows = [(1, 1, 1, 100, 5), (2, 2, 2, 101, 5), (1, 1, 1, 100, 5), (3, 3, 1, 99, 5)]
     weights = [1, 1, -1, 1]
-    if columnar:
+    if by_columns:
         assert engine.process_batch_columns("bids", weights, list(zip(*rows))) == 4
     else:
         assert engine.process_batch("bids", weights, rows) == 4

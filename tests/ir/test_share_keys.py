@@ -3,8 +3,9 @@ once changes no map.
 
 Every shipped query and warehouse-load's four-view SSB program runs with
 ``DEFAULT_PASSES`` and with ``DEFAULT_PASSES`` minus ``share-keys``, on
-the compiled dict lane, the compiled columnar lane and the interpreted
-lane, per event and in batches of 1, 3 and 100: the maps must be
+the compiled, interpreted and native lanes (vwap's kernel map applies
+through ``add()``; without a toolchain the native lane is the compiled
+one), per event and in batches of 1, 3 and 100: the maps must be
 ``repr``-equal (values, keys and insertion order).  The structural pins
 check the rendered triggers read the shared locals.
 """
@@ -33,8 +34,8 @@ from tests.integration.test_shared_finance import bounded_book
 WITHOUT = tuple(name for name in DEFAULT_PASSES if name != "share-keys")
 LANES = {
     "compiled": {"mode": "compiled"},
-    "columnar": {"mode": "compiled", "columnar": True},
     "interpreted": {"mode": "interpreted"},
+    "native": {"mode": "native"},
 }
 BATCHINGS = (None, 1, 3, 100)
 PROGRAMS = (*FINANCE_QUERIES, *SSB_FLIGHT, "warehouse")

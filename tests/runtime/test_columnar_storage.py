@@ -1,22 +1,29 @@
-"""Columnar map storage: unit edge cases and the dict-parity property.
+"""Columnar map storage: unit edge cases and the storage plan.
 
-Three layers:
+Two layers:
 
 * :class:`ColumnarMap` alone must behave exactly like a dict — same
   contents, same insertion-order iteration under churn, same key
   equality — while packing values into typed columns (unit suite:
   deletes to zero, mixed-type key/value promotion, int64 overflow,
-  spill-to-dict on non-conforming keys, deepcopy/pickle/copy);
+  spill-to-dict on non-conforming keys, deepcopy/pickle/copy).  It is
+  the class the native lane's C kernel attaches underneath, and what a
+  kernel map ejects to;
 * the compiler's storage plan must classify maps soundly (scalar →
-  dict; exact-int / always-float / unproven value classes);
-* engines running with ``columnar=True`` (the default) must be
-  *bit-identical* to ``columnar=False`` — the hypothesis property pins
-  compiled/interpreted/native × batch sizes × shards 1–4 on random
-  streams (the native lane degrades to pure columnar on toolchain-less
-  hosts, so the property is meaningful everywhere), and
-  a deterministic family pins the finance workloads the benchmarks
-  measure, comparing ``repr`` of every entry so ``5`` vs ``5.0`` or
-  ``-0.0`` drift would fail.
+  dict; exact-int / always-float / unproven value classes), and the
+  packed layout it still renders must build exactly the maps it proves
+  packable.
+
+Engines keep every map in a dict, or, under ``mode="native"``, hand the
+maps a trigger scans whole to the C kernel, which attaches underneath a
+:class:`ColumnarMap`.  The engine layer pins that lane *bit-identical* to
+a per-event compiled dict engine: a hypothesis property over
+compiled/interpreted/native × batch sizes × shards 1–4 on random
+streams (one query there attaches a kernel; the native lane degrades to
+the compiled one on toolchain-less hosts, so the property is meaningful
+everywhere), and a deterministic family over the finance workloads the
+benchmarks measure, comparing ``repr`` of every entry so ``5`` vs
+``5.0`` or ``-0.0`` drift would fail.
 """
 
 import copy
@@ -333,6 +340,51 @@ class TestStoragePlan:
 
 
 # ---------------------------------------------------------------------------
+# The packed layout
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _grouped_program():
+    catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
+    translated = translate_sql("SELECT A, sum(B) FROM R GROUP BY A", catalog, name="q")
+    return compile_queries([translated], catalog)
+
+
+def test_packed_layout_constructs_storage_from_plan():
+    """The packed layout (rendered by ``generate_module(columnar=True)``)
+    packs exactly the maps the plan proves packable; an engine holds
+    plain dicts."""
+    from repro.compiler.storage import storage_layout
+
+    program = _grouped_program()
+    maps = storage_layout(program, "compiled", columnar=True).create_maps()
+    plan = analyze_storage(program)
+    assert set(maps) == set(program.maps)
+    for name, contents in maps.items():
+        if plan.storage_for(name).columnar:
+            assert isinstance(contents, ColumnarMap)
+        else:
+            assert type(contents) is dict
+    engine = DeltaEngine(program)
+    assert all(type(c) is dict for c in engine.maps.values())
+
+
+def test_generated_header_stamps_storage_plan():
+    from repro.codegen.pygen import generate_module
+
+    program = _grouped_program()
+    source = generate_module(program, columnar=True)
+    assert "== storage plan ==" in source
+    assert "columnar[int]" in source
+    assert "rendered for: columnar storage (add() applies)" in source
+    assert ".add(" in source
+    agnostic = generate_module(program, columnar=False)
+    assert "rendered for: storage-agnostic (mapping protocol)" in agnostic
+    assert ".add(" not in agnostic
+
+
+# ---------------------------------------------------------------------------
 # Engine integration and the parity property
 # ---------------------------------------------------------------------------
 
@@ -352,6 +404,9 @@ QUERIES = {
         "SELECT sum(r.A * t.D) FROM R r, S s, T t "
         "WHERE r.B = s.B AND s.C = t.C"
     ),
+    # Each trigger scans the other side's map whole: the native lane
+    # hands both to the kernel.
+    "scan": "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B",
 }
 
 
@@ -371,47 +426,6 @@ def _exact_items(maps):
     }
 
 
-def test_packed_mode_constructs_storage_from_plan():
-    """``columnar=True`` packs exactly the maps the plan proves packable;
-    the default engine holds plain dicts (the full mode x layout matrix is
-    ``test_storage_layout.py``)."""
-    program = _program("grouped")
-    engine = DeltaEngine(program, columnar=True)
-    plan = analyze_storage(program)
-    for name, contents in engine.maps.items():
-        if plan.storage_for(name).columnar:
-            assert isinstance(contents, ColumnarMap)
-        else:
-            assert type(contents) is dict
-    default = DeltaEngine(program)
-    assert all(type(c) is dict for c in default.maps.values())
-
-
-def test_engine_deepcopy_preserves_storage_kind():
-    program = _program("grouped")
-    engine = DeltaEngine(program, columnar=True)
-    engine.insert("R", 1, 2)
-    clone = copy.deepcopy(engine)
-    assert clone.maps == engine.maps
-    assert any(isinstance(c, ColumnarMap) for c in clone.maps.values())
-    clone.insert("R", 5, 6)  # clone stays independent and functional
-    assert clone.maps != engine.maps
-
-
-def test_generated_header_stamps_storage_plan():
-    from repro.codegen.pygen import generate_module
-
-    program = _program("grouped")
-    source = generate_module(program, columnar=True)
-    assert "== storage plan ==" in source
-    assert "columnar[int]" in source
-    assert "rendered for: columnar storage (add() applies)" in source
-    assert ".add(" in source
-    agnostic = generate_module(program, columnar=False)
-    assert "rendered for: storage-agnostic (mapping protocol)" in agnostic
-    assert ".add(" not in agnostic
-
-
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
 @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
 @settings(max_examples=20, deadline=None)
@@ -420,134 +434,93 @@ def test_generated_header_stamps_storage_plan():
     shards=st.integers(min_value=1, max_value=4),
     batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
 )
-def test_columnar_equals_dict_storage(query_name, mode, stream, shards, batch_size):
-    """Columnar maps must be bit-identical to dict maps across executors."""
+def test_every_lane_equals_dict_storage(query_name, mode, stream, shards, batch_size):
+    """Batched and sharded runs of every executor must be bit-identical
+    to a per-event compiled dict engine."""
     program = _program(query_name)
     stream_events = [
         StreamEvent(relation, sign, values) for relation, sign, values in stream
     ]
-    reference = DeltaEngine(program, mode=mode, columnar=False)
+    reference = DeltaEngine(program)
     for event in stream_events:
         reference.process(event)
 
-    columnar = DeltaEngine(program, mode=mode, columnar=True)
-    columnar.process_stream(stream_events, batch_size=batch_size)
-    assert _exact_items(columnar.maps) == _exact_items(reference.maps)
-    assert columnar.results() == reference.results()
+    engine = DeltaEngine(program, mode=mode)
+    engine.process_stream(stream_events, batch_size=batch_size)
+    assert _exact_items(engine.maps) == _exact_items(reference.maps)
+    assert engine.results() == reference.results()
 
-    sharded = ShardedEngine(
-        program, shards=shards, mode=mode, columnar=True
-    )
+    sharded = ShardedEngine(program, shards=shards, mode=mode)
     sharded.process_stream(stream_events, batch_size=batch_size)
     assert _exact_items(sharded.merged_maps()) == _exact_items(reference.maps)
     assert sharded.results() == reference.results()
 
 
-@pytest.mark.parametrize("query_name", ["vwap", "axf", "bsp", "psp", "mst"])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-def test_finance_workloads_columnar_identical(query_name, mode):
-    """Deterministic family over the benchmark streams (batched runs)."""
+def _finance_maps(query_name, mode, batch_size):
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
     from repro.workloads.orderbook import OrderBookGenerator
 
     stream = list(OrderBookGenerator(seed=2009).events(600))
-    maps_seen = []
-    for columnar in (False, True):
-        program = compile_sql(
-            FINANCE_QUERIES[query_name], finance_catalog(), name="q"
-        )
-        engine = DeltaEngine(program, mode=mode, columnar=columnar)
-        engine.process_stream(stream, batch_size=37)
-        maps_seen.append(_exact_items(engine.maps))
-    assert maps_seen[0] == maps_seen[1]
+    program = compile_sql(FINANCE_QUERIES[query_name], finance_catalog(), name="q")
+    engine = DeltaEngine(program, mode=mode)
+    if batch_size is None:
+        for event in stream:
+            engine.process(event)
+    else:
+        engine.process_stream(stream, batch_size=batch_size)
+    return _exact_items(engine.maps)
+
+
+@pytest.mark.parametrize("query_name", ["vwap", "axf", "bsp", "psp", "mst"])
+@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
+def test_finance_workloads_identical(query_name, mode):
+    """Deterministic family over the benchmark streams (batched runs)
+    against per-event compiled dicts; under ``mode="native"`` vwap's
+    scanned base map is kernel-held."""
+    assert _finance_maps(query_name, mode, 37) == _finance_maps(
+        query_name, "compiled", None
+    )
 
 
 @pytest.mark.parametrize("query_name", ["bbo", "act"])
 @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-def test_nonlinear_finance_columnar_identical(query_name, mode):
-    """The non-linear workloads: the auxiliary caches their writes keep are
-    plain dicts in every plan, but the occurrence maps they read may be
-    columnar — parity must hold either way (native mode keeps the
-    Finalize-fed maps python-side and still runs)."""
-    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
-
-    stream = list(OrderBookGenerator(seed=2009).events(600))
-    maps_seen = []
-    for columnar in (False, True):
-        program = compile_sql(
-            FINANCE_QUERIES[query_name], finance_catalog(), name="q"
-        )
-        engine = DeltaEngine(program, mode=mode, columnar=columnar)
-        engine.process_stream(stream, batch_size=37)
-        maps_seen.append(_exact_items(engine.maps))
-    assert maps_seen[0] == maps_seen[1]
+def test_nonlinear_finance_identical(query_name, mode):
+    """The non-linear workloads: the auxiliary caches their writes keep
+    are plain dicts in every layout — parity must hold (native mode keeps
+    the Finalize-fed maps python-side and still runs)."""
+    assert _finance_maps(query_name, mode, 37) == _finance_maps(
+        query_name, "compiled", None
+    )
 
 
 def test_float_stream_parity_bit_identical():
-    """Float-valued maps: packed 'd' columns must not disturb a single bit."""
-    catalog = Catalog.from_script("CREATE STREAM R (A int, P float);")
-    sql = "SELECT a, sum(p) FROM R r GROUP BY a"
+    """Float-valued maps beside a kernel map: the native lane must not
+    disturb a single bit of a float sum."""
+    catalog = Catalog.from_script(
+        "CREATE STREAM R (A int, B int); CREATE STREAM S (B int, C float);"
+    )
+    sql = "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B"
     rng = random.Random(11)
     stream = []
     live = []
     for _ in range(400):
         if live and rng.random() < 0.3:
-            row = live.pop(rng.randrange(len(live)))
-            stream.append(StreamEvent("R", -1, row))
+            relation, row = live.pop(rng.randrange(len(live)))
+            stream.append(StreamEvent(relation, -1, row))
         else:
-            row = (rng.randrange(6), rng.random() * 100 - 50)
-            live.append(row)
-            stream.append(StreamEvent("R", 1, row))
+            relation = rng.choice("RS")
+            if relation == "R":
+                row = (rng.randrange(-9, 9), rng.randrange(6))
+            else:
+                row = (rng.randrange(6), rng.random() * 100 - 50)
+            live.append((relation, row))
+            stream.append(StreamEvent(relation, 1, row))
     maps_seen = []
-    for columnar in (False, True):
+    for mode in ("compiled", "native"):
         program = compile_sql(sql, catalog, name="q")
-        engine = DeltaEngine(program, columnar=columnar)
+        engine = DeltaEngine(program, mode=mode)
         engine.process_stream(stream, batch_size=16)
+        if engine.native_active:
+            assert "kernel" in engine.storage_classes().values()
         maps_seen.append(_exact_items(engine.maps))
     assert maps_seen[0] == maps_seen[1]
-
-
-def test_sharded_parallel_workers_ship_columnar_maps():
-    """Worker processes pickle ColumnarMap lane state over pipes."""
-    program = _program("grouped")
-    reference = DeltaEngine(program, columnar=False)
-    with ShardedEngine(
-        program, shards=2, parallel=True, columnar=True
-    ) as sharded:
-        if not sharded.parallel:
-            pytest.skip("fork unavailable on this platform")
-        for a in range(40):
-            reference.insert("R", a % 7, a)
-            sharded.insert("R", a % 7, a)
-        assert _exact_items(sharded.merged_maps()) == _exact_items(
-            reference.maps
-        )
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("columnar", [False, True])
-def test_sharded_parallel_workers_native_mode(shards, columnar):
-    """Forked workers each build their own kernel attach; merged maps must
-    stay repr-identical to the serial dict reference (and the maps crossing
-    the result pipes arrive as pure ColumnarMaps, re-attached per worker).
-    The join only point-probes its maps, so the kernel owns them in the
-    packed memory mode alone; by default the lanes hold dicts."""
-    program = _program("join")
-    reference = DeltaEngine(program, columnar=False)
-    with ShardedEngine(
-        program, shards=shards, mode="native", parallel=True,
-        columnar=columnar,
-    ) as sharded:
-        if not sharded.parallel:
-            pytest.skip("fork unavailable on this platform")
-        rng = random.Random(13)
-        for i in range(120):
-            relation = ("R", "S")[i % 2]
-            row = (rng.randrange(9), rng.randrange(9))
-            reference.insert(relation, *row)
-            sharded.insert(relation, *row)
-        assert _exact_items(sharded.merged_maps()) == _exact_items(
-            reference.maps
-        )
-        assert sharded.results() == reference.results()

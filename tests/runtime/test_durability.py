@@ -428,6 +428,20 @@ def test_durable_truncation_preserves_corrupt_snapshot_fallback(tmp_path):
     assert recovered.results("q") == expected
 
 
+def test_recover_engine_is_the_one_recovery_entry(tmp_path):
+    """An engine class has no recovery classmethod of its own:
+    ``recover_engine`` rebuilds every kind, forwarding engine options."""
+    assert not hasattr(DeltaEngine, "recover")
+    program = _program()
+    with DurableEngine(program, tmp_path, fsync="always") as engine:
+        for i in range(12):
+            engine.process_batch("R", 1, [(i % 3, i)])
+        expected = engine.results("q")
+    recovered, lsn = recover_engine(program, tmp_path, mode="interpreted")
+    assert type(recovered) is DeltaEngine and lsn == 12
+    assert recovered.results("q") == expected
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ must be idempotent.
 Three layers:
 
 * a **hypothesis suite** over random R/S/T streams × batch sizes ×
-  columnar on/off × fsync policies × crash points, using in-process crash
+  fsync policies × crash points, using in-process crash
   emulation (the probe raises, ``abandon()`` drops unflushed state — the
   WAL writes through unbuffered ``os.write``, so the surviving bytes are
   a SIGKILL's);
@@ -81,7 +81,7 @@ def _raise_crash():
 
 
 def _run_until_crash(directory, stream, batch_size, label, hits, fsync,
-                     snapshot_every, columnar):
+                     snapshot_every):
     """Process the stream under an in-process crash probe.
 
     Returns True when the crash fired (on-disk state is now exactly what a
@@ -90,7 +90,7 @@ def _run_until_crash(directory, stream, batch_size, label, hits, fsync,
     probe = CrashPoint(label, hits=hits, action=_raise_crash)
     engine = DurableEngine(
         _program(), directory, fsync=fsync, snapshot_every=snapshot_every,
-        probe=probe, columnar=columnar,
+        probe=probe,
     )
     try:
         engine.process_stream(stream, batch_size=batch_size)
@@ -107,14 +107,13 @@ def _run_until_crash(directory, stream, batch_size, label, hits, fsync,
 @given(
     stream=st.lists(events(), min_size=1, max_size=40),
     batch_size=st.integers(min_value=1, max_value=8),
-    columnar=st.booleans(),
     fsync=st.sampled_from(["always", "batch", "none"]),
     label=st.sampled_from(sorted(CRASH_LABELS)),
     hits=st.integers(min_value=1, max_value=6),
     snapshot_every=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
 )
 def test_crash_anywhere_recovers_to_reference(
-    stream, batch_size, columnar, fsync, label, hits, snapshot_every
+    stream, batch_size, fsync, label, hits, snapshot_every
 ):
     stream_events_ = [
         StreamEvent(relation, sign, values)
@@ -123,12 +122,12 @@ def test_crash_anywhere_recovers_to_reference(
     with tempfile.TemporaryDirectory() as directory:
         _run_until_crash(
             directory, stream_events_, batch_size, label, hits, fsync,
-            snapshot_every, columnar,
+            snapshot_every,
         )
-        engine, lsn = recover_engine(_program(), directory, columnar=columnar)
+        engine, lsn = recover_engine(_program(), directory)
         # Reference: a fresh engine over the first `lsn` batches — LSNs are
         # assigned 1:1 to the deterministic batch grouping.
-        reference = DeltaEngine(_program(), columnar=columnar)
+        reference = DeltaEngine(_program())
         for index, batch in enumerate(batches(stream_events_, batch_size)):
             if index >= lsn:
                 break
@@ -139,7 +138,7 @@ def test_crash_anywhere_recovers_to_reference(
         assert engine.events_skipped == reference.events_skipped
         # Idempotence: the watermark pins the replay suffix, so recovering
         # again (same LSN) applies nothing twice.
-        again, lsn_again = recover_engine(_program(), directory, columnar=columnar)
+        again, lsn_again = recover_engine(_program(), directory)
         assert lsn_again == lsn
         assert repr(again.maps) == repr(engine.maps)
 
@@ -192,7 +191,7 @@ def test_crash_recovers_into_any_shard_count(
     with tempfile.TemporaryDirectory() as directory:
         _run_until_crash(
             directory, stream_events_, batch_size, label, hits,
-            "always", None, True,
+            "always", None,
         )
         single, lsn = recover_engine(_program(), directory)
         sharded, lsn_sharded = recover_engine(_program(), directory, shards=shards)
@@ -207,53 +206,43 @@ def test_crash_recovers_into_any_shard_count(
 # ---------------------------------------------------------------------------
 
 _SIGKILL_SCENARIOS = [
-    # (label, hits, fsync, snapshot_every, columnar)
-    ("engine.after_append", 11, "always", None, True),
-    ("engine.after_apply", 11, "always", None, False),
-    ("wal.mid_frame", 6, "always", None, True),
-    ("snapshot.mid_write", 1, "batch", 64, True),
-    ("snapshot.before_rename", 1, "batch", 64, True),
+    # (label, hits, fsync, snapshot_every)
+    ("engine.after_append", 11, "always", None),
+    ("engine.after_apply", 11, "always", None),
+    ("wal.mid_frame", 6, "always", None),
+    ("snapshot.mid_write", 1, "batch", 64),
+    ("snapshot.before_rename", 1, "batch", 64),
 ]
 
 
-@pytest.mark.parametrize(
-    "label, hits, fsync, snapshot_every, columnar", _SIGKILL_SCENARIOS
-)
+@pytest.mark.parametrize("label, hits, fsync, snapshot_every", _SIGKILL_SCENARIOS)
 def test_sigkill_child_recovers_to_reference(
-    tmp_path, label, hits, fsync, snapshot_every, columnar
+    tmp_path, label, hits, fsync, snapshot_every
 ):
     workload, n_events, seed, batch_size = "finance", 300, 2009, 16
     code = run_to_crash(
         tmp_path, label, hits, workload=workload, n_events=n_events,
         seed=seed, batch_size=batch_size, fsync=fsync,
-        snapshot_every=snapshot_every, columnar=columnar,
+        snapshot_every=snapshot_every,
     )
     assert code == -signal.SIGKILL
-    engine, lsn = recover_engine(
-        build_program(workload), tmp_path, columnar=columnar
-    )
+    engine, lsn = recover_engine(build_program(workload), tmp_path)
     assert lsn > 0
-    assert_recovery_parity(
-        engine, lsn, workload, n_events, seed, batch_size, columnar=columnar
-    )
+    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
 
 
-@pytest.mark.parametrize("columnar", [False, True])
-def test_sigkill_warehouse_child_recovers(tmp_path, columnar):
+@pytest.mark.parametrize("label", ["engine.after_append", "engine.after_apply"])
+def test_sigkill_warehouse_child_recovers(tmp_path, label):
     workload, n_events, seed, batch_size = "warehouse", 3000, 1992, 64
     code = run_to_crash(
-        tmp_path, "engine.after_apply", 9, workload=workload,
+        tmp_path, label, 9, workload=workload,
         n_events=n_events, seed=seed, batch_size=batch_size,
-        fsync="always", columnar=columnar,
+        fsync="always",
     )
     assert code == -signal.SIGKILL
-    engine, lsn = recover_engine(
-        build_program(workload), tmp_path, columnar=columnar
-    )
+    engine, lsn = recover_engine(build_program(workload), tmp_path)
     assert lsn > 0
-    assert_recovery_parity(
-        engine, lsn, workload, n_events, seed, batch_size, columnar=columnar
-    )
+    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
 
 
 def _fork_available() -> bool:
@@ -265,37 +254,32 @@ def _fork_available() -> bool:
 
 
 @pytest.mark.skipif(not _fork_available(), reason="fork not available")
-@pytest.mark.parametrize("columnar", [False, True])
-def test_sigkill_sharded_child_recovers(tmp_path, columnar):
+@pytest.mark.parametrize("recovered_shards", [1, 2])
+def test_sigkill_sharded_child_recovers(tmp_path, recovered_shards):
     """A sharded durable engine logs pre-partition in the router, so the
-    directory a killed sharded run leaves recovers like any other — and
-    into either storage layout, whichever one wrote the log."""
+    directory a killed sharded run leaves recovers like any other — into
+    a single engine or a sharded one."""
     workload, n_events, seed, batch_size = "finance", 300, 2009, 16
     code = run_to_crash(
         tmp_path, "engine.after_append", 11, workload=workload,
         n_events=n_events, seed=seed, batch_size=batch_size,
-        fsync="always", columnar=columnar, shards=2,
+        fsync="always", shards=2,
     )
     assert code == -signal.SIGKILL
-    recovered_columnar = not columnar
     engine, lsn = recover_engine(
-        build_program(workload), tmp_path, columnar=recovered_columnar
+        build_program(workload), tmp_path, shards=recovered_shards
     )
     assert lsn > 0
-    assert_recovery_parity(
-        engine, lsn, workload, n_events, seed, batch_size,
-        columnar=recovered_columnar,
-    )
+    assert_recovery_parity(engine, lsn, workload, n_events, seed, batch_size)
 
 
 def test_stream_finishing_before_crash_point_exits_cleanly(tmp_path):
     code = run_to_crash(
         tmp_path, "engine.after_append", 10_000, n_events=100, batch_size=16,
-        columnar=False,
     )
     assert code == 0
     engine, lsn = recover_engine(build_program("finance"), tmp_path)
-    assert_recovery_parity(engine, lsn, "finance", 100, 2009, 16, columnar=False)
+    assert_recovery_parity(engine, lsn, "finance", 100, 2009, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,11 @@ def partitions(monkeypatch):
 # -- which calls each path makes ---------------------------------------------
 
 
-@pytest.mark.parametrize("columnar", [False, True])
-def test_a_short_mixed_run_makes_only_per_event_calls(columnar, partitions):
+@pytest.mark.parametrize("by_columns", [False, True])
+def test_a_short_mixed_run_makes_only_per_event_calls(by_columns, partitions):
     engine = ShardedEngine(_program("bsp"), shards=2)
     logs = _counted_lanes(engine)
-    if columnar:
+    if by_columns:
         applied = engine.process_batch_columns("bids", WEIGHTS, list(zip(*ROWS)))
     else:
         applied = engine.process_batch("bids", WEIGHTS, ROWS)
@@ -164,23 +164,20 @@ def test_forked_lanes_get_one_send_per_non_empty_slice(partitions):
 
 @pytest.mark.parametrize("seed", [2009, 424242])
 @pytest.mark.parametrize("shards", [2, 3])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
 @pytest.mark.parametrize("query", ["bsp", "axf"])
 def test_every_lane_equals_its_subsequence_per_event(query, mode, shards, seed):
     program = _program(query)
-    options = (
-        {"columnar": True} if mode == "columnar" else {"mode": mode}
-    )
     feed = _feed(seed)
     assert sum(event.sign == -1 for event in feed) >= 0.3 * len(feed)
-    engine = ShardedEngine(program, shards=shards, **options)
-    references = [DeltaEngine(program, **options) for _ in engine._lanes]
+    engine = ShardedEngine(program, shards=shards, mode=mode)
+    references = [DeltaEngine(program, mode=mode) for _ in engine._lanes]
     for event in feed:
         references[_lane_of(engine, event.relation, event.values)].process(event)
     expected_maps = [repr(reference.maps) for reference in references]
     expected_counts = [reference.events_processed for reference in references]
     for size in range(1, 9):
-        engine = ShardedEngine(program, shards=shards, **options)
+        engine = ShardedEngine(program, shards=shards, mode=mode)
         for batch in batches(feed, size):
             engine.process_batch(batch.relation, batch.sign, batch.rows)
         assert [repr(lane.maps) for lane in engine._lanes] == expected_maps, size

@@ -84,7 +84,7 @@ def book_events(draw):
 
 
 def per_event_maps(program, stream):
-    engine = DeltaEngine(program, columnar=False)
+    engine = DeltaEngine(program)
     for event in stream:
         engine.process(event)
     return engine.maps
@@ -97,35 +97,29 @@ class TestSecondOrderParity:
     @given(
         stream=book_events(),
         batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
-        columnar=st.booleans(),
     )
     def test_batched_matches_per_event(
-        self, query_name, mode, stream, batch_size, columnar
+        self, query_name, mode, stream, batch_size
     ):
         program = finance_program(query_name)
         reference = per_event_maps(program, stream)
-        batched = DeltaEngine(program, mode=mode, columnar=columnar)
+        batched = DeltaEngine(program, mode=mode)
         batched.process_stream(stream, batch_size=batch_size)
         assert batched.maps == reference
 
     @pytest.mark.parametrize("query_name", SELF_READING + NONLINEAR)
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     @settings(max_examples=5, deadline=None)
-    @given(stream=book_events(), columnar=st.booleans())
-    def test_sharded_matches_per_event(
-        self, query_name, shards, stream, columnar
-    ):
+    @given(stream=book_events())
+    def test_sharded_matches_per_event(self, query_name, shards, stream):
         program = finance_program(query_name)
         reference = per_event_maps(program, stream)
         for mode in ("compiled", "interpreted"):
-            with ShardedEngine(
-                program, shards=shards, mode=mode, columnar=columnar
-            ) as engine:
+            with ShardedEngine(program, shards=shards, mode=mode) as engine:
                 engine.process_stream(stream, batch_size=7)
                 assert engine.merged_maps() == reference, mode
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
     @settings(max_examples=10, deadline=None)
     @given(
         rows=st.lists(
@@ -138,7 +132,7 @@ class TestSecondOrderParity:
         ),
         batch_size=st.integers(min_value=1, max_value=9),
     )
-    def test_rejected_plan_fallback_matches(self, mode, columnar, rows, batch_size):
+    def test_rejected_plan_fallback_matches(self, mode, rows, batch_size):
         """A self-reading trigger whose plan is rejected (FLOAT values feed
         its restated map) runs the per-event body once per row."""
         catalog = Catalog.from_script("CREATE STREAM R (A int, B float);")
@@ -147,7 +141,7 @@ class TestSecondOrderParity:
         assert {sink for _stmt, sink in sinks} == {"buffered"}
         stream = [StreamEvent("R", sign, (a, b)) for sign, a, b in rows]
         reference = per_event_maps(program, stream)
-        engine = DeltaEngine(program, mode=mode, columnar=columnar)
+        engine = DeltaEngine(program, mode=mode)
         engine.process_stream(stream, batch_size=batch_size)
         assert engine.maps == reference
 
@@ -161,9 +155,8 @@ class TestSecondOrderParity:
             max_size=30,
         ),
         batch_size=st.integers(min_value=1, max_value=9),
-        columnar=st.booleans(),
     )
-    def test_keyed_restatement_matches(self, rows, batch_size, columnar):
+    def test_keyed_restatement_matches(self, rows, batch_size):
         """A grouped root with a nested threshold restates a *keyed* map:
         the flush clears it and re-derives every group."""
         catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
@@ -171,7 +164,7 @@ class TestSecondOrderParity:
         stream = [StreamEvent("R", 1, row) for row in rows]
         reference = per_event_maps(program, stream)
         for mode in ("compiled", "interpreted"):
-            engine = DeltaEngine(program, mode=mode, columnar=columnar)
+            engine = DeltaEngine(program, mode=mode)
             engine.process_stream(stream, batch_size=batch_size)
             assert engine.maps == reference, mode
 

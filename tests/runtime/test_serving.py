@@ -1256,14 +1256,14 @@ def test_ping_is_answered_within_one_slice_of_another_connections_burst():
 # The touched-group tap: a delta costs what changed, not what the view holds
 # ---------------------------------------------------------------------------
 
-ENGINE_KINDS = ("delta", "columnar", "durable", "sharded")
+ENGINE_KINDS = ("delta", "native", "durable", "sharded")
 
 
 def _engine_of(kind, program, tmp_path):
     if kind == "delta":
         return DeltaEngine(program)
-    if kind == "columnar":
-        return DeltaEngine(program, columnar=True)
+    if kind == "native":
+        return DeltaEngine(program, mode="native")
     if kind == "durable":
         return DurableEngine(program, tmp_path, fsync="none")
     return ShardedEngine(program, shards=2)
@@ -1742,9 +1742,6 @@ def test_incremental_says_which_views_cost_what_changed(tmp_path):
     durable = DurableEngine(program, tmp_path, fsync="none")
     assert ViewDeltaTap(durable).candidates == {"q": "event"}
     durable.close()
-    assert ViewDeltaTap(DeltaEngine(program, columnar=True)).candidates == {
-        "q": "whole"
-    }
     assert ViewDeltaTap(ShardedEngine(program, shards=2)).candidates == {
         "q": "whole"
     }

@@ -5,11 +5,12 @@ an engine is stored as.  The engine builds its maps from the decision,
 the renderer emits the access code for it and stamps it into the
 generated-module header, and ``Engine.storage_classes()`` reads it back
 from the live objects — this suite pins all three to the decision
-function for every shipped query, executor mode and ``columnar`` setting,
-on hosts with and without a C toolchain (CI reruns it under
-``REPRO_NATIVE=off``).  It also forces the two degrade paths that change
-a map's class mid-stream — a kernel eject beside dict neighbours, a
-packed spill inside a forked shard lane — and checks nothing is lost.
+function for every shipped query and executor mode, in a single engine
+and in every lane of a sharded one, on hosts with and without a C
+toolchain (CI reruns it under ``REPRO_NATIVE=off``).  It also
+forces the degrade path that changes a map's class mid-stream — a kernel
+eject beside dict neighbours, in one engine and inside a forked shard
+lane — and checks nothing is lost.
 """
 
 import os
@@ -20,9 +21,10 @@ import pytest
 
 from repro.codegen.native import probe_toolchain
 from repro.codegen.pygen import fused_scan_sites
-from repro.compiler import compile_sql
+from repro.algebra.translate import translate_sql
+from repro.compiler import compile_queries, compile_sql
 from repro.compiler.storage import storage_layout
-from repro.runtime import ColumnarMap, DeltaEngine, ShardedEngine, StreamEvent
+from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.storage import _NativeColumnarMap
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
@@ -39,7 +41,7 @@ SHIPPED = {**FINANCE_QUERIES, **SSB_FLIGHT}
 #: compiled one; every other shipped query only point-probes its maps.
 KERNEL_MAPS = {"vwap": 1}
 
-_TYPES = {"dict": dict, "packed": ColumnarMap, "kernel": _NativeColumnarMap}
+_TYPES = {"dict": dict, "kernel": _NativeColumnarMap}
 
 
 @lru_cache(maxsize=None)
@@ -64,33 +66,42 @@ def _header_layout(source: str) -> dict[str, str]:
     return stamped
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@pytest.mark.parametrize("engine_class", ["delta", "sharded"])
 @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
 @pytest.mark.parametrize("query", sorted(SHIPPED))
-def test_engine_header_and_live_classes_follow_the_layout(query, mode, columnar):
+def test_engine_header_and_live_classes_follow_the_layout(
+    query, mode, engine_class
+):
+    """A sharded engine's serial lane and every shard lane share one
+    executor, so each builds the layout a single engine does."""
     program = _program(query)
-    engine = DeltaEngine(program, mode=mode, columnar=columnar)
+    if engine_class == "delta":
+        engine = DeltaEngine(program, mode=mode)
+        holders = [engine]
+    else:
+        engine = ShardedEngine(program, shards=2, mode=mode)
+        holders = [engine._serial, *engine._lanes]
+    executor = holders[0]._executor
     decided = storage_layout(
-        program, mode, columnar,
-        kernel=engine.native_active, scans=fused_scan_sites(program),
+        program, mode,
+        kernel=executor.native_active, scans=fused_scan_sites(program),
     )
     kinds = {name: layout.kind for name, layout in decided.maps.items()}
     assert set(kinds) == set(program.maps)
-    for name, kind in kinds.items():
-        assert type(engine.maps[name]) is _TYPES[kind], (name, kind)
+    for holder in holders:
+        for name, kind in kinds.items():
+            assert type(holder.maps[name]) is _TYPES[kind], (name, kind)
+        assert holder.storage_classes() == kinds
     assert engine.storage_classes() == kinds
     if mode != "interpreted":
-        assert _header_layout(engine._executor.source) == kinds
+        assert _header_layout(executor.source) == kinds
     # The rule itself, not just agreement with it.
-    if not columnar:
-        kernel_maps = [name for name, kind in kinds.items() if kind == "kernel"]
-        wanted = KERNEL_MAPS.get(query, 0) if mode == "native" else 0
-        if not probe_toolchain().available:
-            wanted = 0
-        assert len(kernel_maps) == wanted
-        assert all(kind != "packed" for kind in kinds.values())
-    elif mode != "native":
-        assert "kernel" not in kinds.values()
+    kernel_maps = [name for name, kind in kinds.items() if kind == "kernel"]
+    wanted = KERNEL_MAPS.get(query, 0) if mode == "native" else 0
+    if not probe_toolchain().available:
+        wanted = 0
+    assert len(kernel_maps) == wanted
+    assert all(kind != "packed" for kind in kinds.values())
 
 
 @pytest.fixture
@@ -180,23 +191,86 @@ def test_mid_stream_kernel_eject_beside_dict_neighbours_loses_nothing():
     assert native.results() == reference.results()
 
 
-def test_storage_classes_cross_the_lane_pipe():
-    """A forked lane's live classes reach the coordinator through the
-    ``stats`` op: one lane spilling a packed map reports ``spilled``."""
-    catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
-    program = compile_sql("SELECT a, sum(b) FROM R r GROUP BY a", catalog, name="q")
+@lru_cache(maxsize=None)
+def _mixed_program():
+    """The inequality join beside a point-probed grouped view over ``T``:
+    the kernel owns the two maps the join's triggers scan whole, the
+    grouped view's stay dicts.  Sharded, ``T`` is hash-routed and the join
+    runs in the serial lane, and every lane builds the kernel layout."""
+    catalog = Catalog.from_script(
+        "CREATE STREAM R (A int, B int); CREATE STREAM S (B int, C int);"
+        " CREATE STREAM T (A int, B int);"
+    )
+    return compile_queries(
+        [
+            translate_sql(sql, catalog, name=name)
+            for name, sql in (
+                ("grouped", "SELECT A, sum(B) FROM T GROUP BY A"),
+                ("scan", "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B"),
+            )
+        ],
+        catalog,
+    )
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_storage_classes_cross_the_lane_pipe(shards):
+    """Forked native workers run against a dict engine, and their live
+    classes reach the coordinator through the ``stats`` op: each lane
+    attaches its own kernel (none without a toolchain), and a mid-stream
+    eject reports ``ejected``.  Merged entries stay repr-identical to a
+    dict engine's."""
+    program = _mixed_program()
+    reference = DeltaEngine(program)
+    toolchain = probe_toolchain().available
     with ShardedEngine(
-        program, shards=2, parallel=True, columnar=True
+        program, shards=shards, mode="native", parallel=True
     ) as sharded:
         if not sharded.parallel:
             pytest.skip("fork unavailable on this platform")
-        for a in range(20):
-            sharded.insert("R", a, a + 1)
-        assert set(sharded.storage_classes().values()) == {"packed"}
-        # NaN keys keep dict identity semantics: the owning lane's maps
-        # fall back to dicts, the other lane's stay packed.
-        sharded.insert("R", float("nan"), 1)
-        assert set(sharded.storage_classes().values()) == {"spilled"}
-        assert len(sharded.results()) == 21
+        rng = random.Random(13)
+        for i in range(120):
+            relation = "TRS"[i % 3]
+            row = (rng.randrange(9), rng.randrange(-9, 9))
+            reference.insert(relation, *row)
+            sharded.insert(relation, *row)
+        kernel_maps = {"m1_s", "m2_r"} if toolchain else set()
+        assert sharded._serial._executor.layout.kernel_maps == kernel_maps
+        for lane in sharded._lanes:
+            classes = lane.storage_classes()  # read in the worker
+            assert {n for n, k in classes.items() if k == "kernel"} == kernel_maps
+        overflow = (4, (1 << 63) + 7)  # C no longer fits an int64 column
+        reference.insert("S", *overflow)
+        sharded.insert("S", *overflow)
+        if toolchain:
+            assert sharded.storage_classes()["m1_s"] == "ejected"
+        merged, expected = (
+            {name: sorted(items) for name, items in _exact_items(maps).items()}
+            for maps in (sharded.merged_maps(), reference.maps)
+        )
+        assert merged == expected  # lanes interleave keys: order differs
+        for view in ("grouped", "scan"):
+            assert sharded.results(view) == reference.results(view)
     with ShardedEngine(program, shards=2) as default:
         assert set(default.storage_classes().values()) == {"dict"}
+
+
+def test_packed_storage_is_not_an_engine_option(tmp_path):
+    """Maps are dicts, or kernel-held under ``mode="native"``: no engine
+    takes a ``columnar`` argument, and the executor options do not carry
+    one."""
+    import dataclasses
+
+    from repro.compiler.program import ExecutorOptions
+    from repro.runtime.durability import DurableEngine
+
+    program = _program("bsp")
+    with pytest.raises(TypeError):
+        DeltaEngine(program, columnar=True)
+    with pytest.raises(TypeError):
+        ShardedEngine(program, columnar=True)
+    with pytest.raises(TypeError):
+        DurableEngine(program, tmp_path, columnar=True)
+    assert [f.name for f in dataclasses.fields(ExecutorOptions)] == [
+        "mode", "use_indexes", "optimize"
+    ]

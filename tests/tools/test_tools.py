@@ -287,12 +287,11 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--columnar"], ["--mode", "native"],
-         ["--mode", "native", "--columnar"]],
-        ids=["default", "columnar", "native", "native-columnar"],
+        [[], ["--mode", "native"], ["--batch-size", "100"], ["--shards", "2"]],
+        ids=["default", "native", "batched", "sharded"],
     )
     def test_bench_command(self, capsys, flags):
-        """Every executor mode runs with and without the columnar flag."""
+        """The per-event, native, batched and sharded benches all run."""
         rc = cli_main(
             ["bench", "--workload", "finance", "--query", "bsp",
              "--events", "2000", *flags]
@@ -331,3 +330,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, "--native"])
         assert "unrecognized arguments: --native" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--query", "q", "--stream", "s.csv"], ["serve", "--query", "q"],
+         ["bench"]],
+        ids=["run", "serve", "bench"],
+    )
+    def test_there_is_no_columnar_flag(self, argv, capsys):
+        """Maps are dicts (or kernel-held under ``--mode native``); the
+        packed memory mode is not an option."""
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([*argv, "--columnar"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --columnar" in capsys.readouterr().err
