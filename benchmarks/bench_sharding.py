@@ -196,7 +196,7 @@ def measure(workload: Workload, shards: int, rounds: int) -> float:
             elapsed = time.perf_counter() - start
             best = min(best, elapsed / max(len(slice_events), 1))
             merged = (
-                engine.merged_maps()
+                engine.current_maps()
                 if isinstance(engine, ShardedEngine)
                 else engine.maps
             )

@@ -64,8 +64,9 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.compiler.program import CompiledProgram
 from repro.errors import (
@@ -992,28 +993,27 @@ def _check_meta(directory: Path, fingerprint: str, create: bool) -> None:
 
 def restore_and_replay(
     engine,
-    directory: str | Path,
     snapshot: Optional[dict],
+    frames: Iterable[tuple],
     apply: Optional[Callable[[int, EventBatch], None]] = None,
 ) -> tuple[int, int]:
     """Restore ``snapshot`` into ``engine`` (``None``: a fresh engine,
-    nothing to restore) and replay the WAL suffix past its watermark
-    through the normal batch path.
+    nothing to restore) and replay the ``(lsn, relation, sign, columns)``
+    ``frames`` logged past it through the normal batch path.
 
     The one restore-then-replay loop: crash recovery
     (:func:`recover_engine`), a supervised worker rebuild
-    (:class:`DurableEngine`) and the server's resume-from-LSN shadow
-    replay (:mod:`repro.runtime.serving`) all land here, so they share
-    its parity guarantee.  ``apply(lsn, batch)`` replaces the plain
+    (:class:`~repro.runtime.engine.ShardSupervisor`, from the WAL or its
+    in-memory log) and the server's resume-from-LSN shadow replay
+    (:mod:`repro.runtime.serving`) all land here, so they share its
+    parity guarantee; WAL callers pass :meth:`WriteAheadLog.replay` from
+    the snapshot's watermark.  ``apply(lsn, batch)`` replaces the plain
     ``engine._process_batch(batch)`` for a caller that observes frames
     as they go by.  Flush-path listeners are suppressed throughout:
     subscribers already saw these deltas, re-rendering them would
     duplicate the stream.
 
-    Returns ``(last applied LSN, frames replayed)``; replay is idempotent
-    by construction, because every frame at or below the watermark is
-    filtered out by LSN.  Raises :class:`~repro.errors.ResumeGapError`
-    when the log no longer reaches back to the watermark.
+    Returns ``(last applied LSN, frames replayed)``.
     """
     listeners, engine._batch_listeners = engine._batch_listeners, []
     try:
@@ -1025,11 +1025,9 @@ def restore_and_replay(
                 events_skipped=snapshot.get("events_skipped", 0),
                 stream_started=snapshot.get("stream_started"),
             )
-            last = snapshot["lsn"]
+            last = snapshot.get("lsn", 0)
         replayed = 0
-        for lsn, relation, sign, columns in WriteAheadLog.replay(
-            directory, after_lsn=last
-        ):
+        for lsn, relation, sign, columns in frames:
             batch = EventBatch.from_columns(relation, sign, columns)
             if apply is None:
                 engine._process_batch(batch)
@@ -1040,6 +1038,55 @@ def restore_and_replay(
         return last, replayed
     finally:
         engine._batch_listeners = listeners
+
+
+def _open_engine(program: CompiledProgram, shards: int, parallel: bool, **kwargs):
+    """A fresh engine to replay a durable directory into."""
+    from repro.runtime.engine import DeltaEngine, ShardedEngine
+
+    if shards > 1:
+        return ShardedEngine(program, shards=shards, parallel=parallel, **kwargs)
+    # One lane has no worker to supervise: as on a ShardedEngine without
+    # forked lanes, the supervision knobs are inert.
+    for name in (
+        "supervise", "max_worker_restarts", "restart_window", "checkpoint_every"
+    ):
+        kwargs.pop(name, None)
+    return DeltaEngine(program, **kwargs)
+
+
+def _replay_directory(
+    engine,
+    directory: Path,
+    fingerprint: str,
+    apply: Optional[Callable[[int, EventBatch], None]] = None,
+) -> int:
+    """Replay ``directory`` into ``engine`` (see :func:`recover_engine`);
+    returns the last applied frame's LSN."""
+    snapshot = SnapshotStore(directory).load_latest() if directory.exists() else None
+    if snapshot is not None:
+        stored = snapshot.get("fingerprint")
+        if stored is not None and stored != fingerprint:
+            raise RecoveryError(
+                f"snapshot in {directory} was written by a different "
+                f"program (fingerprint {stored!r}, this program "
+                f"{fingerprint!r})"
+            )
+    try:
+        frames = WriteAheadLog.replay(
+            directory, after_lsn=snapshot["lsn"] if snapshot else 0
+        )
+        return restore_and_replay(engine, snapshot, frames, apply)[0]
+    except ResumeGapError as exc:
+        # Only reachable when every snapshot is invalid but the log was
+        # already truncated past one: the lost prefix is unrecoverable,
+        # and replaying the surviving suffix alone would silently build
+        # the wrong state.
+        raise RecoveryError(
+            f"{directory}: no valid snapshot covers the truncated WAL "
+            f"prefix (replay would start at LSN {exc.oldest_lsn}, needed "
+            f"{exc.requested_lsn + 1}); the directory is unrecoverable"
+        ) from exc
 
 
 def recover_engine(
@@ -1061,45 +1108,11 @@ def recover_engine(
     Recovering twice (or recovering an already-recovered directory)
     reaches the identical state.
     """
-    from repro.runtime.engine import DeltaEngine, ShardedEngine
-
     directory = Path(directory)
     fingerprint = program_fingerprint(program)
     _check_meta(directory, fingerprint, create=False)
-    if shards > 1:
-        engine = ShardedEngine(
-            program, shards=shards, parallel=parallel, **engine_kwargs
-        )
-    else:
-        # One lane has no worker to supervise: as on a ShardedEngine
-        # without forked lanes, the supervision knobs are inert.
-        for name in (
-            "supervise", "max_worker_restarts", "restart_window", "checkpoint_every"
-        ):
-            engine_kwargs.pop(name, None)
-        engine = DeltaEngine(program, **engine_kwargs)
-    snapshot = SnapshotStore(directory).load_latest() if directory.exists() else None
-    if snapshot is not None:
-        stored = snapshot.get("fingerprint")
-        if stored is not None and stored != fingerprint:
-            raise RecoveryError(
-                f"snapshot in {directory} was written by a different "
-                f"program (fingerprint {stored!r}, this program "
-                f"{fingerprint!r})"
-            )
-    try:
-        last, _ = restore_and_replay(engine, directory, snapshot)
-    except ResumeGapError as exc:
-        # Only reachable when every snapshot is invalid but the log was
-        # already truncated past one: the lost prefix is unrecoverable,
-        # and replaying the surviving suffix alone would silently build
-        # the wrong state.
-        raise RecoveryError(
-            f"{directory}: no valid snapshot covers the truncated WAL "
-            f"prefix (replay would start at LSN {exc.oldest_lsn}, needed "
-            f"{exc.requested_lsn + 1}); the directory is unrecoverable"
-        ) from exc
-    return engine, last
+    engine = _open_engine(program, shards, parallel, **engine_kwargs)
+    return engine, _replay_directory(engine, directory, fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,9 +1167,15 @@ class DurableEngine(Engine):
         self._probe = probe
         self._snapshot_every = snapshot_every
         self._snapshots = SnapshotStore(self.directory, keep=2, probe=probe)
-        self._engine, self._lsn = recover_engine(
-            program, self.directory, shards=shards, parallel=parallel,
-            **engine_kwargs,
+        self._wal: Optional[WriteAheadLog] = None  # opened after the replay
+        self._lsn = 0
+        self._engine = _open_engine(program, shards, parallel, **engine_kwargs)
+        if getattr(self._engine, "supervisor", None) is not None:
+            # Before the replay below: a worker that dies in it is rebuilt
+            # from this directory too, and no batch is held in memory.
+            self._engine.supervisor.source = self._logged
+        self._lsn = _replay_directory(
+            self._engine, self.directory, self.fingerprint, self._replay_frame
         )
         self._wal = WriteAheadLog(
             self.directory, fsync=fsync, segment_bytes=segment_bytes,
@@ -1166,13 +1185,6 @@ class DurableEngine(Engine):
         # must not re-issue LSNs the snapshot already covers.
         self._wal.ensure_lsn(self._lsn)
         self._lsn = max(self._lsn, self._wal.last_lsn)
-        # A supervised sharded engine rebuilds a dead worker's lane from
-        # this directory (snapshot + WAL-suffix replay) instead of from
-        # coordinator-side checkpoints — the WAL already journals every
-        # batch, so the supervisor's in-memory journal would be redundant.
-        supervisor = getattr(self._engine, "supervisor", None)
-        if supervisor is not None:
-            supervisor.install_rebuilder(self._rebuild_from_disk)
         self._since_snapshot = 0
         self._closed = False
 
@@ -1185,7 +1197,8 @@ class DurableEngine(Engine):
 
     @property
     def lsn(self) -> int:
-        """The LSN of the last applied batch (0 before any event)."""
+        """The LSN of the last logged batch, applied or in flight (0
+        before any event)."""
         return self._lsn
 
     def tap_lsn(self) -> int:
@@ -1211,11 +1224,10 @@ class DurableEngine(Engine):
         admit(
             self._engine, batch.relation, 0 if isinstance(sign, list) else sign, 0
         )
-        lsn = self._wal.append_batch(batch)
+        self._lsn = self._wal.append_batch(batch)
         if self._probe is not None:
             self._probe("engine.after_append")
         applied = self._engine._process_batch(batch)
-        self._lsn = lsn
         if self._probe is not None:
             self._probe("engine.after_apply")
         if applied and self._batch_listeners:
@@ -1249,25 +1261,20 @@ class DurableEngine(Engine):
         resume from below it without a snapshot basis."""
         return self._wal.oldest_replayable_lsn()
 
-    def _rebuild_from_disk(self) -> int:
-        """Restore the wrapped engine from the durable directory.
+    def _replay_frame(self, lsn: int, batch: EventBatch) -> None:
+        """Apply one frame of the opening replay, marking it in flight."""
+        self._lsn = lsn
+        self._engine._process_batch(batch)
 
-        The shard supervisor calls this after respawning a dead worker:
-        every lane (the fresh one and the survivors) is reset and the
-        whole engine is rebuilt from the latest snapshot plus the WAL
-        suffix — the same path crash recovery takes
-        (:func:`restore_and_replay`), so the supervisor inherits its
-        parity guarantees.  The in-flight batch is already in the WAL
-        (appended before apply), so the replay re-applies it and the
-        caller must *not* re-send it.
-
-        Returns the number of WAL frames replayed (the suffix length the
-        recovery time is linear in).
-        """
-        self._wal.sync()
-        # No snapshot yet: restoring the empty state still resets the lanes.
+    def _logged(self) -> tuple[dict, Iterator]:
+        """What a supervised rebuild replays: the newest snapshot (the
+        empty state without one: it still resets every lane) and the WAL
+        frames past it, up to the batch in flight."""
+        if self._wal is not None:
+            self._wal.sync()
         snapshot = self._snapshots.load_latest() or {"maps": {}, "lsn": 0}
-        return restore_and_replay(self._engine, self.directory, snapshot)[1]
+        frames = WriteAheadLog.replay(self.directory, after_lsn=snapshot["lsn"])
+        return snapshot, takewhile(lambda frame: frame[0] <= self._lsn, frames)
 
     def snapshot(self) -> Path:
         """Checkpoint the whole engine state at the current LSN.

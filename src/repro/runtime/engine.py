@@ -908,9 +908,9 @@ def _shard_worker_main(conn, executor) -> None:
 
 
 class _BatchReplayed(Exception):
-    """Internal control flow: a supervised durable rebuild replayed the
-    in-flight batch from the WAL (it was logged before it was routed), so
-    the router must not re-send the remaining lane slices."""
+    """Internal control flow: a supervised rebuild replayed the in-flight
+    batch with the rest of the log (it was logged before it was routed),
+    so the router must not send its remaining lane slices."""
 
 
 class _ProcessLane:
@@ -972,25 +972,17 @@ class _ProcessLane:
 
     def send(self, relation: str, sign, rows, columns) -> None:
         """Queue one lane slice (see :class:`_LocalLane`)."""
-        entry = ("apply", relation, sign, rows, columns)
-        supervisor = self._guard()
-        journal = None if supervisor is None else supervisor._journal(self)
-        if journal is not None:
-            # Before the pipe, so a rebuild's replay covers a failed send.
-            journal.append(entry)
         try:
-            self._conn.send(entry)
+            self._conn.send(("apply", relation, sign, rows, columns))
         except (BrokenPipeError, OSError) as exc:
             error = self._dead_worker_error()
+            supervisor = self._guard()
             if supervisor is None:
                 raise error from exc
-            if supervisor._recover(self, error) == "durable":
-                # The WAL replay re-applied the whole in-flight batch
-                # (every lane's slice): abort the router's remaining sends.
-                raise _BatchReplayed() from None
-            return  # journal replay included this entry
-        if journal is not None and len(journal) >= supervisor.checkpoint_every:
-            supervisor._take_checkpoint(self)
+            supervisor._recover(self, error)
+            # The rebuild replayed the whole in-flight batch, every lane's
+            # slice: abort the router's remaining sends.
+            raise _BatchReplayed() from None
 
     def _round_trip(self, request: tuple, retry: bool = True) -> tuple:
         """Send one request and wait for its reply, watching for death.
@@ -1065,17 +1057,6 @@ class _ProcessLane:
         self, maps: dict, events_processed: int, stream_started: bool
     ) -> None:
         self._round_trip(("restore", maps, events_processed, stream_started))
-        supervisor = self._guard()
-        if supervisor is not None:
-            # A restore resets the lane wholesale: it is the new basis.
-            supervisor._rebase(
-                self,
-                (
-                    {name: dict(contents) for name, contents in maps.items()},
-                    events_processed,
-                    stream_started,
-                ),
-            )
 
     def close(self) -> None:
         if self._proc is None:
@@ -1093,39 +1074,41 @@ class _ProcessLane:
 
 
 class ShardSupervisor:
-    """Respawns dead shard workers and rebuilds their lane state.
+    """Respawns dead shard workers and rebuilds the engine's state.
 
     Without supervision a forked worker that dies (OOM kill, crash,
     SIGKILL) permanently poisons its :class:`ShardedEngine`: every later
     operation raises the dead-worker :class:`~repro.errors.EventError`.
     Under a supervisor (``ShardedEngine(..., parallel=True,
     supervise=True)``) a :class:`_ProcessLane` that meets a dead worker
-    calls :meth:`_recover` instead: the worker is respawned, its state
-    rebuilt, and the interrupted operation resumes — the stream sees one
-    identical delta sequence, just delivered later.
+    calls :meth:`_recover` instead, and the interrupted operation resumes
+    — the stream sees one identical delta sequence, just delivered later.
 
-    Two rebuild strategies, picked by how the engine is deployed:
+    A lost lane is rebuilt the way a crash is recovered, since a
+    maintained view is a function of the update stream's prefix: respawn
+    every dead worker, reset every lane from a whole-engine snapshot
+    (:meth:`ShardedEngine.restore_state`) and replay the batches logged
+    since through the recovery loop
+    (:func:`~repro.runtime.durability.restore_and_replay`).  Only the
+    log's source differs, and ``recoveries[i]["mode"]`` names it:
 
-    * **journal** (plain sharded engine) — the supervisor keeps a
-      coordinator-side checkpoint per lane (the lane's maps, captured
-      through the worker pipe every ``checkpoint_every`` sends — the
-      pipe's pickling is the deep copy) plus a journal of every send
-      since.  Rebuild = respawn, restore the checkpoint, replay the
-      journal; the in-flight send is journaled before it goes out, so
-      replay covers it.
-    * **durable** (:class:`~repro.runtime.durability.DurableEngine`
-      wrapping this engine) — the WAL already journals every batch
-      pre-partition, so the durable engine installs a rebuilder
-      (:meth:`install_rebuilder`) and in-memory journaling switches off.
-      Rebuild = reset *all* lanes and replay snapshot + WAL suffix, the
-      exact crash-recovery path; recovery time is linear in the WAL
-      suffix length.
+    * ``"journal"`` (a plain sharded engine) — the router's in-memory
+      log: a merged-state checkpoint taken every ``checkpoint_every``
+      admitted batches, plus a private copy of every batch since, logged
+      before it is routed.  :meth:`ShardedEngine.restore_state` re-bases
+      it; a replay is never logged again.
+    * ``"durable"`` (a :class:`~repro.runtime.durability.DurableEngine`
+      wrapping this engine) — the snapshot store plus the WAL, which the
+      durable engine installs as :attr:`source` before it replays its
+      directory, so no batch is ever held in memory.
 
-    Restarts are budgeted: more than ``max_restarts`` inside a sliding
-    ``window`` (seconds) re-raises the loud dead-worker error — a crash
-    loop should page an operator, not spin silently.  Only *death* is
-    supervised; a worker that answers ``("error", ...)`` (a trigger
-    failure) raises immediately, restarting would just mask the bug.
+    Either log holds the batch in flight, so the replay applies it in
+    full and the router sends no more of its slices.  Restarts are
+    budgeted: more than ``max_restarts`` inside a sliding ``window``
+    (seconds) re-raises the loud dead-worker error — a crash loop should
+    page an operator, not spin silently.  Only *death* is supervised; a
+    worker that answers ``("error", ...)`` (a trigger failure) raises
+    immediately, restarting would just mask the bug.
     """
 
     def __init__(
@@ -1154,87 +1137,90 @@ class ShardSupervisor:
         self.checkpoint_every = checkpoint_every
         self.restarts = 0
         self.last_recovery_seconds: Optional[float] = None
-        #: One entry per successful restart: lane, rebuild mode, number of
-        #: journal entries / WAL frames replayed, wall-clock seconds.
+        #: One entry per rebuild: the lane that met the death, the log's
+        #: source, number of batches replayed, wall-clock seconds.
         self.recoveries: list[dict] = []
+        #: The durable log: a callable returning ``(snapshot, frames)``;
+        #: ``None`` rebuilds from the in-memory log below.
+        self.source: Optional[Callable[[], tuple]] = None
         self._restart_times: deque = deque()
-        self._rebuilder: Optional[Callable[[], int]] = None
         self._rebuilding = False
-        # The journal-mode rebuild basis, per lane index: a private
-        # ``(maps, events_processed, stream_started)`` checkpoint (absent
-        # until the first one is taken) and every send since.
-        self._checkpoints: dict[int, tuple] = {}
-        self._journals: defaultdict = defaultdict(list)
+        # The in-memory log: a snapshot-shaped checkpoint (the empty state
+        # until the first one) and the ``(lsn, relation, sign, columns)``
+        # frames of every batch admitted since.
+        self._snapshot: dict = {"maps": {}}
+        self._frames: list = []
 
-    def install_rebuilder(self, rebuilder: Callable[[], int]) -> None:
-        """Switch to durable rebuilds: ``rebuilder()`` restores the whole
-        engine from persistent state and returns the replayed frame
-        count.  In-memory journals and checkpoints are dropped — the WAL
-        supersedes them."""
-        self._rebuilder = rebuilder
-        self._checkpoints.clear()
-        self._journals.clear()
+    def log(self, batch: EventBatch) -> None:
+        """Log one admitted batch before the router routes it."""
+        if self.source is not None or self._rebuilding:
+            return
+        if len(self._frames) >= self.checkpoint_every:
+            engine = self.engine
+            self.rebase(
+                engine.current_maps(), engine.events_processed,
+                engine._stream_started,
+            )
+        sign = batch.sign  # copied with the columns: a caller may reuse its lists
+        self._frames.append((
+            len(self._frames) + 1, batch.relation,
+            list(sign) if isinstance(sign, list) else sign,
+            tuple(map(list, batch.columns)),
+        ))
 
-    @property
-    def durable(self) -> bool:
-        """True when rebuilds replay persistent state instead of the
-        in-memory journal."""
-        return self._rebuilder is not None
+    def rebase(
+        self, maps: Mapping, events_processed: int, stream_started: bool
+    ) -> None:
+        """Adopt ``maps`` (merged; copied here) as the in-memory log's
+        checkpoint: everything logged before it is moot."""
+        if self.source is None and not self._rebuilding:
+            self._snapshot = {
+                "maps": {name: dict(contents) for name, contents in maps.items()},
+                "events_processed": events_processed,
+                "stream_started": stream_started,
+            }
+            self._frames = []
 
-    def _journal(self, lane: _ProcessLane) -> Optional[list]:
-        """``lane``'s send journal — ``None`` in durable mode, where the
-        WAL makes it redundant."""
-        return None if self.durable else self._journals[lane.index]
+    def _recover(self, lane: _ProcessLane, cause: EventError) -> None:
+        """Respawn ``lane``'s worker (and any other dead one) and rebuild
+        the whole engine from the log.
 
-    def _rebase(self, lane: _ProcessLane, checkpoint: tuple) -> None:
-        """Adopt ``checkpoint`` — ``(maps, events_processed,
-        stream_started)``, a private copy — as ``lane``'s rebuild basis;
-        everything journaled before it is moot."""
-        if not self.durable:
-            self._checkpoints[lane.index] = checkpoint
-            self._journals[lane.index] = []
-
-    def _take_checkpoint(self, lane: _ProcessLane) -> None:
-        # Through the worker pipe: pickled on the way out, so already a
-        # private deep copy.
-        reply = lane._round_trip(("collect",))
-        self._rebase(lane, (reply[1], reply[2], self.engine._stream_started))
-
-    def _recover(self, lane: _ProcessLane, cause: EventError) -> str:
-        """Respawn ``lane``'s worker and rebuild its state.
-
-        Returns the rebuild mode (``"journal"`` / ``"durable"``); raises
-        the budget-exhausted :class:`~repro.errors.EventError` without
-        restarting when the window is spent.
+        Raises the budget-exhausted :class:`~repro.errors.EventError`
+        without restarting when the window is spent.
         """
-        now = time.monotonic()
-        while self._restart_times and now - self._restart_times[0] > self.window:
-            self._restart_times.popleft()
-        if len(self._restart_times) >= self.max_restarts:
-            raise EventError(
-                f"shard worker {lane.index} died and the supervisor's "
-                f"restart budget is exhausted ({self.max_restarts} "
-                f"restarts in {self.window:g}s); giving up: {cause}"
-            ) from cause
-        self._restart_times.append(now)
+        from repro.runtime.durability import restore_and_replay
+
         started = time.perf_counter()
-        lane.respawn()
+        for dead in [lane] + [
+            other for other in self.engine._lanes
+            if other is not lane and not other._proc.is_alive()
+        ]:
+            now = time.monotonic()
+            while self._restart_times and now - self._restart_times[0] > self.window:
+                self._restart_times.popleft()
+            if len(self._restart_times) >= self.max_restarts:
+                raise EventError(
+                    f"shard worker {dead.index} died and the supervisor's "
+                    f"restart budget is exhausted ({self.max_restarts} "
+                    f"restarts in {self.window:g}s); giving up: {cause}"
+                ) from cause
+            self._restart_times.append(now)
+            self.restarts += 1
+            dead.respawn()
+        if self.source is None:
+            # Skipped batches are never logged: the live count is current.
+            snapshot = dict(
+                self._snapshot, events_skipped=self.engine.events_skipped
+            )
+            frames, mode = self._frames, "journal"
+        else:
+            (snapshot, frames), mode = self.source(), "durable"
         self._rebuilding = True  # the lanes run raw until the state is back
         try:
-            if self._rebuilder is not None:
-                replayed, mode = self._rebuilder(), "durable"
-            else:
-                checkpoint = self._checkpoints.get(lane.index)
-                if checkpoint is not None:
-                    lane.restore_state(*checkpoint)
-                journal = self._journals[lane.index]
-                for entry in journal:
-                    lane.send(*entry[1:])
-                replayed, mode = len(journal), "journal"
+            replayed = restore_and_replay(self.engine, snapshot, frames)[1]
         finally:
             self._rebuilding = False
         elapsed = time.perf_counter() - started
-        self.restarts += 1
         self.last_recovery_seconds = elapsed
         self.recoveries.append(
             {
@@ -1244,7 +1230,6 @@ class ShardSupervisor:
                 "seconds": elapsed,
             }
         )
-        return mode
 
 
 def _merge_lane_maps(
@@ -1318,9 +1303,9 @@ class ShardedEngine(Engine):
     ) -> None:
         """``supervise=True`` (with ``parallel=True``) puts the forked
         worker lanes under a :class:`ShardSupervisor` that respawns dead
-        workers and rebuilds their state — from a coordinator-side
-        checkpoint + send journal (refreshed every ``checkpoint_every``
-        sends), or from snapshot + WAL replay when a
+        workers and rebuilds the engine by snapshot-plus-log replay —
+        from an in-memory log checkpointed every ``checkpoint_every``
+        batches, or from snapshot + WAL when a
         :class:`~repro.runtime.durability.DurableEngine` wraps this
         engine.  At most ``max_worker_restarts`` restarts are attempted
         per sliding ``restart_window`` seconds; past the budget the
@@ -1407,6 +1392,8 @@ class ShardedEngine(Engine):
         weights = sign if isinstance(sign, list) else None
         if admit(self, relation, sign if weights is None else 0, count) is None:
             return 0
+        if self.supervisor is not None:
+            self.supervisor.log(batch)
         column = self.spec.relation_columns.get(relation)
         lanes = self._lanes
         try:
@@ -1427,9 +1414,9 @@ class ShardedEngine(Engine):
                     lane._signed[relation][weight](*row)
                     lane.events_processed += 1
         except _BatchReplayed:
-            # A supervised durable rebuild replayed the WAL, which already
-            # contains this batch in full — the un-sent lane slices were
-            # applied by the replay, so routing must not resume.
+            # A supervised rebuild replayed the log, which holds this
+            # batch in full — the unsent lane slices were applied by the
+            # replay, so routing must not resume.
             pass
         if self._batch_listeners:
             self._notify_listeners(batch)
@@ -1488,11 +1475,15 @@ class ShardedEngine(Engine):
         additive (sum-merged) maps and anything unsharded restore whole
         into the serial engine: the merge sums lanes key-wise, and every
         other lane starts its slice empty.  The event counter also lives
-        on the serial engine (``events_processed`` sums all lanes).
+        on the serial engine (``events_processed`` sums all lanes).  The
+        supervisor's in-memory log re-bases onto the restored state first,
+        so a worker that dies mid-restore is rebuilt to it.
         """
         self._check_open()
         if stream_started is None:
             stream_started = events_processed > 0
+        if self.supervisor is not None:
+            self.supervisor.rebase(maps, events_processed, stream_started)
         self.events_skipped = events_skipped
         self._stream_started = stream_started
         n_lanes = len(self._lanes)
@@ -1518,17 +1509,14 @@ class ShardedEngine(Engine):
 
     # -- results ------------------------------------------------------------
 
-    def merged_maps(self) -> dict[str, dict]:
-        """The key-wise merge of all lane maps (synchronises workers)."""
+    def current_maps(self) -> dict[str, dict]:
+        """The key-wise merge of all lane maps.  A worker's ``collect``
+        reply follows every batch queued to it, so this synchronises."""
         self._check_open()
-        self.sync()
         lane_maps = [self._serial.maps] + [
             lane.current_maps() for lane in self._lanes
         ]
         return _merge_lane_maps(self.program, lane_maps)
-
-    def current_maps(self) -> dict[str, dict]:
-        return self.merged_maps()
 
     # -- introspection ------------------------------------------------------
 

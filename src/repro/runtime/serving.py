@@ -1199,7 +1199,11 @@ class ViewServer:
         emitted, recomputed from disk.  Returns ``None`` when the engine
         is not durable or the WAL no longer reaches back to ``from_lsn``.
         """
-        from repro.runtime.durability import DurableEngine, restore_and_replay
+        from repro.runtime.durability import (
+            DurableEngine,
+            WriteAheadLog,
+            restore_and_replay,
+        )
         from repro.runtime.engine import DeltaEngine
 
         engine = self.engine
@@ -1228,13 +1232,11 @@ class ViewServer:
                     _delta_record(view, lsn, ts, changes, "replayed")
                 )
 
+        snapshot = engine._snapshots.load_latest(max_lsn=from_lsn)
         try:
-            restore_and_replay(
-                shadow,
-                engine.directory,
-                engine._snapshots.load_latest(max_lsn=from_lsn),
-                apply,
-            )
+            restore_and_replay(shadow, snapshot, WriteAheadLog.replay(
+                engine.directory, after_lsn=snapshot["lsn"] if snapshot else 0
+            ), apply)
         except ResumeGapError:
             return None
         return records

@@ -69,7 +69,7 @@ def test_sharded_equals_single_engine(query_name, mode, stream, shards, batch_si
         reference.process(event)
     consumed = sharded.process_stream(stream_events, batch_size=batch_size)
     assert consumed == len(stream_events)
-    assert sharded.merged_maps() == reference.maps
+    assert sharded.current_maps() == reference.maps
     assert sharded.results() == reference.results()
     assert sharded.events_processed == reference.events_processed
     assert sharded.events_skipped == reference.events_skipped
@@ -94,7 +94,7 @@ def test_finance_workload_sharded_identical(query_name, shards):
         reference.process(event)
     sharded = ShardedEngine(program, shards=shards)
     sharded.process_stream(stream_events, batch_size=64)
-    assert sharded.merged_maps() == reference.maps
+    assert sharded.current_maps() == reference.maps
     assert sharded.results() == reference.results()
 
 
@@ -119,5 +119,5 @@ def test_warehouse_workload_sharded_identical():
         reference.process(event)
     sharded = ShardedEngine(program, shards=4)
     sharded.process_stream(stream_events, batch_size=128)
-    assert sharded.merged_maps() == reference.maps
+    assert sharded.current_maps() == reference.maps
     assert sharded.results() == reference.results()

@@ -128,9 +128,7 @@ def _loaded(engine, name):
 
 
 def _maps_repr(engine) -> str:
-    if isinstance(engine, ShardedEngine):
-        return repr(engine.merged_maps())
-    return repr(engine.maps)
+    return repr(engine.current_maps())
 
 
 @lru_cache(maxsize=None)

@@ -239,7 +239,7 @@ def test_ir_sharded_path_matches_legacy(query_name, mode, shards, stream):
     reference = _reference_maps(program, stream_events)
     with ShardedEngine(program, shards=shards, mode=mode) as engine:
         engine.process_stream(stream_events)
-        assert engine.merged_maps() == reference
+        assert engine.current_maps() == reference
 
 
 def test_threshold_shape_reads_an_extremum():

@@ -42,7 +42,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.compiler import compile_sql  # noqa: E402
-from repro.runtime import DeltaEngine  # noqa: E402
+from repro.runtime import DeltaEngine, ShardedEngine  # noqa: E402
 from repro.runtime.durability import CrashPoint, DurableEngine  # noqa: E402
 from repro.runtime.events import batches  # noqa: E402
 
@@ -129,8 +129,8 @@ def assert_recovery_parity(
 ) -> None:
     """Recovered state must equal the uninterrupted reference at ``lsn``."""
     reference = reference_state(workload, n_events, seed, batch_size, lsn)
-    maps = engine.merged_maps() if hasattr(engine, "merged_maps") else engine.maps
-    if exact_repr and not hasattr(engine, "merged_maps"):
+    maps = engine.current_maps()
+    if exact_repr and not isinstance(engine, ShardedEngine):
         # Single-engine recovery reproduces storage layout and insertion
         # order, not just contents (sharded lanes hash with the per-process
         # salt, so only contents are comparable there).

@@ -452,7 +452,7 @@ def test_every_lane_equals_dict_storage(query_name, mode, stream, shards, batch_
 
     sharded = ShardedEngine(program, shards=shards, mode=mode)
     sharded.process_stream(stream_events, batch_size=batch_size)
-    assert _exact_items(sharded.merged_maps()) == _exact_items(reference.maps)
+    assert _exact_items(sharded.current_maps()) == _exact_items(reference.maps)
     assert sharded.results() == reference.results()
 
 

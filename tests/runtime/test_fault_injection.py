@@ -196,7 +196,7 @@ def test_crash_recovers_into_any_shard_count(
         single, lsn = recover_engine(_program(), directory)
         sharded, lsn_sharded = recover_engine(_program(), directory, shards=shards)
         assert lsn_sharded == lsn
-        assert sharded.merged_maps() == single.maps
+        assert sharded.current_maps() == single.maps
         assert sharded.results("q") == single.results("q")
         assert sharded.events_processed == single.events_processed
 
@@ -321,6 +321,6 @@ def test_dead_shard_worker_detected_from_reads():
         os.kill(victim._proc.pid, signal.SIGKILL)
         victim._proc.join(timeout=10)
         with pytest.raises(EventError, match="shard worker 1 .*died"):
-            engine.merged_maps()
+            engine.current_maps()
     finally:
         engine.close()

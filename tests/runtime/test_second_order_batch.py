@@ -117,7 +117,7 @@ class TestSecondOrderParity:
         for mode in ("compiled", "interpreted"):
             with ShardedEngine(program, shards=shards, mode=mode) as engine:
                 engine.process_stream(stream, batch_size=7)
-                assert engine.merged_maps() == reference, mode
+                assert engine.current_maps() == reference, mode
 
     @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
     @settings(max_examples=10, deadline=None)

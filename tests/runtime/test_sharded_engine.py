@@ -85,7 +85,7 @@ class TestBasics:
             # repr: bit-identical floats, and 1 is not 1.0.
             assert repr(sharded.results()) == repr(single.results())
             assert repr(sharded.results_dict()) == repr(single.results_dict())
-            assert sharded.merged_maps() == single.maps
+            assert sharded.current_maps() == single.maps
             assert sharded.events_processed == single.events_processed
 
     def test_delete_events_route_like_inserts(self):
@@ -95,7 +95,7 @@ class TestBasics:
         for engine in (single, sharded):
             engine.insert("R", 1, 10)
             engine.delete("R", 1, 10)
-        assert sharded.merged_maps() == single.maps
+        assert sharded.current_maps() == single.maps
 
     def test_map_view_and_sizes_are_merged(self):
         program = _grouped_program()
@@ -143,7 +143,7 @@ class TestBasics:
         for a, b in [(1, 1), (2, 2), (3, 3)]:
             single.insert("R", a, b)
             sharded.insert("R", a, b)
-        assert sharded.merged_maps() == single.maps
+        assert sharded.current_maps() == single.maps
 
 
 class TestEventPolicy:
@@ -225,7 +225,7 @@ class TestProcessBackend:
         with ShardedEngine(program, shards=2, parallel=True) as sharded:
             assert sharded.parallel
             sharded.process_stream(events, batch_size=100)
-            assert sharded.merged_maps() == single.maps
+            assert sharded.current_maps() == single.maps
             assert sharded.events_processed == single.events_processed
 
     def test_worker_failure_surfaces_on_sync(self):

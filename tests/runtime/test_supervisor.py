@@ -1,14 +1,17 @@
 """Units for the shard-worker supervisor (``ShardSupervisor``).
 
 A supervised :class:`~repro.runtime.engine.ShardedEngine` respawns a
-SIGKILLed forked worker and rebuilds its lane state — from the
-coordinator-side checkpoint + journal on a plain engine, from snapshot +
-WAL-suffix replay when wrapped in a
-:class:`~repro.runtime.durability.DurableEngine` — under a
-max-restarts-per-window budget.  These tests pin result parity after a
-kill, both rebuild modes, budget exhaustion, and that worker *errors*
-(as opposed to deaths) still surface loudly.  The randomized
-fault-schedule composition lives in
+SIGKILLed forked worker and rebuilds the engine the way a crash is
+recovered — restore a whole-engine snapshot into every lane, replay the
+batches logged since — under a max-restarts-per-window budget.  The log
+has two sources: the router's in-memory log (checkpoint + batch copies)
+on a plain engine, the snapshot store + WAL when wrapped in a
+:class:`~repro.runtime.durability.DurableEngine`.  These tests pin result
+parity after a kill for both sources (between batches, between two
+lanes' slices of one batch, and under a caller that reuses its rows
+list), that reopening a durable directory logs nothing in memory, budget
+exhaustion, and that worker *errors* (as opposed to deaths) still surface
+loudly.  The randomized fault-schedule composition lives in
 ``tests/integration/test_chaos_property.py``.
 """
 
@@ -23,6 +26,7 @@ from repro.compiler import compile_sql
 from repro.errors import EventError
 from repro.runtime import DeltaEngine, ShardedEngine, ShardSupervisor
 from repro.runtime.durability import DurableEngine
+from repro.runtime.engine import _ProcessLane
 from repro.sql.catalog import Catalog
 
 CATALOG_DDL = """
@@ -76,48 +80,123 @@ def test_supervise_without_parallel_lanes_is_inert():
 
 @needs_fork
 class TestSupervisedLanes:
-    def test_journal_rebuild_parity_after_sigkill(self):
+    @pytest.mark.parametrize(
+        "interrupt", ["between_batches", "between_slices", "reused_rows"]
+    )
+    @pytest.mark.parametrize("source", ["journal", "durable"])
+    def test_rebuild_parity_after_sigkill(
+        self, source, interrupt, tmp_path, monkeypatch
+    ):
+        """Batch 28's keys 0, 1, 2 route to lanes 0, 1 and 2, in that
+        order.  ``between_slices`` kills lane 1 after lane 0 took its
+        slice: the in-flight batch must still apply exactly once, lane
+        2's slice included.
+        ``reused_rows`` refills one ``rows`` list for every batch: a
+        rebuild must replay what was processed, not what the list holds
+        now."""
         program = _program()
         batches = [("R", 1, [(i % 4, i) for i in range(j, j + 3)])
-                   for j in range(0, 60, 3)]
-        engine = ShardedEngine(
-            program, shards=3, parallel=True,
-            supervise=True, checkpoint_every=8,
-        )
-        assert engine.supervisor is not None
-        assert not engine.supervisor.durable
-        for index, (relation, sign, rows) in enumerate(batches):
-            if index == 12:
-                _kill_worker(engine, 1)
-            engine.process_batch(relation, sign, rows)
-        engine.sync()
-        assert Counter(engine.results("q")) == _reference_rows(program, batches)
-        assert engine.supervisor.restarts == 1
-        (recovery,) = engine.supervisor.recoveries
-        assert recovery["mode"] == "journal"
-        assert recovery["lane"] == 1
-        assert recovery["seconds"] >= 0
-        engine.close()
+                   for j in range(0, 120, 3)]
+        if source == "durable":
+            engine = DurableEngine(
+                program, tmp_path, fsync="none",
+                shards=3, parallel=True, supervise=True,
+            )
+            sharded = engine.engine
+        else:
+            engine = sharded = ShardedEngine(
+                program, shards=3, parallel=True,
+                supervise=True, checkpoint_every=8,
+            )
+        supervisor = sharded.supervisor
+        assert supervisor is not None
+        assert (supervisor.source is None) == (source == "journal")
+        if interrupt == "between_slices":
+            send = _ProcessLane.send
 
-    def test_durable_rebuild_parity_after_sigkill(self, tmp_path):
-        program = _program()
-        batches = [("R", 1, [(i % 4, i)]) for i in range(40)]
-        engine = DurableEngine(
-            program, tmp_path, fsync="none",
-            shards=3, parallel=True, supervise=True,
-        )
-        supervisor = engine.engine.supervisor
-        assert supervisor is not None and supervisor.durable
+            def send_then_kill(lane, *args):
+                send(lane, *args)
+                if lane.index == 0 and len(sent) == 28 and not supervisor.restarts:
+                    _kill_worker(sharded, 1)
+
+            monkeypatch.setattr(_ProcessLane, "send", send_then_kill)
+        sent, reused = [], []
         for index, (relation, sign, rows) in enumerate(batches):
-            if index == 25:
-                _kill_worker(engine.engine, 0)
+            if index == 28 and interrupt != "between_slices":
+                _kill_worker(sharded, 1)
+            if interrupt == "reused_rows":
+                reused[:] = rows
+                rows = reused
             engine.process_batch(relation, sign, rows)
+            sent.append(index)
         engine.sync()
         assert Counter(engine.results("q")) == _reference_rows(program, batches)
+        assert engine.events_processed == 3 * len(batches)
         assert supervisor.restarts == 1
         (recovery,) = supervisor.recoveries
-        assert recovery["mode"] == "durable"
-        assert recovery["replayed"] >= 25  # whole-engine WAL replay
+        assert recovery["mode"] == source
+        assert recovery["lane"] == 1
+        assert recovery["seconds"] >= 0
+        # The whole WAL (batch 28 is LSN 29), or batches 24-28 past the
+        # checkpoint taken before batch 24 was logged.
+        assert recovery["replayed"] == (29 if source == "durable" else 5)
+        engine.close()
+
+    @pytest.mark.parametrize("kill_in_replay", [False, True])
+    def test_reopen_logs_nothing_in_memory(
+        self, kill_in_replay, tmp_path, monkeypatch
+    ):
+        """Reopening a supervised durable sharded engine replays its WAL
+        with the durable log installed: no checkpoint ``collect`` round
+        trip and no in-memory log entry — yet a worker SIGKILLed after
+        the reopen still rebuilds to the reference rows.
+        ``kill_in_replay`` kills lane 1 after lane 0 took frame 51's
+        slice: the rebuild replays the WAL up to that frame in flight,
+        and the reopen goes on from there, so no frame applies twice."""
+        program = _program()
+        batches = [("R", 1, [(i % 4, i), ((i + 1) % 4, i)]) for i in range(400)]
+        options = dict(fsync="none", shards=2, parallel=True, supervise=True)
+        with DurableEngine(program, tmp_path, **options) as engine:
+            for relation, sign, rows in batches:
+                engine.process_batch(relation, sign, rows)
+        requests, logged = [], []
+        round_trip, send = _ProcessLane._round_trip, _ProcessLane.send
+
+        def spy_round_trip(lane, request, retry=True):
+            requests.append(request[0])
+            return round_trip(lane, request, retry)
+
+        def spy_send(lane, *args):
+            logged.append(len(lane.supervisor._frames))
+            send(lane, *args)
+            if kill_in_replay and len(logged) == 101:
+                _kill_worker(lane.supervisor.engine, 1)
+
+        monkeypatch.setattr(_ProcessLane, "_round_trip", spy_round_trip)
+        monkeypatch.setattr(_ProcessLane, "send", spy_send)
+        engine = DurableEngine(program, tmp_path, **options)
+        assert engine.lsn == 400
+        assert "collect" not in requests
+        # Two slices a frame, and frames 1-51 once more in the rebuild.
+        assert len(logged) == 800 + 102 * kill_in_replay
+        assert set(logged) == {0}
+        assert Counter(engine.results("q")) == _reference_rows(program, batches)
+        monkeypatch.undo()
+        _kill_worker(engine.engine, 0)
+        more = [("R", 1, [(i % 4, -i)]) for i in range(10)]
+        for relation, sign, rows in more:
+            engine.process_batch(relation, sign, rows)
+        engine.sync()
+        assert Counter(engine.results("q")) == _reference_rows(
+            program, batches + more
+        )
+        recoveries = engine.supervisor.recoveries
+        assert [recovery["mode"] for recovery in recoveries] == (
+            ["durable"] * (1 + kill_in_replay)
+        )
+        if kill_in_replay:
+            assert (recoveries[0]["lane"], recoveries[0]["replayed"]) == (1, 51)
+        assert engine.supervisor._frames == []
         engine.close()
 
     def test_kill_every_lane_over_the_run(self):

@@ -239,6 +239,53 @@ class TestCLI:
         assert "(35,)" in lines[1]
         assert lines[-1] == "-- 1.67 rows per logged frame --"
 
+    def test_supervised_durable_run_resumes(self, tmp_path, capsys, monkeypatch):
+        """--supervise, --max-worker-restarts and --restart-window reach
+        the shard supervisor of a durable sharded run; a second run over
+        the same stream resumes the directory (its replay rebuilds from
+        the WAL, logging nothing in memory) and prints the same rows as
+        the unsupervised run."""
+        from repro.tools import cli
+
+        stream = tmp_path / "events.csv"
+        stream.write_text(
+            "op,relation,values...\n"
+            "+,R,1,10\n+,R,2,20\n+,R,1,5\n-,R,2,20\n+,R,3,7\n+,R,4,1\n"
+        )
+        engines = []
+        make_engine = cli._make_engine
+
+        def recording(program, args):
+            engines.append(make_engine(program, args))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "_make_engine", recording)
+        grouped = ["--schema", "CREATE STREAM R (A int, B int);",
+                   "--query", "SELECT A, sum(B) FROM R GROUP BY A"]
+        supervise = ["--supervise", "--max-worker-restarts", "5",
+                     "--restart-window", "30"]
+        rows = {}
+        for name, flags in (("plain", []), ("supervised", supervise)):
+            run = ["run", *grouped, "--stream", str(stream), "--shards", "2",
+                   "--durable", str(tmp_path / name), *flags]
+            assert cli_main(run) == 0
+            capsys.readouterr()
+            assert cli_main(run) == 0
+            out = capsys.readouterr().out
+            assert "-- resumed durable state at LSN 1 (6 events) --" in out
+            rows[name] = sorted(
+                line for line in out.splitlines() if line.startswith("   (")
+            )
+        assert rows["supervised"] == rows["plain"] == [
+            "   (1, 30)", "   (3, 14)", "   (4, 2)"
+        ]
+        assert [engine.supervisor is None for engine in engines] == [
+            True, True, False, False
+        ]
+        supervisor = engines[-1].supervisor
+        assert (supervisor.max_restarts, supervisor.window) == (5, 30.0)
+        assert supervisor.source is not None and supervisor.restarts == 0
+
     def test_run_command_no_opt(self, tmp_path, capsys):
         stream = tmp_path / "events.csv"
         stream.write_text("op,relation,values...\n+,R,2,10\n")
