@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.algebra.expr import AggSum, walk
 from repro.compiler import CompileOptions, compile_sql
 from repro.runtime import DeltaEngine, StreamEvent
 from repro.sql.catalog import Catalog
@@ -89,19 +90,21 @@ def test_recursive_state_is_aggregate_maps():
     assert "derived" in full_roles
     # First-order keeps only roots + base occurrences.
     assert {m.role for m in first.maps.values()} <= {"root", "occurrence"}
-    # And its triggers re-join several maps where recursion needs one probe.
-    root = first.slot_maps["q"][0]
-    first_reads = max(
-        len(s.reads())
-        for t in first.triggers.values()
-        for s in t.statements
-        if s.target == root
-    )
-    full_root = full.slot_maps["q"][0]
-    full_reads = max(
-        len(s.reads())
-        for t in full.triggers.values()
-        for s in t.statements
-        if s.target == full_root
-    )
-    assert full_reads < first_reads
+
+    def root_statements(program):
+        root = program.slot_maps["q"][0]
+        return [
+            s
+            for t in program.triggers.values()
+            for s in t.statements
+            if s.target == root
+        ]
+
+    def joins(statement):
+        return any(isinstance(node, AggSum) for node in walk(statement.rhs))
+
+    # Recursion reads its maps by keyed probes; first-order re-joins base
+    # state through a nested aggregate on every root update.
+    assert root_statements(full) and root_statements(first)
+    assert not any(joins(s) for s in root_statements(full))
+    assert all(joins(s) for s in root_statements(first))

@@ -41,11 +41,12 @@ def test_figure2_trace_reproduced(catalog):
     """The compiled program is exactly the paper's Figure 2."""
     program = compile_sql(PAPER_SQL, catalog)
     assert {repr(m.defn) for m in program.maps.values()} == FIGURE2_MAPS
-    # Event handlers: one insert + one delete per relation.
-    assert len(program.triggers) == 6
-    # The famous property: insert-into-S maintains q with *no join at all*.
+    # Event handlers: one per relation, weighted by the event's sign, so
+    # it serves inserts and deletes alike.
+    assert len(program.triggers) == 3
+    # The famous property: an update to S maintains q with *no join at all*.
     root = program.slot_maps["q"][0]
-    s_trigger = program.trigger_for("S", 1)
+    s_trigger = program.trigger_for("S")
     root_update = next(s for s in s_trigger.statements if s.target == root)
     assert len(root_update.reads()) == 2 and not root_update.loop_vars
     print("\n" + program.describe())

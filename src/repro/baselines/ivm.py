@@ -11,8 +11,6 @@ state, exactly like classical IVM.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.compiler import CompileOptions, compile_queries
 from repro.algebra.translate import translate_sql
 from repro.sql.catalog import Catalog
@@ -24,17 +22,11 @@ class FirstOrderIVMEngine(DeltaEngine):
 
     name = "ivm_first_order"
 
-    def __init__(
-        self,
-        queries: dict[str, str],
-        catalog: Catalog,
-        mode: str = "compiled",
-        options: Optional[CompileOptions] = None,
-    ) -> None:
-        options = options or CompileOptions()
-        options.derived_maps = False
+    def __init__(self, queries: dict[str, str], catalog: Catalog) -> None:
         translated = [
             translate_sql(sql, catalog, name=name) for name, sql in queries.items()
         ]
-        program = compile_queries(translated, catalog, options)
-        super().__init__(program, mode=mode)
+        program = compile_queries(
+            translated, catalog, CompileOptions(derived_maps=False)
+        )
+        super().__init__(program)

@@ -150,6 +150,10 @@ def _encoded_name(relation: str) -> bytes:
 
 _META_FILE = "durable.json"
 
+#: Snapshots a :class:`SnapshotStore` retains: the newest, and one older
+#: for recovery to fall back to past a corrupt newest file.
+_SNAPSHOTS_KEPT = 2
+
 
 # ---------------------------------------------------------------------------
 # Column-packed frame codec
@@ -437,9 +441,9 @@ def _oldest_replayable_lsn(directory: Path) -> Optional[int]:
 class WriteAheadLog:
     """An append-only, segmented log of column-packed event batches.
 
-    Each :meth:`append` assigns the batch the next LSN and encodes it as
-    one CRC-checksummed frame.  The fsync policy controls when frames
-    reach disk:
+    Each :meth:`append_batch` assigns the batch the next LSN and encodes
+    it as one CRC-checksummed frame.  The fsync policy controls when
+    frames reach disk:
 
     * ``"always"`` — every append is written *and* fsynced before it
       returns (durable on return; the slowest policy);
@@ -559,19 +563,6 @@ class WriteAheadLog:
             raise DurabilityError("write-ahead log is closed")
         self._flush(fsync=False)
         return _oldest_replayable_lsn(self.directory)
-
-    def append(
-        self, relation: str, sign, columns: Sequence[Sequence], rows: int
-    ) -> int:
-        """Log one batch (``sign``: ``+1``/``-1`` or its weight column);
-        returns its LSN.
-
-        Durability on return depends on the fsync policy (see the class
-        docstring); :meth:`sync` is the explicit barrier.
-        """
-        return self._append_payload(
-            encode_batch_payload(relation, sign, columns, rows)
-        )
 
     def append_batch(self, batch: EventBatch) -> int:
         """Log one :class:`~repro.runtime.events.EventBatch` as one frame
@@ -798,21 +789,17 @@ class SnapshotStore:
     temporary file, fsynced, then renamed into place (followed by a
     directory fsync) — a crash leaves either the previous snapshot set or
     the previous set plus one complete new file, never a half-written
-    visible snapshot.  ``keep`` bounds how many snapshots are retained;
-    older ones (and stray tmp files) are pruned after each save.
+    visible snapshot.  The newest :data:`_SNAPSHOTS_KEPT` snapshots are
+    retained; older ones (and stray tmp files) are pruned after each save.
     """
 
     def __init__(
         self,
         directory: str | Path,
-        keep: int = 2,
         probe: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if keep < 1:
-            raise DurabilityError(f"snapshot keep must be >= 1, got {keep!r}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         self.probe = probe
 
     def _path(self, lsn: int) -> Path:
@@ -874,7 +861,7 @@ class SnapshotStore:
         for stray in self.directory.glob("snapshot-*.snap.tmp"):
             stray.unlink(missing_ok=True)
         snapshots = self.paths()
-        for old in snapshots[: max(0, len(snapshots) - self.keep)]:
+        for old in snapshots[: max(0, len(snapshots) - _SNAPSHOTS_KEPT)]:
             old.unlink(missing_ok=True)
 
     def _load(self, path: Path) -> Optional[dict]:
@@ -1048,9 +1035,7 @@ def _open_engine(program: CompiledProgram, shards: int, parallel: bool, **kwargs
         return ShardedEngine(program, shards=shards, parallel=parallel, **kwargs)
     # One lane has no worker to supervise: as on a ShardedEngine without
     # forked lanes, the supervision knobs are inert.
-    for name in (
-        "supervise", "max_worker_restarts", "restart_window", "checkpoint_every"
-    ):
+    for name in ("supervise", "max_worker_restarts", "restart_window"):
         kwargs.pop(name, None)
     return DeltaEngine(program, **kwargs)
 
@@ -1166,7 +1151,7 @@ class DurableEngine(Engine):
         _check_meta(self.directory, self.fingerprint, create=True)
         self._probe = probe
         self._snapshot_every = snapshot_every
-        self._snapshots = SnapshotStore(self.directory, keep=2, probe=probe)
+        self._snapshots = SnapshotStore(self.directory, probe=probe)
         self._wal: Optional[WriteAheadLog] = None  # opened after the replay
         self._lsn = 0
         self._engine = _open_engine(program, shards, parallel, **engine_kwargs)
@@ -1220,10 +1205,7 @@ class DurableEngine(Engine):
         count = batch._length
         if not count:
             return 0
-        sign = batch.sign  # a weight column is admitted as sign 0
-        admit(
-            self._engine, batch.relation, 0 if isinstance(sign, list) else sign, 0
-        )
+        admit(self._engine, batch.relation, batch.sign, 0)
         self._lsn = self._wal.append_batch(batch)
         if self._probe is not None:
             self._probe("engine.after_append")

@@ -97,6 +97,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.storage import RecordingDict, storage_class
 from repro.runtime.views import (
+    _find_query,
     event_group_columns,
     query_results,
     result_map_names,
@@ -116,6 +117,11 @@ DEFAULT_BATCH_SIZE = 1024
 #: ~4x slower up to 8 rows; see CHANGES.md for the table).
 _ROW_ROUTE_THRESHOLD = 8
 
+#: A :class:`ShardSupervisor`'s in-memory log re-bases onto a merged
+#: checkpoint once it holds this many admitted batches, bounding both the
+#: log and the replay a rebuilt lane pays.
+_CHECKPOINT_EVERY = 64
+
 #: :meth:`DeltaEngine.process`'s route for a relation no query reads: falsy,
 #: unlike a relation's sign-indexed triggers, and not ``None`` (no route).
 _SKIP = ()
@@ -133,10 +139,10 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
     trigger, which every sign runs, or ``None`` for a skipped relation,
     whose rows drop.
 
-    ``sign`` is ``+1``/``-1``, or ``0`` for a mixed batch (one carrying a
-    weight column; ``0`` is the WAL's sign byte for one, too), judged
-    whole before any row applies: a static table refuses it (it holds
-    deletes) and a skipped relation counts every row.
+    ``sign`` is the batch's: ``+1``/``-1``, or a mixed batch's weight
+    column, judged whole before any row applies: a static table refuses
+    anything but ``+1`` (a weight column holds deletes) and a skipped
+    relation counts every row.
 
     ``count=0`` is a dry run — it raises exactly what applying would and
     changes no engine state — which is how the durable layer rejects a
@@ -361,7 +367,8 @@ class Engine:
         return query_results(self.program, self.current_maps(), query_name)
 
     def results_dict(self, query_name: Optional[str] = None) -> list[dict]:
-        query = self._query(query_name)
+        """Current rows of a standing query, keyed by output column."""
+        query = _find_query(self.program, query_name)
         return result_rows_to_dicts(query, self.results(query.name))
 
     def result_scalar(self, query_name: Optional[str] = None):
@@ -370,16 +377,6 @@ class Engine:
         if len(rows) != 1 or len(rows[0]) != 1:
             raise EventError("result_scalar requires a scalar single-item query")
         return rows[0][0]
-
-    def _query(self, query_name: Optional[str]):
-        if query_name is None:
-            if len(self.program.queries) != 1:
-                raise EventError("query_name required with multiple queries")
-            return self.program.queries[0]
-        for query in self.program.queries:
-            if query.name == query_name:
-                return query
-        raise EventError(f"unknown query {query_name!r}")
 
     # -- introspection (the read-only client interface) --------------------
 
@@ -633,9 +630,7 @@ class DeltaEngine(Engine):
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if admit(
-            self, relation, 0 if isinstance(sign, list) else sign, count
-        ) is None:
+        if admit(self, relation, sign, count) is None:
             return 0
         try:
             applied = self._apply(relation, sign, batch._rows, batch._columns)
@@ -1093,7 +1088,7 @@ class ShardSupervisor:
     log's source differs, and ``recoveries[i]["mode"]`` names it:
 
     * ``"journal"`` (a plain sharded engine) — the router's in-memory
-      log: a merged-state checkpoint taken every ``checkpoint_every``
+      log: a merged-state checkpoint taken every :data:`_CHECKPOINT_EVERY`
       admitted batches, plus a private copy of every batch since, logged
       before it is routed.  :meth:`ShardedEngine.restore_state` re-bases
       it; a replay is never logged again.
@@ -1116,7 +1111,6 @@ class ShardSupervisor:
         engine: "ShardedEngine",
         max_restarts: int = 3,
         window: float = 60.0,
-        checkpoint_every: int = 64,
     ) -> None:
         if max_restarts < 1:
             raise EventError(
@@ -1126,15 +1120,9 @@ class ShardSupervisor:
             raise EventError(
                 f"supervisor window must be positive, got {window!r}"
             )
-        if checkpoint_every < 1:
-            raise EventError(
-                f"supervisor checkpoint_every must be >= 1, got "
-                f"{checkpoint_every!r}"
-            )
         self.engine = engine
         self.max_restarts = max_restarts
         self.window = window
-        self.checkpoint_every = checkpoint_every
         self.restarts = 0
         self.last_recovery_seconds: Optional[float] = None
         #: One entry per rebuild: the lane that met the death, the log's
@@ -1155,7 +1143,7 @@ class ShardSupervisor:
         """Log one admitted batch before the router routes it."""
         if self.source is not None or self._rebuilding:
             return
-        if len(self._frames) >= self.checkpoint_every:
+        if len(self._frames) >= _CHECKPOINT_EVERY:
             engine = self.engine
             self.rebase(
                 engine.current_maps(), engine.events_processed,
@@ -1299,13 +1287,12 @@ class ShardedEngine(Engine):
         supervise: bool = False,
         max_worker_restarts: int = 3,
         restart_window: float = 60.0,
-        checkpoint_every: int = 64,
     ) -> None:
         """``supervise=True`` (with ``parallel=True``) puts the forked
         worker lanes under a :class:`ShardSupervisor` that respawns dead
         workers and rebuilds the engine by snapshot-plus-log replay —
-        from an in-memory log checkpointed every ``checkpoint_every``
-        batches, or from snapshot + WAL when a
+        from an in-memory log checkpointed every
+        :data:`_CHECKPOINT_EVERY` batches, or from snapshot + WAL when a
         :class:`~repro.runtime.durability.DurableEngine` wraps this
         engine.  At most ``max_worker_restarts`` restarts are attempted
         per sliding ``restart_window`` seconds; past the budget the
@@ -1346,7 +1333,6 @@ class ShardedEngine(Engine):
                         self,
                         max_restarts=max_worker_restarts,
                         window=restart_window,
-                        checkpoint_every=checkpoint_every,
                     )
                 self._lanes = [
                     _ProcessLane(ctx, executor, index, self.supervisor)
@@ -1390,7 +1376,7 @@ class ShardedEngine(Engine):
             return 0
         relation, sign = batch.relation, batch.sign
         weights = sign if isinstance(sign, list) else None
-        if admit(self, relation, sign if weights is None else 0, count) is None:
+        if admit(self, relation, sign, count) is None:
             return 0
         if self.supervisor is not None:
             self.supervisor.log(batch)

@@ -336,18 +336,13 @@ class ViewDeltaTap:
                 if targets.intersection(program.slot_maps[view])
             )
         #: what the engine reports writes for, per view: ``(touched,
-        #: columns)`` (see :meth:`~repro.runtime.engine.Engine.watch_results`).
-        self._watch: dict[str, tuple] = engine.watch_results(selected)
+        #: columns)`` (see :meth:`~repro.runtime.engine.Engine.watch_results`);
+        #: ``None`` while the tap holds no watch.
+        self._watch: Optional[dict[str, tuple]] = None
         #: per such view: a renderer over the engine's own maps, the
         #: touched set, and for an event-keyed view, per relation,
         #: ``batch -> groups`` (``None`` for a recorded view).
-        self._watched: dict[str, tuple] = {
-            view: (None, touched, None if columns is None else {
-                relation: _batch_groups(positions)
-                for relation, positions in columns.items()
-            })
-            for view, (touched, columns) in self._watch.items()
-        }
+        self._watched: dict[str, tuple] = {}
         #: group -> rendered row, per view: what subscribers hold.
         self._rows: dict[str, dict[tuple, tuple]] = {}
         self.resync()
@@ -359,7 +354,16 @@ class ViewDeltaTap:
         starts at its true position instead of 0.  The tap is built in
         sync; a tap that was not handed every batch since (a
         :class:`ViewServer` before its listener is registered) calls it
-        to catch up."""
+        to catch up, and a closed tap takes the engine watch back."""
+        if self._watch is None:
+            self._watch = self.engine.watch_results(self.views)
+            self._watched = {
+                view: (None, touched, None if columns is None else {
+                    relation: _batch_groups(positions)
+                    for relation, positions in columns.items()
+                })
+                for view, (touched, columns) in self._watch.items()
+            }
         program = self.engine.program
         maps = self.engine.current_maps()
         for view in self.views:
@@ -392,9 +396,10 @@ class ViewDeltaTap:
     def close(self) -> None:
         """Release the engine watch (idempotent): the result maps are
         plain dicts again.  A closed tap still answers, from the whole
-        view."""
-        self.engine.unwatch_results(self._watch)
-        self._watch = {}
+        view, until :meth:`resync` takes the watch back."""
+        if self._watch is not None:
+            self.engine.unwatch_results(self._watch)
+        self._watch = None
         self._watched = {}
 
     def snapshot(self, view: str) -> tuple[int, list[tuple[tuple, int]]]:
@@ -590,9 +595,9 @@ class _ClientState:
 class ViewServer:
     """The reactive view-subscription server.
 
-    Wraps one engine; accepts framed-protocol clients; fans every
-    applied batch's result deltas out to the view's subscribers.  Usage
-    (inside an event loop)::
+    Wraps one engine and serves every view of its program; accepts
+    framed-protocol clients; fans every applied batch's result deltas out
+    to the view's subscribers.  Usage (inside an event loop)::
 
         server = ViewServer(engine, port=0)
         await server.start()
@@ -628,7 +633,6 @@ class ViewServer:
         engine,
         host: str = "127.0.0.1",
         port: int = 0,
-        views: Optional[Iterable[str]] = None,
         backpressure: str = "block",
         queue_frames: int = DEFAULT_QUEUE_FRAMES,
         history_frames: int = DEFAULT_HISTORY_FRAMES,
@@ -658,7 +662,7 @@ class ViewServer:
         self.queue_frames = queue_frames
         self.history_frames = history_frames
         self.idle_timeout = idle_timeout
-        self.tap = ViewDeltaTap(engine, views)
+        self.tap = ViewDeltaTap(engine)
         self._server: Optional[asyncio.AbstractServer] = None
         self._subscribers: dict[str, set[_ClientState]] = {
             view: set() for view in self.tap.views
@@ -691,8 +695,9 @@ class ViewServer:
         # Register the tap only once the bind has succeeded, so a failed
         # start (port already in use) leaves no listener on the engine.
         # What the engine applied before it (since construction, or a
-        # stop) reached no listener: catch the tap up first, and restart
-        # the resume history where its LSN now stands.
+        # stop) reached no listener: catch the tap up first (taking back
+        # the engine watch a stop released), and restart the resume
+        # history where its LSN now stands.
         lsn = self.tap.lsn
         self.tap.resync()
         if self.tap.lsn != lsn:

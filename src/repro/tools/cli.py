@@ -67,7 +67,13 @@ from pathlib import Path
 
 from repro.codegen.pygen import generate_module
 from repro.compiler import analyze_partitioning, analyze_storage, compile_sql
-from repro.runtime import DeltaEngine, ShardedEngine
+from repro.runtime.durability import (
+    FSYNC_POLICIES,
+    DurableEngine,
+    _open_engine,
+    program_fingerprint,
+    recover_engine,
+)
 from repro.runtime.sources import csv_source
 from repro.sql.catalog import Catalog
 from repro.tools.trace import compilation_table, ir_summary, recursion_summary
@@ -87,37 +93,68 @@ def _native_banner(engine) -> None:
     print(f"-- native kernel {state}: {engine.native_note} --")
 
 
-def _make_engine(program, args):
-    """A DeltaEngine, or a ShardedEngine when ``--shards N`` (N > 1) asks
-    for hash-partitioned parallel lanes (worker processes where ``fork``
-    is available; non-partitionable programs fall back to serial).  With
-    ``--durable DIR`` the engine is wrapped in a
-    :class:`~repro.runtime.durability.DurableEngine` (recovering whatever
-    state DIR already holds).  ``--mode native`` selects the C
-    column-kernel executor lane (gracefully falling back to pure Python
-    when no toolchain exists)."""
-    shards = getattr(args, "shards", 1) or 1
-    kwargs = {
-        "mode": args.mode,
-        "optimize": not getattr(args, "no_opt", False),
-    }
-    if shards > 1:
-        kwargs.update(shards=shards, parallel=True)
-        if getattr(args, "supervise", False):
-            kwargs.update(
-                supervise=True,
-                max_worker_restarts=getattr(args, "max_worker_restarts", 3),
-                restart_window=getattr(args, "restart_window", 60.0),
-            )
-    durable = getattr(args, "durable", None)
+def _engine_options(p, durable: bool = True) -> None:
+    """Declare the options :func:`_make_engine` reads: the executor, the
+    shard lanes and their supervisor, and (``durable``) the durable
+    directory."""
+    p.add_argument("--mode", choices=MODES, default="compiled", help=MODE_HELP)
+    p.add_argument("--shards", type=int, default=1,
+                   help="hash-partitioned parallel shard lanes "
+                   "(1 = single engine)")
+    p.add_argument("--no-opt", action="store_true",
+                   help="disable the IR optimisation pipeline")
     if durable:
-        from repro.runtime.durability import DurableEngine
+        p.add_argument("--durable", metavar="DIR",
+                       help="crash-durable processing: write-ahead log + "
+                       "snapshots in DIR (resumes existing state)")
+        p.add_argument("--fsync", choices=FSYNC_POLICIES, default="batch",
+                       help="WAL fsync policy with --durable (default: batch)")
+        p.add_argument("--snapshot-every", type=int, default=None, metavar="N",
+                       help="with --durable, checkpoint every N events "
+                       "(bounds the WAL suffix a restart replays)")
+    p.add_argument("--supervise", action="store_true",
+                   help="with --shards N > 1, respawn and rebuild dead "
+                   "worker processes instead of failing the stream")
+    p.add_argument("--max-worker-restarts", type=int, default=3, metavar="N",
+                   help="supervisor restart budget per window (default: 3)")
+    p.add_argument("--restart-window", type=float, default=60.0,
+                   metavar="SECONDS",
+                   help="sliding window the restart budget covers "
+                   "(default: 60)")
 
+
+def _make_engine(program, args):
+    """The engine the engine options (:func:`_engine_options`) ask for: a
+    DeltaEngine, or a ShardedEngine when ``--shards N`` (N > 1) asks for
+    hash-partitioned parallel lanes (worker processes where ``fork`` is
+    available; non-partitionable programs fall back to serial), wrapped
+    in a :class:`~repro.runtime.durability.DurableEngine` under
+    ``--durable DIR`` (recovering whatever state DIR already holds).
+    ``--mode native`` selects the C column-kernel executor lane
+    (gracefully falling back to pure Python when no toolchain exists)."""
+    kwargs = dict(
+        mode=args.mode, optimize=not args.no_opt, supervise=args.supervise,
+        max_worker_restarts=args.max_worker_restarts,
+        restart_window=args.restart_window,
+    )
+    if getattr(args, "durable", None):
         return DurableEngine(
-            program, durable, fsync=getattr(args, "fsync", "batch"),
-            snapshot_every=getattr(args, "snapshot_every", None), **kwargs,
+            program, args.durable, shards=args.shards, parallel=True,
+            fsync=args.fsync, snapshot_every=args.snapshot_every, **kwargs,
         )
-    return (ShardedEngine if shards > 1 else DeltaEngine)(program, **kwargs)
+    return _open_engine(program, args.shards, parallel=True, **kwargs)
+
+
+def _open_query_engine(args):
+    """Compile ``--query`` and build its engine, saying what it resumed:
+    ``(catalog, engine)``."""
+    catalog = _load_catalog(args)
+    engine = _make_engine(compile_sql(args.query, catalog, name="q"), args)
+    _native_banner(engine)
+    if isinstance(engine, DurableEngine) and engine.lsn:
+        print(f"-- resumed durable state at LSN {engine.lsn} "
+              f"({engine.events_processed} events) --")
+    return catalog, engine
 
 
 def _load_catalog(args) -> Catalog:
@@ -129,8 +166,6 @@ def _load_catalog(args) -> Catalog:
 
 
 def cmd_compile(args) -> int:
-    from repro.runtime.durability import program_fingerprint
-
     catalog = _load_catalog(args)
     program = compile_sql(args.query, catalog, name="q")
     optimize = not args.no_opt
@@ -168,15 +203,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.runtime.durability import DurableEngine
-
-    catalog = _load_catalog(args)
-    program = compile_sql(args.query, catalog, name="q")
-    engine = _make_engine(program, args)
-    _native_banner(engine)
-    if isinstance(engine, DurableEngine) and engine.lsn:
-        print(f"-- resumed durable state at LSN {engine.lsn} "
-              f"({engine.events_processed} events) --")
+    catalog, engine = _open_query_engine(args)
     count = 0
     start = time.perf_counter()
     # Events flow through the batched stream path (chunked at --every so
@@ -220,16 +247,9 @@ def _rows_per_frame(engine, lsn: int) -> str:
 def cmd_serve(args) -> int:
     import asyncio
 
-    from repro.runtime.durability import DurableEngine
     from repro.runtime.serving import ViewServer
 
-    catalog = _load_catalog(args)
-    program = compile_sql(args.query, catalog, name="q")
-    engine = _make_engine(program, args)
-    _native_banner(engine)
-    if isinstance(engine, DurableEngine) and engine.lsn:
-        print(f"-- resumed durable state at LSN {engine.lsn} "
-              f"({engine.events_processed} events) --")
+    catalog, engine = _open_query_engine(args)
 
     async def _serve() -> None:
         server = ViewServer(
@@ -279,12 +299,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    from repro.runtime.durability import recover_engine
-
     catalog = _load_catalog(args)
     program = compile_sql(args.query, catalog, name="q")
-    shards = getattr(args, "shards", 1) or 1
-    engine, lsn = recover_engine(program, args.durable, shards=shards)
+    engine, lsn = recover_engine(program, args.durable, shards=args.shards)
     print(f"== recovered {args.durable} at LSN {lsn} "
           f"({engine.events_processed} events) ==")
     for row in engine.results("q"):
@@ -330,8 +347,7 @@ def cmd_bench(args) -> int:
     count = engine.process_stream(stream, **_batch_kwargs(args))
     engine.sync()
     elapsed = time.perf_counter() - start
-    shards = getattr(args, "shards", 1) or 1
-    sharding = f", shards={shards}" if shards > 1 else ""
+    sharding = f", shards={args.shards}" if args.shards > 1 else ""
     print(f"{args.workload}: {count} events in {elapsed:.2f}s "
           f"({count / elapsed:,.0f} events/s, mode={args.mode}"
           f"{sharding})")
@@ -348,19 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ddl", help="file of CREATE TABLE/STREAM statements")
         p.add_argument("--schema", help="inline DDL string")
         p.add_argument("--query", required=True, help="the standing SQL query")
-
-    def _supervisor_args(p):
-        p.add_argument("--supervise", action="store_true",
-                       help="with --shards N > 1, respawn and rebuild dead "
-                       "worker processes instead of failing the stream")
-        p.add_argument("--max-worker-restarts", type=int, default=3,
-                       metavar="N",
-                       help="supervisor restart budget per window "
-                       "(default: 3)")
-        p.add_argument("--restart-window", type=float, default=60.0,
-                       metavar="SECONDS",
-                       help="sliding window the restart budget covers "
-                       "(default: 60)")
 
     p_compile = sub.add_parser("compile", help="show compilation artifacts")
     common(p_compile)
@@ -383,25 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stream", required=True, help="CSV event file")
     p_run.add_argument("--every", type=int, default=0,
                        help="print results every N events")
-    p_run.add_argument("--mode", choices=MODES, default="compiled",
-                       help=MODE_HELP)
-    p_run.add_argument("--shards", type=int, default=1,
-                       help="hash-partitioned parallel shard lanes "
-                       "(1 = single engine)")
-    p_run.add_argument("--no-opt", action="store_true",
-                       help="disable the IR optimisation pipeline")
-    p_run.add_argument("--durable", metavar="DIR",
-                       help="crash-durable processing: write-ahead log + "
-                       "snapshots in DIR (resumes existing state)")
-    p_run.add_argument("--fsync", choices=["always", "batch", "none"],
-                       default="batch",
-                       help="WAL fsync policy with --durable "
-                       "(default: batch)")
-    p_run.add_argument("--snapshot-every", type=int, default=None,
-                       metavar="N",
-                       help="with --durable, checkpoint every N events "
-                       "(bounds the WAL suffix a restart replays)")
-    _supervisor_args(p_run)
+    _engine_options(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_serve = sub.add_parser(
@@ -423,22 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--oneshot", action="store_true",
                          help="exit after streaming --stream instead of "
                          "serving forever")
-    p_serve.add_argument("--mode", choices=MODES, default="compiled",
-                         help=MODE_HELP)
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="hash-partitioned parallel shard lanes "
-                         "(1 = single engine)")
-    p_serve.add_argument("--no-opt", action="store_true",
-                         help="disable the IR optimisation pipeline")
-    p_serve.add_argument("--durable", metavar="DIR",
-                         help="serve over a crash-durable engine: WAL + "
-                         "snapshots in DIR; delivered LSNs are the WAL's")
-    p_serve.add_argument("--fsync", choices=["always", "batch", "none"],
-                         default="batch",
-                         help="WAL fsync policy with --durable")
-    p_serve.add_argument("--snapshot-every", type=int, default=None,
-                         metavar="N",
-                         help="with --durable, checkpoint every N events")
     p_serve.add_argument("--history-frames", type=int, default=1024,
                          metavar="N",
                          help="per-view delta history retained for "
@@ -448,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="evict subscribers that neither read nor "
                          "ping within this window (default: off)")
-    _supervisor_args(p_serve)
+    _engine_options(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_recover = sub.add_parser(
@@ -467,17 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="finance")
     p_bench.add_argument("--query", help="finance query name (vwap/axf/...)")
     p_bench.add_argument("--events", type=int, default=20_000)
-    p_bench.add_argument("--mode", choices=MODES, default="compiled",
-                         help=MODE_HELP)
     p_bench.add_argument("--batch-size", type=int, default=None,
                          help="cap rows per dispatched batch "
                          "(default: the engine's bounded default)")
-    p_bench.add_argument("--shards", type=int, default=1,
-                         help="hash-partitioned parallel shard lanes "
-                         "(1 = single engine)")
-    p_bench.add_argument("--no-opt", action="store_true",
-                         help="disable the IR optimisation pipeline")
-    _supervisor_args(p_bench)
+    _engine_options(p_bench, durable=False)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -38,6 +38,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 from repro.runtime import DeltaEngine, ShardedEngine
 from repro.runtime.durability import DurableEngine
@@ -88,8 +89,7 @@ def _make_engine(program, shards: int, durable: bool, directory):
         )
     if shards > 1:
         return ShardedEngine(
-            program, shards=shards, parallel=True,
-            supervise=True, checkpoint_every=8,
+            program, shards=shards, parallel=True, supervise=True,
         )
     return DeltaEngine(program)
 
@@ -162,6 +162,9 @@ def _start_with_rebind_retry(handle, attempts: int = 50) -> None:
             time.sleep(0.1)
 
 
+# A journal-supervised run re-bases its in-memory log every 8 batches, so
+# a short scenario's kill lands past a checkpoint, not only before one.
+@mock.patch("repro.runtime.engine._CHECKPOINT_EVERY", 8)
 def _drive(program, batches, *, shards, durable, directory,
            schedule: FaultSchedule, seed: int):
     """One full run; returns (delta_log, rows, engine_rows, server_stats)."""

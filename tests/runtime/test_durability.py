@@ -22,7 +22,7 @@ from repro.errors import (
     UnknownStreamError,
     WalCorruptionError,
 )
-from repro.runtime import DeltaEngine, ShardedEngine
+from repro.runtime import DeltaEngine, ShardedEngine, durability
 from repro.runtime.durability import (
     _COLUMN_HEADER,
     _PAYLOAD_HEADER,
@@ -239,13 +239,13 @@ def test_a_torn_mixed_frame_loses_the_whole_batch(tmp_path):
 
 def _append_n(wal: WriteAheadLog, n: int, start: int = 0) -> None:
     for i in range(start, start + n):
-        wal.append("R", 1, ([i], [i * 10]), 1)
+        wal.append_batch(EventBatch("R", 1, [(i, i * 10)]))
 
 
 def test_wal_append_replay_round_trip(tmp_path):
     with WriteAheadLog(tmp_path, fsync="none") as wal:
         _append_n(wal, 5)
-        wal.append("S", -1, ([1, 2], [3, 4]), 2)
+        wal.append_batch(EventBatch("S", -1, [(1, 3), (2, 4)]))
     frames = list(WriteAheadLog.replay(tmp_path))
     assert [lsn for lsn, *_ in frames] == [1, 2, 3, 4, 5, 6]
     assert frames[0][1:] == ("R", 1, ([0], [0]))
@@ -315,7 +315,7 @@ def test_wal_ensure_lsn_leaves_forward_gap(tmp_path):
     with WriteAheadLog(tmp_path) as wal:
         _append_n(wal, 2)
         wal.ensure_lsn(10)  # a snapshot got ahead of the durable log
-        assert wal.append("R", 1, ([9], [9]), 1) == 11
+        assert wal.append_batch(EventBatch("R", 1, [(9, 9)])) == 11
     lsns = [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path)]
     assert lsns == [1, 2, 11]  # gap-tolerant, strictly increasing
 
@@ -335,7 +335,7 @@ def test_wal_rejects_unknown_policy_and_closed_appends(tmp_path):
     wal = WriteAheadLog(tmp_path)
     wal.close()
     with pytest.raises(DurabilityError):
-        wal.append("R", 1, ([1],), 1)
+        wal.append_batch(EventBatch("R", 1, [(1,)]))
 
 
 def test_wal_truncate_before_removes_covered_segments(tmp_path):
@@ -457,15 +457,16 @@ def test_snapshot_save_load_round_trip(tmp_path):
 
 
 def test_snapshot_latest_wins_and_prunes(tmp_path):
-    store = SnapshotStore(tmp_path, keep=2)
+    store = SnapshotStore(tmp_path)
     for lsn in (1, 2, 3):
         store.save(lsn, {"maps": {}, "n": lsn})
     assert store.load_latest()["n"] == 3
-    assert len(store.paths()) == 2  # keep=2 pruned the oldest
+    assert len(store.paths()) == 2  # two kept: the oldest pruned
 
 
-def test_snapshot_corrupt_latest_falls_back(tmp_path):
-    store = SnapshotStore(tmp_path, keep=3)
+def test_snapshot_corrupt_latest_falls_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(durability, "_SNAPSHOTS_KEPT", 3)
+    store = SnapshotStore(tmp_path)
     store.save(1, {"maps": {"m": {(1,): 1}}})
     store.save(2, {"maps": {"m": {(1,): 2}}})
     latest = store.paths()[-1]
@@ -692,8 +693,9 @@ def test_replay_raises_resume_gap_on_forward_gap(tmp_path):
         list(WriteAheadLog.replay(tmp_path, after_lsn=0))
 
 
-def test_snapshot_load_latest_max_lsn(tmp_path):
-    store = SnapshotStore(tmp_path, keep=10)
+def test_snapshot_load_latest_max_lsn(tmp_path, monkeypatch):
+    monkeypatch.setattr(durability, "_SNAPSHOTS_KEPT", 10)
+    store = SnapshotStore(tmp_path)
     for lsn in (5, 10, 15):
         store.save(lsn, {"maps": {}, "marker": lsn})
     assert store.load_latest()["marker"] == 15

@@ -109,6 +109,26 @@ class TestEngineAPI:
         engine.insert("bids", 3, 10, 2)
         assert engine.results_dict() == [{"broker_id": 3, "sum_1": 20}]
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (None, "query_name is required when multiple queries are registered"),
+            ("nope", "unknown query 'nope'"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_every_reader_names_queries_alike(self, catalog, name, message):
+        queries = [
+            translate_sql(GROUPED, catalog, name="by_broker"),
+            translate_sql("SELECT sum(volume) FROM bids", catalog, name="total"),
+        ]
+        engine = DeltaEngine(compile_queries(queries, catalog))
+        for reader in (engine.results, engine.results_dict, engine.result_scalar):
+            with pytest.raises(RuntimeEngineError) as error:
+                reader(name)
+            assert type(error.value) is RuntimeEngineError
+            assert str(error.value) == message
+
     def test_map_view_is_read_only(self, engine):
         engine.insert("bids", 1, 100, 5)
         root = engine.program.slot_maps["q"][0]

@@ -26,6 +26,7 @@ from repro.compiler import compile_sql
 from repro.errors import EventError
 from repro.runtime import DeltaEngine, ShardedEngine, ShardSupervisor
 from repro.runtime.durability import DurableEngine
+from repro.runtime import engine as engine_module
 from repro.runtime.engine import _ProcessLane
 from repro.sql.catalog import Catalog
 
@@ -66,8 +67,6 @@ def test_supervisor_rejects_bad_options():
         ShardSupervisor(engine, max_restarts=0)
     with pytest.raises(EventError, match="window"):
         ShardSupervisor(engine, window=0)
-    with pytest.raises(EventError, match="checkpoint_every"):
-        ShardSupervisor(engine, checkpoint_every=0)
 
 
 def test_supervise_without_parallel_lanes_is_inert():
@@ -104,9 +103,9 @@ class TestSupervisedLanes:
             )
             sharded = engine.engine
         else:
+            monkeypatch.setattr(engine_module, "_CHECKPOINT_EVERY", 8)
             engine = sharded = ShardedEngine(
-                program, shards=3, parallel=True,
-                supervise=True, checkpoint_every=8,
+                program, shards=3, parallel=True, supervise=True,
             )
         supervisor = sharded.supervisor
         assert supervisor is not None
@@ -199,11 +198,12 @@ class TestSupervisedLanes:
         assert engine.supervisor._frames == []
         engine.close()
 
-    def test_kill_every_lane_over_the_run(self):
+    def test_kill_every_lane_over_the_run(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_CHECKPOINT_EVERY", 4)
         program = _program()
         engine = ShardedEngine(
             program, shards=2, parallel=True,
-            supervise=True, max_worker_restarts=4, checkpoint_every=4,
+            supervise=True, max_worker_restarts=4,
         )
         batches = [("R", 1, [(i % 4, i)]) for i in range(30)]
         for index, (relation, sign, rows) in enumerate(batches):
@@ -254,11 +254,11 @@ class TestSupervisedLanes:
         assert engine.supervisor.restarts == 0
         engine.close()
 
-    def test_restore_state_resets_checkpoints(self):
+    def test_restore_state_resets_checkpoints(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_CHECKPOINT_EVERY", 4)
         program = _program()
         engine = ShardedEngine(
-            program, shards=2, parallel=True,
-            supervise=True, checkpoint_every=4,
+            program, shards=2, parallel=True, supervise=True,
         )
         primer = DeltaEngine(program)
         primer.process_batch("R", 1, [(1, 10), (2, 20)])

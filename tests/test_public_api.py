@@ -129,3 +129,33 @@ def test_module_imports_come_first():
             elif not isinstance(node, ast.Expr):  # a docstring
                 code_seen = True
     assert not offenders
+
+
+def test_every_setting_has_a_production_caller():
+    """A setting only tests changed is a module constant: the supervisor's
+    checkpoint interval (``engine._CHECKPOINT_EVERY``), the snapshots kept
+    (``durability._SNAPSHOTS_KEPT``), the views a server serves (all of
+    them) and the first-order engine's compile options and mode.  A WAL
+    frame is written one way, by ``append_batch``."""
+    import inspect
+
+    from repro.baselines import FirstOrderIVMEngine
+    from repro.runtime import ShardedEngine, ShardSupervisor
+    from repro.runtime.durability import SnapshotStore, WriteAheadLog
+    from repro.runtime.serving import ViewServer
+
+    def parameters(cls):
+        return list(inspect.signature(cls).parameters)
+
+    assert parameters(ShardedEngine) == [
+        "program", "shards", "mode", "parallel", "strict", "use_indexes",
+        "optimize", "supervise", "max_worker_restarts", "restart_window",
+    ]
+    assert parameters(ShardSupervisor) == ["engine", "max_restarts", "window"]
+    assert parameters(SnapshotStore) == ["directory", "probe"]
+    assert parameters(ViewServer) == [
+        "engine", "host", "port", "backpressure", "queue_frames",
+        "history_frames", "idle_timeout",
+    ]
+    assert parameters(FirstOrderIVMEngine) == ["queries", "catalog"]
+    assert not hasattr(WriteAheadLog, "append")

@@ -78,10 +78,71 @@ class TestTrace:
         assert "event sinks: 6 accumulator, 2 direct;" in ir_summary(axf)
 
 
+#: Every subcommand's options as ``{option: (default, required)}``: the
+#: CLI's surface, which declaring shared options once must not move.
+CLI_OPTIONS = {
+    "compile": {
+        "--ddl": (None, False), "--schema": (None, False),
+        "--query": (None, True), "--emit": ("none", False),
+        "--dump-ir": (False, False), "--no-opt": (False, False),
+    },
+    "run": {
+        "--ddl": (None, False), "--schema": (None, False),
+        "--query": (None, True), "--stream": (None, True),
+        "--every": (0, False), "--mode": ("compiled", False),
+        "--shards": (1, False), "--no-opt": (False, False),
+        "--durable": (None, False), "--fsync": ("batch", False),
+        "--snapshot-every": (None, False), "--supervise": (False, False),
+        "--max-worker-restarts": (3, False), "--restart-window": (60.0, False),
+    },
+    "serve": {
+        "--ddl": (None, False), "--schema": (None, False),
+        "--query": (None, True), "--host": ("127.0.0.1", False),
+        "--port": (0, False), "--backpressure": ("block", False),
+        "--queue-frames": (256, False), "--stream": (None, False),
+        "--oneshot": (False, False), "--mode": ("compiled", False),
+        "--shards": (1, False), "--no-opt": (False, False),
+        "--durable": (None, False), "--fsync": ("batch", False),
+        "--snapshot-every": (None, False), "--history-frames": (1024, False),
+        "--idle-timeout": (None, False), "--supervise": (False, False),
+        "--max-worker-restarts": (3, False), "--restart-window": (60.0, False),
+    },
+    "recover": {
+        "--ddl": (None, False), "--schema": (None, False),
+        "--query": (None, True), "--durable": (None, True),
+        "--shards": (1, False),
+    },
+    "bench": {
+        "--workload": ("finance", False), "--query": (None, False),
+        "--events": (20000, False), "--mode": ("compiled", False),
+        "--batch-size": (None, False), "--shards": (1, False),
+        "--no-opt": (False, False), "--supervise": (False, False),
+        "--max-worker-restarts": (3, False), "--restart-window": (60.0, False),
+    },
+}
+
+
 class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_subcommand_options_and_defaults(self):
+        import argparse
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {
+                action.option_strings[0]: (action.default, action.required)
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, parser in commands.choices.items()
+        }
+        assert found == CLI_OPTIONS
 
     def test_compile_command(self, capsys):
         rc = cli_main(
