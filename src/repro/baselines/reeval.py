@@ -22,6 +22,7 @@ from repro.sql.binder import bind_query
 from repro.sql.catalog import Catalog, SqlType
 from repro.sql.parser import parse_query
 from repro.runtime.events import EventBatch, StreamEvent, batches
+from repro.runtime.views import ScalarResult, resolve_query_name
 
 _SQLITE_TYPES = {
     SqlType.INT: "INTEGER",
@@ -92,7 +93,7 @@ class SqliteMirror:
         )
 
 
-class ReevalEngine:
+class ReevalEngine(ScalarResult):
     """Re-executes every registered query per update (or per read)."""
 
     name = "reeval"
@@ -178,26 +179,11 @@ class ReevalEngine:
         self.process(StreamEvent(relation, -1, tuple(values)))
 
     def results(self, query_name: Optional[str] = None) -> list[tuple]:
-        name = self._resolve_name(query_name)
+        name = resolve_query_name(self.queries, query_name)
         if self.refresh == "eager" and name in self._cached:
             return self._cached[name]
         return self._execute(name)
 
-    def result_scalar(self, query_name: Optional[str] = None):
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
-
     def total_entries(self) -> int:
         """Live state size: base-table rows (distinct) across relations."""
         return self.db.distinct_rows()
-
-    def _resolve_name(self, query_name: Optional[str]) -> str:
-        if query_name is not None:
-            if query_name not in self.queries:
-                raise EventError(f"unknown query {query_name!r}")
-            return query_name
-        if len(self.queries) != 1:
-            raise EventError("query_name required with multiple queries")
-        return next(iter(self.queries))

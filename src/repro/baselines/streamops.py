@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Iterable, Optional
 
-from repro.errors import EventError, UnsupportedQueryError
+from repro.errors import UnsupportedQueryError
 from repro.sql.ast import (
     AggregateCall,
     Arith,
@@ -42,6 +42,7 @@ from repro.sql.binder import BoundQuery, bind_query
 from repro.sql.catalog import Catalog
 from repro.sql.parser import parse_query
 from repro.runtime.events import EventBatch, StreamEvent, batches
+from repro.runtime.views import ScalarResult, resolve_query_name
 
 ValueFn = Callable[[tuple], object]
 
@@ -460,7 +461,7 @@ class _Pipeline:
         return sum(j.state_entries() for j in self.joins) + self.sink.state_entries()
 
 
-class StreamOpEngine:
+class StreamOpEngine(ScalarResult):
     """Standing queries over interpreted incremental operator networks."""
 
     name = "streamops"
@@ -508,23 +509,8 @@ class StreamOpEngine:
         self.process(StreamEvent(relation, -1, tuple(values)))
 
     def results(self, query_name: Optional[str] = None) -> list[tuple]:
-        name = self._resolve_name(query_name)
+        name = resolve_query_name(self.pipelines, query_name)
         return self.pipelines[name].results()
-
-    def result_scalar(self, query_name: Optional[str] = None):
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
 
     def total_entries(self) -> int:
         return sum(p.state_entries() for p in self.pipelines.values())
-
-    def _resolve_name(self, query_name: Optional[str]) -> str:
-        if query_name is not None:
-            if query_name not in self.pipelines:
-                raise EventError(f"unknown query {query_name!r}")
-            return query_name
-        if len(self.pipelines) != 1:
-            raise EventError("query_name required with multiple queries")
-        return next(iter(self.pipelines))

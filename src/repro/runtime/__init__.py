@@ -14,8 +14,8 @@ The runtime executes a :class:`~repro.compiler.program.CompiledProgram`:
   bind one executor compiled once, with key-wise merged results;
 * :mod:`~repro.runtime.views` — renders SQL-visible results from the
   maintained maps (avg division, min/max extraction, group existence);
-* :mod:`~repro.runtime.sources` — stream adapters (lists, CSV files) for
-  standalone mode;
+* :mod:`~repro.runtime.sources` — archived CSV streams for standalone
+  mode (any iterable of events is a source too);
 * :mod:`~repro.runtime.durability` — crash durability: the LSN-stamped
   write-ahead log, atomic engine snapshots, recovery
   (:class:`~repro.runtime.durability.DurableEngine`) and the

@@ -1,7 +1,9 @@
 """Step-tracing debugger for delta processing (the paper's Figure 4 tool).
 
-Wraps an engine so each event can be stepped through, printing (or
-collecting) the per-statement map changes.  Implemented over the trigger
+Steps a program's triggers event by event, collecting the per-statement
+map changes (print a step's trace to see them).  Events are admitted by
+the engines' one rule, :func:`~repro.runtime.engine.admit`, so the
+debugger's maps are the engine's.  Implemented over the trigger
 IR walked *unoptimised*, which preserves one IR block per compiled
 statement — the generated compiled code (and the fused/hoisted optimised
 IR) is intentionally opaque straight-line code.
@@ -10,12 +12,11 @@ IR) is intentionally opaque straight-line code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from repro.compiler.program import CompiledProgram, Statement
-from repro.errors import EventError
 from repro.ir.interp import run_trigger_collect
 from repro.ir.lower import lower_program
+from repro.runtime.engine import admit
 from repro.runtime.events import StreamEvent
 
 
@@ -48,8 +49,8 @@ class EventTrace:
 
 class Debugger:
     """Traces delta processing over a program's maps, event by event:
-    each step prints the statements the event's trigger ran and the map
-    entries they touched.
+    each step returns the trace of the statements the event's trigger ran
+    and the map entries they touched, which prints as below.
 
     >>> from repro.compiler import compile_sql
     >>> from repro.runtime.events import delete, insert
@@ -73,38 +74,32 @@ class Debugger:
     {}
     """
 
-    def __init__(
-        self,
-        program: CompiledProgram,
-        sink: Optional[Callable[[str], None]] = None,
-    ) -> None:
+    def __init__(self, program: CompiledProgram) -> None:
         self.program = program
         self.maps: dict[str, dict] = {name: {} for name in program.maps}
         # Unoptimised IR: one block per compiled statement, so traces keep
         # statement granularity.
         self._ir = lower_program(program, optimize=False)
         self.history: list[EventTrace] = []
-        self.sink = sink
+        # The state admit() reads and advances, as a lenient engine's.
+        self.strict = False
+        self._stream_started = False
+        self.events_skipped = 0
 
     def step(self, event: StreamEvent) -> EventTrace:
-        """Process one event, returning (and recording) its trace."""
-        trigger_ir = self._ir.triggers.get((event.relation, 0))
+        """Process one event, returning (and recording) its trace.  An
+        event the engine would refuse raises the engine's error and
+        changes nothing."""
         trace = EventTrace(event=event)
-        if event.sign == -1 and event.relation in self.program.static_relations:
-            # Its trigger was derived for inserts alone; admission refuses
-            # this delete too.
-            raise EventError(
-                f"static table {event.relation!r} only supports bulk-load inserts"
-            )
-        if trigger_ir is not None:
+        if admit(self, event.relation, event.sign, 1) is not None:
             for block, updates in run_trigger_collect(
-                trigger_ir, (event.sign, *event.values), self.maps
+                self._ir.triggers[(event.relation, 0)],
+                (event.sign, *event.values),
+                self.maps,
             ):
                 statement = block.sources[0] if block.sources else None
                 trace.statements.append(StatementTrace(statement, updates))
         self.history.append(trace)
-        if self.sink is not None:
-            self.sink(repr(trace))
         return trace
 
     def run(self, events) -> list[EventTrace]:

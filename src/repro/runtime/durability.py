@@ -90,8 +90,9 @@ PROBE_POINTS = (
 #: Accepted WAL fsync policies.
 FSYNC_POLICIES = ("always", "batch", "none")
 
-#: Rotate to a fresh segment once the current one exceeds this.
-DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
+#: Rotate to a fresh segment once the current one exceeds this (read at
+#: append time, so a test may patch it).
+_SEGMENT_BYTES = 16 * 1024 * 1024
 
 #: ``batch``/``none`` appends buffer in memory up to this many bytes
 #: before being written out (bounds loss *and* memory, not durability —
@@ -464,7 +465,6 @@ class WriteAheadLog:
         self,
         directory: str | Path,
         fsync: str = "batch",
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         probe: Optional[Callable[[str], None]] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -475,7 +475,6 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
-        self.segment_bytes = segment_bytes
         self.probe = probe
         self._pending = bytearray()
         self._fd: Optional[int] = None
@@ -594,7 +593,7 @@ class WriteAheadLog:
         pending = self._pending
         if (
             self._segment_size + len(pending) + len(payload) + _FRAME_OVERHEAD
-            > self.segment_bytes
+            > _SEGMENT_BYTES
             and self._segment_size + len(pending) > _SEGMENT_HEADER.size
         ):
             self._rotate(lsn)
@@ -1136,7 +1135,6 @@ class DurableEngine(Engine):
         parallel: bool = False,
         fsync: str = "batch",
         snapshot_every: Optional[int] = None,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         probe: Optional[Callable[[str], None]] = None,
         **engine_kwargs,
     ) -> None:
@@ -1162,10 +1160,7 @@ class DurableEngine(Engine):
         self._lsn = _replay_directory(
             self._engine, self.directory, self.fingerprint, self._replay_frame
         )
-        self._wal = WriteAheadLog(
-            self.directory, fsync=fsync, segment_bytes=segment_bytes,
-            probe=probe,
-        )
+        self._wal = WriteAheadLog(self.directory, fsync=fsync, probe=probe)
         # A lost tail (crash under fsync="batch"/"none" after a snapshot)
         # must not re-issue LSNs the snapshot already covers.
         self._wal.ensure_lsn(self._lsn)

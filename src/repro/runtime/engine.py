@@ -97,6 +97,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.storage import RecordingDict, storage_class
 from repro.runtime.views import (
+    ScalarResult,
     _find_query,
     event_group_columns,
     query_results,
@@ -187,7 +188,7 @@ def _build_executor(program: CompiledProgram, options: ExecutorOptions):
     return executor(program, options)
 
 
-class Engine:
+class Engine(ScalarResult):
     """The engine core: everything the single, sharded and durable
     engines share, written once.
 
@@ -371,35 +372,21 @@ class Engine:
         query = _find_query(self.program, query_name)
         return result_rows_to_dicts(query, self.results(query.name))
 
-    def result_scalar(self, query_name: Optional[str] = None):
-        """The single value of a scalar (non-grouped, single-item) query."""
-        rows = self.results(query_name)
-        if len(rows) != 1 or len(rows[0]) != 1:
-            raise EventError("result_scalar requires a scalar single-item query")
-        return rows[0][0]
-
     # -- introspection (the read-only client interface) --------------------
 
     def map_view(self, name: str) -> Mapping:
         """Read-only view of one internal map, for ad-hoc client queries."""
         return MappingProxyType(self.current_maps()[name])
 
-    def map_sizes(self, include_indexes: bool = False) -> dict[str, int]:
-        """Entries per map; with ``include_indexes`` each map's count also
-        covers its secondary-index entries (the real memory footprint)."""
-        sizes = {
+    def map_sizes(self) -> dict[str, int]:
+        """Entries per map (:meth:`index_sizes` counts the secondary-index
+        entries beside them)."""
+        return {
             name: len(contents) for name, contents in self.current_maps().items()
         }
-        if include_indexes:
-            for name, entries in self.index_sizes().items():
-                sizes[name] = sizes.get(name, 0) + entries
-        return sizes
 
-    def total_entries(self, include_indexes: bool = False) -> int:
-        total = sum(len(contents) for contents in self.current_maps().values())
-        if include_indexes:
-            total += sum(self.index_sizes().values())
-        return total
+    def total_entries(self) -> int:
+        return sum(self.map_sizes().values())
 
     # -- lifecycle ----------------------------------------------------------
 

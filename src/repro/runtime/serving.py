@@ -1543,6 +1543,13 @@ def rows_from_snapshot(snapshot: Mapping) -> Counter:
 #: A reconnect waits its backoff delay scaled by up to ``1 + BACKOFF_JITTER``.
 BACKOFF_JITTER = 0.5
 
+#: :class:`ReconnectingSubscriber`'s budget of consecutive failed connects
+#: and its backoff, ``_BACKOFF_BASE * 2**attempt`` seconds capped at
+#: ``_BACKOFF_MAX`` (read at each connect, so a test may patch them).
+_MAX_RECONNECTS = 8
+_BACKOFF_BASE = 0.05
+_BACKOFF_MAX = 2.0
+
 
 class ReconnectingSubscriber:
     """A :class:`SubscriberClient` wrapper that survives its server.
@@ -1551,7 +1558,7 @@ class ReconnectingSubscriber:
 
     * **auto-reconnect** — a lost connection (server restart, network
       fault, idle eviction) is retried with exponential backoff plus
-      jitter, up to ``max_reconnects`` *consecutive* failures (the
+      jitter, up to ``_MAX_RECONNECTS`` *consecutive* failures (the
       budget resets on every successful connect);
     * **resume-from-LSN** — reconnects subscribe with
       ``from_lsn=<last delivered LSN>``, so the server replays exactly
@@ -1576,22 +1583,12 @@ class ReconnectingSubscriber:
         host: str,
         port: int,
         view: str,
-        max_reconnects: int = 8,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         timeout: float = 30.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if max_reconnects < 1:
-            raise ServingError(
-                f"max_reconnects must be >= 1, got {max_reconnects!r}"
-            )
         self.host = host
         self.port = port
         self.view = view
-        self.max_reconnects = max_reconnects
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self.timeout = timeout
         self._rng = rng if rng is not None else random.Random()
         self.rows: Counter = Counter()
@@ -1605,7 +1602,7 @@ class ReconnectingSubscriber:
     # -- connection management ----------------------------------------------
 
     def _backoff(self, attempt: int) -> float:
-        delay = min(self.backoff_max, self.backoff_base * (2 ** attempt))
+        delay = min(_BACKOFF_MAX, _BACKOFF_BASE * (2 ** attempt))
         return delay * (1.0 + BACKOFF_JITTER * self._rng.random())
 
     def _connect(self) -> None:
@@ -1635,9 +1632,9 @@ class ReconnectingSubscriber:
                         self._bridge(client.subscribe(self.view))
             except (ServingError, OSError) as exc:
                 failures += 1
-                if failures > self.max_reconnects:
+                if failures > _MAX_RECONNECTS:
                     raise ServingError(
-                        f"reconnect budget exhausted ({self.max_reconnects} "
+                        f"reconnect budget exhausted ({_MAX_RECONNECTS} "
                         f"consecutive failures) for view {self.view!r}: {exc}"
                     ) from exc
                 time.sleep(self._backoff(failures - 1))

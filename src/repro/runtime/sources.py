@@ -1,10 +1,10 @@
 """Stream sources for standalone mode.
 
 The paper's runtime accepts input "over a network interface or archived
-stream"; here the equivalents are iterables, CSV files and generator
-adapters.  Every source yields :class:`~repro.runtime.events.StreamEvent`
-objects, so ``engine.process_stream(source)`` works uniformly — grouping
-into per-relation batches (inserts and deletes together) is
+stream"; here an archived stream is a CSV file (:func:`csv_source`), and
+any iterable of :class:`~repro.runtime.events.StreamEvent` objects works
+as a source too, so ``engine.process_stream(source)`` works uniformly —
+grouping into per-relation batches (inserts and deletes together) is
 ``process_stream``'s job (:func:`repro.runtime.events.batches`), shard routing
 :class:`~repro.runtime.engine.ShardedEngine`'s.
 """
@@ -13,33 +13,18 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import EventError
 from repro.sql.catalog import Catalog, Relation, SqlType
 from repro.runtime.events import StreamEvent
 
 
-def list_source(events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
-    """A trivial adapter over an in-memory event list."""
-    yield from events
-
-
-def relation_loader(relation: str, rows: Iterable[Sequence]) -> Iterator[StreamEvent]:
-    """Bulk inserts for loading a static table."""
-    for row in rows:
-        yield StreamEvent(relation, 1, tuple(row))
-
-
-def csv_source(
-    path: str | Path,
-    catalog: Catalog,
-    relation_column: str = "relation",
-    op_column: str = "op",
-) -> Iterator[StreamEvent]:
+def csv_source(path: str | Path, catalog: Catalog) -> Iterator[StreamEvent]:
     """An archived update stream in CSV form.
 
-    Expected header: ``op,relation,<value0>,<value1>,...`` where ``op`` is
+    The first line is a header and is skipped.  Every other line reads
+    ``op,relation,<value0>,<value1>,...`` by position, where ``op`` is
     ``+``/``insert`` or ``-``/``delete``.  Values are coerced using the
     relation's catalog schema.
     """
@@ -63,20 +48,6 @@ def csv_source(
                 _op_sign(op, f"{path}:{line_number}"),
                 coerce_row(relation, values[: relation.arity]),
             )
-
-
-def write_csv(path: str | Path, events: Iterable[StreamEvent]) -> int:
-    """Archive an event stream to CSV (the inverse of :func:`csv_source`)."""
-    count = 0
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["op", "relation", "values..."])
-        for event in events:
-            writer.writerow(
-                ["+" if event.sign == 1 else "-", event.relation, *event.values]
-            )
-            count += 1
-    return count
 
 
 def coerce_row(relation: Relation, values: Sequence) -> tuple:

@@ -19,9 +19,9 @@ only place a delta is ordered.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Collection, Mapping, Optional
 
-from repro.errors import RuntimeEngineError, TranslationError
+from repro.errors import EventError, RuntimeEngineError, TranslationError
 from repro.algebra.translate import RConst, RGroup, RNeg, RSlot, TranslatedQuery
 from repro.compiler.program import CompiledProgram
 from repro.ir.nodes import (
@@ -260,14 +260,32 @@ def result_delta(
     return delta
 
 
-def _find_query(program: CompiledProgram, name: Optional[str]) -> TranslatedQuery:
+def resolve_query_name(names: Collection[str], name: Optional[str]) -> str:
+    """The query a reader means: ``name``, or the one query registered
+    when ``name`` is ``None``.  Every engine and baseline resolves names
+    here, so a missing or unknown name fails alike everywhere."""
     if name is None:
-        if len(program.queries) != 1:
+        if len(names) != 1:
             raise RuntimeEngineError(
                 "query_name is required when multiple queries are registered"
             )
-        return program.queries[0]
-    for query in program.queries:
-        if query.name == name:
-            return query
-    raise RuntimeEngineError(f"unknown query {name!r}")
+        return next(iter(names))
+    if name not in names:
+        raise RuntimeEngineError(f"unknown query {name!r}")
+    return name
+
+
+class ScalarResult:
+    """``result_scalar`` for any reader with a ``results(query_name)``."""
+
+    def result_scalar(self, query_name: Optional[str] = None):
+        """The single value of a scalar (non-grouped, single-item) query."""
+        rows = self.results(query_name)
+        if len(rows) != 1 or len(rows[0]) != 1:
+            raise EventError("result_scalar requires a scalar single-item query")
+        return rows[0][0]
+
+
+def _find_query(program: CompiledProgram, name: Optional[str]) -> TranslatedQuery:
+    queries = {query.name: query for query in program.queries}
+    return queries[resolve_query_name(queries, name)]

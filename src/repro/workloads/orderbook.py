@@ -23,16 +23,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.runtime.events import StreamEvent
-from repro.sql.catalog import Catalog
 
 ORDER_BOOK_DDL = """
 CREATE STREAM bids (t INT, id INT, broker_id INT, price INT, volume INT);
 CREATE STREAM asks (t INT, id INT, broker_id INT, price INT, volume INT);
 """
-
-
-def order_book_catalog() -> Catalog:
-    return Catalog.from_script(ORDER_BOOK_DDL)
 
 
 @dataclass

@@ -17,8 +17,6 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from repro.sql.catalog import Catalog
-
 TPCH_DDL = """
 CREATE TABLE region (r_regionkey INT, r_name VARCHAR(12));
 CREATE TABLE nation (n_nationkey INT, n_name VARCHAR(25), n_regionkey INT);
@@ -45,10 +43,6 @@ NATIONS = [
 SEGMENTS = ["AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"]
 MFGRS = [f"MFGR#{i}" for i in range(1, 6)]
 YEARS = list(range(1992, 1999))
-
-
-def tpch_catalog() -> Catalog:
-    return Catalog.from_script(TPCH_DDL)
 
 
 def date_dimension() -> list[tuple]:

@@ -163,8 +163,11 @@ def _start_with_rebind_retry(handle, attempts: int = 50) -> None:
 
 
 # A journal-supervised run re-bases its in-memory log every 8 batches, so
-# a short scenario's kill lands past a checkpoint, not only before one.
+# a short scenario's kill lands past a checkpoint, not only before one;
+# the subscriber retries a torn connection within 10-200 ms.
 @mock.patch("repro.runtime.engine._CHECKPOINT_EVERY", 8)
+@mock.patch("repro.runtime.serving._BACKOFF_BASE", 0.01)
+@mock.patch("repro.runtime.serving._BACKOFF_MAX", 0.2)
 def _drive(program, batches, *, shards, durable, directory,
            schedule: FaultSchedule, seed: int):
     """One full run; returns (delta_log, rows, engine_rows, server_stats)."""
@@ -175,9 +178,7 @@ def _drive(program, batches, *, shards, durable, directory,
     handle.start()
     stalled = None
     subscriber = ReconnectingSubscriber(
-        handle.host, handle.port, "q",
-        backoff_base=0.01, backoff_max=0.2, timeout=30.0,
-        rng=random.Random(seed),
+        handle.host, handle.port, "q", timeout=30.0, rng=random.Random(seed)
     )
     stats = {"timed_out": 0, "reconnects": 0}
     try:

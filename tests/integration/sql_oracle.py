@@ -11,7 +11,8 @@ Pieces:
 * :class:`SqliteOracle` — the catalog mirror the re-evaluation baseline
   runs on (:class:`~repro.baselines.reeval.SqliteMirror`: an in-memory
   sqlite3 database replaying the same insert/delete stream), plus the
-  query's SQL evaluated directly and normalised;
+  query's SQL evaluated directly and normalised by the ledger oracle's
+  :func:`normalize_rows` (one rule for the tests and the benchmarks);
 * :func:`oracle_stream` — random insert/delete streams that only ever
   delete live rows (sqlite has no Z-set negative multiplicities), with an
   optional bias towards deleting the current extremum of a column (the
@@ -30,30 +31,10 @@ from __future__ import annotations
 import random
 from typing import Mapping, Optional, Sequence
 
+from benchmarks.ledger.oracle import normalize_rows
 from repro.baselines.reeval import SqliteMirror
 from repro.runtime import StreamEvent
 from repro.sql.catalog import Catalog
-
-
-def normalize_value(value):
-    """Canonical scalar: NULL becomes 0 (the engines' empty-aggregate
-    rendering), integral floats collapse to ints (sqlite SUM of an INTEGER
-    column is an int, engine ring sums may be floats), other floats are
-    rounded past any accumulation-order noise."""
-    if value is None:
-        return 0
-    if isinstance(value, float):
-        if value == int(value):
-            return int(value)
-        return round(value, 9)
-    return value
-
-
-def normalize_rows(rows: Sequence[Sequence]) -> list[tuple]:
-    """Rows as a canonical sorted list of normalised tuples."""
-    return sorted(
-        (tuple(normalize_value(v) for v in row) for row in rows), key=repr
-    )
 
 
 class SqliteOracle(SqliteMirror):

@@ -269,8 +269,8 @@ def test_wal_resumes_at_next_lsn(tmp_path):
     assert [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path)] == [1, 2, 3, 4, 5]
 
 
-def test_wal_segment_rotation(tmp_path):
-    with WriteAheadLog(tmp_path, fsync="none", segment_bytes=256) as wal:
+def test_wal_segment_rotation(tmp_path, small_segments):
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
         _append_n(wal, 30)
     segments = sorted(tmp_path.glob("wal-*.log"))
     assert len(segments) > 1
@@ -300,8 +300,8 @@ def test_wal_corrupt_tail_crc_truncated(tmp_path):
     assert [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path)] == [1, 2, 3]
 
 
-def test_wal_interior_corruption_raises(tmp_path):
-    with WriteAheadLog(tmp_path, fsync="none", segment_bytes=256) as wal:
+def test_wal_interior_corruption_raises(tmp_path, small_segments):
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
         _append_n(wal, 30)
     first = sorted(tmp_path.glob("wal-*.log"))[0]
     data = bytearray(first.read_bytes())
@@ -338,8 +338,10 @@ def test_wal_rejects_unknown_policy_and_closed_appends(tmp_path):
         wal.append_batch(EventBatch("R", 1, [(1,)]))
 
 
-def test_wal_truncate_before_removes_covered_segments(tmp_path):
-    with WriteAheadLog(tmp_path, fsync="none", segment_bytes=256) as wal:
+def test_wal_truncate_before_removes_covered_segments(
+    tmp_path, small_segments
+):
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
         _append_n(wal, 30)
         wal.sync()
         before = sorted(tmp_path.glob("wal-*.log"))
@@ -354,8 +356,8 @@ def test_wal_truncate_before_removes_covered_segments(tmp_path):
     assert [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path, after_lsn=30)] == [31, 32]
 
 
-def test_wal_truncate_before_keeps_uncovered_suffix(tmp_path):
-    with WriteAheadLog(tmp_path, fsync="none", segment_bytes=256) as wal:
+def test_wal_truncate_before_keeps_uncovered_suffix(tmp_path, small_segments):
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
         _append_n(wal, 30)
         wal.sync()
         segments = sorted(tmp_path.glob("wal-*.log"))
@@ -379,11 +381,9 @@ def test_wal_truncate_before_never_removes_active_segment(tmp_path):
     assert [lsn for lsn, *_ in WriteAheadLog.replay(tmp_path)] == [1, 2, 3, 4, 5, 6]
 
 
-def test_durable_snapshot_truncates_wal_and_recovers(tmp_path):
+def test_durable_snapshot_truncates_wal_and_recovers(tmp_path, small_segments):
     program = _program()
-    with DurableEngine(
-        program, tmp_path, fsync="batch", segment_bytes=256
-    ) as engine:
+    with DurableEngine(program, tmp_path, fsync="batch") as engine:
         for i in range(40):
             engine.process_batch("R", 1, [(i % 4, i)])
         engine.snapshot()
@@ -405,11 +405,11 @@ def test_durable_snapshot_truncates_wal_and_recovers(tmp_path):
     assert lsn == 80
 
 
-def test_durable_truncation_preserves_corrupt_snapshot_fallback(tmp_path):
+def test_durable_truncation_preserves_corrupt_snapshot_fallback(
+    tmp_path, small_segments
+):
     program = _program()
-    with DurableEngine(
-        program, tmp_path, fsync="batch", segment_bytes=256
-    ) as engine:
+    with DurableEngine(program, tmp_path, fsync="batch") as engine:
         for i in range(30):
             engine.process_batch("R", 1, [(i % 3, i)])
         engine.snapshot()
@@ -648,8 +648,8 @@ def test_single_lane_durable_engine_takes_supervision_as_a_noop(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_oldest_replayable_lsn_tracks_truncation(tmp_path):
-    with WriteAheadLog(tmp_path, fsync="none", segment_bytes=256) as wal:
+def test_oldest_replayable_lsn_tracks_truncation(tmp_path, small_segments):
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
         # A frameless fresh log answers its next LSN (coverage starts
         # there; nothing has been truncated away).
         assert wal.oldest_replayable_lsn() == 1
@@ -666,10 +666,10 @@ def test_oldest_replayable_lsn_tracks_truncation(tmp_path):
         assert lsns == list(range(oldest, 31))
 
 
-def test_replay_raises_resume_gap_for_pre_truncation_lsn(tmp_path):
+def test_replay_raises_resume_gap_for_pre_truncation_lsn(tmp_path, small_segments):
     from repro.errors import ResumeGapError
 
-    with WriteAheadLog(tmp_path, fsync="none", segment_bytes=256) as wal:
+    with WriteAheadLog(tmp_path, fsync="none") as wal:
         _append_n(wal, 30)
         wal.truncate_before(20)
         oldest = wal.oldest_replayable_lsn()
@@ -704,8 +704,8 @@ def test_snapshot_load_latest_max_lsn(tmp_path, monkeypatch):
     assert store.load_latest(max_lsn=4) is None
 
 
-def test_durable_engine_oldest_replayable_lsn(tmp_path):
-    engine = DurableEngine(_program(), tmp_path, fsync="none", segment_bytes=256)
+def test_durable_engine_oldest_replayable_lsn(tmp_path, small_segments):
+    engine = DurableEngine(_program(), tmp_path, fsync="none")
     for i in range(40):
         engine.process_batch("R", 1, [(i % 4, i)])
     assert engine.oldest_replayable_lsn() == 1

@@ -1,5 +1,7 @@
 """Runtime tests: engine API, events, views, sources, debugger, profiler."""
 
+import csv
+import itertools
 import os
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.errors import EventError, RuntimeEngineError, UnknownStreamError
 from repro.compiler import compile_sql, compile_queries
 from repro.algebra.translate import translate_sql
+from repro.baselines import ENGINE_KINDS, make_engine
 from repro.runtime import (
     DeltaEngine,
     ShardedEngine,
@@ -24,13 +27,7 @@ from repro.runtime.profiler import (
     profile_compilation,
     total_memory_bytes,
 )
-from repro.runtime.sources import (
-    coerce_row,
-    csv_source,
-    list_source,
-    relation_loader,
-    write_csv,
-)
+from repro.runtime.sources import coerce_row, csv_source
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 from repro.workloads.orderbook import OrderBookGenerator
@@ -118,16 +115,19 @@ class TestEngineAPI:
         ids=["missing", "unknown"],
     )
     def test_every_reader_names_queries_alike(self, catalog, name, message):
-        queries = [
-            translate_sql(GROUPED, catalog, name="by_broker"),
-            translate_sql("SELECT sum(volume) FROM bids", catalog, name="total"),
-        ]
-        engine = DeltaEngine(compile_queries(queries, catalog))
-        for reader in (engine.results, engine.results_dict, engine.result_scalar):
-            with pytest.raises(RuntimeEngineError) as error:
-                reader(name)
-            assert type(error.value) is RuntimeEngineError
-            assert str(error.value) == message
+        """Every engine and every bakeoff baseline resolves a query name
+        alike (``results_dict`` is the engines' alone)."""
+        queries = {"by_broker": GROUPED, "total": "SELECT sum(volume) FROM bids"}
+        for kind in sorted(ENGINE_KINDS):
+            engine = make_engine(kind, queries, catalog)
+            readers = [engine.results, engine.result_scalar]
+            if hasattr(engine, "results_dict"):
+                readers.append(engine.results_dict)
+            for reader in readers:
+                with pytest.raises(RuntimeEngineError) as error:
+                    reader(name)
+                assert type(error.value) is RuntimeEngineError, kind
+                assert str(error.value) == message, kind
 
     def test_map_view_is_read_only(self, engine):
         engine.insert("bids", 1, 100, 5)
@@ -342,10 +342,21 @@ class TestViews:
         assert engine.results() == [(1, 0)]
 
 
+def _write_csv(path, events):
+    """Archive ``events`` in the form :func:`csv_source` reads."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["op", "relation", "values..."])
+        for event in events:
+            writer.writerow(
+                ["+" if event.sign == 1 else "-", event.relation, *event.values]
+            )
+
+
 class TestSources:
     def test_list_and_loader(self, engine):
-        engine.process_stream(list_source([insert("bids", 1, 10, 1)]))
-        engine.process_stream(relation_loader("bids", [(1, 20, 2)]))
+        engine.process_stream([insert("bids", 1, 10, 1)])
+        engine.load("bids", [(1, 20, 2)])
         assert engine.results() == [(1, 50)]
 
     def test_csv_round_trip(self, tmp_path, catalog, engine):
@@ -355,7 +366,7 @@ class TestSources:
             delete("bids", 1, 100, 5),
             insert("bids", 2, 30, 2),
         ]
-        assert write_csv(path, events) == 3
+        _write_csv(path, events)
         loaded = list(csv_source(path, catalog))
         assert loaded == events
         engine.process_stream(loaded)
@@ -434,11 +445,63 @@ class TestDebugger:
         with pytest.raises(EventError, match="bulk-load inserts"):
             debugger.step(delete("dim", 1, 2))
 
-    def test_sink_receives_traces(self, catalog):
-        lines = []
-        debugger = Debugger(compile_sql(GROUPED, catalog), sink=lines.append)
-        debugger.step(insert("bids", 1, 1, 1))
-        assert lines and "bids" in lines[0]
+    def test_a_static_insert_after_the_stream_raises_as_admission_does(self):
+        catalog = Catalog.from_script(
+            "CREATE STREAM R (a int, b int); CREATE TABLE S (b int, c int);"
+        )
+        program = compile_sql("SELECT sum(R.a * S.c) FROM R, S WHERE R.b = S.b", catalog)
+        engine, debugger = DeltaEngine(program), Debugger(program)
+        for event in (insert("S", 1, 5), insert("R", 2, 1)):
+            engine.process(event)
+            debugger.step(event)
+        late = insert("S", 1, 7)
+        with pytest.raises(EventError, match="cannot change after"):
+            engine.process(late)
+        with pytest.raises(EventError, match="cannot change after"):
+            debugger.step(late)
+        assert debugger.maps == _engine_maps(engine)
+        assert debugger.maps["m1_s"] == {(1,): 5}
+
+    def test_an_unread_relation_is_skipped_as_admission_does(self, catalog):
+        debugger = Debugger(compile_sql(GROUPED, catalog))
+        trace = debugger.step(insert("asks", 1, 1, 1))
+        assert trace.statements == [] and debugger.events_skipped == 1
+
+    @pytest.mark.parametrize("query", sorted(FINANCE_QUERIES))
+    def test_maps_equal_the_engines_after_every_step(self, query):
+        program = compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=query)
+        engine, debugger = DeltaEngine(program), Debugger(program)
+        for event in OrderBookGenerator(seed=3).events(250):
+            engine.process(event)
+            debugger.step(event)
+            assert debugger.maps == _engine_maps(engine)
+
+    def test_maps_equal_the_engines_over_static_tables_then_the_stream(self):
+        from repro.workloads.ssb import (
+            SSB_Q41_COMBINED,
+            ssb_catalog,
+            warehouse_stream,
+        )
+        from repro.workloads.tpch import TpchGenerator
+
+        program = compile_sql(SSB_Q41_COMBINED, ssb_catalog(), name="q41")
+        engine, debugger = DeltaEngine(program), Debugger(program)
+        generator = TpchGenerator(sf=0.0002, seed=7)
+        static = [
+            insert(relation, *row)
+            for relation, rows in generator.static_tables().items()
+            for row in rows
+        ]
+        stream = list(itertools.islice(warehouse_stream(generator), 200))
+        for event in static + stream:
+            engine.process(event)
+            debugger.step(event)
+            assert debugger.maps == _engine_maps(engine)
+        assert engine.results()
+
+
+def _engine_maps(engine):
+    return {name: dict(engine.maps[name]) for name in engine.program.maps}
 
 
 def _profiled(engine):

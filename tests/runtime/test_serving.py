@@ -560,10 +560,8 @@ def test_resume_gap_on_non_durable_engine():
             assert rows == Counter(engine.results("q"))
 
 
-def test_resume_gap_after_wal_truncation(tmp_path):
-    engine = DurableEngine(
-        _program(), tmp_path, fsync="none", segment_bytes=256
-    )
+def test_resume_gap_after_wal_truncation(tmp_path, small_segments):
+    engine = DurableEngine(_program(), tmp_path, fsync="none")
     with ServerThread(engine, history_frames=2) as handle:
         with SubscriberClient(handle.host, handle.port) as sub:
             sub.subscribe("q")
@@ -689,19 +687,20 @@ def test_oversized_length_prefix_gets_error_frame():
 # ---------------------------------------------------------------------------
 
 
-def test_reconnecting_subscriber_survives_server_restart(tmp_path):
+def test_reconnecting_subscriber_survives_server_restart(tmp_path, monkeypatch):
     import random as _random
 
+    from repro.runtime import serving
     from repro.runtime.durability import recover_engine
     from repro.runtime.serving import ReconnectingSubscriber
 
+    monkeypatch.setattr(serving, "_BACKOFF_BASE", 0.01)
     program = _program()
     engine = DurableEngine(program, tmp_path, fsync="none")
     handle = ServerThread(engine)
     handle.start()
     sub = ReconnectingSubscriber(
-        handle.host, handle.port, "q",
-        backoff_base=0.01, rng=_random.Random(7),
+        handle.host, handle.port, "q", rng=_random.Random(7)
     )
     try:
         for i in range(5):
@@ -733,20 +732,23 @@ def test_reconnecting_subscriber_survives_server_restart(tmp_path):
         sub.close()
 
 
-def test_reconnecting_subscriber_resume_gap_fallback(tmp_path):
+def test_reconnecting_subscriber_resume_gap_fallback(
+    tmp_path, small_segments, monkeypatch
+):
     import random as _random
 
+    from repro.runtime import serving
     from repro.runtime.serving import ReconnectingSubscriber
 
+    monkeypatch.setattr(serving, "_BACKOFF_BASE", 0.01)
     program = _program()
     engine = DurableEngine(
-        program, tmp_path, fsync="none", segment_bytes=256
+        program, tmp_path, fsync="none"
     )
     handle = ServerThread(engine, history_frames=2)
     handle.start()
     sub = ReconnectingSubscriber(
-        handle.host, handle.port, "q",
-        backoff_base=0.01, rng=_random.Random(1),
+        handle.host, handle.port, "q", rng=_random.Random(1)
     )
     try:
         for i in range(5):
@@ -774,20 +776,22 @@ def test_reconnecting_subscriber_resume_gap_fallback(tmp_path):
         engine.close()
 
 
-def test_reconnecting_subscriber_budget_exhaustion():
+def test_reconnecting_subscriber_budget_exhaustion(monkeypatch):
     import random as _random
 
+    from repro.runtime import serving
     from repro.runtime.serving import ReconnectingSubscriber
 
+    monkeypatch.setattr(serving, "_MAX_RECONNECTS", 2)
+    monkeypatch.setattr(serving, "_BACKOFF_BASE", 0.001)
     engine = DeltaEngine(_program())
     with ServerThread(engine) as handle:
         host, port = handle.host, handle.port
     # Server gone: the initial connect must exhaust the budget and raise.
-    with pytest.raises(ServingError, match="reconnect budget exhausted"):
-        ReconnectingSubscriber(
-            host, port, "q",
-            max_reconnects=2, backoff_base=0.001, rng=_random.Random(3),
-        )
+    with pytest.raises(
+        ServingError, match=r"reconnect budget exhausted \(2 consecutive"
+    ):
+        ReconnectingSubscriber(host, port, "q", rng=_random.Random(3))
 
 
 # ---------------------------------------------------------------------------

@@ -131,21 +131,81 @@ def test_module_imports_come_first():
     assert not offenders
 
 
+def test_modules_use_every_name_they_import():
+    """Ruff's F401, which CI selects and the dev container cannot run: no
+    module under ``src/`` imports a name it never reads.  A name counts
+    as read when code, an annotation (quoted ones included) or the
+    module's ``__all__`` names it; a ``# noqa`` import is exempt."""
+    import ast
+    from pathlib import Path
+
+    def quoted(annotation):
+        """The names a quoted annotation such as ``"Optional[Lane]"`` reads."""
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for inner in ast.walk(ast.parse(node.value, mode="eval")):
+                    if isinstance(inner, ast.Name):
+                        yield inner.id
+
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read, imports = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.append(node)
+            elif isinstance(node, ast.arg) and node.annotation:
+                read.update(quoted(node.annotation))
+            elif isinstance(node, ast.FunctionDef) and node.returns:
+                read.update(quoted(node.returns))
+            elif isinstance(node, ast.AnnAssign):
+                read.update(quoted(node.annotation))
+        for node in tree.body:  # names a module re-exports through __all__
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    offenders.append((path.name, node.lineno, bound))
+    assert not offenders
+
+
 def test_every_setting_has_a_production_caller():
     """A setting only tests changed is a module constant: the supervisor's
     checkpoint interval (``engine._CHECKPOINT_EVERY``), the snapshots kept
-    (``durability._SNAPSHOTS_KEPT``), the views a server serves (all of
-    them) and the first-order engine's compile options and mode.  A WAL
-    frame is written one way, by ``append_batch``."""
+    (``durability._SNAPSHOTS_KEPT``), the WAL segment size
+    (``durability._SEGMENT_BYTES``), a subscriber's reconnect budget and
+    backoff (``serving._MAX_RECONNECTS``, ``_BACKOFF_BASE``,
+    ``_BACKOFF_MAX``), the views a server serves (all of them) and the
+    first-order engine's compile options and mode.  A setting nothing
+    read is gone: ``map_sizes``/``total_entries`` count map entries only
+    (``index_sizes()`` counts the rest), a debugger step's trace is
+    returned, not sent to a sink, and ``csv_source`` reads its columns by
+    position.  A WAL frame is written one way, by ``append_batch``, and
+    no second spelling of another name is public."""
     import inspect
 
     from repro.baselines import FirstOrderIVMEngine
-    from repro.runtime import ShardedEngine, ShardSupervisor
-    from repro.runtime.durability import SnapshotStore, WriteAheadLog
-    from repro.runtime.serving import ViewServer
+    from repro.runtime import ShardedEngine, ShardSupervisor, durability, sources
+    from repro.runtime.debugger import Debugger
+    from repro.runtime.durability import DurableEngine, SnapshotStore, WriteAheadLog
+    from repro.runtime.engine import Engine
+    from repro.runtime.serving import ReconnectingSubscriber, ViewServer
+    from repro.workloads import orderbook, tpch
 
-    def parameters(cls):
-        return list(inspect.signature(cls).parameters)
+    def parameters(callable_):
+        return list(inspect.signature(callable_).parameters)
 
     assert parameters(ShardedEngine) == [
         "program", "shards", "mode", "parallel", "strict", "use_indexes",
@@ -158,4 +218,25 @@ def test_every_setting_has_a_production_caller():
         "history_frames", "idle_timeout",
     ]
     assert parameters(FirstOrderIVMEngine) == ["queries", "catalog"]
+    assert parameters(WriteAheadLog) == ["directory", "fsync", "probe"]
+    assert parameters(DurableEngine) == [
+        "program", "directory", "shards", "parallel", "fsync",
+        "snapshot_every", "probe", "engine_kwargs",
+    ]
+    assert parameters(ReconnectingSubscriber) == [
+        "host", "port", "view", "timeout", "rng",
+    ]
+    assert parameters(sources.csv_source) == ["path", "catalog"]
+    assert parameters(Engine.map_sizes) == ["self"]
+    assert parameters(Engine.total_entries) == ["self"]
+    assert parameters(Debugger) == ["program"]
     assert not hasattr(WriteAheadLog, "append")
+    assert not hasattr(durability, "DEFAULT_SEGMENT_BYTES")
+    for module, name in [
+        (sources, "list_source"),  # the list itself is a source
+        (sources, "relation_loader"),  # engine.load
+        (sources, "write_csv"),  # no caller outside the tests
+        (tpch, "tpch_catalog"),  # ssb_catalog
+        (orderbook, "order_book_catalog"),  # finance_catalog
+    ]:
+        assert not hasattr(module, name), name

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runtime.events import StreamEvent
-from repro.workloads.orderbook import OrderBookGenerator, order_book_catalog
+from repro.workloads.finance import finance_catalog
+from repro.workloads.orderbook import OrderBookGenerator
 
 
 class TestGenerator:
@@ -21,7 +22,7 @@ class TestGenerator:
         assert len(list(OrderBookGenerator().events(777))) == 777
 
     def test_events_match_schema(self):
-        catalog = order_book_catalog()
+        catalog = finance_catalog()
         for event in OrderBookGenerator().events(300):
             assert isinstance(event, StreamEvent)
             relation = catalog.get(event.relation)

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import ReevalEngine
 from repro.compiler import compile_sql
 from repro.runtime import DeltaEngine
-from repro.workloads.tpch import TpchGenerator, tpch_catalog
+from repro.workloads.tpch import TpchGenerator
 from repro.workloads.ssb import (
     SSB_Q41_COMBINED,
     SSB_Q41_OVER_LINEORDER,
@@ -34,7 +34,7 @@ class TestGeneratorIntegrity:
         assert list(g1.orders_and_lineitems()) == list(g2.orders_and_lineitems())
 
     def test_schema_conformance(self, generator):
-        catalog = tpch_catalog()
+        catalog = ssb_catalog()
         for name, rows in generator.static_tables().items():
             relation = catalog.get(name)
             for row in rows:
