@@ -1,5 +1,5 @@
 """The sqlite re-evaluation baseline: its mirror, query semantics, and a
-cross-check against the calculus evaluator."""
+cross-check against the delta engine."""
 
 import pytest
 
@@ -185,8 +185,8 @@ class TestEngineContract:
         assert eager.total_entries() == lazy.total_entries() == 2
 
 
-class TestCrossCheckCalculus:
-    """sqlite and the calculus evaluator must agree."""
+class TestCrossCheckEngine:
+    """sqlite re-evaluation and the delta engine must agree."""
 
     QUERIES = [
         "SELECT sum(r.A * t.D) FROM R r, S s, T t WHERE r.B = s.B AND s.C = t.C",
@@ -198,12 +198,10 @@ class TestCrossCheckCalculus:
 
     @pytest.mark.parametrize("sql", QUERIES)
     def test_agreement(self, sql, catalog):
-        from repro.algebra.translate import translate_sql
-        from tests.integration.test_engine_vs_oracle import oracle_rows
+        from repro.compiler import compile_sql
+        from repro.runtime import DeltaEngine
 
-        gmrs = {
-            relation: {row: 1 for row in tuples} for relation, tuples in ROWS.items()
-        }
-        translated = translate_sql(sql, catalog, name="q")
-        expected = sorted(oracle_rows(translated, gmrs), key=repr)
-        assert run(sql, catalog) == expected
+        engine = DeltaEngine(compile_sql(sql, catalog, name="q"))
+        for relation, tuples in ROWS.items():
+            engine.load(relation, tuples)
+        assert run(sql, catalog) == sorted(engine.results("q"), key=repr)

@@ -44,6 +44,7 @@ from repro.compiler.storage import storage_layout
 from repro.runtime import ColumnarMap, DeltaEngine
 from repro.runtime.storage import _INT64_MAX, _NativeColumnarMap
 from repro.sql.catalog import Catalog
+from tests.lanes import exact_items
 from tests.runtime.test_storage_layout import _mixed_program
 
 SIGS = frozenset({(1, "q"), (2, "q"), (1, "d")})
@@ -443,13 +444,6 @@ def _drive(engine, n=400):
     return engine
 
 
-def _items(maps):
-    return {
-        name: sorted((repr(k), repr(v)) for k, v in contents.items())
-        for name, contents in maps.items()
-    }
-
-
 class TestNativeExecutorLane:
     @pytest.mark.parametrize("build", _KERNEL_LANES)
     def test_native_engine_matches_compiled(self, build):
@@ -460,7 +454,7 @@ class TestNativeExecutorLane:
         assert nat.native_active
         assert "kernel" in nat.storage_classes().values()
         assert probe_toolchain().version in nat.native_note
-        assert _items(nat.maps) == _items(ref.maps)
+        assert exact_items(nat.maps) == exact_items(ref.maps)
         for query in program.queries:
             assert nat.results(query.name) == ref.results(query.name)
 
@@ -475,7 +469,7 @@ class TestNativeExecutorLane:
         assert set(nat.storage_classes().values()) == {"dict"}
         code = [e._executor.source.split('"""', 2)[2] for e in (nat, ref)]
         assert code[0] == code[1]  # the modules differ in the header only
-        assert _items(nat.maps) == _items(ref.maps)
+        assert exact_items(nat.maps) == exact_items(ref.maps)
 
     @pytest.mark.parametrize("build", _KERNEL_LANES)
     def test_deepcopy_preserves_native_lane(self, build):
@@ -502,7 +496,7 @@ class TestNativeExecutorLane:
             probe_toolchain(refresh=True)
         ref = _drive(DeltaEngine(build(), mode="compiled"))
         assert engine.storage_classes() == ref.storage_classes()
-        assert _items(engine.maps) == _items(ref.maps)
+        assert exact_items(engine.maps) == exact_items(ref.maps)
 
     def test_executor_exposes_note_and_signature_set(self):
         program = _grouped_program()

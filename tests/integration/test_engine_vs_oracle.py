@@ -1,10 +1,12 @@
-"""End-to-end correctness: every engine mode vs the calculus oracle.
+"""End-to-end correctness: every engine mode vs sqlite.
 
 For a diverse suite of SQL query shapes we drive identical random streams of
 inserts and deletes through the compiled engine, the interpreted engine, and
 the first-order (classical IVM) compiled variant, and after every event
-compare their full result sets to re-evaluating the translated query on the
-accumulated database with the reference evaluator.
+compare their full result sets exactly to sqlite re-evaluating the query
+over the accumulated tables (``tests/integration/sql_oracle.py``; only
+sqlite's NULL, the empty aggregate, reads as the engines' 0), and to each
+other by ``repr``.
 
 This one test family subsumes: recursive compilation, map sharing, trigger
 ordering, code generation, group-by semantics (incl. group disappearance),
@@ -15,12 +17,11 @@ import random
 
 import pytest
 
-from repro.algebra.eval import eval_expr
-from repro.algebra.translate import eval_result
-from repro.compiler import CompileOptions, compile_queries
 from repro.algebra.translate import translate_sql
+from repro.compiler import CompileOptions, compile_queries
 from repro.runtime import DeltaEngine, StreamEvent
 from repro.sql.catalog import Catalog
+from tests.integration.sql_oracle import SqliteOracle
 
 CATALOG_DDL = """
 CREATE STREAM R (A int, B int);
@@ -92,56 +93,6 @@ QUERIES = {
 _RELATION_ARITY = {"R": 2, "S": 2, "T": 2, "bids": 3, "asks": 3}
 
 
-def oracle_rows(query, db):
-    """Re-evaluate a translated query from scratch against ``db``."""
-    slot_results = []
-    for spec in query.aggregates:
-        cols, rows = eval_expr(spec.expr, {}, db)
-        slot_results.append(rows)
-
-    if not query.is_grouped:
-        values = [rows.get((), 0) for rows in slot_results]
-        # min/max scalar slots hold occurrence rows, not the value itself.
-        for index, spec in enumerate(query.aggregates):
-            if spec.kind in ("min", "max"):
-                present = [k[-1] for k, v in slot_results[index].items() if v != 0]
-                if present:
-                    values[index] = min(present) if spec.kind == "min" else max(present)
-                else:
-                    values[index] = 0
-        return [
-            tuple(eval_result(i.result, (), values) for i in query.items)
-        ]
-
-    if query.count_slot is not None:
-        groups = {
-            k for k, v in slot_results[query.count_slot].items() if v != 0
-        }
-    else:
-        groups = set()
-        for spec, rows in zip(query.aggregates, slot_results):
-            width = len(spec.group_vars)
-            groups.update(k[:width] for k in rows)
-    out = []
-    for key in sorted(groups, key=repr):
-        values = []
-        for spec, rows in zip(query.aggregates, slot_results):
-            if spec.kind in ("min", "max"):
-                present = [
-                    k[-1]
-                    for k, v in rows.items()
-                    if v != 0 and k[:-1] == key
-                ]
-                if present:
-                    values.append(min(present) if spec.kind == "min" else max(present))
-                else:
-                    values.append(0)
-            else:
-                values.append(rows.get(key, 0))
-        out.append(tuple(eval_result(i.result, key, values) for i in query.items))
-    return out
-
-
 def random_stream(relations, steps, seed, domain=4, delete_rate=0.4):
     """A random insert/delete stream keeping deletions valid."""
     rng = random.Random(seed)
@@ -161,9 +112,15 @@ def random_stream(relations, steps, seed, domain=4, delete_rate=0.4):
     return events
 
 
-def run_comparison(
-    sql, engines_options, steps=220, seed=7, check_every=1, **stream_shape
-):
+def exact_rows(rows) -> list[tuple]:
+    """``rows`` sorted, with NULL as 0 and every other value as it is."""
+    return sorted(
+        (tuple(0 if value is None else value for value in row) for row in rows),
+        key=repr,
+    )
+
+
+def run_comparison(sql, engines_options, steps=220, seed=7, **stream_shape):
     catalog = Catalog.from_script(CATALOG_DDL)
     query = translate_sql(sql, catalog, name="q")
     engines = {}
@@ -173,26 +130,21 @@ def run_comparison(
         )
         engines[label] = DeltaEngine(program, mode=mode)
 
-    relations = list(query.relations)
-    db = {rel: {} for rel in relations}
-    events = random_stream(relations, steps, seed, **stream_shape)
-    for step, event in enumerate(events):
-        for engine in engines.values():
-            engine.process(event)
-        contents = db[event.relation]
-        key = event.values
-        contents[key] = contents.get(key, 0) + event.sign
-        if contents[key] == 0:
-            del contents[key]
-        if step % check_every:
-            continue
-        expected = sorted(oracle_rows(query, db), key=repr)
+    oracle = SqliteOracle(catalog, sql)
+    for step, event in enumerate(
+        random_stream(list(query.relations), steps, seed, **stream_shape)
+    ):
+        oracle.apply(event)
+        expected = exact_rows(oracle.connection.execute(sql).fetchall())
+        results = {}
         for label, engine in engines.items():
-            got = sorted(engine.results("q"), key=repr)
+            engine.process(event)
+            got = results[label] = exact_rows(engine.results("q"))
             assert got == expected, (
                 f"{label} diverged at step {step} after {event}:\n"
                 f"  got      {got}\n  expected {expected}"
             )
+        assert len({repr(rows) for rows in results.values()}) == 1, results
 
 
 ALL_MODES = {
@@ -235,15 +187,10 @@ def test_multi_query_program_shares_maps_and_stays_correct():
     ]
     program = compile_queries(queries, catalog)
     engine = DeltaEngine(program, mode="compiled")
-    db = {"bids": {}, "asks": {}}
+    oracle = SqliteOracle(catalog, "")
     for event in random_stream(["bids", "asks"], 260, seed=11):
         engine.process(event)
-        contents = db[event.relation]
-        key = event.values
-        contents[key] = contents.get(key, 0) + event.sign
-        if contents[key] == 0:
-            del contents[key]
-    for i, query in enumerate(queries):
-        expected = sorted(oracle_rows(query, db), key=repr)
-        got = sorted(engine.results(f"q{i}"), key=repr)
-        assert got == expected
+        oracle.apply(event)
+    for i, sql in enumerate(sqls):
+        expected = oracle.connection.execute(sql).fetchall()
+        assert exact_rows(engine.results(f"q{i}")) == exact_rows(expected)

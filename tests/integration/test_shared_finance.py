@@ -14,36 +14,13 @@ import pytest
 
 from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries
-from repro.runtime import DeltaEngine, StreamEvent
+from repro.runtime import DeltaEngine
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
 from tests.integration.sql_oracle import SqliteOracle, normalize_rows
+from tests.lanes import PYTHON_EXECUTORS, bounded_book
 
 #: Events between two comparisons of every view with sqlite.
 CHECK_EVERY = 500
-
-
-def bounded_book(seed: int, depth: int, count: int) -> list[StreamEvent]:
-    """Order-book traffic whose sides never hold more than ``depth``
-    orders: an insert past it deletes that side's oldest order, and the
-    generator's cancels of orders no longer standing are dropped."""
-    live: dict[str, dict] = {"bids": {}, "asks": {}}
-    events: list[StreamEvent] = []
-    for event in OrderBookGenerator(seed=seed).events(1 << 62):
-        book = live[event.relation]
-        order_id = event.values[1]
-        if event.sign > 0:
-            book[order_id] = event.values
-            events.append(event)
-            if len(book) > depth:
-                oldest = book.pop(next(iter(book)))
-                events.append(StreamEvent(event.relation, -1, oldest))
-        elif book.get(order_id) == event.values:
-            del book[order_id]
-            events.append(event)
-        if len(events) >= count:
-            return events[:count]
-    raise AssertionError("unreachable: the generator never ends")
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +62,7 @@ def test_the_program_shares_triggers():
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 100])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", PYTHON_EXECUTORS)
 def test_shared_finance_program_matches_sqlite(mode, batch_size):
     events, checkpoints = _expected()
     if mode == "interpreted":  # the tree-walker: a shorter stretch

@@ -12,11 +12,11 @@ repr-normalised result parity at every batch boundary, across:
 * sharded engines with 1-4 lanes;
 * the bundled non-linear finance workloads (``bbo``, ``act``) and the
   existing linear query shapes (sum/count/avg, joins, nesting);
-* the native backend's forced-off and declined configurations;
+* the native backend's forced-off configuration, its plan declining the
+  non-linear maps, and its kernel lane wherever a kernel attaches;
 * a SIGKILL crash / recover cycle of a durable engine.
 """
 
-import os
 import signal
 import sys
 from functools import lru_cache
@@ -28,19 +28,17 @@ from hypothesis import given, settings
 
 from repro.compiler import compile_sql
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
-from repro.sql.catalog import Catalog
+from tests import lanes
 from tests.integration.sql_oracle import (
+    BOOKS,
+    NARROWED_QUERIES,
     SqliteOracle,
     assert_rows_match,
+    narrowed_program,
     normalize_rows,
     oracle_stream,
     run_differential,
 )
-
-CATALOG_DDL = """
-CREATE STREAM bids (broker_id int, price int, volume int);
-CREATE STREAM asks (broker_id int, price int, volume int);
-"""
 
 NONLINEAR_QUERIES = {
     "minmax_grouped": (
@@ -90,22 +88,16 @@ ALL_QUERIES = {**NONLINEAR_QUERIES, **LINEAR_QUERIES}
 
 
 @lru_cache(maxsize=None)
-def _catalog() -> Catalog:
-    return Catalog.from_script(CATALOG_DDL)
-
-
-@lru_cache(maxsize=None)
 def _program(query_name: str):
-    return compile_sql(ALL_QUERIES[query_name], _catalog(), name="q")
+    return compile_sql(ALL_QUERIES[query_name], BOOKS, name="q")
 
 
 def _events(query_name: str, steps: int, seed: int):
     """A live-delete stream over the query's relations, attacking the
     price column's extrema (index 1 in both schemas)."""
     program = _program(query_name)
-    catalog = _catalog()
     relations = {
-        rel: catalog.get(rel).arity
+        rel: BOOKS.get(rel).arity
         for rel in sorted({rel for rel, _ in program.triggers})
     }
     return oracle_stream(
@@ -115,7 +107,7 @@ def _events(query_name: str, steps: int, seed: int):
 
 
 def _oracle(query_name: str) -> SqliteOracle:
-    return SqliteOracle(_catalog(), ALL_QUERIES[query_name])
+    return SqliteOracle(BOOKS, ALL_QUERIES[query_name])
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def _oracle(query_name: str) -> SqliteOracle:
 
 
 @pytest.mark.parametrize("query_name", sorted(NONLINEAR_QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 @settings(max_examples=18, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
@@ -139,7 +131,7 @@ def test_nonlinear_matches_sqlite(query_name, mode, seed, batch_size):
 
 
 @pytest.mark.parametrize("query_name", sorted(LINEAR_QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
@@ -174,7 +166,7 @@ def test_sharded_matches_sqlite(query_name, shards):
             )
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 def test_extremum_delete_rederivation(mode):
     """Deleting the stored extremum forces a re-derive from the occurrence
     map — checked per event on an adversarial insert/delete sequence."""
@@ -200,14 +192,10 @@ def test_extremum_delete_rederivation(mode):
 def test_finance_nonlinear_matches_sqlite(query_name, mode, batch_size):
     """The bundled non-linear finance workloads against real book traffic."""
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
 
-    catalog = finance_catalog()
-    program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
-    engine = DeltaEngine(program, mode=mode)
-    oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
-    events = list(OrderBookGenerator(seed=2009).events(400))
-    run_differential(engine, oracle, events, batch_size=batch_size)
+    engine = DeltaEngine(lanes.shipped_program(query_name), mode=mode)
+    oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[query_name])
+    run_differential(engine, oracle, lanes.order_book(2009, 400), batch_size=batch_size)
 
 
 def _order(relation, sign, order_id, broker, price, volume=10):
@@ -236,22 +224,21 @@ _CROSSINGS = [
 
 
 @pytest.mark.parametrize("query_name", ["bbo", "mst", "act"])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 def test_finance_caches_cross_zero_per_event(query_name, mode):
     """bbo (grouped MIN and MAX), mst (a scalar MIN read by EXISTS) and
     act (COUNT DISTINCT): each extremum and each group's last value
     leaves one event at a time."""
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 
-    catalog = finance_catalog()
-    program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
+    program = lanes.shipped_program(query_name)
     assert program.finalizers
     engine = DeltaEngine(program, mode=mode)
-    oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
+    oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[query_name])
     run_differential(engine, oracle, _CROSSINGS, batch_size=1)
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 @pytest.mark.parametrize("batch_size", [1, 7])
 def test_self_join_max_crosses_in_sequence(mode, batch_size):
     """A self-join writes one occurrence key several times per event (the
@@ -276,61 +263,6 @@ def test_self_join_max_crosses_in_sequence(mode, batch_size):
 # ---------------------------------------------------------------------------
 # Narrowed base maps and extremum-backed EXISTS: every shape they touch
 # ---------------------------------------------------------------------------
-
-_EXISTS = (
-    "SELECT sum(b.volume) FROM bids b WHERE {negate}EXISTS "
-    "(SELECT a.broker_id FROM asks a WHERE {test})"
-)
-
-#: name -> (sql, reads an extremum cache).  The threshold tests cover the
-#: four operators, an arithmetic bound and a bound written on the left;
-#: the rest are shapes the narrowing reshapes but no extremum can answer.
-NARROWED_QUERIES = {
-    "exists_le": (_EXISTS.format(negate="", test="a.price <= b.price"), True),
-    "exists_lt": (_EXISTS.format(negate="", test="a.price < b.price"), True),
-    "exists_ge": (_EXISTS.format(negate="", test="a.price >= b.price"), True),
-    "exists_gt_arith": (
-        _EXISTS.format(negate="", test="a.price > 2 * b.price - 3"), True
-    ),
-    "exists_bound_on_the_left": (
-        _EXISTS.format(negate="", test="b.price + 1 >= a.price"), True
-    ),
-    "not_exists": (
-        _EXISTS.format(negate="NOT ", test="a.price <= b.price"), True
-    ),
-    "grouped_exists": (
-        "SELECT b.broker_id, sum(b.volume) FROM bids b WHERE EXISTS "
-        "(SELECT a.broker_id FROM asks a WHERE a.price <= b.price) "
-        "GROUP BY b.broker_id",
-        True,
-    ),
-    "exists_eq_correlated": (
-        _EXISTS.format(
-            negate="", test="a.broker_id = b.broker_id AND a.price <= b.price"
-        ),
-        False,
-    ),
-    "exists_self": (
-        "SELECT sum(b.volume) FROM bids b WHERE EXISTS "
-        "(SELECT b2.broker_id FROM bids b2 WHERE b2.price < b.price)",
-        False,
-    ),
-    "in_select_expr": (
-        "SELECT sum(b.volume) FROM bids b "
-        "WHERE b.price IN (SELECT a.price + 1 FROM asks a)",
-        False,
-    ),
-    "self_join_inequality": (
-        "SELECT sum(b1.volume * b2.volume) FROM bids b1, bids b2 "
-        "WHERE b1.price < b2.price",
-        False,
-    ),
-}
-
-
-@lru_cache(maxsize=None)
-def _narrowed_program(query_name: str):
-    return compile_sql(NARROWED_QUERIES[query_name][0], _catalog(), name="q")
 
 
 def _narrowed_stream(seed: int) -> list:
@@ -360,10 +292,14 @@ def _narrowed_stream(seed: int) -> list:
 
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("batch_size", [1, 7, 100])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-@pytest.mark.parametrize("query_name", sorted(NARROWED_QUERIES))
+@pytest.mark.parametrize(
+    "query_name,mode",
+    lanes.matrix(
+        {q: lambda q=q: narrowed_program(q) for q in sorted(NARROWED_QUERIES)}
+    ),
+)
 def test_narrowed_shapes_match_sqlite(query_name, mode, batch_size, shards):
-    program = _narrowed_program(query_name)
+    program = narrowed_program(query_name)
     sql, reads_extremum = NARROWED_QUERIES[query_name]
     assert bool(program.finalizers) == reads_extremum
     if shards == 1:
@@ -372,26 +308,24 @@ def test_narrowed_shapes_match_sqlite(query_name, mode, batch_size, shards):
         engine = ShardedEngine(program, shards=shards, mode=mode)
     with engine:
         run_differential(
-            engine, SqliteOracle(_catalog(), sql), _narrowed_stream(seed=31),
+            engine, SqliteOracle(BOOKS, sql), _narrowed_stream(seed=31),
             batch_size=batch_size,
         )
 
 
-@pytest.mark.parametrize("query_name", ["mst", "vwap", "axf"])
-@pytest.mark.parametrize("mode,batch_size", [
-    ("compiled", 1), ("native", 64), ("interpreted", 23),
+@pytest.mark.parametrize("mode,batch_size,query_name", [
+    (mode, batch_size, query)
+    for query in ("mst", "vwap", "axf")
+    for mode, batch_size in zip(lanes.EXECUTORS, (1, 23, 64))
+    if mode in lanes.executors(lanes.shipped_program(query))
 ])
 def test_finance_narrowed_matches_sqlite(query_name, mode, batch_size):
     """The three finance queries whose base maps narrow, on book traffic."""
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
 
-    catalog = finance_catalog()
-    program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
-    engine = DeltaEngine(program, mode=mode)
-    oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
-    events = list(OrderBookGenerator(seed=2009).events(300))
-    run_differential(engine, oracle, events, batch_size=batch_size)
+    engine = DeltaEngine(lanes.shipped_program(query_name), mode=mode)
+    oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[query_name])
+    run_differential(engine, oracle, lanes.order_book(2009, 300), batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -427,51 +361,16 @@ def test_native_plan_excludes_nonlinear_maps():
 
 
 @pytest.mark.parametrize("query_name", ["bbo", "act"])
-def test_native_mode_declines_cleanly(query_name):
-    """mode='native' on a non-linear program: the kernel may own the
-    linear maps, but the cache-keeping occurrence maps and auxiliary
-    caches stay python-side (pinned by the storage-plan test above) — so
-    the run completes with sqlite parity instead of ejecting mid-stream."""
-    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
-
-    catalog = finance_catalog()
-    program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
-    engine = DeltaEngine(program, mode="native")
-    oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
-    run_differential(
-        engine, oracle, list(OrderBookGenerator(seed=7).events(150)),
-        batch_size=16,
-    )
-
-
-@pytest.mark.parametrize("query_name", ["bbo", "act"])
 def test_forced_native_off_parity(query_name):
     """The REPRO_NATIVE=off lane (CI's forced fallback) on the new
     workloads: pure-python storage, same sqlite parity."""
-    from repro.codegen.native import probe_toolchain
     from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
 
-    saved = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "off"
-    try:
-        probe_toolchain(refresh=True)
-        catalog = finance_catalog()
-        program = compile_sql(FINANCE_QUERIES[query_name], catalog, name="q")
-        engine = DeltaEngine(program, mode="compiled")
+    with lanes.native_off():
+        engine = DeltaEngine(lanes.shipped_program(query_name), mode="compiled")
         assert not engine.native_active
-        oracle = SqliteOracle(catalog, FINANCE_QUERIES[query_name])
-        run_differential(
-            engine, oracle, list(OrderBookGenerator(seed=11).events(150)),
-            batch_size=9,
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = saved
-        probe_toolchain(refresh=True)
+        oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[query_name])
+        run_differential(engine, oracle, lanes.order_book(11, 150), batch_size=9)
 
 
 # ---------------------------------------------------------------------------

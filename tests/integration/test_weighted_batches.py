@@ -2,12 +2,13 @@
 
 ``batches()`` keys runs on the relation alone, so an order-book feed's
 interleaved inserts and cancels share a batch.  These tests pin what that
-means: the stream round-trips exactly; every engine shape applies a mixed
-batch in one call of the relation's weighted trigger, leaving maps
-``repr``-equal to per-event processing (a key the batch deletes and
-re-inserts moves to the end, as per event) and results equal to
-sqlite's; admission judges a mixed batch whole; and a logged batch
-crosses each layer once.
+means: the stream round-trips exactly; a mixed batch runs in one call of
+the relation's weighted trigger, leaving maps ``repr``-equal to per-event
+processing (a key the batch deletes and re-inserts moves to the end, as
+per event) and results equal to sqlite's, on every executor, sharded or
+not, and through a crash; admission judges a mixed batch whole; and a
+logged batch crosses each layer once.  The shipped feeds at every batch
+size and lane are ``tests/integration/test_map_parity.py``'s.
 """
 
 import copy
@@ -19,8 +20,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro import compile_sql
-from repro.algebra.translate import translate_sql
-from repro.compiler import compile_queries
 from repro.compiler.program import TriggerTable
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
@@ -30,14 +29,11 @@ from repro.runtime.durability import DurableEngine, recover_engine
 from repro.runtime.events import EventBatch, batches, delete, flatten, insert
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
-from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
-from repro.workloads.tpch import TpchGenerator
+from tests import lanes
 from tests.integration.sql_oracle import SqliteOracle, normalize_rows
 
 BATCH_SIZES = (1, 7, 100)
-FINANCE = ("vwap", "axf", "bsp", "psp", "mst", "bbo", "act")
-WORKLOADS = FINANCE + ("ssb",)
+WORKLOADS = (*FINANCE_QUERIES, "ssb")
 
 
 # ---------------------------------------------------------------------------
@@ -78,51 +74,12 @@ def test_batches_replay_the_feed_exactly(feed, batch_size):
 
 
 # ---------------------------------------------------------------------------
-# Parity: every engine shape, every batch size, per-event and sqlite
+# Parity: per-event processing and sqlite
 # ---------------------------------------------------------------------------
 
 
-def _with_cancels(facts, seed=7):
-    """An insert-only fact feed with cancels of live facts interleaved."""
-    rng = random.Random(seed)
-    live: dict[str, list] = {}
-    feed = []
-    for relation, row in facts:
-        feed.append(StreamEvent(relation, 1, row))
-        live.setdefault(relation, []).append(row)
-        if rng.random() < 0.55:
-            rows = live[relation]
-            feed.append(StreamEvent(relation, -1, rows.pop(rng.randrange(len(rows)))))
-    return feed
-
-
-@lru_cache(maxsize=None)
-def _workload(name):
-    """``(program, catalog, {view: sql}, static tables, feed)``."""
-    if name == "ssb":
-        catalog = ssb_catalog()
-        program = compile_queries(
-            [translate_sql(sql, catalog, name=view) for view, sql in SSB_FLIGHT.items()],
-            catalog,
-        )
-        generator = TpchGenerator(sf=0.00004, seed=1992)
-        feed = _with_cancels(generator.orders_and_lineitems())
-        return program, catalog, SSB_FLIGHT, generator.static_tables(), feed
-    catalog = finance_catalog()
-    program = compile_sql(FINANCE_QUERIES[name], catalog, name=name)
-    feed = list(OrderBookGenerator(seed=2009).events(200))
-    return program, catalog, {name: FINANCE_QUERIES[name]}, {}, feed
-
-
-SHAPES = {
-    "delta": lambda program: DeltaEngine(program),
-    "native": lambda program: DeltaEngine(program, mode="native"),
-    "sharded": lambda program: ShardedEngine(program, shards=2),
-}
-
-
 def _loaded(engine, name):
-    for relation, rows in _workload(name)[3].items():
+    for relation, rows in lanes.workload(name)[3].items():
         engine.load(relation, rows)
     return engine
 
@@ -131,69 +88,18 @@ def _maps_repr(engine) -> str:
     return repr(engine.current_maps())
 
 
-@lru_cache(maxsize=None)
-def _per_event(name, shape):
-    """The maps ``repr`` per-event ``process()`` of the feed leaves."""
-    engine = _loaded(SHAPES[shape](_workload(name)[0]), name)
-    for event in _workload(name)[4]:
-        engine.process(event)
-    return _maps_repr(engine)
-
-
-@lru_cache(maxsize=None)
-def _sqlite(name):
-    _, catalog, views, static, feed = _workload(name)
-    oracle = SqliteOracle(catalog, "")
-    for relation, rows in static.items():
-        oracle.apply_all(StreamEvent(relation, 1, row) for row in rows)
-    oracle.apply_all(feed)
-    return {
-        view: normalize_rows(oracle.connection.execute(sql).fetchall())
-        for view, sql in views.items()
-    }
-
-
-def _assert_sqlite(name, engine):
-    for view, expected in _sqlite(name).items():
-        assert normalize_rows(engine.results(view)) == expected, view
-
-
 def test_parity_feeds_mix_signs_in_batches():
     for name in ("bsp", "ssb"):
-        feed = _workload(name)[4]
+        feed = lanes.workload(name)[4]
         assert sum(event.sign == -1 for event in feed) >= 0.3 * len(feed)
         assert any(isinstance(run.sign, list) for run in batches(feed, 7))
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_batched_maps_equal_per_event(name, shape):
-    pristine = _loaded(SHAPES[shape](_workload(name)[0]), name)
-    for batch_size in BATCH_SIZES:
-        engine = copy.deepcopy(pristine)
-        engine.process_stream(_workload(name)[4], batch_size=batch_size)
-        assert _maps_repr(engine) == _per_event(name, shape), batch_size
-    _assert_sqlite(name, engine)
-
-
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_forked_lanes_equal_per_event(name):
-    program, *_ = _workload(name)
-    with ShardedEngine(program, shards=2, parallel=True) as engine:
-        for batch_size in BATCH_SIZES:
-            engine.restore_state({})  # every lane empty again
-            _loaded(engine, name).process_stream(
-                _workload(name)[4], batch_size=batch_size
-            )
-            assert _maps_repr(engine) == _per_event(name, "sharded"), batch_size
-        _assert_sqlite(name, engine)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_durable_sharded_crash_recovers_the_per_event_state(name, tmp_path):
     """A third of the feed at each batch size, logged through two lanes,
     then a crash: the log replays into the per-event state exactly."""
-    program, *_, feed = _workload(name)
+    program, *_, feed = lanes.workload(name)
     engine = _loaded(
         DurableEngine(program, tmp_path, shards=2, fsync="none"), name
     )
@@ -208,8 +114,11 @@ def test_durable_sharded_crash_recovers_the_per_event_state(name, tmp_path):
     engine.abandon()
     recovered, lsn = recover_engine(program, tmp_path)
     assert lsn == logged < len(feed)  # fewer frames than events
-    assert repr(recovered.maps) == _per_event(name, "delta")
-    _assert_sqlite(name, recovered)
+    reference = _loaded(DeltaEngine(program), name)
+    lanes.deliver(reference, feed, "process")
+    assert repr(recovered.maps) == _maps_repr(reference)
+    for view, expected in lanes.sqlite_results(name).items():
+        assert normalize_rows(recovered.results(view)) == expected, view
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +126,7 @@ def test_durable_sharded_crash_recovers_the_per_event_state(name, tmp_path):
 # ---------------------------------------------------------------------------
 
 #: The executors and shard counts a mixed weight column must be exact on.
-ENGINES = {
-    "compiled": lambda program: DeltaEngine(program),
-    "interpreted": lambda program: DeltaEngine(program, mode="interpreted"),
-    "compiled/2": lambda program: ShardedEngine(program, shards=2),
-    "interpreted/2": lambda program: ShardedEngine(
-        program, shards=2, mode="interpreted"
-    ),
-}
+ENGINES = (*lanes.PYTHON_EXECUTORS, *(f"{mode}/2" for mode in lanes.PYTHON_EXECUTORS))
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +134,7 @@ def _ssb_facts():
     """The SSB feed's fact rows, for drawn feeds to insert and cancel."""
     return tuple(
         (event.relation, event.values)
-        for event in _workload("ssb")[4]
+        for event in lanes.workload("ssb")[4]
         if event.sign == 1
     )
 
@@ -269,30 +171,28 @@ def cancelling_books(draw, name):
 def test_mixed_weight_columns_equal_per_event_and_sqlite(name, data):
     feed = data.draw(cancelling_books(name))
     assert sum(event.sign == -1 for event in feed) >= 0.3 * len(feed)
-    program, catalog, views, static, _ = _workload(name)
+    program, catalog, views, static, _ = lanes.workload(name)
     oracle = SqliteOracle(catalog, "")
     for relation, rows in static.items():
         oracle.apply_all(StreamEvent(relation, 1, row) for row in rows)
     oracle.apply_all(feed)
-    for shape, make in ENGINES.items():
-        pristine = _loaded(make(program), name)
+    for shape in ENGINES:
+        pristine = _loaded(lanes.build_engine(program, shape), name)
         reference = copy.deepcopy(pristine)
-        for event in feed:
-            reference.process(event)
+        lanes.deliver(reference, feed, "process")
         for view, sql in views.items():
             expected = normalize_rows(oracle.connection.execute(sql).fetchall())
             assert normalize_rows(reference.results(view)) == expected, view
         for size in (2, 7, 100):
             engine = copy.deepcopy(pristine)
-            for run in batches(feed, size):
-                engine.process_batch(run.relation, run.sign, run.rows)
+            lanes.deliver(engine, feed, f"batch-{size}")
             assert _maps_repr(engine) == _maps_repr(reference), (shape, size)
             assert engine.index_sizes() == reference.index_sizes(), (shape, size)
 
 
 @pytest.mark.parametrize("by_columns", [False, True])
 def test_a_mixed_batch_is_one_trigger_call(by_columns):
-    engine = DeltaEngine(_workload("bsp")[0])
+    engine = DeltaEngine(lanes.workload("bsp")[0])
     calls = []
 
     def counted(kind, table):
@@ -325,7 +225,7 @@ def test_a_mixed_batch_is_one_trigger_call(by_columns):
     calls.clear()
     engine.process_batch("bids", -1, rows[1:2])
     assert calls == [("event", ("bids", 0))]
-    reference = DeltaEngine(_workload("bsp")[0])
+    reference = DeltaEngine(lanes.workload("bsp")[0])
     for row, weight in zip(rows + rows[1:2], weights + [-1]):
         reference.process(StreamEvent("bids", weight, row))
     assert engine.results("bsp") == reference.results("bsp")
@@ -338,7 +238,7 @@ def test_a_mixed_batch_is_one_trigger_call(by_columns):
 _FLOATS = Catalog.from_script("CREATE STREAM R (k int, x float);")
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 def test_a_mixed_batch_reinserts_a_key_last_and_adds_floats_in_order(mode):
     """Inside one mixed batch, key 1's only row is deleted (its sum
     reaches zero) and a new one inserted: the key moves to the end of

@@ -35,6 +35,7 @@ from repro.ir.nodes import (
     walk_stmts,
 )
 from repro.sql.catalog import Catalog
+from tests.lanes import shipped_program
 
 DDL = """
 CREATE STREAM R (A int, B int);
@@ -58,18 +59,11 @@ def catalog():
 @pytest.fixture(scope="module")
 def suite_programs():
     """The 11 shipped queries (the ledger's compile-suite), compiled once."""
-    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
+    from repro.workloads.finance import FINANCE_QUERIES
+    from repro.workloads.ssb import SSB_FLIGHT
 
-    finance, ssb = finance_catalog(), ssb_catalog()
-    programs = {
-        name: compile_sql(sql, finance, name=name)
-        for name, sql in FINANCE_QUERIES.items()
-    }
-    programs.update(
-        (name, compile_sql(sql, ssb, name=name))
-        for name, sql in SSB_FLIGHT.items()
-    )
+    names = (*FINANCE_QUERIES, *SSB_FLIGHT)
+    programs = {name: shipped_program(name, name) for name in names}
     assert len(programs) == 11
     return programs
 
@@ -78,15 +72,7 @@ def suite_programs():
 def warehouse_program():
     """warehouse-load's program: the four SSB flight queries compiled into
     one, so their triggers read the same maps for the same event."""
-    from repro.algebra.translate import translate_sql
-    from repro.compiler import compile_queries
-    from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
-
-    catalog = ssb_catalog()
-    return compile_queries(
-        [translate_sql(sql, catalog, name=name) for name, sql in SSB_FLIGHT.items()],
-        catalog,
-    )
+    return shipped_program("warehouse")
 
 
 def _loops(trigger_ir):

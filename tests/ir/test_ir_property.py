@@ -9,10 +9,11 @@ map after each event — the definition the cache-keeping writes
 maintain incrementally.  A statement that reads such a cache carries what an
 empty group reads as on the reference itself (``MapRef.absent``), so the
 evaluator needs no side table.  For random streams over the example query
-shapes — and deterministically over the bundled finance workload — the
-IR-backed compiled executor, the IR-walking interpreted executor, the
-batched path, and sharded engines (1-4 shards, both modes) must all
-produce identical maps.
+shapes of ``tests/lanes.py`` — and deterministically over the bundled
+finance workload — the IR-backed compiled executor and the IR-walking
+interpreted executor, optimised or not, must produce identical maps per
+event.  That batched and sharded engines leave the per-event maps is
+``tests/integration/test_map_parity.py``'s subject.
 """
 
 from functools import lru_cache
@@ -22,86 +23,16 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algebra.eval import eval_expr, eval_scalar
-from repro.algebra.translate import translate_sql
-from repro.compiler import compile_queries
 from repro.compiler.program import needs_buffering
 from repro.ir.lower import lower_program
 from repro.ir.nodes import Assign, Block, LocalMapDecl, walk_stmts
-from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
-from repro.sql.catalog import Catalog
+from repro.runtime import DeltaEngine, StreamEvent
+from repro.workloads.finance import FINANCE_QUERIES
+from tests import lanes
 from tests.strategies import events
 
-CATALOG_DDL = """
-CREATE STREAM R (A int, B int);
-CREATE STREAM S (B int, C int);
-CREATE STREAM T (C int, D int);
-CREATE STREAM U (C int, D float);
-"""
-
-#: Example query shapes covering straight-line triggers, foreach loops,
-#: grouped targets, correlated EXISTS (buffered two-phase), and nested
-#: aggregation (the loop-heavy shape the optimiser rewrites hardest).
-QUERIES = {
-    "chain_join": (
-        "SELECT sum(r.A * t.D) FROM R r, S s, T t "
-        "WHERE r.B = s.B AND s.C = t.C"
-    ),
-    "grouped": "SELECT A, sum(B) FROM R GROUP BY A",
-    "exists_correlated": (
-        "SELECT sum(r.A) FROM R r WHERE EXISTS "
-        "(SELECT s.C FROM S s WHERE s.B = r.B)"
-    ),
-    "nested_threshold": (
-        "SELECT sum(r.A) FROM R r "
-        "WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1)"
-    ),
-    # mst's shape: S[C] -> count answers the test from its maintained
-    # minimum; inserts into S restate q only when that minimum moves.
-    "exists_threshold": (
-        "SELECT sum(r.A) FROM R r WHERE EXISTS "
-        "(SELECT s.B FROM S s WHERE s.C <= r.B + 1)"
-    ),
-    # Two sums and a count into one group through nested loops: several
-    # statements per target share one batch accumulator, and their scans
-    # fuse inside the outer loop ...
-    "grouped_three_way": (
-        "SELECT r.A, sum(r.B * t.D - t.D), sum(t.D + r.B), count(*) "
-        "FROM R r, S s, T t "
-        "WHERE r.B = s.B AND s.C = t.C GROUP BY r.A"
-    ),
-    # ... unless the sums are FLOAT: then every statement keeps its own
-    # accumulator and its order.
-    "grouped_three_way_float": (
-        "SELECT r.A, sum(r.B * u.D - u.D), sum(u.D + r.B), count(*) "
-        "FROM R r, S s, U u "
-        "WHERE r.B = s.B AND s.C = u.C GROUP BY r.A"
-    ),
-}
-
-#: Queries reading ``U`` in place of ``T``: their streams carry T's rows as
-#: U's, with a FLOAT ``D`` (half-integers, so every sum is exact in any
-#: order and the reference may add in its own).
-FLOAT_TWINS = {"grouped_three_way_float"}
-
-#: Queries whose compiled form reads EXISTS as "some live row", which is
-#: the ring's ``sum != 0`` only while multiplicities stay non-negative
-#: (the precondition MIN/MAX document): their random streams drop the
-#: deletes of rows that are not there.
-WELL_FORMED_ONLY = {"exists_threshold"}
-
-
-def _stream(query_name, drawn):
-    events_, live = [], {}
-    for relation, sign, values in drawn:
-        if query_name in FLOAT_TWINS and relation == "T":
-            relation, values = "U", (values[0], values[1] + 0.5)
-        if query_name in WELL_FORMED_ONLY:
-            count = live.get((relation, values), 0) + sign
-            if count < 0:
-                continue
-            live[relation, values] = count
-        events_.append(StreamEvent(relation, sign, values))
-    return events_
+#: The example shapes: every R/S/T shape but the kernel-scan one.
+QUERIES = {name: sql for name, sql in lanes.RST_QUERIES.items() if name != "scan"}
 
 
 class LegacyExecutor:
@@ -166,15 +97,8 @@ def _cache(spec, source):
 
 
 @lru_cache(maxsize=None)
-def _program(query_name: str):
-    catalog = Catalog.from_script(CATALOG_DDL)
-    translated = translate_sql(QUERIES[query_name], catalog, name="q")
-    return compile_queries([translated], catalog)
-
-
-@lru_cache(maxsize=None)
 def _built(query_name: str, mode: str, optimize: bool) -> DeltaEngine:
-    return DeltaEngine(_program(query_name), mode=mode, optimize=optimize)
+    return DeltaEngine(lanes.rst_program(query_name), mode=mode, optimize=optimize)
 
 
 def _engine(query_name: str, mode: str, optimize: bool = True) -> DeltaEngine:
@@ -193,12 +117,12 @@ def _reference_maps(program, stream_events):
 
 
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
 @settings(max_examples=20, deadline=None)
 @given(stream=st.lists(events(), max_size=40))
 def test_ir_backends_match_legacy_per_event(query_name, mode, stream):
-    program = _program(query_name)
-    stream_events = _stream(query_name, stream)
+    program = lanes.rst_program(query_name)
+    stream_events = lanes.rst_stream(query_name, stream)
     reference = _reference_maps(program, stream_events)
 
     engine = _engine(query_name, mode)
@@ -212,39 +136,9 @@ def test_ir_backends_match_legacy_per_event(query_name, mode, stream):
     assert unoptimised.maps == reference
 
 
-@pytest.mark.parametrize("query_name", sorted(QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-@settings(max_examples=15, deadline=None)
-@given(
-    stream=st.lists(events(), max_size=40),
-    batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-)
-def test_ir_batch_path_matches_legacy(query_name, mode, stream, batch_size):
-    program = _program(query_name)
-    stream_events = _stream(query_name, stream)
-    reference = _reference_maps(program, stream_events)
-    engine = _engine(query_name, mode)
-    engine.process_stream(stream_events, batch_size=batch_size)
-    assert engine.maps == reference
-
-
-@pytest.mark.parametrize("query_name", sorted(QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-@pytest.mark.parametrize("shards", [1, 2, 3, 4])
-@settings(max_examples=5, deadline=None)
-@given(stream=st.lists(events(), max_size=30))
-def test_ir_sharded_path_matches_legacy(query_name, mode, shards, stream):
-    program = _program(query_name)
-    stream_events = _stream(query_name, stream)
-    reference = _reference_maps(program, stream_events)
-    with ShardedEngine(program, shards=shards, mode=mode) as engine:
-        engine.process_stream(stream_events)
-        assert engine.current_maps() == reference
-
-
 def test_threshold_shape_reads_an_extremum():
     """The random-stream shape above takes the path it is there for."""
-    program = _program("exists_threshold")
+    program = lanes.rst_program("exists_threshold")
     (spec,) = program.finalizers[program.base_maps["S"].name]
     assert (spec.kind, spec.group_arity, spec.absent) == ("min", 0, float("inf"))
     # R events test the cache in O(1) ...
@@ -266,28 +160,16 @@ def test_threshold_shape_reads_an_extremum():
     )
 
 
-@pytest.mark.parametrize(
-    "query_name", ["vwap", "axf", "bsp", "psp", "mst", "bbo", "act"]
-)
+@pytest.mark.parametrize("query_name", FINANCE_QUERIES)
 def test_finance_workload_matches_legacy(query_name):
-    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
-
-    catalog = finance_catalog()
-    translated = translate_sql(
-        FINANCE_QUERIES[query_name], catalog, name=query_name
-    )
-    program = compile_queries([translated], catalog)
-    stream_events = list(OrderBookGenerator(seed=2009).events(400))
+    program = lanes.shipped_program(query_name, query_name)
+    stream_events = lanes.order_book(2009, 400)
     reference = _reference_maps(program, stream_events)
     for mode in ("compiled", "interpreted"):
         per_event = DeltaEngine(program, mode=mode)
         for event in stream_events:
             per_event.process(event)
         assert per_event.maps == reference, f"{mode} per-event diverged"
-        batched = DeltaEngine(program, mode=mode)
-        batched.process_stream(stream_events, batch_size=64)
-        assert batched.maps == reference, f"{mode} batched diverged"
 
 
 def test_float_twin_shares_accumulators_and_equals_per_event():
@@ -298,7 +180,7 @@ def test_float_twin_shares_accumulators_and_equals_per_event():
     import random
 
     def accumulators(query_name):
-        ir = lower_program(_program(query_name))
+        ir = lower_program(lanes.rst_program(query_name))
         body = ir.batch_triggers["R", 0].body
         declared = [s for s in body if isinstance(s, (LocalMapDecl, Assign))]
         sinks = [sink for _, sink in ir.batch_sinks["R", 0]]
@@ -311,7 +193,7 @@ def test_float_twin_shares_accumulators_and_equals_per_event():
     rng = random.Random(7)
     values = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(300)]
     drawn = [(rng.choice("RSTT"), rng.choice((1, 1, -1)), v) for v in values]
-    stream_events = _stream("grouped_three_way_float", drawn)
+    stream_events = lanes.rst_stream("grouped_three_way_float", drawn)
     maps = set()
     for batch_size in (None, 7, 100):
         for optimize in (True, False):

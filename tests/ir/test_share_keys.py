@@ -3,11 +3,13 @@ once changes no map.
 
 Every shipped query and warehouse-load's four-view SSB program runs with
 ``DEFAULT_PASSES`` and with ``DEFAULT_PASSES`` minus ``share-keys``, on
-the compiled, interpreted and native lanes (vwap's kernel map applies
-through ``add()``; without a toolchain the native lane is the compiled
-one), per event and in batches of 1, 3 and 100: the maps must be
-``repr``-equal (values, keys and insertion order).  The structural pins
-check the rendered triggers read the shared locals.
+the executor lanes of ``tests/lanes.py`` (native only for vwap, whose
+kernel map applies through ``add()``), per event and in batches of 3
+and 100: the maps must be ``repr``-equal (values, keys and insertion
+order).  A batch of one runs the per-event trigger, and
+``tests/integration/test_map_parity.py`` pins batches to per-event
+processing.  The structural pins check the rendered triggers read the
+shared locals.
 """
 
 import re
@@ -16,41 +18,17 @@ from functools import lru_cache
 import pytest
 
 import repro.ir.optimize as optimize_module
-from repro.algebra.translate import translate_sql
 from repro.codegen.pygen import generate_module
-from repro.compiler import compile_queries, compile_sql
 from repro.ir import DEFAULT_PASSES
-from repro.runtime import DeltaEngine, StreamEvent
-from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.ssb import (
-    SSB_FLIGHT,
-    load_static_tables,
-    ssb_catalog,
-    warehouse_stream,
-)
+from repro.runtime import StreamEvent
+from repro.workloads.finance import FINANCE_QUERIES
+from repro.workloads.ssb import SSB_FLIGHT, load_static_tables, warehouse_stream
 from repro.workloads.tpch import TpchGenerator
-from tests.integration.test_shared_finance import bounded_book
+from tests.lanes import bounded_book, build_engine, compile_shipped, deliver, executors
 
 WITHOUT = tuple(name for name in DEFAULT_PASSES if name != "share-keys")
-LANES = {
-    "compiled": {"mode": "compiled"},
-    "interpreted": {"mode": "interpreted"},
-    "native": {"mode": "native"},
-}
-BATCHINGS = (None, 1, 3, 100)
+DELIVERIES = ("process", "stream-3", "stream-100")
 PROGRAMS = (*FINANCE_QUERIES, *SSB_FLIGHT, "warehouse")
-
-
-def _compile(name: str):
-    if name in FINANCE_QUERIES:
-        return compile_sql(FINANCE_QUERIES[name], finance_catalog(), name=name)
-    catalog = ssb_catalog()
-    if name in SSB_FLIGHT:
-        return compile_sql(SSB_FLIGHT[name], catalog, name=name)
-    return compile_queries(
-        [translate_sql(sql, catalog, name=query) for query, sql in SSB_FLIGHT.items()],
-        catalog,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -64,20 +42,16 @@ def _feeds():
     return bounded_book(2009, 20, 600), generator, facts
 
 
-def _maps(name: str, program, lane: dict, batch) -> str:
-    """The engine's maps after the feed, per event or in ``batches(feed,
-    batch)``, as a ``repr`` that keeps each map's insertion order."""
+def _maps(name: str, program, lane: str, delivery: str) -> str:
+    """The engine's maps after the feed, as a ``repr`` that keeps each
+    map's insertion order."""
     book, generator, facts = _feeds()
-    engine = DeltaEngine(program, **lane)
+    engine = build_engine(program, lane)
     feed = book
     if name not in FINANCE_QUERIES:
         load_static_tables(engine, generator)
         feed = facts
-    if batch is None:
-        for event in feed:
-            engine.process(event)
-    else:
-        engine.process_stream(feed, batch_size=batch)
+    deliver(engine, feed, delivery)
     return repr({key: list(rows.items()) for key, rows in engine.maps.items()})
 
 
@@ -85,18 +59,19 @@ def _maps(name: str, program, lane: dict, batch) -> str:
 def test_maps_match_without_share_keys(name, monkeypatch):
     """Reading a key from its local is the same probe or write: every map
     ends the same, on every lane, however the feed is batched."""
-    shared = _compile(name)
+    shared = compile_shipped(name, name)
+    lanes = executors(shared)
     expected = {
-        (lane, batch): _maps(name, shared, LANES[lane], batch)
-        for lane in LANES
-        for batch in BATCHINGS
+        (lane, delivery): _maps(name, shared, lane, delivery)
+        for lane in lanes
+        for delivery in DELIVERIES
     }
     monkeypatch.setattr(optimize_module, "DEFAULT_PASSES", WITHOUT)
-    built = _compile(name)
-    for lane in LANES:
-        for batch in BATCHINGS:
-            got = _maps(name, built, LANES[lane], batch)
-            assert got == expected[lane, batch], (name, lane, batch)
+    built = compile_shipped(name, name)
+    for lane in lanes:
+        for delivery in DELIVERIES:
+            got = _maps(name, built, lane, delivery)
+            assert got == expected[lane, delivery], (name, lane, delivery)
 
 
 def _function(source: str, name: str) -> str:
@@ -131,7 +106,7 @@ def test_bsp_builds_its_broker_key_once():
     """bsp's bid trigger reads ``(ev_bids_broker_id,)`` twelve times
     (two probes, and the ``get`` and the store or ``pop`` of five
     writes): it builds it once, and so does each row of its batch."""
-    source = generate_module(_compile("bsp"))
+    source = generate_module(compile_shipped("bsp", "bsp"))
     for trigger in ("on_bids", "on_bids_batch"):
         body = _function(source, trigger)
         assert body.count("(ev_bids_broker_id,)") == 1, trigger
@@ -142,7 +117,7 @@ def test_lineitem_builds_its_order_key_once_per_scope():
     """The four-view lineitem trigger read ``(ev_lineitem_l_orderkey,)``
     in 37 places: each scope now builds it at most once, and the index
     probes, writes and index maintenance after it read the local."""
-    body = _function(generate_module(_compile("warehouse")), "on_lineitem")
+    body = _function(generate_module(compile_shipped("warehouse")), "on_lineitem")
     scopes = _scopes(body, "(ev_lineitem_l_orderkey,)")
     assert 1 <= len(scopes) <= 2
     assert len(set(scopes)) == len(scopes)

@@ -16,32 +16,22 @@ Two layers:
 
 Engines keep every map in a dict, or, under ``mode="native"``, hand the
 maps a trigger scans whole to the C kernel, which attaches underneath a
-:class:`ColumnarMap`.  The engine layer pins that lane *bit-identical* to
-a per-event compiled dict engine: a hypothesis property over
-compiled/interpreted/native × batch sizes × shards 1–4 on random
-streams (one query there attaches a kernel; the native lane degrades to
-the compiled one on toolchain-less hosts, so the property is meaningful
-everywhere), and a deterministic family over the finance workloads the
-benchmarks measure, comparing ``repr`` of every entry so ``5`` vs
-``5.0`` or ``-0.0`` drift would fail.
+:class:`ColumnarMap`; ``tests/integration/test_map_parity.py`` pins every
+engine lane entry-for-entry to a per-event compiled dict engine.
 """
 
 import copy
 import pickle
 import random
-from functools import lru_cache
 from types import MappingProxyType
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from repro.algebra.translate import translate_sql
-from repro.compiler import analyze_storage, compile_queries, compile_sql
-from repro.runtime import ColumnarMap, DeltaEngine, ShardedEngine, StreamEvent
+from repro.compiler import analyze_storage, compile_sql
+from repro.runtime import ColumnarMap, DeltaEngine
 from repro.runtime.storage import _INT64_MAX
 from repro.sql.catalog import Catalog
-from tests.strategies import events
+from tests.lanes import rst_program
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +334,13 @@ class TestStoragePlan:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _grouped_program():
-    catalog = Catalog.from_script("CREATE STREAM R (A int, B int);")
-    translated = translate_sql("SELECT A, sum(B) FROM R GROUP BY A", catalog, name="q")
-    return compile_queries([translated], catalog)
-
-
 def test_packed_layout_constructs_storage_from_plan():
     """The packed layout (rendered by ``generate_module(columnar=True)``)
     packs exactly the maps the plan proves packable; an engine holds
     plain dicts."""
     from repro.compiler.storage import storage_layout
 
-    program = _grouped_program()
+    program = rst_program("grouped")
     maps = storage_layout(program, "compiled", columnar=True).create_maps()
     plan = analyze_storage(program)
     assert set(maps) == set(program.maps)
@@ -373,7 +356,7 @@ def test_packed_layout_constructs_storage_from_plan():
 def test_generated_header_stamps_storage_plan():
     from repro.codegen.pygen import generate_module
 
-    program = _grouped_program()
+    program = rst_program("grouped")
     source = generate_module(program, columnar=True)
     assert "== storage plan ==" in source
     assert "columnar[int]" in source
@@ -382,145 +365,3 @@ def test_generated_header_stamps_storage_plan():
     agnostic = generate_module(program, columnar=False)
     assert "rendered for: storage-agnostic (mapping protocol)" in agnostic
     assert ".add(" not in agnostic
-
-
-# ---------------------------------------------------------------------------
-# Engine integration and the parity property
-# ---------------------------------------------------------------------------
-
-CATALOG_DDL = """
-CREATE STREAM R (A int, B int);
-CREATE STREAM S (B int, C int);
-CREATE STREAM T (C int, D int);
-"""
-
-QUERIES = {
-    "grouped": "SELECT A, sum(B) FROM R GROUP BY A",
-    "join": (
-        "SELECT r.B, sum(r.A * s.C) FROM R r, S s "
-        "WHERE r.B = s.B GROUP BY r.B"
-    ),
-    "chain": (
-        "SELECT sum(r.A * t.D) FROM R r, S s, T t "
-        "WHERE r.B = s.B AND s.C = t.C"
-    ),
-    # Each trigger scans the other side's map whole: the native lane
-    # hands both to the kernel.
-    "scan": "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B",
-}
-
-
-@lru_cache(maxsize=None)
-def _program(query_name: str):
-    catalog = Catalog.from_script(CATALOG_DDL)
-    translated = translate_sql(QUERIES[query_name], catalog, name="q")
-    return compile_queries([translated], catalog)
-
-
-def _exact_items(maps):
-    """Map contents with full value/key identity (``repr`` separates
-    ``5`` from ``5.0`` and ``0.0`` from ``-0.0``)."""
-    return {
-        name: sorted((repr(k), repr(v)) for k, v in contents.items())
-        for name, contents in maps.items()
-    }
-
-
-@pytest.mark.parametrize("query_name", sorted(QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-@settings(max_examples=20, deadline=None)
-@given(
-    stream=st.lists(events(), max_size=40),
-    shards=st.integers(min_value=1, max_value=4),
-    batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-)
-def test_every_lane_equals_dict_storage(query_name, mode, stream, shards, batch_size):
-    """Batched and sharded runs of every executor must be bit-identical
-    to a per-event compiled dict engine."""
-    program = _program(query_name)
-    stream_events = [
-        StreamEvent(relation, sign, values) for relation, sign, values in stream
-    ]
-    reference = DeltaEngine(program)
-    for event in stream_events:
-        reference.process(event)
-
-    engine = DeltaEngine(program, mode=mode)
-    engine.process_stream(stream_events, batch_size=batch_size)
-    assert _exact_items(engine.maps) == _exact_items(reference.maps)
-    assert engine.results() == reference.results()
-
-    sharded = ShardedEngine(program, shards=shards, mode=mode)
-    sharded.process_stream(stream_events, batch_size=batch_size)
-    assert _exact_items(sharded.current_maps()) == _exact_items(reference.maps)
-    assert sharded.results() == reference.results()
-
-
-def _finance_maps(query_name, mode, batch_size):
-    from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
-
-    stream = list(OrderBookGenerator(seed=2009).events(600))
-    program = compile_sql(FINANCE_QUERIES[query_name], finance_catalog(), name="q")
-    engine = DeltaEngine(program, mode=mode)
-    if batch_size is None:
-        for event in stream:
-            engine.process(event)
-    else:
-        engine.process_stream(stream, batch_size=batch_size)
-    return _exact_items(engine.maps)
-
-
-@pytest.mark.parametrize("query_name", ["vwap", "axf", "bsp", "psp", "mst"])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-def test_finance_workloads_identical(query_name, mode):
-    """Deterministic family over the benchmark streams (batched runs)
-    against per-event compiled dicts; under ``mode="native"`` vwap's
-    scanned base map is kernel-held."""
-    assert _finance_maps(query_name, mode, 37) == _finance_maps(
-        query_name, "compiled", None
-    )
-
-
-@pytest.mark.parametrize("query_name", ["bbo", "act"])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-def test_nonlinear_finance_identical(query_name, mode):
-    """The non-linear workloads: the auxiliary caches their writes keep
-    are plain dicts in every layout — parity must hold (native mode keeps
-    the Finalize-fed maps python-side and still runs)."""
-    assert _finance_maps(query_name, mode, 37) == _finance_maps(
-        query_name, "compiled", None
-    )
-
-
-def test_float_stream_parity_bit_identical():
-    """Float-valued maps beside a kernel map: the native lane must not
-    disturb a single bit of a float sum."""
-    catalog = Catalog.from_script(
-        "CREATE STREAM R (A int, B int); CREATE STREAM S (B int, C float);"
-    )
-    sql = "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B"
-    rng = random.Random(11)
-    stream = []
-    live = []
-    for _ in range(400):
-        if live and rng.random() < 0.3:
-            relation, row = live.pop(rng.randrange(len(live)))
-            stream.append(StreamEvent(relation, -1, row))
-        else:
-            relation = rng.choice("RS")
-            if relation == "R":
-                row = (rng.randrange(-9, 9), rng.randrange(6))
-            else:
-                row = (rng.randrange(6), rng.random() * 100 - 50)
-            live.append((relation, row))
-            stream.append(StreamEvent(relation, 1, row))
-    maps_seen = []
-    for mode in ("compiled", "native"):
-        program = compile_sql(sql, catalog, name="q")
-        engine = DeltaEngine(program, mode=mode)
-        engine.process_stream(stream, batch_size=16)
-        if engine.native_active:
-            assert "kernel" in engine.storage_classes().values()
-        maps_seen.append(_exact_items(engine.maps))
-    assert maps_seen[0] == maps_seen[1]

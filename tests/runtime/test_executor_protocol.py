@@ -9,21 +9,21 @@ sound if two bindings never alias — which is what these tests pin.
 
 import copy
 import os
+from functools import lru_cache
 
 import pytest
 
 from repro.algebra.translate import translate_sql
 from repro.codegen import pygen
-from repro.compiler import compile_queries, compile_sql
+from repro.compiler import compile_queries
 from repro.compiler.program import ExecutorOptions
 from repro.runtime import DeltaEngine, ShardedEngine
 from repro.runtime.engine import _build_executor
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
-
-MODES = ("compiled", "native", "interpreted")
+from tests.lanes import executors, order_book, shipped_program
 
 
+@lru_cache(maxsize=None)
 def _program(*names):
     catalog = finance_catalog()
     return compile_queries(
@@ -33,14 +33,14 @@ def _program(*names):
 
 
 def _events(seed, n=300):
-    return list(OrderBookGenerator(seed=seed).events(n))
+    return order_book(seed, n)
 
 
 def _plain(maps):
     return {name: dict(contents.items()) for name, contents in maps.items()}
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", executors(_program("vwap", "bbo")))
 def test_bind_covers_every_trigger(mode):
     program = _program("vwap", "bbo")
     executor = _build_executor(program, ExecutorOptions(mode))
@@ -52,7 +52,7 @@ def test_bind_covers_every_trigger(mode):
     assert (executor.source is None) == (mode == "interpreted")
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", executors(_program("vwap", "bbo")))
 def test_two_bindings_of_one_executor_are_independent(mode):
     """vwap + bbo: secondary indexes on the bbo maps, and (with a C
     toolchain) a kernel-attached vwap map — the state a shared executor
@@ -84,7 +84,7 @@ def test_two_bindings_of_one_executor_are_independent(mode):
         assert "kernel" in second.storage_classes().values()
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", executors(_program("bbo")))
 def test_restore_state_rebinds_without_rendering(mode, monkeypatch):
     program = _program("bbo")
     source = DeltaEngine(program, mode=mode)
@@ -100,7 +100,7 @@ def test_restore_state_rebinds_without_rendering(mode, monkeypatch):
     assert source.index_sizes() == target.index_sizes() == clone.index_sizes()
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", executors(shipped_program("bsp", "bsp")))
 @pytest.mark.parametrize("parallel", (False, True))
 def test_sharded_engine_compiles_once(mode, parallel, monkeypatch):
     if parallel and not hasattr(os, "fork"):
@@ -118,7 +118,7 @@ def test_sharded_engine_compiles_once(mode, parallel, monkeypatch):
 
     monkeypatch.setattr(pygen, "generate_module", counting_render)
     monkeypatch.setattr(pygen, "compile", counting_compile, raising=False)
-    program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="bsp")
+    program = shipped_program("bsp", "bsp")
     events = _events(6, 400)
     with ShardedEngine(program, shards=4, mode=mode, parallel=parallel) as sharded:
         assert len(sharded._lanes) == 4

@@ -19,36 +19,27 @@ from itertools import islice
 
 import pytest
 
-from repro.algebra.translate import translate_sql
-from repro.compiler import compile_queries, compile_sql
 from repro.runtime import DeltaEngine
-from repro.runtime.durability import DurableEngine
-from repro.runtime.events import batches
 from repro.runtime.serving import ViewDeltaTap, _delta_record, apply_changes
-from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
-from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog, warehouse_stream
+from repro.workloads.finance import FINANCE_QUERIES
+from repro.workloads.ssb import warehouse_stream
 from repro.workloads.tpch import TpchGenerator
+from tests.lanes import build_engine, deliver, order_book, shipped_program
 
 DELIVERIES = ("process", "one-row", "batch-1", "batch-3", "batch-100", "columns-3")
 
 
 @lru_cache(maxsize=None)
 def _finance(query):
-    program = compile_sql(FINANCE_QUERIES[query], finance_catalog(), name="q")
-    return program, {}, list(OrderBookGenerator(seed=31).events(120))
+    return shipped_program(query), {}, order_book(31, 120)
 
 
 @lru_cache(maxsize=None)
 def _ssb():
-    catalog = ssb_catalog()
-    program = compile_queries(
-        [translate_sql(sql, catalog, name=name) for name, sql in SSB_FLIGHT.items()],
-        catalog,
-    )
     generator = TpchGenerator(sf=0.0005, seed=1992)
     static = generator.static_tables()
-    return program, static, list(islice(warehouse_stream(generator), 150))
+    events = list(islice(warehouse_stream(generator), 150))
+    return shipped_program("warehouse"), static, events
 
 
 #: Where each view's candidate groups come from.  Every finance view's
@@ -61,31 +52,12 @@ EXPECTED_MODES = {
 }
 
 
-def _drive(engine, events, delivery):
-    if delivery == "process":
-        for event in events:
-            engine.process(event)
-    elif delivery == "one-row":
-        for event in events:
-            engine.process_batch(event.relation, event.sign, [event.values])
-    elif delivery == "columns-3":  # the tap reads zipped columns
-        for batch in batches(events, 3):
-            engine.process_batch_columns(batch.relation, batch.sign, batch.columns)
-    else:
-        for batch in batches(events, int(delivery.split("-")[1])):
-            engine.process_batch(batch.relation, batch.sign, batch.rows)
-
-
 @pytest.mark.parametrize("delivery", DELIVERIES)
 @pytest.mark.parametrize("kind", ["delta", "durable"])
 @pytest.mark.parametrize("case", sorted(FINANCE_QUERIES) + ["ssb"])
 def test_observed_tap_matches_the_whole_view_tap(case, kind, delivery, tmp_path):
     program, static, events = _ssb() if case == "ssb" else _finance(case)
-    engine = (
-        DeltaEngine(program)
-        if kind == "delta"
-        else DurableEngine(program, tmp_path, fsync="none")
-    )
+    engine = build_engine(program, "compiled", tmp_path if kind == "durable" else None)
     for relation, rows in static.items():
         engine.load(relation, rows)
     live = ViewDeltaTap(engine)
@@ -115,7 +87,7 @@ def test_observed_tap_matches_the_whole_view_tap(case, kind, delivery, tmp_path)
 
     engine.add_batch_listener(listener)
     third = len(events) // 3
-    _drive(engine, events[:third], delivery)
+    deliver(engine, events[:third], delivery)
     # Columnar batches take the batch path, which installs no route.
     routes = kind == "delta" and delivery != "columns-3"
     if routes:  # an observed relation keeps a route that notifies
@@ -127,14 +99,14 @@ def test_observed_tap_matches_the_whole_view_tap(case, kind, delivery, tmp_path)
     # Listener cycles: another listener comes and goes, ours leaves and
     # comes back, with no batch in between.
     engine.add_batch_listener(idle)
-    _drive(engine, events[third : 2 * third], delivery)
+    deliver(engine, events[third : 2 * third], delivery)
     engine.remove_batch_listener(listener)
     engine.add_batch_listener(listener)
     engine.remove_batch_listener(idle)
     # A restore is a whole-map write no batch shows: the next batch's
     # deltas carry it.
     engine.restore_state(snapshot, events_processed=third)
-    _drive(engine, events[third:], delivery)
+    deliver(engine, events[third:], delivery)
     driven = events[: 2 * third] + events[third:]
     assert sum(seen) == sum((e.relation, 0) in program.triggers for e in driven)
     engine.remove_batch_listener(listener)

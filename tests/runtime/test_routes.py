@@ -18,8 +18,8 @@ from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, delete, insert
 from repro.runtime.profiler import Profiler
 from repro.sql.catalog import Catalog
-from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
+from repro.workloads.finance import finance_catalog
+from tests.lanes import PYTHON_EXECUTORS, order_book, shipped_program
 
 GROUPED = "SELECT broker_id, sum(price * volume) FROM bids GROUP BY broker_id"
 
@@ -27,11 +27,11 @@ GROUPED = "SELECT broker_id, sum(price * volume) FROM bids GROUP BY broker_id"
 @pytest.fixture(scope="module")
 def program():
     # axf keeps secondary indexes, which a stale binding would not rebuild.
-    return compile_sql(FINANCE_QUERIES["axf"], finance_catalog(), name="q")
+    return shipped_program("axf")
 
 
 def _feed(seed=2009, count=240):
-    return list(OrderBookGenerator(seed=seed).events(count))
+    return order_book(seed, count)
 
 
 def _engine_after(program, events, **kwargs):
@@ -42,7 +42,7 @@ def _engine_after(program, events, **kwargs):
 
 
 def test_a_routed_relation_skips_admission_and_an_unread_one_is_counted():
-    program = compile_sql(FINANCE_QUERIES["vwap"], finance_catalog(), name="q")
+    program = shipped_program("vwap")
     engine = _engine_after(program, _feed())
     assert set(engine._routes) == {"bids", "asks"}  # vwap reads bids only
     assert engine._routes["bids"][1] is engine._signed["bids"][1]
@@ -174,13 +174,13 @@ def test_a_profiled_engine_keeps_its_routes():
     assert engine.events_processed == 4
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("mode", PYTHON_EXECUTORS)
 @pytest.mark.parametrize("query", ["vwap", "bsp"])
 def test_process_equals_one_row_batches(query, mode):
     """A fixed finance feed through ``process`` and through one-row
     ``process_batch`` calls: same maps (insertion order included), same
     counters — vwap reads bids only, so its asks are skipped."""
-    program = compile_sql(FINANCE_QUERIES[query], finance_catalog(), name="q")
+    program = shipped_program(query)
     feed = _feed(seed=424242, count=800)
     routed = _engine_after(program, feed, mode=mode)
     batched = DeltaEngine(program, mode=mode)

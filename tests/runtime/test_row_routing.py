@@ -10,7 +10,6 @@ row-payload bytes.
 """
 
 import os
-from functools import lru_cache
 
 import pytest
 
@@ -24,8 +23,8 @@ from repro.runtime.durability import (
     encode_rows_payload,
 )
 from repro.runtime.events import EventBatch, batches, partition_rows
-from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
+from repro.workloads.finance import finance_catalog
+from tests.lanes import matrix, order_book, shipped_program
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="process lanes require POSIX fork"
@@ -34,16 +33,6 @@ needs_fork = pytest.mark.skipif(
 #: Four bids over brokers 1, 2 and 3 and a cancel: a mixed short run.
 ROWS = [(1, 1, 1, 100, 5), (2, 2, 2, 101, 5), (1, 1, 1, 100, 5), (3, 3, 3, 99, 5)]
 WEIGHTS = [1, 1, -1, 1]
-
-
-@lru_cache(maxsize=None)
-def _program(query):
-    return compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=query)
-
-
-@lru_cache(maxsize=None)
-def _feed(seed):
-    return tuple(OrderBookGenerator(seed=seed).events(240))
 
 
 def _lane_of(engine, relation, row):
@@ -101,7 +90,7 @@ def partitions(monkeypatch):
 
 @pytest.mark.parametrize("by_columns", [False, True])
 def test_a_short_mixed_run_makes_only_per_event_calls(by_columns, partitions):
-    engine = ShardedEngine(_program("bsp"), shards=2)
+    engine = ShardedEngine(shipped_program("bsp", "bsp"), shards=2)
     logs = _counted_lanes(engine)
     if by_columns:
         applied = engine.process_batch_columns("bids", WEIGHTS, list(zip(*ROWS)))
@@ -115,14 +104,14 @@ def test_a_short_mixed_run_makes_only_per_event_calls(by_columns, partitions):
     assert {kind for log in logs for kind in log} == {"event"}
     assert [lane.events_processed for lane in engine._lanes] == expected
     assert partitions == []
-    reference = DeltaEngine(_program("bsp"))
+    reference = DeltaEngine(shipped_program("bsp", "bsp"))
     for row, weight in zip(ROWS, WEIGHTS):
         reference.process(StreamEvent("bids", weight, row))
     assert engine.results("bsp") == reference.results("bsp")
 
 
 def test_a_nine_row_run_makes_one_batch_call_per_lane_that_drew_rows(partitions):
-    engine = ShardedEngine(_program("bsp"), shards=3)
+    engine = ShardedEngine(shipped_program("bsp", "bsp"), shards=3)
     logs = _counted_lanes(engine)
     # Brokers 1 and 2 only: lanes 1 and 2 draw rows, lane 0 none.
     rows = [(i, i, 1 + i % 2, 100 + i, 5) for i in range(9)]
@@ -133,7 +122,8 @@ def test_a_nine_row_run_makes_one_batch_call_per_lane_that_drew_rows(partitions)
 
 @needs_fork
 def test_forked_lanes_get_one_send_per_non_empty_slice(partitions):
-    with ShardedEngine(_program("bsp"), shards=2, parallel=True) as engine:
+    program = shipped_program("bsp", "bsp")
+    with ShardedEngine(program, shards=2, parallel=True) as engine:
         assert engine.parallel
         sends = []
         for index, lane in enumerate(engine._lanes):
@@ -153,7 +143,7 @@ def test_forked_lanes_get_one_send_per_non_empty_slice(partitions):
         sends.clear()
         engine.process_batch("bids", 1, ROWS[:1])
         assert sends == [(_lane_of(engine, "bids", ROWS[0]), 1, 1)]
-        reference = DeltaEngine(_program("bsp"))
+        reference = DeltaEngine(shipped_program("bsp", "bsp"))
         for row, weight in zip(ROWS + ROWS[:1], WEIGHTS + [1]):
             reference.process(StreamEvent("bids", weight, row))
         assert engine.results("bsp") == reference.results("bsp")
@@ -164,11 +154,12 @@ def test_forked_lanes_get_one_send_per_non_empty_slice(partitions):
 
 @pytest.mark.parametrize("seed", [2009, 424242])
 @pytest.mark.parametrize("shards", [2, 3])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
-@pytest.mark.parametrize("query", ["bsp", "axf"])
+@pytest.mark.parametrize(
+    "query,mode", matrix({q: lambda q=q: shipped_program(q, q) for q in ("bsp", "axf")})
+)
 def test_every_lane_equals_its_subsequence_per_event(query, mode, shards, seed):
-    program = _program(query)
-    feed = _feed(seed)
+    program = shipped_program(query, query)
+    feed = order_book(seed, 240)
     assert sum(event.sign == -1 for event in feed) >= 0.3 * len(feed)
     engine = ShardedEngine(program, shards=shards, mode=mode)
     references = [DeltaEngine(program, mode=mode) for _ in engine._lanes]
@@ -203,7 +194,7 @@ def test_watched_lanes_record_what_the_slice_path_records():
     """The row loop writes the same keys a lane's ``send`` of its slice
     writes, so a lane's result watch sees the same touched sets."""
     program = compile_sql(_RECORDED, finance_catalog(), name="bsp")
-    feed = _feed(2009)
+    feed = order_book(2009, 240)
     engines = [ShardedEngine(program, shards=2) for _ in range(2)]
     watches = [
         [lane.watch_results(["bsp"])["bsp"][0] for lane in engine._lanes]

@@ -29,8 +29,8 @@ from repro.runtime.profiler import (
 )
 from repro.runtime.sources import coerce_row, csv_source
 from repro.sql.catalog import Catalog
-from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
+from repro.workloads.finance import FINANCE_QUERIES
+from tests.lanes import PYTHON_EXECUTORS, order_book, shipped_program
 
 DDL = """
 CREATE STREAM bids (broker_id int, price int, volume int);
@@ -469,9 +469,9 @@ class TestDebugger:
 
     @pytest.mark.parametrize("query", sorted(FINANCE_QUERIES))
     def test_maps_equal_the_engines_after_every_step(self, query):
-        program = compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=query)
+        program = shipped_program(query, query)
         engine, debugger = DeltaEngine(program), Debugger(program)
-        for event in OrderBookGenerator(seed=3).events(250):
+        for event in order_book(3, 250):
             engine.process(event)
             debugger.step(event)
             assert debugger.maps == _engine_maps(engine)
@@ -541,12 +541,12 @@ FEED_PATHS = {
 @pytest.fixture(scope="module")
 def bsp():
     # bsp reads bids and asks, each partitioned on its broker column.
-    return compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="q")
+    return shipped_program("bsp")
 
 
 @pytest.fixture(scope="module")
 def feed():
-    events = list(OrderBookGenerator(seed=2009).events(300))
+    events = order_book(2009, 300)
     # Inserts and deletes of both relations, in mixed-sign runs.
     assert set(_hand_count(events)) == {"+bids", "-bids", "+asks", "-asks"}
     assert any(isinstance(batch.sign, list) for batch in batches(events, 100))
@@ -564,7 +564,7 @@ class TestProfiler:
         assert profiler.report() == "events processed: 2\n  +bids: 1\n  -bids: 1"
 
     @pytest.mark.parametrize("path", sorted(FEED_PATHS))
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("mode", PYTHON_EXECUTORS)
     def test_a_delta_engine_counts_the_stream_by_hand(self, bsp, feed, mode, path):
         engine = DeltaEngine(bsp, mode=mode)
         profiler = _profiled(engine)

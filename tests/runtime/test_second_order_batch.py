@@ -1,11 +1,15 @@
 """Second-order (delta-of-delta) batch absorption and the columnar spine.
 
-The acceptance property: for self-reading triggers (vwap, mst, psp — plus
-keyed-restate shapes), batched executors driven by the second-order
-accumulate-then-flush plan must stay *map-identical* to per-event
-execution — across compiled and interpreted modes, every batch size, and
-sharded engines with 1–4 lanes.
+The acceptance property: for self-reading triggers, batched executors
+driven by the second-order accumulate-then-flush plan must stay
+*map-identical* to per-event execution.  On random order books over vwap,
+mst, psp, bbo and act, across executors, batch sizes and 1–4 shards, that
+is ``tests/integration/test_map_parity.py``'s; here: the keyed-restate
+and rejected-plan shapes, the delta orders, the plan's structure and the
+columnar batch spine.
 """
+
+from functools import lru_cache
 
 import hypothesis.strategies as st
 import pytest
@@ -25,16 +29,7 @@ from repro.runtime.events import (
     rows_from_columns,
 )
 from repro.sql.catalog import Catalog
-from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-
-#: The self-reading finance triggers the second-order sink targets (psp is
-#: the independent control: first-order accumulation, no restatement).
-SELF_READING = ("vwap", "mst", "psp")
-
-#: The non-linear members: batched plans append Finalize blocks (pending
-#: deltas merged key-wise, or a full rebuild on the restate path), which
-#: must stay map-identical to per-event Finalize execution.
-NONLINEAR = ("bbo", "act")
+from tests import lanes
 
 #: Keyed restatement: grouped root with a nested stream-derived threshold.
 GROUPED_THRESHOLD = (
@@ -47,40 +42,16 @@ FLOAT_THRESHOLD = (
     "SELECT sum(r.B) FROM R r WHERE r.B > 0.5 * (SELECT sum(r1.B) FROM R r1)"
 )
 
-_programs: dict[str, object] = {}
+
+@lru_cache(maxsize=None)
+def _float_threshold():
+    catalog = Catalog.from_script("CREATE STREAM R (A int, B float);")
+    return compile_sql(FLOAT_THRESHOLD, catalog)
 
 
-def finance_program(name: str):
-    if name not in _programs:
-        _programs[name] = compile_sql(
-            FINANCE_QUERIES[name], finance_catalog(), name=name
-        )
-    return _programs[name]
-
-
-@st.composite
-def book_events(draw):
-    """A short order-book stream: bids/asks inserts and deletes.
-
-    Deletes need not match prior inserts — generalised multiset
-    multiplicities are closed under deletion, so parity must hold on any
-    ring state.
-    """
-    n = draw(st.integers(min_value=0, max_value=30))
-    out = []
-    small = st.integers(min_value=0, max_value=4)
-    for _ in range(n):
-        relation = draw(st.sampled_from(["bids", "asks"]))
-        sign = draw(st.sampled_from([1, -1]))
-        values = (
-            draw(small),
-            draw(small),
-            draw(small),
-            draw(st.integers(min_value=0, max_value=20)),  # price
-            draw(st.integers(min_value=0, max_value=10)),  # volume
-        )
-        out.append(StreamEvent(relation, sign, values))
-    return out
+def _program(name: str):
+    """A shipped finance query, compiled alone under its own name."""
+    return lanes.shipped_program(name, name)
 
 
 def per_event_maps(program, stream):
@@ -91,35 +62,7 @@ def per_event_maps(program, stream):
 
 
 class TestSecondOrderParity:
-    @pytest.mark.parametrize("query_name", SELF_READING + NONLINEAR)
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    @settings(max_examples=15, deadline=None)
-    @given(
-        stream=book_events(),
-        batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
-    )
-    def test_batched_matches_per_event(
-        self, query_name, mode, stream, batch_size
-    ):
-        program = finance_program(query_name)
-        reference = per_event_maps(program, stream)
-        batched = DeltaEngine(program, mode=mode)
-        batched.process_stream(stream, batch_size=batch_size)
-        assert batched.maps == reference
-
-    @pytest.mark.parametrize("query_name", SELF_READING + NONLINEAR)
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    @settings(max_examples=5, deadline=None)
-    @given(stream=book_events())
-    def test_sharded_matches_per_event(self, query_name, shards, stream):
-        program = finance_program(query_name)
-        reference = per_event_maps(program, stream)
-        for mode in ("compiled", "interpreted"):
-            with ShardedEngine(program, shards=shards, mode=mode) as engine:
-                engine.process_stream(stream, batch_size=7)
-                assert engine.current_maps() == reference, mode
-
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
+    @pytest.mark.parametrize("mode", lanes.executors(_float_threshold()))
     @settings(max_examples=10, deadline=None)
     @given(
         rows=st.lists(
@@ -135,8 +78,7 @@ class TestSecondOrderParity:
     def test_rejected_plan_fallback_matches(self, mode, rows, batch_size):
         """A self-reading trigger whose plan is rejected (FLOAT values feed
         its restated map) runs the per-event body once per row."""
-        catalog = Catalog.from_script("CREATE STREAM R (A int, B float);")
-        program = compile_sql(FLOAT_THRESHOLD, catalog)
+        program = _float_threshold()
         sinks = lower_program(program).batch_sinks[("R", 0)]
         assert {sink for _stmt, sink in sinks} == {"buffered"}
         stream = [StreamEvent("R", sign, (a, b)) for sign, a, b in rows]
@@ -163,7 +105,7 @@ class TestSecondOrderParity:
         program = compile_sql(GROUPED_THRESHOLD, catalog)
         stream = [StreamEvent("R", 1, row) for row in rows]
         reference = per_event_maps(program, stream)
-        for mode in ("compiled", "interpreted"):
+        for mode in lanes.PYTHON_EXECUTORS:
             engine = DeltaEngine(program, mode=mode)
             engine.process_stream(stream, batch_size=batch_size)
             assert engine.maps == reference, mode
@@ -171,7 +113,7 @@ class TestSecondOrderParity:
 
 class TestDeltaOfDelta:
     def test_orders_on_vwap(self):
-        program = finance_program("vwap")
+        program = _program("vwap")
         trigger = program.triggers[("bids", 0)]
         event = Event("bids", 0, trigger.params)
         orders = {
@@ -187,7 +129,7 @@ class TestDeltaOfDelta:
     def test_compiler_classifies_as_the_definition_does(self, query):
         """The orders the compiler keeps for the batch planner are
         ``batch_delta_order`` of every map each trigger writes."""
-        program = finance_program(query)
+        program = _program(query)
         for (relation, sign), trigger in program.triggers.items():
             event = Event(relation, sign, trigger.params)
             assert program.delta_orders[(relation, sign)] == {
@@ -196,13 +138,13 @@ class TestDeltaOfDelta:
             }
 
     def test_order_zero_for_unrelated_relation(self):
-        program = finance_program("mst")
+        program = _program("mst")
         event = Event("asks", 0, program.triggers[("asks", 0)].params)
         bids = program.base_maps["bids"].name
         assert batch_delta_order(program.maps[bids].defn, event) == 0
 
     def test_second_order_delta_requires_disjoint_params(self):
-        program = finance_program("vwap")
+        program = _program("vwap")
         event = Event("bids", 0, program.triggers[("bids", 0)].params)
         with pytest.raises(AlgebraError):
             second_order_delta(program.maps["m2_bids"].defn, event, event)
@@ -210,7 +152,7 @@ class TestDeltaOfDelta:
 
 class TestSecondOrderPlan:
     def test_vwap_plan_classifies_targets(self):
-        program = finance_program("vwap")
+        program = _program("vwap")
         plan = plan_second_order(program.triggers[("bids", 0)], program)
         assert plan is not None
         assert set(plan.order) == {"m3_bids", "q_vwap_sum_0"}
@@ -223,7 +165,7 @@ class TestSecondOrderPlan:
                 assert statement.reads() <= set(program.maps)
 
     def test_independent_trigger_has_no_plan(self):
-        program = finance_program("psp")
+        program = _program("psp")
         trigger = program.triggers[("bids", 0)]
         assert plan_second_order(trigger, program) is None
 
@@ -238,14 +180,14 @@ class TestSecondOrderPlan:
         assert {sink for _stmt, sink in sinks} == {"buffered"}
 
     def test_batch_sinks_report_second_order(self):
-        ir = lower_program(finance_program("vwap"))
+        ir = lower_program(_program("vwap"))
         sinks = dict(ir.batch_sinks[("bids", 0)])
         assert "second-order" in sinks.values()
 
     def test_flush_structure_clears_before_recompute(self):
         """All Clears precede all restate scans, and the restate scans sit
         outside the row loop (once per batch)."""
-        ir = lower_program(finance_program("vwap"))
+        ir = lower_program(_program("vwap"))
         body = ir.batch_triggers[("bids", 0)].body
         flat = walk_stmts(body)
         clear_positions = [
@@ -313,7 +255,7 @@ class TestColumnarBatch:
     def test_generated_batch_loop_prunes_unused_columns(self):
         from repro.codegen.pygen import generate_module
 
-        source = generate_module(finance_program("psp"))
+        source = generate_module(_program("psp"))
         body = source.split("def on_bids_batch")[1].split("\ndef ")[0]
         # psp reads only the price column of bids: exactly that column
         # list and the weight column are iterated.
@@ -322,7 +264,7 @@ class TestColumnarBatch:
 
 class TestIndexAccounting:
     def test_index_sizes_counted(self):
-        program = finance_program("axf")  # per-broker band loops -> indexes
+        program = _program("axf")  # per-broker band loops -> indexes
         engine = DeltaEngine(program)
         engine.process_stream(
             [
@@ -341,12 +283,12 @@ class TestIndexAccounting:
         assert engine.total_entries() == sum(engine.map_sizes().values())
 
     def test_interpreted_engine_has_no_indexes(self):
-        engine = DeltaEngine(finance_program("axf"), mode="interpreted")
+        engine = DeltaEngine(_program("axf"), mode="interpreted")
         engine.insert("bids", 1, 1, 1, 10, 5)
         assert engine.index_sizes() == {}
 
     def test_sharded_index_sizes_sum_lanes(self):
-        program = finance_program("axf")
+        program = _program("axf")
         stream = [
             StreamEvent("bids", 1, (1, i, i % 4, 10 + i, 5)) for i in range(12)
         ] + [

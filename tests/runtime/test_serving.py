@@ -44,9 +44,9 @@ from repro.runtime.storage import RecordingDict
 from repro.runtime.views import GroupRenderer, result_delta, result_map_names
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
 from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog, warehouse_stream
 from repro.workloads.tpch import TpchGenerator
+from tests import lanes
 from tests.integration.sql_oracle import SqliteOracle, normalize_rows
 
 CATALOG_DDL = """
@@ -1258,17 +1258,20 @@ def test_ping_is_answered_within_one_slice_of_another_connections_burst():
 # The touched-group tap: a delta costs what changed, not what the view holds
 # ---------------------------------------------------------------------------
 
-ENGINE_KINDS = ("delta", "native", "durable", "sharded")
+#: The engines a tap runs over: kind -> lane of ``tests/lanes.py``.
+ENGINE_KINDS = {"delta": "compiled", "durable": "compiled", "sharded": "compiled/2"}
+
+
+def _kinds(program) -> list:
+    """``ENGINE_KINDS``, and each kernel executor that attaches to
+    ``program``, under its own name."""
+    kernels = set(lanes.executors(program)) - set(lanes.PYTHON_EXECUTORS)
+    return [*ENGINE_KINDS, *sorted(kernels)]
 
 
 def _engine_of(kind, program, tmp_path):
-    if kind == "delta":
-        return DeltaEngine(program)
-    if kind == "native":
-        return DeltaEngine(program, mode="native")
-    if kind == "durable":
-        return DurableEngine(program, tmp_path, fsync="none")
-    return ShardedEngine(program, shards=2)
+    durable = tmp_path if kind == "durable" else None
+    return lanes.build_engine(program, ENGINE_KINDS.get(kind, kind), durable)
 
 
 def _assert_tap_parity(engine, events, batch_size):
@@ -1297,17 +1300,21 @@ def _assert_tap_parity(engine, events, batch_size):
 @lru_cache(maxsize=None)
 def _finance_case(query):
     """``(program, events, what sqlite answers after them)``."""
-    catalog = finance_catalog()
-    sql = FINANCE_QUERIES[query]
-    events = list(OrderBookGenerator(seed=20).events(160))
-    oracle = SqliteOracle(catalog, sql)
+    events = lanes.order_book(20, 160)
+    oracle = SqliteOracle(finance_catalog(), FINANCE_QUERIES[query])
     oracle.apply_all(events)
-    return compile_sql(sql, catalog, name="q"), events, oracle.rows()
+    return lanes.shipped_program(query), events, oracle.rows()
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 100])
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
-@pytest.mark.parametrize("query", sorted(FINANCE_QUERIES))
+@pytest.mark.parametrize(
+    "query,kind",
+    [
+        (query, kind)
+        for query in sorted(FINANCE_QUERIES)
+        for kind in _kinds(lanes.shipped_program(query))
+    ],
+)
 def test_tap_parity_matrix_finance(query, kind, batch_size, tmp_path):
     program, events, expected = _finance_case(query)
     engine = _engine_of(kind, program, tmp_path)
@@ -1320,15 +1327,10 @@ def test_tap_parity_matrix_finance(query, kind, batch_size, tmp_path):
 def _ssb_case():
     """The 4-view SSB program, its dimension tables, a fact-feed prefix
     and what sqlite answers per view after both."""
-    catalog = ssb_catalog()
-    program = compile_queries(
-        [translate_sql(sql, catalog, name=name) for name, sql in SSB_FLIGHT.items()],
-        catalog,
-    )
     generator = TpchGenerator(sf=0.0005, seed=1992)
     static = generator.static_tables()
     events = list(islice(warehouse_stream(generator), 300))
-    oracle = SqliteOracle(catalog, "")
+    oracle = SqliteOracle(ssb_catalog(), "")
     for relation, rows in static.items():
         oracle.apply_all(StreamEvent(relation, 1, tuple(row)) for row in rows)
     oracle.apply_all(events)
@@ -1336,11 +1338,11 @@ def _ssb_case():
     for view, sql in SSB_FLIGHT.items():
         oracle.sql = sql
         expected[view] = oracle.rows()
-    return program, static, events, expected
+    return lanes.shipped_program("warehouse"), static, events, expected
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 100])
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("kind", _kinds(lanes.shipped_program("warehouse")))
 def test_tap_parity_matrix_ssb_program(kind, batch_size, tmp_path):
     program, static, events, expected = _ssb_case()
     engine = _engine_of(kind, program, tmp_path)
@@ -1507,8 +1509,7 @@ def test_one_row_batch_renders_what_it_touched_not_the_view(monkeypatch):
 
 
 def test_tap_works_registered_called_by_another_listener_or_by_hand():
-    events = list(OrderBookGenerator(seed=5).events(200))
-    program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="q")
+    events, program = lanes.order_book(5, 200), lanes.shipped_program("bsp")
 
     def drive(attach):
         engine = DeltaEngine(program)
@@ -1643,8 +1644,7 @@ def test_a_restarted_server_watches_the_engine_again(query):
     object takes it back, so later batches keep their candidate groups
     instead of re-rendering whole views."""
     if query == "bsp":
-        program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="q")
-        events = list(OrderBookGenerator(seed=7).events(120))
+        program, events = lanes.shipped_program("bsp"), lanes.order_book(7, 120)
     else:
         program = _program(MAP_KEYED)
         events = [StreamEvent("S", 1, (b, b + 6)) for b in range(4)] + [
@@ -1931,13 +1931,13 @@ def test_recording_dict_never_writes_silently():
 def test_untapped_engines_are_untouched():
     import hashlib
 
-    catalog = finance_catalog()
-    shipped = [(sql, catalog) for _, sql in sorted(FINANCE_QUERIES.items())]
-    shipped += [(sql, ssb_catalog()) for _, sql in sorted(SSB_FLIGHT.items())]
+    shipped = sorted({**FINANCE_QUERIES, **SSB_FLIGHT})
     assert len(shipped) == 11
-    for sql, query_catalog in shipped:
-        program = compile_sql(sql, query_catalog, name="q")
-        for mode in ("compiled", "native"):
+    for query in shipped:
+        program = lanes.shipped_program(query)
+        for mode in lanes.executors(program):
+            if mode == "interpreted":  # renders no module
+                continue
             plain = DeltaEngine(program, mode=mode)
             tapped = DeltaEngine(program, mode=mode)
             layout = plain.storage_classes()

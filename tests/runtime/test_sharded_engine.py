@@ -1,7 +1,7 @@
 """ShardedEngine behaviour: routing, merging, fallback, lifecycle.
 
 The deep equivalence properties live in
-``tests/integration/test_sharding_property.py``; these tests pin the
+``tests/integration/test_map_parity.py``; these tests pin the
 engine-level contract — counters, static-table enforcement, strict mode,
 the serial fallback, the worker-process backend and its error surfacing.
 """
@@ -15,6 +15,7 @@ from repro.compiler import compile_sql
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.sql.catalog import Catalog
+from tests.lanes import order_book, shipped_program
 
 RST_DDL = """
 CREATE STREAM R (A int, B int);
@@ -31,10 +32,8 @@ def _grouped_program():
 @functools.lru_cache(maxsize=None)
 def _finance_case(sql):
     from repro.workloads.finance import finance_catalog
-    from repro.workloads.orderbook import OrderBookGenerator
 
-    events = list(OrderBookGenerator(seed=2009).events(5000))
-    return compile_sql(sql, finance_catalog()), events
+    return compile_sql(sql, finance_catalog()), order_book(2009, 5000)
 
 
 #: name -> () -> (program, events).  The float-literal sums are the
@@ -215,11 +214,7 @@ class TestLifecycle:
 )
 class TestProcessBackend:
     def test_parallel_results_identical(self):
-        from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-        from repro.workloads.orderbook import OrderBookGenerator
-
-        program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog())
-        events = list(OrderBookGenerator(seed=3).events(600))
+        program, events = shipped_program("bsp"), order_book(3, 600)
         single = DeltaEngine(program)
         single.process_stream(events)
         with ShardedEngine(program, shards=2, parallel=True) as sharded:

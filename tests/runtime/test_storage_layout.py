@@ -13,7 +13,6 @@ eject beside dict neighbours, in one engine and inside a forked shard
 lane — and checks nothing is lost.
 """
 
-import os
 import random
 from functools import lru_cache
 
@@ -28,9 +27,14 @@ from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.storage import _NativeColumnarMap
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
-from repro.workloads.orderbook import OrderBookGenerator
-from repro.workloads.ssb import SSB_FLIGHT, ssb_catalog
-from tests.integration.sql_oracle import SqliteOracle, run_differential
+from repro.workloads.ssb import SSB_FLIGHT
+from tests import lanes
+from tests.integration.sql_oracle import (
+    NARROWED_QUERIES,
+    SqliteOracle,
+    narrowed_program,
+    run_differential,
+)
 
 SHIPPED = {**FINANCE_QUERIES, **SSB_FLIGHT}
 
@@ -42,12 +46,6 @@ SHIPPED = {**FINANCE_QUERIES, **SSB_FLIGHT}
 KERNEL_MAPS = {"vwap": 1}
 
 _TYPES = {"dict": dict, "kernel": _NativeColumnarMap}
-
-
-@lru_cache(maxsize=None)
-def _program(query: str):
-    catalog = finance_catalog() if query in FINANCE_QUERIES else ssb_catalog()
-    return compile_sql(SHIPPED[query], catalog, name="q")
 
 
 def _header_layout(source: str) -> dict[str, str]:
@@ -67,14 +65,14 @@ def _header_layout(source: str) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("engine_class", ["delta", "sharded"])
-@pytest.mark.parametrize("mode", ["compiled", "interpreted", "native"])
+@pytest.mark.parametrize("mode", lanes.EXECUTORS)
 @pytest.mark.parametrize("query", sorted(SHIPPED))
 def test_engine_header_and_live_classes_follow_the_layout(
     query, mode, engine_class
 ):
     """A sharded engine's serial lane and every shard lane share one
     executor, so each builds the layout a single engine does."""
-    program = _program(query)
+    program = lanes.shipped_program(query)
     if engine_class == "delta":
         engine = DeltaEngine(program, mode=mode)
         holders = [engine]
@@ -104,34 +102,47 @@ def test_engine_header_and_live_classes_follow_the_layout(
     assert all(kind != "packed" for kind in kinds.values())
 
 
-@pytest.fixture
-def native_off():
-    saved = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "off"
-    probe_toolchain(refresh=True)
-    yield
-    if saved is None:
-        os.environ.pop("REPRO_NATIVE", None)
-    else:
-        os.environ["REPRO_NATIVE"] = saved
-    probe_toolchain(refresh=True)
+def _code(engine) -> str:
+    """The generated module past its header."""
+    return engine._executor.source.split('"""', 2)[2]
 
 
-@pytest.mark.parametrize("query", ["vwap", "mst", "bbo"])
-def test_native_off_is_the_compiled_lane_and_matches_sqlite(native_off, query):
-    program = _program(query)
-    engine = DeltaEngine(program, mode="native")
-    assert not engine.native_active
-    assert all(type(contents) is dict for contents in engine.maps.values())
-    compiled = DeltaEngine(program, mode="compiled")
-    code = [e._executor.source.split('"""', 2)[2] for e in (engine, compiled)]
-    assert code[0] == code[1]
-    run_differential(
-        engine,
-        SqliteOracle(finance_catalog(), FINANCE_QUERIES[query]),
-        list(OrderBookGenerator(seed=15).events(120)),
-        batch_size=16,
-    )
+#: Every shipped query, warehouse-load's four-view program and every
+#: narrowed sqlite shape: name -> program.
+_SOURCES = {
+    **{q: lambda q=q: lanes.shipped_program(q) for q in sorted(SHIPPED)},
+    "ssb": lambda: lanes.shipped_program("warehouse"),
+    **{
+        f"narrowed/{name}": lambda name=name: narrowed_program(name)
+        for name in sorted(NARROWED_QUERIES)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOURCES))
+def test_native_off_is_the_compiled_lane_and_matches_sqlite(name):
+    """Where the native layout holds no kernel map, the native lane's
+    module is the compiled one past its header, toolchain or not — the
+    fact ``tests/lanes.py`` drops those native legs on.  Under
+    ``REPRO_NATIVE=off`` every program's native lane is the compiled one,
+    dict maps and all, and a finance query still matches sqlite."""
+    program = _SOURCES[name]()
+    if not lanes.kernel_maps(program):
+        native = DeltaEngine(program, mode="native")
+        assert not native.native_active
+        assert _code(native) == _code(DeltaEngine(program, mode="compiled"))
+    with lanes.native_off():
+        engine = DeltaEngine(program, mode="native")
+        assert not engine.native_active
+        assert all(type(contents) is dict for contents in engine.maps.values())
+        assert _code(engine) == _code(DeltaEngine(program, mode="compiled"))
+        if name in FINANCE_QUERIES:
+            run_differential(
+                engine,
+                SqliteOracle(finance_catalog(), FINANCE_QUERIES[name]),
+                lanes.order_book(15, 120),
+                batch_size=16,
+            )
 
 
 def _exact_items(maps):
@@ -191,6 +202,38 @@ def test_mid_stream_kernel_eject_beside_dict_neighbours_loses_nothing():
     assert native.results() == reference.results()
 
 
+def test_float_sums_beside_a_kernel_map_stay_bit_identical():
+    """Float-valued maps beside a kernel map: the native lane must not
+    disturb a single bit of a float sum."""
+    catalog = Catalog.from_script(
+        "CREATE STREAM R (A int, B int); CREATE STREAM S (B int, C float);"
+    )
+    sql = "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B"
+    rng = random.Random(11)
+    stream, live = [], []
+    for _ in range(400):
+        if live and rng.random() < 0.3:
+            relation, row = live.pop(rng.randrange(len(live)))
+            stream.append(StreamEvent(relation, -1, row))
+        else:
+            relation = rng.choice("RS")
+            if relation == "R":
+                row = (rng.randrange(-9, 9), rng.randrange(6))
+            else:
+                row = (rng.randrange(6), rng.random() * 100 - 50)
+            live.append((relation, row))
+            stream.append(StreamEvent(relation, 1, row))
+    maps_seen = []
+    for mode in ("compiled", "native"):
+        program = compile_sql(sql, catalog, name="q")
+        engine = DeltaEngine(program, mode=mode)
+        engine.process_stream(stream, batch_size=16)
+        if engine.native_active:
+            assert "kernel" in engine.storage_classes().values()
+        maps_seen.append(_exact_items(engine.maps))
+    assert maps_seen[0] == maps_seen[1]
+
+
 @lru_cache(maxsize=None)
 def _mixed_program():
     """The inequality join beside a point-probed grouped view over ``T``:
@@ -244,11 +287,9 @@ def test_storage_classes_cross_the_lane_pipe(shards):
         sharded.insert("S", *overflow)
         if toolchain:
             assert sharded.storage_classes()["m1_s"] == "ejected"
-        merged, expected = (
-            {name: sorted(items) for name, items in _exact_items(maps).items()}
-            for maps in (sharded.current_maps(), reference.maps)
-        )
-        assert merged == expected  # lanes interleave keys: order differs
+        # Lanes interleave keys: order differs.
+        merged = lanes.exact_items(sharded.current_maps())
+        assert merged == lanes.exact_items(reference.maps)
         for view in ("grouped", "scan"):
             assert sharded.results(view) == reference.results(view)
     with ShardedEngine(program, shards=2) as default:
@@ -264,7 +305,7 @@ def test_packed_storage_is_not_an_engine_option(tmp_path):
     from repro.compiler.program import ExecutorOptions
     from repro.runtime.durability import DurableEngine
 
-    program = _program("bsp")
+    program = lanes.shipped_program("bsp")
     with pytest.raises(TypeError):
         DeltaEngine(program, columnar=True)
     with pytest.raises(TypeError):
