@@ -323,31 +323,36 @@ class _StatementLowering:
             return [Accum(sink.acc, _prod([t for t in terms if t != _WEIGHT]))]
         # The event weight is ±1, never zero: the zero guard tests the
         # rest of the product, which the write then scales by the weight.
-        temp = self.namer.fresh("d")
-        delta = _prod([term for term in terms if term == _WEIGHT] + [Name(temp)])
-        guard_body: list[IRStmt]
-        if sink.kind == "buffered":
-            guard_body = [
-                AppendTo(
-                    pending_buffer(sink.target),
-                    self._key_exprs(),
-                    delta,
-                    target=Slot(sink.target),
-                )
-            ]
+        weight = [term for term in terms if term == _WEIGHT]
+        rest = [term for term in terms if term != _WEIGHT]
+        if all(isinstance(term, Const) for term in rest):
+            # A constant rest decides the guard here; a unit one vanishes.
+            constant = 1
+            for term in rest:
+                constant *= term.value
+            if constant == 0:
+                return []
+            unit = type(constant) is int and constant == 1
+            return [self._write(_prod(weight if unit else [*weight, Const(constant)]))]
+        prelude: list[IRStmt] = []
+        if len(rest) == 1 and isinstance(rest[0], Name):
+            guard = rest[0]  # a bare name is tested and read as itself
         else:
-            guard_body = [
-                AddTo(
-                    Slot(sink.target),
-                    self._key_exprs(),
-                    delta,
-                    caches=sink.caches,
-                )
-            ]
-        return [
-            Assign(temp, _prod([term for term in terms if term != _WEIGHT])),
-            IfCond(Compare("!=", Name(temp), Const(0)), tuple(guard_body)),
-        ]
+            guard = Name(self.namer.fresh("d"))
+            prelude.append(Assign(guard.name, _prod(rest)))
+        write = self._write(_prod([*weight, guard]))
+        return [*prelude, IfCond(Compare("!=", guard, Const(0)), (write,))]
+
+    def _write(self, delta: IRExpr) -> IRStmt:
+        sink = self.sink
+        if sink.kind == "buffered":
+            return AppendTo(
+                pending_buffer(sink.target),
+                self._key_exprs(),
+                delta,
+                target=Slot(sink.target),
+            )
+        return AddTo(Slot(sink.target), self._key_exprs(), delta, caches=sink.caches)
 
     def _key_exprs(self) -> tuple[IRExpr, ...]:
         scratch: list[IRStmt] = []
@@ -985,11 +990,7 @@ def collect_patterns_ir(triggers) -> dict[str, set[tuple[int, ...]]]:
     return patterns
 
 
-def lower_program(
-    program: CompiledProgram,
-    optimize: bool = True,
-    passes: Optional[tuple[str, ...]] = None,
-) -> ProgramIR:
+def lower_program(program: CompiledProgram, optimize: bool = True) -> ProgramIR:
     """Lower (and optionally optimise) a whole compiled program.
 
     Each batch body wraps the optimised per-event body of the statements
@@ -999,14 +1000,11 @@ def lower_program(
     cache (:func:`lower_trigger`) its per-event body uses the plan too.
 
     The result is cached on the program object: every back end asking for
-    the same ``passes`` shares one ProgramIR.
+    the same passes (``DEFAULT_PASSES``, or none) shares one ProgramIR.
     """
     from repro.ir.optimize import DEFAULT_PASSES, optimize_program
 
-    if passes is not None:
-        wanted = tuple(passes)
-    else:
-        wanted = DEFAULT_PASSES if optimize else ()
+    wanted = DEFAULT_PASSES if optimize else ()
     cache = program.__dict__.setdefault("_ir_cache", {})
     cached = cache.get(wanted)
     if cached is not None:

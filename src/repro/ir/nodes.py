@@ -150,7 +150,7 @@ class Lookup(IRExpr):
 
     ``key_local`` names a local already holding the tuple of ``keys``
     (bound by an :class:`Assign` of a :class:`KeyTuple`, see the
-    ``share-keys`` pass): a renderer may read it instead of building the
+    ``share-locals`` pass): a renderer may read it instead of building the
     key; ``keys`` stay the per-column expressions every analysis reads.
     """
 

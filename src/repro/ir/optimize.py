@@ -5,10 +5,6 @@ The pipeline (in application order) — every pass here changes the IR of
 at least one shipped query (``tests/ir/test_ir.py`` pins that; a pass
 that finds nothing is deleted, not kept):
 
-* ``fold-constants`` — propagate single-assignment constants and copies
-  and fold what they decide: the ``d = 1; if d != 0:`` every unit-delta
-  map update lowers to becomes the bare update, ``d = v; if d != 0:``
-  tests ``v`` itself, constant products collapse;
 * ``fuse-loops`` — merge statements iterating the same map with the same
   filters into one traversal, at every nesting depth (vwap's two full
   scans become one; the SSB lineitem trigger's three ``m6_part`` probes
@@ -17,21 +13,22 @@ that finds nothing is deleted, not kept):
 * ``hoist-invariants`` — move loop-invariant lookups/arithmetic (vwap's
   ``0.25 * total`` threshold) and whole invariant assignments out of the
   loops that recompute them;
-* ``share-lookups`` — within one straight-line sequence, evaluate each
-  map lookup once: a later identical lookup reads the first one's temp
-  unless a write to its map or a rebinding of a key name intervenes;
-* ``share-keys`` — within one straight-line sequence, build each key
-  tuple once: a key read more than once goes into a local just before
-  its first reader, and every map probe, write (its ``get`` and its
-  store or ``pop``), index probe, index subkey and cache group key that
-  follows reads it (bsp's bid trigger built ``(broker_id,)`` twelve
-  times an event).  It scopes like ``share-lookups``: a guard body sees
-  the keys bound before it but adds none after it, so a key only an
-  untaken guard reads costs nothing; a map loop body sees the keys over
-  names bound once that it does not bind, and builds a key over its
-  binders once per iteration; a rebinding of a name a key is over drops
-  the key.  It adds assignments, so its yield is negative, as hoisting's
-  is.
+* ``share-locals`` — within one straight-line scope, evaluate each map
+  lookup once and build each key tuple once: a later identical lookup
+  reads the first one's temp unless a write to its map or a rebinding of
+  a key name intervenes, and a key read more than once goes into a local
+  just before its first reader, which every map probe, write (its
+  ``get`` and its store or ``pop``), index probe, index subkey and cache
+  group key that follows reads (bsp's bid trigger built
+  ``(broker_id,)`` twelve times an event).  A guard body sees what
+  precedes it but adds nothing after it, so what only an untaken guard
+  reads costs nothing; a map loop body sees what is not over its
+  binders, and builds a key over them once per iteration.  It adds
+  assignments, so its yield is negative, as hoisting's is.
+
+The lowering emits each update already folded (a constant delta writes
+``m[k] += w`` with no temp or guard, a bare value is tested and written
+as itself), which is why no constant-folding pass runs.
 
 Every pass reports how many IR nodes it removed
 (``ProgramIR.pass_yield``, printed under ``--dump-ir``'s
@@ -98,7 +95,6 @@ from repro.ir.nodes import (
     TriggerIR,
     applied_slots,
     assigned_names,
-    compare_values,
     expr_names,
     expr_slots,
     rename_stmt,
@@ -111,12 +107,10 @@ from repro.ir.nodes import (
 )
 
 DEFAULT_PASSES: tuple[str, ...] = (
-    "fold-constants",
     "fuse-loops",
     "merge-guards",
     "hoist-invariants",
-    "share-lookups",
-    "share-keys",
+    "share-locals",
 )
 
 
@@ -234,53 +228,6 @@ def _effects(stmts) -> _Effects:
     )
 
 
-# ---------------------------------------------------------------------------
-# Pass: constant folding
-# ---------------------------------------------------------------------------
-
-
-def _is_unit(expr: IRExpr) -> bool:
-    return isinstance(expr, Const) and type(expr.value) is int and expr.value == 1
-
-
-def _fold_expr(expr: IRExpr, known: dict[str, IRExpr]) -> IRExpr:
-    """``expr`` with ``known`` names substituted and constant
-    subexpressions evaluated (``expr`` itself when nothing folds).
-
-    Folding never changes a run-time value, float bits included: a
-    product folds only its *leading* run of constants (the order
-    ``Prod`` evaluates in) and drops unit factors, nothing reassociates.
-    """
-    if isinstance(expr, Name):
-        return known.get(expr.name, expr)
-    children = expr.children()
-    if not children:
-        return expr
-    folded = tuple(_fold_expr(child, known) for child in children)
-    if isinstance(expr, Prod):
-        factors = list(folded)
-        while (
-            len(factors) > 1
-            and isinstance(factors[0], Const)
-            and isinstance(factors[1], Const)
-        ):
-            factors[:2] = [Const(factors[0].value * factors[1].value)]
-        kept = tuple(f for f in factors if not _is_unit(f)) or (Const(1),)
-        if len(kept) == 1:
-            return kept[0]
-        return expr if _same(kept, children) else Prod(kept)
-    if all(isinstance(child, Const) for child in folded):
-        if isinstance(expr, Sum):
-            return Const(sum((t.value for t in folded[1:]), folded[0].value))
-        if isinstance(expr, Neg):
-            return Const(-folded[0].value)
-        if isinstance(expr, Compare):
-            return Const(
-                int(compare_values(expr.op, folded[0].value, folded[1].value))
-            )
-    return expr if _same(folded, children) else _with_children(expr, folded)
-
-
 def _with_children(expr: IRExpr, children: tuple[IRExpr, ...]) -> IRExpr:
     """``expr`` rebuilt over new children (same node kind)."""
     if isinstance(expr, Sum):
@@ -298,64 +245,9 @@ def _with_children(expr: IRExpr, children: tuple[IRExpr, ...]) -> IRExpr:
     return Lookup(expr.slot, children, expr.default, expr.key_local)
 
 
-def _same(new: tuple[IRExpr, ...], old: tuple[IRExpr, ...]) -> bool:
-    """Whether folding left every child as it was (by identity)."""
+def _same(new, old) -> bool:
+    """Whether a rewrite left every child as it was (by identity)."""
     return len(new) == len(old) and all(a is b for a, b in zip(new, old))
-
-
-def _fold_constants(
-    body: tuple[IRStmt, ...], bindings: dict[str, int]
-) -> tuple[IRStmt, ...]:
-    """Propagate constants and copies assigned once and fold the guards
-    they decide.
-
-    Only names with a single binding site in the whole body qualify (an
-    accumulator's ``acc = 0`` is rebound by its ``acc += ...``), and a
-    copy ``x = y`` only of a ``y`` bound at most once, so ``y`` holds one
-    value wherever ``x`` is read; the lowering always emits a definition
-    before its uses, so walking in program order sees every constant and
-    copy before it is read.
-    """
-    known: dict[str, IRExpr] = {}
-
-    def fold_expr(expr: IRExpr) -> IRExpr:
-        return _fold_expr(expr, known)
-
-    def propagates(value: IRExpr) -> bool:
-        if isinstance(value, Name):
-            return bindings.get(value.name, 0) <= 1
-        return isinstance(value, Const)
-
-    def fold(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
-        out: list[IRStmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, Assign):
-                value = fold_expr(stmt.value)
-                if bindings[stmt.name] == 1 and propagates(value):
-                    known[stmt.name] = value
-                else:
-                    out.append(
-                        stmt if value is stmt.value else Assign(stmt.name, value)
-                    )
-            elif isinstance(stmt, IfCond):
-                cond = fold_expr(stmt.cond)
-                if not isinstance(cond, Const):
-                    stmt = stmt if cond is stmt.cond else IfCond(cond, stmt.body)
-                    out.append(_rebuild_with_body(stmt, fold))
-                elif cond.value:
-                    out.extend(fold(stmt.body))
-            elif isinstance(stmt, ForEachMap):
-                stmt = _rewrite_direct(stmt, fold_expr)
-                out.append(_rebuild_with_body(stmt, fold))
-            elif isinstance(stmt, Block):
-                out.append(_rebuild_with_body(stmt, fold))
-            elif isinstance(stmt, (Accum, AddTo, AppendTo)):
-                out.append(rewrite_exprs(stmt, fold_expr))
-            else:
-                out.append(stmt)
-        return tuple(out)
-
-    return fold(body)
 
 
 # ---------------------------------------------------------------------------
@@ -762,214 +654,11 @@ def _rewrite_exprs_skipping_filters(stmt: IRStmt, fn) -> IRStmt:
 
 
 # ---------------------------------------------------------------------------
-# Pass: shared lookups
+# Pass: shared locals
 # ---------------------------------------------------------------------------
 
-
-def _count_lookups(stmts) -> dict[Lookup, int]:
-    """How often each lookup occurs, for the maps probed more than once
-    (counted by name first: that is cheap, hashing a lookup is not)."""
-    lookups: list[Lookup] = []
-    probes: dict[str, int] = {}
-    for stmt in walk_stmts(stmts):
-        stack = list(stmt_exprs(stmt))
-        while stack:
-            expr = stack.pop()
-            if isinstance(expr, Lookup):
-                lookups.append(expr)
-                probes[expr.slot.name] = probes.get(expr.slot.name, 0) + 1
-            stack.extend(expr.children())
-    counts: dict[Lookup, int] = {}
-    for lookup in lookups:
-        if probes[lookup.slot.name] > 1:
-            counts[lookup] = counts.get(lookup, 0) + 1
-    return counts
-
-
-def _rebound(names, bindings: dict[str, int]) -> set[str]:
-    """The ``names`` bound more than once in the body: only a rebinding
-    can change a name after a use (a name bound once is bound before any
-    read of it)."""
-    return {name for name in names if bindings.get(name, 0) > 1}
-
-
-class _LookupSharing:
-    """Evaluate each map lookup once per straight-line sequence.
-
-    One forward walk.  ``avail`` maps a lookup to the name holding its
-    value at the current point: the name of a whole ``x = lookup`` that
-    came first, or a fresh temp assigned just before the first statement
-    that embeds it (only for lookups the body repeats).  A later
-    identical lookup reads that name; a later whole ``y = lookup`` is
-    dropped and ``y`` renamed.  Blocks are transparent; a guard body sees
-    what precedes it but adds nothing after it; a map loop's body starts
-    empty (``hoist-invariants`` already moved what it could share out of
-    it); a batch row loop is left as it is.
-    An applied write to a map, or a rebinding of a name, drops the
-    entries reading it.  Extracted temps no later lookup read are put
-    back in a second walk, taken only when there are any.
-    """
-
-    def __init__(self, bindings: dict[str, int]):
-        self.bindings = bindings
-        self.namer = _HoistNamer(bindings)
-        self.counts: dict[Lookup, int] = {}
-        self.renames: dict[str, IRExpr] = {}
-        self.temps: dict[str, Lookup] = {}
-        self.used: set[str] = set()
-
-    def run(self, body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
-        self.counts = _count_lookups(body)
-        if all(count < 2 for count in self.counts.values()):
-            return body
-        out, _, _ = self.sequence(body, {})
-        if self.temps.keys() - self.used:
-            return self.resolve(out)
-        return tuple(out)
-
-    def sequence(self, stmts, avail: dict[Lookup, str]):
-        out: list[IRStmt] = []
-        writes: set[Slot] = set()
-        rebound: set[str] = set()
-        for stmt in stmts:
-            w, r = self.statement(stmt, avail, out)
-            if w or r:
-                for lookup in [
-                    lookup
-                    for lookup in avail
-                    if lookup.slot in w or expr_names(lookup) & r
-                ]:
-                    del avail[lookup]
-                writes |= w
-                rebound |= r
-        return out, writes, rebound
-
-    def statement(self, stmt: IRStmt, avail, out: list[IRStmt]):
-        """Append ``stmt`` rewritten to ``out``; return the maps it writes
-        and the names it rebinds."""
-
-        def expr(e: IRExpr) -> IRExpr:
-            return self.expr(e, avail, out)
-
-        if isinstance(stmt, Assign):
-            value = stmt.value
-            if isinstance(value, Lookup) and self.bindings.get(stmt.name, 1) == 1:
-                lookup = self.keys(value, avail, out)
-                held = avail.get(lookup)
-                if held is not None:
-                    self.renames[stmt.name] = Name(held)
-                    self.used.add(held)
-                    return set(), set()
-                if self.counts.get(value, 0) > 1:
-                    avail[lookup] = stmt.name
-                out.append(Assign(stmt.name, lookup))
-            else:
-                out.append(rewrite_exprs(stmt, expr))
-            return set(), _rebound((stmt.name,), self.bindings)
-        if isinstance(stmt, (Accum, AddTo, AppendTo)):
-            out.append(rewrite_exprs(stmt, expr))
-            if isinstance(stmt, Accum):
-                return set(), _rebound((stmt.name,), self.bindings)
-            return set(applied_slots(stmt)), set()
-        if isinstance(stmt, (IfCond, ForEachMap)):
-            # A guard's or a loop's own expressions are evaluated here.
-            stmt = _rewrite_direct(stmt, expr)
-        if isinstance(stmt, (IfCond, Block)):
-            # A guard body sees what precedes it; a block is part of this
-            # sequence.
-            scope = dict(avail) if isinstance(stmt, IfCond) else avail
-            body, w, r = self.sequence(stmt_children(stmt), scope)
-        elif isinstance(stmt, ForEachMap):
-            body, w, r = self.sequence(stmt.body, {})
-            binders = (stmt.value_var, *(name for _, name in stmt.binds))
-            r |= _rebound(binders, self.bindings)
-        else:
-            # A row loop runs a per-event body whose lookups are shared.
-            out.append(stmt)
-            rebound = _rebound(assigned_names((stmt,)), self.bindings)
-            return set(written_slots((stmt,))), rebound
-        # A guard whose body was all shared away has nothing left to guard.
-        if body or not isinstance(stmt, IfCond):
-            out.append(_rebuild_with_body(stmt, lambda _: tuple(body)))
-        return w, r
-
-    def keys(self, lookup: Lookup, avail, out) -> Lookup:
-        keys = tuple(self.expr(key, avail, out) for key in lookup.keys)
-        if _same(keys, lookup.keys):
-            return lookup
-        return Lookup(lookup.slot, keys, lookup.default, lookup.key_local)
-
-    def expr(self, expr: IRExpr, avail, out: list[IRStmt]) -> IRExpr:
-        if isinstance(expr, Name):
-            return self.renames.get(expr.name, expr)
-        if isinstance(expr, Lookup):
-            lookup = self.keys(expr, avail, out)
-            if self.counts.get(expr, 0) < 2:
-                return lookup
-            held = avail.get(lookup)
-            if held is None:
-                held = self.namer.fresh("l")
-                avail[lookup] = held
-                self.temps[held] = lookup
-                out.append(Assign(held, lookup))
-            else:
-                self.used.add(held)
-            return Name(held)
-        children = expr.children()
-        if not children:
-            return expr
-        new = tuple(self.expr(child, avail, out) for child in children)
-        return expr if _same(new, children) else _with_children(expr, new)
-
-    def resolve(self, stmts) -> tuple[IRStmt, ...]:
-        """Drop the temps no later lookup read, putting each lookup back
-        into the statement that follows its temp."""
-        out: list[IRStmt] = []
-        unread: dict[str, IRExpr] = {}
-        for stmt in stmts:
-            if unread:
-                stmt = _rewrite_direct(stmt, lambda e: _fold_expr(e, unread))
-            name = stmt.name if isinstance(stmt, Assign) else None
-            if name in self.temps:
-                # The temps a statement's probes were given precede it.
-                if name in self.used:
-                    out.append(stmt)
-                else:
-                    unread[name] = stmt.value
-                continue
-            unread = {}
-            out.append(_rebuild_with_body(stmt, self.resolve))
-        return tuple(out)
-
-
-def _rewrite_direct(stmt: IRStmt, fn) -> IRStmt:
-    """``stmt`` with ``fn`` applied to the expressions it evaluates itself
-    (a guard's condition, a loop's filters — not their bodies)."""
-    if isinstance(stmt, IfCond):
-        cond = fn(stmt.cond)
-        return stmt if cond is stmt.cond else IfCond(cond, stmt.body)
-    if isinstance(stmt, ForEachMap):
-        filters = tuple((pos, fn(expr)) for pos, expr in stmt.filters)
-        if all(a[1] is b[1] for a, b in zip(filters, stmt.filters)):
-            return stmt
-        return ForEachMap(
-            stmt.slot,
-            stmt.entry_var,
-            stmt.value_var,
-            stmt.binds,
-            filters,
-            stmt.body,
-            stmt.key_local,
-        )
-    return rewrite_exprs(stmt, fn)
-
-
-# ---------------------------------------------------------------------------
-# Pass: shared keys
-# ---------------------------------------------------------------------------
-
-#: A key as ``share-keys`` compares it: per column, a name's string or a
-#: :class:`Const` (cheap to hash, unlike the expression nodes).
+#: A key as ``share-locals`` compares it: per column, a name's string or
+#: a :class:`Const` (cheap to hash, unlike the expression nodes).
 Key = tuple
 
 
@@ -1000,26 +689,69 @@ def _probe_key(loop: ForEachMap) -> Optional[Key]:
     return _key(tuple(filters[pos] for pos in loop.pattern))
 
 
-class _KeySharing:
-    """Build each key tuple once per straight-line sequence.
+def _rebound(names, bindings: dict[str, int]) -> set[str]:
+    """The ``names`` bound more than once in the body: only a rebinding
+    can change a name after a use (a name bound once is bound before any
+    read of it)."""
+    return {name for name in names if bindings.get(name, 0) > 1}
 
-    One counting walk, then one forward walk, as in ``share-lookups``.
-    The counting walk counts each key's reads over the body: a write
-    reads its key twice (its ``get``, then its store or ``pop``), and
-    once each the subkey of every index kept on its map and the group key
-    of every cache it keeps; a map probe and an index probe read theirs
-    once.  The forward walk binds a key read more than once into a fresh
-    local just before the first statement reading it; ``avail`` maps a
-    key to its local at the current point, and every reader that follows
-    reads the local.  Blocks are transparent; a guard body sees what
-    precedes it but adds nothing after it, so a key only an untaken guard
-    reads costs nothing; a loop body sees the keys over names bound once
-    that it does not bind, and starts its own scope for the rest, so a
-    key over its binders is built once per iteration.  A rebinding of a
-    component name drops the keys over it.  A local fewer than two reads
-    read is put back when its scope ends, in a walk of that scope taken
-    only then.  A batch row loop is left as it is: it runs a per-event
-    body the pass has shared (its staged writes keep their key's local).
+
+def _rewrite_direct(stmt: IRStmt, fn) -> IRStmt:
+    """``stmt`` with ``fn`` applied to the expressions it evaluates itself
+    (a guard's condition, a loop's filters — not their bodies)."""
+    if isinstance(stmt, IfCond):
+        cond = fn(stmt.cond)
+        return stmt if cond is stmt.cond else IfCond(cond, stmt.body)
+    if isinstance(stmt, ForEachMap):
+        filters = tuple((pos, fn(expr)) for pos, expr in stmt.filters)
+        if all(a[1] is b[1] for a, b in zip(filters, stmt.filters)):
+            return stmt
+        return ForEachMap(
+            stmt.slot,
+            stmt.entry_var,
+            stmt.value_var,
+            stmt.binds,
+            filters,
+            stmt.body,
+            stmt.key_local,
+        )
+    return rewrite_exprs(stmt, fn)
+
+
+class _Sharing:
+    """Evaluate each map lookup and build each key tuple once per
+    straight-line scope.
+
+    One counting walk, then one forward walk.  The counting walk counts
+    each lookup of a map probed more than once, and each key's reads: a
+    write reads its key twice (its ``get``, then its store or ``pop``),
+    and once each the subkey of every index kept on its map and the group
+    key of every cache it keeps; a map probe and an index probe read
+    theirs once.  It counts before any renaming below, so a key over a
+    renamed name counts under the old name.
+
+    The forward walk keeps ``avail``, the name holding each lookup's
+    value and each key's tuple at the current point.  A lookup the body
+    repeats is held by the name of a whole ``x = lookup`` that came
+    first, or by a fresh temp assigned just before the first statement
+    embedding it; a later identical lookup reads that name, and a later
+    whole ``y = lookup`` is dropped and ``y`` renamed.  A key read more
+    than once goes into a fresh local just before its first reader, and
+    every reader that follows (map probe, write, index probe, index
+    subkey, cache group key) reads the local.  A statement's lookups are
+    shared before its keys, so a temp's key is bound before the temp.
+
+    Scopes: blocks are transparent; a guard body sees what precedes it
+    but adds nothing after it, so what only an untaken guard reads costs
+    nothing; a map loop body sees the entries not over its binders nor
+    over a name bound more than once, and no lookup of a map it writes
+    (``hoist-invariants`` has already moved its invariant lookups out),
+    so a key over its binders is built once per iteration; a batch row
+    loop is left as it is, since it runs a per-event body the pass has
+    shared.  A rebinding of a name drops every entry over it, and a write
+    to a map drops the lookups of that map.  A temp or local read fewer
+    than twice is put back when its scope ends, in a walk of that scope
+    taken only then.
     """
 
     def __init__(
@@ -1028,15 +760,15 @@ class _KeySharing:
         self.bindings = bindings
         self.namer = _HoistNamer(bindings)
         self.patterns = patterns
-        self.counts: dict[Key, int] = {}
-        self.writes: dict[int, list[tuple[tuple[int, ...], Key, int]]] = {}
-        #: The statements whose own expressions probe a shareable key.
-        self.probing: set[int] = set()
-        #: The guards, loops and blocks reading no key, and the row loops.
-        self.bare: set[int] = set()
-        self.names: dict[Key, frozenset[str]] = {}
+        #: Reads of each lookup and each key over the body.
+        self.counts: dict = {}
+        self.names: dict = {}
+        self.renames: dict[str, IRExpr] = {}
+        #: The lookup each temp holds, to put it back.
+        self.temps: dict[str, Lookup] = {}
         self.uses: dict[str, int] = {}
-        #: The key locals bound in the scopes being walked, innermost last.
+        #: The temps and key locals bound in the scopes being walked,
+        #: innermost last.
         self.bound: list[str] = []
 
     def run(self, body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
@@ -1045,59 +777,46 @@ class _KeySharing:
             return body
         return self.scope(body, {})[0]
 
-    def count(self, stmts) -> bool:
-        """Count the keys ``stmts`` read; whether they read any (each
-        guard, loop and block reading none is recorded as bare, and so is
-        each row loop)."""
+    def count(self, body) -> None:
         counts = self.counts
-        keyed = False
-        for stmt in stmts:
+        lookups: list[Lookup] = []
+        probes: dict[str, int] = {}
+        stack = list(body)
+        while stack:
+            stmt = stack.pop()
             kind = type(stmt)
-            found = False
             expr: Optional[IRExpr] = None
-            body: tuple[IRStmt, ...] = ()
             if kind is Assign or kind is Accum:
                 expr = stmt.value
             elif kind is IfCond:
-                expr, body = stmt.cond, stmt.body
+                expr = stmt.cond
             elif kind is AddTo or kind is AppendTo:
                 expr = stmt.value
                 if kind is AddTo:
-                    self.writes[id(stmt)] = writes = self.write_keys(stmt)
-                    for _, key, reads in writes:
+                    for _, key, reads in self.write_keys(stmt):
                         counts[key] = counts.get(key, 0) + reads
-                    found = bool(writes)
             elif kind is ForEachMap:
-                body = stmt.body
                 probe = _probe_key(stmt)
                 if probe is not None:
                     counts[probe] = counts.get(probe, 0) + 1
-                    found = True
-            elif kind is Block:
-                body = stmt.stmts
             elif kind is ForEachRow:
-                # A row loop runs a per-event body the pass has shared.
-                self.bare.add(id(stmt))
-                continue
-            if expr is not None:
-                stack = [expr]
-                while stack:
-                    node = stack.pop()
-                    if type(node) is Lookup:
-                        key = _key(node.keys)
-                        if key is not None:
-                            counts[key] = counts.get(key, 0) + 1
-                            self.probing.add(id(stmt))
-                            found = True
-                    else:
-                        stack.extend(node.children())
-            if body:
-                if self.count(body):
-                    found = True
-                elif not found:
-                    self.bare.add(id(stmt))
-            keyed = keyed or found
-        return keyed
+                continue  # a per-event body the pass has shared
+            stack.extend(stmt_children(stmt))
+            exprs = [expr] if expr is not None else []
+            while exprs:
+                node = exprs.pop()
+                if type(node) is Lookup:
+                    lookups.append(node)
+                    probes[node.slot.name] = probes.get(node.slot.name, 0) + 1
+                    key = _key(node.keys)
+                    if key is not None:
+                        counts[key] = counts.get(key, 0) + 1
+                else:
+                    exprs.extend(node.children())
+        # Hash only the lookups of maps probed more than once.
+        for lookup in lookups:
+            if probes[lookup.slot.name] > 1:
+                counts[lookup] = counts.get(lookup, 0) + 1
 
     def write_keys(self, stmt: AddTo) -> list[tuple[tuple[int, ...], Key, int]]:
         """``(positions, key, reads)`` of each key a write reads: the key
@@ -1115,120 +834,156 @@ class _KeySharing:
                 arity = cache.group_arity
                 if arity:
                     out.append((tuple(range(arity)), key[:arity], 1))
-        return [entry for entry in out if self.key_names(entry[1])]
+        return [entry for entry in out if self.entry_names(entry[1])]
 
-    def key_names(self, key: Key) -> frozenset[str]:
-        names = self.names.get(key)
+    def entry_names(self, entry) -> frozenset[str]:
+        """The names a lookup (over its keys) or a key is over."""
+        names = self.names.get(entry)
         if names is None:
-            names = frozenset(k for k in key if type(k) is str)
-            self.names[key] = names
+            if type(entry) is Lookup:
+                names = expr_names(entry)
+            else:
+                names = frozenset(k for k in entry if type(k) is str)
+            self.names[entry] = names
         return names
 
-    def local(self, key: Key, avail: dict[Key, str], out: list[IRStmt], reads: int):
+    def over(self, entry, written, names) -> bool:
+        """Whether a write to ``written`` or a rebinding of ``names``
+        drops ``entry``."""
+        if type(entry) is Lookup and entry.slot in written:
+            return True
+        return bool(self.entry_names(entry) & names)
+
+    def bind(self, name: str, value: IRExpr, out: list[IRStmt], reads: int):
+        self.uses[name] = reads
+        self.bound.append(name)
+        out.append(Assign(name, value))
+
+    def local(self, key: Key, avail: dict, out: list[IRStmt], reads: int) -> str:
         """The local holding ``key`` for a reader reading it ``reads``
         times, bound into ``out`` first when the body reads the key more
         than once and it is not bound yet (``""``: none)."""
         name = avail.get(key)
-        if name is None:
-            if self.counts.get(key, 0) < 2:
-                return ""
-            name = self.namer.fresh("key")
-            avail[key] = name
-            self.uses[name] = 0
-            self.bound.append(name)
-            items = tuple(Name(k) if type(k) is str else k for k in key)
-            out.append(Assign(name, KeyTuple(items)))
-        self.uses[name] += reads
+        if name is not None:
+            self.uses[name] += reads
+            return name
+        if self.counts.get(key, 0) < 2:
+            return ""
+        name = self.namer.fresh("key")
+        avail[key] = name
+        items = tuple(Name(k) if type(k) is str else k for k in key)
+        self.bind(name, KeyTuple(items), out, reads)
         return name
 
-    def scope(self, stmts, avail: dict[Key, str]):
-        """:meth:`sequence` over a scope's statements: the locals it binds
-        that fewer than two reads read are put back once it ends."""
+    def scope(self, stmts, avail: dict):
+        """:meth:`sequence` over a scope's statements: the temps and locals
+        it binds that fewer than two reads read are put back once it
+        ends."""
         start = len(self.bound)
-        out, rebound = self.sequence(stmts, avail)
+        out, writes, rebound = self.sequence(stmts, avail)
         unread = {name for name in self.bound[start:] if self.uses[name] < 2}
         del self.bound[start:]
-        return (_put_back(out, unread) if unread else out), rebound
+        return (self.put_back(out, unread) if unread else out), writes, rebound
 
-    def sequence(self, stmts, avail: dict[Key, str]):
-        """``stmts`` rewritten (themselves when nothing changed), and the
-        names they rebind."""
+    def sequence(self, stmts, avail: dict):
+        """``stmts`` rewritten (themselves when nothing changed), the maps
+        they write and the names they rebind."""
         out: list[IRStmt] = []
+        writes: set[Slot] = set()
         rebound: set[str] = set()
-        changed = False
         for stmt in stmts:
-            size = len(out)
-            names = self.statement(stmt, avail, out)
-            if len(out) != size + 1 or out[-1] is not stmt:
-                changed = True
-            if names:
-                for key in [k for k in avail if self.key_names(k) & names]:
-                    del avail[key]
-                rebound |= names
-        return (tuple(out) if changed else stmts), rebound
+            w, r = self.statement(stmt, avail, out)
+            if w or r:
+                for entry in [e for e in avail if self.over(e, w, r)]:
+                    del avail[entry]
+                writes |= w
+                rebound |= r
+        return (stmts if _same(out, stmts) else tuple(out)), writes, rebound
 
-    def statement(self, stmt: IRStmt, avail: dict[Key, str], out: list[IRStmt]):
-        """Append ``stmt`` rewritten to ``out``, the locals of its keys
-        bound before it; return the names it rebinds."""
-        if id(stmt) in self.bare:
-            out.append(stmt)
-            return _rebound(assigned_names((stmt,)), self.bindings)
-        probes = id(stmt) in self.probing
+    def statement(self, stmt: IRStmt, avail: dict, out: list[IRStmt]):
+        """Append ``stmt`` rewritten to ``out``, the temps and locals it
+        reads bound before it; return the maps it writes and the names it
+        rebinds."""
 
-        def expr(e: IRExpr) -> IRExpr:
-            return self.expr(e, avail, out) if probes else e
+        def shared(e: IRExpr) -> IRExpr:
+            return self.shared(e, avail, out)
 
-        if isinstance(stmt, (Assign, Accum)):
-            value = expr(stmt.value)
-            out.append(stmt if value is stmt.value else type(stmt)(stmt.name, value))
-            return _rebound((stmt.name,), self.bindings)
-        if isinstance(stmt, AddTo):
-            value = expr(stmt.value)
+        def keyed(e: IRExpr) -> IRExpr:
+            return self.keyed(e, avail, out)
+
+        kind = type(stmt)
+        if kind is Assign or kind is Accum:
+            value = stmt.value
+            if (
+                kind is Assign
+                and type(value) is Lookup
+                and self.bindings.get(stmt.name, 1) == 1
+            ):
+                lookup = self.renamed(value, avail, out)
+                held = avail.get(lookup)
+                if held is not None:
+                    self.renames[stmt.name] = Name(held)
+                    self.read(held)
+                    return set(), set()
+                if self.counts.get(value, 0) > 1:
+                    avail[lookup] = stmt.name
+                value = keyed(lookup)
+            else:
+                value = keyed(shared(value))
+            out.append(stmt if value is stmt.value else kind(stmt.name, value))
+            return set(), _rebound((stmt.name,), self.bindings)
+        if kind is AddTo or kind is AppendTo:
+            new = rewrite_exprs(stmt, shared)
+            value = keyed(new.value)
+            if kind is AppendTo:
+                if value is not new.value:
+                    new = AppendTo(new.buffer, new.keys, value, new.target)
+                out.append(new)
+                return set(), set()
             key_locals = []
-            for positions, key, reads in self.writes[id(stmt)]:
+            for positions, key, reads in self.write_keys(new):
                 name = self.local(key, avail, out, reads)
                 if name:
                     key_locals.append((positions, name))
             if value is not stmt.value or tuple(key_locals) != stmt.key_locals:
-                key_locals = tuple(key_locals)
-                stmt = AddTo(
-                    stmt.slot, stmt.keys, value, stmt.caches, stmt.acc, key_locals
+                new = AddTo(
+                    new.slot, new.keys, value, new.caches, new.acc, tuple(key_locals)
                 )
-        elif isinstance(stmt, AppendTo):
-            value = expr(stmt.value)
-            if value is not stmt.value:
-                stmt = AppendTo(stmt.buffer, stmt.keys, value, stmt.target)
-        elif isinstance(stmt, (IfCond, Block)):
-            # A guard body sees what precedes it; a block is part of this
-            # sequence.
-            if isinstance(stmt, IfCond):
-                stmt = _rewrite_direct(stmt, expr)
-                body, rebound = self.scope(stmt.body, dict(avail))
-            else:
-                body, rebound = self.sequence(stmt.stmts, avail)
-            out.append(stmt if body is stmt_children(stmt) else with_body(stmt, body))
-            return rebound
-        elif isinstance(stmt, ForEachMap):
-            return self.loop(stmt, avail, out)
+            out.append(new)
+            return set(applied_slots(new)), set()
+        if kind is IfCond:
+            stmt = _rewrite_direct(_rewrite_direct(stmt, shared), keyed)
+            body, writes, rebound = self.scope(stmt.body, dict(avail))
+            # A guard whose body was all shared away has nothing left to guard.
+            if body:
+                out.append(stmt if body is stmt.body else IfCond(stmt.cond, body))
+            return writes, rebound
+        if kind is Block:
+            body, writes, rebound = self.sequence(stmt.stmts, avail)
+            out.append(stmt if body is stmt.stmts else with_body(stmt, body))
+            return writes, rebound
+        if kind is ForEachMap:
+            return self.loop(_rewrite_direct(stmt, shared), avail, out)
         out.append(stmt)
-        return set()
+        rebound = _rebound(assigned_names((stmt,)), self.bindings)
+        return set(written_slots((stmt,))), rebound
 
-    def loop(self, stmt: ForEachMap, avail: dict[Key, str], out: list[IRStmt]):
-        """:meth:`statement` for a map loop: its body sees the keys over
-        names bound once that the loop does not bind."""
+    def loop(self, stmt: ForEachMap, avail: dict, out: list[IRStmt]):
+        """:meth:`statement` for a map loop."""
         probe = _probe_key(stmt)
         key_local = self.local(probe, avail, out, 1) if probe is not None else ""
         binders = {stmt.value_var, *(name for _, name in stmt.binds)}
+        written = written_slots(stmt.body)
         inner = {
-            key: name
-            for key, name in avail.items()
+            entry: name
+            for entry, name in avail.items()
             if not (
-                binders & self.key_names(key)
-                or _rebound(self.key_names(key), self.bindings)
+                self.over(entry, written, binders)
+                or _rebound(self.entry_names(entry), self.bindings)
             )
         }
-        body, rebound = self.scope(stmt.body, inner)
-        if stmt.key_local != key_local:
+        body, writes, rebound = self.scope(stmt.body, inner)
+        if stmt.key_local != key_local or body is not stmt.body:
             stmt = ForEachMap(
                 stmt.slot,
                 stmt.entry_var,
@@ -1238,12 +993,45 @@ class _KeySharing:
                 body,
                 key_local,
             )
-        elif body is not stmt.body:
-            stmt = with_body(stmt, body)
         out.append(stmt)
-        return rebound | _rebound(binders, self.bindings)
+        return writes, rebound | _rebound(binders, self.bindings)
 
-    def expr(self, expr: IRExpr, avail: dict[Key, str], out: list[IRStmt]):
+    def read(self, name: str) -> None:
+        if name in self.uses:
+            self.uses[name] += 1
+
+    def renamed(self, lookup: Lookup, avail: dict, out: list[IRStmt]) -> Lookup:
+        keys = tuple(self.shared(key, avail, out) for key in lookup.keys)
+        if _same(keys, lookup.keys):
+            return lookup
+        return Lookup(lookup.slot, keys, lookup.default, lookup.key_local)
+
+    def shared(self, expr: IRExpr, avail: dict, out: list[IRStmt]) -> IRExpr:
+        """``expr`` with renamed names read as their holders, and each
+        lookup the body repeats read from the name holding it (a fresh
+        temp assigned first when none does)."""
+        if isinstance(expr, Name):
+            return self.renames.get(expr.name, expr)
+        if isinstance(expr, Lookup):
+            lookup = self.renamed(expr, avail, out)
+            if self.counts.get(expr, 0) < 2:
+                return lookup
+            held = avail.get(lookup)
+            if held is None:
+                held = self.namer.fresh("l")
+                avail[lookup] = held
+                self.temps[held] = self.keyed(lookup, avail, out)
+                self.bind(held, self.temps[held], out, 1)
+            else:
+                self.read(held)
+            return Name(held)
+        children = expr.children()
+        if not children:
+            return expr
+        new = tuple(self.shared(child, avail, out) for child in children)
+        return expr if _same(new, children) else _with_children(expr, new)
+
+    def keyed(self, expr: IRExpr, avail: dict, out: list[IRStmt]) -> IRExpr:
         """``expr`` with each lookup reading the local of its key."""
         if isinstance(expr, Lookup):
             key = _key(expr.keys)
@@ -1254,49 +1042,50 @@ class _KeySharing:
         children = expr.children()
         if not children:
             return expr
-        new = tuple(self.expr(child, avail, out) for child in children)
+        new = tuple(self.keyed(child, avail, out) for child in children)
         return expr if _same(new, children) else _with_children(expr, new)
 
+    def put_back(self, stmts, unread: set[str]) -> tuple[IRStmt, ...]:
+        """``stmts`` without the temps and locals in ``unread``: their one
+        reader evaluates the lookup or builds the key itself."""
 
-def _put_back(stmts, unread: set[str]) -> tuple[IRStmt, ...]:
-    """``stmts`` without the key locals in ``unread``, their one reader
-    building its key itself."""
-
-    def clear(expr: IRExpr) -> IRExpr:
-        if isinstance(expr, Lookup):
-            if expr.key_local not in unread:
+        def clear(expr: IRExpr) -> IRExpr:
+            if isinstance(expr, Name):
+                return clear(self.temps[expr.name]) if expr.name in unread else expr
+            if isinstance(expr, Lookup) and expr.key_local in unread:
+                expr = Lookup(expr.slot, expr.keys, expr.default)
+            children = expr.children()
+            if not children:
                 return expr
-            return Lookup(expr.slot, expr.keys, expr.default)
-        children = expr.children()
-        if not children:
-            return expr
-        new = tuple(clear(child) for child in children)
-        return expr if _same(new, children) else _with_children(expr, new)
+            new = tuple(clear(child) for child in children)
+            return expr if _same(new, children) else _with_children(expr, new)
 
-    out: list[IRStmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Assign) and stmt.name in unread:
-            continue
-        if isinstance(stmt, AddTo):
-            key_locals = tuple(kl for kl in stmt.key_locals if kl[1] not in unread)
-            value = clear(stmt.value)
-            if value is not stmt.value or key_locals != stmt.key_locals:
-                stmt = AddTo(
-                    stmt.slot, stmt.keys, value, stmt.caches, stmt.acc, key_locals
+        out: list[IRStmt] = []
+        for stmt in stmts:
+            if isinstance(stmt, Assign) and stmt.name in unread:
+                continue
+            if isinstance(stmt, AddTo):
+                key_locals = tuple(kl for kl in stmt.key_locals if kl[1] not in unread)
+                value = clear(stmt.value)
+                if value is not stmt.value or key_locals != stmt.key_locals:
+                    stmt = AddTo(
+                        stmt.slot, stmt.keys, value, stmt.caches, stmt.acc, key_locals
+                    )
+            elif isinstance(stmt, ForEachMap) and stmt.key_local in unread:
+                stmt = ForEachMap(
+                    stmt.slot,
+                    stmt.entry_var,
+                    stmt.value_var,
+                    stmt.binds,
+                    stmt.filters,
+                    stmt.body,
                 )
-        elif isinstance(stmt, ForEachMap) and stmt.key_local in unread:
-            stmt = ForEachMap(
-                stmt.slot,
-                stmt.entry_var,
-                stmt.value_var,
-                stmt.binds,
-                stmt.filters,
-                stmt.body,
+            elif isinstance(stmt, (Assign, Accum, IfCond, AppendTo)):
+                stmt = _rewrite_direct(stmt, clear)
+            out.append(
+                _rebuild_with_body(stmt, lambda body: self.put_back(body, unread))
             )
-        elif isinstance(stmt, (Assign, Accum, IfCond, AppendTo)):
-            stmt = _rewrite_direct(stmt, clear)
-        out.append(_rebuild_with_body(stmt, lambda body: _put_back(body, unread)))
-    return stmts if _same(out, stmts) else tuple(out)
+        return stmts if _same(out, stmts) else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1305,20 +1094,21 @@ def _put_back(stmts, unread: set[str]) -> tuple[IRStmt, ...]:
 
 
 class _HoistNamer:
-    """Fresh names for hoisted temps, disjoint from existing locals.
+    """Fresh names for temps a pass adds, disjoint from existing locals and
+    numbered per prefix.
 
     Batch bodies embed already-hoisted per-event blocks, so new temps
     must avoid every name the body assigns anywhere.
     """
 
     def __init__(self, reserved=()) -> None:
-        self._counter = 0
+        self._counters: dict[str, int] = {}
         self._reserved = set(reserved)
 
     def fresh(self, prefix: str) -> str:
         while True:
-            self._counter += 1
-            name = f"__{prefix}{self._counter}"
+            count = self._counters[prefix] = self._counters.get(prefix, 0) + 1
+            name = f"__{prefix}{count}"
             if name not in self._reserved:
                 self._reserved.add(name)
                 return name
@@ -1341,18 +1131,14 @@ def optimize_trigger(
     for name in DEFAULT_PASSES:
         if name not in passes:
             continue
-        if name == "fold-constants":
-            body = _fold_constants(body, bindings)
-        elif name == "fuse-loops":
+        if name == "fuse-loops":
             body = _fuse_sequence(body, exact_slots, set(trigger_ir.params))
         elif name == "merge-guards":
             body = _merge_guards(body)
         elif name == "hoist-invariants":
             body = _hoist_stmts(body, _HoistNamer(bindings), bindings)
-        elif name == "share-lookups":
-            body = _LookupSharing(bindings).run(body)
         else:
-            body = _KeySharing(bindings, patterns or {}).run(body)
+            body = _Sharing(bindings, patterns or {}).run(body)
         after = _size(body)
         if removed is not None:
             removed[name] = removed.get(name, 0) + size - after
@@ -1375,14 +1161,14 @@ def optimize_program(
     under two keys (a batch row body that is its per-event body) is
     optimised once, and its yield counts for each body derived from it.
     ``patterns`` are the program's index access patterns, whose subkeys
-    ``share-keys`` shares (those of the bodies given by default).
+    ``share-locals`` shares (those of the bodies given by default).
     """
     exact = exact_int_maps(program)
     removed = ir.pass_yield
     for name in passes:
         removed.setdefault(name, 0)
     done: dict[int, tuple[TriggerIR, dict[str, int]]] = {}
-    if patterns is None and "share-keys" in passes:
+    if patterns is None and "share-locals" in passes:
         bodies = (*ir.triggers.values(), *ir.batch_triggers.values())
         patterns = collect_patterns_ir({id(t): t for t in bodies}.values())
 

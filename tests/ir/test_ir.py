@@ -321,40 +321,50 @@ class TestOptimisationPasses:
         assert not exact_int_maps(literal)
 
     def test_unit_deltas_fold_into_the_update(self, suite_programs):
-        """``d = 1; if d != 0: m[k] += w * d`` is ``m[k] += w``: no
-        constant temp, no guard a constant decides (the event weight is
-        never zero), no ``* 1`` survives folding."""
-        from repro.ir.nodes import AddTo, Prod
+        """Lowering emits the folded update, so the rules hold optimised
+        or not: ``d = 1; if d != 0: m[k] += w * d`` is ``m[k] += w`` (no
+        constant temp, no guard a constant decides, since the event weight
+        is never zero, and no ``* 1``), and ``d = v; if d != 0:`` tests
+        and writes ``v`` itself."""
+        from repro.ir.nodes import Prod
 
-        def constant_temps(ir):
-            return [
-                stmt
-                for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values())
-                for stmt in walk_stmts(trigger_ir.body)
-                if isinstance(stmt, Assign)
-                and isinstance(stmt.value, Const)
-                and stmt.name.startswith("__d")
-            ]
-
-        program = suite_programs["bsp"]
-        rest = tuple(p for p in DEFAULT_PASSES if p != "fold-constants")
-        assert constant_temps(lower_program(program, passes=rest))
-        folded = lower_program(program)
-        assert not constant_temps(folded)
-        units = [
-            stmt
-            for stmt in walk_stmts(folded.triggers[("bids", 0)].body)
-            if isinstance(stmt, AddTo) and stmt.value == Name(WEIGHT)
-        ]
-        assert units
-        for ir in map(lower_program, suite_programs.values()):
+        def statements(ir):
             for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values()):
-                for stmt in walk_stmts(trigger_ir.body):
+                yield from walk_stmts(trigger_ir.body)
+
+        for optimize in (False, True):
+            for program in suite_programs.values():
+                for stmt in statements(lower_program(program, optimize=optimize)):
                     if isinstance(stmt, IfCond):
                         assert not isinstance(stmt.cond, Const)
+                    if isinstance(stmt, Assign) and stmt.name.startswith("__d"):
+                        assert not isinstance(stmt.value, (Const, Name)), stmt
                     value = getattr(stmt, "value", None)
                     if isinstance(value, Prod):
                         assert Const(1) not in value.factors
+            bids = lower_program(suite_programs["bsp"], optimize=optimize)
+            units = [
+                stmt
+                for stmt in walk_stmts(bids.triggers[("bids", 0)].body)
+                if isinstance(stmt, AddTo) and stmt.value == Name(WEIGHT)
+            ]
+            assert units, optimize
+        # bbo writes a loop's value: the guard and the write read it as is.
+        copies = [
+            (loop.value_var, guard)
+            for loop in _loops(
+                lower_program(suite_programs["bbo"], optimize=False).triggers[
+                    ("bids", 0)
+                ]
+            )
+            for guard in loop.body
+            if isinstance(guard, IfCond)
+            and guard.cond == Compare("!=", Name(loop.value_var), Const(0))
+        ]
+        assert copies
+        for value_var, guard in copies:
+            (write,) = guard.body
+            assert write.value == Prod((Name(WEIGHT), Name(value_var)))
 
     def test_finalized_targets_write_directly(self, suite_programs):
         """bbo's triggers conflict nowhere, so nothing buffers: each write
@@ -381,25 +391,25 @@ class TestOptimisationPasses:
             }
             assert {sink for _, sink in ir.event_sinks[key]} == {"direct"}
 
-    def test_every_default_pass_has_yield(self, suite_programs):
+    def test_every_default_pass_has_yield(self, suite_programs, monkeypatch):
         """Each pass, removed alone, changes the lowered IR of at least
         one shipped query: a pass that finds nothing cannot (re)appear
         unnoticed.  The per-pass table in ``docs/ARCHITECTURE.md`` states
         the node counts computed here, so it cannot drift either."""
+        import repro.ir.optimize as optimize_module
+
         table = _documented_yields()
         full = [lower_program(program) for program in suite_programs.values()]
         removed = Counter()
         for ir in full:
             removed.update(ir.pass_yield)
         optimised = sum(map(_node_count, full))
-        assert table["all six passes"] == (optimised, str(sum(removed.values())))
+        assert table["all four passes"] == (optimised, str(sum(removed.values())))
         assert table["no passes"][0] == optimised + sum(removed.values())
         for dropped in DEFAULT_PASSES:
             rest = tuple(p for p in DEFAULT_PASSES if p != dropped)
-            without = [
-                lower_program(program, passes=rest)
-                for program in suite_programs.values()
-            ]
+            monkeypatch.setattr(optimize_module, "DEFAULT_PASSES", rest)
+            without = [lower_program(program) for program in suite_programs.values()]
             assert any(
                 (a.triggers, a.batch_triggers) != (b.triggers, b.batch_triggers)
                 for a, b in zip(without, full)
@@ -464,11 +474,12 @@ class TestSharedWork:
     def test_share_lookups_scopes(self):
         """A probe is reused down its sequence and into guard bodies, not
         past a write to its map and not out of a guard: a first probe no
-        later one reads stays in its statement."""
+        later one reads stays in its statement.  (The maps are scalar, so
+        there is no key tuple to share.)"""
         from repro.ir.nodes import AddTo, Prod, Slot, TriggerIR
         from repro.ir.optimize import optimize_trigger
 
-        a, b = (Lookup(Slot(name), (Name("k"),)) for name in "ab")
+        a, b = (Lookup(Slot(name), ()) for name in "ab")
 
         def guard(bound, *body):
             return IfCond(Compare(">", Name("k"), Const(bound)), body)
@@ -478,12 +489,12 @@ class TestSharedWork:
             guard(1, Assign("y", Prod((a, Const(2))))),
             Assign("w", b),
             guard(2, Assign("v", b)),
-            AddTo(Slot("b"), (Name("k"),), Name("w")),
+            AddTo(Slot("b"), (), Name("w")),
             Assign("u", b),
             AddTo(Slot("q"), (), Prod(tuple(map(Name, "xyzwvu")))),
         )
         trigger = TriggerIR("r", "t", ("k",), body)
-        out = optimize_trigger(trigger, ("share-lookups",), frozenset()).body
+        out = optimize_trigger(trigger, ("share-locals",), frozenset()).body
         shared = Name("__l2")
         total = (Name("x"), Name("y"), shared, Name("w"), Name("w"), Name("u"))
         assert out == (
@@ -499,13 +510,37 @@ class TestSharedWork:
             AddTo(Slot("q"), (), Prod(total)),
         )
 
+    def test_share_locals_loop_reads_only_lookups_it_cannot_change(self):
+        """A map loop body reads a lookup held before the loop, unless the
+        loop writes that lookup's map: then each iteration probes again."""
+        from repro.ir.nodes import AddTo, Prod, Slot, TriggerIR
+        from repro.ir.optimize import optimize_trigger
+
+        a = Lookup(Slot("a"), ())
+
+        def loop(value_var, *body):
+            return ForEachMap(Slot("m"), "__e", value_var, ((0, "j"),), (), body)
+
+        body = (
+            Assign("x", a),
+            loop("__v1", Assign("y", Prod((a, Name("__v1"))))),
+            loop("__v2", AddTo(Slot("a"), (), a)),
+        )
+        trigger = TriggerIR("r", "t", ("k",), body)
+        out = optimize_trigger(trigger, ("share-locals",), frozenset()).body
+        assert out == (
+            Assign("x", a),
+            loop("__v1", Assign("y", Prod((Name("x"), Name("__v1"))))),
+            body[2],
+        )
+
     @staticmethod
     def _share_keys(*body):
         from repro.ir.nodes import TriggerIR
         from repro.ir.optimize import optimize_trigger
 
         trigger = TriggerIR("r", "t", ("p", "q"), body)
-        return optimize_trigger(trigger, ("share-keys",), frozenset()).body
+        return optimize_trigger(trigger, ("share-locals",), frozenset()).body
 
     @pytest.mark.parametrize(
         "rebind", [Assign("k", Name("q")), Accum("k", Const(1))], ids=repr

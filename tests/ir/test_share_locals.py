@@ -1,8 +1,8 @@
-"""``share-keys``: a key tuple is built once per scope, and building it
-once changes no map.
+"""``share-locals``: a map lookup is evaluated and a key tuple built once
+per scope, and reading either from its local changes no map.
 
 Every shipped query and warehouse-load's four-view SSB program runs with
-``DEFAULT_PASSES`` and with ``DEFAULT_PASSES`` minus ``share-keys``, on
+``DEFAULT_PASSES`` and with ``DEFAULT_PASSES`` minus ``share-locals``, on
 the executor lanes of ``tests/lanes.py`` (native only for vwap, whose
 kernel map applies through ``add()``), per event and in batches of 3
 and 100: the maps must be ``repr``-equal (values, keys and insertion
@@ -26,7 +26,7 @@ from repro.workloads.ssb import SSB_FLIGHT, load_static_tables, warehouse_stream
 from repro.workloads.tpch import TpchGenerator
 from tests.lanes import bounded_book, build_engine, compile_shipped, deliver, executors
 
-WITHOUT = tuple(name for name in DEFAULT_PASSES if name != "share-keys")
+WITHOUT = tuple(name for name in DEFAULT_PASSES if name != "share-locals")
 DELIVERIES = ("process", "stream-3", "stream-100")
 PROGRAMS = (*FINANCE_QUERIES, *SSB_FLIGHT, "warehouse")
 
@@ -56,9 +56,10 @@ def _maps(name: str, program, lane: str, delivery: str) -> str:
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_maps_match_without_share_keys(name, monkeypatch):
-    """Reading a key from its local is the same probe or write: every map
-    ends the same, on every lane, however the feed is batched."""
+def test_maps_match_without_share_locals(name, monkeypatch):
+    """Reading a lookup or a key from its local is the same probe or
+    write: every map ends the same, on every lane, however the feed is
+    batched."""
     shared = compile_shipped(name, name)
     lanes = executors(shared)
     expected = {

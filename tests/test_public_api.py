@@ -197,6 +197,7 @@ def test_every_setting_has_a_production_caller():
     import inspect
 
     from repro.baselines import FirstOrderIVMEngine
+    from repro.ir import lower_program
     from repro.runtime import ShardedEngine, ShardSupervisor, durability, sources
     from repro.runtime.debugger import Debugger
     from repro.runtime.durability import DurableEngine, SnapshotStore, WriteAheadLog
@@ -230,6 +231,7 @@ def test_every_setting_has_a_production_caller():
     assert parameters(Engine.map_sizes) == ["self"]
     assert parameters(Engine.total_entries) == ["self"]
     assert parameters(Debugger) == ["program"]
+    assert parameters(lower_program) == ["program", "optimize"]
     assert not hasattr(WriteAheadLog, "append")
     assert not hasattr(durability, "DEFAULT_SEGMENT_BYTES")
     for module, name in [

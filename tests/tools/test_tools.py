@@ -65,7 +65,7 @@ class TestTrace:
         assert "passes:" in line
         assert "fuse-loops (" in line and " nodes)" in line  # per-pass yield
         assert "hoisted temps, " in line and " shared keys across " in line
-        assert "share-keys (" in line
+        assert "share-locals (" in line
         assert "; event sinks: " in line and "; batch sinks: " in line
         assert "disabled" in ir_summary(program, optimize=False)
 
