@@ -28,14 +28,20 @@ Two small expression and statement grammars:
   ``AddTo`` and ``FlushBuffer`` carry the :class:`Cache` entries kept
   from their map: a key whose multiplicity crosses zero updates them.
 
-Expressions are immutable and hashable (structural equality drives the
-optimiser's fusion/hoisting); statements are immutable tuples of children, so
-passes rebuild rather than mutate.
+Every node is a frozen, slotted dataclass whose fields are its shape:
+which hold expressions, which a body of nested statements, which scalar
+local names (:data:`NAME_FIELDS`).  Expressions are hashable (structural
+equality drives the optimiser's fusion/hoisting).  Passes rebuild rather
+than mutate, and :func:`map_node` is the one rebuild: it maps functions
+over a node's expressions, bodies or names, read off its fields, so a new
+node kind brings no rebuild code of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
+from operator import is_
 from typing import Union
 
 Value = Union[int, float, str]
@@ -515,25 +521,6 @@ def stmt_children(stmt: IRStmt) -> tuple[IRStmt, ...]:
     return ()
 
 
-def with_body(stmt: IRStmt, body: tuple[IRStmt, ...]) -> IRStmt:
-    """``stmt`` (a guard, a loop or a block) over ``body``."""
-    if isinstance(stmt, IfCond):
-        return IfCond(stmt.cond, body)
-    if isinstance(stmt, ForEachMap):
-        return ForEachMap(
-            stmt.slot,
-            stmt.entry_var,
-            stmt.value_var,
-            stmt.binds,
-            stmt.filters,
-            body,
-            stmt.key_local,
-        )
-    if isinstance(stmt, ForEachRow):
-        return ForEachRow(stmt.rows_var, stmt.params, body)
-    return Block(stmt.comments, body, stmt.sources)
-
-
 def stmt_exprs(stmt: IRStmt) -> tuple[IRExpr, ...]:
     """The scalar expressions evaluated directly by ``stmt`` (a key local
     it reads as a :class:`Name`)."""
@@ -598,17 +585,24 @@ def read_slots(stmts) -> frozenset[Slot]:
     return frozenset(out)
 
 
+def binders(stmt: IRStmt) -> tuple[str, ...]:
+    """The scalar names ``stmt`` itself binds (not its body): an
+    assignment's or accumulator's name, a map loop's value and key
+    position names, a row loop's parameters."""
+    if isinstance(stmt, (Assign, Accum)):
+        return (stmt.name,)
+    if isinstance(stmt, ForEachMap):
+        return (stmt.value_var, *(name for _, name in stmt.binds))
+    if isinstance(stmt, ForEachRow):
+        return stmt.params
+    return ()
+
+
 def assigned_names(stmts) -> frozenset[str]:
     """Every scalar name bound anywhere in the statements."""
     out: set[str] = set()
     for stmt in walk_stmts(stmts):
-        if isinstance(stmt, (Assign, Accum)):
-            out.add(stmt.name)
-        elif isinstance(stmt, ForEachMap):
-            out.add(stmt.value_var)
-            out.update(name for _, name in stmt.binds)
-        elif isinstance(stmt, ForEachRow):
-            out.update(stmt.params)
+        out.update(binders(stmt))
     return frozenset(out)
 
 
@@ -621,81 +615,116 @@ def used_names(stmts) -> frozenset[str]:
     return frozenset(out)
 
 
+# ---------------------------------------------------------------------------
+# Rebuilding: one walk over a node's fields
+# ---------------------------------------------------------------------------
+
+#: The fields of each node kind that hold scalar local names, bound or
+#: read, alone or in tuples (a loop's ``(pos, name)`` binds, a write's
+#: ``(positions, name)`` key locals): what :func:`rename_stmt` and
+#: :func:`substitute_names` rename.  Any other ``str`` field names no
+#: local: a buffer, an accumulator, a batch's rows, an operator.
+NAME_FIELDS: dict[type, tuple[str, ...]] = {
+    Name: ("name",),
+    Lookup: ("key_local",),
+    Assign: ("name",),
+    Accum: ("name",),
+    ForEachMap: ("entry_var", "value_var", "binds", "key_local"),
+    ForEachRow: ("params",),
+    AddTo: ("key_locals",),
+}
+
+_EXPRS, _BODY, _NAMES = range(3)
+
+
+@cache
+def _shape(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+    """The dataclass fields of node class ``cls``, in order, and the
+    position of each one a rewrite may change, with what it holds (read
+    off its annotation): expressions (one, or in tuples and ``(pos,
+    expr)`` pairs), a body of statements or scalar local names
+    (:data:`NAME_FIELDS`).  The rest is data no rewrite touches."""
+    names = NAME_FIELDS.get(cls, ())
+    declared = fields(cls)
+    live = []
+    for index, f in enumerate(declared):
+        annotation = str(f.type)
+        if f.name in names:
+            live.append((index, _NAMES))
+        elif "IRStmt" in annotation:
+            live.append((index, _BODY))
+        elif "IRExpr" in annotation:
+            live.append((index, _EXPRS))
+    return tuple(f.name for f in declared), tuple(live)
+
+
+def same_nodes(new, old) -> bool:
+    """Whether a rewrite left every item of a sequence as it was (by
+    identity)."""
+    return len(new) == len(old) and all(map(is_, new, old))
+
+
+def map_node(node, expr_fn=None, stmt_fn=None, name_fn=None):
+    """``node`` rebuilt from its dataclass fields, positionally, with
+    ``expr_fn`` applied to each expression in them, ``stmt_fn`` to each
+    body (the tuple of nested statements) and ``name_fn`` to each scalar
+    local name; a function left ``None`` leaves its fields as they are.
+
+    Returns ``node`` itself when nothing changed: passes tell what a
+    rewrite changed by identity."""
+    names, live = _shape(type(node))
+    fns = (expr_fn, stmt_fn, name_fn)
+    values = None
+    for index, holds in live:
+        fn = fns[holds]
+        if fn is None:
+            continue
+        old = getattr(node, names[index])
+        if holds == _BODY:
+            new = fn(old)
+            if same_nodes(new, old):
+                continue
+        else:
+            new = _map_leaves(old, fn, IRExpr if holds == _EXPRS else str)
+            if new is old:
+                continue
+        if values is None:
+            values = [getattr(node, name) for name in names]
+        values[index] = new
+    return node if values is None else type(node)(*values)
+
+
+def _map_leaves(value, fn, leaf: type):
+    """``value`` with ``fn`` applied to each ``leaf`` in it, through
+    tuples; ``value`` itself when ``fn`` returned every leaf as it was."""
+    if isinstance(value, leaf):
+        return fn(value)
+    if type(value) is not tuple:
+        return value
+    new = tuple([_map_leaves(item, fn, leaf) for item in value])
+    return value if same_nodes(new, value) else new
+
+
+def with_body(stmt: IRStmt, body: tuple[IRStmt, ...]) -> IRStmt:
+    """``stmt`` (a guard, a loop or a block) over ``body``."""
+    return map_node(stmt, stmt_fn=lambda _: body)
+
+
 def rewrite_exprs(stmt: IRStmt, fn) -> IRStmt:
-    """Rebuild ``stmt`` (recursively) with ``fn`` applied to each expr; a
-    simple statement whose expressions ``fn`` returns as they are is kept
-    as it is."""
-    if isinstance(stmt, (Assign, Accum)):
-        value = fn(stmt.value)
-        return stmt if value is stmt.value else type(stmt)(stmt.name, value)
-    if isinstance(stmt, IfCond):
-        return IfCond(fn(stmt.cond), tuple(rewrite_exprs(s, fn) for s in stmt.body))
-    if isinstance(stmt, ForEachMap):
-        return ForEachMap(
-            stmt.slot,
-            stmt.entry_var,
-            stmt.value_var,
-            stmt.binds,
-            tuple((pos, fn(expr)) for pos, expr in stmt.filters),
-            tuple(rewrite_exprs(s, fn) for s in stmt.body),
-            stmt.key_local,
-        )
-    if isinstance(stmt, ForEachRow):
-        return ForEachRow(
-            stmt.rows_var,
-            stmt.params,
-            tuple(rewrite_exprs(s, fn) for s in stmt.body),
-        )
-    if isinstance(stmt, (AddTo, AppendTo)):
-        keys = tuple(fn(k) for k in stmt.keys)
-        value = fn(stmt.value)
-        if value is stmt.value and all(a is b for a, b in zip(keys, stmt.keys)):
-            return stmt
-        if isinstance(stmt, AddTo):
-            return AddTo(stmt.slot, keys, value, stmt.caches, stmt.acc, stmt.key_locals)
-        return AppendTo(stmt.buffer, keys, value, stmt.target)
-    if isinstance(stmt, Block):
-        return Block(
-            stmt.comments,
-            tuple(rewrite_exprs(s, fn) for s in stmt.stmts),
-            stmt.sources,
-        )
-    return stmt
+    """``stmt`` with ``fn`` applied to each expression, its body's
+    included; ``stmt`` itself when ``fn`` returns every one as it is."""
+    return map_node(stmt, fn, lambda body: tuple(rewrite_exprs(s, fn) for s in body))
 
 
 def substitute_names(expr: IRExpr, mapping: dict[str, str]) -> IRExpr:
     """Rename variable references in ``expr``."""
     if not mapping:
         return expr
-    if isinstance(expr, Name):
-        return Name(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Sum):
-        return Sum(tuple(substitute_names(t, mapping) for t in expr.terms))
-    if isinstance(expr, Prod):
-        return Prod(tuple(substitute_names(f, mapping) for f in expr.factors))
-    if isinstance(expr, Neg):
-        return Neg(substitute_names(expr.body, mapping))
-    if isinstance(expr, SafeDiv):
-        return SafeDiv(
-            substitute_names(expr.left, mapping),
-            substitute_names(expr.right, mapping),
-        )
-    if isinstance(expr, Compare):
-        return Compare(
-            expr.op,
-            substitute_names(expr.left, mapping),
-            substitute_names(expr.right, mapping),
-        )
-    if isinstance(expr, Lookup):
-        return Lookup(
-            expr.slot,
-            tuple(substitute_names(k, mapping) for k in expr.keys),
-            expr.default,
-            mapping.get(expr.key_local, expr.key_local),
-        )
-    if isinstance(expr, KeyTuple):
-        return KeyTuple(tuple(substitute_names(i, mapping) for i in expr.items))
-    return expr
+    return map_node(
+        expr,
+        lambda child: substitute_names(child, mapping),
+        name_fn=lambda name: mapping.get(name, name),
+    )
 
 
 def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
@@ -703,52 +732,9 @@ def rename_stmt(stmt: IRStmt, mapping: dict[str, str]) -> IRStmt:
     statement tree — used when fusing loops with differing gensyms."""
     if not mapping:
         return stmt
-
-    def rn(name: str) -> str:
-        return mapping.get(name, name)
-
-    def sub(expr: IRExpr) -> IRExpr:
-        return substitute_names(expr, mapping)
-
-    if isinstance(stmt, Assign):
-        return Assign(rn(stmt.name), sub(stmt.value))
-    if isinstance(stmt, Accum):
-        return Accum(rn(stmt.name), sub(stmt.value))
-    if isinstance(stmt, IfCond):
-        return IfCond(sub(stmt.cond), tuple(rename_stmt(s, mapping) for s in stmt.body))
-    if isinstance(stmt, ForEachMap):
-        return ForEachMap(
-            stmt.slot,
-            rn(stmt.entry_var),
-            rn(stmt.value_var),
-            tuple((pos, rn(name)) for pos, name in stmt.binds),
-            tuple((pos, sub(expr)) for pos, expr in stmt.filters),
-            tuple(rename_stmt(s, mapping) for s in stmt.body),
-            rn(stmt.key_local),
-        )
-    if isinstance(stmt, ForEachRow):
-        return ForEachRow(
-            stmt.rows_var,
-            tuple(rn(p) for p in stmt.params),
-            tuple(rename_stmt(s, mapping) for s in stmt.body),
-        )
-    if isinstance(stmt, AddTo):
-        return AddTo(
-            stmt.slot,
-            tuple(sub(k) for k in stmt.keys),
-            sub(stmt.value),
-            stmt.caches,
-            stmt.acc,
-            tuple((positions, rn(name)) for positions, name in stmt.key_locals),
-        )
-    if isinstance(stmt, AppendTo):
-        return AppendTo(
-            stmt.buffer, tuple(sub(k) for k in stmt.keys), sub(stmt.value), stmt.target
-        )
-    if isinstance(stmt, Block):
-        return Block(
-            stmt.comments,
-            tuple(rename_stmt(s, mapping) for s in stmt.stmts),
-            stmt.sources,
-        )
-    return stmt
+    return map_node(
+        stmt,
+        lambda expr: substitute_names(expr, mapping),
+        lambda body: tuple(rename_stmt(s, mapping) for s in body),
+        lambda name: mapping.get(name, name),
+    )

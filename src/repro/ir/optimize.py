@@ -52,7 +52,10 @@ batch-constant thresholds.  Only ``hoist-invariants`` walks into the row
 loop, to lift batch-invariant work out of it: the other passes rewrite
 within a sequence, and the row loop's body is a per-event body they have
 already rewritten (staging its writes changes none of what they read;
-its key locals stay).  :class:`~repro.ir.nodes.Clear` (the flush's
+its key locals stay).  Among the shipped programs the walk lifts
+something out of psp's row loops (two scalar lookups each) and mst's (one
+extremum lookup) only; warehouse-load's program has nothing
+batch-invariant in its row loop.  :class:`~repro.ir.nodes.Clear` (the flush's
 zeroing write) is *destructive* — unlike additions it never commutes, even
 into exact maps — so the reorder analyses refuse any write-write overlap
 involving one.
@@ -60,6 +63,7 @@ involving one.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from repro.compiler.program import CompiledProgram
@@ -72,7 +76,6 @@ from repro.ir.nodes import (
     Assign,
     Block,
     Clear,
-    Compare,
     Const,
     Finalize,
     FlushBuffer,
@@ -95,10 +98,13 @@ from repro.ir.nodes import (
     TriggerIR,
     applied_slots,
     assigned_names,
+    binders,
     expr_names,
     expr_slots,
+    map_node,
     rename_stmt,
     rewrite_exprs,
+    same_nodes,
     stmt_children,
     stmt_exprs,
     walk_stmts,
@@ -131,14 +137,7 @@ def _scan(stmts) -> tuple[dict[str, int], int]:
     size = 0
     for stmt in walk_stmts(stmts):
         size += 1
-        names: tuple[str, ...] = ()
-        if isinstance(stmt, (Assign, Accum)):
-            names = (stmt.name,)
-        elif isinstance(stmt, ForEachMap):
-            names = (stmt.value_var, *(name for _, name in stmt.binds))
-        elif isinstance(stmt, ForEachRow):
-            names = stmt.params
-        for name in names:
+        for name in binders(stmt):
             bindings[name] = bindings.get(name, 0) + 1
     return bindings, size
 
@@ -187,6 +186,10 @@ def _effects(stmts) -> _Effects:
     bound: set[str] = set()
     accumulated: set[str] = set()
     for stmt in walk_stmts(stmts):
+        if isinstance(stmt, Accum):
+            accumulated.add(stmt.name)
+        else:
+            bound.update(binders(stmt))
         if isinstance(stmt, (AddTo, MergeInto, FlushBuffer, Clear, Finalize)):
             slots = applied_slots(stmt)
             applied.update(slots)
@@ -200,14 +203,6 @@ def _effects(stmts) -> _Effects:
             appended.add(stmt.target)
         elif isinstance(stmt, ForEachMap):
             reads.add(stmt.slot)
-            bound.add(stmt.value_var)
-            bound.update(name for _, name in stmt.binds)
-        elif isinstance(stmt, Assign):
-            bound.add(stmt.name)
-        elif isinstance(stmt, Accum):
-            accumulated.add(stmt.name)
-        elif isinstance(stmt, ForEachRow):
-            bound.update(stmt.params)
         stack = list(stmt_exprs(stmt))
         while stack:
             expr = stack.pop()
@@ -226,28 +221,6 @@ def _effects(stmts) -> _Effects:
         bound | accumulated,
         (used | accumulated) - bound,
     )
-
-
-def _with_children(expr: IRExpr, children: tuple[IRExpr, ...]) -> IRExpr:
-    """``expr`` rebuilt over new children (same node kind)."""
-    if isinstance(expr, Sum):
-        return Sum(children)
-    if isinstance(expr, Prod):
-        return Prod(children)
-    if isinstance(expr, Neg):
-        return Neg(*children)
-    if isinstance(expr, SafeDiv):
-        return SafeDiv(*children)
-    if isinstance(expr, Compare):
-        return Compare(expr.op, *children)
-    if isinstance(expr, KeyTuple):
-        return KeyTuple(children)
-    return Lookup(expr.slot, children, expr.default, expr.key_local)
-
-
-def _same(new, old) -> bool:
-    """Whether a rewrite left every child as it was (by identity)."""
-    return len(new) == len(old) and all(a is b for a, b in zip(new, old))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +269,7 @@ def _may_reorder(
 def _loop_effects(loop: ForEachMap, body: _Effects) -> _Effects:
     """A loop's effects from its body's: it also reads the scanned map and
     its filters' names, and binds its own."""
-    binders = {loop.value_var, *(name for _, name in loop.binds)}
+    bound = set(binders(loop))
     filtered = {expr.name for _, expr in loop.filters if isinstance(expr, Name)}
     if loop.key_local:
         filtered.add(loop.key_local)
@@ -305,8 +278,8 @@ def _loop_effects(loop: ForEachMap, body: _Effects) -> _Effects:
         body.ordered,
         body.destructive,
         body.reads | {loop.slot},
-        body.bound | binders,
-        (body.free - binders) | filtered,
+        body.bound | bound,
+        (body.free - bound) | filtered,
     )
 
 
@@ -364,14 +337,8 @@ def _fuse_pair(a: IRStmt, b: IRStmt, mapping: dict[str, str]) -> IRStmt:
         (pos, name) for pos, name in loop_b.binds if pos not in a_positions
     )
     renamed_body = tuple(rename_stmt(s, mapping) for s in loop_b.body)
-    fused_loop = ForEachMap(
-        loop_a.slot,
-        loop_a.entry_var,
-        loop_a.value_var,
-        tuple(sorted(merged_binds)),
-        loop_a.filters,
-        loop_a.body + renamed_body,
-        loop_a.key_local,
+    fused_loop = replace(
+        loop_a, binds=tuple(sorted(merged_binds)), body=loop_a.body + renamed_body
     )
     if a is loop_a:
         return fused_loop
@@ -393,7 +360,7 @@ def _fuse_sequence(
     it passes rebinds."""
     if sum(_as_loop(stmt) is not None for stmt in stmts) < 2:
         fused = tuple(_fuse_nested(stmt, exact, params) for stmt in stmts)
-        return stmts if _same(fused, stmts) else fused
+        return stmts if same_nodes(fused, stmts) else fused
     out = list(stmts)
     # Effects of each statement of ``out`` and of its loop's body, computed
     # on first use (most pairs differ in map or filters and need neither).
@@ -449,20 +416,19 @@ def _fuse_sequence(
             if changed:
                 break
     fused = tuple(_fuse_nested(stmt, exact, params) for stmt in out)
-    return stmts if _same(fused, stmts) else fused
+    return stmts if same_nodes(fused, stmts) else fused
 
 
 def _fuse_nested(stmt: IRStmt, exact: set[Slot], params: set[str]) -> IRStmt:
     """``stmt`` with the sequences nested in it fused; the names a loop
     binds are parameters of its body."""
     if isinstance(stmt, ForEachMap):
-        inner = params | {stmt.entry_var, stmt.value_var}
-        inner.update(name for _, name in stmt.binds)
+        inner = params | {stmt.entry_var, *binders(stmt)}
     elif isinstance(stmt, (IfCond, Block)):
         inner = params
     else:
         return stmt
-    return _rebuild_with_body(stmt, lambda body: _fuse_sequence(body, exact, inner))
+    return map_node(stmt, stmt_fn=lambda body: _fuse_sequence(body, exact, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +440,7 @@ def _merge_guards(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
     out: list[IRStmt] = []
     for stmt in stmts:
         if not isinstance(stmt, ForEachRow):
-            stmt = _rebuild_with_body(stmt, _merge_guards)
+            stmt = map_node(stmt, stmt_fn=_merge_guards)
         previous = out[-1] if out else None
         if (
             isinstance(stmt, IfCond)
@@ -484,9 +450,7 @@ def _merge_guards(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
         ):
             # Re-merge the joined bodies: each was merged alone, the seam
             # between them (nested identical guards) was not.
-            out[-1] = IfCond(
-                previous.cond, _merge_guards(previous.body + stmt.body)
-            )
+            out[-1] = with_body(previous, _merge_guards(previous.body + stmt.body))
         else:
             out.append(stmt)
     return tuple(out)
@@ -496,16 +460,6 @@ def _invalidates_cond(body: tuple[IRStmt, ...], cond: IRExpr) -> bool:
     if assigned_names(body) & expr_names(cond):
         return True
     return bool(written_slots(body) & expr_slots(cond))
-
-
-def _rebuild_with_body(stmt: IRStmt, fn) -> IRStmt:
-    """``stmt`` over ``fn(its body)``; ``stmt`` itself when that body
-    comes back unchanged (or it has none)."""
-    body = stmt_children(stmt)
-    if not body:
-        return stmt
-    new_body = fn(body)
-    return stmt if _same(new_body, body) else with_body(stmt, new_body)
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +472,21 @@ _HOIST_TYPES = (Prod, Sum, SafeDiv, Lookup, Neg)
 def _hoist_stmts(
     stmts: tuple[IRStmt, ...], namer, bindings: dict[str, int]
 ) -> tuple[IRStmt, ...]:
+    def hoist(body: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
+        return _hoist_stmts(body, namer, bindings)
+
     out: list[IRStmt] = []
     for stmt in stmts:
         if isinstance(stmt, (ForEachMap, ForEachRow)):
-            loop = stmt
             # A row loop's body is a per-event body hoisted already: only
             # what is invariant over the batch is left to lift out of it.
             if isinstance(stmt, ForEachMap):
-                body = _hoist_stmts(stmt.body, namer, bindings)
-                loop = _rebuild_with_body(stmt, lambda _body, b=body: b)
-            prelude, loop = _hoist_from_loop(loop, namer, bindings)
+                stmt = map_node(stmt, stmt_fn=hoist)
+            prelude, loop = _hoist_from_loop(stmt, namer, bindings)
             out.extend(prelude)
             out.append(loop)
         elif isinstance(stmt, (IfCond, Block)):
-            out.append(
-                _rebuild_with_body(
-                    stmt, lambda body: _hoist_stmts(body, namer, bindings)
-                )
-            )
+            out.append(map_node(stmt, stmt_fn=hoist))
         else:
             out.append(stmt)
     return tuple(out)
@@ -552,13 +503,9 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
     outer loop as itself, not as a copy.  Other invariant pure
     subexpressions are extracted into fresh temps."""
     body = stmt_children(loop)
-    inner = set(assigned_names(body))
+    inner = {*assigned_names(body), *binders(loop)}
     if isinstance(loop, ForEachMap):
         inner.add(loop.entry_var)
-        inner.add(loop.value_var)
-        inner.update(name for _, name in loop.binds)
-    else:
-        inner.update(loop.params)
     written = written_slots(body)
     moved: list[IRStmt] = []
     hoisted: dict[IRExpr, str] = {}
@@ -586,10 +533,7 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
                 temp = namer.fresh("h")
                 hoisted[expr] = temp
             return Name(temp)
-        children = expr.children()
-        if not children:
-            return expr
-        return _with_children(expr, tuple(extract(child) for child in children))
+        return map_node(expr, extract)
 
     def lift(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
         out: list[IRStmt] = []
@@ -602,12 +546,10 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
             ):
                 moved.append(stmt)
                 inner.discard(stmt.name)
-            elif isinstance(stmt, IfCond):
-                out.append(IfCond(extract(stmt.cond), lift(stmt.body)))
-            elif isinstance(stmt, Block):
-                out.append(Block(stmt.comments, lift(stmt.stmts), stmt.sources))
+            elif isinstance(stmt, (IfCond, Block)):
+                out.append(map_node(stmt, extract, lift))
             else:
-                out.append(_rewrite_exprs_skipping_filters(stmt, extract))
+                out.append(rewrite_exprs(stmt, extract))
         return tuple(out)
 
     new_body = lift(body)
@@ -617,40 +559,7 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
         *moved,
         *(Assign(name, expr) for expr, name in hoisted.items()),
     )
-    return prelude, _rebuild_with_body(loop, lambda _body: new_body)
-
-
-def _rewrite_exprs_skipping_filters(stmt: IRStmt, fn) -> IRStmt:
-    """Like :func:`rewrite_exprs` but leaves loop filters untouched (they
-    must stay index-probe-compatible Name/Const/KeyAt atoms)."""
-    if isinstance(stmt, ForEachMap):
-        return ForEachMap(
-            stmt.slot,
-            stmt.entry_var,
-            stmt.value_var,
-            stmt.binds,
-            stmt.filters,
-            tuple(_rewrite_exprs_skipping_filters(s, fn) for s in stmt.body),
-            stmt.key_local,
-        )
-    if isinstance(stmt, ForEachRow):
-        return ForEachRow(
-            stmt.rows_var,
-            stmt.params,
-            tuple(_rewrite_exprs_skipping_filters(s, fn) for s in stmt.body),
-        )
-    if isinstance(stmt, IfCond):
-        return IfCond(
-            fn(stmt.cond),
-            tuple(_rewrite_exprs_skipping_filters(s, fn) for s in stmt.body),
-        )
-    if isinstance(stmt, Block):
-        return Block(
-            stmt.comments,
-            tuple(_rewrite_exprs_skipping_filters(s, fn) for s in stmt.stmts),
-            stmt.sources,
-        )
-    return rewrite_exprs(stmt, fn)
+    return prelude, with_body(loop, new_body)
 
 
 # ---------------------------------------------------------------------------
@@ -694,28 +603,6 @@ def _rebound(names, bindings: dict[str, int]) -> set[str]:
     can change a name after a use (a name bound once is bound before any
     read of it)."""
     return {name for name in names if bindings.get(name, 0) > 1}
-
-
-def _rewrite_direct(stmt: IRStmt, fn) -> IRStmt:
-    """``stmt`` with ``fn`` applied to the expressions it evaluates itself
-    (a guard's condition, a loop's filters — not their bodies)."""
-    if isinstance(stmt, IfCond):
-        cond = fn(stmt.cond)
-        return stmt if cond is stmt.cond else IfCond(cond, stmt.body)
-    if isinstance(stmt, ForEachMap):
-        filters = tuple((pos, fn(expr)) for pos, expr in stmt.filters)
-        if all(a[1] is b[1] for a, b in zip(filters, stmt.filters)):
-            return stmt
-        return ForEachMap(
-            stmt.slot,
-            stmt.entry_var,
-            stmt.value_var,
-            stmt.binds,
-            filters,
-            stmt.body,
-            stmt.key_local,
-        )
-    return rewrite_exprs(stmt, fn)
 
 
 class _Sharing:
@@ -898,7 +785,7 @@ class _Sharing:
                     del avail[entry]
                 writes |= w
                 rebound |= r
-        return (stmts if _same(out, stmts) else tuple(out)), writes, rebound
+        return (stmts if same_nodes(out, stmts) else tuple(out)), writes, rebound
 
     def statement(self, stmt: IRStmt, avail: dict, out: list[IRStmt]):
         """Append ``stmt`` rewritten to ``out``, the temps and locals it
@@ -919,7 +806,7 @@ class _Sharing:
                 and type(value) is Lookup
                 and self.bindings.get(stmt.name, 1) == 1
             ):
-                lookup = self.renamed(value, avail, out)
+                lookup = map_node(value, shared)
                 held = avail.get(lookup)
                 if held is not None:
                     self.renames[stmt.name] = Name(held)
@@ -930,15 +817,13 @@ class _Sharing:
                 value = keyed(lookup)
             else:
                 value = keyed(shared(value))
-            out.append(stmt if value is stmt.value else kind(stmt.name, value))
+            out.append(stmt if value is stmt.value else replace(stmt, value=value))
             return set(), _rebound((stmt.name,), self.bindings)
         if kind is AddTo or kind is AppendTo:
-            new = rewrite_exprs(stmt, shared)
+            new = map_node(stmt, shared)
             value = keyed(new.value)
             if kind is AppendTo:
-                if value is not new.value:
-                    new = AppendTo(new.buffer, new.keys, value, new.target)
-                out.append(new)
+                out.append(new if value is new.value else replace(new, value=value))
                 return set(), set()
             key_locals = []
             for positions, key, reads in self.write_keys(new):
@@ -946,24 +831,22 @@ class _Sharing:
                 if name:
                     key_locals.append((positions, name))
             if value is not stmt.value or tuple(key_locals) != stmt.key_locals:
-                new = AddTo(
-                    new.slot, new.keys, value, new.caches, new.acc, tuple(key_locals)
-                )
+                new = replace(new, value=value, key_locals=tuple(key_locals))
             out.append(new)
             return set(applied_slots(new)), set()
         if kind is IfCond:
-            stmt = _rewrite_direct(_rewrite_direct(stmt, shared), keyed)
+            stmt = map_node(map_node(stmt, shared), keyed)
             body, writes, rebound = self.scope(stmt.body, dict(avail))
             # A guard whose body was all shared away has nothing left to guard.
             if body:
-                out.append(stmt if body is stmt.body else IfCond(stmt.cond, body))
+                out.append(with_body(stmt, body))
             return writes, rebound
         if kind is Block:
             body, writes, rebound = self.sequence(stmt.stmts, avail)
-            out.append(stmt if body is stmt.stmts else with_body(stmt, body))
+            out.append(with_body(stmt, body))
             return writes, rebound
         if kind is ForEachMap:
-            return self.loop(_rewrite_direct(stmt, shared), avail, out)
+            return self.loop(map_node(stmt, shared), avail, out)
         out.append(stmt)
         rebound = _rebound(assigned_names((stmt,)), self.bindings)
         return set(written_slots((stmt,))), rebound
@@ -972,48 +855,38 @@ class _Sharing:
         """:meth:`statement` for a map loop."""
         probe = _probe_key(stmt)
         key_local = self.local(probe, avail, out, 1) if probe is not None else ""
-        binders = {stmt.value_var, *(name for _, name in stmt.binds)}
+        bound = set(binders(stmt))
         written = written_slots(stmt.body)
         inner = {
             entry: name
             for entry, name in avail.items()
             if not (
-                self.over(entry, written, binders)
+                self.over(entry, written, bound)
                 or _rebound(self.entry_names(entry), self.bindings)
             )
         }
         body, writes, rebound = self.scope(stmt.body, inner)
         if stmt.key_local != key_local or body is not stmt.body:
-            stmt = ForEachMap(
-                stmt.slot,
-                stmt.entry_var,
-                stmt.value_var,
-                stmt.binds,
-                stmt.filters,
-                body,
-                key_local,
-            )
+            stmt = replace(stmt, body=body, key_local=key_local)
         out.append(stmt)
-        return writes, rebound | _rebound(binders, self.bindings)
+        return writes, rebound | _rebound(bound, self.bindings)
 
     def read(self, name: str) -> None:
         if name in self.uses:
             self.uses[name] += 1
 
-    def renamed(self, lookup: Lookup, avail: dict, out: list[IRStmt]) -> Lookup:
-        keys = tuple(self.shared(key, avail, out) for key in lookup.keys)
-        if _same(keys, lookup.keys):
-            return lookup
-        return Lookup(lookup.slot, keys, lookup.default, lookup.key_local)
-
     def shared(self, expr: IRExpr, avail: dict, out: list[IRStmt]) -> IRExpr:
         """``expr`` with renamed names read as their holders, and each
         lookup the body repeats read from the name holding it (a fresh
         temp assigned first when none does)."""
+
+        def shared(child: IRExpr) -> IRExpr:
+            return self.shared(child, avail, out)
+
         if isinstance(expr, Name):
             return self.renames.get(expr.name, expr)
         if isinstance(expr, Lookup):
-            lookup = self.renamed(expr, avail, out)
+            lookup = map_node(expr, shared)
             if self.counts.get(expr, 0) < 2:
                 return lookup
             held = avail.get(lookup)
@@ -1025,11 +898,7 @@ class _Sharing:
             else:
                 self.read(held)
             return Name(held)
-        children = expr.children()
-        if not children:
-            return expr
-        new = tuple(self.shared(child, avail, out) for child in children)
-        return expr if _same(new, children) else _with_children(expr, new)
+        return map_node(expr, shared)
 
     def keyed(self, expr: IRExpr, avail: dict, out: list[IRStmt]) -> IRExpr:
         """``expr`` with each lookup reading the local of its key."""
@@ -1038,12 +907,8 @@ class _Sharing:
             key_local = self.local(key, avail, out, 1) if key is not None else ""
             if key_local == expr.key_local:
                 return expr
-            return Lookup(expr.slot, expr.keys, expr.default, key_local)
-        children = expr.children()
-        if not children:
-            return expr
-        new = tuple(self.keyed(child, avail, out) for child in children)
-        return expr if _same(new, children) else _with_children(expr, new)
+            return replace(expr, key_local=key_local)
+        return map_node(expr, lambda child: self.keyed(child, avail, out))
 
     def put_back(self, stmts, unread: set[str]) -> tuple[IRStmt, ...]:
         """``stmts`` without the temps and locals in ``unread``: their one
@@ -1053,39 +918,22 @@ class _Sharing:
             if isinstance(expr, Name):
                 return clear(self.temps[expr.name]) if expr.name in unread else expr
             if isinstance(expr, Lookup) and expr.key_local in unread:
-                expr = Lookup(expr.slot, expr.keys, expr.default)
-            children = expr.children()
-            if not children:
-                return expr
-            new = tuple(clear(child) for child in children)
-            return expr if _same(new, children) else _with_children(expr, new)
+                expr = replace(expr, key_local="")
+            return map_node(expr, clear)
 
         out: list[IRStmt] = []
         for stmt in stmts:
             if isinstance(stmt, Assign) and stmt.name in unread:
                 continue
+            stmt = map_node(stmt, clear, lambda body: self.put_back(body, unread))
             if isinstance(stmt, AddTo):
                 key_locals = tuple(kl for kl in stmt.key_locals if kl[1] not in unread)
-                value = clear(stmt.value)
-                if value is not stmt.value or key_locals != stmt.key_locals:
-                    stmt = AddTo(
-                        stmt.slot, stmt.keys, value, stmt.caches, stmt.acc, key_locals
-                    )
+                if key_locals != stmt.key_locals:
+                    stmt = replace(stmt, key_locals=key_locals)
             elif isinstance(stmt, ForEachMap) and stmt.key_local in unread:
-                stmt = ForEachMap(
-                    stmt.slot,
-                    stmt.entry_var,
-                    stmt.value_var,
-                    stmt.binds,
-                    stmt.filters,
-                    stmt.body,
-                )
-            elif isinstance(stmt, (Assign, Accum, IfCond, AppendTo)):
-                stmt = _rewrite_direct(stmt, clear)
-            out.append(
-                _rebuild_with_body(stmt, lambda body: self.put_back(body, unread))
-            )
-        return stmts if _same(out, stmts) else tuple(out)
+                stmt = replace(stmt, key_local="")
+            out.append(stmt)
+        return stmts if same_nodes(out, stmts) else tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.compiler.program import CompiledProgram, Statement
 from repro.ir.interp import run_trigger_collect
 from repro.ir.lower import lower_program
 from repro.runtime.engine import admit
-from repro.runtime.events import StreamEvent
+from repro.runtime.events import EventBatch, StreamEvent
 
 
 @dataclass
@@ -91,7 +91,8 @@ class Debugger:
         event the engine would refuse raises the engine's error and
         changes nothing."""
         trace = EventTrace(event=event)
-        if admit(self, event.relation, event.sign, 1) is not None:
+        batch = EventBatch(event.relation, event.sign, [event.values])
+        if admit(self, batch, 1) is not None:
             for block, updates in run_trigger_collect(
                 self._ir.triggers[(event.relation, 0)],
                 (event.sign, *event.values),

@@ -1200,7 +1200,7 @@ class DurableEngine(Engine):
         count = batch._length
         if not count:
             return 0
-        admit(self._engine, batch.relation, batch.sign, 0)
+        admit(self._engine, batch, 0)
         self._lsn = self._wal.append_batch(batch)
         if self._probe is not None:
             self._probe("engine.after_append")

@@ -128,13 +128,17 @@ _CHECKPOINT_EVERY = 64
 _SKIP = ()
 
 
-def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
-    """The one admission rule: may ``count`` rows of ``relation`` with
-    ``sign`` enter ``engine``, and which trigger runs them.
+def admit(engine, batch: EventBatch, count: int) -> Optional[Trigger]:
+    """The one admission rule: may ``count`` rows of ``batch`` enter
+    ``engine``, and which trigger runs them.
 
-    Static tables must be fully loaded before the first stream event —
-    mixed static/stream maps carry no static-table triggers, which is
-    only sound while all streams are empty — and only take inserts.  A
+    Every row of a relation some query reads holds one value per column
+    (the trigger's parameters): a short row would fail part-way through
+    the batch, and a long one would bind the generated trigger's map
+    defaults.  Static tables must be fully loaded before the first
+    stream event — mixed static/stream maps carry no static-table
+    triggers, which is only sound while all streams are empty — and only
+    take inserts.  A
     relation no standing query reads raises in ``strict`` mode and is
     counted into ``events_skipped`` otherwise.  Returns the relation's
     trigger, which every sign runs, or ``None`` for a skipped relation,
@@ -150,7 +154,15 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
     batch *before* logging it.
     """
     program = engine.program
+    relation = batch.relation
     trigger = program.triggers.get((relation, 0))
+    if trigger is not None:
+        width = len(trigger.params)
+        rows = batch._rows
+        # A columnar batch is as wide as its tuple of columns.
+        for row in (batch._columns,) if rows is None else rows:
+            if len(row) != width:
+                raise _width_error(relation, width, len(row))
     if relation in program.static_relations:
         if engine._stream_started:
             raise EventError(
@@ -158,7 +170,7 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
                 "stream processing has started; declare it as a STREAM "
                 "if it receives online updates"
             )
-        if sign != 1:
+        if batch.sign != 1:
             raise EventError(
                 f"static table {relation!r} only supports bulk-load inserts"
             )
@@ -174,6 +186,12 @@ def admit(engine, relation: str, sign, count: int) -> Optional[Trigger]:
             )
         engine.events_skipped += count
     return trigger
+
+
+def _width_error(relation: str, width: int, got: int) -> EventError:
+    return EventError(
+        f"relation {relation!r} has {width} columns; got a row of {got} values"
+    )
 
 
 def _build_executor(program: CompiledProgram, options: ExecutorOptions):
@@ -470,11 +488,16 @@ class DeltaEngine(Engine):
         """Bind the executor to ``self.maps``, and each relation's trigger
         to either sign for the per-event path, indexed by the sign
         (``signed[relation][sign]``): ``partial`` prepends the weight in
-        C, where ``trigger(sign, *values)`` builds a tuple.  The routes
-        held the old triggers, so they go too."""
+        C, where ``trigger(sign, *values)`` builds a tuple.  Entry 0 is
+        the relation's width, which a route checks each row against.  The
+        routes held the old triggers, so they go too."""
         self._triggers = self._executor.bind(self.maps)
         self._signed = {
-            relation: (None, partial(trigger, 1), partial(trigger, -1))
+            relation: (
+                len(self.program.trigger_for(relation).params),
+                partial(trigger, 1),
+                partial(trigger, -1),
+            )
             for (relation, _), trigger in self._triggers.per_event.items()
         }
         # Admission settled per relation (:meth:`_route` fills it).
@@ -519,7 +542,10 @@ class DeltaEngine(Engine):
         """
         route = self._routes.get(event.relation)
         if route:
-            route[event.sign](*event.values)
+            values = event.values
+            if len(values) != route[0]:
+                raise _width_error(event.relation, route[0], len(values))
+            route[event.sign](*values)
             self.events_processed += 1
         elif route is None:
             super().process(event)
@@ -531,8 +557,9 @@ class DeltaEngine(Engine):
         """See :meth:`Engine.process_batch`.  One row in a ``list`` with
         the ``int`` sign ``1`` or ``-1`` takes :meth:`process`'s route;
         only such a sign may index it (a route's ``[-2]`` is the insert
-        trigger).  Anything else takes the batch path, and a relation
-        with no route gets one once the batch settled its admission."""
+        trigger, its ``[0]`` the width).  Anything else takes the batch
+        path, and a relation with no route gets one once the batch
+        settled its admission."""
         route = self._routes.get(relation)
         if (
             route is not None
@@ -542,7 +569,10 @@ class DeltaEngine(Engine):
             and len(rows) == 1
         ):
             if route:
-                route[sign](*rows[0])
+                row = rows[0]
+                if len(row) != route[0]:
+                    raise _width_error(relation, route[0], len(row))
+                route[sign](*row)
                 self.events_processed += 1
                 return 1
             self.events_skipped += 1
@@ -596,7 +626,7 @@ class DeltaEngine(Engine):
 
             return observed
 
-        return (None, entry(1), entry(-1))
+        return (signed[0], entry(1), entry(-1))
 
     def add_batch_listener(self, listener) -> None:
         super().add_batch_listener(listener)
@@ -617,7 +647,7 @@ class DeltaEngine(Engine):
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if admit(self, relation, sign, count) is None:
+        if admit(self, batch, count) is None:
             return 0
         try:
             applied = self._apply(relation, sign, batch._rows, batch._columns)
@@ -1363,7 +1393,7 @@ class ShardedEngine(Engine):
             return 0
         relation, sign = batch.relation, batch.sign
         weights = sign if isinstance(sign, list) else None
-        if admit(self, relation, sign, count) is None:
+        if admit(self, batch, count) is None:
             return 0
         if self.supervisor is not None:
             self.supervisor.log(batch)

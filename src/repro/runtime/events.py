@@ -43,8 +43,10 @@ class StreamEvent:
     values: tuple
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise EventError(f"event sign must be +1 or -1, got {self.sign!r}")
+        if not is_sign(self.sign):
+            raise EventError(
+                f"event sign must be the int +1 or -1, got {self.sign!r}"
+            )
 
     def __repr__(self) -> str:
         symbol = "+" if self.sign == 1 else "-"
@@ -101,6 +103,14 @@ def rows_from_columns(columns: Sequence[Sequence]) -> list[tuple]:
 _SIGNS = frozenset((1, -1))
 
 
+def is_sign(value) -> bool:
+    """Whether ``value`` is a sign: the ``int`` ``+1`` or ``-1``.  A float
+    or a bool equals one (``1.0 == 1``) but is refused: a float indexes
+    no per-event route, and a map would store either as itself, which the
+    exact-integer proofs behind sharding and reordering rule out."""
+    return type(value) is int and (value == 1 or value == -1)
+
+
 def batch_sign(weights: list):
     """The ``sign`` of a run with this weight column: its one sign when
     every row shares it, else the column itself."""
@@ -109,21 +119,24 @@ def batch_sign(weights: list):
 
 
 def _checked_sign(sign, count: int):
-    """A batch's ``sign`` from what a caller passed: ``+1``/``-1``, or a
-    weight column — a list of one ``+1``/``-1`` per row, kept only when
-    it actually mixes signs."""
-    if sign == 1 or sign == -1:
+    """A batch's ``sign`` from what a caller passed: a sign (see
+    :func:`is_sign`), or a weight column — a list of one sign per row,
+    kept only when it actually mixes signs."""
+    if is_sign(sign):
         return sign
     if not isinstance(sign, list):
         shown = repr(sign)
     elif len(sign) != count or not sign:
         shown = f"a {len(sign)}-entry weight column for {count} rows"
-    elif not _SIGNS.issuperset(sign):
-        shown = f"weights {sorted(set(sign) - _SIGNS, key=repr)}"
+    elif not _SIGNS.issuperset(sign) or set(map(type, sign)) != {int}:
+        shown = "weights " + ", ".join(
+            sorted({repr(weight) for weight in sign if not is_sign(weight)})
+        )
     else:
         return batch_sign(sign)
     raise EventError(
-        f"batch sign must be +1, -1 or a list of one +1/-1 per row, got {shown}"
+        "batch sign must be the int +1 or -1, or a list of one such sign "
+        f"per row, got {shown}"
     )
 
 
@@ -164,10 +177,8 @@ class EventBatch:
 
     def __init__(self, relation: str, sign, rows: Iterable[Sequence] = ()):
         rows = rows if isinstance(rows, list) else list(rows)
-        if sign != 1 and sign != -1:
-            sign = _checked_sign(sign, len(rows))
         self.relation = relation
-        self.sign = sign
+        self.sign = _checked_sign(sign, len(rows))
         self._rows: Optional[list] = rows
         self._columns: Optional[tuple[list, ...]] = None
         self._length = len(rows)
@@ -184,11 +195,9 @@ class EventBatch:
                 f"ragged columnar batch for {relation!r}: column lengths "
                 f"{[len(column) for column in columns]}"
             )
-        if sign != 1 and sign != -1:
-            sign = _checked_sign(sign, length)
         batch = cls.__new__(cls)
         batch.relation = relation
-        batch.sign = sign
+        batch.sign = _checked_sign(sign, length)
         batch._rows = None
         batch._columns = columns
         batch._length = length

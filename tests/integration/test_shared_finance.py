@@ -12,24 +12,13 @@ from functools import lru_cache
 
 import pytest
 
-from repro.algebra.translate import translate_sql
-from repro.compiler import compile_queries
 from repro.runtime import DeltaEngine
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 from tests.integration.sql_oracle import SqliteOracle, normalize_rows
-from tests.lanes import PYTHON_EXECUTORS, bounded_book
+from tests.lanes import PYTHON_EXECUTORS, bounded_book, shipped_program
 
 #: Events between two comparisons of every view with sqlite.
 CHECK_EVERY = 500
-
-
-@lru_cache(maxsize=None)
-def _program():
-    catalog = finance_catalog()
-    return compile_queries(
-        [translate_sql(sql, catalog, name=name) for name, sql in FINANCE_QUERIES.items()],
-        catalog,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +41,7 @@ def _expected() -> tuple:
 def test_the_program_shares_triggers():
     """One trigger per relation and sign carries statements of several
     queries, bbo's and act's cache-keeping writes among them."""
-    program = _program()
+    program = shipped_program("finance")
     assert len(program.queries) == len(FINANCE_QUERIES) == 7
     assert set(program.slot_aux) == {"bbo", "act"}
     for trigger in program.triggers.values():
@@ -67,7 +56,7 @@ def test_shared_finance_program_matches_sqlite(mode, batch_size):
     events, checkpoints = _expected()
     if mode == "interpreted":  # the tree-walker: a shorter stretch
         events = events[: 2 * CHECK_EVERY]
-    engine = DeltaEngine(_program(), mode=mode)
+    engine = DeltaEngine(shipped_program("finance"), mode=mode)
     for index, start in enumerate(range(0, len(events), CHECK_EVERY)):
         engine.process_stream(
             events[start : start + CHECK_EVERY], batch_size=batch_size

@@ -354,9 +354,9 @@ def test_a_logged_batch_crosses_each_layer_once(tmp_path, monkeypatch):
     admitted = []
     real_admit = engine_module.admit
 
-    def counting_admit(target, relation, sign, count):
-        admitted.append((type(target).__name__, sign))
-        return real_admit(target, relation, sign, count)
+    def counting_admit(target, batch, count):
+        admitted.append((type(target).__name__, batch.sign))
+        return real_admit(target, batch, count)
 
     monkeypatch.setattr(engine_module, "admit", counting_admit)
     monkeypatch.setattr(durability, "admit", counting_admit)

@@ -1,7 +1,9 @@
 """Unit tests for the imperative trigger IR: lowering, passes, printing."""
 
+import copy
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,21 +17,34 @@ from repro.ir import (
     program_str,
     trigger_str,
 )
+from repro.ir import nodes
 from repro.ir.lower import plan_second_order
 from repro.ir.nodes import (
+    NAME_FIELDS,
     Accum,
     AddTo,
     AppendTo,
     Assign,
     Block,
+    BufferDecl,
     Compare,
     Const,
+    Finalize,
+    FlushBuffer,
     ForEachMap,
     ForEachRow,
     IfCond,
+    IRExpr,
+    IRStmt,
+    KeyAt,
+    LocalMapDecl,
     Lookup,
+    MapDecl,
     MergeInto,
     Name,
+    Slot,
+    map_node,
+    rename_stmt,
     stmt_children,
     stmt_exprs,
     walk_stmts,
@@ -708,7 +723,133 @@ class TestPrettyPrinter:
         assert "+=" in text
 
     def test_lookup_default_rendered(self):
-        from repro.ir.nodes import Slot
         from repro.ir.pretty import expr_str
 
         assert expr_str(Lookup(Slot("m"), (Const(3),))) == "lookup(m[3], 0)"
+
+
+#: Every IR node kind.
+NODE_KINDS = [
+    kind
+    for kind in vars(nodes).values()
+    if isinstance(kind, type)
+    and issubclass(kind, (IRExpr, IRStmt))
+    and kind not in (IRExpr, IRStmt)
+]
+
+#: ``str`` fields of statement kinds that name no scalar local, so
+#: ``rename_stmt`` leaves them: buffers, accumulators, a batch's rows, a
+#: cache kind, comments.
+NON_LOCAL_FIELDS = {
+    (AppendTo, "buffer"),
+    (BufferDecl, "name"),
+    (FlushBuffer, "name"),
+    (LocalMapDecl, "name"),
+    (AddTo, "acc"),
+    (MergeInto, "acc"),
+    (ForEachRow, "rows_var"),
+    (Finalize, "kind"),
+    (Block, "comments"),
+}
+
+
+@pytest.fixture(scope="module")
+def thirteen_programs(suite_programs, warehouse_program):
+    """The 11 shipped queries, warehouse-load's program and the seven
+    finance views compiled into one."""
+    return {
+        **suite_programs,
+        "warehouse": warehouse_program,
+        "finance": shipped_program("finance"),
+    }
+
+
+def _bodies(programs):
+    """Every trigger body of the programs, lowered and optimised."""
+    for program in programs.values():
+        for optimize in (False, True):
+            ir = lower_program(program, optimize=optimize)
+            for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values()):
+                yield trigger_ir.body
+
+
+class TestNodeProtocol:
+    """``map_node`` rebuilds every node from its fields; what makes that
+    safe is pinned here."""
+
+    def test_every_node_kind_is_a_frozen_slotted_dataclass(self):
+        assert {kind.__name__ for kind in NODE_KINDS} >= {"Lookup", "Finalize"}
+        for kind in NODE_KINDS:
+            assert kind.__dataclass_params__.frozen, kind
+            shape = tuple(field.name for field in fields(kind))
+            assert kind.__slots__ == shape, kind
+            assert all(field.init for field in fields(kind)), kind
+
+    def test_map_node_rebuilds_every_node_positionally(self, thirteen_programs):
+        seen = set()
+        done = set()
+        for body in _bodies(thirteen_programs):
+            for stmt in walk_stmts(body):
+                stack = [stmt, *stmt_exprs(stmt)]
+                while stack:
+                    node = stack.pop()
+                    if id(node) in done:
+                        continue
+                    done.add(id(node))
+                    if isinstance(node, IRExpr):
+                        stack.extend(node.children())
+                    values = [getattr(node, field.name) for field in fields(node)]
+                    assert type(node)(*values) == node
+                    copied = map_node(
+                        node,
+                        copy.copy,
+                        lambda body: tuple(map(copy.copy, body)),
+                        lambda name: "".join(name),
+                    )
+                    assert copied == node
+                    seen.add(type(node))
+        assert seen >= {ForEachMap, ForEachRow, AddTo, IfCond, Block, Lookup}
+
+    def test_every_str_field_of_a_statement_is_renamed_or_names_no_local(self):
+        for kind, names in NAME_FIELDS.items():
+            assert set(names) <= {field.name for field in fields(kind)}, kind
+        for kind in NODE_KINDS:
+            if not issubclass(kind, IRStmt) or kind is MapDecl:
+                continue  # a map declaration is in no trigger body
+            for field in fields(kind):
+                if "str" in str(field.type):
+                    assert (
+                        field.name in NAME_FIELDS.get(kind, ())
+                        or (kind, field.name) in NON_LOCAL_FIELDS
+                    ), (kind.__name__, field.name)
+
+    def test_every_loop_filter_is_an_atom(self, thirteen_programs):
+        # Hoisting rewrites loop filters with the rest of a statement's
+        # expressions: it leaves these three as they are.
+        filters = 0
+        for body in _bodies(thirteen_programs):
+            for stmt in walk_stmts(body):
+                if isinstance(stmt, ForEachMap):
+                    for _, expr in stmt.filters:
+                        assert type(expr) in (Const, Name, KeyAt), stmt
+                        filters += 1
+        assert filters
+
+    def test_map_node_returns_the_node_itself_when_nothing_changes(self):
+        write = AddTo(Slot("n"), (Name("k"),), Name("v"), key_locals=(((0,), "kl"),))
+        loop = ForEachMap(
+            Slot("m"), "e", "v", ((0, "k"),), ((1, Name("x")),), (write,), "pk"
+        )
+        kept = map_node(loop, lambda expr: expr, lambda body: tuple(body), str)
+        assert kept is loop
+        assert rename_stmt(loop, {"other": "name"}) is loop
+        renamed = rename_stmt(loop, {"k": "j", "x": "y", "kl": "jl", "pk": "pj"})
+        assert renamed == ForEachMap(
+            Slot("m"),
+            "e",
+            "v",
+            ((0, "j"),),
+            ((1, Name("y")),),
+            (AddTo(Slot("n"), (Name("j"),), Name("v"), key_locals=(((0,), "jl"),)),),
+            "pj",
+        )

@@ -238,15 +238,20 @@ def rst_stream(name: str, drawn) -> list:
 
 def compile_shipped(query: str, name: str = "q"):
     """One of the 11 shipped queries compiled alone as view ``name``, or
-    ``warehouse``: warehouse-load's four SSB views compiled together."""
+    ``warehouse`` / ``finance``: warehouse-load's four SSB views, or the
+    seven finance views, compiled together into one program."""
     if query in FINANCE_QUERIES:
         return compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=name)
-    catalog = ssb_catalog()
     if query in SSB_FLIGHT:
-        return compile_sql(SSB_FLIGHT[query], catalog, name=name)
-    assert query == "warehouse", query
-    views = [translate_sql(sql, catalog, name=view) for view, sql in SSB_FLIGHT.items()]
-    return compile_queries(views, catalog)
+        return compile_sql(SSB_FLIGHT[query], ssb_catalog(), name=name)
+    if query == "warehouse":
+        catalog, views = ssb_catalog(), SSB_FLIGHT
+    else:
+        assert query == "finance", query
+        catalog, views = finance_catalog(), FINANCE_QUERIES
+    return compile_queries(
+        [translate_sql(sql, catalog, name=view) for view, sql in views.items()], catalog
+    )
 
 
 #: ``compile_shipped``, compiled once per ``(query, name)``.

@@ -35,7 +35,7 @@ from repro.runtime.durability import (
     program_fingerprint,
     recover_engine,
 )
-from repro.runtime.events import EventBatch
+from repro.runtime.events import EventBatch, StreamEvent
 from repro.sql.catalog import Catalog
 
 CATALOG_DDL = """
@@ -590,6 +590,26 @@ ENGINE_SHAPES = {
 }
 
 
+#: Inputs every engine shape refuses whole, before anything is applied or
+#: logged: rows of the wrong width for ``R (A, B)`` on the per-event,
+#: one-row, multi-row and columnar paths, and signs that equal +1 or -1
+#: but are a float or a bool.
+REFUSED = {
+    "short event": lambda e: e.insert("R", 1),
+    "long event": lambda e: e.insert("R", 1, 2, {}),
+    "short row": lambda e: e.process_batch("R", 1, [(1,)]),
+    "long row": lambda e: e.process_batch("R", 1, [(1, 2, {})]),
+    "short rows": lambda e: e.process_batch("R", 1, [(1, 2), (1,)]),
+    "long rows": lambda e: e.process_batch("R", -1, [(1, 2, 3)] * 2),
+    "short columns": lambda e: e.process_batch_columns("R", 1, ([1, 2],)),
+    "float event": lambda e: e.process(StreamEvent("R", 1.0, (1, 2))),
+    "float row": lambda e: e.process_batch("R", 1.0, [(1, 2)]),
+    "float rows": lambda e: e.process_batch("R", -1.0, [(1, 2)] * 2),
+    "float weights": lambda e: e.process_batch("R", [1, -1.0], [(1, 2)] * 2),
+    "bool row": lambda e: e.process_batch("R", True, [(1, 2)]),
+}
+
+
 @pytest.mark.parametrize("shape", sorted(ENGINE_SHAPES))
 def test_engine_core_rules_hold_on_every_engine_shape(shape, tmp_path):
     make = ENGINE_SHAPES[shape]
@@ -604,6 +624,21 @@ def test_engine_core_rules_hold_on_every_engine_shape(shape, tmp_path):
         engine.insert("Nope", 1, 2)
         assert engine.events_skipped == 1
         assert engine.events_processed == 0
+    # A wrong-width row or a float or bool sign raises EventError and
+    # changes no map, counter or log (a routed relation included).
+    with make(_program(), tmp_path / "refused") as engine:
+        engine.insert("R", 1, 2)
+        engine.insert("R", 1, 3)
+
+        def state():
+            logged = engine.lsn if isinstance(engine, DurableEngine) else None
+            return repr(engine.current_maps()), engine.events_processed, logged
+
+        before = state()
+        for name, refused in REFUSED.items():
+            with pytest.raises(EventError):
+                refused(engine)
+            assert state() == before, name
     # Static tables take inserts only, and only before the first stream event.
     static = compile_sql(
         "SELECT sum(f.x * d.v) FROM fact f, dim d WHERE f.k = d.k",

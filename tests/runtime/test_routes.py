@@ -210,9 +210,11 @@ def _outcome(engine, relation, sign, row):
     "sign", [2, 0, -2, "1", None, 1.0, True, [1], [-1]], ids=repr
 )
 def test_only_an_int_sign_indexes_a_route(program, sign, listen):
-    """A route is ``(None, on(+1), on(-1))``: ``route[-2]`` would insert
+    """A route is ``(width, on(+1), on(-1))``: ``route[-2]`` would insert
     and ``route[0]`` is no trigger.  A routed and an unrouted engine
-    answer every other sign the same, and end with the same maps."""
+    answer every other sign the same, and end with the same maps: a
+    float or a bool equals a sign but is refused, a weight column of
+    one sign is accepted."""
     feed = _feed()
     routed = _engine_after(program, feed[:100])
     unrouted = DeltaEngine(program)
@@ -228,8 +230,8 @@ def test_only_an_int_sign_indexes_a_route(program, sign, listen):
     assert routed._routes["bids"]
     expected = _outcome(unrouted, "bids", sign, event.values)
     assert _outcome(routed, "bids", sign, event.values) == expected
-    if sign in (2, 0, -2, "1", None):
-        assert expected[0][0] is EventError
-    elif not isinstance(sign, float):
+    if isinstance(sign, list):
         assert expected[0] == 1
+    else:
+        assert expected[0][0] is EventError
     assert seen[id(routed)] == seen[id(unrouted)]

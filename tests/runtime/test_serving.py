@@ -289,7 +289,23 @@ def test_protocol_errors_are_reported():
             message = client.recv()
             assert message["type"] == "error"
             assert "malformed publish" in message["message"]
+            # Rows of the wrong width and float or bool signs are refused
+            # whole, with an error frame on the same connection.
+            for sign, rows, refusal in (
+                (1, [[1, 2, {}]], "2 columns; got a row of 3"),
+                (1, [[1, 2], [1]], "2 columns; got a row of 1"),
+                (1.0, [[1, 2]], "got 1.0"),
+                (-1.0, [[1, 2], [3, 4]], "got -1.0"),
+                (True, [[1, 2]], "got True"),
+            ):
+                client._send(
+                    {"op": "publish", "relation": "R", "sign": sign, "rows": rows}
+                )
+                message = client.recv()
+                assert message["type"] == "error"
+                assert refusal in message["message"]
             assert client.subscribe("q")["lsn"] == 0
+    assert engine.events_processed == 0
 
 
 def test_publish_stream_groups_batches():

@@ -227,9 +227,9 @@ class TestProcessBackend:
         program = _grouped_program()
         with ShardedEngine(program, shards=2, parallel=True) as sharded:
             assert sharded.parallel
-            # A malformed row (too few values) explodes inside the
-            # worker's generated trigger, not at the coordinator.
-            sharded.process_batch("R", 1, [(1,)])
+            # A value the trigger cannot add explodes inside the worker's
+            # generated trigger, not at the coordinator.
+            sharded.process_batch("R", 1, [(1, None)])
             with pytest.raises(EventError, match=r"shard worker \d+ failed"):
                 sharded.sync()
 

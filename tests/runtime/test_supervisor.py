@@ -244,11 +244,11 @@ class TestSupervisedLanes:
 
     def test_worker_errors_still_surface(self):
         # Supervision covers worker *death*, not trigger failures: a
-        # malformed row must still raise, without a restart.
+        # value the trigger cannot add must still raise, without a restart.
         engine = ShardedEngine(
             _program(), shards=2, parallel=True, supervise=True,
         )
-        engine.process_batch("R", 1, [(1,)])  # wrong arity
+        engine.process_batch("R", 1, [(1, None)])
         with pytest.raises(EventError, match=r"shard worker \d+ failed"):
             engine.sync()
         assert engine.supervisor.restarts == 0
