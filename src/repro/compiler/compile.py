@@ -32,7 +32,7 @@ from repro.algebra.expr import (
 )
 from repro.algebra.simplify import monomials, simplify
 from repro.algebra.translate import TranslatedQuery, translate_sql
-from repro.sql.catalog import Catalog, SqlType
+from repro.sql.catalog import Catalog
 from repro.compiler.materialize import (
     Materializer,
     MapRegistry,
@@ -50,6 +50,7 @@ from repro.compiler.program import (
     MapDef,
     Statement,
     Trigger,
+    float_columns,
     order_statements,
     validate_statement,
 )
@@ -110,15 +111,7 @@ def compile_queries(
         slot_maps[query.name] = names
 
     all_relations = {rel for query in queries for rel in query.relations}
-    float_columns = {
-        rel: frozenset(
-            position
-            for position, column in enumerate(catalog.get(rel).columns)
-            if column.type is SqlType.FLOAT
-        )
-        for rel in all_relations
-    }
-    float_columns = {rel: pos for rel, pos in float_columns.items() if pos}
+    columns = {rel: tuple(catalog.get(rel).columns) for rel in sorted(all_relations)}
 
     # One formal event per relation: of either sign on a stream, an
     # insert on a static table.
@@ -195,7 +188,7 @@ def compile_queries(
 
     compile_pending()
     base_maps = _read_through_base_maps(
-        statements, events, registry, catalog, float_columns,
+        statements, events, registry, catalog, float_columns(columns),
         narrow=options.derived_maps,
     )
     compile_pending()
@@ -238,7 +231,7 @@ def compile_queries(
         slot_maps=slot_maps,
         options=options,
         static_relations=static_relations,
-        float_columns=float_columns,
+        columns=columns,
         finalizers=finalizers,
         slot_aux=slot_aux,
         base_maps=base_maps,

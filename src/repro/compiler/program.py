@@ -13,12 +13,14 @@ A :class:`CompiledProgram` is the compiler's output and the runtime's input:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.errors import CompilationError, EventError
 from repro.algebra.expr import WEIGHT, Expr, maps_in
 from repro.algebra.schema import output_vars
 from repro.algebra.translate import TranslatedQuery
+from repro.sql.catalog import Column, SqlType
 
 
 @dataclass
@@ -238,6 +240,49 @@ class Trigger:
         return f"{head}\n{body}"
 
 
+def float_columns(
+    columns: dict[str, tuple[Column, ...]]
+) -> dict[str, frozenset[int]]:
+    """The FLOAT column positions of each relation that has one."""
+    positions = {
+        relation: frozenset(
+            position
+            for position, column in enumerate(declared)
+            if column.type is SqlType.FLOAT
+        )
+        for relation, declared in columns.items()
+    }
+    return {relation: found for relation, found in positions.items() if found}
+
+
+def _misfit(declared: tuple[Column, ...]) -> Callable[[Iterable], Optional[tuple]]:
+    """The test of :attr:`CompiledProgram.misfits` for a relation of
+    ``declared`` columns, as straight-line code: each value costs one
+    ``type()`` test, a few times cheaper than ``map(type, row)``, which
+    would be paid on every logged batch."""
+    names = "".join(f"v{position}, " for position in range(len(declared)))
+    tests = " or ".join(
+        "(" + " and ".join(
+            f"type(v{position}) is not {kind.__name__}"
+            for kind in column.type.python_types
+        ) + ")"
+        for position, column in enumerate(declared)
+    )
+    namespace: dict = {}
+    exec(
+        "def misfit(rows):\n"
+        "    for row in rows:\n"
+        "        try:\n"
+        f"            ({names}) = row\n"
+        "        except ValueError:\n"
+        "            return row\n"
+        f"        if {tests or 'False'}:\n"
+        "            return row\n",
+        namespace,
+    )
+    return namespace["misfit"]
+
+
 @dataclass
 class CompiledProgram:
     """The full compiled artifact for a set of standing queries."""
@@ -251,11 +296,11 @@ class CompiledProgram:
     #: relations declared as static tables: they must be fully loaded
     #: before the first stream event (the engine enforces this).
     static_relations: set[str] = field(default_factory=set)
-    #: FLOAT column positions per relation (relations without one are
-    #: absent): the storage analysis types the variables base-relation
-    #: atoms bind with it, which decides the exact-integer proof every
-    #: reorder gate and the cross-shard merge rely on.
-    float_columns: dict[str, frozenset[int]] = field(default_factory=dict)
+    #: each relation's columns as the catalog declares them (name and
+    #: type), in event order: the values its rows may carry
+    #: (:attr:`misfits`) and its FLOAT positions (:func:`float_columns`)
+    #: are read off them.
+    columns: dict[str, tuple[Column, ...]] = field(default_factory=dict)
     #: non-linear auxiliary maps: occurrence map name → the FinalizeSpecs
     #: maintained from it (MIN/MAX extremum caches, DISTINCT counters).
     finalizers: dict[str, tuple[FinalizeSpec, ...]] = field(default_factory=dict)
@@ -275,12 +320,25 @@ class CompiledProgram:
 
     def __deepcopy__(self, memo: dict) -> "CompiledProgram":
         """A program copies as itself: nothing mutates it after
-        ``compile_queries`` (the analyses memoised on it are pure), and
+        ``compile_queries`` (the analyses memoised on it, such as
+        :attr:`misfits`, are pure), and
         engines, lanes and executors all share the one object."""
         return self
 
     def __copy__(self) -> "CompiledProgram":
         return self
+
+    @cached_property
+    def misfits(self) -> dict[str, Callable[[Iterable], Optional[tuple]]]:
+        """Per relation, the function that returns the first of some rows
+        that does not hold one value per column, each of a type the column
+        takes (:attr:`~repro.sql.catalog.SqlType.python_types`), or
+        ``None``: what :func:`repro.runtime.engine.check_values` asks.  A
+        pure function of :attr:`columns`, generated (:func:`_misfit`)."""
+        return {
+            relation: _misfit(declared)
+            for relation, declared in self.columns.items()
+        }
 
     def trigger_for(self, relation: str) -> Optional[Trigger]:
         """The trigger a ``relation``'s events run, of either sign."""

@@ -84,7 +84,7 @@ from repro.algebra.expr import (
     walk,
 )
 from repro.algebra.simplify import monomials
-from repro.compiler.program import CompiledProgram
+from repro.compiler.program import CompiledProgram, float_columns
 
 #: value-class -> ColumnarMap value-column kind.
 _VALUE_KINDS = {"int": "q", "float": "d", "object": "o"}
@@ -281,7 +281,9 @@ def storage_layout(
     return StorageLayout(plan, mode, decisions)
 
 
-def _var_classes(defn: Expr, program: CompiledProgram) -> dict[str, str]:
+def _var_classes(
+    defn: Expr, float_positions: Mapping[str, frozenset[int]]
+) -> dict[str, str]:
     """Type class (``"int"`` | ``"float"``) of the variables a map
     definition binds; a variable absent from the result is unproven.
 
@@ -297,7 +299,7 @@ def _var_classes(defn: Expr, program: CompiledProgram) -> dict[str, str]:
         if isinstance(node, Lift):
             lifted.add(node.var)
         elif isinstance(node, Rel):
-            floats = program.float_columns.get(node.name, frozenset())
+            floats = float_positions.get(node.name, frozenset())
             for position, arg in enumerate(node.args):
                 if isinstance(arg, Var):
                     (float_bound if position in floats else int_bound).add(
@@ -470,8 +472,9 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
         for name, map_def in program.maps.items()
         if map_def.role != "auxiliary"
     }
+    float_positions = float_columns(program.columns)
     classes = {
-        name: _var_classes(map_def.defn, program)
+        name: _var_classes(map_def.defn, float_positions)
         for name, map_def in ring_maps.items()
     }
     bodies = {

@@ -82,6 +82,7 @@ class Debugger:
         self._ir = lower_program(program, optimize=False)
         self.history: list[EventTrace] = []
         # The state admit() reads and advances, as a lenient engine's.
+        self._log = None
         self.strict = False
         self._stream_started = False
         self.events_skipped = 0
@@ -92,7 +93,7 @@ class Debugger:
         changes nothing."""
         trace = EventTrace(event=event)
         batch = EventBatch(event.relation, event.sign, [event.values])
-        if admit(self, batch, 1) is not None:
+        if admit(self, batch) is not None:
             for block, updates in run_trigger_collect(
                 self._ir.triggers[(event.relation, 0)],
                 (event.sign, *event.values),

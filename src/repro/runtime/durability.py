@@ -28,10 +28,10 @@ views.  Three pieces:
   snapshots are skipped at load time, falling back to the previous one.
 
 * **recovery** (:func:`recover_engine`, :meth:`DurableEngine.__init__`)
-  — load the latest valid snapshot, replay the WAL suffix
-  ``lsn > watermark`` through the normal batch path
-  (:func:`restore_and_replay`, the one such loop), resume logging at the
-  right LSN.  The recovery
+  — read the log (:func:`read_log`: the latest valid snapshot and the
+  WAL suffix ``lsn > watermark``), replay it through the normal batch
+  path (:func:`restore_and_replay`, the one such loop), resume logging
+  at the right LSN.  The recovery
   invariant (pinned by the hypothesis suite in
   ``tests/runtime/test_fault_injection.py``): *snapshot + WAL-suffix
   replay lands on a state identical to an uninterrupted engine that
@@ -41,9 +41,9 @@ views.  Three pieces:
 
 :class:`DurableEngine` layers over a :class:`~repro.runtime.engine.DeltaEngine`
 (or, with ``shards > 1``, a :class:`~repro.runtime.engine.ShardedEngine`)
-and logs every batch *before* applying it — pre-partition, in the router,
-so one log serves any future shard count: the same directory can be
-recovered into a single engine or any shard fan-out.
+and logs every batch *before* applying it — as the wrapped engine's log
+step, pre-partition, so one log serves any future shard count: the same
+directory can be recovered into a single engine or any shard fan-out.
 
 Fault injection hooks: the WAL, the snapshot store and the durable engine
 call a *probe* callable (when installed) at the labelled points listed in
@@ -75,7 +75,7 @@ from repro.errors import (
     ResumeGapError,
     WalCorruptionError,
 )
-from repro.runtime.engine import Engine, admit
+from repro.runtime.engine import EMPTY_STATE, Engine, engine_state
 from repro.runtime.events import EventBatch
 
 #: Labels at which the durability layer calls its fault-injection probe.
@@ -977,42 +977,49 @@ def _check_meta(directory: Path, fingerprint: str, create: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+def read_log(
+    directory: str | Path, max_lsn: Optional[int] = None
+) -> tuple[dict, Iterator[tuple]]:
+    """The log of ``directory`` as recovery, a supervised rebuild and a
+    resume read it: the newest valid snapshot at or below ``max_lsn``
+    (the empty state at LSN 0 without one) and the lazily read
+    :meth:`WriteAheadLog.replay` frames past its watermark.  A missing
+    directory reads as empty and is not created."""
+    directory = Path(directory)
+    snapshot = directory.exists() and SnapshotStore(directory).load_latest(max_lsn)
+    snapshot = snapshot or dict(EMPTY_STATE, lsn=0)
+    return snapshot, WriteAheadLog.replay(directory, after_lsn=snapshot["lsn"])
+
+
 def restore_and_replay(
     engine,
-    snapshot: Optional[dict],
+    snapshot: dict,
     frames: Iterable[tuple],
     apply: Optional[Callable[[int, EventBatch], None]] = None,
 ) -> tuple[int, int]:
-    """Restore ``snapshot`` into ``engine`` (``None``: a fresh engine,
-    nothing to restore) and replay the ``(lsn, relation, sign, columns)``
-    ``frames`` logged past it through the normal batch path.
+    """Restore ``snapshot`` into ``engine`` and replay the ``(lsn,
+    relation, sign, columns)`` ``frames`` logged past it through the
+    normal batch path.
 
     The one restore-then-replay loop: crash recovery
     (:func:`recover_engine`), a supervised worker rebuild
     (:class:`~repro.runtime.engine.ShardSupervisor`, from the WAL or its
     in-memory log) and the server's resume-from-LSN shadow replay
     (:mod:`repro.runtime.serving`) all land here, so they share its
-    parity guarantee; WAL callers pass :meth:`WriteAheadLog.replay` from
-    the snapshot's watermark.  ``apply(lsn, batch)`` replaces the plain
+    parity guarantee; WAL callers pass what :func:`read_log` returns.
+    ``apply(lsn, batch)`` replaces the plain
     ``engine._process_batch(batch)`` for a caller that observes frames
-    as they go by.  Flush-path listeners are suppressed throughout:
-    subscribers already saw these deltas, re-rendering them would
-    duplicate the stream.
+    as they go by.  The log step and the flush-path listeners are
+    suspended throughout: a replay is never logged, and subscribers
+    already saw these deltas.
 
     Returns ``(last applied LSN, frames replayed)``.
     """
     listeners, engine._batch_listeners = engine._batch_listeners, []
+    log, engine._log = engine._log, None
     try:
-        last = 0
-        if snapshot is not None:
-            engine.restore_state(
-                snapshot["maps"],
-                events_processed=snapshot.get("events_processed", 0),
-                events_skipped=snapshot.get("events_skipped", 0),
-                stream_started=snapshot.get("stream_started"),
-            )
-            last = snapshot.get("lsn", 0)
-        replayed = 0
+        engine.restore_state(snapshot)
+        last, replayed = snapshot.get("lsn", 0), 0
         for lsn, relation, sign, columns in frames:
             batch = EventBatch.from_columns(relation, sign, columns)
             if apply is None:
@@ -1024,6 +1031,7 @@ def restore_and_replay(
         return last, replayed
     finally:
         engine._batch_listeners = listeners
+        engine._log = log
 
 
 def _open_engine(program: CompiledProgram, shards: int, parallel: bool, **kwargs):
@@ -1047,19 +1055,15 @@ def _replay_directory(
 ) -> int:
     """Replay ``directory`` into ``engine`` (see :func:`recover_engine`);
     returns the last applied frame's LSN."""
-    snapshot = SnapshotStore(directory).load_latest() if directory.exists() else None
-    if snapshot is not None:
-        stored = snapshot.get("fingerprint")
-        if stored is not None and stored != fingerprint:
-            raise RecoveryError(
-                f"snapshot in {directory} was written by a different "
-                f"program (fingerprint {stored!r}, this program "
-                f"{fingerprint!r})"
-            )
-    try:
-        frames = WriteAheadLog.replay(
-            directory, after_lsn=snapshot["lsn"] if snapshot else 0
+    snapshot, frames = read_log(directory)
+    stored = snapshot.get("fingerprint")
+    if stored is not None and stored != fingerprint:
+        raise RecoveryError(
+            f"snapshot in {directory} was written by a different "
+            f"program (fingerprint {stored!r}, this program "
+            f"{fingerprint!r})"
         )
+    try:
         return restore_and_replay(engine, snapshot, frames, apply)[0]
     except ResumeGapError as exc:
         # Only reachable when every snapshot is invalid but the log was
@@ -1082,8 +1086,8 @@ def recover_engine(
 ):
     """Rebuild an engine from a durable directory.
 
-    Loads the latest valid snapshot (if any) into a fresh engine and
-    replays the WAL suffix past its watermark
+    Reads the log (:func:`read_log`: the latest valid snapshot and the
+    WAL suffix past its watermark) and replays it into a fresh engine
     (:func:`restore_and_replay`).  Returns ``(engine, lsn)`` where
     ``lsn`` is the last applied frame's LSN (the watermark a resumed log
     must not re-issue).  With ``shards > 1`` the engine is a
@@ -1116,13 +1120,13 @@ class DurableEngine(Engine):
         engine.snapshot()                            # manual checkpoint
         engine.close()
 
-    Every batch is logged *before* it is applied (write-ahead), in the
-    router — pre-partition — so with ``shards > 1`` one log serves any
-    future shard count.  ``fsync`` picks the WAL durability policy
-    (:class:`WriteAheadLog`); ``snapshot_every=N`` checkpoints
-    automatically every N logged events, bounding the WAL suffix a
-    restart must replay.  The ingest and read surface is the shared
-    :class:`~repro.runtime.engine.Engine` core over a log-then-apply
+    Every batch is logged *before* it is applied (write-ahead), as the
+    wrapped engine's log step — pre-partition — so with ``shards > 1``
+    one log serves any future shard count.  ``fsync`` picks the WAL
+    durability policy (:class:`WriteAheadLog`); ``snapshot_every=N``
+    checkpoints automatically every N logged events, bounding the WAL
+    suffix a restart must replay.  The ingest and read surface is the shared
+    :class:`~repro.runtime.engine.Engine` core over the wrapped engine's
     ``_process_batch``; anything specific to the wrapped engine
     (``maps``, ``events_processed``, ``supervisor``...) delegates to it.
     """
@@ -1156,7 +1160,7 @@ class DurableEngine(Engine):
         if getattr(self._engine, "supervisor", None) is not None:
             # Before the replay below: a worker that dies in it is rebuilt
             # from this directory too, and no batch is held in memory.
-            self._engine.supervisor.source = self._logged
+            self._engine.supervisor.source = self.read_log
         self._lsn = _replay_directory(
             self._engine, self.directory, self.fingerprint, self._replay_frame
         )
@@ -1167,6 +1171,7 @@ class DurableEngine(Engine):
         self._lsn = max(self._lsn, self._wal.last_lsn)
         self._since_snapshot = 0
         self._closed = False
+        self._log = self._engine._log = self._append
 
     # -- event processing ---------------------------------------------------
 
@@ -1188,28 +1193,17 @@ class DurableEngine(Engine):
         return self._wal.last_lsn
 
     def _process_batch(self, batch: EventBatch) -> int:
-        """Log one batch, then apply it to the wrapped engine.
-
-        The wrapped engine's own admission errors are raised *before*
-        logging (a dry run of the same :func:`~repro.runtime.engine.admit`
-        it applies with), so a rejected batch never poisons the log —
-        replay would re-raise it on every recovery.
-        """
+        """Apply one batch through the wrapped engine, which admits it
+        and logs it (:meth:`_append`) before any trigger runs; then fire
+        the tap and take a due snapshot."""
         if self._closed:
             raise DurabilityError("DurableEngine is closed")
-        count = batch._length
-        if not count:
-            return 0
-        admit(self._engine, batch, 0)
-        self._lsn = self._wal.append_batch(batch)
-        if self._probe is not None:
-            self._probe("engine.after_append")
         applied = self._engine._process_batch(batch)
         if self._probe is not None:
             self._probe("engine.after_apply")
         if applied and self._batch_listeners:
             self._notify_listeners(batch)
-        self._since_snapshot += count
+        self._since_snapshot += batch._length
         if (
             self._snapshot_every is not None
             and self._since_snapshot >= self._snapshot_every
@@ -1238,19 +1232,25 @@ class DurableEngine(Engine):
         resume from below it without a snapshot basis."""
         return self._wal.oldest_replayable_lsn()
 
+    def _append(self, batch: EventBatch) -> None:
+        """The log step: an admitted batch, its values checked
+        (:func:`~repro.runtime.engine.check_values`), is the next frame."""
+        self._lsn = self._wal.append_batch(batch)
+        if self._probe is not None:
+            self._probe("engine.after_append")
+
     def _replay_frame(self, lsn: int, batch: EventBatch) -> None:
         """Apply one frame of the opening replay, marking it in flight."""
         self._lsn = lsn
         self._engine._process_batch(batch)
 
-    def _logged(self) -> tuple[dict, Iterator]:
-        """What a supervised rebuild replays: the newest snapshot (the
-        empty state without one: it still resets every lane) and the WAL
-        frames past it, up to the batch in flight."""
-        if self._wal is not None:
+    def read_log(self, max_lsn: Optional[int] = None) -> tuple[dict, Iterator]:
+        """This engine's log (:func:`read_log`) up to the batch in flight,
+        every logged batch on disk first — what a supervised rebuild and
+        a server's resume replay."""
+        if self._wal is not None:  # None only in the opening replay
             self._wal.sync()
-        snapshot = self._snapshots.load_latest() or {"maps": {}, "lsn": 0}
-        frames = WriteAheadLog.replay(self.directory, after_lsn=snapshot["lsn"])
+        snapshot, frames = read_log(self.directory, max_lsn)
         return snapshot, takewhile(lambda frame: frame[0] <= self._lsn, frames)
 
     def snapshot(self) -> Path:
@@ -1264,20 +1264,7 @@ class DurableEngine(Engine):
         if self._closed:
             raise DurabilityError("DurableEngine is closed")
         self._wal.sync()
-        engine = self._engine
-        state = {
-            # Plain dicts: storage-agnostic (a native engine's kernel maps
-            # restore into a dict engine and vice versa), insertion order
-            # preserved either way.
-            "maps": {
-                name: dict(contents)
-                for name, contents in engine.current_maps().items()
-            },
-            "events_processed": engine.events_processed,
-            "events_skipped": engine.events_skipped,
-            "stream_started": engine._stream_started,
-            "fingerprint": self.fingerprint,
-        }
+        state = dict(engine_state(self._engine), fingerprint=self.fingerprint)
         path = self._snapshots.save(self._lsn, state)
         self._since_snapshot = 0
         # Snapshots retire log prefixes: segments recovery can no longer

@@ -128,14 +128,15 @@ _CHECKPOINT_EVERY = 64
 _SKIP = ()
 
 
-def admit(engine, batch: EventBatch, count: int) -> Optional[Trigger]:
-    """The one admission rule: may ``count`` rows of ``batch`` enter
+def admit(engine, batch: EventBatch) -> Optional[Trigger]:
+    """The one admission rule: may the rows of ``batch`` enter
     ``engine``, and which trigger runs them.
 
     Every row of a relation some query reads holds one value per column
     (the trigger's parameters): a short row would fail part-way through
     the batch, and a long one would bind the generated trigger's map
-    defaults.  Static tables must be fully loaded before the first
+    defaults; a batch the engine logs is held to :func:`check_values`,
+    which covers the width, since a replay runs it.  Static tables must be fully loaded before the first
     stream event — mixed static/stream maps carry no static-table
     triggers, which is only sound while all streams are empty — and only
     take inserts.  A
@@ -147,23 +148,28 @@ def admit(engine, batch: EventBatch, count: int) -> Optional[Trigger]:
     ``sign`` is the batch's: ``+1``/``-1``, or a mixed batch's weight
     column, judged whole before any row applies: a static table refuses
     anything but ``+1`` (a weight column holds deletes) and a skipped
-    relation counts every row.
-
-    ``count=0`` is a dry run — it raises exactly what applying would and
-    changes no engine state — which is how the durable layer rejects a
-    batch *before* logging it.
+    relation counts every row.  A batch that passes goes to the log step
+    (:attr:`Engine._log`) before any state moves or trigger runs.
     """
     program = engine.program
     relation = batch.relation
     trigger = program.triggers.get((relation, 0))
+    log = engine._log
     if trigger is not None:
-        width = len(trigger.params)
-        rows = batch._rows
-        # A columnar batch is as wide as its tuple of columns.
-        for row in (batch._columns,) if rows is None else rows:
-            if len(row) != width:
-                raise _width_error(relation, width, len(row))
-    if relation in program.static_relations:
+        if log is not None:
+            long_run = batch._rows is None and batch._length > _ROW_ROUTE_THRESHOLD
+            check_values(
+                program, relation, zip(*batch._columns) if long_run else batch.rows
+            )
+        else:
+            width = len(trigger.params)
+            rows = batch._rows
+            # A columnar batch is as wide as its tuple of columns.
+            for row in (batch._columns,) if rows is None else rows:
+                if len(row) != width:
+                    raise _width_error(relation, width, len(row))
+    static = relation in program.static_relations
+    if static:
         if engine._stream_started:
             raise EventError(
                 f"static table {relation!r} cannot change after "
@@ -174,18 +180,61 @@ def admit(engine, batch: EventBatch, count: int) -> Optional[Trigger]:
             raise EventError(
                 f"static table {relation!r} only supports bulk-load inserts"
             )
-    elif count and trigger is not None:
-        engine._stream_started = True
+    if trigger is None and engine.strict:
+        # Say what *would* have been accepted.
+        known = program.relations
+        raise UnknownStreamError(
+            f"no standing query reads relation {relation!r}; "
+            "known relations: " + (", ".join(known) if known else "(none)")
+        )
+    if log is not None:
+        log(batch)
     if trigger is None:
-        if engine.strict:
-            # Say what *would* have been accepted.
-            known = program.relations
-            raise UnknownStreamError(
-                f"no standing query reads relation {relation!r}; "
-                "known relations: " + (", ".join(known) if known else "(none)")
-            )
-        engine.events_skipped += count
+        engine.events_skipped += batch._length
+    elif not static:
+        engine._stream_started = True
     return trigger
+
+
+def check_values(program: CompiledProgram, relation: str, rows) -> None:
+    """The value-type rule: every one of ``rows`` passes ``relation``'s
+    :attr:`~repro.compiler.program.CompiledProgram.misfits`, or an
+    :class:`~repro.errors.EventError` names the relation and the column
+    (or the width)."""
+    misfit = program.misfits.get(relation)
+    row = None if misfit is None else misfit(rows)
+    if row is None:
+        return
+    declared = program.columns[relation]
+    if len(row) != len(declared):
+        raise _width_error(relation, len(declared), len(row))
+    column, value = next(
+        (column, value) for column, value in zip(declared, row)
+        if type(value) not in column.type.python_types
+    )
+    raise EventError(
+        f"relation {relation!r} column {column.name!r} is "
+        f"{column.type.name}; got {value!r}"
+    )
+
+
+#: The snapshot of an engine no batch reached.
+EMPTY_STATE = MappingProxyType(dict(
+    maps=MappingProxyType({}), events_processed=0, events_skipped=0,
+    stream_started=False,
+))
+
+
+def engine_state(engine) -> dict:
+    """The one snapshot shape, which ``restore_state`` reads whole: the
+    maps as plain dicts (kernel maps restore into a dict engine and vice
+    versa), the two counters and whether the stream has started."""
+    return {
+        "maps": {name: dict(rows) for name, rows in engine.current_maps().items()},
+        "events_processed": engine.events_processed,
+        "events_skipped": engine.events_skipped,
+        "stream_started": engine._stream_started,
+    }
 
 
 def _width_error(relation: str, width: int, got: int) -> EventError:
@@ -217,8 +266,15 @@ class Engine(ScalarResult):
     lifecycle from here.  The layers differ only in what their
     ``_process_batch`` does: :class:`DeltaEngine` runs the trigger,
     :class:`ShardedEngine` routes to lanes,
-    :class:`~repro.runtime.durability.DurableEngine` logs then applies.
+    :class:`~repro.runtime.durability.DurableEngine` applies through the
+    engine it wraps, whose log step it supplies.
     """
+
+    #: The log step :func:`admit` hands every batch it passes: a wrapping
+    #: :class:`~repro.runtime.durability.DurableEngine`'s WAL append (the
+    #: durable engine carries it too), or a supervised
+    #: :class:`ShardedEngine`'s journal (:meth:`ShardSupervisor.log`).
+    _log: Optional[Callable[[EventBatch], None]] = None
 
     def __init__(self, program: CompiledProgram) -> None:
         self.program = program
@@ -642,12 +698,13 @@ class DeltaEngine(Engine):
             self._route(relation)
 
     def _process_batch(self, batch: EventBatch) -> int:
-        """Admit one batch, apply it (:meth:`_apply`) and fire the tap."""
+        """Admit one batch, log it (:attr:`_log`), apply it
+        (:meth:`_apply`) and fire the tap."""
         count = batch._length
         if not count:
             return 0
         relation, sign = batch.relation, batch.sign
-        if admit(self, batch, count) is None:
+        if admit(self, batch) is None:
             return 0
         try:
             applied = self._apply(relation, sign, batch._rows, batch._columns)
@@ -754,22 +811,15 @@ class DeltaEngine(Engine):
 
     # -- durability ---------------------------------------------------------
 
-    def restore_state(
-        self,
-        maps: Mapping[str, Mapping],
-        events_processed: int = 0,
-        events_skipped: int = 0,
-        stream_started: Optional[bool] = None,
-    ) -> None:
-        """Replace the engine's state with snapshot contents.
+    def restore_state(self, snapshot: Mapping) -> None:
+        """Replace the engine's state with a snapshot (:func:`engine_state`).
 
         Maps are updated *in place*, then the executor is bound to them
         again so secondary indexes are rebuilt over the restored contents
         (an ``exec`` of the kept code object — nothing is rendered or
-        compiled).  ``stream_started`` defaults to "any event was
-        processed", which preserves the static-tables-load-first rule
-        across a restart.
+        compiled).
         """
+        maps = snapshot["maps"]
         unknown = set(maps) - set(self.maps)
         if unknown:
             raise EventError(
@@ -783,11 +833,9 @@ class DeltaEngine(Engine):
                 target.update(contents)
         self._bind()
         self._unshown()
-        self.events_processed = events_processed
-        self.events_skipped = events_skipped
-        if stream_started is None:
-            stream_started = events_processed > 0
-        self._stream_started = stream_started
+        self.events_processed = snapshot["events_processed"]
+        self.events_skipped = snapshot["events_skipped"]
+        self._stream_started = snapshot["stream_started"]
 
     # -- results ------------------------------------------------------------
 
@@ -903,11 +951,7 @@ def _shard_worker_main(conn, executor) -> None:
             # successful restore also clears any remembered failure — the
             # lane state is authoritative again.
             try:
-                engine.restore_state(
-                    message[1],
-                    events_processed=message[2],
-                    stream_started=message[3],
-                )
+                engine.restore_state(message[1])
             except Exception as exc:
                 failure = f"{type(exc).__name__}: {exc}"
                 conn.send(("error", failure))
@@ -1065,10 +1109,8 @@ class _ProcessLane:
     def storage_classes(self) -> dict[str, str]:
         return self._round_trip(("stats",))[2]
 
-    def restore_state(
-        self, maps: dict, events_processed: int, stream_started: bool
-    ) -> None:
-        self._round_trip(("restore", maps, events_processed, stream_started))
+    def restore_state(self, snapshot: dict) -> None:
+        self._round_trip(("restore", snapshot))
 
     def close(self) -> None:
         if self._proc is None:
@@ -1104,14 +1146,13 @@ class ShardSupervisor:
     (:func:`~repro.runtime.durability.restore_and_replay`).  Only the
     log's source differs, and ``recoveries[i]["mode"]`` names it:
 
-    * ``"journal"`` (a plain sharded engine) — the router's in-memory
-      log: a merged-state checkpoint taken every :data:`_CHECKPOINT_EVERY`
-      admitted batches, plus a private copy of every batch since, logged
-      before it is routed.  :meth:`ShardedEngine.restore_state` re-bases
-      it; a replay is never logged again.
+    * ``"journal"`` (a plain sharded engine) — the in-memory log its log
+      step (:meth:`log`) keeps: a merged-state checkpoint taken every
+      :data:`_CHECKPOINT_EVERY` logged batches, and a copy of each since.
     * ``"durable"`` (a :class:`~repro.runtime.durability.DurableEngine`
       wrapping this engine) — the snapshot store plus the WAL, which the
-      durable engine installs as :attr:`source` before it replays its
+      durable engine's :meth:`~repro.runtime.durability.DurableEngine.read_log`
+      reads, installed as :attr:`source` before it replays its
       directory, so no batch is ever held in memory.
 
     Either log holds the batch in flight, so the replay applies it in
@@ -1152,20 +1193,17 @@ class ShardSupervisor:
         self._rebuilding = False
         # The in-memory log: a snapshot-shaped checkpoint (the empty state
         # until the first one) and the ``(lsn, relation, sign, columns)``
-        # frames of every batch admitted since.
-        self._snapshot: dict = {"maps": {}}
+        # frames of every batch logged since.
+        self._snapshot: dict = dict(EMPTY_STATE)
         self._frames: list = []
 
     def log(self, batch: EventBatch) -> None:
-        """Log one admitted batch before the router routes it."""
-        if self.source is not None or self._rebuilding:
+        """The journal's log step (:attr:`Engine._log`): copy a batch,
+        unless it is skipped (its count is live)."""
+        if (batch.relation, 0) not in self.engine.program.triggers:
             return
         if len(self._frames) >= _CHECKPOINT_EVERY:
-            engine = self.engine
-            self.rebase(
-                engine.current_maps(), engine.events_processed,
-                engine._stream_started,
-            )
+            self.rebase(engine_state(self.engine))
         sign = batch.sign  # copied with the columns: a caller may reuse its lists
         self._frames.append((
             len(self._frames) + 1, batch.relation,
@@ -1173,18 +1211,13 @@ class ShardSupervisor:
             tuple(map(list, batch.columns)),
         ))
 
-    def rebase(
-        self, maps: Mapping, events_processed: int, stream_started: bool
-    ) -> None:
-        """Adopt ``maps`` (merged; copied here) as the in-memory log's
-        checkpoint: everything logged before it is moot."""
-        if self.source is None and not self._rebuilding:
-            self._snapshot = {
-                "maps": {name: dict(contents) for name, contents in maps.items()},
-                "events_processed": events_processed,
-                "stream_started": stream_started,
-            }
-            self._frames = []
+    def rebase(self, snapshot: Mapping) -> None:
+        """Adopt ``snapshot`` (merged maps; copied here) as the in-memory
+        log's checkpoint: everything logged before it is moot."""
+        self._snapshot = dict(snapshot, maps={
+            name: dict(contents) for name, contents in snapshot["maps"].items()
+        })
+        self._frames = []
 
     def _recover(self, lane: _ProcessLane, cause: EventError) -> None:
         """Respawn ``lane``'s worker (and any other dead one) and rebuild
@@ -1213,7 +1246,7 @@ class ShardSupervisor:
             self.restarts += 1
             dead.respawn()
         if self.source is None:
-            # Skipped batches are never logged: the live count is current.
+            # The journal keeps no skipped batch: the live count is current.
             snapshot = dict(
                 self._snapshot, events_skipped=self.engine.events_skipped
             )
@@ -1306,16 +1339,11 @@ class ShardedEngine(Engine):
         restart_window: float = 60.0,
     ) -> None:
         """``supervise=True`` (with ``parallel=True``) puts the forked
-        worker lanes under a :class:`ShardSupervisor` that respawns dead
-        workers and rebuilds the engine by snapshot-plus-log replay —
-        from an in-memory log checkpointed every
-        :data:`_CHECKPOINT_EVERY` batches, or from snapshot + WAL when a
-        :class:`~repro.runtime.durability.DurableEngine` wraps this
-        engine.  At most ``max_worker_restarts`` restarts are attempted
-        per sliding ``restart_window`` seconds; past the budget the
-        dead-worker :class:`~repro.errors.EventError` propagates as
-        before.  In-process lanes cannot die, so ``supervise`` is a no-op
-        without forked workers."""
+        worker lanes under a :class:`ShardSupervisor`, which respawns
+        dead workers and rebuilds the engine from its log, at most
+        ``max_worker_restarts`` times per sliding ``restart_window``
+        seconds.  In-process lanes cannot die, so ``supervise`` is a
+        no-op without forked workers."""
         if shards < 1:
             raise EventError(f"shard count must be >= 1, got {shards!r}")
         super().__init__(program)
@@ -1351,6 +1379,7 @@ class ShardedEngine(Engine):
                         max_restarts=max_worker_restarts,
                         window=restart_window,
                     )
+                    self._log = self.supervisor.log
                 self._lanes = [
                     _ProcessLane(ctx, executor, index, self.supervisor)
                     for index in range(shards)
@@ -1373,7 +1402,7 @@ class ShardedEngine(Engine):
     # -- event processing -------------------------------------------------
 
     def _process_batch(self, batch: EventBatch) -> int:
-        """Admit one batch and route it.
+        """Admit one batch, log it (:attr:`_log`) and route it.
 
         Semantics match :meth:`DeltaEngine._process_batch`.  Serial-lane
         batches flow through :meth:`DeltaEngine._apply` untouched.  A run
@@ -1393,10 +1422,8 @@ class ShardedEngine(Engine):
             return 0
         relation, sign = batch.relation, batch.sign
         weights = sign if isinstance(sign, list) else None
-        if admit(self, batch, count) is None:
+        if admit(self, batch) is None:
             return 0
-        if self.supervisor is not None:
-            self.supervisor.log(batch)
         column = self.spec.relation_columns.get(relation)
         lanes = self._lanes
         try:
@@ -1462,14 +1489,8 @@ class ShardedEngine(Engine):
 
     # -- durability ---------------------------------------------------------
 
-    def restore_state(
-        self,
-        maps: Mapping[str, Mapping],
-        events_processed: int = 0,
-        events_skipped: int = 0,
-        stream_started: Optional[bool] = None,
-    ) -> None:
-        """Scatter snapshot contents across the shard lanes.
+    def restore_state(self, snapshot: Mapping) -> None:
+        """Scatter a snapshot (:func:`engine_state`) across the shard lanes.
 
         A snapshot holds *merged* maps, so restoring must undo the merge:
         each sharded read map is split by hashing the partition value in
@@ -1479,20 +1500,19 @@ class ShardedEngine(Engine):
         into the serial engine: the merge sums lanes key-wise, and every
         other lane starts its slice empty.  The event counter also lives
         on the serial engine (``events_processed`` sums all lanes).  The
-        supervisor's in-memory log re-bases onto the restored state first,
+        journal, while it is the log step (no replay suspended it, no
+        durable log replaced it), re-bases onto the restored state first,
         so a worker that dies mid-restore is rebuilt to it.
         """
         self._check_open()
-        if stream_started is None:
-            stream_started = events_processed > 0
-        if self.supervisor is not None:
-            self.supervisor.rebase(maps, events_processed, stream_started)
-        self.events_skipped = events_skipped
-        self._stream_started = stream_started
+        if self.supervisor is not None and self._log == self.supervisor.log:
+            self.supervisor.rebase(snapshot)
+        self.events_skipped = snapshot["events_skipped"]
+        self._stream_started = started = snapshot["stream_started"]
         n_lanes = len(self._lanes)
         serial_maps: dict[str, dict] = {}
         lane_maps: list[dict[str, dict]] = [{} for _ in range(n_lanes)]
-        for name, contents in maps.items():
+        for name, contents in snapshot["maps"].items():
             position = self.spec.map_positions.get(name)
             if not n_lanes or position is None or name in self.spec.serial_maps:
                 serial_maps[name] = contents
@@ -1500,14 +1520,10 @@ class ShardedEngine(Engine):
             slices = [lane.setdefault(name, {}) for lane in lane_maps]
             for key, value in contents.items():
                 slices[hash(key[position]) % n_lanes][key] = value
-        self._serial.restore_state(
-            serial_maps,
-            events_processed=events_processed,
-            stream_started=stream_started,
-        )
+        self._serial.restore_state(dict(snapshot, maps=serial_maps))
         for lane, shard_maps in zip(self._lanes, lane_maps):
             lane.restore_state(
-                shard_maps, events_processed=0, stream_started=stream_started
+                dict(EMPTY_STATE, maps=shard_maps, stream_started=started)
             )
 
     # -- results ------------------------------------------------------------

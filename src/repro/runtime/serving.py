@@ -89,6 +89,9 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
+from repro.runtime.durability import DurableEngine, restore_and_replay
+from repro.runtime.engine import DEFAULT_BATCH_SIZE, DeltaEngine, check_values
+from repro.runtime.events import batches
 from repro.runtime.views import GroupRenderer, result_delta
 
 _log = logging.getLogger("repro.serving")
@@ -794,9 +797,6 @@ class ViewServer:
         each is one :meth:`publish` — one LSN and one delta per view per
         batch.  Returns events consumed.
         """
-        from repro.runtime.engine import DEFAULT_BATCH_SIZE
-        from repro.runtime.events import batches
-
         size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         count = 0
         for batch in batches(events, size):
@@ -1196,25 +1196,18 @@ class ViewServer:
     ) -> Optional[list[_Delta]]:
         """Rebuild the delta suffix past ``from_lsn`` from durable state.
 
-        Loads the newest snapshot at or below ``from_lsn`` into a
-        *shadow* engine, replays the WAL suffix through it
+        Reads the engine's log from the newest snapshot at or below
+        ``from_lsn`` (:meth:`~repro.runtime.durability.DurableEngine.read_log`),
+        replays it into a *shadow* engine
         (:func:`~repro.runtime.durability.restore_and_replay`, the
         recovery path), and taps the replay from the ``from_lsn``
         boundary onward — the same LSN-stamped deltas the live tap
         emitted, recomputed from disk.  Returns ``None`` when the engine
         is not durable or the WAL no longer reaches back to ``from_lsn``.
         """
-        from repro.runtime.durability import (
-            DurableEngine,
-            WriteAheadLog,
-            restore_and_replay,
-        )
-        from repro.runtime.engine import DeltaEngine
-
         engine = self.engine
         if not isinstance(engine, DurableEngine):
             return None
-        engine._wal.sync()
         # Any engine flavour replays to the same results; a plain
         # non-strict DeltaEngine is the cheapest shadow.
         shadow = DeltaEngine(engine.program, strict=False)
@@ -1237,11 +1230,8 @@ class ViewServer:
                     _delta_record(view, lsn, ts, changes, "replayed")
                 )
 
-        snapshot = engine._snapshots.load_latest(max_lsn=from_lsn)
         try:
-            restore_and_replay(shadow, snapshot, WriteAheadLog.replay(
-                engine.directory, after_lsn=snapshot["lsn"] if snapshot else 0
-            ), apply)
+            restore_and_replay(shadow, *engine.read_log(max_lsn=from_lsn), apply)
         except ResumeGapError:
             return None
         return records
@@ -1258,8 +1248,11 @@ class ViewServer:
                 {"type": "error", "message": f"malformed publish frame: {exc}"},
             )
             return
+        engine = self.engine
         try:
-            count = self.engine.process_batch(relation, sign, rows)
+            if engine._log is None:  # a log step checks the values itself
+                check_values(engine.program, relation, rows)
+            count = engine.process_batch(relation, sign, rows)
         except EventError as exc:
             self._reply(client, {"type": "error", "message": str(exc)})
             return

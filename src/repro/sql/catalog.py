@@ -25,6 +25,16 @@ class SqlType(Enum):
     def is_numeric(self) -> bool:
         return self in (SqlType.INT, SqlType.FLOAT)
 
+    @property
+    def python_types(self) -> tuple[type, ...]:
+        """The Python types a value of this type is: INT takes ``int``,
+        FLOAT ``int`` or ``float``, STRING ``str``.  ``bool`` is an
+        ``int`` to Python but not to a map, and ``None`` is no value: no
+        column takes either."""
+        if self is SqlType.STRING:
+            return (str,)
+        return (int, float) if self is SqlType.FLOAT else (int,)
+
 
 _TYPE_MAP = {
     "INT": SqlType.INT,

@@ -45,7 +45,6 @@ from repro.runtime.durability import DurableEngine
 from repro.runtime.serving import (
     ReconnectingSubscriber,
     ServerThread,
-    SubscriberClient,
     encode_frame,
 )
 

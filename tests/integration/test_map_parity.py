@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.runtime import StreamEvent
+from repro.runtime.engine import EMPTY_STATE
 from repro.workloads.finance import FINANCE_QUERIES
 from tests import lanes
 from tests.integration.sql_oracle import normalize_rows
@@ -41,7 +42,7 @@ def _empty(program, lane):
             _close_forked()  # one forked engine's workers alive at a time
         _ENGINES[key] = (program, lanes.build_engine(program, lane))
     engine = _ENGINES[key][1]
-    engine.restore_state({})
+    engine.restore_state(EMPTY_STATE)
     return engine
 
 

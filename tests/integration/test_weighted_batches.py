@@ -23,9 +23,9 @@ from repro import compile_sql
 from repro.compiler.program import TriggerTable
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
-from repro.runtime import durability
 from repro.runtime import engine as engine_module
 from repro.runtime.durability import DurableEngine, recover_engine
+from repro.runtime.engine import EMPTY_STATE
 from repro.runtime.events import EventBatch, batches, delete, flatten, insert
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
@@ -214,7 +214,7 @@ def test_a_mixed_batch_is_one_trigger_call(by_columns):
             )
 
     engine._executor = Counting(engine._executor)
-    engine.restore_state({})  # binds the counting table
+    engine.restore_state(EMPTY_STATE)  # binds the counting table
     rows = [(1, 1, 1, 100, 5), (2, 2, 2, 101, 5), (1, 1, 1, 100, 5), (3, 3, 1, 99, 5)]
     weights = [1, 1, -1, 1]
     if by_columns:
@@ -345,8 +345,8 @@ def test_mixed_batch_on_an_unread_relation_counts_every_row(shape, tmp_path):
 
 
 def test_a_logged_batch_crosses_each_layer_once(tmp_path, monkeypatch):
-    """Through ``DurableEngine(shards=2)`` a batch is one ``EventBatch``
-    and two admissions: the dry run before logging, and the router's."""
+    """Through ``DurableEngine(shards=2)`` a batch is one ``EventBatch``,
+    one admission (the router's) and one WAL frame (its log step)."""
     program = compile_sql(
         FINANCE_QUERIES["bsp"], finance_catalog(), name="bsp"
     )
@@ -354,12 +354,11 @@ def test_a_logged_batch_crosses_each_layer_once(tmp_path, monkeypatch):
     admitted = []
     real_admit = engine_module.admit
 
-    def counting_admit(target, batch, count):
+    def counting_admit(target, batch):
         admitted.append((type(target).__name__, batch.sign))
-        return real_admit(target, batch, count)
+        return real_admit(target, batch)
 
     monkeypatch.setattr(engine_module, "admit", counting_admit)
-    monkeypatch.setattr(durability, "admit", counting_admit)
     built = []
     for constructor in ("__init__", "from_columns", "_adopt"):
         original = EventBatch.__dict__[constructor]
@@ -377,8 +376,10 @@ def test_a_logged_batch_crosses_each_layer_once(tmp_path, monkeypatch):
     for sign in ([1, -1, 1], -1):
         admitted.clear()
         built.clear()
+        lsn = engine.lsn
         engine.process_batch_columns("bids", sign, columns)
         assert built == ["from_columns"]
-        assert admitted == [("ShardedEngine", sign), ("ShardedEngine", sign)]
+        assert admitted == [("ShardedEngine", sign)]
+        assert engine.lsn == lsn + 1
     assert engine.events_processed == 6
     engine.close()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.algebra.expr import WEIGHT
 from repro.compiler import compile_sql
+from repro.compiler.program import float_columns
 from repro.compiler.storage import exact_int_maps
 from repro.ir import (
     DEFAULT_PASSES,
@@ -293,7 +294,7 @@ class TestOptimisationPasses:
     def test_float_maps_block_reordering_fusion(self, catalog):
         float_vwap = VWAP_SQL.replace("FROM bids", "FROM fbids")
         program = compile_sql(float_vwap, catalog)
-        assert program.float_columns == {"fbids": {3}}
+        assert float_columns(program.columns) == {"fbids": {3}}
         ir = lower_program(program)
         # Moving the second scan past intermediate writers would reorder
         # float additions, so both loops must survive.

@@ -27,6 +27,7 @@ from repro.compiler.program import needs_buffering
 from repro.ir.lower import lower_program
 from repro.ir.nodes import Assign, Block, LocalMapDecl, walk_stmts
 from repro.runtime import DeltaEngine, StreamEvent
+from repro.runtime.engine import EMPTY_STATE
 from repro.workloads.finance import FINANCE_QUERIES
 from tests import lanes
 from tests.strategies import events
@@ -105,7 +106,7 @@ def _engine(query_name: str, mode: str, optimize: bool = True) -> DeltaEngine:
     """An engine with empty maps: built once per configuration, emptied
     (``restore_state``) for every example."""
     engine = _built(query_name, mode, optimize)
-    engine.restore_state({})
+    engine.restore_state(EMPTY_STATE)
     return engine
 
 

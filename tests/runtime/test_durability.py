@@ -35,8 +35,10 @@ from repro.runtime.durability import (
     program_fingerprint,
     recover_engine,
 )
+from repro.runtime.engine import EMPTY_STATE, engine_state
 from repro.runtime.events import EventBatch, StreamEvent
 from repro.sql.catalog import Catalog
+from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 
 CATALOG_DDL = """
 CREATE STREAM R (A int, B int);
@@ -552,7 +554,13 @@ def test_precheck_keeps_bad_events_out_of_the_log(tmp_path):
 def test_restore_state_rejects_unknown_maps():
     engine = DeltaEngine(_program())
     with pytest.raises(EventError, match="unknown maps"):
-        engine.restore_state({"not_a_map": {}})
+        engine.restore_state(dict(EMPTY_STATE, maps={"not_a_map": {}}))
+
+
+def test_the_empty_state_is_read_only():
+    """Every copy of the empty state shares its ``maps``."""
+    with pytest.raises(TypeError):
+        dict(EMPTY_STATE)["maps"]["m"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +668,61 @@ def test_engine_core_rules_hold_on_every_engine_shape(shape, tmp_path):
     assert engine.result_scalar() == 320
     engine.close()
     engine.close()
+
+
+def _state(engine) -> str:
+    """``engine``'s maps, counters and stream state, as :func:`engine_state`
+    reads them off the engine a durable one wraps."""
+    return repr(engine_state(getattr(engine, "engine", engine)))
+
+
+@pytest.mark.parametrize("shape", sorted(ENGINE_SHAPES))
+def test_every_engine_shape_restores_its_snapshot_whole(shape, tmp_path):
+    make = ENGINE_SHAPES[shape]
+    program = _program("SELECT A, sum(B), max(B) FROM R GROUP BY A")
+    with make(program, tmp_path / "source") as source:
+        source.process_batch("R", 1, [(i % 3, i) for i in range(12)])
+        source.insert("S", 1, 2)  # no query reads S: skipped
+        source.process_batch("R", [1, -1], [(5, 1), (0, 3)])
+        snapshot = engine_state(getattr(source, "engine", source))
+        assert snapshot["stream_started"] and snapshot["events_skipped"] == 1
+        with make(program, tmp_path / "target") as target:
+            target.restore_state(snapshot)
+            assert _state(target) == _state(source) == repr(snapshot)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_value_no_column_takes_is_refused_before_the_log(shards, tmp_path):
+    """A row of the right width with a value its column cannot take
+    raises before the WAL append, naming the relation and the column:
+    nothing is logged or applied, and the directory reopens."""
+    program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="bsp")
+    engine = DurableEngine(program, tmp_path, shards=shards)
+    engine.insert("bids", 1, 7, 1, 100, 5)
+    engine.process_batch("bids", 1, [(2, 8, 1, 101, 5)] * 6)
+    before = (engine.lsn, _state(engine))
+    mixed = (1, 2, 3, True, 5)
+    for refused, match in (
+        (lambda: engine.insert("bids", 2, 8, 1, "x", 5), "'price' is INT; got 'x'"),
+        (lambda: engine.insert("bids", 2, 8, 1, 100, 5.5), "'volume' is INT"),
+        (lambda: engine.insert("bids", None, 8, 1, 100, 5), "'t' is INT; got None"),
+        (lambda: engine.insert("bids", 2, 8, 1, 100), "got a row of 4 values"),
+        (
+            lambda: engine.process_batch("asks", -1, [(1, 2, 3, 4, 5), mixed]),
+            "relation 'asks' column 'price' is INT; got True",
+        ),
+        (lambda: engine.process_batch_columns(
+            "bids", 1, ([1] * 9, [2] * 9, [3] * 9, [4] * 8 + ["4"], [5] * 9)
+        ), "'price' is INT; got '4'"),
+    ):
+        with pytest.raises(EventError, match=match):
+            refused()
+        assert (engine.lsn, _state(engine)) == before
+    engine.close()
+    with DurableEngine(program, tmp_path, shards=shards) as reopened:
+        assert (reopened.lsn, _state(reopened)) == before
+    recovered, lsn = recover_engine(program, tmp_path)
+    assert (lsn, _state(recovered)) == before
 
 
 def test_single_lane_durable_engine_takes_supervision_as_a_noop(tmp_path):

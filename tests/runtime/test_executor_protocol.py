@@ -18,7 +18,7 @@ from repro.codegen import pygen
 from repro.compiler import compile_queries
 from repro.compiler.program import ExecutorOptions
 from repro.runtime import DeltaEngine, ShardedEngine
-from repro.runtime.engine import _build_executor
+from repro.runtime.engine import _build_executor, engine_state
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 from tests.lanes import executors, order_book, shipped_program
 
@@ -92,7 +92,7 @@ def test_restore_state_rebinds_without_rendering(mode, monkeypatch):
     target = DeltaEngine(program, mode=mode)
     monkeypatch.setattr(pygen, "generate_module", None)  # any render raises
     monkeypatch.setattr(pygen, "compile", None, raising=False)
-    target.restore_state(_plain(source.maps), source.events_processed)
+    target.restore_state(engine_state(source))
     clone = copy.deepcopy(target)
     for engine in (source, target, clone):
         engine.process_stream(_events(5))

@@ -20,6 +20,7 @@ from itertools import islice
 import pytest
 
 from repro.runtime import DeltaEngine
+from repro.runtime.engine import EMPTY_STATE
 from repro.runtime.serving import ViewDeltaTap, _delta_record, apply_changes
 from repro.workloads.finance import FINANCE_QUERIES
 from repro.workloads.ssb import warehouse_stream
@@ -105,7 +106,9 @@ def test_observed_tap_matches_the_whole_view_tap(case, kind, delivery, tmp_path)
     engine.remove_batch_listener(idle)
     # A restore is a whole-map write no batch shows: the next batch's
     # deltas carry it.
-    engine.restore_state(snapshot, events_processed=third)
+    engine.restore_state(
+        dict(EMPTY_STATE, maps=snapshot, events_processed=third, stream_started=True)
+    )
     deliver(engine, events[third:], delivery)
     driven = events[: 2 * third] + events[third:]
     assert sum(seen) == sum((e.relation, 0) in program.triggers for e in driven)

@@ -16,6 +16,7 @@ import pytest
 from repro.compiler import compile_sql
 from repro.errors import EventError, UnknownStreamError
 from repro.runtime import DeltaEngine, delete, insert
+from repro.runtime.engine import engine_state
 from repro.runtime.profiler import Profiler
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import finance_catalog
@@ -99,10 +100,10 @@ def test_watch_results_after_routes_exist_writes_the_watched_maps():
 def test_restore_state_after_routes_exist_runs_the_rebound_triggers(program):
     feed = _feed()
     engine = _engine_after(program, feed[:100])
-    snapshot = {name: dict(contents) for name, contents in engine.maps.items()}
+    snapshot = engine_state(engine)
     for event in feed[100:200]:
         engine.process(event)
-    engine.restore_state(snapshot, events_processed=100)
+    engine.restore_state(snapshot)
     for event in feed[100:]:
         engine.process(event)
     assert repr(engine.maps) == repr(_engine_after(program, feed).maps)

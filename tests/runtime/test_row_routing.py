@@ -17,6 +17,7 @@ from repro import compile_sql
 from repro.compiler.program import TriggerTable
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime import engine as engine_module
+from repro.runtime.engine import EMPTY_STATE
 from repro.runtime.durability import (
     WriteAheadLog,
     decode_batch_payload,
@@ -68,7 +69,7 @@ def _counted_lanes(engine):
     for lane in engine._lanes:
         logs.append([])
         lane._executor = _Counting(lane._executor, logs[-1])
-        lane.restore_state({})
+        lane.restore_state(EMPTY_STATE)
     return logs
 
 

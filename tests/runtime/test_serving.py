@@ -24,7 +24,7 @@ from repro.compiler import compile_queries, compile_sql
 from repro.errors import ServingError
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.durability import DurableEngine
-from repro.runtime.engine import Engine
+from repro.runtime.engine import Engine, engine_state
 from repro.runtime.events import EventBatch, batches
 from repro.runtime.serving import (
     ServerThread,
@@ -306,6 +306,30 @@ def test_protocol_errors_are_reported():
                 assert refusal in message["message"]
             assert client.subscribe("q")["lsn"] == 0
     assert engine.events_processed == 0
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_a_published_value_no_column_takes_gets_an_error_frame(durable, tmp_path):
+    """Values are checked where outside input enters, logged or not: the
+    publisher gets an error frame naming the column, and its connection
+    stays open."""
+    engine = DurableEngine(_program(), tmp_path) if durable else DeltaEngine(_program())
+    with ServerThread(engine) as handle:
+        with SubscriberClient(handle.host, handle.port) as client:
+            for rows, refusal in (
+                ([[1, "x"]], "column 'B' is INT; got 'x'"),
+                ([[1, 2], ["y", 2]], "column 'A' is INT; got 'y'"),
+                ([[1, None]], "column 'B' is INT; got None"),
+                ([[True, 2]], "column 'A' is INT; got True"),
+                ([[1, 2.5]], "column 'B' is INT; got 2.5"),
+            ):
+                client._send({"op": "publish", "relation": "R", "rows": rows})
+                message = client.recv()
+                assert message["type"] == "error"
+                assert f"relation 'R' {refusal}" in message["message"]
+            assert client.subscribe("q")["lsn"] == 0
+    assert engine.events_processed == 0
+    engine.close()
 
 
 def test_publish_stream_groups_batches():
@@ -1886,7 +1910,7 @@ def test_restore_state_under_a_live_tap_marks_the_view_whole():
     engine.process_batch("R", 1, [(1, 10), (2, 20)])
     tap = ViewDeltaTap(engine)
     held = Counter(dict(tap.snapshot("q")[1]))
-    engine.restore_state(donor.maps, events_processed=3)
+    engine.restore_state(engine_state(donor))
     assert tap.candidates == {"q": "event"}  # same maps, still watched
     batch = EventBatch("R", 1, [(9, 90)])
     engine.process_batch("R", 1, batch.rows)

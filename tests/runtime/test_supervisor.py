@@ -4,8 +4,8 @@ A supervised :class:`~repro.runtime.engine.ShardedEngine` respawns a
 SIGKILLed forked worker and rebuilds the engine the way a crash is
 recovered — restore a whole-engine snapshot into every lane, replay the
 batches logged since — under a max-restarts-per-window budget.  The log
-has two sources: the router's in-memory log (checkpoint + batch copies)
-on a plain engine, the snapshot store + WAL when wrapped in a
+has two sources: the journal the engine's log step keeps (checkpoint +
+batch copies) on a plain engine, the snapshot store + WAL when wrapped in a
 :class:`~repro.runtime.durability.DurableEngine`.  These tests pin result
 parity after a kill for both sources (between batches, between two
 lanes' slices of one batch, and under a caller that reuses its rows
@@ -27,7 +27,7 @@ from repro.errors import EventError
 from repro.runtime import DeltaEngine, ShardedEngine, ShardSupervisor
 from repro.runtime.durability import DurableEngine
 from repro.runtime import engine as engine_module
-from repro.runtime.engine import _ProcessLane
+from repro.runtime.engine import _ProcessLane, engine_state
 from repro.sql.catalog import Catalog
 
 CATALOG_DDL = """
@@ -245,13 +245,38 @@ class TestSupervisedLanes:
     def test_worker_errors_still_surface(self):
         # Supervision covers worker *death*, not trigger failures: a
         # value the trigger cannot add must still raise, without a restart.
+        # Admission checks a logged batch's values at the coordinator, so
+        # the slice goes to a worker directly.
         engine = ShardedEngine(
             _program(), shards=2, parallel=True, supervise=True,
         )
-        engine.process_batch("R", 1, [(1, None)])
+        with pytest.raises(EventError, match="column 'B' is INT; got None"):
+            engine.process_batch("R", 1, [(1, None)])
+        engine._lanes[0].send("R", 1, [(1, None)], None)
         with pytest.raises(EventError, match=r"shard worker \d+ failed"):
             engine.sync()
         assert engine.supervisor.restarts == 0
+        engine.close()
+
+    def test_skipped_batches_count_once_across_a_rebuild(self, monkeypatch):
+        """A relation no query reads (``S``) is counted live and never
+        journaled: a rebuild that replayed its batches would count them
+        again, one checkpoint interval at a time."""
+        monkeypatch.setattr(engine_module, "_CHECKPOINT_EVERY", 3)
+        program = _program()
+        engine = ShardedEngine(program, shards=2, parallel=True, supervise=True)
+        reference = DeltaEngine(program)
+        for i in range(20):
+            if i == 10:
+                _kill_worker(engine, 0)
+            for target in (engine, reference):
+                target.process_batch("R", 1, [(i % 4, i), ((i + 1) % 4, i)])
+                target.insert("S", i, i)
+        engine.sync()
+        assert engine.supervisor.restarts == 1
+        assert engine.events_skipped == reference.events_skipped == 20
+        assert engine.events_processed == reference.events_processed
+        assert Counter(engine.results("q")) == Counter(reference.results("q"))
         engine.close()
 
     def test_restore_state_resets_checkpoints(self, monkeypatch):
@@ -262,10 +287,7 @@ class TestSupervisedLanes:
         )
         primer = DeltaEngine(program)
         primer.process_batch("R", 1, [(1, 10), (2, 20)])
-        engine.restore_state(
-            {name: dict(contents) for name, contents in primer.maps.items()},
-            events_processed=primer.events_processed,
-        )
+        engine.restore_state(engine_state(primer))
         _kill_worker(engine, 0)
         engine.process_batch("R", 1, [(3, 30)])
         engine.sync()
@@ -273,3 +295,17 @@ class TestSupervisedLanes:
         assert Counter(engine.results("q")) == Counter(primer.results("q"))
         assert engine.supervisor.restarts == 1
         engine.close()
+
+    def test_restore_state_under_a_durable_log_keeps_no_journal(self, tmp_path):
+        """Under a ``DurableEngine`` the WAL append is the log step, so a
+        restore re-bases nothing: the journal holds no copy of the maps."""
+        program = _program()
+        primer = DeltaEngine(program)
+        primer.process_batch("R", 1, [(1, 10), (2, 20)])
+        with DurableEngine(
+            program, tmp_path, shards=2, parallel=True, supervise=True
+        ) as engine:
+            engine.restore_state(engine_state(primer))
+            assert engine.supervisor._snapshot["maps"] == {}
+            assert engine.supervisor._frames == []
+            assert Counter(engine.results("q")) == Counter(primer.results("q"))

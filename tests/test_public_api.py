@@ -132,9 +132,10 @@ def test_module_imports_come_first():
 
 
 def test_modules_use_every_name_they_import():
-    """Ruff's F401, which CI selects and the dev container cannot run: no
-    module under ``src/`` imports a name it never reads.  A name counts
-    as read when code, an annotation (quoted ones included) or the
+    """Ruff's F401, which CI selects (``ruff check src benchmarks tests``)
+    and the dev container cannot run: no module under ``src/``,
+    ``tests/`` or ``benchmarks/`` imports a name it never reads.  A name
+    counts as read when code, an annotation (quoted ones included) or the
     module's ``__all__`` names it; a ``# noqa`` import is exempt."""
     import ast
     from pathlib import Path
@@ -147,8 +148,10 @@ def test_modules_use_every_name_they_import():
                     if isinstance(inner, ast.Name):
                         yield inner.id
 
+    root = Path(__file__).resolve().parents[1]
     offenders = []
-    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+    trees = (root / "src", root / "tests", root / "benchmarks")
+    for path in sorted(path for tree in trees for path in tree.rglob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
@@ -177,7 +180,7 @@ def test_modules_use_every_name_they_import():
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in read:
-                    offenders.append((path.name, node.lineno, bound))
+                    offenders.append((str(path.relative_to(root)), node.lineno, bound))
     assert not offenders
 
 
