@@ -24,7 +24,17 @@ that finds nothing is deleted, not kept):
   precedes it but adds nothing after it, so what only an untaken guard
   reads costs nothing; a map loop body sees what is not over its
   binders, and builds a key over them once per iteration.  It adds
-  assignments, so its yield is negative, as hoisting's is.
+  assignments, so its yield is negative, as hoisting's is;
+* ``zero-guards`` — the ring's annihilation law at run time: statements
+  whose every write is a product with the same exact-integer lookup
+  local (``F``) move next to each other (past statements they commute
+  with) and run under one ``if F != 0:``; the lookups and key tuples only
+  they read move in with them, and guards nest (the four-view lineitem
+  row skips its ``m5``×``m6``, ``m19`` and ``m6`` scans and four
+  straight-line writes behind ``m4_nation_region_supplier[suppkey]``,
+  zero for seven rows in ten, and probes ``m18``/``m20`` only behind
+  ``m17_part[partkey]``).  It adds guards and drops the zero tests they
+  make redundant.
 
 The lowering emits each update already folded (a constant delta writes
 ``m[k] += w`` with no temp or guard, a bare value is tested and written
@@ -42,6 +52,10 @@ map's ring values are provably exact integers
 second-order batch plan and the sharding analysis's cross-shard sums
 gate on).  A batch accumulator counts as exact when the map it merges
 into is: the lowering stages every write to one map in one accumulator.
+``zero-guards`` skips only writes into exact maps (a float ``0 * nan``
+is ``nan``, which the write adds), and moves a statement only past
+statements writing none of its maps, so every map sees its writes in
+order, insertion order included.
 
 The passes apply to the batch bodies too, which wrap already-optimised
 per-event bodies in a row loop, including the second-order
@@ -63,6 +77,7 @@ involving one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple, Optional
 
@@ -76,6 +91,7 @@ from repro.ir.nodes import (
     Assign,
     Block,
     Clear,
+    Compare,
     Const,
     Finalize,
     FlushBuffer,
@@ -117,6 +133,7 @@ DEFAULT_PASSES: tuple[str, ...] = (
     "merge-guards",
     "hoist-invariants",
     "share-locals",
+    "zero-guards",
 )
 
 
@@ -243,14 +260,10 @@ def _as_loop(stmt: IRStmt) -> Optional[ForEachMap]:
 
 
 def _may_reorder(
-    mover: _Effects,
-    blocked_by: list[_Effects],
-    exact: set[Slot],
-    params: set[str],
+    mover: _Effects, blocked_by: list[_Effects], exact: set[Slot]
 ) -> bool:
-    """May a statement move up, past ``blocked_by``, without changing maps?"""
-    if not mover.free <= params:
-        return False
+    """May a statement move up, past ``blocked_by``, without changing maps?
+    Two statements writing one map only swap when it is ``exact``."""
     for other in blocked_by:
         if other.bound & mover.free or mover.bound & other.free:
             return False
@@ -405,8 +418,11 @@ def _fuse_sequence(
                 mapping = _loop_renaming(loop_a, loop_b, a_body, b_body)
                 if mapping is None:
                     continue
+                mover = effects_of(j)
                 between = [effects_of(k) for k in range(i + 1, j)]
-                if not _may_reorder(effects_of(j), between, exact, declared):
+                if not mover.free <= declared or not _may_reorder(
+                    mover, between, exact
+                ):
                     continue
                 out[i] = _fuse_pair(candidate_a, candidate_b, mapping)
                 del out[j], effects[j], body_effects[j]
@@ -499,8 +515,9 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
 
     An assignment of an invariant value to a name bound once moves out
     whole, guards and all (its readers all follow it; a pure value may be
-    computed when unused) — so a temp an inner loop hoisted leaves the
-    outer loop as itself, not as a copy.  Other invariant pure
+    computed when unused, and ``zero-guards`` moves one only a guard's
+    body reads back under that guard) — so a temp an inner loop hoisted
+    leaves the outer loop as itself, not as a copy.  Other invariant pure
     subexpressions are extracted into fresh temps."""
     body = stmt_children(loop)
     inner = {*assigned_names(body), *binders(loop)}
@@ -937,6 +954,308 @@ class _Sharing:
 
 
 # ---------------------------------------------------------------------------
+# Pass: guards on zero factors
+# ---------------------------------------------------------------------------
+
+
+def _reads(stmt: IRStmt) -> set[str]:
+    """The scalar names ``stmt`` itself (not its body) reads."""
+    names: set[str] = set()
+    for expr in stmt_exprs(stmt):
+        names |= expr_names(expr)
+    return names
+
+
+def _nonzero(name: str) -> Compare:
+    return Compare("!=", Name(name), Const(0))
+
+
+class _Region(NamedTuple):
+    """What guarding some statements needs: the factor locals every write
+    among them is a product of (``None``: no write), the factors they bind
+    themselves, and how many writes and map loops they run (a guard pays
+    for a loop, or for two writes)."""
+
+    zeros: Optional[frozenset[str]]
+    binds: frozenset[str]
+    writes: int
+    loops: int
+
+    def factors(self, guarded: frozenset[str] = frozenset()) -> frozenset[str]:
+        """The factors a guard around these statements may test."""
+        return (self.zeros or frozenset()) - self.binds - guarded
+
+    def pays(self) -> bool:
+        return self.loops > 0 or self.writes > 1
+
+
+_NO_WRITES = _Region(None, frozenset(), 0, 0)
+
+
+def _joined(regions) -> Optional[_Region]:
+    """The region of statements run one after another (``None``: some
+    of them may not be guarded, or share no factor)."""
+    zeros: Optional[frozenset[str]] = None
+    binds: frozenset[str] = frozenset()
+    writes = loops = 0
+    for region in regions:
+        if region is None:
+            return None
+        if region.zeros is not None:
+            zeros = region.zeros if zeros is None else zeros & region.zeros
+            if not zeros:
+                return None
+        binds |= region.binds
+        writes += region.writes
+        loops += region.loops
+    return _Region(zeros, binds, writes, loops)
+
+
+class _ZeroGuards:
+    """Skip the work of products a zero factor annihilates.
+
+    A *factor* is a local bound once to a lookup of an exact-integer map
+    (what ``hoist-invariants`` and ``share-locals`` leave of an invariant
+    probe).  A statement whose every write is a product with factor ``F``
+    — through the locals its value reads, ``__d = F * ...`` — adds exact
+    zeros when ``F`` is 0, which its zero tests never write: guarding it
+    on ``F != 0`` changes no map, insertion order included.  Writes into a
+    map not proven exact (a float ``0 * inf`` is ``nan``) are never
+    guarded, nor is a loop summing into a local: no shipped program has
+    one whose every statement shares a factor.
+
+    Per sequence, a statement with factors opens a group on the one the
+    most statements share; each later statement with it moves up to the
+    group past what it commutes with (:func:`_may_reorder`, with no map
+    written on both sides, so each map sees its writes in order), and the
+    group goes under one guard.  A block whose leading assignments bind
+    the factor leaves them before the guard.  The assignments just before
+    a guard that only its body reads move into it (the lookups and key
+    tuples a zero factor makes needless), and the guard's body is walked
+    again with its factor known non-zero (a test of it there goes), so
+    guards nest.  Batch row loops are per-event bodies the pass has
+    rewritten already.
+    """
+
+    def __init__(self, body, exact: set[Slot], bindings: dict[str, int]):
+        self.body = body
+        self.exact = exact
+        #: The value of each local bound once, and those that are factors.
+        self.defs: dict[str, IRExpr] = {}
+        self.factors: set[str] = set()
+        for stmt in walk_stmts(body):
+            if type(stmt) is Assign and bindings.get(stmt.name, 1) == 1:
+                self.defs[stmt.name] = stmt.value
+                if type(stmt.value) is Lookup and stmt.value.slot in exact:
+                    self.factors.add(stmt.name)
+        self.zero_memo: dict[str, frozenset[str]] = {}
+        self.memo: dict[int, list] = {}
+        self.reads: Optional[Counter] = None
+
+    def run(self) -> tuple[IRStmt, ...]:
+        if not self.factors:
+            return self.body
+        return self.sequence(self.body, frozenset())
+
+    def count_reads(self) -> Counter:
+        """How many statements of the body read each name (once, on the
+        first group found)."""
+        if self.reads is None:
+            self.reads = self.reads_in(self.body)
+        return self.reads
+
+    def zeros(self, expr: IRExpr) -> frozenset[str]:
+        """The locals whose being 0 makes ``expr`` 0: a name itself and,
+        through the value it is bound to, that value's; a product's
+        factors'."""
+        kind = type(expr)
+        if kind is Name:
+            found = self.zero_memo.get(expr.name)
+            if found is None:
+                found = frozenset((expr.name,))
+                value = self.defs.get(expr.name)
+                if value is not None:
+                    found |= self.zeros(value)
+                self.zero_memo[expr.name] = found
+            return found
+        if kind is Prod:
+            return frozenset().union(*map(self.zeros, expr.factors))
+        if kind is Neg:
+            return self.zeros(expr.body)
+        return frozenset()
+
+    def held(self, stmt: IRStmt) -> list:
+        """``[stmt, region, effects, reads]`` of ``stmt``: what the pass
+        has worked out about it (``None``: not yet)."""
+        held = self.memo.get(id(stmt))  # holding ``stmt`` keeps its id
+        if held is None:
+            held = self.memo[id(stmt)] = [stmt, None, None, None]
+            held[1] = self.region_of(stmt)
+        return held
+
+    def region(self, stmt: IRStmt) -> Optional[_Region]:
+        return self.held(stmt)[1]
+
+    def region_of(self, stmt: IRStmt) -> Optional[_Region]:
+        """The :class:`_Region` of ``stmt``, from its children's."""
+        kind = type(stmt)
+        if kind is AddTo or kind is AppendTo:
+            exact = (stmt.slot if kind is AddTo else stmt.target) in self.exact
+            zeros = self.zeros(stmt.value) & self.factors
+            return _Region(zeros, frozenset(), 1, 0) if exact and zeros else None
+        if kind is Assign:
+            if stmt.name in self.factors:
+                return _Region(None, frozenset((stmt.name,)), 0, 0)
+            return _NO_WRITES
+        if kind is IfCond or kind is Block or kind is ForEachMap:
+            region = _joined(map(self.region, stmt_children(stmt)))
+            if region is not None and kind is ForEachMap:
+                region = region._replace(loops=region.loops + 1)
+            return region
+        return None
+
+    def effects(self, stmt: IRStmt) -> _Effects:
+        held = self.held(stmt)
+        if held[2] is None:
+            held[2] = _effects((stmt,))
+        return held[2]
+
+    def reads_in(self, stmts) -> Counter:
+        """How many statements of ``stmts``, at any depth, read each local
+        bound once (each statement's count is made once, from its
+        children's)."""
+        counts: Counter = Counter()
+        for stmt in stmts:
+            held = self.held(stmt)
+            if held[3] is None:
+                held[3] = Counter(self.defs.keys() & _reads(stmt))
+                held[3].update(self.reads_in(stmt_children(stmt)))
+            counts.update(held[3])
+        return counts
+
+    def sequence(self, stmts, guarded: frozenset[str]) -> tuple[IRStmt, ...]:
+        """``stmts`` with their groups guarded, at every depth; ``guarded``
+        are the factors the enclosing guards know non-zero."""
+        known = {_nonzero(factor) for factor in guarded}
+        rest = list(stmts)
+        out: list[IRStmt] = []
+        while rest:
+            if type(rest[0]) is IfCond and rest[0].cond in known:
+                rest[:1] = rest[0].body  # a test the enclosing guard made
+                continue
+            found = self.group(rest, guarded)
+            if found is None:
+                stmt = rest.pop(0)
+                if isinstance(stmt, (Block, IfCond, ForEachMap)):
+                    stmt = map_node(
+                        stmt, stmt_fn=lambda body: self.sequence(body, guarded)
+                    )
+                out.append(stmt)
+                continue
+            factor, prefix, parts, taken = found
+            out.extend(prefix)
+            self.reads[factor] += 1  # the guard's test
+            sunk = self.sink(out, parts)
+            if prefix:  # the block's own assignments stay under its comments
+                parts[0] = with_body(parts[0], (*sunk, *parts[0].stmts))
+            else:
+                parts[:0] = sunk
+            body = self.sequence(tuple(parts), guarded | {factor})
+            out.append(IfCond(_nonzero(factor), body))
+            rest = [stmt for j, stmt in enumerate(rest) if j not in taken]
+        return stmts if same_nodes(out, stmts) else tuple(out)
+
+    def group(self, rest: list[IRStmt], guarded: frozenset[str]):
+        """The group ``rest[0]`` opens: ``(factor, prefix, parts,
+        positions)`` — the assignments left before the guard, the
+        statements under it and their positions in ``rest`` — or
+        ``None``."""
+        first = rest[0]
+        whole = self.region(first)
+        if whole is None or not whole.zeros:
+            return None
+        options = dict.fromkeys(whole.factors(guarded), ((), first))
+        if whole.binds and type(first) is Block:
+            split = 0
+            while type(first.stmts[split]) is Assign:
+                split += 1
+            prefix, core = first.stmts[:split], first.stmts[split:]
+            heads = _joined(map(self.region, prefix)).binds
+            for factor in _joined(map(self.region, core)).factors(guarded) & heads:
+                options.setdefault(factor, (prefix, with_body(first, core)))
+        if not options:
+            return None
+        regions = [self.region(stmt) for stmt in rest[1:]]
+
+        def shared(factor: str) -> int:
+            return sum(1 for r in regions if r is not None and factor in r.factors())
+
+        for factor in sorted(options, key=lambda f: (-shared(f), f)):
+            prefix, core = options[factor]
+            if not shared(factor) and not self.region(core).pays():
+                continue  # a guard around one write only adds a test
+            taken = self.members(rest, factor, core)
+            if taken is not None:
+                parts = [core, *(rest[j] for j in taken[1:])]
+                return factor, prefix, parts, set(taken)
+        return None
+
+    def members(self, rest: list[IRStmt], factor: str, core: IRStmt):
+        """The positions in ``rest`` of the statements guarded on
+        ``factor`` with ``core`` (``rest[0]``, or what of it follows its
+        prefix), or ``None`` when the guard does not pay.  A statement
+        joins when it moves up past the ones that stay; not when it binds
+        a name something outside the guard reads."""
+        reads = self.count_reads()
+        candidates = [
+            j
+            for j in range(1, len(rest))
+            if (region := self.region(rest[j])) is not None
+            and factor in region.factors()
+        ]
+        while True:
+            taken, passed = [0], []
+            for j in range(1, candidates[-1] + 1 if candidates else 1):
+                if j in candidates and _may_reorder(
+                    self.effects(rest[j]), passed, set()
+                ):
+                    taken.append(j)
+                else:
+                    passed.append(self.effects(rest[j]))
+            parts = [core, *(rest[j] for j in taken[1:])]
+            inside = self.reads_in(parts)
+            leaks = [
+                j
+                for j, part in zip(taken, parts)
+                if any(
+                    stmt.name not in self.defs or inside[stmt.name] != reads[stmt.name]
+                    for stmt in walk_stmts((part,))
+                    if type(stmt) is Assign
+                )
+            ]
+            if not leaks:
+                return taken if _joined(map(self.region, parts)).pays() else None
+            if leaks[0] == 0:
+                return None
+            candidates = [j for j in candidates if j not in leaks]
+
+    def sink(self, out: list[IRStmt], parts: list[IRStmt]) -> list[IRStmt]:
+        """The assignments ending ``out`` that only ``parts`` read, taken
+        out of ``out``, in order."""
+        sunk: list[IRStmt] = []
+        inside = self.reads_in(parts)
+        at = len(out)
+        while at and type(out[at - 1]) is Assign:
+            at -= 1
+            name = out[at].name
+            if name in self.defs and 0 < self.reads[name] == inside[name]:
+                stmt = out.pop(at)
+                inside.update(_reads(stmt))
+                sunk.insert(0, stmt)
+        return sunk
+
+
+# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -985,8 +1304,10 @@ def optimize_trigger(
             body = _merge_guards(body)
         elif name == "hoist-invariants":
             body = _hoist_stmts(body, _HoistNamer(bindings), bindings)
-        else:
+        elif name == "share-locals":
             body = _Sharing(bindings, patterns or {}).run(body)
+        else:
+            body = _ZeroGuards(body, exact_slots, bindings).run()
         after = _size(body)
         if removed is not None:
             removed[name] = removed.get(name, 0) + size - after

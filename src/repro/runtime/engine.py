@@ -136,14 +136,13 @@ def admit(engine, batch: EventBatch) -> Optional[Trigger]:
     (the trigger's parameters): a short row would fail part-way through
     the batch, and a long one would bind the generated trigger's map
     defaults; a batch the engine logs is held to :func:`check_values`,
-    which covers the width, since a replay runs it.  Static tables must be fully loaded before the first
-    stream event — mixed static/stream maps carry no static-table
-    triggers, which is only sound while all streams are empty — and only
-    take inserts.  A
-    relation no standing query reads raises in ``strict`` mode and is
-    counted into ``events_skipped`` otherwise.  Returns the relation's
-    trigger, which every sign runs, or ``None`` for a skipped relation,
-    whose rows drop.
+    which covers the width, since a replay runs it.  Static tables must
+    be fully loaded before the first stream event — mixed static/stream
+    maps carry no static-table triggers, which is only sound while all
+    streams are empty — and only take inserts.  A relation no standing
+    query reads raises in ``strict`` mode and is counted into
+    ``events_skipped`` otherwise.  Returns the relation's trigger, which
+    every sign runs, or ``None`` for a skipped relation, whose rows drop.
 
     ``sign`` is the batch's: ``+1``/``-1``, or a mixed batch's weight
     column, judged whole before any row applies: a static table refuses
