@@ -9,7 +9,6 @@ that finds nothing is deleted, not kept):
   filters into one traversal, at every nesting depth (vwap's two full
   scans become one; the SSB lineitem trigger's three ``m6_part`` probes
   inside each ``m5_ddate_orders`` entry become one);
-* ``merge-guards`` — combine adjacent identical guards;
 * ``hoist-invariants`` — move loop-invariant lookups/arithmetic (vwap's
   ``0.25 * total`` threshold) and whole invariant assignments out of the
   loops that recompute them;
@@ -25,16 +24,13 @@ that finds nothing is deleted, not kept):
   reads costs nothing; a map loop body sees what is not over its
   binders, and builds a key over them once per iteration.  It adds
   assignments, so its yield is negative, as hoisting's is;
-* ``zero-guards`` — the ring's annihilation law at run time: statements
-  whose every write is a product with the same exact-integer lookup
-  local (``F``) move next to each other (past statements they commute
-  with) and run under one ``if F != 0:``; the lookups and key tuples only
-  they read move in with them, and guards nest (the four-view lineitem
-  row skips its ``m5``×``m6``, ``m19`` and ``m6`` scans and four
-  straight-line writes behind ``m4_nation_region_supplier[suppkey]``,
-  zero for seven rows in ten, and probes ``m18``/``m20`` only behind
-  ``m17_part[partkey]``).  It adds guards and drops the zero tests they
-  make redundant.
+* ``guards`` — the ring's annihilation law at run time: a comparison is a
+  0/1 factor, so statements sharing a condition (a guard's, or ``F != 0``
+  for an exact-integer lookup local ``F`` every product they write
+  carries) move next to each other and run under one test of it, with
+  the lookups only they read (vwap tests its threshold once; the
+  four-view lineitem row skips three scans and four writes behind
+  ``m4_nation_region_supplier[suppkey]``, zero for seven rows in ten).
 
 The lowering emits each update already folded (a constant delta writes
 ``m[k] += w`` with no temp or guard, a bare value is tested and written
@@ -43,7 +39,8 @@ as itself), which is why no constant-folding pass runs.
 Every pass reports how many IR nodes it removed
 (``ProgramIR.pass_yield``, printed under ``--dump-ir``'s
 ``== IR passes ==``).  The pipeline walks each body once up front for
-the binding counts the passes read, and counts nodes after each pass.
+the binding counts the passes read, and counts nodes after each pass
+that changed it.
 
 Every pass is semantics-preserving *including float bit-identity*: a
 rewrite that would reorder additions into a map is only applied when the
@@ -52,10 +49,10 @@ map's ring values are provably exact integers
 second-order batch plan and the sharding analysis's cross-shard sums
 gate on).  A batch accumulator counts as exact when the map it merges
 into is: the lowering stages every write to one map in one accumulator.
-``zero-guards`` skips only writes into exact maps (a float ``0 * nan``
-is ``nan``, which the write adds), and moves a statement only past
-statements writing none of its maps, so every map sees its writes in
-order, insertion order included.
+``guards`` skips a zero product only in an exact map (a float ``0 * nan``
+is ``nan``) and moves a statement only past statements writing none of
+its maps, so every map sees its writes in order, insertion order
+included.
 
 The passes apply to the batch bodies too, which wrap already-optimised
 per-event bodies in a row loop, including the second-order
@@ -79,7 +76,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from typing import NamedTuple, Optional
+from typing import AbstractSet, NamedTuple, Optional
 
 from repro.compiler.program import CompiledProgram
 from repro.compiler.storage import exact_int_maps
@@ -130,10 +127,9 @@ from repro.ir.nodes import (
 
 DEFAULT_PASSES: tuple[str, ...] = (
     "fuse-loops",
-    "merge-guards",
     "hoist-invariants",
     "share-locals",
-    "zero-guards",
+    "guards",
 )
 
 
@@ -157,17 +153,6 @@ def _scan(stmts) -> tuple[dict[str, int], int]:
         for name in binders(stmt):
             bindings[name] = bindings.get(name, 0) + 1
     return bindings, size
-
-
-def _size(stmts) -> int:
-    """Statement nodes in a body (the pass-yield unit)."""
-    size = len(stmts)
-    for stmt in stmts:
-        if isinstance(stmt, Block):
-            size += _size(stmt.stmts)
-        elif isinstance(stmt, (IfCond, ForEachMap, ForEachRow)):
-            size += _size(stmt.body)
-    return size
 
 
 class _Effects(NamedTuple):
@@ -448,37 +433,6 @@ def _fuse_nested(stmt: IRStmt, exact: set[Slot], params: set[str]) -> IRStmt:
 
 
 # ---------------------------------------------------------------------------
-# Pass: merge adjacent identical guards
-# ---------------------------------------------------------------------------
-
-
-def _merge_guards(stmts: tuple[IRStmt, ...]) -> tuple[IRStmt, ...]:
-    out: list[IRStmt] = []
-    for stmt in stmts:
-        if not isinstance(stmt, ForEachRow):
-            stmt = map_node(stmt, stmt_fn=_merge_guards)
-        previous = out[-1] if out else None
-        if (
-            isinstance(stmt, IfCond)
-            and isinstance(previous, IfCond)
-            and previous.cond == stmt.cond
-            and not _invalidates_cond(previous.body, stmt.cond)
-        ):
-            # Re-merge the joined bodies: each was merged alone, the seam
-            # between them (nested identical guards) was not.
-            out[-1] = with_body(previous, _merge_guards(previous.body + stmt.body))
-        else:
-            out.append(stmt)
-    return tuple(out)
-
-
-def _invalidates_cond(body: tuple[IRStmt, ...], cond: IRExpr) -> bool:
-    if assigned_names(body) & expr_names(cond):
-        return True
-    return bool(written_slots(body) & expr_slots(cond))
-
-
-# ---------------------------------------------------------------------------
 # Pass: loop-invariant hoisting
 # ---------------------------------------------------------------------------
 
@@ -505,7 +459,7 @@ def _hoist_stmts(
             out.append(map_node(stmt, stmt_fn=hoist))
         else:
             out.append(stmt)
-    return tuple(out)
+    return stmts if same_nodes(out, stmts) else tuple(out)
 
 
 def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
@@ -515,8 +469,8 @@ def _hoist_from_loop(loop: IRStmt, namer, bindings: dict[str, int]):
 
     An assignment of an invariant value to a name bound once moves out
     whole, guards and all (its readers all follow it; a pure value may be
-    computed when unused, and ``zero-guards`` moves one only a guard's
-    body reads back under that guard) — so a temp an inner loop hoisted
+    computed when unused, and ``guards`` moves one only a guard's body
+    reads back under that guard) — so a temp an inner loop hoisted
     leaves the outer loop as itself, not as a copy.  Other invariant pure
     subexpressions are extracted into fresh temps."""
     body = stmt_children(loop)
@@ -954,120 +908,135 @@ class _Sharing:
 
 
 # ---------------------------------------------------------------------------
-# Pass: guards on zero factors
+# Pass: guards
 # ---------------------------------------------------------------------------
 
 
-def _reads(stmt: IRStmt) -> set[str]:
+def _reads(stmt: IRStmt) -> frozenset[str]:
     """The scalar names ``stmt`` itself (not its body) reads."""
-    names: set[str] = set()
-    for expr in stmt_exprs(stmt):
-        names |= expr_names(expr)
-    return names
+    return frozenset().union(*map(expr_names, stmt_exprs(stmt)))
 
 
 def _nonzero(name: str) -> Compare:
     return Compare("!=", Name(name), Const(0))
 
 
+def _invalidates_cond(effects, cond: IRExpr) -> bool:
+    """Whether statements with ``effects`` may change what ``cond`` is."""
+    names, slots = expr_names(cond), expr_slots(cond)
+    return any(e.bound & names or e.applied & slots for e in effects)
+
+
+def _pays(cond: IRExpr, parts) -> bool:
+    """Whether a guard on ``cond`` saves ``parts`` a write or test of it in
+    a map loop, or two outside one."""
+    work = 0
+    stack = [(stmt, False) for stmt in parts]
+    while stack:
+        stmt, looped = stack.pop()
+        tests = type(stmt) is IfCond and stmt.cond == cond
+        if tests or type(stmt) is AddTo or type(stmt) is AppendTo:
+            if looped:
+                return True
+            work += 1
+        if not tests:  # what a test guards, it guards already
+            looped = looped or type(stmt) is ForEachMap
+            stack.extend((child, looped) for child in stmt_children(stmt))
+    return work > 1
+
+
 class _Region(NamedTuple):
-    """What guarding some statements needs: the factor locals every write
-    among them is a product of (``None``: no write), the factors they bind
-    themselves, and how many writes and map loops they run (a guard pays
-    for a loop, or for two writes)."""
+    """The conditions (by number) whose being false makes some statements
+    do nothing, outermost first, less those reading a name bound among
+    them (``None``: they write nothing), and every name bound among them."""
 
-    zeros: Optional[frozenset[str]]
-    binds: frozenset[str]
-    writes: int
-    loops: int
-
-    def factors(self, guarded: frozenset[str] = frozenset()) -> frozenset[str]:
-        """The factors a guard around these statements may test."""
-        return (self.zeros or frozenset()) - self.binds - guarded
-
-    def pays(self) -> bool:
-        return self.loops > 0 or self.writes > 1
+    conds: Optional[tuple[int, ...]]
+    binds: AbstractSet[str]
 
 
-_NO_WRITES = _Region(None, frozenset(), 0, 0)
+class _Guards:
+    """Test each condition once for all the statements it annihilates.
 
+    A statement whose *condition* is false does nothing: the ``cond`` of
+    a guard around all its writes, or ``F != 0`` for a *factor* ``F`` (a
+    local bound once to a lookup of an exact-integer map: a float ``0 *
+    inf`` is ``nan``) every product it writes carries.  No condition
+    leaves a statement binding a name it reads, so none leaves its loop.
 
-def _joined(regions) -> Optional[_Region]:
-    """The region of statements run one after another (``None``: some
-    of them may not be guarded, or share no factor)."""
-    zeros: Optional[frozenset[str]] = None
-    binds: frozenset[str] = frozenset()
-    writes = loops = 0
-    for region in regions:
-        if region is None:
-            return None
-        if region.zeros is not None:
-            zeros = region.zeros if zeros is None else zeros & region.zeros
-            if not zeros:
-                return None
-        binds |= region.binds
-        writes += region.writes
-        loops += region.loops
-    return _Region(zeros, binds, writes, loops)
-
-
-class _ZeroGuards:
-    """Skip the work of products a zero factor annihilates.
-
-    A *factor* is a local bound once to a lookup of an exact-integer map
-    (what ``hoist-invariants`` and ``share-locals`` leave of an invariant
-    probe).  A statement whose every write is a product with factor ``F``
-    — through the locals its value reads, ``__d = F * ...`` — adds exact
-    zeros when ``F`` is 0, which its zero tests never write: guarding it
-    on ``F != 0`` changes no map, insertion order included.  Writes into a
-    map not proven exact (a float ``0 * inf`` is ``nan``) are never
-    guarded, nor is a loop summing into a local: no shipped program has
-    one whose every statement shares a factor.
-
-    Per sequence, a statement with factors opens a group on the one the
-    most statements share; each later statement with it moves up to the
-    group past what it commutes with (:func:`_may_reorder`, with no map
-    written on both sides, so each map sees its writes in order), and the
-    group goes under one guard.  A block whose leading assignments bind
-    the factor leaves them before the guard.  The assignments just before
-    a guard that only its body reads move into it (the lookups and key
-    tuples a zero factor makes needless), and the guard's body is walked
-    again with its factor known non-zero (a test of it there goes), so
-    guards nest.  Batch row loops are per-event bodies the pass has
-    rewritten already.
+    Per sequence, a statement opens a group on the condition the most
+    statements share (ties: the outermost, so a guard chain keeps its
+    order); each later one with it moves up past what it commutes with
+    (:func:`_may_reorder`), and the group goes under one guard if that
+    saves work (:func:`_pays`) and no member changes what the condition
+    reads (a factor is bound once).  IR conditions are pure and cannot
+    fail on admitted values, so one may be tested earlier, or once before
+    an empty loop.  A block's leading assignments binding the condition's
+    names stay before the guard, those before it only its body reads move
+    in, and its body is walked again knowing the condition true (a test
+    of it there goes), so guards nest.  Only a factor's condition, one
+    two guards test or one that may leave a loop can pay (*open*):
+    statements holding none are left as they are, as are batch row loops.
     """
 
     def __init__(self, body, exact: set[Slot], bindings: dict[str, int]):
         self.body = body
         self.exact = exact
+        self.bindings = bindings
         #: The value of each local bound once, and those that are factors.
         self.defs: dict[str, IRExpr] = {}
         self.factors: set[str] = set()
-        for stmt in walk_stmts(body):
-            if type(stmt) is Assign and bindings.get(stmt.name, 1) == 1:
-                self.defs[stmt.name] = stmt.value
-                if type(stmt.value) is Lookup and stmt.value.slot in exact:
-                    self.factors.add(stmt.name)
+        #: Each condition's number (conditions hash slowly); by number, it,
+        #: its names, its tests, the open ones, and those in loops surveyed.
+        self.numbers: dict[IRExpr, int] = {}
+        self.conds: list[IRExpr] = []
+        self.names: list[frozenset[str]] = []
+        self.tests: Counter = Counter()
+        self.open: set[int] = set()
+        self.looped: list[int] = []
+        self.survey(body)
+        self.open.update(self.number(_nonzero(name)) for name in self.factors)
+        self.open.update(cond for cond, tests in self.tests.items() if tests > 1)
         self.zero_memo: dict[str, frozenset[str]] = {}
+        #: Per statement (by id): ``[stmt, region, effects, busy]``.
         self.memo: dict[int, list] = {}
         self.reads: Optional[Counter] = None
 
     def run(self) -> tuple[IRStmt, ...]:
-        if not self.factors:
-            return self.body
-        return self.sequence(self.body, frozenset())
+        return self.sequence(self.body, frozenset()) if self.open else self.body
 
-    def count_reads(self) -> Counter:
-        """How many statements of the body read each name (once, on the
-        first group found)."""
-        if self.reads is None:
-            self.reads = self.reads_in(self.body)
-        return self.reads
+    def number(self, cond: IRExpr) -> int:
+        number = self.numbers.setdefault(cond, len(self.conds))
+        if number == len(self.conds):
+            self.conds.append(cond)
+            self.names.append(expr_names(cond))
+        return number
+
+    def survey(self, stmts) -> None:
+        """Note the locals ``stmts`` bind, their guards' conditions and
+        those reading no name the loop around them binds."""
+        for stmt in stmts:
+            kind = type(stmt)
+            if kind is Assign and self.bindings.get(stmt.name, 1) == 1:
+                self.defs[stmt.name] = stmt.value
+                if type(stmt.value) is Lookup and stmt.value.slot in self.exact:
+                    self.factors.add(stmt.name)
+            elif kind is IfCond:
+                self.tests[self.number(stmt.cond)] += 1
+                self.looped.append(self.number(stmt.cond))
+            if kind is ForEachMap:
+                start = len(self.looped)
+                self.survey(stmt.body)
+                bound = {*assigned_names(stmt.body), stmt.entry_var, *binders(stmt)}
+                for cond in self.looped[start:]:
+                    if not self.names[cond] & bound:
+                        self.open.add(cond)
+                del self.looped[start:]
+            elif kind is not ForEachRow:  # a per-event body rewritten already
+                self.survey(stmt_children(stmt))
 
     def zeros(self, expr: IRExpr) -> frozenset[str]:
-        """The locals whose being 0 makes ``expr`` 0: a name itself and,
-        through the value it is bound to, that value's; a product's
-        factors'."""
+        """The locals whose being 0 makes ``expr`` 0: a name, those of the
+        value it is bound to, and a product's factors'."""
         kind = type(expr)
         if kind is Name:
             found = self.zero_memo.get(expr.name)
@@ -1085,133 +1054,157 @@ class _ZeroGuards:
         return frozenset()
 
     def held(self, stmt: IRStmt) -> list:
-        """``[stmt, region, effects, reads]`` of ``stmt``: what the pass
-        has worked out about it (``None``: not yet)."""
         held = self.memo.get(id(stmt))  # holding ``stmt`` keeps its id
         if held is None:
             held = self.memo[id(stmt)] = [stmt, None, None, None]
-            held[1] = self.region_of(stmt)
         return held
 
-    def region(self, stmt: IRStmt) -> Optional[_Region]:
-        return self.held(stmt)[1]
-
-    def region_of(self, stmt: IRStmt) -> Optional[_Region]:
+    def region(self, stmt: IRStmt) -> _Region:
         """The :class:`_Region` of ``stmt``, from its children's."""
+        held = self.held(stmt)
+        if held[1] is not None:
+            return held[1]
         kind = type(stmt)
         if kind is AddTo or kind is AppendTo:
-            exact = (stmt.slot if kind is AddTo else stmt.target) in self.exact
-            zeros = self.zeros(stmt.value) & self.factors
-            return _Region(zeros, frozenset(), 1, 0) if exact and zeros else None
-        if kind is Assign:
-            if stmt.name in self.factors:
-                return _Region(None, frozenset((stmt.name,)), 0, 0)
-            return _NO_WRITES
-        if kind is IfCond or kind is Block or kind is ForEachMap:
-            region = _joined(map(self.region, stmt_children(stmt)))
-            if region is not None and kind is ForEachMap:
-                region = region._replace(loops=region.loops + 1)
-            return region
-        return None
+            conds: tuple[int, ...] = ()
+            if (stmt.slot if kind is AddTo else stmt.target) in self.exact:
+                zeros = sorted(self.zeros(stmt.value) & self.factors)
+                conds = tuple(self.number(_nonzero(name)) for name in zeros)
+            region = _Region(conds, frozenset())
+        elif kind is Assign:
+            region = _Region(None, {stmt.name})
+        elif kind is IfCond or kind is Block or kind is ForEachMap:
+            own = (stmt.entry_var, *binders(stmt)) if kind is ForEachMap else ()
+            region = self.joined(stmt_children(stmt), set(own))
+            if kind is IfCond and region.conds is not None:
+                cond = self.number(stmt.cond)
+                inner = (other for other in region.conds if other != cond)
+                conds = (*self.free((cond,), region.binds), *inner)
+                region = _Region(conds, region.binds)
+        else:
+            region = _Region((), set(binders(stmt)))
+        held[1] = region
+        return region
+
+    def joined(self, stmts, bound: set[str]) -> _Region:
+        """The region of ``stmts`` run in order; ``bound`` takes their names."""
+        conds: Optional[tuple[int, ...]] = None
+        for stmt in stmts:
+            region = self.region(stmt)
+            if region.conds is not None:
+                if conds is None:
+                    conds = region.conds
+                elif conds:
+                    conds = tuple(cond for cond in conds if cond in region.conds)
+            bound.update(region.binds)
+        return _Region(conds and self.free(conds, bound), bound)
+
+    def free(self, conds, bound: AbstractSet[str]) -> tuple[int, ...]:
+        return tuple(cond for cond in conds if not self.names[cond] & bound)
+
+    def busy(self, stmt: IRStmt) -> bool:
+        """Whether ``stmt`` holds a write with a factor or a guard on an
+        open condition."""
+        held = self.held(stmt)
+        if held[3] is None:
+            kind = type(stmt)
+            if kind is AddTo or kind is AppendTo:
+                held[3] = bool(self.region(stmt).conds)
+            else:
+                held[3] = kind is IfCond and self.number(stmt.cond) in self.open
+                if not held[3] and kind is not ForEachRow:
+                    held[3] = any(map(self.busy, stmt_children(stmt)))
+        return held[3]
 
     def effects(self, stmt: IRStmt) -> _Effects:
         held = self.held(stmt)
-        if held[2] is None:
-            held[2] = _effects((stmt,))
+        held[2] = held[2] or _effects((stmt,))
         return held[2]
 
     def reads_in(self, stmts) -> Counter:
-        """How many statements of ``stmts``, at any depth, read each local
-        bound once (each statement's count is made once, from its
-        children's)."""
-        counts: Counter = Counter()
-        for stmt in stmts:
-            held = self.held(stmt)
-            if held[3] is None:
-                held[3] = Counter(self.defs.keys() & _reads(stmt))
-                held[3].update(self.reads_in(stmt_children(stmt)))
-            counts.update(held[3])
-        return counts
+        """How many of ``stmts`` read each local bound once."""
+        defs = self.defs.keys()
+        return Counter([name for stmt in stmts for name in defs & _reads(stmt)])
 
-    def sequence(self, stmts, guarded: frozenset[str]) -> tuple[IRStmt, ...]:
+    def sequence(self, stmts, guarded: frozenset[int]) -> tuple[IRStmt, ...]:
         """``stmts`` with their groups guarded, at every depth; ``guarded``
-        are the factors the enclosing guards know non-zero."""
-        known = {_nonzero(factor) for factor in guarded}
+        are the conditions the enclosing guards know true."""
         rest = list(stmts)
         out: list[IRStmt] = []
         while rest:
-            if type(rest[0]) is IfCond and rest[0].cond in known:
-                rest[:1] = rest[0].body  # a test the enclosing guard made
+            first = rest[0]
+            if not self.busy(first):
+                out.append(rest.pop(0))
+                continue
+            if type(first) is IfCond and self.number(first.cond) in guarded:
+                rest[:1] = first.body  # a test the enclosing guard made
                 continue
             found = self.group(rest, guarded)
             if found is None:
-                stmt = rest.pop(0)
-                if isinstance(stmt, (Block, IfCond, ForEachMap)):
-                    stmt = map_node(
-                        stmt, stmt_fn=lambda body: self.sequence(body, guarded)
-                    )
-                out.append(stmt)
+                rest.pop(0)
+                out.append(
+                    map_node(first, stmt_fn=lambda body: self.sequence(body, guarded))
+                )
                 continue
-            factor, prefix, parts, taken = found
+            cond, prefix, parts, taken, inside = found
             out.extend(prefix)
-            self.reads[factor] += 1  # the guard's test
-            sunk = self.sink(out, parts)
+            self.reads.update(self.names[cond] & self.defs.keys())  # the test
+            sunk = self.sink(out, inside)
             if prefix:  # the block's own assignments stay under its comments
                 parts[0] = with_body(parts[0], (*sunk, *parts[0].stmts))
             else:
                 parts[:0] = sunk
-            body = self.sequence(tuple(parts), guarded | {factor})
-            out.append(IfCond(_nonzero(factor), body))
+            body = self.sequence(tuple(parts), guarded | {cond})
+            out.append(IfCond(self.conds[cond], body))
             rest = [stmt for j, stmt in enumerate(rest) if j not in taken]
         return stmts if same_nodes(out, stmts) else tuple(out)
 
-    def group(self, rest: list[IRStmt], guarded: frozenset[str]):
-        """The group ``rest[0]`` opens: ``(factor, prefix, parts,
-        positions)`` — the assignments left before the guard, the
-        statements under it and their positions in ``rest`` — or
-        ``None``."""
+    def group(self, rest: list[IRStmt], guarded: frozenset[int]):
+        """The group ``rest[0]`` opens: ``(cond, prefix, parts, positions,
+        reads)`` — the assignments left before the guard, the statements
+        under it, their positions in ``rest`` and what they read."""
         first = rest[0]
-        whole = self.region(first)
-        if whole is None or not whole.zeros:
-            return None
-        options = dict.fromkeys(whole.factors(guarded), ((), first))
-        if whole.binds and type(first) is Block:
+        conds = self.region(first).conds
+        options = dict.fromkeys(conds or (), 0)  # each with its prefix's length
+        if type(first) is Block and conds is not None:
             split = 0
             while type(first.stmts[split]) is Assign:
                 split += 1
-            prefix, core = first.stmts[:split], first.stmts[split:]
-            heads = _joined(map(self.region, prefix)).binds
-            for factor in _joined(map(self.region, core)).factors(guarded) & heads:
-                options.setdefault(factor, (prefix, with_body(first, core)))
-        if not options:
-            return None
-        regions = [self.region(stmt) for stmt in rest[1:]]
-
-        def shared(factor: str) -> int:
-            return sum(1 for r in regions if r is not None and factor in r.factors())
-
-        for factor in sorted(options, key=lambda f: (-shared(f), f)):
-            prefix, core = options[factor]
-            if not shared(factor) and not self.region(core).pays():
+            for cond in self.joined(first.stmts[split:], set()).conds or ():
+                options.setdefault(cond, split)
+        shared = dict.fromkeys(
+            (c for c in options if c in self.open and c not in guarded), 0
+        )
+        for stmt in rest[1:]:
+            if self.busy(stmt):
+                for cond in self.region(stmt).conds or ():
+                    if cond in shared:
+                        shared[cond] += 1
+        for cond in sorted(shared, key=lambda cond: -shared[cond]):
+            split = options[cond]
+            core = first.stmts[split:] if split else (first,)
+            if not shared[cond] and not _pays(self.conds[cond], core):
                 continue  # a guard around one write only adds a test
-            taken = self.members(rest, factor, core)
-            if taken is not None:
-                parts = [core, *(rest[j] for j in taken[1:])]
-                return factor, prefix, parts, set(taken)
+            prefix = ()
+            if split:
+                prefix, core = first.stmts[:split], (with_body(first, core),)
+            found = self.members(rest, cond, core[0])
+            if found is not None:
+                taken, inside = found
+                parts = [core[0], *(rest[j] for j in taken[1:])]
+                return cond, prefix, parts, set(taken), inside
         return None
 
-    def members(self, rest: list[IRStmt], factor: str, core: IRStmt):
-        """The positions in ``rest`` of the statements guarded on
-        ``factor`` with ``core`` (``rest[0]``, or what of it follows its
-        prefix), or ``None`` when the guard does not pay.  A statement
-        joins when it moves up past the ones that stay; not when it binds
-        a name something outside the guard reads."""
-        reads = self.count_reads()
+    def members(self, rest: list[IRStmt], cond: int, core: IRStmt):
+        """The positions in ``rest`` of the statements that join ``core``
+        under a guard on ``cond`` (moving up past those that stay, binding
+        no name read outside) and what they read, or ``None``."""
+        if self.reads is None:
+            self.reads = self.reads_in(walk_stmts(self.body))
         candidates = [
             j
             for j in range(1, len(rest))
-            if (region := self.region(rest[j])) is not None
-            and factor in region.factors()
+            if self.busy(rest[j]) and cond in (self.region(rest[j]).conds or ())
         ]
         while True:
             taken, passed = [0], []
@@ -1223,27 +1216,31 @@ class _ZeroGuards:
                 else:
                     passed.append(self.effects(rest[j]))
             parts = [core, *(rest[j] for j in taken[1:])]
-            inside = self.reads_in(parts)
+            walks = [walk_stmts((part,)) for part in parts]
+            inside = self.reads_in(stmt for walk in walks for stmt in walk)
             leaks = [
                 j
-                for j, part in zip(taken, parts)
+                for j, walk in zip(taken, walks)
                 if any(
-                    stmt.name not in self.defs or inside[stmt.name] != reads[stmt.name]
-                    for stmt in walk_stmts((part,))
+                    stmt.name not in self.defs
+                    or inside[stmt.name] != self.reads[stmt.name]
+                    for stmt in walk
                     if type(stmt) is Assign
                 )
             ]
             if not leaks:
-                return taken if _joined(map(self.region, parts)).pays() else None
+                test, effects = self.conds[cond], map(self.effects, parts)
+                if _pays(test, parts) and not _invalidates_cond(effects, test):
+                    return taken, inside
+                return None
             if leaks[0] == 0:
                 return None
             candidates = [j for j in candidates if j not in leaks]
 
-    def sink(self, out: list[IRStmt], parts: list[IRStmt]) -> list[IRStmt]:
-        """The assignments ending ``out`` that only ``parts`` read, taken
-        out of ``out``, in order."""
+    def sink(self, out: list[IRStmt], inside: Counter) -> list[IRStmt]:
+        """The assignments ending ``out`` that only a guard reading
+        ``inside`` reads, taken out of ``out``, in order."""
         sunk: list[IRStmt] = []
-        inside = self.reads_in(parts)
         at = len(out)
         while at and type(out[at - 1]) is Assign:
             at -= 1
@@ -1298,17 +1295,17 @@ def optimize_trigger(
     for name in DEFAULT_PASSES:
         if name not in passes:
             continue
+        before = body
         if name == "fuse-loops":
             body = _fuse_sequence(body, exact_slots, set(trigger_ir.params))
-        elif name == "merge-guards":
-            body = _merge_guards(body)
         elif name == "hoist-invariants":
             body = _hoist_stmts(body, _HoistNamer(bindings), bindings)
         elif name == "share-locals":
             body = _Sharing(bindings, patterns or {}).run(body)
         else:
-            body = _ZeroGuards(body, exact_slots, bindings).run()
-        after = _size(body)
+            body = _Guards(body, exact_slots, bindings).run()
+        # A pass that changes nothing returns the body itself.
+        after = size if body is before else len(walk_stmts(body))
         if removed is not None:
             removed[name] = removed.get(name, 0) + size - after
         size = after

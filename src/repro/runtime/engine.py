@@ -359,10 +359,18 @@ class Engine(ScalarResult):
         return count
 
     def insert(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, 1, tuple(values)))
+        """Apply one hand-typed insert; a value its column cannot take
+        raises :class:`~repro.errors.EventError` before any write (a log
+        step checks the values itself)."""
+        if self._log is None:
+            check_values(self.program, relation, (values,))
+        self.process(StreamEvent(relation, 1, values))
 
     def delete(self, relation: str, *values) -> None:
-        self.process(StreamEvent(relation, -1, tuple(values)))
+        """Apply one hand-typed delete, checked as :meth:`insert` is."""
+        if self._log is None:
+            check_values(self.program, relation, (values,))
+        self.process(StreamEvent(relation, -1, values))
 
     def load(self, relation: str, rows: Iterable[Sequence]) -> int:
         """Bulk-load a (static) table through the batch path.

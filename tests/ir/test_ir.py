@@ -420,7 +420,7 @@ class TestOptimisationPasses:
         for ir in full:
             removed.update(ir.pass_yield)
         optimised = sum(map(_node_count, full))
-        assert table["all five passes"] == (optimised, str(sum(removed.values())))
+        assert table["all four passes"] == (optimised, str(sum(removed.values())))
         assert table["no passes"][0] == optimised + sum(removed.values())
         for dropped in DEFAULT_PASSES:
             rest = tuple(p for p in DEFAULT_PASSES if p != dropped)

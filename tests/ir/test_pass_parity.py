@@ -1,19 +1,19 @@
 """Leaving a pass out changes no map: ``share-locals`` (a lookup is
 evaluated and a key tuple built once per scope, and read from its local)
-and ``zero-guards`` (a group of products with a common exact-integer
-factor runs only when that factor is non-zero).
+and ``guards`` (statements sharing a condition, an explicit guard's or an
+exact-integer factor's ``F != 0``, run under one test of it).
 
 The programs a pass changes (every shipped query and warehouse-load's
-four-view SSB program for ``share-locals``, those in ``ZERO_GUARDED``
-for ``zero-guards``) run with ``DEFAULT_PASSES`` and with the pass left
-out, on every lane of ``tests/lanes.py`` (the executors, native only
+four-view SSB program for ``share-locals``, those in ``GUARDED`` for
+``guards``) run with ``DEFAULT_PASSES`` and with the pass left out, on
+every lane of ``tests/lanes.py`` (the executors, native only
 where a kernel owns a map; the unindexed one; two in-process shards),
 per event and in batches of 3 and 100, over the bounded order book or a
 TPC-H fact feed that deletes every third fact: the maps must be
 ``repr``-equal (values, keys and insertion order).  A batch of one runs
 the per-event trigger, and ``tests/integration/test_map_parity.py`` pins
-batches to per-event processing.  A program ``zero-guards`` does not
-change is pinned byte-identical without it instead.  The structural pins
+batches to per-event processing.  A program ``guards`` does not change
+is pinned byte-identical without it instead.  The structural pins
 check the rendered triggers read the shared locals, the four-view
 lineitem row skips its supplier-keyed work behind one guard, and a float
 sum is never guarded.
@@ -57,11 +57,11 @@ from tests.lanes import (
 
 DELIVERIES = ("process", "stream-3", "stream-100")
 PROGRAMS = (*FINANCE_QUERIES, *SSB_FLIGHT, "warehouse")
-#: The programs whose IR ``zero-guards`` changes.
-ZERO_GUARDED = ("vwap", "bsp", "bbo", "q11", "q21", "q41", "warehouse")
+#: The programs whose module ``guards`` changes.
+GUARDED = ("vwap", "axf", "bsp", "mst", "bbo", "q11", "q21", "q31", "q41", "warehouse")
 CASES = [
     *(("share-locals", name) for name in PROGRAMS),
-    *(("zero-guards", name) for name in ZERO_GUARDED),
+    *(("guards", name) for name in GUARDED),
 ]
 
 
@@ -101,8 +101,9 @@ def _maps(name: str, program, lane: str, delivery: str) -> str:
 @pytest.mark.parametrize("dropped, name", CASES)
 def test_maps_match_without_the_pass(dropped, name, monkeypatch):
     """Reading a lookup or a key from its local is the same probe or
-    write, and a guarded group only skipped exact zeros: every map ends
-    the same, on every lane, however the feed is batched."""
+    write, and a guarded group only skipped what a false condition or an
+    exact zero annihilates: every map ends the same, on every lane,
+    however the feed is batched."""
     full = compile_shipped(name, name)
     lanes = _lanes(full)
     expected = {
@@ -124,12 +125,12 @@ def _source(program) -> str:
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_zero_guards_changes_only_the_guarded_programs(name, monkeypatch):
+def test_guards_change_only_the_guarded_programs(name, monkeypatch):
     """Every other program's module is the same byte for byte without
     the pass, so the parity legs above cover all it changes."""
     full = _source(compile_shipped(name, name))
-    monkeypatch.setattr(optimize_module, "DEFAULT_PASSES", _without("zero-guards"))
-    assert (_source(compile_shipped(name, name)) != full) == (name in ZERO_GUARDED)
+    monkeypatch.setattr(optimize_module, "DEFAULT_PASSES", _without("guards"))
+    assert (_source(compile_shipped(name, name)) != full) == (name in GUARDED)
 
 
 def _lookups(stmts) -> Counter:
@@ -202,7 +203,7 @@ def test_float_target_keeps_its_zero_factor_unguarded(delivery, monkeypatch):
         StreamEvent("U", 1, (6, nan)),
     ]
     runs = []
-    for passes in (DEFAULT_PASSES, _without("zero-guards")):
+    for passes in (DEFAULT_PASSES, _without("guards")):
         monkeypatch.setattr(optimize_module, "DEFAULT_PASSES", passes)
         program = compile_sql(FLOAT_SHAPE, RST, name="q")
         engine = build_engine(program)

@@ -639,3 +639,18 @@ class TestProfiler:
         assert report.python_source_bytes == len(
             engine._executor.source.encode()
         )
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_a_hand_typed_value_no_column_takes_is_refused_before_any_write(shards):
+    """An engine with no log step holds ``insert`` and ``delete`` to the
+    value-type rule a logged batch meets: the event raises naming the
+    relation and the column before any of bsp's writes, so no map moves."""
+    program = shipped_program("bsp", "bsp")
+    engine = DeltaEngine(program) if shards is None else ShardedEngine(program, shards)
+    engine.insert("bids", 1, 7, 1, 100, 5)
+    before = repr(engine.current_maps())
+    for typed in (engine.insert, engine.delete):
+        with pytest.raises(EventError, match="'bids' column 'price' is INT; got 'x'"):
+            typed("bids", 1, 7, 1, "x", 5)
+        assert repr(engine.current_maps()) == before
