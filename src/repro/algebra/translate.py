@@ -519,7 +519,9 @@ class _Translator:
                 raise TranslationError(
                     f"only sum/count scalar subqueries are supported, got {agg.func}"
                 )
-            if isinstance(agg.argument, Star):
+            # Engine columns are never NULL: COUNT(col) counts every row,
+            # as COUNT(*) does.
+            if agg.func == "COUNT" or isinstance(agg.argument, Star):
                 value: Expr = ONE
             else:
                 value = self._translate_scalar(agg.argument, sub_scope)
@@ -572,7 +574,8 @@ class _Translator:
                 )
                 return RSlot(index)
             if func in ("SUM", "COUNT"):
-                if isinstance(expr.argument, Star):
+                # COUNT(col) is COUNT(*): engine columns are never NULL.
+                if func == "COUNT" or isinstance(expr.argument, Star):
                     value: Expr = ONE
                 else:
                     value = self._translate_scalar(expr.argument, scope)

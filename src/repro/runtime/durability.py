@@ -115,10 +115,10 @@ _FRAME_OVERHEAD = _FRAME_HEADER.size + _FRAME_CRC.size
 _MAX_PAYLOAD_BYTES = 1 << 31
 
 #: Batches at or below this many rows skip the per-column packing and
-#: pickle their row list in one call — interleaved streams degenerate
-#: into one/two-row runs where per-column dispatch costs more than the
-#: data (pickle round-trips values and types exactly, like the ``P``
-#: column tag).  The column count field carries the sentinel below.
+#: pickle their row list in one call — small windows and hand-made
+#: batches hold one or two rows, where per-column dispatch costs more
+#: than the data (pickle round-trips values and types exactly, like the
+#: ``P`` column tag).  The column count field carries the sentinel below.
 _SMALL_BATCH_ROWS = 4
 
 #: ``cols`` value in the payload header marking a pickled-rows payload.
@@ -129,8 +129,8 @@ _ROWS_SENTINEL = 0xFFFF
 #: name.  Uniform batches keep ``+1``/``-1`` there, byte for byte.
 _MIXED_SIGN = 0
 
-# Bound once: the append path runs per frame, and interleaved streams
-# degenerate to one/two-row frames, so attribute lookups show up.
+# Bound once: the append path runs per frame, and small windows make
+# one/two-row frames, so attribute lookups show up.
 _pack_payload_header = _PAYLOAD_HEADER.pack
 _pack_column_header = _COLUMN_HEADER.pack
 _pack_frame_header = _FRAME_HEADER.pack
@@ -1179,6 +1179,12 @@ class DurableEngine(Engine):
     def engine(self):
         """The wrapped :class:`DeltaEngine` / :class:`ShardedEngine`."""
         return self._engine
+
+    @property
+    def _stream_started(self) -> bool:
+        """Whether the engine that admits this one's batches has started
+        its stream (the static-table rule reads it)."""
+        return self._engine._stream_started
 
     @property
     def lsn(self) -> int:

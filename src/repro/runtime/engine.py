@@ -29,14 +29,15 @@ The engine is *embeddable* (construct it in-process and call ``insert`` /
 maps supports ad-hoc client queries, per the paper's system model.
 
 Events are accepted one at a time (:meth:`DeltaEngine.process`) or in
-*batches* (:meth:`DeltaEngine.process_batch`): a batch is a run of rows on
-one relation, admitted, logged and routed once, and applied by one
-trigger call — the generated ``*_batch`` trigger over its columns and
-weight column, inserts and deletes mixed (or the per-event trigger for a
-single row) — so the Python call per event is paid once per run.
-:meth:`DeltaEngine.process_stream` groups consecutive same-relation events
-into such batches automatically.  Per-event processing admits a relation
-once: its first event takes the one-row batch path, and once its
+*batches* (:meth:`DeltaEngine.process_batch`): a batch is rows of one
+relation, admitted, logged and routed once, and applied by one trigger
+call — the generated ``*_batch`` trigger over its columns and weight
+column, inserts and deletes mixed (or the per-event trigger for a single
+row) — so the Python call per event is paid once per batch.
+:meth:`DeltaEngine.process_stream` cuts a stream into windows and applies
+each as one such batch per relation (stream-order runs for a program
+whose maps are not all exact integers).  Per-event processing admits a
+relation once: its first event takes the one-row batch path, and once its
 admission is settled (the stream has started) :meth:`DeltaEngine.process`
 keeps the relation's sign-indexed triggers —
 or "skip" — in a route table, so every later event, and every one-row
@@ -84,13 +85,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from repro.errors import EventError, UnknownStreamError
 from repro.compiler.partition import analyze_partitioning
 from repro.compiler.program import CompiledProgram, ExecutorOptions, Trigger
+from repro.compiler.storage import exact_int_maps
 from repro.ir.interp import InterpretedExecutor, run_finalize
 from repro.ir.lower import lower_for
 from repro.runtime.events import (
     EventBatch,
     StreamEvent,
+    _windows,
     batch_sign,
-    batches,
     columns_from_rows,
     partition_columns,
     partition_rows,
@@ -105,9 +107,9 @@ from repro.runtime.views import (
     result_rows_to_dicts,
 )
 
-#: Default rows-per-batch cap for ``process_stream``: large enough to
-#: amortise dispatch, small enough that grouping an archived single-relation
-#: stream stays O(batch) in memory instead of buffering the whole run.
+#: Default window for ``process_stream``, in events: large enough to
+#: amortise dispatch, small enough that regrouping an archived stream stays
+#: O(window) in memory instead of buffering the whole stream.
 DEFAULT_BATCH_SIZE = 1024
 
 #: The longest run :class:`ShardedEngine` routes as rows.  Up to this
@@ -169,16 +171,7 @@ def admit(engine, batch: EventBatch) -> Optional[Trigger]:
                     raise _width_error(relation, width, len(row))
     static = relation in program.static_relations
     if static:
-        if engine._stream_started:
-            raise EventError(
-                f"static table {relation!r} cannot change after "
-                "stream processing has started; declare it as a STREAM "
-                "if it receives online updates"
-            )
-        if batch.sign != 1:
-            raise EventError(
-                f"static table {relation!r} only supports bulk-load inserts"
-            )
+        _check_static(relation, batch.sign, engine._stream_started)
     if trigger is None and engine.strict:
         # Say what *would* have been accepted.
         known = program.relations
@@ -193,6 +186,51 @@ def admit(engine, batch: EventBatch) -> Optional[Trigger]:
     elif not static:
         engine._stream_started = True
     return trigger
+
+
+def _check_static(relation: str, sign, started: bool) -> None:
+    """The static-table rule: a static table takes only inserts, and
+    only before the stream starts."""
+    if started:
+        raise EventError(
+            f"static table {relation!r} cannot change after "
+            "stream processing has started; declare it as a STREAM "
+            "if it receives online updates"
+        )
+    if sign != 1:
+        raise EventError(
+            f"static table {relation!r} only supports bulk-load inserts"
+        )
+
+
+def _stream_windows(engine, events: Iterable, batch_size: Optional[int]):
+    """The windows ``engine`` applies a stream in (see
+    :func:`~repro.runtime.events.batches`): one batch per relation of
+    each ``batch_size``-event window when every ring map of the program is
+    an exact integer (:func:`~repro.compiler.storage.exact_int_maps`),
+    else stream-order runs, so a FLOAT sum adds in the stream's order at
+    every batch size.  A window is judged by :func:`admit`'s static-table
+    rule whole before it is yielded, in its batches' order: a static
+    table's rows load ahead of the window's first stream batch, or an
+    ``EventError`` refuses the window before any of it applies.
+    """
+    program = engine.program
+    exact = exact_int_maps(program)
+    regroup = all(
+        name in exact
+        for name, map_def in program.maps.items()
+        if map_def.role != "auxiliary"
+    )
+    static = program.static_relations
+    for window in _windows(events, batch_size, regroup):
+        if len(window) > 1 and static:
+            started = engine._stream_started
+            for batch in window:
+                if batch.relation in static:
+                    _check_static(batch.relation, batch.sign, started)
+                elif (batch.relation, 0) in program.triggers:
+                    started = True
+        yield window
 
 
 def check_values(program: CompiledProgram, relation: str, rows) -> None:
@@ -337,15 +375,16 @@ class Engine(ScalarResult):
     ) -> int:
         """Apply a sequence of events (update pairs are flattened).
 
-        Consecutive events on one relation are grouped into batches
-        (:func:`~repro.runtime.events.batches`), inserts and deletes
-        together, and each dispatched once: one-row runs take the
-        per-event trigger directly, longer runs the columnar ``*_batch``
-        trigger.
-        ``batch_size`` caps the rows buffered per batch (default
-        ``DEFAULT_BATCH_SIZE``, keeping memory bounded on endless
-        single-relation feeds); ``None`` leaves runs unbounded — only safe
-        for finite streams.
+        The stream is cut into windows of ``batch_size`` events (default
+        ``DEFAULT_BATCH_SIZE``, keeping memory bounded on endless feeds;
+        ``None`` makes the whole stream one window — only safe for finite
+        streams), and each window is applied as one batch per relation,
+        inserts and deletes together (:func:`_stream_windows`): a one-row
+        batch takes the per-event trigger directly, a longer one the
+        columnar ``*_batch`` trigger.  A program with a map that is not an
+        exact integer (a FLOAT sum) takes stream-order runs of at most
+        ``batch_size`` events instead, so its sums add in the stream's
+        order at every batch size.
 
         Returns the number of events *consumed from the stream*, which
         includes events the engine skipped because no standing query reads
@@ -353,9 +392,10 @@ class Engine(ScalarResult):
         the split.
         """
         count = 0
-        for batch in batches(events, batch_size):
-            self._process_batch(batch)
-            count += len(batch)
+        for window in _stream_windows(self, events, batch_size):
+            for batch in window:
+                self._process_batch(batch)
+                count += len(batch)
         return count
 
     def insert(self, relation: str, *values) -> None:

@@ -6,11 +6,16 @@ streams.  An update is represented as a delete of the old tuple followed by
 an insert of the new one (the paper makes the same reduction).
 
 Besides single events, the runtime supports *batched* delivery: a stream is
-grouped into :class:`EventBatch` runs of consecutive events on one
-relation, so each layer (WAL, router, lane) handles a run once (see
-:meth:`repro.runtime.engine.DeltaEngine.process_batch`).  The sign is a
-column of the run, as a Z-set's weight travels with its row: a run of one
-sign keeps ``sign`` ``+1``/``-1``, a mixed run carries its per-row weight
+cut into windows of ``batch_size`` consecutive events, and each window into
+one :class:`EventBatch` per relation (:func:`batches`), so each layer (WAL,
+router, lane) handles a relation's share of a window once (see
+:meth:`repro.runtime.engine.DeltaEngine.process_batch`).  A window's
+triggers may run per relation because every serial order of its events
+ends at the same maps; an engine whose maps are not all exact integers
+keeps the stream's own order instead (see
+:meth:`repro.runtime.engine.Engine.process_stream`).  The sign is a column
+of the batch, as a Z-set's weight travels with its row: a batch of one
+sign keeps ``sign`` ``+1``/``-1``, a mixed batch carries its per-row weight
 column, and either executes as one call of the relation's trigger, which
 takes each row's weight as an argument.
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import EventError
@@ -112,7 +118,7 @@ def is_sign(value) -> bool:
 
 
 def batch_sign(weights: list):
-    """The ``sign`` of a run with this weight column: its one sign when
+    """The ``sign`` of a batch with this weight column: its one sign when
     every row shares it, else the column itself."""
     first = weights[0]
     return first if weights.count(first) == len(weights) else weights
@@ -141,9 +147,10 @@ def _checked_sign(sign, count: int):
 
 
 class EventBatch:
-    """A run of consecutive events on one relation.
+    """Rows of one relation, applied as one delta: a relation's share of a
+    window (:func:`batches`), in stream order.
 
-    ``sign`` is ``+1``/``-1`` when every row shares it; a *mixed* run
+    ``sign`` is ``+1``/``-1`` when every row shares it; a *mixed* batch
     carries its weight column there instead — a list of one ``+1``/``-1``
     per row, in stream order — and :attr:`weights` gives the per-row list
     either way.  A mixed batch applies in one trigger call with its
@@ -158,7 +165,7 @@ class EventBatch:
     A batch holds whichever representation it was built with (row tuples
     from stream grouping, columns from a columnar producer) and
     materialises the other on first access, caching the transpose — so
-    degenerate one-row runs dispatched through the per-event path never
+    degenerate one-row batches dispatched through the per-event path never
     pay for a transpose at all.
 
     >>> batch = EventBatch("bids", 1, [(1, 10), (2, 20)])
@@ -218,7 +225,7 @@ class EventBatch:
 
     @property
     def weights(self) -> list:
-        """The per-row signs (the weight column), uniform runs included."""
+        """The per-row signs (the weight column), uniform batches included."""
         sign = self.sign
         return sign if isinstance(sign, list) else [sign] * self._length
 
@@ -330,37 +337,68 @@ def partition_columns(
 
 
 def batches(events: Iterable, batch_size: Optional[int] = None) -> Iterator[EventBatch]:
-    """Group a stream into batches of consecutive events on one relation.
+    """Cut a stream into windows and each window into one batch per relation.
 
-    Inserts and deletes share a batch: a run that mixes them carries its
-    weight column (see :class:`EventBatch`).  Update pairs (and
-    pre-existing batches) are flattened first, so the concatenation of the
-    yielded batches replays the input stream exactly — batched execution
-    therefore observes the same event order as per-event execution.
-    ``batch_size`` caps the rows per batch (``None`` leaves runs
-    unbounded).
+    A window is ``batch_size`` consecutive events (``None``: the whole
+    stream).  It yields one batch per relation it touches, in order of
+    first appearance; a batch holds its relation's rows in stream order,
+    inserts and deletes together under a weight column (see
+    :class:`EventBatch`).  Rows are not consolidated: a batch holds one
+    row per event.  Update pairs (and pre-existing batches) are flattened
+    first.  Every serial order of a window's events ends at the same map
+    values (DBSP's linearity, Q(ΣΔI) = ΣQ(ΔI)), and the per-relation order
+    is one of them, so applying the batches equals applying the window per
+    event in the order ``flatten(batches(events, batch_size))`` replays.
 
     >>> list(batches([insert("R", 1), insert("R", 2), delete("R", 1)]))
     [±R[3 rows]]
-    >>> list(batches([insert("R", 1), insert("R", 2), insert("S", 1)]))
-    [+R[2 rows], +S[1 rows]]
+    >>> window = [insert("R", 1), insert("S", 1), delete("R", 1), insert("S", 2)]
+    >>> list(batches(window)), list(batches(window, 2))
+    ([±R[2 rows], +S[2 rows]], [+R[1 rows], +S[1 rows], -R[1 rows], +S[1 rows]])
+    """
+    return chain.from_iterable(_windows(events, batch_size, regroup=True))
+
+
+def _windows(
+    events: Iterable, batch_size: Optional[int], regroup: bool
+) -> Iterator[list[EventBatch]]:
+    """The one cut behind :func:`batches` and the engines' stream ingest:
+    the stream as a list of batches per window.
+
+    With ``regroup``, a window is ``batch_size`` consecutive events, one
+    batch per relation (see :func:`batches`).  Without it, a window is a
+    run of consecutive events on one relation, at most ``batch_size``
+    long, so the batches replay the stream in its own order: what a
+    program whose maps are not all exact integers takes, since a FLOAT
+    sum added in another order may differ in its last bits.
     """
     if batch_size is not None and batch_size < 1:
         raise EventError(f"batch_size must be >= 1, got {batch_size!r}")
     limit = sys.maxsize if batch_size is None else batch_size
-    # Rows (and their signs) accumulate per event; the batch transposes
+    # Rows (and their signs) accumulate per event; a batch transposes
     # lazily, once, if a consumer asks for columns.
     adopt = EventBatch._adopt
-    relation: Optional[str] = None
-    pending: list[tuple] = []
-    signs: list[int] = []
+
+    def window(runs: dict) -> list[EventBatch]:
+        return [
+            adopt(relation, batch_sign(signs), rows)
+            for relation, (rows, signs) in runs.items()
+        ]
+
+    runs: dict[str, tuple[list, list]] = {}
+    count = 0
     for event in flatten(events):
-        if pending and event.relation == relation and len(pending) < limit:
-            pending.append(event.values)
-            signs.append(event.sign)
-            continue
-        if pending:
-            yield adopt(relation, batch_sign(signs), pending)
-        relation, pending, signs = event.relation, [event.values], [event.sign]
-    if pending:
-        yield adopt(relation, batch_sign(signs), pending)
+        run = runs.get(event.relation)
+        if run is None:
+            if runs and not regroup:
+                yield window(runs)
+                runs, count = {}, 0
+            run = runs[event.relation] = ([], [])
+        run[0].append(event.values)
+        run[1].append(event.sign)
+        count += 1
+        if count == limit:
+            yield window(runs)
+            runs, count = {}, 0
+    if runs:
+        yield window(runs)

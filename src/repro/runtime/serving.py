@@ -90,8 +90,12 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import EventError, ResumeGapError, ServingError
 from repro.runtime.durability import DurableEngine, restore_and_replay
-from repro.runtime.engine import DEFAULT_BATCH_SIZE, DeltaEngine, check_values
-from repro.runtime.events import batches
+from repro.runtime.engine import (
+    DEFAULT_BATCH_SIZE,
+    DeltaEngine,
+    _stream_windows,
+    check_values,
+)
 from repro.runtime.views import GroupRenderer, result_delta
 
 _log = logging.getLogger("repro.serving")
@@ -791,17 +795,19 @@ class ViewServer:
     async def publish_stream(self, events, batch_size: Optional[int] = None) -> int:
         """Apply a whole event stream through the serving ingest path.
 
-        Events are grouped into per-relation batches, inserts and deletes
-        together (like
-        :meth:`~repro.runtime.engine.DeltaEngine.process_stream`), and
-        each is one :meth:`publish` — one LSN and one delta per view per
-        batch.  Returns events consumed.
+        Events are cut into windows of ``batch_size`` events and each
+        window into one batch per relation, inserts and deletes together,
+        as :meth:`~repro.runtime.engine.Engine.process_stream` cuts them
+        (stream-order runs for a program with a FLOAT sum), and each batch
+        is one :meth:`publish` — one LSN and one delta per view per batch.
+        Returns events consumed.
         """
         size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         count = 0
-        for batch in batches(events, size):
-            await self.publish(batch.relation, batch.sign, batch.rows)
-            count += len(batch)
+        for window in _stream_windows(self.engine, events, size):
+            for batch in window:
+                await self.publish(batch.relation, batch.sign, batch.rows)
+                count += len(batch)
         return count
 
     def _remember(self, record: _Delta) -> None:

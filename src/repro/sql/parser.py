@@ -304,12 +304,28 @@ class _Parser:
         if self._current.is_keyword("IN"):
             self._advance()
             self._expect(TokenType.LPAREN, "'('")
+            if not self._current.is_keyword("SELECT"):
+                return self._in_list(left, negated)
             query = self.select_query()
             self._expect(TokenType.RPAREN, "')'")
             membership = InExpr(left, query)
             return Not(membership) if negated else membership
 
         return left
+
+    def _in_list(self, left: SqlExpr, negated: bool) -> SqlExpr:
+        """``left [NOT] IN (e1, e2, ...)`` past its ``(``: an ``OR`` of
+        equalities, or for ``NOT IN`` an ``AND`` of ``<>``."""
+        items = [self.add_expr()]
+        while self._current.type is TokenType.COMMA:
+            self._advance()
+            items.append(self.add_expr())
+        self._expect(TokenType.RPAREN, "')'")
+        op = "!=" if negated else "="
+        tests = tuple(Comparison(op, left, item) for item in items)
+        if len(tests) == 1:
+            return tests[0]
+        return BoolOp("AND" if negated else "OR", tests)
 
     def add_expr(self) -> SqlExpr:
         left = self.mul_expr()

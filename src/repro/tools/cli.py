@@ -437,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--query", help="finance query name (vwap/axf/...)")
     p_bench.add_argument("--events", type=int, default=20_000)
     p_bench.add_argument("--batch-size", type=int, default=None,
-                         help="cap rows per dispatched batch "
-                         "(default: the engine's bounded default)")
+                         help="events per window, applied as one batch "
+                         "per relation (default: the engine's bounded default)")
     _engine_options(p_bench, durable=False)
     p_bench.set_defaults(func=cmd_bench)
     return parser

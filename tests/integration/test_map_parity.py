@@ -9,10 +9,15 @@ leaves, on every lane of ``tests/lanes.py``.
   per-event compiled engine's entries (``repr`` of each key and value),
   results, ``events_processed`` and ``events_skipped``.
 * The shipped feeds: each at every batch size and shard count the suites
-  before this one used, one test per (feed, lane, delivery),
-  ``repr``-equal to the same lane's per-event run, insertion order
-  included (a forked run to the in-process one); every lane's per-event
-  entries and results equal the compiled engine's, which equal sqlite's.
+  before this one used, one test per (feed, lane, delivery).  A run at
+  window ``k`` applies each window one relation after another, so it is
+  ``repr``-equal, insertion order included, to the same lane's per-event
+  run over ``flatten(batches(feed, k))`` (a forked run to the in-process
+  one), and its entries (``lanes.exact_items``), results and counters
+  equal the lane's per-event run in stream order.  Every lane's
+  per-event entries and results equal the compiled engine's, which equal
+  sqlite's; and the 11 shipped queries and the four-view SSB program
+  answer what sqlite answers after every window.
 
 Engines are built once per (program, lane) and emptied for each run:
 building one per run made this file take 21-25 s instead of 12-13 s.
@@ -28,8 +33,9 @@ from hypothesis import given, settings
 from repro.runtime import StreamEvent
 from repro.runtime.engine import EMPTY_STATE
 from repro.workloads.finance import FINANCE_QUERIES
+from repro.workloads.ssb import SSB_FLIGHT
 from tests import lanes
-from tests.integration.sql_oracle import normalize_rows
+from tests.integration.sql_oracle import SqliteOracle, normalize_rows
 from tests.strategies import events
 
 _ENGINES: dict = {}
@@ -142,25 +148,28 @@ WORKLOADS = {
     },
     "ssb": ((1, 7, 100), ("compiled", "compiled/2", "forked/2")),
     "q41": ((1, 13, 128, 1000, None), ("compiled", "compiled/4")),
+    **{query: ((100, 1000), ("compiled",)) for query in ("q11", "q21", "q31")},
 }
 
 
-def _run(name, lane, delivery) -> tuple:
+def _run(name, lane, delivery, order="process") -> tuple:
     """``(maps repr, entries, {view: results}, events_processed)`` once
-    the workload's tables and feed reached ``lane`` by ``delivery``."""
+    the workload's tables and feed reached ``lane`` by ``delivery``, the
+    feed put first in the order ``order`` applies it
+    (:func:`lanes.applied_order`)."""
     program, _, views, static, feed = lanes.workload(name)
     engine = _empty(program, lane)
     for relation, rows in static.items():
         engine.load(relation, rows)
-    lanes.deliver(engine, feed, delivery)
+    lanes.deliver(engine, lanes.applied_order(feed, order), delivery)
     maps = engine.current_maps()
     results = {view: engine.results(view) for view in views}
     return repr(maps), lanes.exact_items(maps), results, engine.events_processed
 
 
 @lru_cache(maxsize=None)
-def _per_event(name, lane):
-    return _run(name, lane.replace("forked", "compiled"), "process")
+def _per_event(name, lane, order="process"):
+    return _run(name, lane.replace("forked", "compiled"), "process", order)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +186,9 @@ def _per_event(name, lane):
 def test_shipped_feeds(name, lane, delivery):
     """``process``: the compiled engine's per-event run equals sqlite, and
     another lane's equals the compiled one's.  ``stream[-n]``: the lane
-    fed in runs of ``n`` equals its own per-event run."""
+    fed in windows of ``n`` equals its own per-event run over the
+    regrouped order, and in entries, results and counters the one in
+    stream order."""
     per_event = _per_event(name, lane)
     if delivery == "process":
         if lane == "compiled":
@@ -187,5 +198,36 @@ def test_shipped_feeds(name, lane, delivery):
             assert per_event[1:] == _per_event(name, "compiled")[1:]
         return
     got = _run(name, lane, delivery)
-    assert got[0] == per_event[0]  # insertion order too
-    assert got[2:] == per_event[2:]
+    assert got[0] == _per_event(name, lane, delivery)[0]  # insertion order too
+    assert got[1:] == per_event[1:]
+
+
+#: The 11 shipped queries alone and the four-view SSB program -> window
+#: sizes.  A query alone streams its dimension rows ahead of 3,765 facts.
+SHIPPED_WINDOWS = {
+    **{query: (7, 100) for query in FINANCE_QUERIES},
+    "ssb": (7, 100),
+    **{query: (100, 1000) for query in SSB_FLIGHT},
+}
+
+
+@pytest.mark.parametrize(
+    "name,size",
+    [(name, size) for name, sizes in SHIPPED_WINDOWS.items() for size in sizes],
+)
+def test_shipped_windows_match_sqlite(name, size):
+    """``process_stream`` one window at a time answers, after every
+    window, what sqlite answers over the same prefix of the feed."""
+    program, catalog, views, static, feed = lanes.workload(name)
+    engine = lanes.build_engine(program)
+    oracle = SqliteOracle(catalog, "")
+    for relation, rows in static.items():
+        engine.load(relation, rows)
+        oracle.apply_all(StreamEvent(relation, 1, row) for row in rows)
+    for start in range(0, len(feed), size):
+        window = feed[start:start + size]
+        assert engine.process_stream(window, size) == len(window)
+        oracle.apply_all(window)
+        for view, sql in views.items():
+            expected = normalize_rows(oracle.connection.execute(sql).fetchall())
+            assert normalize_rows(engine.results(view)) == expected, (view, start)

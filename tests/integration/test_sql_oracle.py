@@ -82,6 +82,20 @@ LINEAR_QUERIES = {
         "SELECT sum(b.volume) FROM bids b WHERE EXISTS "
         "(SELECT a.broker_id FROM asks a WHERE a.broker_id = b.broker_id)"
     ),
+    # COUNT(col) counts rows (columns are never NULL); IN / NOT IN take a
+    # list of values.
+    "count_col_grouped": (
+        "SELECT broker_id, count(price), count(*) FROM bids GROUP BY broker_id"
+    ),
+    "count_col_subquery": (
+        "SELECT sum(b.volume) FROM bids b "
+        "WHERE b.price < (SELECT count(a.price) FROM asks a)"
+    ),
+    "in_list": (
+        "SELECT broker_id, sum(volume) FROM bids WHERE price IN (1, 3) "
+        "GROUP BY broker_id"
+    ),
+    "not_in_list": "SELECT sum(volume) FROM bids WHERE price NOT IN (1, 3, 4)",
 }
 
 ALL_QUERIES = {**NONLINEAR_QUERIES, **LINEAR_QUERIES}
@@ -183,6 +197,38 @@ def test_extremum_delete_rederivation(mode):
     events.append(StreamEvent("bids", -1, (2, 5, 1)))  # tied copy remains
     events.append(StreamEvent("bids", -1, (2, 3, 1)))  # min re-derives to 5
     run_differential(engine, oracle, events, batch_size=1)
+
+
+#: The query-surface regressions on the RST schema, each with the
+#: stream it was found on: ``count(C)`` read as ``sum(C)`` (5 here, not
+#: 2), in a select item and in a scalar subquery (7 here, not 0); a
+#: literal ``IN`` / ``NOT IN`` list was a ``ParseError``.
+SURFACE_REGRESSIONS = {
+    "count_col": (
+        "SELECT count(C) FROM T",
+        [StreamEvent("T", 1, (3, 1)), StreamEvent("T", 1, (2, 5))],
+    ),
+    "count_col_subquery": (
+        "SELECT sum(r.A) FROM R r WHERE r.B < (SELECT count(s.C) FROM S s)",
+        [StreamEvent("R", 1, (7, 2)), StreamEvent("S", 1, (1, 3))],
+    ),
+    "in_list": (
+        "SELECT r.B, sum(r.A) FROM R r WHERE r.B IN (1, 2) GROUP BY r.B",
+        [StreamEvent("R", 1, (a, b)) for a, b in ((7, 0), (5, 1), (11, 2), (3, 1))],
+    ),
+    "not_in_list": (
+        "SELECT sum(r.A) FROM R r WHERE r.B NOT IN (1, 2)",
+        [StreamEvent("R", 1, (a, b)) for a, b in ((7, 0), (5, 1), (11, 2), (13, 3))],
+    ),
+}
+
+
+@pytest.mark.parametrize("query_name", sorted(SURFACE_REGRESSIONS))
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
+def test_query_surface_regressions_match_sqlite(query_name, mode):
+    sql, events = SURFACE_REGRESSIONS[query_name]
+    engine = DeltaEngine(compile_sql(sql, lanes.RST, name="q"), mode=mode)
+    run_differential(engine, SqliteOracle(lanes.RST, sql), events)
 
 
 @pytest.mark.parametrize("query_name", ["bbo", "act"])

@@ -1,14 +1,17 @@
-"""A batch is a relation's run; its signs are a weight column.
+"""A batch is a relation's share of a window; its signs are a weight column.
 
-``batches()`` keys runs on the relation alone, so an order-book feed's
-interleaved inserts and cancels share a batch.  These tests pin what that
-means: the stream round-trips exactly; a mixed batch runs in one call of
-the relation's weighted trigger, leaving maps ``repr``-equal to per-event
-processing (a key the batch deletes and re-inserts moves to the end, as
-per event) and results equal to sqlite's, on every executor, sharded or
-not, and through a crash; admission judges a mixed batch whole; and a
-logged batch crosses each layer once.  The shipped feeds at every batch
-size and lane are ``tests/integration/test_map_parity.py``'s.
+``batches()`` cuts a window into one batch per relation, so an order-book
+feed's interleaved inserts and cancels share a batch.  These tests pin
+what that means: the stream round-trips as each window regrouped by
+relation; a mixed batch runs in one call of the relation's weighted
+trigger, leaving maps ``repr``-equal to per-event processing in the order
+the batches replay (a key the batch deletes and re-inserts moves to the
+end, as per event), entries equal to per-event processing in stream
+order, and results equal to sqlite's, on every executor, sharded or not,
+and through a crash; admission judges a mixed batch whole; and a logged
+batch crosses each layer once.  The shipped feeds at every batch size and
+lane are ``tests/integration/test_map_parity.py``'s, and the window
+properties ``tests/integration/test_windows.py``'s.
 """
 
 import copy
@@ -37,7 +40,7 @@ WORKLOADS = (*FINANCE_QUERIES, "ssb")
 
 
 # ---------------------------------------------------------------------------
-# Grouping: the feed round-trips, runs are maximal per relation
+# Grouping: the feed round-trips as its windows regrouped by relation
 # ---------------------------------------------------------------------------
 
 
@@ -62,15 +65,21 @@ def cancelling_feeds(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(feed=cancelling_feeds(), batch_size=st.sampled_from([1, 7, 100, None]))
-def test_batches_replay_the_feed_exactly(feed, batch_size):
+def test_batches_replay_the_feed_regrouped(feed, batch_size):
     runs = list(batches(feed, batch_size))
-    assert list(flatten(runs)) == feed
+    size = batch_size or max(len(feed), 1)
+    regrouped = []
+    for start in range(0, len(feed), size):
+        window = feed[start:start + size]
+        first = {}
+        for event in window:
+            first.setdefault(event.relation, len(first))
+        regrouped += sorted(window, key=lambda event: first[event.relation])
+    assert list(flatten(runs)) == regrouped
     for run in runs:
         # A weight column only where the signs really mix.
         assert isinstance(run.sign, list) == (len(set(run.weights)) == 2)
         assert batch_size is None or len(run) <= batch_size
-    for before, after in zip(runs, runs[1:]):
-        assert before.relation != after.relation or len(before) == batch_size
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +107,34 @@ def test_parity_feeds_mix_signs_in_batches():
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_durable_sharded_crash_recovers_the_per_event_state(name, tmp_path):
     """A third of the feed at each batch size, logged through two lanes,
-    then a crash: the log replays into the per-event state exactly."""
+    then a crash: the log replays into the per-event state of the order
+    the windows applied the feed in, exactly, and into the stream-order
+    per-event state's entries."""
     program, *_, feed = lanes.workload(name)
     engine = _loaded(
         DurableEngine(program, tmp_path, shards=2, fsync="none"), name
     )
     third = len(feed) // 3
+    applied = []
     for index, batch_size in enumerate(BATCH_SIZES):
         chunk = feed[index * third:] if index == 2 else feed[
             index * third:(index + 1) * third
         ]
         engine.process_stream(chunk, batch_size=batch_size)
+        applied += lanes.applied_order(chunk, f"stream-{batch_size}")
     engine.sync()
     logged = engine.lsn
     engine.abandon()
     recovered, lsn = recover_engine(program, tmp_path)
     assert lsn == logged < len(feed)  # fewer frames than events
     reference = _loaded(DeltaEngine(program), name)
-    lanes.deliver(reference, feed, "process")
+    lanes.deliver(reference, applied, "process")
     assert repr(recovered.maps) == _maps_repr(reference)
+    in_stream_order = _loaded(DeltaEngine(program), name)
+    lanes.deliver(in_stream_order, feed, "process")
+    assert lanes.exact_items(recovered.maps) == lanes.exact_items(
+        in_stream_order.maps
+    )
     for view, expected in lanes.sqlite_results(name).items():
         assert normalize_rows(recovered.results(view)) == expected, view
 
@@ -186,7 +204,13 @@ def test_mixed_weight_columns_equal_per_event_and_sqlite(name, data):
         for size in (2, 7, 100):
             engine = copy.deepcopy(pristine)
             lanes.deliver(engine, feed, f"batch-{size}")
-            assert _maps_repr(engine) == _maps_repr(reference), (shape, size)
+            regrouped = copy.deepcopy(pristine)
+            order = lanes.applied_order(feed, f"batch-{size}")
+            lanes.deliver(regrouped, order, "process")
+            assert _maps_repr(engine) == _maps_repr(regrouped), (shape, size)
+            assert lanes.exact_items(engine.current_maps()) == lanes.exact_items(
+                reference.current_maps()
+            ), (shape, size)
             assert engine.index_sizes() == reference.index_sizes(), (shape, size)
 
 
@@ -266,7 +290,8 @@ def test_a_mixed_batch_reinserts_a_key_last_and_adds_floats_in_order(mode):
 
 #: A book, then one bids and one asks batch that each insert a new
 #: extremum, delete it again, delete the standing extremum and insert a
-#: plain row — all inside one mixed batch.
+#: plain row — all inside one mixed batch.  In windows of 4 events the
+#: batches replay the feed in stream order.
 EXTREMUM_FEED = [
     insert("bids", 1, 1, 1, 100, 5),
     insert("bids", 2, 2, 1, 105, 7),
@@ -285,10 +310,11 @@ EXTREMUM_FEED = [
 
 @pytest.mark.parametrize("query", ["bbo", "mst"])
 def test_extremum_inserted_and_deleted_inside_one_mixed_batch(query, tmp_path):
-    runs = list(batches(EXTREMUM_FEED))
+    runs = list(batches(EXTREMUM_FEED, 4))
     assert [(run.relation, isinstance(run.sign, list)) for run in runs] == [
         ("bids", False), ("asks", False), ("bids", True), ("asks", True),
     ]
+    assert list(flatten(runs)) == EXTREMUM_FEED
     catalog = finance_catalog()
     program = compile_sql(FINANCE_QUERIES[query], catalog, name="q")
     reference = DeltaEngine(program)

@@ -28,7 +28,7 @@ from repro.compiler import compile_queries, compile_sql
 from repro.compiler.storage import storage_layout
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.durability import DurableEngine
-from repro.runtime.events import batches
+from repro.runtime.events import batches, flatten
 from repro.sql.catalog import Catalog
 from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 from repro.workloads.orderbook import OrderBookGenerator
@@ -115,9 +115,9 @@ def deliver(engine, feed, delivery: str) -> None:
     """Drive ``feed`` through ``engine``: ``process`` calls ``process()``
     per event, ``one-row`` one one-row ``process_batch`` per event;
     ``batch-k`` / ``columns-k`` call ``process_batch`` /
-    ``process_batch_columns`` once per run of ``batches(feed, k)``;
+    ``process_batch_columns`` once per batch of ``batches(feed, k)``;
     ``stream-k`` / ``stream`` call ``process_stream(feed, k)`` / with
-    unbounded runs."""
+    the whole feed as one window."""
     kind, _, size = delivery.partition("-")
     if kind == "process":
         for event in feed:
@@ -133,6 +133,17 @@ def deliver(engine, feed, delivery: str) -> None:
                 engine.process_batch_columns(run.relation, run.sign, run.columns)
             else:
                 engine.process_batch(run.relation, run.sign, run.rows)
+
+
+def applied_order(feed, delivery: str) -> list:
+    """The order in which :func:`deliver` applies ``feed``'s events to an
+    engine whose maps are all exact integers: a batched or streamed
+    delivery applies each window one relation after another, as
+    ``flatten(batches(feed, k))`` replays it."""
+    kind, _, size = delivery.partition("-")
+    if kind in ("process", "one"):
+        return list(feed)
+    return list(flatten(batches(feed, int(size) if size else None)))
 
 
 def exact_items(maps) -> dict:

@@ -19,14 +19,16 @@ Two halves:
   exactly the bytes after a SIGKILL at the same point.
 
 The parity oracle (:func:`reference_state`): LSNs are assigned 1:1 to the
-batches :func:`~repro.runtime.events.batches` yields, so the state
-recovered at LSN *W* must equal a fresh engine that applied the first *W*
-batches of the same stream — ``repr``-identical maps, equal results and
-counters.
+batches :func:`~repro.runtime.events.batches` yields (every harness
+program's maps are exact integers, so ``process_stream`` cuts each window
+into one batch per relation as ``batches`` does), so the state recovered
+at LSN *W* must equal a fresh engine that applied the first *W* batches
+of the same stream — ``repr``-identical maps, equal results and counters.
 
 Run ``python tests/runtime/fault_injection.py smoke`` (with ``PYTHONPATH=
 src``) for the CI crash-recovery smoke: a fixed-seed finance stream,
-SIGKILL mid-stream at several probe points, recover, assert parity.
+SIGKILL mid-stream at several probe points — one of them between the two
+batches of one window, behind two shards — recover, assert parity.
 """
 
 from __future__ import annotations
@@ -203,13 +205,29 @@ def _child_main(args) -> int:
 # CI smoke: crash at a fixed seed, recover, assert parity
 # ---------------------------------------------------------------------------
 
+def mid_window_hits(workload: str, n_events: int, seed: int, batch_size: int) -> int:
+    """The ``engine.after_apply`` hit that falls between two batches of
+    one window: after the first batch, past the stream's first quarter,
+    that leaves its window part-applied."""
+    applied = 0
+    for index, batch in enumerate(
+        batches(stream_events(workload, n_events, seed), batch_size)
+    ):
+        applied += len(batch)
+        if applied > n_events // 4 and applied % batch_size:
+            return index + 1
+    raise ValueError("no window of the stream holds two batches")
+
+
 _SMOKE_SCENARIOS = (
-    # (label, hits, fsync, snapshot_every)
-    ("engine.after_append", 7, "always", None),
-    ("engine.after_apply", 9, "always", 4),
-    ("wal.mid_frame", 5, "always", None),
-    ("snapshot.mid_write", 2, "batch", 64),
-    ("snapshot.before_rename", 2, "batch", 64),
+    # (label, hits, fsync, snapshot_every, shards); hits None: between
+    # the two batches of one window (mid_window_hits)
+    ("engine.after_append", 7, "always", None, 1),
+    ("engine.after_apply", 9, "always", 4, 1),
+    ("wal.mid_frame", 5, "always", None, 1),
+    ("snapshot.mid_write", 2, "batch", 64, 1),
+    ("snapshot.before_rename", 2, "batch", 64, 1),
+    ("engine.after_apply", None, "always", None, 2),
 )
 
 
@@ -221,12 +239,14 @@ def _smoke_main() -> int:
 
     workload, n_events, seed, batch_size = "finance", 400, 2009, 16
     failures = 0
-    for label, hits, fsync, snapshot_every in _SMOKE_SCENARIOS:
+    for label, hits, fsync, snapshot_every, shards in _SMOKE_SCENARIOS:
+        if hits is None:
+            hits = mid_window_hits(workload, n_events, seed, batch_size)
         with tempfile.TemporaryDirectory() as directory:
             code = run_to_crash(
                 directory, label, hits, workload=workload,
                 n_events=n_events, seed=seed, batch_size=batch_size,
-                fsync=fsync, snapshot_every=snapshot_every,
+                fsync=fsync, snapshot_every=snapshot_every, shards=shards,
             )
             if code != -signal.SIGKILL:
                 print(f"FAIL {label}: child exited {code}, expected SIGKILL")
@@ -249,7 +269,7 @@ def _smoke_main() -> int:
                 continue
             frames = sum(1 for _ in WriteAheadLog.replay(directory))
             print(
-                f"ok   {label:<24} fsync={fsync:<6} "
+                f"ok   {label:<24} fsync={fsync:<6} shards={shards} "
                 f"recovered LSN {lsn} ({frames} frames on disk)"
             )
     if failures:
