@@ -21,10 +21,15 @@ current values, see :class:`repro.ir.nodes.AddTo`), and self-reading
 triggers that admit a second-order plan restate the order-2 targets once
 per batch (see :func:`repro.ir.lower.lower_trigger_batch`).
 
-Secondary indexes are a back-end concern layered onto the IR here: the
-loop access patterns collected from the lowered IR get one index dict per
-pattern, maintained inline by every map apply and probed by matching
-loops so they touch only matching entries.
+Secondary indexes are a back-end concern layered onto the IR here, in
+two kinds.  A *hash* index: the loop access patterns collected from the
+lowered IR get one index dict per pattern, maintained inline by every map
+apply and probed by matching loops so they touch only matching entries.
+An *ordered key* index (:func:`ordered_maps`): a map's last key position
+kept as one sorted list per prefix of the others, changed only when a
+key enters or leaves the map, read by threshold scans (a bisected slice)
+and by MIN/MAX caches whose extremum left (the list's first or last
+value).
 
 The generated source is a readable artifact in its own right (the
 ``binary-size``/profiling experiments measure it); ``generate_module``
@@ -33,6 +38,7 @@ returns it as a string and :class:`CompiledExecutor` ``exec``-compiles it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -76,9 +82,12 @@ from repro.ir.nodes import (
     Sum,
     TriggerIR,
     WEIGHTS,
+    binders,
     expr_names,
+    expr_slots,
     read_slots,
     stmt_children,
+    stmt_exprs,
     used_names,
     walk_stmts,
     written_slots,
@@ -157,18 +166,205 @@ def index_name(map_name: str, pattern: tuple[int, ...]) -> str:
 def collect_patterns(
     program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
 ) -> dict[str, set[tuple[int, ...]]]:
-    """Access patterns needing secondary indexes, from the lowered IR
+    """Access patterns needing hash bucket indexes, from the lowered IR
     (none under ``use_indexes=False``).
 
     A pattern is the tuple of key positions bound at a map-loop site; real
     DBToaster calls these the map's *in/out patterns* and maintains one
-    index per pattern so loops touch only matching entries.
+    index per pattern so loops touch only matching entries.  Every write
+    keeps a bucket, value included; the other kind of secondary index,
+    an ordered key list kept on key entry and exit only, is
+    :func:`ordered_maps`'.
     """
     if not options.use_indexes:
         return {}
     ir = lower_for(program, options)
     return collect_patterns_ir(
         list(ir.triggers.values()) + list(ir.batch_triggers.values())
+    )
+
+
+def ordered_name(map_name: str) -> str:
+    """The INDEXES key / local name of a map's ordered key index."""
+    return f"__s_{map_name}"
+
+
+#: How a threshold test ``key OP bound`` cuts a sorted list: the bisect
+#: finding the cut, and whether the passing keys lie after it.
+_SLICES = {
+    ">": ("_bisect_right", True),
+    ">=": ("_bisect_left", True),
+    "<": ("_bisect_left", False),
+    "<=": ("_bisect_right", False),
+}
+
+
+def ordered_maps(
+    program: CompiledProgram,
+    options: ExecutorOptions = ExecutorOptions(),
+    layout: Optional[StorageLayout] = None,
+) -> dict[str, int]:
+    """Map name -> arity, for the maps that keep an ordered key index
+    (none under ``use_indexes=False`` or ``optimize=False``, the plain
+    renderings the ablations compare against): one sorted list of the
+    last key position's values per prefix of the other positions.
+
+    A map keeps one when a per-event trigger runs a threshold scan of it
+    (:func:`threshold_scan`) on every event — as for the kernel's fused
+    scans (:func:`fused_scan_sites`), a scan under a condition (mst's
+    restate, run when its watched minimum moved) does not pay back a
+    list kept on every key entry and exit — or when a MIN/MAX cache is
+    kept from it: the writes whose key crosses zero maintain the list,
+    and a leaving extremum's replacement is the list's first or last
+    value.  Once kept, every threshold scan of the map reads it (vwap's
+    batch restate too).  The rule is read off the IR and the type proofs
+    of ``layout`` (the compiled lane's by default); a kernel-owned or
+    packed map keeps none.
+    """
+    if not (options.use_indexes and options.optimize):
+        return {}
+    if layout is None:
+        layout = storage_layout(program, "compiled")
+    # Keyed dict-held ring maps whose last key position is proved int:
+    # ``bisect`` then sees a total order, and a scan's exact integers
+    # added in key order sum exactly.
+    orderable = {
+        name: storage.arity
+        for name, storage in layout.plan.maps.items()
+        if storage.key_classes[-1:] == ("int",)
+        and name not in layout.columnar_maps
+        and program.maps[name].role != "auxiliary"
+    }
+    int_maps = layout.plan.int_maps
+    ir = lower_for(program, options)
+    found: dict[str, int] = {}
+    for trigger_ir in ir.triggers.values():
+        for stmt in _unconditional(trigger_ir.body):
+            if isinstance(stmt, ForEachMap) and threshold_scan(
+                stmt, trigger_ir.body, int_maps, orderable
+            ):
+                found[stmt.slot.name] = orderable[stmt.slot.name]
+    for trigger_ir in (*ir.triggers.values(), *ir.batch_triggers.values()):
+        for stmt in walk_stmts(trigger_ir.body):
+            if isinstance(stmt, (AddTo, FlushBuffer)):
+                target = stmt.slot if isinstance(stmt, AddTo) else stmt.target
+                if target.name in orderable and any(
+                    cache.kind != "distinct" for cache in stmt.caches
+                ):
+                    found[target.name] = orderable[target.name]
+    return found
+
+
+def threshold_scan(
+    loop: ForEachMap,
+    body: Sequence[IRStmt],
+    int_maps: frozenset[str],
+    orderable: dict[str, int],
+) -> Optional[tuple[str, str, IRExpr]]:
+    """``(key name, op, bound)`` when ``loop`` may visit only the entries
+    passing its threshold test, read off its map's ordered key index as a
+    bisected slice; else ``None``.
+
+    The loop runs over a whole map or one hash bucket of it (keyed on
+    every position but the last), binding only the last position.  Its
+    body is one ``if key OP bound`` (``<``, ``<=``, ``>``, ``>=``, the key
+    on either side) with ``bound`` loop-invariant, and under it the loop
+    only accumulates exact integers (:func:`_exact_sums`) into locals or
+    scalar int maps, reading none of them: visiting the passing entries
+    in key order then adds the same integers in another order, which is
+    exact.  ``body`` is the trigger body around the loop: an accumulator
+    holds an int constant before the loop, and nothing outside the loop
+    reads a name the loop binds.
+    """
+    arity = orderable.get(loop.slot.name)
+    if arity is None or len(loop.body) != 1 or not loop.binds:
+        return None
+    last = arity - 1
+    if loop.pattern != tuple(range(last)) or any(
+        pos != last for pos, _ in loop.binds
+    ) or any(isinstance(expr, KeyAt) for _, expr in loop.filters):
+        return None
+    test = loop.body[0]
+    if not (isinstance(test, IfCond) and isinstance(test.cond, Compare)):
+        return None
+    cond, keys = test.cond, {name for _, name in loop.binds}
+    if cond.op not in _SLICES:
+        return None
+    if isinstance(cond.left, Name) and cond.left.name in keys:
+        key, op, bound = cond.left.name, cond.op, cond.right
+    elif isinstance(cond.right, Name) and cond.right.name in keys:
+        key, op, bound = cond.right.name, _FLIP_OPS[cond.op], cond.left
+    else:
+        return None
+    ints = keys | ({loop.value_var} if loop.slot.name in int_maps else set())
+    accums = _exact_sums(test.body, ints, int_maps)
+    if accums is None:
+        return None
+    written = written_slots(test.body)
+    temps = {stmt.name for stmt in walk_stmts(test.body) if isinstance(stmt, Assign)}
+    local = {loop.entry_var, *binders(loop)} | temps
+    if (
+        temps & accums
+        or expr_names(bound) & (local | accums)
+        or expr_slots(bound) & written
+        or read_slots(test.body) & written
+        or used_names(test.body) & accums
+    ):
+        return None
+    stack = list(body)
+    while stack:
+        stmt = stack.pop()
+        if stmt is loop:
+            continue
+        if any(expr_names(expr) & local for expr in stmt_exprs(stmt)):
+            return None
+        if accums & set(binders(stmt)) and not (
+            isinstance(stmt, Assign) and _exact(stmt.value, set())
+        ):
+            return None
+        stack.extend(stmt_children(stmt))
+    return key, op, bound
+
+
+def _exact_sums(
+    stmts: Sequence[IRStmt], ints: set[str], int_maps: frozenset[str]
+) -> Optional[set[str]]:
+    """The accumulators ``stmts`` add exact integers to, or ``None`` when
+    they do anything else.  Allowed: ``if``s and blocks of allowed
+    statements, a temp assigned an exact integer (:func:`_exact`, with
+    ``ints`` the names known to hold one), an accumulator adding one, and
+    a cache-free, unstaged write of one to a scalar int map."""
+    ints = set(ints)  # a temp assigned here is known here and below only
+    accums: set[str] = set()
+    for stmt in stmts:
+        if isinstance(stmt, (IfCond, Block)):
+            inner = _exact_sums(stmt_children(stmt), ints, int_maps)
+            if inner is None:
+                return None
+            accums |= inner
+        elif isinstance(stmt, Assign) and _exact(stmt.value, ints):
+            ints.add(stmt.name)
+        elif isinstance(stmt, Accum) and _exact(stmt.value, ints):
+            accums.add(stmt.name)
+        elif not (
+            isinstance(stmt, AddTo)
+            and not (stmt.keys or stmt.caches or stmt.acc)
+            and stmt.slot.name in int_maps
+            and _exact(stmt.value, ints)
+        ):
+            return None
+    return accums
+
+
+def _exact(expr: IRExpr, ints: set[str]) -> bool:
+    """Whether ``expr`` is an int constant, a name in ``ints`` or a sum,
+    product or negation of such, so provably an exact integer."""
+    if isinstance(expr, Const):
+        return type(expr.value) is int
+    if isinstance(expr, Name):
+        return expr.name in ints
+    return isinstance(expr, (Neg, Prod, Sum)) and all(
+        _exact(child, ints) for child in expr.children()
     )
 
 
@@ -198,6 +394,15 @@ def _loop_fuses(
     )
 
 
+def _unconditional(stmts) -> Iterator[IRStmt]:
+    """The statements of a body that run whenever the body does (those
+    outside every ``if``), pre-order."""
+    for stmt in stmts:
+        yield stmt
+        if not isinstance(stmt, IfCond):
+            yield from _unconditional(stmt_children(stmt))
+
+
 def fused_scan_sites(
     program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
 ) -> dict[str, str]:
@@ -212,16 +417,9 @@ def fused_scan_sites(
     """
     ir = lower_for(program, options)
     indexes = collect_patterns(program, options)
-
-    def unconditional(stmts) -> Iterator[IRStmt]:
-        for stmt in stmts:
-            yield stmt
-            if not isinstance(stmt, IfCond):
-                yield from unconditional(stmt_children(stmt))
-
     sites: dict[str, str] = {}
     for key in sorted(program.triggers):
-        for stmt in unconditional(ir.triggers[key].body):
+        for stmt in _unconditional(ir.triggers[key].body):
             if isinstance(stmt, ForEachMap) and _loop_fuses(stmt, indexes):
                 sites.setdefault(stmt.slot.name, program.triggers[key].name)
     return sites
@@ -264,6 +462,7 @@ def generate_module(
     indexes = collect_patterns(program, options)
     if layout is None:
         layout = storage_layout(program, "compiled", columnar)
+    ordered = ordered_maps(program, options, layout)
     plan = layout.plan
     columnar_maps = layout.columnar_maps
     native_scan_maps = layout.kernel_maps
@@ -315,20 +514,15 @@ def generate_module(
         emitter.line(f"native kernel: {native_note}")
     emitter.line('"""')
     emitter.blank()
-    if indexes:
-        _generate_index_rebuild(indexes, emitter)
+    if indexes or ordered:
+        _generate_index_rebuild(indexes, ordered, emitter)
         emitter.blank()
+    renderer = _PyRenderer(
+        emitter, indexes, columnar_maps, native_scan_maps, int_value_maps, ordered
+    )
     for key in sorted(program.triggers):
-        trigger = program.triggers[key]
         _generate_trigger(
-            trigger,
-            ir.triggers[key],
-            ir.batch_triggers[key],
-            emitter,
-            indexes,
-            columnar_maps,
-            native_scan_maps,
-            int_value_maps,
+            program.triggers[key], ir.triggers[key], ir.batch_triggers[key], renderer
         )
         emitter.blank()
     if emitter.divides:
@@ -339,11 +533,32 @@ def generate_module(
 
 
 def _generate_index_rebuild(
-    indexes: dict[str, set[tuple[int, ...]]], emitter: Emitter
+    indexes: dict[str, set[tuple[int, ...]]],
+    ordered: dict[str, int],
+    emitter: Emitter,
 ) -> None:
-    """Reconstruct every index from its base map, in place."""
+    """``_rebuild_indexes()``: reconstruct every index from its map, in
+    place — each hash bucket from the entries, each ordered key list from
+    the keys, sorted.  :meth:`CompiledExecutor.bind` runs it, so a copy,
+    a snapshot, a restore, a shard lane or a forked lane binds consistent
+    indexes over whatever its maps hold."""
     emitter.line("def _rebuild_indexes():")
     with emitter.block():
+        for map_name, arity in sorted(ordered.items()):
+            emitter.line(f"__idx = INDEXES[{ordered_name(map_name)!r}]")
+            if arity == 1:
+                emitter.line(f"__idx[:] = sorted(__k[0] for __k in MAPS[{map_name!r}])")
+                continue
+            emitter.line("__idx.clear()")
+            emitter.line(f"for __key in MAPS[{map_name!r}]:")
+            with emitter.block():
+                emitter.line(
+                    f"__idx.setdefault(__key[:{arity - 1}], [])"
+                    f".append(__key[{arity - 1}])"
+                )
+            emitter.line("for __values in __idx.values():")
+            with emitter.block():
+                emitter.line("__values.sort()")
         for map_name in sorted(indexes):
             for pattern in sorted(indexes[map_name]):
                 local = index_name(map_name, pattern)
@@ -372,41 +587,26 @@ def _global_maps_used(*bodies) -> list[str]:
 
 
 def _generate_trigger(
-    trigger: Trigger,
-    per_event: TriggerIR,
-    batch: TriggerIR,
-    emitter: Emitter,
-    indexes: Optional[dict[str, set[tuple[int, ...]]]] = None,
-    columnar_maps: frozenset[str] = frozenset(),
-    native_maps: frozenset[str] = frozenset(),
-    int_value_maps: frozenset[str] = frozenset(),
+    trigger: Trigger, per_event: TriggerIR, batch: TriggerIR, renderer: "_PyRenderer"
 ) -> None:
-    indexes = indexes or {}
+    emitter = renderer.emitter
     maps_used = _global_maps_used(per_event.body, batch.body)
     params = list(trigger.signature)
     defaults = [f"{map_local(name)}=MAPS[{name!r}]" for name in maps_used]
     for name in maps_used:
-        for pattern in sorted(indexes.get(name, ())):
-            local = index_name(name, pattern)
-            defaults.append(f"{local}=INDEXES[{local!r}]")
-    renderer = _PyRenderer(
-        emitter, indexes, columnar_maps, native_maps, int_value_maps
-    )
+        locals_ = [index_name(name, p) for p in sorted(renderer.indexes.get(name, ()))]
+        if name in renderer.ordered:
+            locals_.append(ordered_name(name))
+        defaults += [f"{local}=INDEXES[{local!r}]" for local in locals_]
     signature = ", ".join(params + defaults)
     emitter.line(f"def {trigger.name}({signature}):")
     with emitter.block():
-        if not per_event.body:
-            emitter.line("pass")
-        else:
-            renderer.render_body(per_event.body)
+        renderer.render_trigger(per_event.body)
     emitter.blank()
     batch_signature = ", ".join(["__cols", WEIGHTS] + defaults)
     emitter.line(f"def {trigger.name}_batch({batch_signature}):")
     with emitter.block():
-        if not batch.body:
-            emitter.line("pass")
-        else:
-            renderer.render_body(batch.body)
+        renderer.render_trigger(batch.body)
 
 
 class _PyRenderer:
@@ -417,23 +617,37 @@ class _PyRenderer:
     render as the storage's single-probe ``add()``.  ``native_maps``
     additionally renders their full-map scans as fused column zips
     (``scan_columns``) when the loop never materialises the key tuple.
+    ``ordered`` names the maps keeping an ordered key index
+    (:func:`ordered_maps`), with their arities.
     """
 
     def __init__(
         self,
         emitter: Emitter,
         indexes: dict[str, set[tuple[int, ...]]],
-        columnar_maps: frozenset[str] = frozenset(),
-        native_maps: frozenset[str] = frozenset(),
-        int_value_maps: frozenset[str] = frozenset(),
+        columnar_maps: frozenset[str],
+        native_maps: frozenset[str],
+        int_value_maps: frozenset[str],
+        ordered: dict[str, int],
     ) -> None:
         self.emitter = emitter
         self.indexes = indexes
         self.columnar_maps = columnar_maps
         self.native_maps = native_maps
         self.int_value_maps = int_value_maps
+        self.ordered = ordered
+        #: the body of the trigger being rendered (threshold scans read
+        #: the statements around a loop).
+        self.trigger_body: Sequence[IRStmt] = ()
 
     # -- statements --------------------------------------------------------
+
+    def render_trigger(self, body: Sequence[IRStmt]) -> None:
+        if not body:
+            self.emitter.line("pass")
+            return
+        self.trigger_body = body
+        self.render_body(body)
 
     def render_body(self, stmts: Sequence[IRStmt]) -> None:
         for stmt in stmts:
@@ -498,6 +712,8 @@ class _PyRenderer:
             # recompute that follows re-populates both through _apply).
             for pattern in sorted(self.indexes.get(stmt.target.name, ())):
                 emitter.line(f"{index_name(stmt.target.name, pattern)}.clear()")
+            if stmt.target.name in self.ordered:
+                emitter.line(f"{ordered_name(stmt.target.name)}.clear()")
             return
         if isinstance(stmt, Finalize):
             self._render_finalize(stmt)
@@ -538,18 +754,16 @@ class _PyRenderer:
     ) -> None:
         """Update ``cache`` for a key that just entered (or left) the
         occurrence map ``source``: a value may become its group's
-        extremum, a leaving extremum rescans the group (through the
-        group-prefix index when there is one), a distinct count steps."""
+        extremum, a distinct count steps.  A leaving extremum's
+        replacement is the first (MIN) or last (MAX) value of the group's
+        ordered key list when ``source`` keeps one (its crossing branch
+        has already moved the list, see :meth:`_emit_crossings`), else a
+        rescan of the group (through the group-prefix index when there is
+        one)."""
         emitter = self.emitter
         ga = cache.group_arity
         aux = map_local(cache.slot.name)
-        group = key_locals.get(tuple(range(ga))) if ga else "()"
-        if group is None:
-            group = emitter.fresh("g")
-            if key_parts is not None:
-                emitter.line(f"{group} = {self._key_code(key_parts[:ga])}")
-            else:
-                emitter.line(f"{group} = {key_code}[:{ga}]")
+        group = self._prefix_code(ga, key_code, key_parts, key_locals)
         if cache.kind == "distinct":
             if entered:
                 emitter.line(f"{aux}[{group}] = {aux}.get({group}, 0) + 1")
@@ -578,6 +792,16 @@ class _PyRenderer:
             return
         emitter.line(f"if {aux}.get({group}) == {value}:")
         with emitter.block():
+            if self.ordered.get(source) == ga + 1:
+                values = self._ordered_list(source, group)
+                emitter.line(f"if {values}:")
+                with emitter.block():
+                    end = 0 if cache.kind == "min" else -1
+                    emitter.line(f"{aux}[{group}] = {values}[{end}]")
+                emitter.line("else:")
+                with emitter.block():
+                    emitter.line(f"{aux}.pop({group}, None)")
+                return
             emitter.line(f"{best} = None")
             member, candidate = emitter.fresh("q"), emitter.fresh("w")
             prefix = tuple(range(ga))
@@ -602,6 +826,79 @@ class _PyRenderer:
             emitter.line("else:")
             with emitter.block():
                 emitter.line(f"{aux}[{group}] = {best}")
+
+    def _prefix_code(
+        self,
+        width: int,
+        key_code: str,
+        key_parts: Optional[list[str]],
+        key_locals: dict[tuple[int, ...], str],
+    ) -> str:
+        """The tuple of a key's first ``width`` positions: a local already
+        holding it, else one built here and remembered in ``key_locals``
+        for the statements after it."""
+        if not width:
+            return "()"
+        prefix = tuple(range(width))
+        if prefix not in key_locals:
+            local = self.emitter.fresh("g")
+            if key_parts is not None:
+                self.emitter.line(f"{local} = {self._key_code(key_parts[:width])}")
+            else:
+                self.emitter.line(f"{local} = {key_code}[:{width}]")
+            key_locals[prefix] = local
+        return key_locals[prefix]
+
+    def _emit_ordered_step(
+        self,
+        target: str,
+        key_code: str,
+        key_parts: Optional[list[str]],
+        entered: bool,
+        key_locals: dict[tuple[int, ...], str],
+    ) -> None:
+        """Insert a key that just entered ``target`` into its ordered key
+        list, or remove one that just left (a group's list goes with its
+        last key; a map keyed by one position has one list)."""
+        emitter = self.emitter
+        last = self.ordered[target] - 1
+        index = ordered_name(target)
+        value = key_parts[last] if key_parts is not None else f"{key_code}[{last}]"
+        if not last:
+            if entered:
+                emitter.line(f"_insort({index}, {value})")
+            else:
+                emitter.line(f"del {index}[_bisect_left({index}, {value})]")
+            return
+        group = self._prefix_code(last, key_code, key_parts, key_locals)
+        values = emitter.fresh("ol")
+        if entered:
+            emitter.line(f"{values} = {index}.get({group})")
+            emitter.line(f"if {values} is None:")
+            with emitter.block():
+                emitter.line(f"{index}[{group}] = [{value}]")
+            emitter.line("else:")
+            with emitter.block():
+                emitter.line(f"_insort({values}, {value})")
+            return
+        emitter.line(f"{values} = {index}[{group}]")
+        emitter.line(f"if len({values}) == 1:")
+        with emitter.block():
+            emitter.line(f"del {index}[{group}]")
+        emitter.line("else:")
+        with emitter.block():
+            emitter.line(f"del {values}[_bisect_left({values}, {value})]")
+
+    def _ordered_list(self, target: str, group: str) -> str:
+        """A name holding ``group``'s ordered key list of ``target`` (the
+        index itself for a map keyed by one position; an empty tuple for
+        a group with no key)."""
+        index = ordered_name(target)
+        if self.ordered[target] == 1:
+            return index
+        values = self.emitter.fresh("ol")
+        self.emitter.line(f"{values} = {index}.get({group}, ())")
+        return values
 
     def _render_row_loop(self, stmt: ForEachRow) -> None:
         """The columnar batch loop: iterate only the columns the body reads.
@@ -649,6 +946,12 @@ class _PyRenderer:
             # per column under the C kernel, zero-copy zip once ejected).
             self._render_native_scan(stmt, source)
             return
+        threshold = threshold_scan(
+            stmt, self.trigger_body, self.int_value_maps, self.ordered
+        )
+        if threshold is not None:
+            self._render_threshold_scan(stmt, *threshold)
+            return
         if use_index:
             # Probe the secondary index: only matching entries are touched.
             subkey = stmt.key_local or self._key_code(
@@ -672,6 +975,45 @@ class _PyRenderer:
             for pos, name in stmt.binds:
                 emitter.line(f"{name} = {key_var}[{pos}]")
             self.render_body(stmt.body)
+
+    def _render_threshold_scan(
+        self, stmt: ForEachMap, key: str, op: str, bound: IRExpr
+    ) -> None:
+        """A threshold scan (:func:`threshold_scan`): walk the bisected
+        slice of the group's ordered key list, looking each entry up.
+
+        The slice holds exactly the keys passing ``key OP bound`` — the
+        test stays in the loop for a NaN bound, which ``bisect`` cannot
+        place."""
+        emitter = self.emitter
+        name = stmt.slot.name
+        prefix = [self.expr(expr) for _, expr in sorted(stmt.filters)]
+        limit = self.expr(bound)
+        if not isinstance(bound, (Name, Const)):
+            temp = emitter.fresh("t")
+            emitter.line(f"{temp} = {limit}")
+            limit = temp
+        values = self._ordered_list(name, stmt.key_local or self._key_code(prefix))
+        bisect, after = _SLICES[op]
+        cut = f"{bisect}({values}, {limit})"
+        emitter.line(
+            f"for {key} in {values}[{cut}:]:" if after
+            else f"for {key} in {values}[:{cut}]:"
+        )
+        with emitter.block():
+            entry = self._key_code(prefix + [key])
+            used = used_names(stmt.body)
+            if stmt.entry_var in used:
+                emitter.line(f"{stmt.entry_var} = {entry}")
+                entry = stmt.entry_var
+            if stmt.value_var in used:
+                emitter.line(f"{stmt.value_var} = {map_local(name)}[{entry}]")
+            for _, alias in stmt.binds:
+                if alias != key:
+                    emitter.line(f"{alias} = {key}")
+            emitter.line(f"if {key} {_CMP_PY[op]} {limit}:")
+            with emitter.block():
+                self.render_body(stmt.body[0].body)
 
     def _filter_code(self, expr: IRExpr, key_var: str) -> str:
         if isinstance(expr, KeyAt):
@@ -953,19 +1295,30 @@ class _PyRenderer:
                 f"({index_name(stmt.slot.name, pattern)}, {pattern!r}), "
                 for pattern in sorted(self.indexes.get(stmt.slot.name, ()))
             )
-            emitter.line(f"_unstage({local}, {stmt.acc}, {key_var}, ({indexes}))")
+            ordered = (
+                f", {ordered_name(stmt.slot.name)}"
+                if stmt.slot.name in self.ordered else ""
+            )
+            emitter.line(
+                f"_unstage({local}, {stmt.acc}, {key_var}, ({indexes}){ordered})"
+            )
 
     def _render_merge(self, stmt: MergeInto) -> None:
         """Store every staged value into the target (and, key by key,
-        into its indexes)."""
+        into its indexes: a key new to the target enters its ordered key
+        list)."""
         emitter = self.emitter
         target = stmt.target.name
         patterns = sorted(self.indexes.get(target, ()))
-        if not patterns:
+        if not patterns and target not in self.ordered:
             emitter.line(f"{map_local(target)}.update({stmt.acc})")
             return
         emitter.line(f"for __key, __val in {stmt.acc}.items():")
         with emitter.block():
+            if target in self.ordered:
+                emitter.line(f"if __key not in {map_local(target)}:")
+                with emitter.block():
+                    self._emit_ordered_step(target, "__key", None, True, {})
             emitter.line(f"{map_local(target)}[__key] = __val")
             for pattern in patterns:
                 subkey = "(" + "".join(f"__key[{p}], " for p in pattern) + ")"
@@ -984,14 +1337,15 @@ class _PyRenderer:
         key_locals: Optional[dict[tuple[int, ...], str]] = None,
     ) -> None:
         """``target[key] += val`` with zero eviction and index maintenance;
-        a write keeping ``caches`` keeps the pre-value, and a key crossing
-        zero updates them (:meth:`_emit_crossing`).  ``key_locals`` hold
-        the subkeys and group keys already built, by key positions."""
+        a write keeping ``caches`` or an ordered key index keeps the
+        pre-value, and a key crossing zero updates them
+        (:meth:`_emit_crossings`).  ``key_locals`` hold the subkeys and
+        group keys already built, by key positions."""
         emitter = self.emitter
         local = map_local(target)
         patterns = sorted(self.indexes.get(target, ()))
         cur = emitter.fresh("c")
-        if caches:
+        if caches or target in self.ordered:
             pre = emitter.fresh("p")
             emitter.line(f"{pre} = {local}.get({key_code}, 0)")
             emitter.line(f"{cur} = {pre} + {val_code}")
@@ -1095,11 +1449,19 @@ class _PyRenderer:
         entered: bool,
         key_locals: dict[tuple[int, ...], str],
     ) -> None:
-        """``if`` the pre-value says the key crossed zero, update every
-        cache: it entered when it was zero, left when it was not."""
+        """``if`` the pre-value says the key crossed zero — it entered
+        when it was zero, left when it was not — move it in the target's
+        ordered key list, then update every cache (a leaving extremum
+        reads the list).  These branches are the only place a key enters
+        or leaves a map written one key at a time."""
         pre, caches = crossing
+        key_locals = dict(key_locals)  # a group key built here serves all
         self.emitter.line(f"if {pre} {'==' if entered else '!='} 0:")
         with self.emitter.block():
+            if target in self.ordered:
+                self._emit_ordered_step(
+                    target, key_code, key_parts, entered, key_locals
+                )
             for cache in caches:
                 self._emit_crossing(
                     target, key_code, key_parts, cache, entered, key_locals
@@ -1188,6 +1550,7 @@ class CompiledExecutor:
             layout if layout is not None else storage_layout(program, self.mode)
         )
         self._index_patterns = collect_patterns(program, options)
+        self._ordered = ordered_maps(program, options, self.layout)
         self.source = generate_module(
             program,
             use_indexes=options.use_indexes,
@@ -1209,14 +1572,20 @@ class CompiledExecutor:
         Secondary indexes are built from the current map contents, so
         binding a snapshot (a deep copy, a restored engine) is consistent.
         """
-        patterns = self._index_patterns
+        patterns, ordered = self._index_patterns, self._ordered
         indexes: dict[str, dict] = {
             index_name(map_name, pattern): {}
             for map_name, map_patterns in patterns.items()
             for pattern in map_patterns
         }
+        indexes.update(
+            (ordered_name(map_name), [] if arity == 1 else {})
+            for map_name, arity in ordered.items()
+        )
         namespace: dict = {
-            "MAPS": maps, "INDEXES": indexes, "_EMPTY": {}, "_unstage": unstage
+            "MAPS": maps, "INDEXES": indexes, "_EMPTY": {}, "_unstage": unstage,
+            "_insort": insort, "_bisect_left": bisect_left,
+            "_bisect_right": bisect_right,
         }
         exec(self._code, namespace)  # noqa: S102 - this is the compiler back end
         rebuild = namespace.get("_rebuild_indexes")
@@ -1224,7 +1593,7 @@ class CompiledExecutor:
             rebuild()
 
         def index_entry_counts() -> dict[str, int]:
-            return {
+            counts = {
                 map_name: sum(
                     len(bucket)
                     for pattern in map_patterns
@@ -1232,6 +1601,11 @@ class CompiledExecutor:
                 )
                 for map_name, map_patterns in patterns.items()
             }
+            for map_name, arity in ordered.items():
+                held = indexes[ordered_name(map_name)]
+                held = len(held) if arity == 1 else sum(map(len, held.values()))
+                counts[map_name] = counts.get(map_name, 0) + held
+            return counts
 
         triggers = self.program.triggers
         return TriggerTable(

@@ -486,6 +486,11 @@ def _build_statement(
                     and term_side.name not in materializer.bound
                 ):
                     continue
+                # A key fixed earlier to this key's variable (a lift
+                # ``__k1 ^= __k0``) takes its value too.
+                key_args = {
+                    k: substitute(v, {key: term_side}) for k, v in key_args.items()
+                }
                 key_args[key] = term_side
                 rhs_parts.pop(index)
                 rhs_parts = [

@@ -290,14 +290,20 @@ def _var_classes(
     ``int``: bound by base-relation atoms at non-FLOAT columns only;
     ``float``: at FLOAT columns only.  A variable equated across a FLOAT
     and an INT column may carry either side's value, and a Lift-bound one
-    is an arbitrary computed scalar — both stay unproven.
+    is an arbitrary computed scalar — both stay unproven — unless the
+    lift renames one variable (``v ^= x``, a MIN/MAX argument's key): it
+    then holds ``x``'s values.
     """
     int_bound: set[str] = set()
     float_bound: set[str] = set()
     lifted: set[str] = set()
+    renames: list[tuple[str, str]] = []
     for node in walk(defn):
         if isinstance(node, Lift):
-            lifted.add(node.var)
+            if isinstance(node.body, Var):
+                renames.append((node.var, node.body.name))
+            else:
+                lifted.add(node.var)
         elif isinstance(node, Rel):
             floats = float_positions.get(node.name, frozenset())
             for position, arg in enumerate(node.args):
@@ -305,6 +311,13 @@ def _var_classes(
                     (float_bound if position in floats else int_bound).add(
                         arg.name
                     )
+    for var, source in renames:
+        if source in int_bound:
+            int_bound.add(var)
+        if source in float_bound:
+            float_bound.add(var)
+        if source not in int_bound | float_bound:
+            lifted.add(var)
     classes = dict.fromkeys(int_bound - float_bound - lifted, "int")
     classes.update(dict.fromkeys(float_bound - int_bound - lifted, "float"))
     return classes

@@ -14,6 +14,7 @@ executor protocol over them (``mode="interpreted"``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Optional
 
 from repro.errors import CodegenError
@@ -233,12 +234,18 @@ def _apply(storage, key, value, caches, maps: dict) -> None:
             _cross(maps[cache.slot.name], storage, cache, key, post != 0)
 
 
-def unstage(target, staged: dict, key, indexes=()) -> None:
+def unstage(target, staged: dict, key, indexes=(), ordered=None) -> None:
     """A write staged in a batch accumulator (:class:`~repro.ir.nodes.AddTo`
-    ``acc``) took ``key`` to zero: flush the accumulator into ``target``
-    and its ``(index, key positions)`` pairs, then evict ``key`` from
-    both.  Generated batch triggers call it too."""
+    ``acc``) took ``key`` to zero: flush the accumulator into ``target``,
+    its ``(index, key positions)`` pairs and its ``ordered`` key index
+    (the sorted last key positions, per prefix of the others unless the
+    key has one position; a key new to ``target`` enters it), then evict
+    ``key`` from all of them.  Generated batch triggers call it too."""
+    flat = type(ordered) is list
     for staged_key, value in staged.items():
+        if ordered is not None and staged_key not in target:
+            values = ordered if flat else ordered.setdefault(staged_key[:-1], [])
+            insort(values, staged_key[-1])
         target[staged_key] = value
         for index, positions in indexes:
             subkey = tuple([staged_key[p] for p in positions])
@@ -251,6 +258,11 @@ def unstage(target, staged: dict, key, indexes=()) -> None:
         del bucket[key]
         if not bucket:
             del index[subkey]
+    if ordered is not None:
+        values = ordered if flat else ordered[key[:-1]]
+        del values[bisect_left(values, key[-1])]
+        if not values and not flat:
+            del ordered[key[:-1]]
 
 
 def _cross(target, source, cache: Cache, key: tuple, entered: bool) -> None:

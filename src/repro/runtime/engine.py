@@ -154,21 +154,8 @@ def admit(engine, batch: EventBatch) -> Optional[Trigger]:
     """
     program = engine.program
     relation = batch.relation
-    trigger = program.triggers.get((relation, 0))
+    trigger = _check_rows(engine, batch)
     log = engine._log
-    if trigger is not None:
-        if log is not None:
-            long_run = batch._rows is None and batch._length > _ROW_ROUTE_THRESHOLD
-            check_values(
-                program, relation, zip(*batch._columns) if long_run else batch.rows
-            )
-        else:
-            width = len(trigger.params)
-            rows = batch._rows
-            # A columnar batch is as wide as its tuple of columns.
-            for row in (batch._columns,) if rows is None else rows:
-                if len(row) != width:
-                    raise _width_error(relation, width, len(row))
     static = relation in program.static_relations
     if static:
         _check_static(relation, batch.sign, engine._stream_started)
@@ -185,6 +172,31 @@ def admit(engine, batch: EventBatch) -> Optional[Trigger]:
         engine.events_skipped += batch._length
     elif not static:
         engine._stream_started = True
+    return trigger
+
+
+def _check_rows(engine, batch: EventBatch) -> Optional[Trigger]:
+    """:func:`admit`'s row rule: ``batch``'s rows hold one value per
+    column of the trigger that runs them, and every value fits its
+    column when ``engine`` logs the batch (:func:`check_values`).
+    Returns that trigger (``None`` when no query reads the relation)."""
+    relation = batch.relation
+    trigger = engine.program.triggers.get((relation, 0))
+    if trigger is None:
+        return None
+    if engine._log is not None:
+        long_run = batch._rows is None and batch._length > _ROW_ROUTE_THRESHOLD
+        check_values(
+            engine.program, relation,
+            zip(*batch._columns) if long_run else batch.rows,
+        )
+        return trigger
+    width = len(trigger.params)
+    rows = batch._rows
+    # A columnar batch is as wide as its tuple of columns.
+    for row in (batch._columns,) if rows is None else rows:
+        if len(row) != width:
+            raise _width_error(relation, width, len(row))
     return trigger
 
 
@@ -209,10 +221,12 @@ def _stream_windows(engine, events: Iterable, batch_size: Optional[int]):
     each ``batch_size``-event window when every ring map of the program is
     an exact integer (:func:`~repro.compiler.storage.exact_int_maps`),
     else stream-order runs, so a FLOAT sum adds in the stream's order at
-    every batch size.  A window is judged by :func:`admit`'s static-table
-    rule whole before it is yielded, in its batches' order: a static
-    table's rows load ahead of the window's first stream batch, or an
-    ``EventError`` refuses the window before any of it applies.
+    every batch size.  A window is judged by :func:`admit`'s row and
+    static-table rules whole before it is yielded, in its batches' order:
+    a row of the wrong width (or, on a logged engine, a value its column
+    cannot take) in any batch, or a static table's rows after the
+    window's first stream batch, raise ``EventError`` before any of the
+    window is logged or applies.
     """
     program = engine.program
     exact = exact_int_maps(program)
@@ -223,9 +237,12 @@ def _stream_windows(engine, events: Iterable, batch_size: Optional[int]):
     )
     static = program.static_relations
     for window in _windows(events, batch_size, regroup):
-        if len(window) > 1 and static:
+        if len(window) > 1:
             started = engine._stream_started
-            for batch in window:
+            for index, batch in enumerate(window):
+                # admit checks the first batch's rows before it is logged.
+                if index:
+                    _check_rows(engine, batch)
                 if batch.relation in static:
                     _check_static(batch.relation, batch.sign, started)
                 elif (batch.relation, 0) in program.triggers:

@@ -231,6 +231,31 @@ def test_query_surface_regressions_match_sqlite(query_name, mode):
     run_differential(engine, SqliteOracle(lanes.RST, sql), events)
 
 
+#: A MIN/MAX argument equated with a group column: the write keyed
+#: ``[group, value]`` took its value key from a lift onto the group key
+#: before the equality fixed that key, and named an unbound ``__k0``.
+EXTREMUM_ON_GROUP_KEY = {
+    "max_joined": (
+        "SELECT r0.B, max(t1.C) FROM R r0, T t1 WHERE t1.C = r0.B GROUP BY r0.B"
+    ),
+    "min_self_join": (
+        "SELECT r1.B, min(r0.B) FROM R r0, R r1 WHERE r1.B = r0.B GROUP BY r1.B"
+    ),
+}
+
+
+@pytest.mark.parametrize("query_name", sorted(EXTREMUM_ON_GROUP_KEY))
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_extremum_on_a_group_key_matches_sqlite(query_name, mode, batch_size):
+    sql = EXTREMUM_ON_GROUP_KEY[query_name]
+    engine = DeltaEngine(compile_sql(sql, lanes.RST, name="q"), mode=mode)
+    events = oracle_stream(
+        {"R": 2, "T": 2}, 120, seed=13, domain=4, attack={"R": 1, "T": 0}
+    )
+    run_differential(engine, SqliteOracle(lanes.RST, sql), events, batch_size)
+
+
 @pytest.mark.parametrize("query_name", ["bbo", "act"])
 @pytest.mark.parametrize("mode,batch_size", [
     ("compiled", 1), ("compiled", 64), ("interpreted", 23),

@@ -725,6 +725,42 @@ def test_a_value_no_column_takes_is_refused_before_the_log(shards, tmp_path):
     assert (lsn, _state(recovered)) == before
 
 
+#: A two-batch window whose second batch holds a value its column cannot
+#: take: ``process_stream`` regroups it into a bids batch, then an asks one.
+_BAD_WINDOW = [
+    StreamEvent("bids", 1, (1, 1, 1, 100, 5)),
+    StreamEvent("asks", 1, (2, 2, 1, "x", 5)),
+]
+
+
+@pytest.mark.parametrize("shape", ["durable", "supervised", "served"])
+def test_a_window_is_refused_whole_before_its_first_batch_is_logged(shape, tmp_path):
+    """On a logged engine every batch of a window passes the value check
+    before the first is logged: a bad value in the window's last batch
+    leaves the maps, the counters and the log where they were."""
+    from repro.runtime.serving import ServerThread
+
+    program = compile_sql(FINANCE_QUERIES["bsp"], finance_catalog(), name="bsp")
+    if shape == "supervised":
+        engine = ShardedEngine(program, shards=2, parallel=True, supervise=True)
+    else:
+        engine = DurableEngine(program, tmp_path, fsync="none")
+    engine.insert("bids", 7, 7, 1, 90, 3)
+
+    def state():
+        return getattr(engine, "lsn", None), engine.events_processed, _state(engine)
+
+    before = state()
+    with pytest.raises(EventError, match="'price' is INT; got 'x'"):
+        if shape == "served":
+            with ServerThread(engine) as handle:
+                handle.publish_stream(_BAD_WINDOW, batch_size=2)
+        else:
+            engine.process_stream(_BAD_WINDOW, 2)
+    assert state() == before
+    engine.close()
+
+
 def test_single_lane_durable_engine_takes_supervision_as_a_noop(tmp_path):
     # One lane has no worker to supervise; like a ShardedEngine without
     # forked lanes, the knob is accepted and inert (it used to be a bare
