@@ -49,7 +49,7 @@ from repro.compiler.program import (
     Trigger,
     TriggerTable,
 )
-from repro.compiler.storage import StorageLayout, storage_layout
+from repro.compiler.storage import StorageLayout, exact_int_maps, storage_layout
 from repro.ir.interp import unstage
 from repro.ir.lower import collect_patterns_ir, lower_for
 from repro.ir.nodes import (
@@ -65,6 +65,7 @@ from repro.ir.nodes import (
     Const,
     Finalize,
     FlushBuffer,
+    ForEachGroup,
     ForEachMap,
     ForEachRow,
     IfCond,
@@ -164,7 +165,9 @@ def index_name(map_name: str, pattern: tuple[int, ...]) -> str:
 
 
 def collect_patterns(
-    program: CompiledProgram, options: ExecutorOptions = ExecutorOptions()
+    program: CompiledProgram,
+    options: ExecutorOptions = ExecutorOptions(),
+    ordered: Optional[dict[str, int]] = None,
 ) -> dict[str, set[tuple[int, ...]]]:
     """Access patterns needing hash bucket indexes, from the lowered IR
     (none under ``use_indexes=False``).
@@ -174,14 +177,28 @@ def collect_patterns(
     index per pattern so loops touch only matching entries.  Every write
     keeps a bucket, value included; the other kind of secondary index,
     an ordered key list kept on key entry and exit only, is
-    :func:`ordered_maps`'.
+    :func:`ordered_maps`'.  Given the maps that keep one (``ordered``), a
+    pattern every loop of which is a threshold scan that list serves
+    (:func:`threshold_scan`) needs no bucket, and is left out.
     """
     if not options.use_indexes:
         return {}
     ir = lower_for(program, options)
-    return collect_patterns_ir(
-        list(ir.triggers.values()) + list(ir.batch_triggers.values())
-    )
+    bodies = [*ir.triggers.values(), *ir.batch_triggers.values()]
+    patterns = collect_patterns_ir(bodies)
+    if not ordered:
+        return patterns
+    int_maps = exact_int_maps(program)
+    kept: dict[str, set[tuple[int, ...]]] = {}
+    for trigger_ir in bodies:
+        for stmt in walk_stmts(trigger_ir.body):
+            if (
+                isinstance(stmt, ForEachMap)
+                and _loop_uses_index(stmt, patterns)
+                and not threshold_scan(stmt, trigger_ir.body, int_maps, ordered)
+            ):
+                kept.setdefault(stmt.slot.name, set()).add(stmt.pattern)
+    return kept
 
 
 def ordered_name(map_name: str) -> str:
@@ -459,10 +476,10 @@ def generate_module(
 
     options = ExecutorOptions("compiled", use_indexes, optimize)
     ir = lower_for(program, options)
-    indexes = collect_patterns(program, options)
     if layout is None:
         layout = storage_layout(program, "compiled", columnar)
     ordered = ordered_maps(program, options, layout)
+    indexes = collect_patterns(program, options, ordered)
     plan = layout.plan
     columnar_maps = layout.columnar_maps
     native_scan_maps = layout.kernel_maps
@@ -676,6 +693,9 @@ class _PyRenderer:
             return
         if isinstance(stmt, ForEachRow):
             self._render_row_loop(stmt)
+            return
+        if isinstance(stmt, ForEachGroup):
+            self._render_group_loop(stmt)
             return
         if isinstance(stmt, AddTo):
             self._render_add_to(stmt)
@@ -909,16 +929,19 @@ class _PyRenderer:
         header, so a trigger touching two of five event columns walks
         exactly two lists.
         """
+        self._row_header(stmt.rows_var, stmt.params, used_names(stmt.body))
+        with self.emitter.block():
+            self.render_body(stmt.body)
+
+    def _row_header(self, rows_var: str, params, used) -> None:
+        """The header of a loop over a columnar batch's rows, binding the
+        ``params`` in ``used`` (the weight first, then event columns)."""
         emitter = self.emitter
-        used = used_names(stmt.body)
         sources = [WEIGHTS] + [
-            f"{stmt.rows_var}[{position}]"
-            for position in range(len(stmt.params) - 1)
+            f"{rows_var}[{position}]" for position in range(len(params) - 1)
         ]
         pairs = [
-            (source, param)
-            for source, param in zip(sources, stmt.params)
-            if param in used
+            (source, param) for source, param in zip(sources, params) if param in used
         ]
         if not pairs:
             emitter.line(f"for _ in {WEIGHTS}:")
@@ -929,6 +952,44 @@ class _PyRenderer:
             names = ", ".join(param for _, param in pairs)
             columns = ", ".join(source for source, _ in pairs)
             emitter.line(f"for {names} in zip({columns}):")
+
+    def _render_group_loop(self, stmt: ForEachGroup) -> None:
+        """Batch pre-aggregation: one pass over the rows (the columns the
+        group and the sums read) sums each value into its group's entry —
+        the sum itself for one sum, a list of them for several — then the
+        body runs per entry.  An empty group sums into locals, and the
+        body follows once."""
+        emitter = self.emitter
+        used = set(stmt.group).union(*map(expr_names, stmt.values))
+        values = [self.expr(value) for value in stmt.values]
+        if not stmt.group:
+            for name in stmt.sums:
+                emitter.line(f"{name} = 0")
+            self._row_header(stmt.rows_var, stmt.params, used)
+            with emitter.block():
+                for name, value in zip(stmt.sums, values):
+                    emitter.line(f"{name} += {value}")
+            self.render_body(stmt.body)
+            return
+        (key,) = stmt.group  # ``plan_preaggregation`` keys on one column at most
+        groups = "__groups"  # one group loop per batch body, at its top level
+        emitter.line(f"{groups} = {{}}")
+        self._row_header(stmt.rows_var, stmt.params, used)
+        with emitter.block():
+            if len(values) == 1:
+                emitter.line(f"{groups}[{key}] = {groups}.get({key}, 0) + {values[0]}")
+            else:
+                sums = "__group"
+                emitter.line(f"{sums} = {groups}.get({key})")
+                emitter.line(f"if {sums} is None:")
+                with emitter.block():
+                    emitter.line(f"{groups}[{key}] = [{', '.join(values)}]")
+                emitter.line("else:")
+                with emitter.block():
+                    for position, value in enumerate(values):
+                        emitter.line(f"{sums}[{position}] += {value}")
+        held = stmt.sums[0] if len(values) == 1 else f"({', '.join(stmt.sums)})"
+        emitter.line(f"for {key}, {held} in {groups}.items():")
         with emitter.block():
             self.render_body(stmt.body)
 
@@ -1549,8 +1610,8 @@ class CompiledExecutor:
         self.layout = (
             layout if layout is not None else storage_layout(program, self.mode)
         )
-        self._index_patterns = collect_patterns(program, options)
         self._ordered = ordered_maps(program, options, self.layout)
+        self._index_patterns = collect_patterns(program, options, self._ordered)
         self.source = generate_module(
             program,
             use_indexes=options.use_indexes,

@@ -84,7 +84,8 @@ from repro.algebra.expr import (
     walk,
 )
 from repro.algebra.simplify import monomials
-from repro.compiler.program import CompiledProgram, float_columns
+from repro.compiler.program import CompiledProgram
+from repro.sql.catalog import Column, SqlType
 
 #: value-class -> ColumnarMap value-column kind.
 _VALUE_KINDS = {"int": "q", "float": "d", "object": "o"}
@@ -112,7 +113,8 @@ class MapStorage:
     value_class: str
     arity: int
     reason: str
-    #: per-key-position type class ("int" | "float" | "any"), in key order.
+    #: per-key-position type class ("int" | "float" | "str" | "any"), in
+    #: key order.
     key_classes: tuple[str, ...] = ()
     #: whether the native C kernel can own this map (int64 keys, numeric
     #: values, arity within the generated entry-point range).
@@ -282,20 +284,21 @@ def storage_layout(
 
 
 def _var_classes(
-    defn: Expr, float_positions: Mapping[str, frozenset[int]]
+    defn: Expr, columns: Mapping[str, tuple[Column, ...]]
 ) -> dict[str, str]:
-    """Type class (``"int"`` | ``"float"``) of the variables a map
-    definition binds; a variable absent from the result is unproven.
+    """Type class (``"int"`` | ``"float"`` | ``"str"``) of the variables
+    a map definition binds; a variable absent from the result is unproven.
 
-    ``int``: bound by base-relation atoms at non-FLOAT columns only;
-    ``float``: at FLOAT columns only.  A variable equated across a FLOAT
-    and an INT column may carry either side's value, and a Lift-bound one
-    is an arbitrary computed scalar — both stay unproven — unless the
-    lift renames one variable (``v ^= x``, a MIN/MAX argument's key): it
-    then holds ``x``'s values.
+    A variable bound by base-relation atoms only at columns of one class
+    takes it: ``float`` for FLOAT columns, ``str`` for STRING ones, ``int``
+    for the rest.  A variable equated across columns of two classes may
+    carry either side's value, and a Lift-bound one is an arbitrary
+    computed scalar — both stay unproven — unless the lift renames one
+    variable (``v ^= x``, a MIN/MAX argument's key): it then holds ``x``'s
+    values.
     """
-    int_bound: set[str] = set()
-    float_bound: set[str] = set()
+    column_classes = {SqlType.FLOAT: "float", SqlType.STRING: "str"}
+    bound: dict[str, set[str]] = {}
     lifted: set[str] = set()
     renames: list[tuple[str, str]] = []
     for node in walk(defn):
@@ -305,22 +308,22 @@ def _var_classes(
             else:
                 lifted.add(node.var)
         elif isinstance(node, Rel):
-            floats = float_positions.get(node.name, frozenset())
+            declared = columns[node.name]
             for position, arg in enumerate(node.args):
                 if isinstance(arg, Var):
-                    (float_bound if position in floats else int_bound).add(
-                        arg.name
+                    bound.setdefault(arg.name, set()).add(
+                        column_classes.get(declared[position].type, "int")
                     )
     for var, source in renames:
-        if source in int_bound:
-            int_bound.add(var)
-        if source in float_bound:
-            float_bound.add(var)
-        if source not in int_bound | float_bound:
+        if source in bound:
+            bound.setdefault(var, set()).update(bound[source])
+        else:
             lifted.add(var)
-    classes = dict.fromkeys(int_bound - float_bound - lifted, "int")
-    classes.update(dict.fromkeys(float_bound - int_bound - lifted, "float"))
-    return classes
+    return {
+        var: next(iter(found))
+        for var, found in bound.items()
+        if len(found) == 1 and var not in lifted
+    }
 
 
 def _int_factor(
@@ -485,9 +488,8 @@ def _analyze_storage(program: CompiledProgram) -> StoragePlan:
         for name, map_def in program.maps.items()
         if map_def.role != "auxiliary"
     }
-    float_positions = float_columns(program.columns)
     classes = {
-        name: _var_classes(map_def.defn, float_positions)
+        name: _var_classes(map_def.defn, program.columns)
         for name, map_def in ring_maps.items()
     }
     bodies = {

@@ -15,6 +15,7 @@ executor protocol over them (``mode="interpreted"``).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import add
 from typing import Optional
 
 from repro.errors import CodegenError
@@ -38,6 +39,7 @@ from repro.ir.nodes import (
     Const,
     Finalize,
     FlushBuffer,
+    ForEachGroup,
     ForEachMap,
     ForEachRow,
     IfCond,
@@ -164,6 +166,19 @@ def run_stmt(
             for name, value in zip(params, row):
                 env[name] = value
             run_stmts(body, env, maps, recorder, entry)
+        return
+    if isinstance(stmt, ForEachGroup):
+        groups = {(): [0] * len(stmt.sums)} if not stmt.group else {}
+        for row in zip(env[WEIGHTS], *env[stmt.rows_var]):
+            env.update(zip(stmt.params, row))
+            values = [_eval(value, env, maps, entry) for value in stmt.values]
+            sums = groups.setdefault(tuple(env[name] for name in stmt.group), values)
+            if sums is not values:
+                sums[:] = map(add, sums, values)
+        for key, sums in groups.items():
+            env.update(zip(stmt.group, key))
+            env.update(zip(stmt.sums, sums))
+            run_stmts(stmt.body, env, maps, recorder, entry)
         return
     if isinstance(stmt, AddTo):
         storage = maps[stmt.slot.name]

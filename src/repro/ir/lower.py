@@ -9,12 +9,14 @@ map apply, a two-phase pending-buffer append (self-reading triggers), or
 a per-event scalar accumulator (an exact-integer loop sum under an
 event-fixed key).  A ``*_batch`` body is the optimised per-event body in
 a row loop, its writes to accumulating targets staged and merged once
-after the loop.
+after the loop; an independent trigger's batch may first fold its rows
+into one per group of what its body keys on, and run the body over each
+group's sums (:func:`plan_preaggregation`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import CodegenError, CompilationError
 from repro.algebra.expr import (
@@ -32,6 +34,7 @@ from repro.algebra.expr import (
     Var,
     WEIGHT,
     mul as alg_mul,
+    used_vars,
 )
 from repro.algebra.schema import output_vars
 from repro.algebra.simplify import monomials
@@ -47,6 +50,7 @@ from repro.compiler.program import (
     FinalizeSpec,
     Statement,
     Trigger,
+    float_columns,
     needs_buffering,
     validate_statement,
 )
@@ -64,6 +68,7 @@ from repro.ir.nodes import (
     Const,
     Finalize,
     FlushBuffer,
+    ForEachGroup,
     ForEachMap,
     ForEachRow,
     IfCond,
@@ -843,6 +848,106 @@ def _restate_blocks(
     return blocks
 
 
+# ---------------------------------------------------------------------------
+# Batch pre-aggregation (consolidating a batch before its body runs)
+# ---------------------------------------------------------------------------
+
+
+class Preaggregation(NamedTuple):
+    """How an independent trigger folds a batch's rows before its body
+    runs (:func:`plan_preaggregation`).
+
+    ``group`` are the event parameters the body keys on; ``sums`` name
+    one local per distinct product of the other (*value*) parameters,
+    ``products[i]`` the names ``sums[i]`` multiplies (the event weight
+    first), summed over a group's rows; ``statements`` are the trigger's,
+    each reading its value product's sum where it read the product.
+    """
+
+    group: tuple[str, ...]
+    sums: tuple[str, ...]
+    products: tuple[tuple[str, ...], ...]
+    statements: list[Statement]
+
+
+def plan_preaggregation(
+    trigger: Trigger, program: CompiledProgram, namer: _Namer
+) -> Optional[Preaggregation]:
+    """The pre-aggregation of an independent trigger's batch, or ``None``.
+
+    A trigger's delta is linear in the event (DBSP: Q(ΣΔI) = ΣQ(ΔI)), so
+    rows that agree on every parameter its statements key on, look up or
+    test — its *group* — add up to one row carrying, per product of the
+    other parameters a statement multiplies in, the sum of ``weight ×
+    product``; the body then runs once per group instead of once per row.
+    Applies when every map the trigger writes is exact-integer (the sums
+    reorder additions) and keeps no MIN/MAX/DISTINCT cache, and the group
+    has at most one column, which is not FLOAT (one group holds equal
+    values, which ``0.0``/``-0.0`` are without being the same key).  Every
+    statement must multiply the event weight in once, as a bare factor.
+    The caller has checked that the trigger is independent
+    (:func:`_independent`): every row of a batch sees the same maps.
+    """
+    written = {s.target for s in trigger.statements}
+    if (
+        not trigger.statements
+        or not written <= exact_int_maps(program)
+        or written & program.finalizers.keys()
+    ):
+        return None
+    params = set(trigger.params)
+    group: set[str] = set()
+    shapes = []
+    for statement in trigger.statements:
+        expanded = monomials(statement.rhs)
+        if len(expanded) != 1:
+            return None
+        coeff, factors = expanded[0]
+        value: list[str] = []
+        rest: list[Expr] = []
+        for factor in factors:
+            if isinstance(factor, Var) and (
+                factor.name in params or factor.name == WEIGHT
+            ):
+                value.append(factor.name)
+            else:
+                rest.append(factor)
+                group |= used_vars(factor) & params
+        if value.count(WEIGHT) != 1 or any(WEIGHT in used_vars(f) for f in rest):
+            return None
+        for arg in statement.args:
+            group |= used_vars(arg) & params
+        shapes.append((statement, coeff, factors, value))
+    floats = float_columns(program.columns).get(trigger.relation, frozenset())
+    if len(group) > 1 or any(trigger.params.index(p) in floats for p in group):
+        return None
+    sums: dict[tuple[str, ...], str] = {}
+    products: dict[str, tuple[str, ...]] = {}
+    statements = []
+    for statement, coeff, factors, value in shapes:
+        product = (WEIGHT, *(n for n in value if n != WEIGHT and n not in group))
+        name = sums.get(tuple(sorted(product)))
+        if name is None:
+            name = sums[tuple(sorted(product))] = namer.fresh("sum")
+            products[name] = product
+        # The sum stands where the weight stood; a group parameter stays.
+        kept = [
+            Var(name) if factor == Var(WEIGHT) else factor
+            for factor in factors
+            if not (isinstance(factor, Var) and factor.name in product[1:])
+        ]
+        rhs = alg_mul(AConst(coeff), *kept)
+        statements.append(
+            Statement(statement.target, statement.args, rhs, statement.loop_vars)
+        )
+    return Preaggregation(
+        tuple(p for p in trigger.params if p in group),
+        tuple(products),
+        tuple(products.values()),
+        statements,
+    )
+
+
 def _accumulates(
     statement: Statement,
     trigger: Trigger,
@@ -867,6 +972,13 @@ def _accumulates(
     if patterns.get(statement.target):
         return True
     return len(statement.args) < len(trigger.params)
+
+
+def _keyed_by(statement: Statement, group: tuple[str, ...]) -> bool:
+    """Whether ``statement`` writes under a key of the group's parameters
+    (and constants) alone."""
+    names = [arg.name for arg in statement.args if isinstance(arg, Var)]
+    return bool(names) and set(names) <= set(group)
 
 
 def _stage(stmts, accs: dict[str, str]) -> tuple[IRStmt, ...]:
@@ -899,6 +1011,7 @@ def lower_trigger_batch(
     independent: bool,
     plan: Optional[SecondOrderPlan],
     namer: _Namer,
+    grouped: Optional[Preaggregation] = None,
 ) -> tuple[TriggerIR, tuple[tuple[str, str], ...]]:
     """The batch trigger body: ``rows``, the (optimised) per-event body
     of the statements each row runs, in a row loop.
@@ -920,6 +1033,14 @@ def lower_trigger_batch(
       ``per-row``/``buffered``), as for an independent trigger in which
       nothing accumulates.
 
+    An independent trigger with a :class:`Preaggregation` (``grouped``)
+    first folds the batch into one entry per group, and ``rows`` is the
+    body over ``grouped.statements`` run once per group
+    (:class:`~repro.ir.nodes.ForEachGroup`, every statement reported as
+    ``grouped``): a write keyed by the group alone is direct, since no
+    other group writes its key, and so is every write of a body that runs
+    once (an empty group).
+
     Returns the trigger IR plus the per-statement sink report.
     """
     name = f"{trigger.name}_batch"
@@ -929,11 +1050,17 @@ def lower_trigger_batch(
 
     if plan is not None:
         statements = plan.base
+    elif grouped is not None:
+        statements = grouped.statements
     else:
         statements = trigger.statements if independent else []
     accs: dict[str, str] = {}
     writers: dict[str, list[Statement]] = {}
     for position, statement in enumerate(statements):
+        if grouped is not None and (
+            not grouped.group or _keyed_by(statement, grouped.group)
+        ):
+            continue
         if _accumulates(statement, trigger, patterns, finalizers):
             accs.setdefault(statement.target, f"__b{position}")
             writers.setdefault(statement.target, []).append(statement)
@@ -950,11 +1077,21 @@ def lower_trigger_batch(
             flush = AddTo(Slot(target), (), Name(acc))
             merge = IfCond(Compare("!=", Name(acc), Const(0)), (flush,))
         merges.append(Block((), (merge,), tuple(writers[target])))
-    body = [*decls, ForEachRow("__cols", params, _stage(rows.body, accs)), *merges]
+    staged = _stage(rows.body, accs)
+    if grouped is None:
+        loop: IRStmt = ForEachRow("__cols", params, staged)
+    else:
+        values = tuple(_prod(list(map(Name, names))) for names in grouped.products)
+        loop = ForEachGroup(
+            "__cols", params, grouped.group, grouped.sums, values, staged
+        )
+    body = [*decls, loop, *merges]
     if plan is not None:
         body.extend(_restate_blocks(plan, namer, finalizers))
 
-    if plan is None and not accs:
+    if grouped is not None:
+        sinks = {id(s): "grouped" for s in trigger.statements}
+    elif plan is None and not accs:
         fallback = "per-row"
         if needs_buffering(trigger.statements, finalizers):
             fallback = "buffered"
@@ -994,8 +1131,9 @@ def lower_program(program: CompiledProgram, optimize: bool = True) -> ProgramIR:
     """Lower (and optionally optimise) a whole compiled program.
 
     Each batch body wraps the optimised per-event body of the statements
-    its rows run (:func:`lower_trigger_batch`): the trigger's own, or its
-    second-order plan's first-order statements, lowered and optimised
+    its rows run (:func:`lower_trigger_batch`): the trigger's own, its
+    second-order plan's first-order statements, or its statements over a
+    group's sums (:func:`plan_preaggregation`), lowered and optimised
     alongside.  Where a trigger's plan can be guarded on an extremum
     cache (:func:`lower_trigger`) its per-event body uses the plan too.
 
@@ -1029,21 +1167,31 @@ def lower_program(program: CompiledProgram, optimize: bool = True) -> ProgramIR:
     event_sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = {}
     namers: dict[tuple[str, int], _Namer] = {}
     # Per trigger, decided once for both variants: whether its events are
-    # independent of each other, and otherwise its second-order plan.
-    shapes: dict[tuple[str, int], tuple[bool, Optional[SecondOrderPlan]]] = {}
+    # independent of each other, and then its pre-aggregation, or else its
+    # second-order plan.
+    shapes: dict[tuple[str, int], tuple] = {}
     for key, trigger in program.triggers.items():
         namers[key] = _Namer()
         independent = _independent(trigger, finalizers)
         plan = None if independent else plan_second_order(trigger, program)
-        shapes[key] = independent, plan
         triggers[key], event_sinks[key] = lower_trigger(
             trigger, namers[key], finalizers, plan, exact
         )
+        grouped = None
+        if independent:
+            grouped = plan_preaggregation(trigger, program, namers[key])
+        shapes[key] = independent, plan, namers[key], grouped
         # What a batch row runs: the per-event body itself (the same
-        # object, so the optimiser runs it once), or the plan's base.
+        # object, so the optimiser runs it once), the plan's base, or the
+        # body over a group's sums.
         rows[key] = triggers[key]
-        if plan is not None:
+        base = None
+        if grouped is not None:
+            params = (*grouped.group, *grouped.sums)
+            base = Trigger(trigger.relation, params, grouped.statements)
+        elif plan is not None:
             base = Trigger(trigger.relation, trigger.params, plan.base)
+        if base is not None:
             rows[key], _ = lower_trigger(base, namers[key], finalizers, exact=exact)
 
     ir = ProgramIR(
@@ -1063,12 +1211,7 @@ def lower_program(program: CompiledProgram, optimize: bool = True) -> ProgramIR:
     sinks: dict[tuple[str, int], tuple[tuple[str, str], ...]] = {}
     for key, trigger in program.triggers.items():
         batch[key], sinks[key] = lower_trigger_batch(
-            trigger,
-            ir.batch_triggers[key],
-            patterns,
-            finalizers,
-            *shapes[key],
-            namers[key],
+            trigger, ir.batch_triggers[key], patterns, finalizers, *shapes[key]
         )
     ir.batch_triggers = batch
     ir.batch_sinks = sinks

@@ -19,6 +19,7 @@ Two small expression and statement grammars:
 
 * **Statements** — :class:`Assign`, :class:`Accum`, :class:`IfCond`,
   :class:`ForEachMap`, :class:`ForEachRow` (batch row loop),
+  :class:`ForEachGroup` (batch rows pre-aggregated per group),
   :class:`AddTo` (``map[key] += value`` with zero eviction),
   :class:`AppendTo`/:class:`FlushBuffer` (the two-phase pending buffer),
   :class:`LocalMapDecl`/:class:`MergeInto` (batch accumulators),
@@ -279,6 +280,24 @@ class ForEachRow(IRStmt):
 
 
 @dataclass(frozen=True, slots=True)
+class ForEachGroup(IRStmt):
+    """Batch pre-aggregation over a columnar batch: its rows, read as
+    :class:`ForEachRow` reads them (``params``), fold into one entry per
+    value of the ``group`` parameters, holding per group each of
+    ``values`` summed over its rows; ``body`` then runs once per group,
+    in order of first appearance, with ``group`` bound to the group's
+    values and each of ``sums`` to the sum in its position.  An empty
+    ``group`` folds the batch into one entry, and ``body`` runs once."""
+
+    rows_var: str
+    params: tuple[str, ...]
+    group: tuple[str, ...]
+    sums: tuple[str, ...]
+    values: tuple[IRExpr, ...]
+    body: tuple[IRStmt, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Cache:
     """A MIN/MAX/DISTINCT cache kept from the occurrence map a write
     applies to.
@@ -514,7 +533,7 @@ def expr_slots(expr: IRExpr) -> frozenset[Slot]:
 
 def stmt_children(stmt: IRStmt) -> tuple[IRStmt, ...]:
     """Nested statements of ``stmt`` (one level)."""
-    if isinstance(stmt, (IfCond, ForEachMap, ForEachRow)):
+    if isinstance(stmt, (IfCond, ForEachMap, ForEachRow, ForEachGroup)):
         return stmt.body
     if isinstance(stmt, Block):
         return stmt.stmts
@@ -536,6 +555,8 @@ def stmt_exprs(stmt: IRStmt) -> tuple[IRExpr, ...]:
         return stmt.keys + (stmt.value,) + locals_
     if isinstance(stmt, AppendTo):
         return stmt.keys + (stmt.value,)
+    if isinstance(stmt, ForEachGroup):
+        return stmt.values
     return ()
 
 
@@ -588,13 +609,16 @@ def read_slots(stmts) -> frozenset[Slot]:
 def binders(stmt: IRStmt) -> tuple[str, ...]:
     """The scalar names ``stmt`` itself binds (not its body): an
     assignment's or accumulator's name, a map loop's value and key
-    position names, a row loop's parameters."""
+    position names, a row loop's parameters, a group loop's parameters
+    and sums."""
     if isinstance(stmt, (Assign, Accum)):
         return (stmt.name,)
     if isinstance(stmt, ForEachMap):
         return (stmt.value_var, *(name for _, name in stmt.binds))
     if isinstance(stmt, ForEachRow):
         return stmt.params
+    if isinstance(stmt, ForEachGroup):
+        return (*stmt.params, *stmt.sums)
     return ()
 
 
@@ -631,6 +655,7 @@ NAME_FIELDS: dict[type, tuple[str, ...]] = {
     Accum: ("name",),
     ForEachMap: ("entry_var", "value_var", "binds", "key_local"),
     ForEachRow: ("params",),
+    ForEachGroup: ("params", "group", "sums"),
     AddTo: ("key_locals",),
 }
 

@@ -54,18 +54,20 @@ is ``nan``) and moves a statement only past statements writing none of
 its maps, so every map sees its writes in order, insertion order
 included.
 
-The passes apply to the batch bodies too, which wrap already-optimised
-per-event bodies in a row loop, including the second-order
-accumulate-then-flush shape: the once-per-batch restate scans are emitted
-as single-loop blocks so ``fuse-loops`` merges restatements scanning the
-same base map into one traversal, and ``hoist-invariants`` lifts their
-batch-constant thresholds.  Only ``hoist-invariants`` walks into the row
-loop, to lift batch-invariant work out of it: the other passes rewrite
-within a sequence, and the row loop's body is a per-event body they have
-already rewritten (staging its writes changes none of what they read;
-its key locals stay).  Among the shipped programs the walk lifts
-something out of psp's row loops (two scalar lookups each) and mst's (one
-extremum lookup) only; warehouse-load's program has nothing
+The passes apply to what a batch body adds to the already-optimised
+per-event body it wraps in a row loop (``optimize_trigger(batch=True)``):
+the statements after the loop, including the second-order
+accumulate-then-flush shape — the once-per-batch restate scans are
+emitted as single-loop blocks so ``fuse-loops`` merges restatements
+scanning the same base map into one traversal, and ``hoist-invariants``
+lifts their batch-constant thresholds — and the lift of batch-invariant
+work out of the loop, ``hoist-invariants``' only walk into it.  The
+loop's body is a per-event body the passes have rewritten already (staging its writes
+changes none of what they read; its key locals stay); a pass run there
+again could rename a name the lift moved out.  Among the shipped
+programs the lift moves something out of mst's bids group loop (an
+extremum lookup), psp's group loops and the seven-view finance program's
+row loops (psp's scalar lookups) only; warehouse-load's program has nothing
 batch-invariant in its row loop.  :class:`~repro.ir.nodes.Clear` (the flush's
 zeroing write) is *destructive* — unlike additions it never commutes, even
 into exact maps — so the reorder analyses refuse any write-write overlap
@@ -92,6 +94,7 @@ from repro.ir.nodes import (
     Const,
     Finalize,
     FlushBuffer,
+    ForEachGroup,
     ForEachMap,
     ForEachRow,
     IfCond,
@@ -447,11 +450,8 @@ def _hoist_stmts(
 
     out: list[IRStmt] = []
     for stmt in stmts:
-        if isinstance(stmt, (ForEachMap, ForEachRow)):
-            # A row loop's body is a per-event body hoisted already: only
-            # what is invariant over the batch is left to lift out of it.
-            if isinstance(stmt, ForEachMap):
-                stmt = map_node(stmt, stmt_fn=hoist)
+        if isinstance(stmt, ForEachMap):
+            stmt = map_node(stmt, stmt_fn=hoist)
             prelude, loop = _hoist_from_loop(stmt, namer, bindings)
             out.extend(prelude)
             out.append(loop)
@@ -604,12 +604,10 @@ class _Sharing:
     nothing; a map loop body sees the entries not over its binders nor
     over a name bound more than once, and no lookup of a map it writes
     (``hoist-invariants`` has already moved its invariant lookups out),
-    so a key over its binders is built once per iteration; a batch row
-    loop is left as it is, since it runs a per-event body the pass has
-    shared.  A rebinding of a name drops every entry over it, and a write
-    to a map drops the lookups of that map.  A temp or local read fewer
-    than twice is put back when its scope ends, in a walk of that scope
-    taken only then.
+    so a key over its binders is built once per iteration.  A rebinding
+    of a name drops every entry over it, and a write to a map drops the
+    lookups of that map.  A temp or local read fewer than twice is put
+    back when its scope ends, in a walk of that scope taken only then.
     """
 
     def __init__(
@@ -657,8 +655,6 @@ class _Sharing:
                 probe = _probe_key(stmt)
                 if probe is not None:
                     counts[probe] = counts.get(probe, 0) + 1
-            elif kind is ForEachRow:
-                continue  # a per-event body the pass has shared
             stack.extend(stmt_children(stmt))
             exprs = [expr] if expr is not None else []
             while exprs:
@@ -975,7 +971,7 @@ class _Guards:
     in, and its body is walked again knowing the condition true (a test
     of it there goes), so guards nest.  Only a factor's condition, one
     two guards test or one that may leave a loop can pay (*open*):
-    statements holding none are left as they are, as are batch row loops.
+    statements holding none are left as they are.
     """
 
     def __init__(self, body, exact: set[Slot], bindings: dict[str, int]):
@@ -1031,7 +1027,7 @@ class _Guards:
                     if not self.names[cond] & bound:
                         self.open.add(cond)
                 del self.looped[start:]
-            elif kind is not ForEachRow:  # a per-event body rewritten already
+            else:
                 self.survey(stmt_children(stmt))
 
     def zeros(self, expr: IRExpr) -> frozenset[str]:
@@ -1112,7 +1108,7 @@ class _Guards:
                 held[3] = bool(self.region(stmt).conds)
             else:
                 held[3] = kind is IfCond and self.number(stmt.cond) in self.open
-                if not held[3] and kind is not ForEachRow:
+                if not held[3]:
                     held[3] = any(map(self.busy, stmt_children(stmt)))
         return held[3]
 
@@ -1284,26 +1280,47 @@ def optimize_trigger(
     exact: frozenset[str],
     removed: Optional[dict[str, int]] = None,
     patterns: Optional[dict[str, set[tuple[int, ...]]]] = None,
+    batch: bool = False,
 ) -> TriggerIR:
     """Run ``passes`` (in pipeline order) over one trigger body, adding
     each pass's removed-node count to ``removed``.  ``patterns`` are the
     program's index access patterns (:func:`repro.ir.lower
-    .collect_patterns_ir`), whose subkeys a write keeps."""
+    .collect_patterns_ir`), whose subkeys a write keeps.
+
+    A ``batch`` body wraps a per-event body the passes have rewritten
+    already in its row loop (:func:`repro.ir.lower.lower_trigger_batch`):
+    they run over what the batch adds after the loop (its merges and
+    restatements), and hoisting lifts what is invariant over the batch
+    out of the loop; the loop body itself is left as it is."""
     body = trigger_ir.body
     bindings, size = _scan(body)
     exact_slots = {Slot(name) for name in exact}
+    namer = _HoistNamer(bindings)
+    params = set(trigger_ir.params)
+    rows = [i for i, s in enumerate(body) if isinstance(s, (ForEachRow, ForEachGroup))]
+    at, loop = (rows[0], body[rows[0]]) if batch and rows else (0, None)
+    params |= assigned_names(body[:at])
     for name in DEFAULT_PASSES:
         if name not in passes:
             continue
         before = body
+        tail = body if loop is None else body[at + 1 :]
+        prelude = ()
         if name == "fuse-loops":
-            body = _fuse_sequence(body, exact_slots, set(trigger_ir.params))
+            new = _fuse_sequence(tail, exact_slots, params)
         elif name == "hoist-invariants":
-            body = _hoist_stmts(body, _HoistNamer(bindings), bindings)
+            if loop is not None:
+                prelude, loop = _hoist_from_loop(loop, namer, bindings)
+            new = _hoist_stmts(tail, namer, bindings)
         elif name == "share-locals":
-            body = _Sharing(bindings, patterns or {}).run(body)
+            new = _Sharing(bindings, patterns or {}).run(tail)
         else:
-            body = _Guards(body, exact_slots, bindings).run()
+            new = _Guards(tail, exact_slots, bindings).run()
+        if loop is None:
+            body = new
+        elif prelude or new is not tail:
+            body = (*body[:at], *prelude, loop, *new)
+            at += len(prelude)
         # A pass that changes nothing returns the body itself.
         after = size if body is before else len(walk_stmts(body))
         if removed is not None:
@@ -1321,8 +1338,9 @@ def optimize_program(
 ) -> ProgramIR:
     """Run the pass pipeline over every trigger body.
 
-    ``batch_only`` re-runs the pipeline over the batch variants only (they
-    are derived after the per-event bodies have been optimised).  The
+    ``batch_only`` runs the pipeline over the batch variants only (they
+    are derived after the per-event bodies have been optimised), over
+    what each adds to the body it wraps (:func:`optimize_trigger`).  The
     nodes each pass removes accumulate in ``ir.pass_yield``.  A body held
     under two keys (a batch row body that is its per-event body) is
     optimised once, and its yield counts for each body derived from it.
@@ -1341,7 +1359,9 @@ def optimize_program(
     def run(trigger_ir: TriggerIR) -> TriggerIR:
         if id(trigger_ir) not in done:
             own: dict[str, int] = {}
-            optimised = optimize_trigger(trigger_ir, passes, exact, own, patterns)
+            optimised = optimize_trigger(
+                trigger_ir, passes, exact, own, patterns, batch_only
+            )
             done[id(trigger_ir)] = optimised, own
         optimised, own = done[id(trigger_ir)]
         for name, count in own.items():

@@ -14,6 +14,7 @@ from repro.ir.nodes import (
     Const,
     Finalize,
     FlushBuffer,
+    ForEachGroup,
     ForEachMap,
     ForEachRow,
     IfCond,
@@ -117,6 +118,15 @@ def stmt_lines(stmt: IRStmt, indent: int = 0) -> list[str]:
         for inner in stmt.body:
             lines.extend(stmt_lines(inner, indent + 1))
         return lines
+    if isinstance(stmt, ForEachGroup):
+        lines = [
+            f"{pad}foreach group ({', '.join(stmt.group)}) of rows "
+            f"({', '.join(stmt.params)}) in {WEIGHTS}, {stmt.rows_var}, "
+            f"summing {_sums_str(stmt)}:"
+        ]
+        for inner in stmt.body:
+            lines.extend(stmt_lines(inner, indent + 1))
+        return lines
     if isinstance(stmt, AddTo):
         staged = f" staged in {stmt.acc}" if stmt.acc else ""
         full = tuple(range(len(stmt.keys)))
@@ -160,10 +170,28 @@ def trigger_str(trigger_ir: TriggerIR) -> str:
     return "\n".join(lines)
 
 
+def _sums_str(loop: ForEachGroup) -> str:
+    return ", ".join(
+        f"{name} = Σ {expr_str(value)}" for name, value in zip(loop.sums, loop.values)
+    )
+
+
+def grouping_str(trigger_ir: TriggerIR) -> str:
+    """``grouped on (<columns>): <sums>`` for a batch body that
+    pre-aggregates its rows, else ``""``."""
+    for stmt in trigger_ir.body:
+        if isinstance(stmt, ForEachGroup):
+            return f"grouped on ({', '.join(stmt.group)}): {_sums_str(stmt)}"
+    return ""
+
+
 def _sinks_str(title: str, sinks: dict, triggers: dict) -> str:
     lines = [f"== {title} =="]
     for key in sorted(sinks):
         lines.append(f"{triggers[key].name}:")
+        grouping = grouping_str(triggers[key])
+        if grouping:
+            lines.append(f"  {grouping}")
         if not sinks[key]:
             lines.append("  (no statements)")
         for statement, sink in sinks[key]:
@@ -177,8 +205,11 @@ def batch_sinks_str(ir: ProgramIR) -> str:
     For every trigger, how each compiled statement leaves the batch row
     loop: ``direct`` (applied per row), ``accumulator`` (first-order
     batch local flushed once), ``second-order`` (target cleared and
-    restated once per batch — the delta-of-delta sink), or
-    ``per-row``/``buffered`` (the whole per-event body replays per row).
+    restated once per batch — the delta-of-delta sink),
+    ``per-row``/``buffered`` (the whole per-event body replays per row),
+    or ``grouped`` (the batch is pre-aggregated and the body runs once per
+    group; a ``grouped on (<columns>)`` line names the group's columns
+    and its sums).
     """
     return _sinks_str("batch sinks", ir.batch_sinks, ir.batch_triggers)
 

@@ -343,12 +343,16 @@ def batches(events: Iterable, batch_size: Optional[int] = None) -> Iterator[Even
     stream).  It yields one batch per relation it touches, in order of
     first appearance; a batch holds its relation's rows in stream order,
     inserts and deletes together under a weight column (see
-    :class:`EventBatch`).  Rows are not consolidated: a batch holds one
-    row per event.  Update pairs (and pre-existing batches) are flattened
-    first.  Every serial order of a window's events ends at the same map
-    values (DBSP's linearity, Q(ΣΔI) = ΣQ(ΔI)), and the per-relation order
-    is one of them, so applying the batches equals applying the window per
-    event in the order ``flatten(batches(events, batch_size))`` replays.
+    :class:`EventBatch`).  Rows are not consolidated here: a batch holds
+    one row per event, so the WAL, the counters and the listeners see
+    every event; a trigger that can consolidates them itself, folding the
+    rows that agree on what its body keys on before the body runs
+    (:func:`repro.ir.lower.plan_preaggregation`).  Update pairs (and
+    pre-existing batches) are flattened first.  Every serial order of a
+    window's events ends at the same map values (DBSP's linearity,
+    Q(ΣΔI) = ΣQ(ΔI)), and the per-relation order is one of them, so
+    applying the batches equals applying the window per event in the
+    order ``flatten(batches(events, batch_size))`` replays.
 
     >>> list(batches([insert("R", 1), insert("R", 2), delete("R", 1)]))
     [±R[3 rows]]

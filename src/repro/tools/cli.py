@@ -47,7 +47,8 @@ the compiler's partition columns to N parallel lanes, with a serial
 fallback when the program is not partitionable.  ``--dump-ir`` prints the
 typed imperative IR all back ends share (see :mod:`repro.ir`), including
 the per-statement *batch sink* report (direct / buffered / accumulator /
-second-order) showing how each trigger absorbs batches and the per-map
+second-order / grouped, with each group's columns and sums) showing how
+each trigger absorbs batches and the per-map
 type proofs (``columnar[int|float|object]`` / ``dict``, see
 :mod:`repro.compiler.storage`); ``compile`` also prints the storage
 layout every executor mode gives each map, with the reason.  ``--no-opt``

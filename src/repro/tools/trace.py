@@ -72,7 +72,7 @@ def recursion_summary(program: CompiledProgram) -> dict[int, int]:
 def ir_summary(program: CompiledProgram, optimize: bool = True) -> str:
     """One-line trace of the imperative lowering every back end shares."""
     from repro.ir import ir_stats, lower_program
-    from repro.ir.pretty import passes_str
+    from repro.ir.pretty import grouping_str, passes_str
 
     ir = lower_program(program, optimize=optimize)
     stats = ir_stats(ir)
@@ -91,6 +91,12 @@ def ir_summary(program: CompiledProgram, optimize: bool = True) -> str:
         f"keys across {stats['triggers']} triggers "
         f"(passes: {passes}; "
         f"event sinks: {counted(ir.event_sinks.values())}; "
-        f"batch sinks: {counted(ir.batch_sinks.values())})"
+        f"batch sinks: {counted(ir.batch_sinks.values())}"
+        + "".join(
+            f"; {trigger_ir.name} {grouping_str(trigger_ir)}"
+            for _, trigger_ir in sorted(ir.batch_triggers.items())
+            if grouping_str(trigger_ir)
+        )
+        + ")"
     )
 

@@ -117,8 +117,16 @@ class TestPythonGeneration:
         program = compile_sql("SELECT sum(volume) FROM bids", catalog)
         source = generate_module(program)
         body = source.split("def on_bids_batch")[1].split("\ndef ")[0]
-        assert "__b0 = 0" in body
-        assert "__b0 +=" in body
+        lines = body.split("\n")
+        start = next(i for i, line in enumerate(lines) if line.startswith("    for "))
+        end = next(
+            i for i in range(start + 1, len(lines))
+            if not lines[i].startswith("        ")
+        )
+        row_loop, after = lines[start + 1 : end], "\n".join(lines[end:])
+        root = program.slot_maps["q"][0]
+        assert row_loop and not any("_m_" in line for line in row_loop)
+        assert after.count(f"_m_{root}[()] =") == 1
 
     def test_self_reading_trigger_restates_second_order(self, catalog):
         """vwap-style triggers read the maps they maintain; the batch body

@@ -30,7 +30,12 @@ from repro.runtime.engine import EMPTY_STATE
 from repro.workloads.finance import FINANCE_QUERIES
 from repro.workloads.ssb import SSB_FLIGHT
 from tests import lanes
-from tests.integration.sql_oracle import SqliteOracle, normalize_rows, oracle_stream
+from tests.integration.sql_oracle import (
+    SqliteOracle,
+    normalize_rows,
+    oracle_stream,
+    run_differential,
+)
 
 #: name -> (sql, the column its deletes attack in each relation it reads).
 ORDERED_SHAPES = {
@@ -124,3 +129,25 @@ def test_which_shipped_programs_keep_an_ordered_index(name, options):
     assert ("in __s_m1_bids[_bisect_right(" in source) == (name == "vwap")
     rescans = [line for line in source.splitlines() if "for __q" in line]
     assert rescans == []
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_a_bucket_threshold_keeps_no_hash_bucket(batch_size):
+    """Every loop over ``S``'s base map under a bucket pattern is a
+    threshold scan its ordered key lists serve, so no write keeps the hash
+    bucket index on that pattern; ``optimize=False``, which keeps no
+    ordered index, keeps the bucket.  The maps equal the interpreted
+    lane's, which keeps neither, and the results sqlite's after every
+    batch."""
+    sql = ORDERED_SHAPES["bucket_threshold"][0]
+    program = _program("bucket_threshold")
+    assert ordered_maps(program) == {"m1_base_s": 2}
+    source = generate_module(program)
+    assert "__s_m1_base_s" in source and "__x_m1_base_s_" not in source
+    assert "__x_m1_base_s_0" in generate_module(program, optimize=False)
+    feed = oracle_stream({"R": 2, "S": 2}, 150, 3, domain=6, attack={"S": 1})
+    compiled = lanes.build_engine(program)
+    run_differential(compiled, SqliteOracle(lanes.RST, sql), feed, batch_size)
+    interpreted = lanes.build_engine(program, "interpreted")
+    lanes.deliver(interpreted, feed, f"stream-{batch_size}")
+    assert repr(compiled.current_maps()) == repr(interpreted.current_maps())

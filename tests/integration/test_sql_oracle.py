@@ -256,6 +256,24 @@ def test_extremum_on_a_group_key_matches_sqlite(query_name, mode, batch_size):
     run_differential(engine, SqliteOracle(lanes.RST, sql), events, batch_size)
 
 
+#: A batch body whose lifted prelude ``share-locals`` rewrote: the row
+#: loop kept reading ``__d3``, a lookup the pass renamed away, and a batch
+#: of R rows raised ``NameError`` (``KeyError`` interpreted).
+BATCH_PRELUDE = (
+    "SELECT sum(s1.B) FROM R r0, S s1 WHERE s1.C = r0.A AND s1.C = 4"
+    " AND NOT EXISTS (SELECT z.B FROM S z WHERE z.C = r0.B)"
+)
+
+
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_a_batch_body_reads_only_names_it_binds(mode, batch_size):
+    engine = DeltaEngine(compile_sql(BATCH_PRELUDE, lanes.RST, name="q"), mode=mode)
+    events = oracle_stream({"R": 2, "S": 2}, 120, seed=5, domain=4)
+    oracle = SqliteOracle(lanes.RST, BATCH_PRELUDE)
+    run_differential(engine, oracle, events, batch_size)
+
+
 @pytest.mark.parametrize("query_name", ["bbo", "act"])
 @pytest.mark.parametrize("mode,batch_size", [
     ("compiled", 1), ("compiled", 64), ("interpreted", 23),

@@ -8,9 +8,12 @@ into one batch per relation.
 * Who regroups: ``process_stream`` on an RST shape leaves maps
   ``repr``-equal to per-event processing over the regrouped order when
   every ring map is an exact integer, and over the stream's own order when
-  one is FLOAT (the float twin), at every window size.
+  one is FLOAT (the float twin), at every window size; a map a
+  pre-aggregating trigger writes has equal entries
+  (``lanes.batch_identity``), as a group writes each key once.
 * A durable sharded engine abandoned between the two batches of one window
-  recovers to the per-event state of that regrouped prefix.
+  recovers to the per-event state of that regrouped prefix (bsp
+  pre-aggregates: the entries of the maps its triggers write).
 * A window that mixes static and stream rows is accepted with sqlite's
   answer, or refused whole with the named static-table error — never
   half-applied.
@@ -94,7 +97,8 @@ def test_process_stream_regroups_only_exact_programs(shape, stream, batch_size):
     reference = DeltaEngine(program)
     for event in order:
         reference.process(event)
-    assert repr(engine.maps) == repr(reference.maps)
+    identity = lanes.batch_identity(program)
+    assert identity(engine.maps) == identity(reference.maps)
     assert engine.events_processed == reference.events_processed
 
 
@@ -126,7 +130,8 @@ def test_durable_sharded_engine_abandoned_mid_window_recovers(tmp_path):
     reference = DeltaEngine(program)
     for event in prefix:
         reference.process(event)
-    assert repr(recovered.maps) == repr(reference.maps)
+    identity = lanes.batch_identity(program)
+    assert identity(recovered.maps) == identity(reference.maps)
     assert recovered.results("q") == reference.results("q")
     assert recovered.events_processed == reference.events_processed == len(prefix)
 

@@ -32,6 +32,7 @@ from repro.ir.nodes import (
     Const,
     Finalize,
     FlushBuffer,
+    ForEachGroup,
     ForEachMap,
     ForEachRow,
     IfCond,
@@ -137,13 +138,15 @@ class TestLowering:
         assert _loops(ir.triggers[("T", 0)])
 
     def test_batch_variant_wraps_rows_loop(self, catalog):
+        """Each batch body has one loop over its rows: a row loop, or a
+        group loop where the trigger pre-aggregates its batch."""
         program = compile_sql(PAPER_SQL, catalog)
         ir = lower_program(program)
         for trigger_ir in ir.batch_triggers.values():
             rows_loops = [
                 s
                 for s in walk_stmts(trigger_ir.body)
-                if isinstance(s, ForEachRow)
+                if isinstance(s, (ForEachRow, ForEachGroup))
             ]
             assert len(rows_loops) == 1
             assert rows_loops[0].rows_var == "__cols"
@@ -696,7 +699,9 @@ class TestBatchRows:
                 # The whole body: a probe the rows share may be hoisted
                 # out of the row loop.
                 assert _kinds(batch) == _kinds(event), (name, key)
-                (rows,) = [s for s in batch if isinstance(s, ForEachRow)]
+                (rows,) = [
+                    s for s in batch if isinstance(s, (ForEachRow, ForEachGroup))
+                ]
                 merges = walk_stmts(batch[batch.index(rows) + 1 :])
                 staged = {
                     s.value.name: s.slot.name
@@ -749,6 +754,7 @@ NON_LOCAL_FIELDS = {
     (AddTo, "acc"),
     (MergeInto, "acc"),
     (ForEachRow, "rows_var"),
+    (ForEachGroup, "rows_var"),
     (Finalize, "kind"),
     (Block, "comments"),
 }

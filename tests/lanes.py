@@ -26,6 +26,8 @@ from repro.codegen.native import probe_toolchain
 from repro.codegen.pygen import fused_scan_sites
 from repro.compiler import compile_queries, compile_sql
 from repro.compiler.storage import storage_layout
+from repro.ir.lower import lower_program
+from repro.ir.nodes import ForEachGroup
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.durability import DurableEngine
 from repro.runtime.events import batches, flatten
@@ -154,6 +156,35 @@ def exact_items(maps) -> dict:
         name: sorted((repr(k), repr(v)) for k, v in contents.items())
         for name, contents in maps.items()
     }
+
+
+def batch_identity(program):
+    """What a batched run's maps must share with per-event processing in
+    the order the batches replay: their ``repr``, insertion order
+    included (a key a batch deletes and re-inserts moves to the end, as
+    per event), except that a map a pre-aggregating trigger writes
+    (its batch body a ``repro.ir.nodes.ForEachGroup``) is compared by
+    :func:`exact_items`: a group writes a key once, so that key keeps
+    its place."""
+    ir = lower_program(program)
+    grouped = {
+        statement.target
+        for key, trigger_ir in ir.batch_triggers.items()
+        if any(isinstance(stmt, ForEachGroup) for stmt in trigger_ir.body)
+        for statement in program.triggers[key].statements
+    }
+    if not grouped:
+        return repr
+
+    def identity(maps) -> dict:
+        return {
+            name: exact_items({name: contents})[name]
+            if name in grouped
+            else repr(contents)
+            for name, contents in maps.items()
+        }
+
+    return identity
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from functools import lru_cache
 import pytest
 
 from repro.codegen.native import probe_toolchain
-from repro.codegen.pygen import fused_scan_sites
+from repro.codegen.pygen import fused_scan_sites, ordered_maps
 from repro.algebra.translate import translate_sql
 from repro.compiler import compile_queries, compile_sql
-from repro.compiler.storage import storage_layout
+from repro.compiler.storage import analyze_storage, storage_layout
 from repro.runtime import DeltaEngine, ShardedEngine, StreamEvent
 from repro.runtime.storage import _NativeColumnarMap
 from repro.sql.catalog import Catalog
@@ -315,3 +315,31 @@ def test_packed_storage_is_not_an_engine_option(tmp_path):
     assert [f.name for f in dataclasses.fields(ExecutorOptions)] == [
         "mode", "use_indexes", "optimize"
     ]
+
+
+#: STRING columns beside an INT one: a group key, an extremum's argument.
+_STRINGS = Catalog.from_script("CREATE STREAM R (A string, B int, C string);")
+
+
+@pytest.mark.parametrize("mode", lanes.PYTHON_EXECUTORS)
+def test_a_string_key_is_neither_native_nor_ordered(mode):
+    """A STRING column's variables are classed ``str``, not ``int``: a map
+    keyed on one is not native-eligible, and a MAX over one keeps its
+    occurrence map without an ordered key index; both answer sqlite's."""
+    grouped_sql = "SELECT A, sum(B) FROM R GROUP BY A"
+    grouped = compile_sql(grouped_sql, _STRINGS, name="q")
+    storage = analyze_storage(grouped).maps["q_q_sum_1"]
+    assert storage.key_classes == ("str",)
+    assert not storage.native
+    assert storage.native_reason == "non-int64 key columns (key[0]: str)"
+    assert "q_q_sum_1: columnar[int] (" in analyze_storage(grouped).describe()
+    extremum_sql = "SELECT B, max(C) FROM R GROUP BY B"
+    extremum = compile_sql(extremum_sql, _STRINGS, name="q")
+    assert analyze_storage(extremum).maps["q_q_max_1"].key_classes == ("int", "str")
+    assert ordered_maps(grouped) == ordered_maps(extremum) == {}
+    rows = [("x", 1, "b"), ("y", 2, "a"), ("x", 1, "c"), ("y", 1, "a")]
+    events = [StreamEvent("R", 1, row) for row in rows]
+    events += [StreamEvent("R", -1, rows[2]), StreamEvent("R", -1, rows[0])]
+    for program, sql in ((grouped, grouped_sql), (extremum, extremum_sql)):
+        engine = DeltaEngine(program, mode=mode)
+        run_differential(engine, SqliteOracle(_STRINGS, sql), events, 2)
