@@ -13,6 +13,8 @@ view layer evaluates to produce final rows.  Design decisions that matter:
   divided in the view layer; ``min``/``max`` become occurrence-count maps
   keyed by (group, value), from which the view extracts the extreme value
   (exactly how production DBToaster handles non-invertible aggregates).
+  A grouped occurrence map keeps only the join component carrying the
+  argument (:func:`factor_occurrence`): the count slot gates every row.
 * **Hidden count slot** — every grouped query gets an implicit ``count(*)``
   slot so group existence under deletions is exact (a group vanishes when
   its row count reaches zero, even if visible sums happen to be zero).
@@ -33,6 +35,7 @@ from repro.algebra.expr import (
     Expr,
     FreshNamer,
     Lift,
+    Mul,
     Rel,
     Var,
     ONE,
@@ -40,7 +43,10 @@ from repro.algebra.expr import (
     add,
     mul,
     neg,
+    relations_in,
+    used_vars,
 )
+from repro.algebra.schema import output_vars
 from repro.sql.ast import (
     AggregateCall,
     Arith,
@@ -138,6 +144,9 @@ class AggregateSpec:
     ``"min"``/``"max"``/``"distinct"`` for occurrence-count maps keyed by
     ``group_vars + (value_var,)`` from which the extreme value (min/max)
     or the number of distinct present values (count-distinct) is derived.
+    A grouped query's occurrence map is kept over the join component
+    carrying the argument only (:func:`factor_occurrence`); ``dropped``
+    names the relations it left out, ``()`` when it keeps the whole body.
     """
 
     name: str
@@ -145,6 +154,7 @@ class AggregateSpec:
     expr: Expr
     group_vars: tuple[str, ...]
     value_var: Optional[str] = None  # non-sum kinds: the lifted value variable
+    dropped: tuple[str, ...] = ()  # relations the occurrence map factored out
 
 
 @dataclass
@@ -353,6 +363,7 @@ class _Translator:
             # An always-false equality: every slot is the empty aggregate.
             for spec in specs:
                 spec.expr = AggSum(gv, ZERO) if gv else AggSum((), ZERO)
+                spec.dropped = ()
 
         return TranslatedQuery(
             name=name,
@@ -550,26 +561,26 @@ class _Translator:
                 if isinstance(expr, AggregateCall) and item_name
                 else func.lower()
             )
-            if expr.distinct:
-                # COUNT(DISTINCT x): the same occurrence-map shape as
-                # min/max — keyed (group..., value) → multiplicity — with
-                # the distinct count derived from it (the number of keys
-                # with non-zero multiplicity per group).  Structural map
-                # sharing makes MIN(x)/MAX(x)/COUNT(DISTINCT x) over the
-                # same body maintain one shared occurrence map.
+            if expr.distinct or func in ("MIN", "MAX"):
+                # MIN/MAX and COUNT(DISTINCT x): an occurrence map keyed
+                # (group..., value) → multiplicity, from which the extreme
+                # value or the number of keys with non-zero multiplicity
+                # per group is derived.  Structural map sharing makes
+                # MIN(x)/MAX(x)/COUNT(DISTINCT x) over the same body
+                # maintain one shared occurrence map.
+                kind = "distinct" if expr.distinct else func.lower()
                 value = self._translate_scalar(expr.argument, scope)
-                value_var = self.namer.fresh("dval")
-                occ = AggSum(
-                    gv + (value_var,),
-                    mul(finalize_body_of(finalize), Lift(value_var, value)),
-                )
+                value_var = self.namer.fresh("dval" if expr.distinct else "mval")
+                lift = Lift(value_var, value)
+                kept, dropped = factor_occurrence(finalize(ONE).body, gv, lift)
                 index = add_spec(
                     AggregateSpec(
                         name=slot_base,
-                        kind="distinct",
-                        expr=occ,
+                        kind=kind,
+                        expr=AggSum(gv + (value_var,), mul(kept, lift)),
                         group_vars=gv,
                         value_var=value_var,
+                        dropped=dropped,
                     )
                 )
                 return RSlot(index)
@@ -604,23 +615,6 @@ class _Translator:
                     )
                 )
                 return RBin("/", RSlot(sum_index), RSlot(count_index))
-            if func in ("MIN", "MAX"):
-                value = self._translate_scalar(expr.argument, scope)
-                value_var = self.namer.fresh("mval")
-                occ = AggSum(
-                    gv + (value_var,),
-                    mul(finalize_body_of(finalize), Lift(value_var, value)),
-                )
-                index = add_spec(
-                    AggregateSpec(
-                        name=slot_base,
-                        kind=func.lower(),
-                        expr=occ,
-                        group_vars=gv,
-                        value_var=value_var,
-                    )
-                )
-                return RSlot(index)
             raise TranslationError(
                 f"unsupported aggregate {func}; supported aggregates are "
                 "SUM, COUNT, AVG, MIN, MAX and COUNT(DISTINCT ...)"
@@ -635,14 +629,47 @@ class _Translator:
         raise TranslationError(f"unsupported select item {expr!r}")
 
 
-def finalize_body_of(finalize) -> Expr:
-    """Recover the bare join body from a ``finalize`` closure.
+def factor_occurrence(
+    body: Expr, group: tuple[str, ...], lift: Lift
+) -> tuple[Expr, tuple[str, ...]]:
+    """The part of a grouped query's join ``body`` an occurrence map of
+    ``lift`` keeps, and the relations it drops.
 
-    ``finalize(ONE)`` is ``AggSum(gv, body)``; min/max occurrence maps need
-    the body itself so they can append the value lift inside the aggregate.
+    The factors of ``body`` fall into components linked by the variables
+    they share outside ``group``.  A component holding a relation and not
+    linked to the lift's argument is dropped: with ``body = A × B`` and
+    the lift in ``B``, a group's count is ``Σ_g A × Σ_g B``, so on every
+    group the count slot renders ``Σ_g A ≠ 0``, and ``AggSum(g + (v,),
+    A × B)`` has the support of ``AggSum(g + (v,), B)``.  A factor holding
+    no relation and reading only group columns stays (a test on the group
+    costs no map).  ``body`` stays whole when the query is ungrouped (no
+    count gates its row), when the argument reads only group columns, or
+    when what is kept would not bind every group column.
     """
-    aggregate = finalize(ONE)
-    return aggregate.body
+    grouped = frozenset(group)
+    reach = used_vars(lift.body) - grouped
+    if not group or not reach:
+        return body, ()
+    factors = body.factors if isinstance(body, Mul) else (body,)
+    keep = [
+        not relations_in(factor) and used_vars(factor) <= grouped
+        for factor in factors
+    ]
+    grown = True
+    while grown:
+        grown = False
+        for index, factor in enumerate(factors):
+            names = used_vars(factor)
+            if not keep[index] and names & reach:
+                keep[index] = grown = True
+                reach |= names - grouped
+    dropped = set().union(
+        *(relations_in(f) for f, kept in zip(factors, keep) if not kept)
+    )
+    kept = mul(*(f for f, kept in zip(factors, keep) if kept))
+    if not dropped or not grouped <= set(output_vars(kept)):
+        return body, ()
+    return kept, tuple(sorted(dropped))
 
 
 def _split_conjuncts(expr: Optional[SqlExpr]) -> list[SqlExpr]:

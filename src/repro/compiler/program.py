@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.errors import CompilationError, EventError
-from repro.algebra.expr import WEIGHT, Expr, maps_in
+from repro.algebra.expr import WEIGHT, Expr, maps_in, relations_in
 from repro.algebra.schema import output_vars
 from repro.algebra.translate import TranslatedQuery
 from repro.sql.catalog import Column, SqlType
@@ -350,6 +350,22 @@ class CompiledProgram:
 
     def statements_count(self) -> int:
         return sum(len(t.statements) for t in self.triggers.values())
+
+    def factored_extrema(self) -> list[str]:
+        """One line per MIN/MAX/DISTINCT slot whose occurrence map dropped
+        join factors (:func:`repro.algebra.translate.factor_occurrence`):
+        its map, what it is kept over and the relations it dropped."""
+        lines = []
+        for query in self.queries:
+            for spec, name in zip(query.aggregates, self.slot_maps[query.name]):
+                if spec.dropped:
+                    lines.append(
+                        f"{name}: {spec.kind} over "
+                        f"{', '.join(sorted(relations_in(spec.expr)))}; "
+                        f"{', '.join(spec.dropped)} dropped "
+                        "(a per-group count, non-zero on every live group)"
+                    )
+        return lines
 
     def describe(self) -> str:
         """Human-readable dump (used by the Figure 2 reproduction)."""

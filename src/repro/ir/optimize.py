@@ -962,16 +962,17 @@ class _Guards:
     Per sequence, a statement opens a group on the condition the most
     statements share (ties: the outermost, so a guard chain keeps its
     order); each later one with it moves up past what it commutes with
-    (:func:`_may_reorder`), and the group goes under one guard if that
-    saves work (:func:`_pays`) and no member changes what the condition
-    reads (a factor is bound once).  IR conditions are pure and cannot
-    fail on admitted values, so one may be tested earlier, or once before
-    an empty loop.  A block's leading assignments binding the condition's
-    names stay before the guard, those before it only its body reads move
-    in, and its body is walked again knowing the condition true (a test
-    of it there goes), so guards nest.  Only a factor's condition, one
-    two guards test or one that may leave a loop can pay (*open*):
-    statements holding none are left as they are.
+    (:func:`_may_reorder`), taking along a key local it reads that a
+    statement between binds (:meth:`members`), and the group goes under
+    one guard if that saves work (:func:`_pays`) and no member changes
+    what the condition reads (a factor is bound once).  IR conditions are
+    pure and cannot fail on admitted values, so one may be tested
+    earlier, or once before an empty loop.  A block's leading assignments
+    binding the condition's names stay before the guard, those before it
+    only its body reads move in, and its body is walked again knowing the
+    condition true (a test of it there goes), so guards nest.  Only a
+    factor's condition, one two guards test or one that may leave a loop
+    can pay (*open*): statements holding none are left as they are.
     """
 
     def __init__(self, body, exact: set[Slot], bindings: dict[str, int]):
@@ -1142,7 +1143,9 @@ class _Guards:
                     map_node(first, stmt_fn=lambda body: self.sequence(body, guarded))
                 )
                 continue
-            cond, prefix, parts, taken, inside = found
+            cond, split, prefix, parts, taken, inside = found
+            for j in sorted(split):
+                out.extend(split[j][0])
             out.extend(prefix)
             self.reads.update(self.names[cond] & self.defs.keys())  # the test
             sunk = self.sink(out, inside)
@@ -1152,12 +1155,18 @@ class _Guards:
                 parts[:0] = sunk
             body = self.sequence(tuple(parts), guarded | {cond})
             out.append(IfCond(self.conds[cond], body))
-            rest = [stmt for j, stmt in enumerate(rest) if j not in taken]
+            rest = [
+                split[j][1] if j in split else stmt
+                for j, stmt in enumerate(rest)
+                if j not in taken and (j not in split or split[j][1] is not None)
+            ]
         return stmts if same_nodes(out, stmts) else tuple(out)
 
     def group(self, rest: list[IRStmt], guarded: frozenset[int]):
-        """The group ``rest[0]`` opens: ``(cond, prefix, parts, positions,
-        reads)`` — the assignments left before the guard, the statements
+        """The group ``rest[0]`` opens: ``(cond, split, prefix, parts,
+        positions, reads)`` — the key bindings that move up before the
+        guard, by the position they leave (:meth:`members`), the
+        assignments of ``rest[0]``'s block left before it, the statements
         under it, their positions in ``rest`` and what they read."""
         first = rest[0]
         conds = self.region(first).conds
@@ -1186,15 +1195,23 @@ class _Guards:
                 prefix, core = first.stmts[:split], (with_body(first, core),)
             found = self.members(rest, cond, core[0])
             if found is not None:
-                taken, inside = found
+                taken, inside, split = found
                 parts = [core[0], *(rest[j] for j in taken[1:])]
-                return cond, prefix, parts, set(taken), inside
+                return cond, split, prefix, parts, set(taken), inside
         return None
 
     def members(self, rest: list[IRStmt], cond: int, core: IRStmt):
         """The positions in ``rest`` of the statements that join ``core``
         under a guard on ``cond`` (moving up past those that stay, binding
-        no name read outside) and what they read, or ``None``."""
+        no name read outside), what they read, and ``{position: (moved,
+        left)}`` for the statements some key binding moves out of, or
+        ``None``.
+
+        A member reading a key local (a tuple of names nothing in the
+        body binds, which ``share-locals`` binds before its first reader)
+        takes its binding along past a statement that is, or whose block
+        leads with, that binding: the binding goes before the guard, and
+        ``left`` is what remains (``None``: nothing)."""
         if self.reads is None:
             self.reads = self.reads_in(walk_stmts(self.body))
         candidates = [
@@ -1203,14 +1220,34 @@ class _Guards:
             if self.busy(rest[j]) and cond in (self.region(rest[j]).conds or ())
         ]
         while True:
-            taken, passed = [0], []
+            taken, passed, split = [0], {}, {}
             for j in range(1, candidates[-1] + 1 if candidates else 1):
-                if j in candidates and _may_reorder(
-                    self.effects(rest[j]), passed, set()
-                ):
-                    taken.append(j)
-                else:
-                    passed.append(self.effects(rest[j]))
+                mover = self.effects(rest[j])
+                if j in candidates:
+                    splits = {}
+                    for k, other in passed.items():
+                        if _may_reorder(mover, [other], set()):
+                            continue
+                        moved, stmt = split.get(k, ((), rest[k]))
+                        found = self.unkeyed(stmt, mover.free)
+                        if found is None:
+                            break
+                        left = found[1]
+                        if left is not None and not _may_reorder(
+                            mover, [self.effects(left)], set()
+                        ):
+                            break
+                        splits[k] = ((*moved, *found[0]), left)
+                    else:
+                        for k, (_, left) in splits.items():
+                            if left is None:
+                                del passed[k]
+                            else:
+                                passed[k] = self.effects(left)
+                        split.update(splits)
+                        taken.append(j)
+                        continue
+                passed[j] = mover
             parts = [core, *(rest[j] for j in taken[1:])]
             walks = [walk_stmts((part,)) for part in parts]
             inside = self.reads_in(stmt for walk in walks for stmt in walk)
@@ -1227,11 +1264,38 @@ class _Guards:
             if not leaks:
                 test, effects = self.conds[cond], map(self.effects, parts)
                 if _pays(test, parts) and not _invalidates_cond(effects, test):
-                    return taken, inside
+                    return taken, inside, split
                 return None
             if leaks[0] == 0:
                 return None
             candidates = [j for j in candidates if j not in leaks]
+
+    def unkeyed(self, stmt: IRStmt, names):
+        """``(moved, left)``: the bindings of keys among ``names`` that
+        ``stmt`` is or leads its block with, and what is left of it
+        (``None``: nothing); ``None`` when it binds no such key."""
+        if type(stmt) is not Block:
+            return ((stmt,), None) if self.key_of(stmt, names) else None
+        lead = 0
+        while lead < len(stmt.stmts) and type(stmt.stmts[lead]) is Assign:
+            lead += 1
+        keys = {i for i in range(lead) if self.key_of(stmt.stmts[i], names)}
+        if not keys:
+            return None
+        moved = tuple(stmt.stmts[i] for i in sorted(keys))
+        left = tuple(s for i, s in enumerate(stmt.stmts) if i not in keys)
+        return moved, with_body(stmt, left)
+
+    def key_of(self, stmt: IRStmt, names) -> bool:
+        """Whether ``stmt`` is the one binding of one of ``names``, to a
+        key tuple of names nothing in the body binds."""
+        return (
+            type(stmt) is Assign
+            and stmt.name in names
+            and stmt.name in self.defs
+            and type(stmt.value) is KeyTuple
+            and not any(self.bindings.get(name) for name in expr_names(stmt.value))
+        )
 
     def sink(self, out: list[IRStmt], inside: Counter) -> list[IRStmt]:
         """The assignments ending ``out`` that only a guard reading

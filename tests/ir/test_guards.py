@@ -3,10 +3,12 @@ explicit guard's or a zero factor's, and tests it once.
 
 The synthetic bodies pin the grouping rule itself: identical guards merge
 across statements they commute with, comment blocks included, and do not
-merge when a member changes what the condition reads.  The shipped
-queries pin where the tests land: q31's year test leaves the supplier
-scan it does not depend on but stays in the loop binding the year, and
-q11's merged chain keeps its order.
+merge when a member changes what the condition reads, and a member
+takes the key binding it reads along past the block that leads with it.
+The shipped queries pin where the tests land: q31's year test leaves
+the supplier scan it does not depend on but stays in the loop binding
+the year, q11's merged chain keeps its order, and the four-view
+program's lineitem row runs that chain once.
 """
 
 from repro.ir import lower_program
@@ -18,6 +20,7 @@ from repro.ir.nodes import (
     Const,
     ForEachMap,
     IfCond,
+    KeyTuple,
     Lookup,
     Name,
     Slot,
@@ -132,4 +135,57 @@ def test_q11_merged_chain_keeps_its_order():
     assert chain == expected
     assert [g.cond for g in _guards(body) if g.cond in expected] == expected
     written = {s.slot.name for s in walk_stmts(body) if isinstance(s, AddTo)}
+    assert written == {"q_q11_sum_0", "m3_lineitem"}
+
+
+def test_a_member_takes_its_key_binding_along():
+    """A statement reading a key local that a block between binds at its
+    head (``share-locals`` binds it before its first reader) joins the
+    guard: the binding moves up before the guard, the block keeps the
+    rest.  A binding over a name the body binds stays, and so does the
+    member."""
+    key = Assign("__key1", KeyTuple((Name("x"),)))
+
+    def keyed(slot: str) -> AddTo:
+        return AddTo(Slot(slot), (Name("x"),), Name("x"), key_locals=(((0,), "__key1"),))
+
+    body = _guarded(
+        [
+            _block("a", IfCond(POSITIVE, (_write("m1"),))),
+            _block("b", key, keyed("m2")),
+            _block("c", IfCond(POSITIVE, (keyed("m3"),))),
+        ]
+    )
+    (guard,) = _guards(body)
+    assert body[0] == key and body[1] == guard
+    assert [s.comments for s in guard.body] == [("a",), ("c",)]
+    assert body[2].comments == ("b",) and key not in body[2].stmts
+
+    rebound = Assign("__key1", KeyTuple((Name("y"),)))
+    body = _guarded(
+        [
+            Assign("y", Name("x")),
+            _block("a", IfCond(POSITIVE, (_write("m1"),))),
+            _block("b", rebound, keyed("m2")),
+            _block("c", IfCond(POSITIVE, (keyed("m3"),))),
+        ]
+    )
+    assert len(_guards(body)) == 2
+
+
+def test_four_view_lineitem_runs_the_discount_chain_once():
+    """In the four-view program the ``m3_lineitem`` write reads the key
+    ``(orderkey,)`` that ``share-locals`` binds at the head of q21's
+    block, after q11's guard chain: it takes the binding along, so a
+    lineitem row tests ``discount <= 3`` once, per event and in a batch,
+    and both writes sit under the one chain."""
+    ir = lower_program(shipped_program("warehouse"))
+    discount = Compare("<=", Name("ev_lineitem_l_discount"), Const(3))
+    for trigger_ir in (ir.triggers, ir.batch_triggers):
+        body = trigger_ir["lineitem", 0].body
+        (guard,) = [g for g in _guards(body) if g.cond == discount]
+    (guard,) = [
+        g for g in _guards(ir.triggers["lineitem", 0].body) if g.cond == discount
+    ]
+    written = {s.slot.name for s in walk_stmts(guard.body) if isinstance(s, AddTo)}
     assert written == {"q_q11_sum_0", "m3_lineitem"}

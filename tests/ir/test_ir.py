@@ -368,12 +368,13 @@ class TestOptimisationPasses:
                 if isinstance(stmt, AddTo) and stmt.value == Name(WEIGHT)
             ]
             assert units, optimize
-        # bbo writes a loop's value: the guard and the write read it as is.
+        # q21's orders trigger writes a loop's value: the guard and the
+        # write read it as is.
         copies = [
             (loop.value_var, guard)
             for loop in _loops(
-                lower_program(suite_programs["bbo"], optimize=False).triggers[
-                    ("bids", 0)
+                lower_program(suite_programs["q21"], optimize=False).triggers[
+                    ("orders", 0)
                 ]
             )
             for guard in loop.body

@@ -58,7 +58,7 @@ from tests.lanes import (
 DELIVERIES = ("process", "stream-3", "stream-100")
 PROGRAMS = (*FINANCE_QUERIES, *SSB_FLIGHT, "warehouse")
 #: The programs whose module ``guards`` changes.
-GUARDED = ("vwap", "axf", "bsp", "mst", "bbo", "q11", "q21", "q31", "q41", "warehouse")
+GUARDED = ("vwap", "axf", "bsp", "mst", "q11", "q21", "q31", "q41", "warehouse")
 CASES = [
     *(("share-locals", name) for name in PROGRAMS),
     *(("guards", name) for name in GUARDED),
