@@ -51,7 +51,7 @@ from repro.compiler.program import (
 )
 from repro.compiler.storage import StorageLayout, exact_int_maps, storage_layout
 from repro.ir.interp import unstage
-from repro.ir.lower import collect_patterns_ir, lower_for
+from repro.ir.lower import collect_patterns_ir, lower_for, router_folds
 from repro.ir.nodes import (
     AddTo,
     AppendTo,
@@ -68,6 +68,7 @@ from repro.ir.nodes import (
     ForEachGroup,
     ForEachMap,
     ForEachRow,
+    GROUPS,
     IfCond,
     IRExpr,
     IRStmt,
@@ -87,6 +88,7 @@ from repro.ir.nodes import (
     expr_names,
     expr_slots,
     read_slots,
+    routed_group,
     stmt_children,
     stmt_exprs,
     used_names,
@@ -510,7 +512,8 @@ def generate_module(
     # Shard-routing metadata: which event column each relation's batches
     # may be hash-partitioned on (see repro.compiler.partition); stamped
     # here so the generated artifact documents its own parallelism.
-    for line in analyze_partitioning(program).describe().splitlines():
+    folds = router_folds(program, ir)
+    for line in analyze_partitioning(program).describe(folds).splitlines():
         emitter.line(line)
     emitter.line("")
     # The type proofs, then the layout this module was rendered for (see
@@ -626,10 +629,31 @@ def _generate_trigger(
     with emitter.block():
         renderer.render_trigger(per_event.body)
     emitter.blank()
-    batch_signature = ", ".join(["__cols", WEIGHTS] + defaults)
-    emitter.line(f"def {trigger.name}_batch({batch_signature}):")
+    loop = routed_group(batch.body)
+    if loop is None:
+        batch_signature = ", ".join(["__cols", WEIGHTS] + defaults)
+        emitter.line(f"def {trigger.name}_batch({batch_signature}):")
+        with emitter.block():
+            renderer.render_trigger(batch.body)
+        return
+    # A routed fold: the fold, the body over its groups, and the batch
+    # trigger, which is the one applied to the other.
+    emitter.line(f"def {trigger.name}_fold({loop.rows_var}, {WEIGHTS}):")
+    with emitter.block():
+        renderer.render_fold(loop)
+        emitter.line(f"return {GROUPS}")
+    emitter.blank()
+    emitter.line(f"def {trigger.name}_groups({', '.join([GROUPS] + defaults)}):")
     with emitter.block():
         renderer.render_trigger(batch.body)
+        emitter.line("return __rows")  # see _render_group_loop
+    emitter.blank()
+    emitter.line(f"def {trigger.name}_batch({loop.rows_var}, {WEIGHTS}):")
+    with emitter.block():
+        emitter.line(
+            f"{trigger.name}_groups({trigger.name}_fold({loop.rows_var}, {WEIGHTS})"
+            ".items())"
+        )
 
 
 class _PyRenderer:
@@ -960,11 +984,37 @@ class _PyRenderer:
             emitter.line(f"for {names} in zip({columns}):")
 
     def _render_group_loop(self, stmt: ForEachGroup) -> None:
-        """Batch pre-aggregation: one pass over the rows (the columns the
-        group and the sums read) sums each value into its group's entry —
-        the sum itself for one sum, a list of them for several — then the
-        body runs per entry.  An empty group sums into locals, and the
-        body follows once."""
+        """Batch pre-aggregation: the fold (:meth:`render_fold`), then the
+        body per entry.  An empty group sums into locals, and the body
+        follows once.  A routed loop does not fold: it reads the pairs
+        its function is given (see :func:`_generate_trigger`) and sums
+        their row counts, each entry's last item, into ``__rows``, which
+        the function returns."""
+        emitter = self.emitter
+        if not stmt.group:
+            self.render_fold(stmt)
+            self.render_body(stmt.body)
+            return
+        (key,) = stmt.group  # ``plan_preaggregation`` keys on one column at most
+        if stmt.routed:
+            emitter.line("__rows = 0")
+            emitter.line(f"for {key}, ({', '.join(stmt.sums)}, __n) in {GROUPS}:")
+            with emitter.block():
+                emitter.line("__rows += __n")
+                self.render_body(stmt.body)
+            return
+        self.render_fold(stmt)
+        held = stmt.sums[0] if len(stmt.sums) == 1 else f"({', '.join(stmt.sums)})"
+        emitter.line(f"for {key}, {held} in {GROUPS}.items():")
+        with emitter.block():
+            self.render_body(stmt.body)
+
+    def render_fold(self, stmt: ForEachGroup) -> None:
+        """One pass over the rows (the columns the group and the sums
+        read) sums each value into its group's entry in :data:`GROUPS`
+        — the sum itself for one sum, a list of them for several, a
+        routed fold's with its row count last — or, for an empty group,
+        into the sums' locals."""
         emitter = self.emitter
         used = set(stmt.group).union(*map(expr_names, stmt.values))
         values = [self.expr(value) for value in stmt.values]
@@ -975,29 +1025,25 @@ class _PyRenderer:
             with emitter.block():
                 for name, value in zip(stmt.sums, values):
                     emitter.line(f"{name} += {value}")
-            self.render_body(stmt.body)
             return
-        (key,) = stmt.group  # ``plan_preaggregation`` keys on one column at most
-        groups = "__groups"  # one group loop per batch body, at its top level
-        emitter.line(f"{groups} = {{}}")
+        (key,) = stmt.group
+        if stmt.routed:
+            values.append("1")
+        emitter.line(f"{GROUPS} = {{}}")  # one fold per batch body, at its top level
         self._row_header(stmt.rows_var, stmt.params, used)
         with emitter.block():
             if len(values) == 1:
-                emitter.line(f"{groups}[{key}] = {groups}.get({key}, 0) + {values[0]}")
+                emitter.line(f"{GROUPS}[{key}] = {GROUPS}.get({key}, 0) + {values[0]}")
             else:
                 sums = "__group"
-                emitter.line(f"{sums} = {groups}.get({key})")
+                emitter.line(f"{sums} = {GROUPS}.get({key})")
                 emitter.line(f"if {sums} is None:")
                 with emitter.block():
-                    emitter.line(f"{groups}[{key}] = [{', '.join(values)}]")
+                    emitter.line(f"{GROUPS}[{key}] = [{', '.join(values)}]")
                 emitter.line("else:")
                 with emitter.block():
                     for position, value in enumerate(values):
                         emitter.line(f"{sums}[{position}] += {value}")
-        held = stmt.sums[0] if len(values) == 1 else f"({', '.join(stmt.sums)})"
-        emitter.line(f"for {key}, {held} in {groups}.items():")
-        with emitter.block():
-            self.render_body(stmt.body)
 
     def _render_map_loop(self, stmt: ForEachMap) -> None:
         emitter = self.emitter
@@ -1675,8 +1721,11 @@ class CompiledExecutor:
             return counts
 
         triggers = self.program.triggers
+        routed = [key for key, t in triggers.items() if f"{t.name}_fold" in namespace]
         return TriggerTable(
             {key: namespace[t.name] for key, t in triggers.items()},
             {key: namespace[f"{t.name}_batch"] for key, t in triggers.items()},
             index_entry_counts,
+            {key: namespace[f"{triggers[key].name}_fold"] for key in routed},
+            {key: namespace[f"{triggers[key].name}_groups"] for key in routed},
         )

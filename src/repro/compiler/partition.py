@@ -40,7 +40,7 @@ it, and the code generator stamps it into the generated module header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.algebra.expr import MapRef, Var, walk
 from repro.compiler.program import CompiledProgram, Trigger
@@ -80,15 +80,17 @@ class PartitionSpec:
         """The routing column of a relation (None → serial lane)."""
         return self.relation_columns.get(relation)
 
-    def describe(self) -> str:
-        """Human-readable summary (the CLI's compilation trace)."""
+    def describe(self, folds: Optional[Mapping[str, str]] = None) -> str:
+        """Human-readable summary (the CLI's compilation trace).  ``folds``
+        notes, per relation, how its batch trigger folds a long run at
+        the router (:func:`repro.ir.lower.router_folds`)."""
+        folds = folds or {}
         lines = ["== partitioning =="]
         if not self.relation_columns:
             lines.append("(no partitionable relations: serial execution)")
         for rel in sorted(self.relation_columns):
-            lines.append(
-                f"{rel}: hash-route by column {self.relation_columns[rel]}"
-            )
+            line = f"{rel}: hash-route by column {self.relation_columns[rel]}"
+            lines.append(f"{line}; {folds[rel]}" if rel in folds else line)
         for rel in sorted(self.serial_relations):
             lines.append(f"{rel}: serial lane")
         for name in sorted(self.map_positions):

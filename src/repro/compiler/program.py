@@ -61,11 +61,22 @@ class TriggerTable(NamedTuple):
     run of them (one parallel list per event column, and the weights);
     ``index_entry_counts()`` reports the secondary-index entries this
     binding maintains, per indexed map.
+
+    A trigger whose batch folds on its relation's partition column (a
+    routed :class:`~repro.ir.nodes.ForEachGroup`) has two more entries,
+    and its ``batch`` entry is the one applied to the other:
+    ``folds[key](columns, weights)`` returns the run folded, ``{group
+    value: [sums..., rows]}`` in order of first appearance, and reads no
+    map; ``groups[key](pairs)`` runs the body over ``(group value,
+    entry)`` pairs of such a fold — all of it, or the slice a shard lane
+    owns — and returns the rows they stand for.
     """
 
     per_event: dict[tuple[str, int], Callable[..., None]]
     batch: dict[tuple[str, int], Callable[..., None]]
     index_entry_counts: Callable[[], dict[str, int]]
+    folds: dict[tuple[str, int], Callable[..., dict]]
+    groups: dict[tuple[str, int], Callable[..., None]]
 
 
 @dataclass

@@ -42,6 +42,7 @@ from repro.ir.nodes import (
     ForEachGroup,
     ForEachMap,
     ForEachRow,
+    GROUPS,
     IfCond,
     IRExpr,
     IRStmt,
@@ -58,6 +59,7 @@ from repro.ir.nodes import (
     TriggerIR,
     WEIGHTS,
     compare_values,
+    routed_group,
 )
 
 
@@ -168,14 +170,14 @@ def run_stmt(
             run_stmts(body, env, maps, recorder, entry)
         return
     if isinstance(stmt, ForEachGroup):
-        groups = {(): [0] * len(stmt.sums)} if not stmt.group else {}
-        for row in zip(env[WEIGHTS], *env[stmt.rows_var]):
-            env.update(zip(stmt.params, row))
-            values = [_eval(value, env, maps, entry) for value in stmt.values]
-            sums = groups.setdefault(tuple(env[name] for name in stmt.group), values)
-            if sums is not values:
-                sums[:] = map(add, sums, values)
-        for key, sums in groups.items():
+        if stmt.routed:  # its fold's pairs, keyed on the one value
+            for key, sums in env[GROUPS]:
+                env[stmt.group[0]] = key
+                env.update(zip(stmt.sums, sums))
+                env["__rows"] += sums[-1]  # see run_groups
+                run_stmts(stmt.body, env, maps, recorder, entry)
+            return
+        for key, sums in _fold(stmt, env, maps, entry).items():
             env.update(zip(stmt.group, key))
             env.update(zip(stmt.sums, sums))
             run_stmts(stmt.body, env, maps, recorder, entry)
@@ -233,6 +235,25 @@ def run_stmt(
         )
         return
     raise CodegenError(f"cannot interpret IR statement {stmt!r}")
+
+
+def _fold(stmt: ForEachGroup, env: dict, maps: dict, entry=None) -> dict:
+    """The rows in ``env`` folded per group of ``stmt``: ``{group values:
+    sums}``, or a routed fold's ``{group value: [sums..., rows]}``."""
+    routed = stmt.routed
+    groups = {(): [0] * len(stmt.sums)} if not stmt.group else {}
+    for row in zip(env[WEIGHTS], *env[stmt.rows_var]):
+        env.update(zip(stmt.params, row))
+        values = [_eval(value, env, maps, entry) for value in stmt.values]
+        if routed:
+            values.append(1)
+            key = env[stmt.group[0]]
+        else:
+            key = tuple(env[name] for name in stmt.group)
+        sums = groups.setdefault(key, values)
+        if sums is not values:
+            sums[:] = map(add, sums, values)
+    return groups
 
 
 def _apply(storage, key, value, caches, maps: dict) -> None:
@@ -341,7 +362,25 @@ def run_trigger_batch(trigger_ir: TriggerIR, columns, weights, maps: dict) -> No
     the compiled back end runs — while still re-traversing the IR nodes
     (the interpretation overhead the ablation isolates).
     """
+    loop = routed_group(trigger_ir.body)
+    if loop is not None:
+        run_groups(trigger_ir, run_fold(loop, columns, weights, maps).items(), maps)
+        return
     run_stmts(trigger_ir.body, {"__cols": columns, WEIGHTS: weights}, maps, None)
+
+
+def run_fold(loop: ForEachGroup, columns, weights, maps: dict) -> dict:
+    """A routed group loop's fold of one columnar batch (see
+    :class:`~repro.compiler.program.TriggerTable`)."""
+    return _fold(loop, {loop.rows_var: columns, WEIGHTS: weights}, maps)
+
+
+def run_groups(trigger_ir: TriggerIR, pairs, maps: dict) -> int:
+    """Execute a batch body whose group loop is routed over ``pairs``
+    of its fold; returns the rows they stand for."""
+    env = {GROUPS: pairs, "__rows": 0}
+    run_stmts(trigger_ir.body, env, maps, None)
+    return env["__rows"]
 
 
 def run_trigger_collect(
@@ -398,9 +437,22 @@ class InterpretedExecutor:
                 trigger_ir, columns, weights, maps
             )
 
+        def fold(loop):
+            return lambda columns, weights: run_fold(loop, columns, weights, maps)
+
+        def groups(trigger_ir):
+            return lambda pairs: run_groups(trigger_ir, pairs, maps)
+
         ir = self._ir
+        routed = {
+            key: (body, routed_group(body.body))
+            for key, body in ir.batch_triggers.items()
+            if routed_group(body.body) is not None
+        }
         return TriggerTable(
             {key: per_event(body) for key, body in ir.triggers.items()},
             {key: batch(body) for key, body in ir.batch_triggers.items()},
             dict,  # no secondary indexes: ``dict()`` is the empty count
+            {key: fold(loop) for key, (_, loop) in routed.items()},
+            {key: groups(body) for key, (body, _) in routed.items()},
         )

@@ -44,6 +44,7 @@ from repro.compiler.materialize import (
     read_base_maps,
     read_extrema,
 )
+from repro.compiler.partition import analyze_partitioning
 from repro.compiler.program import (
     CompiledProgram,
     ExecutorOptions,
@@ -87,6 +88,7 @@ from repro.ir.nodes import (
     Slot,
     Sum,
     TriggerIR,
+    routed_group,
     stmt_children,
     walk_stmts,
     with_body,
@@ -862,12 +864,17 @@ class Preaggregation(NamedTuple):
     ``products[i]`` the names ``sums[i]`` multiplies (the event weight
     first), summed over a group's rows; ``statements`` are the trigger's,
     each reading its value product's sum where it read the product.
+    ``routed`` says the group is the relation's partition column
+    (:func:`repro.compiler.partition.analyze_partitioning`): a sharded
+    engine then folds a long run once, at its router, and routes the
+    groups (:attr:`~repro.ir.nodes.ForEachGroup.routed`).
     """
 
     group: tuple[str, ...]
     sums: tuple[str, ...]
     products: tuple[tuple[str, ...], ...]
     statements: list[Statement]
+    routed: bool
 
 
 def plan_preaggregation(
@@ -940,11 +947,14 @@ def plan_preaggregation(
         statements.append(
             Statement(statement.target, statement.args, rhs, statement.loop_vars)
         )
+    grouped = tuple(p for p in trigger.params if p in group)
+    column = analyze_partitioning(program).relation_columns.get(trigger.relation)
     return Preaggregation(
-        tuple(p for p in trigger.params if p in group),
+        grouped,
         tuple(products),
         tuple(products.values()),
         statements,
+        column is not None and grouped == (trigger.params[column],),
     )
 
 
@@ -1039,7 +1049,8 @@ def lower_trigger_batch(
     (:class:`~repro.ir.nodes.ForEachGroup`, every statement reported as
     ``grouped``): a write keyed by the group alone is direct, since no
     other group writes its key, and so is every write of a body that runs
-    once (an empty group).
+    once (an empty group).  A ``routed`` plan's loop is a routed one: the
+    fold and the rest of the body are the trigger's two entries.
 
     Returns the trigger IR plus the per-statement sink report.
     """
@@ -1083,7 +1094,13 @@ def lower_trigger_batch(
     else:
         values = tuple(_prod(list(map(Name, names))) for names in grouped.products)
         loop = ForEachGroup(
-            "__cols", params, grouped.group, grouped.sums, values, staged
+            "__cols",
+            params,
+            grouped.group,
+            grouped.sums,
+            values,
+            staged,
+            grouped.routed,
         )
     body = [*decls, loop, *merges]
     if plan is not None:
@@ -1105,6 +1122,26 @@ def lower_trigger_batch(
         (repr(s), sinks.get(id(s), "second-order")) for s in trigger.statements
     )
     return TriggerIR(trigger.relation, name, params, tuple(body)), report
+
+
+def router_folds(program: CompiledProgram, ir: ProgramIR) -> dict[str, str]:
+    """{relation: what its routed fold does}, for each relation whose
+    batch trigger folds a long run once at a sharded engine's router
+    (:attr:`Preaggregation.routed`): the column it groups on and its
+    number of sums."""
+    notes = {}
+    for key, trigger_ir in sorted(ir.batch_triggers.items()):
+        loop = routed_group(trigger_ir.body)
+        if loop is not None:
+            relation = key[0]
+            position = program.triggers[key].params.index(loop.group[0])
+            column = program.columns[relation][position].name
+            sums = len(loop.sums)
+            notes[relation] = (
+                f"a long run folds at the router on {column} "
+                f"({sums} sum{'s' if sums != 1 else ''})"
+            )
+    return notes
 
 
 def collect_patterns_ir(triggers) -> dict[str, set[tuple[int, ...]]]:

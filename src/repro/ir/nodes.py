@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cache
 from operator import is_
-from typing import Union
+from typing import Optional, Union
 
 Value = Union[int, float, str]
 
@@ -52,6 +52,10 @@ CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 #: The local a batch trigger receives its weight column in (one +1/-1
 #: per row, beside the event columns): see :class:`ForEachRow`.
 WEIGHTS = "__ws"
+
+#: The local a routed group loop reads its folded groups from: see
+#: :class:`ForEachGroup`.
+GROUPS = "__groups"
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,15 @@ class ForEachGroup(IRStmt):
     ``values`` summed over its rows; ``body`` then runs once per group,
     in order of first appearance, with ``group`` bound to the group's
     values and each of ``sums`` to the sum in its position.  An empty
-    ``group`` folds the batch into one entry, and ``body`` runs once."""
+    ``group`` folds the batch into one entry, and ``body`` runs once.
+
+    A ``routed`` loop groups on its relation's partition column, and its
+    fold and its loop are two entries of the trigger (see
+    :func:`routed_group`): the fold returns one entry ``[sums...,
+    rows]`` per group value, the rows it stands for counted last, and
+    the loop reads ``(value, entry)`` pairs from :data:`GROUPS` instead
+    of folding.  A sharded engine runs the fold once, at its router, and
+    routes the groups by the value's hash, as it routes rows."""
 
     rows_var: str
     params: tuple[str, ...]
@@ -295,6 +307,7 @@ class ForEachGroup(IRStmt):
     sums: tuple[str, ...]
     values: tuple[IRExpr, ...]
     body: tuple[IRStmt, ...]
+    routed: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -558,6 +571,15 @@ def stmt_exprs(stmt: IRStmt) -> tuple[IRExpr, ...]:
     if isinstance(stmt, ForEachGroup):
         return stmt.values
     return ()
+
+
+def routed_group(body) -> "Optional[ForEachGroup]":
+    """The ``routed`` group loop at the top level of a batch body, if
+    any: the trigger's fold runs apart from the rest of ``body``."""
+    for stmt in body:
+        if isinstance(stmt, ForEachGroup) and stmt.routed:
+            return stmt
+    return None
 
 
 def walk_stmts(stmts) -> "list[IRStmt]":

@@ -62,8 +62,10 @@ merge the lane maps key-wise.  A lane is a :class:`_LocalLane` (a
 :class:`DeltaEngine` in this process) or, with ``parallel=True``, a
 :class:`_ProcessLane` (a forked worker running one, fed over a pipe, so
 trigger execution overlaps across cores); supervision hooks into the pipe
-lane's ``send`` and ``_round_trip``, the two calls that can meet a dead
-worker.
+lane's ``_post`` and ``_round_trip``, the two calls that can meet a dead
+worker.  A long run of a relation whose batch trigger folds on its
+partition column is folded once, by the router, and its groups are
+routed instead of its rows.
 
 Both — and :class:`~repro.runtime.durability.DurableEngine` — are layers
 over one :class:`Engine` core: a layer supplies ``_process_batch``,
@@ -962,19 +964,29 @@ class _LocalLane(DeltaEngine):
 
     The lane interface the router talks to is the engine surface itself
     (``sync``, ``events_processed``, ``current_maps``, ``index_sizes``,
-    ``restore_state``, ``close``) plus ``send(relation, sign, rows,
-    columns)`` — one slice of rows the router admitted, as row tuples
-    or per-column lists.  Lanes never admit: admission is enforced once,
-    globally, by the router, so a local lane's ``send`` *is*
-    :meth:`DeltaEngine._apply` — the bound triggers run directly — and
-    a short run's rows reach its ``_signed`` per-event triggers with no
-    ``send`` at all.
+    ``restore_state``, ``close``) plus two messages: ``send(relation,
+    sign, rows, columns)`` — one slice of rows the router admitted, as
+    row tuples or per-column lists — and ``send_groups(relation, keys,
+    entries)`` — the slice of a long run the router folded
+    (:attr:`~repro.compiler.program.TriggerTable.folds`), one entry
+    ``[sums..., rows]`` per group key.  Lanes never admit: admission is
+    enforced once, globally, by the router, so a local lane's ``send``
+    *is* :meth:`DeltaEngine._apply` — the bound triggers run directly —
+    its ``send_groups`` runs the trigger's group body and counts the rows
+    the entries stand for, and a short run's rows reach its ``_signed``
+    per-event triggers with no message at all.
     """
 
     def __init__(self, executor) -> None:
         self._attach(executor, strict=False)
 
     send = DeltaEngine._apply
+
+    def send_groups(self, relation: str, keys: list, entries: list) -> None:
+        # The group body returns the rows its groups stand for.
+        self.events_processed += self._triggers.groups[relation, 0](
+            zip(keys, entries)
+        )
 
 
 def _shard_worker_main(conn, executor) -> None:
@@ -994,10 +1006,13 @@ def _shard_worker_main(conn, executor) -> None:
         except (EOFError, OSError, KeyboardInterrupt):
             break
         op = message[0]
-        if op == "apply":
+        if op in ("apply", "groups"):
             if failure is None:
                 try:
-                    engine.send(*message[1:])
+                    if op == "apply":
+                        engine.send(*message[1:])
+                    else:
+                        engine.send_groups(*message[1:])
                 except Exception as exc:  # surfaced on the next sync
                     failure = f"{type(exc).__name__}: {exc}"
         elif op in ("sync", "collect", "stats") and failure is not None:
@@ -1035,8 +1050,9 @@ class _BatchReplayed(Exception):
 
 class _ProcessLane:
     """Coordinator-side handle of one forked shard worker: the lane
-    interface over a pipe, written in terms of :meth:`send` and
-    :meth:`_round_trip` — the two operations that can meet a dead worker.
+    interface over a pipe, written in terms of :meth:`_post` (both lane
+    messages) and :meth:`_round_trip` — the two operations that can meet
+    a dead worker.
 
     Unsupervised, both raise the dead-worker
     :class:`~repro.errors.EventError`.  With a ``supervisor`` they hand
@@ -1092,8 +1108,15 @@ class _ProcessLane:
 
     def send(self, relation: str, sign, rows, columns) -> None:
         """Queue one lane slice (see :class:`_LocalLane`)."""
+        self._post(("apply", relation, sign, rows, columns))
+
+    def send_groups(self, relation: str, keys: list, entries: list) -> None:
+        """Queue one slice of folded groups (see :class:`_LocalLane`)."""
+        self._post(("groups", relation, keys, entries))
+
+    def _post(self, message: tuple) -> None:
         try:
-            self._conn.send(("apply", relation, sign, rows, columns))
+            self._conn.send(message)
         except (BrokenPipeError, OSError) as exc:
             error = self._dead_worker_error()
             supervisor = self._guard()
@@ -1423,6 +1446,13 @@ class ShardedEngine(Engine):
             ExecutorOptions(mode, use_indexes, optimize),
         )
         self._serial = _LocalLane(executor)
+        # The folds a long run takes at the router (a routed trigger groups
+        # on its relation's partition column): they read no map, so the
+        # serial lane's binding serves every lane.
+        self._folds = {
+            relation: fold
+            for (relation, _), fold in self._serial._triggers.folds.items()
+        }
         self.parallel = False
         self._closed = False
         self._lanes: list = []
@@ -1468,17 +1498,31 @@ class ShardedEngine(Engine):
     def _process_batch(self, batch: EventBatch) -> int:
         """Admit one batch, log it (:attr:`_log`) and route it.
 
-        Semantics match :meth:`DeltaEngine._process_batch`.  Serial-lane
-        batches flow through :meth:`DeltaEngine._apply` untouched.  A run
-        longer than :data:`_ROW_ROUTE_THRESHOLD` hashes its routing column
-        list into per-lane column gathers, each one ``*_batch`` call.  A
-        shorter run is rows: an in-process lane takes each row as one
-        call of its per-event trigger with the row's weight — no
-        partition lists, no transpose, no batch body, which loses to
-        per-row calls at these lengths; a forked lane takes one
-        ``partition_rows`` slice, since each message crosses a pipe.
-        Every path hashes ``row[column] % lanes``, so a row's lane does
-        not depend on its run's length.
+        Semantics match :meth:`DeltaEngine._process_batch`.  Which path a
+        run takes:
+
+        * a serial-lane relation's batch flows through
+          :meth:`DeltaEngine._apply` untouched;
+        * a run longer than :data:`_ROW_ROUTE_THRESHOLD` whose trigger
+          folds on the routing column (a routed
+          :class:`~repro.ir.nodes.ForEachGroup`) is folded once, here,
+          into one entry per group — its sums and the rows it stands for
+          — and the groups are routed as a columnar batch of keys and
+          entries; each lane runs the trigger's group body on its slice
+          and counts its rows.  A group's key is its rows' routing value,
+          so it lands on the lane of every row it stands for, and each
+          lane's groups keep their order of first appearance: the lane
+          maps equal the column route's, insertion order included;
+        * any other long run hashes its routing column list into per-lane
+          column gathers, each one ``*_batch`` call;
+        * a shorter run is rows: an in-process lane takes each row as one
+          call of its per-event trigger with the row's weight — no
+          partition lists, no transpose, no batch body, which loses to
+          per-row calls at these lengths; a forked lane takes one
+          ``partition_rows`` slice, since each message crosses a pipe.
+
+        Every path hashes ``value % lanes`` for a row's (or group's)
+        routing value, so a row's lane does not depend on its run's length.
         """
         self._check_open()
         count = batch._length
@@ -1494,9 +1538,19 @@ class ShardedEngine(Engine):
             if column is None or not lanes:
                 self._serial._apply(relation, sign, batch._rows, batch._columns)
             elif count > _ROW_ROUTE_THRESHOLD:
-                self._scatter(relation, sign, partition_columns(
-                    batch.columns, column, len(lanes), weights
-                ), columnar=True)
+                fold = self._folds.get(relation)
+                if fold is not None:
+                    groups = fold(batch.columns, weights or [sign] * count)
+                    parts = partition_columns(
+                        (list(groups), list(groups.values())), 0, len(lanes)
+                    )
+                    for lane, (keys, entries) in zip(lanes, parts):
+                        if keys:
+                            lane.send_groups(relation, keys, entries)
+                else:
+                    self._scatter(relation, sign, partition_columns(
+                        batch.columns, column, len(lanes), weights
+                    ), columnar=True)
             elif self.parallel:
                 self._scatter(relation, sign, partition_rows(
                     batch.rows, column, len(lanes), weights

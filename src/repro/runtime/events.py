@@ -35,6 +35,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import EventError
@@ -315,7 +316,7 @@ def partition_columns(
 
     The routing column is hashed directly from its own list (no row
     reconstruction) into per-shard position selectors; every column is
-    then gathered per shard in one comprehension.  Stream order is
+    then gathered per shard by one ``itemgetter``.  Stream order is
     preserved within each shard — the columnar equivalent of
     :func:`partition_rows`, ``weights`` included: each shard then gets
     a ``(columns, weights)`` pair.
@@ -330,10 +331,16 @@ def partition_columns(
     selectors: list[list[int]] = [[] for _ in range(shards)]
     for position, value in enumerate(columns[column]):
         selectors[hash(value) % shards].append(position)
-    return [
-        tuple([col[i] for i in selector] for col in columns)
-        for selector in selectors
-    ]
+    parts = []
+    for selector in selectors:
+        if len(selector) > 1:
+            # Gathered in C: an itemgetter of one position returns the
+            # bare value, so a shorter selector takes the comprehension.
+            gather = itemgetter(*selector)
+            parts.append(tuple([list(gather(col)) for col in columns]))
+        else:
+            parts.append(tuple([[col[i] for i in selector] for col in columns]))
+    return parts
 
 
 def batches(events: Iterable, batch_size: Optional[int] = None) -> Iterator[EventBatch]:

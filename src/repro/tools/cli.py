@@ -68,6 +68,7 @@ from pathlib import Path
 
 from repro.codegen.pygen import generate_module
 from repro.compiler import analyze_partitioning, analyze_storage, compile_sql
+from repro.ir.lower import lower_program, router_folds
 from repro.runtime.durability import (
     FSYNC_POLICIES,
     DurableEngine,
@@ -174,7 +175,8 @@ def cmd_compile(args) -> int:
     # The durable-directory stamp: recovery only accepts a WAL written by
     # a program with this fingerprint.
     print(f"durability fingerprint: {program_fingerprint(program)}\n")
-    print(analyze_partitioning(program).describe())
+    ir = lower_program(program, optimize=optimize)
+    print(analyze_partitioning(program).describe(router_folds(program, ir)))
     print(analyze_storage(program).describe())
     from repro.codegen.native import (
         describe_layouts,
@@ -191,10 +193,10 @@ def cmd_compile(args) -> int:
     print(compilation_table(program))
     print("\nmaps per recursion level:", recursion_summary(program))
     if args.dump_ir:
-        from repro.ir import lower_program, program_str
+        from repro.ir import program_str
 
         print("\n== trigger IR ==\n")
-        print(program_str(lower_program(program, optimize=optimize)))
+        print(program_str(ir))
     if args.emit == "python":
         print("\n" + generate_module(program, optimize=optimize))
     elif args.emit == "c":

@@ -226,7 +226,7 @@ def test_a_mixed_batch_is_one_trigger_call(by_columns):
 
     def counted(kind, table):
         def wrap(key, trigger):
-            return lambda *args: (calls.append((kind, key)), trigger(*args))
+            return lambda *args: (calls.append((kind, key)), trigger(*args))[1]
 
         return {key: wrap(key, trigger) for key, trigger in table.items()}
 
@@ -240,6 +240,8 @@ def test_a_mixed_batch_is_one_trigger_call(by_columns):
                 counted("event", table.per_event),
                 counted("batch", table.batch),
                 table.index_entry_counts,
+                counted("fold", table.folds),
+                counted("groups", table.groups),
             )
 
     engine._executor = Counting(engine._executor)

@@ -246,9 +246,11 @@ def _scopes(body: str, text: str) -> list[int]:
 def test_bsp_builds_its_broker_key_once():
     """bsp's bid trigger reads ``(ev_bids_broker_id,)`` twelve times
     (two probes, and the ``get`` and the store or ``pop`` of five
-    writes): it builds it once, and so does each row of its batch."""
+    writes): it builds it once, and so does each group of its batch (the
+    body over the groups, ``on_bids_groups``, which ``on_bids_batch``
+    applies to its fold)."""
     source = generate_module(compile_shipped("bsp", "bsp"))
-    for trigger in ("on_bids", "on_bids_batch"):
+    for trigger in ("on_bids", "on_bids_groups"):
         body = _function(source, trigger)
         assert body.count("(ev_bids_broker_id,)") == 1, trigger
         assert not re.search(r"__k\d+ = \(", body), trigger  # no per-write key

@@ -53,7 +53,7 @@ class _Counting:
 
         def counted(kind, triggers):
             def wrap(key, trigger):
-                return lambda *args: (self.calls.append(kind), trigger(*args))
+                return lambda *args: (self.calls.append(kind), trigger(*args))[1]
 
             return {key: wrap(key, trigger) for key, trigger in triggers.items()}
 
@@ -61,6 +61,8 @@ class _Counting:
             counted("event", table.per_event),
             counted("batch", table.batch),
             table.index_entry_counts,
+            counted("fold", table.folds),
+            counted("groups", table.groups),
         )
 
 
@@ -112,13 +114,16 @@ def test_a_short_mixed_run_makes_only_per_event_calls(by_columns, partitions):
     assert engine.results("bsp") == reference.results("bsp")
 
 
-def test_a_nine_row_run_makes_one_batch_call_per_lane_that_drew_rows(partitions):
+def test_a_nine_row_run_makes_one_groups_call_per_lane_that_drew_rows(partitions):
+    """bsp's bids trigger folds on the routing column: the router folds
+    the run, and each lane that drew a group runs the group body once."""
     engine = ShardedEngine(shipped_program("bsp", "bsp"), shards=3)
     logs = _counted_lanes(engine)
     # Brokers 1 and 2 only: lanes 1 and 2 draw rows, lane 0 none.
     rows = [(i, i, 1 + i % 2, 100 + i, 5) for i in range(9)]
     assert engine.process_batch("bids", 1, rows) == 9
-    assert logs == [[], ["batch"], ["batch"]]
+    assert logs == [[], ["groups"], ["groups"]]
+    assert [lane.events_processed for lane in engine._lanes] == [0, 5, 4]
     assert partitions == []  # a long run partitions its columns
 
 
