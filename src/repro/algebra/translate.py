@@ -530,6 +530,11 @@ class _Translator:
                 raise TranslationError(
                     f"only sum/count scalar subqueries are supported, got {agg.func}"
                 )
+            if agg.distinct:
+                raise TranslationError(
+                    f"{agg.func}(DISTINCT ...) scalar subqueries are not "
+                    "supported; SUM, COUNT(*) and COUNT(col) are"
+                )
             # Engine columns are never NULL: COUNT(col) counts every row,
             # as COUNT(*) does.
             if agg.func == "COUNT" or isinstance(agg.argument, Star):
@@ -655,14 +660,11 @@ def factor_occurrence(
         not relations_in(factor) and used_vars(factor) <= grouped
         for factor in factors
     ]
-    grown = True
-    while grown:
-        grown = False
-        for index, factor in enumerate(factors):
-            names = used_vars(factor)
-            if not keep[index] and names & reach:
-                keep[index] = grown = True
-                reach |= names - grouped
+    for component in join_components(factors, grouped):
+        names = frozenset().union(*(used_vars(factors[i]) for i in component))
+        if names & reach:
+            for index in component:
+                keep[index] = True
     dropped = set().union(
         *(relations_in(f) for f, kept in zip(factors, keep) if not kept)
     )
@@ -670,6 +672,26 @@ def factor_occurrence(
     if not dropped or not grouped <= set(output_vars(kept)):
         return body, ()
     return kept, tuple(sorted(dropped))
+
+
+def join_components(
+    factors: tuple[Expr, ...], group: frozenset[str]
+) -> list[list[int]]:
+    """The positions of ``factors`` split into join components: two
+    factors are in one component when a chain of factors links them,
+    each sharing a variable outside ``group`` with the next.  A factor
+    reading group columns only is a component of its own.  Components
+    come in order of their first factor, each in factor order."""
+    components: list[tuple[set[str], list[int]]] = []
+    for index, factor in enumerate(factors):
+        names = set(used_vars(factor) - group)
+        members = [index]
+        for linked in [c for c in components if c[0] & names]:
+            components.remove(linked)
+            names |= linked[0]
+            members += linked[1]
+        components.append((names, sorted(members)))
+    return sorted((members for _, members in components), key=lambda m: m[0])
 
 
 def _split_conjuncts(expr: Optional[SqlExpr]) -> list[SqlExpr]:

@@ -503,12 +503,15 @@ def generate_module(
     passes = ", ".join(ir.passes) if ir.passes else "disabled"
     emitter.line(f"IR optimisation passes: {passes}.")
     emitter.line("")
-    factored = program.factored_extrema()
-    if factored:
-        emitter.line("== factored extrema ==")
-        for line in factored:
-            emitter.line(line)
-        emitter.line("")
+    for title, lines in (
+        ("factored extrema", program.factored_extrema()),
+        ("product views", program.product_views()),
+    ):
+        if lines:
+            emitter.line(f"== {title} ==")
+            for line in lines:
+                emitter.line(line)
+            emitter.line("")
     # Shard-routing metadata: which event column each relation's batches
     # may be hash-partitioned on (see repro.compiler.partition); stamped
     # here so the generated artifact documents its own parallelism.

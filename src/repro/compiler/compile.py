@@ -22,20 +22,26 @@ from repro.errors import CompilationError
 from repro.algebra.delta import Event, delta, delta_order, event_for
 from repro.algebra.expr import (
     AggSum,
+    Cmp,
     Const,
+    Exists,
     Expr,
     Lift,
+    Rel,
     Var,
     ZERO,
     mul,
     relations_in,
+    walk,
 )
+from repro.algebra.schema import output_vars
 from repro.algebra.simplify import monomials, simplify
-from repro.algebra.translate import TranslatedQuery, translate_sql
+from repro.algebra.translate import TranslatedQuery, join_components, translate_sql
 from repro.sql.catalog import Catalog
 from repro.compiler.materialize import (
     Materializer,
     MapRegistry,
+    canonicalize,
     column_uses,
     merge_uses,
     read_base_maps,
@@ -85,8 +91,16 @@ def compile_queries(
     queries = list(queries)
     options = options or CompileOptions()
     registry = MapRegistry()
+    all_relations = {rel for query in queries for rel in query.relations}
+    columns = {rel: tuple(catalog.get(rel).columns) for rel in sorted(all_relations)}
+    floats = float_columns(columns)
 
     slot_maps: dict[str, list[str]] = {}
+    # Product slots: slot name -> its terms, and canonical definition ->
+    # slot name, so identical definitions share one product as they
+    # would share one root map.
+    products: dict[str, tuple[tuple[int, tuple[str, ...]], ...]] = {}
+    product_names: dict[Expr, str] = {}
     # (query, slot index, occurrence map, kind) for non-linear slots;
     # their auxiliary maps are registered once triggers are final.
     aux_requests: list[tuple[str, int, str, str]] = []
@@ -99,6 +113,24 @@ def compile_queries(
                     f"aggregate slot {spec.name!r} is not an AggSum: {defn!r}"
                 )
             root_name = _sanitize(f"q_{query.name}_{spec.name}")
+            terms = (
+                product_terms(defn, floats)
+                if spec.kind == "sum" and options.derived_maps
+                else None
+            )
+            if terms is not None:
+                canon, _ = canonicalize(defn.group, defn.body)
+                if canon not in product_names:
+                    product_names[canon] = root_name
+                    products[root_name] = tuple(
+                        (coeff, tuple(
+                            _component_map(registry, defn.group, component)
+                            for component in components
+                        ))
+                        for coeff, components in terms
+                    )
+                names.append(product_names[canon])
+                continue
             map_def = registry.register_root(
                 root_name,
                 defn.group,
@@ -109,9 +141,6 @@ def compile_queries(
             if spec.kind in ("min", "max", "distinct"):
                 aux_requests.append((query.name, index, map_def.name, spec.kind))
         slot_maps[query.name] = names
-
-    all_relations = {rel for query in queries for rel in query.relations}
-    columns = {rel: tuple(catalog.get(rel).columns) for rel in sorted(all_relations)}
 
     # One formal event per relation: of either sign on a stream, an
     # insert on a static table.
@@ -188,7 +217,7 @@ def compile_queries(
 
     compile_pending()
     base_maps = _read_through_base_maps(
-        statements, events, registry, catalog, float_columns(columns),
+        statements, events, registry, catalog, floats,
         narrow=options.derived_maps,
     )
     compile_pending()
@@ -235,9 +264,72 @@ def compile_queries(
         finalizers=finalizers,
         slot_aux=slot_aux,
         base_maps=base_maps,
+        products=products,
     )
     program.delta_orders = dict(delta_orders)
     return program
+
+
+def product_terms(
+    defn: AggSum, floats: dict[str, frozenset[int]]
+) -> Optional[tuple[tuple[int, tuple[Expr, ...]], ...]]:
+    """The terms ``(coeff, components)`` of a sum slot that is a sum of
+    products of maps keyed on its group, or ``None``.
+
+    Each monomial of ``defn``'s body splits into join components
+    (:func:`repro.algebra.translate.join_components`): components share
+    no variable outside the group ``g``, so on each group the slot is
+    ``coeff × Π_i AggSum(g, component_i)`` summed over the monomials.
+    It qualifies when every monomial has two components or more, each
+    holding a relation and binding every group column; no nested
+    aggregate, EXISTS or lift occurs; and every value factor is a bare
+    INT column, so the product is exact integer arithmetic (a FLOAT sum
+    would be re-associated).
+    """
+    if any(isinstance(node, (AggSum, Exists, Lift)) for node in walk(defn.body)):
+        return None
+    grouped = frozenset(defn.group)
+    terms = []
+    for coeff, factors in monomials(defn.body):
+        if type(coeff) is not int:
+            return None
+        float_vars = {
+            arg.name
+            for factor in factors
+            if isinstance(factor, Rel)
+            for position, arg in enumerate(factor.args)
+            if position in floats.get(factor.name, ()) and isinstance(arg, Var)
+        }
+        if any(
+            not isinstance(factor, (Rel, Cmp))
+            and not (isinstance(factor, Var) and factor.name not in float_vars)
+            for factor in factors
+        ):
+            return None
+        components = tuple(
+            mul(*(factors[index] for index in component))
+            for component in join_components(factors, grouped)
+        )
+        if len(components) < 2 or not all(
+            relations_in(component)
+            and grouped <= set(output_vars(component))
+            for component in components
+        ):
+            return None
+        terms.append((coeff, components))
+    return tuple(terms) or None
+
+
+def _component_map(
+    registry: MapRegistry, group: tuple[str, ...], component: Expr
+) -> str:
+    """The map ``AggSum(group, component)`` of a product slot,
+    registered (or shared) as a derived map one level below the roots."""
+    hint = "_".join(sorted(name.lower() for name in relations_in(component)))
+    map_def = registry.get_or_create(group, component, hint=hint)
+    if map_def.role == "derived":
+        map_def.level = 1
+    return map_def.name
 
 
 def _auxiliary(

@@ -25,6 +25,9 @@ The analysis answers, per program:
   (:func:`repro.compiler.storage.exact_int_maps`) that are not keyed on
   the partition column force their writers serial, preserving the
   bit-identity-with-a-single-engine contract;
+* maps a product view (:attr:`~repro.compiler.program.CompiledProgram.products`)
+  multiplies count as read, so their writers route on the column they
+  are keyed on;
 * which relations fall back to the **serial lane** (``serial_relations``)
   because no column works — e.g. a trigger reading a zero-key map
   (``psp``'s running sums) or joining on several different columns (SSB's
@@ -267,7 +270,17 @@ def _analyze_partitioning(program: CompiledProgram) -> PartitionSpec:
         for source, specs in program.finalizers.items()
         for spec in specs
     }
-    read_maps: set[str] = set()
+    # A product view reads its factors as a trigger would: counted as
+    # read, they keep each writer routed on the column they are keyed on
+    # (a trigger that reads nothing would take any column), so they shard
+    # by group and a batch grouped on that column still folds at the
+    # router.
+    read_maps: set[str] = {
+        name
+        for terms in program.products.values()
+        for _, factors in terms
+        for name in factors
+    }
     for trigger in program.triggers.values():
         for statement in trigger.statements:
             read_maps |= _statement_reads(statement, cache_sources)

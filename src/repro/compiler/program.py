@@ -302,7 +302,9 @@ class CompiledProgram:
     maps: dict[str, MapDef]
     #: one trigger per relation, keyed ``(relation, 0)``: sign 0, either
     triggers: dict[tuple[str, int], Trigger]
-    slot_maps: dict[str, list[str]]  # query name -> root map name per slot
+    #: query name -> per slot, its root map's name, or for a product
+    #: slot (:attr:`products`) the name its product is read under
+    slot_maps: dict[str, list[str]]
     options: CompileOptions = field(default_factory=CompileOptions)
     #: relations declared as static tables: they must be fully loaded
     #: before the first stream event (the engine enforces this).
@@ -321,6 +323,13 @@ class CompiledProgram:
     #: relation → the base map every trigger reads it through (relations
     #: only ever read inside whole materialised aggregates have none).
     base_maps: dict[str, BaseMap] = field(default_factory=dict)
+    #: product slot name -> ``((coeff, (map, ...)), ...)``: a sum slot
+    #: whose every monomial factors into maps keyed on its group is no
+    #: map — the view layer reads ``Σ coeff × Π map[group]``
+    #: (:func:`repro.compiler.compile.product_terms`).
+    products: dict[str, tuple[tuple[int, tuple[str, ...]], ...]] = field(
+        default_factory=dict
+    )
     #: trigger key → {map its trigger writes: the
     #: :func:`repro.algebra.delta.batch_delta_order` of the map's
     #: definition under the relation's event} — classified by ``compile_queries``
@@ -378,6 +387,26 @@ class CompiledProgram:
                     )
         return lines
 
+    def product_views(self) -> list[str]:
+        """One line per product slot: ``name = m1[g] × m2[g]``, its
+        terms joined by ``+``/``−`` (``[]`` keys a scalar slot)."""
+        lines = []
+        for name, terms in self.products.items():
+            text = ""
+            for coeff, factors in terms:
+                term = " × ".join(
+                    f"{factor}[{'g' if self.maps[factor].keys else ''}]"
+                    for factor in factors
+                )
+                if abs(coeff) != 1:
+                    term = f"{abs(coeff)} × {term}"
+                if coeff < 0:
+                    text += f" − {term}" if text else f"−{term}"
+                else:
+                    text += f" + {term}" if text else term
+            lines.append(f"{name} = {text}")
+        return lines
+
     def describe(self) -> str:
         """Human-readable dump (used by the Figure 2 reproduction)."""
         lines: list[str] = ["== maps =="]
@@ -385,6 +414,10 @@ class CompiledProgram:
             role = f" ({map_def.role})" if map_def.role != "derived" else ""
             lines.append(f"{map_def!r}{role}")
         lines.append("")
+        if self.products:
+            lines.append("== product views ==")
+            lines.extend(self.product_views())
+            lines.append("")
         lines.append("== triggers ==")
         for key in sorted(self.triggers):
             lines.append(repr(self.triggers[key]))

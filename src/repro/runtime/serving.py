@@ -96,7 +96,7 @@ from repro.runtime.engine import (
     _stream_windows,
     check_values,
 )
-from repro.runtime.views import GroupRenderer, result_delta
+from repro.runtime.views import GroupRenderer, result_delta, result_map_names
 
 _log = logging.getLogger("repro.serving")
 
@@ -333,14 +333,14 @@ class ViewDeltaTap:
         self.engine = engine
         self.views = selected
         #: which served views each relation's trigger can change: exactly
-        #: those whose slot maps the trigger's statements write.
+        #: those whose result maps the trigger's statements write.
         self._affected: dict[str, tuple[str, ...]] = {}
         for (relation, _), trigger in program.triggers.items():
             targets = {statement.target for statement in trigger.statements}
             self._affected[relation] = tuple(
                 view
                 for view in selected
-                if targets.intersection(program.slot_maps[view])
+                if targets.intersection(result_map_names(program, view))
             )
         #: what the engine reports writes for, per view: ``(touched,
         #: columns)`` (see :meth:`~repro.runtime.engine.Engine.watch_results`);

@@ -6,7 +6,9 @@ at a time, by the one :class:`GroupRenderer` every reader shares:
 * group existence comes from the count slot (a group exists while its row
   count is non-zero — exact under deletions); a scalar query is the one
   group ``()``, which always has a row;
-* ``sum``/``count`` slots read the map value directly (absent key = 0);
+* ``sum``/``count`` slots read the map value directly (absent key = 0),
+  or for a product slot (``program.products``) multiply the values of
+  its maps at the group and sum the terms;
 * ``avg`` items divide their two slots;
 * ``min``/``max``/``distinct`` slots read their auxiliary cache (``program.slot_aux``), keyed by group like a sum slot.
 
@@ -41,9 +43,24 @@ from repro.ir.nodes import (
 
 def result_map_names(program: CompiledProgram, view: str) -> list[str]:
     """The maps one view's rows are read from: its aggregate slot maps
-    and their MIN/MAX/DISTINCT caches.  A batch changes the view's rows only by
-    writing one of these."""
-    return [*program.slot_maps[view], *program.slot_aux.get(view, {}).values()]
+    (a product slot's factors in its place) and their MIN/MAX/DISTINCT
+    caches.  A batch changes the view's rows only by writing one of
+    these."""
+    names = [
+        name
+        for slot in program.slot_maps[view]
+        for _, factors in _slot_terms(program, slot)
+        for name in factors
+    ]
+    return list(dict.fromkeys([*names, *program.slot_aux.get(view, {}).values()]))
+
+
+def _slot_terms(
+    program: CompiledProgram, slot: str
+) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """A sum slot's value as ``((coeff, (map, ...)), ...)``: its product
+    terms, or its own map once."""
+    return program.products.get(slot, ((1, (slot,)),))
 
 
 def event_group_columns(
@@ -136,8 +153,8 @@ class GroupRenderer:
         slot_names = program.slot_maps[query.name]
         aux_slots = program.slot_aux.get(query.name, {})
         self.width = len(query.group_vars)
-        #: per slot, the map its value is read from, keyed by group
-        self._sources = []
+        #: per slot, its terms over the maps its value is read from
+        slots = []
         for index, (spec, name) in enumerate(zip(query.aggregates, slot_names)):
             if spec.kind != "sum":
                 if index not in aux_slots:
@@ -146,18 +163,44 @@ class GroupRenderer:
                         "has no auxiliary cache to read"
                     )
                 name = aux_slots[index]
-            self._sources.append(maps[name])
-        self._counts = (
-            maps[slot_names[query.count_slot]] if query.is_grouped else None
+            slots.append(_slot_terms(program, name))
+        reads = list(dict.fromkeys(
+            name for terms in slots for _, factors in terms for name in factors
+        ))
+        position = {name: index for index, name in enumerate(reads)}
+        source, constants = _row_source(query, [
+            tuple(
+                (coeff, tuple(position[name] for name in factors))
+                for coeff, factors in terms
+            )
+            for terms in slots
+        ])
+        self._row, self._count = _compile_row(source)(
+            [maps[name] for name in reads], constants
         )
-        source, constants = _row_source(query)
-        self._row = _compile_row(source)(self._counts, self._sources, constants)
+        #: the maps whose keys hold every live group: a grouped query's
+        #: count map, or the first factor of each term of a product count
+        self._scan = [
+            maps[factors[0]] for _, factors in slots[query.count_slot]
+        ] if query.is_grouped else []
+        #: whether that is a count map, whose non-zero entries are the
+        #: live groups (the fast path)
+        self._plain = (
+            query.is_grouped
+            and slot_names[query.count_slot] not in program.products
+        )
 
     def live_groups(self) -> list[tuple]:
         """Group keys with at least one underlying row."""
-        if self._counts is None:
+        if self._count is None:
             return [()]
-        return [key for key, value in self._counts.items() if value != 0]
+        if self._plain:
+            return [key for key, value in self._scan[0].items() if value != 0]
+        count = self._count
+        keys = self._scan[0] if len(self._scan) == 1 else dict.fromkeys(
+            key for scanned in self._scan for key in scanned
+        )
+        return [key for key in keys if count(key) != 0]
 
     def row(self, group: tuple) -> Optional[tuple]:
         """The result row of one group (group columns then item columns),
@@ -165,18 +208,24 @@ class GroupRenderer:
         return self._row(group)
 
 
-def _row_source(query: TranslatedQuery) -> tuple[str, list]:
-    """The source of ``make(counts, sources, constants) -> row(group)``
-    for one query, and its constants.  ``row`` is ``eval_result`` of each
-    item unrolled: each slot read once, a ``/`` by zero is 0.  Constants
-    are arguments, so queries of one shape share one source."""
+def _row_source(
+    query: TranslatedQuery, slots: list[tuple[tuple[int, tuple[int, ...]], ...]]
+) -> tuple[str, list]:
+    """The source of ``make(sources, constants) -> (row(group), count)``
+    for one query, and its constants.  ``slots[i]`` is slot ``i``'s
+    value as ``((coeff, (source index, ...)), ...)``: the sum of each
+    coefficient times the product of those sources at the group.
+    ``row`` is ``eval_result`` of each item unrolled: each slot read
+    once, a ``/`` by zero is 0; ``count(group)`` (``None`` for a scalar
+    query) is the count slot's value.  Constants are arguments, so
+    queries of one shape share one source."""
     constants: list = []
-    slots: set[int] = set()
+    used: set[int] = set()
     divisors: list[str] = []
 
     def emit(expr) -> str:
         if isinstance(expr, RSlot):
-            slots.add(expr.index)
+            used.add(expr.index)
             return f"s{expr.index}"
         if isinstance(expr, RGroup):
             return f"group[{expr.index}]"
@@ -194,17 +243,38 @@ def _row_source(query: TranslatedQuery) -> tuple[str, list]:
             raise TranslationError(f"unknown result operator {expr.op!r}")
         return f"({left} {expr.op} {right})"
 
+    read: set[int] = set()
+
+    def value(index: int) -> str:
+        text = ""
+        for coeff, factors in slots[index]:
+            read.update(factors)
+            term = " * ".join(f"get{factor}(group, 0)" for factor in factors)
+            if abs(coeff) != 1:
+                term = f"{abs(coeff)} * {term}"
+            if coeff < 0:
+                text += f" - {term}" if text else f"-{term}"
+            else:
+                text += f" + {term}" if text else term
+        return text
+
     items = ", ".join(emit(item.result) for item in query.items)
-    lines = ["def make(counts, sources, constants):"]
-    lines += [f"    get{i} = sources[{i}].get" for i in sorted(slots)]
-    lines += [f"    c{i} = constants[{i}]" for i in range(len(constants))]
-    lines.append("    def row(group):")
+    body = ["    def row(group):"]
     if query.is_grouped:
-        lines.append("        if counts.get(group, 0) == 0:\n            return None")
-    lines += [f"        s{i} = get{i}(group, 0)" for i in sorted(slots)]
-    lines += divisors
-    lines += [f"        return ({items},)", "    return row"]
-    return "\n".join(lines), constants
+        count = value(query.count_slot)
+        body.append(f"        if {count} == 0:\n            return None")
+    body += [f"        s{i} = {value(i)}" for i in sorted(used)]
+    body += divisors
+    body.append(f"        return ({items},)")
+    if query.is_grouped:
+        body += ["    def count(group):", f"        return {count}"]
+        body.append("    return row, count")
+    else:
+        body.append("    return row, None")
+    lines = ["def make(sources, constants):"]
+    lines += [f"    get{i} = sources[{i}].get" for i in sorted(read)]
+    lines += [f"    c{i} = constants[{i}]" for i in range(len(constants))]
+    return "\n".join(lines + body), constants
 
 
 @lru_cache(maxsize=256)

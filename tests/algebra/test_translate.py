@@ -11,6 +11,7 @@ from repro.algebra.translate import (
     eval_result,
     translate_sql,
 )
+from repro.errors import ParseError, TranslationError
 from repro.sql.catalog import Catalog
 
 
@@ -223,3 +224,29 @@ class TestResultEval:
     def test_group_projection(self):
         expr = RGroup(1)
         assert eval_result(expr, ("x", "y"), []) == "y"
+
+
+def test_a_distinct_scalar_subquery_is_refused_by_name(catalog):
+    """A scalar subquery's DISTINCT was dropped: ``COUNT(DISTINCT s.C)``
+    counted every row.  With R = {(7, 1)} and S = {(0, 5), (1, 5), (9,
+    5)}, S holds one distinct C, so ``r.B < 1`` keeps no row and sqlite
+    answers NULL, where counting all three rows answered 7.  It is
+    refused, naming the aggregate; ``SUM(DISTINCT ...)`` the parser
+    already refuses."""
+    import sqlite3
+
+    sql = (
+        "SELECT sum(r.A) FROM R r WHERE r.B < "
+        "(SELECT {}(DISTINCT s.C) FROM S s)"
+    )
+    connection = sqlite3.connect(":memory:")
+    connection.executescript(
+        "CREATE TABLE R (A int, B int); CREATE TABLE S (B int, C int);"
+        "INSERT INTO R VALUES (7, 1);"
+        "INSERT INTO S VALUES (0, 5), (1, 5), (9, 5);"
+    )
+    assert connection.execute(sql.format("COUNT")).fetchall() == [(None,)]
+    with pytest.raises(TranslationError, match=r"COUNT\(DISTINCT \.\.\.\)"):
+        translate_sql(sql.format("COUNT"), catalog)
+    with pytest.raises(ParseError, match=r"SUM\(DISTINCT \.\.\.\)"):
+        translate_sql(sql.format("SUM"), catalog)

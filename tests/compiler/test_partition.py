@@ -7,10 +7,13 @@ star join), and keep the serial and sharded lanes map-disjoint when a
 program mixes both kinds of query.
 """
 
+import random
+
 import pytest
 
 from repro.algebra.translate import translate_sql
 from repro.compiler import analyze_partitioning, compile_queries, compile_sql
+from repro.runtime import DeltaEngine, ShardedEngine
 from repro.sql.catalog import Catalog
 
 RST_DDL = """
@@ -150,13 +153,17 @@ class TestSerialFallback:
 class TestLaneDisjointness:
     def test_mixed_program_demotes_shared_maps(self):
         catalog = Catalog.from_script(RST_DDL)
-        # Alone, the grouped join shards R and S on the join key B.
+        # Alone, the grouped join shards R and S on the join key B (the
+        # band keeps it one join component: its slots are maintained).
         grouped = translate_sql(
             "SELECT r.B, sum(r.A * s.C) FROM R r, S s WHERE r.B = s.B "
-            "GROUP BY r.B",
+            "AND r.A < s.C GROUP BY r.B",
             catalog,
             name="grouped",
         )
+        assert analyze_partitioning(
+            compile_queries([grouped], catalog)
+        ).relation_columns == {"R": 1, "S": 0}
         # The S*T cross product reads zero-key running sums, forcing S
         # serial -- and S's trigger maintains the join maps the grouped
         # query reads, so the demotion fixpoint must pull R serial too.
@@ -169,6 +176,41 @@ class TestLaneDisjointness:
         assert {"R", "S", "T"} <= set(spec.serial_relations)
         # No map may be owned by both lanes.
         assert not set(spec.map_positions) & spec.serial_maps
+
+    def test_a_product_view_shares_no_map_across_lanes(self):
+        """Without the band the grouped join is a product view: R's
+        trigger writes its own factors and reads nothing of S's, so R
+        shards on B while S and T stay serial, and the merged maps still
+        render what one engine does."""
+        catalog = Catalog.from_script(RST_DDL)
+        queries = [
+            translate_sql(
+                "SELECT r.B, sum(r.A * s.C) FROM R r, S s WHERE r.B = s.B "
+                "GROUP BY r.B",
+                catalog,
+                name="grouped",
+            ),
+            translate_sql(
+                "SELECT sum(s.C * t.D) FROM S s, T t", catalog, name="scalar"
+            ),
+        ]
+        program = compile_queries(queries, catalog)
+        assert set(program.products) == {
+            "q_grouped_sum_1", "q_grouped___count", "q_scalar_sum_0"
+        }
+        spec = analyze_partitioning(program)
+        assert spec.relation_columns == {"R": 1}
+        assert spec.serial_relations == {"S", "T"}
+        assert not set(spec.map_positions) & spec.serial_maps
+        single, sharded = DeltaEngine(program), ShardedEngine(program, shards=2)
+        rng = random.Random(5)
+        for _ in range(300):
+            relation = rng.choice("RST")
+            row = (rng.randrange(4), rng.randrange(-3, 9))
+            for engine in (single, sharded):
+                engine.insert(relation, *row)
+        for name in ("grouped", "scalar"):
+            assert sharded.results(name) == single.results(name)
 
     def test_spec_describe_mentions_lanes(self):
         from repro.workloads.finance import FINANCE_QUERIES, finance_catalog

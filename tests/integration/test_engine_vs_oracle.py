@@ -20,7 +20,9 @@ import pytest
 from repro.algebra.translate import translate_sql
 from repro.compiler import CompileOptions, compile_queries
 from repro.runtime import DeltaEngine, StreamEvent
+from repro.runtime.events import batches
 from repro.sql.catalog import Catalog
+from tests import lanes
 from tests.integration.sql_oracle import SqliteOracle
 
 CATALOG_DDL = """
@@ -194,3 +196,60 @@ def test_multi_query_program_shares_maps_and_stays_correct():
     for i, sql in enumerate(sqls):
         expected = oracle.connection.execute(sql).fetchall()
         assert exact_rows(engine.results(f"q{i}")) == exact_rows(expected)
+
+
+# ---------------------------------------------------------------------------
+# Product views on every lane
+# ---------------------------------------------------------------------------
+
+#: The lanes a product view is read on: each executor, in-process and
+#: forked shards, and a durable engine crashed halfway and reopened.
+PRODUCT_LANES = ("compiled", "interpreted", "compiled/2", "forked/2", "durable")
+
+
+def _rst_program(sql):
+    return compile_queries([translate_sql(sql, lanes.RST, name="q")], lanes.RST)
+
+
+def test_product_shapes_are_read_and_the_others_maintained():
+    for name, sql in lanes.PRODUCT_SHAPES.items():
+        program = _rst_program(sql)
+        assert set(program.products) == set(program.slot_maps["q"]), name
+        assert not any(m.role == "root" for m in program.maps.values()), name
+    for name, sql in lanes.MAINTAINED_SHAPES.items():
+        # The item's sum stays a map (float_sum's row count, over no
+        # FLOAT column, is a product).
+        program = _rst_program(sql)
+        (item, *_) = program.slot_maps["q"]
+        assert item in program.maps and item not in program.products, name
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("lane", PRODUCT_LANES)
+@pytest.mark.parametrize("name", sorted(lanes.PRODUCT_SHAPES))
+def test_product_views_match_sqlite_on_every_lane(name, lane, batch, tmp_path):
+    """Each product shape answers what sqlite answers after every batch
+    of a random R/S stream of inserts and deletes, on every lane; the
+    durable lane is abandoned halfway and reopened from its log."""
+    sql = lanes.PRODUCT_SHAPES[name]
+    program = _rst_program(sql)
+    durable = tmp_path if lane == "durable" else None
+    engine = lanes.build_engine(program, "compiled", durable) if durable else (
+        lanes.build_engine(program, lane)
+    )
+    oracle = SqliteOracle(lanes.RST, sql)
+    runs = list(batches(random_stream(["R", "S"], 160, seed=3), batch))
+    try:
+        for index, run in enumerate(runs):
+            engine.process_batch(run.relation, run.sign, run.rows)
+            for sign, row in zip(run.weights, run.rows):
+                oracle.apply(StreamEvent(run.relation, sign, row))
+            if durable and index == len(runs) // 2:
+                engine.sync()
+                engine.abandon()
+                engine = lanes.build_engine(program, "compiled", durable)
+            assert exact_rows(engine.results("q")) == exact_rows(
+                oracle.connection.execute(sql).fetchall()
+            ), (name, lane, index)
+    finally:
+        engine.close()

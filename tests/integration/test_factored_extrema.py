@@ -129,14 +129,15 @@ def test_the_rule_does_not_fire(name):
 def test_bbo_per_event_triggers_have_no_loop():
     """bbo's occurrence maps are its own sides' (max over bids, min over
     asks): a bid no longer rewrites every ask level of its broker, nor an
-    ask every bid level, and 9 maps become 7."""
+    ask every bid level, and 9 maps become 7 (6 once its count is read
+    as the product of its two sides' counts)."""
     program = lanes.shipped_program("bbo", "bbo")
     ir = lower_program(program)
     for key in program.triggers:
         assert not any(
             isinstance(stmt, ForEachMap) for stmt in walk_stmts(ir.triggers[key].body)
         ), key
-    assert len(program.maps) == 7
+    assert len(program.maps) == 6
     header = generate_module(program).split('"""')[1]
     assert (
         "q_bbo_min_2: min over asks; bids dropped "

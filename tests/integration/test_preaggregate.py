@@ -247,14 +247,14 @@ def test_what_does_not_fold_keeps_its_batch_body(shape, relation):
 
 #: The shipped batch triggers that pre-aggregate: their group and sums.
 SHIPPED_GROUPS = {
-    ("bsp", "on_asks_batch"): "grouped on (ev_asks_broker_id): __sum5 = Σ __w *"
-    " ev_asks_price * ev_asks_volume, __sum6 = Σ __w",
-    ("bsp", "on_bids_batch"): "grouped on (ev_bids_broker_id): __sum5 = Σ __w,"
-    " __sum6 = Σ __w * ev_bids_price * ev_bids_volume",
-    ("psp", "on_asks_batch"): "grouped on (): __sum3 = Σ __w,"
-    " __sum4 = Σ __w * ev_asks_price",
-    ("psp", "on_bids_batch"): "grouped on (): __sum3 = Σ __w,"
-    " __sum4 = Σ __w * ev_bids_price",
+    ("bsp", "on_asks_batch"): "grouped on (ev_asks_broker_id): __sum2 = Σ __w *"
+    " ev_asks_price * ev_asks_volume, __sum3 = Σ __w",
+    ("bsp", "on_bids_batch"): "grouped on (ev_bids_broker_id): __sum2 = Σ __w,"
+    " __sum3 = Σ __w * ev_bids_price * ev_bids_volume",
+    ("psp", "on_asks_batch"): "grouped on (): __sum1 = Σ __w * ev_asks_price,"
+    " __sum2 = Σ __w",
+    ("psp", "on_bids_batch"): "grouped on (): __sum1 = Σ __w,"
+    " __sum2 = Σ __w * ev_bids_price",
     ("mst", "on_bids_batch"): "grouped on (ev_bids_price):"
     " __sum1 = Σ __w * ev_bids_volume",
 }

@@ -58,7 +58,7 @@ from tests.lanes import (
 DELIVERIES = ("process", "stream-3", "stream-100")
 PROGRAMS = (*FINANCE_QUERIES, *SSB_FLIGHT, "warehouse")
 #: The programs whose module ``guards`` changes.
-GUARDED = ("vwap", "axf", "bsp", "mst", "q11", "q21", "q31", "q41", "warehouse")
+GUARDED = ("vwap", "axf", "mst", "q11", "q21", "q31", "q41", "warehouse")
 CASES = [
     *(("share-locals", name) for name in PROGRAMS),
     *(("guards", name) for name in GUARDED),
@@ -244,15 +244,16 @@ def _scopes(body: str, text: str) -> list[int]:
 
 
 def test_bsp_builds_its_broker_key_once():
-    """bsp's bid trigger reads ``(ev_bids_broker_id,)`` twelve times
-    (two probes, and the ``get`` and the store or ``pop`` of five
-    writes): it builds it once, and so does each group of its batch (the
-    body over the groups, ``on_bids_groups``, which ``on_bids_batch``
-    applies to its fold)."""
+    """bsp's bid trigger reads ``(ev_bids_broker_id,)`` four times (the
+    ``get`` and the store or ``pop`` of its two writes): it builds it
+    once.  Each group of its batch (the body over the groups,
+    ``on_bids_groups``, which ``on_bids_batch`` applies to its fold)
+    guards each write on its sum, and a guard's body adds nothing after
+    it: each write builds the key once, inside its guard."""
     source = generate_module(compile_shipped("bsp", "bsp"))
-    for trigger in ("on_bids", "on_bids_groups"):
+    for trigger, builds in (("on_bids", 1), ("on_bids_groups", 2)):
         body = _function(source, trigger)
-        assert body.count("(ev_bids_broker_id,)") == 1, trigger
+        assert body.count("(ev_bids_broker_id,)") == builds, trigger
         assert not re.search(r"__k\d+ = \(", body), trigger  # no per-write key
 
 

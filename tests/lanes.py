@@ -245,6 +245,42 @@ RST_QUERIES = {
     "scan": "SELECT sum(r.A * s.C) FROM R r, S s WHERE r.B < s.B",
 }
 
+#: Shapes whose sum slots are product views
+#: (:func:`repro.compiler.compile.product_terms`): each monomial of the
+#: join splits into parts keyed on the group alone, and each slot is read
+#: as the product of maps the triggers keep, not maintained.
+PRODUCT_SHAPES = {
+    # bsp's: grouped, joined on the group (three products).
+    "product_grouped": (
+        "SELECT r.B, sum(r.A * s.C), sum(s.C) - sum(r.A) "
+        "FROM R r, S s WHERE r.B = s.B GROUP BY r.B"
+    ),
+    # psp's: a scalar cross product, two terms.
+    "product_scalar": "SELECT sum(s.C - r.A) FROM R r, S s",
+    "product_avg": (
+        "SELECT r.B, avg(s.C) FROM R r, S s WHERE r.B = s.B GROUP BY r.B"
+    ),
+    "product_filtered": (
+        "SELECT r.B, sum(r.A) FROM R r, S s "
+        "WHERE r.B = s.B AND s.C > 1 GROUP BY r.B"
+    ),
+}
+
+#: Shapes whose item's sum stays a maintained map.
+MAINTAINED_SHAPES = {
+    # axf's band links the two sides outside the group.
+    "band": (
+        "SELECT r.B, sum(s.C) - sum(r.A) FROM R r, S s WHERE r.B = s.B "
+        "AND s.C - r.A < 3 AND r.A - s.C < 3 GROUP BY r.B"
+    ),
+    # A FLOAT factor: the product would re-associate its sum.
+    "float_sum": (
+        "SELECT s.C, sum(u.D) FROM S s, U u WHERE s.C = u.C GROUP BY s.C"
+    ),
+    # No join: S's side holds no group column (a scalar factor).
+    "unjoined_group": "SELECT r.B, sum(s.C) FROM R r, S s GROUP BY r.B",
+}
+
 #: Shapes reading ``U`` in place of ``T``: their streams carry T's rows as
 #: U's, with a FLOAT ``D`` (half-integers, so every sum is exact in any
 #: order and a reference may add in its own).

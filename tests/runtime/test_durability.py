@@ -8,6 +8,7 @@ torn tails and rotation, snapshots are atomic and fall back past corrupt
 files, and recovery refuses foreign programs.
 """
 
+import json
 import os
 import pickle
 from pathlib import Path
@@ -511,6 +512,33 @@ def test_recover_refuses_foreign_program(tmp_path):
         recover_engine(other, tmp_path)
     with pytest.raises(RecoveryError, match="different program"):
         DurableEngine(other, tmp_path)
+
+
+#: The fingerprints bsp, psp and bbo had while their product slots were
+#: maintained root maps (a directory that build wrote stores these).
+MAINTAINED_ROOT_FINGERPRINTS = {
+    "bsp": "0d56e0928f76b4b5",
+    "psp": "58f91d8a681e6cd1",
+    "bbo": "d7f57aedb06aea4b",
+}
+
+
+@pytest.mark.parametrize("query", sorted(MAINTAINED_ROOT_FINGERPRINTS))
+def test_a_directory_of_maintained_roots_is_refused(query, tmp_path):
+    """Reading bsp's, psp's and bbo's count slots as products dropped
+    their root maps, and the fingerprint covers map names: a directory
+    written when they were maintained is refused by name, not replayed
+    into maps that no longer exist."""
+    program = compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=query)
+    stored = MAINTAINED_ROOT_FINGERPRINTS[query]
+    assert program.products and program_fingerprint(program) != stored
+    (tmp_path / durability._META_FILE).write_text(
+        json.dumps({"format": durability._FORMAT_VERSION, "fingerprint": stored})
+    )
+    with pytest.raises(RecoveryError, match=f"fingerprint '{stored}'"):
+        recover_engine(program, tmp_path)
+    with pytest.raises(RecoveryError, match="different program"):
+        DurableEngine(program, tmp_path)
 
 
 def test_recover_empty_directory_yields_fresh_engine(tmp_path):

@@ -12,6 +12,7 @@ the WAL's).  The cross-engine streaming property lives in
 """
 
 import asyncio
+import math
 import os
 from collections import Counter
 from functools import lru_cache
@@ -1403,14 +1404,22 @@ def _eval_rows(program, maps, view):
     tree — what the compiled renderer replaced, kept as its reference."""
     query = next(q for q in program.queries if q.name == view)
     aux = program.slot_aux.get(view, {})
+    # A product slot's value is the sum of its terms' products.
     sources = [
-        maps[name if spec.kind == "sum" else aux[index]]
+        program.products.get(name, ((1, (name,)),)) if spec.kind == "sum"
+        else ((1, (aux[index],)),)
         for index, (spec, name) in enumerate(
             zip(query.aggregates, program.slot_maps[view])
         )
     ]
     for group in GroupRenderer(program, maps, view).live_groups():
-        values = [source.get(group, 0) for source in sources]
+        values = [
+            sum(
+                coeff * math.prod(maps[name].get(group, 0) for name in factors)
+                for coeff, factors in terms
+            )
+            for terms in sources
+        ]
         yield group, tuple(eval_result(i.result, group, values) for i in query.items)
 
 
@@ -1469,14 +1478,28 @@ def test_compiled_row_of_a_hand_built_result_tree():
     )
     counts = {("a", 1): 1, ("b", 2): 3, ("c", 3): 0}
     slots = [{("a", 1): 7, ("b", 2): -4.5}, {("a", 1): 2}]
-    source, constants = _row_source(query)
-    row = _compile_row(source)(counts, slots, constants)
+    source, constants = _row_source(query, [((1, (0,)),), ((1, (1,)),), ((1, (2,)),)])
+    row, count = _compile_row(source)([*slots, counts], constants)
     assert row(("c", 3)) is None and row(("d", 4)) is None  # no live row
     for group in (("a", 1), ("b", 2)):
         values = [slot.get(group, 0) for slot in slots]
         expected = tuple(eval_result(r, group, values) for r in results)
         assert repr(row(group)) == repr(expected)
+        assert count(group) == counts[group]
     assert row(("b", 2))[2] == 0  # ``/`` by a zero slot
+    # The same tree over product slots: slot 0 = 2·x·y − y, the count x·y.
+    x = {("a", 1): 7, ("b", 2): 3, ("c", 3): 5}
+    y = {("a", 1): 1, ("b", 2): -1}
+    source, constants = _row_source(
+        query, [((2, (0, 1)), (-1, (1,))), ((1, (2,)),), ((1, (0, 1)),)]
+    )
+    row, count = _compile_row(source)([x, y, slots[1]], constants)
+    assert row(("c", 3)) is None and count(("c", 3)) == 0
+    for group in (("a", 1), ("b", 2)):
+        values = [2 * x[group] * y[group] - y[group], slots[1].get(group, 0)]
+        expected = tuple(eval_result(r, group, values) for r in results)
+        assert repr(row(group)) == repr(expected)
+        assert count(group) == x[group] * y[group]
 
 
 def test_query_results_compiles_each_query_at_most_once():
@@ -1546,6 +1569,81 @@ def test_one_row_batch_renders_what_it_touched_not_the_view(monkeypatch):
         apply_changes(held, changes)
     monkeypatch.undo()
     assert held == Counter(engine.results("q"))
+
+
+def _finance_engine(query, shards):
+    """A ``query`` engine (sharded at ``shards`` > 1) fed the first 400
+    events of the order book."""
+    program = lanes.shipped_program(query, query)
+    if shards == 1:
+        engine = DeltaEngine(program)
+    else:
+        engine = ShardedEngine(program, shards=shards)
+    engine.process_stream(lanes.order_book(11, 400), batch_size=7)
+    return engine
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_one_asks_row_reaches_a_product_view(shards, monkeypatch):
+    """bsp's slots are products of maps each side keeps, so an asks row
+    writes no map of bids' and still moves bsp's rows.  The tap reads a
+    write to a factor as a write to the view: the row reaches bsp's
+    subscribers, a DeltaEngine renders only the groups it touched (its
+    broker), and the deltas fold to the engine's results."""
+    engine = _finance_engine("bsp", shards)
+    tap = ViewDeltaTap(engine)
+    assert tap.affected("asks") == tap.affected("bids") == ("bsp",)
+    assert tap.candidates == {"bsp": "event" if shards == 1 else "whole"}
+    held = Counter(dict(tap.snapshot("bsp")[1]))
+    brokers = sorted({row[0] for row, _ in tap.snapshot("bsp")[1]})
+    rendered = []
+    render = GroupRenderer.row
+
+    def counting(self, group):
+        rendered.append(group)
+        return render(self, group)
+
+    monkeypatch.setattr(GroupRenderer, "row", counting)
+    steps = [
+        (1, (9, 9001, brokers[0], 12_345, 3)),  # a live broker moves
+        (1, (9, 9002, 999, 12_345, 3)),  # a broker with no bids: no row
+        (-1, (9, 9001, brokers[0], 12_345, 3)),  # ... and back
+    ]
+    moved = 0
+    for sign, row in steps:
+        del rendered[:]
+        engine.process_batch("asks", sign, [row])
+        changes = tap.on_batch(0, EventBatch("asks", sign, [row])).get("bsp", [])
+        if shards == 1:
+            assert set(rendered) <= {(row[2],)}
+        moved += bool(changes)
+        apply_changes(held, changes)
+    monkeypatch.undo()
+    assert moved == 2
+    assert held == Counter(engine.results("bsp"))
+    engine.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_scalar_product_view_taps_its_one_row(shards):
+    """psp's sum is ``m1·m2 − m3·m4`` over the two sides' running sums:
+    every row of either side retracts the one row and asserts its new
+    value, and the deltas fold to the engine's results."""
+    engine = _finance_engine("psp", shards)
+    tap = ViewDeltaTap(engine)
+    ((before, count),) = tap.snapshot("psp")[1]
+    assert count == 1
+    for relation, sign, row in [
+        ("bids", 1, (9, 9001, 1, 10_000, 5)),
+        ("asks", 1, (9, 9002, 2, 10_050, 5)),
+        ("bids", -1, (9, 9001, 1, 10_000, 5)),
+    ]:
+        engine.process_batch(relation, sign, [row])
+        changes = tap.on_batch(0, EventBatch(relation, sign, [row]))
+        (after,) = engine.results("psp")
+        assert changes == {"psp": sorted([(before, -1), (after, 1)], key=repr)}
+        before = after
+    engine.close()
 
 
 def test_tap_works_registered_called_by_another_listener_or_by_hand():
