@@ -390,22 +390,13 @@ class CompiledProgram:
     def product_views(self) -> list[str]:
         """One line per product slot: ``name = m1[g] × m2[g]``, its
         terms joined by ``+``/``−`` (``[]`` keys a scalar slot)."""
-        lines = []
-        for name, terms in self.products.items():
-            text = ""
-            for coeff, factors in terms:
-                term = " × ".join(
-                    f"{factor}[{'g' if self.maps[factor].keys else ''}]"
-                    for factor in factors
-                )
-                if abs(coeff) != 1:
-                    term = f"{abs(coeff)} × {term}"
-                if coeff < 0:
-                    text += f" − {term}" if text else f"−{term}"
-                else:
-                    text += f" + {term}" if text else term
-            lines.append(f"{name} = {text}")
-        return lines
+        def factor(name: str) -> str:
+            return f"{name}[{'g' if self.maps[name].keys else ''}]"
+
+        return [
+            f"{name} = {sum_of_products(terms, factor, ' × ', '−')}"
+            for name, terms in self.products.items()
+        ]
 
     def describe(self) -> str:
         """Human-readable dump (used by the Figure 2 reproduction)."""
@@ -423,6 +414,26 @@ class CompiledProgram:
             lines.append(repr(self.triggers[key]))
             lines.append("")
         return "\n".join(lines)
+
+
+def sum_of_products(
+    terms: Iterable[tuple[int, tuple]],
+    factor: Callable[[object], str],
+    times: str = " * ",
+    minus: str = "-",
+) -> str:
+    """``Σ coeff × Π factor`` as text, one term per ``(coeff, factors)``
+    of ``terms``: a coefficient of ±1 shows only as the term's sign."""
+    text = ""
+    for coeff, factors in terms:
+        term = times.join(factor(item) for item in factors)
+        if abs(coeff) != 1:
+            term = f"{abs(coeff)}{times}{term}"
+        if coeff < 0:
+            text += f" {minus} {term}" if text else f"{minus}{term}"
+        else:
+            text += f" + {term}" if text else term
+    return text
 
 
 def order_statements(statements: list[Statement]) -> list[Statement]:

@@ -25,7 +25,7 @@ from typing import Collection, Mapping, Optional
 
 from repro.errors import EventError, RuntimeEngineError, TranslationError
 from repro.algebra.translate import RConst, RGroup, RNeg, RSlot, TranslatedQuery
-from repro.compiler.program import CompiledProgram
+from repro.compiler.program import CompiledProgram, sum_of_products
 from repro.ir.nodes import (
     Accum,
     AddTo,
@@ -246,17 +246,9 @@ def _row_source(
     read: set[int] = set()
 
     def value(index: int) -> str:
-        text = ""
-        for coeff, factors in slots[index]:
+        for _, factors in slots[index]:
             read.update(factors)
-            term = " * ".join(f"get{factor}(group, 0)" for factor in factors)
-            if abs(coeff) != 1:
-                term = f"{abs(coeff)} * {term}"
-            if coeff < 0:
-                text += f" - {term}" if text else f"-{term}"
-            else:
-                text += f" + {term}" if text else term
-        return text
+        return sum_of_products(slots[index], "get{}(group, 0)".format)
 
     items = ", ".join(emit(item.result) for item in query.items)
     body = ["    def row(group):"]
