@@ -212,6 +212,23 @@ class TestLaneDisjointness:
         for name in ("grouped", "scalar"):
             assert sharded.results(name) == single.results(name)
 
+    @pytest.mark.parametrize(
+        "query, columns",
+        [("bsp", {"asks": 2, "bids": 2}), ("psp", {}), ("bbo", {"asks": 2, "bids": 2})],
+    )
+    def test_product_views_keep_the_finance_routing(self, query, columns):
+        """A product view's factors count as read: bsp and bbo still route
+        on ``broker_id``, the column their factors are keyed on, not on
+        whatever column a trigger reading nothing would take; psp's
+        zero-key factors keep it serial."""
+        from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
+
+        program = compile_sql(FINANCE_QUERIES[query], finance_catalog(), name=query)
+        assert program.products
+        spec = analyze_partitioning(program)
+        assert spec.relation_columns == columns
+        assert spec.serial_relations == {"asks", "bids"} - set(columns)
+
     def test_spec_describe_mentions_lanes(self):
         from repro.workloads.finance import FINANCE_QUERIES, finance_catalog
 
